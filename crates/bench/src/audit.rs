@@ -4,10 +4,12 @@
 //! When the feature is enabled this module installs a global allocator
 //! that forwards every request to [`System`] after bumping a thread-local
 //! counter, giving harnesses (notably `src/bin/alloc_census.rs`) an exact
-//! per-thread ledger of heap acquisitions. The counters are plain
-//! `Cell<u64>` thread-locals — no atomics, no locks — so the audited
-//! binary's allocation *pattern* is unchanged and the overhead is a few
-//! nanoseconds per allocation. When the feature is off this module does
+//! per-thread ledger of heap acquisitions, and one process-wide total
+//! ([`process_count`]) that also sees the sharded engine's spawned
+//! parties. The ledgers are plain `Cell<u64>` thread-locals and the total
+//! one relaxed atomic add — no locks — so the audited binary's allocation
+//! *pattern* is unchanged and the overhead is a few nanoseconds per
+//! allocation. When the feature is off this module does
 //! not exist and the crate keeps `forbid(unsafe_code)`, so release
 //! binaries carry zero audit cost.
 //!
@@ -23,6 +25,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of per-thread phase ledgers. Phase 0 is the default ledger a
 /// thread starts on; harnesses claim the others via [`enter_phase`].
@@ -33,6 +36,9 @@ pub const PHASE_SETUP: usize = 0;
 
 /// Conventional ledger for the measured region.
 pub const PHASE_MEASURE: usize = 1;
+
+/// Allocations recorded by every thread of the process, in any phase.
+static PROCESS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Which ledger this thread's allocations currently land on.
@@ -94,6 +100,7 @@ static AUDIT_ALLOC: CountingAlloc = CountingAlloc;
 
 #[inline]
 fn bump() {
+    PROCESS.fetch_add(1, Ordering::Relaxed);
     // try_with (not with): allocations can occur while thread-locals are
     // being torn down at thread exit; those land nowhere rather than
     // aborting the process.
@@ -168,6 +175,12 @@ pub fn phase_count(phase: usize) -> u64 {
     COUNTS.with(|c| c[phase].get())
 }
 
+/// Allocations recorded so far by every thread of the process — the only
+/// ledger that sees threads the measured code spawns itself.
+pub fn process_count() -> u64 {
+    PROCESS.load(Ordering::Relaxed)
+}
+
 /// Total allocations recorded on this thread across all phases.
 pub fn thread_count() -> u64 {
     COUNTS.with(|c| c.iter().map(Cell::get).sum())
@@ -206,6 +219,17 @@ mod tests {
         let after = thread_count();
         assert!(after > before, "Vec::with_capacity must bump the ledger");
         drop(v);
+    }
+
+    #[test]
+    fn spawned_thread_allocation_reaches_the_process_total() {
+        let mine = thread_count();
+        let before = process_count();
+        std::thread::spawn(|| drop(Vec::<u64>::with_capacity(64)))
+            .join()
+            .expect("allocating thread");
+        // Other tests allocate concurrently, so only a lower bound holds.
+        assert!(process_count() - before > thread_count() - mine);
     }
 
     #[test]

@@ -25,8 +25,11 @@
 //! non-zero if any steady-state cell allocates (the CI `alloc-audit` job
 //! runs exactly this).
 //!
-//! Sharded cells run `ExecMode::Inline` so all allocation lands on the
-//! measuring thread's ledger.
+//! Sharded cells run `ExecMode::Inline`, plus K = 2 under
+//! `ExecMode::Threads` (two barrier parties, one of them spawned). The
+//! ledger is the process-wide total, so the spawned party's allocations
+//! count; spawning it costs the same in both runs and cancels like every
+//! other set-up cost.
 //!
 //! Checkpoint encoding is *exempt* from the zero target (serialising a
 //! snapshot owns its buffers by design) but still counted: a second
@@ -111,9 +114,14 @@ mod census {
         .link(link)
     }
 
-    fn sharded_options(slots: u64, k: usize, link: &dyn FabricLink) -> ShardedOptions {
+    fn sharded_options(
+        slots: u64,
+        k: usize,
+        mode: ExecMode,
+        link: &dyn FabricLink,
+    ) -> ShardedOptions {
         ShardedOptions {
-            mode: ExecMode::Inline,
+            mode,
             slots: Some(slots),
             drain: false,
             ..ShardedOptions::new(k)
@@ -121,12 +129,15 @@ mod census {
         .link(link)
     }
 
-    /// Allocations on this thread's measure ledger while `f` runs.
+    /// Allocations by any thread of the process while `f` runs (the
+    /// census itself is single-threaded, so these are `f`'s alone). This
+    /// thread's share lands on its measure ledger, which is what
+    /// [`audit::arm_backtraces`] traces.
     fn measured(f: impl FnOnce()) -> u64 {
         let _g = audit::enter_phase(audit::PHASE_MEASURE);
-        let before = audit::phase_count(audit::PHASE_MEASURE);
+        let before = audit::process_count();
         f();
-        audit::phase_count(audit::PHASE_MEASURE) - before
+        audit::process_count() - before
     }
 
     /// Differential steady-state cost of `run(slots)` per slot. With
@@ -227,10 +238,11 @@ mod census {
         trace: &Trace,
         link: &dyn FabricLink,
         k: usize,
+        mode: ExecMode,
         policy: &dyn CioqShardPolicy,
     ) -> (f64, u64) {
         steady(|slots| {
-            run_cioq_sharded(cfg, policy, trace, sharded_options(slots, k, link))
+            run_cioq_sharded(cfg, policy, trace, sharded_options(slots, k, mode, link))
                 .expect("census run");
         })
     }
@@ -240,10 +252,11 @@ mod census {
         trace: &Trace,
         link: &dyn FabricLink,
         k: usize,
+        mode: ExecMode,
         policy: &dyn CrossbarShardPolicy,
     ) -> (f64, u64) {
         steady(|slots| {
-            run_crossbar_sharded(cfg, policy, trace, sharded_options(slots, k, link))
+            run_crossbar_sharded(cfg, policy, trace, sharded_options(slots, k, mode, link))
                 .expect("census run");
         })
     }
@@ -312,17 +325,40 @@ mod census {
                 });
             }
 
-            // Sharded inline engines.
-            for k in [2usize, 4] {
-                let engine = format!("sharded-k{k}");
+            // Sharded engines: inline, and K = 2 on two barrier parties.
+            for (k, mode) in [
+                (2usize, ExecMode::Inline),
+                (4, ExecMode::Inline),
+                (2, ExecMode::Threads),
+            ] {
+                let threads = if mode == ExecMode::Threads {
+                    "-thr"
+                } else {
+                    ""
+                };
+                let engine = format!("sharded-k{k}{threads}");
                 let cells: [(&str, (f64, u64)); 4] = [
                     (
                         "gm",
-                        sharded_cioq(&cioq_cfg, &cioq_unit, link.as_ref(), k, &ShardedGm::new()),
+                        sharded_cioq(
+                            &cioq_cfg,
+                            &cioq_unit,
+                            link.as_ref(),
+                            k,
+                            mode,
+                            &ShardedGm::new(),
+                        ),
                     ),
                     (
                         "pg",
-                        sharded_cioq(&cioq_cfg, &cioq_vals, link.as_ref(), k, &ShardedPg::new()),
+                        sharded_cioq(
+                            &cioq_cfg,
+                            &cioq_vals,
+                            link.as_ref(),
+                            k,
+                            mode,
+                            &ShardedPg::new(),
+                        ),
                     ),
                     (
                         "cgu",
@@ -331,6 +367,7 @@ mod census {
                             &xbar_unit,
                             link.as_ref(),
                             k,
+                            mode,
                             &ShardedCgu::new(),
                         ),
                     ),
@@ -341,6 +378,7 @@ mod census {
                             &xbar_vals,
                             link.as_ref(),
                             k,
+                            mode,
                             &ShardedCpg::new(),
                         ),
                     ),
@@ -414,7 +452,7 @@ mod census {
         );
         println!();
         println!(
-            "{:<6} {:<12} {:<14} {:>14} {:>10}  verdict",
+            "{:<6} {:<14} {:<14} {:>14} {:>10}  verdict",
             "policy", "engine", "fabric", "allocs/slot", "raw"
         );
         let mut failures = 0usize;
@@ -424,7 +462,7 @@ mod census {
                 failures += 1;
             }
             println!(
-                "{:<6} {:<12} {:<14} {:>14.3} {:>10}  {}",
+                "{:<6} {:<14} {:<14} {:>14.3} {:>10}  {}",
                 r.policy,
                 r.engine,
                 r.fabric,

@@ -1,7 +1,8 @@
 //! Sharded slot engine: the N ports split into K contiguous shards, each
-//! shard running its share of every phase — on std scoped threads when the
-//! host has the cores for it, inline otherwise — with cross-shard traffic
-//! batched per cycle and reconciled deterministically.
+//! shard running its share of every phase — the K shards grouped onto
+//! T ≤ min(K, cores) barrier parties, the calling thread being party 0 —
+//! with cross-shard traffic batched per cycle and reconciled
+//! deterministically.
 //!
 //! ## Ownership model
 //!
@@ -128,18 +129,23 @@ impl Partition {
 // Options and outcome
 // ---------------------------------------------------------------------------
 
-/// How the shards execute within a slot.
+/// How many barrier parties the K shards execute on within a slot. A
+/// party runs a contiguous group of shards (shard `s` belongs to party
+/// `⌊s·T/K⌋`) in shard order; the calling thread is party 0, so T parties
+/// cost T − 1 spawned threads. Phases touch only per-shard state and
+/// single-writer cells, so T never shows in any result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Threads when `K > 1` and the host reports more than one core,
-    /// inline otherwise.
+    /// T = min(K, `available_parallelism()`): never more parties than
+    /// cores, so no party ever waits for a descheduled spinner.
     #[default]
     Auto,
-    /// Run every shard's phase work on the calling thread, in shard order.
-    /// Zero synchronisation cost; the right choice on single-core hosts.
+    /// T = 1: every shard's phase work runs on the calling thread, with
+    /// no thread spawned and no barrier crossed.
     Inline,
-    /// One std scoped thread per shard, phase-stepped by barriers. The
-    /// results are identical to [`ExecMode::Inline`] by construction.
+    /// T = max(`Auto`'s T, min(K, 2)): as `Auto`, but at least two
+    /// parties whenever K ≥ 2, so the barrier protocol is exercised even
+    /// on a one-core host.
     Threads,
 }
 
@@ -213,18 +219,14 @@ impl ShardedOptions {
         self
     }
 
-    fn use_threads(&self) -> bool {
-        match self.mode {
-            ExecMode::Inline => false,
-            ExecMode::Threads => true,
-            ExecMode::Auto => {
-                self.shards > 1
-                    && std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                        > 1
-            }
+    /// Barrier parties T the run executes on (see [`ExecMode`]).
+    fn parties(&self) -> usize {
+        if self.mode == ExecMode::Inline || self.shards == 1 {
+            return 1;
         }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let floor = if self.mode == ExecMode::Threads { 2 } else { 1 };
+        self.shards.min(cores.max(floor))
     }
 }
 
@@ -1740,55 +1742,97 @@ fn xbar_phase<'f>(
 }
 
 // ---------------------------------------------------------------------------
-// Driver: inline or barrier-phased threads
+// Driver: K shards on T barrier parties, the caller being party 0
 // ---------------------------------------------------------------------------
 
+/// Run the slot loop `coordinate` over `workers` (one per shard) on
+/// `threads` barrier parties (clamped to `1..=K`). Party `p` owns the
+/// contiguous shards with `⌊s·T/K⌋ = p` and runs their phase bodies in
+/// shard order with one scratch. The calling thread is party 0: each
+/// `do_phase` publishes the phase, crosses the barrier, runs its own
+/// group, crosses again, and is then alone for the serial work between
+/// phases. T = 1 is the same loop with nothing spawned, no scope entered
+/// and a barrier that returns at once.
 fn drive<W: Send, S>(
-    use_threads: bool,
+    threads: usize,
     comms: &Comms,
     mut workers: Vec<W>,
     mk_scratch: impl Fn() -> S + Sync,
     worker_phase: impl Fn(u8, usize, &mut W, &mut S) + Sync,
     coordinate: impl FnOnce(&mut dyn FnMut(u8) -> Result<(), PolicyError>) -> Result<(), PolicyError>,
 ) -> Result<(), PolicyError> {
-    let check = |comms: &Comms| -> Result<(), PolicyError> {
-        if let Some(msg) = lock(&comms.panic).take() {
-            panic!("sharded worker panicked: {msg}");
-        }
-        if comms.failed.load(Ordering::Acquire) {
-            return Err(lock(&comms.error)
-                .take()
-                .expect("failed flag implies a stored error"));
-        }
-        Ok(())
-    };
-
-    if !use_threads {
-        // One scratch serves every worker: phases run sequentially and
-        // each clears the guard buffers before returning.
-        let mut scratch = mk_scratch();
-        let mut do_phase = |ph: u8| -> Result<(), PolicyError> {
-            for (s, w) in workers.iter_mut().enumerate() {
-                worker_phase(ph, s, w, &mut scratch);
-            }
-            check(comms)
-        };
-        return coordinate(&mut do_phase);
-    }
-
     let k = workers.len();
+    let t = threads.clamp(1, k);
+    // First shard of party `p`: its group is `first(p)..first(p + 1)`.
+    let first = move |p: usize| (p * k).div_ceil(t);
     let phase = AtomicU8::new(PH_EXIT);
     // Spin-then-park: phases are typically shorter than a condvar
     // park/unpark round trip, so the barrier spins briefly before
     // sleeping (see [`SpinBarrier`]).
-    let barrier = SpinBarrier::new(k + 1);
+    let barrier = SpinBarrier::new(t);
+    // One party's share of a phase. A panicking worker is recorded, not
+    // propagated, so the party still reaches the closing barrier.
+    let run_group = |ph: u8, p: usize, group: &mut [W], scratch: &mut S| {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for (s, w) in (first(p)..).zip(group) {
+                worker_phase(ph, s, w, scratch);
+            }
+        }));
+        if let Err(payload) = result {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_string());
+            let mut slot = lock(&comms.panic);
+            if slot.is_none() {
+                *slot = Some(msg);
+            }
+            comms.failed.store(true, Ordering::Release);
+        }
+    };
+    let (own, mut rest) = workers.split_at_mut(first(1));
+    // Party 0: the slot loop on the calling thread, then the exit phase.
+    let lead = || {
+        let mut scratch = mk_scratch();
+        let mut do_phase = |ph: u8| -> Result<(), PolicyError> {
+            phase.store(ph, Ordering::Release);
+            barrier.wait();
+            run_group(ph, 0, own, &mut scratch);
+            barrier.wait();
+            if let Some(msg) = lock(&comms.panic).take() {
+                panic!("sharded worker panicked: {msg}");
+            }
+            if comms.failed.load(Ordering::Acquire) {
+                return Err(lock(&comms.error)
+                    .take()
+                    .expect("failed flag implies a stored error"));
+            }
+            Ok(())
+        };
+        // Catch coordinator panics so the spawned parties can still be
+        // released (otherwise the scope would deadlock on join).
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| coordinate(&mut do_phase)));
+        phase.store(PH_EXIT, Ordering::Release);
+        barrier.wait();
+        match result {
+            Ok(r) => r,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    };
+    if t == 1 {
+        // Nobody to spawn — and a `thread::scope` entered regardless is
+        // not free: it put 1.5 ms on a K = 1 run's first rep over a fresh
+        // trace (`setup_s` of `cioq_gm_uniform_shard1`, 12.7 → 14.3 ms).
+        return lead();
+    }
     std::thread::scope(|scope| {
-        for (s, mut worker) in workers.into_iter().enumerate() {
-            let phase = &phase;
-            let barrier = &barrier;
-            let worker_phase = &worker_phase;
-            let mk_scratch = &mk_scratch;
-            let comms: &Comms = comms;
+        for p in 1..t {
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(first(p + 1) - first(p));
+            rest = tail;
+            let (phase, barrier, run_group, mk_scratch) =
+                (&phase, &barrier, &run_group, &mk_scratch);
             scope.spawn(move || {
                 // Built inside the thread: the scratch holds lock guards
                 // between phase entry and exit, so its type is `!Send`.
@@ -1799,42 +1843,12 @@ fn drive<W: Send, S>(
                     if ph == PH_EXIT {
                         break;
                     }
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        worker_phase(ph, s, &mut worker, &mut scratch)
-                    }));
-                    if let Err(payload) = result {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "worker panicked".to_string());
-                        let mut slot = lock(&comms.panic);
-                        if slot.is_none() {
-                            *slot = Some(msg);
-                        }
-                        comms.failed.store(true, Ordering::Release);
-                    }
+                    run_group(ph, p, group, &mut scratch);
                     barrier.wait();
                 }
             });
         }
-
-        let mut do_phase = |ph: u8| -> Result<(), PolicyError> {
-            phase.store(ph, Ordering::Release);
-            barrier.wait();
-            barrier.wait();
-            check(comms)
-        };
-        // Catch coordinator panics so the workers can still be released
-        // (otherwise the scope would deadlock on join).
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| coordinate(&mut do_phase)));
-        phase.store(PH_EXIT, Ordering::Release);
-        barrier.wait();
-        match result {
-            Ok(r) => r,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+        lead()
     })
 }
 
@@ -2333,7 +2347,7 @@ pub fn run_cioq_sharded(
     trace: &Trace,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_cioq_sharded_feed(cfg, policy, Feed::Trace(trace), options)
+    run_cioq_sharded_feed(cfg, policy, Feed::Trace(trace), options.parties(), options)
 }
 
 /// Run a sharded CIOQ policy against a live [`StreamingSource`] — the
@@ -2348,13 +2362,20 @@ pub fn run_cioq_sharded_streamed(
     source: &mut StreamingSource,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_cioq_sharded_feed(cfg, policy, Feed::Stream(source), options)
+    run_cioq_sharded_feed(
+        cfg,
+        policy,
+        Feed::Stream(source),
+        options.parties(),
+        options,
+    )
 }
 
 fn run_cioq_sharded_feed(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
     mut feed: Feed<'_, '_>,
+    threads: usize,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
     assert!(
@@ -2400,7 +2421,7 @@ fn run_cioq_sharded_feed(
     let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
 
     let result = drive(
-        options.use_threads(),
+        threads,
         &fabric.comms,
         workers,
         PhaseScratch::new,
@@ -2554,7 +2575,7 @@ pub fn run_crossbar_sharded(
     trace: &Trace,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_crossbar_sharded_feed(cfg, policy, Feed::Trace(trace), options)
+    run_crossbar_sharded_feed(cfg, policy, Feed::Trace(trace), options.parties(), options)
 }
 
 /// Run a sharded buffered-crossbar policy against a live
@@ -2565,13 +2586,20 @@ pub fn run_crossbar_sharded_streamed(
     source: &mut StreamingSource,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_crossbar_sharded_feed(cfg, policy, Feed::Stream(source), options)
+    run_crossbar_sharded_feed(
+        cfg,
+        policy,
+        Feed::Stream(source),
+        options.parties(),
+        options,
+    )
 }
 
 fn run_crossbar_sharded_feed(
     cfg: &SwitchConfig,
     policy: &dyn CrossbarShardPolicy,
     mut feed: Feed<'_, '_>,
+    threads: usize,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
     assert!(
@@ -2618,7 +2646,7 @@ fn run_crossbar_sharded_feed(
     let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
 
     let result = drive(
-        options.use_threads(),
+        threads,
         &fabric.comms,
         workers,
         PhaseScratch::new,
@@ -2795,5 +2823,445 @@ mod tests {
         assert!(s.input_used(1) && s.output_used(2));
         s.begin(3, 3);
         assert!(!s.input_used(1) && !s.output_used(2), "new cycle resets");
+    }
+
+    // -- The party topology: T-independence and failure paths ---------------
+    //
+    // `cioq_core`'s sharded policies sit above this crate, so these tests
+    // drive the engine with cache-free, paper-direct versions of the four
+    // algorithms written against the shard traits alone.
+
+    use crate::transport::DelayMatrix;
+    use cioq_model::{exceeds_factor, Topology};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::time::Duration;
+
+    const K: usize = 4;
+    const PORTS: usize = 8;
+
+    /// GM (`beta: None`, unit weights) or PG (`beta: Some(β)`): shards
+    /// publish one candidate per non-empty VOQ, the merge runs the greedy
+    /// over `(weight desc, cell asc)` — for GM that is lexicographic order.
+    struct Greedy {
+        beta: Option<f64>,
+    }
+
+    struct GreedyWorker {
+        weighted: bool,
+    }
+
+    fn admit_by_value(shard: &ShardView<'_>, p: &Packet, preempt: bool) -> Admission {
+        let queue = shard.input_queue(p.input, p.output);
+        if !queue.is_full() {
+            Admission::Accept
+        } else if preempt && queue.tail_value().expect("full") < p.value {
+            Admission::AcceptPreemptingLeast
+        } else {
+            Admission::Reject
+        }
+    }
+
+    impl CioqShardPolicy for Greedy {
+        fn name(&self) -> &str {
+            "greedy"
+        }
+
+        fn new_worker(
+            &self,
+            _: usize,
+            _: &Partition,
+            _: &SwitchConfig,
+        ) -> Box<dyn CioqShardWorker> {
+            Box::new(GreedyWorker {
+                weighted: self.beta.is_some(),
+            })
+        }
+
+        fn merge(
+            &self,
+            ctx: &MergeContext<'_>,
+            scratch: &mut MergeScratch,
+            out: &mut Vec<Transfer>,
+        ) {
+            let mut all: Vec<Candidate> = ctx
+                .candidates
+                .iter()
+                .flat_map(|set| set.list.iter().copied())
+                .collect();
+            all.sort_by_key(|c| (std::cmp::Reverse(c.weight), c.input, c.output));
+            scratch.begin(ctx.cfg.n_inputs, ctx.cfg.n_outputs);
+            for c in all {
+                let (i, j) = (c.input as usize, c.output as usize);
+                let eligible = !ctx.outputs.full[j]
+                    || self
+                        .beta
+                        .is_some_and(|b| exceeds_factor(c.weight, b, ctx.outputs.tail[j]));
+                if eligible && !scratch.input_used(i) && !scratch.output_used(j) {
+                    scratch.use_input(i);
+                    scratch.use_output(j);
+                    out.push(Transfer {
+                        input: PortId(c.input),
+                        output: PortId(c.output),
+                        pick: PacketPick::Greatest,
+                        preempt_if_full: self.beta.is_some(),
+                    });
+                }
+            }
+        }
+    }
+
+    impl CioqShardWorker for GreedyWorker {
+        fn admit(&mut self, shard: &ShardView<'_>, p: &Packet) -> Admission {
+            admit_by_value(shard, p, self.weighted)
+        }
+
+        fn propose(
+            &mut self,
+            shard: &ShardView<'_>,
+            _: &OutputSnapshot,
+            _: Cycle,
+            out: &mut CandidateSet,
+        ) {
+            for i in shard.input_range() {
+                for j in 0..shard.n_outputs() {
+                    let head = shard
+                        .input_queue(PortId::from(i), PortId::from(j))
+                        .head_value();
+                    if let Some(v) = head {
+                        out.list.push(Candidate {
+                            input: i as u16,
+                            output: j as u16,
+                            weight: if self.weighted { v } else { 0 },
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// CGU (`params: None`, first fit) or CPG (`params: Some((β, α))`,
+    /// per-port argmax with preemption thresholds).
+    struct Xbar {
+        params: Option<(f64, f64)>,
+    }
+
+    impl CrossbarShardPolicy for Xbar {
+        fn name(&self) -> &str {
+            "xbar"
+        }
+
+        fn new_worker(
+            &self,
+            _: usize,
+            _: &Partition,
+            _: &SwitchConfig,
+        ) -> Box<dyn CrossbarShardWorker> {
+            Box::new(Xbar {
+                params: self.params,
+            })
+        }
+    }
+
+    /// First candidate (CGU) or the greatest, ties to the lowest port (CPG).
+    fn choose(
+        params: Option<(f64, f64)>,
+        it: impl Iterator<Item = (Value, usize)>,
+    ) -> Option<(Value, usize)> {
+        let mut it = it;
+        match params {
+            None => it.next(),
+            Some(_) => it.min_by_key(|&(v, port)| (std::cmp::Reverse(v), port)),
+        }
+    }
+
+    impl CrossbarShardWorker for Xbar {
+        fn admit(&mut self, shard: &ShardView<'_>, p: &Packet) -> Admission {
+            admit_by_value(shard, p, self.params.is_some())
+        }
+
+        fn propose_input(&mut self, shard: &ShardView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+            for i in shard.input_range() {
+                let input = PortId::from(i);
+                let eligible = (0..shard.n_outputs()).filter_map(|j| {
+                    let v = shard.input_queue(input, PortId::from(j)).head_value()?;
+                    let c = shard.crossbar_queue(input, PortId::from(j));
+                    let ok = !c.is_full()
+                        || self.params.is_some_and(|(beta, _)| {
+                            exceeds_factor(v, beta, c.tail_value().expect("full"))
+                        });
+                    ok.then_some((v, j))
+                });
+                if let Some((_, j)) = choose(self.params, eligible) {
+                    out.push(InputTransfer {
+                        input,
+                        output: PortId::from(j),
+                        pick: PacketPick::Greatest,
+                        preempt_if_full: self.params.is_some(),
+                    });
+                }
+            }
+        }
+
+        fn propose_output(
+            &mut self,
+            fabric: &FabricView<'_>,
+            shard: usize,
+            _: &[u32],
+            outputs: &OutputSnapshot,
+            _: Cycle,
+            out: &mut Vec<OutputTransfer>,
+        ) {
+            for j in fabric.partition().output_range(shard) {
+                let heads = (0..fabric.n_inputs())
+                    .filter_map(|i| Some((fabric.crossbar_queue(i, j).head_value()?, i)));
+                let Some((v, i)) = choose(self.params, heads) else {
+                    continue;
+                };
+                let ok = !outputs.full[j]
+                    || self
+                        .params
+                        .is_some_and(|(_, alpha)| exceeds_factor(v, alpha, outputs.tail[j]));
+                if ok {
+                    out.push(OutputTransfer {
+                        input: PortId::from(i),
+                        output: PortId::from(j),
+                        pick: PacketPick::Greatest,
+                        preempt_if_full: self.params.is_some(),
+                    });
+                }
+            }
+        }
+    }
+
+    /// Overloaded, output-skewed traffic: queues fill, so rejects,
+    /// preemptions and contended outputs all occur.
+    fn skewed_trace(max_value: Value) -> Trace {
+        let mut rng = SmallRng::seed_from_u64(0x7A57);
+        let mut tuples = Vec::new();
+        for slot in 0..48 {
+            for i in 0..PORTS {
+                for _ in 0..2 {
+                    if rng.gen_bool(0.8) {
+                        let j = rng.gen_range(0..PORTS).min(rng.gen_range(0..PORTS));
+                        let v = rng.gen_range(1..=max_value);
+                        tuples.push((slot, PortId::from(i), PortId::from(j), v));
+                    }
+                }
+            }
+        }
+        Trace::from_tuples(tuples)
+    }
+
+    /// Two racks: intra-rack pairs take the same-cycle mailbox path,
+    /// cross-rack pairs ride the delay rings.
+    fn two_tier_options() -> ShardedOptions {
+        let topology = Topology::two_tier(PORTS, PORTS, 2, 0, 2).expect("valid topology");
+        let mut options = ShardedOptions::new(K).link(&DelayMatrix::new(topology));
+        options.validate = true;
+        options.record = true;
+        options.capture_final_state = true;
+        options.checkpoint_every = Some(8);
+        options
+    }
+
+    /// Everything a run produces, in comparable form: the report, the
+    /// transcript and final state, the checkpoint bytes.
+    type Fingerprint = (RunReport, String, Vec<Vec<u8>>);
+
+    fn fingerprint(outcome: ShardedOutcome) -> Fingerprint {
+        let transcript_and_state = format!(
+            "{:?} {:?} {:?}",
+            outcome.schedule, outcome.crossbar_schedule, outcome.final_state
+        );
+        let checkpoints = outcome.checkpoints.iter().map(|c| c.to_bytes()).collect();
+        (outcome.report, transcript_and_state, checkpoints)
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_party_count() {
+        let cioq = SwitchConfig::cioq(PORTS, 2, 2);
+        let xbar = SwitchConfig::crossbar(PORTS, 2, 1, 2);
+        let (unit, valued) = (skewed_trace(1), skewed_trace(16));
+        let run_cioq = |beta, trace: &Trace, t| {
+            let policy = Greedy { beta };
+            let feed = Feed::Trace(trace);
+            fingerprint(run_cioq_sharded_feed(&cioq, &policy, feed, t, two_tier_options()).unwrap())
+        };
+        let run_xbar = |params, trace: &Trace, t| {
+            let policy = Xbar { params };
+            let feed = Feed::Trace(trace);
+            fingerprint(
+                run_crossbar_sharded_feed(&xbar, &policy, feed, t, two_tier_options()).unwrap(),
+            )
+        };
+        let check = |name: &str, run: &dyn Fn(usize) -> Fingerprint| {
+            let inline = run(1);
+            assert!(inline.0.transmitted > 0 && inline.0.losses.total_count() > 0);
+            assert!(!inline.2.is_empty(), "{name}: checkpoints were taken");
+            // T = 3 is the uneven split: groups {0, 1}, {2}, {3}.
+            for t in 2..=K {
+                assert_eq!(run(t), inline, "{name}: T = {t} differs from T = 1");
+            }
+        };
+        check("GM", &|t| run_cioq(None, &unit, t));
+        check("PG", &|t| run_cioq(Some(2.4), &valued, t));
+        check("CGU", &|t| run_xbar(None, &unit, t));
+        check("CPG", &|t| run_xbar(Some((2.0, 2.0)), &valued, t));
+    }
+
+    #[test]
+    fn mode_resolves_to_at_most_one_party_per_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let with = |k, mode| ShardedOptions {
+            mode,
+            ..ShardedOptions::new(k)
+        };
+        if cores >= 2 {
+            // The default must thread, not quietly fall back to inline.
+            assert_eq!(ShardedOptions::new(2).parties(), 2);
+        }
+        for k in [1, 2, 4, 64] {
+            assert_eq!(with(k, ExecMode::Inline).parties(), 1);
+            assert_eq!(with(k, ExecMode::Auto).parties(), k.min(cores));
+            assert_eq!(
+                with(k, ExecMode::Threads).parties(),
+                k.min(cores).max(k.min(2))
+            );
+        }
+    }
+
+    /// Run `f` on a helper thread; a run that deadlocks fails the test
+    /// instead of hanging it. Returns `f`'s panic message, if it panicked.
+    fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Result<T, String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)))
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("sharded run deadlocked")
+            .map_err(|payload| *payload.downcast::<String>().expect("formatted panic"))
+    }
+
+    /// GM whose shard `bad` misbehaves from slot 3 on: its worker panics in
+    /// `propose`, accepts into full queues, or the merge reuses an input.
+    #[derive(Clone, Copy)]
+    enum Fault {
+        WorkerPanic { bad: usize },
+        AcceptWhenFull { bad: usize },
+        MergeDuplicatesInput,
+    }
+
+    struct Faulty(Fault);
+
+    struct FaultyWorker {
+        fault: Fault,
+        shard: usize,
+    }
+
+    impl CioqShardPolicy for Faulty {
+        fn name(&self) -> &str {
+            "faulty"
+        }
+
+        fn new_worker(
+            &self,
+            shard: usize,
+            _: &Partition,
+            _: &SwitchConfig,
+        ) -> Box<dyn CioqShardWorker> {
+            Box::new(FaultyWorker {
+                fault: self.0,
+                shard,
+            })
+        }
+
+        fn merge(
+            &self,
+            ctx: &MergeContext<'_>,
+            scratch: &mut MergeScratch,
+            out: &mut Vec<Transfer>,
+        ) {
+            Greedy { beta: None }.merge(ctx, scratch, out);
+            if matches!(self.0, Fault::MergeDuplicatesInput) && ctx.cycle.slot >= 3 {
+                let first = *out.first().expect("overloaded switch has a transfer");
+                out.push(first);
+            }
+        }
+    }
+
+    impl CioqShardWorker for FaultyWorker {
+        fn admit(&mut self, shard: &ShardView<'_>, p: &Packet) -> Admission {
+            match self.fault {
+                Fault::AcceptWhenFull { bad } if bad == self.shard => Admission::Accept,
+                _ => admit_by_value(shard, p, false),
+            }
+        }
+
+        fn propose(
+            &mut self,
+            shard: &ShardView<'_>,
+            outputs: &OutputSnapshot,
+            cycle: Cycle,
+            out: &mut CandidateSet,
+        ) {
+            if matches!(self.fault, Fault::WorkerPanic { bad } if bad == self.shard && cycle.slot >= 3)
+            {
+                panic!("boom in shard {}", self.shard);
+            }
+            GreedyWorker { weighted: false }.propose(shard, outputs, cycle, out);
+        }
+    }
+
+    fn run_faulty(fault: Fault, t: usize) -> Result<Result<ShardedOutcome, PolicyError>, String> {
+        bounded(move || {
+            let cfg = SwitchConfig::cioq(PORTS, 2, 2);
+            let trace = skewed_trace(1);
+            run_cioq_sharded_feed(
+                &cfg,
+                &Faulty(fault),
+                Feed::Trace(&trace),
+                t,
+                two_tier_options(),
+            )
+        })
+    }
+
+    #[test]
+    fn worker_panic_surfaces_identically_from_any_party() {
+        // T = 2 puts shards {0, 1} on the calling thread (party 0) and
+        // {2, 3} on the spawned party; T = 1 is the unthreaded loop.
+        for (bad, t) in [(0, 2), (K - 1, 2), (1, 1), (K - 1, K)] {
+            let msg = run_faulty(Fault::WorkerPanic { bad }, t)
+                .expect_err("the worker's panic must surface");
+            assert_eq!(msg, format!("sharded worker panicked: boom in shard {bad}"));
+        }
+    }
+
+    #[test]
+    fn policy_error_from_the_last_group_matches_the_unthreaded_run() {
+        let run = |t| {
+            run_faulty(Fault::AcceptWhenFull { bad: K - 1 }, t)
+                .expect("no panic")
+                .expect_err("accepting into a full queue is a policy error")
+        };
+        let inline = run(1);
+        assert!(matches!(
+            inline,
+            PolicyError::QueueFull { kind: "input", .. }
+        ));
+        for t in 2..=K {
+            assert_eq!(run(t), inline, "T = {t}");
+        }
+    }
+
+    #[test]
+    fn coordinator_error_releases_every_spawned_party() {
+        for t in 1..=K {
+            let err = run_faulty(Fault::MergeDuplicatesInput, t)
+                .expect("no panic")
+                .expect_err("a reused input must be rejected");
+            assert!(matches!(err, PolicyError::DuplicateInput { .. }), "T = {t}");
+        }
     }
 }

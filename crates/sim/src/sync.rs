@@ -12,10 +12,16 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// How many generation checks a waiter performs before parking. Each
-/// iteration is a load plus a `spin_loop` hint; the total is well under
-/// the ~10 µs cost of a futex sleep/wake round trip.
-const SPIN_ROUNDS: u32 = 4096;
+/// How many generation checks a waiter performs before parking. One round
+/// (an Acquire load plus a `spin_loop` hint) measures 16 ns on the 2-vCPU
+/// reference host (min of 200 × 4096 rounds), so the budget is ≈ 33 µs —
+/// what one parked crossing costs there (29–34 µs: the waiter's futex
+/// sleep, the leader's wake, the vCPU's return from idle), i.e. spin for
+/// as long as the park would cost. Benchmark row `cioq_gm_twotier_shard2`
+/// (≈ 5 µs per phase) collapses below 1024 rounds (at 256 every third
+/// wait parks: 6 k slots/s against 29 k) and cannot tell 1024, 2048, 4096
+/// and 16384 apart; with parties ≤ cores a few waits in 1000 exhaust it.
+const SPIN_ROUNDS: u32 = 2048;
 
 /// A reusable sense-reversing barrier for a fixed set of parties: spin
 /// first, park only when the phase outlasts the spin budget.
@@ -45,8 +51,12 @@ impl SpinBarrier {
         }
     }
 
-    /// Block (spinning, then parking) until all parties have arrived.
+    /// Block (spinning, then parking) until all parties have arrived. A
+    /// one-party barrier returns at once, touching neither lock nor atomics.
     pub fn wait(&self) {
+        if self.parties == 1 {
+            return;
+        }
         // ORDERING: Acquire pairs with the leader's Release store below;
         // a waiter that reads generation g sees every write the previous
         // leader made before opening generation g.

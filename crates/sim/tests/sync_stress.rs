@@ -10,14 +10,16 @@
 //! late spinners, early parkers, and generation-lapped waiters all occur.
 //! Failures here are ordering bugs — the assertions check the protocol's
 //! contract (no thread crosses early; every write before a crossing is
-//! visible after it), not any timing property. Seeded and deterministic in
+//! visible after it), not any timing property. The last test models the
+//! driver's own topology — shards grouped onto parties, the leader working
+//! as party 0 between its two waits. Seeded and deterministic in
 //! structure; run under the CI `--test-threads` 1/2/4 matrix like the
 //! equivalence suites.
 
 use cioq_sim::SpinBarrier;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Mutex;
 
 /// Burn a seeded-random number of yields/spins, permuting this thread's
@@ -141,6 +143,106 @@ fn mailbox_cells_deliver_exactly_once_per_phase() {
                     }
                 });
             }
+        });
+    }
+}
+
+/// The sharded driver's actual topology: K shards on T parties, each party
+/// running a contiguous group of shards, and the leader — the calling
+/// thread, party 0 — publishing the phase, doing its own group's share
+/// between its two waits, and then working alone on every cell before the
+/// next phase. Exactly-once delivery must hold for every T, including the
+/// uneven split and T = 1 (nothing spawned, the barrier a no-op).
+#[test]
+fn leader_works_between_its_waits_with_grouped_shards() {
+    const K: usize = 6;
+    const PHASES: u32 = 150;
+    const WRITE: u8 = 0;
+    const DRAIN: u8 = 1;
+    const EXIT: u8 = 2;
+    for (seed, t) in [(3u64, 1usize), (5, 2), (11, 4), (13, K)] {
+        let mail: Vec<Vec<Mutex<Vec<u64>>>> = (0..K)
+            .map(|_| (0..K).map(|_| Mutex::new(Vec::new())).collect())
+            .collect();
+        let barrier = SpinBarrier::new(t);
+        let phase = AtomicU8::new(EXIT);
+        let round = AtomicU32::new(0);
+        // Parties inside a phase body; the leader's serial sections must
+        // always observe zero.
+        let active = AtomicU32::new(0);
+        let group = |party: usize| (0..K).filter(move |s| s * t / K == party);
+        let batch = |round: u32, src: usize, dest: usize| 1 + (round as usize + src + dest) % 3;
+        let run_group = |ph: u8, party: usize, rng: &mut SmallRng| {
+            active.fetch_add(1, Ordering::Relaxed);
+            let round = round.load(Ordering::Relaxed);
+            for me in group(party) {
+                for other in permutation(K, rng) {
+                    jitter(rng);
+                    if ph == WRITE {
+                        let mut cell = mail[other][me].lock().expect("no poisoned locks");
+                        cell.extend(
+                            (0..batch(round, me, other)).map(|k| payload(round, me, other, k)),
+                        );
+                    } else {
+                        let mut cell = mail[me][other].lock().expect("no poisoned locks");
+                        let want: Vec<u64> = (0..batch(round, other, me))
+                            .map(|k| payload(round, other, me, k))
+                            .collect();
+                        assert_eq!(
+                            *cell, want,
+                            "mailbox ({me} <- {other}) corrupt in round {round} (seed {seed}, T = {t})"
+                        );
+                        cell.clear();
+                    }
+                }
+            }
+            active.fetch_sub(1, Ordering::Relaxed);
+        };
+        std::thread::scope(|scope| {
+            for party in 1..t {
+                let (barrier, phase, run_group) = (&barrier, &phase, &run_group);
+                scope.spawn(move || {
+                    let mut rng =
+                        SmallRng::seed_from_u64(seed ^ (party as u64).wrapping_mul(0x51D));
+                    loop {
+                        barrier.wait();
+                        let ph = phase.load(Ordering::Acquire);
+                        if ph == EXIT {
+                            break;
+                        }
+                        run_group(ph, party, &mut rng);
+                        jitter(&mut rng);
+                        barrier.wait();
+                    }
+                });
+            }
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut do_phase = |ph: u8| {
+                phase.store(ph, Ordering::Release);
+                jitter(&mut rng);
+                barrier.wait();
+                run_group(ph, 0, &mut rng);
+                barrier.wait();
+                assert_eq!(
+                    active.load(Ordering::Relaxed),
+                    0,
+                    "a party is still inside the phase after the closing barrier (T = {t})"
+                );
+            };
+            for r in 0..PHASES {
+                round.store(r, Ordering::Relaxed);
+                do_phase(WRITE);
+                // Serial section: every cell holds exactly this round's batch.
+                let held: usize = mail.iter().flatten().map(|c| c.lock().unwrap().len()).sum();
+                let sent: usize = (0..K)
+                    .flat_map(|s| (0..K).map(move |d| batch(r, s, d)))
+                    .sum();
+                assert_eq!(held, sent, "round {r} (seed {seed}, T = {t})");
+                do_phase(DRAIN);
+                assert!(mail.iter().flatten().all(|c| c.lock().unwrap().is_empty()));
+            }
+            phase.store(EXIT, Ordering::Release);
+            barrier.wait();
         });
     }
 }
