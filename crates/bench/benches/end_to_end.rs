@@ -7,11 +7,41 @@ use cioq_core::{
 };
 use cioq_model::{SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq, run_cioq_linked, run_cioq_sharded, run_crossbar, run_crossbar_linked,
-    run_crossbar_sharded, DelayLine, DelayMatrix, ShardedOptions,
+    run_cioq, run_cioq_sharded, run_crossbar, run_crossbar_sharded, CioqPolicy, CrossbarPolicy,
+    Engine, FabricSpec, RunOptions, RunReport, ShardedOptions, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+
+/// Default sequential options on the given fabric.
+fn on_fabric(fabric: &FabricSpec) -> RunOptions {
+    RunOptions {
+        fabric: fabric.clone(),
+        ..RunOptions::default()
+    }
+}
+
+fn run_cioq_on(
+    cfg: &SwitchConfig,
+    policy: &mut dyn CioqPolicy,
+    trace: &Trace,
+    fabric: &FabricSpec,
+) -> RunReport {
+    Engine::new(cfg.clone(), on_fabric(fabric))
+        .run_cioq(policy, &mut TraceSource::new(trace))
+        .unwrap()
+}
+
+fn run_crossbar_on(
+    cfg: &SwitchConfig,
+    policy: &mut dyn CrossbarPolicy,
+    trace: &Trace,
+    fabric: &FabricSpec,
+) -> RunReport {
+    Engine::new(cfg.clone(), on_fabric(fabric))
+        .run_crossbar(policy, &mut TraceSource::new(trace))
+        .unwrap()
+}
 
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end");
@@ -98,30 +128,25 @@ fn bench_end_to_end(c: &mut Criterion) {
         // landing phase are the extra cost over the immediate fast path;
         // measured at 128 ports on both engines.
         if n == 128 {
-            let link = DelayLine { d: 4 };
+            let link = FabricSpec::uniform(4);
             group.bench_function(format!("cioq_gm_delay4_{n}x{n}_s2"), |b| {
-                b.iter(|| {
-                    run_cioq_linked(&cioq, &mut GreedyMatching::new(), &cioq_trace, &link).unwrap()
-                })
+                b.iter(|| run_cioq_on(&cioq, &mut GreedyMatching::new(), &cioq_trace, &link))
             });
             group.bench_function(format!("cioq_pg_delay4_{n}x{n}_s2"), |b| {
-                b.iter(|| {
-                    run_cioq_linked(&cioq, &mut PreemptiveGreedy::new(), &cioq_trace, &link)
-                        .unwrap()
-                })
+                b.iter(|| run_cioq_on(&cioq, &mut PreemptiveGreedy::new(), &cioq_trace, &link))
             });
             group.bench_function(format!("xbar_cpg_delay4_{n}x{n}_s2"), |b| {
                 b.iter(|| {
-                    run_crossbar_linked(
+                    run_crossbar_on(
                         &xbar,
                         &mut CrossbarPreemptiveGreedy::new(),
                         &xbar_trace,
                         &link,
                     )
-                    .unwrap()
                 })
             });
-            let sharded_delay = ShardedOptions::new(4).link(&link);
+            let mut sharded_delay = ShardedOptions::new(4);
+            sharded_delay.fabric = link.clone();
             group.bench_function(format!("cioq_gm_sharded_k4_delay4_{n}x{n}_s2"), |b| {
                 b.iter(|| {
                     run_cioq_sharded(&cioq, &ShardedGm::new(), &cioq_trace, sharded_delay.clone())
@@ -134,30 +159,25 @@ fn bench_end_to_end(c: &mut Criterion) {
             // lookup, the mixed mailbox + ring transport, and the
             // canonical landing sort are the extra cost over the uniform
             // delay line above.
-            let topo = DelayMatrix::new(Topology::two_tier(n, n, 2, 0, 4).expect("two racks"));
+            let topo = FabricSpec::matrix(Topology::two_tier(n, n, 2, 0, 4).expect("two racks"));
             group.bench_function(format!("cioq_gm_twotier2_{n}x{n}_s2"), |b| {
-                b.iter(|| {
-                    run_cioq_linked(&cioq, &mut GreedyMatching::new(), &cioq_trace, &topo).unwrap()
-                })
+                b.iter(|| run_cioq_on(&cioq, &mut GreedyMatching::new(), &cioq_trace, &topo))
             });
             group.bench_function(format!("cioq_pg_twotier2_{n}x{n}_s2"), |b| {
-                b.iter(|| {
-                    run_cioq_linked(&cioq, &mut PreemptiveGreedy::new(), &cioq_trace, &topo)
-                        .unwrap()
-                })
+                b.iter(|| run_cioq_on(&cioq, &mut PreemptiveGreedy::new(), &cioq_trace, &topo))
             });
             group.bench_function(format!("xbar_cpg_twotier2_{n}x{n}_s2"), |b| {
                 b.iter(|| {
-                    run_crossbar_linked(
+                    run_crossbar_on(
                         &xbar,
                         &mut CrossbarPreemptiveGreedy::new(),
                         &xbar_trace,
                         &topo,
                     )
-                    .unwrap()
                 })
             });
-            let sharded_topo = ShardedOptions::new(4).link(&topo);
+            let mut sharded_topo = ShardedOptions::new(4);
+            sharded_topo.fabric = topo.clone();
             group.bench_function(format!("cioq_gm_sharded_k4_twotier2_{n}x{n}_s2"), |b| {
                 b.iter(|| {
                     run_cioq_sharded(&cioq, &ShardedGm::new(), &cioq_trace, sharded_topo.clone())

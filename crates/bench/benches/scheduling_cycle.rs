@@ -10,7 +10,8 @@
 //! walk, and on multi-core hosts the shards run on real threads.
 
 use cioq_core::baselines::{MaxMatching, MaxWeightMatching};
-use cioq_core::{BuildMode, GreedyMatching, PreemptiveGreedy, ShardedGm, ShardedPg};
+use cioq_core::params::PG_BETA;
+use cioq_core::{oracle, GmEdgePolicy, GreedyMatching, PreemptiveGreedy, ShardedGm, ShardedPg};
 use cioq_model::SwitchConfig;
 use cioq_sim::{
     run_cioq, run_cioq_sharded, CioqPolicy, Engine, RunOptions, ShardedOptions, TraceSource,
@@ -42,18 +43,18 @@ fn bench_cycles(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("PG", n), &(), |b, _| {
             b.iter(|| run_cioq(&cfg, &mut PreemptiveGreedy::new(), &trace).unwrap())
         });
-        // The from-scratch reference at the sizes where the incremental
-        // win is the headline number.
+        // The from-scratch reference (the `cioq_core::oracle` policies) at
+        // the sizes where the incremental win is the headline number.
         if (64..=256).contains(&n) {
             group.bench_with_input(BenchmarkId::new("GM-rescan", n), &(), |b, _| {
                 b.iter(|| {
-                    let mut gm = GreedyMatching::new().build_mode(BuildMode::Rescan);
+                    let mut gm = oracle::Gm(GmEdgePolicy::Lexicographic);
                     run_cioq(&cfg, &mut gm, &trace).unwrap()
                 })
             });
             group.bench_with_input(BenchmarkId::new("PG-rescan", n), &(), |b, _| {
                 b.iter(|| {
-                    let mut pg = PreemptiveGreedy::new().build_mode(BuildMode::Rescan);
+                    let mut pg = oracle::Pg(Some(PG_BETA));
                     run_cioq(&cfg, &mut pg, &trace).unwrap()
                 })
             });

@@ -33,7 +33,7 @@
 //!
 //! Checkpoint encoding is *exempt* from the zero target (serialising a
 //! snapshot owns its buffers by design) but still counted: a second
-//! differential pass per engine re-runs the GM/Immediate cell with a
+//! differential pass per engine re-runs the GM/immediate-fabric cell with a
 //! checkpoint cadence and reports allocations per checkpoint, so the cost
 //! is visible and bounded rather than silently excluded.
 
@@ -58,9 +58,8 @@ mod census {
     };
     use cioq_model::{SwitchConfig, Topology};
     use cioq_sim::{
-        run_cioq_sharded, run_crossbar_sharded, CioqShardPolicy, CrossbarShardPolicy, DelayLine,
-        DelayMatrix, Engine, ExecMode, FabricLink, FaultPlan, Immediate, RunOptions,
-        ShardedOptions, Trace, TraceSource,
+        run_cioq_sharded, run_crossbar_sharded, CioqShardPolicy, CrossbarShardPolicy, Engine,
+        ExecMode, FabricSpec, FaultPlan, RunOptions, ShardedOptions, Trace, TraceSource,
     };
     use cioq_traffic::{gen_trace, FullFabricChurn, ValueDist};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -92,16 +91,16 @@ mod census {
         raw: u64,
     }
 
-    fn fabrics(n: usize) -> Vec<(&'static str, Box<dyn FabricLink>)> {
+    fn fabrics(n: usize) -> Vec<(&'static str, FabricSpec)> {
         let topo = Topology::two_tier(n, n, 4, 0, 2).expect("valid two-tier topology");
         vec![
-            ("immediate", Box::new(Immediate) as Box<dyn FabricLink>),
-            ("delay-line(2)", Box::new(DelayLine { d: 2 })),
-            ("two-tier", Box::new(DelayMatrix::new(topo))),
+            ("immediate", FabricSpec::default()),
+            ("delay-line(2)", FabricSpec::uniform(2)),
+            ("two-tier", FabricSpec::matrix(topo)),
         ]
     }
 
-    fn run_options(slots: u64, link: &dyn FabricLink, faults: Option<FaultPlan>) -> RunOptions {
+    fn run_options(slots: u64, link: &FabricSpec, faults: Option<FaultPlan>) -> RunOptions {
         RunOptions {
             slots: Some(slots),
             drain: false,
@@ -109,24 +108,18 @@ mod census {
             checkpoint_every: None,
             stats_window: Some(64),
             faults,
-            ..RunOptions::default()
+            fabric: link.clone(),
         }
-        .link(link)
     }
 
-    fn sharded_options(
-        slots: u64,
-        k: usize,
-        mode: ExecMode,
-        link: &dyn FabricLink,
-    ) -> ShardedOptions {
+    fn sharded_options(slots: u64, k: usize, mode: ExecMode, link: &FabricSpec) -> ShardedOptions {
         ShardedOptions {
             mode,
             slots: Some(slots),
             drain: false,
+            fabric: link.clone(),
             ..ShardedOptions::new(k)
         }
-        .link(link)
     }
 
     /// Allocations by any thread of the process while `f` runs (the
@@ -200,7 +193,7 @@ mod census {
     fn seq_cioq(
         cfg: &SwitchConfig,
         trace: &Trace,
-        link: &dyn FabricLink,
+        link: &FabricSpec,
         faults: Option<&FaultPlan>,
         mk: impl Fn() -> Box<dyn cioq_sim::CioqPolicy>,
     ) -> (f64, u64) {
@@ -218,7 +211,7 @@ mod census {
     fn seq_crossbar(
         cfg: &SwitchConfig,
         trace: &Trace,
-        link: &dyn FabricLink,
+        link: &FabricSpec,
         faults: Option<&FaultPlan>,
         mk: impl Fn() -> Box<dyn cioq_sim::CrossbarPolicy>,
     ) -> (f64, u64) {
@@ -236,7 +229,7 @@ mod census {
     fn sharded_cioq(
         cfg: &SwitchConfig,
         trace: &Trace,
-        link: &dyn FabricLink,
+        link: &FabricSpec,
         k: usize,
         mode: ExecMode,
         policy: &dyn CioqShardPolicy,
@@ -250,7 +243,7 @@ mod census {
     fn sharded_crossbar(
         cfg: &SwitchConfig,
         trace: &Trace,
-        link: &dyn FabricLink,
+        link: &FabricSpec,
         k: usize,
         mode: ExecMode,
         policy: &dyn CrossbarShardPolicy,
@@ -287,30 +280,30 @@ mod census {
 
         let mut rows: Vec<Row> = Vec::new();
 
-        for (fname, link) in fabrics(n) {
+        for (fname, link) in &fabrics(n) {
             // Sequential engines, fault-free.
             let cells: [(&str, (f64, u64)); 4] = [
                 (
                     "gm",
-                    seq_cioq(&cioq_cfg, &cioq_unit, link.as_ref(), None, || {
+                    seq_cioq(&cioq_cfg, &cioq_unit, link, None, || {
                         Box::new(GreedyMatching::new())
                     }),
                 ),
                 (
                     "pg",
-                    seq_cioq(&cioq_cfg, &cioq_vals, link.as_ref(), None, || {
+                    seq_cioq(&cioq_cfg, &cioq_vals, link, None, || {
                         Box::new(PreemptiveGreedy::new())
                     }),
                 ),
                 (
                     "cgu",
-                    seq_crossbar(&xbar_cfg, &xbar_unit, link.as_ref(), None, || {
+                    seq_crossbar(&xbar_cfg, &xbar_unit, link, None, || {
                         Box::new(CrossbarGreedyUnit::new())
                     }),
                 ),
                 (
                     "cpg",
-                    seq_crossbar(&xbar_cfg, &xbar_vals, link.as_ref(), None, || {
+                    seq_crossbar(&xbar_cfg, &xbar_vals, link, None, || {
                         Box::new(CrossbarPreemptiveGreedy::new())
                     }),
                 ),
@@ -340,47 +333,19 @@ mod census {
                 let cells: [(&str, (f64, u64)); 4] = [
                     (
                         "gm",
-                        sharded_cioq(
-                            &cioq_cfg,
-                            &cioq_unit,
-                            link.as_ref(),
-                            k,
-                            mode,
-                            &ShardedGm::new(),
-                        ),
+                        sharded_cioq(&cioq_cfg, &cioq_unit, link, k, mode, &ShardedGm::new()),
                     ),
                     (
                         "pg",
-                        sharded_cioq(
-                            &cioq_cfg,
-                            &cioq_vals,
-                            link.as_ref(),
-                            k,
-                            mode,
-                            &ShardedPg::new(),
-                        ),
+                        sharded_cioq(&cioq_cfg, &cioq_vals, link, k, mode, &ShardedPg::new()),
                     ),
                     (
                         "cgu",
-                        sharded_crossbar(
-                            &xbar_cfg,
-                            &xbar_unit,
-                            link.as_ref(),
-                            k,
-                            mode,
-                            &ShardedCgu::new(),
-                        ),
+                        sharded_crossbar(&xbar_cfg, &xbar_unit, link, k, mode, &ShardedCgu::new()),
                     ),
                     (
                         "cpg",
-                        sharded_crossbar(
-                            &xbar_cfg,
-                            &xbar_vals,
-                            link.as_ref(),
-                            k,
-                            mode,
-                            &ShardedCpg::new(),
-                        ),
+                        sharded_crossbar(&xbar_cfg, &xbar_vals, link, k, mode, &ShardedCpg::new()),
                     ),
                 ];
                 for (policy, (steady, raw)) in cells {
@@ -398,7 +363,7 @@ mod census {
         // Faulted sequential pass: the retransmit hold/release machinery
         // must also be allocation-free in steady state. The plan is built
         // over the long horizon and shared by both differential runs.
-        let link = DelayLine { d: 2 };
+        let link = FabricSpec::uniform(2);
         let plan = FaultPlan::seeded(0xFA17, n, n, n2(), 24);
         let faulted: [(&str, (f64, u64)); 2] = [
             (
@@ -427,7 +392,7 @@ mod census {
         // Checkpoint pass (exempt from the zero target, reported): the
         // differential run with a checkpoint cadence minus the fault-free
         // steady cost is the encoder's own traffic per checkpoint.
-        let base = seq_cioq(&cioq_cfg, &cioq_unit, &Immediate, None, || {
+        let base = seq_cioq(&cioq_cfg, &cioq_unit, &FabricSpec::default(), None, || {
             Box::new(GreedyMatching::new())
         });
         let with_ckpt = steady(|slots| {
@@ -435,7 +400,7 @@ mod census {
             let mut source = TraceSource::new(&cioq_unit);
             let options = RunOptions {
                 checkpoint_every: Some(CKPT_EVERY),
-                ..run_options(slots, &Immediate, None)
+                ..run_options(slots, &FabricSpec::default(), None)
             };
             let engine = Engine::try_new(cioq_cfg.clone(), options).expect("valid run options");
             engine

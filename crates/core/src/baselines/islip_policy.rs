@@ -1,7 +1,7 @@
 //! iSLIP as a CIOQ scheduling policy — the practical, guarantee-free
 //! reference point.
 
-use crate::common::build_unit_graph;
+use crate::oracle::unit_graph;
 use cioq_matching::{BipartiteGraph, Islip};
 use cioq_model::{Cycle, Packet, PortId};
 use cioq_sim::{Admission, CioqPolicy, PacketPick, SwitchView, Transfer};
@@ -44,7 +44,7 @@ impl CioqPolicy for IslipPolicy {
     }
 
     fn schedule(&mut self, view: &SwitchView<'_>, _cycle: Cycle, out: &mut Vec<Transfer>) {
-        build_unit_graph(view, &mut self.graph);
+        unit_graph(view, &mut self.graph);
         let islip = self
             .islip
             .get_or_insert_with(|| Islip::new(view.n_inputs(), view.n_outputs(), self.iterations));

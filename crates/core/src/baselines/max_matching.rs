@@ -1,6 +1,6 @@
 //! The maximum-matching baseline for unit values (Kesselman–Rosén [23]).
 
-use crate::common::build_unit_graph;
+use crate::oracle::unit_graph;
 use cioq_matching::{hopcroft_karp, BipartiteGraph};
 use cioq_model::{Cycle, Packet, PortId};
 use cioq_sim::{Admission, CioqPolicy, PacketPick, SwitchView, Transfer};
@@ -35,7 +35,7 @@ impl CioqPolicy for MaxMatching {
     }
 
     fn schedule(&mut self, view: &SwitchView<'_>, _cycle: Cycle, out: &mut Vec<Transfer>) {
-        build_unit_graph(view, &mut self.graph);
+        unit_graph(view, &mut self.graph);
         let matching = hopcroft_karp(&self.graph);
         for (i, j) in matching.pairs {
             out.push(Transfer {

@@ -1,7 +1,7 @@
 //! The maximum-weight-matching baseline for general values
 //! (Kesselman–Rosén [24], 6-competitive).
 
-use crate::common::build_weighted_graph;
+use crate::oracle::weighted_graph;
 use crate::params::PG_BETA;
 use cioq_matching::{hungarian_max_weight, BipartiteGraph};
 use cioq_model::{Cycle, Packet, PortId};
@@ -59,7 +59,7 @@ impl CioqPolicy for MaxWeightMatching {
     }
 
     fn schedule(&mut self, view: &SwitchView<'_>, _cycle: Cycle, out: &mut Vec<Transfer>) {
-        build_weighted_graph(view, self.beta, &mut self.graph);
+        weighted_graph(view, self.beta, &mut self.graph);
         let matching = hungarian_max_weight(&self.graph);
         for (i, j) in matching.pairs {
             out.push(Transfer {

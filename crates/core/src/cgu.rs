@@ -2,9 +2,13 @@
 //! policy of Kesselman, Kogan & Segal for buffered crossbars, shown
 //! 3-competitive (previously 4) by the paper's improved analysis.
 
-use crate::incremental::{BuildMode, CguCache};
-use cioq_model::{Cycle, Packet, PortId};
-use cioq_sim::{Admission, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, SwitchView};
+use crate::incremental::{CguCache, ColView, MaskHalf, RowView, ShardCols};
+use crate::pg::admit;
+use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
+use cioq_sim::{
+    Admission, CrossbarPolicy, CrossbarShardPolicy, CrossbarShardWorker, FabricView, InputTransfer,
+    OutputSnapshot, OutputTransfer, PacketPick, Partition, ShardView, SwitchView,
+};
 
 /// How CGU resolves the paper's "choose an arbitrary queue" steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,17 +32,17 @@ pub enum SelectionOrder {
 /// CGU never preempts; every packet it moves into the fabric is eventually
 /// delivered (the fact its analysis hinges on).
 ///
-/// By default the per-port eligibility masks are maintained incrementally
-/// from the engine's change log ([`BuildMode::Incremental`]); decisions are
-/// identical to the from-scratch [`BuildMode::Rescan`] reference.
+/// Both subphases decide per port from strictly row-local (input) /
+/// column-local (output) state, so one object schedules a whole switch as
+/// a [`CrossbarPolicy`], or one shard's band as a [`CrossbarShardWorker`],
+/// with no merge step: concatenating the bands' decisions in port order
+/// *is* the whole-switch decision. The per-port eligibility masks (and the
+/// round-robin pointers, which stay with the port's owner) are maintained
+/// incrementally from the engine's change log.
 #[derive(Debug)]
 pub struct CrossbarGreedyUnit {
     selection: SelectionOrder,
-    mode: BuildMode,
     cache: CguCache,
-    /// Round-robin pointers (used by [`SelectionOrder::RoundRobin`]).
-    input_ptr: Vec<usize>,
-    output_ptr: Vec<usize>,
     name: String,
 }
 
@@ -56,25 +60,80 @@ impl CrossbarGreedyUnit {
         };
         CrossbarGreedyUnit {
             selection,
-            mode: BuildMode::default(),
-            cache: CguCache::new(),
-            input_ptr: Vec::new(),
-            output_ptr: Vec::new(),
+            cache: CguCache::default(),
             name,
         }
     }
 
-    /// Select how the eligibility masks are maintained (see [`BuildMode`]).
-    pub fn build_mode(mut self, mode: BuildMode) -> Self {
-        self.mode = mode;
-        self
+    /// Repair the row masks: `(i, j)` is eligible iff
+    /// `|Q_ij| > 0 ∧ |C_ij| < B(C_ij)`.
+    fn sync_rows(&mut self, view: &impl RowView) {
+        let lo = view.rows().start;
+        self.cache.rows.sync(view.dirty_rows(), |line, j| {
+            !view.voq(lo + line, j).is_empty() && !view.xbar(lo + line, j).is_full()
+        });
     }
 
-    fn pick_start(ptr: &mut Vec<usize>, port: usize, len: usize) -> usize {
-        if ptr.len() < len.max(port + 1) {
-            ptr.resize(len.max(port + 1), 0);
+    /// Repair the column masks: `(i, j)` is eligible iff `|C_ij| > 0`.
+    fn sync_cols(&mut self, view: &impl ColView) {
+        let lo = view.cols().start;
+        let ok = |line, i| !view.xbar(i, lo + line).is_empty();
+        self.cache.cols.sync(view.dirty_cols(), ok);
+    }
+
+    /// Input subphase over a band of rows: ≤ 1 transfer per input port.
+    // detlint: hot
+    fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<InputTransfer>) {
+        self.sync_rows(view);
+        for (line, i) in view.rows().enumerate() {
+            if let Some(j) = pick(self.selection, &mut self.cache.rows, line) {
+                out.push(InputTransfer {
+                    input: PortId::from(i),
+                    output: PortId::from(j),
+                    pick: PacketPick::Greatest,
+                    preempt_if_full: false,
+                });
+            }
         }
-        ptr[port]
+    }
+
+    /// Output subphase over a band of columns: ≤ 1 transfer per output
+    /// port whose (virtual) queue `full` reports as having room.
+    // detlint: hot
+    fn output_subphase(
+        &mut self,
+        view: &impl ColView,
+        full: impl Fn(usize) -> bool,
+        out: &mut Vec<OutputTransfer>,
+    ) {
+        self.sync_cols(view);
+        for (line, j) in view.cols().enumerate() {
+            if full(j) {
+                continue;
+            }
+            if let Some(i) = pick(self.selection, &mut self.cache.cols, line) {
+                out.push(OutputTransfer {
+                    input: PortId::from(i),
+                    output: PortId::from(j),
+                    pick: PacketPick::Greatest,
+                    preempt_if_full: false,
+                });
+            }
+        }
+    }
+}
+
+/// The "arbitrary eligible queue" of one port: the first set bit of its
+/// mask line — from index 0 (first fit), or cyclically from just past the
+/// port's previous choice (round robin).
+fn pick(selection: SelectionOrder, half: &mut MaskHalf, line: usize) -> Option<usize> {
+    match selection {
+        SelectionOrder::FirstFit => half.ok.first_set_cyclic(line, 0),
+        SelectionOrder::RoundRobin => {
+            let chosen = half.ok.first_set_cyclic(line, half.ptr[line])?;
+            half.ptr[line] = (chosen + 1) % half.ok.cols();
+            Some(chosen)
+        }
     }
 }
 
@@ -90,93 +149,71 @@ impl CrossbarPolicy for CrossbarGreedyUnit {
     }
 
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
-        if view.input_queue(packet.input, packet.output).is_full() {
-            Admission::Reject
-        } else {
-            Admission::Accept
-        }
+        admit(view.input_queue(packet.input, packet.output), packet, false)
     }
 
-    fn schedule_input(
-        &mut self,
-        view: &SwitchView<'_>,
-        _cycle: Cycle,
-        out: &mut Vec<InputTransfer>,
-    ) {
-        let m = view.n_outputs();
-        if self.mode == BuildMode::Incremental {
-            self.cache.sync(view);
-        }
-        for i in 0..view.n_inputs() {
-            let start = match self.selection {
-                SelectionOrder::FirstFit => 0,
-                SelectionOrder::RoundRobin => {
-                    Self::pick_start(&mut self.input_ptr, i, view.n_inputs())
-                }
-            };
-            let chosen = match self.mode {
-                BuildMode::Incremental => self.cache.in_ok.first_set_cyclic(i, start),
-                BuildMode::Rescan => (0..m).map(|k| (start + k) % m).find(|&j| {
-                    let input = PortId::from(i);
-                    let output = PortId::from(j);
-                    !view.input_queue(input, output).is_empty()
-                        && !view.crossbar_queue(input, output).is_full()
-                }),
-            };
-            if let Some(j) = chosen {
-                out.push(InputTransfer {
-                    input: PortId::from(i),
-                    output: PortId::from(j),
-                    pick: PacketPick::Greatest,
-                    preempt_if_full: false,
-                });
-                if self.selection == SelectionOrder::RoundRobin {
-                    self.input_ptr[i] = (j + 1) % m;
-                }
-            }
-        }
+    // The sequential engine flushes its one change log after each subphase,
+    // so each subphase also syncs the half it does not read.
+
+    // detlint: hot
+    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+        self.sync_cols(view);
+        self.input_subphase(view, out);
     }
 
-    fn schedule_output(
+    // detlint: hot
+    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
+        self.sync_rows(view);
+        self.output_subphase(view, |j| view.output_full(PortId::from(j)), out);
+    }
+}
+
+/// [`CrossbarGreedyUnit`] as the sharded engine's policy: the object is
+/// the factory, and every shard's worker is a fresh copy of it.
+pub type ShardedCgu = CrossbarGreedyUnit;
+
+impl CrossbarShardPolicy for CrossbarGreedyUnit {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn new_worker(
+        &self,
+        _: usize,
+        _: &Partition,
+        _: &SwitchConfig,
+    ) -> Box<dyn CrossbarShardWorker> {
+        Box::new(CrossbarGreedyUnit::with_selection(self.selection))
+    }
+}
+
+impl CrossbarShardWorker for CrossbarGreedyUnit {
+    fn admit(&mut self, shard: &ShardView<'_>, packet: &Packet) -> Admission {
+        let queue = shard.input_queue(packet.input, packet.output);
+        admit(queue, packet, false)
+    }
+
+    // detlint: hot
+    fn propose_input(&mut self, shard: &ShardView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+        self.input_subphase(shard, out);
+    }
+
+    // detlint: hot
+    fn propose_output(
         &mut self,
-        view: &SwitchView<'_>,
-        _cycle: Cycle,
+        fabric: &FabricView<'_>,
+        shard: usize,
+        inbound: &[u32],
+        outputs: &OutputSnapshot,
+        _: Cycle,
         out: &mut Vec<OutputTransfer>,
     ) {
-        let n = view.n_inputs();
-        if self.mode == BuildMode::Incremental {
-            self.cache.sync(view);
-        }
-        for j in 0..view.n_outputs() {
-            if view.output_full(PortId::from(j)) {
-                continue;
-            }
-            let start = match self.selection {
-                SelectionOrder::FirstFit => 0,
-                SelectionOrder::RoundRobin => {
-                    Self::pick_start(&mut self.output_ptr, j, view.n_outputs())
-                }
-            };
-            let chosen = match self.mode {
-                BuildMode::Incremental => self.cache.out_ok.first_set_cyclic(j, start),
-                BuildMode::Rescan => (0..n).map(|k| (start + k) % n).find(|&i| {
-                    !view
-                        .crossbar_queue(PortId::from(i), PortId::from(j))
-                        .is_empty()
-                }),
-            };
-            if let Some(i) = chosen {
-                out.push(OutputTransfer {
-                    input: PortId::from(i),
-                    output: PortId::from(j),
-                    pick: PacketPick::Greatest,
-                    preempt_if_full: false,
-                });
-                if self.selection == SelectionOrder::RoundRobin {
-                    self.output_ptr[j] = (i + 1) % n;
-                }
-            }
-        }
+        let cols = ShardCols {
+            fabric,
+            shard,
+            inbound,
+        };
+        self.output_subphase(&cols, |j| outputs.full[j], out);
     }
 }
 

@@ -4,10 +4,14 @@
 //! Kogan & Segal [21]; the paper's improvement is exactly the freedom to
 //! pick α ≠ β.
 
-use crate::incremental::{BuildMode, CpgCache};
+use crate::incremental::{output_least, ColView, CpgCache, RowView, ShardCols};
 use crate::params::{cpg_alpha_star, cpg_beta_star};
-use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
-use cioq_sim::{Admission, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, SwitchView};
+use crate::pg::admit;
+use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig, Value};
+use cioq_sim::{
+    Admission, CrossbarPolicy, CrossbarShardPolicy, CrossbarShardWorker, FabricView, InputTransfer,
+    OutputSnapshot, OutputTransfer, PacketPick, Partition, ShardView, SwitchView,
+};
 
 /// The Crossbar Preemptive Greedy algorithm with parameters β, α ≥ 1.
 ///
@@ -20,11 +24,15 @@ use cioq_sim::{Admission, CrossbarPolicy, InputTransfer, OutputTransfer, PacketP
 ///   among non-empty `C_ij`; forward iff
 ///   `|Q_j| < B(Q_j) ∨ v(gc_ij) > α·v(l_j)`, preempting `l_j` when full.
 /// * Transmission: send the greatest-value packet of each non-empty `Q_j`.
+///
+/// Both subphases are per-port argmax decisions over row-local (β) /
+/// column-local state, so one object schedules a whole switch as a
+/// [`CrossbarPolicy`], or one shard's band as a [`CrossbarShardWorker`],
+/// with no merge step.
 #[derive(Debug)]
 pub struct CrossbarPreemptiveGreedy {
     beta: f64,
     alpha: f64,
-    mode: BuildMode,
     cache: CpgCache,
     name: String,
 }
@@ -42,17 +50,9 @@ impl CrossbarPreemptiveGreedy {
         CrossbarPreemptiveGreedy {
             beta,
             alpha,
-            mode: BuildMode::default(),
-            cache: CpgCache::new(),
+            cache: CpgCache::default(),
             name: format!("CPG(beta={beta:.3},alpha={alpha:.3})"),
         }
-    }
-
-    /// Select how the per-port candidates are maintained (see
-    /// [`BuildMode`]).
-    pub fn build_mode(mut self, mode: BuildMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// The prior single-parameter algorithm of Kesselman et al. [21]
@@ -82,6 +82,74 @@ impl CrossbarPreemptiveGreedy {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
+
+    /// Input subphase over a band of rows: each input port forwards the
+    /// heaviest head of its set `J`. Only rows with a dirtied `Q_ij` or
+    /// `C_ij` are rescanned.
+    // detlint: hot
+    fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<InputTransfer>) {
+        self.cache.rows.mark(view.dirty_rows());
+        let (rows, m, beta) = (view.rows(), view.n_outputs(), self.beta);
+        self.cache.rows.refresh(|line| {
+            let i = rows.start + line;
+            argmax((0..m).filter_map(|j| {
+                let (g_ij, c_ij) = (view.voq(i, j).head_value()?, view.xbar(i, j));
+                let lc_ij = c_ij.tail_value().filter(|_| c_ij.is_full());
+                let in_j = lc_ij.is_none_or(|lc| exceeds_factor(g_ij, beta, lc));
+                in_j.then_some((g_ij, j))
+            }))
+        });
+        for (i, best) in rows.zip(&self.cache.rows.best) {
+            if let Some((_, j)) = *best {
+                out.push(InputTransfer {
+                    input: PortId::from(i),
+                    output: PortId::from(j),
+                    pick: PacketPick::Greatest,
+                    preempt_if_full: true,
+                });
+            }
+        }
+    }
+
+    /// Output subphase over a band of columns: each output port takes the
+    /// heaviest crosspoint head if it passes the α threshold.
+    /// `full_tail(j)` is `Some(v(l_j))` iff the (virtual) `Q_j` is full —
+    /// it changes with every transmission and every dispatch, so it is
+    /// read fresh, never cached.
+    // detlint: hot
+    fn output_subphase(
+        &mut self,
+        view: &impl ColView,
+        full_tail: impl Fn(usize) -> Option<Value>,
+        out: &mut Vec<OutputTransfer>,
+    ) {
+        self.cache.cols.mark(view.dirty_cols());
+        let (cols, n) = (view.cols(), view.n_inputs());
+        self.cache.cols.refresh(|line| {
+            let j = cols.start + line;
+            argmax((0..n).filter_map(|i| Some((view.xbar(i, j).head_value()?, i))))
+        });
+        for (j, best) in cols.zip(&self.cache.cols.best) {
+            let Some((gc, i)) = *best else { continue };
+            if full_tail(j).is_none_or(|l_j| exceeds_factor(gc, self.alpha, l_j)) {
+                out.push(OutputTransfer {
+                    input: PortId::from(i),
+                    output: PortId::from(j),
+                    pick: PacketPick::Greatest,
+                    preempt_if_full: true,
+                });
+            }
+        }
+    }
+}
+
+/// The greatest `(value, index)` candidate by value, ties to the smallest
+/// index (candidates arrive in ascending index order).
+fn argmax(candidates: impl Iterator<Item = (Value, usize)>) -> Option<(Value, usize)> {
+    candidates.fold(None, |best, c| match best {
+        Some((bv, _)) if bv >= c.0 => best,
+        _ => Some(c),
+    })
 }
 
 impl Default for CrossbarPreemptiveGreedy {
@@ -96,138 +164,71 @@ impl CrossbarPolicy for CrossbarPreemptiveGreedy {
     }
 
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
-        let queue = view.input_queue(packet.input, packet.output);
-        if !queue.is_full() {
-            return Admission::Accept;
-        }
-        let least = queue.tail_value().expect("full queue has a tail");
-        if least < packet.value {
-            Admission::AcceptPreemptingLeast
-        } else {
-            Admission::Reject
-        }
+        admit(view.input_queue(packet.input, packet.output), packet, true)
     }
 
-    fn schedule_input(
-        &mut self,
-        view: &SwitchView<'_>,
-        _cycle: Cycle,
-        out: &mut Vec<InputTransfer>,
-    ) {
-        if self.mode == BuildMode::Incremental {
-            // Only rows with a dirtied `Q_ij` or `C_ij` cell are rescanned;
-            // the argmax of an untouched row cannot have changed.
-            self.cache.sync(view);
-            self.cache.refresh_rows(view, self.beta);
-            for (i, best) in self.cache.row_best.iter().enumerate() {
-                if let Some((_, j)) = *best {
-                    out.push(InputTransfer {
-                        input: PortId::from(i),
-                        output: PortId::from(j),
-                        pick: PacketPick::Greatest,
-                        preempt_if_full: true,
-                    });
-                }
-            }
-            return;
-        }
-        for i in 0..view.n_inputs() {
-            let input = PortId::from(i);
-            let mut best: Option<(Value, usize)> = None;
-            for j in 0..view.n_outputs() {
-                let output = PortId::from(j);
-                let Some(g_ij) = view.input_queue(input, output).head_value() else {
-                    continue;
-                };
-                let xbar = view.crossbar_queue(input, output);
-                let eligible = !xbar.is_full()
-                    || exceeds_factor(
-                        g_ij,
-                        self.beta,
-                        xbar.tail_value().expect("full queue has a tail"),
-                    );
-                if !eligible {
-                    continue;
-                }
-                // Maximize v(g_ij); ties to the smallest j (deterministic).
-                if best.is_none_or(|(bv, _)| g_ij > bv) {
-                    best = Some((g_ij, j));
-                }
-            }
-            if let Some((_, j)) = best {
-                out.push(InputTransfer {
-                    input,
-                    output: PortId::from(j),
-                    pick: PacketPick::Greatest,
-                    preempt_if_full: true,
-                });
-            }
-        }
+    // The sequential engine flushes its one change log after each subphase,
+    // so each subphase also consumes the marks of the half it does not read.
+
+    // detlint: hot
+    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+        self.cache.cols.mark(view.dirty_cols());
+        self.input_subphase(view, out);
     }
 
-    fn schedule_output(
+    // detlint: hot
+    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
+        self.cache.rows.mark(view.dirty_rows());
+        self.output_subphase(view, |j| output_least(view, j), out);
+    }
+}
+
+/// [`CrossbarPreemptiveGreedy`] as the sharded engine's policy: the object
+/// is the factory, and every shard's worker is a fresh copy of it.
+pub type ShardedCpg = CrossbarPreemptiveGreedy;
+
+impl CrossbarShardPolicy for CrossbarPreemptiveGreedy {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn new_worker(
+        &self,
+        _: usize,
+        _: &Partition,
+        _: &SwitchConfig,
+    ) -> Box<dyn CrossbarShardWorker> {
+        Box::new(Self::with_params(self.beta, self.alpha))
+    }
+}
+
+impl CrossbarShardWorker for CrossbarPreemptiveGreedy {
+    fn admit(&mut self, shard: &ShardView<'_>, packet: &Packet) -> Admission {
+        admit(shard.input_queue(packet.input, packet.output), packet, true)
+    }
+
+    // detlint: hot
+    fn propose_input(&mut self, shard: &ShardView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+        self.input_subphase(shard, out);
+    }
+
+    // detlint: hot
+    fn propose_output(
         &mut self,
-        view: &SwitchView<'_>,
-        _cycle: Cycle,
+        fabric: &FabricView<'_>,
+        shard: usize,
+        inbound: &[u32],
+        outputs: &OutputSnapshot,
+        _: Cycle,
         out: &mut Vec<OutputTransfer>,
     ) {
-        if self.mode == BuildMode::Incremental {
-            self.cache.sync(view);
-            self.cache.refresh_cols(view);
-            for (j, best) in self.cache.col_best.iter().enumerate() {
-                let Some((gc, i)) = *best else { continue };
-                let output = PortId::from(j);
-                // The α threshold involves the (virtual) output queue,
-                // which changes every transmission and every dispatch —
-                // evaluated fresh, never cached.
-                let eligible = !view.output_full(output)
-                    || exceeds_factor(
-                        gc,
-                        self.alpha,
-                        view.output_tail_value(output)
-                            .expect("full virtual queue has a tail"),
-                    );
-                if eligible {
-                    out.push(OutputTransfer {
-                        input: PortId::from(i),
-                        output,
-                        pick: PacketPick::Greatest,
-                        preempt_if_full: true,
-                    });
-                }
-            }
-            return;
-        }
-        for j in 0..view.n_outputs() {
-            let output = PortId::from(j);
-            // Pick i maximizing v(gc_ij) among non-empty crossbar queues
-            // (ties to the smallest i).
-            let mut best: Option<(Value, usize)> = None;
-            for i in 0..view.n_inputs() {
-                let Some(gc_ij) = view.crossbar_queue(PortId::from(i), output).head_value() else {
-                    continue;
-                };
-                if best.is_none_or(|(bv, _)| gc_ij > bv) {
-                    best = Some((gc_ij, i));
-                }
-            }
-            let Some((gc, i)) = best else { continue };
-            let eligible = !view.output_full(output)
-                || exceeds_factor(
-                    gc,
-                    self.alpha,
-                    view.output_tail_value(output)
-                        .expect("full virtual queue has a tail"),
-                );
-            if eligible {
-                out.push(OutputTransfer {
-                    input: PortId::from(i),
-                    output,
-                    pick: PacketPick::Greatest,
-                    preempt_if_full: true,
-                });
-            }
-        }
+        let cols = ShardCols {
+            fabric,
+            shard,
+            inbound,
+        };
+        let full_tail = |j: usize| outputs.full[j].then(|| outputs.tail[j]);
+        self.output_subphase(&cols, full_tail, out);
     }
 }
 
@@ -288,7 +289,7 @@ mod tests {
     #[test]
     fn single_parameter_variant_reports_its_name() {
         let p = CrossbarPreemptiveGreedy::single_parameter();
-        assert!(p.name().contains("alpha=beta"));
+        assert!(CrossbarPolicy::name(&p).contains("alpha=beta"));
         assert!((p.alpha() - p.beta()).abs() < 1e-9);
         // The single-parameter optimum under the paper's analysis is
         // β ≈ 2.22 (ratio ≈ 15.59).

@@ -1,4 +1,4 @@
-//! Shared incremental schedule-state builders.
+//! Band-scoped views and the one incremental cache family.
 //!
 //! All four policies derive their per-cycle decisions from queue state that
 //! one slot barely changes: a slot dirties at most O(N·ŝ) of the N² VOQs.
@@ -7,15 +7,28 @@
 //! per-cycle rebuild from O(N²) (plus an O(E log E) sort for the weighted
 //! policies) into O(changes) (plus an O(E) order repair).
 //!
+//! ## Bands
+//!
+//! Every cache covers a *band*: a contiguous range of input rows
+//! ([`RowView`]) or of output columns ([`ColView`]). The sequential engine's
+//! [`SwitchView`] is the band `0..N` (and `0..M`) of the whole switch; a
+//! shard of the sharded engine sees its own rows through a [`ShardView`] and
+//! its own columns through [`ShardCols`]. The policies run the same code
+//! over either, so a K-shard switch splits the per-cycle O(changes) repair K
+//! ways and "sequential" is just K = 1 over the full band.
+//!
 //! ## The consistency handshake
 //!
-//! The engine flushes the change log after *every* policy scheduling call,
-//! so the log a policy sees at call `k` holds exactly the queues dirtied
-//! since its call `k − 1` — provided the policy consumed every previous
-//! flush of this engine. Each cache records the flush count it expects
-//! next; on any mismatch (first call, policy reused across runs, resized
-//! switch) it falls back to a full rebuild. Correctness therefore never
-//! depends on the handshake — only the cost does.
+//! The engine flushes a band's change log after every scheduling call that
+//! reads it, so the log a cache sees at call `k` holds exactly the queues
+//! dirtied since its call `k − 1` — provided the cache consumed every
+//! previous flush. Each cache half records the band it covers and the flush
+//! count it expects next ([`Handshake`]); on any mismatch (first call,
+//! policy reused across runs, resized switch) it falls back to a full
+//! rebuild. Correctness therefore never depends on the handshake — only the
+//! cost does. Under the sequential engine, which flushes after *both*
+//! crossbar subphases, both halves of a crossbar cache must be synced in
+//! both subphases.
 //!
 //! ## Cell-locality
 //!
@@ -27,41 +40,249 @@
 
 use cioq_matching::{CachedWeightOrder, IncrementalGraph};
 use cioq_model::{PortId, Value};
-use cioq_sim::SwitchView;
+use cioq_sim::{ChangeLog, FabricView, OutputSnapshot, ShardView, SortedQueue, SwitchView};
+use std::ops::Range;
 
-/// How a policy maintains its per-cycle scheduling structures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildMode {
-    /// Refresh only the queues the engine reports as dirtied since the
-    /// previous scheduling call — O(changes) per cycle. The default.
-    #[default]
-    Incremental,
-    /// Rebuild from scratch by scanning all N² queues every cycle — the
-    /// reference implementation the incremental path is tested against.
-    Rescan,
+/// Read access to a band of input rows and the log of what changed in it.
+pub(crate) trait RowView {
+    /// The global input rows of the band.
+    fn rows(&self) -> Range<usize>;
+    /// Number of output ports `M` (every row spans all columns).
+    fn n_outputs(&self) -> usize;
+    /// Input queue `Q_ij`, `i` a global row of the band.
+    fn voq(&self, i: usize, j: usize) -> &SortedQueue;
+    /// Crossbar queue `C_ij`, `i` a global row of the band.
+    fn xbar(&self, i: usize, j: usize) -> &SortedQueue;
+    /// The band's change log, over band-local cells `(i − rows.start)·M + j`.
+    fn log(&self) -> &ChangeLog;
+
+    /// What a row-side cache half consumes: every cell of the band with a
+    /// dirtied `Q_ij` or `C_ij`, as `(band-local row, j)`.
+    fn dirty_rows(&self) -> Dirty<impl Iterator<Item = (usize, usize)>> {
+        let (m, log) = (self.n_outputs(), self.log());
+        let cells = log.dirty_voqs().iter().chain(log.dirty_xbars());
+        Dirty {
+            band: self.rows(),
+            width: m,
+            flush: log.flush_count(),
+            cells: cells.map(move |&cell| (cell as usize / m, cell as usize % m)),
+        }
+    }
 }
 
-/// Sentinel flush count meaning "never synced" — forces a full rebuild on
-/// first use and after any reuse across engine runs.
-const UNSYNCED: u64 = u64::MAX;
+/// Read access to a band of output columns' crosspoints and the marks of
+/// which of them changed.
+pub(crate) trait ColView {
+    /// The global output columns of the band.
+    fn cols(&self) -> Range<usize>;
+    /// Number of input ports `N` (every column spans all rows).
+    fn n_inputs(&self) -> usize;
+    /// Number of output ports `M` (marks are global cells `i·M + j`).
+    fn n_outputs(&self) -> usize;
+    /// Crossbar queue `C_ij`, `j` a global column of the band.
+    fn xbar(&self, i: usize, j: usize) -> &SortedQueue;
+    /// Flush count of the log the marks come from (the handshake input).
+    fn flush_count(&self) -> u64;
+    /// Global crossbar cells of the band dirtied since the previous sync.
+    fn marks(&self) -> &[u32];
 
-/// Incrementally-maintained VOQ head graph: an edge per non-empty `Q_ij`
-/// weighted by `v(g_ij)`, shared by GM (weights ignored) and PG (plus a
-/// cached descending-weight visit order).
+    /// What a column-side cache half consumes: every cell of the band with
+    /// a dirtied `C_ij`, as `(band-local column, i)`.
+    fn dirty_cols(&self) -> Dirty<impl Iterator<Item = (usize, usize)>> {
+        let (lo, m) = (self.cols().start, self.n_outputs());
+        Dirty {
+            band: self.cols(),
+            width: self.n_inputs(),
+            flush: self.flush_count(),
+            cells: self
+                .marks()
+                .iter()
+                .map(move |&cell| (cell as usize % m - lo, cell as usize / m)),
+        }
+    }
+}
+
+/// One sync's worth of news for a cache half: the band of lines it covers
+/// (rows or columns), the width of a line, the flush count of the log
+/// behind it, and the `(band-local line, global index along it)` of every
+/// cell dirtied since the previous flush.
+pub(crate) struct Dirty<I> {
+    band: Range<usize>,
+    width: usize,
+    flush: u64,
+    cells: I,
+}
+
+impl RowView for SwitchView<'_> {
+    fn rows(&self) -> Range<usize> {
+        0..self.n_inputs()
+    }
+    fn n_outputs(&self) -> usize {
+        SwitchView::n_outputs(self)
+    }
+    #[inline]
+    fn voq(&self, i: usize, j: usize) -> &SortedQueue {
+        self.input_queue(PortId::from(i), PortId::from(j))
+    }
+    #[inline]
+    fn xbar(&self, i: usize, j: usize) -> &SortedQueue {
+        self.crossbar_queue(PortId::from(i), PortId::from(j))
+    }
+    fn log(&self) -> &ChangeLog {
+        self.changes()
+    }
+}
+
+impl ColView for SwitchView<'_> {
+    fn cols(&self) -> Range<usize> {
+        0..SwitchView::n_outputs(self)
+    }
+    fn n_inputs(&self) -> usize {
+        SwitchView::n_inputs(self)
+    }
+    fn n_outputs(&self) -> usize {
+        SwitchView::n_outputs(self)
+    }
+    #[inline]
+    fn xbar(&self, i: usize, j: usize) -> &SortedQueue {
+        self.crossbar_queue(PortId::from(i), PortId::from(j))
+    }
+    fn flush_count(&self) -> u64 {
+        self.changes().flush_count()
+    }
+    fn marks(&self) -> &[u32] {
+        self.changes().dirty_xbars()
+    }
+}
+
+impl RowView for ShardView<'_> {
+    fn rows(&self) -> Range<usize> {
+        self.input_range()
+    }
+    fn n_outputs(&self) -> usize {
+        ShardView::n_outputs(self)
+    }
+    #[inline]
+    fn voq(&self, i: usize, j: usize) -> &SortedQueue {
+        self.input_queue(PortId::from(i), PortId::from(j))
+    }
+    #[inline]
+    fn xbar(&self, i: usize, j: usize) -> &SortedQueue {
+        self.crossbar_queue(PortId::from(i), PortId::from(j))
+    }
+    fn log(&self) -> &ChangeLog {
+        self.changes()
+    }
+}
+
+/// A shard's column band: the whole-fabric view narrowed to the shard's
+/// output columns, with the engine's batch of inbound crossbar marks (every
+/// cell dirtied in those columns, by any shard, since the worker's previous
+/// output proposal).
+pub(crate) struct ShardCols<'a, 'f> {
+    pub(crate) fabric: &'a FabricView<'f>,
+    pub(crate) shard: usize,
+    pub(crate) inbound: &'a [u32],
+}
+
+impl ColView for ShardCols<'_, '_> {
+    fn cols(&self) -> Range<usize> {
+        self.fabric.partition().output_range(self.shard)
+    }
+    fn n_inputs(&self) -> usize {
+        self.fabric.n_inputs()
+    }
+    fn n_outputs(&self) -> usize {
+        self.fabric.n_outputs()
+    }
+    #[inline]
+    fn xbar(&self, i: usize, j: usize) -> &SortedQueue {
+        self.fabric.crossbar_queue(i, j)
+    }
+    fn flush_count(&self) -> u64 {
+        // The shard's own log is flushed once per cycle, and the engine
+        // hands over one inbound batch per cycle: one flush per batch.
+        self.fabric.changes(self.shard).flush_count()
+    }
+    fn marks(&self) -> &[u32] {
+        self.inbound
+    }
+}
+
+/// `Some(v(l_j))` iff the *virtual* output queue `Q_j` (landed + in flight)
+/// is full — the one output-side input of every eligibility rule.
+#[inline]
+pub(crate) fn output_least(view: &SwitchView<'_>, j: usize) -> Option<Value> {
+    let output = PortId::from(j);
+    let full = view.output_full(output);
+    full.then(|| {
+        view.output_tail_value(output)
+            .expect("full queue has a tail")
+    })
+}
+
+/// Re-read [`output_least`] for every output into `full[j]` / `tail[j]`
+/// (0 where not full) — the part of the [`OutputSnapshot`] the sharded
+/// engine computes for its policies, so the sequential policies filter
+/// through the same structure.
+// detlint: hot
+pub(crate) fn read_outputs(view: &SwitchView<'_>, out: &mut OutputSnapshot) {
+    let m = view.n_outputs();
+    out.full.clear();
+    out.full.resize(m, false);
+    out.tail.clear();
+    out.tail.resize(m, 0);
+    for j in 0..m {
+        if let Some(least) = output_least(view, j) {
+            (out.full[j], out.tail[j]) = (true, least);
+        }
+    }
+}
+
+/// What a cache half last synced: the band it covers, the width of its
+/// lines, and the flush count it expects to see next. The default (an empty
+/// band awaiting flush 0) is in step only with an empty band of a fresh
+/// engine — exactly what an empty cache mirrors.
 #[derive(Debug, Default)]
+struct Handshake {
+    band: Range<usize>,
+    width: usize,
+    next_flush: u64,
+}
+
+impl Handshake {
+    /// Record a sync of `band` (lines of `width` cells) against a log at
+    /// `flush`. Returns whether the cache was in step — same band, and it
+    /// consumed every flush up to this one; if not, the caller must rebuild
+    /// from scratch.
+    fn step(&mut self, band: &Range<usize>, width: usize, flush: u64) -> bool {
+        let in_step = self.next_flush == flush && self.band == *band && self.width == width;
+        *self = Handshake {
+            band: band.clone(),
+            width,
+            next_flush: flush + 1,
+        };
+        in_step
+    }
+}
+
+/// A recorded weight-order repair: (cells whose entries drop, refreshed
+/// `(weight, cell)` entries to merge back in).
+pub(crate) type OrderDelta<'a> = (&'a mut Vec<u32>, &'a mut Vec<(Value, u32)>);
+
+/// Incrementally-maintained VOQ head graph over a band of rows: an edge per
+/// non-empty `Q_ij` weighted by `v(g_ij)`, shared by GM (weights ignored)
+/// and PG (plus a cached descending-weight visit order). Row indices in the
+/// graph (and cells in the order) are band-local; columns are global.
+#[derive(Debug)]
 pub(crate) struct VoqCache {
     pub(crate) graph: IncrementalGraph,
     pub(crate) order: Option<CachedWeightOrder>,
-    expected_flush: u64,
-    /// Last-seen [`cioq_queues::SortedQueue::epoch`] per cell: a dirty
-    /// mark whose queue epoch is unchanged is a no-op and skipped, so the
-    /// cache stays O(real changes) even under conservative over-marking.
+    shake: Handshake,
+    /// Last-seen [`SortedQueue::epoch`] per cell: a dirty mark whose queue
+    /// epoch is unchanged is a no-op and skipped, so the cache stays
+    /// O(real changes) even under conservative over-marking.
     epochs: Vec<u64>,
-    /// Per-output `|Q_j| = B(Q_j)`, refreshed each cycle in O(N).
-    pub(crate) out_full: Vec<bool>,
-    /// Per-output `v(l_j)` where full (0 otherwise), refreshed with
-    /// `out_full`.
-    pub(crate) out_tail: Vec<Value>,
 }
 
 impl VoqCache {
@@ -69,77 +290,69 @@ impl VoqCache {
         VoqCache {
             graph: IncrementalGraph::default(),
             order: weighted.then(CachedWeightOrder::default),
-            expected_flush: UNSYNCED,
+            shake: Handshake::default(),
             epochs: Vec::new(),
-            out_full: Vec::new(),
-            out_tail: Vec::new(),
         }
     }
 
     /// Bring the head graph (and weight order, if any) up to date with the
-    /// view, then refresh the per-output eligibility inputs.
-    pub(crate) fn sync(&mut self, view: &SwitchView<'_>) {
-        let (n, m) = (view.n_inputs(), view.n_outputs());
-        let changes = view.changes();
-        let in_sync = self.expected_flush == changes.flush_count()
-            && self.graph.n_left() == n
-            && self.graph.n_right() == m;
-        if in_sync {
-            for &cell in changes.dirty_voqs() {
-                let (i, j) = (cell as usize / m, cell as usize % m);
-                if self.refresh_cell(view, i, j) {
+    /// band. With `delta`, the weight order's repair is also recorded as an
+    /// edit script (see [`CachedWeightOrder::repair_recording`]). Returns
+    /// `true` when the sync was an incremental repair — i.e. a recorded
+    /// delta transforms the previous order into the current one — and
+    /// `false` on a full rebuild.
+    // detlint: hot
+    pub(crate) fn sync(&mut self, view: &impl RowView, delta: Option<OrderDelta<'_>>) -> bool {
+        let (rows, m, log) = (view.rows(), view.n_outputs(), view.log());
+        let (lo, lines) = (rows.start, rows.len());
+        let in_step = self.shake.step(&rows, m, log.flush_count());
+        if in_step {
+            for &cell in log.dirty_voqs() {
+                let (line, j) = (cell as usize / m, cell as usize % m);
+                if self.refresh_cell(view, lo, line, j) {
                     if let Some(order) = &mut self.order {
                         order.mark(cell as usize);
                     }
                 }
             }
             if let Some(order) = &mut self.order {
-                order.repair(&self.graph);
+                match delta {
+                    Some((removed, refreshed)) => {
+                        order.repair_recording(&self.graph, removed, refreshed)
+                    }
+                    None => order.repair(&self.graph),
+                }
             }
         } else {
-            self.graph.reset(n, m);
+            self.graph.reset(lines, m);
             self.epochs.clear();
-            self.epochs.resize(n * m, u64::MAX);
-            for i in 0..n {
+            self.epochs.resize(lines * m, u64::MAX);
+            for line in 0..lines {
                 for j in 0..m {
-                    self.refresh_cell(view, i, j);
+                    self.refresh_cell(view, lo, line, j);
                 }
             }
             if let Some(order) = &mut self.order {
                 order.rebuild(&self.graph);
             }
         }
-        self.expected_flush = changes.flush_count() + 1;
-
-        self.out_full.clear();
-        self.out_full.resize(m, false);
-        self.out_tail.clear();
-        self.out_tail.resize(m, 0);
-        for j in 0..m {
-            // Virtual occupancy: landed + in flight through the fabric.
-            let output = PortId::from(j);
-            if view.output_full(output) {
-                self.out_full[j] = true;
-                self.out_tail[j] = view
-                    .output_tail_value(output)
-                    .expect("full virtual queue has a tail");
-            }
-        }
+        in_step
     }
 
-    /// Re-read one VOQ into the graph; returns whether the queue actually
-    /// changed since the last read (by its modification epoch).
+    /// Re-read `Q_ij` (band-local row `line`) into the graph; returns
+    /// whether the queue actually changed since the last read (by its
+    /// epoch).
     #[inline]
-    fn refresh_cell(&mut self, view: &SwitchView<'_>, i: usize, j: usize) -> bool {
-        let queue = view.input_queue(PortId::from(i), PortId::from(j));
-        let cell = i * self.graph.n_right() + j;
-        if self.epochs[cell] == queue.epoch() {
+    fn refresh_cell(&mut self, view: &impl RowView, lo: usize, line: usize, j: usize) -> bool {
+        let queue = view.voq(lo + line, j);
+        let epoch = &mut self.epochs[line * self.graph.n_right() + j];
+        if *epoch == queue.epoch() {
             return false;
         }
-        self.epochs[cell] = queue.epoch();
+        *epoch = queue.epoch();
         match queue.head_value() {
-            Some(g) => self.graph.set_edge(i, j, g),
-            None => self.graph.clear_edge(i, j),
+            Some(g) => self.graph.set_edge(line, j, g),
+            None => self.graph.clear_edge(line, j),
         }
         true
     }
@@ -165,6 +378,11 @@ impl BitGrid {
         self.words.resize(rows * self.words_per_row, 0);
     }
 
+    /// Bits per row.
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
+    }
+
     #[inline]
     pub(crate) fn set(&mut self, row: usize, col: usize, value: bool) {
         debug_assert!(row < self.rows && col < self.cols);
@@ -182,204 +400,124 @@ impl BitGrid {
     pub(crate) fn first_set_cyclic(&self, row: usize, start: usize) -> Option<usize> {
         debug_assert!(start < self.cols);
         let words = &self.words[row * self.words_per_row..(row + 1) * self.words_per_row];
-        let scan = |from: usize, to: usize| -> Option<usize> {
-            // Scan bit range [from, to) left to right.
-            let mut w = from / 64;
-            while w * 64 < to {
-                let mut word = words[w];
-                if w == from / 64 {
-                    word &= !0u64 << (from % 64);
-                }
-                if word != 0 {
-                    let col = w * 64 + word.trailing_zeros() as usize;
-                    if col < to {
-                        return Some(col);
-                    }
-                    // First set bit is already past `to`: nothing in range.
-                }
-                w += 1;
-            }
-            None
+        // First set column at or after `from` (bits past `cols` are never set).
+        let first_from = |from: usize| {
+            (from / 64..words.len()).find_map(|w| {
+                let below = if w == from / 64 { from % 64 } else { 0 };
+                let word = words[w] & (!0u64 << below);
+                (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
+            })
         };
-        scan(start, self.cols).or_else(|| scan(0, start))
+        match first_from(start) {
+            // Wrapping around, the first set column of the whole row is
+            // the answer iff it lies before `start`.
+            None if start > 0 => first_from(0).filter(|&col| col < start),
+            found => found,
+        }
     }
 }
 
-/// CGU's incremental eligibility masks.
-///
-/// `in_ok[i][j]` ⇔ `|Q_ij| > 0 ∧ |C_ij| < B(C_ij)` (input subphase);
-/// `out_ok[j][i]` ⇔ `|C_ij| > 0` (output subphase, stored transposed so a
-/// per-output scan is one contiguous row).
+/// One half of [`CguCache`]: an eligibility mask over the lines of a band
+/// (rows for the input subphase, columns for the output subphase) and one
+/// round-robin pointer per line.
+#[derive(Debug, Default)]
+pub(crate) struct MaskHalf {
+    pub(crate) ok: BitGrid,
+    /// Where each line's next cyclic scan starts. Zeroed on every full
+    /// rebuild, so a policy reused across runs starts like a fresh one.
+    pub(crate) ptr: Vec<usize>,
+    shake: Handshake,
+}
+
+impl MaskHalf {
+    /// Consume one flush: re-evaluate `ok(line, k)` (band-local line, global
+    /// index `k` along it) for the dirty cells — or, on a resync, for every
+    /// cell of the band.
+    // detlint: hot
+    pub(crate) fn sync(
+        &mut self,
+        dirty: Dirty<impl Iterator<Item = (usize, usize)>>,
+        ok: impl Fn(usize, usize) -> bool,
+    ) {
+        let (lines, width) = (dirty.band.len(), dirty.width);
+        if self.shake.step(&dirty.band, dirty.width, dirty.flush) {
+            for (line, k) in dirty.cells {
+                self.ok.set(line, k, ok(line, k));
+            }
+        } else {
+            self.ok.reset(lines, width);
+            self.ptr.clear();
+            self.ptr.resize(lines, 0);
+            for line in 0..lines {
+                for k in 0..width {
+                    self.ok.set(line, k, ok(line, k));
+                }
+            }
+        }
+    }
+}
+
+/// CGU's incremental eligibility masks. `rows.ok[i][j]` holds the
+/// input-subphase rule for `(Q_ij, C_ij)` and syncs from [`RowView::dirty_rows`],
+/// `cols.ok[j][i]` the output-subphase rule for `C_ij` (stored transposed
+/// so a per-output scan is one contiguous line) and syncs from
+/// [`ColView::dirty_cols`]; the rules themselves live with the policy.
 #[derive(Debug, Default)]
 pub(crate) struct CguCache {
-    pub(crate) in_ok: BitGrid,
-    pub(crate) out_ok: BitGrid,
-    expected_flush: u64,
-    dims: (usize, usize),
+    pub(crate) rows: MaskHalf,
+    pub(crate) cols: MaskHalf,
 }
 
-impl CguCache {
-    pub(crate) fn new() -> Self {
-        CguCache {
-            expected_flush: UNSYNCED,
-            ..CguCache::default()
-        }
-    }
+/// One half of [`CpgCache`]: a cached argmax `(value, partner index)` per
+/// line of a band, recomputed only for lines a dirty cell made stale.
+#[derive(Debug, Default)]
+pub(crate) struct ArgmaxHalf {
+    pub(crate) best: Vec<Option<(Value, usize)>>,
+    stale: Vec<bool>,
+    shake: Handshake,
+}
 
-    pub(crate) fn sync(&mut self, view: &SwitchView<'_>) {
-        let (n, m) = (view.n_inputs(), view.n_outputs());
-        let changes = view.changes();
-        let in_sync = self.expected_flush == changes.flush_count() && self.dims == (n, m);
-        if in_sync {
-            for &cell in changes.dirty_voqs() {
-                let (i, j) = (cell as usize / m, cell as usize % m);
-                self.refresh_in(view, i, j);
-            }
-            for &cell in changes.dirty_xbars() {
-                let (i, j) = (cell as usize / m, cell as usize % m);
-                self.refresh_in(view, i, j);
-                self.refresh_out(view, i, j);
+impl ArgmaxHalf {
+    /// Consume one flush: mark the lines with a dirty cell stale — or, on a
+    /// resync, every line.
+    // detlint: hot
+    pub(crate) fn mark(&mut self, dirty: Dirty<impl Iterator<Item = (usize, usize)>>) {
+        let lines = dirty.band.len();
+        if self.shake.step(&dirty.band, dirty.width, dirty.flush) {
+            for (line, _) in dirty.cells {
+                self.stale[line] = true;
             }
         } else {
-            self.dims = (n, m);
-            self.in_ok.reset(n, m);
-            self.out_ok.reset(m, n);
-            for i in 0..n {
-                for j in 0..m {
-                    self.refresh_in(view, i, j);
-                    self.refresh_out(view, i, j);
-                }
+            self.best.clear();
+            self.best.resize(lines, None);
+            self.stale.clear();
+            self.stale.resize(lines, true);
+        }
+    }
+
+    /// Recompute the stale lines with `argmax(line)` and clear their
+    /// staleness; the argmax of an untouched line cannot have changed.
+    // detlint: hot
+    pub(crate) fn refresh(&mut self, mut argmax: impl FnMut(usize) -> Option<(Value, usize)>) {
+        for (line, stale) in self.stale.iter_mut().enumerate() {
+            if std::mem::take(stale) {
+                self.best[line] = argmax(line);
             }
         }
-        self.expected_flush = changes.flush_count() + 1;
-    }
-
-    #[inline]
-    fn refresh_in(&mut self, view: &SwitchView<'_>, i: usize, j: usize) {
-        let (input, output) = (PortId::from(i), PortId::from(j));
-        let ok = !view.input_queue(input, output).is_empty()
-            && !view.crossbar_queue(input, output).is_full();
-        self.in_ok.set(i, j, ok);
-    }
-
-    #[inline]
-    fn refresh_out(&mut self, view: &SwitchView<'_>, i: usize, j: usize) {
-        let ok = !view
-            .crossbar_queue(PortId::from(i), PortId::from(j))
-            .is_empty();
-        self.out_ok.set(j, i, ok);
     }
 }
 
-/// CPG's cached per-row / per-column argmax candidates.
-///
-/// `row_best[i]` is the input-subphase choice for input `i` — the eligible
-/// `j` maximising `v(g_ij)` (ties to the smallest `j`); its inputs (`Q_ij`
-/// heads, `C_ij` fullness/tails, β) are all row-local, so it is recomputed
-/// only when a cell of row `i` is dirtied. `col_best[j]` is the
-/// output-subphase candidate — the `i` maximising `v(gc_ij)` over non-empty
-/// `C_ij` — and is column-local likewise. The output-side α threshold is
-/// *not* cached; the caller evaluates it fresh per output each cycle.
+/// CPG's cached per-row / per-column argmax candidates. `rows.best[i]` is
+/// the input-subphase choice for input `i`; its inputs (`Q_ij` heads, `C_ij`
+/// fullness/tails, β) are all row-local, so it goes stale only when a cell
+/// of row `i` is dirtied ([`RowView::dirty_rows`]). `cols.best[j]` is the
+/// output-subphase candidate and is column-local likewise
+/// ([`ColView::dirty_cols`]). The output-side α threshold is *not*
+/// cached; the policy evaluates it fresh per output each cycle.
 #[derive(Debug, Default)]
 pub(crate) struct CpgCache {
-    pub(crate) row_best: Vec<Option<(Value, usize)>>,
-    pub(crate) col_best: Vec<Option<(Value, usize)>>,
-    row_stale: Vec<bool>,
-    col_stale: Vec<bool>,
-    expected_flush: u64,
-    dims: (usize, usize),
-}
-
-impl CpgCache {
-    pub(crate) fn new() -> Self {
-        CpgCache {
-            expected_flush: UNSYNCED,
-            ..CpgCache::default()
-        }
-    }
-
-    /// Consume the change log, marking affected rows/columns stale. Called
-    /// at the top of both subphases; the recompute helpers below clear the
-    /// staleness they resolve.
-    pub(crate) fn sync(&mut self, view: &SwitchView<'_>) {
-        let (n, m) = (view.n_inputs(), view.n_outputs());
-        let changes = view.changes();
-        let in_sync = self.expected_flush == changes.flush_count() && self.dims == (n, m);
-        if in_sync {
-            for &cell in changes.dirty_voqs() {
-                self.row_stale[cell as usize / m] = true;
-            }
-            for &cell in changes.dirty_xbars() {
-                self.row_stale[cell as usize / m] = true;
-                self.col_stale[cell as usize % m] = true;
-            }
-        } else {
-            self.dims = (n, m);
-            self.row_best.clear();
-            self.row_best.resize(n, None);
-            self.col_best.clear();
-            self.col_best.resize(m, None);
-            self.row_stale.clear();
-            self.row_stale.resize(n, true);
-            self.col_stale.clear();
-            self.col_stale.resize(m, true);
-        }
-        self.expected_flush = changes.flush_count() + 1;
-    }
-
-    /// Recompute stale input-subphase candidates (the paper's
-    /// `J = { j : |Q_ij| > 0 ∧ (|C_ij| < B(C_ij) ∨ v(g_ij) > β·v(lc_ij)) }`
-    /// argmax) and clear their staleness.
-    pub(crate) fn refresh_rows(&mut self, view: &SwitchView<'_>, beta: f64) {
-        for i in 0..self.dims.0 {
-            if !self.row_stale[i] {
-                continue;
-            }
-            self.row_stale[i] = false;
-            let input = PortId::from(i);
-            let mut best: Option<(Value, usize)> = None;
-            for j in 0..self.dims.1 {
-                let output = PortId::from(j);
-                let Some(g_ij) = view.input_queue(input, output).head_value() else {
-                    continue;
-                };
-                let xbar = view.crossbar_queue(input, output);
-                let eligible = !xbar.is_full()
-                    || cioq_model::exceeds_factor(
-                        g_ij,
-                        beta,
-                        xbar.tail_value().expect("full queue has a tail"),
-                    );
-                if eligible && best.is_none_or(|(bv, _)| g_ij > bv) {
-                    best = Some((g_ij, j));
-                }
-            }
-            self.row_best[i] = best;
-        }
-    }
-
-    /// Recompute stale output-subphase candidates (argmax of `v(gc_ij)`
-    /// over non-empty `C_ij`, ties to the smallest `i`) and clear their
-    /// staleness.
-    pub(crate) fn refresh_cols(&mut self, view: &SwitchView<'_>) {
-        for j in 0..self.dims.1 {
-            if !self.col_stale[j] {
-                continue;
-            }
-            self.col_stale[j] = false;
-            let output = PortId::from(j);
-            let mut best: Option<(Value, usize)> = None;
-            for i in 0..self.dims.0 {
-                let Some(gc_ij) = view.crossbar_queue(PortId::from(i), output).head_value() else {
-                    continue;
-                };
-                if best.is_none_or(|(bv, _)| gc_ij > bv) {
-                    best = Some((gc_ij, i));
-                }
-            }
-            self.col_best[j] = best;
-        }
-    }
+    pub(crate) rows: ArgmaxHalf,
+    pub(crate) cols: ArgmaxHalf,
 }
 
 #[cfg(test)]

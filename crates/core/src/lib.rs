@@ -14,35 +14,37 @@
 //! ([`baselines`]): maximum-matching and maximum-weight-matching CIOQ
 //! policies (Kesselman–Rosén), iSLIP, and ablated variants of PG/CPG.
 //!
-//! All policies implement the [`cioq_sim::CioqPolicy`] /
-//! [`cioq_sim::CrossbarPolicy`] traits and never allocate per cycle after
-//! warm-up.
+//! Each paper policy exists once. [`GreedyMatching`], [`PreemptiveGreedy`],
+//! [`CrossbarGreedyUnit`] and [`CrossbarPreemptiveGreedy`] implement the
+//! sequential [`cioq_sim::CioqPolicy`] / [`cioq_sim::CrossbarPolicy`]
+//! traits over the whole switch *and* the per-shard worker traits over one
+//! band of it; [`ShardedGm`], [`ShardedPg`], [`ShardedCgu`] and
+//! [`ShardedCpg`] are the factories that hand the sharded engine one fresh
+//! worker per shard (plus, for GM and PG, the deterministic merge). None of
+//! them allocates per cycle after warm-up.
 //!
-//! Since PR 2 every policy maintains its per-cycle scheduling structures
-//! **incrementally** from the engine's change log ([`BuildMode`], default
-//! [`BuildMode::Incremental`]): one slot dirties at most O(N·ŝ) queues, so
-//! refreshing only those replaces the former O(N²) rescan (plus the
-//! weighted policies' O(E log E) re-sort) with O(changes) bookkeeping. The
-//! from-scratch path is kept as [`BuildMode::Rescan`] and property tests
-//! prove both produce identical decisions cycle by cycle.
+//! Every policy maintains its per-cycle scheduling structures
+//! **incrementally** from the engine's change log, through one cache
+//! family scoped to a band of rows or columns: one slot dirties at most
+//! O(N·ŝ) queues, so refreshing only those replaces an O(N²) rescan (plus
+//! the weighted policies' O(E log E) re-sort) with O(changes) bookkeeping.
+//! The from-scratch algorithms live on as the [`oracle`] — paper-direct,
+//! cache-free, unpooled — and property tests prove policy and oracle make
+//! identical decisions cycle by cycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baselines;
 mod cgu;
-mod common;
 mod cpg;
 mod gm;
 mod incremental;
+pub mod oracle;
 pub mod params;
 mod pg;
-mod shard_builders;
-mod sharded;
 
-pub use cgu::{CrossbarGreedyUnit, SelectionOrder};
-pub use cpg::CrossbarPreemptiveGreedy;
-pub use gm::{GmEdgePolicy, GreedyMatching};
-pub use incremental::BuildMode;
-pub use pg::PreemptiveGreedy;
-pub use sharded::{ShardedCgu, ShardedCpg, ShardedGm, ShardedPg};
+pub use cgu::{CrossbarGreedyUnit, SelectionOrder, ShardedCgu};
+pub use cpg::{CrossbarPreemptiveGreedy, ShardedCpg};
+pub use gm::{GmEdgePolicy, GreedyMatching, ShardedGm};
+pub use pg::{PreemptiveGreedy, ShardedPg};

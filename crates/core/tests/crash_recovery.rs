@@ -3,8 +3,8 @@
 //! remaining decision transcript, the final report, the final switch
 //! state and every later checkpoint must be byte-identical to the
 //! uninterrupted run. Covered for all four policies, sequential and
-//! sharded K ∈ {2, 4}, over Immediate, `DelayLine` and `DelayMatrix`
-//! fabrics.
+//! sharded K ∈ {2, 4}, over the immediate, a uniform-delay and a two-tier
+//! matrix fabric.
 //!
 //! Also proven here: sequential and sharded checkpoints of the same run
 //! are byte-identical (so either engine can restore the other's), an
@@ -19,9 +19,9 @@ use cioq_core::{
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
     run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    CrossbarRecording, CrossbarShardPolicy, DelayLine, DelayMatrix, Engine, EngineSnapshot,
-    ExecMode, FabricLink, Immediate, RecordedCrossbarSchedule, RecordedSchedule, Recording,
-    RunOptions, RunOutcome, ShardedOptions, ShardedOutcome, SwitchState, Trace, TraceSource,
+    CrossbarRecording, CrossbarShardPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec,
+    RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunOutcome, ShardedOptions,
+    ShardedOutcome, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -57,12 +57,12 @@ fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
     }
 }
 
-fn run_options(link: &dyn FabricLink) -> RunOptions {
+fn run_options(link: &FabricSpec) -> RunOptions {
     RunOptions {
         checkpoint_every: Some(CHECKPOINT_EVERY),
+        fabric: link.clone(),
         ..RunOptions::default()
     }
-    .link(link)
 }
 
 /// Sequential CIOQ run (fresh or resumed from a checkpoint), recording
@@ -71,7 +71,7 @@ fn seq_cioq_run(
     cfg: &SwitchConfig,
     mut policy: Box<dyn CioqPolicy>,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     resume: Option<&EngineSnapshot>,
 ) -> (RunOutcome, RecordedSchedule) {
     struct Boxed<'a>(&'a mut dyn CioqPolicy);
@@ -106,7 +106,7 @@ fn seq_cioq_run(
         Some(snap) => Engine::restore(snap, run_options(link)).expect("restore own checkpoint"),
         None => Engine::new(cfg.clone(), run_options(link)),
     };
-    let mut rec = Recording::with_link(Boxed(&mut *policy), link);
+    let mut rec = Recording::with_fabric(Boxed(&mut *policy), link);
     let mut source = match resume {
         Some(snap) => TraceSource::resume_at(trace, snap.slot()),
         None => TraceSource::new(trace),
@@ -121,7 +121,7 @@ fn seq_crossbar_run(
     cfg: &SwitchConfig,
     mut policy: Box<dyn CrossbarPolicy>,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     resume: Option<&EngineSnapshot>,
 ) -> (RunOutcome, RecordedCrossbarSchedule) {
     struct Boxed<'a>(&'a mut dyn CrossbarPolicy);
@@ -164,7 +164,7 @@ fn seq_crossbar_run(
         Some(snap) => Engine::restore(snap, run_options(link)).expect("restore own checkpoint"),
         None => Engine::new(cfg.clone(), run_options(link)),
     };
-    let mut rec = CrossbarRecording::with_link(Boxed(&mut *policy), link);
+    let mut rec = CrossbarRecording::with_fabric(Boxed(&mut *policy), link);
     let mut source = match resume {
         Some(snap) => TraceSource::resume_at(trace, snap.slot()),
         None => TraceSource::new(trace),
@@ -175,12 +175,9 @@ fn seq_crossbar_run(
     (outcome, rec.into_schedule())
 }
 
-fn sharded_options(
-    k: usize,
-    link: &dyn FabricLink,
-    resume: Option<EngineSnapshot>,
-) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k).link(link);
+fn sharded_options(k: usize, link: &FabricSpec, resume: Option<EngineSnapshot>) -> ShardedOptions {
+    let mut opts = ShardedOptions::new(k);
+    opts.fabric = link.clone();
     opts.mode = ExecMode::Inline;
     opts.record = true;
     opts.capture_final_state = true;
@@ -225,7 +222,7 @@ fn check_cioq_recovery(
     seq: impl Fn() -> Box<dyn CioqPolicy>,
     sharded: &dyn CioqShardPolicy,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     what: &str,
 ) {
     let speedup = cfg.speedup as usize;
@@ -331,7 +328,7 @@ fn check_crossbar_recovery(
     seq: impl Fn() -> Box<dyn CrossbarPolicy>,
     sharded: &dyn CrossbarShardPolicy,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     what: &str,
 ) {
     let speedup = cfg.speedup as usize;
@@ -430,13 +427,13 @@ fn bursty_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
 /// delay line, and a heterogeneous two-tier delay matrix (chassis-local
 /// pairs at 0, cross-rack pairs at 2 — mailbox and ring paths live
 /// simultaneously).
-fn fabrics() -> Vec<(&'static str, Box<dyn FabricLink>)> {
+fn fabrics() -> Vec<(&'static str, FabricSpec)> {
     vec![
-        ("immediate", Box::new(Immediate)),
-        ("delay-line d=2", Box::new(DelayLine { d: 2 })),
+        ("immediate", FabricSpec::default()),
+        ("delay-line d=2", FabricSpec::uniform(2)),
         (
             "two-tier matrix",
-            Box::new(DelayMatrix::new(Topology::two_tier(6, 6, 3, 0, 2).unwrap())),
+            FabricSpec::matrix(Topology::two_tier(6, 6, 3, 0, 2).unwrap()),
         ),
     ]
 }
@@ -449,13 +446,13 @@ fn fabrics() -> Vec<(&'static str, Box<dyn FabricLink>)> {
 fn cioq_kill_restore_equivalence() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 48, 0xCA);
-    for (label, link) in fabrics() {
+    for (label, link) in &fabrics() {
         check_cioq_recovery(
             &cfg,
             || Box::new(GreedyMatching::new()),
             &ShardedGm::new(),
             &trace,
-            link.as_ref(),
+            link,
             &format!("gm {label}"),
         );
         check_cioq_recovery(
@@ -463,7 +460,7 @@ fn cioq_kill_restore_equivalence() {
             || Box::new(PreemptiveGreedy::new()),
             &ShardedPg::new(),
             &trace,
-            link.as_ref(),
+            link,
             &format!("pg {label}"),
         );
     }
@@ -473,13 +470,13 @@ fn cioq_kill_restore_equivalence() {
 fn crossbar_kill_restore_equivalence() {
     let cfg = SwitchConfig::crossbar(6, 3, 1, 2);
     let trace = bursty_trace(&cfg, 48, 0xCB);
-    for (label, link) in fabrics() {
+    for (label, link) in &fabrics() {
         check_crossbar_recovery(
             &cfg,
             || Box::new(CrossbarGreedyUnit::new()),
             &ShardedCgu::new(),
             &trace,
-            link.as_ref(),
+            link,
             &format!("cgu {label}"),
         );
         check_crossbar_recovery(
@@ -487,7 +484,7 @@ fn crossbar_kill_restore_equivalence() {
             || Box::new(CrossbarPreemptiveGreedy::new()),
             &ShardedCpg::new(),
             &trace,
-            link.as_ref(),
+            link,
             &format!("cpg {label}"),
         );
     }
@@ -504,7 +501,7 @@ fn crossbar_kill_restore_equivalence() {
 fn threads_mode_checkpoints_match_inline() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 48, 0xCC);
-    let link = DelayLine { d: 2 };
+    let link = FabricSpec::uniform(2);
     let inline = run_cioq_sharded(
         &cfg,
         &ShardedPg::new(),
@@ -543,14 +540,12 @@ fn threads_mode_checkpoints_match_inline() {
 fn windowed_stats_survive_restore() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 48, 0xCD);
-    let link = DelayLine { d: 1 };
-    let options = || {
-        RunOptions {
-            checkpoint_every: Some(CHECKPOINT_EVERY),
-            stats_window: Some(6),
-            ..RunOptions::default()
-        }
-        .link(&link)
+    let link = FabricSpec::uniform(1);
+    let options = || RunOptions {
+        checkpoint_every: Some(CHECKPOINT_EVERY),
+        stats_window: Some(6),
+        fabric: link.clone(),
+        ..RunOptions::default()
     };
 
     let full = Engine::new(cfg.clone(), options())
@@ -579,10 +574,16 @@ fn windowed_stats_survive_restore() {
 fn restore_rejects_mismatched_fabric() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 32, 0xCE);
-    let link = DelayLine { d: 2 };
+    let link = FabricSpec::uniform(2);
     let (full, _) = seq_cioq_run(&cfg, Box::new(GreedyMatching::new()), &trace, &link, None);
     let snap = &full.checkpoints[0];
-    let err = Engine::restore(snap, RunOptions::default().link(&DelayLine { d: 4 }));
+    let err = Engine::restore(
+        snap,
+        RunOptions {
+            fabric: FabricSpec::uniform(4),
+            ..RunOptions::default()
+        },
+    );
     assert!(
         err.is_err(),
         "restoring a d=2 snapshot onto a d=4 fabric must fail"

@@ -2,14 +2,14 @@
 //!
 //! Three pillars:
 //!
-//! 1. **`DelayMatrix` (constant matrix) ≡ `DelayLine { d }`** — a uniform
+//! 1. **`matrix(Topology::uniform(d))` ≡ `FabricSpec::uniform(d)`** — a uniform
 //!    topology must reproduce the uniform delay line bit for bit
 //!    (admissions, per-cycle transfer sets, reports, final states), for all
 //!    four policies × K ∈ {1, 2, 4} × {inline, threads}, sequential and
 //!    sharded. Unlike the `d = 0` normalisation this is *not* structural:
 //!    the matrix path runs the per-pair lookup, the landing calendar, and
 //!    the canonical landing sort, and must land on the same bits.
-//! 2. **Sharded `DelayMatrix` ≡ sequential reference** — on genuinely
+//! 2. **Sharded matrix fabric ≡ sequential reference** — on genuinely
 //!    heterogeneous fabrics (two-tier rack models, random explicit
 //!    matrices, racks scattered across ports) the sharded per-(dest, src)
 //!    rings reproduce the sequential topology-aware engine bit for bit —
@@ -25,9 +25,9 @@ use cioq_core::{
 use cioq_model::{PortId, SwitchConfig, Topology};
 use cioq_sim::{
     run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    CrossbarRecording, CrossbarShardPolicy, DelayLine, DelayMatrix, Engine, ExecMode, FabricLink,
-    RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions,
-    SwitchState, Trace, TraceSource,
+    CrossbarRecording, CrossbarShardPolicy, Engine, ExecMode, FabricSpec, RecordedCrossbarSchedule,
+    RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace,
+    TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
 use proptest::prelude::*;
@@ -88,12 +88,20 @@ fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
     }
 }
 
-/// Sequential reference run through an arbitrary fabric link.
+/// Default sequential options on the given fabric.
+fn on_fabric(fabric: &FabricSpec) -> RunOptions {
+    RunOptions {
+        fabric: fabric.clone(),
+        ..RunOptions::default()
+    }
+}
+
+/// Sequential reference run through an arbitrary fabric.
 fn seq_cioq(
     cfg: &SwitchConfig,
     mut policy: Box<dyn CioqPolicy>,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
 ) -> (RunReport, RecordedSchedule, SwitchState) {
     struct Boxed<'a>(&'a mut dyn CioqPolicy);
     impl CioqPolicy for Boxed<'_> {
@@ -123,9 +131,9 @@ fn seq_cioq(
             self.0.transmit(view, output)
         }
     }
-    let mut rec = Recording::with_link(Boxed(&mut *policy), link);
+    let mut rec = Recording::with_fabric(Boxed(&mut *policy), link);
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), RunOptions::default().link(link))
+    let (report, state) = Engine::new(cfg.clone(), on_fabric(link))
         .run_cioq_capturing(&mut rec, &mut source)
         .expect("sequential linked run");
     (report, rec.into_schedule(), state)
@@ -135,7 +143,7 @@ fn seq_crossbar(
     cfg: &SwitchConfig,
     mut policy: Box<dyn CrossbarPolicy>,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
 ) -> (RunReport, RecordedCrossbarSchedule, SwitchState) {
     struct Boxed<'a>(&'a mut dyn CrossbarPolicy);
     impl CrossbarPolicy for Boxed<'_> {
@@ -173,16 +181,17 @@ fn seq_crossbar(
             self.0.transmit(view, output)
         }
     }
-    let mut rec = CrossbarRecording::with_link(Boxed(&mut *policy), link);
+    let mut rec = CrossbarRecording::with_fabric(Boxed(&mut *policy), link);
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), RunOptions::default().link(link))
+    let (report, state) = Engine::new(cfg.clone(), on_fabric(link))
         .run_crossbar_capturing(&mut rec, &mut source)
         .expect("sequential linked run");
     (report, rec.into_schedule(), state)
 }
 
-fn sharded_options(k: usize, mode: ExecMode, link: &dyn FabricLink) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k).link(link);
+fn sharded_options(k: usize, mode: ExecMode, link: &FabricSpec) -> ShardedOptions {
+    let mut opts = ShardedOptions::new(k);
+    opts.fabric = link.clone();
     opts.mode = mode;
     opts.record = true;
     opts.capture_final_state = true;
@@ -195,7 +204,7 @@ fn check_cioq_against(
     cfg: &SwitchConfig,
     sharded: &dyn CioqShardPolicy,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     reference: &(RunReport, RecordedSchedule, SwitchState),
     what: &str,
 ) {
@@ -221,7 +230,7 @@ fn check_crossbar_against(
     cfg: &SwitchConfig,
     sharded: &dyn CrossbarShardPolicy,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     reference: &(RunReport, RecordedCrossbarSchedule, SwitchState),
     what: &str,
 ) {
@@ -272,7 +281,7 @@ fn cioq_cfg() -> SwitchConfig {
 }
 
 // ---------------------------------------------------------------------------
-// 1. DelayMatrix with a constant matrix ≡ DelayLine { d }
+// 1. matrix(Topology::uniform(d)) ≡ uniform(d)
 // ---------------------------------------------------------------------------
 
 /// A uniform topology must land on the delay line's exact bits — per-pair
@@ -285,8 +294,8 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
     let xcfg = SwitchConfig::crossbar(6, 3, 1, 2);
     let xtrace = cioq_trace(&xcfg, 48, 0x71);
     for d in [0u64, 3] {
-        let line = DelayLine { d };
-        let matrix = DelayMatrix::new(Topology::uniform(6, 6, d));
+        let line = FabricSpec::uniform(d);
+        let matrix = FabricSpec::matrix(Topology::uniform(6, 6, d));
         let what = format!("const matrix d={d}");
 
         for (seq, sharded) in [
@@ -320,7 +329,7 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
         }
 
         let reference = seq_crossbar(&xcfg, Box::new(CrossbarGreedyUnit::new()), &xtrace, &line);
-        let xmatrix = DelayMatrix::new(Topology::uniform(6, 6, d));
+        let xmatrix = FabricSpec::matrix(Topology::uniform(6, 6, d));
         check_crossbar_against(
             &xcfg,
             &ShardedCgu::new(),
@@ -360,7 +369,7 @@ fn two_tier_sharded_equals_sequential() {
     let cfg = cioq_cfg();
     let trace = cioq_trace(&cfg, 48, 0x72);
     for (racks, intra, inter) in [(3usize, 0u64, 2u64), (2, 1, 4)] {
-        let link = DelayMatrix::new(Topology::two_tier(6, 6, racks, intra, inter).unwrap());
+        let link = FabricSpec::matrix(Topology::two_tier(6, 6, racks, intra, inter).unwrap());
         let what = format!("two-tier racks={racks} intra={intra} inter={inter}");
         let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
         check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, &what);
@@ -371,7 +380,7 @@ fn two_tier_sharded_equals_sequential() {
     let xcfg = SwitchConfig::crossbar(6, 3, 1, 2);
     let xtrace = cioq_trace(&xcfg, 48, 0x73);
     for (racks, intra, inter) in [(3usize, 0u64, 2u64), (2, 1, 4)] {
-        let link = DelayMatrix::new(Topology::two_tier(6, 6, racks, intra, inter).unwrap());
+        let link = FabricSpec::matrix(Topology::two_tier(6, 6, racks, intra, inter).unwrap());
         let what = format!("two-tier crossbar racks={racks} intra={intra} inter={inter}");
         let reference = seq_crossbar(&xcfg, Box::new(CrossbarGreedyUnit::new()), &xtrace, &link);
         check_crossbar_against(&xcfg, &ShardedCgu::new(), &xtrace, &link, &reference, &what);
@@ -402,7 +411,7 @@ fn random_matrix_sharded_equals_sequential() {
     )
     .unwrap();
     assert_eq!(topo.uniform_delay(), None);
-    let link = DelayMatrix::new(topo);
+    let link = FabricSpec::matrix(topo);
     let what = "random matrix";
     let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
     check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, what);
@@ -448,7 +457,7 @@ fn two_tier_incast_landing_order() {
     );
     let trace = gen_trace(&gen, &cfg, 40, 0x75);
     for (intra, inter) in [(1u64, 3u64), (0, 4)] {
-        let link = DelayMatrix::new(Topology::two_tier(8, 4, 2, intra, inter).unwrap());
+        let link = FabricSpec::matrix(Topology::two_tier(8, 4, 2, intra, inter).unwrap());
         let what = format!("incast intra={intra} inter={inter}");
         let reference = seq_cioq(&cfg, Box::new(PreemptiveGreedy::new()), &trace, &link);
         check_cioq_against(&cfg, &ShardedPg::new(), &trace, &link, &reference, &what);
@@ -467,7 +476,7 @@ proptest! {
     /// (residual 0) and steady-state (in-flight counted in the residual);
     /// (2) the sharded engine books the same totals; (3) a *constant*
     /// random matrix produces the same decision transcript as
-    /// `DelayLine` at that constant.
+    /// `FabricSpec::uniform` at that constant.
     #[test]
     fn conservation_over_random_matrices(
         racks in 1usize..4,
@@ -491,18 +500,18 @@ proptest! {
             latency[..racks * racks].to_vec(),
         )
         .expect("valid random topology");
-        let link = DelayMatrix::new(topo);
+        let link = FabricSpec::matrix(topo);
 
         // Drained run: nothing may stay in flight or queued.
         let mut source = TraceSource::new(&trace);
-        let drained = Engine::new(cfg.clone(), RunOptions::default().link(&link))
+        let drained = Engine::new(cfg.clone(), on_fabric(&link))
             .run_cioq(&mut PreemptiveGreedy::new(), &mut source)
             .expect("drained run");
         prop_assert!(drained.check_conservation().is_ok());
         prop_assert_eq!(drained.residual_count, 0);
 
         // Steady state: the residual includes packets still on the wire.
-        let mut options = RunOptions::default().link(&link);
+        let mut options = on_fabric(&link);
         options.slots = Some(32);
         options.drain = false;
         let mut source = TraceSource::new(&trace);
@@ -516,7 +525,10 @@ proptest! {
             &cfg,
             &ShardedPg::new(),
             &trace,
-            ShardedOptions::new(2).link(&link),
+            ShardedOptions {
+                fabric: link.clone(),
+                ..ShardedOptions::new(2)
+            },
         )
         .expect("sharded run");
         prop_assert!(outcome.report.check_conservation().is_ok());
@@ -525,16 +537,16 @@ proptest! {
         prop_assert_eq!(outcome.report.losses, drained.losses);
 
         // Constant matrix ≡ delay line, transcript for transcript.
-        let const_link = DelayMatrix::new(Topology::uniform(n, n, const_d));
-        let mut rec_m = Recording::with_link(PreemptiveGreedy::new(), &const_link);
+        let const_link = FabricSpec::matrix(Topology::uniform(n, n, const_d));
+        let mut rec_m = Recording::with_fabric(PreemptiveGreedy::new(), &const_link);
         let mut source = TraceSource::new(&trace);
-        Engine::new(cfg.clone(), RunOptions::default().link(&const_link))
+        Engine::new(cfg.clone(), on_fabric(&const_link))
             .run_cioq(&mut rec_m, &mut source)
             .expect("const matrix run");
-        let line = DelayLine { d: const_d };
-        let mut rec_l = Recording::with_link(PreemptiveGreedy::new(), &line);
+        let line = FabricSpec::uniform(const_d);
+        let mut rec_l = Recording::with_fabric(PreemptiveGreedy::new(), &line);
         let mut source = TraceSource::new(&trace);
-        Engine::new(cfg.clone(), RunOptions::default().link(&line))
+        Engine::new(cfg.clone(), on_fabric(&line))
             .run_cioq(&mut rec_l, &mut source)
             .expect("delay line run");
         prop_assert_eq!(rec_m.into_schedule(), rec_l.into_schedule());

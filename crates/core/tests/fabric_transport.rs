@@ -2,10 +2,10 @@
 //!
 //! Three pillars:
 //!
-//! 1. **`DelayLine { d: 0 }` ≡ `Immediate`** — the normalisation is checked
+//! 1. **`FabricSpec::uniform(0)` ≡ the default fabric** — the identity is checked
 //!    end to end (admissions, per-cycle transfer sets, reports, final
 //!    states) for all four policies × K ∈ {1, 2, 4} × {inline, threads}.
-//! 2. **Sharded `DelayLine { d }` ≡ sequential delayed engine** — the
+//! 2. **Sharded `uniform(d)` ≡ sequential delayed engine** — the
 //!    sharded delay rings reproduce the reference delayed-sequential
 //!    engine bit for bit, for d ∈ {1, 2, 4}, the same policy/K/mode
 //!    matrix. This is the delayed analogue of `sharded_equivalence.rs`.
@@ -20,7 +20,7 @@ use cioq_core::{
 use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
     run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    CrossbarRecording, CrossbarShardPolicy, DelayLine, Engine, ExecMode, RecordedCrossbarSchedule,
+    CrossbarRecording, CrossbarShardPolicy, Engine, ExecMode, FabricSpec, RecordedCrossbarSchedule,
     RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace,
     TraceSource,
 };
@@ -117,10 +117,9 @@ fn seq_cioq_delayed(
             self.0.transmit(view, output)
         }
     }
-    let link = DelayLine { d };
-    let mut rec = Recording::with_link(Boxed(&mut *policy), &link);
+    let mut rec = Recording::with_fabric(Boxed(&mut *policy), &FabricSpec::uniform(d));
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), RunOptions::default().link(&link))
+    let (report, state) = Engine::new(cfg.clone(), seq_options(d))
         .run_cioq_capturing(&mut rec, &mut source)
         .expect("sequential delayed run");
     (report, rec.into_schedule(), state)
@@ -168,17 +167,25 @@ fn seq_crossbar_delayed(
             self.0.transmit(view, output)
         }
     }
-    let link = DelayLine { d };
-    let mut rec = CrossbarRecording::with_link(Boxed(&mut *policy), &link);
+    let mut rec = CrossbarRecording::with_fabric(Boxed(&mut *policy), &FabricSpec::uniform(d));
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), RunOptions::default().link(&link))
+    let (report, state) = Engine::new(cfg.clone(), seq_options(d))
         .run_crossbar_capturing(&mut rec, &mut source)
         .expect("sequential delayed run");
     (report, rec.into_schedule(), state)
 }
 
+/// Default sequential options on a uniform latency-`d` fabric.
+fn seq_options(d: SlotId) -> RunOptions {
+    RunOptions {
+        fabric: FabricSpec::uniform(d),
+        ..RunOptions::default()
+    }
+}
+
 fn sharded_options(k: usize, mode: ExecMode, d: SlotId) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k).link(&DelayLine { d });
+    let mut opts = ShardedOptions::new(k);
+    opts.fabric = FabricSpec::uniform(d);
     opts.mode = mode;
     opts.record = true;
     opts.capture_final_state = true;
@@ -257,12 +264,12 @@ fn cioq_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
 }
 
 // ---------------------------------------------------------------------------
-// 1. DelayLine { d: 0 } ≡ Immediate
+// 1. uniform(0) ≡ the default fabric
 // ---------------------------------------------------------------------------
 
-/// `DelayLine { d: 0 }` must normalise to the immediate fast path in every
+/// `FabricSpec::uniform(0)` must take the immediate fast path in every
 /// engine layer: identical transcripts, reports, and final states against
-/// the plain (link-free) sequential reference, for all four policies.
+/// the plain sequential reference, for all four policies.
 #[test]
 fn delay_zero_is_bit_identical_to_immediate() {
     let cfg = SwitchConfig::builder(6, 6)
@@ -307,24 +314,21 @@ fn delay_zero_is_bit_identical_to_immediate() {
     );
 }
 
-/// A d = 0 *sequential* run through the link API equals the plain one.
+/// A *sequential* run with `fabric: uniform(0)` spelled out equals the
+/// default-options one.
 #[test]
 fn delay_zero_sequential_matches_plain_run() {
     let cfg = SwitchConfig::cioq(5, 3, 1);
     let trace = cioq_trace(&cfg, 40, 0xD2);
     let plain = cioq_sim::run_cioq(&cfg, &mut PreemptiveGreedy::new(), &trace).unwrap();
-    let linked = cioq_sim::run_cioq_linked(
-        &cfg,
-        &mut PreemptiveGreedy::new(),
-        &trace,
-        &DelayLine { d: 0 },
-    )
-    .unwrap();
-    assert_reports_equal(&linked, &plain, "sequential d=0 vs plain");
+    let explicit = Engine::new(cfg.clone(), seq_options(0))
+        .run_cioq(&mut PreemptiveGreedy::new(), &mut TraceSource::new(&trace))
+        .unwrap();
+    assert_reports_equal(&explicit, &plain, "sequential d=0 vs plain");
 }
 
 // ---------------------------------------------------------------------------
-// 2. Sharded DelayLine { d } ≡ delayed sequential engine
+// 2. Sharded uniform(d) ≡ delayed sequential engine
 // ---------------------------------------------------------------------------
 
 /// CIOQ policies across the delay sweep: the sharded delay rings reproduce
@@ -434,9 +438,9 @@ fn conservation_under_churn_all_delays() {
     let cfg = SwitchConfig::cioq(10, 2, 1);
     let trace = gen_trace(&gen, &cfg, 40, 0xC0);
     for d in [0u64, 1, 2, 4, 8] {
-        let link = DelayLine { d };
-        let seq =
-            cioq_sim::run_cioq_linked(&cfg, &mut PreemptiveGreedy::new(), &trace, &link).unwrap();
+        let seq = Engine::new(cfg.clone(), seq_options(d))
+            .run_cioq(&mut PreemptiveGreedy::new(), &mut TraceSource::new(&trace))
+            .unwrap();
         seq.check_conservation()
             .unwrap_or_else(|e| panic!("sequential d={d}: {e}"));
         assert_eq!(seq.residual_count, 0, "drained run leaves nothing, d={d}");
@@ -459,10 +463,12 @@ fn conservation_under_churn_all_delays() {
     let xcfg = SwitchConfig::crossbar(10, 2, 1, 1);
     let xtrace = gen_trace(&gen, &xcfg, 40, 0xC1);
     for d in [0u64, 2, 8] {
-        let link = DelayLine { d };
-        let seq =
-            cioq_sim::run_crossbar_linked(&xcfg, &mut CrossbarGreedyUnit::new(), &xtrace, &link)
-                .unwrap();
+        let seq = Engine::new(xcfg.clone(), seq_options(d))
+            .run_crossbar(
+                &mut CrossbarGreedyUnit::new(),
+                &mut TraceSource::new(&xtrace),
+            )
+            .unwrap();
         seq.check_conservation()
             .unwrap_or_else(|e| panic!("crossbar sequential d={d}: {e}"));
         assert_eq!(seq.residual_count, 0, "drained run leaves nothing, d={d}");
@@ -481,9 +487,8 @@ fn steady_state_residual_counts_in_flight() {
         let options = RunOptions {
             slots: Some(slots),
             drain: false,
-            ..RunOptions::default()
-        }
-        .link(&DelayLine { d });
+            ..seq_options(d)
+        };
         let mut source = TraceSource::new(&trace);
         let report = Engine::new(cfg.clone(), options)
             .run_cioq(&mut GreedyMatching::new(), &mut source)
@@ -497,7 +502,8 @@ fn steady_state_residual_counts_in_flight() {
         );
 
         // The sharded engine stops at the same point with the same books.
-        let mut sh = ShardedOptions::new(2).link(&DelayLine { d });
+        let mut sh = ShardedOptions::new(2);
+        sh.fabric = FabricSpec::uniform(d);
         sh.slots = Some(slots);
         sh.drain = false;
         let outcome = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, sh).unwrap();

@@ -9,7 +9,7 @@
 use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
 use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
-    CioqPolicy, CrossbarPolicy, DelayLine, Engine, EngineSnapshot, FaultEvent, FaultKind,
+    CioqPolicy, CrossbarPolicy, Engine, EngineSnapshot, FabricSpec, FaultEvent, FaultKind,
     FaultPlan, FaultScope, RunOptions, RunOutcome, RunReport, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
@@ -43,9 +43,9 @@ fn faulted_options(plan: &FaultPlan, d: SlotId, every: Option<SlotId>) -> RunOpt
     RunOptions {
         faults: Some(plan.clone()),
         checkpoint_every: every,
+        fabric: FabricSpec::uniform(d),
         ..RunOptions::default()
     }
-    .link(&DelayLine { d })
 }
 
 fn run_cioq_faulted(

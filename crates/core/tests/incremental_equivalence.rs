@@ -1,8 +1,8 @@
 //! Equivalence of the incremental scheduling core and the from-scratch
 //! reference, proven *per cycle*, not just per run.
 //!
-//! A lockstep wrapper runs one engine with the [`BuildMode::Incremental`]
-//! policy driving the switch while the [`BuildMode::Rescan`] twin is asked
+//! A lockstep wrapper runs one engine with the production (incremental)
+//! policy driving the switch while its [`cioq_core::oracle`] twin is asked
 //! for its decision against the *same* view every cycle; any divergence in
 //! any admission, transfer set (content **and** order), or subphase choice
 //! panics on the spot. Since both twins see identical views at every call,
@@ -10,12 +10,13 @@
 //! from-scratch rebuild" property, observed through the decisions the
 //! graphs produce.
 //!
-//! A second pass runs the two modes in *separate* engines over the same
+//! A second pass runs policy and oracle in *separate* engines over the same
 //! trace and compares the full run reports, covering the accounting path
 //! end to end.
 
+use cioq_core::params::{cpg_alpha_star, cpg_beta_star, PG_BETA};
 use cioq_core::{
-    BuildMode, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching,
+    oracle, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching,
     PreemptiveGreedy, SelectionOrder,
 };
 use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
@@ -23,6 +24,7 @@ use cioq_sim::{
     run_cioq, run_crossbar, Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer,
     RunReport, SwitchView, Trace, Transfer, TransmitChoice,
 };
+use cioq_traffic::{gen_trace, BernoulliUniform, ValueDist};
 use proptest::prelude::*;
 
 // ---- lockstep wrappers ----
@@ -163,28 +165,25 @@ fn cioq_pairs() -> Vec<(Box<dyn CioqPolicy>, Box<dyn CioqPolicy>)> {
     vec![
         (
             Box::new(GreedyMatching::new()),
-            Box::new(GreedyMatching::new().build_mode(BuildMode::Rescan)),
+            Box::new(oracle::Gm(GmEdgePolicy::Lexicographic)),
         ),
         (
             Box::new(GreedyMatching::with_edge_policy(
                 GmEdgePolicy::RotateByCycle,
             )),
-            Box::new(
-                GreedyMatching::with_edge_policy(GmEdgePolicy::RotateByCycle)
-                    .build_mode(BuildMode::Rescan),
-            ),
+            Box::new(oracle::Gm(GmEdgePolicy::RotateByCycle)),
         ),
         (
             Box::new(PreemptiveGreedy::new()),
-            Box::new(PreemptiveGreedy::new().build_mode(BuildMode::Rescan)),
+            Box::new(oracle::Pg(Some(PG_BETA))),
         ),
         (
             Box::new(PreemptiveGreedy::with_beta(1.25)),
-            Box::new(PreemptiveGreedy::with_beta(1.25).build_mode(BuildMode::Rescan)),
+            Box::new(oracle::Pg(Some(1.25))),
         ),
         (
             Box::new(PreemptiveGreedy::without_preemption()),
-            Box::new(PreemptiveGreedy::without_preemption().build_mode(BuildMode::Rescan)),
+            Box::new(oracle::Pg(None)),
         ),
     ]
 }
@@ -193,24 +192,27 @@ fn crossbar_pairs() -> Vec<(Box<dyn CrossbarPolicy>, Box<dyn CrossbarPolicy>)> {
     vec![
         (
             Box::new(CrossbarGreedyUnit::new()),
-            Box::new(CrossbarGreedyUnit::new().build_mode(BuildMode::Rescan)),
+            Box::new(oracle::Cgu::new(SelectionOrder::FirstFit)),
         ),
         (
             Box::new(CrossbarGreedyUnit::with_selection(
                 SelectionOrder::RoundRobin,
             )),
-            Box::new(
-                CrossbarGreedyUnit::with_selection(SelectionOrder::RoundRobin)
-                    .build_mode(BuildMode::Rescan),
-            ),
+            Box::new(oracle::Cgu::new(SelectionOrder::RoundRobin)),
         ),
         (
             Box::new(CrossbarPreemptiveGreedy::new()),
-            Box::new(CrossbarPreemptiveGreedy::new().build_mode(BuildMode::Rescan)),
+            Box::new(oracle::Cpg {
+                beta: cpg_beta_star(),
+                alpha: cpg_alpha_star(),
+            }),
         ),
         (
             Box::new(CrossbarPreemptiveGreedy::with_params(1.5, 2.0)),
-            Box::new(CrossbarPreemptiveGreedy::with_params(1.5, 2.0).build_mode(BuildMode::Rescan)),
+            Box::new(oracle::Cpg {
+                beta: 1.5,
+                alpha: 2.0,
+            }),
         ),
     ]
 }
@@ -220,7 +222,7 @@ proptest! {
 
     /// Over random traces (bursty, value-skewed, port-skewed) and every
     /// CIOQ policy variant, the incremental core makes the same decision
-    /// as a from-scratch rebuild in every cycle of every slot — and two
+    /// as the from-scratch oracle in every cycle of every slot — and two
     /// independent full runs agree on the complete report.
     #[test]
     fn cioq_incremental_equals_rescan(
@@ -302,29 +304,54 @@ proptest! {
     }
 }
 
-/// Reusing an incremental policy across engine runs must resync cleanly
-/// (the flush-count handshake detects the fresh engine): the second run's
-/// report equals a fresh policy's.
+/// Reusing a policy object across engine runs must resync cleanly (the
+/// flush-count handshake detects the fresh engine, and a full rebuild also
+/// zeroes CGU's round-robin pointers): the second run's report equals the
+/// first's and a fresh policy's — on the same switch, and again on a
+/// smaller one (the band check).
 #[test]
 fn policy_reuse_across_runs_resyncs() {
-    let cfg = SwitchConfig::cioq(3, 2, 2);
-    let trace = Trace::from_tuples([
-        (0, PortId(0), PortId(1), 9),
-        (0, PortId(1), PortId(1), 4),
-        (1, PortId(2), PortId(0), 7),
-        (2, PortId(0), PortId(2), 2),
+    // Bernoulli 0.9 on 4×4 for 41 slots: contended enough that a
+    // round-robin pointer left over from the first run changes the second.
+    let cfg = SwitchConfig::cioq(4, 2, 2);
+    let trace = gen_trace(
+        &BernoulliUniform::new(0.9, ValueDist::Uniform { max: 9 }),
+        &cfg,
+        41,
+        7,
+    );
+    let trace_small = Trace::from_tuples([
+        (0, PortId(0), PortId(1), 5),
+        (0, PortId(1), PortId(1), 2),
+        (1, PortId(0), PortId(1), 7),
     ]);
-    let mut reused = PreemptiveGreedy::new();
-    let first = run_cioq(&cfg, &mut reused, &trace).unwrap();
-    let second = run_cioq(&cfg, &mut reused, &trace).unwrap();
-    let fresh = run_cioq(&cfg, &mut PreemptiveGreedy::new(), &trace).unwrap();
-    assert_reports_equal(&first, &second, "reuse");
-    assert_reports_equal(&second, &fresh, "reuse vs fresh");
 
-    // Reuse on a *different geometry* must also resync (dims check).
     let cfg_small = SwitchConfig::cioq(2, 2, 1);
-    let trace_small = Trace::from_tuples([(0, PortId(0), PortId(1), 5)]);
-    let shrunk = run_cioq(&cfg_small, &mut reused, &trace_small).unwrap();
-    let fresh_small = run_cioq(&cfg_small, &mut PreemptiveGreedy::new(), &trace_small).unwrap();
-    assert_reports_equal(&shrunk, &fresh_small, "resized reuse");
+    let policies = || cioq_pairs().into_iter().map(|(policy, _oracle)| policy);
+    for ((mut reused, mut fresh), mut fresh_small) in policies().zip(policies()).zip(policies()) {
+        let name = reused.name().to_string();
+        let first = run_cioq(&cfg, reused.as_mut(), &trace).unwrap();
+        let second = run_cioq(&cfg, reused.as_mut(), &trace).unwrap();
+        let reference = run_cioq(&cfg, fresh.as_mut(), &trace).unwrap();
+        assert_reports_equal(&first, &second, &format!("{name} reuse"));
+        assert_reports_equal(&second, &reference, &format!("{name} reuse vs fresh"));
+        let shrunk = run_cioq(&cfg_small, reused.as_mut(), &trace_small).unwrap();
+        let reference = run_cioq(&cfg_small, fresh_small.as_mut(), &trace_small).unwrap();
+        assert_reports_equal(&shrunk, &reference, &format!("{name} resized reuse"));
+    }
+
+    let cfg = SwitchConfig::crossbar(4, 2, 1, 1);
+    let cfg_small = SwitchConfig::crossbar(2, 2, 1, 1);
+    let policies = || crossbar_pairs().into_iter().map(|(policy, _oracle)| policy);
+    for ((mut reused, mut fresh), mut fresh_small) in policies().zip(policies()).zip(policies()) {
+        let name = reused.name().to_string();
+        let first = run_crossbar(&cfg, reused.as_mut(), &trace).unwrap();
+        let second = run_crossbar(&cfg, reused.as_mut(), &trace).unwrap();
+        let reference = run_crossbar(&cfg, fresh.as_mut(), &trace).unwrap();
+        assert_reports_equal(&first, &second, &format!("{name} reuse"));
+        assert_reports_equal(&second, &reference, &format!("{name} reuse vs fresh"));
+        let shrunk = run_crossbar(&cfg_small, reused.as_mut(), &trace_small).unwrap();
+        let reference = run_crossbar(&cfg_small, fresh_small.as_mut(), &trace_small).unwrap();
+        assert_reports_equal(&shrunk, &reference, &format!("{name} resized reuse"));
+    }
 }

@@ -3,8 +3,8 @@
 //! across runs — and none of that warm state may leak into decisions.
 //!
 //! Two properties pin it down, for all four policies, sequential and
-//! sharded K ∈ {2, 4}, over Immediate, `DelayLine` and `DelayMatrix`
-//! fabrics:
+//! sharded K ∈ {2, 4}, over the immediate, a uniform-delay and a two-tier
+//! matrix fabric:
 //!
 //! * **Warm == cold.** The same policy object is run through three
 //!   consecutive fresh engines over the same trace. The first run grows
@@ -25,9 +25,9 @@ use cioq_core::{
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
     run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    CrossbarRecording, CrossbarShardPolicy, DelayLine, DelayMatrix, Engine, EngineSnapshot,
-    ExecMode, FabricLink, Immediate, RecordedCrossbarSchedule, RecordedSchedule, Recording,
-    RunOptions, RunOutcome, ShardedOptions, SwitchState, Trace, TraceSource,
+    CrossbarRecording, CrossbarShardPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec,
+    RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunOutcome, ShardedOptions,
+    SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -62,27 +62,28 @@ fn bursty_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
     )
 }
 
-fn fabrics() -> Vec<(&'static str, Box<dyn FabricLink>)> {
+fn fabrics() -> Vec<(&'static str, FabricSpec)> {
     vec![
-        ("immediate", Box::new(Immediate)),
-        ("delay-line d=2", Box::new(DelayLine { d: 2 })),
+        ("immediate", FabricSpec::default()),
+        ("delay-line d=2", FabricSpec::uniform(2)),
         (
             "two-tier matrix",
-            Box::new(DelayMatrix::new(Topology::two_tier(6, 6, 3, 0, 2).unwrap())),
+            FabricSpec::matrix(Topology::two_tier(6, 6, 3, 0, 2).unwrap()),
         ),
     ]
 }
 
-fn run_options(link: &dyn FabricLink) -> RunOptions {
+fn run_options(link: &FabricSpec) -> RunOptions {
     RunOptions {
         checkpoint_every: Some(CHECKPOINT_EVERY),
+        fabric: link.clone(),
         ..RunOptions::default()
     }
-    .link(link)
 }
 
-fn sharded_options(k: usize, link: &dyn FabricLink) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k).link(link);
+fn sharded_options(k: usize, link: &FabricSpec) -> ShardedOptions {
+    let mut opts = ShardedOptions::new(k);
+    opts.fabric = link.clone();
     opts.mode = ExecMode::Inline;
     opts.record = true;
     opts.capture_final_state = true;
@@ -138,10 +139,10 @@ fn check_seq_cioq_pooled<P: CioqPolicy>(
     make: impl Fn() -> P,
     cfg: &SwitchConfig,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     what: &str,
 ) -> (RunOutcome, RecordedSchedule) {
-    let mut rec = Recording::with_link(make(), link);
+    let mut rec = Recording::with_fabric(make(), link);
     let mut reference: Option<(RunOutcome, RecordedSchedule)> = None;
     for run in 0..RUNS {
         let outcome = Engine::new(cfg.clone(), run_options(link))
@@ -168,10 +169,10 @@ fn check_seq_crossbar_pooled<P: CrossbarPolicy>(
     make: impl Fn() -> P,
     cfg: &SwitchConfig,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     what: &str,
 ) -> (RunOutcome, RecordedCrossbarSchedule) {
-    let mut rec = CrossbarRecording::with_link(make(), link);
+    let mut rec = CrossbarRecording::with_fabric(make(), link);
     let mut reference: Option<(RunOutcome, RecordedCrossbarSchedule)> = None;
     for run in 0..RUNS {
         let outcome = Engine::new(cfg.clone(), run_options(link))
@@ -199,7 +200,7 @@ fn check_sharded_cioq_pooled(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     ref_out: &RunOutcome,
     ref_sched: &RecordedSchedule,
     what: &str,
@@ -227,7 +228,7 @@ fn check_sharded_crossbar_pooled(
     cfg: &SwitchConfig,
     policy: &dyn CrossbarShardPolicy,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     ref_out: &RunOutcome,
     ref_sched: &RecordedCrossbarSchedule,
     what: &str,
@@ -261,26 +262,26 @@ fn check_sharded_crossbar_pooled(
 fn cioq_pooled_parity() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 96, 0xA110C);
-    for (label, link) in fabrics() {
+    for (label, link) in &fabrics() {
         let (gm_out, gm_sched) = check_seq_cioq_pooled(
             GreedyMatching::new,
             &cfg,
             &trace,
-            link.as_ref(),
+            link,
             &format!("gm {label}"),
         );
         let (pg_out, pg_sched) = check_seq_cioq_pooled(
             PreemptiveGreedy::new,
             &cfg,
             &trace,
-            link.as_ref(),
+            link,
             &format!("pg {label}"),
         );
         check_sharded_cioq_pooled(
             &cfg,
             &ShardedGm::new(),
             &trace,
-            link.as_ref(),
+            link,
             &gm_out,
             &gm_sched,
             &format!("gm {label}"),
@@ -289,7 +290,7 @@ fn cioq_pooled_parity() {
             &cfg,
             &ShardedPg::new(),
             &trace,
-            link.as_ref(),
+            link,
             &pg_out,
             &pg_sched,
             &format!("pg {label}"),
@@ -301,26 +302,26 @@ fn cioq_pooled_parity() {
 fn crossbar_pooled_parity() {
     let cfg = SwitchConfig::crossbar(6, 3, 1, 2);
     let trace = bursty_trace(&cfg, 96, 0xA110D);
-    for (label, link) in fabrics() {
+    for (label, link) in &fabrics() {
         let (cgu_out, cgu_sched) = check_seq_crossbar_pooled(
             CrossbarGreedyUnit::new,
             &cfg,
             &trace,
-            link.as_ref(),
+            link,
             &format!("cgu {label}"),
         );
         let (cpg_out, cpg_sched) = check_seq_crossbar_pooled(
             CrossbarPreemptiveGreedy::new,
             &cfg,
             &trace,
-            link.as_ref(),
+            link,
             &format!("cpg {label}"),
         );
         check_sharded_crossbar_pooled(
             &cfg,
             &ShardedCgu::new(),
             &trace,
-            link.as_ref(),
+            link,
             &cgu_out,
             &cgu_sched,
             &format!("cgu {label}"),
@@ -329,7 +330,7 @@ fn crossbar_pooled_parity() {
             &cfg,
             &ShardedCpg::new(),
             &trace,
-            link.as_ref(),
+            link,
             &cpg_out,
             &cpg_sched,
             &format!("cpg {label}"),

@@ -11,22 +11,20 @@
 
 use cioq_core::{CrossbarPreemptiveGreedy, PreemptiveGreedy};
 use cioq_model::{SwitchConfig, Topology};
-use cioq_sim::{
-    DelayLine, DelayMatrix, Engine, EngineSnapshot, FabricLink, RunOptions, RunOutcome, TraceSource,
-};
+use cioq_sim::{Engine, EngineSnapshot, FabricSpec, RunOptions, RunOutcome, TraceSource};
 use cioq_traffic::{gen_trace, FullFabricChurn, ValueDist};
 use proptest::prelude::*;
 
-fn options(link: &dyn FabricLink) -> RunOptions {
+fn options(link: &FabricSpec) -> RunOptions {
     RunOptions {
         checkpoint_every: Some(4),
+        fabric: link.clone(),
         ..RunOptions::default()
     }
-    .link(link)
 }
 
 /// Run a random-config engine to completion, collecting checkpoints.
-fn checkpointed_run(cfg: &SwitchConfig, link: &dyn FabricLink, seed: u64) -> RunOutcome {
+fn checkpointed_run(cfg: &SwitchConfig, link: &FabricSpec, seed: u64) -> RunOutcome {
     let gen = FullFabricChurn::new(2, 5, ValueDist::Uniform { max: 50 });
     let trace = gen_trace(&gen, cfg, 24, seed);
     let engine = Engine::new(cfg.clone(), options(link));
@@ -42,7 +40,7 @@ fn checkpointed_run(cfg: &SwitchConfig, link: &dyn FabricLink, seed: u64) -> Run
     }
 }
 
-fn assert_roundtrip(snap: &EngineSnapshot, link: &dyn FabricLink) {
+fn assert_roundtrip(snap: &EngineSnapshot, link: &FabricSpec) {
     let bytes = snap.to_bytes();
     let decoded = EngineSnapshot::from_bytes(&bytes).expect("decode of a fresh snapshot");
     assert_eq!(&decoded, snap, "decode(encode) structural identity");
@@ -86,7 +84,7 @@ proptest! {
         }
         let cfg = builder.build().expect("valid random config");
 
-        let link: Box<dyn FabricLink> = if matrix_sel == 1 {
+        let link: FabricSpec = if matrix_sel == 1 {
             let topo = Topology::explicit(
                 n_inputs,
                 n_outputs,
@@ -96,18 +94,18 @@ proptest! {
                 latency[..racks * racks].to_vec(),
             )
             .expect("valid random topology");
-            Box::new(DelayMatrix::new(topo))
+            FabricSpec::matrix(topo)
         } else {
-            Box::new(DelayLine { d: uniform_d })
+            FabricSpec::uniform(uniform_d)
         };
 
-        let outcome = checkpointed_run(&cfg, link.as_ref(), seed);
+        let outcome = checkpointed_run(&cfg, &link, seed);
         prop_assert!(
             !outcome.checkpoints.is_empty(),
             "24 arrival slots at cadence 4 must yield checkpoints"
         );
         for snap in &outcome.checkpoints {
-            assert_roundtrip(snap, link.as_ref());
+            assert_roundtrip(snap, &link);
         }
     }
 }
@@ -118,7 +116,7 @@ proptest! {
 
 fn sample_snapshot() -> EngineSnapshot {
     let cfg = SwitchConfig::cioq(3, 2, 1);
-    let link = DelayLine { d: 1 };
+    let link = FabricSpec::uniform(1);
     let outcome = checkpointed_run(&cfg, &link, 0x51);
     outcome.checkpoints[0].clone()
 }

@@ -2,8 +2,8 @@
 //! [`StreamingSource`] must be byte-identical to the same run fed by the
 //! pre-materialised [`Trace`] — same report, final state, decision
 //! transcript and checkpoint bytes — for all four policies, sequential
-//! and sharded K ∈ {2, 4}, over Immediate, `DelayLine` and `DelayMatrix`
-//! fabrics.
+//! and sharded K ∈ {2, 4}, over the immediate, a uniform-delay and a
+//! two-tier matrix fabric.
 //!
 //! Also proven here: the transcript does not depend on the channel depth
 //! (depth 1, which forces backpressure on every slot, equals depth 64),
@@ -20,9 +20,9 @@ use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
     run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
     run_crossbar_sharded_streamed, serve_cioq, stream_trace, stream_trace_from, CioqPolicy,
-    CioqShardPolicy, CrossbarPolicy, CrossbarRecording, CrossbarShardPolicy, DelayLine,
-    DelayMatrix, Engine, EngineSnapshot, ExecMode, FabricLink, Immediate, Recording, RunOptions,
-    RunOutcome, ShardedOptions, SwitchState, Trace, TraceSource,
+    CioqShardPolicy, CrossbarPolicy, CrossbarRecording, CrossbarShardPolicy, Engine,
+    EngineSnapshot, ExecMode, FabricSpec, Recording, RunOptions, RunOutcome, ShardedOptions,
+    SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -55,23 +55,23 @@ fn bursty_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
     )
 }
 
-fn fabrics() -> Vec<(&'static str, Box<dyn FabricLink>)> {
+fn fabrics() -> Vec<(&'static str, FabricSpec)> {
     vec![
-        ("immediate", Box::new(Immediate)),
-        ("delay-line d=2", Box::new(DelayLine { d: 2 })),
+        ("immediate", FabricSpec::default()),
+        ("delay-line d=2", FabricSpec::uniform(2)),
         (
             "two-tier matrix",
-            Box::new(DelayMatrix::new(Topology::two_tier(6, 6, 3, 0, 2).unwrap())),
+            FabricSpec::matrix(Topology::two_tier(6, 6, 3, 0, 2).unwrap()),
         ),
     ]
 }
 
-fn run_options(link: &dyn FabricLink) -> RunOptions {
+fn run_options(link: &FabricSpec) -> RunOptions {
     RunOptions {
         checkpoint_every: Some(CHECKPOINT_EVERY),
+        fabric: link.clone(),
         ..RunOptions::default()
     }
-    .link(link)
 }
 
 fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
@@ -124,10 +124,10 @@ fn check_seq_cioq<P: CioqPolicy>(
     make: impl Fn() -> P,
     cfg: &SwitchConfig,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     what: &str,
 ) -> RunOutcome {
-    let mut rec = Recording::with_link(make(), link);
+    let mut rec = Recording::with_fabric(make(), link);
     let full = Engine::new(cfg.clone(), run_options(link))
         .run_cioq_full(&mut rec, &mut TraceSource::new(trace))
         .expect("trace-fed run");
@@ -140,7 +140,7 @@ fn check_seq_cioq<P: CioqPolicy>(
     for depth in DEPTHS {
         let w = format!("{what} depth={depth}");
         let (mut src, pump) = stream_trace(trace, depth);
-        let mut rec = Recording::with_link(make(), link);
+        let mut rec = Recording::with_fabric(make(), link);
         let streamed = Engine::new(cfg.clone(), run_options(link))
             .run_cioq_full(&mut rec, &mut src)
             .expect("stream-fed run");
@@ -164,10 +164,10 @@ fn check_seq_crossbar<P: CrossbarPolicy>(
     make: impl Fn() -> P,
     cfg: &SwitchConfig,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     what: &str,
 ) -> RunOutcome {
-    let mut rec = CrossbarRecording::with_link(make(), link);
+    let mut rec = CrossbarRecording::with_fabric(make(), link);
     let full = Engine::new(cfg.clone(), run_options(link))
         .run_crossbar_full(&mut rec, &mut TraceSource::new(trace))
         .expect("trace-fed run");
@@ -176,7 +176,7 @@ fn check_seq_crossbar<P: CrossbarPolicy>(
     for depth in DEPTHS {
         let w = format!("{what} depth={depth}");
         let (mut src, pump) = stream_trace(trace, depth);
-        let mut rec = CrossbarRecording::with_link(make(), link);
+        let mut rec = CrossbarRecording::with_fabric(make(), link);
         let streamed = Engine::new(cfg.clone(), run_options(link))
             .run_crossbar_full(&mut rec, &mut src)
             .expect("stream-fed run");
@@ -203,12 +203,9 @@ fn check_seq_crossbar<P: CrossbarPolicy>(
     full
 }
 
-fn sharded_options(
-    k: usize,
-    link: &dyn FabricLink,
-    resume: Option<EngineSnapshot>,
-) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k).link(link);
+fn sharded_options(k: usize, link: &FabricSpec, resume: Option<EngineSnapshot>) -> ShardedOptions {
+    let mut opts = ShardedOptions::new(k);
+    opts.fabric = link.clone();
     opts.mode = ExecMode::Inline;
     opts.record = true;
     opts.capture_final_state = true;
@@ -224,7 +221,7 @@ fn check_sharded_cioq(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     what: &str,
 ) {
     for shards in SHARD_COUNTS {
@@ -284,7 +281,7 @@ fn check_sharded_crossbar(
     cfg: &SwitchConfig,
     policy: &dyn CrossbarShardPolicy,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     what: &str,
 ) {
     for shards in SHARD_COUNTS {
@@ -320,33 +317,33 @@ fn check_sharded_crossbar(
 fn cioq_stream_parity() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 48, 0xD0);
-    for (label, link) in fabrics() {
+    for (label, link) in &fabrics() {
         check_seq_cioq(
             GreedyMatching::new,
             &cfg,
             &trace,
-            link.as_ref(),
+            link,
             &format!("gm {label}"),
         );
         check_seq_cioq(
             PreemptiveGreedy::new,
             &cfg,
             &trace,
-            link.as_ref(),
+            link,
             &format!("pg {label}"),
         );
         check_sharded_cioq(
             &cfg,
             &ShardedGm::new(),
             &trace,
-            link.as_ref(),
+            link,
             &format!("gm {label}"),
         );
         check_sharded_cioq(
             &cfg,
             &ShardedPg::new(),
             &trace,
-            link.as_ref(),
+            link,
             &format!("pg {label}"),
         );
     }
@@ -356,33 +353,33 @@ fn cioq_stream_parity() {
 fn crossbar_stream_parity() {
     let cfg = SwitchConfig::crossbar(6, 3, 1, 2);
     let trace = bursty_trace(&cfg, 48, 0xD1);
-    for (label, link) in fabrics() {
+    for (label, link) in &fabrics() {
         check_seq_crossbar(
             CrossbarGreedyUnit::new,
             &cfg,
             &trace,
-            link.as_ref(),
+            link,
             &format!("cgu {label}"),
         );
         check_seq_crossbar(
             CrossbarPreemptiveGreedy::new,
             &cfg,
             &trace,
-            link.as_ref(),
+            link,
             &format!("cpg {label}"),
         );
         check_sharded_crossbar(
             &cfg,
             &ShardedCgu::new(),
             &trace,
-            link.as_ref(),
+            link,
             &format!("cgu {label}"),
         );
         check_sharded_crossbar(
             &cfg,
             &ShardedCpg::new(),
             &trace,
-            link.as_ref(),
+            link,
             &format!("cpg {label}"),
         );
     }
@@ -399,7 +396,7 @@ fn crossbar_stream_parity() {
 fn sequential_stream_restore_mid_stream() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 48, 0xD2);
-    let link = DelayLine { d: 2 };
+    let link = FabricSpec::uniform(2);
     let (full, _) = {
         let (mut src, pump) = stream_trace(&trace, 4);
         let full = Engine::new(cfg.clone(), run_options(&link))
@@ -437,7 +434,7 @@ fn sequential_stream_restore_mid_stream() {
 fn replay_file_stream_matches_trace() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 48, 0xD3);
-    let link = DelayLine { d: 2 };
+    let link = FabricSpec::uniform(2);
     let mut bytes = Vec::new();
     trace.write_to(&mut bytes).expect("serialize trace");
 
@@ -464,7 +461,7 @@ fn replay_file_stream_matches_trace() {
 fn threads_mode_streamed_matches_inline_trace() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 48, 0xD4);
-    let link = DelayLine { d: 2 };
+    let link = FabricSpec::uniform(2);
     let inline = run_cioq_sharded(
         &cfg,
         &ShardedPg::new(),

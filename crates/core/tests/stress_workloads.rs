@@ -6,11 +6,13 @@
 //! push the change log to its widest regimes — Θ(N) dirty cells in one
 //! column, Θ(N·d) spread over all columns — where a repair bug in the
 //! incremental builders would actually bite. Every check compares full run
-//! reports **and** final queue states between `BuildMode::Incremental` and
-//! the from-scratch `BuildMode::Rescan` reference.
+//! reports **and** final queue states between the production (incremental)
+//! policy and its from-scratch `cioq_core::oracle` reference.
 
+use cioq_core::params::{cpg_alpha_star, cpg_beta_star, PG_BETA};
 use cioq_core::{
-    BuildMode, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy,
+    oracle, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching,
+    PreemptiveGreedy, SelectionOrder,
 };
 use cioq_model::{PortId, SwitchConfig};
 use cioq_sim::{
@@ -113,14 +115,14 @@ fn incast_storm_incremental_equals_rescan() {
             &cfg,
             &trace,
             GreedyMatching::new(),
-            GreedyMatching::new().build_mode(BuildMode::Rescan),
+            oracle::Gm(GmEdgePolicy::Lexicographic),
             &format!("GM storm targets={targets}"),
         );
         check_cioq_pair(
             &cfg,
             &trace,
             PreemptiveGreedy::new(),
-            PreemptiveGreedy::new().build_mode(BuildMode::Rescan),
+            oracle::Pg(Some(PG_BETA)),
             &format!("PG storm targets={targets}"),
         );
     }
@@ -138,14 +140,14 @@ fn full_fabric_churn_incremental_equals_rescan() {
             &cfg,
             &trace,
             GreedyMatching::new(),
-            GreedyMatching::new().build_mode(BuildMode::Rescan),
+            oracle::Gm(GmEdgePolicy::Lexicographic),
             &format!("GM churn stride={stride}"),
         );
         check_cioq_pair(
             &cfg,
             &trace,
             PreemptiveGreedy::new(),
-            PreemptiveGreedy::new().build_mode(BuildMode::Rescan),
+            oracle::Pg(Some(PG_BETA)),
             &format!("PG churn stride={stride}"),
         );
     }
@@ -176,14 +178,17 @@ fn crossbar_stress_incremental_equals_rescan() {
             &cfg,
             trace,
             CrossbarGreedyUnit::new(),
-            CrossbarGreedyUnit::new().build_mode(BuildMode::Rescan),
+            oracle::Cgu::new(SelectionOrder::FirstFit),
             &format!("CGU {tag}"),
         );
         check_crossbar_pair(
             &cfg,
             trace,
             CrossbarPreemptiveGreedy::new(),
-            CrossbarPreemptiveGreedy::new().build_mode(BuildMode::Rescan),
+            oracle::Cpg {
+                beta: cpg_beta_star(),
+                alpha: cpg_alpha_star(),
+            },
             &format!("CPG {tag}"),
         );
     }

@@ -12,8 +12,7 @@ use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, Pr
 use cioq_experiments::Table;
 use cioq_model::{SwitchConfig, Topology};
 use cioq_sim::{
-    DelayLine, DelayMatrix, Engine, EngineSnapshot, FabricLink, FaultPlan, Immediate, RunOptions,
-    RunOutcome, Trace, TraceSource,
+    Engine, EngineSnapshot, FabricSpec, FaultPlan, RunOptions, RunOutcome, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -40,13 +39,13 @@ impl PolicyKind {
     }
 }
 
-fn options(link: &dyn FabricLink, faults: &FaultPlan, every: u64) -> RunOptions {
+fn options(link: &FabricSpec, faults: &FaultPlan, every: u64) -> RunOptions {
     RunOptions {
         checkpoint_every: Some(every),
         faults: Some(faults.clone()),
+        fabric: link.clone(),
         ..RunOptions::default()
     }
-    .link(link)
 }
 
 /// One run to completion: fresh from the trace start, or resumed from a
@@ -56,7 +55,7 @@ fn run(
     kind: PolicyKind,
     cfg: &SwitchConfig,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     faults: &FaultPlan,
     every: u64,
     resume: Option<&EngineSnapshot>,
@@ -93,7 +92,7 @@ fn kill_restore_cycles(
     kind: PolicyKind,
     cfg: &SwitchConfig,
     trace: &Trace,
-    link: &dyn FabricLink,
+    link: &FabricSpec,
     faults: &FaultPlan,
     every: u64,
 ) -> (RunOutcome, usize, usize) {
@@ -141,14 +140,14 @@ fn main() {
         },
     );
 
-    let matrix = DelayMatrix::new(Topology::two_tier(n, n, 3, 0, 2).expect("two-tier topology"));
-    let fabrics: Vec<(&str, &dyn FabricLink)> = if quick {
-        vec![("delay-line d=2", &DelayLine { d: 2 })]
+    let matrix = FabricSpec::matrix(Topology::two_tier(n, n, 3, 0, 2).expect("two-tier topology"));
+    let fabrics: Vec<(&str, FabricSpec)> = if quick {
+        vec![("delay-line d=2", FabricSpec::uniform(2))]
     } else {
         vec![
-            ("immediate", &Immediate),
-            ("delay-line d=2", &DelayLine { d: 2 }),
-            ("two-tier matrix", &matrix),
+            ("immediate", FabricSpec::default()),
+            ("delay-line d=2", FabricSpec::uniform(2)),
+            ("two-tier matrix", matrix),
         ]
     };
     let seeds: &[u64] = if quick { &[0x7a] } else { &[0x7a, 0x7b] };
@@ -171,7 +170,7 @@ fn main() {
         } else {
             SwitchConfig::cioq(n, 3, 2)
         };
-        for &(fabric_name, link) in &fabrics {
+        for (fabric_name, link) in &fabrics {
             for &seed in seeds {
                 let trace = gen_trace(&gen, &cfg, slots, seed);
                 let faults = FaultPlan::seeded(seed, n, n, slots, 6);

@@ -1,5 +1,5 @@
 //! Run the entire experiment suite (every table and figure of
-//! EXPERIMENTS.md) in order. Pass `--quick` for a reduced-scale run,
+//! `cioq_experiments::suite`) in order. Pass `--quick` for a reduced-scale run,
 //! `--markdown` for markdown output.
 use cioq_experiments::{suite, Table};
 use std::time::Instant;

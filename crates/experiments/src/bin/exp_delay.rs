@@ -1,5 +1,5 @@
-//! S2 — latency-aware fabric sweep: run GM/PG/CGU/CPG through `DelayLine`
-//! transports at d ∈ {0, 1, 2, 4, 8}, reporting competitive-ratio and
+//! S2 — latency-aware fabric sweep: run GM/PG/CGU/CPG through uniform
+//! `FabricSpec::uniform(d)` fabrics at d ∈ {0, 1, 2, 4, 8}, reporting competitive-ratio and
 //! backlog degradation versus the zero-latency fabric, with a sharded
 //! (K ∈ {2, 4}) agreement tripwire per point. Pass `--quick` for reduced
 //! scale, `--markdown` for markdown output.

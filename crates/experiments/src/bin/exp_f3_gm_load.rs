@@ -1,4 +1,4 @@
-//! Experiment F3: see DESIGN.md §5 and EXPERIMENTS.md. Pass `--quick`
+//! Experiment F3: see `cioq_experiments::suite::f3_gm_load`. Pass `--quick`
 //! for a reduced-scale run, `--markdown` for markdown output.
 fn main() {
     let quick = cioq_experiments::quick_mode();

@@ -1,4 +1,4 @@
-//! Experiment F4: see DESIGN.md §5 and EXPERIMENTS.md. Pass `--quick`
+//! Experiment F4: see `cioq_experiments::suite::f4_pg_beta`. Pass `--quick`
 //! for a reduced-scale run, `--markdown` for markdown output.
 fn main() {
     let quick = cioq_experiments::quick_mode();

@@ -1,4 +1,4 @@
-//! Experiment F5: see DESIGN.md §5 and EXPERIMENTS.md. Pass `--quick`
+//! Experiment F5: see `cioq_experiments::suite::f5_speedup`. Pass `--quick`
 //! for a reduced-scale run, `--markdown` for markdown output.
 fn main() {
     let quick = cioq_experiments::quick_mode();

@@ -1,4 +1,4 @@
-//! Experiment F6: see DESIGN.md §5 and EXPERIMENTS.md. Pass `--quick`
+//! Experiment F6: see `cioq_experiments::suite::f6_matching_cost`. Pass `--quick`
 //! for a reduced-scale run, `--markdown` for markdown output.
 fn main() {
     let quick = cioq_experiments::quick_mode();

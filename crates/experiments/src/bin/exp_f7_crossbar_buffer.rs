@@ -1,4 +1,4 @@
-//! Experiment F7: see DESIGN.md §5 and EXPERIMENTS.md. Pass `--quick`
+//! Experiment F7: see `cioq_experiments::suite::f7_crossbar_buffer`. Pass `--quick`
 //! for a reduced-scale run, `--markdown` for markdown output.
 fn main() {
     let quick = cioq_experiments::quick_mode();

@@ -1,4 +1,4 @@
-//! Experiment T1: see DESIGN.md §5 and EXPERIMENTS.md. Pass `--quick`
+//! Experiment T1: see `cioq_experiments::suite::t1_summary`. Pass `--quick`
 //! for a reduced-scale run, `--markdown` for markdown output.
 fn main() {
     let quick = cioq_experiments::quick_mode();

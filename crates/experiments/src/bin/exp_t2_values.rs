@@ -1,4 +1,4 @@
-//! Experiment T2: see DESIGN.md §5 and EXPERIMENTS.md. Pass `--quick`
+//! Experiment T2: see `cioq_experiments::suite::t2_value_distributions`. Pass `--quick`
 //! for a reduced-scale run, `--markdown` for markdown output.
 fn main() {
     let quick = cioq_experiments::quick_mode();

@@ -1,4 +1,4 @@
-//! Experiment T5: see DESIGN.md §5 and EXPERIMENTS.md. Pass `--quick`
+//! Experiment T5: see `cioq_experiments::suite::t5_ablation`. Pass `--quick`
 //! for a reduced-scale run, `--markdown` for markdown output.
 fn main() {
     let quick = cioq_experiments::quick_mode();

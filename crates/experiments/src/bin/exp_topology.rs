@@ -1,5 +1,5 @@
 //! S3 — topology-aware fabric sweep: run GM/PG/CGU/CPG through
-//! `DelayMatrix` transports over a two-tier rack model (2 racks,
+//! `FabricSpec::matrix` fabrics over a two-tier rack model (2 racks,
 //! chassis-local intra-rack pairs, cross-rack latency inter ∈
 //! {0, 1, 2, 4, 8}), reporting competitive-ratio and backlog degradation
 //! versus the immediate fabric, with a sharded (K = 2) agreement tripwire

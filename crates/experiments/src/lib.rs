@@ -1,6 +1,7 @@
 //! # cioq-experiments
 //!
-//! The experiment harness behind every table and figure in EXPERIMENTS.md:
+//! The experiment harness behind every table and figure of the suite (see
+//! the README's "Experiments" section and [`suite`]):
 //! policy registry, competitive-ratio measurement against the certified OPT
 //! bounds of `cioq-opt`, a parallel sweep runner (std scoped threads),
 //! and plain-text/markdown table rendering.

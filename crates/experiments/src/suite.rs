@@ -1,8 +1,9 @@
-//! The experiment suite: one function per table/figure of EXPERIMENTS.md.
+//! The experiment suite: one function per table/figure (F3–F8, T1–T5, the
+//! systems suites S1–S3); each function's doc comment says what it measures.
 //!
 //! Every function is deterministic (fixed seeds), returns renderable
 //! [`Table`]s, and is exercised at reduced scale by integration tests and
-//! `--quick` runs. See DESIGN.md §5 for the experiment index.
+//! `--quick` runs. The README's "Experiments" section lists the binaries.
 
 use crate::policies::PolicyKind;
 use crate::ratio::measure_ratio;
@@ -14,7 +15,7 @@ use cioq_matching::{
 };
 use cioq_model::SwitchConfig;
 use cioq_opt::{opt_upper_bound, opt_upper_bound_is_exact};
-use cioq_sim::{run_cioq_with_source, Trace};
+use cioq_sim::{run_cioq_with_source, FabricSpec, RunOptions, Trace};
 use cioq_traffic::adversary::{
     escalation_bait, gm_iq_flood, gm_iq_flood_opt_benefit, pg_weighted_flood,
     pg_weighted_flood_opt_benefit, AdaptiveFloodSource, EscalationParams,
@@ -31,6 +32,14 @@ fn slots(full: u64, quick: bool) -> u64 {
         (full / 8).max(16)
     } else {
         full
+    }
+}
+
+/// Default sequential options (drained, full horizon) on the given fabric.
+fn on_fabric(fabric: &FabricSpec) -> RunOptions {
+    RunOptions {
+        fabric: fabric.clone(),
+        ..RunOptions::default()
     }
 }
 
@@ -1066,8 +1075,8 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
 /// *zero-latency* OPT upper bound — so the column shows the combined price
 /// of online scheduling plus fabric latency — and mean packet latency. An
 /// "agrees" tripwire runs the sharded engine (K ∈ {2, 4}, so shard widths
-/// both align and misalign with the port count) through its `DelayLine`
-/// transport on every point and checks report equality with the delayed
+/// both align and misalign with the port count) through its uniform
+/// delay-line transport on every point and checks report equality with the delayed
 /// sequential reference.
 ///
 /// Table 2 (steady state, drain off): backlog left in the switch —
@@ -1075,10 +1084,7 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
 /// buffering the delay forces the fabric to absorb.
 pub fn s2_delay(quick: bool) -> Vec<Table> {
     use cioq_core::{ShardedCgu, ShardedCpg, ShardedGm, ShardedPg};
-    use cioq_sim::{
-        run_cioq_linked, run_cioq_sharded, run_crossbar_linked, run_crossbar_sharded, DelayLine,
-        Engine, RunOptions, ShardedOptions, TraceSource,
-    };
+    use cioq_sim::{run_cioq_sharded, run_crossbar_sharded, Engine, ShardedOptions, TraceSource};
 
     let t = slots(384, quick);
     let n = if quick { 8 } else { 16 };
@@ -1116,61 +1122,58 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
     }
 
     let rows = parallel_map(&points, |&(p, d)| {
-        let link = DelayLine { d };
+        let link = FabricSpec::uniform(d);
         let (label, opt, offered, report) = match p {
             P::Gm => (
                 "GM",
                 cioq_opt,
                 cioq_trace.len(),
-                run_cioq_linked(
-                    &cioq_cfg,
-                    &mut cioq_core::GreedyMatching::new(),
-                    &cioq_trace,
-                    &link,
-                )
-                .expect("delayed run"),
+                Engine::new(cioq_cfg.clone(), on_fabric(&link))
+                    .run_cioq(
+                        &mut cioq_core::GreedyMatching::new(),
+                        &mut TraceSource::new(&cioq_trace),
+                    )
+                    .expect("delayed run"),
             ),
             P::Pg => (
                 "PG",
                 cioq_opt,
                 cioq_trace.len(),
-                run_cioq_linked(
-                    &cioq_cfg,
-                    &mut cioq_core::PreemptiveGreedy::new(),
-                    &cioq_trace,
-                    &link,
-                )
-                .expect("delayed run"),
+                Engine::new(cioq_cfg.clone(), on_fabric(&link))
+                    .run_cioq(
+                        &mut cioq_core::PreemptiveGreedy::new(),
+                        &mut TraceSource::new(&cioq_trace),
+                    )
+                    .expect("delayed run"),
             ),
             P::Cgu => (
                 "CGU",
                 xbar_opt,
                 xbar_trace.len(),
-                run_crossbar_linked(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarGreedyUnit::new(),
-                    &xbar_trace,
-                    &link,
-                )
-                .expect("delayed run"),
+                Engine::new(xbar_cfg.clone(), on_fabric(&link))
+                    .run_crossbar(
+                        &mut cioq_core::CrossbarGreedyUnit::new(),
+                        &mut TraceSource::new(&xbar_trace),
+                    )
+                    .expect("delayed run"),
             ),
             P::Cpg => (
                 "CPG",
                 xbar_opt,
                 xbar_trace.len(),
-                run_crossbar_linked(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarPreemptiveGreedy::new(),
-                    &xbar_trace,
-                    &link,
-                )
-                .expect("delayed run"),
+                Engine::new(xbar_cfg.clone(), on_fabric(&link))
+                    .run_crossbar(
+                        &mut cioq_core::CrossbarPreemptiveGreedy::new(),
+                        &mut TraceSource::new(&xbar_trace),
+                    )
+                    .expect("delayed run"),
             ),
         };
         // Tripwire over k ∈ {2, 4}: k = 2 splits the switch in halves, k = 4
         // exercises uneven shard widths against the delay rings.
         let ok = [2usize, 4].iter().all(|&k| {
-            let mut opts = ShardedOptions::new(k).link(&link);
+            let mut opts = ShardedOptions::new(k);
+            opts.fabric = link.clone();
             opts.mode = cioq_sim::ExecMode::Inline;
             let sharded = match p {
                 P::Gm => run_cioq_sharded(&cioq_cfg, &ShardedGm::new(), &cioq_trace, opts),
@@ -1215,14 +1218,13 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
     // Steady state: fixed arrival window, no drain — the backlog column is
     // everything still buffered (or in flight) when the window closes.
     let backlog_rows = parallel_map(&points, |&(p, d)| {
-        let link = DelayLine { d };
+        let link = FabricSpec::uniform(d);
         let options = RunOptions {
             slots: Some(t),
             drain: false,
             validate: false,
-            ..RunOptions::default()
-        }
-        .link(&link);
+            ..on_fabric(&link)
+        };
         let (label, report) = match p {
             P::Gm => (
                 "GM",
@@ -1297,7 +1299,7 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
 /// Table 1 (drained runs): benefit, delivered fraction, ratio against the
 /// zero-latency OPT upper bound, and mean packet latency, with a sharded
 /// (K = 2, rack-aligned *and* ring-exercising) agreement tripwire per
-/// point: the sharded `DelayMatrix` engine must book the exact totals of
+/// point: the sharded engine on the matrix fabric must book the exact totals of
 /// the sequential topology-aware reference.
 ///
 /// Table 2 (steady state, drain off): backlog left in the switch —
@@ -1306,10 +1308,7 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
 pub fn s3_topology(quick: bool) -> Vec<Table> {
     use cioq_core::{ShardedCgu, ShardedCpg, ShardedGm, ShardedPg};
     use cioq_model::Topology;
-    use cioq_sim::{
-        run_cioq_linked, run_cioq_sharded, run_crossbar_linked, run_crossbar_sharded, DelayMatrix,
-        Engine, RunOptions, ShardedOptions, TraceSource,
-    };
+    use cioq_sim::{run_cioq_sharded, run_crossbar_sharded, Engine, ShardedOptions, TraceSource};
 
     let t = slots(384, quick);
     let n = if quick { 8 } else { 16 };
@@ -1346,7 +1345,7 @@ pub fn s3_topology(quick: bool) -> Vec<Table> {
     }
 
     let link_for = move |inter: u64| {
-        DelayMatrix::new(Topology::two_tier(n, n, RACKS, 0, inter).expect("valid two-tier"))
+        FabricSpec::matrix(Topology::two_tier(n, n, RACKS, 0, inter).expect("valid two-tier"))
     };
 
     let rows = parallel_map(&points, |&(p, inter)| {
@@ -1356,52 +1355,49 @@ pub fn s3_topology(quick: bool) -> Vec<Table> {
                 "GM",
                 cioq_opt,
                 cioq_trace.len(),
-                run_cioq_linked(
-                    &cioq_cfg,
-                    &mut cioq_core::GreedyMatching::new(),
-                    &cioq_trace,
-                    &link,
-                )
-                .expect("topology run"),
+                Engine::new(cioq_cfg.clone(), on_fabric(&link))
+                    .run_cioq(
+                        &mut cioq_core::GreedyMatching::new(),
+                        &mut TraceSource::new(&cioq_trace),
+                    )
+                    .expect("topology run"),
             ),
             P::Pg => (
                 "PG",
                 cioq_opt,
                 cioq_trace.len(),
-                run_cioq_linked(
-                    &cioq_cfg,
-                    &mut cioq_core::PreemptiveGreedy::new(),
-                    &cioq_trace,
-                    &link,
-                )
-                .expect("topology run"),
+                Engine::new(cioq_cfg.clone(), on_fabric(&link))
+                    .run_cioq(
+                        &mut cioq_core::PreemptiveGreedy::new(),
+                        &mut TraceSource::new(&cioq_trace),
+                    )
+                    .expect("topology run"),
             ),
             P::Cgu => (
                 "CGU",
                 xbar_opt,
                 xbar_trace.len(),
-                run_crossbar_linked(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarGreedyUnit::new(),
-                    &xbar_trace,
-                    &link,
-                )
-                .expect("topology run"),
+                Engine::new(xbar_cfg.clone(), on_fabric(&link))
+                    .run_crossbar(
+                        &mut cioq_core::CrossbarGreedyUnit::new(),
+                        &mut TraceSource::new(&xbar_trace),
+                    )
+                    .expect("topology run"),
             ),
             P::Cpg => (
                 "CPG",
                 xbar_opt,
                 xbar_trace.len(),
-                run_crossbar_linked(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarPreemptiveGreedy::new(),
-                    &xbar_trace,
-                    &link,
-                )
-                .expect("topology run"),
+                Engine::new(xbar_cfg.clone(), on_fabric(&link))
+                    .run_crossbar(
+                        &mut cioq_core::CrossbarPreemptiveGreedy::new(),
+                        &mut TraceSource::new(&xbar_trace),
+                    )
+                    .expect("topology run"),
             ),
         };
-        let mut opts = ShardedOptions::new(2).link(&link);
+        let mut opts = ShardedOptions::new(2);
+        opts.fabric = link.clone();
         opts.mode = cioq_sim::ExecMode::Inline;
         let sharded = match p {
             P::Gm => run_cioq_sharded(&cioq_cfg, &ShardedGm::new(), &cioq_trace, opts),
@@ -1447,10 +1443,12 @@ pub fn s3_topology(quick: bool) -> Vec<Table> {
 
     let backlog_rows = parallel_map(&points, |&(p, inter)| {
         let link = link_for(inter);
-        let mut options = RunOptions::default().link(&link);
-        options.slots = Some(t);
-        options.drain = false;
-        options.validate = false;
+        let options = RunOptions {
+            slots: Some(t),
+            drain: false,
+            validate: false,
+            ..on_fabric(&link)
+        };
         let (label, report) = match p {
             P::Gm => (
                 "GM",

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod brute;
-mod edge_coloring;
 mod graph;
 mod greedy;
 mod hopcroft_karp;
@@ -33,7 +32,6 @@ mod hungarian;
 mod incremental;
 mod islip;
 
-pub use edge_coloring::{decompose_into_matchings, edge_color};
 pub use graph::{BipartiteGraph, Edge, EdgeId, Matching};
 pub use greedy::{
     greedy_maximal, greedy_maximal_into, greedy_maximal_weighted, greedy_maximal_with, EdgeOrder,

@@ -8,8 +8,8 @@
 //! distributed regime of Ye–Shen–Panwar). [`Topology`] is the model side of
 //! that generalisation: it assigns every input and output port to a rack
 //! and gives the latency, in slots, of the path from any source rack to any
-//! destination rack. The simulator's `DelayMatrix` transport
-//! (`cioq_sim::transport`) turns a topology into per-pair delay rings.
+//! destination rack. The simulator runs it as `FabricSpec::matrix(topology)`
+//! (`cioq_sim::transport`), which turns a topology into per-pair delay rings.
 //!
 //! Latency `0` means same-cycle (chassis-local) delivery — the paper's
 //! fabric; a topology whose entries are all equal to `d` is behaviourally
@@ -35,6 +35,15 @@ pub struct Topology {
     /// Cached matrix extremes (never recomputed on the hot path).
     min: SlotId,
     max: SlotId,
+}
+
+/// Rack indices are `u16`, and a fabric has at least one rack.
+fn check_rack_count(racks: usize) -> Result<(), ConfigError> {
+    match racks {
+        0 => Err(ConfigError::ZeroRacks),
+        r if r > u16::MAX as usize => Err(ConfigError::TooManyRacks { got: r }),
+        _ => Ok(()),
+    }
 }
 
 impl Topology {
@@ -64,9 +73,9 @@ impl Topology {
         intra: SlotId,
         inter: SlotId,
     ) -> Result<Self, ConfigError> {
-        if racks == 0 {
-            return Err(ConfigError::ZeroRacks);
-        }
+        // Checked before the `racks × racks` matrix below is built, so an
+        // absurd rack count is an error, not a multi-gigabyte allocation.
+        check_rack_count(racks)?;
         let bands = |n: usize| {
             let mut rack = vec![0u16; n];
             for s in 0..racks {
@@ -109,12 +118,7 @@ impl Topology {
         output_rack: Vec<u16>,
         latency: Vec<SlotId>,
     ) -> Result<Self, ConfigError> {
-        if racks == 0 {
-            return Err(ConfigError::ZeroRacks);
-        }
-        if racks > u16::MAX as usize {
-            return Err(ConfigError::TooManyRacks { got: racks });
-        }
+        check_rack_count(racks)?;
         if input_rack.len() != n_inputs {
             return Err(ConfigError::RackMapLength {
                 side: "input",
@@ -218,7 +222,7 @@ impl Topology {
     }
 
     /// `Some(d)` iff every pair sees the same latency `d` — the uniform
-    /// fabrics, behaviourally identical to `DelayLine { d }`.
+    /// fabrics, behaviourally identical to `FabricSpec::uniform(d)`.
     #[inline]
     pub fn uniform_delay(&self) -> Option<SlotId> {
         (self.min == self.max).then_some(self.max)

@@ -10,7 +10,7 @@
 //! * [`exact_opt`] — **exact** `OPT` by memoized search, for small
 //!   instances (property tests of Theorems 1–4 use this).
 //! * [`opt_upper_bound`] — two *certified upper bounds* on `OPT` via
-//!   max-profit flow over time-expanded relaxations (§4.2 of DESIGN.md):
+//!   max-profit flow over time-expanded relaxations:
 //!   the **per-output** relaxation (drops cross-output input-port coupling)
 //!   and the **destination-oblivious** relaxation (keeps both per-port
 //!   fabric capacities, forgets packet destinations). Ratios reported

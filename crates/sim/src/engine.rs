@@ -11,7 +11,7 @@ use crate::source::{ArrivalSource, TraceSource};
 use crate::state::SwitchState;
 use crate::stats::{RunReport, StatsRecorder, WindowedStats};
 use crate::trace::Trace;
-use crate::transport::{DelayCalendar, FabricLink, FabricSpec, InFlightPacket, Landing};
+use crate::transport::{DelayCalendar, FabricSpec, InFlightPacket, Landing};
 use crate::validate::check_state_invariants;
 use cioq_model::{ConfigError, Cycle, Packet, PortId, SlotId, SwitchConfig};
 use cioq_queues::SortedQueue;
@@ -28,9 +28,9 @@ pub struct RunOptions {
     /// Run full structural invariant checks after every phase (slow; meant
     /// for tests).
     pub validate: bool,
-    /// Resolved fabric transport: per-pair latencies between dispatch and
-    /// landing. The default (uniform 0) is the paper's same-cycle fabric.
-    /// Set via [`RunOptions::link`].
+    /// Fabric transport: per-pair latencies between dispatch and landing
+    /// (see [`crate::transport`]). The default, `FabricSpec::uniform(0)`,
+    /// is the paper's same-cycle fabric.
     pub fabric: FabricSpec,
     /// Take an [`EngineSnapshot`] at the top of every slot `k` with
     /// `k > 0 && k % n == 0` (before that slot's fault releases, landings
@@ -62,12 +62,6 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Use the given fabric transport (see [`crate::transport`]).
-    pub fn link(mut self, link: &dyn FabricLink) -> Self {
-        self.fabric = link.spec();
-        self
-    }
-
     /// Check the options themselves for nonsense values, so misconfigured
     /// runs fail at construction with a [`ConfigError`] instead of
     /// asserting deep inside the run (a `stats_window` of 0 used to abort
@@ -1260,31 +1254,6 @@ pub fn run_cioq_with_source<P: CioqPolicy + ?Sized>(
         ..RunOptions::default()
     };
     Engine::new(config.clone(), options).run_cioq(policy, source)
-}
-
-/// Run a CIOQ policy over a recorded trace through the given fabric
-/// transport (default options otherwise). `Immediate` reproduces
-/// [`run_cioq`] exactly.
-pub fn run_cioq_linked<P: CioqPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    trace: &Trace,
-    link: &dyn crate::transport::FabricLink,
-) -> Result<RunReport, PolicyError> {
-    let mut source = TraceSource::new(trace);
-    Engine::new(config.clone(), RunOptions::default().link(link)).run_cioq(policy, &mut source)
-}
-
-/// Run a crossbar policy over a recorded trace through the given fabric
-/// transport (default options otherwise).
-pub fn run_crossbar_linked<P: CrossbarPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    trace: &Trace,
-    link: &dyn crate::transport::FabricLink,
-) -> Result<RunReport, PolicyError> {
-    let mut source = TraceSource::new(trace);
-    Engine::new(config.clone(), RunOptions::default().link(link)).run_crossbar(policy, &mut source)
 }
 
 /// Run a crossbar policy over a recorded trace with default options.

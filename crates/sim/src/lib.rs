@@ -44,10 +44,11 @@ pub mod transport;
 mod validate;
 
 pub use changes::{ChangeLog, DirtySet};
+/// The queue type every view hands out (`Q_ij`, `C_ij`, `Q_j`).
+pub use cioq_queues::SortedQueue;
 pub use engine::{
-    run_cioq, run_cioq_linked, run_cioq_with_final_state, run_cioq_with_source, run_crossbar,
-    run_crossbar_linked, run_crossbar_with_final_state, run_crossbar_with_source, Engine,
-    RunOptions, RunOutcome,
+    run_cioq, run_cioq_with_final_state, run_cioq_with_source, run_crossbar,
+    run_crossbar_with_final_state, run_crossbar_with_source, Engine, RunOptions, RunOutcome,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultScope};
 pub use policy::{
@@ -74,5 +75,5 @@ pub use stream::{
 };
 pub use sync::SpinBarrier;
 pub use trace::{Trace, TraceError, TraceReader};
-pub use transport::{DelayLine, DelayMatrix, FabricLink, FabricSpec, Immediate};
+pub use transport::FabricSpec;
 pub use validate::check_state_invariants;

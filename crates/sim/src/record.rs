@@ -6,7 +6,7 @@ use crate::policy::{
     Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, Transfer, TransmitChoice,
 };
 use crate::state::SwitchView;
-use crate::transport::FabricLink;
+use crate::transport::FabricSpec;
 use cioq_model::{Cycle, Packet, PortId, SlotId};
 
 /// A recorded CIOQ schedule: one admission decision per processed arrival
@@ -53,9 +53,9 @@ impl<P: CioqPolicy> Recording<P> {
 
     /// Wrap `inner` for recording a run on the given fabric transport,
     /// stamping the transcript with its delay.
-    pub fn with_link(inner: P, link: &dyn FabricLink) -> Self {
+    pub fn with_fabric(inner: P, fabric: &FabricSpec) -> Self {
         let mut rec = Self::new(inner);
-        rec.schedule.fabric_delay = link.max_delay();
+        rec.schedule.fabric_delay = fabric.max_delay();
         rec
     }
 
@@ -137,9 +137,9 @@ impl<P: CrossbarPolicy> CrossbarRecording<P> {
     }
 
     /// Wrap `inner` for recording a run on the given fabric transport.
-    pub fn with_link(inner: P, link: &dyn FabricLink) -> Self {
+    pub fn with_fabric(inner: P, fabric: &FabricSpec) -> Self {
         let mut rec = Self::new(inner);
-        rec.schedule.fabric_delay = link.max_delay();
+        rec.schedule.fabric_delay = fabric.max_delay();
         rec
     }
 

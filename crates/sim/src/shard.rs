@@ -48,7 +48,7 @@ use crate::stats::{RunReport, StatsRecorder};
 use crate::stream::StreamingSource;
 use crate::sync::SpinBarrier;
 use crate::trace::Trace;
-use crate::transport::{FabricLink, FabricSpec};
+use crate::transport::FabricSpec;
 use crate::validate::check_state_invariants;
 use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
 use cioq_queues::{RowBand, SortedQueue};
@@ -170,13 +170,12 @@ pub struct ShardedOptions {
     pub record: bool,
     /// Assemble and return the final global [`SwitchState`].
     pub capture_final_state: bool,
-    /// Resolved fabric transport: per-pair latencies (the default, uniform
-    /// 0, is the same-cycle fabric). Every positive-latency fabric
+    /// Fabric transport: per-pair latencies (the default, uniform 0, is
+    /// the same-cycle fabric). Every positive-latency fabric
     /// transfer — cross-shard *and* same-shard, so results are
     /// partition-independent — rides a per-(dest, src) ring of slot-buckets
     /// and lands `delay(src, dst)` slots after dispatch; latency-0 pairs
-    /// take the mailbox path within the cycle. Set via
-    /// [`ShardedOptions::link`].
+    /// take the mailbox path within the cycle.
     pub fabric: FabricSpec,
     /// Take an [`EngineSnapshot`] at the top of every slot `k` with
     /// `k > 0 && k % n == 0` (before that slot's landings and arrivals),
@@ -211,12 +210,6 @@ impl ShardedOptions {
             checkpoint_every: None,
             resume_from: None,
         }
-    }
-
-    /// Use the given fabric transport (see [`crate::transport`]).
-    pub fn link(mut self, link: &dyn FabricLink) -> Self {
-        self.fabric = link.spec();
-        self
     }
 
     /// Barrier parties T the run executes on (see [`ExecMode`]).
@@ -2831,7 +2824,6 @@ mod tests {
     // drive the engine with cache-free, paper-direct versions of the four
     // algorithms written against the shard traits alone.
 
-    use crate::transport::DelayMatrix;
     use cioq_model::{exceeds_factor, Topology};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -3057,7 +3049,8 @@ mod tests {
     /// cross-rack pairs ride the delay rings.
     fn two_tier_options() -> ShardedOptions {
         let topology = Topology::two_tier(PORTS, PORTS, 2, 0, 2).expect("valid topology");
-        let mut options = ShardedOptions::new(K).link(&DelayMatrix::new(topology));
+        let mut options = ShardedOptions::new(K);
+        options.fabric = FabricSpec::matrix(topology);
         options.validate = true;
         options.record = true;
         options.capture_final_state = true;

@@ -376,8 +376,8 @@ pub struct RunReport {
     pub residual_value: u128,
     /// Largest per-pair fabric latency (slots between dispatch and
     /// landing) the run was executed under; 0 = the paper's immediate
-    /// fabric. Set by the engine from its [`FabricLink`](crate::FabricLink)
-    /// spec — a topology-aware run reports its worst path here.
+    /// fabric. Set by the engine from its [`FabricSpec`](crate::FabricSpec)
+    /// — a topology-aware run reports its worst path here.
     pub fabric_delay: SlotId,
     /// Sliding per-slot window over the tail of the run, present iff the
     /// run enabled [`RunOptions::stats_window`](crate::RunOptions)

@@ -5,17 +5,19 @@
 //! scheduled — true inside one chassis, false across a multi-rack fabric,
 //! where a transfer dispatched in slot `t` lands later (the
 //! distributed-scheduling regime of Ye–Shen–Panwar), and *how much* later
-//! depends on which racks the two ports live in. [`FabricLink`] is the
-//! seam, and its contract is **per pair**: `delay(src, dst)` is the
-//! latency, in slots, from input port `src` to output port `dst`.
+//! depends on which racks the two ports live in. [`FabricSpec`] is the one
+//! description of that path, and its contract is **per pair**:
+//! `delay(src, dst)` is the latency, in slots, from input port `src` to
+//! output port `dst`. It has exactly two cases:
 //!
-//! * [`Immediate`] — the paper's fabric: every pair at latency 0.
-//! * [`DelayLine`] — one uniform latency `d` for every pair.
-//! * [`DelayMatrix`] — a [`Topology`]: ports grouped into racks with a
-//!   per-(rack, rack) latency matrix (`TwoTier`, explicit, …).
+//! * [`FabricSpec::uniform`]`(d)` — one latency `d` for every pair; the
+//!   default, `uniform(0)`, is the paper's immediate fabric.
+//! * [`FabricSpec::matrix`]`(topology)` — a [`Topology`]: ports grouped
+//!   into racks with a per-(rack, rack) latency matrix (`two_tier`,
+//!   explicit, …).
 //!
-//! Both engines (sequential and sharded) accept any link and implement
-//! identical semantics:
+//! Both engines (sequential and sharded) carry a spec in the `fabric` field
+//! of their options and implement identical semantics:
 //!
 //! * **Dispatch** (scheduling cycle): the packet is popped from its source
 //!   queue and committed to the wire. A pair at latency 0 delivers within
@@ -39,116 +41,18 @@
 //!   at landing.
 //! * **Transmission** only ever sends landed packets.
 //!
-//! `DelayLine { d: 0 }` and an all-zero matrix behave exactly like
-//! [`Immediate`]: a zero-latency pair takes the immediate per-transfer
-//! path, so the bit-identity is structural; the `d = 0` regression suite
-//! in `cioq-core` guards it.
+//! `uniform(0)` and an all-zero matrix are the same fabric: a zero-latency
+//! pair takes the immediate per-transfer path, so the bit-identity is
+//! structural; the `d = 0` regression suite in `cioq-core` guards it.
 
 use cioq_model::{Packet, PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_queues::InFlight;
 use std::sync::Arc;
 
-/// A model of the fabric between dispatch and landing.
-///
-/// Implementations are stateless descriptors — engines resolve
-/// [`FabricLink::spec`] once at run start and own all transport state.
-pub trait FabricLink: std::fmt::Debug {
-    /// The resolved per-pair delay description engines run on.
-    fn spec(&self) -> FabricSpec;
-
-    /// Slots between a transfer's dispatch at input `src` and its landing
-    /// in output queue `dst`. `0` means same-cycle delivery (the paper's
-    /// model).
-    fn delay(&self, src: PortId, dst: PortId) -> SlotId {
-        self.spec().delay(src, dst)
-    }
-
-    /// Largest per-pair latency this link can produce.
-    fn max_delay(&self) -> SlotId {
-        self.spec().max_delay()
-    }
-
-    /// Short human-readable label for reports and tables.
-    fn label(&self) -> String {
-        self.spec().label()
-    }
-}
-
-/// The ideal fabric: transfers land in the cycle they are dispatched.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Immediate;
-
-impl FabricLink for Immediate {
-    #[inline]
-    fn spec(&self) -> FabricSpec {
-        FabricSpec::uniform(0)
-    }
-}
-
-/// A uniform latency-`d` fabric: every transfer dispatched in slot `t`
-/// lands at the start of slot `t + d`. `d = 0` behaves exactly like
-/// [`Immediate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DelayLine {
-    /// Fabric latency in slots.
-    pub d: SlotId,
-}
-
-impl FabricLink for DelayLine {
-    #[inline]
-    fn spec(&self) -> FabricSpec {
-        FabricSpec::uniform(self.d)
-    }
-}
-
-/// A topology-aware fabric: per-pair latencies from a rack/chassis model
-/// (see [`Topology`]). A constant matrix is bit-identical to
-/// [`DelayLine`] at that constant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DelayMatrix {
-    topology: Arc<Topology>,
-}
-
-impl DelayMatrix {
-    /// A link over the given topology.
-    pub fn new(topology: Topology) -> Self {
-        DelayMatrix {
-            topology: Arc::new(topology),
-        }
-    }
-
-    /// The topology driving this link.
-    #[inline]
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-}
-
-impl FabricLink for DelayMatrix {
-    #[inline]
-    fn spec(&self) -> FabricSpec {
-        FabricSpec(SpecRepr::Matrix(Arc::clone(&self.topology)))
-    }
-
-    #[inline]
-    fn delay(&self, src: PortId, dst: PortId) -> SlotId {
-        self.topology.delay(src, dst)
-    }
-
-    #[inline]
-    fn max_delay(&self) -> SlotId {
-        self.topology.max_delay()
-    }
-
-    fn label(&self) -> String {
-        self.topology.label()
-    }
-}
-
-/// Resolved, engine-owned description of a fabric transport: either one
-/// uniform latency or a shared [`Topology`]. This is what run options carry
-/// and what the per-transfer hot path reads (two rack lookups plus one
-/// matrix index in the matrix case).
+/// Description of a fabric transport: either one uniform latency or a
+/// shared [`Topology`]. This is what run options carry and what the
+/// per-transfer hot path reads (two rack lookups plus one matrix index in
+/// the matrix case).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricSpec(SpecRepr);
 
@@ -431,13 +335,13 @@ mod tests {
 
     #[test]
     fn labels_follow_delay() {
-        assert_eq!(Immediate.label(), "immediate");
-        assert_eq!(DelayLine { d: 0 }.label(), "immediate");
-        assert_eq!(DelayLine { d: 4 }.label(), "delay-line(d=4)");
+        assert_eq!(FabricSpec::default().label(), "immediate");
+        assert_eq!(FabricSpec::uniform(0).label(), "immediate");
+        assert_eq!(FabricSpec::uniform(4).label(), "delay-line(d=4)");
         let topo = Topology::two_tier(4, 4, 2, 1, 3).unwrap();
-        assert!(DelayMatrix::new(topo).label().contains("2 racks"));
+        assert!(FabricSpec::matrix(topo).label().contains("2 racks"));
         assert_eq!(
-            DelayMatrix::new(Topology::uniform(4, 4, 0)).label(),
+            FabricSpec::matrix(Topology::uniform(4, 4, 0)).label(),
             "immediate"
         );
     }
@@ -445,13 +349,13 @@ mod tests {
     #[test]
     fn specs_resolve_per_pair() {
         let topo = Topology::two_tier(4, 4, 2, 0, 3).unwrap();
-        let spec = DelayMatrix::new(topo).spec();
+        let spec = FabricSpec::matrix(topo);
         assert_eq!(spec.delay(PortId(0), PortId(1)), 0, "intra-rack");
         assert_eq!(spec.delay(PortId(0), PortId(3)), 3, "cross-rack");
         assert!(spec.has_zero_pair());
         assert!(!spec.is_immediate());
         assert_eq!(spec.max_delay(), 3);
-        let uniform = DelayLine { d: 2 }.spec();
+        let uniform = FabricSpec::uniform(2);
         assert_eq!(uniform.delay(PortId(3), PortId(0)), 2);
         assert!(!uniform.has_zero_pair());
     }

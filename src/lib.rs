@@ -15,7 +15,8 @@
 //! * [`algorithms`] — the paper's GM / PG / CGU / CPG and the baselines.
 //! * [`opt`] — exact OPT (small) and certified OPT upper bounds (large).
 //! * [`traffic`] — workload generators and adversarial constructions.
-//! * [`experiments`] — the sweep harness behind EXPERIMENTS.md.
+//! * [`experiments`] — the sweep harness behind the `exp_*` binaries
+//!   (README, "Experiments").
 //!
 //! ## Quickstart
 //!
@@ -56,18 +57,17 @@ pub use cioq_traffic as traffic;
 pub mod prelude {
     pub use cioq_core::baselines::{IslipPolicy, MaxMatching, MaxWeightMatching};
     pub use cioq_core::{
-        params, BuildMode, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy,
-        GreedyMatching, PreemptiveGreedy, SelectionOrder,
+        params, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching,
+        PreemptiveGreedy, SelectionOrder,
     };
     pub use cioq_model::{
         Benefit, FabricKind, Packet, PacketId, PortId, SlotId, SwitchConfig, Topology, Value,
     };
     pub use cioq_opt::{certified_ratio, exact_opt, opt_upper_bound, BruteForceLimits, OptBounds};
     pub use cioq_sim::{
-        run_cioq, run_cioq_linked, run_cioq_with_source, run_crossbar, run_crossbar_linked,
-        run_crossbar_with_source, Admission, ArrivalSource, CioqPolicy, CrossbarPolicy, DelayLine,
-        DelayMatrix, Engine, FabricLink, Immediate, PacketPick, RunOptions, RunReport, Trace,
-        TraceSource, Transfer, TransmitChoice,
+        run_cioq, run_cioq_with_source, run_crossbar, run_crossbar_with_source, Admission,
+        ArrivalSource, CioqPolicy, CrossbarPolicy, Engine, FabricSpec, PacketPick, RunOptions,
+        RunReport, Trace, TraceSource, Transfer, TransmitChoice,
     };
     pub use cioq_traffic::adversary::{
         escalation_bait, gm_iq_flood, gm_iq_flood_opt_benefit, pg_weighted_flood,

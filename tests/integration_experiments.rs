@@ -81,7 +81,7 @@ fn s2_delay_sweep_degrades_monotonically_enough() {
     let degradation = tables[0].render();
     assert!(
         !degradation.contains("DIVERGED"),
-        "sharded DelayLine diverged from the delayed sequential engine:\n{degradation}"
+        "sharded uniform-delay fabric diverged from the delayed sequential engine:\n{degradation}"
     );
     // 4 policies × d ∈ {0, 1, 2, 4, 8} in both tables.
     assert_eq!(tables[0].len(), 20);
@@ -95,7 +95,7 @@ fn s3_topology_sweep_agrees_with_sequential() {
     let degradation = tables[0].render();
     assert!(
         !degradation.contains("DIVERGED"),
-        "sharded DelayMatrix diverged from the topology-aware sequential engine:\n{degradation}"
+        "sharded matrix fabric diverged from the topology-aware sequential engine:\n{degradation}"
     );
     // 4 policies × inter ∈ {0, 1, 2, 4, 8} in both tables.
     assert_eq!(tables[0].len(), 20);
