@@ -2,8 +2,9 @@
 //! (the paper's contribution) vs maximum matchings (prior work) vs iSLIP.
 
 use cioq_matching::{
-    greedy_maximal, greedy_maximal_weighted, hopcroft_karp, hungarian_max_weight, BipartiteGraph,
-    EdgeOrder, Islip,
+    greedy_maximal, greedy_maximal_weighted, greedy_weighted_rows_into, hopcroft_karp,
+    hungarian_max_weight, BipartiteGraph, EdgeOrder, GreedyScratch, IncrementalGraph, Islip,
+    Matching,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -32,6 +33,19 @@ fn bench_matching(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("greedy_weighted", n), &g, |b, g| {
             b.iter(|| greedy_maximal_weighted(g))
+        });
+        // The same weighted matching the way PG computes it per cycle: the
+        // row-champion kernel over the cell graph, buffers pooled.
+        let mut cells = IncrementalGraph::new(n, n);
+        for e in g.edges() {
+            cells.set_edge(e.left, e.right, e.weight);
+        }
+        group.bench_with_input(BenchmarkId::new("greedy_rows", n), &cells, |b, cells| {
+            let (mut scratch, mut m) = (GreedyScratch::default(), Matching::new());
+            b.iter(|| {
+                greedy_weighted_rows_into(cells, |_, _, _| true, &mut scratch, &mut m);
+                m.pairs.len()
+            })
         });
         group.bench_with_input(BenchmarkId::new("hopcroft_karp", n), &g, |b, g| {
             b.iter(|| hopcroft_karp(g))

@@ -61,7 +61,7 @@ impl GreedyMatching {
         };
         GreedyMatching {
             edge_policy,
-            cache: VoqCache::new(false),
+            cache: VoqCache::default(),
             outputs: OutputSnapshot::default(),
             scratch: GreedyScratch::default(),
             matching: Matching::new(),
@@ -99,7 +99,7 @@ impl CioqPolicy for GreedyMatching {
 
     // detlint: hot
     fn schedule(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
-        self.cache.sync(view, None);
+        self.cache.sync(view, |_, _| {});
         read_outputs(view, &mut self.outputs);
         let visit = match self.edge_policy {
             GmEdgePolicy::Lexicographic => CellVisit::Lex,
@@ -186,7 +186,7 @@ impl CioqShardWorker for GreedyMatching {
         _: Cycle,
         out: &mut CandidateSet,
     ) {
-        self.cache.sync(shard, None);
+        self.cache.sync(shard, |_, _| {});
         let rows = shard.input_range().len();
         let words = shard.n_outputs().div_ceil(64);
         out.aux.resize(rows * words, 0);

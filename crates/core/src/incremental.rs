@@ -4,8 +4,9 @@
 //! one slot barely changes: a slot dirties at most O(N·ŝ) of the N² VOQs.
 //! The caches here consume the engine's change log
 //! ([`cioq_sim::ChangeLog`]) and refresh only the dirtied cells, turning the
-//! per-cycle rebuild from O(N²) (plus an O(E log E) sort for the weighted
-//! policies) into O(changes) (plus an O(E) order repair).
+//! per-cycle rebuild from O(N²) into O(changes). No cache holds an order:
+//! PG's weighted greedy reads the head graph as it stands
+//! ([`cioq_matching::greedy_weighted_rows_into`]).
 //!
 //! ## Bands
 //!
@@ -38,7 +39,7 @@
 //! as filters at match time, so an output queue changing never invalidates
 //! a whole column of cached cells.
 
-use cioq_matching::{CachedWeightOrder, IncrementalGraph};
+use cioq_matching::IncrementalGraph;
 use cioq_model::{PortId, Value};
 use cioq_sim::{ChangeLog, FabricView, OutputSnapshot, ShardView, SortedQueue, SwitchView};
 use std::ops::Range;
@@ -266,95 +267,70 @@ impl Handshake {
     }
 }
 
-/// A recorded weight-order repair: (cells whose entries drop, refreshed
-/// `(weight, cell)` entries to merge back in).
-pub(crate) type OrderDelta<'a> = (&'a mut Vec<u32>, &'a mut Vec<(Value, u32)>);
-
 /// Incrementally-maintained VOQ head graph over a band of rows: an edge per
 /// non-empty `Q_ij` weighted by `v(g_ij)`, shared by GM (weights ignored)
-/// and PG (plus a cached descending-weight visit order). Row indices in the
-/// graph (and cells in the order) are band-local; columns are global.
-#[derive(Debug)]
+/// and PG. Row indices in the graph are band-local; columns are global.
+#[derive(Debug, Default)]
 pub(crate) struct VoqCache {
     pub(crate) graph: IncrementalGraph,
-    pub(crate) order: Option<CachedWeightOrder>,
     shake: Handshake,
-    /// Last-seen [`SortedQueue::epoch`] per cell: a dirty mark whose queue
-    /// epoch is unchanged is a no-op and skipped, so the cache stays
-    /// O(real changes) even under conservative over-marking.
-    epochs: Vec<u64>,
 }
 
 impl VoqCache {
-    pub(crate) fn new(weighted: bool) -> Self {
-        VoqCache {
-            graph: IncrementalGraph::default(),
-            order: weighted.then(CachedWeightOrder::default),
-            shake: Handshake::default(),
-            epochs: Vec::new(),
-        }
-    }
-
-    /// Bring the head graph (and weight order, if any) up to date with the
-    /// band. With `delta`, the weight order's repair is also recorded as an
-    /// edit script (see [`CachedWeightOrder::repair_recording`]). Returns
-    /// `true` when the sync was an incremental repair — i.e. a recorded
-    /// delta transforms the previous order into the current one — and
-    /// `false` on a full rebuild.
+    /// Bring the head graph up to date with the band, handing every edge
+    /// the band's change log moved to `on_edit` as `(band-local cell, new
+    /// weight or `None` once removed)`. Returns `true` when the sync was
+    /// such an incremental repair — the edits transform the previous graph
+    /// into the current one — and `false` on a full rebuild, which reports
+    /// no edits.
     // detlint: hot
-    pub(crate) fn sync(&mut self, view: &impl RowView, delta: Option<OrderDelta<'_>>) -> bool {
+    pub(crate) fn sync(
+        &mut self,
+        view: &impl RowView,
+        mut on_edit: impl FnMut(u32, Option<Value>),
+    ) -> bool {
         let (rows, m, log) = (view.rows(), view.n_outputs(), view.log());
         let (lo, lines) = (rows.start, rows.len());
         let in_step = self.shake.step(&rows, m, log.flush_count());
         if in_step {
             for &cell in log.dirty_voqs() {
                 let (line, j) = (cell as usize / m, cell as usize % m);
-                if self.refresh_cell(view, lo, line, j) {
-                    if let Some(order) = &mut self.order {
-                        order.mark(cell as usize);
-                    }
-                }
-            }
-            if let Some(order) = &mut self.order {
-                match delta {
-                    Some((removed, refreshed)) => {
-                        order.repair_recording(&self.graph, removed, refreshed)
-                    }
-                    None => order.repair(&self.graph),
+                if let Some(edit) = self.refresh_cell(view, lo, line, j) {
+                    on_edit(cell, edit);
                 }
             }
         } else {
             self.graph.reset(lines, m);
-            self.epochs.clear();
-            self.epochs.resize(lines * m, u64::MAX);
             for line in 0..lines {
                 for j in 0..m {
                     self.refresh_cell(view, lo, line, j);
                 }
             }
-            if let Some(order) = &mut self.order {
-                order.rebuild(&self.graph);
-            }
         }
         in_step
     }
 
-    /// Re-read `Q_ij` (band-local row `line`) into the graph; returns
-    /// whether the queue actually changed since the last read (by its
-    /// epoch).
+    /// Re-read `Q_ij` (band-local row `line`) into the graph. `Some(edit)`
+    /// iff the *edge* changed — its presence or its weight `v(g_ij)`: an
+    /// arrival below the head, or a pop that exposes an equal value, moves
+    /// the queue and not the graph.
     #[inline]
-    fn refresh_cell(&mut self, view: &impl RowView, lo: usize, line: usize, j: usize) -> bool {
-        let queue = view.voq(lo + line, j);
-        let epoch = &mut self.epochs[line * self.graph.n_right() + j];
-        if *epoch == queue.epoch() {
-            return false;
+    fn refresh_cell(
+        &mut self,
+        view: &impl RowView,
+        lo: usize,
+        line: usize,
+        j: usize,
+    ) -> Option<Option<Value>> {
+        let head = view.voq(lo + line, j).head_value();
+        if head == self.graph.weight(line, j) {
+            return None;
         }
-        *epoch = queue.epoch();
-        match queue.head_value() {
+        match head {
             Some(g) => self.graph.set_edge(line, j, g),
             None => self.graph.clear_edge(line, j),
         }
-        true
+        Some(head)
     }
 }
 

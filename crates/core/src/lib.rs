@@ -26,8 +26,12 @@
 //! Every policy maintains its per-cycle scheduling structures
 //! **incrementally** from the engine's change log, through one cache
 //! family scoped to a band of rows or columns: one slot dirties at most
-//! O(N·ŝ) queues, so refreshing only those replaces an O(N²) rescan (plus
-//! the weighted policies' O(E log E) re-sort) with O(changes) bookkeeping.
+//! O(N·ŝ) queues, so refreshing only those replaces an O(N²) rescan with
+//! O(changes) bookkeeping. PG keeps no order of its edges between cycles:
+//! its weighted greedy is [`cioq_matching::greedy_weighted_rows_into`] over
+//! the head graph, sequential and sharded alike — shard workers publish the
+//! cells whose edge changed and the merge runs that kernel over the
+//! coordinator's mirror of the graph.
 //! The from-scratch algorithms live on as the [`oracle`] — paper-direct,
 //! cache-free, unpooled — and property tests prove policy and oracle make
 //! identical decisions cycle by cycle.

@@ -4,12 +4,12 @@
 
 use crate::incremental::{read_outputs, VoqCache};
 use crate::params::PG_BETA;
-use cioq_matching::{greedy_maximal_cells_into, CellVisit, GreedyScratch, Matching};
+use cioq_matching::{greedy_weighted_rows_into, GreedyScratch, IncrementalGraph, Matching};
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig, Value};
 use cioq_sim::{
     Admission, CandidateSet, CioqPolicy, CioqShardPolicy, CioqShardWorker, MergeContext,
-    MergeScratch, OrderMirror, OutputSnapshot, PacketPick, Partition, ShardView, SortedQueue,
-    SwitchView, Transfer,
+    MergeScratch, OutputSnapshot, PacketPick, Partition, ShardView, SortedQueue, SwitchView,
+    Transfer,
 };
 
 /// The Preemptive Greedy algorithm with threshold parameter β ≥ 1.
@@ -33,11 +33,8 @@ pub struct PreemptiveGreedy {
     /// Output fullness and tails, re-read every cycle (sequential runs
     /// only: shard workers and the merge read the engine's snapshot).
     outputs: OutputSnapshot,
-    scratch: GreedyScratch,
-    /// Pooled result buffer: refilled in place every scheduling cycle so
-    /// the steady-state slot loop never allocates a fresh `Matching`.
-    matching: Matching,
-    /// As a shard worker: sequence number of the next delta publish; 0
+    greedy: WeightedGreedy,
+    /// As a shard worker: sequence number of the next edit publish; 0
     /// forces a full publish (first cycle, or after a cache rebuild).
     next_seq: u64,
     name: String,
@@ -66,10 +63,9 @@ impl PreemptiveGreedy {
         PreemptiveGreedy {
             beta,
             preemption_enabled,
-            cache: VoqCache::new(true),
+            cache: VoqCache::default(),
             outputs: OutputSnapshot::default(),
-            scratch: GreedyScratch::default(),
-            matching: Matching::new(),
+            greedy: WeightedGreedy::default(),
             next_seq: 0,
             name,
         }
@@ -79,19 +75,6 @@ impl PreemptiveGreedy {
     pub fn beta(&self) -> f64 {
         self.beta
     }
-
-    /// The transfer of a matched edge: the head of `Q_ij` moves to `Q_j`.
-    #[inline]
-    fn transfer(&self, i: usize, j: usize) -> Transfer {
-        Transfer {
-            input: PortId::from(i),
-            output: PortId::from(j),
-            pick: PacketPick::Greatest,
-            // Eligibility already enforced the β threshold; a full output
-            // queue here means a legal preemption of l_j.
-            preempt_if_full: self.preemption_enabled,
-        }
-    }
 }
 
 impl Default for PreemptiveGreedy {
@@ -100,10 +83,51 @@ impl Default for PreemptiveGreedy {
     }
 }
 
+/// PG's scheduling step and its pooled buffers: the greedy maximal matching
+/// in descending weight order over a head graph, as transfers. The
+/// sequential policy runs it over its own graph, the sharded merge over the
+/// coordinator's mirror.
+#[derive(Debug, Default)]
+struct WeightedGreedy {
+    scratch: GreedyScratch,
+    /// Refilled in place every cycle, so the steady-state slot loop never
+    /// allocates a fresh `Matching`.
+    matching: Matching,
+}
+
+impl WeightedGreedy {
+    /// Append the cycle's transfers to `out`, under threshold `beta` and
+    /// with output preemption as `preempt` says.
+    // detlint: hot
+    fn run(
+        &mut self,
+        beta: f64,
+        preempt: bool,
+        heads: &IncrementalGraph,
+        outputs: &OutputSnapshot,
+        out: &mut Vec<Transfer>,
+    ) {
+        greedy_weighted_rows_into(
+            heads,
+            |_, j, w| eligible(beta, w, j, outputs),
+            &mut self.scratch,
+            &mut self.matching,
+        );
+        out.extend(self.matching.pairs.iter().map(|&(i, j)| Transfer {
+            input: PortId::from(i),
+            output: PortId::from(j),
+            pick: PacketPick::Greatest,
+            // Eligibility already enforced the β threshold; a full output
+            // queue here means a legal preemption of l_j.
+            preempt_if_full: preempt,
+        }));
+    }
+}
+
 /// The paper's output-side edge condition for a head of value `w` bound for
-/// output `j`: `|Q_j| < B(Q_j) ∨ w > β·v(l_j)`. The cached order spans
-/// *every* non-empty VOQ; this is applied as a filter in visit order, which
-/// preserves the relative order of the eligible edges.
+/// output `j`: `|Q_j| < B(Q_j) ∨ w > β·v(l_j)`. The head graph spans
+/// *every* non-empty VOQ; this is the matching kernel's edge filter — pure
+/// within a cycle, as the kernel asks.
 #[inline]
 fn eligible(beta: f64, w: Value, j: usize, outputs: &OutputSnapshot) -> bool {
     !outputs.full[j] || exceeds_factor(w, beta, outputs.tail[j])
@@ -136,47 +160,32 @@ impl CioqPolicy for PreemptiveGreedy {
 
     // detlint: hot
     fn schedule(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
-        self.cache.sync(view, None);
+        self.cache.sync(view, |_, _| {});
         read_outputs(view, &mut self.outputs);
-        let order = self.cache.order.as_ref().expect("weighted cache");
-        let (beta, outputs) = (self.beta, &self.outputs);
-        greedy_maximal_cells_into(
-            &self.cache.graph,
-            CellVisit::Ordered(order),
-            |_, j, w| eligible(beta, w, j, outputs),
-            &mut self.scratch,
-            &mut self.matching,
-        );
-        out.extend(
-            self.matching
-                .pairs
-                .iter()
-                .map(|&(i, j)| self.transfer(i, j)),
-        );
+        let (beta, preempt) = (self.beta, self.preemption_enabled);
+        self.greedy
+            .run(beta, preempt, &self.cache.graph, &self.outputs, out);
     }
 }
 
 /// [`PreemptiveGreedy`] as the sharded engine's policy: the object is the
 /// factory and the merger, and every shard's worker is a fresh copy of it.
 ///
-/// Proposal: each worker publishes its cached `(weight desc, cell asc)`
-/// order (repaired from its own change log only). Merge: a K-way merge of
-/// the per-shard streams — their concatenated key order equals the
-/// whole-switch cached order exactly — running the weighted greedy with
-/// the β output-eligibility filter evaluated in visit order.
+/// Proposal: each worker repairs its band of the head graph from its own
+/// change log and publishes the cells whose edge changed. Merge: the
+/// coordinator applies those edits to its whole-switch mirror of the graph
+/// (`HeadMirror`, one per run) and runs the kernel the sequential policy
+/// runs, over the same graph — so the matching is the same by construction.
 pub type ShardedPg = PreemptiveGreedy;
 
-/// One empty order mirror per shard, reserved for the shard's whole band so
-/// it never grows mid-run. Built on the first merge of a run; the mirrors
-/// then live in the engine's [`MergeScratch`].
-fn fresh_mirrors(ctx: &MergeContext<'_>) -> Vec<OrderMirror> {
-    (0..ctx.candidates.len())
-        .map(|s| {
-            let mut mirror = OrderMirror::default();
-            mirror.reserve(ctx.partition.input_range(s).len() * ctx.cfg.n_outputs);
-            mirror
-        })
-        .collect()
+/// The coordinator's copy of every shard's head graph, rows in global
+/// numbering; it lives in the run's [`MergeScratch`], not in the policy.
+#[derive(Debug, Default)]
+struct HeadMirror {
+    graph: IncrementalGraph,
+    /// Per shard, the publish sequence number expected next (0 = full).
+    expect_seq: Vec<u64>,
+    greedy: WeightedGreedy,
 }
 
 impl CioqShardPolicy for PreemptiveGreedy {
@@ -195,72 +204,44 @@ impl CioqShardPolicy for PreemptiveGreedy {
     // detlint: hot
     fn merge(&self, ctx: &MergeContext<'_>, scratch: &mut MergeScratch, out: &mut Vec<Transfer>) {
         let (n, m) = (ctx.cfg.n_inputs, ctx.cfg.n_outputs);
-        let k = ctx.candidates.len();
-        // Bring the per-shard order mirrors up to date from this cycle's
-        // publishes: a full order on seq 0 (first cycle / resync), an edit
-        // script otherwise — so the steady-state publish cost is O(dirty),
-        // not a bulk copy of the whole order.
-        let mut mirrors = std::mem::take(&mut scratch.mirrors);
-        if mirrors.len() != k {
-            mirrors = fresh_mirrors(ctx);
+        let mirror: &mut HeadMirror = scratch.state();
+        if mirror.expect_seq.is_empty() {
+            mirror.graph.reset(n, m);
+            mirror.expect_seq.resize(ctx.candidates.len(), 0);
         }
+        // Bring the mirror up to date from this cycle's publishes: the
+        // cells whose edge changed — O(dirty) in the steady state — or, on
+        // seq 0 (first cycle / resync), every edge of a band emptied first.
         for (s, set) in ctx.candidates.iter().enumerate() {
-            let mirror = &mut mirrors[s];
+            let rows = ctx.partition.input_range(s);
+            let lo = rows.start;
             if set.seq == 0 {
-                mirror.reset_from(&set.pairs);
-            } else {
-                assert_eq!(
-                    set.seq, mirror.expect_seq,
-                    "PG delta publish out of sequence (shard {s})"
-                );
-                mirror.apply(&set.removed, &set.refreshed);
-            }
-            mirror.expect_seq = set.seq + 1;
-        }
-        scratch.begin(n, m);
-        let cap = n.min(m);
-        let mut heads = std::mem::take(&mut scratch.heads);
-        heads.clear();
-        heads.resize(k, 0);
-        loop {
-            // Next candidate across all shard streams in (weight desc,
-            // global cell asc) order — each stream is already sorted by
-            // that key, so this is a K-way merge. Shard-local cells
-            // translate to the global key by adding the shard's base cell
-            // (streams stay sorted under the translation).
-            let mut best: Option<(Value, u64, usize)> = None;
-            for (s, mirror) in mirrors.iter().enumerate() {
-                if let Some(&(w, local_cell)) = mirror.entries.get(heads[s]) {
-                    let base = ctx.partition.input_range(s).start as u64 * m as u64;
-                    let cell = base + local_cell as u64;
-                    let better = match best {
-                        None => true,
-                        Some((bw, bc, _)) => w > bw || (w == bw && cell < bc),
-                    };
-                    if better {
-                        best = Some((w, cell, s));
+                for i in rows {
+                    for j in 0..m {
+                        mirror.graph.clear_edge(i, j);
                     }
                 }
+            } else {
+                assert_eq!(
+                    set.seq, mirror.expect_seq[s],
+                    "PG edit publish out of sequence (shard {s})"
+                );
             }
-            let Some((w, cell, s)) = best else { break };
-            heads[s] += 1;
-
-            let (i, j) = ((cell / m as u64) as usize, (cell % m as u64) as usize);
-            if scratch.input_used(i)
-                || scratch.output_used(j)
-                || !eligible(self.beta, w, j, ctx.outputs)
-            {
-                continue;
+            let at = |cell: u32| (lo + cell as usize / m, cell as usize % m);
+            for &cell in &set.removed {
+                let (i, j) = at(cell);
+                mirror.graph.clear_edge(i, j);
             }
-            scratch.use_input(i);
-            scratch.use_output(j);
-            out.push(self.transfer(i, j));
-            if out.len() == cap {
-                break;
+            for &(w, cell) in &set.refreshed {
+                let (i, j) = at(cell);
+                mirror.graph.set_edge(i, j, w);
             }
+            mirror.expect_seq[s] = set.seq + 1;
         }
-        scratch.mirrors = mirrors;
-        scratch.heads = heads;
+        let (beta, preempt) = (self.beta, self.preemption_enabled);
+        mirror
+            .greedy
+            .run(beta, preempt, &mirror.graph, ctx.outputs, out);
     }
 }
 
@@ -278,19 +259,23 @@ impl CioqShardWorker for PreemptiveGreedy {
         _: Cycle,
         out: &mut CandidateSet,
     ) {
-        // Steady state: publish only the repair's edit script (O(dirty));
-        // the coordinator's mirror replays it. A full bulk copy happens
-        // only on the first cycle or after a defensive cache rebuild.
-        let delta = (&mut out.removed, &mut out.refreshed);
-        let incremental = self.cache.sync(shard, Some(delta));
+        // Steady state: publish only the cells whose edge changed
+        // (O(dirty)); the coordinator's mirror replays them. The whole band
+        // goes out only on the first cycle or after a cache rebuild, which
+        // reports no edits.
+        let (removed, refreshed) = (&mut out.removed, &mut out.refreshed);
+        let incremental = self.cache.sync(shard, |cell, edit| match edit {
+            Some(w) => refreshed.push((w, cell)),
+            None => removed.push(cell),
+        });
         if incremental && self.next_seq > 0 {
             out.seq = self.next_seq;
         } else {
             out.seq = 0;
-            out.removed.clear();
-            out.refreshed.clear();
-            let order = self.cache.order.as_ref().expect("weighted cache");
-            out.pairs.extend_from_slice(order.entries());
+            let m = shard.n_outputs();
+            self.cache
+                .graph
+                .for_each_edge(|l, j, w| refreshed.push((w, (l * m + j) as u32)));
         }
         self.next_seq = out.seq + 1;
     }
@@ -299,7 +284,6 @@ impl CioqShardWorker for PreemptiveGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cioq_matching::{CachedWeightOrder, IncrementalGraph};
     use cioq_model::SwitchConfig;
     use cioq_sim::{run_cioq, Trace};
 
@@ -440,46 +424,83 @@ mod tests {
         assert_eq!(report.losses.preempted_output, 0);
     }
 
-    /// The delta-publish protocol's core invariant: replaying each repair's
-    /// recorded edit script on a mirror reproduces the repaired order
-    /// exactly — over a deterministic pseudo-random edit sequence with
-    /// inserts, removals, and reweights.
+    /// The edit-publish protocol on the coordinator's side, driven by hand:
+    /// a full publish builds the band's rows of the mirror, edits move
+    /// single cells, and a second full publish (a worker that rebuilt its
+    /// cache) *replaces* the band — an edge the resync no longer lists must
+    /// be gone, not left over from the first publish.
     #[test]
-    fn order_mirror_tracks_repair_recording() {
-        let (rows, cols) = (5, 7);
-        let mut g = IncrementalGraph::new(rows, cols);
-        let mut order = CachedWeightOrder::default();
-        order.rebuild(&g);
-        let mut mirror = OrderMirror::default();
-        mirror.reset_from(order.entries());
-
-        let mut state = 0x5EED_1234_u64;
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
+    fn merge_mirror_follows_full_and_edit_publishes() {
+        let cfg = SwitchConfig::cioq(4, 2, 1);
+        let partition = Partition::new(2, 4, 4);
+        let outputs = OutputSnapshot {
+            full: vec![false; 4],
+            tail: vec![0; 4],
+            ..OutputSnapshot::default()
         };
-        let (mut removed, mut refreshed) = (Vec::new(), Vec::new());
-        for _ in 0..200 {
-            // A batch of 1–4 edits, then one recorded repair.
-            removed.clear();
-            refreshed.clear();
-            for _ in 0..(1 + rng() % 4) {
-                let cell = (rng() % (rows * cols) as u64) as usize;
-                let (l, r) = (cell / cols, cell % cols);
-                if rng() % 4 == 0 {
-                    g.clear_edge(l, r);
-                } else {
-                    g.set_edge(l, r, 1 + rng() % 50);
-                }
-                order.mark(cell);
-            }
-            order.repair_recording(&g, &mut removed, &mut refreshed);
-            mirror.apply(&removed, &refreshed);
-            assert_eq!(
-                mirror.entries,
-                order.entries(),
-                "mirror must equal the repaired order after every publish"
-            );
+        let pg = PreemptiveGreedy::new();
+        let mut scratch = MergeScratch::default();
+        let mut merged = |sets: &[CandidateSet]| {
+            let ctx = MergeContext {
+                cfg: &cfg,
+                partition: &partition,
+                outputs: &outputs,
+                cycle: Cycle { slot: 0, index: 0 },
+                candidates: sets,
+            };
+            let mut out = Vec::new();
+            pg.merge(&ctx, &mut scratch, &mut out);
+            out.iter()
+                .map(|t| (t.input.index(), t.output.index()))
+                .collect::<Vec<_>>()
+        };
+        let full = |edges: &[(Value, u32)]| CandidateSet {
+            refreshed: edges.to_vec(),
+            ..CandidateSet::default()
+        };
+        let edits = |seq, removed: &[u32], refreshed: &[(Value, u32)]| CandidateSet {
+            seq,
+            removed: removed.to_vec(),
+            refreshed: refreshed.to_vec(),
+            ..CandidateSet::default()
+        };
+
+        // Shard 0 owns rows 0–1, shard 1 rows 2–3; cells are shard-local.
+        // Row 0: 9 → col 0; row 1: 5 → col 0; row 2: 7 → col 0, 3 → col 1.
+        let first = merged(&[full(&[(9, 0), (5, 4)]), full(&[(7, 0), (3, 1)])]);
+        assert_eq!(first, vec![(0, 0), (2, 1)]);
+        // Row 0's edge goes, row 1 is reweighted above row 2, row 3 appears.
+        let second = merged(&[edits(1, &[0], &[(8, 4)]), edits(1, &[], &[(6, 6)])]);
+        assert_eq!(second, vec![(1, 0), (3, 2), (2, 1)]);
+        // Shard 1 resyncs with only row 3's edge: row 2's must not survive.
+        let third = merged(&[edits(2, &[], &[]), full(&[(6, 6)])]);
+        assert_eq!(third, vec![(1, 0), (3, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of sequence")]
+    fn merge_rejects_a_skipped_edit_publish() {
+        let cfg = SwitchConfig::cioq(2, 2, 1);
+        let partition = Partition::new(1, 2, 2);
+        let outputs = OutputSnapshot {
+            full: vec![false; 2],
+            tail: vec![0; 2],
+            ..OutputSnapshot::default()
+        };
+        let mut scratch = MergeScratch::default();
+        for seq in [0, 2] {
+            let sets = [CandidateSet {
+                seq,
+                ..CandidateSet::default()
+            }];
+            let ctx = MergeContext {
+                cfg: &cfg,
+                partition: &partition,
+                outputs: &outputs,
+                cycle: Cycle { slot: 0, index: 0 },
+                candidates: &sets,
+            };
+            PreemptiveGreedy::new().merge(&ctx, &mut scratch, &mut Vec::new());
         }
     }
 }

@@ -496,6 +496,54 @@ fn asymmetric_bursty_equivalence() {
     );
 }
 
+/// One `ShardedPg` value shared by two runs at once, as two jobs of a sweep
+/// would share it: what the merge keeps between cycles (its mirror of the
+/// shards' head graphs) belongs to the run, so neither run can see the
+/// other's. Thread A runs K = 2 and thread B K = 4, on different traces,
+/// released together by a barrier each round; every report and transcript
+/// must equal the one a policy value of its own produced.
+#[test]
+fn one_sharded_pg_serves_concurrent_runs() {
+    let cfg = SwitchConfig::cioq(8, 2, 2);
+    let gen = FullFabricChurn::new(2, 3, ValueDist::Uniform { max: 9 });
+    let jobs = [
+        (2, gen_trace(&gen, &cfg, 48, 0xA)),
+        (4, gen_trace(&gen, &cfg, 48, 0xB)),
+    ];
+    let run = |policy: &ShardedPg, k: usize, trace: &Trace| {
+        let outcome = run_cioq_sharded(&cfg, policy, trace, sharded_options(k, ExecMode::Inline))
+            .expect("sharded run");
+        (
+            outcome.report,
+            outcome.schedule.expect("recording requested"),
+        )
+    };
+    let alone = jobs
+        .each_ref()
+        .map(|(k, trace)| run(&ShardedPg::new(), *k, trace));
+    assert_ne!(
+        alone[0].1.transfers, alone[1].1.transfers,
+        "the two jobs must differ for a mix-up to show"
+    );
+
+    let shared = ShardedPg::new();
+    let start = std::sync::Barrier::new(jobs.len());
+    std::thread::scope(|scope| {
+        for ((k, trace), (report, schedule)) in jobs.iter().zip(&alone) {
+            let (shared, start, run) = (&shared, &start, &run);
+            scope.spawn(move || {
+                for round in 0..8 {
+                    start.wait();
+                    let what = format!("shared PG k={k} round {round}");
+                    let (got_report, got_schedule) = run(shared, *k, trace);
+                    assert_eq!(got_schedule.transfers, schedule.transfers, "{what}");
+                    assert_reports_equal(&got_report, report, &what);
+                }
+            });
+        }
+    });
+}
+
 /// More shards than ports: empty shards must be inert, not wrong.
 #[test]
 fn more_shards_than_ports() {

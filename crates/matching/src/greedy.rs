@@ -37,8 +37,12 @@ pub struct GreedyScratch {
     pub(crate) right_used: Vec<bool>,
     pub(crate) order: Vec<usize>,
     /// Per-edge sort keys for [`EdgeOrder::WeightDescending`], precomputed
-    /// so the hot sort never recomputes a key mid-comparison.
-    keyed: Vec<u128>,
+    /// so the hot sort never recomputes a key mid-comparison; for
+    /// [`greedy_weighted_rows_into`](crate::greedy_weighted_rows_into), the
+    /// unvisited row champions in ascending key order.
+    pub(crate) keyed: Vec<u128>,
+    /// Bitmap of the right vertices no pair has taken yet.
+    pub(crate) free_right: Vec<u64>,
 }
 
 impl GreedyScratch {

@@ -11,26 +11,25 @@
 //!   the `n_left × n_right` cell grid with O(1) [`IncrementalGraph::set_edge`]
 //!   / [`IncrementalGraph::clear_edge`], iterated in lexicographic `(i, j)`
 //!   order — exactly the insertion order of the from-scratch builders.
-//! * [`CachedWeightOrder`] — the descending-weight visit order of the
-//!   weighted greedy, repaired after each batch of edge updates by dropping
-//!   the dirty entries (one `retain` pass) and merging the re-sorted dirty
-//!   edges back in: O(E + k log k) for k dirty cells instead of a full
-//!   O(E log E) sort.
 //! * [`greedy_maximal_cells`] — greedy maximal matching over an
 //!   [`IncrementalGraph`] with a per-edge eligibility filter, reproducing
 //!   [`greedy_maximal_with`](crate::greedy_maximal_with) bit-for-bit for
 //!   each visit order.
+//! * [`greedy_weighted_rows_into`] — the weighted one of those matchings
+//!   (PG's) from row champions: one pass over the edge bits and a sort of
+//!   ≤ N keys, no order of all E edges kept or repaired.
+//! * [`CachedWeightOrder`] — that order of all edges, repaired per batch of
+//!   edge updates in O(E + k log k); what PG walked before, now the
+//!   kernel's reference and a benchmark probe.
 //!
 //! Per-cell state is *cell-local* by design: eligibility rules that depend
 //! on output-side queues (fullness, preemption thresholds) are evaluated by
 //! the caller's `edge_ok` filter at match time, so an output queue changing
 //! never invalidates a whole column of cached edges.
 
-use crate::graph::Matching;
+use crate::graph::{BipartiteGraph, Matching};
 use crate::greedy::GreedyScratch;
 use cioq_model::Value;
-
-use crate::graph::BipartiteGraph;
 
 /// A bipartite scheduling graph over the `n_left × n_right` cell grid with
 /// O(1) edge updates and lexicographic edge iteration.
@@ -179,25 +178,89 @@ impl IncrementalGraph {
     /// arithmetic over these bitmaps (`row & !used & !full`), so each shard
     /// publishes its rows per cycle with this.
     pub fn copy_row_bits(&self, left: usize, out: &mut [u64]) {
-        let m = self.n_right;
-        let words = m.div_ceil(64);
-        debug_assert!(left < self.n_left);
+        let words = self.n_right.div_ceil(64);
         debug_assert!(out.len() >= words);
-        let start = left * m;
         for (k, slot) in out.iter_mut().enumerate().take(words) {
-            let bit = start + k * 64;
-            let lo = self.present.get(bit / 64).copied().unwrap_or(0) >> (bit % 64);
-            let hi = if bit.is_multiple_of(64) {
-                0
-            } else {
-                self.present.get(bit / 64 + 1).copied().unwrap_or(0) << (64 - bit % 64)
-            };
-            let mut word = lo | hi;
-            if k == words - 1 && !m.is_multiple_of(64) {
-                word &= (1u64 << (m % 64)) - 1;
-            }
-            *slot = word;
+            *slot = self.row_word(left, k);
         }
+    }
+
+    /// Word `k` of row `left`'s edge-presence bits, column-aligned (bit `b`
+    /// ⇔ edge `(left, k·64 + b)`): stitched from the two flat words the row
+    /// straddles when it starts mid-word, zero past the row's last column.
+    #[inline]
+    fn row_word(&self, left: usize, k: usize) -> u64 {
+        debug_assert!(left < self.n_left && k * 64 < self.n_right);
+        let bit = left * self.n_right + k * 64;
+        let (at, shift) = (bit / 64, bit % 64);
+        let mut word = self.present[at] >> shift;
+        if shift != 0 {
+            word |= self.present.get(at + 1).copied().unwrap_or(0) << (64 - shift);
+        }
+        let rest = self.n_right - k * 64;
+        if rest < 64 {
+            word &= (1u64 << rest) - 1;
+        }
+        word
+    }
+
+    /// Push every row's *champion* — its heaviest edge that `edge_ok`
+    /// admits, ties to the smallest column, as a [`champion_key`] — in row
+    /// order: one lexicographic pass over the edge bits, so an empty
+    /// stretch of the grid costs a word test per 64 cells. `edge_ok` is
+    /// asked only about edges heavier than their row's best so far.
+    #[inline]
+    fn push_champions(
+        &self,
+        edge_ok: &mut impl FnMut(usize, usize, Value) -> bool,
+        keys: &mut Vec<u128>,
+    ) {
+        let m = self.n_right;
+        // The row the pass is in: its cells are `row_end - m..row_end`.
+        let (mut left, mut row_end) = (0, m);
+        let mut best: Option<(Value, usize)> = None;
+        for (at, &word) in self.present.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let cell = at * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if cell >= row_end {
+                    keys.extend(best.take().map(|(w, right)| champion_key(w, left, right)));
+                    while cell >= row_end {
+                        (left, row_end) = (left + 1, row_end + m);
+                    }
+                }
+                let (right, w) = (cell + m - row_end, self.weights[cell]);
+                if best.is_none_or(|(heaviest, _)| w > heaviest) && edge_ok(left, right, w) {
+                    best = Some((w, right));
+                }
+            }
+        }
+        keys.extend(best.map(|(w, right)| champion_key(w, left, right)));
+    }
+
+    /// Row `left`'s champion among the columns set in `free` only.
+    #[inline]
+    fn row_champion(
+        &self,
+        left: usize,
+        free: &[u64],
+        edge_ok: &mut impl FnMut(usize, usize, Value) -> bool,
+    ) -> Option<u128> {
+        let weights = &self.weights[left * self.n_right..(left + 1) * self.n_right];
+        let mut best: Option<(Value, usize)> = None;
+        for (k, &free_word) in free.iter().enumerate() {
+            let mut bits = self.row_word(left, k) & free_word;
+            while bits != 0 {
+                let right = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let w = weights[right];
+                if best.is_none_or(|(heaviest, _)| w > heaviest) && edge_ok(left, right, w) {
+                    best = Some((w, right));
+                }
+            }
+        }
+        best.map(|(w, right)| champion_key(w, left, right))
     }
 
     /// Visit every edge in lexicographic `(left, right)` order.
@@ -230,6 +293,13 @@ impl IncrementalGraph {
 /// companion [`IncrementalGraph`], sorted by `(weight desc, cell asc)` —
 /// the same order as sorting from scratch by `(Reverse(weight), left,
 /// right)`, since the flat cell index is lexicographic in `(left, right)`.
+///
+/// No policy keeps one any more (PG runs [`greedy_weighted_rows_into`]):
+/// the only caller of `rebuild` / `mark` / `repair` and of
+/// [`CellVisit::Ordered`] outside this crate is
+/// `cioq_benchmark/src/layers.rs` (`matching.repair_ns_per_mark`,
+/// `matching.greedy_ns_per_edge`); here they are the row-champion kernel's
+/// reference in the equivalence proptest.
 #[derive(Debug, Clone, Default)]
 pub struct CachedWeightOrder {
     entries: Vec<(Value, u32)>,
@@ -323,52 +393,10 @@ impl CachedWeightOrder {
         self.dirty.clear();
     }
 
-    /// Like [`CachedWeightOrder::repair`], additionally recording the edit
-    /// script that transforms the pre-repair order into the post-repair
-    /// one: `removed` receives every dirty cell (whose old entries, if
-    /// any, must be dropped) and `refreshed` the re-sorted refreshed dirty
-    /// edges (to merge back in). A mirror holding the pre-repair entries
-    /// that drops `removed` cells and order-merges `refreshed` reproduces
-    /// the post-repair entries exactly — the sharded PG publishes this
-    /// script per cycle instead of bulk-copying the whole order.
-    pub fn repair_recording(
-        &mut self,
-        g: &IncrementalGraph,
-        removed: &mut Vec<u32>,
-        refreshed: &mut Vec<(Value, u32)>,
-    ) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        removed.extend_from_slice(&self.dirty);
-        self.repair(g);
-        // `repair` leaves the refreshed dirty edges in `pending`.
-        refreshed.extend_from_slice(&self.pending);
-    }
-
     /// The edges as `(weight, flat cell)` in visit order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (Value, usize)> + '_ {
         self.entries.iter().map(|&(w, cell)| (w, cell as usize))
-    }
-
-    /// The raw sorted entries `(weight, flat cell)` — lets callers bulk-copy
-    /// the visit order (the sharded PG publishes it per cycle).
-    #[inline]
-    pub fn entries(&self) -> &[(Value, u32)] {
-        &self.entries
-    }
-
-    /// Number of cached edges.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no edges are cached.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -411,6 +439,7 @@ pub fn greedy_maximal_cells(
 /// As [`greedy_maximal_cells`], but writing into `m` (cleared first) so a
 /// per-cycle caller reuses one pair buffer instead of allocating a fresh
 /// `Matching` every scheduling call — the zero-allocation hot path.
+// detlint: hot
 pub fn greedy_maximal_cells_into(
     g: &IncrementalGraph,
     visit: CellVisit<'_>,
@@ -462,7 +491,7 @@ pub fn greedy_maximal_cells_into(
             }
         }
         CellVisit::Ordered(order) => {
-            debug_assert_eq!(order.len(), g.n_edges(), "order out of sync");
+            debug_assert_eq!(order.entries.len(), g.n_edges(), "order out of sync");
             for (w, cell) in order.iter() {
                 let (l, r) = (cell / g.n_right(), cell % g.n_right());
                 if !scratch.left_used[l] && !scratch.right_used[r] && edge_ok(l, r, w) {
@@ -474,6 +503,69 @@ pub fn greedy_maximal_cells_into(
                     }
                 }
             }
+        }
+    }
+}
+
+/// A champion as one integer that sorts like the weighted greedy visits:
+/// a greater key is a heavier edge, then the smaller row, then the smaller
+/// column — `(weight desc, cell asc)` read downwards.
+#[inline]
+fn champion_key(weight: Value, left: usize, right: usize) -> u128 {
+    ((weight as u128) << 64) | ((!(left as u32) as u128) << 32) | !(right as u32) as u128
+}
+
+/// The weighted greedy ([`CellVisit::Ordered`]'s matching, pair for pair
+/// and in the same order) without a sorted edge list: O(E + N log N +
+/// rescans), nothing kept between calls.
+///
+/// One pass over the edge bits finds every row's *champion* — its heaviest
+/// eligible edge, ties to the smallest column. The heaviest champion is the
+/// first edge the `(weight desc, cell asc)` walk would take, so the ≤ N
+/// champions are sorted once and visited in descending order: one whose
+/// column is still free is the next pair; one whose column was taken
+/// meanwhile is replaced by its row's champion among the free columns — a
+/// strictly smaller key, inserted into the unvisited rest. A stale key only
+/// overstates its row, so the greatest key, once it proves current, beats
+/// every edge with two free endpoints.
+///
+/// `edge_ok` must be pure: it is asked once per champion scan about an edge
+/// that would become the champion, not once per visited edge, and not at
+/// all about edges a heavier one in their row shadows.
+// detlint: hot
+pub fn greedy_weighted_rows_into(
+    g: &IncrementalGraph,
+    mut edge_ok: impl FnMut(usize, usize, Value) -> bool,
+    scratch: &mut GreedyScratch,
+    m: &mut Matching,
+) {
+    debug_assert!(
+        g.n_left() <= u32::MAX as usize && g.n_right() <= u32::MAX as usize,
+        "packed champion key assumes port counts fit in 32 bits"
+    );
+    m.pairs.clear();
+    let GreedyScratch {
+        keyed, free_right, ..
+    } = scratch;
+    free_right.clear();
+    free_right.resize(g.n_right().div_ceil(64), !0);
+    keyed.clear();
+    g.push_champions(&mut edge_ok, keyed);
+    keyed.sort_unstable();
+    let cap = g.n_left().min(g.n_right());
+    while let Some(key) = keyed.pop() {
+        let (left, right) = (!(key >> 32) as u32 as usize, !key as u32 as usize);
+        let (word, bit) = (right / 64, 1u64 << (right % 64));
+        if free_right[word] & bit != 0 {
+            free_right[word] &= !bit;
+            m.pairs.push((left, right));
+            if m.pairs.len() == cap {
+                break;
+            }
+        } else if let Some(next) = g.row_champion(left, free_right, &mut edge_ok) {
+            debug_assert!(next < key, "a rescan can only lower a row's key");
+            let at = keyed.partition_point(|&k| k < next);
+            keyed.insert(at, next);
         }
     }
 }
@@ -623,40 +715,90 @@ mod tests {
         }
     }
 
+    /// The row-champion kernel over the whole graph with no filter.
+    fn weighted_rows(g: &IncrementalGraph) -> Vec<(usize, usize)> {
+        let mut m = Matching::new();
+        greedy_weighted_rows_into(g, |_, _, _| true, &mut GreedyScratch::default(), &mut m);
+        m.pairs
+    }
+
+    #[test]
+    fn equal_weights_give_the_lexicographic_matching() {
+        // Dense and all-equal: every key ties on weight, so the visit order
+        // is the cell order and every row after the first has to rescan.
+        let (rows, cols) = (5, 7);
+        let mut g = IncrementalGraph::new(rows, cols);
+        for cell in 0..rows * cols {
+            g.set_edge(cell / cols, cell % cols, 3);
+        }
+        let lex = greedy_maximal_cells(&g, CellVisit::Lex, |_, _, _| true, &mut Default::default());
+        assert_eq!(lex.pairs, (0..rows).map(|i| (i, i)).collect::<Vec<_>>());
+        assert_eq!(weighted_rows(&g), lex.pairs);
+    }
+
+    #[test]
+    fn early_exit_at_cap_leaves_pairs_complete() {
+        // 4 rows over 2 columns: the walk stops once min(N, M) = 2 pairs
+        // are out, with two rows' keys still unvisited — and those two
+        // pairs are the whole matching, heaviest first.
+        let mut g = IncrementalGraph::new(4, 2);
+        for (l, r, w) in [
+            (0, 0, 1),
+            (1, 0, 9),
+            (1, 1, 8),
+            (2, 1, 7),
+            (3, 0, 2),
+            (3, 1, 2),
+        ] {
+            g.set_edge(l, r, w);
+        }
+        let pairs = weighted_rows(&g);
+        assert_eq!(pairs, vec![(1, 0), (2, 1)]);
+        let b = from_scratch(&g);
+        let want = greedy_maximal_with(&b, EdgeOrder::WeightDescending, &mut Default::default());
+        assert_eq!(pairs, want.pairs);
+    }
+
     proptest! {
         /// Random edit scripts: after every batch of edits + repair, the
         /// incremental graph and cached order are identical (edges, weights,
         /// visit order) to a from-scratch rebuild, and the greedy matching
         /// over cells equals the edge-list greedy for every visit order —
-        /// including under a per-edge eligibility filter.
+        /// including under a per-edge eligibility filter that drops one
+        /// column and, like PG's β rule, admits an edge into an odd ("full")
+        /// column only above a weight threshold. The row-champion kernel
+        /// must give the weighted matching too, pair for pair. Shapes are
+        /// non-square, every eighth case is 3×70 (rows start mid-word), and
+        /// every other case squeezes the weights into 1..4 (heavy ties).
         #[test]
         fn incremental_equals_from_scratch_under_random_edits(
-            n in 1usize..6,
+            shape in (1usize..6, 1usize..6, 0usize..8),
             batches in prop::collection::vec(
-                prop::collection::vec((0usize..36, 0u64..20), 1..8),
+                prop::collection::vec((0usize..210, 0u64..20), 1..8),
                 1..12,
             ),
+            ties in 0u64..2,
             offset in 0usize..32,
             blocked_right in 0usize..6,
+            threshold in 0u64..6,
         ) {
-            let mut g = IncrementalGraph::new(n, n);
+            let (rows, cols) = if shape.2 == 0 { (3, 70) } else { (shape.0, shape.1) };
+            let mut g = IncrementalGraph::new(rows, cols);
             let mut order = CachedWeightOrder::default();
             order.rebuild(&g);
             let mut scratch = GreedyScratch::default();
 
             for batch in batches {
                 for (cell, w) in batch {
-                    let (l, r) = (cell / 6, cell % 6);
-                    if l >= n || r >= n {
-                        continue;
-                    }
+                    let cell = cell % (rows * cols);
+                    let (l, r) = (cell / cols, cell % cols);
                     // w == 0 removes the edge; otherwise upsert with weight w.
                     if w == 0 {
                         g.clear_edge(l, r);
                     } else {
-                        g.set_edge(l, r, w);
+                        g.set_edge(l, r, if ties == 1 { 1 + w % 3 } else { w });
                     }
-                    order.mark(l * n + r);
+                    order.mark(cell);
                 }
                 order.repair(&g);
 
@@ -670,11 +812,13 @@ mod tests {
                 );
 
                 // Matchings match for all visit orders, with and without an
-                // eligibility filter (drop one right vertex).
-                let eligible = |_l: usize, r: usize, _w: u64| r != blocked_right;
-                let mut filtered = BipartiteGraph::new(n, n);
+                // eligibility filter.
+                let eligible = |_l: usize, r: usize, w: u64| {
+                    r != blocked_right && (r.is_multiple_of(2) || w > threshold)
+                };
+                let mut filtered = BipartiteGraph::new(rows, cols);
                 for e in b.edges() {
-                    if e.right != blocked_right {
+                    if eligible(e.left, e.right, e.weight) {
                         filtered.add_edge(e.left, e.right, e.weight);
                     }
                 }
@@ -691,6 +835,19 @@ mod tests {
                     );
                     prop_assert_eq!(&got.pairs, &want.pairs, "{:?}", edge_order);
                 }
+                let mut got = Matching::new();
+                greedy_weighted_rows_into(&g, eligible, &mut scratch, &mut got);
+                let want = greedy_maximal_with(
+                    &filtered,
+                    EdgeOrder::WeightDescending,
+                    &mut GreedyScratch::default(),
+                );
+                prop_assert_eq!(&got.pairs, &want.pairs, "row champions, filtered");
+                prop_assert_eq!(
+                    weighted_rows(&g),
+                    greedy_maximal_with(&b, EdgeOrder::WeightDescending, &mut scratch).pairs,
+                    "row champions, unfiltered"
+                );
             }
         }
     }

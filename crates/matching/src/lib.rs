@@ -12,7 +12,9 @@
 //! * [`greedy_maximal`] — iterate edges in a given order, add whenever both
 //!   endpoints are free (the matching step of **GM**, Thm 1).
 //! * [`greedy_maximal_weighted`] — same, in descending weight order (the
-//!   matching step of **PG**, Thm 2).
+//!   matching step of **PG**, Thm 2); [`greedy_weighted_rows_into`] is the
+//!   same matching over an [`IncrementalGraph`] from row champions, without
+//!   sorting the edges — what PG runs per cycle.
 //! * [`hopcroft_karp`] — maximum-cardinality matching, O(E·√V): the
 //!   scheduling step of the Kesselman–Rosén baseline.
 //! * [`hungarian_max_weight`] — maximum-weight matching, O(n³): the
@@ -40,6 +42,7 @@ pub use greedy::{
 pub use hopcroft_karp::hopcroft_karp;
 pub use hungarian::{hungarian_max_weight, max_weight_value};
 pub use incremental::{
-    greedy_maximal_cells, greedy_maximal_cells_into, CachedWeightOrder, CellVisit, IncrementalGraph,
+    greedy_maximal_cells, greedy_maximal_cells_into, greedy_weighted_rows_into, CachedWeightOrder,
+    CellVisit, IncrementalGraph,
 };
 pub use islip::Islip;

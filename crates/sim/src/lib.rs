@@ -63,7 +63,7 @@ pub use shard::{
     run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
     run_crossbar_sharded_streamed, Candidate, CandidateSet, CioqShardPolicy, CioqShardWorker,
     CrossbarShardPolicy, CrossbarShardWorker, ExecMode, FabricView, MergeContext, MergeScratch,
-    OrderMirror, OutputSnapshot, Partition, ShardView, ShardedOptions, ShardedOutcome,
+    OutputSnapshot, Partition, ShardView, ShardedOptions, ShardedOutcome,
 };
 pub use snapshot::{EngineSnapshot, SnapshotError};
 pub use source::{ArrivalSource, TraceSource};

@@ -52,6 +52,7 @@ use crate::transport::FabricSpec;
 use crate::validate::check_state_invariants;
 use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
 use cioq_queues::{RowBand, SortedQueue};
+use std::any::Any;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
@@ -431,34 +432,31 @@ pub struct Candidate {
 /// policy-defined auxiliary word array, or both. GM publishes its rows'
 /// edge bitmaps through `aux` (one `n_outputs.div_ceil(64)`-word bitmap per
 /// owned row, ascending) so the merge can run the lexicographic greedy as
-/// word arithmetic; PG publishes its ordered candidate list through `list`.
+/// word arithmetic; PG publishes the cells of its head graph whose edge
+/// changed through `removed` / `refreshed`.
 #[derive(Debug, Default)]
 pub struct CandidateSet {
     /// Ordered candidates (policy-defined order).
     pub list: Vec<Candidate>,
-    /// Ordered `(weight, shard-local flat cell)` pairs — lets a policy
-    /// bulk-copy a cached visit order (PG publishes its full repaired
-    /// descending-weight order this way on a resync cycle).
-    pub pairs: Vec<(Value, u32)>,
     /// Auxiliary packed words (policy-defined layout).
     pub aux: Vec<u64>,
-    /// Delta-publish handshake (weighted policies): the sequence number of
-    /// this publish. `0` means `pairs` holds the full order (first cycle or
-    /// resync); `seq ≥ 1` means `removed` / `refreshed` hold an edit script
-    /// against publish `seq − 1`, applied to the coordinator's
-    /// [`OrderMirror`].
+    /// Edit-publish handshake (weighted policies): the sequence number of
+    /// this publish. `0` means `refreshed` holds every edge of the shard's
+    /// graph (first cycle or resync) and the merge must drop what it held
+    /// for the shard; `seq ≥ 1` means `removed` / `refreshed` hold the cell
+    /// edits since publish `seq − 1`, which the merge applies to its mirror
+    /// of the graph.
     pub seq: u64,
-    /// Delta publish: shard-local cells whose old entries must be dropped.
+    /// Edit publish: shard-local flat cells whose edge is gone.
     pub removed: Vec<u32>,
-    /// Delta publish: refreshed `(weight, cell)` entries, sorted in
-    /// `(weight desc, cell asc)` order, to merge back in.
+    /// Edit publish: `(weight, shard-local flat cell)` of every edge added
+    /// or reweighted.
     pub refreshed: Vec<(Value, u32)>,
 }
 
 impl CandidateSet {
     fn clear(&mut self) {
         self.list.clear();
-        self.pairs.clear();
         self.aux.clear();
         self.seq = 0;
         self.removed.clear();
@@ -466,96 +464,31 @@ impl CandidateSet {
     }
 }
 
-/// Coordinator-side mirror of one shard's published `(weight, cell)` visit
-/// order, kept in sync by the per-cycle delta publishes of
-/// [`CandidateSet::removed`] / [`CandidateSet::refreshed`]. Lives in
-/// [`MergeScratch`], so its lifetime is one run — a fresh run's workers
-/// publish `seq = 0` and rebuild it.
-#[derive(Debug, Default)]
-pub struct OrderMirror {
-    /// The mirrored entries in `(weight desc, cell asc)` order — equal to
-    /// the worker's `CachedWeightOrder::entries()` after every publish.
-    pub entries: Vec<(Value, u32)>,
-    /// The publish sequence number expected next (0 = full publish).
-    pub expect_seq: u64,
-    marked: Vec<bool>,
-    merged: Vec<(Value, u32)>,
-}
-
-impl OrderMirror {
-    /// Pre-reserve for a shard whose order covers at most `cells` VOQ
-    /// cells: entries are unique cells, a merge result is again unique
-    /// cells, and `marked` indexes by cell — so a mirror reserved here
-    /// never grows during the run, however deep the backlog gets.
-    pub fn reserve(&mut self, cells: usize) {
-        self.entries.reserve(cells);
-        self.merged.reserve(cells);
-        self.marked.reserve(cells);
-    }
-
-    /// Replace the mirror with a full publish.
-    pub fn reset_from(&mut self, full: &[(Value, u32)]) {
-        self.entries.clear();
-        self.entries.extend_from_slice(full);
-    }
-
-    /// Apply a delta publish: drop every entry whose cell appears in
-    /// `removed`, then merge the re-sorted `refreshed` entries back in —
-    /// the exact repair `CachedWeightOrder::repair` performed worker-side,
-    /// replayed on the mirror in O(E + k).
-    pub fn apply(&mut self, removed: &[u32], refreshed: &[(Value, u32)]) {
-        if removed.is_empty() && refreshed.is_empty() {
-            return;
-        }
-        let need = removed.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
-        if self.marked.len() < need {
-            self.marked.resize(need, false);
-        }
-        for &c in removed {
-            self.marked[c as usize] = true;
-        }
-        self.merged.clear();
-        let mut pending = refreshed.iter().copied().peekable();
-        for &entry in &self.entries {
-            if (entry.1 as usize) < self.marked.len() && self.marked[entry.1 as usize] {
-                continue;
-            }
-            while let Some(&p) = pending.peek() {
-                if p.0 > entry.0 || (p.0 == entry.0 && p.1 < entry.1) {
-                    self.merged.push(p);
-                    pending.next();
-                } else {
-                    break;
-                }
-            }
-            self.merged.push(entry);
-        }
-        self.merged.extend(pending);
-        std::mem::swap(&mut self.entries, &mut self.merged);
-        for &c in removed {
-            self.marked[c as usize] = false;
-        }
-    }
-}
-
 /// Generation-stamped used-port masks for the merge step — O(1) reset per
 /// cycle, no per-cycle allocation — plus a reusable word buffer for
-/// bitmap-based merges.
+/// bitmap-based merges, and whatever the policy's merge keeps from one
+/// cycle to the next. One value serves one run: `merge` takes the policy by
+/// `&self`, so a policy object shared by concurrent runs holds none of it.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
     stamp: u64,
     input_stamp: Vec<u64>,
     output_stamp: Vec<u64>,
     words: Vec<u64>,
-    /// Per-shard mirrored publish streams for delta-publishing policies
-    /// (PG) — empty until the policy's merge first uses them.
-    pub mirrors: Vec<OrderMirror>,
-    /// Pooled per-shard stream cursors for K-way merges, so a merge never
-    /// allocates a fresh cursor vector per cycle.
-    pub heads: Vec<usize>,
+    state: Option<Box<dyn Any + Send>>,
 }
 
 impl MergeScratch {
+    /// The merging policy's own per-run state (PG: its mirror of the
+    /// shards' head graphs), default-built on the run's first merge. The
+    /// type is the policy's; `cioq-sim` only owns its lifetime.
+    pub fn state<T: Any + Send + Default>(&mut self) -> &mut T {
+        self.state
+            .get_or_insert_with(|| Box::new(T::default()))
+            .downcast_mut()
+            .expect("one run merges with one policy, so asks for one type")
+    }
+
     /// Start a new merge over `n` inputs and `m` outputs.
     pub fn begin(&mut self, n: usize, m: usize) {
         if self.input_stamp.len() < n {
@@ -2474,7 +2407,7 @@ fn run_cioq_sharded_feed(
                         // over the owned mirror, then swap back — the
                         // workers are parked at the barrier, so the mutex
                         // contents are unobserved in between and end up
-                        // exactly as published (the delta-publish handshake
+                        // exactly as published (the edit-publish handshake
                         // sees nothing).
                         for (cs, m) in coord_sets.iter_mut().zip(&fabric.comms.candidates) {
                             std::mem::swap(cs, &mut *lock(m));
