@@ -47,6 +47,17 @@ fn bench_matching(c: &mut Criterion) {
                 m.pairs.len()
             })
         });
+        // The row scan under the kernel's rescans and under CPG's per-port
+        // argmaxes: every row's champion, all columns free, no filter.
+        if n >= 64 {
+            group.bench_with_input(BenchmarkId::new("row_champion", n), &cells, |b, cells| {
+                b.iter(|| {
+                    (0..n)
+                        .filter_map(|left| cells.row_champion(left, None, |_, _| true))
+                        .fold(0, |sum, (right, _)| sum + right)
+                })
+            });
+        }
         group.bench_with_input(BenchmarkId::new("hopcroft_karp", n), &g, |b, g| {
             b.iter(|| hopcroft_karp(g))
         });

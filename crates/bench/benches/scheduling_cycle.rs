@@ -7,16 +7,22 @@
 //! offered load rather than the port count. 256 and 512 ports additionally
 //! run the **sharded engine** (K = 4): per-row proposal scans with early
 //! exit plus a deterministic merge replace the sequential full-edge greedy
-//! walk, and on multi-core hosts the shards run on real threads.
+//! walk, and on multi-core hosts the shards run on real threads. CPG on a
+//! buffered crossbar (64 and 128 ports) sits beside them: no matching, two
+//! per-port subphases per cycle.
 
 use cioq_core::baselines::{MaxMatching, MaxWeightMatching};
 use cioq_core::params::PG_BETA;
-use cioq_core::{oracle, GmEdgePolicy, GreedyMatching, PreemptiveGreedy, ShardedGm, ShardedPg};
+use cioq_core::{
+    oracle, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching, PreemptiveGreedy, ShardedGm,
+    ShardedPg,
+};
 use cioq_model::SwitchConfig;
 use cioq_sim::{
-    run_cioq, run_cioq_sharded, CioqPolicy, Engine, RunOptions, ShardedOptions, TraceSource,
+    run_cioq, run_cioq_sharded, run_crossbar, CioqPolicy, Engine, RunOptions, ShardedOptions,
+    TraceSource,
 };
-use cioq_traffic::{gen_trace, BernoulliUniform, FullFabricChurn, ValueDist};
+use cioq_traffic::{gen_trace, BernoulliUniform, FullFabricChurn, OnOffBursty, ValueDist};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_cycles(c: &mut Criterion) {
@@ -159,6 +165,27 @@ fn bench_cycles(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("PG-sharded-k4-churn", n), &(), |b, _| {
             b.iter(|| run_cioq_sharded(&cfg, &ShardedPg::new(), &trace, sharded.clone()).unwrap())
+        });
+    }
+    group.finish();
+
+    // --- The buffered crossbar: CPG beside GM and PG ---
+    //
+    // No matching at all: every port decides for itself, twice per cycle,
+    // over candidate sets kept per dirty cell. Bursty on-off arrivals at
+    // speedup 2 (the shape of benchmark row 4), drained to empty.
+    let mut group = c.benchmark_group("scheduling_cycle");
+    for &n in &[64usize, 128] {
+        let slots = 128u64;
+        let cfg = SwitchConfig::crossbar(n, 8, 2, 2);
+        let values = ValueDist::Zipf {
+            max: 32,
+            exponent: 1.0,
+        };
+        let trace = gen_trace(&OnOffBursty::new(0.8, 10.0, values), &cfg, slots, 7);
+        group.throughput(Throughput::Elements(slots));
+        group.bench_with_input(BenchmarkId::new("CPG", n), &(), |b, _| {
+            b.iter(|| run_crossbar(&cfg, &mut CrossbarPreemptiveGreedy::new(), &trace).unwrap())
         });
     }
     group.finish();

@@ -28,7 +28,8 @@ use cioq_sim::{
 /// Both subphases are per-port argmax decisions over row-local (β) /
 /// column-local state, so one object schedules a whole switch as a
 /// [`CrossbarPolicy`], or one shard's band as a [`CrossbarShardWorker`],
-/// with no merge step.
+/// with no merge step. The sets the argmaxes range over are kept per cell
+/// from the engine's change log, so a cycle costs what changed.
 #[derive(Debug)]
 pub struct CrossbarPreemptiveGreedy {
     beta: f64,
@@ -83,24 +84,41 @@ impl CrossbarPreemptiveGreedy {
         self.alpha
     }
 
+    /// Repair the row candidates: `(i, j)` is an edge weighted `v(g_ij)` iff
+    /// `|Q_ij| > 0 ∧ (|C_ij| < B(C_ij) ∨ v(g_ij) > β·v(lc_ij))`.
+    // detlint: hot
+    fn sync_rows(&mut self, view: &impl RowView) {
+        let (lo, beta) = (view.rows().start, self.beta);
+        self.cache.rows.sync(view.dirty_rows(), |line, j| {
+            let (g_ij, c_ij) = (
+                view.voq(lo + line, j).head_value()?,
+                view.xbar(lo + line, j),
+            );
+            let lc_ij = c_ij.tail_value().filter(|_| c_ij.is_full());
+            let in_j = lc_ij.is_none_or(|lc| exceeds_factor(g_ij, beta, lc));
+            in_j.then_some(g_ij)
+        });
+    }
+
+    /// Repair the column candidates: `(j, i)` is an edge weighted
+    /// `v(gc_ij)` iff `|C_ij| > 0`.
+    // detlint: hot
+    fn sync_cols(&mut self, view: &impl ColView) {
+        let lo = view.cols().start;
+        let head = |line, i| view.xbar(i, lo + line).head_value();
+        self.cache.cols.sync(view.dirty_cols(), head);
+    }
+
     /// Input subphase over a band of rows: each input port forwards the
-    /// heaviest head of its set `J`. Only rows with a dirtied `Q_ij` or
-    /// `C_ij` are rescanned.
+    /// heaviest head of its set `J`, ties to the smallest `j`. Only the
+    /// cells with a dirtied `Q_ij` or `C_ij` are re-read, and only rows
+    /// whose set `J` moved retake their argmax.
     // detlint: hot
     fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<InputTransfer>) {
-        self.cache.rows.mark(view.dirty_rows());
-        let (rows, m, beta) = (view.rows(), view.n_outputs(), self.beta);
-        self.cache.rows.refresh(|line| {
-            let i = rows.start + line;
-            argmax((0..m).filter_map(|j| {
-                let (g_ij, c_ij) = (view.voq(i, j).head_value()?, view.xbar(i, j));
-                let lc_ij = c_ij.tail_value().filter(|_| c_ij.is_full());
-                let in_j = lc_ij.is_none_or(|lc| exceeds_factor(g_ij, beta, lc));
-                in_j.then_some((g_ij, j))
-            }))
-        });
-        for (i, best) in rows.zip(&self.cache.rows.best) {
-            if let Some((_, j)) = *best {
+        self.sync_rows(view);
+        self.cache.rows.refresh();
+        for (i, best) in view.rows().zip(&self.cache.rows.best) {
+            if let Some((j, _)) = *best {
                 out.push(InputTransfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
@@ -112,7 +130,8 @@ impl CrossbarPreemptiveGreedy {
     }
 
     /// Output subphase over a band of columns: each output port takes the
-    /// heaviest crosspoint head if it passes the α threshold.
+    /// heaviest crosspoint head, ties to the smallest `i` (re-read per
+    /// dirtied `C_ij`, as the rows are), if it passes the α threshold.
     /// `full_tail(j)` is `Some(v(l_j))` iff the (virtual) `Q_j` is full —
     /// it changes with every transmission and every dispatch, so it is
     /// read fresh, never cached.
@@ -123,14 +142,10 @@ impl CrossbarPreemptiveGreedy {
         full_tail: impl Fn(usize) -> Option<Value>,
         out: &mut Vec<OutputTransfer>,
     ) {
-        self.cache.cols.mark(view.dirty_cols());
-        let (cols, n) = (view.cols(), view.n_inputs());
-        self.cache.cols.refresh(|line| {
-            let j = cols.start + line;
-            argmax((0..n).filter_map(|i| Some((view.xbar(i, j).head_value()?, i))))
-        });
-        for (j, best) in cols.zip(&self.cache.cols.best) {
-            let Some((gc, i)) = *best else { continue };
+        self.sync_cols(view);
+        self.cache.cols.refresh();
+        for (j, best) in view.cols().zip(&self.cache.cols.best) {
+            let Some((i, gc)) = *best else { continue };
             if full_tail(j).is_none_or(|l_j| exceeds_factor(gc, self.alpha, l_j)) {
                 out.push(OutputTransfer {
                     input: PortId::from(i),
@@ -141,15 +156,6 @@ impl CrossbarPreemptiveGreedy {
             }
         }
     }
-}
-
-/// The greatest `(value, index)` candidate by value, ties to the smallest
-/// index (candidates arrive in ascending index order).
-fn argmax(candidates: impl Iterator<Item = (Value, usize)>) -> Option<(Value, usize)> {
-    candidates.fold(None, |best, c| match best {
-        Some((bv, _)) if bv >= c.0 => best,
-        _ => Some(c),
-    })
 }
 
 impl Default for CrossbarPreemptiveGreedy {
@@ -168,17 +174,17 @@ impl CrossbarPolicy for CrossbarPreemptiveGreedy {
     }
 
     // The sequential engine flushes its one change log after each subphase,
-    // so each subphase also consumes the marks of the half it does not read.
+    // so each subphase also syncs the half it does not read.
 
     // detlint: hot
     fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
-        self.cache.cols.mark(view.dirty_cols());
+        self.sync_cols(view);
         self.input_subphase(view, out);
     }
 
     // detlint: hot
     fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
-        self.cache.rows.mark(view.dirty_rows());
+        self.sync_rows(view);
         self.output_subphase(view, |j| output_least(view, j), out);
     }
 }
@@ -235,8 +241,9 @@ impl CrossbarShardWorker for CrossbarPreemptiveGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cioq_model::SwitchConfig;
-    use cioq_sim::{run_crossbar, Trace};
+    use crate::incremental::Dirty;
+    use cioq_model::{PacketId, SwitchConfig};
+    use cioq_sim::{run_crossbar, ChangeLog, SortedQueue, Trace};
 
     #[test]
     fn cpg_moves_heaviest_head_per_input() {
@@ -284,6 +291,90 @@ mod tests {
         let report = run_crossbar(&cfg, &mut CrossbarPreemptiveGreedy::new(), &trace).unwrap();
         assert_eq!(report.benefit.0, 10 + below as u128);
         assert_eq!(report.losses.preempted_crossbar, 0);
+    }
+
+    /// One input row over hand-built queues, reporting exactly the dirty
+    /// cells a test names — crosspoint-only changes with the VOQ unmarked
+    /// included, which no engine run produces on its own.
+    struct OneRow {
+        voqs: Vec<SortedQueue>,
+        xbars: Vec<SortedQueue>,
+        flush: u64,
+        dirty: Vec<usize>,
+    }
+
+    impl RowView for OneRow {
+        fn rows(&self) -> std::ops::Range<usize> {
+            0..1
+        }
+        fn n_outputs(&self) -> usize {
+            self.voqs.len()
+        }
+        fn voq(&self, _: usize, j: usize) -> &SortedQueue {
+            &self.voqs[j]
+        }
+        fn xbar(&self, _: usize, j: usize) -> &SortedQueue {
+            &self.xbars[j]
+        }
+        fn log(&self) -> &ChangeLog {
+            unreachable!("dirty_rows is overridden")
+        }
+        fn dirty_rows(&self) -> Dirty<impl Iterator<Item = (usize, usize)>> {
+            Dirty {
+                band: self.rows(),
+                width: self.n_outputs(),
+                flush: self.flush,
+                cells: self.dirty.iter().map(|&j| (0, j)),
+            }
+        }
+    }
+
+    impl OneRow {
+        /// The row's choice this cycle, after `dirty` crosspoints changed.
+        fn choice(&mut self, cpg: &mut CrossbarPreemptiveGreedy, dirty: &[usize]) -> Option<u16> {
+            self.dirty = dirty.to_vec();
+            let mut out = Vec::new();
+            cpg.input_subphase(self, &mut out);
+            self.flush += 1;
+            out.first().map(|t| t.output.0)
+        }
+    }
+
+    fn queue_of(capacity: usize, values: &[Value]) -> SortedQueue {
+        let mut q = SortedQueue::new(capacity);
+        for (id, &v) in values.iter().enumerate() {
+            q.insert(Packet::new(PacketId(id as u64), v, 0, PortId(0), PortId(0)))
+                .unwrap();
+        }
+        q
+    }
+
+    #[test]
+    fn crosspoint_only_change_moves_the_row_choice() {
+        // β = 2. Q_00 holds a 10, Q_01 a 6, Q_02 a 10; C_00 is full with
+        // tail 4 (10 > 2·4, so 0 ∈ J), C_01 has room, C_02 is full with
+        // tail 5 (10 ≯ 2·5, so 2 ∉ J).
+        let mut cpg = CrossbarPreemptiveGreedy::with_params(2.0, 2.0);
+        let mut row = OneRow {
+            voqs: vec![queue_of(2, &[10]), queue_of(2, &[6]), queue_of(2, &[10])],
+            xbars: vec![queue_of(1, &[4]), queue_of(1, &[]), queue_of(1, &[5])],
+            flush: 0,
+            dirty: Vec::new(),
+        };
+        assert_eq!(row.choice(&mut cpg, &[]), Some(0), "resync: heaviest of J");
+
+        // Only C_00 changes: its tail rises to 5 = v(g_00)/β. The VOQ is
+        // untouched and unmarked, yet 0 must leave J.
+        row.xbars[0] = queue_of(1, &[5]);
+        assert_eq!(row.choice(&mut cpg, &[0]), Some(1), "0 dropped from J");
+        assert_eq!(row.choice(&mut cpg, &[]), Some(1), "a quiet cycle keeps it");
+
+        // And the reverse: C_02 drains, so 2 joins J and ties with nobody;
+        // then C_00's tail falls back and 0 ties 2 on value — smallest wins.
+        row.xbars[2] = queue_of(1, &[]);
+        assert_eq!(row.choice(&mut cpg, &[2]), Some(2), "2 joined J");
+        row.xbars[0] = queue_of(1, &[4]);
+        assert_eq!(row.choice(&mut cpg, &[0]), Some(0), "tie to the smallest j");
     }
 
     #[test]

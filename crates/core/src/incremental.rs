@@ -33,11 +33,13 @@
 //!
 //! ## Cell-locality
 //!
-//! Cached state is strictly *cell-local* (VOQ heads, crossbar fullness):
-//! eligibility rules that involve output queues (fullness, the β/α
-//! preemption thresholds) are re-evaluated each cycle in O(N) and applied
-//! as filters at match time, so an output queue changing never invalidates
-//! a whole column of cached cells.
+//! Cached state is strictly *cell-local*: VOQ heads, crossbar fullness,
+//! and CPG's β rule, which reads only `Q_ij` and `C_ij` and is therefore
+//! cached per cell as a candidate edge. Eligibility rules that involve
+//! output queues (fullness, PG's β and CPG's α preemption thresholds) are
+//! re-evaluated each cycle in O(N) and applied as filters at match time,
+//! so an output queue changing never invalidates a whole column of cached
+//! cells.
 
 use cioq_matching::IncrementalGraph;
 use cioq_model::{PortId, Value};
@@ -108,10 +110,10 @@ pub(crate) trait ColView {
 /// behind it, and the `(band-local line, global index along it)` of every
 /// cell dirtied since the previous flush.
 pub(crate) struct Dirty<I> {
-    band: Range<usize>,
-    width: usize,
-    flush: u64,
-    cells: I,
+    pub(crate) band: Range<usize>,
+    pub(crate) width: usize,
+    pub(crate) flush: u64,
+    pub(crate) cells: I,
 }
 
 impl RowView for SwitchView<'_> {
@@ -444,52 +446,89 @@ pub(crate) struct CguCache {
     pub(crate) cols: MaskHalf,
 }
 
-/// One half of [`CpgCache`]: a cached argmax `(value, partner index)` per
-/// line of a band, recomputed only for lines a dirty cell made stale.
+/// One half of [`CpgCache`]: the *candidates* of every line of a band as a
+/// dense graph — edge `(line, k)` weighted by the candidate's value, kept
+/// in step per dirty cell — and each line's cached argmax over them.
 #[derive(Debug, Default)]
 pub(crate) struct ArgmaxHalf {
-    pub(crate) best: Vec<Option<(Value, usize)>>,
+    candidates: IncrementalGraph,
+    /// Per line, its heaviest candidate as `(index along the line, value)`,
+    /// ties to the smallest index; current once [`ArgmaxHalf::refresh`] ran.
+    pub(crate) best: Vec<Option<(usize, Value)>>,
+    /// Lines with a candidate edge changed since their `best` was taken.
     stale: Vec<bool>,
     shake: Handshake,
 }
 
 impl ArgmaxHalf {
-    /// Consume one flush: mark the lines with a dirty cell stale — or, on a
-    /// resync, every line.
+    /// Consume one flush: re-evaluate `candidate(line, k)` (band-local line,
+    /// global index `k` along it; `Some(value)` iff the cell is a
+    /// candidate) for the dirty cells — or, on a resync, for every cell of
+    /// the band — and mark stale the lines whose candidates moved.
     // detlint: hot
-    pub(crate) fn mark(&mut self, dirty: Dirty<impl Iterator<Item = (usize, usize)>>) {
-        let lines = dirty.band.len();
+    pub(crate) fn sync(
+        &mut self,
+        dirty: Dirty<impl Iterator<Item = (usize, usize)>>,
+        candidate: impl Fn(usize, usize) -> Option<Value>,
+    ) {
+        let (lines, width) = (dirty.band.len(), dirty.width);
         if self.shake.step(&dirty.band, dirty.width, dirty.flush) {
-            for (line, _) in dirty.cells {
-                self.stale[line] = true;
+            for (line, k) in dirty.cells {
+                self.refresh_cell(line, k, candidate(line, k));
             }
         } else {
+            self.candidates.reset(lines, width);
             self.best.clear();
             self.best.resize(lines, None);
             self.stale.clear();
-            self.stale.resize(lines, true);
+            self.stale.resize(lines, false);
+            for line in 0..lines {
+                for k in 0..width {
+                    self.refresh_cell(line, k, candidate(line, k));
+                }
+            }
         }
     }
 
-    /// Recompute the stale lines with `argmax(line)` and clear their
-    /// staleness; the argmax of an untouched line cannot have changed.
+    /// Bring edge `(line, k)` to `value`; the line goes stale only if the
+    /// edge moved (a dirty queue often leaves its candidate as it was).
     // detlint: hot
-    pub(crate) fn refresh(&mut self, mut argmax: impl FnMut(usize) -> Option<(Value, usize)>) {
+    #[inline]
+    fn refresh_cell(&mut self, line: usize, k: usize, value: Option<Value>) {
+        if value == self.candidates.weight(line, k) {
+            return;
+        }
+        match value {
+            Some(v) => self.candidates.set_edge(line, k, v),
+            None => self.candidates.clear_edge(line, k),
+        }
+        self.stale[line] = true;
+    }
+
+    /// Retake the argmax of every stale line — one scan over its set edges
+    /// — and clear its staleness; the argmax of a line whose candidates
+    /// did not move cannot have changed.
+    // detlint: hot
+    pub(crate) fn refresh(&mut self) {
         for (line, stale) in self.stale.iter_mut().enumerate() {
             if std::mem::take(stale) {
-                self.best[line] = argmax(line);
+                self.best[line] = self.candidates.row_champion(line, None, |_, _| true);
             }
         }
     }
 }
 
-/// CPG's cached per-row / per-column argmax candidates. `rows.best[i]` is
-/// the input-subphase choice for input `i`; its inputs (`Q_ij` heads, `C_ij`
-/// fullness/tails, β) are all row-local, so it goes stale only when a cell
-/// of row `i` is dirtied ([`RowView::dirty_rows`]). `cols.best[j]` is the
-/// output-subphase candidate and is column-local likewise
-/// ([`ColView::dirty_cols`]). The output-side α threshold is *not*
-/// cached; the policy evaluates it fresh per output each cycle.
+/// CPG's per-cell candidate graphs and per-port choices. The row half
+/// holds edge `(i, j)` weighted `v(g_ij)` iff `j` is in input `i`'s set `J`
+/// (`|Q_ij| > 0 ∧ (|C_ij| < B(C_ij) ∨ v(g_ij) > β·v(lc_ij))` — the β rule
+/// reads `Q_ij` and `C_ij` only, so it is decided per cell) and syncs from
+/// [`RowView::dirty_rows`]; `rows.best[i]` is the input-subphase choice of
+/// input `i`. The column half holds the transposed edge `(j, i)` weighted
+/// `v(gc_ij)` iff `C_ij` is non-empty (so a per-output scan is one
+/// contiguous line) and syncs from [`ColView::dirty_cols`]; `cols.best[j]`
+/// is the output-subphase candidate of output `j`. The rules themselves
+/// live with the policy, and the output-side α threshold is *not* cached:
+/// the policy evaluates it fresh per output each cycle.
 #[derive(Debug, Default)]
 pub(crate) struct CpgCache {
     pub(crate) rows: ArgmaxHalf,

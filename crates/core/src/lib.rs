@@ -31,7 +31,9 @@
 //! its weighted greedy is [`cioq_matching::greedy_weighted_rows_into`] over
 //! the head graph, sequential and sharded alike — shard workers publish the
 //! cells whose edge changed and the merge runs that kernel over the
-//! coordinator's mirror of the graph.
+//! coordinator's mirror of the graph. CPG matches nothing, but its per-port
+//! argmaxes range over the same kind of graph: the candidates of each row
+//! and column, one edge per cell, repaired per dirty cell.
 //! The from-scratch algorithms live on as the [`oracle`] — paper-direct,
 //! cache-free, unpooled — and property tests prove policy and oracle make
 //! identical decisions cycle by cycle.

@@ -151,12 +151,12 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.residual_value, b.residual_value, "{what}: residual value");
 }
 
-fn trace_from(n: usize, arrivals: &[(u8, u8, u8, u64)]) -> Trace {
+fn trace_from(n_inputs: usize, n_outputs: usize, arrivals: &[(u8, u8, u8, u64)]) -> Trace {
     Trace::from_tuples(arrivals.iter().map(|&(t, i, j, v)| {
         (
             t as u64,
-            PortId((i as usize % n) as u16),
-            PortId((j as usize % n) as u16),
+            PortId((i as usize % n_inputs) as u16),
+            PortId((j as usize % n_outputs) as u16),
             v,
         )
     }))
@@ -242,7 +242,7 @@ proptest! {
             .output_capacity(out_cap)
             .build()
             .unwrap();
-        let trace = trace_from(n, &arrivals);
+        let trace = trace_from(n, n, &arrivals);
         // Fresh policy instances for the solo runs: the lockstep pair keeps
         // internal state (round-robin pointers) from the joint run.
         for ((primary, reference), (mut fresh_inc, mut fresh_ref)) in
@@ -264,27 +264,35 @@ proptest! {
     }
 
     /// The same guarantee for the buffered-crossbar policies, covering
-    /// both subphases and the crossbar change tracking.
+    /// both subphases and the crossbar change tracking. Inputs and outputs
+    /// are drawn independently — the column-side caches are transposed, so
+    /// a square switch cannot tell N from M — and every eighth case is a
+    /// wide one, 3 × 70 or 70 × 3, whose cache lines straddle bitset words.
     #[test]
     fn crossbar_incremental_equals_rescan(
-        n in 1usize..5,
+        shape in (1usize..5, 1usize..5, 0usize..16),
         speedup in 1u32..3,
         in_cap in 1usize..4,
         out_cap in 1usize..3,
         xbar_cap in 1usize..3,
         arrivals in prop::collection::vec(
-            (0u8..10, 0u8..5, 0u8..5, 1u64..64),
+            (0u8..10, 0u8..70, 0u8..70, 1u64..64),
             0..100,
         ),
     ) {
-        let cfg = SwitchConfig::builder(n, n)
+        let (n_inputs, n_outputs) = match shape {
+            (_, _, 0) => (3, 70),
+            (_, _, 1) => (70, 3),
+            (n, m, _) => (n, m),
+        };
+        let cfg = SwitchConfig::builder(n_inputs, n_outputs)
             .speedup(speedup)
             .input_capacity(in_cap)
             .output_capacity(out_cap)
             .crossbar_capacity(xbar_cap)
             .build()
             .unwrap();
-        let trace = trace_from(n, &arrivals);
+        let trace = trace_from(n_inputs, n_outputs, &arrivals);
         for ((primary, reference), (mut fresh_inc, mut fresh_ref)) in
             crossbar_pairs().into_iter().zip(crossbar_pairs())
         {

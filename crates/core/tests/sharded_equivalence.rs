@@ -462,9 +462,9 @@ fn full_fabric_churn_equivalence() {
     );
 }
 
-/// Bursty on-off traffic on an asymmetric switch: shards get uneven,
-/// non-square bands (N ≠ M exercises the independent input/output
-/// partitions).
+/// Bursty on-off traffic on asymmetric switches, CIOQ and crossbar: shards
+/// get uneven, non-square bands (N ≠ M exercises the independent
+/// input/output partitions).
 #[test]
 fn asymmetric_bursty_equivalence() {
     let cfg = SwitchConfig::builder(9, 5)
@@ -493,6 +493,29 @@ fn asymmetric_bursty_equivalence() {
         || Box::new(PreemptiveGreedy::new()),
         &ShardedPg::new(),
         &trace,
+    );
+
+    // The crossbar policies' column-side caches are transposed (an output's
+    // line runs over the N inputs): N ≠ M tells the two widths apart.
+    let xcfg = SwitchConfig::builder(9, 5)
+        .speedup(2)
+        .input_capacity(3)
+        .output_capacity(2)
+        .crossbar_capacity(2)
+        .build()
+        .unwrap();
+    let xtrace = gen.generate(&xcfg, 64, 0xA6);
+    check_crossbar(
+        &xcfg,
+        || Box::new(CrossbarGreedyUnit::new()),
+        &ShardedCgu::new(),
+        &xtrace,
+    );
+    check_crossbar(
+        &xcfg,
+        || Box::new(CrossbarPreemptiveGreedy::new()),
+        &ShardedCpg::new(),
+        &xtrace,
     );
 }
 

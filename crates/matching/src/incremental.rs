@@ -10,7 +10,10 @@
 //! * [`IncrementalGraph`] — a dense (bitset + weight array) edge store over
 //!   the `n_left × n_right` cell grid with O(1) [`IncrementalGraph::set_edge`]
 //!   / [`IncrementalGraph::clear_edge`], iterated in lexicographic `(i, j)`
-//!   order — exactly the insertion order of the from-scratch builders.
+//!   order — exactly the insertion order of the from-scratch builders —
+//!   and one row scan, [`IncrementalGraph::row_champion`] (a row's heaviest
+//!   admitted edge): the weighted greedy's rescans and CPG's per-port
+//!   argmaxes both run it.
 //! * [`greedy_maximal_cells`] — greedy maximal matching over an
 //!   [`IncrementalGraph`] with a per-edge eligibility filter, reproducing
 //!   [`greedy_maximal_with`](crate::greedy_maximal_with) bit-for-bit for
@@ -239,28 +242,41 @@ impl IncrementalGraph {
         keys.extend(best.map(|(w, right)| champion_key(w, left, right)));
     }
 
-    /// Row `left`'s champion among the columns set in `free` only.
+    /// Row `left`'s *champion* as `(right, weight)`: its heaviest edge that
+    /// `edge_ok(right, weight)` admits, ties to the smallest column —
+    /// among the columns set in the word-aligned bitmap `free` (bit `b` of
+    /// `free[k]` ⇔ column `k·64 + b`, at least `n_right.div_ceil(64)`
+    /// words), or among all of them with `None`.
+    ///
+    /// One bit-scan over the row's set edges and its contiguous weights:
+    /// an empty stretch costs a word test per 64 columns, and with `None`
+    /// and an always-true `edge_ok` nothing but the edges is looked at.
+    /// `edge_ok` is asked only about edges heavier than the best so far.
+    // detlint: hot
     #[inline]
-    fn row_champion(
+    pub fn row_champion(
         &self,
         left: usize,
-        free: &[u64],
-        edge_ok: &mut impl FnMut(usize, usize, Value) -> bool,
-    ) -> Option<u128> {
+        free: Option<&[u64]>,
+        mut edge_ok: impl FnMut(usize, Value) -> bool,
+    ) -> Option<(usize, Value)> {
         let weights = &self.weights[left * self.n_right..(left + 1) * self.n_right];
-        let mut best: Option<(Value, usize)> = None;
-        for (k, &free_word) in free.iter().enumerate() {
-            let mut bits = self.row_word(left, k) & free_word;
+        let mut best: Option<(usize, Value)> = None;
+        for k in 0..self.n_right.div_ceil(64) {
+            let mut bits = self.row_word(left, k);
+            if let Some(free) = free {
+                bits &= free[k];
+            }
             while bits != 0 {
                 let right = k * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let w = weights[right];
-                if best.is_none_or(|(heaviest, _)| w > heaviest) && edge_ok(left, right, w) {
-                    best = Some((w, right));
+                if best.is_none_or(|(_, heaviest)| w > heaviest) && edge_ok(right, w) {
+                    best = Some((right, w));
                 }
             }
         }
-        best.map(|(w, right)| champion_key(w, left, right))
+        best
     }
 
     /// Visit every edge in lexicographic `(left, right)` order.
@@ -562,7 +578,10 @@ pub fn greedy_weighted_rows_into(
             if m.pairs.len() == cap {
                 break;
             }
-        } else if let Some(next) = g.row_champion(left, free_right, &mut edge_ok) {
+        } else if let Some((right, w)) =
+            g.row_champion(left, Some(free_right), |right, w| edge_ok(left, right, w))
+        {
+            let next = champion_key(w, left, right);
             debug_assert!(next < key, "a rescan can only lower a row's key");
             let at = keyed.partition_point(|&k| k < next);
             keyed.insert(at, next);
@@ -646,6 +665,43 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "row {row}");
         }
+    }
+
+    #[test]
+    fn row_champion_scans_unaligned_rows() {
+        // m = 70: rows 1 and 2 start mid-word and straddle two words.
+        let mut g = IncrementalGraph::new(3, 70);
+        for (r, w) in [(3, 5), (40, 9), (66, 9), (69, 7)] {
+            g.set_edge(1, r, w);
+        }
+        g.set_edge(2, 0, 4);
+        let all = |_: usize, _: Value| true;
+        assert_eq!(g.row_champion(0, None, all), None, "empty row");
+        assert_eq!(
+            g.row_champion(1, None, all),
+            Some((40, 9)),
+            "tie to the smallest column, across the word boundary"
+        );
+        assert_eq!(
+            g.row_champion(2, None, all),
+            Some((0, 4)),
+            "rows do not leak"
+        );
+
+        // Only columns 3, 66 and 69 free.
+        let free = [1u64 << 3, (1 << (66 - 64)) | (1 << (69 - 64))];
+        assert_eq!(g.row_champion(1, Some(&free), all), Some((66, 9)));
+        assert_eq!(g.row_champion(1, Some(&[0, 0]), all), None);
+        assert_eq!(g.row_champion(2, Some(&free), all), None);
+
+        // The filter sees (column, weight), on top of the mask.
+        assert_eq!(g.row_champion(1, None, |r, _| r != 40), Some((66, 9)));
+        assert_eq!(g.row_champion(1, None, |_, w| w < 9), Some((69, 7)));
+        assert_eq!(
+            g.row_champion(1, Some(&free), |r, _| r != 66),
+            Some((69, 7))
+        );
+        assert_eq!(g.row_champion(1, None, |_, _| false), None);
     }
 
     #[test]

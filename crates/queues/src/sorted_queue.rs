@@ -15,35 +15,14 @@ use cioq_model::{Packet, PacketId, Value};
 /// never reallocates after that). Large fabrics hold N² queues of which
 /// sparse traffic touches a fraction, so construction of a 512-port switch
 /// stays cheap.
-///
-/// Every successful mutation bumps a monotone **modification epoch**
-/// ([`SortedQueue::epoch`]), so incremental schedulers can detect "did this
-/// queue change since I last looked?" with one integer compare instead of
-/// re-reading the contents.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortedQueue {
     /// Sorted packets, index 0 = head = greatest value.
     /// snapshot: serialized — stored order is the canonical wire order.
     items: Vec<Packet>,
     /// snapshot: serialized — part of the switch geometry.
     capacity: usize,
-    /// Count of successful mutations since construction.
-    /// snapshot: transient — bookkeeping for incremental schedulers, not
-    /// state (content equality deliberately ignores it); a restored
-    /// queue restarts at 0 and fresh policies resync from contents.
-    epoch: u64,
 }
-
-/// Equality is over contents and capacity only: two queues that hold the
-/// same packets compare equal even if they took different mutation paths
-/// (the epoch is bookkeeping, not state).
-impl PartialEq for SortedQueue {
-    fn eq(&self, other: &Self) -> bool {
-        self.items == other.items && self.capacity == other.capacity
-    }
-}
-
-impl Eq for SortedQueue {}
 
 impl SortedQueue {
     /// Create an empty queue with capacity `B ≥ 1`. Does not allocate; the
@@ -58,7 +37,6 @@ impl SortedQueue {
         SortedQueue {
             items: Vec::new(),
             capacity,
-            epoch: 0,
         }
     }
 
@@ -66,14 +44,6 @@ impl SortedQueue {
     #[inline]
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Monotone modification epoch: incremented by every successful
-    /// `insert` / `pop_head` / `pop_tail` / `remove` / non-empty
-    /// `drain_all`. Unchanged epoch ⇒ unchanged contents.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of packets currently stored, `|Q(t)|`.
@@ -153,7 +123,6 @@ impl SortedQueue {
             .items
             .partition_point(|q| q.queue_key() <= p.queue_key());
         self.items.insert(pos, p);
-        self.epoch += 1;
         Ok(())
     }
 
@@ -162,7 +131,6 @@ impl SortedQueue {
         if self.items.is_empty() {
             None
         } else {
-            self.epoch += 1;
             Some(self.items.remove(0))
         }
     }
@@ -171,17 +139,12 @@ impl SortedQueue {
     /// victim `l` in PG/CPG ("if p is accepted while the queue is full,
     /// l is preempted").
     pub fn pop_tail(&mut self) -> Option<Packet> {
-        let p = self.items.pop();
-        if p.is_some() {
-            self.epoch += 1;
-        }
-        p
+        self.items.pop()
     }
 
     /// Remove a specific packet by id. O(B).
     pub fn remove(&mut self, id: PacketId) -> Option<Packet> {
         let pos = self.items.iter().position(|p| p.id == id)?;
-        self.epoch += 1;
         Some(self.items.remove(pos))
     }
 
@@ -204,9 +167,6 @@ impl SortedQueue {
     /// Drain all packets (used when tearing down a run to account for
     /// residual buffered value).
     pub fn drain_all(&mut self) -> Vec<Packet> {
-        if !self.items.is_empty() {
-            self.epoch += 1;
-        }
         std::mem::take(&mut self.items)
     }
 }
@@ -286,32 +246,6 @@ mod tests {
         assert_eq!(q.remove(PacketId(2)), None);
         assert_eq!(q.len(), 2);
         assert!(q.check_invariants());
-    }
-
-    #[test]
-    fn epoch_counts_only_successful_mutations() {
-        let mut q = SortedQueue::new(2);
-        assert_eq!(q.epoch(), 0);
-        assert!(q.pop_head().is_none());
-        assert!(q.pop_tail().is_none());
-        assert!(q.remove(PacketId(9)).is_none());
-        assert!(q.drain_all().is_empty());
-        assert_eq!(q.epoch(), 0, "failed ops leave the epoch unchanged");
-
-        q.insert(mk(0, 3)).unwrap();
-        q.insert(mk(1, 7)).unwrap();
-        assert_eq!(q.epoch(), 2);
-        let _ = q.insert(mk(2, 9)).unwrap_err();
-        assert_eq!(q.epoch(), 2, "rejected insert leaves the epoch unchanged");
-        q.pop_head().unwrap();
-        q.pop_tail().unwrap();
-        assert_eq!(q.epoch(), 4);
-
-        // Epochs are bookkeeping: content-equal queues compare equal.
-        let mut other = SortedQueue::new(2);
-        assert_ne!(q.epoch(), other.epoch());
-        other.drain_all();
-        assert_eq!(q, other);
     }
 
     #[test]
