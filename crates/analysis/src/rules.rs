@@ -32,6 +32,12 @@ const D2_EXEMPT: &[&str] = &["crates/bench/"];
 /// depth-independent and trace-identical by the streaming parity suite).
 const D3_EXEMPT: &[&str] = &["crates/sim/src/shard.rs", "crates/sim/src/stream.rs"];
 
+/// The hand-off modules whose every atomic access must say which access
+/// it pairs with (D4b): the phase barrier and the stream channel share
+/// one spin-then-park protocol whose lock-free half is exactly these
+/// orderings.
+const D4B_SCOPE: &[&str] = &["sync.rs", "crates/sim/src/stream.rs"];
+
 /// Engine slot-loop modules where every `unwrap()` must be allowlisted
 /// (D5); `expect("invariant message")` documents itself and is exempt.
 const D5_SCOPE: &[&str] = &["crates/sim/src/engine.rs", "crates/sim/src/shard.rs"];
@@ -140,7 +146,7 @@ pub fn scan_file(path: &str, lx: &Lexed, mask: &[bool]) -> Vec<Finding> {
     let d1 = in_scope(path, D1_SCOPE);
     let d2 = !in_scope(path, D2_EXEMPT);
     let d3 = !in_scope(path, D3_EXEMPT);
-    let d4b = path.ends_with("sync.rs");
+    let d4b = D4B_SCOPE.iter().any(|p| path.ends_with(p));
     let d5 = D5_SCOPE.contains(&path);
 
     for i in 0..toks.len() {
@@ -246,7 +252,8 @@ pub fn scan_file(path: &str, lx: &Lexed, mask: &[bool]) -> Vec<Finding> {
             );
         }
 
-        // D4b: atomic Ordering in sync.rs without an ORDERING comment.
+        // D4b: atomic Ordering in a hand-off module without an ORDERING
+        // comment.
         if d4b
             && id == "Ordering"
             && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
@@ -260,7 +267,7 @@ pub fn scan_file(path: &str, lx: &Lexed, mask: &[bool]) -> Vec<Finding> {
                         "D4",
                         path,
                         line,
-                        format!("atomic `Ordering::{ord}` in sync.rs without a `// ORDERING:` justification"),
+                        format!("atomic `Ordering::{ord}` in a hand-off module without a `// ORDERING:` justification"),
                     );
                 }
             }

@@ -137,6 +137,13 @@ fn d4_ordering_in_sync_without_comment_fires() {
 }
 
 #[test]
+fn d4_ordering_in_stream_without_comment_fires() {
+    let src = "fn f(a: &std::sync::atomic::AtomicBool) -> bool { a.load(Ordering::Acquire) }\n";
+    let rules = rules_at("crates/sim/src/stream.rs", src);
+    assert!(rules.contains(&"D4"));
+}
+
+#[test]
 fn d4_ordering_with_comment_is_clean() {
     let src = "fn f(a: &std::sync::atomic::AtomicU64) -> u64 {\n    // ORDERING: Acquire pairs with the Release store in bump().\n    a.load(Ordering::Acquire)\n}\n";
     assert!(rules_at("crates/sim/src/sync.rs", src).is_empty());

@@ -31,6 +31,14 @@
 //! count; spawning it costs the same in both runs and cancels like every
 //! other set-up cost.
 //!
+//! One service cell runs `serve_cioq` (GM, channel depth 4) fed by a
+//! `send_reusing` producer thread: `stream.rs` promises that steady-state
+//! streaming neither allocates nor frees — the channel's `depth + 1` batch
+//! buffers circulate — and this cell holds it to that. The producer
+//! outruns the engine by an order of magnitude, so the channel fills (and
+//! every buffer exists, at full size) within the first few slots of both
+//! runs. 16 ports under `--quick`, 128 otherwise.
+//!
 //! Checkpoint encoding is *exempt* from the zero target (serialising a
 //! snapshot owns its buffers by design) but still counted: a second
 //! differential pass per engine re-runs the GM/immediate-fabric cell with a
@@ -58,8 +66,8 @@ mod census {
     };
     use cioq_model::{SwitchConfig, Topology};
     use cioq_sim::{
-        run_cioq_sharded, run_crossbar_sharded, CioqShardPolicy, CrossbarShardPolicy, Engine,
-        ExecMode, FabricSpec, FaultPlan, RunOptions, ShardedOptions, Trace, TraceSource,
+        run_cioq_sharded, run_crossbar_sharded, serve_cioq, CioqShardPolicy, CrossbarShardPolicy,
+        Engine, ExecMode, FabricSpec, FaultPlan, RunOptions, ShardedOptions, Trace, TraceSource,
     };
     use cioq_traffic::{gen_trace, FullFabricChurn, ValueDist};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -254,6 +262,41 @@ mod census {
         })
     }
 
+    /// Channel depth of the streamed service cell.
+    const SERVICE_DEPTH: usize = 4;
+
+    /// The service path: the engine asks the stream each slot whether the
+    /// arrival window is still open (no slot budget), a feeder thread
+    /// pushes the trace's first `slots` slots with `send_reusing`, and the
+    /// run drains once the stream closes. The drain is what lets the two
+    /// runs cancel: `serve_cioq` returns a clone of the final state, which
+    /// allocates once per non-empty queue, and only a drained switch has
+    /// the same number of those at either horizon.
+    fn served_cioq(cfg: &SwitchConfig, trace: &Trace) -> (f64, u64) {
+        steady(|slots| {
+            let options = RunOptions {
+                slots: None,
+                drain: true,
+                ..run_options(slots, &FabricSpec::default(), None)
+            };
+            let feed = trace.packets().to_vec();
+            let produce = move |tx: cioq_sim::StreamSender| {
+                let (mut rest, mut batch) = (&feed[..], Vec::new());
+                for slot in 0..slots {
+                    let due = rest.partition_point(|p| p.arrival <= slot);
+                    batch.extend_from_slice(&rest[..due]);
+                    rest = &rest[due..];
+                    if tx.send_reusing(slot, &mut batch).is_err() {
+                        return;
+                    }
+                }
+            };
+            let mut policy = GreedyMatching::new();
+            serve_cioq(cfg.clone(), options, &mut policy, SERVICE_DEPTH, produce)
+                .expect("census run");
+        })
+    }
+
     pub(super) fn main() {
         let quick = std::env::args().any(|a| a == "--quick");
         let n: usize = if quick { 32 } else { 128 };
@@ -388,6 +431,20 @@ mod census {
                 raw,
             });
         }
+
+        // Streamed service cell: the stream hop's buffer ring must be as
+        // allocation-free as the slot loop it feeds.
+        let svc_n: usize = if quick { 16 } else { n };
+        let svc_cfg = SwitchConfig::cioq(svc_n, 8, 2);
+        let svc_trace = gen_trace(&churn_unit, &svc_cfg, n2(), seed);
+        let (steady_svc, raw_svc) = served_cioq(&svc_cfg, &svc_trace);
+        rows.push(Row {
+            policy: "gm",
+            engine: format!("serve-d{SERVICE_DEPTH}-{svc_n}p"),
+            fabric: "immediate",
+            steady: steady_svc,
+            raw: raw_svc,
+        });
 
         // Checkpoint pass (exempt from the zero target, reported): the
         // differential run with a checkpoint cadence minus the fault-free

@@ -21,6 +21,37 @@
 //! how often the producer stalled. Stall counters are diagnostics only:
 //! they never enter reports or snapshots.
 //!
+//! ### Wake rule
+//!
+//! The hand-off follows the rule stated in `sync.rs`: spin for the
+//! measured budget, park only after it, wake only a registered sleeper.
+//!
+//! * **Who spins.** A producer that found the buffer full spins on a
+//!   lock-free mirror of the buffered-batch count; a consumer that wants a
+//!   batch spins on the same mirror. Either spin also ends on the hang-up
+//!   mirror (the other side was dropped). The mirrors are hints: every
+//!   decision is re-made under the channel lock. On a one-core host
+//!   (`available_parallelism()` read once when the channel opens) the
+//!   other side cannot run while this one spins, so the spin is skipped
+//!   and the waiter parks at once.
+//! * **Who registers.** A thread about to wait on a condvar — the
+//!   producer on `space`; the consumer and
+//!   [`StreamingSource::wait_backpressure`] observers on `data` — first
+//!   increments that condvar's parked count in the channel state, under
+//!   the lock, and decrements it when it wakes.
+//! * **Who notifies.** Whoever changes what a sleeper waits for — a send
+//!   (batch buffered, stall counted), a pull (space freed), either `Drop`
+//!   (hang-up) — makes the change and reads the parked count in the same
+//!   critical section, and calls `notify_all` only when it is non-zero.
+//! * **Why a notify cannot be missed.** Registration, the sleeper's last
+//!   check and the condvar's release of the lock are one atomic step with
+//!   respect to that lock. A notifier's critical section therefore runs
+//!   either before it (the sleeper's check sees the change and it does
+//!   not wait) or after it (the notifier reads a non-zero count and wakes
+//!   a thread already queued on the condvar). A spinner is never
+//!   registered and needs no wake: it re-checks under the lock before it
+//!   may park.
+//!
 //! ## Cursor and restore
 //!
 //! The consumer cursor is `(next slot, packets consumed)`. At a checkpoint
@@ -42,10 +73,12 @@
 
 use crate::source::ArrivalSource;
 use crate::state::SwitchView;
+use crate::sync::{park, spin_until, wake};
 use crate::trace::{Trace, TraceReader};
 use cioq_model::{Packet, SlotId};
 use std::collections::VecDeque;
 use std::io::BufRead;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -102,6 +135,11 @@ struct ChannelState {
     /// buffers circulate, so a steady-state producer/consumer pair stops
     /// allocating once every buffer has grown to its high-water capacity.
     recycled: Vec<Vec<Packet>>,
+    /// Threads parked on [`Channel::space`] right now (see the module
+    /// docs' wake rule): whoever frees space notifies only when non-zero.
+    space_parked: usize,
+    /// Threads parked on [`Channel::data`] right now.
+    data_parked: usize,
 }
 
 struct Channel {
@@ -112,6 +150,16 @@ struct Channel {
     /// close, or a stall.
     data: Condvar,
     depth: usize,
+    /// Lock-free mirror of `batches.len()`, stored under the lock after
+    /// every push and pop. A spin hint only — decisions are re-made under
+    /// the lock.
+    buffered: AtomicUsize,
+    /// Lock-free mirror of `closed || receiver_gone`: the other side hung
+    /// up, so a spinner must stop waiting for it.
+    hung_up: AtomicBool,
+    /// More than one core: the other side can make progress while this
+    /// one spins. Read once, as `ShardedOptions::parties()` does.
+    spin: bool,
 }
 
 impl Channel {
@@ -119,6 +167,38 @@ impl Channel {
         // A panicking holder leaves consistent state (all updates are
         // single assignments), so poisoning is not propagated.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Spin (multi-core hosts only) until `ready` holds of the buffered
+    /// count or the other side hangs up; the caller re-checks under the
+    /// lock either way.
+    fn spin_for(&self, ready: impl Fn(usize) -> bool) {
+        if self.spin {
+            spin_until(|| {
+                // ORDERING: Acquire pairs with the Release stores made
+                // under the lock in `set_buffered` and the two `Drop`s; a
+                // stale read only costs spin rounds, the lock decides.
+                ready(self.buffered.load(Ordering::Acquire)) || self.hung_up.load(Ordering::Acquire)
+            });
+        }
+    }
+
+    /// Publish the buffered-batch count after a push or pop.
+    fn set_buffered(&self, st: &ChannelState) {
+        // ORDERING: Release pairs with the spinners' Acquire load in
+        // `spin_for`.
+        self.buffered.store(st.batches.len(), Ordering::Release);
+    }
+
+    /// Consumer side: wait — spinning, then parked and registered — until
+    /// a batch is buffered or the producer closed the stream.
+    fn wait_data(&self) -> MutexGuard<'_, ChannelState> {
+        self.spin_for(|buffered| buffered > 0);
+        let mut st = self.lock();
+        while st.batches.is_empty() && !st.closed {
+            st = park(&self.data, st, |st| &mut st.data_parked);
+        }
+        st
     }
 }
 
@@ -155,12 +235,8 @@ impl StreamSender {
         slot: SlotId,
         packets: &mut Vec<Packet>,
     ) -> Result<(), StreamClosed> {
-        let mut st = self.chan.lock();
-        assert!(
-            slot >= st.next_push,
-            "invariant violated: stream producer pushed slot {slot} after slot {}",
-            st.next_push
-        );
+        // Validate the batch before taking the lock: the consumer must
+        // not wait out a scan of the producer's packets.
         for p in packets.iter() {
             assert!(
                 p.arrival == slot,
@@ -169,14 +245,22 @@ impl StreamSender {
                 p.arrival
             );
         }
-        let mut counted = false;
-        while st.batches.len() >= self.chan.depth && !st.receiver_gone {
-            if !counted {
-                st.stalls += 1;
-                counted = true;
-                self.chan.data.notify_all();
+        let chan = &*self.chan;
+        let mut st = chan.lock();
+        assert!(
+            slot >= st.next_push,
+            "invariant violated: stream producer pushed slot {slot} after slot {}",
+            st.next_push
+        );
+        if st.batches.len() >= chan.depth && !st.receiver_gone {
+            st.stalls += 1;
+            wake(&chan.data, st.data_parked);
+            drop(st);
+            chan.spin_for(|buffered| buffered < chan.depth);
+            st = chan.lock();
+            while st.batches.len() >= chan.depth && !st.receiver_gone {
+                st = park(&chan.space, st, |st| &mut st.space_parked);
             }
-            st = self.chan.space.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         if st.receiver_gone {
             return Err(StreamClosed);
@@ -186,7 +270,8 @@ impl StreamSender {
             let replacement = st.recycled.pop().unwrap_or_default();
             st.batches
                 .push_back((slot, std::mem::replace(packets, replacement)));
-            self.chan.data.notify_all();
+            chan.set_buffered(&st);
+            wake(&chan.data, st.data_parked);
         }
         Ok(())
     }
@@ -201,7 +286,10 @@ impl Drop for StreamSender {
     fn drop(&mut self) {
         let mut st = self.chan.lock();
         st.closed = true;
-        self.chan.data.notify_all();
+        // ORDERING: Release pairs with the consumer's Acquire load in
+        // `spin_for`, ending its spin for a batch that will never come.
+        self.chan.hung_up.store(true, Ordering::Release);
+        wake(&self.chan.data, st.data_parked);
     }
 }
 
@@ -233,34 +321,28 @@ impl StreamingSource {
              (asked for slot {slot}, cursor sits at slot {})",
             self.next_slot
         );
-        let mut st = self.chan.lock();
-        loop {
-            match st.batches.front() {
-                Some(&(s, _)) if s <= slot => {
-                    assert!(
-                        s == slot,
-                        "invariant violated: batch for slot {s} stranded below the cursor"
-                    );
-                    let (_, mut packets) = st.batches.pop_front().expect("front just matched");
-                    self.chan.space.notify_all();
-                    self.consumed += packets.len() as u64;
-                    out.append(&mut packets);
-                    // Hand the emptied buffer back for `send_reusing`;
-                    // the ring is bounded so a plain `send` producer
-                    // cannot make it grow without limit.
-                    if st.recycled.len() <= self.chan.depth {
-                        st.recycled.push(packets);
-                    }
-                    drop(st);
-                    break;
-                }
-                // The next buffered batch is for a later slot: this slot
-                // has no arrivals.
-                Some(_) => break,
-                None if st.closed => break,
-                None => st = self.chan.data.wait(st).unwrap_or_else(|e| e.into_inner()),
+        let chan = &*self.chan;
+        let mut st = chan.wait_data();
+        // A front batch for a later slot, or a closed and drained stream:
+        // this slot has no arrivals.
+        if let Some(&(s, _)) = st.batches.front().filter(|&&(s, _)| s <= slot) {
+            assert!(
+                s == slot,
+                "invariant violated: batch for slot {s} stranded below the cursor"
+            );
+            let (_, mut packets) = st.batches.pop_front().expect("front just matched");
+            chan.set_buffered(&st);
+            wake(&chan.space, st.space_parked);
+            self.consumed += packets.len() as u64;
+            out.append(&mut packets);
+            // Hand the emptied buffer back for `send_reusing`; the ring
+            // is bounded so a plain `send` producer cannot make it grow
+            // without limit.
+            if st.recycled.len() <= chan.depth {
+                st.recycled.push(packets);
             }
         }
+        drop(st);
         self.next_slot = slot + 1;
     }
 
@@ -289,7 +371,7 @@ impl StreamingSource {
     pub fn wait_backpressure(&self) {
         let mut st = self.chan.lock();
         while st.stalls == 0 && !st.closed {
-            st = self.chan.data.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = park(&self.chan.data, st, |st| &mut st.data_parked);
         }
     }
 }
@@ -298,9 +380,12 @@ impl Drop for StreamingSource {
     fn drop(&mut self) {
         let mut st = self.chan.lock();
         st.receiver_gone = true;
+        // ORDERING: Release pairs with the producer's Acquire load in
+        // `spin_for`, ending its spin for space nobody will free.
+        self.chan.hung_up.store(true, Ordering::Release);
         // Unblock a producer stuck in `send` so an aborted run cannot
         // deadlock its feeder thread.
-        self.chan.space.notify_all();
+        wake(&self.chan.space, st.space_parked);
     }
 }
 
@@ -310,18 +395,9 @@ impl ArrivalSource for StreamingSource {
     }
 
     fn in_arrival_window(&mut self, _slot: SlotId) -> bool {
-        let mut st = self.chan.lock();
-        loop {
-            // Any buffered batch is at a slot ≥ the cursor, so the window
-            // is still open; an empty closed channel ends it.
-            if !st.batches.is_empty() {
-                return true;
-            }
-            if st.closed {
-                return false;
-            }
-            st = self.chan.data.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        // Any buffered batch is at a slot ≥ the cursor, so the window is
+        // still open; an empty closed channel ends it.
+        !self.chan.wait_data().batches.is_empty()
     }
 }
 
@@ -344,10 +420,15 @@ pub fn channel_at(depth: usize, cursor: StreamCursor) -> (StreamSender, Streamin
             receiver_gone: false,
             stalls: 0,
             recycled: Vec::with_capacity(depth + 1),
+            space_parked: 0,
+            data_parked: 0,
         }),
         space: Condvar::new(),
         data: Condvar::new(),
         depth,
+        buffered: AtomicUsize::new(0),
+        hung_up: AtomicBool::new(false),
+        spin: std::thread::available_parallelism().map_or(1, |n| n.get()) > 1,
     });
     (
         StreamSender { chan: chan.clone() },
@@ -595,6 +676,53 @@ mod tests {
         tx.send(0, vec![pkt(0, 0)]).unwrap();
         drop(rx);
         assert_eq!(tx.send(1, vec![pkt(1, 1)]), Err(StreamClosed));
+    }
+
+    /// Yield until `reached` holds of the channel state. A non-zero
+    /// parked count read here means the waiter is queued on its condvar:
+    /// it registers and starts waiting in one step under this lock.
+    fn until(chan: &Channel, reached: impl Fn(&ChannelState) -> bool) {
+        while !reached(&chan.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_consumer_is_woken_by_a_send_and_by_the_close() {
+        let (tx, mut rx) = channel(1);
+        let consumer = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            rx.pull(0, &mut out);
+            (out.len(), rx.in_arrival_window(1))
+        });
+        until(&tx.chan, |st| st.data_parked == 1);
+        tx.send(0, vec![pkt(0, 0)]).unwrap();
+        // Slot 0 is consumed and the consumer sleeps again, in the window
+        // check: only the close can end that wait.
+        until(&tx.chan, |st| st.batches.is_empty() && st.data_parked == 1);
+        drop(tx);
+        assert_eq!(consumer.join().unwrap(), (1, false));
+    }
+
+    #[test]
+    fn parked_producer_is_woken_by_a_pull_and_by_the_hangup() {
+        let (tx, mut rx) = channel(1);
+        let chan = rx.chan.clone();
+        tx.send(0, vec![pkt(0, 0)]).unwrap();
+        let producer = std::thread::spawn(move || {
+            tx.send(1, vec![pkt(1, 1)]).unwrap();
+            (tx.send(2, vec![pkt(2, 2)]), tx.stalls())
+        });
+        until(&chan, |st| st.space_parked == 1);
+        let mut out = Vec::new();
+        rx.pull(0, &mut out);
+        assert_eq!(out.len(), 1);
+        // Slot 1 is buffered and the producer sleeps again on slot 2:
+        // only the hang-up can end that wait.
+        until(&chan, |st| st.next_push == 2 && st.space_parked == 1);
+        drop(rx);
+        assert_eq!(producer.join().unwrap(), (Err(StreamClosed), 2));
+        assert_eq!(chan.lock().space_parked, 0);
     }
 
     #[test]

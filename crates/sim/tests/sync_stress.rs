@@ -15,12 +15,21 @@
 //! as party 0 between its two waits. Seeded and deterministic in
 //! structure; run under the CI `--test-threads` 1/2/4 matrix like the
 //! equivalence suites.
+//!
+//! The stream channel (`stream.rs`) shares the barrier's hand-off rule —
+//! spin for the budget, park after it, wake only a registered sleeper —
+//! so its stress lives here too: seeded pauses on both sides steer every
+//! hand-off through the spin exit or the park exit, and a watchdog turns
+//! a lost wake-up into a failure instead of a hung suite.
 
-use cioq_sim::SpinBarrier;
+use cioq_model::{Packet, PacketId, PortId, SlotId};
+use cioq_sim::{ArrivalSource, SpinBarrier, StreamClosed};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Burn a seeded-random number of yields/spins, permuting this thread's
 /// arrival time relative to its peers.
@@ -275,4 +284,131 @@ fn barrier_sizes_from_one_to_oversubscribed() {
             }
         });
     }
+}
+
+/// Run `scenario` on its own thread and fail — rather than hang the
+/// suite — when it has not finished within a minute: a lost wake-up
+/// leaves one side of the channel parked forever.
+fn with_watchdog(scenario: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        scenario();
+        let _ = done.send(());
+    });
+    if finished.recv_timeout(Duration::from_secs(60)) == Err(RecvTimeoutError::Timeout) {
+        panic!("no progress for 60 s: a stream wake-up was lost");
+    }
+    // Finished, or panicked and dropped `done`: surface the panic.
+    if let Err(panic) = worker.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// A pause far beyond the ≈ 33 µs spin budget: whoever waits on the
+/// pausing side exhausts its spin and parks.
+const LONG_PAUSE: Duration = Duration::from_micros(200);
+
+/// A seeded pause between channel operations: usually none, often a
+/// `jitter` (well inside the spin budget, so the other side's wait ends
+/// in its spin), now and then a [`LONG_PAUSE`].
+fn pause(rng: &mut SmallRng) {
+    match rng.gen_range(0..64u32) {
+        0 => std::thread::sleep(LONG_PAUSE),
+        1..=16 => jitter(rng),
+        _ => {}
+    }
+}
+
+/// What the producer pushes in `slot`: `None` skips the slot entirely,
+/// an empty batch only advances the producer cursor. A pure function of
+/// `(seed, slot)`, so the test can rebuild the sent sequence.
+fn stream_batch(seed: u64, slot: SlotId, next_id: &mut u64) -> Option<Vec<Packet>> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ slot.wrapping_mul(0x9E37_79B9));
+    let len = match rng.gen_range(0..8u32) {
+        0 | 1 => return None,
+        2 => 0,
+        _ => rng.gen_range(1..=3u64),
+    };
+    let first = std::mem::replace(next_id, *next_id + len);
+    let batch = (0..len).map(|k| {
+        let port = PortId(((slot + k) % 4) as u16);
+        Packet::new(PacketId(first + k), 1 + k, slot, port, port)
+    });
+    Some(batch.collect())
+}
+
+#[test]
+fn stream_channel_delivers_in_order_through_spin_and_park_exits() {
+    let slots: SlotId = if cfg!(miri) { 300 } else { 10_000 };
+    for (depth, seed) in [(1usize, 17u64), (2, 0xBEEF), (4, 99)] {
+        with_watchdog(move || {
+            let (tx, mut rx) = cioq_sim::channel(depth);
+            let pump = cioq_sim::spawn_producer(tx, move |tx| {
+                let mut rng = SmallRng::seed_from_u64(seed ^ 0x5E4D);
+                let (mut next_id, mut batch) = (0, Vec::new());
+                for slot in 0..slots {
+                    pause(&mut rng);
+                    if let Some(packets) = stream_batch(seed, slot, &mut next_id) {
+                        batch.extend(packets);
+                        tx.send_reusing(slot, &mut batch).expect("consumer alive");
+                    }
+                }
+            });
+            // The consumer pulls nothing until the producer has filled
+            // the buffer and stalled, so a stall is certain at any depth.
+            rx.wait_backpressure();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0);
+            let (mut got, mut slot) = (Vec::new(), 0);
+            while rx.in_arrival_window(slot) {
+                pause(&mut rng);
+                rx.pull(slot, &mut got);
+                slot += 1;
+            }
+            pump.join();
+            let mut next_id = 0;
+            let sent: Vec<Packet> = (0..slots)
+                .filter_map(|s| stream_batch(seed, s, &mut next_id))
+                .flatten()
+                .collect();
+            assert_eq!(
+                got, sent,
+                "stream reordered or lost packets (depth {depth})"
+            );
+            assert_eq!(rx.consumed(), sent.len() as u64);
+            assert!(
+                rx.stalls() >= 1,
+                "backpressure never engaged (depth {depth})"
+            );
+        });
+    }
+}
+
+#[test]
+fn stream_close_reaches_a_parked_consumer() {
+    with_watchdog(|| {
+        let (tx, mut rx) = cioq_sim::channel(2);
+        let pump = cioq_sim::spawn_producer(tx, |_tx| std::thread::sleep(25 * LONG_PAUSE));
+        assert!(
+            !rx.in_arrival_window(0),
+            "closed without a batch: the window never opens"
+        );
+        pump.join();
+    });
+}
+
+#[test]
+fn stream_hangup_reaches_a_parked_producer() {
+    with_watchdog(|| {
+        let (tx, rx) = cioq_sim::channel(1);
+        let feeder = std::thread::spawn(move || {
+            let first = Packet::new(PacketId(0), 1, 0, PortId(0), PortId(0));
+            let second = Packet::new(PacketId(1), 1, 1, PortId(0), PortId(0));
+            tx.send(0, vec![first]).expect("buffer has room");
+            tx.send(1, vec![second])
+        });
+        rx.wait_backpressure();
+        std::thread::sleep(25 * LONG_PAUSE);
+        drop(rx);
+        assert_eq!(feeder.join().expect("feeder panicked"), Err(StreamClosed));
+    });
 }
