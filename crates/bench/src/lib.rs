@@ -1,10 +1,9 @@
 //! # cioq-bench
 //!
 //! Criterion benchmarks for the workspace; see `benches/`. This library
-//! crate hosts shared workload-construction helpers for the benches and,
-//! behind the `alloc-audit` feature, the counting global allocator the
-//! `alloc_census` harness uses to prove the slot loop allocation-free
-//! (see [`audit`]).
+//! crate hosts, behind the `alloc-audit` feature, the counting global
+//! allocator the `alloc_census` harness uses to prove the slot loop
+//! allocation-free (see `audit`).
 
 // The audit allocator is the one sanctioned unsafe block in the crate
 // (a `GlobalAlloc` impl forwarding to `System`); without the feature the
@@ -13,14 +12,3 @@
 
 #[cfg(feature = "alloc-audit")]
 pub mod audit;
-
-use cioq_model::SwitchConfig;
-use cioq_sim::Trace;
-use cioq_traffic::{gen_trace, BernoulliUniform, ValueDist};
-
-/// A deterministic medium-load uniform workload used by several benches.
-pub fn uniform_workload(n: usize, slots: u64, load: f64, values: ValueDist, seed: u64) -> Trace {
-    let cfg = SwitchConfig::cioq(n, 8, 1);
-    let gen = BernoulliUniform::new(load, values);
-    gen_trace(&gen, &cfg, slots, seed)
-}

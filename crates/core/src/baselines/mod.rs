@@ -1,10 +1,10 @@
 //! Baseline policies the paper measures itself against.
 //!
 //! * [`MaxMatching`] — the maximum-cardinality-matching policy family of
-//!   Kesselman & Rosén [23] (unit values, 3-competitive, but O(E·√V) per
+//!   Kesselman & Rosén \[23\] (unit values, 3-competitive, but O(E·√V) per
 //!   cycle instead of GM's O(E)).
 //! * [`MaxWeightMatching`] — the maximum-weight-matching policy of
-//!   Kesselman & Rosén [24] (general values, 6-competitive, O(N³) per cycle
+//!   Kesselman & Rosén \[24\] (general values, 6-competitive, O(N³) per cycle
 //!   instead of PG's O(E log E)).
 //! * [`IslipPolicy`] — iSLIP, the guarantee-free practical scheduler, as the
 //!   "current practice" reference point.

@@ -45,7 +45,7 @@ impl CrossbarPreemptiveGreedy {
     }
 
     /// CPG with explicit parameters (experiments sweep these; `α = β`
-    /// reproduces the prior algorithm of [21]).
+    /// reproduces the prior algorithm of \[21\]).
     pub fn with_params(beta: f64, alpha: f64) -> Self {
         assert!(beta >= 1.0 && alpha >= 1.0, "alpha, beta must be >= 1");
         CrossbarPreemptiveGreedy {
@@ -56,7 +56,7 @@ impl CrossbarPreemptiveGreedy {
         }
     }
 
-    /// The prior single-parameter algorithm of Kesselman et al. [21]
+    /// The prior single-parameter algorithm of Kesselman et al. \[21\]
     /// (α = β at that paper's optimum for `cpg_ratio(β, β)`).
     pub fn single_parameter() -> Self {
         // Minimize cpg_ratio(b, b) numerically once: b* ≈ 2.097.

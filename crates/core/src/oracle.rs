@@ -124,7 +124,7 @@ fn to_output(i: usize, j: usize, preempt: bool) -> OutputTransfer {
     }
 }
 
-/// GM (§2.1): greedy maximal matching over [`unit_graph`], edges visited
+/// GM (§2.1): greedy maximal matching over `unit_graph`, edges visited
 /// lexicographically or rotated by the global cycle number.
 #[derive(Debug)]
 pub struct Gm(pub GmEdgePolicy);
@@ -152,7 +152,7 @@ impl CioqPolicy for Gm {
 }
 
 /// PG (§2.2) with threshold β ≥ 1: greedy maximal matching over
-/// [`weighted_graph`] in descending weight order. `Pg(None)` is the
+/// `weighted_graph` in descending weight order. `Pg(None)` is the
 /// no-preemption ablation: arrivals never preempt and no edge into a full
 /// output is eligible (β = ∞).
 #[derive(Debug)]

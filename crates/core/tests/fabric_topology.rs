@@ -183,10 +183,10 @@ fn seq_crossbar(
     }
     let mut rec = CrossbarRecording::with_fabric(Boxed(&mut *policy), link);
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), on_fabric(link))
-        .run_crossbar_capturing(&mut rec, &mut source)
+    let outcome = Engine::new(cfg.clone(), on_fabric(link))
+        .run_crossbar_full(&mut rec, &mut source)
         .expect("sequential linked run");
-    (report, rec.into_schedule(), state)
+    (outcome.report, rec.into_schedule(), outcome.final_state)
 }
 
 fn sharded_options(k: usize, mode: ExecMode, link: &FabricSpec) -> ShardedOptions {

@@ -169,10 +169,10 @@ fn seq_crossbar_delayed(
     }
     let mut rec = CrossbarRecording::with_fabric(Boxed(&mut *policy), &FabricSpec::uniform(d));
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), seq_options(d))
-        .run_crossbar_capturing(&mut rec, &mut source)
+    let outcome = Engine::new(cfg.clone(), seq_options(d))
+        .run_crossbar_full(&mut rec, &mut source)
         .expect("sequential delayed run");
-    (report, rec.into_schedule(), state)
+    (outcome.report, rec.into_schedule(), outcome.final_state)
 }
 
 /// Default sequential options on a uniform latency-`d` fabric.

@@ -1,0 +1,482 @@
+//! Golden transcripts: absolute end-state hashes for the four paper
+//! policies, pinned as committed constants.
+//!
+//! Every other suite in this directory proves *A ≡ B* between two live
+//! implementations, so a change that edits both sides at once (a shared
+//! helper, a fold of the two slot loops) can shift A and B together and
+//! stay green. The eight constants below do not move with the code: each
+//! is an FNV-1a hash over the run report, the final queue contents and
+//! every checkpoint's canonical bytes, for GM, PG, CGU and CPG on an
+//! immediate and a two-tier fabric — and every execution variant the
+//! workspace has (sequential, sharded K ∈ {1, 3} inline and threaded, the
+//! streamed twins, a mid-run resume on both engines) must reproduce it.
+//!
+//! The geometry is 6 × 70: non-square, and wide enough that the output
+//! bitmaps straddle a 64-bit word. Buffers are small and the hot outputs
+//! sit on both sides of the word boundary, so rejection, input / crossbar /
+//! output preemption and a drain tail all occur (asserted below — a golden
+//! value over a run where nothing happens pins nothing).
+
+use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
+use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
+use cioq_sim::{
+    run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
+    run_crossbar_sharded_streamed, stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy,
+    CrossbarPolicy, CrossbarShardPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec, RunOptions,
+    RunOutcome, RunReport, ShardedOptions, ShardedOutcome, SortedQueue, StreamingSource,
+    SwitchState, Trace, TraceSource,
+};
+
+const N_INPUTS: usize = 6;
+const N_OUTPUTS: usize = 70;
+const ARRIVAL_SLOTS: SlotId = 40;
+const CHECKPOINT_EVERY: SlotId = 8;
+const SHARD_COUNTS: [usize; 2] = [1, 3];
+const MODES: [ExecMode; 2] = [ExecMode::Inline, ExecMode::Threads];
+
+// ---- the pinned values (captured at the parent of PR 17) ----
+
+const GM_IMMEDIATE: u64 = 0xD550_57B7_FCF9_FBD5;
+const GM_TWO_TIER: u64 = 0x129E_26E9_CE0A_CBE8;
+const PG_IMMEDIATE: u64 = 0xE68D_4E99_4915_6CD6;
+const PG_TWO_TIER: u64 = 0x7CF6_ACBF_9F0B_61D8;
+const CGU_IMMEDIATE: u64 = 0x6E16_A842_C5F2_339B;
+const CGU_TWO_TIER: u64 = 0x4DFE_FD37_D3A9_DA5A;
+const CPG_IMMEDIATE: u64 = 0x4B11_CA28_CB38_3535;
+const CPG_TWO_TIER: u64 = 0x3801_5669_DEA3_F69B;
+
+// ---- workload ----
+
+fn cioq_cfg() -> SwitchConfig {
+    SwitchConfig::builder(N_INPUTS, N_OUTPUTS)
+        .speedup(3)
+        .input_capacity(2)
+        .output_capacity(2)
+        .build()
+        .expect("valid CIOQ config")
+}
+
+fn crossbar_cfg() -> SwitchConfig {
+    SwitchConfig::builder(N_INPUTS, N_OUTPUTS)
+        .speedup(3)
+        .input_capacity(2)
+        .output_capacity(2)
+        .crossbar_capacity(1)
+        .build()
+        .expect("valid crossbar config")
+}
+
+fn immediate() -> FabricSpec {
+    FabricSpec::default()
+}
+
+/// Two racks, intra-rack pairs same-cycle, cross-rack pairs two slots late:
+/// the mailbox path and the delay rings run side by side.
+fn two_tier() -> FabricSpec {
+    FabricSpec::matrix(Topology::two_tier(N_INPUTS, N_OUTPUTS, 2, 0, 2).expect("valid topology"))
+}
+
+/// splitmix64 — written out here so the trace (and with it every golden
+/// value) depends on nothing but this file.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Three arrival attempts per input per slot, 70 % of them aimed at four
+/// hot outputs on both sides of the 64-bit word boundary. Values are powers
+/// of two below `2^levels` (all 1 at `levels = 1`), so neighbours in a queue
+/// often differ by more than the preemption factors β and α.
+fn overload_trace(levels: u64) -> Trace {
+    const HOT: [usize; 4] = [0, 63, 64, 69];
+    let mut rng = 0x601D_u64;
+    let mut tuples = Vec::new();
+    for slot in 0..ARRIVAL_SLOTS {
+        for i in 0..N_INPUTS {
+            for _ in 0..3 {
+                if splitmix(&mut rng).is_multiple_of(10) {
+                    continue;
+                }
+                let j = if splitmix(&mut rng) % 10 < 7 {
+                    HOT[(splitmix(&mut rng) % 4) as usize]
+                } else {
+                    (splitmix(&mut rng) % N_OUTPUTS as u64) as usize
+                };
+                let v: Value = 1 << (splitmix(&mut rng) % levels);
+                tuples.push((slot, PortId::from(i), PortId::from(j), v));
+            }
+        }
+    }
+    Trace::from_tuples(tuples)
+}
+
+// ---- hashing ----
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn queue(&mut self, q: &SortedQueue) {
+        self.u64(q.len() as u64);
+        for p in q.iter() {
+            self.u64(p.id.0);
+            self.u64(p.value);
+            self.u64(p.arrival);
+            self.u64(u64::from(p.input.0) << 16 | u64::from(p.output.0));
+        }
+    }
+}
+
+/// Hash of everything a run ends in: the report, every queue's contents in
+/// stored order, and the checkpoint bytes in slot order.
+fn end_hash<'a>(
+    report: &RunReport,
+    state: &SwitchState,
+    checkpoints: impl Iterator<Item = &'a EngineSnapshot>,
+) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(format!("{report:?}").as_bytes());
+    let view = state.view();
+    h.u64(view.slot());
+    for i in 0..view.n_inputs() {
+        for j in 0..view.n_outputs() {
+            let (input, output) = (PortId::from(i), PortId::from(j));
+            h.queue(view.input_queue(input, output));
+            if view.has_crossbar() {
+                h.queue(view.crossbar_queue(input, output));
+            }
+        }
+    }
+    for j in 0..view.n_outputs() {
+        h.queue(view.output_queue(PortId::from(j)));
+    }
+    for snap in checkpoints {
+        let bytes = snap.to_bytes();
+        h.u64(bytes.len() as u64);
+        h.bytes(&bytes);
+    }
+    h.0
+}
+
+fn hash_seq(outcome: &RunOutcome) -> u64 {
+    end_hash(
+        &outcome.report,
+        &outcome.final_state,
+        outcome.checkpoints.iter(),
+    )
+}
+
+fn hash_sharded(outcome: &ShardedOutcome) -> u64 {
+    end_hash(
+        &outcome.report,
+        outcome.final_state.as_ref().expect("capture requested"),
+        outcome.checkpoints.iter(),
+    )
+}
+
+/// A resumed run re-takes the checkpoint it started from and every later
+/// one; with the uninterrupted run's earlier checkpoints in front, the
+/// sequence is the uninterrupted run's.
+fn hash_resumed(
+    before: &[EngineSnapshot],
+    kill_slot: SlotId,
+    report: &RunReport,
+    state: &SwitchState,
+    after: &[EngineSnapshot],
+) -> u64 {
+    end_hash(
+        report,
+        state,
+        before
+            .iter()
+            .filter(|c| c.slot() < kill_slot)
+            .chain(after.iter()),
+    )
+}
+
+fn run_options(fabric: &FabricSpec) -> RunOptions {
+    RunOptions {
+        fabric: fabric.clone(),
+        checkpoint_every: Some(CHECKPOINT_EVERY),
+        ..RunOptions::default()
+    }
+}
+
+fn sharded_options(
+    k: usize,
+    mode: ExecMode,
+    fabric: &FabricSpec,
+    resume: Option<EngineSnapshot>,
+) -> ShardedOptions {
+    let mut options = ShardedOptions::new(k);
+    options.mode = mode;
+    options.fabric = fabric.clone();
+    options.capture_final_state = true;
+    options.checkpoint_every = Some(CHECKPOINT_EVERY);
+    options.resume_from = resume;
+    options
+}
+
+/// The mid-run checkpoint a resume starts from, through its bytes.
+fn kill_point(checkpoints: &[EngineSnapshot]) -> EngineSnapshot {
+    assert!(checkpoints.len() >= 3, "run too short to kill mid-way");
+    let snap = &checkpoints[checkpoints.len() / 2];
+    EngineSnapshot::from_bytes(&snap.to_bytes()).expect("checkpoint round-trips")
+}
+
+/// What the golden run must have exercised to be worth pinning.
+fn assert_eventful(report: &RunReport, trace: &Trace, preempts: &[&str], what: &str) {
+    assert!(report.losses.rejected > 0, "{what}: no rejection");
+    assert!(
+        report.slots > trace.arrival_slots(),
+        "{what}: no drain tail"
+    );
+    assert!(report.transmitted > 0, "{what}: nothing transmitted");
+    for kind in preempts {
+        let n = match *kind {
+            "input" => report.losses.preempted_input,
+            "crossbar" => report.losses.preempted_crossbar,
+            "output" => report.losses.preempted_output,
+            other => unreachable!("unknown preemption kind {other}"),
+        };
+        assert!(n > 0, "{what}: no {kind} preemption");
+    }
+}
+
+// ---- the one driver ----
+
+/// The three ways to run a policy, with the architecture (CIOQ or buffered
+/// crossbar) and the policy object closed over.
+struct Runs<'a> {
+    name: String,
+    seq: &'a dyn Fn(Engine, &mut dyn ArrivalSource) -> RunOutcome,
+    sharded: &'a dyn Fn(&Trace, ShardedOptions) -> ShardedOutcome,
+    sharded_streamed: &'a dyn Fn(&mut StreamingSource, ShardedOptions) -> ShardedOutcome,
+}
+
+fn check(
+    runs: Runs<'_>,
+    cfg: &SwitchConfig,
+    trace: &Trace,
+    fabric: &FabricSpec,
+    preempts: &[&str],
+    golden: u64,
+) {
+    let what = format!("{} {}", runs.name, fabric.label());
+    let fresh = || Engine::new(cfg.clone(), run_options(fabric));
+
+    let seq = (runs.seq)(fresh(), &mut TraceSource::new(trace));
+    assert_eventful(&seq.report, trace, preempts, &what);
+    let got = hash_seq(&seq);
+    assert_eq!(got, golden, "{what}: sequential — got {got:#018x}");
+
+    let (mut src, pump) = stream_trace(trace, 2);
+    let streamed = (runs.seq)(fresh(), &mut src);
+    drop(src);
+    pump.join();
+    assert_eq!(hash_seq(&streamed), golden, "{what}: sequential streamed");
+
+    let kill = kill_point(&seq.checkpoints);
+    let restored = Engine::restore(&kill, run_options(fabric)).expect("restore own checkpoint");
+    let resumed = (runs.seq)(restored, &mut TraceSource::resume_at(trace, kill.slot()));
+    assert_eq!(
+        hash_resumed(
+            &seq.checkpoints,
+            kill.slot(),
+            &resumed.report,
+            &resumed.final_state,
+            &resumed.checkpoints
+        ),
+        golden,
+        "{what}: sequential resume at slot {}",
+        kill.slot()
+    );
+
+    for k in SHARD_COUNTS {
+        for mode in MODES {
+            let what = format!("{what} K={k} {mode:?}");
+            let sharded = (runs.sharded)(trace, sharded_options(k, mode, fabric, None));
+            assert_eq!(hash_sharded(&sharded), golden, "{what}: sharded");
+
+            let (mut src, pump) = stream_trace(trace, 2);
+            let streamed =
+                (runs.sharded_streamed)(&mut src, sharded_options(k, mode, fabric, None));
+            drop(src);
+            pump.join();
+            assert_eq!(hash_sharded(&streamed), golden, "{what}: sharded streamed");
+
+            let kill = kill_point(&sharded.checkpoints);
+            let kill_slot = kill.slot();
+            let resumed = (runs.sharded)(trace, sharded_options(k, mode, fabric, Some(kill)));
+            assert_eq!(
+                hash_resumed(
+                    &sharded.checkpoints,
+                    kill_slot,
+                    &resumed.report,
+                    resumed.final_state.as_ref().expect("capture requested"),
+                    &resumed.checkpoints
+                ),
+                golden,
+                "{what}: sharded resume at slot {kill_slot}"
+            );
+        }
+    }
+}
+
+fn check_cioq<P: CioqPolicy + CioqShardPolicy>(
+    make: impl Fn() -> P,
+    trace: &Trace,
+    fabric: &FabricSpec,
+    preempts: &[&str],
+    golden: u64,
+) {
+    let cfg = cioq_cfg();
+    let runs = Runs {
+        name: CioqPolicy::name(&make()).to_string(),
+        seq: &|engine, source| {
+            engine
+                .run_cioq_full(&mut make(), source)
+                .expect("sequential run")
+        },
+        sharded: &|trace, options| {
+            run_cioq_sharded(&cfg, &make(), trace, options).expect("sharded run")
+        },
+        sharded_streamed: &|source, options| {
+            run_cioq_sharded_streamed(&cfg, &make(), source, options).expect("sharded streamed run")
+        },
+    };
+    check(runs, &cfg, trace, fabric, preempts, golden);
+}
+
+fn check_crossbar<P: CrossbarPolicy + CrossbarShardPolicy>(
+    make: impl Fn() -> P,
+    trace: &Trace,
+    fabric: &FabricSpec,
+    preempts: &[&str],
+    golden: u64,
+) {
+    let cfg = crossbar_cfg();
+    let runs = Runs {
+        name: CrossbarPolicy::name(&make()).to_string(),
+        seq: &|engine, source| {
+            engine
+                .run_crossbar_full(&mut make(), source)
+                .expect("sequential run")
+        },
+        sharded: &|trace, options| {
+            run_crossbar_sharded(&cfg, &make(), trace, options).expect("sharded run")
+        },
+        sharded_streamed: &|source, options| {
+            run_crossbar_sharded_streamed(&cfg, &make(), source, options)
+                .expect("sharded streamed run")
+        },
+    };
+    check(runs, &cfg, trace, fabric, preempts, golden);
+}
+
+// ---- the eight cells ----
+
+#[test]
+fn gm_immediate() {
+    check_cioq(
+        GreedyMatching::new,
+        &overload_trace(1),
+        &immediate(),
+        &[],
+        GM_IMMEDIATE,
+    );
+}
+
+#[test]
+fn gm_two_tier() {
+    check_cioq(
+        GreedyMatching::new,
+        &overload_trace(1),
+        &two_tier(),
+        &[],
+        GM_TWO_TIER,
+    );
+}
+
+#[test]
+fn pg_immediate() {
+    check_cioq(
+        PreemptiveGreedy::new,
+        &overload_trace(8),
+        &immediate(),
+        &["input", "output"],
+        PG_IMMEDIATE,
+    );
+}
+
+#[test]
+fn pg_two_tier() {
+    check_cioq(
+        PreemptiveGreedy::new,
+        &overload_trace(8),
+        &two_tier(),
+        &["input", "output"],
+        PG_TWO_TIER,
+    );
+}
+
+#[test]
+fn cgu_immediate() {
+    check_crossbar(
+        CrossbarGreedyUnit::new,
+        &overload_trace(1),
+        &immediate(),
+        &[],
+        CGU_IMMEDIATE,
+    );
+}
+
+#[test]
+fn cgu_two_tier() {
+    check_crossbar(
+        CrossbarGreedyUnit::new,
+        &overload_trace(1),
+        &two_tier(),
+        &[],
+        CGU_TWO_TIER,
+    );
+}
+
+#[test]
+fn cpg_immediate() {
+    check_crossbar(
+        CrossbarPreemptiveGreedy::new,
+        &overload_trace(8),
+        &immediate(),
+        &["input", "crossbar", "output"],
+        CPG_IMMEDIATE,
+    );
+}
+
+#[test]
+fn cpg_two_tier() {
+    check_crossbar(
+        CrossbarPreemptiveGreedy::new,
+        &overload_trace(8),
+        &two_tier(),
+        &["input", "crossbar", "output"],
+        CPG_TWO_TIER,
+    );
+}

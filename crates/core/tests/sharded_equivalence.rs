@@ -174,10 +174,10 @@ fn seq_crossbar(
     }
     let mut rec = CrossbarRecording::new(BoxedXbar(policy));
     let mut source = TraceSource::new(trace);
-    let (report, state) = cioq_sim::Engine::new(cfg.clone(), RunOptions::default())
-        .run_crossbar_capturing(&mut rec, &mut source)
+    let outcome = cioq_sim::Engine::new(cfg.clone(), RunOptions::default())
+        .run_crossbar_full(&mut rec, &mut source)
         .expect("sequential run");
-    (report, rec.into_schedule(), state)
+    (outcome.report, rec.into_schedule(), outcome.final_state)
 }
 
 fn sharded_options(k: usize, mode: ExecMode) -> ShardedOptions {

@@ -15,15 +15,12 @@ use cioq_core::{
     PreemptiveGreedy, SelectionOrder,
 };
 use cioq_model::{PortId, SwitchConfig};
-use cioq_sim::{
-    run_cioq_with_final_state, run_crossbar_with_final_state, CioqPolicy, CrossbarPolicy,
-    RunReport, SwitchState, Trace,
-};
+use cioq_sim::{CioqPolicy, CrossbarPolicy, Engine, RunOptions, RunOutcome, Trace, TraceSource};
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, TrafficGen, ValueDist};
 
-fn assert_equal_outcomes(a: (RunReport, SwitchState), b: (RunReport, SwitchState), what: &str) {
-    let (ra, sa) = a;
-    let (rb, sb) = b;
+fn assert_equal_outcomes(a: RunOutcome, b: RunOutcome, what: &str) {
+    let (ra, sa) = (a.report, a.final_state);
+    let (rb, sb) = (b.report, b.final_state);
     assert_eq!(ra.slots, rb.slots, "{what}: slots");
     assert_eq!(ra.accepted, rb.accepted, "{what}: accepted");
     assert_eq!(ra.transferred, rb.transferred, "{what}: transferred");
@@ -72,8 +69,13 @@ fn check_cioq_pair(
     mut rescan: impl CioqPolicy,
     what: &str,
 ) {
-    let inc = run_cioq_with_final_state(cfg, &mut incremental, trace).expect("incremental run");
-    let ref_ = run_cioq_with_final_state(cfg, &mut rescan, trace).expect("rescan run");
+    let engine = || Engine::new(cfg.clone(), RunOptions::default());
+    let inc = engine()
+        .run_cioq_full(&mut incremental, &mut TraceSource::new(trace))
+        .expect("incremental run");
+    let ref_ = engine()
+        .run_cioq_full(&mut rescan, &mut TraceSource::new(trace))
+        .expect("rescan run");
     assert_equal_outcomes(inc, ref_, what);
 }
 
@@ -84,8 +86,13 @@ fn check_crossbar_pair(
     mut rescan: impl CrossbarPolicy,
     what: &str,
 ) {
-    let inc = run_crossbar_with_final_state(cfg, &mut incremental, trace).expect("incremental run");
-    let ref_ = run_crossbar_with_final_state(cfg, &mut rescan, trace).expect("rescan run");
+    let engine = || Engine::new(cfg.clone(), RunOptions::default());
+    let inc = engine()
+        .run_crossbar_full(&mut incremental, &mut TraceSource::new(trace))
+        .expect("incremental run");
+    let ref_ = engine()
+        .run_crossbar_full(&mut rescan, &mut TraceSource::new(trace))
+        .expect("rescan run");
     assert_equal_outcomes(inc, ref_, what);
 }
 

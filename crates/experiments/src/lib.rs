@@ -6,8 +6,8 @@
 //! bounds of `cioq-opt`, a parallel sweep runner (std scoped threads),
 //! and plain-text/markdown table rendering.
 //!
-//! Each experiment is a binary (`src/bin/exp_*.rs`); `exp_all` runs the
-//! whole suite. Binaries accept `--quick` for a reduced-scale run.
+//! One binary runs them all: `exp <id>|all|list [--quick] [--markdown]`
+//! over [`suite::EXPERIMENTS`] (`--quick` is a reduced-scale run).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

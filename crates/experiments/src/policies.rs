@@ -31,7 +31,7 @@ pub enum PolicyKind {
     CguRoundRobin,
     /// CPG with (β, α) (Thm 4). Buffered crossbar.
     Cpg(f64, f64),
-    /// CPG with α = β (the prior algorithm of [21]). Buffered crossbar.
+    /// CPG with α = β (the prior algorithm of \[21\]). Buffered crossbar.
     CpgSingleParam,
 }
 

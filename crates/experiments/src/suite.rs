@@ -3,7 +3,8 @@
 //!
 //! Every function is deterministic (fixed seeds), returns renderable
 //! [`Table`]s, and is exercised at reduced scale by integration tests and
-//! `--quick` runs. The README's "Experiments" section lists the binaries.
+//! `--quick` runs. [`EXPERIMENTS`] is the one table of them; the `exp`
+//! binary runs any of it by id.
 
 use crate::policies::PolicyKind;
 use crate::ratio::measure_ratio;
@@ -1516,25 +1517,27 @@ pub fn s3_topology(quick: bool) -> Vec<Table> {
     vec![degradation, backlog]
 }
 
-/// The full suite in order, as (id, tables) pairs.
-pub fn run_all(quick: bool) -> Vec<(&'static str, Vec<Table>)> {
-    vec![
-        ("T1", t1_summary(quick)),
-        ("F3", f3_gm_load(quick)),
-        ("F4", f4_pg_beta(quick)),
-        ("F5", f5_speedup(quick)),
-        ("F6", f6_matching_cost(quick)),
-        ("F7", f7_crossbar_buffer(quick)),
-        ("F8", f8_adversarial(quick)),
-        ("T2", t2_value_distributions(quick)),
-        ("T3", t3_bursty(quick)),
-        ("T4", t4_asymmetric(quick)),
-        ("T5", t5_ablation(quick)),
-        ("S1", s1_sharded(quick)),
-        ("S2", s2_delay(quick)),
-        ("S3", s3_topology(quick)),
-    ]
-}
+/// One experiment: takes `quick`, returns its tables.
+type Experiment = fn(bool) -> Vec<Table>;
+
+/// The full suite in running order, as `(id, experiment)` pairs — lazy, so
+/// a caller runs only what it picks (the `exp` binary's `<id>|all|list`).
+pub const EXPERIMENTS: [(&str, Experiment); 14] = [
+    ("T1", t1_summary),
+    ("F3", f3_gm_load),
+    ("F4", f4_pg_beta),
+    ("F5", f5_speedup),
+    ("F6", f6_matching_cost),
+    ("F7", f7_crossbar_buffer),
+    ("F8", f8_adversarial),
+    ("T2", t2_value_distributions),
+    ("T3", t3_bursty),
+    ("T4", t4_asymmetric),
+    ("T5", t5_ablation),
+    ("S1", s1_sharded),
+    ("S2", s2_delay),
+    ("S3", s3_topology),
+];
 
 #[cfg(test)]
 mod tests {

@@ -420,8 +420,9 @@ impl CachedWeightOrder {
 /// analogue of [`EdgeOrder`](crate::EdgeOrder).
 #[derive(Debug, Clone, Copy)]
 pub enum CellVisit<'a> {
-    /// Lexicographic `(left, right)` — [`EdgeOrder::Insertion`]
-    /// (crate::EdgeOrder::Insertion) for graphs built port-by-port.
+    /// Lexicographic `(left, right)` —
+    /// [`EdgeOrder::Insertion`](crate::EdgeOrder::Insertion) for graphs
+    /// built port-by-port.
     Lex,
     /// Lexicographic rotated by `offset % |eligible edges|` —
     /// [`EdgeOrder::Rotated`](crate::EdgeOrder::Rotated).

@@ -163,12 +163,6 @@ impl SortedQueue {
             .windows(2)
             .all(|w| w[0].queue_key() <= w[1].queue_key())
     }
-
-    /// Drain all packets (used when tearing down a run to account for
-    /// residual buffered value).
-    pub fn drain_all(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.items)
-    }
 }
 
 #[cfg(test)]

@@ -1,20 +1,34 @@
-//! The simulation engine: executes slots phase by phase, validating every
-//! policy decision against the model of §1.3.
+//! The sequential slot engine: executes slots phase by phase, validating
+//! every policy decision against the model of §1.3.
+//!
+//! §1.3 defines one slot — arrival phase, ŝ scheduling cycles,
+//! transmission phase — for both architectures; a buffered crossbar
+//! differs from a CIOQ switch only *inside* the cycle (an input and an
+//! output subphase in place of one matching). The file is laid out the
+//! same way: one slot loop, [`Engine::run`], which owns the arrival
+//! window, drain cutoff, checkpoint cadence, fault release, landing,
+//! arrivals, the transmit sweep, the audit and the stats window; and the
+//! private [`Arch`] trait, the only place that knows which architecture is
+//! running, whose two impls wrap a [`CioqPolicy`] and a [`CrossbarPolicy`].
+//! The per-packet rules underneath (admit, land, pop, validate a transfer
+//! set, checkpoint cells) are [`crate::mechanics`]' — shared with the
+//! sharded engine, so each exists once.
 
 use crate::fault::{FaultKind, FaultPlan, FaultRuntime};
+use crate::mechanics::{self, snapshot_cell, PortStamps};
 use crate::policy::{
-    Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, PolicyError,
-    Transfer, TransmitChoice,
+    Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PolicyError, Transfer,
+    TransmitChoice,
 };
 use crate::snapshot::{EngineSnapshot, SnapLanding, SnapshotError};
 use crate::source::{ArrivalSource, TraceSource};
-use crate::state::SwitchState;
+use crate::state::{QueueKind, SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder, WindowedStats};
 use crate::trace::Trace;
 use crate::transport::{DelayCalendar, FabricSpec, InFlightPacket, Landing};
 use crate::validate::check_state_invariants;
 use cioq_model::{ConfigError, Cycle, Packet, PortId, SlotId, SwitchConfig};
-use cioq_queues::SortedQueue;
+use cioq_queues::{Grid, SortedQueue};
 
 /// Options controlling a run.
 #[derive(Debug, Clone)]
@@ -127,11 +141,7 @@ pub struct Engine {
     checkpoints: Vec<EngineSnapshot>,
     // Scratch (reused every slot — the hot path never allocates).
     arrivals: Vec<Packet>,
-    transfers: Vec<Transfer>,
-    in_transfers: Vec<InputTransfer>,
-    out_transfers: Vec<OutputTransfer>,
-    input_used: Vec<bool>,
-    output_used: Vec<bool>,
+    ports: PortStamps,
 }
 
 /// Largest retransmit FIFO any link-down window in `faults` allows on a
@@ -188,6 +198,11 @@ impl Engine {
     /// is [`ConfigError`], not a panic mid-run).
     pub fn try_new(config: SwitchConfig, options: RunOptions) -> Result<Self, ConfigError> {
         options.validate()?;
+        Ok(Self::fresh(config, options))
+    }
+
+    /// A fresh engine at slot 0 under already-validated options.
+    fn fresh(config: SwitchConfig, options: RunOptions) -> Self {
         let n_outputs = config.n_outputs;
         let n_inputs = config.n_inputs;
         let spec = options.fabric.clone();
@@ -209,7 +224,7 @@ impl Engine {
         if horizon >= 1 {
             state.inflight.reserve(per_output);
         }
-        Ok(Engine {
+        Engine {
             state,
             stats: StatsRecorder::new(n_outputs),
             options,
@@ -221,12 +236,8 @@ impl Engine {
             start_idle: 0,
             checkpoints: Vec::new(),
             arrivals: Vec::new(),
-            transfers: Vec::new(),
-            in_transfers: Vec::new(),
-            out_transfers: Vec::new(),
-            input_used: vec![false; n_inputs],
-            output_used: vec![false; n_outputs],
-        })
+            ports: PortStamps::default(),
+        }
     }
 
     /// Rebuild an engine from a checkpoint so the run continues exactly
@@ -286,140 +297,92 @@ impl Engine {
             ));
         }
 
-        let mut state = SwitchState::new(config);
+        // A fresh engine under the same options, then refilled: restoring
+        // sizes the calendar, the in-flight accounting and the fault layer
+        // exactly as construction does.
+        let mut engine = Self::fresh(config, options);
+        let state = &mut engine.state;
         let overflow = |_| SnapshotError::Format("serialized queue exceeds its capacity".into());
-        for (cell, packets) in snap.input_queues.iter().enumerate() {
-            let q = state
-                .input_queues
-                .get_mut(cell / n_outputs, cell % n_outputs);
-            for p in packets {
-                q.insert(*p).map_err(overflow)?;
-            }
+        for ((_, _, q), cell) in state.input_queues.iter_mut().zip(&snap.input_queues) {
+            mechanics::refill(q, cell).map_err(overflow)?;
         }
         if let Some(cells) = &snap.crossbar_queues {
             let grid = state
                 .crossbar_queues
                 .as_mut()
                 .expect("layout checked above");
-            for (cell, packets) in cells.iter().enumerate() {
-                let q = grid.get_mut(cell / n_outputs, cell % n_outputs);
-                for p in packets {
-                    q.insert(*p).map_err(overflow)?;
-                }
+            for ((_, _, q), cell) in grid.iter_mut().zip(cells) {
+                mechanics::refill(q, cell).map_err(overflow)?;
             }
         }
-        for (j, packets) in snap.output_queues.iter().enumerate() {
-            for p in packets {
-                state.output_queues[j].insert(*p).map_err(overflow)?;
-            }
+        for (q, cell) in state.output_queues.iter_mut().zip(&snap.output_queues) {
+            mechanics::refill(q, cell).map_err(overflow)?;
         }
         state.slot = snap.slot;
 
-        let horizon = options.horizon();
-        let per_bucket = per_bucket_bound(&snap.config, horizon, options.faults.as_ref());
-        let mut calendar = (horizon >= 1).then(|| DelayCalendar::with_reserve(horizon, per_bucket));
-        if horizon >= 1 {
-            state.inflight.reserve(per_output_inflight_bound(
-                &snap.config,
-                horizon,
-                options.faults.as_ref(),
-            ));
-        }
-        for l in &snap.landings {
-            if l.input as usize >= n_inputs || l.output as usize >= n_outputs {
+        let horizon = engine.options.horizon();
+        for SnapLanding { land_slot, landing } in &snap.landings {
+            let (i, j) = (landing.p.input as usize, landing.p.output as usize);
+            if i >= n_inputs || j >= n_outputs {
                 return Err(SnapshotError::Format(format!(
-                    "landing on pair ({} -> {}) outside a {n_inputs}x{n_outputs} switch",
-                    l.input, l.output
+                    "landing on pair ({i} -> {j}) outside a {n_inputs}x{n_outputs} switch"
                 )));
             }
-            let cal = calendar.as_mut().ok_or_else(|| {
+            let cal = engine.calendar.as_mut().ok_or_else(|| {
                 SnapshotError::Incompatible(
                     "snapshot holds in-flight packets but the options model an immediate fabric"
                         .into(),
                 )
             })?;
-            if l.land_slot < snap.slot || l.land_slot >= snap.slot + horizon {
+            if *land_slot < snap.slot || *land_slot >= snap.slot + horizon {
                 return Err(SnapshotError::Format(format!(
-                    "landing at slot {} outside the calendar window [{}, {})",
-                    l.land_slot,
+                    "landing at slot {land_slot} outside the calendar window [{}, {})",
                     snap.slot,
                     snap.slot + horizon
                 )));
             }
-            state
-                .inflight
-                .dispatch(l.input as usize, l.output as usize, l.packet.value);
-            cal.insert_pending(
-                l.land_slot,
-                Landing {
-                    slot: l.slot,
-                    cycle: l.cycle,
-                    p: InFlightPacket {
-                        input: l.input,
-                        output: l.output,
-                        preempt: l.preempt,
-                        packet: l.packet,
-                    },
-                },
-            );
+            state.inflight.dispatch(i, j, landing.p.packet.value);
+            cal.insert_pending(*land_slot, *landing);
         }
-        let mut faults = options
-            .faults
-            .clone()
-            .map(|p| FaultRuntime::new(p, n_inputs, n_outputs));
         for (i, j, preempt, packet) in &snap.held {
             if *i as usize >= n_inputs || *j as usize >= n_outputs {
                 return Err(SnapshotError::Format(format!(
                     "held packet on pair ({i} -> {j}) outside a {n_inputs}x{n_outputs} switch"
                 )));
             }
-            let rt = faults.as_mut().expect("held implies a plan, checked above");
+            let rt = engine
+                .faults
+                .as_mut()
+                .expect("held implies a plan, checked above");
             state
                 .inflight
                 .dispatch(*i as usize, *j as usize, packet.value);
             rt.hold(*i, *j, *preempt, *packet);
         }
 
-        let stats = snap.stats.clone();
-        let window = match (&snap.window, options.stats_window) {
+        engine.stats = snap.stats.clone();
+        match (&snap.window, engine.options.stats_window) {
             (Some((w, _)), Some(opt)) if opt != *w => {
                 return Err(SnapshotError::Incompatible(format!(
                     "snapshot carries a {w}-slot stats window but options ask for {opt}"
                 )));
             }
-            (Some((w, entries)), _) => Some(
-                WindowedStats::from_parts(*w, entries.clone(), &stats)
-                    .map_err(SnapshotError::Format)?,
-            ),
-            (None, Some(w)) => Some(WindowedStats::new(w)),
-            (None, None) => None,
-        };
+            (Some((w, entries)), _) => {
+                let window = WindowedStats::from_parts(*w, entries.clone(), &engine.stats);
+                engine.window = Some(window.map_err(SnapshotError::Format)?);
+            }
+            // No window in the snapshot: the fresh one the options ask for.
+            (None, _) => {}
+        }
         crate::invariants::check_restored_residual(
-            &state,
+            &engine.state,
             snap.residual_count,
             snap.residual_value,
         )
         .map_err(SnapshotError::Format)?;
-
-        let spec = options.fabric.clone();
-        Ok(Engine {
-            state,
-            stats,
-            options,
-            spec,
-            calendar,
-            faults,
-            window,
-            start_slot: snap.slot,
-            start_idle: snap.idle_slots,
-            checkpoints: Vec::new(),
-            arrivals: Vec::new(),
-            transfers: Vec::new(),
-            in_transfers: Vec::new(),
-            out_transfers: Vec::new(),
-            input_used: vec![false; n_inputs],
-            output_used: vec![false; n_outputs],
-        })
+        engine.start_slot = snap.slot;
+        engine.start_idle = snap.idle_slots;
+        Ok(engine)
     }
 
     /// Capture the engine's complete state at the slot boundary it
@@ -434,31 +397,19 @@ impl Engine {
     /// no-progress streak (the loop's live `idle_slots` when
     /// checkpointing mid-run).
     fn capture(&self, idle_slots: u32) -> EngineSnapshot {
-        let queue_cells = |qs: &mut dyn Iterator<Item = &SortedQueue>| -> Vec<Vec<Packet>> {
-            qs.map(|q| q.iter().copied().collect()).collect()
+        let grid_cells = |g: &Grid<SortedQueue>| -> Vec<Vec<Packet>> {
+            g.iter().map(|(_, _, q)| snapshot_cell(q)).collect()
         };
-        let input_queues = queue_cells(&mut self.state.input_queues.iter().map(|(_, _, q)| q));
-        let crossbar_queues = self
-            .state
-            .crossbar_queues
-            .as_ref()
-            .map(|g| queue_cells(&mut g.iter().map(|(_, _, q)| q)));
-        let output_queues = queue_cells(&mut self.state.output_queues.iter());
+        let input_queues = grid_cells(&self.state.input_queues);
+        let crossbar_queues = self.state.crossbar_queues.as_ref().map(grid_cells);
+        let output_queues = self.state.output_queues.iter().map(snapshot_cell).collect();
         let mut landings = Vec::new();
         if let Some(cal) = &self.calendar {
-            cal.for_each_pending_at(self.state.slot, |land_slot, l| {
-                landings.push(SnapLanding {
-                    land_slot,
-                    slot: l.slot,
-                    cycle: l.cycle,
-                    input: l.p.input,
-                    output: l.p.output,
-                    preempt: l.p.preempt,
-                    packet: l.p.packet,
-                });
+            cal.for_each_pending_at(self.state.slot, |land_slot, &landing| {
+                landings.push(SnapLanding { land_slot, landing });
             });
         }
-        landings.sort_unstable_by_key(|l| (l.land_slot, l.slot, l.cycle, l.output, l.input));
+        landings.sort_unstable_by_key(SnapLanding::key);
         let mut held = Vec::new();
         if let Some(f) = &self.faults {
             f.for_each_held(|i, j, preempt, p| held.push((i, j, preempt, *p)));
@@ -485,59 +436,79 @@ impl Engine {
 
     /// Run a CIOQ policy against an arrival source.
     pub fn run_cioq<P: CioqPolicy + ?Sized>(
-        mut self,
+        self,
         policy: &mut P,
         source: &mut dyn ArrivalSource,
     ) -> Result<RunReport, PolicyError> {
-        let slots = self.run_cioq_loop(policy, source)?;
-        Ok(self.finish(policy.name().to_string(), slots))
+        Ok(self.run_cioq_full(policy, source)?.report)
     }
 
     /// Like [`Engine::run_cioq`], additionally returning the final switch
     /// state (equivalence tests compare it queue for queue against the
     /// sharded engine's).
     pub fn run_cioq_capturing<P: CioqPolicy + ?Sized>(
-        mut self,
+        self,
         policy: &mut P,
         source: &mut dyn ArrivalSource,
     ) -> Result<(RunReport, SwitchState), PolicyError> {
-        let slots = self.run_cioq_loop(policy, source)?;
-        let state = self.state.clone();
-        Ok((self.finish(policy.name().to_string(), slots), state))
+        let outcome = self.run_cioq_full(policy, source)?;
+        Ok((outcome.report, outcome.final_state))
     }
 
     /// Like [`Engine::run_cioq`], returning the report, final state and
     /// every checkpoint the `checkpoint_every` option collected.
     pub fn run_cioq_full<P: CioqPolicy + ?Sized>(
-        mut self,
+        self,
         policy: &mut P,
         source: &mut dyn ArrivalSource,
     ) -> Result<RunOutcome, PolicyError> {
-        let slots = self.run_cioq_loop(policy, source)?;
-        let final_state = self.state.clone();
-        let checkpoints = std::mem::take(&mut self.checkpoints);
-        Ok(RunOutcome {
-            report: self.finish(policy.name().to_string(), slots),
-            final_state,
-            checkpoints,
-        })
+        let arch = Cioq {
+            policy,
+            transfers: Vec::new(),
+        };
+        self.run(arch, source)
     }
 
-    fn run_cioq_loop<P: CioqPolicy + ?Sized>(
-        &mut self,
+    /// Run a buffered-crossbar policy against an arrival source.
+    pub fn run_crossbar<P: CrossbarPolicy + ?Sized>(
+        self,
         policy: &mut P,
         source: &mut dyn ArrivalSource,
-    ) -> Result<SlotId, PolicyError> {
-        assert!(
-            self.state.config().crossbar_capacity.is_none(),
-            "run_cioq requires a CIOQ config (no crossbar capacity)"
-        );
+    ) -> Result<RunReport, PolicyError> {
+        Ok(self.run_crossbar_full(policy, source)?.report)
+    }
+
+    /// Like [`Engine::run_crossbar`], returning the report, final state
+    /// and every checkpoint the `checkpoint_every` option collected.
+    pub fn run_crossbar_full<P: CrossbarPolicy + ?Sized>(
+        self,
+        policy: &mut P,
+        source: &mut dyn ArrivalSource,
+    ) -> Result<RunOutcome, PolicyError> {
+        let arch = Crossbar {
+            policy,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+        };
+        self.run(arch, source)
+    }
+
+    /// The slot loop — §1.3's slot, written once for both architectures
+    /// (see [`Arch`]). The final state is moved out of the engine, not
+    /// cloned.
+    fn run<A: Arch>(
+        mut self,
+        mut arch: A,
+        source: &mut dyn ArrivalSource,
+    ) -> Result<RunOutcome, PolicyError> {
+        arch.assert_config(self.state.config());
         // A fixed horizon (explicit slot budget or a source that knows its
         // length) closes the arrival window by slot count; an open-ended
         // source (streaming) is asked each slot and may block until it
         // knows whether more arrivals are coming.
         let fixed_slots = self.options.slots.or_else(|| source.horizon());
         let speedup = self.state.config().speedup;
+        let n_outputs = self.state.config().n_outputs;
 
         let mut slot: SlotId = self.start_slot;
         let mut idle_slots = self.start_idle;
@@ -569,27 +540,19 @@ impl Engine {
 
             // --- Arrival phase ---
             if in_arrival_window {
-                self.arrival_phase(policy_admit_cioq(policy), source, slot)?;
+                self.arrival_phase(&mut arch, source, slot)?;
             }
 
             // --- Scheduling phase: ŝ cycles ---
             for s in 0..speedup {
-                let cycle = Cycle { slot, index: s };
-                self.transfers.clear();
-                let mut transfers = std::mem::take(&mut self.transfers);
-                policy.schedule(&self.state.view(), cycle, &mut transfers);
-                // The policy consumed the change log; everything from here
-                // on accumulates for its next scheduling call.
-                self.state.changes.flush();
-                self.apply_cioq_transfers(&transfers, cycle)?;
-                self.transfers = transfers;
+                arch.cycle(&mut self, Cycle { slot, index: s })?;
                 self.post_phase_check();
             }
 
             // --- Transmission phase ---
-            for j in 0..self.state.config().n_outputs {
+            for j in 0..n_outputs {
                 let output = PortId::from(j);
-                let choice = policy.transmit(&self.state.view(), output);
+                let choice = arch.transmit(&self.state.view(), output);
                 self.apply_transmit(output, choice)?;
             }
             self.post_phase_check();
@@ -604,132 +567,15 @@ impl Engine {
             slot += 1;
         }
 
-        Ok(slot)
-    }
-
-    /// Run a buffered-crossbar policy against an arrival source.
-    pub fn run_crossbar<P: CrossbarPolicy + ?Sized>(
-        mut self,
-        policy: &mut P,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<RunReport, PolicyError> {
-        let slots = self.run_crossbar_loop(policy, source)?;
-        Ok(self.finish(policy.name().to_string(), slots))
-    }
-
-    /// Like [`Engine::run_crossbar`], additionally returning the final
-    /// switch state.
-    pub fn run_crossbar_capturing<P: CrossbarPolicy + ?Sized>(
-        mut self,
-        policy: &mut P,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<(RunReport, SwitchState), PolicyError> {
-        let slots = self.run_crossbar_loop(policy, source)?;
-        let state = self.state.clone();
-        Ok((self.finish(policy.name().to_string(), slots), state))
-    }
-
-    /// Like [`Engine::run_crossbar`], returning the report, final state
-    /// and every checkpoint the `checkpoint_every` option collected.
-    pub fn run_crossbar_full<P: CrossbarPolicy + ?Sized>(
-        mut self,
-        policy: &mut P,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<RunOutcome, PolicyError> {
-        let slots = self.run_crossbar_loop(policy, source)?;
-        let final_state = self.state.clone();
-        let checkpoints = std::mem::take(&mut self.checkpoints);
+        let residual = (self.state.residual_count(), self.state.residual_value());
+        let policy = arch.name().to_string();
+        let mut report = mechanics::finish_report(self.stats, policy, slot, residual, &self.spec);
+        report.window = self.window;
         Ok(RunOutcome {
-            report: self.finish(policy.name().to_string(), slots),
-            final_state,
-            checkpoints,
+            report,
+            final_state: self.state,
+            checkpoints: self.checkpoints,
         })
-    }
-
-    fn run_crossbar_loop<P: CrossbarPolicy + ?Sized>(
-        &mut self,
-        policy: &mut P,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<SlotId, PolicyError> {
-        assert!(
-            self.state.config().crossbar_capacity.is_some(),
-            "run_crossbar requires a crossbar config"
-        );
-        // See run_cioq_loop: fixed horizon closes the window by count, an
-        // open-ended source is asked (and may block) each slot.
-        let fixed_slots = self.options.slots.or_else(|| source.horizon());
-        let speedup = self.state.config().speedup;
-
-        let mut slot: SlotId = self.start_slot;
-        let mut idle_slots = self.start_idle;
-        loop {
-            let in_arrival_window = match fixed_slots {
-                Some(n) => slot < n,
-                None => source.in_arrival_window(slot),
-            };
-            if !in_arrival_window {
-                let done = !self.options.drain
-                    || self.state.residual_count() == 0
-                    || (idle_slots >= 2 && self.state.inflight.is_empty());
-                if done {
-                    break;
-                }
-            }
-            self.state.slot = slot;
-            self.checkpoint_if_due(slot, idle_slots);
-            let transmitted_before = self.stats.transmitted;
-            let moved_before = self.stats.transferred + self.stats.transferred_to_crossbar;
-
-            // --- Fault release (link-down windows that closed) ---
-            self.release_retransmits(slot);
-
-            // --- Landing phase (delayed fabric only) ---
-            self.land_due(slot)?;
-
-            // --- Arrival phase ---
-            if in_arrival_window {
-                self.arrival_phase(policy_admit_crossbar(policy), source, slot)?;
-            }
-
-            // --- Scheduling phase: ŝ cycles of (input, output) subphases ---
-            for s in 0..speedup {
-                let cycle = Cycle { slot, index: s };
-
-                self.in_transfers.clear();
-                let mut input_transfers = std::mem::take(&mut self.in_transfers);
-                policy.schedule_input(&self.state.view(), cycle, &mut input_transfers);
-                self.state.changes.flush();
-                self.apply_input_subphase(&input_transfers)?;
-                self.in_transfers = input_transfers;
-
-                self.out_transfers.clear();
-                let mut output_transfers = std::mem::take(&mut self.out_transfers);
-                policy.schedule_output(&self.state.view(), cycle, &mut output_transfers);
-                self.state.changes.flush();
-                self.apply_output_subphase(&output_transfers, cycle)?;
-                self.out_transfers = output_transfers;
-                self.post_phase_check();
-            }
-
-            // --- Transmission phase ---
-            for j in 0..self.state.config().n_outputs {
-                let output = PortId::from(j);
-                let choice = policy.transmit(&self.state.view(), output);
-                self.apply_transmit(output, choice)?;
-            }
-            self.post_phase_check();
-
-            self.audit_slot();
-            if let Some(w) = &mut self.window {
-                w.roll(slot, &self.stats);
-            }
-            let progressed = self.stats.transmitted != transmitted_before
-                || self.stats.transferred + self.stats.transferred_to_crossbar != moved_before;
-            idle_slots = if progressed { 0 } else { idle_slots + 1 };
-            slot += 1;
-        }
-
-        Ok(slot)
     }
 
     // ---- phase mechanics ----
@@ -797,9 +643,9 @@ impl Engine {
     }
 
     // detlint: hot
-    fn arrival_phase(
+    fn arrival_phase<A: Arch>(
         &mut self,
-        mut admit: impl FnMut(&SwitchState, &Packet) -> Admission,
+        arch: &mut A,
         source: &mut dyn ArrivalSource,
         slot: SlotId,
     ) -> Result<(), PolicyError> {
@@ -807,80 +653,28 @@ impl Engine {
         let mut arrivals = std::mem::take(&mut self.arrivals);
         source.arrivals(&self.state.view(), slot, &mut arrivals);
         for p in &arrivals {
-            self.check_ports(p.input, p.output)?;
-            self.stats.on_arrival(p);
-            let decision = admit(&self.state, p);
+            mechanics::check_ports(self.state.config(), p.input, p.output)?;
+            let decision = arch.admit(&self.state.view(), p);
             if !matches!(decision, Admission::Reject) {
                 self.state.note_voq(p.input, p.output);
             }
             let queue = self.state.input_queues.at_mut(p.input, p.output);
-            match decision {
-                Admission::Reject => self.stats.on_reject(p),
-                Admission::Accept => {
-                    if queue.is_full() {
-                        return Err(PolicyError::QueueFull {
-                            kind: "input",
-                            input: Some(p.input),
-                            output: p.output,
-                        });
-                    }
-                    queue.insert(*p).expect("checked not full");
-                    self.stats.on_accept();
-                }
-                Admission::AcceptPreemptingLeast => {
-                    if !queue.is_full() {
-                        return Err(PolicyError::PreemptOnNonFull {
-                            kind: "input",
-                            input: Some(p.input),
-                            output: p.output,
-                        });
-                    }
-                    let victim = queue.pop_tail().expect("full queue has a tail");
-                    self.stats.on_preempt_input(&victim);
-                    queue.insert(*p).expect("slot freed by preemption");
-                    self.stats.on_accept();
-                }
-            }
+            mechanics::admit(queue, &mut self.stats, decision, p)?;
         }
         self.arrivals = arrivals;
         self.post_phase_check();
         Ok(())
     }
 
-    /// Insert a packet that has crossed the fabric into `Q_j`, preempting
-    /// `l_j` iff the transfer allowed it — the single landing site shared
-    /// by the immediate path and the delay line. Under a fault plan a
-    /// non-preempting landing into a full queue is an overflow *drop*
-    /// (the reservation the policy scheduled against can be stale once
-    /// faults perturb landing times), not a policy error.
+    /// Insert a packet that has crossed the fabric into `Q_j` — the single
+    /// landing site shared by the immediate path and the delay line.
     // detlint: hot
-    fn deliver_to_output(
-        &mut self,
-        input: PortId,
-        output: PortId,
-        preempt_if_full: bool,
-        packet: Packet,
-    ) -> Result<(), PolicyError> {
+    fn deliver_to_output(&mut self, p: InFlightPacket) -> Result<(), PolicyError> {
+        let output = PortId(p.output);
         self.state.note_output(output);
         let queue = &mut self.state.output_queues[output.index()];
-        if queue.is_full() {
-            if !preempt_if_full {
-                if self.faults.is_some() {
-                    self.stats.on_drop(&packet);
-                    return Ok(());
-                }
-                return Err(PolicyError::QueueFull {
-                    kind: "output",
-                    input: Some(input),
-                    output,
-                });
-            }
-            let victim = queue.pop_tail().expect("full queue has a tail");
-            self.stats.on_preempt_output(&victim);
-        }
-        queue.insert(packet).expect("space ensured");
-        self.stats.on_transfer();
-        Ok(())
+        let faulted = self.faults.is_some();
+        mechanics::land(queue, &mut self.stats, QueueKind::Output, faulted, p)
     }
 
     /// Drain the calendar bucket due at the start of `slot` into the
@@ -898,18 +692,15 @@ impl Engine {
         };
         let due = cal.take_due(slot);
         if cfg!(debug_assertions) {
-            if let Err(msg) = crate::invariants::check_canonical_order(&due, |l| {
-                (l.slot, l.cycle, l.p.output, l.p.input)
-            }) {
+            if let Err(msg) = crate::invariants::check_canonical_order(&due, Landing::key) {
                 panic!("engine landing-order invariant violated: {msg}");
             }
         }
         for l in &due {
-            let (input, output) = (PortId(l.p.input), PortId(l.p.output));
             self.state
                 .inflight
-                .land(input.index(), output.index(), l.p.packet.value);
-            self.deliver_to_output(input, output, l.p.preempt, l.p.packet)?;
+                .land(l.p.input as usize, l.p.output as usize, l.p.packet.value);
+            self.deliver_to_output(l.p)?;
         }
         if let Some(cal) = &mut self.calendar {
             cal.restore(due);
@@ -924,25 +715,18 @@ impl Engine {
     /// holds the packet in its bounded retransmit FIFO (overflow = drop),
     /// and latency spikes stretch the pair's effective delay.
     // detlint: hot
-    fn through_fabric(
-        &mut self,
-        input: PortId,
-        output: PortId,
-        preempt_if_full: bool,
-        cycle: Cycle,
-        packet: Packet,
-    ) -> Result<(), PolicyError> {
-        let mut d = self.spec.delay(input, output);
+    fn through_fabric(&mut self, cycle: Cycle, p: InFlightPacket) -> Result<(), PolicyError> {
+        let (i, j) = (p.input, p.output);
+        let mut d = self.spec.delay(PortId(i), PortId(j));
         if let Some(faults) = &mut self.faults {
-            let (i, j) = (input.0, output.0);
             if let Some(cap) = faults.plan().down_cap(cycle.slot, i, j) {
                 if faults.pair_held(i, j) < cap {
                     self.state
                         .inflight
-                        .dispatch(input.index(), output.index(), packet.value);
-                    faults.hold(i, j, preempt_if_full, packet);
+                        .dispatch(i as usize, j as usize, p.packet.value);
+                    faults.hold(i, j, p.preempt, p.packet);
                 } else {
-                    self.stats.on_drop(&packet);
+                    self.stats.on_drop(&p.packet);
                 }
                 return Ok(());
             }
@@ -955,113 +739,77 @@ impl Engine {
                 .expect("positive pair delay implies a calendar");
             self.state
                 .inflight
-                .dispatch(input.index(), output.index(), packet.value);
-            cal.dispatch(
-                cycle.slot,
-                cycle.index,
-                d,
-                InFlightPacket {
-                    input: input.0,
-                    output: output.0,
-                    preempt: preempt_if_full,
-                    packet,
-                },
-            );
+                .dispatch(i as usize, j as usize, p.packet.value);
+            cal.dispatch(cycle.slot, cycle.index, d, p);
             return Ok(());
         }
-        self.deliver_to_output(input, output, preempt_if_full, packet)
+        self.deliver_to_output(p)
     }
 
+    /// Open a transfer set and validate it: ports in range, ≤ 1 transfer
+    /// per port on each constrained side.
+    // detlint: hot
+    fn check_transfers(
+        &mut self,
+        pairs: impl Iterator<Item = (PortId, PortId)>,
+        inputs: bool,
+        outputs: bool,
+    ) -> Result<(), PolicyError> {
+        let cfg = self.state.config();
+        self.ports.begin(cfg.n_inputs, cfg.n_outputs);
+        self.ports.check(cfg, pairs, inputs, outputs)
+    }
+
+    /// A CIOQ cycle's matching: `Q_ij → fabric → Q_j`.
     // detlint: hot
     fn apply_cioq_transfers(
         &mut self,
         transfers: &[Transfer],
         cycle: Cycle,
     ) -> Result<(), PolicyError> {
-        self.begin_matching_check();
-        for t in transfers {
-            self.check_ports(t.input, t.output)?;
-            self.mark_input(t.input)?;
-            self.mark_output(t.output)?;
-        }
+        self.check_transfers(transfers.iter().map(|t| (t.input, t.output)), true, true)?;
         for t in transfers {
             self.state.note_voq(t.input, t.output);
             let queue = self.state.input_queues.at_mut(t.input, t.output);
-            let packet = take_pick(queue, t.pick).ok_or(match t.pick {
-                PacketPick::ById(id) if !queue.is_empty() => PolicyError::NoSuchPacket { id },
-                _ => PolicyError::EmptyQueue {
-                    kind: "input",
-                    input: Some(t.input),
-                    output: t.output,
-                },
-            })?;
-            self.through_fabric(t.input, t.output, t.preempt_if_full, cycle, packet)?;
+            let packet = mechanics::pop(queue, t.pick, QueueKind::Input, Some(t.input), t.output)?;
+            let p = InFlightPacket::new(t.input, t.output, t.preempt_if_full, packet);
+            self.through_fabric(cycle, p)?;
         }
         Ok(())
     }
 
+    /// A crossbar input subphase: `Q_ij → C_ij`, ≤ 1 transfer per *input
+    /// port* only.
     // detlint: hot
     fn apply_input_subphase(&mut self, transfers: &[InputTransfer]) -> Result<(), PolicyError> {
-        self.begin_matching_check();
-        for t in transfers {
-            self.check_ports(t.input, t.output)?;
-            // Input subphase: ≤ 1 transfer per *input port* only.
-            self.mark_input(t.input)?;
-        }
+        self.check_transfers(transfers.iter().map(|t| (t.input, t.output)), true, false)?;
+        let faulted = self.faults.is_some();
         for t in transfers {
             self.state.note_voq(t.input, t.output);
             self.state.note_xbar(t.input, t.output);
             let queue = self.state.input_queues.at_mut(t.input, t.output);
-            let packet = take_pick(queue, t.pick).ok_or(match t.pick {
-                PacketPick::ById(id) if !queue.is_empty() => PolicyError::NoSuchPacket { id },
-                _ => PolicyError::EmptyQueue {
-                    kind: "input",
-                    input: Some(t.input),
-                    output: t.output,
-                },
-            })?;
+            let packet = mechanics::pop(queue, t.pick, QueueKind::Input, Some(t.input), t.output)?;
             let xbar = self
                 .state
                 .crossbar_queues
                 .as_mut()
                 .expect("invariant: crossbar queues exist, asserted at run entry")
                 .at_mut(t.input, t.output);
-            if xbar.is_full() {
-                if !t.preempt_if_full {
-                    // Under a fault plan a stale reservation is an
-                    // overflow drop, not a policy error (see
-                    // `deliver_to_output`).
-                    if self.faults.is_some() {
-                        self.stats.on_drop(&packet);
-                        continue;
-                    }
-                    return Err(PolicyError::QueueFull {
-                        kind: "crossbar",
-                        input: Some(t.input),
-                        output: t.output,
-                    });
-                }
-                let victim = xbar.pop_tail().expect("full queue has a tail");
-                self.stats.on_preempt_crossbar(&victim);
-            }
-            xbar.insert(packet).expect("space ensured");
-            self.stats.on_transfer_to_crossbar();
+            let p = InFlightPacket::new(t.input, t.output, t.preempt_if_full, packet);
+            mechanics::land(xbar, &mut self.stats, QueueKind::Crossbar, faulted, p)?;
         }
         Ok(())
     }
 
+    /// A crossbar output subphase: `C_ij → fabric → Q_j`, ≤ 1 transfer per
+    /// *output port* only.
     // detlint: hot
     fn apply_output_subphase(
         &mut self,
         transfers: &[OutputTransfer],
         cycle: Cycle,
     ) -> Result<(), PolicyError> {
-        self.begin_matching_check();
-        for t in transfers {
-            self.check_ports(t.input, t.output)?;
-            // Output subphase: ≤ 1 transfer per *output port* only.
-            self.mark_output(t.output)?;
-        }
+        self.check_transfers(transfers.iter().map(|t| (t.input, t.output)), false, true)?;
         for t in transfers {
             self.state.note_xbar(t.input, t.output);
             let xbar = self
@@ -1070,15 +818,10 @@ impl Engine {
                 .as_mut()
                 .expect("invariant: crossbar queues exist, asserted at run entry")
                 .at_mut(t.input, t.output);
-            let packet = take_pick(xbar, t.pick).ok_or(match t.pick {
-                PacketPick::ById(id) if !xbar.is_empty() => PolicyError::NoSuchPacket { id },
-                _ => PolicyError::EmptyQueue {
-                    kind: "crossbar",
-                    input: Some(t.input),
-                    output: t.output,
-                },
-            })?;
-            self.through_fabric(t.input, t.output, t.preempt_if_full, cycle, packet)?;
+            let packet =
+                mechanics::pop(xbar, t.pick, QueueKind::Crossbar, Some(t.input), t.output)?;
+            let p = InFlightPacket::new(t.input, t.output, t.preempt_if_full, packet);
+            self.through_fabric(cycle, p)?;
         }
         Ok(())
     }
@@ -1089,60 +832,13 @@ impl Engine {
         output: PortId,
         choice: TransmitChoice,
     ) -> Result<(), PolicyError> {
-        match choice {
-            TransmitChoice::Hold => Ok(()),
-            TransmitChoice::Send(pick) => {
-                let slot = self.state.slot;
-                self.state.note_output(output);
-                let queue = &mut self.state.output_queues[output.index()];
-                let packet = take_pick(queue, pick).ok_or(match pick {
-                    PacketPick::ById(id) if !queue.is_empty() => PolicyError::NoSuchPacket { id },
-                    _ => PolicyError::TransmitFromEmpty { output },
-                })?;
-                self.stats.on_transmit(&packet, slot, output.index());
-                Ok(())
-            }
+        if let TransmitChoice::Send(pick) = choice {
+            let slot = self.state.slot;
+            self.state.note_output(output);
+            let queue = &mut self.state.output_queues[output.index()];
+            let packet = mechanics::pop(queue, pick, QueueKind::Output, None, output)?;
+            self.stats.on_transmit(&packet, slot, output.index());
         }
-    }
-
-    // ---- validation helpers ----
-
-    fn check_ports(&self, input: PortId, output: PortId) -> Result<(), PolicyError> {
-        if input.index() >= self.state.config().n_inputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "input",
-                port: input.index(),
-            });
-        }
-        if output.index() >= self.state.config().n_outputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "output",
-                port: output.index(),
-            });
-        }
-        Ok(())
-    }
-
-    fn begin_matching_check(&mut self) {
-        self.input_used.iter_mut().for_each(|b| *b = false);
-        self.output_used.iter_mut().for_each(|b| *b = false);
-    }
-
-    fn mark_input(&mut self, input: PortId) -> Result<(), PolicyError> {
-        let slot = &mut self.input_used[input.index()];
-        if *slot {
-            return Err(PolicyError::DuplicateInput { input });
-        }
-        *slot = true;
-        Ok(())
-    }
-
-    fn mark_output(&mut self, output: PortId) -> Result<(), PolicyError> {
-        let slot = &mut self.output_used[output.index()];
-        if *slot {
-            return Err(PolicyError::DuplicateOutput { output });
-        }
-        *slot = true;
         Ok(())
     }
 
@@ -1172,40 +868,111 @@ impl Engine {
             }
         }
     }
+}
 
-    fn finish(self, policy: String, slots: SlotId) -> RunReport {
-        let residual_count = self.state.residual_count();
-        let residual_value = self.state.residual_value();
-        let mut report = self
-            .stats
-            .finish(policy, slots, residual_count, residual_value);
-        report.fabric_delay = self.spec.max_delay();
-        report.window = self.window;
-        debug_assert_eq!(report.check_conservation(), Ok(()));
-        report
+/// What the slot loop asks of an architecture. §1.3 defines one slot for
+/// both; they part ways only inside the scheduling cycle, so that — with
+/// the policy calls either side of it — is all this trait holds. Statically
+/// dispatched: [`Engine::run`] is monomorphised per policy type.
+trait Arch {
+    /// Policy name for the report.
+    fn name(&self) -> &str;
+
+    /// Panic unless `cfg` describes this architecture.
+    fn assert_config(&self, cfg: &SwitchConfig);
+
+    /// Arrival phase: the policy's decision for one packet.
+    fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission;
+
+    /// One scheduling cycle: ask the policy, flush the change log it
+    /// consumed (everything from there on accumulates for its next
+    /// scheduling call), validate and apply.
+    fn cycle(&mut self, engine: &mut Engine, cycle: Cycle) -> Result<(), PolicyError>;
+
+    /// Transmission phase: the policy's choice for one output.
+    fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice;
+}
+
+/// CIOQ: a cycle is one matching `Q_ij → Q_j`.
+struct Cioq<'p, P: ?Sized> {
+    policy: &'p mut P,
+    /// Pooled decision buffer (the hot path never allocates).
+    transfers: Vec<Transfer>,
+}
+
+impl<P: CioqPolicy + ?Sized> Arch for Cioq<'_, P> {
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn assert_config(&self, cfg: &SwitchConfig) {
+        assert!(
+            cfg.crossbar_capacity.is_none(),
+            "run_cioq requires a CIOQ config (no crossbar capacity)"
+        );
+    }
+
+    fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
+        self.policy.admit(view, packet)
+    }
+
+    // detlint: hot
+    fn cycle(&mut self, engine: &mut Engine, cycle: Cycle) -> Result<(), PolicyError> {
+        self.transfers.clear();
+        self.policy
+            .schedule(&engine.state.view(), cycle, &mut self.transfers);
+        engine.state.changes.flush();
+        engine.apply_cioq_transfers(&self.transfers, cycle)
+    }
+
+    fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {
+        self.policy.transmit(view, output)
     }
 }
 
-pub(crate) fn take_pick(queue: &mut SortedQueue, pick: PacketPick) -> Option<Packet> {
-    match pick {
-        PacketPick::Greatest => queue.pop_head(),
-        PacketPick::Least => queue.pop_tail(),
-        PacketPick::ById(id) => queue.remove(id),
+/// Buffered crossbar: a cycle is an input subphase `Q_ij → C_ij` then an
+/// output subphase `C_ij → Q_j`, each a per-port decision.
+struct Crossbar<'p, P: ?Sized> {
+    policy: &'p mut P,
+    /// Pooled decision buffers.
+    inputs: Vec<InputTransfer>,
+    outputs: Vec<OutputTransfer>,
+}
+
+impl<P: CrossbarPolicy + ?Sized> Arch for Crossbar<'_, P> {
+    fn name(&self) -> &str {
+        self.policy.name()
     }
-}
 
-// Small adapters so `arrival_phase` is shared between both policy families
-// without trait-object gymnastics.
-fn policy_admit_cioq<P: CioqPolicy + ?Sized>(
-    policy: &mut P,
-) -> impl FnMut(&SwitchState, &Packet) -> Admission + '_ {
-    move |state, p| policy.admit(&state.view(), p)
-}
+    fn assert_config(&self, cfg: &SwitchConfig) {
+        assert!(
+            cfg.crossbar_capacity.is_some(),
+            "run_crossbar requires a crossbar config"
+        );
+    }
 
-fn policy_admit_crossbar<P: CrossbarPolicy + ?Sized>(
-    policy: &mut P,
-) -> impl FnMut(&SwitchState, &Packet) -> Admission + '_ {
-    move |state, p| policy.admit(&state.view(), p)
+    fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
+        self.policy.admit(view, packet)
+    }
+
+    // detlint: hot
+    fn cycle(&mut self, engine: &mut Engine, cycle: Cycle) -> Result<(), PolicyError> {
+        self.inputs.clear();
+        self.policy
+            .schedule_input(&engine.state.view(), cycle, &mut self.inputs);
+        engine.state.changes.flush();
+        engine.apply_input_subphase(&self.inputs)?;
+
+        self.outputs.clear();
+        self.policy
+            .schedule_output(&engine.state.view(), cycle, &mut self.outputs);
+        engine.state.changes.flush();
+        engine.apply_output_subphase(&self.outputs, cycle)
+    }
+
+    fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {
+        self.policy.transmit(view, output)
+    }
 }
 
 /// Run a CIOQ policy over a recorded trace with default options
@@ -1217,28 +984,6 @@ pub fn run_cioq<P: CioqPolicy + ?Sized>(
 ) -> Result<RunReport, PolicyError> {
     let mut source = TraceSource::new(trace);
     Engine::new(config.clone(), RunOptions::default()).run_cioq(policy, &mut source)
-}
-
-/// Run a CIOQ policy over a recorded trace, returning both the report and
-/// the final switch state (default options).
-pub fn run_cioq_with_final_state<P: CioqPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    trace: &Trace,
-) -> Result<(RunReport, crate::state::SwitchState), PolicyError> {
-    let mut source = TraceSource::new(trace);
-    Engine::new(config.clone(), RunOptions::default()).run_cioq_capturing(policy, &mut source)
-}
-
-/// Run a crossbar policy over a recorded trace, returning both the report
-/// and the final switch state (default options).
-pub fn run_crossbar_with_final_state<P: CrossbarPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    trace: &Trace,
-) -> Result<(RunReport, crate::state::SwitchState), PolicyError> {
-    let mut source = TraceSource::new(trace);
-    Engine::new(config.clone(), RunOptions::default()).run_crossbar_capturing(policy, &mut source)
 }
 
 /// Run a CIOQ policy against an arbitrary (possibly adaptive) source for

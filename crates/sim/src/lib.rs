@@ -29,6 +29,7 @@ mod changes;
 mod engine;
 pub mod fault;
 pub mod invariants;
+mod mechanics;
 mod policy;
 mod record;
 pub mod service;
@@ -47,8 +48,8 @@ pub use changes::{ChangeLog, DirtySet};
 /// The queue type every view hands out (`Q_ij`, `C_ij`, `Q_j`).
 pub use cioq_queues::SortedQueue;
 pub use engine::{
-    run_cioq, run_cioq_with_final_state, run_cioq_with_source, run_crossbar,
-    run_crossbar_with_final_state, run_crossbar_with_source, Engine, RunOptions, RunOutcome,
+    run_cioq, run_cioq_with_source, run_crossbar, run_crossbar_with_source, Engine, RunOptions,
+    RunOutcome,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultScope};
 pub use policy::{

@@ -36,19 +36,34 @@
 //! Thread scheduling therefore never changes a single decision — only how
 //! long the slot takes.
 //!
+//! ## Where the two architectures meet
+//!
+//! As in the sequential engine, §1.3's slot is written once:
+//! `run_sharded_feed` owns the preamble (partition, arrival plumbing,
+//! channels, workers, checkpoint seeding), the slot skeleton (window check,
+//! drain cutoff, checkpoint cadence, landing, arrival, transmission, audit)
+//! and the finish, and `worker_phase` the phases both architectures run.
+//! What a CIOQ switch and a buffered crossbar do differently — the worker
+//! type, the propose/apply phases of a scheduling cycle, the coordinator's
+//! half of that cycle and the shape of the recorded transcript — sits
+//! behind the private `ShardArch` trait, implemented once per policy
+//! family. The per-packet rules under both (admit, land, pop, validate a
+//! transfer set, checkpoint cells) are `crate::mechanics`', shared with
+//! the sequential engine.
+//!
 //! [`Engine`]: crate::engine::Engine
 
 use crate::changes::ChangeLog;
-use crate::engine::take_pick;
-use crate::policy::{Admission, InputTransfer, OutputTransfer, PacketPick, PolicyError, Transfer};
+use crate::mechanics::{self, snapshot_cell, PortStamps};
+use crate::policy::{Admission, InputTransfer, OutputTransfer, PolicyError, Transfer};
 use crate::record::{RecordedCrossbarSchedule, RecordedSchedule};
 use crate::snapshot::{EngineSnapshot, SnapLanding};
-use crate::state::SwitchState;
+use crate::state::{QueueKind, SwitchState};
 use crate::stats::{RunReport, StatsRecorder};
 use crate::stream::StreamingSource;
 use crate::sync::SpinBarrier;
 use crate::trace::Trace;
-use crate::transport::FabricSpec;
+use crate::transport::{virtualq, DelayCalendar, FabricSpec, InFlightPacket, Landing};
 use crate::validate::check_state_invariants;
 use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
 use cioq_queues::{RowBand, SortedQueue};
@@ -471,9 +486,7 @@ impl CandidateSet {
 /// `&self`, so a policy object shared by concurrent runs holds none of it.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    stamp: u64,
-    input_stamp: Vec<u64>,
-    output_stamp: Vec<u64>,
+    ports: PortStamps,
     words: Vec<u64>,
     state: Option<Box<dyn Any + Send>>,
 }
@@ -491,37 +504,31 @@ impl MergeScratch {
 
     /// Start a new merge over `n` inputs and `m` outputs.
     pub fn begin(&mut self, n: usize, m: usize) {
-        if self.input_stamp.len() < n {
-            self.input_stamp.resize(n, 0);
-        }
-        if self.output_stamp.len() < m {
-            self.output_stamp.resize(m, 0);
-        }
-        self.stamp += 1;
+        self.ports.begin(n, m);
     }
 
     /// Whether input `i` is already matched this cycle.
     #[inline]
     pub fn input_used(&self, i: usize) -> bool {
-        self.input_stamp[i] == self.stamp
+        self.ports.input_used(i)
     }
 
     /// Whether output `j` is already matched this cycle.
     #[inline]
     pub fn output_used(&self, j: usize) -> bool {
-        self.output_stamp[j] == self.stamp
+        self.ports.output_used(j)
     }
 
     /// Mark input `i` matched.
     #[inline]
     pub fn use_input(&mut self, i: usize) {
-        self.input_stamp[i] = self.stamp;
+        self.ports.use_input(i);
     }
 
     /// Mark output `j` matched.
     #[inline]
     pub fn use_output(&mut self, j: usize) {
-        self.output_stamp[j] = self.stamp;
+        self.ports.use_output(j);
     }
 
     /// Fill the reusable word buffer with `!full_words` (i.e. a bitmap of
@@ -711,29 +718,6 @@ impl ShardState {
     }
 }
 
-/// A packet in flight between shards: popped by the row owner, to be
-/// inserted into `Q_j` by the column owner. At most one per output queue
-/// per cycle, so same-slot mailbox drain order cannot matter.
-struct Routed {
-    input: u16,
-    output: u16,
-    preempt: bool,
-    packet: Packet,
-}
-
-/// A routed packet riding the delay line, tagged with its dispatch time:
-/// with per-pair latencies one landing slot can gather transfers
-/// dispatched in *different* slots (and up to ŝ per output within a
-/// slot), and with preemption their per-queue apply order matters — the
-/// landing phase sorts by the canonical landing order
-/// `(dispatch slot, dispatch cycle, output, input)` to reproduce the
-/// sequential engine's delivery order exactly.
-struct Delayed {
-    slot: SlotId,
-    cycle: u32,
-    r: Routed,
-}
-
 /// All cross-shard communication channels plus run-wide control state.
 struct Comms {
     /// Per-shard CIOQ proposal payloads.
@@ -744,23 +728,26 @@ struct Comms {
     in_assignments: Vec<Mutex<Vec<InputTransfer>>>,
     /// Per-shard crossbar output-subphase pop assignments (by row owner).
     out_assignments: Vec<Mutex<Vec<OutputTransfer>>>,
-    /// Routed-packet mailboxes, one cell per (destination, source) pair so
-    /// a flush is a buffer swap, never a copy. Same-slot transport only
-    /// (latency-0 pairs); positive-latency pairs ride `rings`.
-    mail: Vec<Vec<Mutex<Vec<Routed>>>>,
-    /// Delay-line rings, one per (destination, source) shard pair, of
-    /// *heterogeneous* depth: ring `(dest, src)` holds
-    /// `ring_depth[dest][src]` slot-buckets — the largest per-pair latency
-    /// between a source-owned input and a destination-owned output, so a
-    /// shard pair whose racks sit close never pays for the fabric's worst
-    /// path. A dispatch in slot `t` on a pair at latency `dd ≥ 1` pushes
-    /// into bucket `(t + dd) % depth`; the destination drains bucket
-    /// `t % depth` at the start of slot `t` (before the slot's dispatches
-    /// refill it), so every packet in a drained bucket is due exactly now.
-    /// Empty when the fabric is immediate.
-    rings: Vec<Vec<Mutex<Vec<Vec<Delayed>>>>>,
-    /// Bucket count of each `(dest, src)` ring (0 = all pairs immediate).
-    ring_depth: Vec<Vec<SlotId>>,
+    /// Mailboxes of packets in flight between shards — popped by the row
+    /// owner, to be inserted into `Q_j` by the column owner — one cell per
+    /// (destination, source) pair so a flush is a buffer swap, never a
+    /// copy. At most one packet per output queue per cycle, so same-slot
+    /// drain order cannot matter. Same-slot transport only (latency-0
+    /// pairs); positive-latency pairs ride `rings`.
+    mail: Vec<Vec<Mutex<Vec<InFlightPacket>>>>,
+    /// Delay-line rings, one per (destination, source) shard pair: each a
+    /// [`DelayCalendar`] — the sequential engine's delay line — of
+    /// *heterogeneous* depth, the largest per-pair latency between a
+    /// source-owned input and a destination-owned output, so a shard pair
+    /// whose racks sit close never pays for the fabric's worst path
+    /// (`None`: every such pair is immediate). The destination drains the
+    /// bucket due at slot `t` at the start of `t`, before the slot's
+    /// dispatches refill it. Packets keep their dispatch time: with
+    /// per-pair latencies one landing slot can gather transfers dispatched
+    /// in *different* slots (and up to ŝ per output within a slot), and
+    /// with preemption their per-queue apply order matters (see
+    /// [`land_phase`]). Empty when the fabric is immediate.
+    rings: Vec<Vec<Mutex<Option<DelayCalendar>>>>,
     /// Per-pair fabric latencies.
     spec: FabricSpec,
     /// Largest per-pair latency (0 = immediate fabric, no landing phase).
@@ -814,35 +801,18 @@ impl Comms {
         // Heterogeneous ring depths: ring (dest, src) only needs buckets
         // for the worst latency between a src-owned input and a dest-owned
         // output. One pass at run start; the slot loop never recomputes.
-        let ring_depth: Vec<Vec<SlotId>> = (0..if horizon >= 1 { k } else { 0 })
-            .map(|dest| {
-                (0..k)
-                    .map(|src| {
-                        let mut depth = 0;
-                        for i in partition.input_range(src) {
-                            for j in partition.output_range(dest) {
-                                depth = depth.max(spec.delay(PortId::from(i), PortId::from(j)));
-                            }
-                        }
-                        depth
-                    })
-                    .collect()
-            })
-            .collect();
-        let rings = ring_depth
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(src, &depth)| {
-                        Mutex::new(
-                            (0..depth)
-                                .map(|_| Vec::with_capacity(rows(src) * speedup))
-                                .collect(),
-                        )
-                    })
-                    .collect()
-            })
+        let ring = |dest: usize, src: usize| {
+            let mut depth = 0;
+            for i in partition.input_range(src) {
+                for j in partition.output_range(dest) {
+                    depth = depth.max(spec.delay(PortId::from(i), PortId::from(j)));
+                }
+            }
+            let cal = || DelayCalendar::with_reserve(depth, rows(src) * speedup);
+            Mutex::new((depth >= 1).then(cal))
+        };
+        let rings = (0..if horizon >= 1 { k } else { 0 })
+            .map(|dest| (0..k).map(|src| ring(dest, src)).collect())
             .collect();
         Comms {
             candidates: (0..k)
@@ -857,7 +827,6 @@ impl Comms {
             out_assignments: vecs(k, |s| rows(s).max(cfg.n_outputs)),
             mail: cells(k, rows),
             rings,
-            ring_depth,
             spec,
             horizon,
             has_zero,
@@ -883,6 +852,18 @@ impl Comms {
         self.failed.store(true, Ordering::Release);
     }
 
+    /// Error transport of the worker phases: unwrap a per-packet rule's
+    /// result, recording the error (and answering `None`) if it failed.
+    fn ok<T>(&self, result: Result<T, PolicyError>) -> Option<T> {
+        result.map_err(|e| self.fail(e)).ok()
+    }
+
+    /// The pre-cycle output snapshot (refreshed by the coordinator between
+    /// phases, read by proposals and merges).
+    fn outputs(&self) -> RwLockReadGuard<'_, OutputSnapshot> {
+        self.snapshot.read().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn cycle_now(&self) -> Cycle {
         Cycle {
             slot: self.slot.load(Ordering::Relaxed),
@@ -895,6 +876,15 @@ impl Comms {
 /// its payload; subsequent phases must still be able to shut down cleanly.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Rewrite a pooled per-shard cell: take the buffer out of its mutex (so
+/// the lock is not held while a policy runs), let `fill` rewrite it, put
+/// it back.
+fn rewrite_cell<T: Default>(cell: &Mutex<T>, fill: impl FnOnce(&mut T)) {
+    let mut buf = std::mem::take(&mut *lock(cell));
+    fill(&mut buf);
+    *lock(cell) = buf;
 }
 
 fn read_shard<'a>(l: &'a RwLock<ShardState>) -> RwLockReadGuard<'a, ShardState> {
@@ -928,6 +918,15 @@ struct Fabric<'a> {
 }
 
 impl Fabric<'_> {
+    fn shard_view<'g>(&'g self, shard: usize, state: &'g ShardState) -> ShardView<'g> {
+        ShardView {
+            cfg: self.cfg,
+            partition: &self.partition,
+            shard,
+            state,
+        }
+    }
+
     fn view_of<'g>(&'g self, guards: &'g [RwLockReadGuard<'g, ShardState>]) -> FabricView<'g> {
         FabricView {
             cfg: self.cfg,
@@ -944,6 +943,15 @@ impl Fabric<'_> {
         out.extend(self.shards.iter().map(read_shard));
     }
 
+    /// The run's statistics so far: every shard's share, summed.
+    fn merged_stats(&self) -> StatsRecorder {
+        let mut merged = StatsRecorder::new(self.cfg.n_outputs);
+        for l in &self.shards {
+            absorb_stats(&mut merged, &read_shard(l).stats);
+        }
+        merged
+    }
+
     /// (transmitted, moved) sums for the progress check.
     fn progress(&self) -> (u64, u64) {
         let mut transmitted = 0;
@@ -958,15 +966,10 @@ impl Fabric<'_> {
 
     /// Visit every packet currently riding the delay line (coordinator
     /// only, between phases).
-    fn for_each_in_flight(&self, mut f: impl FnMut(&Delayed)) {
-        for dest in &self.comms.rings {
-            for src in dest {
-                let cell = lock(src);
-                for bucket in cell.iter() {
-                    for p in bucket {
-                        f(p);
-                    }
-                }
+    fn for_each_in_flight(&self, mut f: impl FnMut(&InFlightPacket)) {
+        for cell in self.comms.rings.iter().flatten() {
+            if let Some(cal) = &*lock(cell) {
+                cal.for_each_pending(&mut f);
             }
         }
     }
@@ -988,7 +991,7 @@ impl Fabric<'_> {
         }
         self.for_each_in_flight(|p| {
             count += 1;
-            value += p.r.packet.value as u128;
+            value += p.packet.value as u128;
         });
         (count, value)
     }
@@ -1015,25 +1018,20 @@ impl Fabric<'_> {
         snap.in_flight_min.clear();
         snap.in_flight_min.resize(m, Value::MAX);
         self.for_each_in_flight(|p| {
-            let j = p.r.output as usize;
+            let j = p.output as usize;
             snap.in_flight[j] += 1;
-            snap.in_flight_min[j] = snap.in_flight_min[j].min(p.r.packet.value);
+            snap.in_flight_min[j] = snap.in_flight_min[j].min(p.packet.value);
         });
         for l in &self.shards {
             let st = read_shard(l);
             for (local_j, q) in st.outputs.iter().enumerate() {
                 let j = st.out_lo + local_j;
                 let in_flight = snap.in_flight[j] as usize;
-                if q.len() + in_flight >= q.capacity() {
+                if virtualq::full(q, in_flight) {
                     snap.full[j] = true;
                     snap.full_words[j / 64] |= 1u64 << (j % 64);
-                    let landed = q.tail_value().unwrap_or(Value::MAX);
-                    let flying = if in_flight > 0 {
-                        snap.in_flight_min[j]
-                    } else {
-                        Value::MAX
-                    };
-                    snap.tail[j] = landed.min(flying);
+                    let flying_min = (in_flight > 0).then_some(snap.in_flight_min[j]);
+                    snap.tail[j] = virtualq::tail_value(q, flying_min).unwrap_or(Value::MAX);
                 }
             }
         }
@@ -1089,8 +1087,8 @@ const PH_LAND: u8 = 10;
 
 /// Admit one arriving packet into shard `s` — the shared per-packet body
 /// of both arrival modes (pre-bucketed cursor walk and staged streaming
-/// drain), mirroring `Engine::arrival_phase` decision for decision.
-/// Returns `false` when the phase must stop (policy error recorded).
+/// drain). Returns `false` when the phase must stop (policy error
+/// recorded).
 fn admit_arrival(
     s: usize,
     st: &mut ShardState,
@@ -1099,16 +1097,7 @@ fn admit_arrival(
     p: Packet,
     admit: &mut impl FnMut(&ShardView<'_>, &Packet) -> Admission,
 ) -> bool {
-    st.stats.on_arrival(&p);
-    let decision = {
-        let view = ShardView {
-            cfg: fabric.cfg,
-            partition: &fabric.partition,
-            shard: s,
-            state: st,
-        };
-        admit(&view, &p)
-    };
+    let decision = admit(&fabric.shard_view(s, st), &p);
     if fabric.comms.record {
         st.admits
             .push((idx, !matches!(decision, Admission::Reject)));
@@ -1120,41 +1109,14 @@ fn admit_arrival(
             .mark(local_row * fabric.cfg.n_outputs + p.output.index());
     }
     let queue = st.voq.at_global_mut(p.input.index(), p.output.index());
-    match decision {
-        Admission::Reject => st.stats.on_reject(&p),
-        Admission::Accept => {
-            if queue.is_full() {
-                fabric.comms.fail(PolicyError::QueueFull {
-                    kind: "input",
-                    input: Some(p.input),
-                    output: p.output,
-                });
-                return false;
-            }
-            queue.insert(p).expect("checked not full");
-            st.stats.on_accept();
-        }
-        Admission::AcceptPreemptingLeast => {
-            if !queue.is_full() {
-                fabric.comms.fail(PolicyError::PreemptOnNonFull {
-                    kind: "input",
-                    input: Some(p.input),
-                    output: p.output,
-                });
-                return false;
-            }
-            let victim = queue.pop_tail().expect("full queue has a tail");
-            st.stats.on_preempt_input(&victim);
-            queue.insert(p).expect("slot freed by preemption");
-            st.stats.on_accept();
-        }
-    }
-    true
+    fabric
+        .comms
+        .ok(mechanics::admit(queue, &mut st.stats, decision, &p))
+        .is_some()
 }
 
 /// Arrival phase for shard `s`: walk this slot's slice of the pre-bucketed
 /// trace (or drain the staging cell in streaming mode), admit, insert.
-/// Mirrors `Engine::arrival_phase` decision for decision.
 fn arrival_phase(
     s: usize,
     cursor: &mut usize,
@@ -1207,27 +1169,15 @@ fn transmit_phase(s: usize, fabric: &Fabric<'_>) {
     }
 }
 
-/// Insert one routed packet into the owning shard's output queue,
-/// preempting `l_j` when allowed. Returns `false` on a policy error.
-fn deliver(st: &mut ShardState, fabric: &Fabric<'_>, r: Routed) -> bool {
-    let j = r.output as usize;
+/// Insert one packet off the fabric into the owning shard's output queue.
+/// Returns `false` on a policy error (recorded).
+fn deliver(st: &mut ShardState, fabric: &Fabric<'_>, p: InFlightPacket) -> bool {
+    let j = p.output as usize;
     st.changes.output.mark(j);
     let queue = &mut st.outputs[j - st.out_lo];
-    if queue.is_full() {
-        if !r.preempt {
-            fabric.comms.fail(PolicyError::QueueFull {
-                kind: "output",
-                input: Some(PortId(r.input)),
-                output: PortId(r.output),
-            });
-            return false;
-        }
-        let victim = queue.pop_tail().expect("full queue has a tail");
-        st.stats.on_preempt_output(&victim);
-    }
-    queue.insert(r.packet).expect("space ensured");
-    st.stats.on_transfer();
-    true
+    // The sharded engine has no fault layer, so a full queue never drops.
+    let landed = mechanics::land(queue, &mut st.stats, QueueKind::Output, false, p);
+    fabric.comms.ok(landed).is_some()
 }
 
 /// Drain this shard's mailbox cells into its output queues (≤ 1 insert per
@@ -1237,8 +1187,8 @@ fn apply_insert_phase(s: usize, fabric: &Fabric<'_>) {
     let mut st = write_shard(&fabric.shards[s]);
     for src in &fabric.comms.mail[s] {
         let mut cell = lock(src);
-        for r in cell.drain(..) {
-            if !deliver(&mut st, fabric, r) {
+        for p in cell.drain(..) {
+            if !deliver(&mut st, fabric, p) {
                 return;
             }
         }
@@ -1253,35 +1203,30 @@ fn apply_insert_phase(s: usize, fabric: &Fabric<'_>) {
 /// canonical order is partition-independent: it mentions only global
 /// ports and dispatch times, never shard or rack boundaries.
 // detlint: hot
-fn land_phase(s: usize, fabric: &Fabric<'_>, gather: &mut Vec<Delayed>) {
+fn land_phase(s: usize, fabric: &Fabric<'_>, gather: &mut Vec<Landing>) {
     debug_assert!(
         fabric.comms.horizon >= 1,
         "landing phase on an immediate fabric"
     );
     let slot = fabric.comms.slot.load(Ordering::Relaxed);
     gather.clear();
-    for (src, cell) in fabric.comms.rings[s].iter().enumerate() {
-        let depth = fabric.comms.ring_depth[s][src];
-        if depth == 0 {
-            continue;
+    for cell in &fabric.comms.rings[s] {
+        if let Some(cal) = &mut *lock(cell) {
+            cal.drain_due_into(slot, gather);
         }
-        let mut cell = lock(cell);
-        gather.append(&mut cell[(slot % depth) as usize]);
     }
-    gather.sort_unstable_by_key(|p| (p.slot, p.cycle, p.r.output, p.r.input));
+    gather.sort_unstable_by_key(Landing::key);
     if cfg!(debug_assertions) {
         // Strictness is the content of the check (the sort above already
         // guarantees order): a duplicate key means two transfers entered
         // one output in one cycle, which no merge may emit.
-        if let Err(msg) = crate::invariants::check_canonical_order(gather, |p| {
-            (p.slot, p.cycle, p.r.output, p.r.input)
-        }) {
+        if let Err(msg) = crate::invariants::check_canonical_order(gather, Landing::key) {
             panic!("sharded landing-order invariant violated (shard {s}): {msg}");
         }
     }
     let mut st = write_shard(&fabric.shards[s]);
-    for p in gather.drain(..) {
-        if !deliver(&mut st, fabric, p.r) {
+    for l in gather.drain(..) {
+        if !deliver(&mut st, fabric, l.p) {
             return;
         }
     }
@@ -1299,7 +1244,7 @@ struct WorkerCtx<W> {
     /// Reused gather buffer for inbound crossbar marks.
     inbound_scratch: Vec<u32>,
     /// Reused gather buffer for the landing phase (delayed fabric).
-    land_scratch: Vec<Delayed>,
+    land_scratch: Vec<Landing>,
 }
 
 impl<W> WorkerCtx<W> {
@@ -1342,9 +1287,9 @@ struct PhaseScratch<'f> {
     /// Read guards over every shard (global-view propose phases).
     read_guards: Vec<RwLockReadGuard<'f, ShardState>>,
     /// Per-destination mailbox guards (apply-pop phases).
-    mail_boxes: Vec<Option<MutexGuard<'f, Vec<Routed>>>>,
+    mail_boxes: Vec<Option<MutexGuard<'f, Vec<InFlightPacket>>>>,
     /// Per-destination delay-ring guards (apply-pop phases).
-    ring_boxes: Vec<MutexGuard<'f, Vec<Vec<Delayed>>>>,
+    ring_boxes: Vec<MutexGuard<'f, Option<DelayCalendar>>>,
 }
 
 impl PhaseScratch<'_> {
@@ -1357,313 +1302,91 @@ impl PhaseScratch<'_> {
     }
 }
 
-/// CIOQ worker phase dispatcher.
+/// The pop-and-route step of a scheduling cycle, shared by CIOQ transfers
+/// (`Q_ij → fabric`) and crossbar output-subphase transfers
+/// (`C_ij → fabric`): `pop` takes each assigned transfer's packet out of
+/// its source queue in shard `s` (marking what it dirties) and the packet
+/// is handed to the fabric — a delay-ring bucket, a same-shard delivery,
+/// or the column owner's mailbox.
 // detlint: hot
-fn cioq_phase<'f>(
-    ph: u8,
+fn pop_and_route<'f, T>(
     s: usize,
-    ctx: &mut WorkerCtx<Box<dyn CioqShardWorker>>,
+    st: &mut ShardState,
     fabric: &'f Fabric<'_>,
     scr: &mut PhaseScratch<'f>,
+    assigned: &mut Vec<T>,
+    mut pop: impl FnMut(&mut ShardState, T) -> Option<InFlightPacket>,
 ) {
-    if fabric.comms.failed.load(Ordering::Acquire) {
-        return;
-    }
-    match ph {
-        PH_ARRIVAL => {
-            let cursor = &mut ctx.arrival_cursor;
-            let worker = &mut ctx.worker;
-            arrival_phase(s, cursor, fabric, |view, p| worker.admit(view, p));
-        }
-        PH_PROPOSE => {
-            let st = read_shard(&fabric.shards[s]);
-            let view = ShardView {
-                cfg: fabric.cfg,
-                partition: &fabric.partition,
-                shard: s,
-                state: &st,
-            };
-            let snap = fabric
-                .comms
-                .snapshot
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            let mut out = std::mem::take(&mut *lock(&fabric.comms.candidates[s]));
-            out.clear();
-            ctx.worker
-                .propose(&view, &snap, fabric.comms.cycle_now(), &mut out);
-            *lock(&fabric.comms.candidates[s]) = out;
-        }
-        PH_APPLY_POP => {
-            let slot = fabric.comms.slot.load(Ordering::Relaxed);
-            let cycle = fabric.comms.cycle.load(Ordering::Relaxed);
-            let mut asg = std::mem::take(&mut *lock(&fabric.comms.assignments[s]));
-            {
-                // Each (dest, src) mailbox / ring cell has exactly one
-                // writer per phase (this worker), so holding the locks for
-                // the whole pop loop is contention-free and saves a copy
-                // per packet. The guards land in the pooled scratch
-                // buffers (cleared below, before the barrier).
-                scr.mail_boxes
-                    .extend(fabric.comms.mail.iter().enumerate().map(|(dest, cells)| {
-                        (fabric.comms.has_zero && dest != s).then(|| lock(&cells[s]))
-                    }));
-                scr.ring_boxes
-                    .extend(fabric.comms.rings.iter().map(|cells| lock(&cells[s])));
-                let boxes = &mut scr.mail_boxes;
-                let ring_boxes = &mut scr.ring_boxes;
-                let mut st = write_shard(&fabric.shards[s]);
-                // The proposal consumed the change log; everything from here
-                // on accumulates for the next proposal (sequential flush
-                // point).
-                st.changes.flush();
-                for t in asg.drain(..) {
-                    let (i, j) = (t.input.index(), t.output.index());
-                    let local_row = i - st.voq.row_offset();
-                    st.changes.voq.mark(local_row * fabric.cfg.n_outputs + j);
-                    let queue = st.voq.at_global_mut(i, j);
-                    let Some(packet) = take_pick(queue, t.pick) else {
-                        fabric.comms.fail(match t.pick {
-                            PacketPick::ById(id) if !queue.is_empty() => {
-                                PolicyError::NoSuchPacket { id }
-                            }
-                            _ => PolicyError::EmptyQueue {
-                                kind: "input",
-                                input: Some(t.input),
-                                output: t.output,
-                            },
-                        });
-                        break;
-                    };
-                    let r = Routed {
-                        input: t.input.0,
-                        output: t.output.0,
-                        preempt: t.preempt_if_full,
-                        packet,
-                    };
-                    let dest = fabric.partition.output_owner(j);
-                    let dd = fabric.comms.spec.delay(t.input, t.output);
-                    if dd >= 1 {
-                        // Every positive-latency transfer — same-shard
-                        // included, so results are partition-independent —
-                        // rides the delay line and lands `dd` slots later.
-                        let depth = fabric.comms.ring_depth[dest][s];
-                        ring_boxes[dest][((slot + dd) % depth) as usize].push(Delayed {
-                            slot,
-                            cycle,
-                            r,
-                        });
-                    } else if dest == s {
-                        // Both endpoints owned: skip the mailbox round-trip
-                        // (inserts touch `Q_j`, pops touch `Q_ij` — the
-                        // families are disjoint, so early delivery cannot
-                        // perturb any pop).
-                        if !deliver(&mut st, fabric, r) {
-                            break;
-                        }
-                    } else {
-                        boxes[dest].as_mut().expect("foreign cell locked").push(r);
-                    }
-                }
+    let comms = &fabric.comms;
+    let cycle = comms.cycle_now();
+    // Each (dest, src) mailbox / ring cell has exactly one writer per
+    // phase (this worker), so holding the locks for the whole pop loop is
+    // contention-free and saves a copy per packet. The guards land in the
+    // pooled scratch buffers (cleared below, before the barrier).
+    scr.mail_boxes.extend(
+        comms
+            .mail
+            .iter()
+            .enumerate()
+            .map(|(dest, cells)| (comms.has_zero && dest != s).then(|| lock(&cells[s]))),
+    );
+    scr.ring_boxes
+        .extend(comms.rings.iter().map(|cells| lock(&cells[s])));
+    for t in assigned.drain(..) {
+        let Some(p) = pop(st, t) else {
+            break;
+        };
+        let dest = fabric.partition.output_owner(p.output as usize);
+        let dd = comms.spec.delay(PortId(p.input), PortId(p.output));
+        if dd >= 1 {
+            // Every positive-latency transfer — same-shard included, so
+            // results are partition-independent — rides the delay line
+            // and lands `dd` slots later.
+            scr.ring_boxes[dest]
+                .as_mut()
+                .expect("a positive-latency pair has a ring")
+                .dispatch(cycle.slot, cycle.index, dd, p);
+        } else if dest == s {
+            // Both endpoints owned: skip the mailbox round-trip (inserts
+            // touch `Q_j`, pops touch `Q_ij` / `C_ij` — the families are
+            // disjoint, so early delivery cannot perturb any pop).
+            if !deliver(st, fabric, p) {
+                break;
             }
-            scr.mail_boxes.clear();
-            scr.ring_boxes.clear();
-            *lock(&fabric.comms.assignments[s]) = asg;
+        } else {
+            scr.mail_boxes[dest]
+                .as_mut()
+                .expect("foreign cell locked")
+                .push(p);
         }
-        PH_APPLY_INSERT => apply_insert_phase(s, fabric),
-        PH_LAND => land_phase(s, fabric, &mut ctx.land_scratch),
-        PH_TRANSMIT => transmit_phase(s, fabric),
-        _ => unreachable!("phase {ph} is not a CIOQ phase"),
     }
+    scr.mail_boxes.clear();
+    scr.ring_boxes.clear();
 }
 
-/// Buffered-crossbar worker phase dispatcher.
+/// Worker phase dispatcher: the phases every architecture runs, with the
+/// rest handed to [`ShardArch::phase`].
 // detlint: hot
-fn xbar_phase<'f>(
+fn worker_phase<'f, A: ShardArch>(
     ph: u8,
     s: usize,
-    ctx: &mut WorkerCtx<Box<dyn CrossbarShardWorker>>,
+    ctx: &mut WorkerCtx<A::Worker>,
     fabric: &'f Fabric<'_>,
     scr: &mut PhaseScratch<'f>,
 ) {
     if fabric.comms.failed.load(Ordering::Acquire) {
         return;
     }
-    let m = fabric.cfg.n_outputs;
     match ph {
         PH_ARRIVAL => {
             let cursor = &mut ctx.arrival_cursor;
             let worker = &mut ctx.worker;
-            arrival_phase(s, cursor, fabric, |view, p| worker.admit(view, p));
-        }
-        PH_PROPOSE_IN => {
-            let st = read_shard(&fabric.shards[s]);
-            let view = ShardView {
-                cfg: fabric.cfg,
-                partition: &fabric.partition,
-                shard: s,
-                state: &st,
-            };
-            let mut out = std::mem::take(&mut *lock(&fabric.comms.in_assignments[s]));
-            out.clear();
-            ctx.worker
-                .propose_input(&view, fabric.comms.cycle_now(), &mut out);
-            *lock(&fabric.comms.in_assignments[s]) = out;
-        }
-        PH_APPLY_IN => {
-            let mut asg = std::mem::take(&mut *lock(&fabric.comms.in_assignments[s]));
-            {
-                let mut st = write_shard(&fabric.shards[s]);
-                st.changes.flush();
-                for t in asg.iter() {
-                    let st = &mut *st;
-                    let (i, j) = (t.input.index(), t.output.index());
-                    let local = (i - st.voq.row_offset()) * m + j;
-                    st.changes.voq.mark(local);
-                    st.changes.xbar.mark(local);
-                    let queue = st.voq.at_global_mut(i, j);
-                    let Some(packet) = take_pick(queue, t.pick) else {
-                        fabric.comms.fail(match t.pick {
-                            PacketPick::ById(id) if !queue.is_empty() => {
-                                PolicyError::NoSuchPacket { id }
-                            }
-                            _ => PolicyError::EmptyQueue {
-                                kind: "input",
-                                input: Some(t.input),
-                                output: t.output,
-                            },
-                        });
-                        break;
-                    };
-                    let xbar = st
-                        .xbar
-                        .as_mut()
-                        .expect("invariant: crossbar queues exist, asserted at run entry")
-                        .at_global_mut(i, j);
-                    if xbar.is_full() {
-                        if !t.preempt_if_full {
-                            fabric.comms.fail(PolicyError::QueueFull {
-                                kind: "crossbar",
-                                input: Some(t.input),
-                                output: t.output,
-                            });
-                            break;
-                        }
-                        let victim = xbar.pop_tail().expect("full queue has a tail");
-                        st.stats.on_preempt_crossbar(&victim);
-                    }
-                    xbar.insert(packet).expect("space ensured");
-                    st.stats.on_transfer_to_crossbar();
-                    // Forward the dirty crosspoint to the column owner's
-                    // cache (batched, flushed below).
-                    ctx.marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
-                }
-                asg.clear();
-            }
-            ctx.flush_marks(s, fabric);
-            *lock(&fabric.comms.in_assignments[s]) = asg;
-        }
-        PH_PROPOSE_OUT => {
-            let mut inbound = std::mem::take(&mut ctx.inbound_scratch);
-            inbound.clear();
-            for src in &fabric.comms.xbar_marks[s] {
-                inbound.append(&mut lock(src));
-            }
-            {
-                fabric.read_all_into(&mut scr.read_guards);
-                let view = fabric.view_of(&scr.read_guards);
-                let snap = fabric
-                    .comms
-                    .snapshot
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner());
-                let mut proposals = std::mem::take(&mut *lock(&fabric.comms.out_assignments[s]));
-                proposals.clear();
-                ctx.worker.propose_output(
-                    &view,
-                    s,
-                    &inbound,
-                    &snap,
-                    fabric.comms.cycle_now(),
-                    &mut proposals,
-                );
-                *lock(&fabric.comms.out_assignments[s]) = proposals;
-            }
-            scr.read_guards.clear();
-            ctx.inbound_scratch = inbound;
-        }
-        PH_APPLY_OUT_POP => {
-            let slot = fabric.comms.slot.load(Ordering::Relaxed);
-            let cycle = fabric.comms.cycle.load(Ordering::Relaxed);
-            let mut asg = std::mem::take(&mut *lock(&fabric.comms.out_assignments[s]));
-            {
-                scr.mail_boxes
-                    .extend(fabric.comms.mail.iter().enumerate().map(|(dest, cells)| {
-                        (fabric.comms.has_zero && dest != s).then(|| lock(&cells[s]))
-                    }));
-                scr.ring_boxes
-                    .extend(fabric.comms.rings.iter().map(|cells| lock(&cells[s])));
-                let boxes = &mut scr.mail_boxes;
-                let ring_boxes = &mut scr.ring_boxes;
-                let mut st = write_shard(&fabric.shards[s]);
-                for t in asg.drain(..) {
-                    let st = &mut *st;
-                    let (i, j) = (t.input.index(), t.output.index());
-                    st.changes.xbar.mark((i - st.voq.row_offset()) * m + j);
-                    let xbar = st
-                        .xbar
-                        .as_mut()
-                        .expect("invariant: crossbar queues exist, asserted at run entry")
-                        .at_global_mut(i, j);
-                    let Some(packet) = take_pick(xbar, t.pick) else {
-                        fabric.comms.fail(match t.pick {
-                            PacketPick::ById(id) if !xbar.is_empty() => {
-                                PolicyError::NoSuchPacket { id }
-                            }
-                            _ => PolicyError::EmptyQueue {
-                                kind: "crossbar",
-                                input: Some(t.input),
-                                output: t.output,
-                            },
-                        });
-                        break;
-                    };
-                    let dest = fabric.partition.output_owner(j);
-                    let r = Routed {
-                        input: t.input.0,
-                        output: t.output.0,
-                        preempt: t.preempt_if_full,
-                        packet,
-                    };
-                    let dd = fabric.comms.spec.delay(t.input, t.output);
-                    if dd >= 1 {
-                        let depth = fabric.comms.ring_depth[dest][s];
-                        ring_boxes[dest][((slot + dd) % depth) as usize].push(Delayed {
-                            slot,
-                            cycle,
-                            r,
-                        });
-                    } else if dest == s {
-                        if !deliver(st, fabric, r) {
-                            break;
-                        }
-                    } else {
-                        boxes[dest].as_mut().expect("foreign cell locked").push(r);
-                    }
-                    // The crosspoint pop is control-plane news either way:
-                    // the column cache must see `C_ij` shrink now.
-                    ctx.marks[dest].push((i * m + j) as u32);
-                }
-            }
-            scr.mail_boxes.clear();
-            scr.ring_boxes.clear();
-            ctx.flush_marks(s, fabric);
-            *lock(&fabric.comms.out_assignments[s]) = asg;
+            arrival_phase(s, cursor, fabric, |view, p| A::admit(worker, view, p));
         }
         PH_APPLY_INSERT => apply_insert_phase(s, fabric),
         PH_LAND => land_phase(s, fabric, &mut ctx.land_scratch),
         PH_TRANSMIT => transmit_phase(s, fabric),
-        _ => unreachable!("phase {ph} is not a crossbar phase"),
+        _ => A::phase(ph, s, ctx, fabric, scr),
     }
 }
 
@@ -1782,44 +1505,6 @@ fn drive<W: Send, S>(
 // Coordinator helpers
 // ---------------------------------------------------------------------------
 
-/// Validate a transfer set: ports in range, ≤ 1 per marked side.
-fn validate_transfers(
-    pairs: impl Iterator<Item = (PortId, PortId)>,
-    cfg: &SwitchConfig,
-    scratch: &mut MergeScratch,
-    check_inputs: bool,
-    check_outputs: bool,
-) -> Result<(), PolicyError> {
-    scratch.begin(cfg.n_inputs, cfg.n_outputs);
-    for (input, output) in pairs {
-        if input.index() >= cfg.n_inputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "input",
-                port: input.index(),
-            });
-        }
-        if output.index() >= cfg.n_outputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "output",
-                port: output.index(),
-            });
-        }
-        if check_inputs {
-            if scratch.input_used(input.index()) {
-                return Err(PolicyError::DuplicateInput { input });
-            }
-            scratch.use_input(input.index());
-        }
-        if check_outputs {
-            if scratch.output_used(output.index()) {
-                return Err(PolicyError::DuplicateOutput { output });
-            }
-            scratch.use_output(output.index());
-        }
-    }
-    Ok(())
-}
-
 /// Pre-bucket the trace's in-window arrivals by row owner, validating
 /// ports. One pass at run start; the per-slot arrival phase is then a pure
 /// cursor walk (the sequential engine re-copies each slot's arrivals into a
@@ -1839,18 +1524,7 @@ fn prebucket_arrivals(
         if p.arrival >= arrival_slots {
             break;
         }
-        if p.input.index() >= cfg.n_inputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "input",
-                port: p.input.index(),
-            });
-        }
-        if p.output.index() >= cfg.n_outputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "output",
-                port: p.output.index(),
-            });
-        }
+        mechanics::check_ports(cfg, p.input, p.output)?;
         counts[partition.input_owner(p.input.index())] += 1;
     }
     let mut buckets: Vec<Vec<(u64, Packet)>> =
@@ -1909,59 +1583,31 @@ fn capture_sharded(
     idle_slots: u32,
 ) -> EngineSnapshot {
     let cfg = fabric.cfg;
-    let m = cfg.n_outputs;
-    let mut input_queues = vec![Vec::new(); cfg.n_inputs * m];
-    let mut crossbar_queues = cfg
-        .crossbar_capacity
-        .map(|_| vec![Vec::new(); cfg.n_inputs * m]);
-    let mut output_queues = vec![Vec::new(); m];
-    let mut stats = StatsRecorder::new(m);
+    let mut input_queues = Vec::with_capacity(cfg.n_inputs * cfg.n_outputs);
+    let mut crossbar_queues = cfg.crossbar_capacity.map(|_| Vec::new());
+    let mut output_queues = Vec::with_capacity(cfg.n_outputs);
+    // Shards own contiguous ascending bands, so visiting them in order
+    // yields the row-major cell order (and ascending outputs) of the
+    // checkpoint layout.
     for l in &fabric.shards {
         let st = read_shard(l);
-        for (i, j, q) in st.voq.iter_global() {
-            input_queues[i * m + j] = q.iter().copied().collect();
+        input_queues.extend(st.voq.iter_global().map(|(_, _, q)| snapshot_cell(q)));
+        if let (Some(cells), Some(xbar)) = (&mut crossbar_queues, &st.xbar) {
+            cells.extend(xbar.iter_global().map(|(_, _, q)| snapshot_cell(q)));
         }
-        if let Some(xbar) = &st.xbar {
-            let cells = crossbar_queues
-                .as_mut()
-                .expect("both states share the config");
-            for (i, j, q) in xbar.iter_global() {
-                cells[i * m + j] = q.iter().copied().collect();
-            }
-        }
-        for (local_j, q) in st.outputs.iter().enumerate() {
-            output_queues[st.out_lo + local_j] = q.iter().copied().collect();
-        }
-        absorb_stats(&mut stats, &st.stats);
+        output_queues.extend(st.outputs.iter().map(snapshot_cell));
     }
-    // Ring bucket `b` of a depth-`dp` ring holds packets landing at the
-    // next slot congruent to `b` (mod dp) — bucket `slot % dp` is due
-    // exactly now, since capture runs before the landing phase drains it.
+    // Capture runs before the landing phase, so the bucket due now is
+    // still pending.
     let mut landings = Vec::new();
-    for (dest, row) in fabric.comms.rings.iter().enumerate() {
-        for (src, cell) in row.iter().enumerate() {
-            let depth = fabric.comms.ring_depth[dest][src];
-            if depth == 0 {
-                continue;
-            }
-            let cell = lock(cell);
-            for (b, bucket) in cell.iter().enumerate() {
-                let land_slot = slot + ((b as SlotId + depth - slot % depth) % depth);
-                for d in bucket {
-                    landings.push(SnapLanding {
-                        land_slot,
-                        slot: d.slot,
-                        cycle: d.cycle,
-                        input: d.r.input,
-                        output: d.r.output,
-                        preempt: d.r.preempt,
-                        packet: d.r.packet,
-                    });
-                }
-            }
+    for cell in fabric.comms.rings.iter().flatten() {
+        if let Some(cal) = &*lock(cell) {
+            cal.for_each_pending_at(slot, |land_slot, &landing| {
+                landings.push(SnapLanding { land_slot, landing });
+            });
         }
     }
-    landings.sort_unstable_by_key(|l| (l.land_slot, l.slot, l.cycle, l.output, l.input));
+    landings.sort_unstable_by_key(SnapLanding::key);
     let (residual_count, residual_value) = fabric.residual();
     EngineSnapshot {
         config: cfg.clone(),
@@ -1973,7 +1619,7 @@ fn capture_sharded(
         output_queues,
         landings,
         held: Vec::new(),
-        stats,
+        stats: fabric.merged_stats(),
         window: None,
         residual_count,
         residual_value,
@@ -2013,76 +1659,46 @@ fn seed_from_snapshot(
         snap.window.is_none(),
         "snapshot carries a stats window; the sharded engine keeps full history"
     );
+    let refill = |queue: &mut SortedQueue, cell: &[Packet]| {
+        mechanics::refill(queue, cell).expect("serialized queue fits its capacity");
+    };
     for s in 0..fabric.partition.k() {
         let mut st = write_shard(&fabric.shards[s]);
+        let st = &mut *st;
         for i in fabric.partition.input_range(s) {
             for j in 0..m {
-                for p in &snap.input_queues[i * m + j] {
-                    st.voq
-                        .at_global_mut(i, j)
-                        .insert(*p)
-                        .expect("serialized queue fits its capacity");
-                }
-                if let Some(cells) = &snap.crossbar_queues {
-                    for p in &cells[i * m + j] {
-                        st.xbar
-                            .as_mut()
-                            .expect("config equality implies a crossbar")
-                            .at_global_mut(i, j)
-                            .insert(*p)
-                            .expect("serialized queue fits its capacity");
-                    }
+                refill(st.voq.at_global_mut(i, j), &snap.input_queues[i * m + j]);
+                if let (Some(cells), Some(xbar)) = (&snap.crossbar_queues, &mut st.xbar) {
+                    refill(xbar.at_global_mut(i, j), &cells[i * m + j]);
                 }
             }
         }
-        for j in fabric.partition.output_range(s) {
-            let lo = st.out_lo;
-            for p in &snap.output_queues[j] {
-                st.outputs[j - lo]
-                    .insert(*p)
-                    .expect("serialized queue fits its capacity");
-            }
+        for (q, cell) in st.outputs.iter_mut().zip(&snap.output_queues[st.out_lo..]) {
+            refill(q, cell);
         }
     }
     write_shard(&fabric.shards[0]).stats = snap.stats.clone();
-    for l in &snap.landings {
-        let (i, j) = (l.input as usize, l.output as usize);
+    for SnapLanding { land_slot, landing } in &snap.landings {
+        let (i, j) = (landing.p.input as usize, landing.p.output as usize);
         assert!(
             i < cfg.n_inputs && j < m,
             "landing on pair ({i} -> {j}) outside the switch"
         );
         let dest = fabric.partition.output_owner(j);
         let src = fabric.partition.input_owner(i);
-        let depth = fabric
-            .comms
-            .ring_depth
-            .get(dest)
-            .and_then(|r| r.get(src))
-            .copied()
-            .unwrap_or(0);
+        let mut ring = fabric.comms.rings.get(dest).map(|row| lock(&row[src]));
+        let Some(cal) = ring.as_mut().and_then(|ring| ring.as_mut()) else {
+            panic!("snapshot holds an in-flight packet on immediate pair ({i} -> {j})");
+        };
+        let depth = cal.horizon();
         assert!(
-            depth >= 1,
-            "snapshot holds an in-flight packet on immediate pair ({i} -> {j})"
-        );
-        assert!(
-            l.land_slot >= snap.slot && l.land_slot < snap.slot + depth,
-            "landing at slot {} outside the ring window [{}, {}) — was the \
+            *land_slot >= snap.slot && *land_slot < snap.slot + depth,
+            "landing at slot {land_slot} outside the ring window [{}, {}) — was the \
              checkpoint taken under a fault plan?",
-            l.land_slot,
             snap.slot,
             snap.slot + depth
         );
-        let mut cell = lock(&fabric.comms.rings[dest][src]);
-        cell[(l.land_slot % depth) as usize].push(Delayed {
-            slot: l.slot,
-            cycle: l.cycle,
-            r: Routed {
-                input: l.input,
-                output: l.output,
-                preempt: l.preempt,
-                packet: l.packet,
-            },
-        });
+        cal.insert_pending(*land_slot, *landing);
     }
     fabric.comms.slot.store(snap.slot, Ordering::Relaxed);
     // The restored-residual invariant (see `crate::invariants`): what was
@@ -2103,19 +1719,14 @@ fn finish_run(
     options: &ShardedOptions,
 ) -> (RunReport, Option<SwitchState>, Vec<bool>) {
     let final_state = options.capture_final_state.then(|| fabric.assemble_state());
-    let mut merged = StatsRecorder::new(fabric.cfg.n_outputs);
     let mut admits: Vec<(u64, bool)> = Vec::new();
     for l in &fabric.shards {
-        let st = read_shard(l);
-        absorb_stats(&mut merged, &st.stats);
-        admits.extend_from_slice(&st.admits);
+        admits.extend_from_slice(&read_shard(l).admits);
     }
     admits.sort_unstable_by_key(|&(idx, _)| idx);
     let admissions = admits.into_iter().map(|(_, a)| a).collect();
-    let (residual_count, residual_value) = fabric.residual();
-    let mut report = merged.finish(name, slots, residual_count, residual_value);
-    report.fabric_delay = options.fabric.max_delay();
-    debug_assert_eq!(report.check_conservation(), Ok(()));
+    let merged = fabric.merged_stats();
+    let report = mechanics::finish_report(merged, name, slots, fabric.residual(), &options.fabric);
     (report, final_state, admissions)
 }
 
@@ -2133,11 +1744,8 @@ fn post_slot_validate(fabric: &Fabric<'_>, options: &ShardedOptions) {
 /// between barriers, when no worker mutates shard state.
 fn audit_sharded_slot(fabric: &Fabric<'_>) {
     if cfg!(debug_assertions) {
-        let mut merged = StatsRecorder::new(fabric.cfg.n_outputs);
-        for l in &fabric.shards {
-            absorb_stats(&mut merged, &read_shard(l).stats);
-        }
         let (residual_count, residual_value) = fabric.residual();
+        let merged = fabric.merged_stats();
         if let Err(msg) =
             crate::invariants::check_conservation(&merged, residual_count, residual_value)
         {
@@ -2244,18 +1852,7 @@ fn stage_stream_slot(
     let base = src.consumed();
     src.pull(slot, scratch);
     for (off, p) in scratch.iter().enumerate() {
-        if p.input.index() >= fabric.cfg.n_inputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "input",
-                port: p.input.index(),
-            });
-        }
-        if p.output.index() >= fabric.cfg.n_outputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "output",
-                port: p.output.index(),
-            });
-        }
+        mechanics::check_ports(fabric.cfg, p.input, p.output)?;
         lock(&fabric.staged[fabric.partition.input_owner(p.input.index())])
             .push((base + off as u64, *p));
     }
@@ -2300,194 +1897,20 @@ pub fn run_cioq_sharded_streamed(
 fn run_cioq_sharded_feed(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
-    mut feed: Feed<'_, '_>,
+    feed: Feed<'_, '_>,
     threads: usize,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    assert!(
-        cfg.crossbar_capacity.is_none(),
-        "run_cioq_sharded requires a CIOQ config"
-    );
-    options.fabric.assert_covers(cfg);
-    let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
-    let k = partition.k();
-    let (fixed_slots, arrivals, streamed) = feed.plumbing(cfg, &partition, &options)?;
-    let comms = Comms::new(k, options.record, options.fabric.clone(), &partition, cfg);
-    let fabric = Fabric {
-        cfg,
-        shards: (0..k)
-            .map(|s| RwLock::new(ShardState::new(cfg, &partition, s)))
+    let arch = CioqSharded {
+        policy,
+        transfers: Vec::new(),
+        merge_scratch: MergeScratch::default(),
+        sets: (0..options.shards)
+            .map(|_| CandidateSet::default())
             .collect(),
-        partition,
-        arrivals,
-        staged: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
-        streamed,
-        comms,
+        recorded: Vec::new(),
     };
-    let mut workers: Vec<WorkerCtx<Box<dyn CioqShardWorker>>> = (0..k)
-        .map(|s| {
-            let mark_cap = 2 * fabric.partition.input_range(s).len() * cfg.speedup.max(1) as usize;
-            WorkerCtx::new(policy.new_worker(s, &fabric.partition, cfg), k, mark_cap)
-        })
-        .collect();
-    let (start_slot, start_idle) = options
-        .resume_from
-        .as_ref()
-        .map_or((0, 0), |snap| seed_from_snapshot(&fabric, snap, &options));
-    feed.check_resume(start_slot, &options);
-    for (s, w) in workers.iter_mut().enumerate() {
-        w.arrival_cursor = fabric.arrivals[s].partition_point(|&(_, p)| p.arrival < start_slot);
-    }
-
-    let speedup = cfg.speedup;
-    let horizon = fabric.comms.horizon;
-    let has_zero = fabric.comms.has_zero;
-    let mut recorded: Vec<Vec<(u16, u16)>> = Vec::new();
-    let mut final_slot: SlotId = 0;
-    let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
-
-    let result = drive(
-        threads,
-        &fabric.comms,
-        workers,
-        PhaseScratch::new,
-        |ph, s, w, scr| cioq_phase(ph, s, w, &fabric, scr),
-        |do_phase| {
-            let mut slot: SlotId = start_slot;
-            let mut idle_slots = start_idle;
-            let mut transfers: Vec<Transfer> = Vec::new();
-            let mut merge_scratch = MergeScratch::default();
-            let mut validate_scratch = MergeScratch::default();
-            let mut stage_scratch: Vec<Packet> = Vec::new();
-            // Coordinator-side mirror of the per-shard proposal payloads:
-            // swapped with the mutex contents around each merge (and
-            // swapped back after), so reading every shard's candidates
-            // costs two lock rounds and zero allocation per cycle.
-            let mut coord_sets: Vec<CandidateSet> =
-                (0..k).map(|_| CandidateSet::default()).collect();
-            loop {
-                let in_arrival_window = feed.in_arrival_window(fixed_slots, slot);
-                if !in_arrival_window {
-                    // In-flight packets always land (and count as
-                    // progress), so the idle cutoff waits for the fabric.
-                    let done = !options.drain
-                        || fabric.residual().0 == 0
-                        || (idle_slots >= 2 && fabric.in_flight_total() == 0);
-                    if done {
-                        break;
-                    }
-                }
-                fabric.comms.slot.store(slot, Ordering::Relaxed);
-                if let Some(every) = options.checkpoint_every {
-                    if slot > 0 && slot.is_multiple_of(every) {
-                        checkpoints.push(capture_sharded(&fabric, &options, slot, idle_slots));
-                    }
-                }
-                let (tx_before, moved_before) = fabric.progress();
-
-                if horizon >= 1 {
-                    do_phase(PH_LAND)?;
-                }
-                if in_arrival_window {
-                    if let Feed::Stream(src) = &mut feed {
-                        stage_stream_slot(&fabric, src, slot, &mut stage_scratch)?;
-                    }
-                    do_phase(PH_ARRIVAL)?;
-                }
-
-                for s in 0..speedup {
-                    fabric.comms.cycle.store(s, Ordering::Relaxed);
-                    fabric.refresh_snapshot();
-                    do_phase(PH_PROPOSE)?;
-
-                    // Deterministic merge (coordinator only, state frozen).
-                    transfers.clear();
-                    {
-                        // Swap each shard's payload out of its mutex, merge
-                        // over the owned mirror, then swap back — the
-                        // workers are parked at the barrier, so the mutex
-                        // contents are unobserved in between and end up
-                        // exactly as published (the edit-publish handshake
-                        // sees nothing).
-                        for (cs, m) in coord_sets.iter_mut().zip(&fabric.comms.candidates) {
-                            std::mem::swap(cs, &mut *lock(m));
-                        }
-                        let snap = fabric
-                            .comms
-                            .snapshot
-                            .read()
-                            .unwrap_or_else(|e| e.into_inner());
-                        let ctx = MergeContext {
-                            cfg,
-                            partition: &fabric.partition,
-                            outputs: &snap,
-                            cycle: Cycle { slot, index: s },
-                            candidates: &coord_sets,
-                        };
-                        policy.merge(&ctx, &mut merge_scratch, &mut transfers);
-                        for (cs, m) in coord_sets.iter_mut().zip(&fabric.comms.candidates) {
-                            std::mem::swap(cs, &mut *lock(m));
-                        }
-                    }
-                    validate_transfers(
-                        transfers.iter().map(|t| (t.input, t.output)),
-                        cfg,
-                        &mut validate_scratch,
-                        true,
-                        true,
-                    )?;
-                    if options.record {
-                        recorded.push(transfers.iter().map(|t| (t.input.0, t.output.0)).collect());
-                    }
-                    // One short lock per transfer (uncontended: workers are
-                    // parked), preserving per-owner push order.
-                    for t in &transfers {
-                        let owner = fabric.partition.input_owner(t.input.index());
-                        lock(&fabric.comms.assignments[owner]).push(*t);
-                    }
-
-                    do_phase(PH_APPLY_POP)?;
-                    if has_zero {
-                        do_phase(PH_APPLY_INSERT)?;
-                    }
-                }
-
-                do_phase(PH_TRANSMIT)?;
-                post_slot_validate(&fabric, &options);
-                audit_sharded_slot(&fabric);
-
-                let (tx_after, moved_after) = fabric.progress();
-                let progressed = tx_after != tx_before || moved_after != moved_before;
-                idle_slots = if progressed { 0 } else { idle_slots + 1 };
-                slot += 1;
-            }
-            final_slot = slot;
-            Ok(())
-        },
-    );
-    result?;
-
-    let (report, final_state, admissions) =
-        finish_run(&fabric, policy.name().to_string(), final_slot, &options);
-    let schedule = options.record.then_some(RecordedSchedule {
-        admissions,
-        transfers: recorded,
-        fabric_delay: options.fabric.max_delay(),
-    });
-    if cfg!(debug_assertions) {
-        if let Some(s) = &schedule {
-            if let Err(msg) = crate::invariants::check_schedule(s, cfg) {
-                panic!("sharded run produced an invalid schedule transcript: {msg}");
-            }
-        }
-    }
-    Ok(ShardedOutcome {
-        report,
-        schedule,
-        crossbar_schedule: None,
-        final_state,
-        checkpoints,
-    })
+    run_sharded_feed(cfg, arch, feed, threads, options)
 }
 
 /// Run a sharded buffered-crossbar policy over a recorded trace.
@@ -2524,14 +1947,29 @@ pub fn run_crossbar_sharded_streamed(
 fn run_crossbar_sharded_feed(
     cfg: &SwitchConfig,
     policy: &dyn CrossbarShardPolicy,
+    feed: Feed<'_, '_>,
+    threads: usize,
+    options: ShardedOptions,
+) -> Result<ShardedOutcome, PolicyError> {
+    let arch = CrossbarSharded {
+        policy,
+        proposals: Vec::new(),
+        rec_in: Vec::new(),
+        rec_out: Vec::new(),
+    };
+    run_sharded_feed(cfg, arch, feed, threads, options)
+}
+
+/// The sharded slot loop — §1.3's slot, written once for both
+/// architectures (see [`ShardArch`]) — on `threads` barrier parties.
+fn run_sharded_feed<A: ShardArch>(
+    cfg: &SwitchConfig,
+    mut arch: A,
     mut feed: Feed<'_, '_>,
     threads: usize,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    assert!(
-        cfg.crossbar_capacity.is_some(),
-        "run_crossbar_sharded requires a crossbar config"
-    );
+    arch.assert_config(cfg);
     options.fabric.assert_covers(cfg);
     let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
     let k = partition.k();
@@ -2548,10 +1986,10 @@ fn run_crossbar_sharded_feed(
         streamed,
         comms,
     };
-    let mut workers: Vec<WorkerCtx<Box<dyn CrossbarShardWorker>>> = (0..k)
+    let mut workers: Vec<WorkerCtx<A::Worker>> = (0..k)
         .map(|s| {
             let mark_cap = 2 * fabric.partition.input_range(s).len() * cfg.speedup.max(1) as usize;
-            WorkerCtx::new(policy.new_worker(s, &fabric.partition, cfg), k, mark_cap)
+            WorkerCtx::new(arch.new_worker(s, &fabric.partition, cfg), k, mark_cap)
         })
         .collect();
     let (start_slot, start_idle) = options
@@ -2563,32 +2001,27 @@ fn run_crossbar_sharded_feed(
         w.arrival_cursor = fabric.arrivals[s].partition_point(|&(_, p)| p.arrival < start_slot);
     }
 
-    let speedup = cfg.speedup;
     let horizon = fabric.comms.horizon;
     let has_zero = fabric.comms.has_zero;
-    let mut rec_in: Vec<Vec<(u16, u16)>> = Vec::new();
-    let mut rec_out: Vec<Vec<(u16, u16)>> = Vec::new();
     let mut final_slot: SlotId = 0;
     let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
 
-    let result = drive(
+    drive(
         threads,
         &fabric.comms,
         workers,
         PhaseScratch::new,
-        |ph, s, w, scr| xbar_phase(ph, s, w, &fabric, scr),
+        |ph, s, w, scr| worker_phase::<A>(ph, s, w, &fabric, scr),
         |do_phase| {
             let mut slot: SlotId = start_slot;
             let mut idle_slots = start_idle;
-            let mut validate_scratch = MergeScratch::default();
+            let mut stamps = PortStamps::default();
             let mut stage_scratch: Vec<Packet> = Vec::new();
-            // Pooled coordinator buffers (guards cleared each cycle, only
-            // capacity persists across the loop).
-            let mut in_guards: Vec<MutexGuard<'_, Vec<InputTransfer>>> = Vec::new();
-            let mut proposals: Vec<OutputTransfer> = Vec::new();
             loop {
                 let in_arrival_window = feed.in_arrival_window(fixed_slots, slot);
                 if !in_arrival_window {
+                    // In-flight packets always land (and count as
+                    // progress), so the idle cutoff waits for the fabric.
                     let done = !options.drain
                         || fabric.residual().0 == 0
                         || (idle_slots >= 2 && fabric.in_flight_total() == 0);
@@ -2614,65 +2047,9 @@ fn run_crossbar_sharded_feed(
                     do_phase(PH_ARRIVAL)?;
                 }
 
-                for s in 0..speedup {
+                for s in 0..cfg.speedup {
                     fabric.comms.cycle.store(s, Ordering::Relaxed);
-                    do_phase(PH_PROPOSE_IN)?;
-                    // Concatenated in shard order = ascending input port
-                    // order; validate the ≤ 1-per-input-port property.
-                    {
-                        in_guards.extend(fabric.comms.in_assignments.iter().map(|m| lock(m)));
-                        let valid = validate_transfers(
-                            in_guards
-                                .iter()
-                                .flat_map(|g| g.iter().map(|t| (t.input, t.output))),
-                            cfg,
-                            &mut validate_scratch,
-                            true,
-                            false,
-                        );
-                        if options.record && valid.is_ok() {
-                            rec_in.push(
-                                in_guards
-                                    .iter()
-                                    .flat_map(|g| g.iter().map(|t| (t.input.0, t.output.0)))
-                                    .collect(),
-                            );
-                        }
-                        in_guards.clear();
-                        valid?;
-                    }
-                    do_phase(PH_APPLY_IN)?;
-
-                    // The output subphase reads output occupancy through
-                    // the snapshot (virtual fullness on a delayed fabric);
-                    // refresh it at the exact point the sequential engine
-                    // would read live state.
-                    fabric.refresh_snapshot();
-                    do_phase(PH_PROPOSE_OUT)?;
-                    // Output proposals go to the *row* owners for the pop
-                    // step; validate ≤ 1 per output port first.
-                    {
-                        proposals.clear();
-                        for mbox in &fabric.comms.out_assignments {
-                            proposals.extend(lock(mbox).drain(..));
-                        }
-                        validate_transfers(
-                            proposals.iter().map(|t| (t.input, t.output)),
-                            cfg,
-                            &mut validate_scratch,
-                            false,
-                            true,
-                        )?;
-                        if options.record {
-                            rec_out
-                                .push(proposals.iter().map(|t| (t.input.0, t.output.0)).collect());
-                        }
-                        for t in proposals.drain(..) {
-                            let owner = fabric.partition.input_owner(t.input.index());
-                            lock(&fabric.comms.out_assignments[owner]).push(t);
-                        }
-                    }
-                    do_phase(PH_APPLY_OUT_POP)?;
+                    arch.cycle(&fabric, &mut stamps, do_phase)?;
                     if has_zero {
                         do_phase(PH_APPLY_INSERT)?;
                     }
@@ -2690,36 +2067,465 @@ fn run_crossbar_sharded_feed(
             final_slot = slot;
             Ok(())
         },
-    );
-    result?;
+    )?;
 
     let (report, final_state, admissions) =
-        finish_run(&fabric, policy.name().to_string(), final_slot, &options);
-    let crossbar_schedule = options.record.then_some(RecordedCrossbarSchedule {
-        admissions,
-        input_transfers: rec_in,
-        output_transfers: rec_out,
-        fabric_delay: options.fabric.max_delay(),
-    });
-    if cfg!(debug_assertions) {
-        if let Some(s) = &crossbar_schedule {
-            if let Err(msg) = crate::invariants::check_crossbar_schedule(s, cfg) {
+        finish_run(&fabric, arch.name().to_string(), final_slot, &options);
+    let mut outcome = ShardedOutcome {
+        report,
+        schedule: None,
+        crossbar_schedule: None,
+        final_state,
+        checkpoints,
+    };
+    if options.record {
+        arch.record(admissions, cfg, &mut outcome);
+    }
+    Ok(outcome)
+}
+
+// ---------------------------------------------------------------------------
+// The architecture seam
+// ---------------------------------------------------------------------------
+
+/// What the sharded slot loop asks of an architecture — the counterpart of
+/// the sequential engine's `Arch`. §1.3 defines one slot for both; they
+/// part ways only inside the scheduling cycle, which here has a worker
+/// side ([`phase`](Self::phase): propose, pop) and a coordinator side
+/// ([`cycle`](Self::cycle): merge or concatenate, validate, record,
+/// assign). The implementor is the coordinator's state for one run: its
+/// pooled buffers and the transcript it records. Statically dispatched:
+/// [`run_sharded_feed`] is monomorphised per architecture.
+trait ShardArch {
+    /// The per-shard worker the policy creates.
+    type Worker: Send;
+
+    /// Policy name for the report.
+    fn name(&self) -> &str;
+
+    /// Panic unless `cfg` describes this architecture.
+    fn assert_config(&self, cfg: &SwitchConfig);
+
+    /// The worker for shard `shard`.
+    fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker;
+
+    /// Arrival phase: the worker's decision for one packet.
+    fn admit(worker: &mut Self::Worker, view: &ShardView<'_>, packet: &Packet) -> Admission;
+
+    /// Run phase `ph` — one only this architecture has — for shard `s`.
+    fn phase<'f>(
+        ph: u8,
+        s: usize,
+        ctx: &mut WorkerCtx<Self::Worker>,
+        fabric: &'f Fabric<'_>,
+        scr: &mut PhaseScratch<'f>,
+    );
+
+    /// One scheduling cycle, coordinator side, up to and including the
+    /// phase that pops packets toward the fabric. Transfer sets are
+    /// validated on `stamps` and recorded when the run asked for it.
+    fn cycle(
+        &mut self,
+        fabric: &Fabric<'_>,
+        stamps: &mut PortStamps,
+        do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
+    ) -> Result<(), PolicyError>;
+
+    /// Turn the recorded decisions into the outcome's transcript (checked
+    /// by the invariant auditor in debug builds).
+    fn record(self, admissions: Vec<bool>, cfg: &SwitchConfig, outcome: &mut ShardedOutcome);
+}
+
+/// `(input, output)` of every transfer, as transcripts record them.
+fn recorded<T: Copy>(transfers: &[T], pair: impl Fn(T) -> (PortId, PortId)) -> Vec<(u16, u16)> {
+    transfers
+        .iter()
+        .map(|&t| pair(t))
+        .map(|(input, output)| (input.0, output.0))
+        .collect()
+}
+
+/// CIOQ: workers propose candidates, the coordinator merges them into the
+/// cycle's matching.
+struct CioqSharded<'p> {
+    policy: &'p dyn CioqShardPolicy,
+    transfers: Vec<Transfer>,
+    merge_scratch: MergeScratch,
+    /// Coordinator-side mirror of the per-shard proposal payloads: swapped
+    /// with the mutex contents around each merge (and swapped back after),
+    /// so reading every shard's candidates costs two lock rounds and zero
+    /// allocation per cycle.
+    sets: Vec<CandidateSet>,
+    recorded: Vec<Vec<(u16, u16)>>,
+}
+
+impl ShardArch for CioqSharded<'_> {
+    type Worker = Box<dyn CioqShardWorker>;
+
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn assert_config(&self, cfg: &SwitchConfig) {
+        assert!(
+            cfg.crossbar_capacity.is_none(),
+            "run_cioq_sharded requires a CIOQ config"
+        );
+    }
+
+    fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker {
+        self.policy.new_worker(shard, partition, cfg)
+    }
+
+    fn admit(worker: &mut Self::Worker, view: &ShardView<'_>, packet: &Packet) -> Admission {
+        worker.admit(view, packet)
+    }
+
+    // detlint: hot
+    fn phase<'f>(
+        ph: u8,
+        s: usize,
+        ctx: &mut WorkerCtx<Self::Worker>,
+        fabric: &'f Fabric<'_>,
+        scr: &mut PhaseScratch<'f>,
+    ) {
+        match ph {
+            PH_PROPOSE => {
+                let st = read_shard(&fabric.shards[s]);
+                let snap = fabric.comms.outputs();
+                let cycle = fabric.comms.cycle_now();
+                rewrite_cell(&fabric.comms.candidates[s], |out| {
+                    out.clear();
+                    ctx.worker
+                        .propose(&fabric.shard_view(s, &st), &snap, cycle, out);
+                });
+            }
+            PH_APPLY_POP => {
+                let mut asg = std::mem::take(&mut *lock(&fabric.comms.assignments[s]));
+                let mut st = write_shard(&fabric.shards[s]);
+                // The proposal consumed the change log; everything from
+                // here on accumulates for the next proposal (sequential
+                // flush point).
+                st.changes.flush();
+                pop_and_route(s, &mut st, fabric, scr, &mut asg, |st, t: Transfer| {
+                    let (i, j) = (t.input.index(), t.output.index());
+                    let local_row = i - st.voq.row_offset();
+                    st.changes.voq.mark(local_row * fabric.cfg.n_outputs + j);
+                    let queue = st.voq.at_global_mut(i, j);
+                    let popped =
+                        mechanics::pop(queue, t.pick, QueueKind::Input, Some(t.input), t.output);
+                    let packet = fabric.comms.ok(popped)?;
+                    Some(InFlightPacket::new(
+                        t.input,
+                        t.output,
+                        t.preempt_if_full,
+                        packet,
+                    ))
+                });
+                drop(st);
+                *lock(&fabric.comms.assignments[s]) = asg;
+            }
+            _ => unreachable!("phase {ph} is not a CIOQ phase"),
+        }
+    }
+
+    fn cycle(
+        &mut self,
+        fabric: &Fabric<'_>,
+        stamps: &mut PortStamps,
+        do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
+    ) -> Result<(), PolicyError> {
+        let cfg = fabric.cfg;
+        fabric.refresh_snapshot();
+        do_phase(PH_PROPOSE)?;
+
+        // Deterministic merge (coordinator only, state frozen).
+        self.transfers.clear();
+        {
+            // Swap each shard's payload out of its mutex, merge over the
+            // owned mirror, then swap back — the workers are parked at the
+            // barrier, so the mutex contents are unobserved in between and
+            // end up exactly as published (the edit-publish handshake sees
+            // nothing).
+            for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
+                std::mem::swap(cs, &mut *lock(m));
+            }
+            let ctx = MergeContext {
+                cfg,
+                partition: &fabric.partition,
+                outputs: &fabric.comms.outputs(),
+                cycle: fabric.comms.cycle_now(),
+                candidates: &self.sets,
+            };
+            self.policy
+                .merge(&ctx, &mut self.merge_scratch, &mut self.transfers);
+            for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
+                std::mem::swap(cs, &mut *lock(m));
+            }
+        }
+        stamps.begin(cfg.n_inputs, cfg.n_outputs);
+        let pairs = self.transfers.iter().map(|t| (t.input, t.output));
+        stamps.check(cfg, pairs, true, true)?;
+        if fabric.comms.record {
+            let pairs = recorded(&self.transfers, |t| (t.input, t.output));
+            self.recorded.push(pairs);
+        }
+        // One short lock per transfer (uncontended: workers are parked),
+        // preserving per-owner push order.
+        for t in &self.transfers {
+            let owner = fabric.partition.input_owner(t.input.index());
+            lock(&fabric.comms.assignments[owner]).push(*t);
+        }
+        do_phase(PH_APPLY_POP)
+    }
+
+    fn record(self, admissions: Vec<bool>, cfg: &SwitchConfig, outcome: &mut ShardedOutcome) {
+        let schedule = RecordedSchedule {
+            admissions,
+            transfers: self.recorded,
+            fabric_delay: outcome.report.fabric_delay,
+        };
+        if cfg!(debug_assertions) {
+            if let Err(msg) = crate::invariants::check_schedule(&schedule, cfg) {
                 panic!("sharded run produced an invalid schedule transcript: {msg}");
             }
         }
+        outcome.schedule = Some(schedule);
     }
-    Ok(ShardedOutcome {
-        report,
-        schedule: None,
-        crossbar_schedule,
-        final_state,
-        checkpoints,
-    })
+}
+
+/// Buffered crossbar: both subphases decide per port with no cross-port
+/// contention, so the coordinator only concatenates, validates and — for
+/// the output subphase — hands each proposal to the row owner that pops it.
+struct CrossbarSharded<'p> {
+    policy: &'p dyn CrossbarShardPolicy,
+    /// Pooled gather buffer for the output subphase's proposals.
+    proposals: Vec<OutputTransfer>,
+    rec_in: Vec<Vec<(u16, u16)>>,
+    rec_out: Vec<Vec<(u16, u16)>>,
+}
+
+impl ShardArch for CrossbarSharded<'_> {
+    type Worker = Box<dyn CrossbarShardWorker>;
+
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn assert_config(&self, cfg: &SwitchConfig) {
+        assert!(
+            cfg.crossbar_capacity.is_some(),
+            "run_crossbar_sharded requires a crossbar config"
+        );
+    }
+
+    fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker {
+        self.policy.new_worker(shard, partition, cfg)
+    }
+
+    fn admit(worker: &mut Self::Worker, view: &ShardView<'_>, packet: &Packet) -> Admission {
+        worker.admit(view, packet)
+    }
+
+    // detlint: hot
+    fn phase<'f>(
+        ph: u8,
+        s: usize,
+        ctx: &mut WorkerCtx<Self::Worker>,
+        fabric: &'f Fabric<'_>,
+        scr: &mut PhaseScratch<'f>,
+    ) {
+        let m = fabric.cfg.n_outputs;
+        let cycle = fabric.comms.cycle_now();
+        match ph {
+            PH_PROPOSE_IN => {
+                let st = read_shard(&fabric.shards[s]);
+                rewrite_cell(&fabric.comms.in_assignments[s], |out| {
+                    out.clear();
+                    ctx.worker
+                        .propose_input(&fabric.shard_view(s, &st), cycle, out);
+                });
+            }
+            PH_APPLY_IN => {
+                let mut asg = std::mem::take(&mut *lock(&fabric.comms.in_assignments[s]));
+                {
+                    let mut st = write_shard(&fabric.shards[s]);
+                    st.changes.flush();
+                    for t in asg.iter() {
+                        let st = &mut *st;
+                        let (i, j) = (t.input.index(), t.output.index());
+                        let local = (i - st.voq.row_offset()) * m + j;
+                        st.changes.voq.mark(local);
+                        st.changes.xbar.mark(local);
+                        let queue = st.voq.at_global_mut(i, j);
+                        let popped = mechanics::pop(
+                            queue,
+                            t.pick,
+                            QueueKind::Input,
+                            Some(t.input),
+                            t.output,
+                        );
+                        let Some(packet) = fabric.comms.ok(popped) else {
+                            break;
+                        };
+                        let xbar = st
+                            .xbar
+                            .as_mut()
+                            .expect("invariant: crossbar queues exist, asserted at run entry")
+                            .at_global_mut(i, j);
+                        let p = InFlightPacket::new(t.input, t.output, t.preempt_if_full, packet);
+                        let landed =
+                            mechanics::land(xbar, &mut st.stats, QueueKind::Crossbar, false, p);
+                        if fabric.comms.ok(landed).is_none() {
+                            break;
+                        }
+                        // Forward the dirty crosspoint to the column
+                        // owner's cache (batched, flushed below).
+                        ctx.marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
+                    }
+                    asg.clear();
+                }
+                ctx.flush_marks(s, fabric);
+                *lock(&fabric.comms.in_assignments[s]) = asg;
+            }
+            PH_PROPOSE_OUT => {
+                let mut inbound = std::mem::take(&mut ctx.inbound_scratch);
+                inbound.clear();
+                for src in &fabric.comms.xbar_marks[s] {
+                    inbound.append(&mut lock(src));
+                }
+                fabric.read_all_into(&mut scr.read_guards);
+                let view = fabric.view_of(&scr.read_guards);
+                let snap = fabric.comms.outputs();
+                rewrite_cell(&fabric.comms.out_assignments[s], |out| {
+                    out.clear();
+                    ctx.worker
+                        .propose_output(&view, s, &inbound, &snap, cycle, out);
+                });
+                drop(snap);
+                scr.read_guards.clear();
+                ctx.inbound_scratch = inbound;
+            }
+            PH_APPLY_OUT_POP => {
+                let mut asg = std::mem::take(&mut *lock(&fabric.comms.out_assignments[s]));
+                let mut st = write_shard(&fabric.shards[s]);
+                let marks = &mut ctx.marks;
+                pop_and_route(
+                    s,
+                    &mut st,
+                    fabric,
+                    scr,
+                    &mut asg,
+                    |st, t: OutputTransfer| {
+                        let (i, j) = (t.input.index(), t.output.index());
+                        st.changes.xbar.mark((i - st.voq.row_offset()) * m + j);
+                        let xbar = st
+                            .xbar
+                            .as_mut()
+                            .expect("invariant: crossbar queues exist, asserted at run entry")
+                            .at_global_mut(i, j);
+                        let popped = mechanics::pop(
+                            xbar,
+                            t.pick,
+                            QueueKind::Crossbar,
+                            Some(t.input),
+                            t.output,
+                        );
+                        let packet = fabric.comms.ok(popped)?;
+                        // The crosspoint pop is control-plane news wherever
+                        // the packet goes: the column cache must see `C_ij`
+                        // shrink now.
+                        marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
+                        Some(InFlightPacket::new(
+                            t.input,
+                            t.output,
+                            t.preempt_if_full,
+                            packet,
+                        ))
+                    },
+                );
+                drop(st);
+                ctx.flush_marks(s, fabric);
+                *lock(&fabric.comms.out_assignments[s]) = asg;
+            }
+            _ => unreachable!("phase {ph} is not a crossbar phase"),
+        }
+    }
+
+    fn cycle(
+        &mut self,
+        fabric: &Fabric<'_>,
+        stamps: &mut PortStamps,
+        do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
+    ) -> Result<(), PolicyError> {
+        let cfg = fabric.cfg;
+        let record = fabric.comms.record;
+        do_phase(PH_PROPOSE_IN)?;
+        // Concatenated in shard order = ascending input port order;
+        // validate the ≤ 1-per-input-port property, one owner's cell at a
+        // time.
+        {
+            let mut rec = Vec::new();
+            stamps.begin(cfg.n_inputs, cfg.n_outputs);
+            for cell in &fabric.comms.in_assignments {
+                let cell = lock(cell);
+                stamps.check(cfg, cell.iter().map(|t| (t.input, t.output)), true, false)?;
+                if record {
+                    rec.extend(recorded(&cell, |t| (t.input, t.output)));
+                }
+            }
+            if record {
+                self.rec_in.push(rec);
+            }
+        }
+        do_phase(PH_APPLY_IN)?;
+
+        // The output subphase reads output occupancy through the snapshot
+        // (virtual fullness on a delayed fabric); refresh it at the exact
+        // point the sequential engine would read live state.
+        fabric.refresh_snapshot();
+        do_phase(PH_PROPOSE_OUT)?;
+        // Output proposals go to the *row* owners for the pop step;
+        // validate ≤ 1 per output port first.
+        let proposals = &mut self.proposals;
+        proposals.clear();
+        for mbox in &fabric.comms.out_assignments {
+            proposals.extend(lock(mbox).drain(..));
+        }
+        stamps.begin(cfg.n_inputs, cfg.n_outputs);
+        let pairs = proposals.iter().map(|t| (t.input, t.output));
+        stamps.check(cfg, pairs, false, true)?;
+        if record {
+            self.rec_out
+                .push(recorded(proposals, |t| (t.input, t.output)));
+        }
+        for t in proposals.drain(..) {
+            let owner = fabric.partition.input_owner(t.input.index());
+            lock(&fabric.comms.out_assignments[owner]).push(t);
+        }
+        do_phase(PH_APPLY_OUT_POP)
+    }
+
+    fn record(self, admissions: Vec<bool>, cfg: &SwitchConfig, outcome: &mut ShardedOutcome) {
+        let schedule = RecordedCrossbarSchedule {
+            admissions,
+            input_transfers: self.rec_in,
+            output_transfers: self.rec_out,
+            fabric_delay: outcome.report.fabric_delay,
+        };
+        if cfg!(debug_assertions) {
+            if let Err(msg) = crate::invariants::check_crossbar_schedule(&schedule, cfg) {
+                panic!("sharded run produced an invalid schedule transcript: {msg}");
+            }
+        }
+        outcome.crossbar_schedule = Some(schedule);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PacketPick;
 
     #[test]
     fn partition_is_contiguous_and_covering() {

@@ -29,13 +29,20 @@
 //! versions and malformed bytes are [`SnapshotError`]s, never panics.
 
 use crate::stats::{StatsRecorder, WindowSlot};
-use crate::transport::FabricSpec;
+use crate::transport::{FabricSpec, InFlightPacket, Landing};
 use cioq_model::{Benefit, Packet, PacketId, PortId, SlotId, SwitchConfig, Topology};
 
 /// Magic bytes prefixing every serialized snapshot.
 const MAGIC: &[u8; 8] = b"CIOQSNAP";
 /// Current wire-format version.
 const VERSION: u32 = 1;
+/// Encoded sizes of the fixed-width records, in bytes — what
+/// [`Reader::count`] divides the remaining input by before any sequence of
+/// them is reserved.
+const PACKET_BYTES: usize = 8 + 8 + 8 + 2 + 2;
+const LANDING_BYTES: usize = 8 + 8 + 4 + 2 + 2 + 1 + PACKET_BYTES;
+const HELD_BYTES: usize = 2 + 2 + 1 + PACKET_BYTES;
+const WINDOW_SLOT_BYTES: usize = 8 + 8 + 8 + 16 + 8;
 
 /// Error decoding or applying a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,24 +66,21 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// One in-flight fabric landing as a checkpoint records it: the slot it
-/// will land at plus the dispatch metadata that drives the canonical
-/// landing sort.
+/// will land at plus the committed packet with its dispatch metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SnapLanding {
     /// Slot the packet lands at (start-of-slot, before arrivals).
     pub land_slot: SlotId,
-    /// Slot the transfer was dispatched in.
-    pub slot: SlotId,
-    /// Scheduling cycle (within the dispatch slot) of the transfer.
-    pub cycle: u32,
-    /// Global input port the transfer was popped from.
-    pub input: u16,
-    /// Global output port the packet lands at.
-    pub output: u16,
-    /// Whether the original transfer allowed preempting a full `Q_j`.
-    pub preempt: bool,
-    /// The packet itself.
-    pub packet: Packet,
+    /// The packet as it rides the delay line.
+    pub landing: Landing,
+}
+
+impl SnapLanding {
+    /// The canonical checkpoint order: landing slot, then the canonical
+    /// landing order within it.
+    pub(crate) fn key(&self) -> (SlotId, (SlotId, u32, u16, u16)) {
+        (self.land_slot, self.landing.key())
+    }
 }
 
 /// Complete slot-boundary state of one engine run, taken at the top of a
@@ -104,8 +108,7 @@ pub struct EngineSnapshot {
     pub(crate) crossbar_queues: Option<Vec<Vec<Packet>>>,
     /// `Q_j` contents, one per output, each in stored (sorted) order.
     pub(crate) output_queues: Vec<Vec<Packet>>,
-    /// In-flight fabric landings in canonical order
-    /// `(land_slot, slot, cycle, output, input)`.
+    /// In-flight fabric landings in canonical order ([`SnapLanding::key`]).
     pub(crate) landings: Vec<SnapLanding>,
     /// Packets held in link-down retransmit FIFOs, in (row-major pair,
     /// FIFO) order: `(input, output, preempt, packet)`.
@@ -187,12 +190,12 @@ impl EngineSnapshot {
         w.len(self.landings.len());
         for l in &self.landings {
             w.u64(l.land_slot);
-            w.u64(l.slot);
-            w.u32(l.cycle);
-            w.u16(l.input);
-            w.u16(l.output);
-            w.bool(l.preempt);
-            w.packet(&l.packet);
+            w.u64(l.landing.slot);
+            w.u32(l.landing.cycle);
+            w.u16(l.landing.p.input);
+            w.u16(l.landing.p.output);
+            w.bool(l.landing.p.preempt);
+            w.packet(&l.landing.p.packet);
         }
         w.len(self.held.len());
         for (i, j, preempt, p) in &self.held {
@@ -241,14 +244,18 @@ impl EngineSnapshot {
         let fabric = r.fabric()?;
         let slot = r.u64()?;
         let idle_slots = r.u32()?;
-        let input_queues = r.queues(config.n_inputs * config.n_outputs)?;
+        let cells = config
+            .n_inputs
+            .checked_mul(config.n_outputs)
+            .ok_or_else(|| SnapshotError::Format("switch geometry overflows".into()))?;
+        let input_queues = r.queues(cells)?;
         let crossbar_queues = if r.bool()? {
             if config.crossbar_capacity.is_none() {
                 return Err(SnapshotError::Format(
                     "crossbar queues present but config has no crossbar capacity".into(),
                 ));
             }
-            Some(r.queues(config.n_inputs * config.n_outputs)?)
+            Some(r.queues(cells)?)
         } else {
             if config.crossbar_capacity.is_some() {
                 return Err(SnapshotError::Format(
@@ -258,39 +265,42 @@ impl EngineSnapshot {
             None
         };
         let output_queues = r.queues(config.n_outputs)?;
-        let n_landings = r.len()?;
+        let n_landings = r.count(LANDING_BYTES)?;
         let mut landings = Vec::with_capacity(n_landings);
         for _ in 0..n_landings {
             landings.push(SnapLanding {
                 land_slot: r.u64()?,
-                slot: r.u64()?,
-                cycle: r.u32()?,
-                input: r.u16()?,
-                output: r.u16()?,
-                preempt: r.bool()?,
-                packet: r.packet()?,
+                landing: Landing {
+                    slot: r.u64()?,
+                    cycle: r.u32()?,
+                    p: InFlightPacket {
+                        input: r.u16()?,
+                        output: r.u16()?,
+                        preempt: r.bool()?,
+                        packet: r.packet()?,
+                    },
+                },
             });
         }
-        for w in landings.windows(2) {
-            let key = |l: &SnapLanding| (l.land_slot, l.slot, l.cycle, l.output, l.input);
-            if key(&w[0]) >= key(&w[1]) {
-                return Err(SnapshotError::Format(
-                    "landings not in canonical order".into(),
-                ));
-            }
+        if landings.windows(2).any(|w| w[0].key() >= w[1].key()) {
+            return Err(SnapshotError::Format(
+                "landings not in canonical order".into(),
+            ));
         }
-        let n_held = r.len()?;
+        let n_held = r.count(HELD_BYTES)?;
         let mut held = Vec::with_capacity(n_held);
         for _ in 0..n_held {
             held.push((r.u16()?, r.u16()?, r.bool()?, r.packet()?));
         }
         let stats = r.stats(config.n_outputs)?;
         let window = if r.bool()? {
-            let window = r.len()?;
+            // The window *size* is a setting, not a length: nothing is
+            // reserved for it here.
+            let window = r.u32()? as usize;
             if window == 0 {
                 return Err(SnapshotError::Format("zero-size stats window".into()));
             }
-            let n = r.len()?;
+            let n = r.count(WINDOW_SLOT_BYTES)?;
             if n > window {
                 return Err(SnapshotError::Format(
                     "stats window holds more entries than its size".into(),
@@ -493,23 +503,43 @@ impl Reader<'_> {
             self.take(16)?.try_into().expect("len 16"),
         ))
     }
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        Ok(self.u32()? as usize)
+
+    /// `n` records of at least `min_record_bytes` each must fit the bytes
+    /// left — checked before anything is reserved for them, so a hostile
+    /// count costs an error, not an allocation the input could never fill.
+    fn bound(&self, n: usize, min_record_bytes: usize) -> Result<usize, SnapshotError> {
+        let left = self.buf.len() - self.pos;
+        if n > left / min_record_bytes {
+            return Err(SnapshotError::Format(format!(
+                "{n} records of {min_record_bytes}+ bytes cannot fit the {left} bytes left"
+            )));
+        }
+        Ok(n)
+    }
+
+    /// A `u32` sequence length, [`bound`](Self::bound)ed.
+    fn count(&mut self, min_record_bytes: usize) -> Result<usize, SnapshotError> {
+        let n = self.u32()? as usize;
+        self.bound(n, min_record_bytes)
     }
 
     fn packet(&mut self) -> Result<Packet, SnapshotError> {
         let id = PacketId(self.u64()?);
         let value = self.u64()?;
+        if value == 0 {
+            return Err(SnapshotError::Format("packet of value 0".into()));
+        }
         let arrival = self.u64()?;
         let input = PortId(self.u16()?);
         let output = PortId(self.u16()?);
         Ok(Packet::new(id, value, arrival, input, output))
     }
 
+    /// `count` queue cells; an empty cell is its 4-byte length prefix.
     fn queues(&mut self, count: usize) -> Result<Vec<Vec<Packet>>, SnapshotError> {
-        let mut queues = Vec::with_capacity(count);
+        let mut queues = Vec::with_capacity(self.bound(count, 4)?);
         for _ in 0..count {
-            let n = self.len()?;
+            let n = self.count(PACKET_BYTES)?;
             let mut q = Vec::with_capacity(n);
             for _ in 0..n {
                 q.push(self.packet()?);
@@ -544,8 +574,8 @@ impl Reader<'_> {
         if !self.bool()? {
             return Ok(FabricSpec::uniform(self.u64()?));
         }
-        let n_inputs = self.u32()? as usize;
-        let n_outputs = self.u32()? as usize;
+        let n_inputs = self.count(2)?;
+        let n_outputs = self.count(2)?;
         let racks = self.u32()? as usize;
         let mut input_rack = Vec::with_capacity(n_inputs);
         for _ in 0..n_inputs {
@@ -558,7 +588,7 @@ impl Reader<'_> {
         let n_lat = racks
             .checked_mul(racks)
             .ok_or_else(|| SnapshotError::Format("rack count overflow".into()))?;
-        let mut latency = Vec::with_capacity(n_lat);
+        let mut latency = Vec::with_capacity(self.bound(n_lat, 8)?);
         for _ in 0..n_lat {
             latency.push(self.u64()?);
         }
@@ -568,7 +598,7 @@ impl Reader<'_> {
     }
 
     fn stats(&mut self, n_outputs: usize) -> Result<StatsRecorder, SnapshotError> {
-        let mut s = StatsRecorder::new(n_outputs);
+        let mut s = StatsRecorder::new(self.bound(n_outputs, 8)?);
         s.arrived = self.u64()?;
         s.arrived_value = self.u128()?;
         s.accepted = self.u64()?;
@@ -606,6 +636,22 @@ mod tests {
         Packet::new(PacketId(id), value, 0, PortId(input), PortId(output))
     }
 
+    fn landing(land_slot: SlotId, slot: SlotId, packet: Packet) -> SnapLanding {
+        SnapLanding {
+            land_slot,
+            landing: Landing {
+                slot,
+                cycle: 0,
+                p: InFlightPacket {
+                    input: packet.input.0,
+                    output: packet.output.0,
+                    preempt: false,
+                    packet,
+                },
+            },
+        }
+    }
+
     fn sample() -> EngineSnapshot {
         let config = SwitchConfig {
             n_inputs: 2,
@@ -631,16 +677,8 @@ mod tests {
             input_queues: vec![vec![pkt(0, 5, 0, 0)], vec![], vec![], vec![]],
             crossbar_queues: None,
             output_queues: vec![vec![], vec![]],
-            landings: vec![SnapLanding {
-                land_slot: 11,
-                slot: 9,
-                cycle: 0,
-                input: 1,
-                output: 1,
-                preempt: false,
-                packet: pkt(2, 3, 1, 1),
-            }],
-            held: vec![],
+            landings: vec![landing(11, 9, pkt(2, 3, 1, 1))],
+            held: vec![(0, 1, true, pkt(1, 2, 0, 1))],
             stats,
             window: Some((
                 4,
@@ -652,8 +690,8 @@ mod tests {
                     lost: 0,
                 }],
             )),
-            residual_count: 2,
-            residual_value: 8,
+            residual_count: 3,
+            residual_value: 10,
         }
     }
 
@@ -708,26 +746,50 @@ mod tests {
     fn non_canonical_landing_order_is_rejected() {
         let mut snap = sample();
         snap.landings = vec![
-            SnapLanding {
-                land_slot: 12,
-                slot: 9,
-                cycle: 0,
-                input: 0,
-                output: 0,
-                preempt: false,
-                packet: pkt(3, 1, 0, 0),
-            },
-            SnapLanding {
-                land_slot: 11,
-                slot: 9,
-                cycle: 0,
-                input: 1,
-                output: 1,
-                preempt: false,
-                packet: pkt(2, 3, 1, 1),
-            },
+            landing(12, 9, pkt(3, 1, 0, 0)),
+            landing(11, 9, pkt(2, 3, 1, 1)),
         ];
         let err = EngineSnapshot::from_bytes(&snap.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("canonical"));
+    }
+
+    /// Hostile bytes: whatever 4-byte run of a valid snapshot is
+    /// overwritten with `0xFF` — a geometry word, a length prefix, a rack
+    /// count, a bool — decoding answers `Ok` or `Err`. A panic fails the
+    /// test; an over-reservation aborts it (the bounded counts are what
+    /// keep a `u32::MAX` prefix from reaching `with_capacity`).
+    #[test]
+    fn ff_overwrites_never_panic_or_over_reserve() {
+        let topo = Topology::explicit(2, 2, 2, vec![0, 1], vec![0, 1], vec![0, 3, 3, 0])
+            .expect("valid topology");
+        let mut matrix = sample();
+        matrix.fabric = FabricSpec::matrix(topo);
+        for snap in [sample(), matrix] {
+            assert!(!snap.landings.is_empty() && !snap.held.is_empty() && snap.window.is_some());
+            let bytes = snap.to_bytes();
+            for at in 0..bytes.len() {
+                let mut hostile = bytes.clone();
+                for b in hostile.iter_mut().skip(at).take(4) {
+                    *b = 0xFF;
+                }
+                let _ = EngineSnapshot::from_bytes(&hostile);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_geometry_and_zero_values_are_format_errors() {
+        let bytes = sample().to_bytes();
+        // The two geometry words follow the magic and the version.
+        let mut huge = bytes.clone();
+        huge[12..20].fill(0xFF);
+        assert!(matches!(
+            EngineSnapshot::from_bytes(&huge),
+            Err(SnapshotError::Format(_))
+        ));
+        let mut zero = sample();
+        zero.input_queues[0][0].value = 0;
+        let err = EngineSnapshot::from_bytes(&zero.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("value 0"), "{err}");
     }
 }

@@ -17,6 +17,17 @@ pub enum QueueKind {
     Output,
 }
 
+impl QueueKind {
+    /// The family's name as [`PolicyError`](crate::PolicyError)s spell it.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            QueueKind::Input => "input",
+            QueueKind::Crossbar => "crossbar",
+            QueueKind::Output => "output",
+        }
+    }
+}
+
 /// The complete mutable state of one simulated switch.
 #[derive(Debug, Clone)]
 pub struct SwitchState {
@@ -232,11 +243,8 @@ impl<'a> SwitchView<'a> {
     /// Identical to `output_queue(j).is_full()` on an immediate fabric.
     #[inline]
     pub fn output_full(&self, output: PortId) -> bool {
-        virtualq::full(
-            &self.state.output_queues[output.index()],
-            &self.state.inflight,
-            output.index(),
-        )
+        let j = output.index();
+        virtualq::full(&self.state.output_queues[j], self.state.inflight.len(j))
     }
 
     /// Least value of the virtual output queue `j` — the landed tail
@@ -245,27 +253,11 @@ impl<'a> SwitchView<'a> {
     /// the preemption thresholds (PG's β, CPG's α) compare against.
     #[inline]
     pub fn output_tail_value(&self, output: PortId) -> Option<Value> {
+        let j = output.index();
         virtualq::tail_value(
-            &self.state.output_queues[output.index()],
-            &self.state.inflight,
-            output.index(),
+            &self.state.output_queues[j],
+            self.state.inflight.min_value(j),
         )
-    }
-
-    /// Packets currently in flight through the fabric toward output `j`
-    /// (always 0 on an immediate fabric).
-    #[inline]
-    pub fn output_in_flight(&self, output: PortId) -> usize {
-        self.state.inflight.len(output.index())
-    }
-
-    /// Packets currently in flight on the specific pair
-    /// (input `i` → output `j`) — the per-pair slice of the virtual
-    /// occupancy, meaningful on heterogeneous (topology-aware) fabrics
-    /// where different pairs ride paths of different latency.
-    #[inline]
-    pub fn output_in_flight_from(&self, input: PortId, output: PortId) -> usize {
-        self.state.inflight.pair_len(input.index(), output.index())
     }
 
     /// Queues dirtied since the engine's last scheduling call, plus the

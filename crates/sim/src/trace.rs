@@ -123,42 +123,65 @@ impl Trace {
         Ok(())
     }
 
-    /// Read a trace written by [`Self::write_to`].
+    /// Read a trace written by [`Self::write_to`]. The header's packet
+    /// count says how many lines to expect, never how much to reserve.
     pub fn read_from(r: &mut impl BufRead) -> Result<Self, TraceError> {
-        let mut header = String::new();
-        r.read_line(&mut header)?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("cioq-trace") || parts.next() != Some("v1") {
-            return Err(TraceError::Parse(1, "bad header".into()));
-        }
-        let count: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| TraceError::Parse(1, "bad packet count".into()))?;
-
-        let mut tuples = Vec::with_capacity(count);
+        let count = read_header(r)?;
+        let mut tuples = Vec::new();
         let mut line = String::new();
-        for lineno in 2..2 + count {
+        let mut lineno = 1;
+        for _ in 0..count {
+            lineno += 1;
             line.clear();
             if r.read_line(&mut line)? == 0 {
                 return Err(TraceError::Parse(lineno, "unexpected end of file".into()));
             }
-            let mut f = line.split_whitespace();
-            let parse = |s: Option<&str>, what: &str| -> Result<u64, TraceError> {
-                s.and_then(|x| x.parse().ok())
-                    .ok_or_else(|| TraceError::Parse(lineno, format!("bad {what}")))
-            };
-            let slot = parse(f.next(), "slot")?;
-            let input = parse(f.next(), "input")? as usize;
-            let output = parse(f.next(), "output")? as usize;
-            let value = parse(f.next(), "value")?;
-            tuples.push((slot, PortId::from(input), PortId::from(output), value));
+            tuples.push(parse_line(&line, lineno)?);
         }
-        let trace = Trace::from_tuples(tuples);
-        // from_tuples sorts; verify the file itself was sorted to catch
-        // hand-edited traces whose intra-slot order would silently change.
-        Ok(trace)
+        // from_tuples sorts stably by slot, so a hand-edited file keeps its
+        // intra-slot order.
+        Ok(Trace::from_tuples(tuples))
     }
+}
+
+/// Parse the `cioq-trace v1 <count>` header line; returns the count.
+fn read_header(r: &mut impl BufRead) -> Result<usize, TraceError> {
+    let mut header = String::new();
+    r.read_line(&mut header)?;
+    let mut parts = header.split_whitespace();
+    if parts.next() != Some("cioq-trace") || parts.next() != Some("v1") {
+        return Err(TraceError::Parse(1, "bad header".into()));
+    }
+    parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| TraceError::Parse(1, "bad packet count".into()))
+}
+
+/// Parse one `slot input output value` line. A port that does not fit a
+/// [`PortId`] or a zero value is a parse error here — `PortId::from` and
+/// `Packet::new` only `debug_assert` those, and a release build would
+/// silently wrap the port onto another one.
+fn parse_line(line: &str, lineno: usize) -> Result<(SlotId, PortId, PortId, Value), TraceError> {
+    let mut f = line.split_whitespace();
+    let mut field = |what: &str| -> Result<u64, TraceError> {
+        f.next()
+            .and_then(|x| x.parse().ok())
+            .ok_or_else(|| TraceError::Parse(lineno, format!("bad {what}")))
+    };
+    let slot = field("slot")?;
+    let mut port = |what: &str| -> Result<PortId, TraceError> {
+        let x = field(what)?;
+        let port = u16::try_from(x)
+            .map_err(|_| TraceError::Parse(lineno, format!("{what} port {x} out of range")))?;
+        Ok(PortId(port))
+    };
+    let (input, output) = (port("input")?, port("output")?);
+    let value = field("value")?;
+    if value == 0 {
+        return Err(TraceError::Parse(lineno, "packet of value 0".into()));
+    }
+    Ok((slot, input, output, value))
 }
 
 /// Incremental reader over the `cioq-trace v1` line format: yields one
@@ -178,16 +201,7 @@ pub struct TraceReader<R> {
 impl<R: BufRead> TraceReader<R> {
     /// Parse the header and position the reader at the first packet line.
     pub fn new(mut r: R) -> Result<Self, TraceError> {
-        let mut header = String::new();
-        r.read_line(&mut header)?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("cioq-trace") || parts.next() != Some("v1") {
-            return Err(TraceError::Parse(1, "bad header".into()));
-        }
-        let remaining: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| TraceError::Parse(1, "bad packet count".into()))?;
+        let remaining = read_header(&mut r)?;
         Ok(TraceReader {
             r,
             remaining,
@@ -218,17 +232,7 @@ impl<R: BufRead> TraceReader<R> {
                 "unexpected end of file".into(),
             ));
         }
-        let lineno = self.lineno;
-        let mut f = self.line.split_whitespace();
-        let mut parse = |what: &str| -> Result<u64, TraceError> {
-            f.next()
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| TraceError::Parse(lineno, format!("bad {what}")))
-        };
-        let slot = parse("slot")?;
-        let input = parse("input")? as usize;
-        let output = parse("output")? as usize;
-        let value = parse("value")?;
+        let (slot, input, output, value) = parse_line(&self.line, self.lineno)?;
         if slot < self.prev_slot {
             return Err(TraceError::Model(ModelError::UnsortedTrace {
                 slot,
@@ -239,13 +243,7 @@ impl<R: BufRead> TraceReader<R> {
         self.remaining -= 1;
         let id = self.next_id;
         self.next_id += 1;
-        Ok(Some(Packet::new(
-            PacketId(id),
-            value,
-            slot,
-            PortId::from(input),
-            PortId::from(output),
-        )))
+        Ok(Some(Packet::new(PacketId(id), value, slot, input, output)))
     }
 }
 
@@ -351,5 +349,37 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.arrival_slots(), 0);
         assert_eq!(t.last_slot(), None);
+    }
+
+    /// Hostile files: both readers answer `Err`, never a panic, a wrapped
+    /// port or a reservation sized by the header.
+    #[test]
+    fn hostile_files_are_errors_from_both_readers() {
+        fn drain(file: &str) -> Result<(), TraceError> {
+            let mut rd = TraceReader::new(file.as_bytes())?;
+            while rd.next_packet()?.is_some() {}
+            Ok(())
+        }
+        let huge_count = format!("cioq-trace v1 {}\n0 0 0 1\n", usize::MAX);
+        let cases = [
+            (huge_count.as_str(), 3, "end of file"),
+            ("cioq-trace v1 1\n0 65536 0 1\n", 2, "input port 65536"),
+            ("cioq-trace v1 1\n0 0 65536 1\n", 2, "output port 65536"),
+            ("cioq-trace v1 1\n0 0 0 0\n", 2, "value 0"),
+        ];
+        for (file, line, why) in cases {
+            for err in [
+                Trace::read_from(&mut file.as_bytes()).unwrap_err(),
+                drain(file).unwrap_err(),
+            ] {
+                match err {
+                    TraceError::Parse(at, msg) => {
+                        assert_eq!(at, line, "{file:?}");
+                        assert!(msg.contains(why), "{file:?}: {msg}");
+                    }
+                    other => panic!("{file:?}: expected a parse error, got {other}"),
+                }
+            }
+        }
     }
 }

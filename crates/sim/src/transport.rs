@@ -46,7 +46,6 @@
 //! structural; the `d = 0` regression suite in `cioq-core` guards it.
 
 use cioq_model::{Packet, PortId, SlotId, SwitchConfig, Topology, Value};
-use cioq_queues::InFlight;
 use std::sync::Arc;
 
 /// Description of a fabric transport: either one uniform latency or a
@@ -156,7 +155,7 @@ impl FabricSpec {
 
 /// A packet committed to the wire: everything the landing phase needs to
 /// finish the transfer exactly as an immediate fabric would have.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct InFlightPacket {
     /// Global input port the transfer was popped from.
     pub input: u16,
@@ -168,9 +167,23 @@ pub(crate) struct InFlightPacket {
     pub packet: Packet,
 }
 
-/// A committed packet riding the calendar, tagged with its dispatch time
-/// for the canonical landing sort.
-#[derive(Debug, Clone)]
+impl InFlightPacket {
+    /// The packet a transfer `input → output` puts on the wire.
+    #[inline]
+    pub(crate) fn new(input: PortId, output: PortId, preempt: bool, packet: Packet) -> Self {
+        InFlightPacket {
+            input: input.0,
+            output: output.0,
+            preempt,
+            packet,
+        }
+    }
+}
+
+/// A committed packet riding a delay line (the sequential calendar or a
+/// sharded ring), tagged with its dispatch time for the canonical landing
+/// sort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Landing {
     /// Slot the transfer was dispatched in.
     pub slot: SlotId,
@@ -180,8 +193,19 @@ pub(crate) struct Landing {
     pub p: InFlightPacket,
 }
 
-/// The sequential engine's transport state: a calendar of
-/// `horizon = max_delay` slot-buckets, shared by every pair. A dispatch in
+impl Landing {
+    /// The canonical landing order `(dispatch slot, dispatch cycle,
+    /// output, input)` (see module docs). Unique among landings due in one
+    /// slot: at most one transfer enters an output per cycle.
+    #[inline]
+    pub(crate) fn key(&self) -> (SlotId, u32, u16, u16) {
+        (self.slot, self.cycle, self.p.output, self.p.input)
+    }
+}
+
+/// The delay line: a calendar of `horizon = max_delay` slot-buckets, shared
+/// by every pair it carries — all of them in the sequential engine, those
+/// between one (destination, source) shard pair in the sharded one. A dispatch in
 /// slot `t` on a pair at latency `d` (`1 ≤ d ≤ horizon`) pushes into
 /// bucket `(t + d) % horizon`; the landing phase of slot `t` drains bucket
 /// `t % horizon` *before* any dispatch of slot `t`, so every packet found
@@ -246,10 +270,22 @@ impl DelayCalendar {
         let bucket = &mut self.buckets[(slot % self.horizon) as usize];
         std::mem::swap(bucket, &mut self.scratch);
         let mut due = std::mem::take(&mut self.scratch);
-        // Canonical landing order (see module docs). The key is unique:
-        // at most one transfer enters an output per cycle.
-        due.sort_unstable_by_key(|l| (l.slot, l.cycle, l.p.output, l.p.input));
+        due.sort_unstable_by_key(Landing::key);
         due
+    }
+
+    /// Move the bucket due at the start of `slot` onto the end of `out`,
+    /// unsorted — for a caller that gathers several calendars' due
+    /// buckets (the sharded landing phase) and sorts the lot once.
+    #[inline]
+    // detlint: hot
+    pub(crate) fn drain_due_into(&mut self, slot: SlotId, out: &mut Vec<Landing>) {
+        out.append(&mut self.buckets[(slot % self.horizon) as usize]);
+    }
+
+    /// Ring size: the largest pair latency this calendar carries.
+    pub(crate) fn horizon(&self) -> SlotId {
+        self.horizon
     }
 
     /// Give a drained buffer back for reuse.
@@ -260,8 +296,9 @@ impl DelayCalendar {
     }
 
     /// Visit every packet currently committed to the wire (all buckets).
-    /// O(in flight); used by the debug-build invariant auditor to
-    /// cross-check the calendar against the [`InFlight`] accounting.
+    /// O(in flight); the debug-build invariant auditor cross-checks the
+    /// calendar against the [`InFlight`](cioq_queues::InFlight) accounting
+    /// with it, and the sharded engine counts what rides its rings.
     pub(crate) fn for_each_pending(&self, mut f: impl FnMut(&InFlightPacket)) {
         for bucket in &self.buckets {
             for l in bucket {
@@ -292,23 +329,26 @@ impl DelayCalendar {
     }
 }
 
-/// Compute virtual-output-queue facts shared by both engines.
+/// The virtual output queue both engines schedule against: what has landed
+/// in `Q_j` plus what is in flight toward it (the sequential engine reads
+/// the latter off its [`InFlight`](cioq_queues::InFlight) ledger, the sharded
+/// one off its rings).
 pub(crate) mod virtualq {
     use super::*;
     use cioq_queues::SortedQueue;
 
-    /// Whether output `j` is full as the scheduler must see it: landed
-    /// occupancy plus in-flight packets.
+    /// Whether output `j` is full as the scheduler must see it, with
+    /// `in_flight` packets on their way to it.
     #[inline]
-    pub(crate) fn full(queue: &SortedQueue, inflight: &InFlight, j: usize) -> bool {
-        queue.len() + inflight.len(j) >= queue.capacity()
+    pub(crate) fn full(queue: &SortedQueue, in_flight: usize) -> bool {
+        queue.len() + in_flight >= queue.capacity()
     }
 
     /// Least value of the virtual queue at output `j` (landed tail vs
-    /// least in flight), `None` when both are empty.
+    /// `flying_min`, the least in flight), `None` when both are empty.
     #[inline]
-    pub(crate) fn tail_value(queue: &SortedQueue, inflight: &InFlight, j: usize) -> Option<Value> {
-        match (queue.tail_value(), inflight.min_value(j)) {
+    pub(crate) fn tail_value(queue: &SortedQueue, flying_min: Option<Value>) -> Option<Value> {
+        match (queue.tail_value(), flying_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
