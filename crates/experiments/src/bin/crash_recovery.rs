@@ -8,36 +8,12 @@
 //! Pass `--quick` for reduced scale, `--markdown` for markdown output.
 //! Exits non-zero if any kill/restore cycle diverges.
 
-use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
-use cioq_experiments::Table;
+use cioq_experiments::{PolicyKind, Table};
 use cioq_model::{SwitchConfig, Topology};
 use cioq_sim::{
     Engine, EngineSnapshot, FabricSpec, FaultPlan, RunOptions, RunOutcome, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
-
-#[derive(Clone, Copy)]
-enum PolicyKind {
-    Gm,
-    Pg,
-    Cgu,
-    Cpg,
-}
-
-impl PolicyKind {
-    fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Gm => "GM",
-            PolicyKind::Pg => "PG",
-            PolicyKind::Cgu => "CGU",
-            PolicyKind::Cpg => "CPG",
-        }
-    }
-
-    fn is_crossbar(self) -> bool {
-        matches!(self, PolicyKind::Cgu | PolicyKind::Cpg)
-    }
-}
 
 fn options(link: &FabricSpec, faults: &FaultPlan, every: u64) -> RunOptions {
     RunOptions {
@@ -70,20 +46,8 @@ fn run(
         Some(snap) => TraceSource::resume_at(trace, snap.slot()),
         None => TraceSource::new(trace),
     };
-    let outcome = if kind.is_crossbar() {
-        match kind {
-            PolicyKind::Cgu => {
-                engine.run_crossbar_full(&mut CrossbarGreedyUnit::new(), &mut source)
-            }
-            _ => engine.run_crossbar_full(&mut CrossbarPreemptiveGreedy::new(), &mut source),
-        }
-    } else {
-        match kind {
-            PolicyKind::Gm => engine.run_cioq_full(&mut GreedyMatching::new(), &mut source),
-            _ => engine.run_cioq_full(&mut PreemptiveGreedy::new(), &mut source),
-        }
-    };
-    outcome.expect("faulted run must degrade gracefully, not error")
+    kind.run(engine, &mut source)
+        .expect("faulted run must degrade gracefully, not error")
 }
 
 /// Kill at every checkpoint of the uninterrupted run, restore from the
@@ -128,7 +92,7 @@ fn kill_restore_cycles(
 fn main() {
     let quick = cioq_experiments::quick_mode();
     let markdown = std::env::args().any(|a| a == "--markdown");
-    let slots = cioq_experiments::scaled_slots(96);
+    let slots = cioq_experiments::scaled_slots(96, quick);
     let every = if quick { 8 } else { 12 };
     let n = 6;
     let gen = OnOffBursty::new(
@@ -159,11 +123,11 @@ fn main() {
         ],
     );
     let mut total_failures = 0;
-    for kind in [
-        PolicyKind::Gm,
-        PolicyKind::Pg,
-        PolicyKind::Cgu,
-        PolicyKind::Cpg,
+    for (label, kind) in [
+        ("GM", PolicyKind::Gm),
+        ("PG", PolicyKind::pg_default()),
+        ("CGU", PolicyKind::Cgu),
+        ("CPG", PolicyKind::cpg_default()),
     ] {
         let cfg = if kind.is_crossbar() {
             SwitchConfig::crossbar(n, 3, 2, 2)
@@ -178,7 +142,7 @@ fn main() {
                     kill_restore_cycles(kind, &cfg, &trace, link, &faults, every);
                 total_failures += failures;
                 table.push(vec![
-                    kind.label().to_string(),
+                    label.to_string(),
                     fabric_name.to_string(),
                     format!("{seed:#x}"),
                     full.checkpoints.len().to_string(),

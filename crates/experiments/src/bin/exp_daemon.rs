@@ -80,7 +80,7 @@ struct Row {
 
 fn main() {
     let markdown = std::env::args().any(|a| a == "--markdown");
-    let slots = cioq_experiments::scaled_slots(1_000_000);
+    let slots = cioq_experiments::scaled_slots(1_000_000, cioq_experiments::quick_mode());
     let every = (slots / 64).max(8);
     let cfg = SwitchConfig::cioq(4, 3, 2);
     let gen = BernoulliUniform::new(

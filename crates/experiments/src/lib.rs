@@ -29,9 +29,10 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Scale a slot count down in quick mode.
-pub fn scaled_slots(full: u64) -> u64 {
-    if quick_mode() {
+/// A slot count at the scale asked for: `full`, or an eighth of it (at
+/// least 16) when `quick`.
+pub fn scaled_slots(full: u64, quick: bool) -> u64 {
+    if quick {
         (full / 8).max(16)
     } else {
         full

@@ -2,10 +2,14 @@
 
 use cioq_core::baselines::{IslipPolicy, MaxMatching, MaxWeightMatching};
 use cioq_core::{
-    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, SelectionOrder,
+    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching, PreemptiveGreedy,
+    SelectionOrder,
 };
 use cioq_model::SwitchConfig;
-use cioq_sim::{run_cioq, run_crossbar, PolicyError, RunReport, Trace};
+use cioq_sim::{
+    run_cioq_sharded, run_crossbar_sharded, ArrivalSource, Engine, PolicyError, RunOptions,
+    RunOutcome, RunReport, ShardedOptions, ShardedOutcome, Trace, TraceSource,
+};
 
 /// Every policy the experiments can run, as plain data (so sweep points can
 /// be sent across threads and printed).
@@ -91,6 +95,74 @@ impl PolicyKind {
             _ => None,
         }
     }
+
+    /// Run this policy on a built [`Engine`] — fresh or restored, under
+    /// whatever options it carries — against `source`. The one place a
+    /// kind becomes a policy object for the sequential engine; every other
+    /// sequential run in the crate projects from it.
+    pub fn run(
+        self,
+        engine: Engine,
+        source: &mut dyn ArrivalSource,
+    ) -> Result<RunOutcome, PolicyError> {
+        match self {
+            PolicyKind::Gm => engine.run_cioq_full(&mut GreedyMatching::new(), source),
+            PolicyKind::GmRotate => engine.run_cioq_full(
+                &mut GreedyMatching::with_edge_policy(GmEdgePolicy::RotateByCycle),
+                source,
+            ),
+            PolicyKind::Pg(beta) => {
+                engine.run_cioq_full(&mut PreemptiveGreedy::with_beta(beta), source)
+            }
+            PolicyKind::PgNoPreempt => {
+                engine.run_cioq_full(&mut PreemptiveGreedy::without_preemption(), source)
+            }
+            PolicyKind::KrMaxMatching => engine.run_cioq_full(&mut MaxMatching::new(), source),
+            PolicyKind::KrMaxWeight(beta) => {
+                engine.run_cioq_full(&mut MaxWeightMatching::with_beta(beta), source)
+            }
+            PolicyKind::Islip(k) => engine.run_cioq_full(&mut IslipPolicy::new(k), source),
+            PolicyKind::Cgu => engine.run_crossbar_full(&mut CrossbarGreedyUnit::new(), source),
+            PolicyKind::CguRoundRobin => engine.run_crossbar_full(
+                &mut CrossbarGreedyUnit::with_selection(SelectionOrder::RoundRobin),
+                source,
+            ),
+            PolicyKind::Cpg(beta, alpha) => engine.run_crossbar_full(
+                &mut CrossbarPreemptiveGreedy::with_params(beta, alpha),
+                source,
+            ),
+            PolicyKind::CpgSingleParam => {
+                engine.run_crossbar_full(&mut CrossbarPreemptiveGreedy::single_parameter(), source)
+            }
+        }
+    }
+
+    /// Run this policy over `trace` on the sharded engine. Only the four
+    /// paper policies (GM, PG, CGU, CPG, at any parameters) shard — the
+    /// same structs serve both engines; any other kind panics.
+    pub fn run_sharded(
+        self,
+        cfg: &SwitchConfig,
+        trace: &Trace,
+        options: ShardedOptions,
+    ) -> Result<ShardedOutcome, PolicyError> {
+        match self {
+            PolicyKind::Gm => run_cioq_sharded(cfg, &GreedyMatching::new(), trace, options),
+            PolicyKind::Pg(beta) => {
+                run_cioq_sharded(cfg, &PreemptiveGreedy::with_beta(beta), trace, options)
+            }
+            PolicyKind::Cgu => {
+                run_crossbar_sharded(cfg, &CrossbarGreedyUnit::new(), trace, options)
+            }
+            PolicyKind::Cpg(beta, alpha) => run_crossbar_sharded(
+                cfg,
+                &CrossbarPreemptiveGreedy::with_params(beta, alpha),
+                trace,
+                options,
+            ),
+            other => panic!("{} has no sharded implementation", other.label()),
+        }
+    }
 }
 
 /// Run a policy on a recorded trace (drains after arrivals end).
@@ -99,39 +171,8 @@ pub fn run_policy(
     cfg: &SwitchConfig,
     trace: &Trace,
 ) -> Result<RunReport, PolicyError> {
-    match kind {
-        PolicyKind::Gm => run_cioq(cfg, &mut GreedyMatching::new(), trace),
-        PolicyKind::GmRotate => run_cioq(
-            cfg,
-            &mut GreedyMatching::with_edge_policy(cioq_core::GmEdgePolicy::RotateByCycle),
-            trace,
-        ),
-        PolicyKind::Pg(beta) => run_cioq(cfg, &mut PreemptiveGreedy::with_beta(beta), trace),
-        PolicyKind::PgNoPreempt => {
-            run_cioq(cfg, &mut PreemptiveGreedy::without_preemption(), trace)
-        }
-        PolicyKind::KrMaxMatching => run_cioq(cfg, &mut MaxMatching::new(), trace),
-        PolicyKind::KrMaxWeight(beta) => {
-            run_cioq(cfg, &mut MaxWeightMatching::with_beta(beta), trace)
-        }
-        PolicyKind::Islip(k) => run_cioq(cfg, &mut IslipPolicy::new(k), trace),
-        PolicyKind::Cgu => run_crossbar(cfg, &mut CrossbarGreedyUnit::new(), trace),
-        PolicyKind::CguRoundRobin => run_crossbar(
-            cfg,
-            &mut CrossbarGreedyUnit::with_selection(SelectionOrder::RoundRobin),
-            trace,
-        ),
-        PolicyKind::Cpg(beta, alpha) => run_crossbar(
-            cfg,
-            &mut CrossbarPreemptiveGreedy::with_params(beta, alpha),
-            trace,
-        ),
-        PolicyKind::CpgSingleParam => run_crossbar(
-            cfg,
-            &mut CrossbarPreemptiveGreedy::single_parameter(),
-            trace,
-        ),
-    }
+    let engine = Engine::new(cfg.clone(), RunOptions::default());
+    Ok(kind.run(engine, &mut TraceSource::new(trace))?.report)
 }
 
 #[cfg(test)]

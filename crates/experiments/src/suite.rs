@@ -6,9 +6,10 @@
 //! `--quick` runs. [`EXPERIMENTS`] is the one table of them; the `exp`
 //! binary runs any of it by id.
 
-use crate::policies::PolicyKind;
+use crate::policies::{run_policy, PolicyKind};
 use crate::ratio::measure_ratio;
 use crate::runner::parallel_map;
+use crate::scaled_slots;
 use crate::table::{fmt_ratio, Table};
 use cioq_matching::{
     greedy_maximal, greedy_maximal_weighted, hopcroft_karp, hungarian_max_weight, BipartiteGraph,
@@ -16,7 +17,10 @@ use cioq_matching::{
 };
 use cioq_model::SwitchConfig;
 use cioq_opt::{opt_upper_bound, opt_upper_bound_is_exact};
-use cioq_sim::{run_cioq_with_source, FabricSpec, RunOptions, Trace};
+use cioq_sim::{
+    run_cioq_with_source, Engine, ExecMode, FabricSpec, RunOptions, RunReport, ShardedOptions,
+    Trace, TraceSource,
+};
 use cioq_traffic::adversary::{
     escalation_bait, gm_iq_flood, gm_iq_flood_opt_benefit, pg_weighted_flood,
     pg_weighted_flood_opt_benefit, AdaptiveFloodSource, EscalationParams,
@@ -27,14 +31,6 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 const SEED: u64 = 0x5EED_CAFE;
-
-fn slots(full: u64, quick: bool) -> u64 {
-    if quick {
-        (full / 8).max(16)
-    } else {
-        full
-    }
-}
 
 /// Default sequential options (drained, full horizon) on the given fabric.
 fn on_fabric(fabric: &FabricSpec) -> RunOptions {
@@ -47,7 +43,7 @@ fn on_fabric(fabric: &FabricSpec) -> RunOptions {
 /// Whether a sharded run's report agrees with its sequential reference on
 /// every tripwire field the systems suites (S1/S2/S3) compare. Sharding is
 /// bit-identical by construction, so this is a tripwire, not a tolerance.
-fn reports_agree(a: &cioq_sim::RunReport, b: &cioq_sim::RunReport) -> bool {
+fn reports_agree(a: &RunReport, b: &RunReport) -> bool {
     a.benefit == b.benefit
         && a.transmitted == b.transmitted
         && a.transferred == b.transferred
@@ -55,6 +51,77 @@ fn reports_agree(a: &cioq_sim::RunReport, b: &cioq_sim::RunReport) -> bool {
         && a.slots == b.slots
         && a.residual_count == b.residual_count
         && a.fabric_delay == b.fabric_delay
+}
+
+/// The four paper policies at their default parameters, under the short
+/// labels the systems suites (S1/S2/S3) print.
+fn paper_policies() -> [(&'static str, PolicyKind); 4] {
+    [
+        ("GM", PolicyKind::Gm),
+        ("PG", PolicyKind::pg_default()),
+        ("CGU", PolicyKind::Cgu),
+        ("CPG", PolicyKind::cpg_default()),
+    ]
+}
+
+/// One architecture's half of a systems suite: its switch and its trace.
+type Side = (SwitchConfig, Trace);
+
+/// The systems suites' workload: the same bursty Zipf traffic (load 0.85)
+/// on an `n`-port CIOQ switch and on an `n`-port buffered crossbar (B = 4,
+/// crosspoint buffers of 2), in that order.
+fn systems_workload(n: usize, speedup: u32, t: u64) -> (Side, Side) {
+    let gen = OnOffBursty::new(
+        0.85,
+        8.0,
+        ValueDist::Zipf {
+            max: 32,
+            exponent: 1.1,
+        },
+    );
+    let with_trace = |cfg: SwitchConfig| {
+        let trace = gen_trace(&gen, &cfg, t, SEED);
+        (cfg, trace)
+    };
+    (
+        with_trace(SwitchConfig::cioq(n, 4, speedup)),
+        with_trace(SwitchConfig::crossbar(n, 4, 2, speedup)),
+    )
+}
+
+/// `cioq` or `xbar`: whichever belongs to the architecture `kind` runs on.
+fn side<T>(kind: PolicyKind, cioq: T, xbar: T) -> T {
+    if kind.is_crossbar() {
+        xbar
+    } else {
+        cioq
+    }
+}
+
+/// One sequential run of `kind` over its side's trace under `options`.
+fn run_with(kind: PolicyKind, (cfg, trace): &Side, options: RunOptions) -> RunReport {
+    kind.run(
+        Engine::new(cfg.clone(), options),
+        &mut TraceSource::new(trace),
+    )
+    .expect("sequential run")
+    .report
+}
+
+/// Tripwire of S2/S3: whether `kind` on `k` inline shards over `link`
+/// books the totals of the sequential `reference`.
+fn sharded_agrees(
+    kind: PolicyKind,
+    (cfg, trace): &Side,
+    link: &FabricSpec,
+    k: usize,
+    reference: &RunReport,
+) -> bool {
+    let mut opts = ShardedOptions::new(k);
+    opts.fabric = link.clone();
+    opts.mode = ExecMode::Inline;
+    let sharded = kind.run_sharded(cfg, trace, opts).expect("sharded run");
+    reports_agree(reference, &sharded.report)
 }
 
 /// T1 — headline summary: worst measured ratio per algorithm over the
@@ -65,7 +132,7 @@ fn reports_agree(a: &cioq_sim::RunReport, b: &cioq_sim::RunReport) -> bool {
 /// inputs only, so they are measured on the unit suite; PG / CPG /
 /// KR-MaxWeight are measured on the weighted suite as well.
 pub fn t1_summary(quick: bool) -> Vec<Table> {
-    let t = slots(256, quick);
+    let t = scaled_slots(256, quick);
     let m = if quick { 4 } else { 8 };
     let b = if quick { 2 } else { 4 };
 
@@ -260,7 +327,7 @@ pub fn t1_summary(quick: bool) -> Vec<Table> {
 
 /// F3 — GM ratio and throughput vs offered load (Thm 1 at work).
 pub fn f3_gm_load(quick: bool) -> Vec<Table> {
-    let t = slots(512, quick);
+    let t = scaled_slots(512, quick);
     let n = 8;
     let loads: Vec<f64> = (1..=10).map(|x| x as f64 / 10.0).collect();
     let mut points = Vec::new();
@@ -327,7 +394,7 @@ pub fn f4_pg_beta(quick: bool) -> Vec<Table> {
     let stress = gen_trace(
         &Incast::new(4, 2, 0.5, ValueDist::Uniform { max: 8 }),
         &stress_cfg,
-        slots(256, quick),
+        scaled_slots(256, quick),
         SEED,
     );
 
@@ -362,7 +429,7 @@ pub fn f4_pg_beta(quick: bool) -> Vec<Table> {
 
 /// F5 — throughput/ratio vs speedup ŝ = 1..6 for all algorithms.
 pub fn f5_speedup(quick: bool) -> Vec<Table> {
-    let t = slots(256, quick);
+    let t = scaled_slots(256, quick);
     let speedups: Vec<u32> = if quick {
         vec![1, 2, 4]
     } else {
@@ -490,7 +557,7 @@ pub fn f6_matching_cost(quick: bool) -> Vec<Table> {
 
 /// F7 — crossbar buffer size sweep: what the crosspoint buffers buy.
 pub fn f7_crossbar_buffer(quick: bool) -> Vec<Table> {
-    let t = slots(256, quick);
+    let t = scaled_slots(256, quick);
     let caps: Vec<usize> = if quick {
         vec![1, 2, 4]
     } else {
@@ -681,7 +748,7 @@ pub fn f8_adversarial(quick: bool) -> Vec<Table> {
 
 /// T2 — weighted ratios across value distributions.
 pub fn t2_value_distributions(quick: bool) -> Vec<Table> {
-    let t = slots(256, quick);
+    let t = scaled_slots(256, quick);
     let dists = [
         ValueDist::Unit,
         ValueDist::Uniform { max: 64 },
@@ -738,7 +805,7 @@ pub fn t2_value_distributions(quick: bool) -> Vec<Table> {
 
 /// T3 — burstiness sweep: throughput/loss under on-off traffic.
 pub fn t3_bursty(quick: bool) -> Vec<Table> {
-    let t = slots(512, quick);
+    let t = scaled_slots(512, quick);
     let bursts = [1.5, 4.0, 16.0, 64.0];
     let policies = [
         PolicyKind::Gm,
@@ -760,7 +827,7 @@ pub fn t3_bursty(quick: bool) -> Vec<Table> {
             t,
             SEED + mean_burst as u64,
         );
-        let report = crate::policies::run_policy(kind, &cfg, &trace).expect("run");
+        let report = run_policy(kind, &cfg, &trace).expect("run");
         (mean_burst, kind, report, trace.len())
     });
     let mut table = Table::new(
@@ -787,7 +854,7 @@ pub fn t3_bursty(quick: bool) -> Vec<Table> {
 
 /// T4 — N×M generalization (conclusion of the paper).
 pub fn t4_asymmetric(quick: bool) -> Vec<Table> {
-    let t = slots(256, quick);
+    let t = scaled_slots(256, quick);
     let shapes = [(8usize, 4usize), (4, 8), (16, 4), (2, 16)];
     let policies = [PolicyKind::Gm, PolicyKind::pg_default()];
     let mut points = Vec::new();
@@ -834,7 +901,7 @@ pub fn t4_asymmetric(quick: bool) -> Vec<Table> {
 
 /// T5 — ablations: edge order, preemption, maximal-vs-maximum, α=β.
 pub fn t5_ablation(quick: bool) -> Vec<Table> {
-    let t = slots(256, quick);
+    let t = scaled_slots(256, quick);
     let cioq_cfg = SwitchConfig::cioq(8, 4, 1);
     let weighted: Trace = gen_trace(
         &OnOffBursty::new(
@@ -939,102 +1006,38 @@ pub fn t5_ablation(quick: bool) -> Vec<Table> {
 /// wall-clock cost of each run. Sharding is bit-identical by construction,
 /// so the "agrees" column is a tripwire, not a tolerance.
 pub fn s1_sharded(quick: bool) -> Vec<Table> {
-    use cioq_core::{ShardedCgu, ShardedCpg, ShardedGm, ShardedPg};
-    use cioq_sim::{
-        run_cioq, run_cioq_sharded, run_crossbar, run_crossbar_sharded, ShardedOptions,
-    };
-
-    let t = slots(256, quick);
+    let t = scaled_slots(256, quick);
     let n = if quick { 12 } else { 48 };
-    let cioq_cfg = SwitchConfig::cioq(n, 4, 1);
-    let xbar_cfg = SwitchConfig::crossbar(n, 4, 2, 1);
-    let gen = OnOffBursty::new(
-        0.85,
-        8.0,
-        ValueDist::Zipf {
-            max: 32,
-            exponent: 1.1,
-        },
-    );
-    let cioq_trace = gen_trace(&gen, &cioq_cfg, t, SEED);
-    let xbar_trace = gen_trace(&gen, &xbar_cfg, t, SEED);
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum P {
-        Gm,
-        Pg,
-        Cgu,
-        Cpg,
-    }
-    const POLICIES: [P; 4] = [P::Gm, P::Pg, P::Cgu, P::Cpg];
+    let (cioq, xbar) = systems_workload(n, 1, t);
+    let policies = paper_policies();
 
     // The sequential reference is invariant in K: run (and time) it once
     // per policy, then sweep only the sharded runs.
-    let references = parallel_map(&POLICIES, |&p| {
+    let references = parallel_map(&policies, |&(_, kind)| {
+        let (cfg, trace) = side(kind, &cioq, &xbar);
         // detlint: allow(D2) reason="speedup column reports wall time; never feeds simulation state"
         let t0 = Instant::now();
-        let (label, seq) = match p {
-            P::Gm => (
-                "GM",
-                run_cioq(
-                    &cioq_cfg,
-                    &mut cioq_core::GreedyMatching::new(),
-                    &cioq_trace,
-                )
-                .expect("seq"),
-            ),
-            P::Pg => (
-                "PG",
-                run_cioq(
-                    &cioq_cfg,
-                    &mut cioq_core::PreemptiveGreedy::new(),
-                    &cioq_trace,
-                )
-                .expect("seq"),
-            ),
-            P::Cgu => (
-                "CGU",
-                run_crossbar(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarGreedyUnit::new(),
-                    &xbar_trace,
-                )
-                .expect("seq"),
-            ),
-            P::Cpg => (
-                "CPG",
-                run_crossbar(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarPreemptiveGreedy::new(),
-                    &xbar_trace,
-                )
-                .expect("seq"),
-            ),
-        };
-        (label, seq, t0.elapsed().as_secs_f64() * 1e3)
+        let seq = run_policy(kind, cfg, trace).expect("seq");
+        (seq, t0.elapsed().as_secs_f64() * 1e3)
     });
 
     let mut points = Vec::new();
-    for p in POLICIES {
+    for p in 0..policies.len() {
         for k in [1usize, 2, 4] {
             points.push((p, k));
         }
     }
     let rows = parallel_map(&points, |&(p, k)| {
-        let opts = ShardedOptions::new(k);
+        let (label, kind) = policies[p];
+        let (cfg, trace) = side(kind, &cioq, &xbar);
         // detlint: allow(D2) reason="speedup column reports wall time; never feeds simulation state"
         let t1 = Instant::now();
-        let sharded = match p {
-            P::Gm => run_cioq_sharded(&cioq_cfg, &ShardedGm::new(), &cioq_trace, opts),
-            P::Pg => run_cioq_sharded(&cioq_cfg, &ShardedPg::new(), &cioq_trace, opts),
-            P::Cgu => run_crossbar_sharded(&xbar_cfg, &ShardedCgu::new(), &xbar_trace, opts),
-            P::Cpg => run_crossbar_sharded(&xbar_cfg, &ShardedCpg::new(), &xbar_trace, opts),
-        }
-        .expect("sharded run");
+        let sharded = kind
+            .run_sharded(cfg, trace, ShardedOptions::new(k))
+            .expect("sharded run");
         let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let reference = POLICIES.iter().position(|&q| q == p).expect("known policy");
-        let (label, seq, seq_ms) = &references[reference];
-        (*label, k, seq, sharded.report, *seq_ms, sharded_ms)
+        let (seq, seq_ms) = &references[p];
+        (label, k, seq, sharded.report, *seq_ms, sharded_ms)
     });
 
     let mut table = Table::new(
@@ -1084,109 +1087,33 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
 /// including packets still in flight — after a fixed arrival window, the
 /// buffering the delay forces the fabric to absorb.
 pub fn s2_delay(quick: bool) -> Vec<Table> {
-    use cioq_core::{ShardedCgu, ShardedCpg, ShardedGm, ShardedPg};
-    use cioq_sim::{run_cioq_sharded, run_crossbar_sharded, Engine, ShardedOptions, TraceSource};
-
-    let t = slots(384, quick);
+    let t = scaled_slots(384, quick);
     let n = if quick { 8 } else { 16 };
-    let cioq_cfg = SwitchConfig::cioq(n, 4, 2);
-    let xbar_cfg = SwitchConfig::crossbar(n, 4, 2, 2);
-    let gen = OnOffBursty::new(
-        0.85,
-        8.0,
-        ValueDist::Zipf {
-            max: 32,
-            exponent: 1.1,
-        },
-    );
-    let cioq_trace = gen_trace(&gen, &cioq_cfg, t, SEED);
-    let xbar_trace = gen_trace(&gen, &xbar_cfg, t, SEED);
+    let (cioq, xbar) = systems_workload(n, 2, t);
     // The reference OPT is the zero-latency bound: degradation vs d reads
     // directly as "what the fabric latency costs against an ideal fabric".
-    let cioq_opt = opt_upper_bound(&cioq_cfg, &cioq_trace).best();
-    let xbar_opt = opt_upper_bound(&xbar_cfg, &xbar_trace).best();
+    let cioq_opt = opt_upper_bound(&cioq.0, &cioq.1).best();
+    let xbar_opt = opt_upper_bound(&xbar.0, &xbar.1).best();
 
     const DELAYS: [u64; 5] = [0, 1, 2, 4, 8];
-    #[derive(Clone, Copy)]
-    enum P {
-        Gm,
-        Pg,
-        Cgu,
-        Cpg,
-    }
-    const POLICIES: [P; 4] = [P::Gm, P::Pg, P::Cgu, P::Cpg];
     let mut points = Vec::new();
-    for &p in &POLICIES {
+    for p in paper_policies() {
         for &d in &DELAYS {
             points.push((p, d));
         }
     }
 
-    let rows = parallel_map(&points, |&(p, d)| {
+    let rows = parallel_map(&points, |&((label, kind), d)| {
         let link = FabricSpec::uniform(d);
-        let (label, opt, offered, report) = match p {
-            P::Gm => (
-                "GM",
-                cioq_opt,
-                cioq_trace.len(),
-                Engine::new(cioq_cfg.clone(), on_fabric(&link))
-                    .run_cioq(
-                        &mut cioq_core::GreedyMatching::new(),
-                        &mut TraceSource::new(&cioq_trace),
-                    )
-                    .expect("delayed run"),
-            ),
-            P::Pg => (
-                "PG",
-                cioq_opt,
-                cioq_trace.len(),
-                Engine::new(cioq_cfg.clone(), on_fabric(&link))
-                    .run_cioq(
-                        &mut cioq_core::PreemptiveGreedy::new(),
-                        &mut TraceSource::new(&cioq_trace),
-                    )
-                    .expect("delayed run"),
-            ),
-            P::Cgu => (
-                "CGU",
-                xbar_opt,
-                xbar_trace.len(),
-                Engine::new(xbar_cfg.clone(), on_fabric(&link))
-                    .run_crossbar(
-                        &mut cioq_core::CrossbarGreedyUnit::new(),
-                        &mut TraceSource::new(&xbar_trace),
-                    )
-                    .expect("delayed run"),
-            ),
-            P::Cpg => (
-                "CPG",
-                xbar_opt,
-                xbar_trace.len(),
-                Engine::new(xbar_cfg.clone(), on_fabric(&link))
-                    .run_crossbar(
-                        &mut cioq_core::CrossbarPreemptiveGreedy::new(),
-                        &mut TraceSource::new(&xbar_trace),
-                    )
-                    .expect("delayed run"),
-            ),
-        };
+        let on = side(kind, &cioq, &xbar);
+        let report = run_with(kind, on, on_fabric(&link));
         // Tripwire over k ∈ {2, 4}: k = 2 splits the switch in halves, k = 4
         // exercises uneven shard widths against the delay rings.
-        let ok = [2usize, 4].iter().all(|&k| {
-            let mut opts = ShardedOptions::new(k);
-            opts.fabric = link.clone();
-            opts.mode = cioq_sim::ExecMode::Inline;
-            let sharded = match p {
-                P::Gm => run_cioq_sharded(&cioq_cfg, &ShardedGm::new(), &cioq_trace, opts),
-                P::Pg => run_cioq_sharded(&cioq_cfg, &ShardedPg::new(), &cioq_trace, opts),
-                P::Cgu => run_crossbar_sharded(&xbar_cfg, &ShardedCgu::new(), &xbar_trace, opts),
-                P::Cpg => run_crossbar_sharded(&xbar_cfg, &ShardedCpg::new(), &xbar_trace, opts),
-            }
-            .expect("sharded delayed run")
-            .report;
-            reports_agree(&report, &sharded)
-        });
-        (label, d, opt, offered, report, ok)
+        let ok = [2usize, 4]
+            .iter()
+            .all(|&k| sharded_agrees(kind, on, &link, k, &report));
+        let opt = side(kind, cioq_opt, xbar_opt);
+        (label, d, opt, on.1.len(), report, ok)
     });
 
     let mut degradation = Table::new(
@@ -1218,53 +1145,14 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
 
     // Steady state: fixed arrival window, no drain — the backlog column is
     // everything still buffered (or in flight) when the window closes.
-    let backlog_rows = parallel_map(&points, |&(p, d)| {
-        let link = FabricSpec::uniform(d);
+    let backlog_rows = parallel_map(&points, |&((label, kind), d)| {
         let options = RunOptions {
             slots: Some(t),
             drain: false,
             validate: false,
-            ..on_fabric(&link)
+            ..on_fabric(&FabricSpec::uniform(d))
         };
-        let (label, report) = match p {
-            P::Gm => (
-                "GM",
-                Engine::new(cioq_cfg.clone(), options)
-                    .run_cioq(
-                        &mut cioq_core::GreedyMatching::new(),
-                        &mut TraceSource::new(&cioq_trace),
-                    )
-                    .expect("steady-state run"),
-            ),
-            P::Pg => (
-                "PG",
-                Engine::new(cioq_cfg.clone(), options)
-                    .run_cioq(
-                        &mut cioq_core::PreemptiveGreedy::new(),
-                        &mut TraceSource::new(&cioq_trace),
-                    )
-                    .expect("steady-state run"),
-            ),
-            P::Cgu => (
-                "CGU",
-                Engine::new(xbar_cfg.clone(), options)
-                    .run_crossbar(
-                        &mut cioq_core::CrossbarGreedyUnit::new(),
-                        &mut TraceSource::new(&xbar_trace),
-                    )
-                    .expect("steady-state run"),
-            ),
-            P::Cpg => (
-                "CPG",
-                Engine::new(xbar_cfg.clone(), options)
-                    .run_crossbar(
-                        &mut cioq_core::CrossbarPreemptiveGreedy::new(),
-                        &mut TraceSource::new(&xbar_trace),
-                    )
-                    .expect("steady-state run"),
-            ),
-        };
-        (label, d, report)
+        (label, d, run_with(kind, side(kind, &cioq, &xbar), options))
     });
     let mut backlog = Table::new(
         format!("S2 — steady-state backlog vs d (N={n}, {t} arrival slots, no drain)"),
@@ -1307,39 +1195,18 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
 /// including packets still crossing between racks — after a fixed arrival
 /// window.
 pub fn s3_topology(quick: bool) -> Vec<Table> {
-    use cioq_core::{ShardedCgu, ShardedCpg, ShardedGm, ShardedPg};
     use cioq_model::Topology;
-    use cioq_sim::{run_cioq_sharded, run_crossbar_sharded, Engine, ShardedOptions, TraceSource};
 
-    let t = slots(384, quick);
+    let t = scaled_slots(384, quick);
     let n = if quick { 8 } else { 16 };
-    let cioq_cfg = SwitchConfig::cioq(n, 4, 2);
-    let xbar_cfg = SwitchConfig::crossbar(n, 4, 2, 2);
-    let gen = OnOffBursty::new(
-        0.85,
-        8.0,
-        ValueDist::Zipf {
-            max: 32,
-            exponent: 1.1,
-        },
-    );
-    let cioq_trace = gen_trace(&gen, &cioq_cfg, t, SEED);
-    let xbar_trace = gen_trace(&gen, &xbar_cfg, t, SEED);
-    let cioq_opt = opt_upper_bound(&cioq_cfg, &cioq_trace).best();
-    let xbar_opt = opt_upper_bound(&xbar_cfg, &xbar_trace).best();
+    let (cioq, xbar) = systems_workload(n, 2, t);
+    let cioq_opt = opt_upper_bound(&cioq.0, &cioq.1).best();
+    let xbar_opt = opt_upper_bound(&xbar.0, &xbar.1).best();
 
     const INTERS: [u64; 5] = [0, 1, 2, 4, 8];
     const RACKS: usize = 2;
-    #[derive(Clone, Copy)]
-    enum P {
-        Gm,
-        Pg,
-        Cgu,
-        Cpg,
-    }
-    const POLICIES: [P; 4] = [P::Gm, P::Pg, P::Cgu, P::Cpg];
     let mut points = Vec::new();
-    for &p in &POLICIES {
+    for p in paper_policies() {
         for &inter in &INTERS {
             points.push((p, inter));
         }
@@ -1349,67 +1216,13 @@ pub fn s3_topology(quick: bool) -> Vec<Table> {
         FabricSpec::matrix(Topology::two_tier(n, n, RACKS, 0, inter).expect("valid two-tier"))
     };
 
-    let rows = parallel_map(&points, |&(p, inter)| {
+    let rows = parallel_map(&points, |&((label, kind), inter)| {
         let link = link_for(inter);
-        let (label, opt, offered, report) = match p {
-            P::Gm => (
-                "GM",
-                cioq_opt,
-                cioq_trace.len(),
-                Engine::new(cioq_cfg.clone(), on_fabric(&link))
-                    .run_cioq(
-                        &mut cioq_core::GreedyMatching::new(),
-                        &mut TraceSource::new(&cioq_trace),
-                    )
-                    .expect("topology run"),
-            ),
-            P::Pg => (
-                "PG",
-                cioq_opt,
-                cioq_trace.len(),
-                Engine::new(cioq_cfg.clone(), on_fabric(&link))
-                    .run_cioq(
-                        &mut cioq_core::PreemptiveGreedy::new(),
-                        &mut TraceSource::new(&cioq_trace),
-                    )
-                    .expect("topology run"),
-            ),
-            P::Cgu => (
-                "CGU",
-                xbar_opt,
-                xbar_trace.len(),
-                Engine::new(xbar_cfg.clone(), on_fabric(&link))
-                    .run_crossbar(
-                        &mut cioq_core::CrossbarGreedyUnit::new(),
-                        &mut TraceSource::new(&xbar_trace),
-                    )
-                    .expect("topology run"),
-            ),
-            P::Cpg => (
-                "CPG",
-                xbar_opt,
-                xbar_trace.len(),
-                Engine::new(xbar_cfg.clone(), on_fabric(&link))
-                    .run_crossbar(
-                        &mut cioq_core::CrossbarPreemptiveGreedy::new(),
-                        &mut TraceSource::new(&xbar_trace),
-                    )
-                    .expect("topology run"),
-            ),
-        };
-        let mut opts = ShardedOptions::new(2);
-        opts.fabric = link.clone();
-        opts.mode = cioq_sim::ExecMode::Inline;
-        let sharded = match p {
-            P::Gm => run_cioq_sharded(&cioq_cfg, &ShardedGm::new(), &cioq_trace, opts),
-            P::Pg => run_cioq_sharded(&cioq_cfg, &ShardedPg::new(), &cioq_trace, opts),
-            P::Cgu => run_crossbar_sharded(&xbar_cfg, &ShardedCgu::new(), &xbar_trace, opts),
-            P::Cpg => run_crossbar_sharded(&xbar_cfg, &ShardedCpg::new(), &xbar_trace, opts),
-        }
-        .expect("sharded topology run")
-        .report;
-        let ok = reports_agree(&report, &sharded);
-        (label, inter, opt, offered, report, ok)
+        let on = side(kind, &cioq, &xbar);
+        let report = run_with(kind, on, on_fabric(&link));
+        let ok = sharded_agrees(kind, on, &link, 2, &report);
+        let opt = side(kind, cioq_opt, xbar_opt);
+        (label, inter, opt, on.1.len(), report, ok)
     });
 
     let mut degradation = Table::new(
@@ -1442,53 +1255,18 @@ pub fn s3_topology(quick: bool) -> Vec<Table> {
         ]);
     }
 
-    let backlog_rows = parallel_map(&points, |&(p, inter)| {
-        let link = link_for(inter);
+    let backlog_rows = parallel_map(&points, |&((label, kind), inter)| {
         let options = RunOptions {
             slots: Some(t),
             drain: false,
             validate: false,
-            ..on_fabric(&link)
+            ..on_fabric(&link_for(inter))
         };
-        let (label, report) = match p {
-            P::Gm => (
-                "GM",
-                Engine::new(cioq_cfg.clone(), options)
-                    .run_cioq(
-                        &mut cioq_core::GreedyMatching::new(),
-                        &mut TraceSource::new(&cioq_trace),
-                    )
-                    .expect("steady-state run"),
-            ),
-            P::Pg => (
-                "PG",
-                Engine::new(cioq_cfg.clone(), options)
-                    .run_cioq(
-                        &mut cioq_core::PreemptiveGreedy::new(),
-                        &mut TraceSource::new(&cioq_trace),
-                    )
-                    .expect("steady-state run"),
-            ),
-            P::Cgu => (
-                "CGU",
-                Engine::new(xbar_cfg.clone(), options)
-                    .run_crossbar(
-                        &mut cioq_core::CrossbarGreedyUnit::new(),
-                        &mut TraceSource::new(&xbar_trace),
-                    )
-                    .expect("steady-state run"),
-            ),
-            P::Cpg => (
-                "CPG",
-                Engine::new(xbar_cfg.clone(), options)
-                    .run_crossbar(
-                        &mut cioq_core::CrossbarPreemptiveGreedy::new(),
-                        &mut TraceSource::new(&xbar_trace),
-                    )
-                    .expect("steady-state run"),
-            ),
-        };
-        (label, inter, report)
+        (
+            label,
+            inter,
+            run_with(kind, side(kind, &cioq, &xbar), options),
+        )
     });
     let mut backlog = Table::new(
         format!(

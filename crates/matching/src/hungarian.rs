@@ -99,12 +99,6 @@ pub fn hungarian_max_weight(g: &BipartiteGraph) -> Matching {
     Matching { pairs }
 }
 
-/// Total weight the Hungarian solution achieves on `g` — convenience used by
-/// tests and baselines.
-pub fn max_weight_value(g: &BipartiteGraph) -> u128 {
-    hungarian_max_weight(g).weight_in(g)
-}
-
 #[allow(dead_code)]
 fn weight_of(g: &BipartiteGraph, l: usize, r: usize) -> Option<Value> {
     g.edges()

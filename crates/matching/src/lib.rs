@@ -40,7 +40,7 @@ pub use greedy::{
     GreedyScratch,
 };
 pub use hopcroft_karp::hopcroft_karp;
-pub use hungarian::{hungarian_max_weight, max_weight_value};
+pub use hungarian::hungarian_max_weight;
 pub use incremental::{
     greedy_maximal_cells, greedy_maximal_cells_into, greedy_weighted_rows_into, CachedWeightOrder,
     CellVisit, IncrementalGraph,

@@ -48,11 +48,6 @@ impl fmt::Display for PacketId {
     }
 }
 
-/// Position of a packet inside a queue (0 = head = greatest value under the
-/// sorted-queue discipline of `cioq-queues`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct QueuePos(pub usize);
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,8 +23,8 @@ mod value;
 
 pub use config::{FabricKind, SwitchConfig, SwitchConfigBuilder};
 pub use error::{ConfigError, ModelError};
-pub use ids::{PacketId, PortId, QueuePos};
+pub use ids::{PacketId, PortId};
 pub use packet::Packet;
 pub use time::{Cycle, Phase, SlotId};
 pub use topology::Topology;
-pub use value::{exceeds_factor, Benefit, Value, UNIT_VALUE};
+pub use value::{exceeds_factor, Benefit, Value};

@@ -6,11 +6,9 @@
 //! only ever appear in *comparisons* of the form `v(g) > β · v(l)`, which are
 //! evaluated in `f64` — exactness of the accounting is unaffected.
 
-/// The value (weight) of a packet. Unit-value instances use [`UNIT_VALUE`].
+/// The value (weight) of a packet; 1 throughout the unit-value model
+/// (§2.1, §3.1).
 pub type Value = u64;
-
-/// Value carried by every packet in the unit-value model (§2.1, §3.1).
-pub const UNIT_VALUE: Value = 1;
 
 /// Total benefit of an algorithm on a sequence: the sum of the values of all
 /// packets it transmits from output queues. Kept in `u128` so that even

@@ -252,6 +252,12 @@ impl Engine {
     /// [`SnapshotError::Incompatible`]. Malformed snapshots (queue
     /// overflow, out-of-range ports, landings outside the calendar
     /// horizon) are [`SnapshotError::Format`].
+    ///
+    /// The switch itself — geometry, speedup, capacities — is rebuilt from
+    /// [`EngineSnapshot::config`], which restore has no second copy to
+    /// doubt: a caller loading bytes it did not write compares that config
+    /// with the one it means to run first. No other number in the snapshot
+    /// sizes a reservation.
     pub fn restore(snap: &EngineSnapshot, options: RunOptions) -> Result<Self, SnapshotError> {
         options
             .validate()
@@ -334,11 +340,11 @@ impl Engine {
                         .into(),
                 )
             })?;
-            if *land_slot < snap.slot || *land_slot >= snap.slot + horizon {
+            let window_end = snap.slot.saturating_add(horizon);
+            if *land_slot < snap.slot || *land_slot >= window_end {
                 return Err(SnapshotError::Format(format!(
-                    "landing at slot {land_slot} outside the calendar window [{}, {})",
-                    snap.slot,
-                    snap.slot + horizon
+                    "landing at slot {land_slot} outside the calendar window [{}, {window_end})",
+                    snap.slot
                 )));
             }
             state.inflight.dispatch(i, j, landing.p.packet.value);
@@ -367,8 +373,9 @@ impl Engine {
                     "snapshot carries a {w}-slot stats window but options ask for {opt}"
                 )));
             }
-            (Some((w, entries)), _) => {
-                let window = WindowedStats::from_parts(*w, entries.clone(), &engine.stats);
+            (Some((w, entries)), opt) => {
+                let window =
+                    WindowedStats::from_parts(*w, entries.clone(), &engine.stats, opt.is_some());
                 engine.window = Some(window.map_err(SnapshotError::Format)?);
             }
             // No window in the snapshot: the fresh one the options ask for.
@@ -1009,20 +1016,6 @@ pub fn run_crossbar<P: CrossbarPolicy + ?Sized>(
 ) -> Result<RunReport, PolicyError> {
     let mut source = TraceSource::new(trace);
     Engine::new(config.clone(), RunOptions::default()).run_crossbar(policy, &mut source)
-}
-
-/// Run a crossbar policy against an arbitrary source for `slots` slots.
-pub fn run_crossbar_with_source<P: CrossbarPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    source: &mut dyn ArrivalSource,
-    slots: SlotId,
-) -> Result<RunReport, PolicyError> {
-    let options = RunOptions {
-        slots: Some(slots),
-        ..RunOptions::default()
-    };
-    Engine::new(config.clone(), options).run_crossbar(policy, source)
 }
 
 #[cfg(test)]

@@ -47,19 +47,14 @@ mod validate;
 pub use changes::{ChangeLog, DirtySet};
 /// The queue type every view hands out (`Q_ij`, `C_ij`, `Q_j`).
 pub use cioq_queues::SortedQueue;
-pub use engine::{
-    run_cioq, run_cioq_with_source, run_crossbar, run_crossbar_with_source, Engine, RunOptions,
-    RunOutcome,
-};
+pub use engine::{run_cioq, run_cioq_with_source, run_crossbar, Engine, RunOptions, RunOutcome};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultScope};
 pub use policy::{
     Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, PolicyError,
     Transfer, TransmitChoice,
 };
 pub use record::{CrossbarRecording, RecordedCrossbarSchedule, RecordedSchedule, Recording};
-pub use service::{
-    resume_cioq, resume_crossbar, serve_cioq, serve_crossbar, ServiceError, ServiceOutcome,
-};
+pub use service::{serve_cioq, ServiceError, ServiceOutcome};
 pub use shard::{
     run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
     run_crossbar_sharded_streamed, Candidate, CandidateSet, CioqShardPolicy, CioqShardWorker,

@@ -7,18 +7,17 @@
 //! in-flight/calendar state (the usual drain loop — the arrival window
 //! simply ends when the stream closes), and joins the feeder so producer
 //! panics surface instead of vanishing. Checkpoints interleave with live
-//! ingestion via the ordinary `checkpoint_every` option; the resume
-//! variants re-attach a stream to a restored engine at the checkpoint's
-//! [`crate::EngineSnapshot::stream_cursor`].
+//! ingestion via the ordinary `checkpoint_every` option; to resume,
+//! [`Engine::restore`] the checkpoint and re-attach a stream at its
+//! [`crate::EngineSnapshot::stream_cursor`] ([`stream::channel_at`]).
 //!
 //! Backpressure is the channel's: a producer that outruns the switch
 //! blocks on the bounded buffer (stall counted, nothing dropped) and the
 //! run's transcript is independent of the channel depth.
 
 use crate::engine::{Engine, RunOptions, RunOutcome};
-use crate::policy::{CioqPolicy, CrossbarPolicy, PolicyError};
-use crate::snapshot::{EngineSnapshot, SnapshotError};
-use crate::stream::{self, StreamCursor, StreamSender, StreamingSource};
+use crate::policy::{CioqPolicy, PolicyError};
+use crate::stream::{self, StreamSender};
 use cioq_model::{ConfigError, SwitchConfig};
 
 /// Errors a service run can surface.
@@ -28,8 +27,6 @@ pub enum ServiceError {
     Config(ConfigError),
     /// The policy made an illegal decision mid-run.
     Policy(PolicyError),
-    /// The checkpoint could not be restored.
-    Snapshot(SnapshotError),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -37,7 +34,6 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::Config(e) => write!(f, "service config: {e}"),
             ServiceError::Policy(e) => write!(f, "service run: {e}"),
-            ServiceError::Snapshot(e) => write!(f, "service restore: {e}"),
         }
     }
 }
@@ -53,20 +49,6 @@ pub struct ServiceOutcome {
     pub outcome: RunOutcome,
     /// Times the producer blocked on the bounded buffer.
     pub stalls: u64,
-}
-
-fn finish<R>(
-    run: impl FnOnce(&mut StreamingSource) -> Result<R, PolicyError>,
-    mut source: StreamingSource,
-    pump: stream::StreamPump,
-) -> Result<(R, u64), ServiceError> {
-    let result = run(&mut source);
-    let stalls = source.stalls();
-    // Drop the consumer before joining: if the run errored mid-stream the
-    // producer may be blocked in `send`, and the hangup unblocks it.
-    drop(source);
-    pump.join();
-    Ok((result.map_err(ServiceError::Policy)?, stalls))
 }
 
 /// Serve a CIOQ policy from a live stream: `produce` runs on a feeder
@@ -85,72 +67,14 @@ where
     F: FnOnce(StreamSender) + Send + 'static,
 {
     let engine = Engine::try_new(config, options).map_err(ServiceError::Config)?;
-    let (tx, source) = stream::channel(depth);
+    let (tx, mut source) = stream::channel(depth);
     let pump = stream::spawn_producer(tx, produce);
-    let (outcome, stalls) = finish(|src| engine.run_cioq_full(policy, src), source, pump)?;
-    Ok(ServiceOutcome { outcome, stalls })
-}
-
-/// Serve a buffered-crossbar policy from a live stream; see
-/// [`serve_cioq`].
-pub fn serve_crossbar<P, F>(
-    config: SwitchConfig,
-    options: RunOptions,
-    policy: &mut P,
-    depth: usize,
-    produce: F,
-) -> Result<ServiceOutcome, ServiceError>
-where
-    P: CrossbarPolicy + ?Sized,
-    F: FnOnce(StreamSender) + Send + 'static,
-{
-    let engine = Engine::try_new(config, options).map_err(ServiceError::Config)?;
-    let (tx, source) = stream::channel(depth);
-    let pump = stream::spawn_producer(tx, produce);
-    let (outcome, stalls) = finish(|src| engine.run_crossbar_full(policy, src), source, pump)?;
-    Ok(ServiceOutcome { outcome, stalls })
-}
-
-/// Resume a CIOQ service run from a checkpoint: the engine restores from
-/// `snap`, and `produce` is handed the checkpoint's stream cursor — it
-/// must re-feed the stream from exactly that slot (the channel enforces
-/// the slot, the replay adapters also verify the consumed count).
-pub fn resume_cioq<P, F>(
-    snap: &EngineSnapshot,
-    options: RunOptions,
-    policy: &mut P,
-    depth: usize,
-    produce: F,
-) -> Result<ServiceOutcome, ServiceError>
-where
-    P: CioqPolicy + ?Sized,
-    F: FnOnce(StreamSender, StreamCursor) + Send + 'static,
-{
-    let engine = Engine::restore(snap, options).map_err(ServiceError::Snapshot)?;
-    let cursor = snap.stream_cursor();
-    let (tx, source) = stream::channel_at(depth, cursor);
-    let pump = stream::spawn_producer(tx, move |tx| produce(tx, cursor));
-    let (outcome, stalls) = finish(|src| engine.run_cioq_full(policy, src), source, pump)?;
-    Ok(ServiceOutcome { outcome, stalls })
-}
-
-/// Resume a buffered-crossbar service run from a checkpoint; see
-/// [`resume_cioq`].
-pub fn resume_crossbar<P, F>(
-    snap: &EngineSnapshot,
-    options: RunOptions,
-    policy: &mut P,
-    depth: usize,
-    produce: F,
-) -> Result<ServiceOutcome, ServiceError>
-where
-    P: CrossbarPolicy + ?Sized,
-    F: FnOnce(StreamSender, StreamCursor) + Send + 'static,
-{
-    let engine = Engine::restore(snap, options).map_err(ServiceError::Snapshot)?;
-    let cursor = snap.stream_cursor();
-    let (tx, source) = stream::channel_at(depth, cursor);
-    let pump = stream::spawn_producer(tx, move |tx| produce(tx, cursor));
-    let (outcome, stalls) = finish(|src| engine.run_crossbar_full(policy, src), source, pump)?;
+    let result = engine.run_cioq_full(policy, &mut source);
+    let stalls = source.stalls();
+    // Drop the consumer before joining: if the run errored mid-stream the
+    // producer may be blocked in `send`, and the hangup unblocks it.
+    drop(source);
+    pump.join();
+    let outcome = result.map_err(ServiceError::Policy)?;
     Ok(ServiceOutcome { outcome, stalls })
 }

@@ -631,6 +631,7 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, FaultPlan, RunOptions};
 
     fn pkt(id: u64, value: u64, input: u16, output: u16) -> Packet {
         Packet::new(PacketId(id), value, 0, PortId(input), PortId(output))
@@ -755,9 +756,15 @@ mod tests {
 
     /// Hostile bytes: whatever 4-byte run of a valid snapshot is
     /// overwritten with `0xFF` — a geometry word, a length prefix, a rack
-    /// count, a bool — decoding answers `Ok` or `Err`. A panic fails the
-    /// test; an over-reservation aborts it (the bounded counts are what
-    /// keep a `u32::MAX` prefix from reaching `with_capacity`).
+    /// count, a bool — decoding answers `Ok` or `Err`, and so does
+    /// [`Engine::restore`] on whatever decoded. A panic fails the test; an
+    /// over-reservation aborts it (the bounded counts are what keep a
+    /// `u32::MAX` prefix from reaching `with_capacity`).
+    ///
+    /// Restore is handed what a daemon would hand it: its own options, and
+    /// only a snapshot whose config is still the one it runs — restore
+    /// builds the switch the config describes and has no second copy to
+    /// doubt it with, so that comparison is the caller's.
     #[test]
     fn ff_overwrites_never_panic_or_over_reserve() {
         let topo = Topology::explicit(2, 2, 2, vec![0, 1], vec![0, 1], vec![0, 3, 3, 0])
@@ -766,15 +773,57 @@ mod tests {
         matrix.fabric = FabricSpec::matrix(topo);
         for snap in [sample(), matrix] {
             assert!(!snap.landings.is_empty() && !snap.held.is_empty() && snap.window.is_some());
+            let options = RunOptions {
+                fabric: snap.fabric.clone(),
+                faults: Some(FaultPlan::new(Vec::new())),
+                ..RunOptions::default()
+            };
             let bytes = snap.to_bytes();
+            let mut restored = 0;
             for at in 0..bytes.len() {
                 let mut hostile = bytes.clone();
                 for b in hostile.iter_mut().skip(at).take(4) {
                     *b = 0xFF;
                 }
-                let _ = EngineSnapshot::from_bytes(&hostile);
+                match EngineSnapshot::from_bytes(&hostile) {
+                    Ok(decoded) if decoded.config == snap.config => {
+                        restored += Engine::restore(&decoded, options.clone()).is_ok() as usize;
+                    }
+                    _ => {}
+                }
             }
+            assert!(restored > 0, "the sweep must reach past restore's checks");
         }
+    }
+
+    /// The numbers restore cannot check against its options must not size
+    /// anything: a stats window the options did not ask for is adopted at
+    /// the snapshot's size — up to `u32::MAX` slots — without reserving
+    /// it, and a checkpoint slot at the end of time is a format error, not
+    /// an overflow.
+    #[test]
+    fn restore_reserves_nothing_from_the_snapshots_own_numbers() {
+        let options = RunOptions {
+            fabric: FabricSpec::uniform(2),
+            ..RunOptions::default()
+        };
+        let mut wide = sample();
+        wide.held.clear();
+        (wide.residual_count, wide.residual_value) = (2, 8);
+        wide.window = Some((u32::MAX as usize, vec![]));
+        let decoded = EngineSnapshot::from_bytes(&wide.to_bytes()).expect("decodes");
+        let engine = Engine::restore(&decoded, options.clone()).expect("restores");
+        assert_eq!(engine.snapshot(), decoded, "restore is lossless");
+
+        let mut late = sample();
+        late.held.clear();
+        late.slot = SlotId::MAX;
+        late.landings[0].land_slot = SlotId::MAX;
+        let decoded = EngineSnapshot::from_bytes(&late.to_bytes()).expect("decodes");
+        assert!(matches!(
+            Engine::restore(&decoded, options),
+            Err(SnapshotError::Format(_))
+        ));
     }
 
     #[test]

@@ -246,10 +246,16 @@ impl WindowedStats {
     /// more entries than the window holds (silently evicting the oldest
     /// would forge a window that never existed; loud rejection matches
     /// the fabric-mismatch precedent).
+    ///
+    /// `window` is a number read from snapshot bytes. It reserves the ring
+    /// up front, as [`WindowedStats::new`] does, only when `trusted` — the
+    /// caller's own options ask for the same size; otherwise the ring holds
+    /// what the decoded entries need and grows as slots roll in.
     pub(crate) fn from_parts(
         window: usize,
         entries: Vec<WindowSlot>,
         stats: &StatsRecorder,
+        trusted: bool,
     ) -> Result<Self, String> {
         if window == 0 {
             return Err("stats window must cover at least one slot".to_string());
@@ -260,13 +266,18 @@ impl WindowedStats {
                 entries.len()
             ));
         }
-        let mut w = WindowedStats::new(window);
-        w.entries.extend(entries);
-        w.prev_arrived = stats.arrived;
-        w.prev_transmitted = stats.transmitted;
-        w.prev_benefit = stats.benefit.0;
-        w.prev_lost = stats.losses.total_count();
-        Ok(w)
+        let mut entries = VecDeque::from(entries);
+        if trusted {
+            entries.reserve(window + 1 - entries.len());
+        }
+        Ok(WindowedStats {
+            window,
+            entries,
+            prev_arrived: stats.arrived,
+            prev_transmitted: stats.transmitted,
+            prev_benefit: stats.benefit.0,
+            prev_lost: stats.losses.total_count(),
+        })
     }
 
     /// Fold the end-of-slot cumulative totals into a per-slot entry,
@@ -484,12 +495,12 @@ mod tests {
             benefit: 0,
             lost: 0,
         };
-        assert!(WindowedStats::from_parts(0, vec![], &stats).is_err());
+        assert!(WindowedStats::from_parts(0, vec![], &stats, true).is_err());
         assert!(
-            WindowedStats::from_parts(2, vec![entry(0), entry(1), entry(2)], &stats).is_err(),
+            WindowedStats::from_parts(2, vec![entry(0), entry(1), entry(2)], &stats, true).is_err(),
             "three entries cannot restore into a two-slot window"
         );
-        let ok = WindowedStats::from_parts(2, vec![entry(0), entry(1)], &stats).unwrap();
+        let ok = WindowedStats::from_parts(2, vec![entry(0), entry(1)], &stats, true).unwrap();
         assert_eq!(ok.window(), 2);
         assert_eq!(ok.len(), 2);
     }

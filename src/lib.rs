@@ -65,9 +65,9 @@ pub mod prelude {
     };
     pub use cioq_opt::{certified_ratio, exact_opt, opt_upper_bound, BruteForceLimits, OptBounds};
     pub use cioq_sim::{
-        run_cioq, run_cioq_with_source, run_crossbar, run_crossbar_with_source, Admission,
-        ArrivalSource, CioqPolicy, CrossbarPolicy, Engine, FabricSpec, PacketPick, RunOptions,
-        RunReport, Trace, TraceSource, Transfer, TransmitChoice,
+        run_cioq, run_cioq_with_source, run_crossbar, Admission, ArrivalSource, CioqPolicy,
+        CrossbarPolicy, Engine, FabricSpec, PacketPick, RunOptions, RunReport, Trace, TraceSource,
+        Transfer, TransmitChoice,
     };
     pub use cioq_traffic::adversary::{
         escalation_bait, gm_iq_flood, gm_iq_flood_opt_benefit, pg_weighted_flood,

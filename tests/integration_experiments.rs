@@ -1,7 +1,29 @@
 //! Smoke-run the full experiment suite at reduced scale: every table must
-//! materialize, and T1's verdict column must be clean.
+//! materialize, T1's verdict column must be clean, and every deterministic
+//! rendering must hash to its frozen constant.
 
-use cioq_experiments::suite;
+use cioq_experiments::{suite, Table};
+
+/// Assert that `tables` still render, byte for byte, what they rendered
+/// when `want` was captured (FNV-1a, 64-bit, over the concatenated plain
+/// renderings — what `exp <id> --quick` prints). Every experiment is
+/// deterministic (fixed seeds, index-ordered sweeps) except F6's µs column
+/// and S1's two ms columns; the constants were captured at PR 19's parent
+/// commit, so a refactor of the suite is checked against frozen bytes.
+/// Re-capture one only for a change that means to move that table.
+fn assert_frozen(id: &str, rendered: &str, want: u64) {
+    let got = rendered.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        got, want,
+        "{id} moved ({got:#018x}, frozen {want:#018x}):\n{rendered}"
+    );
+}
+
+fn render(tables: &[Table]) -> String {
+    tables.iter().map(Table::render).collect()
+}
 
 #[test]
 fn t1_summary_verdicts_are_ok() {
@@ -14,6 +36,7 @@ fn t1_summary_verdicts_are_ok() {
     );
     assert!(rendered.contains("GM"));
     assert!(rendered.contains("CPG"));
+    assert_frozen("T1", &rendered, 0xc396_4b41_42ac_fda8);
 }
 
 #[test]
@@ -28,6 +51,7 @@ fn f3_gm_never_exceeds_three() {
             }
         }
     }
+    assert_frozen("F3", &render(&tables), 0x9c97_af95_c766_d74d);
 }
 
 #[test]
@@ -41,23 +65,29 @@ fn f8_flood_rows_match_theory() {
             assert_eq!(cols[2], cols[3], "flood ratio must equal 2 - 1/m: {line}");
         }
     }
+    assert_frozen("F8", &render(&tables), 0x8315_834a_d104_ea15);
 }
 
 #[test]
 fn remaining_experiments_materialize() {
-    for (id, tables) in [
-        ("F4", suite::f4_pg_beta(true)),
-        ("F5", suite::f5_speedup(true)),
-        ("F7", suite::f7_crossbar_buffer(true)),
-        ("T2", suite::t2_value_distributions(true)),
-        ("T3", suite::t3_bursty(true)),
-        ("T4", suite::t4_asymmetric(true)),
-        ("T5", suite::t5_ablation(true)),
+    for (id, tables, frozen) in [
+        ("F4", suite::f4_pg_beta(true), 0xf4f2_7b65_e67f_5f0b),
+        ("F5", suite::f5_speedup(true), 0xf522_f520_8b1c_cf1a),
+        ("F7", suite::f7_crossbar_buffer(true), 0x81fc_b255_e5c5_4bc6),
+        (
+            "T2",
+            suite::t2_value_distributions(true),
+            0xe83a_74d0_f253_7f51,
+        ),
+        ("T3", suite::t3_bursty(true), 0x97a9_880e_389e_4b2f),
+        ("T4", suite::t4_asymmetric(true), 0x8acd_8988_79d2_1f68),
+        ("T5", suite::t5_ablation(true), 0x224e_2630_1596_287e),
     ] {
         assert!(!tables.is_empty(), "{id} produced no tables");
         for t in &tables {
             assert!(!t.is_empty(), "{id} produced an empty table");
         }
+        assert_frozen(id, &render(&tables), frozen);
     }
 }
 
@@ -72,6 +102,24 @@ fn s1_sharded_sweep_agrees_with_sequential() {
     );
     // 4 policies × K ∈ {1, 2, 4}.
     assert_eq!(tables[0].len(), 12);
+    // Frozen without the two wall-clock columns (the last two): every row
+    // cut where the header's `seq ms` starts, and the rule line — whose
+    // length follows the column widths — dropped.
+    let cut = rendered.lines().nth(1).and_then(|h| h.find("seq ms"));
+    let cut = cut.expect("S1 header names its ms columns");
+    let timeless: Vec<&str> = rendered
+        .lines()
+        .enumerate()
+        .filter(|&(i, _)| i != 2)
+        .map(|(i, l)| {
+            if i == 0 {
+                l
+            } else {
+                l.get(..cut).unwrap_or(l).trim_end()
+            }
+        })
+        .collect();
+    assert_frozen("S1", &timeless.join("\n"), 0x11e5_e39d_a3f5_62c1);
 }
 
 #[test]
@@ -86,6 +134,7 @@ fn s2_delay_sweep_degrades_monotonically_enough() {
     // 4 policies × d ∈ {0, 1, 2, 4, 8} in both tables.
     assert_eq!(tables[0].len(), 20);
     assert_eq!(tables[1].len(), 20);
+    assert_frozen("S2", &render(&tables), 0xe0fb_dbb5_92aa_7fca);
 }
 
 #[test]
@@ -100,4 +149,5 @@ fn s3_topology_sweep_agrees_with_sequential() {
     // 4 policies × inter ∈ {0, 1, 2, 4, 8} in both tables.
     assert_eq!(tables[0].len(), 20);
     assert_eq!(tables[1].len(), 20);
+    assert_frozen("S3", &render(&tables), 0x2e6a_0eab_7e23_6a41);
 }
