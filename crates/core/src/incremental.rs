@@ -325,14 +325,7 @@ impl VoqCache {
         j: usize,
     ) -> Option<Option<Value>> {
         let head = view.voq(lo + line, j).head_value();
-        if head == self.graph.weight(line, j) {
-            return None;
-        }
-        match head {
-            Some(g) => self.graph.set_edge(line, j, g),
-            None => self.graph.clear_edge(line, j),
-        }
-        Some(head)
+        self.graph.put(line, j, head).then_some(head)
     }
 }
 
@@ -495,14 +488,9 @@ impl ArgmaxHalf {
     // detlint: hot
     #[inline]
     fn refresh_cell(&mut self, line: usize, k: usize, value: Option<Value>) {
-        if value == self.candidates.weight(line, k) {
-            return;
+        if self.candidates.put(line, k, value) {
+            self.stale[line] = true;
         }
-        match value {
-            Some(v) => self.candidates.set_edge(line, k, v),
-            None => self.candidates.clear_edge(line, k),
-        }
-        self.stale[line] = true;
     }
 
     /// Retake the argmax of every stale line — one scan over its set edges

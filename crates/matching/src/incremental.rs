@@ -9,18 +9,22 @@
 //!
 //! * [`IncrementalGraph`] — a dense (bitset + weight array) edge store over
 //!   the `n_left × n_right` cell grid with O(1) [`IncrementalGraph::set_edge`]
-//!   / [`IncrementalGraph::clear_edge`], iterated in lexicographic `(i, j)`
+//!   / [`IncrementalGraph::clear_edge`] / [`IncrementalGraph::put`] (either,
+//!   reporting whether the edge moved), iterated in lexicographic `(i, j)`
 //!   order — exactly the insertion order of the from-scratch builders —
 //!   and one row scan, [`IncrementalGraph::row_champion`] (a row's heaviest
 //!   admitted edge): the weighted greedy's rescans and CPG's per-port
-//!   argmaxes both run it.
+//!   argmaxes both run it. An absent cell weighs 0, so a row's heaviest
+//!   edge can be read off its weights without the edge bits.
 //! * [`greedy_maximal_cells`] — greedy maximal matching over an
 //!   [`IncrementalGraph`] with a per-edge eligibility filter, reproducing
 //!   [`greedy_maximal_with`](crate::greedy_maximal_with) bit-for-bit for
 //!   each visit order.
 //! * [`greedy_weighted_rows_into`] — the weighted one of those matchings
-//!   (PG's) from row champions: one pass over the edge bits and a sort of
-//!   ≤ N keys, no order of all E edges kept or repaired.
+//!   (PG's) from row champions: one first pass and a sort of ≤ N keys, no
+//!   order of all E edges kept or repaired. The first pass is O(E) over
+//!   the edge bits on a graph under half full and O(N·M) straight-line
+//!   loads over the weights — one filter question a row — from there up.
 //! * [`CachedWeightOrder`] — that order of all edges, repaired per batch of
 //!   edge updates in O(E + k log k); what PG walked before, now the
 //!   kernel's reference and a benchmark probe.
@@ -45,7 +49,8 @@ pub struct IncrementalGraph {
     n_right: usize,
     /// One bit per cell: is there an edge?
     present: Vec<u64>,
-    /// Weight per cell (meaningful only where `present`).
+    /// Weight per cell. Invariant: an absent cell weighs 0, so a row's
+    /// non-zero maximum over this array is a present edge's weight.
     weights: Vec<Value>,
     n_edges: usize,
 }
@@ -106,7 +111,8 @@ impl IncrementalGraph {
         self.weights[cell] = weight;
     }
 
-    /// Remove the edge `(left, right)` if present. O(1).
+    /// Remove the edge `(left, right)` if present. O(1). Stores the zero an
+    /// absent cell must weigh ([`IncrementalGraph::check_invariants`]).
     #[inline]
     pub fn clear_edge(&mut self, left: usize, right: usize) {
         let cell = self.cell(left, right);
@@ -115,6 +121,33 @@ impl IncrementalGraph {
             self.present[word] &= !bit;
             self.n_edges -= 1;
         }
+        self.weights[cell] = 0;
+    }
+
+    /// [`IncrementalGraph::set_edge`] to `Some(weight)` or
+    /// [`IncrementalGraph::clear_edge`] for `None`, in one call; `true` iff
+    /// the edge's presence or weight changed. O(1).
+    #[inline]
+    pub fn put(&mut self, left: usize, right: usize, weight: Option<Value>) -> bool {
+        if self.weight(left, right) == weight {
+            return false;
+        }
+        match weight {
+            Some(w) => self.set_edge(left, right, w),
+            None => self.clear_edge(left, right),
+        }
+        true
+    }
+
+    /// Whether `n_edges` counts the set presence bits, none is set past the
+    /// last cell, and every absent cell weighs 0. O(N·M): tests, debug
+    /// assertions.
+    pub fn check_invariants(&self) -> bool {
+        let cells = self.n_left * self.n_right;
+        let set_bits: usize = self.present.iter().map(|w| w.count_ones() as usize).sum();
+        set_bits == self.n_edges
+            && (cells.is_multiple_of(64) || self.present[cells / 64] >> (cells % 64) == 0)
+            && (0..cells).all(|cell| self.weight_of_cell(cell).is_some() || self.weights[cell] == 0)
     }
 
     /// The weight of edge `(left, right)`, or `None` if absent.
@@ -209,9 +242,26 @@ impl IncrementalGraph {
 
     /// Push every row's *champion* — its heaviest edge that `edge_ok`
     /// admits, ties to the smallest column, as a [`champion_key`] — in row
-    /// order: one lexicographic pass over the edge bits, so an empty
-    /// stretch of the grid costs a word test per 64 cells. `edge_ok` is
+    /// order.
+    ///
+    /// A graph at least half full goes row by row: O(N·M) straight-line
+    /// loads ([`IncrementalGraph::dense_row_argmax`]) and **one** `edge_ok`
+    /// question a row, about its unfiltered argmax — every row alike, the
+    /// odd sparse one included (0.1 % of `cioq_pg_churn`'s rows are under
+    /// half full, none under 30 %). A refused argmax, or a row that has
+    /// none to offer, falls through to [`IncrementalGraph::row_champion`]:
+    /// the same champion either way, `edge_ok` being pure. A sparser graph
+    /// takes one lexicographic pass over the edge bits, O(E), so an empty
+    /// stretch of the grid costs a word test per 64 cells, and `edge_ok` is
     /// asked only about edges heavier than their row's best so far.
+    ///
+    /// One half never loses: the passes break even near 20 % full (≈ 2.7 ns
+    /// a bit-scanned edge at half full, 4 ns at 20 %, against ≈ 100 ns a
+    /// 128-wide dense row), and row by row on a 1 %-full graph is 16 384
+    /// loads to find 170 edges. The benchmark's one PG row is 74 % full, so
+    /// the flat arm's case (sparse PG −17 % without it) is a scratch twin
+    /// only — benchmarks/README.md "PR 20", ROADMAP's sparse-PG row.
+    // detlint: hot
     #[inline]
     fn push_champions(
         &self,
@@ -219,6 +269,17 @@ impl IncrementalGraph {
         keys: &mut Vec<u128>,
     ) {
         let m = self.n_right;
+        if self.n_edges * 2 >= self.n_left * m {
+            debug_assert!(self.check_invariants(), "an absent cell must weigh 0");
+            for left in 0..self.n_left {
+                let champion = self
+                    .dense_row_argmax(left)
+                    .filter(|&(right, w)| edge_ok(left, right, w))
+                    .or_else(|| self.row_champion(left, None, |right, w| edge_ok(left, right, w)));
+                keys.extend(champion.map(|(right, w)| champion_key(w, left, right)));
+            }
+            return;
+        }
         // The row the pass is in: its cells are `row_end - m..row_end`.
         let (mut left, mut row_end) = (0, m);
         let mut best: Option<(Value, usize)> = None;
@@ -240,6 +301,37 @@ impl IncrementalGraph {
             }
         }
         keys.extend(best.map(|(w, right)| champion_key(w, left, right)));
+    }
+
+    /// Row `left`'s heaviest edge as `(right, weight)`, ties to the smallest
+    /// column, from the weights alone: an absent cell weighs 0, so the
+    /// branch-free maximum over the row (`LANES` running maxima side by
+    /// side) is an edge's weight and the first cell holding it that edge.
+    /// `None` for a maximum of 0 (a zero-weight edge or an absent cell, who
+    /// knows). The edge bits are not read.
+    ///
+    /// Out of line, and the only piece that is: the lanes inlined into
+    /// [`IncrementalGraph::push_champions`] made its flat pass 7 % slower
+    /// (49 %-full 128 × 128 graph, 15.6 against 14.6 µs a call), and an
+    /// out-of-line arm that took `edge_ok` put PG's filter closure in
+    /// memory (sparse PG −1 … −3 %, 0 of 5 three times).
+    // detlint: hot
+    #[inline(never)]
+    fn dense_row_argmax(&self, left: usize) -> Option<(usize, Value)> {
+        const LANES: usize = 8;
+        let m = self.n_right;
+        let weights = &self.weights[left * m..(left + 1) * m];
+        let mut lanes = [0; LANES];
+        let mut chunks = weights.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for (lane, &w) in lanes.iter_mut().zip(chunk) {
+                *lane = w.max(*lane);
+            }
+        }
+        let rest = chunks.remainder().iter();
+        let heaviest = lanes.iter().chain(rest).fold(0, |a, &w| w.max(a));
+        let right = weights.iter().position(|&w| w == heaviest)?;
+        (heaviest > 0).then_some((right, heaviest))
     }
 
     /// Row `left`'s *champion* as `(right, weight)`: its heaviest edge that
@@ -533,22 +625,25 @@ fn champion_key(weight: Value, left: usize, right: usize) -> u128 {
 }
 
 /// The weighted greedy ([`CellVisit::Ordered`]'s matching, pair for pair
-/// and in the same order) without a sorted edge list: O(E + N log N +
-/// rescans), nothing kept between calls.
+/// and in the same order) without a sorted edge list: O(first pass +
+/// N log N + rescans), nothing kept between calls.
 ///
-/// One pass over the edge bits finds every row's *champion* — its heaviest
-/// eligible edge, ties to the smallest column. The heaviest champion is the
-/// first edge the `(weight desc, cell asc)` walk would take, so the ≤ N
-/// champions are sorted once and visited in descending order: one whose
-/// column is still free is the next pair; one whose column was taken
-/// meanwhile is replaced by its row's champion among the free columns — a
-/// strictly smaller key, inserted into the unvisited rest. A stale key only
-/// overstates its row, so the greatest key, once it proves current, beats
-/// every edge with two free endpoints.
+/// The first pass finds every row's *champion* — its heaviest eligible
+/// edge, ties to the smallest column: O(E) bit-scanned edges on a graph
+/// under half full, O(N·M) straight-line loads and one `edge_ok` question
+/// a row from there up. The heaviest champion is the first edge the
+/// `(weight desc, cell asc)` walk would take, so the ≤ N champions are
+/// sorted once and visited in descending order: one whose column is still
+/// free is the next pair; one whose column was taken meanwhile is replaced
+/// by its row's champion among the free columns — a strictly smaller key,
+/// inserted into the unvisited rest. A stale key only overstates its row,
+/// so the greatest key, once it proves current, beats every edge with two
+/// free endpoints.
 ///
 /// `edge_ok` must be pure: it is asked once per champion scan about an edge
-/// that would become the champion, not once per visited edge, and not at
-/// all about edges a heavier one in their row shadows.
+/// that would become the champion, not once per visited edge, not at all
+/// about edges a heavier one in their row shadows, and — on a dense graph —
+/// twice about a row's heaviest edge when it refuses it.
 // detlint: hot
 pub fn greedy_weighted_rows_into(
     g: &IncrementalGraph,
@@ -616,6 +711,33 @@ mod tests {
         g.clear_edge(0, 1); // double-clear is a no-op
         assert_eq!(g.n_edges(), 1);
         assert_eq!(g.weight(0, 1), None);
+
+        // `put` is either of them, and says whether the edge moved.
+        assert!(g.put(0, 1, Some(4)), "insert");
+        assert!(!g.put(0, 1, Some(4)), "same weight");
+        assert!(g.put(0, 1, Some(0)), "reweight, to a legal 0");
+        assert_eq!((g.n_edges(), g.weight(0, 1)), (2, Some(0)));
+        assert!(g.put(0, 1, None), "a zero-weight edge is still removed");
+        assert!(!g.put(0, 1, None), "absent already");
+        assert!(g.put(1, 1, Some(0)), "a zero-weight edge is still inserted");
+        assert_eq!((g.n_edges(), g.weight(0, 1)), (2, None));
+        assert!(g.check_invariants());
+    }
+
+    #[test]
+    fn check_invariants_sees_each_broken_clause() {
+        let mut g = IncrementalGraph::new(3, 5);
+        g.set_edge(1, 2, 6);
+        assert!(g.check_invariants());
+        let mut stale = g.clone();
+        stale.weights[3] = 1; // an absent cell that weighs something
+        assert!(!stale.check_invariants());
+        let mut miscounted = g.clone();
+        miscounted.n_edges += 1;
+        assert!(!miscounted.check_invariants());
+        g.present[0] |= 1 << 15; // the grid has cells 0..15
+        g.n_edges += 1;
+        assert!(!g.check_invariants());
     }
 
     #[test]
@@ -816,6 +938,114 @@ mod tests {
         assert_eq!(pairs, want.pairs);
     }
 
+    /// One dense row of `cols` weight-1 edges, then `heavy` as `(column,
+    /// weight)` on top.
+    fn dense_row(cols: usize, heavy: &[(usize, Value)]) -> IncrementalGraph {
+        let mut g = IncrementalGraph::new(1, cols);
+        for right in 0..cols {
+            g.set_edge(0, right, 1);
+        }
+        for &(right, w) in heavy {
+            g.set_edge(0, right, w);
+        }
+        g
+    }
+
+    #[test]
+    fn cleared_cell_never_resurfaces() {
+        // The heaviest edge is set and then cleared; the row stays dense,
+        // so its champion comes from the weights alone.
+        let mut g = dense_row(16, &[(4, 5), (9, 100)]);
+        assert_eq!(weighted_rows(&g), vec![(0, 9)]);
+        g.clear_edge(0, 9);
+        assert_eq!(weighted_rows(&g), vec![(0, 4)]);
+        g.put(0, 4, None);
+        assert_eq!(weighted_rows(&g), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn refused_dense_argmax_falls_back_to_the_filtered_scan() {
+        // The filter refuses the unfiltered argmax (column 5) but admits an
+        // equal-weight edge in a larger column and a lighter one in a
+        // smaller column: the champion is the former.
+        let g = dense_row(16, &[(2, 5), (5, 9), (11, 9)]);
+        let mut m = Matching::new();
+        greedy_weighted_rows_into(&g, |_, r, _| r != 5, &mut Default::default(), &mut m);
+        assert_eq!(m.pairs, vec![(0, 11)]);
+        greedy_weighted_rows_into(&g, |_, _, w| w < 5, &mut Default::default(), &mut m);
+        assert_eq!(m.pairs, vec![(0, 0)], "every heavy edge refused");
+    }
+
+    #[test]
+    fn zero_weight_edges_are_still_edges() {
+        // Packets weigh ≥ 1, the graph does not care: a dense row whose
+        // maximum is 0 has a champion all the same.
+        let mut g = IncrementalGraph::new(2, 16);
+        for cell in 0..32 {
+            g.set_edge(cell / 16, cell % 16, 0);
+        }
+        assert_eq!(weighted_rows(&g), vec![(0, 0), (1, 1)]);
+        g.clear_edge(0, 0);
+        g.clear_edge(1, 1);
+        assert_eq!(weighted_rows(&g), vec![(0, 1), (1, 0)]);
+    }
+
+    #[test]
+    fn dense_tie_goes_to_the_smallest_column_across_lanes() {
+        // Equal maxima in different lanes of different chunks; the smallest
+        // column (13) sits in neither the first chunk nor the smallest lane.
+        let mut g = dense_row(27, &[(19, 7), (13, 7), (22, 7), (26, 7)]);
+        assert_eq!(weighted_rows(&g), vec![(0, 13)]);
+        // Columns 24..27 are past the last full chunk and count all the same.
+        g.set_edge(0, 26, 8);
+        assert_eq!(weighted_rows(&g), vec![(0, 26)]);
+    }
+
+    #[test]
+    fn dense_first_pass_asks_the_filter_once_per_row() {
+        // 128 × 128, every cell live, each row's heaviest edge in a column
+        // of its own: no rescans, so every question is a first-pass one.
+        let n = 128;
+        let heaviest = |left: usize| left * 37 % n;
+        let mut g = IncrementalGraph::new(n, n);
+        for (left, right) in (0..n * n).map(|cell| (cell / n, cell % n)) {
+            let w = 1 + (left * 131 + right * 71) % 1009;
+            let boost = if right == heaviest(left) { 5000 } else { 0 };
+            g.set_edge(left, right, (w + boost) as Value);
+        }
+        let asked = |g: &IncrementalGraph| {
+            let (mut asked, mut m) = (0, Matching::new());
+            let count = |_, _, _| {
+                asked += 1;
+                true
+            };
+            greedy_weighted_rows_into(g, count, &mut Default::default(), &mut m);
+            assert_eq!(m.pairs.len(), n);
+            assert!(m.pairs.iter().all(|&(l, r)| r == heaviest(l)));
+            asked
+        };
+        assert_eq!(asked(&g), n, "dense: one question a row");
+
+        // Thinned below half full, the flat pass asks once per change of a
+        // row's running maximum, as it did before the dense arm existed.
+        let mut records = 0;
+        for (left, right) in (0..n * n).map(|cell| (cell / n, cell % n)) {
+            if (left + right) % 3 != 0 && right != heaviest(left) {
+                g.clear_edge(left, right);
+            }
+        }
+        assert!(g.n_edges() * 2 < n * n);
+        for left in 0..n {
+            let mut best = None;
+            for right in 0..n {
+                if g.weight(left, right) > best {
+                    (best, records) = (g.weight(left, right), records + 1);
+                }
+            }
+        }
+        assert_eq!((asked(&g), records), (661, 661));
+    }
+
     proptest! {
         /// Random edit scripts: after every batch of edits + repair, the
         /// incremental graph and cached order are identical (edges, weights,
@@ -825,13 +1055,18 @@ mod tests {
         /// column and, like PG's β rule, admits an edge into an odd ("full")
         /// column only above a weight threshold. The row-champion kernel
         /// must give the weighted matching too, pair for pair. Shapes are
-        /// non-square, every eighth case is 3×70 (rows start mid-word), and
-        /// every other case squeezes the weights into 1..4 (heavy ties).
+        /// non-square; three in eight are wide — 3×70 (rows start mid-word,
+        /// six cells past the lanes), 2×130 (rows straddle three words) and
+        /// 9×16 (two full lane chunks, no remainder). Every fourth case
+        /// starts 7/8 full and every fourth with its first half of cells
+        /// (±1) set — full rows above empty ones, the graph on the
+        /// dense/flat threshold for the edits to cross. Every other case
+        /// squeezes the weights into 0..3 (heavy ties); 0 is a legal weight.
         #[test]
         fn incremental_equals_from_scratch_under_random_edits(
-            shape in (1usize..6, 1usize..6, 0usize..8),
+            shape in (1usize..6, 1usize..6, 0usize..8, 0usize..4),
             batches in prop::collection::vec(
-                prop::collection::vec((0usize..210, 0u64..20), 1..8),
+                prop::collection::vec((0usize..260, 0u64..20), 1..8),
                 1..12,
             ),
             ties in 0u64..2,
@@ -839,24 +1074,50 @@ mod tests {
             blocked_right in 0usize..6,
             threshold in 0u64..6,
         ) {
-            let (rows, cols) = if shape.2 == 0 { (3, 70) } else { (shape.0, shape.1) };
+            let (rows, cols) = match shape.2 {
+                0 => (3, 70),
+                1 => (2, 130),
+                2 => (9, 16),
+                _ => (shape.0, shape.1),
+            };
+            let cells = rows * cols;
+            let weigh = |w: u64| if ties == 1 { w % 3 } else { w - 1 };
             let mut g = IncrementalGraph::new(rows, cols);
+            for cell in 0..cells {
+                let live = match shape.3 {
+                    0 => (cell + offset) % 8 != 0,
+                    1 => cell + 1 < cells / 2 + offset % 3,
+                    _ => false,
+                };
+                if live {
+                    let w = weigh(1 + ((cell * 7 + offset) % 19) as u64);
+                    g.set_edge(cell / cols, cell % cols, w);
+                }
+            }
             let mut order = CachedWeightOrder::default();
             order.rebuild(&g);
             let mut scratch = GreedyScratch::default();
 
             for batch in batches {
                 for (cell, w) in batch {
-                    let cell = cell % (rows * cols);
+                    let cell = cell % cells;
                     let (l, r) = (cell / cols, cell % cols);
-                    // w == 0 removes the edge; otherwise upsert with weight w.
-                    if w == 0 {
-                        g.clear_edge(l, r);
+                    // w == 0 removes the edge; otherwise upsert — through
+                    // `put` for every other cell, which must say whether
+                    // anything moved.
+                    let edge = (w != 0).then(|| weigh(w));
+                    if cell % 2 == 0 {
+                        let moved = g.weight(l, r) != edge;
+                        prop_assert_eq!(g.put(l, r, edge), moved);
+                    } else if let Some(w) = edge {
+                        g.set_edge(l, r, w);
                     } else {
-                        g.set_edge(l, r, if ties == 1 { 1 + w % 3 } else { w });
+                        g.clear_edge(l, r);
                     }
+                    prop_assert_eq!(g.weight(l, r), edge);
                     order.mark(cell);
                 }
+                prop_assert!(g.check_invariants());
                 order.repair(&g);
 
                 // Graph (edges + weights + lex order) matches from-scratch.
