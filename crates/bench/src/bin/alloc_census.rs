@@ -16,8 +16,8 @@
 //! ```
 //!
 //! Both runs share the trace, config, fabric and a fresh policy, so every
-//! setup cost (trace prebucketing, shard construction, policy cache
-//! warm-up, ring growth to steady capacity) appears identically in both
+//! setup cost (shard construction, policy cache warm-up, growth of the
+//! slot batch and the rings to steady capacity) appears identically in both
 //! ledgers and cancels; what remains is exactly what the slot loop
 //! acquires per slot after warm-up. `N1` is far past the point where every
 //! scratch vector, calendar ring and policy cache has reached steady
@@ -312,7 +312,7 @@ mod census {
         let xbar_cfg = SwitchConfig::crossbar(n, 8, 4, 2);
 
         // One trace per (config, values) pair, at the long horizon; both
-        // differential runs consume the same trace so prebucketing and
+        // differential runs consume the same trace so arrival batches and
         // admission patterns are identical through slot N1.
         let churn_unit = FullFabricChurn::new(2, 5, ValueDist::Unit);
         let churn_vals = FullFabricChurn::new(2, 5, ValueDist::Uniform { max: 9 });

@@ -18,9 +18,10 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    CrossbarRecording, CrossbarShardPolicy, ExecMode, RecordedCrossbarSchedule, RecordedSchedule,
-    Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
+    run_cioq, run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded, stream_trace,
+    CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, CrossbarShardPolicy, ExecMode,
+    PolicyError, RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunReport,
+    ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::adversary::gm_iq_flood;
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, TrafficGen, ValueDist};
@@ -592,5 +593,42 @@ fn more_shards_than_ports() {
             &ref_state,
             "k=5 on 2 ports",
         );
+    }
+}
+
+/// A packet on a port outside the switch is refused with the same error by
+/// every engine, wherever in the run it arrives. The bad input is a row no
+/// shard owns, so this fails if a sharded run ever looks up the packet's
+/// owner before validating it.
+#[test]
+fn bad_port_is_the_same_error_from_every_engine() {
+    let cfg = SwitchConfig::cioq(4, 2, 1);
+    for (side, input, output) in [("input", 4, 1), ("output", 1, 4)] {
+        let trace = Trace::from_tuples([
+            (0, PortId(0), PortId(1), 9),
+            (0, PortId(3), PortId(0), 4),
+            (1, PortId(2), PortId(2), 7),
+            (2, PortId(1), PortId(3), 5),
+            (2, PortId(input), PortId(output), 6),
+            (2, PortId(3), PortId(3), 2),
+            (3, PortId(0), PortId(0), 1),
+        ]);
+        let expected = PolicyError::PortOutOfRange { side, port: 4 };
+        let sequential = run_cioq(&cfg, &mut GreedyMatching::new(), &trace);
+        assert_eq!(sequential.expect_err("sequential"), expected);
+        for k in SHARD_COUNTS {
+            for mode in MODES {
+                let what = format!("bad {side} k={k} mode={mode:?}");
+                let options = sharded_options(k, mode);
+                let sharded = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, options);
+                assert_eq!(sharded.expect_err(&what), expected, "{what}");
+            }
+            let (mut src, pump) = stream_trace(&trace, 2);
+            let options = sharded_options(k, ExecMode::Inline);
+            let streamed = run_cioq_sharded_streamed(&cfg, &ShardedGm::new(), &mut src, options);
+            drop(src);
+            pump.join();
+            assert_eq!(streamed.expect_err("streamed"), expected, "streamed k={k}");
+        }
     }
 }

@@ -22,7 +22,7 @@ use cioq_sim::{
     run_crossbar_sharded_streamed, serve_cioq, stream_trace, stream_trace_from, CioqPolicy,
     CioqShardPolicy, CrossbarPolicy, CrossbarRecording, CrossbarShardPolicy, Engine,
     EngineSnapshot, ExecMode, FabricSpec, Recording, RunOptions, RunOutcome, ShardedOptions,
-    SwitchState, Trace, TraceSource,
+    StreamCursor, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -479,6 +479,108 @@ fn threads_mode_streamed_matches_inline_trace() {
     pump.join();
     assert_eq!(threaded.report, inline.report, "threaded streamed report");
     assert_checkpoints_identical(&threaded.checkpoints, &inline.checkpoints, "threads mode");
+}
+
+/// Both feeds where the arrival window is not the whole trace:
+/// `slots` cut below the horizon (off the checkpoint cadence), and a run
+/// resumed from a mid-trace checkpoint. Trace-fed, stream-fed and
+/// sequential runs must agree on report, transcript and checkpoint bytes
+/// — the feed has to stop at the cut and start at the checkpoint by
+/// itself, with nothing positioning it from outside.
+#[test]
+fn cut_short_and_resumed_windows_agree_across_feeds() {
+    const CUT: SlotId = 29;
+    let cfg = cioq_cfg();
+    let trace = bursty_trace(&cfg, 48, 0xD6);
+    assert!(
+        trace.arrival_slots() > CUT + 8,
+        "the cut must drop arrivals"
+    );
+    let link = FabricSpec::uniform(2);
+
+    let mut rec = Recording::with_fabric(PreemptiveGreedy::new(), &link);
+    let seq_options = RunOptions {
+        slots: Some(CUT),
+        ..run_options(&link)
+    };
+    let seq = Engine::new(cfg.clone(), seq_options)
+        .run_cioq_full(&mut rec, &mut TraceSource::new(&trace))
+        .expect("sequential run");
+    let seq_sched = rec.into_schedule();
+    assert!(seq.report.arrived < trace.len() as u64);
+
+    let policy = ShardedPg::new();
+    let options = |shards, resume| {
+        let mut opts = sharded_options(shards, &link, resume);
+        opts.slots = Some(CUT);
+        opts
+    };
+    let run_streamed = |shards, resume: Option<EngineSnapshot>| {
+        let cursor = resume
+            .as_ref()
+            .map_or(StreamCursor::start(), |s| s.stream_cursor());
+        let (mut src, pump) = stream_trace_from(&trace, 2, cursor);
+        let out = run_cioq_sharded_streamed(&cfg, &policy, &mut src, options(shards, resume))
+            .expect("stream-fed run");
+        // The producer still holds the slots past the cut: hang up on it.
+        drop(src);
+        pump.join();
+        out
+    };
+    for shards in SHARD_COUNTS {
+        let w = format!("cut at {CUT} K={shards}");
+        let full =
+            run_cioq_sharded(&cfg, &policy, &trace, options(shards, None)).expect("trace-fed run");
+        let streamed = run_streamed(shards, None);
+        for (feed, out) in [("trace", &full), ("stream", &streamed)] {
+            let w = format!("{w} {feed}-fed");
+            assert_eq!(out.report, seq.report, "{w}: report");
+            assert_states_equal(out.final_state.as_ref().unwrap(), &seq.final_state, &w);
+            assert_checkpoints_identical(&out.checkpoints, &seq.checkpoints, &w);
+            let sched = out.schedule.as_ref().expect("recording requested");
+            assert_eq!(sched.transfers, seq_sched.transfers, "{w}: transfers");
+            assert_eq!(sched.admissions, seq_sched.admissions, "{w}: admissions");
+        }
+
+        let snap = &full.checkpoints[full.checkpoints.len() / 2];
+        let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
+        let tail: Vec<EngineSnapshot> = full
+            .checkpoints
+            .iter()
+            .filter(|c| c.slot() >= snap.slot())
+            .cloned()
+            .collect();
+        let from_trace = run_cioq_sharded(
+            &cfg,
+            &policy,
+            &trace,
+            options(shards, Some(decoded.clone())),
+        )
+        .expect("resumed trace-fed run");
+        let from_stream = run_streamed(shards, Some(decoded));
+        // A resumed transcript is the uninterrupted one's tail: arrivals
+        // from the checkpoint's arrived count on, cycles from its slot on.
+        let admitted_before = snap.stream_cursor().consumed as usize;
+        let cycles_before = (snap.slot() * cfg.speedup as SlotId) as usize;
+        assert!(admitted_before < seq_sched.admissions.len());
+        for (feed, out) in [("trace", &from_trace), ("stream", &from_stream)] {
+            let w = format!("{w} resumed at {} {feed}-fed", snap.slot());
+            assert_eq!(out.report, seq.report, "{w}: report");
+            assert_states_equal(out.final_state.as_ref().unwrap(), &seq.final_state, &w);
+            assert_checkpoints_identical(&out.checkpoints, &tail, &w);
+            let sched = out.schedule.as_ref().expect("recording requested");
+            assert_eq!(
+                sched.transfers,
+                seq_sched.transfers[cycles_before..],
+                "{w}: transfers"
+            );
+            assert_eq!(
+                sched.admissions,
+                seq_sched.admissions[admitted_before..],
+                "{w}: admissions"
+            );
+        }
+    }
 }
 
 /// The service entry point wires channel + producer + engine + drain the

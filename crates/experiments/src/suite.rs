@@ -108,22 +108,6 @@ fn run_with(kind: PolicyKind, (cfg, trace): &Side, options: RunOptions) -> RunRe
     .report
 }
 
-/// Tripwire of S2/S3: whether `kind` on `k` inline shards over `link`
-/// books the totals of the sequential `reference`.
-fn sharded_agrees(
-    kind: PolicyKind,
-    (cfg, trace): &Side,
-    link: &FabricSpec,
-    k: usize,
-    reference: &RunReport,
-) -> bool {
-    let mut opts = ShardedOptions::new(k);
-    opts.fabric = link.clone();
-    opts.mode = ExecMode::Inline;
-    let sharded = kind.run_sharded(cfg, trace, opts).expect("sharded run");
-    reports_agree(reference, &sharded.report)
-}
-
 /// T1 — headline summary: worst measured ratio per algorithm over the
 /// adversarial + stochastic suite, against the theorem bounds.
 ///
@@ -1070,6 +1054,108 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
     vec![table]
 }
 
+/// The sweep S2 and S3 share: all four policies over five values of one
+/// fabric-latency axis. `link_for(n, v)` is the fabric the value `v` stands
+/// for, `axis` its column header, `shard_counts` the K list of the sharded
+/// agreement tripwire, `titles` the (degradation, backlog) table titles
+/// with `{n}` (ports) and `{t}` (arrival slots) filled in here.
+fn fabric_sweep(
+    quick: bool,
+    link_for: impl Fn(usize, u64) -> FabricSpec + Sync,
+    axis: &str,
+    shard_counts: &[usize],
+    titles: [&str; 2],
+) -> Vec<Table> {
+    let t = scaled_slots(384, quick);
+    let n = if quick { 8 } else { 16 };
+    let (cioq, xbar) = systems_workload(n, 2, t);
+    // The reference OPT is the zero-latency bound: degradation along the
+    // axis reads directly as "what the fabric latency costs against an
+    // ideal fabric".
+    let cioq_opt = opt_upper_bound(&cioq.0, &cioq.1).best();
+    let xbar_opt = opt_upper_bound(&xbar.0, &xbar.1).best();
+    let [degradation_title, backlog_title] = titles.map(|s| {
+        s.replace("{n}", &n.to_string())
+            .replace("{t}", &t.to_string())
+    });
+
+    let points: Vec<_> = paper_policies()
+        .into_iter()
+        .flat_map(|p| [0u64, 1, 2, 4, 8].map(|v| (p, v)))
+        .collect();
+    let rows = parallel_map(&points, |&((label, kind), v)| {
+        let link = link_for(n, v);
+        let on = side(kind, &cioq, &xbar);
+        let report = run_with(kind, on, on_fabric(&link));
+        // Tripwire: `kind` on `k` inline shards over `link` books the
+        // totals of the sequential reference.
+        let ok = shard_counts.iter().all(|&k| {
+            let mut opts = ShardedOptions::new(k);
+            opts.fabric = link.clone();
+            opts.mode = ExecMode::Inline;
+            let sharded = kind.run_sharded(&on.0, &on.1, opts).expect("sharded run");
+            reports_agree(&report, &sharded.report)
+        });
+        // Steady state: fixed arrival window, no drain — its backlog is
+        // everything still buffered (or in flight) when the window closes.
+        let steady_options = RunOptions {
+            slots: Some(t),
+            drain: false,
+            validate: false,
+            ..on_fabric(&link)
+        };
+        let steady = run_with(kind, on, steady_options);
+        let opt = side(kind, cioq_opt, xbar_opt);
+        (label, v, opt, on.1.len().max(1) as f64, report, ok, steady)
+    });
+
+    let ks: Vec<String> = shard_counts.iter().map(|k| k.to_string()).collect();
+    let agrees = format!("sharded k={} agrees", ks.join(","));
+    let mut degradation = Table::new(
+        degradation_title,
+        &[
+            "policy",
+            axis,
+            "benefit",
+            "delivered frac",
+            "ratio vs OPT-UB(d=0)",
+            "mean latency",
+            &agrees,
+        ],
+    );
+    let mut backlog = Table::new(
+        backlog_title,
+        &[
+            "policy",
+            axis,
+            "transmitted",
+            "backlog (incl. in flight)",
+            "dropped",
+            "mean latency",
+        ],
+    );
+    for (label, v, opt, offered, report, ok, steady) in &rows {
+        degradation.push(vec![
+            label.to_string(),
+            v.to_string(),
+            report.benefit.0.to_string(),
+            format!("{:.3}", report.transmitted as f64 / offered),
+            format!("{:.3}", *opt as f64 / report.benefit.0.max(1) as f64),
+            format!("{:.2}", report.mean_latency()),
+            if *ok { "yes".into() } else { "DIVERGED".into() },
+        ]);
+        backlog.push(vec![
+            label.to_string(),
+            v.to_string(),
+            steady.transmitted.to_string(),
+            steady.residual_count.to_string(),
+            steady.losses.total_count().to_string(),
+            format!("{:.2}", steady.mean_latency()),
+        ]);
+    }
+    vec![degradation, backlog]
+}
+
 /// S2 — latency-aware fabric transport: how the paper's guarantees degrade
 /// when fabric transfers land `d` slots after dispatch (the multi-chassis
 /// regime of Ye–Shen–Panwar), for d ∈ {0, 1, 2, 4, 8} and all four
@@ -1087,95 +1173,18 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
 /// including packets still in flight — after a fixed arrival window, the
 /// buffering the delay forces the fabric to absorb.
 pub fn s2_delay(quick: bool) -> Vec<Table> {
-    let t = scaled_slots(384, quick);
-    let n = if quick { 8 } else { 16 };
-    let (cioq, xbar) = systems_workload(n, 2, t);
-    // The reference OPT is the zero-latency bound: degradation vs d reads
-    // directly as "what the fabric latency costs against an ideal fabric".
-    let cioq_opt = opt_upper_bound(&cioq.0, &cioq.1).best();
-    let xbar_opt = opt_upper_bound(&xbar.0, &xbar.1).best();
-
-    const DELAYS: [u64; 5] = [0, 1, 2, 4, 8];
-    let mut points = Vec::new();
-    for p in paper_policies() {
-        for &d in &DELAYS {
-            points.push((p, d));
-        }
-    }
-
-    let rows = parallel_map(&points, |&((label, kind), d)| {
-        let link = FabricSpec::uniform(d);
-        let on = side(kind, &cioq, &xbar);
-        let report = run_with(kind, on, on_fabric(&link));
-        // Tripwire over k ∈ {2, 4}: k = 2 splits the switch in halves, k = 4
-        // exercises uneven shard widths against the delay rings.
-        let ok = [2usize, 4]
-            .iter()
-            .all(|&k| sharded_agrees(kind, on, &link, k, &report));
-        let opt = side(kind, cioq_opt, xbar_opt);
-        (label, d, opt, on.1.len(), report, ok)
-    });
-
-    let mut degradation = Table::new(
-        format!("S2 — degradation vs fabric latency d (N={n}, bursty zipf, load 0.85, drained)"),
-        &[
-            "policy",
-            "d",
-            "benefit",
-            "delivered frac",
-            "ratio vs OPT-UB(d=0)",
-            "mean latency",
-            "sharded k=2,4 agrees",
+    // Tripwire over k ∈ {2, 4}: k = 2 splits the switch in halves, k = 4
+    // exercises uneven shard widths against the delay rings.
+    fabric_sweep(
+        quick,
+        |_, d| FabricSpec::uniform(d),
+        "d",
+        &[2, 4],
+        [
+            "S2 — degradation vs fabric latency d (N={n}, bursty zipf, load 0.85, drained)",
+            "S2 — steady-state backlog vs d (N={n}, {t} arrival slots, no drain)",
         ],
-    );
-    for (label, d, opt, offered, report, ok) in &rows {
-        degradation.push(vec![
-            label.to_string(),
-            d.to_string(),
-            report.benefit.0.to_string(),
-            format!(
-                "{:.3}",
-                report.transmitted as f64 / (*offered).max(1) as f64
-            ),
-            format!("{:.3}", *opt as f64 / report.benefit.0.max(1) as f64),
-            format!("{:.2}", report.mean_latency()),
-            if *ok { "yes".into() } else { "DIVERGED".into() },
-        ]);
-    }
-
-    // Steady state: fixed arrival window, no drain — the backlog column is
-    // everything still buffered (or in flight) when the window closes.
-    let backlog_rows = parallel_map(&points, |&((label, kind), d)| {
-        let options = RunOptions {
-            slots: Some(t),
-            drain: false,
-            validate: false,
-            ..on_fabric(&FabricSpec::uniform(d))
-        };
-        (label, d, run_with(kind, side(kind, &cioq, &xbar), options))
-    });
-    let mut backlog = Table::new(
-        format!("S2 — steady-state backlog vs d (N={n}, {t} arrival slots, no drain)"),
-        &[
-            "policy",
-            "d",
-            "transmitted",
-            "backlog (incl. in flight)",
-            "dropped",
-            "mean latency",
-        ],
-    );
-    for (label, d, report) in &backlog_rows {
-        backlog.push(vec![
-            label.to_string(),
-            d.to_string(),
-            report.transmitted.to_string(),
-            report.residual_count.to_string(),
-            report.losses.total_count().to_string(),
-            format!("{:.2}", report.mean_latency()),
-        ]);
-    }
-    vec![degradation, backlog]
+    )
 }
 
 /// S3 — topology-aware fabric sweep: a two-tier rack model (2 racks,
@@ -1196,103 +1205,18 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
 /// window.
 pub fn s3_topology(quick: bool) -> Vec<Table> {
     use cioq_model::Topology;
-
-    let t = scaled_slots(384, quick);
-    let n = if quick { 8 } else { 16 };
-    let (cioq, xbar) = systems_workload(n, 2, t);
-    let cioq_opt = opt_upper_bound(&cioq.0, &cioq.1).best();
-    let xbar_opt = opt_upper_bound(&xbar.0, &xbar.1).best();
-
-    const INTERS: [u64; 5] = [0, 1, 2, 4, 8];
-    const RACKS: usize = 2;
-    let mut points = Vec::new();
-    for p in paper_policies() {
-        for &inter in &INTERS {
-            points.push((p, inter));
-        }
-    }
-
-    let link_for = move |inter: u64| {
-        FabricSpec::matrix(Topology::two_tier(n, n, RACKS, 0, inter).expect("valid two-tier"))
-    };
-
-    let rows = parallel_map(&points, |&((label, kind), inter)| {
-        let link = link_for(inter);
-        let on = side(kind, &cioq, &xbar);
-        let report = run_with(kind, on, on_fabric(&link));
-        let ok = sharded_agrees(kind, on, &link, 2, &report);
-        let opt = side(kind, cioq_opt, xbar_opt);
-        (label, inter, opt, on.1.len(), report, ok)
-    });
-
-    let mut degradation = Table::new(
-        format!(
+    fabric_sweep(
+        quick,
+        |n, inter| FabricSpec::matrix(Topology::two_tier(n, n, 2, 0, inter).expect("two-tier")),
+        "inter",
+        &[2],
+        [
             "S3 — degradation vs inter-rack delay (N={n}, 2 racks, intra=0, \
-             bursty zipf, load 0.85, drained)"
-        ),
-        &[
-            "policy",
-            "inter",
-            "benefit",
-            "delivered frac",
-            "ratio vs OPT-UB(d=0)",
-            "mean latency",
-            "sharded k=2 agrees",
-        ],
-    );
-    for (label, inter, opt, offered, report, ok) in &rows {
-        degradation.push(vec![
-            label.to_string(),
-            inter.to_string(),
-            report.benefit.0.to_string(),
-            format!(
-                "{:.3}",
-                report.transmitted as f64 / (*offered).max(1) as f64
-            ),
-            format!("{:.3}", *opt as f64 / report.benefit.0.max(1) as f64),
-            format!("{:.2}", report.mean_latency()),
-            if *ok { "yes".into() } else { "DIVERGED".into() },
-        ]);
-    }
-
-    let backlog_rows = parallel_map(&points, |&((label, kind), inter)| {
-        let options = RunOptions {
-            slots: Some(t),
-            drain: false,
-            validate: false,
-            ..on_fabric(&link_for(inter))
-        };
-        (
-            label,
-            inter,
-            run_with(kind, side(kind, &cioq, &xbar), options),
-        )
-    });
-    let mut backlog = Table::new(
-        format!(
+             bursty zipf, load 0.85, drained)",
             "S3 — steady-state backlog vs inter-rack delay (N={n}, 2 racks, \
-             {t} arrival slots, no drain)"
-        ),
-        &[
-            "policy",
-            "inter",
-            "transmitted",
-            "backlog (incl. in flight)",
-            "dropped",
-            "mean latency",
+             {t} arrival slots, no drain)",
         ],
-    );
-    for (label, inter, report) in &backlog_rows {
-        backlog.push(vec![
-            label.to_string(),
-            inter.to_string(),
-            report.transmitted.to_string(),
-            report.residual_count.to_string(),
-            report.losses.total_count().to_string(),
-            format!("{:.2}", report.mean_latency()),
-        ]);
-    }
-    vec![degradation, backlog]
+    )
 }
 
 /// One experiment: takes `quick`, returns its tables.

@@ -1,7 +1,8 @@
-//! Determinism of the parallel sweep harness, proven on real `exp_*`
-//! suites: a `parallel_map`-driven run renders **byte-identical** tables to
-//! a forced single-thread run — the ROADMAP's "parallel experiment runner"
-//! item closed with proof, not just wiring.
+//! Determinism of the parallel sweep harness, proven on real suites of
+//! the `exp` binary (`suite::EXPERIMENTS`): a `parallel_map`-driven run
+//! renders **byte-identical** tables to a forced single-thread run — the
+//! ROADMAP's "parallel experiment runner" item closed with proof, not
+//! just wiring.
 //!
 //! The single #[test] keeps the thread-count override serialized: each
 //! suite function runs once under `with_sweep_threads(1)` (pure sequential

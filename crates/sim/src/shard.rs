@@ -39,10 +39,14 @@
 //! ## Where the two architectures meet
 //!
 //! As in the sequential engine, §1.3's slot is written once:
-//! `run_sharded_feed` owns the preamble (partition, arrival plumbing,
-//! channels, workers, checkpoint seeding), the slot skeleton (window check,
-//! drain cutoff, checkpoint cadence, landing, arrival, transmission, audit)
-//! and the finish, and `worker_phase` the phases both architectures run.
+//! `run_sharded_feed` owns the preamble (partition, channels, workers,
+//! checkpoint seeding), the slot skeleton (window check, drain cutoff,
+//! checkpoint cadence, landing, arrival, transmission, audit) and the
+//! finish, and `worker_phase` the phases both architectures run. The
+//! arrival phase exists once, whatever feeds the run: between barriers the
+//! coordinator pulls the slot's arrivals — from a trace cursor or a live
+//! stream — into one pooled batch and validates their ports; then every
+//! shard admits, from that batch, the packets of the rows it owns.
 //! What a CIOQ switch and a buffered crossbar do differently — the worker
 //! type, the propose/apply phases of a scheduling cycle, the coordinator's
 //! half of that cycle and the shape of the recorded transcript — sits
@@ -58,6 +62,7 @@ use crate::mechanics::{self, snapshot_cell, PortStamps};
 use crate::policy::{Admission, InputTransfer, OutputTransfer, PolicyError, Transfer};
 use crate::record::{RecordedCrossbarSchedule, RecordedSchedule};
 use crate::snapshot::{EngineSnapshot, SnapLanding};
+use crate::source::{ArrivalSource, TraceSource};
 use crate::state::{QueueKind, SwitchState};
 use crate::stats::{RunReport, StatsRecorder};
 use crate::stream::StreamingSource;
@@ -173,7 +178,10 @@ pub struct ShardedOptions {
     pub shards: usize,
     /// Execution strategy.
     pub mode: ExecMode,
-    /// Arrival slots to simulate; defaults to the trace horizon.
+    /// Arrival slots to simulate; defaults to the trace horizon, and for a
+    /// streamed run to "until the producer closes the stream". Arrivals
+    /// are pulled from the feed one slot at a time, so nothing past the
+    /// window is read, copied or port-checked.
     pub slots: Option<SlotId>,
     /// Keep running arrival-free slots until drained (as the sequential
     /// engine does by default).
@@ -901,20 +909,21 @@ struct Fabric<'a> {
     cfg: &'a SwitchConfig,
     partition: Partition,
     shards: Vec<RwLock<ShardState>>,
-    /// The whole trace pre-bucketed by row owner `(global index, packet)`,
-    /// built once at run start — the arrival phase is a cursor walk with no
-    /// per-slot copying or locking. Empty in streaming mode.
-    arrivals: Vec<Vec<(u64, Packet)>>,
-    /// Streaming mode's per-owner staging cells: the coordinator fills
-    /// them with the slot's batch between barriers (workers parked, so
-    /// the locks are uncontended) and each shard drains its own cell in
-    /// the arrival phase. Indices are the trace-numbered global packet
-    /// ids, so recorded admissions line up with the prebucketed path.
-    staged: Vec<Mutex<Vec<(u64, Packet)>>>,
-    /// Whether arrivals come from `staged` (live stream) or `arrivals`
-    /// (pre-bucketed trace).
-    streamed: bool,
+    /// The current slot's arrivals, whole and in arrival order. The
+    /// coordinator refills it from the feed between barriers (workers
+    /// parked, so the write lock is uncontended); in the arrival phase
+    /// every shard reads it and admits the packets of its own rows.
+    batch: RwLock<SlotBatch>,
     comms: Comms,
+}
+
+/// One slot's arrivals, pooled across slots. Packet `packets[o]` has
+/// global index `base + o` — its position in σ, trace-numbered for either
+/// feed, which is what recorded admissions are keyed by.
+#[derive(Default)]
+struct SlotBatch {
+    base: u64,
+    packets: Vec<Packet>,
 }
 
 impl Fabric<'_> {
@@ -947,7 +956,7 @@ impl Fabric<'_> {
     fn merged_stats(&self) -> StatsRecorder {
         let mut merged = StatsRecorder::new(self.cfg.n_outputs);
         for l in &self.shards {
-            absorb_stats(&mut merged, &read_shard(l).stats);
+            merged.absorb(&read_shard(l).stats);
         }
         merged
     }
@@ -1085,10 +1094,8 @@ const PH_LAND: u8 = 10;
 // Worker-side phase execution
 // ---------------------------------------------------------------------------
 
-/// Admit one arriving packet into shard `s` — the shared per-packet body
-/// of both arrival modes (pre-bucketed cursor walk and staged streaming
-/// drain). Returns `false` when the phase must stop (policy error
-/// recorded).
+/// Admit one arriving packet into shard `s`, the owner of its input row.
+/// Returns `false` when the phase must stop (policy error recorded).
 fn admit_arrival(
     s: usize,
     st: &mut ShardState,
@@ -1115,40 +1122,21 @@ fn admit_arrival(
         .is_some()
 }
 
-/// Arrival phase for shard `s`: walk this slot's slice of the pre-bucketed
-/// trace (or drain the staging cell in streaming mode), admit, insert.
+/// Arrival phase for shard `s`: admit, from the slot's one batch, the
+/// packets of the rows this shard owns. Admission is row-local in every
+/// policy of the paper, so the shards need no distribution step — each
+/// skips what another owns, and arrival order within a row is the batch's.
 fn arrival_phase(
     s: usize,
-    cursor: &mut usize,
     fabric: &Fabric<'_>,
     mut admit: impl FnMut(&ShardView<'_>, &Packet) -> Admission,
 ) {
-    let slot = fabric.comms.slot.load(Ordering::Relaxed);
+    let batch = fabric.batch.read().unwrap_or_else(|e| e.into_inner());
     let mut st = write_shard(&fabric.shards[s]);
-    if fabric.streamed {
-        // The coordinator staged this slot's batch before the barrier;
-        // take the cell's buffer (returned after the drain so the
-        // allocation is reused every slot).
-        let batch = std::mem::take(&mut *lock(&fabric.staged[s]));
-        for &(idx, p) in &batch {
-            debug_assert_eq!(p.arrival, slot, "staged batch from another slot");
-            if !admit_arrival(s, &mut st, fabric, idx, p, &mut admit) {
-                break;
-            }
-        }
-        let mut cell = lock(&fabric.staged[s]);
-        *cell = batch;
-        cell.clear();
-        return;
-    }
-    let bucket = &fabric.arrivals[s];
-    while let Some(&(idx, p)) = bucket.get(*cursor) {
-        if p.arrival != slot {
-            debug_assert!(p.arrival > slot, "bucket consumed out of order");
-            break;
-        }
-        *cursor += 1;
-        if !admit_arrival(s, &mut st, fabric, idx, p, &mut admit) {
+    for (idx, p) in (batch.base..).zip(&batch.packets) {
+        if fabric.partition.input_owner(p.input.index()) == s
+            && !admit_arrival(s, &mut st, fabric, idx, *p, &mut admit)
+        {
             break;
         }
     }
@@ -1237,8 +1225,6 @@ fn land_phase(s: usize, fabric: &Fabric<'_>, gather: &mut Vec<Landing>) {
 /// destination per phase (instead of one lock per item).
 struct WorkerCtx<W> {
     worker: W,
-    /// Position in this shard's pre-bucketed arrival stream.
-    arrival_cursor: usize,
     /// Per-destination staging for forwarded crossbar dirty marks.
     marks: Vec<Vec<u32>>,
     /// Reused gather buffer for inbound crossbar marks.
@@ -1251,7 +1237,6 @@ impl<W> WorkerCtx<W> {
     fn new(worker: W, k: usize, mark_cap: usize) -> Self {
         WorkerCtx {
             worker,
-            arrival_cursor: 0,
             // Sized like the comms mark cells they swap buffers with, so
             // the circulating pool never grows mid-run.
             marks: (0..k).map(|_| Vec::with_capacity(mark_cap)).collect(),
@@ -1379,9 +1364,8 @@ fn worker_phase<'f, A: ShardArch>(
     }
     match ph {
         PH_ARRIVAL => {
-            let cursor = &mut ctx.arrival_cursor;
             let worker = &mut ctx.worker;
-            arrival_phase(s, cursor, fabric, |view, p| A::admit(worker, view, p));
+            arrival_phase(s, fabric, |view, p| A::admit(worker, view, p));
         }
         PH_APPLY_INSERT => apply_insert_phase(s, fabric),
         PH_LAND => land_phase(s, fabric, &mut ctx.land_scratch),
@@ -1504,71 +1488,6 @@ fn drive<W: Send, S>(
 // ---------------------------------------------------------------------------
 // Coordinator helpers
 // ---------------------------------------------------------------------------
-
-/// Pre-bucket the trace's in-window arrivals by row owner, validating
-/// ports. One pass at run start; the per-slot arrival phase is then a pure
-/// cursor walk (the sequential engine re-copies each slot's arrivals into a
-/// scratch buffer every slot — this is strictly cheaper).
-fn prebucket_arrivals(
-    cfg: &SwitchConfig,
-    partition: &Partition,
-    trace: &Trace,
-    arrival_slots: SlotId,
-) -> Result<Vec<Vec<(u64, Packet)>>, PolicyError> {
-    // Validate and count in a first pass so each bucket is allocated
-    // exactly once at its final size: bucketing cost is then a fixed
-    // `k` allocations however long the trace is, instead of a doubling
-    // series proportional to it.
-    let mut counts = vec![0usize; partition.k()];
-    for p in trace.packets() {
-        if p.arrival >= arrival_slots {
-            break;
-        }
-        mechanics::check_ports(cfg, p.input, p.output)?;
-        counts[partition.input_owner(p.input.index())] += 1;
-    }
-    let mut buckets: Vec<Vec<(u64, Packet)>> =
-        counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for (idx, p) in trace.packets().iter().enumerate() {
-        if p.arrival >= arrival_slots {
-            break;
-        }
-        buckets[partition.input_owner(p.input.index())].push((idx as u64, *p));
-    }
-    Ok(buckets)
-}
-
-fn absorb_stats(acc: &mut StatsRecorder, s: &StatsRecorder) {
-    acc.arrived += s.arrived;
-    acc.arrived_value += s.arrived_value;
-    acc.accepted += s.accepted;
-    acc.transferred += s.transferred;
-    acc.transferred_to_crossbar += s.transferred_to_crossbar;
-    acc.transmitted += s.transmitted;
-    acc.benefit.0 += s.benefit.0;
-    acc.losses.rejected += s.losses.rejected;
-    acc.losses.rejected_value += s.losses.rejected_value;
-    acc.losses.preempted_input += s.losses.preempted_input;
-    acc.losses.preempted_input_value += s.losses.preempted_input_value;
-    acc.losses.preempted_crossbar += s.losses.preempted_crossbar;
-    acc.losses.preempted_crossbar_value += s.losses.preempted_crossbar_value;
-    acc.losses.preempted_output += s.losses.preempted_output;
-    acc.losses.preempted_output_value += s.losses.preempted_output_value;
-    acc.losses.dropped += s.losses.dropped;
-    acc.losses.dropped_value += s.losses.dropped_value;
-    acc.retransmitted += s.retransmitted;
-    acc.latency_sum += s.latency_sum;
-    for (a, b) in acc.latency_histogram.iter_mut().zip(&s.latency_histogram) {
-        *a += b;
-    }
-    for (a, b) in acc
-        .per_output_transmitted
-        .iter_mut()
-        .zip(&s.per_output_transmitted)
-    {
-        *a += b;
-    }
-}
 
 /// Capture an [`EngineSnapshot`] of the sharded run at the top of `slot`
 /// (coordinator only, between barriers, before the landing phase) —
@@ -1759,40 +1678,30 @@ fn audit_sharded_slot(fabric: &Fabric<'_>) {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Where a sharded run's arrivals come from: a pre-recorded trace
-/// (bucketed up front, cursor-walked by the workers) or a live
-/// [`StreamingSource`] (pulled slot by slot on the coordinator and staged
-/// to the owner shards between barriers).
+/// Where a sharded run's arrivals come from: a recorded trace or a live
+/// [`StreamingSource`]. Either way the coordinator pulls one slot's batch
+/// from it between barriers; the two differ only in what stands behind
+/// `pull` (a cursor over σ, or a channel that blocks until the producer
+/// catches up) and in how a resumed run is positioned.
 enum Feed<'t, 's> {
-    Trace(&'t Trace),
+    Trace(TraceSource<'t>),
     Stream(&'s mut StreamingSource),
 }
 
-impl Feed<'_, '_> {
-    /// Build the run's arrival plumbing: the fixed arrival-window length
-    /// (if one is known), the pre-bucketed arrivals (empty for a stream)
-    /// and the streamed flag.
-    #[allow(clippy::type_complexity)]
-    fn plumbing(
-        &self,
-        cfg: &SwitchConfig,
-        partition: &Partition,
-        options: &ShardedOptions,
-    ) -> Result<(Option<SlotId>, Vec<Vec<(u64, Packet)>>, bool), PolicyError> {
+impl<'t> Feed<'t, '_> {
+    /// A trace feed positioned where the run starts: slot 0, or the slot
+    /// of the checkpoint `options` resumes from.
+    fn trace(trace: &'t Trace, options: &ShardedOptions) -> Self {
+        let start = options.resume_from.as_ref().map_or(0, |snap| snap.slot);
+        Feed::Trace(TraceSource::resume_at(trace, start))
+    }
+
+    /// The feed as the [`ArrivalSource`] it is: run length and window
+    /// queries are the sequential engine's.
+    fn source(&mut self) -> &mut dyn ArrivalSource {
         match self {
-            Feed::Trace(trace) => {
-                let n = options.slots.unwrap_or_else(|| trace.arrival_slots());
-                Ok((
-                    Some(n),
-                    prebucket_arrivals(cfg, partition, trace, n)?,
-                    false,
-                ))
-            }
-            Feed::Stream(_) => Ok((
-                options.slots,
-                (0..partition.k()).map(|_| Vec::new()).collect(),
-                true,
-            )),
+            Feed::Trace(src) => src,
+            Feed::Stream(src) => *src,
         }
     }
 
@@ -1819,44 +1728,29 @@ impl Feed<'_, '_> {
         }
     }
 
-    /// Coordinator-side arrival-window check for the top of `slot`.
-    fn in_arrival_window(&mut self, fixed_slots: Option<SlotId>, slot: SlotId) -> bool {
-        match fixed_slots {
-            Some(n) => slot < n,
-            None => match self {
-                Feed::Stream(src) => {
-                    // Blocks until the source can answer (batch buffered
-                    // or stream closed) — the workers are parked at the
-                    // slot barrier, so only the coordinator waits.
-                    crate::source::ArrivalSource::in_arrival_window(*src, slot)
-                }
-                Feed::Trace(_) => unreachable!("a trace feed always has a fixed horizon"),
-            },
+    /// Refill the fabric's batch with `slot`'s arrivals (coordinator only,
+    /// between barriers) and validate their ports — here, before any shard
+    /// looks a packet's owner up by its input. `base` continues the
+    /// feed's consumed count, so global indices are trace-numbered for a
+    /// stream too and recorded admissions line up across feeds.
+    fn refill(&mut self, fabric: &Fabric<'_>, slot: SlotId) -> Result<(), PolicyError> {
+        let mut batch = fabric.batch.write().unwrap_or_else(|e| e.into_inner());
+        batch.packets.clear();
+        match self {
+            Feed::Trace(src) => {
+                batch.base = src.consumed();
+                src.pull(slot, &mut batch.packets);
+            }
+            Feed::Stream(src) => {
+                batch.base = src.consumed();
+                src.pull(slot, &mut batch.packets);
+            }
         }
+        for p in &batch.packets {
+            mechanics::check_ports(fabric.cfg, p.input, p.output)?;
+        }
+        Ok(())
     }
-}
-
-/// Stage a streamed slot's batch (coordinator only, between barriers):
-/// pull it from the channel — blocking until the producer catches up —
-/// validate ports, and distribute `(global index, packet)` pairs to the
-/// owner shards' staging cells. Global indices continue the consumed
-/// count, so they equal the trace-numbered ids of the prebucketed path
-/// and recorded admissions line up across modes.
-fn stage_stream_slot(
-    fabric: &Fabric<'_>,
-    src: &mut StreamingSource,
-    slot: SlotId,
-    scratch: &mut Vec<Packet>,
-) -> Result<(), PolicyError> {
-    scratch.clear();
-    let base = src.consumed();
-    src.pull(slot, scratch);
-    for (off, p) in scratch.iter().enumerate() {
-        mechanics::check_ports(fabric.cfg, p.input, p.output)?;
-        lock(&fabric.staged[fabric.partition.input_owner(p.input.index())])
-            .push((base + off as u64, *p));
-    }
-    Ok(())
 }
 
 /// Run a sharded CIOQ policy over a recorded trace.
@@ -1870,7 +1764,8 @@ pub fn run_cioq_sharded(
     trace: &Trace,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_cioq_sharded_feed(cfg, policy, Feed::Trace(trace), options.parties(), options)
+    let feed = Feed::trace(trace, &options);
+    run_cioq_sharded_feed(cfg, policy, feed, options.parties(), options)
 }
 
 /// Run a sharded CIOQ policy against a live [`StreamingSource`] — the
@@ -1924,7 +1819,8 @@ pub fn run_crossbar_sharded(
     trace: &Trace,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_crossbar_sharded_feed(cfg, policy, Feed::Trace(trace), options.parties(), options)
+    let feed = Feed::trace(trace, &options);
+    run_crossbar_sharded_feed(cfg, policy, feed, options.parties(), options)
 }
 
 /// Run a sharded buffered-crossbar policy against a live
@@ -1973,7 +1869,9 @@ fn run_sharded_feed<A: ShardArch>(
     options.fabric.assert_covers(cfg);
     let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
     let k = partition.k();
-    let (fixed_slots, arrivals, streamed) = feed.plumbing(cfg, &partition, &options)?;
+    // A trace fixes the arrival window; a stream leaves it open until
+    // the producer closes (unless the options cut it short).
+    let fixed_slots = options.slots.or_else(|| feed.source().horizon());
     let comms = Comms::new(k, options.record, options.fabric.clone(), &partition, cfg);
     let fabric = Fabric {
         cfg,
@@ -1981,12 +1879,10 @@ fn run_sharded_feed<A: ShardArch>(
             .map(|s| RwLock::new(ShardState::new(cfg, &partition, s)))
             .collect(),
         partition,
-        arrivals,
-        staged: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
-        streamed,
+        batch: RwLock::default(),
         comms,
     };
-    let mut workers: Vec<WorkerCtx<A::Worker>> = (0..k)
+    let workers: Vec<WorkerCtx<A::Worker>> = (0..k)
         .map(|s| {
             let mark_cap = 2 * fabric.partition.input_range(s).len() * cfg.speedup.max(1) as usize;
             WorkerCtx::new(arch.new_worker(s, &fabric.partition, cfg), k, mark_cap)
@@ -1997,9 +1893,6 @@ fn run_sharded_feed<A: ShardArch>(
         .as_ref()
         .map_or((0, 0), |snap| seed_from_snapshot(&fabric, snap, &options));
     feed.check_resume(start_slot, &options);
-    for (s, w) in workers.iter_mut().enumerate() {
-        w.arrival_cursor = fabric.arrivals[s].partition_point(|&(_, p)| p.arrival < start_slot);
-    }
 
     let horizon = fabric.comms.horizon;
     let has_zero = fabric.comms.has_zero;
@@ -2016,9 +1909,14 @@ fn run_sharded_feed<A: ShardArch>(
             let mut slot: SlotId = start_slot;
             let mut idle_slots = start_idle;
             let mut stamps = PortStamps::default();
-            let mut stage_scratch: Vec<Packet> = Vec::new();
             loop {
-                let in_arrival_window = feed.in_arrival_window(fixed_slots, slot);
+                let in_arrival_window = match fixed_slots {
+                    Some(n) => slot < n,
+                    // Blocks until the stream can answer (batch buffered
+                    // or closed) — the workers are parked at the slot
+                    // barrier, so only the coordinator waits.
+                    None => feed.source().in_arrival_window(slot),
+                };
                 if !in_arrival_window {
                     // In-flight packets always land (and count as
                     // progress), so the idle cutoff waits for the fabric.
@@ -2041,9 +1939,7 @@ fn run_sharded_feed<A: ShardArch>(
                     do_phase(PH_LAND)?;
                 }
                 if in_arrival_window {
-                    if let Feed::Stream(src) = &mut feed {
-                        stage_stream_slot(&fabric, src, slot, &mut stage_scratch)?;
-                    }
+                    feed.refill(&fabric, slot)?;
                     do_phase(PH_ARRIVAL)?;
                 }
 
@@ -2817,12 +2713,12 @@ mod tests {
         let (unit, valued) = (skewed_trace(1), skewed_trace(16));
         let run_cioq = |beta, trace: &Trace, t| {
             let policy = Greedy { beta };
-            let feed = Feed::Trace(trace);
+            let feed = Feed::Trace(TraceSource::new(trace));
             fingerprint(run_cioq_sharded_feed(&cioq, &policy, feed, t, two_tier_options()).unwrap())
         };
         let run_xbar = |params, trace: &Trace, t| {
             let policy = Xbar { params };
-            let feed = Feed::Trace(trace);
+            let feed = Feed::Trace(TraceSource::new(trace));
             fingerprint(
                 run_crossbar_sharded_feed(&xbar, &policy, feed, t, two_tier_options()).unwrap(),
             )
@@ -2952,7 +2848,7 @@ mod tests {
             run_cioq_sharded_feed(
                 &cfg,
                 &Faulty(fault),
-                Feed::Trace(&trace),
+                Feed::Trace(TraceSource::new(&trace)),
                 t,
                 two_tier_options(),
             )

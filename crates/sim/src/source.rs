@@ -57,10 +57,11 @@ impl<'a> TraceSource<'a> {
         let cursor = trace.packets().partition_point(|p| p.arrival < slot);
         TraceSource { trace, cursor }
     }
-}
 
-impl ArrivalSource for TraceSource<'_> {
-    fn arrivals(&mut self, _view: &SwitchView<'_>, slot: SlotId, out: &mut Vec<Packet>) {
+    /// Append the packets arriving in `slot` (in arrival order) to `out` —
+    /// [`ArrivalSource::arrivals`] without the view a trace never looks
+    /// at, for callers that have none (the sharded engine's coordinator).
+    pub fn pull(&mut self, slot: SlotId, out: &mut Vec<Packet>) {
         let packets = self.trace.packets();
         // A cursor sitting below `slot` means an earlier slot was never
         // consumed; continuing would silently drop those arrivals, so this
@@ -81,6 +82,18 @@ impl ArrivalSource for TraceSource<'_> {
             out.push(*p);
             self.cursor += 1;
         }
+    }
+
+    /// Packets consumed so far: the index into [`Trace::packets`] of the
+    /// next packet [`Self::pull`] would deliver.
+    pub fn consumed(&self) -> u64 {
+        self.cursor as u64
+    }
+}
+
+impl ArrivalSource for TraceSource<'_> {
+    fn arrivals(&mut self, _view: &SwitchView<'_>, slot: SlotId, out: &mut Vec<Packet>) {
+        self.pull(slot, out);
     }
 
     fn horizon(&self) -> Option<SlotId> {
