@@ -50,6 +50,7 @@ const D5_SCOPE: &[&str] = &["crates/sim/src/engine.rs", "crates/sim/src/shard.rs
 /// it, and the restored run diverges.
 const D6_TYPES: &[&str] = &[
     "SwitchState",
+    "QueueBand",
     "StatsRecorder",
     "LossBreakdown",
     "WindowedStats",

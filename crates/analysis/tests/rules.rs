@@ -213,6 +213,18 @@ fn d6_justified_fields_are_clean() {
 }
 
 #[test]
+fn d6_queue_band_is_audited() {
+    // The band is what both engines checkpoint their queues from, so a
+    // shard's queues are under D6 exactly as the whole switch's are.
+    let bare =
+        "pub(crate) struct QueueBand {\n    voq: Grid<SortedQueue>,\n    out_lo: usize,\n}\n";
+    let rules = rules_at("crates/sim/src/state.rs", bare);
+    assert_eq!(rules, ["D6", "D6"], "both bare band fields must fire");
+    let annotated = "pub(crate) struct QueueBand {\n    /// `Q_ij`. snapshot: serialized\n    voq: Grid<SortedQueue>,\n    /// snapshot: transient — geometry, fixed at construction\n    out_lo: usize,\n}\n";
+    assert!(rules_at("crates/sim/src/state.rs", annotated).is_empty());
+}
+
+#[test]
 fn d6_unlisted_type_is_clean() {
     // The snapshot wire structs are not state owners; only the types in
     // the D6 list are audited.

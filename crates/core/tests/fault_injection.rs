@@ -7,7 +7,7 @@
 //! packets sitting in retransmit queues at the checkpoint.
 
 use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
-use cioq_model::{PortId, SlotId, SwitchConfig};
+use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
     CioqPolicy, CrossbarPolicy, Engine, EngineSnapshot, FabricSpec, FaultEvent, FaultKind,
     FaultPlan, FaultScope, RunOptions, RunOutcome, RunReport, Trace, TraceSource,
@@ -224,36 +224,117 @@ fn latency_spike_drops_nothing() {
 // Kill/restore under an active fault plan
 // ---------------------------------------------------------------------------
 
+/// The four policies of the paper, as kill/restore inputs.
+#[derive(Debug, Clone, Copy)]
+enum Policy {
+    Gm,
+    Pg,
+    Cgu,
+    Cpg,
+}
+
+impl Policy {
+    fn config(self) -> SwitchConfig {
+        match self {
+            Policy::Gm | Policy::Pg => cioq_cfg(),
+            Policy::Cgu | Policy::Cpg => SwitchConfig::crossbar(6, 3, 2, 2),
+        }
+    }
+
+    /// Run a fresh policy object to completion (a resumed run rebuilds the
+    /// policy: its caches are a function of the restored queue state).
+    fn run(self, engine: Engine, source: &mut TraceSource<'_>) -> RunOutcome {
+        match self {
+            Policy::Gm => engine.run_cioq_full(&mut GreedyMatching::new(), source),
+            Policy::Pg => engine.run_cioq_full(&mut PreemptiveGreedy::new(), source),
+            Policy::Cgu => engine.run_crossbar_full(&mut CrossbarGreedyUnit::new(), source),
+            Policy::Cpg => engine.run_crossbar_full(&mut CrossbarPreemptiveGreedy::new(), source),
+        }
+        .expect("faulted run must degrade gracefully, not error")
+    }
+}
+
+/// One checkpointed run to completion under `options`: fresh from the trace
+/// start, or restored from `resume`.
 fn faulted_full_run(
-    cfg: &SwitchConfig,
-    policy: &mut dyn CioqPolicy,
+    policy: Policy,
     trace: &Trace,
-    plan: &FaultPlan,
-    d: SlotId,
+    options: &RunOptions,
     resume: Option<&EngineSnapshot>,
 ) -> RunOutcome {
-    let options = faulted_options(plan, d, Some(6));
-    let engine = match resume {
-        Some(snap) => Engine::restore(snap, options).expect("restore under fault plan"),
-        None => Engine::new(cfg.clone(), options),
+    let (engine, mut source) = match resume {
+        Some(snap) => (
+            Engine::restore(snap, options.clone()).expect("restore under fault plan"),
+            TraceSource::resume_at(trace, snap.slot()),
+        ),
+        None => (
+            Engine::new(policy.config(), options.clone()),
+            TraceSource::new(trace),
+        ),
     };
-    let mut source = match resume {
-        Some(snap) => TraceSource::resume_at(trace, snap.slot()),
-        None => TraceSource::new(trace),
-    };
-    engine
-        .run_cioq_full(policy, &mut source)
-        .expect("faulted run")
+    policy.run(engine, &mut source)
+}
+
+/// Kill the run at every checkpoint, restore through the wire format (what
+/// a daemon would reload) and replay: the report and every checkpoint from
+/// the kill slot onward must be the uninterrupted run's, byte for byte.
+fn assert_every_kill_point_resumes(
+    what: &str,
+    policy: Policy,
+    trace: &Trace,
+    options: &RunOptions,
+) {
+    let full = faulted_full_run(policy, trace, options, None);
+    assert!(
+        full.checkpoints.len() >= 2,
+        "{what}: cadence yields kill points"
+    );
+    for snap in &full.checkpoints {
+        let k = snap.slot();
+        let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
+        let resumed = faulted_full_run(policy, trace, options, Some(&decoded));
+        assert_eq!(resumed.report, full.report, "{what}: report after k={k}");
+        let bytes = |c: &EngineSnapshot| (c.slot(), c.to_bytes());
+        let tail = full.checkpoints.iter().filter(|c| c.slot() >= k);
+        assert_eq!(
+            resumed.checkpoints.iter().map(bytes).collect::<Vec<_>>(),
+            tail.map(bytes).collect::<Vec<_>>(),
+            "{what}: checkpoint tail after resume from {k}"
+        );
+    }
 }
 
 /// The headline robustness composition: checkpoints taken *during* fault
 /// windows (held retransmit queues and spiked in-flight packets in the
 /// snapshot) restore into a byte-identical remainder. Every checkpoint of
-/// the run is used as a kill point.
+/// every run is used as a kill point — all four policies × immediate /
+/// delay-line / two-tier fabrics under seeded plans, plus a hand-placed
+/// long window that guarantees a checkpoint lands mid-fault.
 #[test]
 fn kill_restore_under_faults_is_byte_identical() {
-    let cfg = cioq_cfg();
-    let trace = bursty_trace(&cfg, 48, 0xFE);
+    let two_tier = Topology::two_tier(6, 6, 3, 0, 2).expect("two-tier topology");
+    let fabrics = [
+        ("immediate", FabricSpec::default()),
+        ("delay-line d=2", FabricSpec::uniform(2)),
+        ("two-tier matrix", FabricSpec::matrix(two_tier)),
+    ];
+    for policy in [Policy::Gm, Policy::Pg, Policy::Cgu, Policy::Cpg] {
+        for (fabric_name, fabric) in &fabrics {
+            for seed in [0x7a, 0x7b] {
+                let trace = bursty_trace(&policy.config(), 96, seed);
+                let options = RunOptions {
+                    faults: Some(FaultPlan::seeded(seed, 6, 6, 96, 6)),
+                    checkpoint_every: Some(12),
+                    fabric: fabric.clone(),
+                    ..RunOptions::default()
+                };
+                let what = format!("{policy:?} {fabric_name} seed={seed:#x}");
+                assert_every_kill_point_resumes(&what, policy, &trace, &options);
+            }
+        }
+    }
+
+    let trace = bursty_trace(&cioq_cfg(), 48, 0xFE);
     // Long all-pairs windows guarantee some checkpoint lands mid-fault.
     let mut events = FaultPlan::seeded(11, 6, 6, 48, 8).events().to_vec();
     events.push(FaultEvent {
@@ -264,36 +345,8 @@ fn kill_restore_under_faults_is_byte_identical() {
     });
     let plan = FaultPlan::new(events);
     for d in [0u64, 1] {
-        let full = faulted_full_run(&cfg, &mut PreemptiveGreedy::new(), &trace, &plan, d, None);
-        assert!(
-            full.checkpoints.len() >= 2,
-            "d={d}: cadence yields kill points"
-        );
-        for snap in &full.checkpoints {
-            let k = snap.slot();
-            let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
-            let resumed = faulted_full_run(
-                &cfg,
-                &mut PreemptiveGreedy::new(),
-                &trace,
-                &plan,
-                d,
-                Some(&decoded),
-            );
-            assert_eq!(resumed.report, full.report, "d={d}: report after k={k}");
-            for (r, f) in resumed
-                .checkpoints
-                .iter()
-                .zip(full.checkpoints.iter().filter(|c| c.slot() >= k))
-            {
-                assert_eq!(
-                    r.to_bytes(),
-                    f.to_bytes(),
-                    "d={d}: checkpoint at slot {} after resume from {k}",
-                    f.slot()
-                );
-            }
-        }
+        let options = faulted_options(&plan, d, Some(6));
+        assert_every_kill_point_resumes(&format!("PG d={d}"), Policy::Pg, &trace, &options);
     }
 }
 
@@ -309,7 +362,8 @@ fn held_packet_snapshot_requires_a_plan() {
         scope: FaultScope::All,
         kind: FaultKind::LinkDown { retransmit_cap: 64 },
     }]);
-    let full = faulted_full_run(&cfg, &mut PreemptiveGreedy::new(), &trace, &plan, 0, None);
+    let options = faulted_options(&plan, 0, Some(6));
+    let full = faulted_full_run(Policy::Pg, &trace, &options, None);
     let mid_window = full
         .checkpoints
         .iter()

@@ -1011,7 +1011,10 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
             points.push((p, k));
         }
     }
-    let rows = parallel_map(&points, |&(p, k)| {
+    // One at a time: a K ≥ 2 run is K barrier parties of its own, so timing
+    // several at once oversubscribes the cores and the `sharded ms` column
+    // measures the host's scheduler (9–165 ms run to run) instead of the run.
+    let rows = points.iter().map(|&(p, k)| {
         let (label, kind) = policies[p];
         let (cfg, trace) = side(kind, &cioq, &xbar);
         // detlint: allow(D2) reason="speedup column reports wall time; never feeds simulation state"

@@ -16,7 +16,7 @@
 //!   admitted edge): the weighted greedy's rescans and CPG's per-port
 //!   argmaxes both run it. An absent cell weighs 0, so a row's heaviest
 //!   edge can be read off its weights without the edge bits.
-//! * [`greedy_maximal_cells`] — greedy maximal matching over an
+//! * [`greedy_maximal_cells_into`] — greedy maximal matching over an
 //!   [`IncrementalGraph`] with a per-edge eligibility filter, reproducing
 //!   [`greedy_maximal_with`](crate::greedy_maximal_with) bit-for-bit for
 //!   each visit order.
@@ -34,7 +34,7 @@
 //! the caller's `edge_ok` filter at match time, so an output queue changing
 //! never invalidates a whole column of cached edges.
 
-use crate::graph::{BipartiteGraph, Matching};
+use crate::graph::Matching;
 use crate::greedy::GreedyScratch;
 use cioq_model::Value;
 
@@ -164,45 +164,6 @@ impl IncrementalGraph {
         } else {
             None
         }
-    }
-
-    /// First edge of `left`'s row (in ascending `right` order) whose
-    /// `(right, weight)` satisfies `pred`, or `None`.
-    ///
-    /// Scans the row's bitset words and stops at the first hit, so a row
-    /// whose first eligible edge is early costs O(1) — the proposal scan of
-    /// the sharded engine leans on this, where the sequential greedy has to
-    /// walk every edge of the graph.
-    pub fn first_edge_in_row_where(
-        &self,
-        left: usize,
-        mut pred: impl FnMut(usize, Value) -> bool,
-    ) -> Option<(usize, Value)> {
-        debug_assert!(left < self.n_left);
-        let start = left * self.n_right;
-        let end = start + self.n_right;
-        let mut w = start / 64;
-        while w * 64 < end {
-            let mut word = self.present[w];
-            // Mask off bits before the row start / after the row end.
-            if w == start / 64 {
-                word &= !0u64 << (start % 64);
-            }
-            while word != 0 {
-                let cell = w * 64 + word.trailing_zeros() as usize;
-                if cell >= end {
-                    break;
-                }
-                word &= word - 1;
-                let right = cell - start;
-                let weight = self.weights[cell];
-                if pred(right, weight) {
-                    return Some((right, weight));
-                }
-            }
-            w += 1;
-        }
-        None
     }
 
     /// Copy row `left`'s edge-presence bits into `out` as a word-aligned
@@ -383,15 +344,6 @@ impl IncrementalGraph {
             }
         }
     }
-
-    /// Materialise into a [`BipartiteGraph`] (lexicographic insertion order,
-    /// matching the from-scratch builders). Used by equivalence tests.
-    pub fn to_bipartite(&self, out: &mut BipartiteGraph) {
-        out.reset(self.n_left, self.n_right);
-        self.for_each_edge(|l, r, w| {
-            out.add_edge(l, r, w);
-        });
-    }
 }
 
 /// The descending-weight visit order of the weighted greedy, cached across
@@ -508,7 +460,7 @@ impl CachedWeightOrder {
     }
 }
 
-/// Which order [`greedy_maximal_cells`] visits edges in — the cell-graph
+/// Which order [`greedy_maximal_cells_into`] visits edges in — the cell-graph
 /// analogue of [`EdgeOrder`](crate::EdgeOrder).
 #[derive(Debug, Clone, Copy)]
 pub enum CellVisit<'a> {
@@ -531,21 +483,9 @@ pub enum CellVisit<'a> {
 /// `edge_ok(left, right, weight)` applies the caller's eligibility rule
 /// (e.g. "output queue not full") on top of edge presence; it is evaluated
 /// in visit order, so the result is identical to building a
-/// [`BipartiteGraph`] of exactly the eligible edges and running
+/// [`BipartiteGraph`](crate::BipartiteGraph) of exactly the eligible edges and running
 /// [`greedy_maximal_with`](crate::greedy_maximal_with) with the matching
-/// [`EdgeOrder`](crate::EdgeOrder).
-pub fn greedy_maximal_cells(
-    g: &IncrementalGraph,
-    visit: CellVisit<'_>,
-    edge_ok: impl FnMut(usize, usize, Value) -> bool,
-    scratch: &mut GreedyScratch,
-) -> Matching {
-    let mut m = Matching::new();
-    greedy_maximal_cells_into(g, visit, edge_ok, scratch, &mut m);
-    m
-}
-
-/// As [`greedy_maximal_cells`], but writing into `m` (cleared first) so a
+/// [`EdgeOrder`](crate::EdgeOrder). Writes into `m` (cleared first) so a
 /// per-cycle caller reuses one pair buffer instead of allocating a fresh
 /// `Matching` every scheduling call — the zero-allocation hot path.
 // detlint: hot
@@ -688,13 +628,29 @@ pub fn greedy_weighted_rows_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::BipartiteGraph;
     use crate::greedy::{greedy_maximal_with, EdgeOrder};
     use proptest::prelude::*;
 
+    /// The same edges in a [`BipartiteGraph`] (lexicographic insertion
+    /// order, matching the from-scratch builders).
     fn from_scratch(g: &IncrementalGraph) -> BipartiteGraph {
         let mut b = BipartiteGraph::new(g.n_left(), g.n_right());
-        g.to_bipartite(&mut b);
+        g.for_each_edge(|l, r, w| {
+            b.add_edge(l, r, w);
+        });
         b
+    }
+
+    fn greedy_maximal_cells(
+        g: &IncrementalGraph,
+        visit: CellVisit<'_>,
+        edge_ok: impl FnMut(usize, usize, Value) -> bool,
+        scratch: &mut GreedyScratch,
+    ) -> Matching {
+        let mut m = Matching::new();
+        greedy_maximal_cells_into(g, visit, edge_ok, scratch, &mut m);
+        m
     }
 
     #[test]
@@ -738,26 +694,6 @@ mod tests {
         g.present[0] |= 1 << 15; // the grid has cells 0..15
         g.n_edges += 1;
         assert!(!g.check_invariants());
-    }
-
-    #[test]
-    fn first_edge_in_row_scans_with_predicate() {
-        // A wide row so the scan crosses word boundaries (n_right = 70).
-        let mut g = IncrementalGraph::new(3, 70);
-        g.set_edge(1, 3, 5);
-        g.set_edge(1, 68, 9);
-        g.set_edge(2, 0, 1);
-        assert_eq!(g.first_edge_in_row_where(0, |_, _| true), None);
-        assert_eq!(g.first_edge_in_row_where(1, |_, _| true), Some((3, 5)));
-        assert_eq!(
-            g.first_edge_in_row_where(1, |j, _| j != 3),
-            Some((68, 9)),
-            "predicate skips to the next edge across a word boundary"
-        );
-        assert_eq!(g.first_edge_in_row_where(1, |_, w| w > 10), None);
-        // Row 2's edge shares word 0 with rows 0/1 cells; masking must not
-        // leak it into row 1 or vice versa.
-        assert_eq!(g.first_edge_in_row_where(2, |_, _| true), Some((0, 1)));
     }
 
     #[test]

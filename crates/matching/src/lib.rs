@@ -42,7 +42,7 @@ pub use greedy::{
 pub use hopcroft_karp::hopcroft_karp;
 pub use hungarian::hungarian_max_weight;
 pub use incremental::{
-    greedy_maximal_cells, greedy_maximal_cells_into, greedy_weighted_rows_into, CachedWeightOrder,
-    CellVisit, IncrementalGraph,
+    greedy_maximal_cells_into, greedy_weighted_rows_into, CachedWeightOrder, CellVisit,
+    IncrementalGraph,
 };
 pub use islip::Islip;

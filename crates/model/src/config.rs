@@ -116,17 +116,6 @@ impl SwitchConfig {
         }
         Ok(())
     }
-
-    /// Total buffering in the switch, in packets (used for sizing scratch
-    /// space and brute-force state bounds).
-    pub fn total_buffer_slots(&self) -> usize {
-        let input = self.n_inputs * self.n_outputs * self.input_capacity;
-        let output = self.n_outputs * self.output_capacity;
-        let xbar = self
-            .crossbar_capacity
-            .map_or(0, |bc| self.n_inputs * self.n_outputs * bc);
-        input + output + xbar
-    }
 }
 
 /// Builder for [`SwitchConfig`], with validation at `build()`.
@@ -260,12 +249,5 @@ mod tests {
             c.validate_packet(&bad),
             Err(ModelError::PortOutOfRange { side: "input", .. })
         ));
-    }
-
-    #[test]
-    fn total_buffer_slots_counts_everything() {
-        let c = SwitchConfig::crossbar(2, 3, 1, 1);
-        // 2*2 input queues of 3 + 2 output queues of 3 + 4 crossbar of 1.
-        assert_eq!(c.total_buffer_slots(), 12 + 6 + 4);
     }
 }

@@ -1,41 +1,62 @@
 //! Dense row-major grid indexed by (input port, output port).
 
 use cioq_model::PortId;
+use std::ops::Range;
 
-/// An `n_inputs × n_outputs` matrix of `T`, used for the virtual output
-/// queues `Q_ij` and the crossbar queues `C_ij`.
+/// A matrix of `T` over a contiguous band of input-port rows and all
+/// `n_outputs` columns, used for the virtual output queues `Q_ij` and the
+/// crossbar queues `C_ij`. Rows are addressed by **global** index: the
+/// whole `N × M` grid is the band `0..N`, and a shard of the sharded engine
+/// holds the band of rows it owns.
 ///
 /// Stored row-major (input-major) in one contiguous allocation, so iterating
 /// a single input port's queues is cache-friendly — that is the access
-/// pattern of every scheduling policy in the workspace.
+/// pattern of every scheduling policy in the workspace. Each band is its own
+/// allocation — rather than a slice view into one big grid — which is what
+/// lets every shard be owned by its own thread without `unsafe`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grid<T> {
+    row_offset: usize,
     n_inputs: usize,
     n_outputs: usize,
     cells: Vec<T>,
 }
 
 impl<T> Grid<T> {
-    /// Build a grid by calling `f(i, j)` for every cell.
-    pub fn from_fn(
-        n_inputs: usize,
+    /// Build the whole `n_inputs × n_outputs` grid by calling `f(i, j)` for
+    /// every cell.
+    pub fn from_fn(n_inputs: usize, n_outputs: usize, f: impl FnMut(usize, usize) -> T) -> Self {
+        Self::band(0..n_inputs, n_outputs, f)
+    }
+
+    /// Build the band covering global rows `rows` by calling
+    /// `f(global_row, col)` for every cell.
+    pub fn band(
+        rows: Range<usize>,
         n_outputs: usize,
         mut f: impl FnMut(usize, usize) -> T,
     ) -> Self {
-        let mut cells = Vec::with_capacity(n_inputs * n_outputs);
-        for i in 0..n_inputs {
+        let mut cells = Vec::with_capacity(rows.len() * n_outputs);
+        for i in rows.clone() {
             for j in 0..n_outputs {
                 cells.push(f(i, j));
             }
         }
         Grid {
-            n_inputs,
+            row_offset: rows.start,
+            n_inputs: rows.len(),
             n_outputs,
             cells,
         }
     }
 
-    /// Number of input-port rows.
+    /// The global input-port rows held.
+    #[inline]
+    pub fn rows(&self) -> Range<usize> {
+        self.row_offset..self.row_offset + self.n_inputs
+    }
+
+    /// Number of input-port rows held.
     #[inline]
     pub fn n_inputs(&self) -> usize {
         self.n_inputs
@@ -49,17 +70,18 @@ impl<T> Grid<T> {
 
     #[inline]
     fn idx(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i < self.n_inputs && j < self.n_outputs);
-        i * self.n_outputs + j
+        debug_assert!(self.rows().contains(&i), "row {i} outside band");
+        debug_assert!(j < self.n_outputs);
+        (i - self.row_offset) * self.n_outputs + j
     }
 
-    /// Shared access to cell `(i, j)`.
+    /// Shared access to cell `(i, j)`, `i` a global row of the band.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> &T {
         &self.cells[self.idx(i, j)]
     }
 
-    /// Mutable access to cell `(i, j)`.
+    /// Mutable access to cell `(i, j)`, `i` a global row of the band.
     #[inline]
     pub fn get_mut(&mut self, i: usize, j: usize) -> &mut T {
         let idx = self.idx(i, j);
@@ -80,105 +102,31 @@ impl<T> Grid<T> {
 
     /// Iterate one input port's row `(j, &cell)`.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, &T)> {
-        let start = i * self.n_outputs;
+        let start = self.idx(i, 0);
         self.cells[start..start + self.n_outputs].iter().enumerate()
     }
 
-    /// Iterate one output port's column `(i, &cell)`.
+    /// Iterate one output port's column `(i, &cell)` over the rows held.
     pub fn column(&self, j: usize) -> impl Iterator<Item = (usize, &T)> + '_ {
-        (0..self.n_inputs).map(move |i| (i, self.get(i, j)))
+        self.rows().map(move |i| (i, self.get(i, j)))
     }
 
-    /// Iterate all cells as `(i, j, &cell)`.
+    /// Iterate all cells as `(i, j, &cell)`, row-major.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &T)> {
-        let n_outputs = self.n_outputs;
+        let (off, n_outputs) = (self.row_offset, self.n_outputs);
         self.cells
             .iter()
             .enumerate()
-            .map(move |(k, c)| (k / n_outputs, k % n_outputs, c))
+            .map(move |(k, c)| (off + k / n_outputs, k % n_outputs, c))
     }
 
-    /// Iterate all cells mutably as `(i, j, &mut cell)`.
+    /// Iterate all cells mutably as `(i, j, &mut cell)`, row-major.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, usize, &mut T)> {
-        let n_outputs = self.n_outputs;
+        let (off, n_outputs) = (self.row_offset, self.n_outputs);
         self.cells
             .iter_mut()
             .enumerate()
-            .map(move |(k, c)| (k / n_outputs, k % n_outputs, c))
-    }
-}
-
-/// A contiguous band of rows of a conceptual larger grid, addressed by
-/// **global** row indices.
-///
-/// The sharded engine partitions the `N × M` queue grids into per-shard row
-/// bands; each shard owns one band outright (all mutation goes through the
-/// owner) while other shards read it through shared references. Keeping the
-/// band a separate allocation — rather than a slice view into one big grid —
-/// is what lets every shard be owned by its own thread without `unsafe`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowBand<T> {
-    grid: Grid<T>,
-    row_offset: usize,
-}
-
-impl<T> RowBand<T> {
-    /// Build the band covering global rows `row_offset .. row_offset + rows`
-    /// by calling `f(global_row, col)` for every cell.
-    pub fn from_fn(
-        row_offset: usize,
-        rows: usize,
-        cols: usize,
-        mut f: impl FnMut(usize, usize) -> T,
-    ) -> Self {
-        RowBand {
-            grid: Grid::from_fn(rows, cols, |r, c| f(row_offset + r, c)),
-            row_offset,
-        }
-    }
-
-    /// First global row of the band.
-    #[inline]
-    pub fn row_offset(&self) -> usize {
-        self.row_offset
-    }
-
-    /// Number of rows in the band.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.grid.n_inputs()
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.grid.n_outputs()
-    }
-
-    /// Whether the band owns global row `row`.
-    #[inline]
-    pub fn owns_row(&self, row: usize) -> bool {
-        (self.row_offset..self.row_offset + self.rows()).contains(&row)
-    }
-
-    /// Shared access by global row index.
-    #[inline]
-    pub fn at_global(&self, row: usize, col: usize) -> &T {
-        debug_assert!(self.owns_row(row), "row {row} outside band");
-        self.grid.get(row - self.row_offset, col)
-    }
-
-    /// Mutable access by global row index.
-    #[inline]
-    pub fn at_global_mut(&mut self, row: usize, col: usize) -> &mut T {
-        debug_assert!(self.owns_row(row), "row {row} outside band");
-        self.grid.get_mut(row - self.row_offset, col)
-    }
-
-    /// Iterate all cells as `(global_row, col, &cell)`.
-    pub fn iter_global(&self) -> impl Iterator<Item = (usize, usize, &T)> {
-        let off = self.row_offset;
-        self.grid.iter().map(move |(r, c, t)| (off + r, c, t))
+            .map(move |(k, c)| (off + k / n_outputs, k % n_outputs, c))
     }
 }
 
@@ -188,25 +136,31 @@ mod tests {
 
     #[test]
     fn row_band_addresses_globally() {
-        let band = RowBand::from_fn(3, 2, 4, |i, j| 10 * i + j);
-        assert_eq!(band.row_offset(), 3);
-        assert_eq!(band.rows(), 2);
-        assert_eq!(band.cols(), 4);
-        assert!(band.owns_row(3) && band.owns_row(4));
-        assert!(!band.owns_row(2) && !band.owns_row(5));
-        assert_eq!(*band.at_global(3, 0), 30);
-        assert_eq!(*band.at_global(4, 3), 43);
-        let all: Vec<_> = band.iter_global().map(|(i, j, &v)| (i, j, v)).collect();
+        let band = Grid::band(3..5, 4, |i, j| 10 * i + j);
+        assert_eq!(band.rows(), 3..5);
+        assert_eq!(band.n_inputs(), 2);
+        assert_eq!(band.n_outputs(), 4);
+        assert_eq!(*band.get(3, 0), 30);
+        assert_eq!(*band.get(4, 3), 43);
+        let all: Vec<_> = band.iter().map(|(i, j, &v)| (i, j, v)).collect();
         assert_eq!(all.len(), 8);
         assert_eq!(all[0], (3, 0, 30));
         assert_eq!(all[7], (4, 3, 43));
+        let row: Vec<_> = band.row(4).map(|(j, &v)| (j, v)).collect();
+        assert_eq!(row, vec![(0, 40), (1, 41), (2, 42), (3, 43)]);
+        let col: Vec<_> = band.column(1).map(|(i, &v)| (i, v)).collect();
+        assert_eq!(col, vec![(3, 31), (4, 41)]);
     }
 
     #[test]
     fn row_band_mutation() {
-        let mut band = RowBand::from_fn(1, 1, 2, |_, _| 0);
-        *band.at_global_mut(1, 1) = 9;
-        assert_eq!(*band.at_global(1, 1), 9);
+        let mut band = Grid::band(1..2, 2, |_, _| 0);
+        *band.get_mut(1, 1) = 9;
+        assert_eq!(*band.get(1, 1), 9);
+        for (i, _, v) in band.iter_mut() {
+            *v += i;
+        }
+        assert_eq!(*band.get(1, 1), 10);
     }
 
     #[test]

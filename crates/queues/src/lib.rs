@@ -20,6 +20,6 @@ mod grid;
 mod inflight;
 mod sorted_queue;
 
-pub use grid::{Grid, RowBand};
+pub use grid::Grid;
 pub use inflight::InFlight;
 pub use sorted_queue::SortedQueue;

@@ -65,13 +65,15 @@ impl DirtySet {
 
 /// The set of queues dirtied since the last flush, grouped by queue family.
 ///
-/// VOQ and crossbar indices are flat row-major cells `i * n_outputs + j`;
-/// output indices are the output port index `j`.
+/// VOQ and crossbar indices are flat row-major cells `i * n_outputs + j`
+/// of the band of input rows the log covers (`i` band-local: the whole
+/// switch under the sequential engine, a shard's rows under the sharded
+/// one). Output queues are not logged: every policy re-reads output
+/// occupancy each cycle.
 #[derive(Debug, Clone, Default)]
 pub struct ChangeLog {
     pub(crate) voq: DirtySet,
     pub(crate) xbar: DirtySet,
-    pub(crate) output: DirtySet,
     flushes: u64,
 }
 
@@ -84,7 +86,6 @@ impl ChangeLog {
             } else {
                 DirtySet::default()
             },
-            output: DirtySet::with_len(n_outputs),
             flushes: 0,
         }
     }
@@ -109,16 +110,9 @@ impl ChangeLog {
         self.xbar.indices()
     }
 
-    /// Dirty output queues `j` since the last flush.
-    #[inline]
-    pub fn dirty_outputs(&self) -> &[u32] {
-        self.output.indices()
-    }
-
     pub(crate) fn flush(&mut self) {
         self.voq.clear();
         self.xbar.clear();
-        self.output.clear();
         self.flushes += 1;
     }
 }
@@ -135,7 +129,7 @@ mod tests {
     /// Forwards the head of the first movable VOQ, recording what the
     /// change log showed at every scheduling call.
     struct Probe {
-        seen: Vec<(u64, Vec<u32>, Vec<u32>)>,
+        seen: Vec<(u64, Vec<u32>)>,
     }
 
     impl CioqPolicy for Probe {
@@ -153,11 +147,7 @@ mod tests {
 
         fn schedule(&mut self, view: &SwitchView<'_>, _cycle: Cycle, out: &mut Vec<Transfer>) {
             let ch = view.changes();
-            self.seen.push((
-                ch.flush_count(),
-                ch.dirty_voqs().to_vec(),
-                ch.dirty_outputs().to_vec(),
-            ));
+            self.seen.push((ch.flush_count(), ch.dirty_voqs().to_vec()));
             for i in 0..view.n_inputs() {
                 for j in 0..view.n_outputs() {
                     let (input, output) = (PortId::from(i), PortId::from(j));
@@ -189,11 +179,10 @@ mod tests {
         assert_eq!(report.transmitted, 2);
 
         // Call 0 (slot 0): only the slot-0 arrival is dirty.
-        assert_eq!(probe.seen[0], (0, vec![0], vec![]));
-        // Call 1 (slot 1): the applied transfer re-dirtied cell 0 and
-        // output 0, transmission re-dirtied output 0 (deduplicated), and
-        // the slot-1 arrival dirtied cell 3.
-        assert_eq!(probe.seen[1], (1, vec![0, 3], vec![0]));
+        assert_eq!(probe.seen[0], (0, vec![0]));
+        // Call 1 (slot 1): the applied transfer re-dirtied cell 0 and the
+        // slot-1 arrival dirtied cell 3.
+        assert_eq!(probe.seen[1], (1, vec![0, 3]));
         // Flush counts advance by exactly one per scheduling call.
         for (k, entry) in probe.seen.iter().enumerate() {
             assert_eq!(entry.0, k as u64);
@@ -206,14 +195,12 @@ mod tests {
         log.voq.mark(4);
         log.voq.mark(1);
         log.voq.mark(4);
-        log.output.mark(2);
         assert_eq!(log.dirty_voqs(), &[4, 1]);
-        assert_eq!(log.dirty_outputs(), &[2]);
         assert!(log.dirty_xbars().is_empty());
         assert_eq!(log.flush_count(), 0);
 
         log.flush();
-        assert!(log.voq.is_empty() && log.output.is_empty());
+        assert!(log.voq.is_empty());
         assert_eq!(log.flush_count(), 1);
 
         // Re-marking after a flush works (bitmap was reset).

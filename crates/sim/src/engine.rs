@@ -10,25 +10,27 @@
 //! arrivals, the transmit sweep, the audit and the stats window; and the
 //! private [`Arch`] trait, the only place that knows which architecture is
 //! running, whose two impls wrap a [`CioqPolicy`] and a [`CrossbarPolicy`].
-//! The per-packet rules underneath (admit, land, pop, validate a transfer
-//! set, checkpoint cells) are [`crate::mechanics`]' — shared with the
-//! sharded engine, so each exists once.
+//! The queues, and every rule that moves a packet into or out of one, are
+//! the [`SwitchState`]'s `QueueBand` — the object a shard of the sharded
+//! engine holds for its own rows and columns — so each rule exists once for
+//! both engines. What stays here is what only this engine has: the fault
+//! layer, the single delay calendar and in-flight ledger, the stats window,
+//! and `?` as error transport.
 
 use crate::fault::{FaultKind, FaultPlan, FaultRuntime};
-use crate::mechanics::{self, snapshot_cell, PortStamps};
+use crate::invariants::check_state_invariants;
+use crate::mechanics::{self, PortStamps};
 use crate::policy::{
     Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PolicyError, Transfer,
     TransmitChoice,
 };
 use crate::snapshot::{EngineSnapshot, SnapLanding, SnapshotError};
 use crate::source::{ArrivalSource, TraceSource};
-use crate::state::{QueueKind, SwitchState, SwitchView};
+use crate::state::{SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder, WindowedStats};
 use crate::trace::Trace;
 use crate::transport::{DelayCalendar, FabricSpec, InFlightPacket, Landing};
-use crate::validate::check_state_invariants;
 use cioq_model::{ConfigError, Cycle, Packet, PortId, SlotId, SwitchConfig};
-use cioq_queues::{Grid, SortedQueue};
 
 /// Options controlling a run.
 #[derive(Debug, Clone)]
@@ -308,22 +310,7 @@ impl Engine {
         // exactly as construction does.
         let mut engine = Self::fresh(config, options);
         let state = &mut engine.state;
-        let overflow = |_| SnapshotError::Format("serialized queue exceeds its capacity".into());
-        for ((_, _, q), cell) in state.input_queues.iter_mut().zip(&snap.input_queues) {
-            mechanics::refill(q, cell).map_err(overflow)?;
-        }
-        if let Some(cells) = &snap.crossbar_queues {
-            let grid = state
-                .crossbar_queues
-                .as_mut()
-                .expect("layout checked above");
-            for ((_, _, q), cell) in grid.iter_mut().zip(cells) {
-                mechanics::refill(q, cell).map_err(overflow)?;
-            }
-        }
-        for (q, cell) in state.output_queues.iter_mut().zip(&snap.output_queues) {
-            mechanics::refill(q, cell).map_err(overflow)?;
-        }
+        state.band.refill(snap)?;
         state.slot = snap.slot;
 
         let horizon = engine.options.horizon();
@@ -381,12 +368,9 @@ impl Engine {
             // No window in the snapshot: the fresh one the options ask for.
             (None, _) => {}
         }
-        crate::invariants::check_restored_residual(
-            &engine.state,
-            snap.residual_count,
-            snap.residual_value,
-        )
-        .map_err(SnapshotError::Format)?;
+        let residual = (engine.state.residual_count(), engine.state.residual_value());
+        crate::invariants::check_restored_residual(residual, snap)
+            .map_err(SnapshotError::Format)?;
         engine.start_slot = snap.slot;
         engine.start_idle = snap.idle_slots;
         Ok(engine)
@@ -404,12 +388,6 @@ impl Engine {
     /// no-progress streak (the loop's live `idle_slots` when
     /// checkpointing mid-run).
     fn capture(&self, idle_slots: u32) -> EngineSnapshot {
-        let grid_cells = |g: &Grid<SortedQueue>| -> Vec<Vec<Packet>> {
-            g.iter().map(|(_, _, q)| snapshot_cell(q)).collect()
-        };
-        let input_queues = grid_cells(&self.state.input_queues);
-        let crossbar_queues = self.state.crossbar_queues.as_ref().map(grid_cells);
-        let output_queues = self.state.output_queues.iter().map(snapshot_cell).collect();
         let mut landings = Vec::new();
         if let Some(cal) = &self.calendar {
             cal.for_each_pending_at(self.state.slot, |land_slot, &landing| {
@@ -421,14 +399,14 @@ impl Engine {
         if let Some(f) = &self.faults {
             f.for_each_held(|i, j, preempt, p| held.push((i, j, preempt, *p)));
         }
-        EngineSnapshot {
+        let mut snap = EngineSnapshot {
             config: self.state.config().clone(),
             fabric: self.spec.clone(),
             slot: self.state.slot(),
             idle_slots,
-            input_queues,
-            crossbar_queues,
-            output_queues,
+            input_queues: Vec::new(),
+            crossbar_queues: None,
+            output_queues: Vec::new(),
             landings,
             held,
             stats: self.stats.clone(),
@@ -438,7 +416,9 @@ impl Engine {
                 .map(|w| (w.window(), w.entries().copied().collect())),
             residual_count: self.state.residual_count(),
             residual_value: self.state.residual_value(),
-        }
+        };
+        self.state.band.cells_out(&mut snap);
+        snap
     }
 
     /// Run a CIOQ policy against an arrival source.
@@ -559,8 +539,10 @@ impl Engine {
             // --- Transmission phase ---
             for j in 0..n_outputs {
                 let output = PortId::from(j);
-                let choice = arch.transmit(&self.state.view(), output);
-                self.apply_transmit(output, choice)?;
+                if let TransmitChoice::Send(pick) = arch.transmit(&self.state.view(), output) {
+                    let (band, stats) = (&mut self.state.band, &mut self.stats);
+                    band.transmit(stats, slot, output, pick)?;
+                }
             }
             self.post_phase_check();
 
@@ -662,11 +644,7 @@ impl Engine {
         for p in &arrivals {
             mechanics::check_ports(self.state.config(), p.input, p.output)?;
             let decision = arch.admit(&self.state.view(), p);
-            if !matches!(decision, Admission::Reject) {
-                self.state.note_voq(p.input, p.output);
-            }
-            let queue = self.state.input_queues.at_mut(p.input, p.output);
-            mechanics::admit(queue, &mut self.stats, decision, p)?;
+            self.state.band.admit(&mut self.stats, decision, p)?;
         }
         self.arrivals = arrivals;
         self.post_phase_check();
@@ -677,11 +655,8 @@ impl Engine {
     /// landing site shared by the immediate path and the delay line.
     // detlint: hot
     fn deliver_to_output(&mut self, p: InFlightPacket) -> Result<(), PolicyError> {
-        let output = PortId(p.output);
-        self.state.note_output(output);
-        let queue = &mut self.state.output_queues[output.index()];
         let faulted = self.faults.is_some();
-        mechanics::land(queue, &mut self.stats, QueueKind::Output, faulted, p)
+        self.state.band.deliver(&mut self.stats, faulted, p)
     }
 
     /// Drain the calendar bucket due at the start of `slot` into the
@@ -767,88 +742,6 @@ impl Engine {
         self.ports.check(cfg, pairs, inputs, outputs)
     }
 
-    /// A CIOQ cycle's matching: `Q_ij → fabric → Q_j`.
-    // detlint: hot
-    fn apply_cioq_transfers(
-        &mut self,
-        transfers: &[Transfer],
-        cycle: Cycle,
-    ) -> Result<(), PolicyError> {
-        self.check_transfers(transfers.iter().map(|t| (t.input, t.output)), true, true)?;
-        for t in transfers {
-            self.state.note_voq(t.input, t.output);
-            let queue = self.state.input_queues.at_mut(t.input, t.output);
-            let packet = mechanics::pop(queue, t.pick, QueueKind::Input, Some(t.input), t.output)?;
-            let p = InFlightPacket::new(t.input, t.output, t.preempt_if_full, packet);
-            self.through_fabric(cycle, p)?;
-        }
-        Ok(())
-    }
-
-    /// A crossbar input subphase: `Q_ij → C_ij`, ≤ 1 transfer per *input
-    /// port* only.
-    // detlint: hot
-    fn apply_input_subphase(&mut self, transfers: &[InputTransfer]) -> Result<(), PolicyError> {
-        self.check_transfers(transfers.iter().map(|t| (t.input, t.output)), true, false)?;
-        let faulted = self.faults.is_some();
-        for t in transfers {
-            self.state.note_voq(t.input, t.output);
-            self.state.note_xbar(t.input, t.output);
-            let queue = self.state.input_queues.at_mut(t.input, t.output);
-            let packet = mechanics::pop(queue, t.pick, QueueKind::Input, Some(t.input), t.output)?;
-            let xbar = self
-                .state
-                .crossbar_queues
-                .as_mut()
-                .expect("invariant: crossbar queues exist, asserted at run entry")
-                .at_mut(t.input, t.output);
-            let p = InFlightPacket::new(t.input, t.output, t.preempt_if_full, packet);
-            mechanics::land(xbar, &mut self.stats, QueueKind::Crossbar, faulted, p)?;
-        }
-        Ok(())
-    }
-
-    /// A crossbar output subphase: `C_ij → fabric → Q_j`, ≤ 1 transfer per
-    /// *output port* only.
-    // detlint: hot
-    fn apply_output_subphase(
-        &mut self,
-        transfers: &[OutputTransfer],
-        cycle: Cycle,
-    ) -> Result<(), PolicyError> {
-        self.check_transfers(transfers.iter().map(|t| (t.input, t.output)), false, true)?;
-        for t in transfers {
-            self.state.note_xbar(t.input, t.output);
-            let xbar = self
-                .state
-                .crossbar_queues
-                .as_mut()
-                .expect("invariant: crossbar queues exist, asserted at run entry")
-                .at_mut(t.input, t.output);
-            let packet =
-                mechanics::pop(xbar, t.pick, QueueKind::Crossbar, Some(t.input), t.output)?;
-            let p = InFlightPacket::new(t.input, t.output, t.preempt_if_full, packet);
-            self.through_fabric(cycle, p)?;
-        }
-        Ok(())
-    }
-
-    // detlint: hot
-    fn apply_transmit(
-        &mut self,
-        output: PortId,
-        choice: TransmitChoice,
-    ) -> Result<(), PolicyError> {
-        if let TransmitChoice::Send(pick) = choice {
-            let slot = self.state.slot;
-            self.state.note_output(output);
-            let queue = &mut self.state.output_queues[output.index()];
-            let packet = mechanics::pop(queue, pick, QueueKind::Output, None, output)?;
-            self.stats.on_transmit(&packet, slot, output.index());
-        }
-        Ok(())
-    }
-
     fn post_phase_check(&self) {
         if self.options.validate {
             if let Err(msg) = check_state_invariants(&self.state) {
@@ -928,8 +821,15 @@ impl<P: CioqPolicy + ?Sized> Arch for Cioq<'_, P> {
         self.transfers.clear();
         self.policy
             .schedule(&engine.state.view(), cycle, &mut self.transfers);
-        engine.state.changes.flush();
-        engine.apply_cioq_transfers(&self.transfers, cycle)
+        engine.state.band.flush();
+        // The matching: `Q_ij → fabric → Q_j`, ≤ 1 transfer per port.
+        let pairs = self.transfers.iter().map(|t| (t.input, t.output));
+        engine.check_transfers(pairs, true, true)?;
+        for t in &self.transfers {
+            let p = engine.state.band.pop_transfer(t)?;
+            engine.through_fabric(cycle, p)?;
+        }
+        Ok(())
     }
 
     fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {
@@ -967,14 +867,29 @@ impl<P: CrossbarPolicy + ?Sized> Arch for Crossbar<'_, P> {
         self.inputs.clear();
         self.policy
             .schedule_input(&engine.state.view(), cycle, &mut self.inputs);
-        engine.state.changes.flush();
-        engine.apply_input_subphase(&self.inputs)?;
+        engine.state.band.flush();
+        // Input subphase: `Q_ij → C_ij`, ≤ 1 transfer per *input port* only.
+        let pairs = self.inputs.iter().map(|t| (t.input, t.output));
+        engine.check_transfers(pairs, true, false)?;
+        let faulted = engine.faults.is_some();
+        for t in &self.inputs {
+            let (band, stats) = (&mut engine.state.band, &mut engine.stats);
+            band.move_to_xbar(stats, faulted, t)?;
+        }
 
         self.outputs.clear();
         self.policy
             .schedule_output(&engine.state.view(), cycle, &mut self.outputs);
-        engine.state.changes.flush();
-        engine.apply_output_subphase(&self.outputs, cycle)
+        engine.state.band.flush();
+        // Output subphase: `C_ij → fabric → Q_j`, ≤ 1 transfer per *output
+        // port* only.
+        let pairs = self.outputs.iter().map(|t| (t.input, t.output));
+        engine.check_transfers(pairs, false, true)?;
+        for t in &self.outputs {
+            let p = engine.state.band.pop_output_transfer(t)?;
+            engine.through_fabric(cycle, p)?;
+        }
+        Ok(())
     }
 
     fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {

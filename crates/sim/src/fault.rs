@@ -21,7 +21,7 @@
 //! Because a plan is pure data evaluated against `(slot, input, output)`,
 //! a faulted run is exactly as replayable as a clean one: the same plan,
 //! trace and policy produce bit-identical outcomes, checkpoints included —
-//! the crash-recovery harness proves kill/restore equivalence *under*
+//! the fault-injection suite proves kill/restore equivalence *under*
 //! fault plans. While a packet is held it is accounted in
 //! [`InFlight`](cioq_queues::InFlight) but absent from the delay calendar;
 //! the invariant auditor knows the difference and balances both.
@@ -328,15 +328,6 @@ impl FaultRuntime {
         }
     }
 
-    /// Take the whole retransmit FIFO of a pair as a fresh vector (test
-    /// convenience; the engine uses [`Self::drain_pair_each`]).
-    #[cfg(test)]
-    pub(crate) fn drain_pair(&mut self, i: u16, j: u16) -> Vec<(bool, Packet)> {
-        let mut drained = Vec::new();
-        self.drain_pair_each(i, j, |preempt, packet| drained.push((preempt, packet)));
-        drained
-    }
-
     /// Visit every held packet in deterministic (row-major pair, FIFO)
     /// order — the checkpoint serialization order.
     pub(crate) fn for_each_held(&self, mut f: impl FnMut(u16, u16, bool, &Packet)) {
@@ -430,14 +421,9 @@ mod tests {
         let mut seen = Vec::new();
         rt.for_each_held(|i, j, _, p| seen.push((i, j, p.id.0)));
         assert_eq!(seen, vec![(0, 1, 0), (0, 1, 1), (1, 0, 2)]);
-        let drained = rt.drain_pair(0, 1);
-        assert_eq!(
-            drained
-                .iter()
-                .map(|(pre, p)| (*pre, p.id.0))
-                .collect::<Vec<_>>(),
-            vec![(false, 0), (true, 1)]
-        );
+        let mut drained = Vec::new();
+        rt.drain_pair_each(0, 1, |preempt, p| drained.push((preempt, p.id.0)));
+        assert_eq!(drained, vec![(false, 0), (true, 1)]);
         assert_eq!(rt.total_held(), 1);
         assert_eq!(rt.pair_held(0, 1), 0);
     }

@@ -28,6 +28,7 @@
 //!    constrain only their own side), with all ports in range.
 
 use crate::fault::FaultRuntime;
+use crate::snapshot::EngineSnapshot;
 use crate::state::SwitchState;
 use crate::stats::StatsRecorder;
 use crate::transport::DelayCalendar;
@@ -153,15 +154,13 @@ pub(crate) fn audit_engine_slot(
     check_inflight(state, calendar, faults)
 }
 
-/// Check that a freshly restored engine's residual accounting matches what
-/// the checkpoint recorded: every serialized packet made it back into a
-/// queue, the calendar, or a retransmit FIFO — none duplicated, none lost.
-pub fn check_restored_residual(
-    state: &SwitchState,
-    expected_count: u64,
-    expected_value: u128,
-) -> Result<(), String> {
-    let (count, value) = (state.residual_count(), state.residual_value());
+/// Check that a freshly restored run's residual accounting (`restored` =
+/// packets, value) matches what the checkpoint recorded: every serialized
+/// packet made it back into a queue, the delay line, or a retransmit FIFO —
+/// none duplicated, none lost.
+pub fn check_restored_residual(restored: (u64, u128), snap: &EngineSnapshot) -> Result<(), String> {
+    let (count, value) = restored;
+    let (expected_count, expected_value) = (snap.residual_count, snap.residual_value);
     if count != expected_count || value != expected_value {
         return Err(format!(
             "restored residual mismatch: checkpoint recorded {expected_count} packets \
@@ -169,6 +168,18 @@ pub fn check_restored_residual(
         ));
     }
     Ok(())
+}
+
+/// Verify every queue in the switch: within capacity and correctly sorted
+/// (value descending, id ascending — assumption A3). Returns a description
+/// of the first violation.
+///
+/// These invariants are maintained by construction (`SortedQueue` enforces
+/// them locally); this whole-state check exists so tests and the engine's
+/// `validate` mode can prove it after every phase. The sharded engine runs
+/// the same check on each shard's band where it lies.
+pub fn check_state_invariants(state: &SwitchState) -> Result<(), String> {
+    state.band.check_invariants()
 }
 
 fn check_cycle(
@@ -242,6 +253,12 @@ pub fn check_crossbar_schedule(
 mod tests {
     use super::*;
     use cioq_model::{Packet, PacketId, PortId};
+
+    #[test]
+    fn fresh_state_is_valid() {
+        let st = SwitchState::new(SwitchConfig::crossbar(3, 2, 1, 2));
+        assert_eq!(check_state_invariants(&st), Ok(()));
+    }
 
     #[test]
     fn conservation_flags_a_vanished_packet() {

@@ -42,13 +42,13 @@ pub mod stream;
 mod sync;
 mod trace;
 pub mod transport;
-mod validate;
 
 pub use changes::{ChangeLog, DirtySet};
 /// The queue type every view hands out (`Q_ij`, `C_ij`, `Q_j`).
 pub use cioq_queues::SortedQueue;
 pub use engine::{run_cioq, run_cioq_with_source, run_crossbar, Engine, RunOptions, RunOutcome};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultScope};
+pub use invariants::check_state_invariants;
 pub use policy::{
     Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, PolicyError,
     Transfer, TransmitChoice,
@@ -57,7 +57,7 @@ pub use record::{CrossbarRecording, RecordedCrossbarSchedule, RecordedSchedule, 
 pub use service::{serve_cioq, ServiceError, ServiceOutcome};
 pub use shard::{
     run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
-    run_crossbar_sharded_streamed, Candidate, CandidateSet, CioqShardPolicy, CioqShardWorker,
+    run_crossbar_sharded_streamed, CandidateSet, CioqShardPolicy, CioqShardWorker,
     CrossbarShardPolicy, CrossbarShardWorker, ExecMode, FabricView, MergeContext, MergeScratch,
     OutputSnapshot, Partition, ShardView, ShardedOptions, ShardedOutcome,
 };
@@ -72,4 +72,3 @@ pub use stream::{
 pub use sync::SpinBarrier;
 pub use trace::{Trace, TraceError, TraceReader};
 pub use transport::FabricSpec;
-pub use validate::check_state_invariants;

@@ -5,11 +5,12 @@
 //! travels; they do not differ in what happens to a packet. This module is
 //! the single home of each such rule: applying an [`Admission`] to a VOQ,
 //! landing a packet in a bounded queue, popping by [`PacketPick`],
-//! checking a transfer set's ports, turning queues into checkpoint cells
-//! and back, closing a run's books. Every function takes the queue and the
-//! stats it touches and nothing that identifies its caller: dirty marking
-//! (global cells vs shard-local cells) and error transport (`?` vs the
-//! sharded run's sticky error cell) stay with the engines.
+//! checking a transfer set's ports, closing a run's books. Every function
+//! takes the queue and the stats it touches and nothing that identifies its
+//! caller. The three queue rules are called from
+//! [`QueueBand`](crate::state::QueueBand) only, which finds the queue by
+//! its global ports and marks the cell it dirties; error transport (`?` vs
+//! the sharded run's sticky error cell) stays with the engines.
 
 use crate::policy::{Admission, PacketPick, PolicyError};
 use crate::state::QueueKind;
@@ -38,9 +39,7 @@ pub(crate) fn check_ports(
 
 /// Generation-stamped used-port sets: a port is used iff its stamp equals
 /// the current generation, so starting a new transfer set is O(1) and
-/// allocation-free. Serves the engines' validation of every transfer set
-/// and, through [`MergeScratch`](crate::shard::MergeScratch), the sharded
-/// policies' merges.
+/// allocation-free. Serves the engines' validation of every transfer set.
 #[derive(Debug, Default)]
 pub(crate) struct PortStamps {
     stamp: u64,
@@ -60,26 +59,6 @@ impl PortStamps {
         self.stamp += 1;
     }
 
-    #[inline]
-    pub(crate) fn input_used(&self, i: usize) -> bool {
-        self.input[i] == self.stamp
-    }
-
-    #[inline]
-    pub(crate) fn output_used(&self, j: usize) -> bool {
-        self.output[j] == self.stamp
-    }
-
-    #[inline]
-    pub(crate) fn use_input(&mut self, i: usize) {
-        self.input[i] = self.stamp;
-    }
-
-    #[inline]
-    pub(crate) fn use_output(&mut self, j: usize) {
-        self.output[j] = self.stamp;
-    }
-
     /// Validate (more of) the transfer set opened by the last
     /// [`begin`](Self::begin): every port in range, and at most one
     /// transfer per port on each constrained side — both for a CIOQ
@@ -96,16 +75,16 @@ impl PortStamps {
         for (input, output) in pairs {
             check_ports(cfg, input, output)?;
             if inputs {
-                if self.input_used(input.index()) {
+                let used = &mut self.input[input.index()];
+                if std::mem::replace(used, self.stamp) == self.stamp {
                     return Err(PolicyError::DuplicateInput { input });
                 }
-                self.use_input(input.index());
             }
             if outputs {
-                if self.output_used(output.index()) {
+                let used = &mut self.output[output.index()];
+                if std::mem::replace(used, self.stamp) == self.stamp {
                     return Err(PolicyError::DuplicateOutput { output });
                 }
-                self.use_output(output.index());
             }
         }
         Ok(())
@@ -221,17 +200,6 @@ pub(crate) fn pop(
             output,
         },
     })
-}
-
-/// A queue's checkpoint cell: its packets in stored (sorted) order.
-pub(crate) fn snapshot_cell(queue: &SortedQueue) -> Vec<Packet> {
-    queue.iter().copied().collect()
-}
-
-/// Refill a fresh queue from its checkpoint cell; the packet that did not
-/// fit is the error.
-pub(crate) fn refill(queue: &mut SortedQueue, cell: &[Packet]) -> Result<(), Packet> {
-    cell.iter().try_for_each(|p| queue.insert(*p))
 }
 
 /// Close a run's books: the report over `stats` and what is still

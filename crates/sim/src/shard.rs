@@ -7,21 +7,25 @@
 //! ## Ownership model
 //!
 //! Shard `s` owns a contiguous band of input rows and a contiguous band of
-//! output columns (see [`Partition`]). Every queue has exactly one owning
-//! shard and **all mutation goes through the owner**:
+//! output columns (see [`Partition`]) — one `QueueBand`, the very type the
+//! sequential engine holds for the band `0..N` / `0..M`. Every queue has
+//! exactly one owning shard and **all mutation goes through the owner's
+//! band**, whose methods are the per-packet rules of both engines:
 //!
 //! * `Q_ij` (VOQs) and `C_ij` (crossbar queues) belong to the owner of input
 //!   row `i` — arrivals insert there, scheduling pops there.
 //! * `Q_j` (output queues) belong to the owner of output column `j` —
 //!   fabric transfers insert there, transmission pops there.
 //!
-//! A transfer whose input row and output column live on different shards is
+//! What is this engine's own is everything *between* bands. A transfer
+//! whose input row and output column live on different shards is
 //! *cross-shard*: the row owner pops the packet and posts it to the column
-//! owner's per-cycle mailbox; the column owner drains its mailbox in the
-//! next sub-phase. Crossbar mutations are likewise forwarded as dirty-cell
-//! marks to the column owner, whose incremental column caches consume them —
-//! the engine-level [`ChangeLog`] discipline of the sequential engine,
-//! stretched across shards.
+//! owner's per-cycle mailbox (or delay ring); the column owner drains it in
+//! the next sub-phase. Crossbar mutations are likewise forwarded as
+//! dirty-cell marks to the column owner, whose incremental column caches
+//! consume them — the band's [`ChangeLog`] discipline, stretched across
+//! shards. A policy error travels through `Comms::ok` to a sticky cell
+//! instead of `?`.
 //!
 //! ## Bit-identity
 //!
@@ -36,7 +40,7 @@
 //! Thread scheduling therefore never changes a single decision — only how
 //! long the slot takes.
 //!
-//! ## Where the two architectures meet
+//! ## Where the two architectures, and the two engines, meet
 //!
 //! As in the sequential engine, §1.3's slot is written once:
 //! `run_sharded_feed` owns the preamble (partition, channels, workers,
@@ -51,27 +55,31 @@
 //! type, the propose/apply phases of a scheduling cycle, the coordinator's
 //! half of that cycle and the shape of the recorded transcript — sits
 //! behind the private `ShardArch` trait, implemented once per policy
-//! family. The per-packet rules under both (admit, land, pop, validate a
-//! transfer set, checkpoint cells) are `crate::mechanics`', shared with
-//! the sequential engine.
+//! family. The two engines meet in the band: admitting, popping toward the
+//! fabric, `Q_ij → C_ij`, delivery into `Q_j`, transmission, residual,
+//! checkpoint cells out and in, and the structural check are `QueueBand`
+//! methods both call; a checkpoint is the shards' cells in shard order, and
+//! `assemble_state` the shards' bands concatenated. Still per-engine: the
+//! slot loop itself, the policy traits, the fabric (one calendar there,
+//! mailboxes and per-pair rings here) and the fault layer, which only the
+//! sequential engine has.
 //!
 //! [`Engine`]: crate::engine::Engine
 
 use crate::changes::ChangeLog;
-use crate::mechanics::{self, snapshot_cell, PortStamps};
-use crate::policy::{Admission, InputTransfer, OutputTransfer, PolicyError, Transfer};
+use crate::mechanics::{self, PortStamps};
+use crate::policy::{Admission, InputTransfer, OutputTransfer, PacketPick, PolicyError, Transfer};
 use crate::record::{RecordedCrossbarSchedule, RecordedSchedule};
 use crate::snapshot::{EngineSnapshot, SnapLanding};
 use crate::source::{ArrivalSource, TraceSource};
-use crate::state::{QueueKind, SwitchState};
+use crate::state::{QueueBand, SwitchState};
 use crate::stats::{RunReport, StatsRecorder};
 use crate::stream::StreamingSource;
 use crate::sync::SpinBarrier;
 use crate::trace::Trace;
 use crate::transport::{virtualq, DelayCalendar, FabricSpec, InFlightPacket, Landing};
-use crate::validate::check_state_invariants;
 use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
-use cioq_queues::{RowBand, SortedQueue};
+use cioq_queues::SortedQueue;
 use std::any::Any;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -307,30 +315,26 @@ impl<'a> ShardView<'a> {
     /// Global input rows this shard owns.
     #[inline]
     pub fn input_range(&self) -> Range<usize> {
-        self.partition.input_range(self.shard)
+        self.state.band.rows()
     }
 
     /// Input queue `Q_ij` (must be an owned row).
     #[inline]
     pub fn input_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
-        self.state.voq.at_global(input.index(), output.index())
+        self.state.band.voq(input, output)
     }
 
     /// Crossbar queue `C_ij` (must be an owned row); panics on CIOQ.
     #[inline]
     pub fn crossbar_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
-        self.state
-            .xbar
-            .as_ref()
-            .expect("crossbar queue requested on a CIOQ switch")
-            .at_global(input.index(), output.index())
+        self.state.band.xbar(input, output)
     }
 
-    /// This shard's change log. VOQ/crossbar cells are **shard-local**
-    /// (`(i − in_lo)·M + j`); output indices are global `j`.
+    /// This shard's change log, over **shard-local** cells
+    /// `(i − in_lo)·M + j`.
     #[inline]
     pub fn changes(&self) -> &'a ChangeLog {
-        &self.state.changes
+        self.state.band.changes()
     }
 }
 
@@ -381,26 +385,22 @@ impl<'a> FabricView<'a> {
     /// Input queue `Q_ij` (any row).
     #[inline]
     pub fn input_queue(&self, input: usize, output: usize) -> &'a SortedQueue {
-        self.shards[self.partition.input_owner(input)]
-            .voq
-            .at_global(input, output)
+        let shard: &'a ShardState = &self.shards[self.partition.input_owner(input)];
+        shard.band.voq(PortId::from(input), PortId::from(output))
     }
 
     /// Crossbar queue `C_ij` (any row); panics on a CIOQ config.
     #[inline]
     pub fn crossbar_queue(&self, input: usize, output: usize) -> &'a SortedQueue {
-        self.shards[self.partition.input_owner(input)]
-            .xbar
-            .as_ref()
-            .expect("crossbar queue requested on a CIOQ switch")
-            .at_global(input, output)
+        let shard: &'a ShardState = &self.shards[self.partition.input_owner(input)];
+        shard.band.xbar(PortId::from(input), PortId::from(output))
     }
 
     /// Output queue `Q_j` (any column).
     #[inline]
     pub fn output_queue(&self, output: usize) -> &'a SortedQueue {
         let shard: &'a ShardState = &self.shards[self.partition.output_owner(output)];
-        &shard.outputs[output - shard.out_lo]
+        shard.band.output(PortId::from(output))
     }
 
     /// The change log of shard `s` — VOQ/crossbar cells in shard-local
@@ -408,7 +408,8 @@ impl<'a> FabricView<'a> {
     /// exactly like the sequential engine's log.
     #[inline]
     pub fn changes(&self, shard: usize) -> &'a ChangeLog {
-        &self.shards[shard].changes
+        let shard: &'a ShardState = &self.shards[shard];
+        shard.band.changes()
     }
 }
 
@@ -439,28 +440,14 @@ pub struct OutputSnapshot {
 // Policy traits
 // ---------------------------------------------------------------------------
 
-/// One candidate fabric transfer proposed by a shard: global ports plus the
-/// head value (the weight the merge orders by, 0 for unit policies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// Global input port `i`.
-    pub input: u16,
-    /// Global output port `j`.
-    pub output: u16,
-    /// `v(g_ij)` at proposal time (merge-visit weight).
-    pub weight: Value,
-}
-
-/// A shard's per-cycle proposal payload: an explicit candidate list, a
-/// policy-defined auxiliary word array, or both. GM publishes its rows'
+/// A shard's per-cycle proposal payload: a policy-defined auxiliary word
+/// array, an edit publish, or both. GM publishes its rows'
 /// edge bitmaps through `aux` (one `n_outputs.div_ceil(64)`-word bitmap per
 /// owned row, ascending) so the merge can run the lexicographic greedy as
 /// word arithmetic; PG publishes the cells of its head graph whose edge
 /// changed through `removed` / `refreshed`.
 #[derive(Debug, Default)]
 pub struct CandidateSet {
-    /// Ordered candidates (policy-defined order).
-    pub list: Vec<Candidate>,
     /// Auxiliary packed words (policy-defined layout).
     pub aux: Vec<u64>,
     /// Edit-publish handshake (weighted policies): the sequence number of
@@ -479,7 +466,6 @@ pub struct CandidateSet {
 
 impl CandidateSet {
     fn clear(&mut self) {
-        self.list.clear();
         self.aux.clear();
         self.seq = 0;
         self.removed.clear();
@@ -487,14 +473,12 @@ impl CandidateSet {
     }
 }
 
-/// Generation-stamped used-port masks for the merge step — O(1) reset per
-/// cycle, no per-cycle allocation — plus a reusable word buffer for
-/// bitmap-based merges, and whatever the policy's merge keeps from one
+/// What a merge step keeps between calls: a reusable word buffer for
+/// bitmap-based merges, and whatever the policy's merge carries from one
 /// cycle to the next. One value serves one run: `merge` takes the policy by
 /// `&self`, so a policy object shared by concurrent runs holds none of it.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    ports: PortStamps,
     words: Vec<u64>,
     state: Option<Box<dyn Any + Send>>,
 }
@@ -508,35 +492,6 @@ impl MergeScratch {
             .get_or_insert_with(|| Box::new(T::default()))
             .downcast_mut()
             .expect("one run merges with one policy, so asks for one type")
-    }
-
-    /// Start a new merge over `n` inputs and `m` outputs.
-    pub fn begin(&mut self, n: usize, m: usize) {
-        self.ports.begin(n, m);
-    }
-
-    /// Whether input `i` is already matched this cycle.
-    #[inline]
-    pub fn input_used(&self, i: usize) -> bool {
-        self.ports.input_used(i)
-    }
-
-    /// Whether output `j` is already matched this cycle.
-    #[inline]
-    pub fn output_used(&self, j: usize) -> bool {
-        self.ports.output_used(j)
-    }
-
-    /// Mark input `i` matched.
-    #[inline]
-    pub fn use_input(&mut self, i: usize) {
-        self.ports.use_input(i);
-    }
-
-    /// Mark output `j` matched.
-    #[inline]
-    pub fn use_output(&mut self, j: usize) {
-        self.ports.use_output(j);
     }
 
     /// Fill the reusable word buffer with `!full_words` (i.e. a bitmap of
@@ -659,71 +614,14 @@ pub trait CrossbarShardWorker: Send {
 
 /// One shard's owned slice of the switch plus its accounting.
 struct ShardState {
-    /// Owned VOQ rows, globally addressed.
-    voq: RowBand<SortedQueue>,
-    /// Owned crossbar rows (buffered crossbar only).
-    xbar: Option<RowBand<SortedQueue>>,
-    /// Owned output queues, `outputs[j - out_lo]` = `Q_j`.
-    outputs: Vec<SortedQueue>,
-    /// First owned output column.
-    out_lo: usize,
-    /// Dirty-queue log over **shard-local** flat cells
-    /// `(i − in_lo)·M + j` (outputs by global `j`), so K shards together
-    /// hold exactly one switch's worth of dirty bitmaps. Flushed once per
-    /// scheduling call, like the sequential log.
-    changes: ChangeLog,
+    /// The queues this shard owns: its input rows' `Q_ij` / `C_ij`, its
+    /// output columns' `Q_j`, and the change log over them — the same
+    /// object the sequential engine holds for the whole switch.
+    band: QueueBand,
     /// This shard's share of the run statistics (summed at the end).
     stats: StatsRecorder,
     /// Recorded admissions `(global arrival index, accepted)`.
     admits: Vec<(u64, bool)>,
-}
-
-impl ShardState {
-    fn new(cfg: &SwitchConfig, partition: &Partition, s: usize) -> Self {
-        let rows = partition.input_range(s);
-        let cols = partition.output_range(s);
-        let voq = RowBand::from_fn(rows.start, rows.len(), cfg.n_outputs, |_, _| {
-            SortedQueue::new(cfg.input_capacity)
-        });
-        let xbar = cfg.crossbar_capacity.map(|bc| {
-            RowBand::from_fn(rows.start, rows.len(), cfg.n_outputs, |_, _| {
-                SortedQueue::new(bc)
-            })
-        });
-        let outputs = cols
-            .clone()
-            .map(|_| SortedQueue::new(cfg.output_capacity))
-            .collect();
-        ShardState {
-            voq,
-            xbar,
-            outputs,
-            out_lo: cols.start,
-            changes: ChangeLog::new(rows.len(), cfg.n_outputs, cfg.crossbar_capacity.is_some()),
-            stats: StatsRecorder::new(cfg.n_outputs),
-            admits: Vec::new(),
-        }
-    }
-
-    fn residual(&self) -> (u64, u128) {
-        let mut count = 0u64;
-        let mut value = 0u128;
-        for (_, _, q) in self.voq.iter_global() {
-            count += q.len() as u64;
-            value += q.total_value();
-        }
-        if let Some(xbar) = &self.xbar {
-            for (_, _, q) in xbar.iter_global() {
-                count += q.len() as u64;
-                value += q.total_value();
-            }
-        }
-        for q in &self.outputs {
-            count += q.len() as u64;
-            value += q.total_value();
-        }
-        (count, value)
-    }
 }
 
 /// All cross-shard communication channels plus run-wide control state.
@@ -994,9 +892,9 @@ impl Fabric<'_> {
         let mut count = 0;
         let mut value = 0;
         for l in &self.shards {
-            let (c, v) = read_shard(l).residual();
-            count += c;
-            value += v;
+            let st = read_shard(l);
+            count += st.band.residual_count();
+            value += st.band.residual_value();
         }
         self.for_each_in_flight(|p| {
             count += 1;
@@ -1033,8 +931,8 @@ impl Fabric<'_> {
         });
         for l in &self.shards {
             let st = read_shard(l);
-            for (local_j, q) in st.outputs.iter().enumerate() {
-                let j = st.out_lo + local_j;
+            for j in st.band.cols() {
+                let q = st.band.output(PortId::from(j));
                 let in_flight = snap.in_flight[j] as usize;
                 if virtualq::full(q, in_flight) {
                     snap.full[j] = true;
@@ -1046,29 +944,12 @@ impl Fabric<'_> {
         }
     }
 
-    /// Assemble the global [`SwitchState`] (tests / validation / capture).
+    /// Assemble the global [`SwitchState`] (tests / capture): the shards'
+    /// bands, concatenated.
     fn assemble_state(&self) -> SwitchState {
-        let mut state = SwitchState::new(self.cfg.clone());
-        state.slot = self.comms.slot.load(Ordering::Relaxed);
-        for l in &self.shards {
-            let st = read_shard(l);
-            for (i, j, q) in st.voq.iter_global() {
-                *state.input_queues.get_mut(i, j) = q.clone();
-            }
-            if let Some(xbar) = &st.xbar {
-                let grid = state
-                    .crossbar_queues
-                    .as_mut()
-                    .expect("both states share the config");
-                for (i, j, q) in xbar.iter_global() {
-                    *grid.get_mut(i, j) = q.clone();
-                }
-            }
-            for (local_j, q) in st.outputs.iter().enumerate() {
-                state.output_queues[st.out_lo + local_j] = q.clone();
-            }
-        }
-        state
+        let slot = self.comms.slot.load(Ordering::Relaxed);
+        let shards: Vec<_> = self.shards.iter().map(read_shard).collect();
+        SwitchState::assemble(self.cfg.clone(), slot, shards.iter().map(|st| &st.band))
     }
 }
 
@@ -1094,34 +975,6 @@ const PH_LAND: u8 = 10;
 // Worker-side phase execution
 // ---------------------------------------------------------------------------
 
-/// Admit one arriving packet into shard `s`, the owner of its input row.
-/// Returns `false` when the phase must stop (policy error recorded).
-fn admit_arrival(
-    s: usize,
-    st: &mut ShardState,
-    fabric: &Fabric<'_>,
-    idx: u64,
-    p: Packet,
-    admit: &mut impl FnMut(&ShardView<'_>, &Packet) -> Admission,
-) -> bool {
-    let decision = admit(&fabric.shard_view(s, st), &p);
-    if fabric.comms.record {
-        st.admits
-            .push((idx, !matches!(decision, Admission::Reject)));
-    }
-    if !matches!(decision, Admission::Reject) {
-        let local_row = p.input.index() - st.voq.row_offset();
-        st.changes
-            .voq
-            .mark(local_row * fabric.cfg.n_outputs + p.output.index());
-    }
-    let queue = st.voq.at_global_mut(p.input.index(), p.output.index());
-    fabric
-        .comms
-        .ok(mechanics::admit(queue, &mut st.stats, decision, &p))
-        .is_some()
-}
-
 /// Arrival phase for shard `s`: admit, from the slot's one batch, the
 /// packets of the rows this shard owns. Admission is row-local in every
 /// policy of the paper, so the shards need no distribution step — each
@@ -1133,10 +986,18 @@ fn arrival_phase(
 ) {
     let batch = fabric.batch.read().unwrap_or_else(|e| e.into_inner());
     let mut st = write_shard(&fabric.shards[s]);
+    let st = &mut *st;
     for (idx, p) in (batch.base..).zip(&batch.packets) {
-        if fabric.partition.input_owner(p.input.index()) == s
-            && !admit_arrival(s, &mut st, fabric, idx, *p, &mut admit)
-        {
+        if fabric.partition.input_owner(p.input.index()) != s {
+            continue;
+        }
+        let decision = admit(&fabric.shard_view(s, st), p);
+        if fabric.comms.record {
+            st.admits
+                .push((idx, !matches!(decision, Admission::Reject)));
+        }
+        let admitted = st.band.admit(&mut st.stats, decision, p);
+        if fabric.comms.ok(admitted).is_none() {
             break;
         }
     }
@@ -1148,11 +1009,12 @@ fn transmit_phase(s: usize, fabric: &Fabric<'_>) {
     let slot = fabric.comms.slot.load(Ordering::Relaxed);
     let mut st = write_shard(&fabric.shards[s]);
     let st = &mut *st;
-    for (local_j, q) in st.outputs.iter_mut().enumerate() {
-        if let Some(packet) = q.pop_head() {
-            let j = st.out_lo + local_j;
-            st.changes.output.mark(j);
-            st.stats.on_transmit(&packet, slot, j);
+    for j in st.band.cols().map(PortId::from) {
+        if !st.band.output(j).is_empty() {
+            let sent = st
+                .band
+                .transmit(&mut st.stats, slot, j, PacketPick::Greatest);
+            sent.expect("invariant: a non-empty queue has a head");
         }
     }
 }
@@ -1160,11 +1022,8 @@ fn transmit_phase(s: usize, fabric: &Fabric<'_>) {
 /// Insert one packet off the fabric into the owning shard's output queue.
 /// Returns `false` on a policy error (recorded).
 fn deliver(st: &mut ShardState, fabric: &Fabric<'_>, p: InFlightPacket) -> bool {
-    let j = p.output as usize;
-    st.changes.output.mark(j);
-    let queue = &mut st.outputs[j - st.out_lo];
     // The sharded engine has no fault layer, so a full queue never drops.
-    let landed = mechanics::land(queue, &mut st.stats, QueueKind::Output, false, p);
+    let landed = st.band.deliver(&mut st.stats, false, p);
     fabric.comms.ok(landed).is_some()
 }
 
@@ -1501,21 +1360,6 @@ fn capture_sharded(
     slot: SlotId,
     idle_slots: u32,
 ) -> EngineSnapshot {
-    let cfg = fabric.cfg;
-    let mut input_queues = Vec::with_capacity(cfg.n_inputs * cfg.n_outputs);
-    let mut crossbar_queues = cfg.crossbar_capacity.map(|_| Vec::new());
-    let mut output_queues = Vec::with_capacity(cfg.n_outputs);
-    // Shards own contiguous ascending bands, so visiting them in order
-    // yields the row-major cell order (and ascending outputs) of the
-    // checkpoint layout.
-    for l in &fabric.shards {
-        let st = read_shard(l);
-        input_queues.extend(st.voq.iter_global().map(|(_, _, q)| snapshot_cell(q)));
-        if let (Some(cells), Some(xbar)) = (&mut crossbar_queues, &st.xbar) {
-            cells.extend(xbar.iter_global().map(|(_, _, q)| snapshot_cell(q)));
-        }
-        output_queues.extend(st.outputs.iter().map(snapshot_cell));
-    }
     // Capture runs before the landing phase, so the bucket due now is
     // still pending.
     let mut landings = Vec::new();
@@ -1528,21 +1372,27 @@ fn capture_sharded(
     }
     landings.sort_unstable_by_key(SnapLanding::key);
     let (residual_count, residual_value) = fabric.residual();
-    EngineSnapshot {
-        config: cfg.clone(),
+    let mut snap = EngineSnapshot {
+        config: fabric.cfg.clone(),
         fabric: options.fabric.clone(),
         slot,
         idle_slots,
-        input_queues,
-        crossbar_queues,
-        output_queues,
+        input_queues: Vec::new(),
+        crossbar_queues: None,
+        output_queues: Vec::new(),
         landings,
         held: Vec::new(),
         stats: fabric.merged_stats(),
         window: None,
         residual_count,
         residual_value,
+    };
+    // Shards own contiguous ascending bands, so visiting them in order
+    // yields the checkpoint layout.
+    for l in &fabric.shards {
+        read_shard(l).band.cells_out(&mut snap);
     }
+    snap
 }
 
 /// Seed a freshly-built fabric from a checkpoint — the sharded half of
@@ -1578,22 +1428,9 @@ fn seed_from_snapshot(
         snap.window.is_none(),
         "snapshot carries a stats window; the sharded engine keeps full history"
     );
-    let refill = |queue: &mut SortedQueue, cell: &[Packet]| {
-        mechanics::refill(queue, cell).expect("serialized queue fits its capacity");
-    };
-    for s in 0..fabric.partition.k() {
-        let mut st = write_shard(&fabric.shards[s]);
-        let st = &mut *st;
-        for i in fabric.partition.input_range(s) {
-            for j in 0..m {
-                refill(st.voq.at_global_mut(i, j), &snap.input_queues[i * m + j]);
-                if let (Some(cells), Some(xbar)) = (&snap.crossbar_queues, &mut st.xbar) {
-                    refill(xbar.at_global_mut(i, j), &cells[i * m + j]);
-                }
-            }
-        }
-        for (q, cell) in st.outputs.iter_mut().zip(&snap.output_queues[st.out_lo..]) {
-            refill(q, cell);
+    for l in &fabric.shards {
+        if let Err(e) = write_shard(l).band.refill(snap) {
+            panic!("snapshot cannot be applied: {e}");
         }
     }
     write_shard(&fabric.shards[0]).stats = snap.stats.clone();
@@ -1622,12 +1459,9 @@ fn seed_from_snapshot(
     fabric.comms.slot.store(snap.slot, Ordering::Relaxed);
     // The restored-residual invariant (see `crate::invariants`): what was
     // seeded must account for exactly what the checkpoint recorded.
-    let (count, value) = fabric.residual();
-    assert_eq!(
-        (count, value),
-        (snap.residual_count, snap.residual_value),
-        "restored residual does not match the checkpoint"
-    );
+    if let Err(msg) = crate::invariants::check_restored_residual(fabric.residual(), snap) {
+        panic!("snapshot cannot be applied: {msg}");
+    }
     (snap.slot, snap.idle_slots)
 }
 
@@ -1651,8 +1485,10 @@ fn finish_run(
 
 fn post_slot_validate(fabric: &Fabric<'_>, options: &ShardedOptions) {
     if options.validate {
-        if let Err(msg) = check_state_invariants(&fabric.assemble_state()) {
-            panic!("sharded engine invariant violated: {msg}");
+        for l in &fabric.shards {
+            if let Err(msg) = read_shard(l).band.check_invariants() {
+                panic!("sharded engine invariant violated: {msg}");
+            }
         }
     }
 }
@@ -1876,7 +1712,14 @@ fn run_sharded_feed<A: ShardArch>(
     let fabric = Fabric {
         cfg,
         shards: (0..k)
-            .map(|s| RwLock::new(ShardState::new(cfg, &partition, s)))
+            .map(|s| {
+                let (rows, cols) = (partition.input_range(s), partition.output_range(s));
+                RwLock::new(ShardState {
+                    band: QueueBand::new(cfg, rows, cols),
+                    stats: StatsRecorder::new(cfg.n_outputs),
+                    admits: Vec::new(),
+                })
+            })
             .collect(),
         partition,
         batch: RwLock::default(),
@@ -2102,21 +1945,9 @@ impl ShardArch for CioqSharded<'_> {
                 // The proposal consumed the change log; everything from
                 // here on accumulates for the next proposal (sequential
                 // flush point).
-                st.changes.flush();
+                st.band.flush();
                 pop_and_route(s, &mut st, fabric, scr, &mut asg, |st, t: Transfer| {
-                    let (i, j) = (t.input.index(), t.output.index());
-                    let local_row = i - st.voq.row_offset();
-                    st.changes.voq.mark(local_row * fabric.cfg.n_outputs + j);
-                    let queue = st.voq.at_global_mut(i, j);
-                    let popped =
-                        mechanics::pop(queue, t.pick, QueueKind::Input, Some(t.input), t.output);
-                    let packet = fabric.comms.ok(popped)?;
-                    Some(InFlightPacket::new(
-                        t.input,
-                        t.output,
-                        t.preempt_if_full,
-                        packet,
-                    ))
+                    fabric.comms.ok(st.band.pop_transfer(&t))
                 });
                 drop(st);
                 *lock(&fabric.comms.assignments[s]) = asg;
@@ -2246,33 +2077,12 @@ impl ShardArch for CrossbarSharded<'_> {
                 let mut asg = std::mem::take(&mut *lock(&fabric.comms.in_assignments[s]));
                 {
                     let mut st = write_shard(&fabric.shards[s]);
-                    st.changes.flush();
+                    st.band.flush();
                     for t in asg.iter() {
                         let st = &mut *st;
                         let (i, j) = (t.input.index(), t.output.index());
-                        let local = (i - st.voq.row_offset()) * m + j;
-                        st.changes.voq.mark(local);
-                        st.changes.xbar.mark(local);
-                        let queue = st.voq.at_global_mut(i, j);
-                        let popped = mechanics::pop(
-                            queue,
-                            t.pick,
-                            QueueKind::Input,
-                            Some(t.input),
-                            t.output,
-                        );
-                        let Some(packet) = fabric.comms.ok(popped) else {
-                            break;
-                        };
-                        let xbar = st
-                            .xbar
-                            .as_mut()
-                            .expect("invariant: crossbar queues exist, asserted at run entry")
-                            .at_global_mut(i, j);
-                        let p = InFlightPacket::new(t.input, t.output, t.preempt_if_full, packet);
-                        let landed =
-                            mechanics::land(xbar, &mut st.stats, QueueKind::Crossbar, false, p);
-                        if fabric.comms.ok(landed).is_none() {
+                        let moved = st.band.move_to_xbar(&mut st.stats, false, t);
+                        if fabric.comms.ok(moved).is_none() {
                             break;
                         }
                         // Forward the dirty crosspoint to the column
@@ -2314,30 +2124,12 @@ impl ShardArch for CrossbarSharded<'_> {
                     &mut asg,
                     |st, t: OutputTransfer| {
                         let (i, j) = (t.input.index(), t.output.index());
-                        st.changes.xbar.mark((i - st.voq.row_offset()) * m + j);
-                        let xbar = st
-                            .xbar
-                            .as_mut()
-                            .expect("invariant: crossbar queues exist, asserted at run entry")
-                            .at_global_mut(i, j);
-                        let popped = mechanics::pop(
-                            xbar,
-                            t.pick,
-                            QueueKind::Crossbar,
-                            Some(t.input),
-                            t.output,
-                        );
-                        let packet = fabric.comms.ok(popped)?;
+                        let p = fabric.comms.ok(st.band.pop_output_transfer(&t))?;
                         // The crosspoint pop is control-plane news wherever
                         // the packet goes: the column cache must see `C_ij`
                         // shrink now.
                         marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
-                        Some(InFlightPacket::new(
-                            t.input,
-                            t.output,
-                            t.preempt_if_full,
-                            packet,
-                        ))
+                        Some(p)
                     },
                 );
                 drop(st);
@@ -2441,18 +2233,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn merge_scratch_stamps_reset_in_o1() {
-        let mut s = MergeScratch::default();
-        s.begin(3, 3);
-        assert!(!s.input_used(1));
-        s.use_input(1);
-        s.use_output(2);
-        assert!(s.input_used(1) && s.output_used(2));
-        s.begin(3, 3);
-        assert!(!s.input_used(1) && !s.output_used(2), "new cycle resets");
-    }
-
     // -- The party topology: T-independence and failure paths ---------------
     //
     // `cioq_core`'s sharded policies sit above this crate, so these tests
@@ -2468,8 +2248,9 @@ mod tests {
     const PORTS: usize = 8;
 
     /// GM (`beta: None`, unit weights) or PG (`beta: Some(β)`): shards
-    /// publish one candidate per non-empty VOQ, the merge runs the greedy
-    /// over `(weight desc, cell asc)` — for GM that is lexicographic order.
+    /// publish one `(weight, shard-local cell)` per non-empty VOQ through
+    /// `refreshed`, the merge runs the greedy over `(weight desc, cell asc)`
+    /// — for GM that is lexicographic order.
     struct Greedy {
         beta: Option<f64>,
     }
@@ -2505,31 +2286,28 @@ mod tests {
             })
         }
 
-        fn merge(
-            &self,
-            ctx: &MergeContext<'_>,
-            scratch: &mut MergeScratch,
-            out: &mut Vec<Transfer>,
-        ) {
-            let mut all: Vec<Candidate> = ctx
-                .candidates
-                .iter()
-                .flat_map(|set| set.list.iter().copied())
-                .collect();
-            all.sort_by_key(|c| (std::cmp::Reverse(c.weight), c.input, c.output));
-            scratch.begin(ctx.cfg.n_inputs, ctx.cfg.n_outputs);
-            for c in all {
-                let (i, j) = (c.input as usize, c.output as usize);
+        fn merge(&self, ctx: &MergeContext<'_>, _: &mut MergeScratch, out: &mut Vec<Transfer>) {
+            let m = ctx.cfg.n_outputs;
+            let mut all: Vec<(Value, usize, usize)> = Vec::new();
+            for (s, set) in ctx.candidates.iter().enumerate() {
+                let lo = ctx.partition.input_range(s).start;
+                let cells = set.refreshed.iter();
+                all.extend(cells.map(|&(w, cell)| (w, lo + cell as usize / m, cell as usize % m)));
+            }
+            all.sort_by_key(|&(weight, i, j)| (std::cmp::Reverse(weight), i, j));
+            let mut input_used = vec![false; ctx.cfg.n_inputs];
+            let mut output_used = vec![false; m];
+            for (weight, i, j) in all {
                 let eligible = !ctx.outputs.full[j]
                     || self
                         .beta
-                        .is_some_and(|b| exceeds_factor(c.weight, b, ctx.outputs.tail[j]));
-                if eligible && !scratch.input_used(i) && !scratch.output_used(j) {
-                    scratch.use_input(i);
-                    scratch.use_output(j);
+                        .is_some_and(|b| exceeds_factor(weight, b, ctx.outputs.tail[j]));
+                if eligible && !input_used[i] && !output_used[j] {
+                    input_used[i] = true;
+                    output_used[j] = true;
                     out.push(Transfer {
-                        input: PortId(c.input),
-                        output: PortId(c.output),
+                        input: PortId::from(i),
+                        output: PortId::from(j),
                         pick: PacketPick::Greatest,
                         preempt_if_full: self.beta.is_some(),
                     });
@@ -2550,17 +2328,16 @@ mod tests {
             _: Cycle,
             out: &mut CandidateSet,
         ) {
-            for i in shard.input_range() {
-                for j in 0..shard.n_outputs() {
+            let (rows, m) = (shard.input_range(), shard.n_outputs());
+            for i in rows.clone() {
+                for j in 0..m {
                     let head = shard
                         .input_queue(PortId::from(i), PortId::from(j))
                         .head_value();
                     if let Some(v) = head {
-                        out.list.push(Candidate {
-                            input: i as u16,
-                            output: j as u16,
-                            weight: if self.weighted { v } else { 0 },
-                        });
+                        let weight = if self.weighted { v } else { 0 };
+                        let cell = (i - rows.start) * m + j;
+                        out.refreshed.push((weight, cell as u32));
                     }
                 }
             }

@@ -1,10 +1,20 @@
 //! Switch state: the queues of one switch instance, plus the read-only view
 //! handed to policies.
+//!
+//! The paper's model has one set of queues — `Q_ij`, `C_ij`, `Q_j` — and so
+//! does this crate: [`QueueBand`]. What differs per engine lives outside
+//! it: the slot loop, the fabric between bands, the fault layer, how a
+//! policy error travels.
 
 use crate::changes::ChangeLog;
-use crate::transport::virtualq;
-use cioq_model::{FabricKind, PortId, SlotId, SwitchConfig, Value};
+use crate::mechanics;
+use crate::policy::{Admission, InputTransfer, OutputTransfer, PacketPick, PolicyError, Transfer};
+use crate::snapshot::{EngineSnapshot, SnapshotError};
+use crate::stats::StatsRecorder;
+use crate::transport::{virtualq, InFlightPacket};
+use cioq_model::{FabricKind, Packet, PortId, SlotId, SwitchConfig, Value};
 use cioq_queues::{Grid, InFlight, SortedQueue};
+use std::ops::Range;
 
 /// Which family of queues a reference points into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,26 +38,351 @@ impl QueueKind {
     }
 }
 
-/// The complete mutable state of one simulated switch.
+/// One band of the switch's queues: `Q_ij` (and `C_ij` on a buffered
+/// crossbar) for a contiguous range of input rows × all M columns, `Q_j`
+/// for a contiguous range of outputs, and the [`ChangeLog`] over the band's
+/// own cells. Ports are **global** everywhere in the API; only the log's
+/// cells are band-local, `(i − lo)·M + j`, so K bands together hold one
+/// switch's worth of dirty bitmaps.
+///
+/// This is where the two engines meet: [`SwitchState`] holds the band
+/// `0..N` / `0..M`, each shard of the sharded engine the band its
+/// [`Partition`](crate::shard::Partition) cuts, and every rule that puts a
+/// packet into or takes one out of a queue — wrapped around the
+/// [`mechanics`] call that applies it — is a method here, written once.
+#[derive(Debug, Clone)]
+pub(crate) struct QueueBand {
+    /// `Q_ij` for the band's input rows. snapshot: serialized
+    voq: Grid<SortedQueue>,
+    /// `C_ij` for the same rows (buffered crossbar only).
+    /// snapshot: serialized
+    xbar: Option<Grid<SortedQueue>>,
+    /// `Q_j` for the band's outputs, `outputs[j − out_lo]`.
+    /// snapshot: serialized
+    outputs: Vec<SortedQueue>,
+    /// First output of the band. snapshot: transient — geometry, fixed at
+    /// construction from the config (and the partition, when sharded).
+    out_lo: usize,
+    /// Queues dirtied since the last flush. snapshot: transient — a
+    /// restored run uses fresh policies, whose caches full-rebuild on the
+    /// flush-counter mismatch (the deterministic rebuild seam), so dirty
+    /// sets need not survive.
+    changes: ChangeLog,
+}
+
+impl QueueBand {
+    /// The empty band of input rows `rows` and outputs `cols` of a switch
+    /// in configuration `cfg`.
+    pub(crate) fn new(cfg: &SwitchConfig, rows: Range<usize>, cols: Range<usize>) -> Self {
+        let m = cfg.n_outputs;
+        let grid = |capacity| Grid::band(rows.clone(), m, |_, _| SortedQueue::new(capacity));
+        QueueBand {
+            voq: grid(cfg.input_capacity),
+            xbar: cfg.crossbar_capacity.map(grid),
+            outputs: cols
+                .clone()
+                .map(|_| SortedQueue::new(cfg.output_capacity))
+                .collect(),
+            out_lo: cols.start,
+            changes: ChangeLog::new(rows.len(), m, cfg.crossbar_capacity.is_some()),
+        }
+    }
+
+    /// The global input rows of the band.
+    #[inline]
+    pub(crate) fn rows(&self) -> Range<usize> {
+        self.voq.rows()
+    }
+
+    /// The global outputs of the band.
+    #[inline]
+    pub(crate) fn cols(&self) -> Range<usize> {
+        self.out_lo..self.out_lo + self.outputs.len()
+    }
+
+    /// Input queue `Q_ij`, `i` a row of the band.
+    #[inline]
+    pub(crate) fn voq(&self, input: PortId, output: PortId) -> &SortedQueue {
+        self.voq.at(input, output)
+    }
+
+    /// Crossbar queue `C_ij`, `i` a row of the band; panics on a plain CIOQ
+    /// switch (policies for the wrong fabric are a programming error,
+    /// caught loudly).
+    #[inline]
+    pub(crate) fn xbar(&self, input: PortId, output: PortId) -> &SortedQueue {
+        self.xbar
+            .as_ref()
+            .expect("crossbar queue requested on a CIOQ switch")
+            .at(input, output)
+    }
+
+    /// Output queue `Q_j`, `j` an output of the band.
+    #[inline]
+    pub(crate) fn output(&self, output: PortId) -> &SortedQueue {
+        debug_assert!(self.cols().contains(&output.index()), "output outside band");
+        &self.outputs[output.index() - self.out_lo]
+    }
+
+    /// The band's change log.
+    #[inline]
+    pub(crate) fn changes(&self) -> &ChangeLog {
+        &self.changes
+    }
+
+    /// Clear the change log: the scheduling call that read it has returned.
+    #[inline]
+    pub(crate) fn flush(&mut self) {
+        self.changes.flush();
+    }
+
+    /// The band-local flat cell of `(i, j)`.
+    #[inline]
+    fn cell(&self, input: PortId, output: PortId) -> usize {
+        debug_assert!(self.rows().contains(&input.index()), "row outside band");
+        (input.index() - self.voq.rows().start) * self.voq.n_outputs() + output.index()
+    }
+
+    /// Mark input queue `Q_ij` dirty.
+    #[inline]
+    fn note_voq(&mut self, input: PortId, output: PortId) {
+        let cell = self.cell(input, output);
+        self.changes.voq.mark(cell);
+    }
+
+    /// Mark crossbar queue `C_ij` dirty.
+    #[inline]
+    fn note_xbar(&mut self, input: PortId, output: PortId) {
+        let cell = self.cell(input, output);
+        self.changes.xbar.mark(cell);
+    }
+
+    #[inline]
+    fn xbar_mut(&mut self, input: PortId, output: PortId) -> &mut SortedQueue {
+        self.xbar
+            .as_mut()
+            .expect("invariant: crossbar queues exist, asserted at run entry")
+            .at_mut(input, output)
+    }
+
+    /// Every queue of the band: `Q_ij`, then `C_ij`, then `Q_j`.
+    fn queues(&self) -> impl Iterator<Item = &SortedQueue> {
+        let grids = std::iter::once(&self.voq).chain(&self.xbar);
+        grids
+            .flat_map(|g| g.iter().map(|(_, _, q)| q))
+            .chain(&self.outputs)
+    }
+
+    /// Packets buffered in the band's queues — lengths only, so the drain
+    /// loop's per-slot "anything left?" never walks a queue's packets.
+    pub(crate) fn residual_count(&self) -> u64 {
+        self.queues().map(|q| q.len() as u64).sum()
+    }
+
+    /// Value buffered in the band's queues.
+    pub(crate) fn residual_value(&self) -> u128 {
+        self.queues().map(SortedQueue::total_value).sum()
+    }
+
+    // The per-packet rules from here to `transmit` are `#[inline(always)]`:
+    // each has one call site per engine, and left to the inliner's
+    // heuristic they were outlined from the sequential slot loop — row 4 of
+    // the benchmark (`xbar_cpg_bursty`) read 36.9 k slots/s against the
+    // parent's 39.2 k, and 39.2 k with the attribute.
+
+    /// Arrival phase, one packet of a band row: apply the policy's
+    /// `decision` to `Q_ij`.
+    // detlint: hot
+    #[inline(always)]
+    pub(crate) fn admit(
+        &mut self,
+        stats: &mut StatsRecorder,
+        decision: Admission,
+        p: &Packet,
+    ) -> Result<(), PolicyError> {
+        if !matches!(decision, Admission::Reject) {
+            self.note_voq(p.input, p.output);
+        }
+        mechanics::admit(self.voq.at_mut(p.input, p.output), stats, decision, p)
+    }
+
+    /// Pop the packet a transfer designates out of its source queue —
+    /// `Q_ij` ([`QueueKind::Input`]) or `C_ij` ([`QueueKind::Crossbar`]) —
+    /// as it enters the next hop.
+    // detlint: hot
+    #[inline(always)]
+    fn pop(
+        &mut self,
+        kind: QueueKind,
+        (input, output): (PortId, PortId),
+        pick: PacketPick,
+        preempt: bool,
+    ) -> Result<InFlightPacket, PolicyError> {
+        let queue = match kind {
+            QueueKind::Crossbar => {
+                self.note_xbar(input, output);
+                self.xbar_mut(input, output)
+            }
+            _ => {
+                self.note_voq(input, output);
+                self.voq.at_mut(input, output)
+            }
+        };
+        let packet = mechanics::pop(queue, pick, kind, Some(input), output)?;
+        Ok(InFlightPacket::new(input, output, preempt, packet))
+    }
+
+    /// A CIOQ transfer's first half: its packet out of `Q_ij`, toward the
+    /// fabric.
+    #[inline(always)]
+    pub(crate) fn pop_transfer(&mut self, t: &Transfer) -> Result<InFlightPacket, PolicyError> {
+        let pair = (t.input, t.output);
+        self.pop(QueueKind::Input, pair, t.pick, t.preempt_if_full)
+    }
+
+    /// A crossbar output subphase's first half: its packet out of `C_ij`,
+    /// toward the fabric.
+    #[inline(always)]
+    pub(crate) fn pop_output_transfer(
+        &mut self,
+        t: &OutputTransfer,
+    ) -> Result<InFlightPacket, PolicyError> {
+        let pair = (t.input, t.output);
+        self.pop(QueueKind::Crossbar, pair, t.pick, t.preempt_if_full)
+    }
+
+    /// A crossbar input subphase's move `Q_ij → C_ij`.
+    // detlint: hot
+    #[inline(always)]
+    pub(crate) fn move_to_xbar(
+        &mut self,
+        stats: &mut StatsRecorder,
+        faulted: bool,
+        t: &InputTransfer,
+    ) -> Result<(), PolicyError> {
+        let pair = (t.input, t.output);
+        let p = self.pop(QueueKind::Input, pair, t.pick, t.preempt_if_full)?;
+        self.note_xbar(t.input, t.output);
+        let queue = self.xbar_mut(t.input, t.output);
+        mechanics::land(queue, stats, QueueKind::Crossbar, faulted, p)
+    }
+
+    /// Insert a packet that has crossed the fabric into `Q_j` — the single
+    /// landing site of the immediate path, the mailboxes and the delay line.
+    // detlint: hot
+    #[inline(always)]
+    pub(crate) fn deliver(
+        &mut self,
+        stats: &mut StatsRecorder,
+        faulted: bool,
+        p: InFlightPacket,
+    ) -> Result<(), PolicyError> {
+        let queue = &mut self.outputs[p.output as usize - self.out_lo];
+        mechanics::land(queue, stats, QueueKind::Output, faulted, p)
+    }
+
+    /// Transmission phase, one output of the band: send the packet `pick`
+    /// designates out of `Q_j`.
+    // detlint: hot
+    #[inline(always)]
+    pub(crate) fn transmit(
+        &mut self,
+        stats: &mut StatsRecorder,
+        slot: SlotId,
+        output: PortId,
+        pick: PacketPick,
+    ) -> Result<(), PolicyError> {
+        let queue = &mut self.outputs[output.index() - self.out_lo];
+        let packet = mechanics::pop(queue, pick, QueueKind::Output, None, output)?;
+        stats.on_transmit(&packet, slot, output.index());
+        Ok(())
+    }
+
+    /// Append the band's checkpoint cells — each queue's packets in stored
+    /// (sorted) order — to `snap`'s queue lists. Bands visited in ascending
+    /// order yield the checkpoint layout: row-major `Q_ij` / `C_ij` cells,
+    /// ascending outputs.
+    pub(crate) fn cells_out(&self, snap: &mut EngineSnapshot) {
+        let cell = |q: &SortedQueue| q.iter().copied().collect::<Vec<Packet>>();
+        let cells = self.voq.iter().map(|(_, _, q)| cell(q));
+        snap.input_queues.extend(cells);
+        if let Some(xbar) = &self.xbar {
+            let list = snap.crossbar_queues.get_or_insert_with(Vec::new);
+            list.extend(xbar.iter().map(|(_, _, q)| cell(q)));
+        }
+        snap.output_queues.extend(self.outputs.iter().map(cell));
+    }
+
+    /// Refill the (fresh) band from the cells of `snap` that lie in it. The
+    /// caller has checked that `snap`'s queue layout is the switch's.
+    pub(crate) fn refill(&mut self, snap: &EngineSnapshot) -> Result<(), SnapshotError> {
+        let (m, cols) = (self.voq.n_outputs(), self.cols());
+        let grids = [
+            (Some(&mut self.voq), Some(&snap.input_queues)),
+            (self.xbar.as_mut(), snap.crossbar_queues.as_ref()),
+        ];
+        let grid_cells = grids
+            .into_iter()
+            .filter_map(|(grid, cells)| grid.zip(cells))
+            .flat_map(|(grid, cells)| grid.iter_mut().map(|(i, j, q)| (q, &cells[i * m + j])));
+        let outputs = self.outputs.iter_mut().zip(&snap.output_queues[cols]);
+        for (queue, cell) in grid_cells.chain(outputs) {
+            if cell.iter().any(|p| queue.insert(*p).is_err()) {
+                let msg = "serialized queue exceeds its capacity";
+                return Err(SnapshotError::Format(msg.into()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Overwrite the cells of this band that `part` covers with `part`'s.
+    fn copy_in(&mut self, part: &QueueBand) {
+        for (i, j, q) in part.voq.iter() {
+            self.voq.get_mut(i, j).clone_from(q);
+        }
+        if let (Some(whole), Some(xbar)) = (&mut self.xbar, &part.xbar) {
+            for (i, j, q) in xbar.iter() {
+                whole.get_mut(i, j).clone_from(q);
+            }
+        }
+        let at = part.out_lo - self.out_lo;
+        self.outputs[at..at + part.outputs.len()].clone_from_slice(&part.outputs);
+    }
+
+    /// Verify every queue of the band: within capacity and correctly sorted
+    /// (value descending, id ascending — assumption A3). Returns a
+    /// description of the first violation.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        for (i, j, q) in self.voq.iter() {
+            if !q.check_invariants() {
+                return Err(format!("input queue Q[{i}][{j}] violates invariants"));
+            }
+        }
+        for (i, j, q) in self.xbar.iter().flat_map(Grid::iter) {
+            if !q.check_invariants() {
+                return Err(format!("crossbar queue C[{i}][{j}] violates invariants"));
+            }
+        }
+        for (j, q) in self.cols().zip(&self.outputs) {
+            if !q.check_invariants() {
+                return Err(format!("output queue Q[{j}] violates invariants"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The complete mutable state of one simulated switch: the band `0..N` /
+/// `0..M` of its queues plus what only a whole switch has — the
+/// configuration, the slot clock and the in-flight ledger.
 #[derive(Debug, Clone)]
 pub struct SwitchState {
     /// Switch geometry and capacities. snapshot: serialized
     config: SwitchConfig,
-    /// `Q_ij` — input queues, one per (input port, output port).
-    /// snapshot: serialized
-    pub(crate) input_queues: Grid<SortedQueue>,
-    /// `C_ij` — crossbar queues (empty grid for plain CIOQ).
-    /// snapshot: serialized
-    pub(crate) crossbar_queues: Option<Grid<SortedQueue>>,
-    /// `Q_j` — output queues, one per output port. snapshot: serialized
-    pub(crate) output_queues: Vec<SortedQueue>,
+    /// Every queue of the switch. snapshot: serialized
+    pub(crate) band: QueueBand,
     /// Current slot (advanced by the engine). snapshot: serialized
     pub(crate) slot: SlotId,
-    /// Queues dirtied since the engine's last flush (see [`ChangeLog`]).
-    /// snapshot: transient — a restored run uses fresh policies, whose
-    /// caches full-rebuild on the flush-counter mismatch (the
-    /// deterministic rebuild seam), so dirty sets need not survive.
-    pub(crate) changes: ChangeLog,
     /// Packets dispatched into the fabric but not yet landed (empty at all
     /// times on an immediate fabric; see [`crate::transport`]).
     /// snapshot: transient — rebuilt by replaying `dispatch` for every
@@ -58,54 +393,29 @@ pub struct SwitchState {
 impl SwitchState {
     /// Fresh, empty switch in the given configuration.
     pub fn new(config: SwitchConfig) -> Self {
-        let input_queues = Grid::from_fn(config.n_inputs, config.n_outputs, |_, _| {
-            SortedQueue::new(config.input_capacity)
-        });
-        let crossbar_queues = config.crossbar_capacity.map(|bc| {
-            Grid::from_fn(config.n_inputs, config.n_outputs, |_, _| {
-                SortedQueue::new(bc)
-            })
-        });
-        let output_queues = (0..config.n_outputs)
-            .map(|_| SortedQueue::new(config.output_capacity))
-            .collect();
-        let changes = ChangeLog::new(
-            config.n_inputs,
-            config.n_outputs,
-            config.crossbar_capacity.is_some(),
-        );
+        let band = QueueBand::new(&config, 0..config.n_inputs, 0..config.n_outputs);
         let inflight = InFlight::new(config.n_outputs);
         SwitchState {
             config,
-            input_queues,
-            crossbar_queues,
-            output_queues,
+            band,
             slot: 0,
-            changes,
             inflight,
         }
     }
 
-    /// Mark input queue `Q_ij` dirty.
-    #[inline]
-    pub(crate) fn note_voq(&mut self, input: PortId, output: PortId) {
-        self.changes
-            .voq
-            .mark(input.index() * self.config.n_outputs + output.index());
-    }
-
-    /// Mark crossbar queue `C_ij` dirty.
-    #[inline]
-    pub(crate) fn note_xbar(&mut self, input: PortId, output: PortId) {
-        self.changes
-            .xbar
-            .mark(input.index() * self.config.n_outputs + output.index());
-    }
-
-    /// Mark output queue `Q_j` dirty.
-    #[inline]
-    pub(crate) fn note_output(&mut self, output: PortId) {
-        self.changes.output.mark(output.index());
+    /// The switch at `slot` whose queues are `bands`' — disjoint bands that
+    /// together cover it — with nothing in flight.
+    pub(crate) fn assemble<'a>(
+        config: SwitchConfig,
+        slot: SlotId,
+        bands: impl IntoIterator<Item = &'a QueueBand>,
+    ) -> Self {
+        let mut state = SwitchState::new(config);
+        state.slot = slot;
+        for part in bands {
+            state.band.copy_in(part);
+        }
+        state
     }
 
     /// The switch configuration.
@@ -134,38 +444,12 @@ impl SwitchState {
 
     /// Total value still buffered anywhere in the switch.
     pub fn residual_value(&self) -> u128 {
-        let mut total: u128 = self
-            .input_queues
-            .iter()
-            .map(|(_, _, q)| q.total_value())
-            .sum();
-        if let Some(xq) = &self.crossbar_queues {
-            total += xq.iter().map(|(_, _, q)| q.total_value()).sum::<u128>();
-        }
-        total += self
-            .output_queues
-            .iter()
-            .map(|q| q.total_value())
-            .sum::<u128>();
-        total + self.inflight.total_value()
+        self.band.residual_value() + self.inflight.total_value()
     }
 
     /// Total number of packets still buffered anywhere in the switch.
     pub fn residual_count(&self) -> u64 {
-        let mut total: u64 = self
-            .input_queues
-            .iter()
-            .map(|(_, _, q)| q.len() as u64)
-            .sum();
-        if let Some(xq) = &self.crossbar_queues {
-            total += xq.iter().map(|(_, _, q)| q.len() as u64).sum::<u64>();
-        }
-        total += self
-            .output_queues
-            .iter()
-            .map(|q| q.len() as u64)
-            .sum::<u64>();
-        total + self.inflight.total()
+        self.band.residual_count() + self.inflight.total()
     }
 }
 
@@ -209,24 +493,20 @@ impl<'a> SwitchView<'a> {
     /// Input queue `Q_ij`.
     #[inline]
     pub fn input_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
-        self.state.input_queues.at(input, output)
+        self.state.band.voq(input, output)
     }
 
     /// Crossbar queue `C_ij`; panics if the switch is a plain CIOQ (policies
     /// for the wrong fabric are a programming error, caught loudly).
     #[inline]
     pub fn crossbar_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
-        self.state
-            .crossbar_queues
-            .as_ref()
-            .expect("crossbar queue requested on a CIOQ switch")
-            .at(input, output)
+        self.state.band.xbar(input, output)
     }
 
     /// Whether this switch has crossbar buffers.
     #[inline]
     pub fn has_crossbar(&self) -> bool {
-        self.state.crossbar_queues.is_some()
+        self.state.config.crossbar_capacity.is_some()
     }
 
     /// Output queue `Q_j` — the *landed* packets only. On a delayed fabric
@@ -235,7 +515,7 @@ impl<'a> SwitchView<'a> {
     /// which also count packets in flight.
     #[inline]
     pub fn output_queue(&self, output: PortId) -> &'a SortedQueue {
-        &self.state.output_queues[output.index()]
+        self.state.band.output(output)
     }
 
     /// Whether output `j` is full *as a scheduler must see it*: landed
@@ -243,8 +523,8 @@ impl<'a> SwitchView<'a> {
     /// Identical to `output_queue(j).is_full()` on an immediate fabric.
     #[inline]
     pub fn output_full(&self, output: PortId) -> bool {
-        let j = output.index();
-        virtualq::full(&self.state.output_queues[j], self.state.inflight.len(j))
+        let in_flight = self.state.inflight.len(output.index());
+        virtualq::full(self.state.band.output(output), in_flight)
     }
 
     /// Least value of the virtual output queue `j` — the landed tail
@@ -253,25 +533,91 @@ impl<'a> SwitchView<'a> {
     /// the preemption thresholds (PG's β, CPG's α) compare against.
     #[inline]
     pub fn output_tail_value(&self, output: PortId) -> Option<Value> {
-        let j = output.index();
-        virtualq::tail_value(
-            &self.state.output_queues[j],
-            self.state.inflight.min_value(j),
-        )
+        let flying_min = self.state.inflight.min_value(output.index());
+        virtualq::tail_value(self.state.band.output(output), flying_min)
     }
 
     /// Queues dirtied since the engine's last scheduling call, plus the
     /// flush counter incremental policies use as a consistency handshake.
     #[inline]
     pub fn changes(&self) -> &'a ChangeLog {
-        &self.state.changes
+        self.state.band.changes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cioq_model::{Packet, PacketId};
+    use crate::engine::{Engine, RunOptions};
+    use crate::shard::Partition;
+    use cioq_model::PacketId;
+
+    fn packet(id: u64, value: Value, input: usize, output: usize) -> Packet {
+        let (input, output) = (PortId::from(input), PortId::from(output));
+        Packet::new(PacketId(id), value, 0, input, output)
+    }
+
+    /// A 5 × 7 buffered crossbar: non-square, so a row/column mix-up shows.
+    fn wide_crossbar() -> SwitchConfig {
+        SwitchConfig::builder(5, 7)
+            .input_capacity(2)
+            .output_capacity(2)
+            .crossbar_capacity(1)
+            .build()
+            .expect("valid config")
+    }
+
+    /// The checkpoint cells of `bands`, visited in order, in an otherwise
+    /// empty snapshot of a `cfg` switch.
+    fn cells<'a>(
+        cfg: &SwitchConfig,
+        bands: impl IntoIterator<Item = &'a QueueBand>,
+    ) -> EngineSnapshot {
+        let mut snap = Engine::new(cfg.clone(), RunOptions::default()).snapshot();
+        snap.input_queues.clear();
+        snap.crossbar_queues = None;
+        snap.output_queues.clear();
+        for band in bands {
+            band.cells_out(&mut snap);
+        }
+        snap
+    }
+
+    /// Put packets in all three queue families of the band owning each
+    /// port, through the band's own rules.
+    fn fill(bands: &mut [QueueBand], stats: &mut StatsRecorder) {
+        let owner = |bands: &[QueueBand], i: usize| {
+            let owns = |b: &QueueBand| b.rows().contains(&i);
+            bands.iter().position(owns).expect("bands cover every row")
+        };
+        for (id, (i, j)) in [(0, 0), (1, 3), (2, 6), (4, 1), (4, 6), (2, 6)]
+            .into_iter()
+            .enumerate()
+        {
+            let p = packet(id as u64, 10 + id as Value, i, j);
+            let band = &mut bands[owner(bands, i)];
+            band.admit(stats, Admission::Accept, &p).unwrap();
+        }
+        let t = InputTransfer {
+            input: PortId(4),
+            output: PortId(6),
+            pick: PacketPick::Greatest,
+            preempt_if_full: false,
+        };
+        bands[owner(bands, 4)]
+            .move_to_xbar(stats, false, &t)
+            .unwrap();
+        for (id, j) in [(20, 0), (21, 4), (22, 6), (23, 6)] {
+            let landing =
+                InFlightPacket::new(PortId(0), PortId::from(j), false, packet(id, 7, 0, j));
+            let owns = |b: &&mut QueueBand| b.cols().contains(&j);
+            let band = bands
+                .iter_mut()
+                .find(owns)
+                .expect("bands cover every output");
+            band.deliver(stats, false, landing).unwrap();
+        }
+    }
 
     #[test]
     fn fresh_state_is_empty() {
@@ -305,14 +651,119 @@ mod tests {
     #[test]
     fn residuals_track_queue_contents() {
         let mut st = SwitchState::new(SwitchConfig::cioq(2, 4, 1));
-        st.input_queues
-            .at_mut(PortId(0), PortId(1))
-            .insert(Packet::new(PacketId(1), 5, 0, PortId(0), PortId(1)))
+        let mut stats = StatsRecorder::new(2);
+        let arrival = packet(1, 5, 0, 1);
+        st.band
+            .admit(&mut stats, Admission::Accept, &arrival)
             .unwrap();
-        st.output_queues[1]
-            .insert(Packet::new(PacketId(2), 3, 0, PortId(0), PortId(1)))
-            .unwrap();
+        let landing = InFlightPacket::new(PortId(0), PortId(1), false, packet(2, 3, 0, 1));
+        st.band.deliver(&mut stats, false, landing).unwrap();
         assert_eq!(st.residual_count(), 2);
         assert_eq!(st.residual_value(), 8);
+    }
+
+    #[test]
+    fn band_takes_global_ports_and_marks_local_cells() {
+        let cfg = wide_crossbar();
+        let mut band = QueueBand::new(&cfg, 3..5, 2..4);
+        let mut stats = StatsRecorder::new(cfg.n_outputs);
+        assert_eq!((band.rows(), band.cols()), (3..5, 2..4));
+
+        let p = packet(0, 9, 4, 1);
+        band.admit(&mut stats, Admission::Accept, &p).unwrap();
+        assert_eq!(band.voq(PortId(4), PortId(1)).len(), 1);
+        // Row 4 is the band's second row: local cell (4 − 3)·7 + 1.
+        assert_eq!(band.changes().dirty_voqs(), &[8]);
+        assert!(band.changes().dirty_xbars().is_empty());
+        band.flush();
+
+        let t = InputTransfer {
+            input: PortId(4),
+            output: PortId(1),
+            pick: PacketPick::Greatest,
+            preempt_if_full: false,
+        };
+        band.move_to_xbar(&mut stats, false, &t).unwrap();
+        assert!(band.voq(PortId(4), PortId(1)).is_empty());
+        assert_eq!(band.xbar(PortId(4), PortId(1)).len(), 1);
+        assert_eq!(band.changes().dirty_voqs(), &[8]);
+        assert_eq!(band.changes().dirty_xbars(), &[8]);
+
+        // Output 3 is the band's second output queue.
+        let landing = InFlightPacket::new(PortId(0), PortId(3), false, packet(1, 4, 0, 3));
+        band.deliver(&mut stats, false, landing).unwrap();
+        assert_eq!(band.output(PortId(3)).len(), 1);
+        assert!(band.output(PortId(2)).is_empty());
+        assert_eq!((band.residual_count(), band.residual_value()), (2, 13));
+        band.transmit(&mut stats, 0, PortId(3), PacketPick::Greatest)
+            .unwrap();
+        assert_eq!((band.residual_count(), band.residual_value()), (1, 9));
+        assert_eq!(stats.per_output_transmitted[3], 1);
+        assert_eq!(band.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn cells_round_trip_and_an_overfull_cell_is_the_restore_error() {
+        let cfg = wide_crossbar();
+        let mut stats = StatsRecorder::new(cfg.n_outputs);
+        let mut whole = [QueueBand::new(&cfg, 0..5, 0..7)];
+        fill(&mut whole, &mut stats);
+        let mut snap = cells(&cfg, &whole);
+
+        // A band refilled from the whole switch's cells holds its share.
+        let mut part = QueueBand::new(&cfg, 1..3, 4..7);
+        part.refill(&snap).unwrap();
+        assert_eq!(part.voq(PortId(1), PortId(3)).len(), 1);
+        assert_eq!(part.voq(PortId(2), PortId(6)).len(), 2);
+        assert_eq!(part.output(PortId(6)).len(), 2);
+        assert_eq!(part.residual_count(), 6);
+        assert_eq!(part.residual_value(), 11 + 12 + 15 + 3 * 7);
+        let mut again = QueueBand::new(&cfg, 0..5, 0..7);
+        again.refill(&snap).unwrap();
+        assert_eq!(cells(&cfg, [&again]), snap);
+
+        // One packet too many in `Q_26` (capacity 2).
+        snap.input_queues[2 * 7 + 6].push(packet(99, 1, 2, 6));
+        let band_err = QueueBand::new(&cfg, 1..3, 4..7).refill(&snap).unwrap_err();
+        assert_eq!(
+            band_err.to_string(),
+            "malformed snapshot: serialized queue exceeds its capacity"
+        );
+        let engine_err = Engine::restore(&snap, RunOptions::default())
+            .err()
+            .expect("restore refuses the same cell");
+        assert_eq!(engine_err.to_string(), band_err.to_string());
+        // The cell lies outside this band, which therefore never reads it.
+        assert_eq!(QueueBand::new(&cfg, 3..5, 0..2).refill(&snap), Ok(()));
+    }
+
+    #[test]
+    fn partition_bands_concatenate_to_the_whole_band() {
+        let cfg = wide_crossbar();
+        let mut whole = [QueueBand::new(&cfg, 0..5, 0..7)];
+        fill(&mut whole, &mut StatsRecorder::new(cfg.n_outputs));
+        let expected = cells(&cfg, &whole);
+        for k in 1..=3 {
+            let partition = Partition::new(k, 5, 7);
+            let mut bands: Vec<QueueBand> = (0..k)
+                .map(|s| QueueBand::new(&cfg, partition.input_range(s), partition.output_range(s)))
+                .collect();
+            fill(&mut bands, &mut StatsRecorder::new(cfg.n_outputs));
+            // Walked in shard order the bands' cells are the checkpoint
+            // layout, and assembled they are the whole switch.
+            assert_eq!(cells(&cfg, &bands), expected, "K = {k}");
+            let state = SwitchState::assemble(cfg.clone(), 9, &bands);
+            assert_eq!(state.slot(), 9);
+            assert_eq!(cells(&cfg, [&state.band]), expected, "K = {k}");
+            assert_eq!(state.residual_count(), whole[0].residual_count());
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "outside band"))]
+    #[cfg_attr(not(debug_assertions), should_panic)]
+    fn a_row_outside_the_band_is_never_another_bands_queue() {
+        let band = QueueBand::new(&wide_crossbar(), 3..5, 2..4);
+        let _ = band.voq(PortId(1), PortId(0));
     }
 }

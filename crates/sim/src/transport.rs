@@ -112,12 +112,6 @@ impl FabricSpec {
         self.min_delay() == 0
     }
 
-    /// Whether every pair delivers same-cycle (no transport state at all).
-    #[inline]
-    pub fn is_immediate(&self) -> bool {
-        self.max_delay() == 0
-    }
-
     /// The topology, when this spec is matrix-backed.
     #[inline]
     pub fn topology(&self) -> Option<&Topology> {
@@ -393,7 +387,6 @@ mod tests {
         assert_eq!(spec.delay(PortId(0), PortId(1)), 0, "intra-rack");
         assert_eq!(spec.delay(PortId(0), PortId(3)), 3, "cross-rack");
         assert!(spec.has_zero_pair());
-        assert!(!spec.is_immediate());
         assert_eq!(spec.max_delay(), 3);
         let uniform = FabricSpec::uniform(2);
         assert_eq!(uniform.delay(PortId(3), PortId(0)), 2);
