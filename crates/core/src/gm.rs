@@ -3,7 +3,9 @@
 
 use crate::incremental::{read_outputs, VoqCache};
 use crate::pg::admit;
-use cioq_matching::{greedy_maximal_cells_into, CellVisit, GreedyScratch, Matching};
+use cioq_matching::{
+    claim_first_free, greedy_maximal_cells_into, CellVisit, GreedyScratch, Matching,
+};
 use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
     Admission, CandidateSet, CioqPolicy, CioqShardPolicy, CioqShardWorker, MergeContext,
@@ -32,7 +34,9 @@ pub enum GmEdgePolicy {
 /// The scheduling graph is maintained incrementally from the engine's
 /// change log (see [`crate::oracle`] for the from-scratch reference the
 /// suites compare it against). One object schedules a whole switch as a
-/// [`CioqPolicy`], or one shard's rows as a [`CioqShardWorker`].
+/// [`CioqPolicy`], or one shard's rows as a [`CioqShardWorker`]; either
+/// way the lexicographic matching is one kernel,
+/// [`claim_first_free`] per row over `row & free` words.
 #[derive(Debug)]
 pub struct GreedyMatching {
     edge_policy: GmEdgePolicy,
@@ -40,9 +44,13 @@ pub struct GreedyMatching {
     /// Output fullness, re-read every cycle (sequential runs only: shard
     /// workers are handed the engine's snapshot).
     outputs: OutputSnapshot,
+    /// Pooled `!full_words` mask the lexicographic greedy claims columns
+    /// from, refilled every cycle.
+    free: Vec<u64>,
+    /// The rotated ablation's scratch and pooled result buffer, refilled
+    /// in place every scheduling cycle so the steady-state slot loop never
+    /// allocates a fresh `Matching`.
     scratch: GreedyScratch,
-    /// Pooled result buffer: refilled in place every scheduling cycle so
-    /// the steady-state slot loop never allocates a fresh `Matching`.
     matching: Matching,
     name: String,
 }
@@ -63,6 +71,7 @@ impl GreedyMatching {
             edge_policy,
             cache: VoqCache::default(),
             outputs: OutputSnapshot::default(),
+            free: Vec::new(),
             scratch: GreedyScratch::default(),
             matching: Matching::new(),
             name,
@@ -101,21 +110,26 @@ impl CioqPolicy for GreedyMatching {
     fn schedule(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
         self.cache.sync(view, |_, _| {});
         read_outputs(view, &mut self.outputs);
-        let visit = match self.edge_policy {
-            GmEdgePolicy::Lexicographic => CellVisit::Lex,
-            GmEdgePolicy::RotateByCycle => {
-                CellVisit::Rotated(cycle.sequence(view.config().speedup) as usize)
+        match self.edge_policy {
+            GmEdgePolicy::Lexicographic => {
+                self.free.clear();
+                self.free.extend(self.outputs.full_words.iter().map(|w| !w));
+                let graph = &self.cache.graph;
+                graph.greedy_lex_rows(&mut self.free, |i, j| out.push(transfer(i, j)));
             }
-        };
-        let full = &self.outputs.full;
-        greedy_maximal_cells_into(
-            &self.cache.graph,
-            visit,
-            |_, j, _| !full[j],
-            &mut self.scratch,
-            &mut self.matching,
-        );
-        out.extend(self.matching.pairs.iter().map(|&(i, j)| transfer(i, j)));
+            GmEdgePolicy::RotateByCycle => {
+                let offset = cycle.sequence(view.config().speedup) as usize;
+                let full = &self.outputs.full;
+                greedy_maximal_cells_into(
+                    &self.cache.graph,
+                    CellVisit::Rotated(offset),
+                    |_, j, _| !full[j],
+                    &mut self.scratch,
+                    &mut self.matching,
+                );
+                out.extend(self.matching.pairs.iter().map(|&(i, j)| transfer(i, j)));
+            }
+        }
     }
 }
 
@@ -125,11 +139,11 @@ impl CioqPolicy for GreedyMatching {
 ///
 /// Proposal: each worker repairs its band of the incremental edge graph
 /// and publishes its rows' edge bitmaps (one word-aligned bitmap per owned
-/// row). Merge: the lexicographic greedy as pure word arithmetic — per row
-/// in ascending order, the first set bit of `row & free` where `free`
-/// starts as `!full` and loses a bit per match. Identical to the
-/// sequential greedy by construction, and O(N·M/64) per cycle instead of a
-/// per-edge walk.
+/// row). Merge: the lexicographic greedy's row step, [`claim_first_free`],
+/// per row in ascending order over `row & free`, where `free` starts as
+/// `!full_words` and loses a bit per match — the kernel the sequential
+/// policy runs over its own head graph in place, so the two engines match
+/// by sharing it, in O(N·M/64) word operations per cycle.
 pub type ShardedGm = GreedyMatching;
 
 impl CioqShardPolicy for GreedyMatching {
@@ -154,18 +168,8 @@ impl CioqShardPolicy for GreedyMatching {
             let in_lo = ctx.partition.input_range(s).start;
             debug_assert_eq!(set.aux.len() % words.max(1), 0);
             for (local, row) in set.aux.chunks_exact(words).enumerate() {
-                // First eligible-and-free output of this row, in fixed
-                // port order.
-                for (k, (&bits, slot)) in row.iter().zip(free.iter_mut()).enumerate() {
-                    let hit = bits & *slot;
-                    if hit != 0 {
-                        *slot &= !(hit & hit.wrapping_neg()); // claim the output
-                        out.push(transfer(
-                            in_lo + local,
-                            k * 64 + hit.trailing_zeros() as usize,
-                        ));
-                        break;
-                    }
+                if let Some(j) = claim_first_free(free, row.iter().copied()) {
+                    out.push(transfer(in_lo + local, j));
                 }
             }
         }

@@ -224,20 +224,23 @@ pub(crate) fn output_least(view: &SwitchView<'_>, j: usize) -> Option<Value> {
     })
 }
 
-/// Re-read [`output_least`] for every output into `full[j]` / `tail[j]`
-/// (0 where not full) — the part of the [`OutputSnapshot`] the sharded
-/// engine computes for its policies, so the sequential policies filter
-/// through the same structure.
+/// Re-read [`output_least`] for every output into `full[j]` /
+/// `full_words` / `tail[j]` (0 where not full) — the part of the
+/// [`OutputSnapshot`] the sharded engine computes for its policies, so the
+/// sequential policies filter through the same structure.
 // detlint: hot
 pub(crate) fn read_outputs(view: &SwitchView<'_>, out: &mut OutputSnapshot) {
     let m = view.n_outputs();
     out.full.clear();
     out.full.resize(m, false);
+    out.full_words.clear();
+    out.full_words.resize(m.div_ceil(64), 0);
     out.tail.clear();
     out.tail.resize(m, 0);
     for j in 0..m {
         if let Some(least) = output_least(view, j) {
             (out.full[j], out.tail[j]) = (true, least);
+            out.full_words[j / 64] |= 1 << (j % 64);
         }
     }
 }

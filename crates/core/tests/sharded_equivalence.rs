@@ -24,7 +24,9 @@ use cioq_sim::{
     ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::adversary::gm_iq_flood;
-use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, TrafficGen, ValueDist};
+use cioq_traffic::{
+    gen_trace, FullFabricChurn, Incast, IncastStorm, OnOffBursty, TrafficGen, ValueDist,
+};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -197,8 +199,19 @@ fn check_cioq(
     sharded: &dyn CioqShardPolicy,
     trace: &Trace,
 ) {
+    check_cioq_at(cfg, seq, sharded, trace, &SHARD_COUNTS);
+}
+
+/// [`check_cioq`] over the shard counts `ks` only.
+fn check_cioq_at(
+    cfg: &SwitchConfig,
+    seq: impl Fn() -> Box<dyn CioqPolicy>,
+    sharded: &dyn CioqShardPolicy,
+    trace: &Trace,
+    ks: &[usize],
+) {
     let (ref_report, ref_schedule, ref_state) = seq_cioq(cfg, seq(), trace);
-    for k in SHARD_COUNTS {
+    for &k in ks {
         for mode in MODES {
             let what = format!("{} k={k} mode={mode:?}", ref_report.policy);
             let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, mode))
@@ -517,6 +530,31 @@ fn asymmetric_bursty_equivalence() {
         || Box::new(CrossbarPreemptiveGreedy::new()),
         &ShardedCpg::new(),
         &xtrace,
+    );
+}
+
+/// GM on 9 × 70 ports at K ∈ {2, 4}: every head-graph row after the first
+/// starts mid-word, the shards own unequal bands of those rows, and the
+/// merge claims from a two-word free mask. Incast events rotate over all 70
+/// outputs into single-packet output queues, so columns on both sides of
+/// the word boundary go full and free again — both engines' row-word greedy
+/// on the layout that needs its stitching.
+#[test]
+fn gm_word_straddling_rows_equivalence() {
+    let cfg = SwitchConfig::builder(9, 70)
+        .speedup(2)
+        .input_capacity(3)
+        .output_capacity(1)
+        .build()
+        .unwrap();
+    let gen = Incast::new(2, 2, 0.9, ValueDist::Uniform { max: 9 });
+    let trace = gen_trace(&gen, &cfg, 160, 0x970);
+    check_cioq_at(
+        &cfg,
+        || Box::new(GreedyMatching::new()),
+        &ShardedGm::new(),
+        &trace,
+        &[2, 4],
     );
 }
 

@@ -16,10 +16,17 @@
 //!   admitted edge): the weighted greedy's rescans and CPG's per-port
 //!   argmaxes both run it. An absent cell weighs 0, so a row's heaviest
 //!   edge can be read off its weights without the edge bits.
+//! * [`IncrementalGraph::greedy_lex_rows`] — GM's lexicographic matching
+//!   as word arithmetic: per row in ascending order, [`claim_first_free`]
+//!   takes the first column set in both the row's edge words and a
+//!   free-column mask. The only lexicographic GM kernel: the sequential
+//!   policy runs it over its head graph in place, the sharded merge runs
+//!   the same row step over the bitmaps its shards publish.
 //! * [`greedy_maximal_cells_into`] — greedy maximal matching over an
 //!   [`IncrementalGraph`] with a per-edge eligibility filter, reproducing
 //!   [`greedy_maximal_with`](crate::greedy_maximal_with) bit-for-bit for
-//!   each visit order.
+//!   each visit order: GM's rotated ablation, and the reference the
+//!   row-word kernels are tested against.
 //! * [`greedy_weighted_rows_into`] — the weighted one of those matchings
 //!   (PG's) from row champions: one first pass and a sort of ≤ N keys, no
 //!   order of all E edges kept or repaired. The first pass is O(E) over
@@ -171,14 +178,37 @@ impl IncrementalGraph {
     /// the row's alignment inside the flat cell bitset. `out` must hold at
     /// least `n_right.div_ceil(64)` words.
     ///
-    /// The sharded GM merge runs the lexicographic greedy as pure word
-    /// arithmetic over these bitmaps (`row & !used & !full`), so each shard
-    /// publishes its rows per cycle with this.
+    /// Each GM shard publishes its rows per cycle with this, and the
+    /// sharded merge runs [`claim_first_free`] over the bitmaps.
     pub fn copy_row_bits(&self, left: usize, out: &mut [u64]) {
         let words = self.n_right.div_ceil(64);
         debug_assert!(out.len() >= words);
         for (k, slot) in out.iter_mut().enumerate().take(words) {
             *slot = self.row_word(left, k);
+        }
+    }
+
+    /// The lexicographic greedy maximal matching ([`CellVisit::Lex`]) over
+    /// the edges whose column is set in the word-aligned bitmap `free` (bit
+    /// `b` of `free[k]` ⇔ column `k·64 + b`, exactly
+    /// `n_right.div_ceil(64)` words): rows in ascending order, each taking
+    /// [`claim_first_free`] over its edge words read in place. Hands every
+    /// pair to `matched` in that order and leaves `free` without the
+    /// matched columns.
+    ///
+    /// O(N·M/64) word operations however many edges there are: each row
+    /// is visited once, so rows need no "used" marks, and `free` is the
+    /// columns'.
+    // detlint: hot
+    #[inline]
+    pub fn greedy_lex_rows(&self, free: &mut [u64], mut matched: impl FnMut(usize, usize)) {
+        let words = self.n_right.div_ceil(64);
+        debug_assert_eq!(free.len(), words, "one free word per 64 columns");
+        for left in 0..self.n_left {
+            let row = (0..words).map(|k| self.row_word(left, k));
+            if let Some(right) = claim_first_free(free, row) {
+                matched(left, right);
+            }
         }
     }
 
@@ -554,6 +584,30 @@ pub fn greedy_maximal_cells_into(
             }
         }
     }
+}
+
+/// One row of the lexicographic greedy over word-aligned bitmaps: the first
+/// column set both in the row's edge words (`row`, word `k` covering
+/// columns `k·64..k·64 + 64`) and in `free`, claimed — its bit cleared from
+/// `free` — and returned; `None`, with `free` untouched, if there is none.
+///
+/// Called on every row in ascending order, this is GM's lexicographic
+/// matching under "the column is free" pair for pair: the first edge
+/// [`CellVisit::Lex`] meets in a row whose column no earlier row took is
+/// exactly this column. Both engines run it — the sequential one through
+/// [`IncrementalGraph::greedy_lex_rows`], the sharded merge over the rows
+/// its workers publish with [`IncrementalGraph::copy_row_bits`].
+// detlint: hot
+#[inline]
+pub fn claim_first_free(free: &mut [u64], row: impl IntoIterator<Item = u64>) -> Option<usize> {
+    for ((k, slot), bits) in free.iter_mut().enumerate().zip(row) {
+        let hit = bits & *slot;
+        if hit != 0 {
+            *slot &= !(hit & hit.wrapping_neg());
+            return Some(k * 64 + hit.trailing_zeros() as usize);
+        }
+    }
+    None
 }
 
 /// A champion as one integer that sorts like the weighted greedy visits:
@@ -983,6 +1037,75 @@ mod tests {
     }
 
     proptest! {
+        /// The row-word greedy is the lexicographic greedy under the filter
+        /// "column free", pair for pair and in order — read in place from
+        /// the graph ([`IncrementalGraph::greedy_lex_rows`]) and from copied
+        /// row bitmaps (the sharded merge's form) alike — and leaves in the
+        /// mask exactly the free columns nobody matched. Widths sit on and
+        /// across word boundaries, so most rows start mid-word; one mask in
+        /// four is all zero and one all ones (bits past the last column
+        /// set, which no row may claim).
+        #[test]
+        fn row_word_greedy_is_the_lexicographic_greedy(
+            width in 0usize..6,
+            rows in 1usize..12,
+            density in 0u64..9,
+            mask in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let cols: usize = [1, 63, 64, 65, 70, 130][width];
+            let words = cols.div_ceil(64);
+            let mut state = seed;
+            let mut next = move || {
+                // splitmix64
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let mut g = IncrementalGraph::new(rows, cols);
+            for cell in 0..rows * cols {
+                if next() % 8 < density {
+                    g.set_edge(cell / cols, cell % cols, next() % 5);
+                }
+            }
+            let free: Vec<u64> = (0..words)
+                .map(|_| match mask {
+                    0 => 0,
+                    1 => !0,
+                    _ => next() | next(),
+                })
+                .collect();
+            let is_free = |j: usize| free[j / 64] >> (j % 64) & 1 == 1;
+
+            let want = greedy_maximal_cells(
+                &g,
+                CellVisit::Lex,
+                |_, j, _| is_free(j),
+                &mut GreedyScratch::default(),
+            );
+            let mut left = free.clone();
+            let mut got = Vec::new();
+            g.greedy_lex_rows(&mut left, |l, r| got.push((l, r)));
+            prop_assert_eq!(&got, &want.pairs);
+
+            let mut taken = vec![0u64; words];
+            for &(_, r) in &got {
+                taken[r / 64] |= 1 << (r % 64);
+            }
+            let expect: Vec<u64> = free.iter().zip(&taken).map(|(f, t)| f & !t).collect();
+            prop_assert_eq!(&left, &expect);
+
+            let (mut bitmap_free, mut row, mut merged) = (free.clone(), vec![0; words], Vec::new());
+            for l in 0..rows {
+                g.copy_row_bits(l, &mut row);
+                merged.extend(claim_first_free(&mut bitmap_free, row.iter().copied()).map(|r| (l, r)));
+            }
+            prop_assert_eq!(&merged, &want.pairs);
+            prop_assert_eq!(&bitmap_free, &expect);
+        }
+
         /// Random edit scripts: after every batch of edits + repair, the
         /// incremental graph and cached order are identical (edges, weights,
         /// visit order) to a from-scratch rebuild, and the greedy matching

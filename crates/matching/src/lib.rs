@@ -10,7 +10,9 @@
 //! oracles for testing:
 //!
 //! * [`greedy_maximal`] — iterate edges in a given order, add whenever both
-//!   endpoints are free (the matching step of **GM**, Thm 1).
+//!   endpoints are free (the matching step of **GM**, Thm 1);
+//!   [`IncrementalGraph::greedy_lex_rows`] is its lexicographic matching in
+//!   row words over an [`IncrementalGraph`] — what GM runs per cycle.
 //! * [`greedy_maximal_weighted`] — same, in descending weight order (the
 //!   matching step of **PG**, Thm 2); [`greedy_weighted_rows_into`] is the
 //!   same matching over an [`IncrementalGraph`] from row champions, without
@@ -42,7 +44,7 @@ pub use greedy::{
 pub use hopcroft_karp::hopcroft_karp;
 pub use hungarian::hungarian_max_weight;
 pub use incremental::{
-    greedy_maximal_cells_into, greedy_weighted_rows_into, CachedWeightOrder, CellVisit,
-    IncrementalGraph,
+    claim_first_free, greedy_maximal_cells_into, greedy_weighted_rows_into, CachedWeightOrder,
+    CellVisit, IncrementalGraph,
 };
 pub use islip::Islip;

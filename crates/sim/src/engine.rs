@@ -505,10 +505,14 @@ impl Engine {
                 None => source.in_arrival_window(slot),
             };
             if !in_arrival_window {
-                // In-flight packets always land (and count as progress), so
-                // the idle cutoff only applies once the fabric is empty.
+                // What is left comes from the books, not a walk of every
+                // queue. In-flight packets always land (and count as
+                // progress), so the idle cutoff only applies once the
+                // fabric is empty.
+                let buffered = self.stats.buffered();
+                debug_assert_eq!(buffered, self.state.residual_count());
                 let done = !self.options.drain
-                    || self.state.residual_count() == 0
+                    || buffered == 0
                     || (idle_slots >= 2 && self.state.inflight.is_empty());
                 if done {
                     break;

@@ -426,8 +426,9 @@ pub struct OutputSnapshot {
     pub full: Vec<bool>,
     /// Least virtual-queue value where full, 0 otherwise.
     pub tail: Vec<Value>,
-    /// `full` as a packed bitmap (`full_words[j/64]` bit `j%64`), for
-    /// word-level merge arithmetic.
+    /// `full` as a packed bitmap (`full_words[j/64]` bit `j%64`): its
+    /// complement is the free-column mask GM's lexicographic greedy claims
+    /// from, in the sharded merge and the sequential policy alike.
     pub full_words: Vec<u64>,
     /// Packets in flight toward each output (all zero when immediate).
     pub in_flight: Vec<u32>,
@@ -869,6 +870,21 @@ impl Fabric<'_> {
             moved += st.stats.transferred + st.stats.transferred_to_crossbar;
         }
         (transmitted, moved)
+    }
+
+    /// Packets still buffered (queues and delay line) from the books, in
+    /// O(K): what arrived less what was transmitted or lost, summed over
+    /// the shards' recorders first — one shard's books need not balance,
+    /// since a packet arrives at its input's owner and leaves through its
+    /// output's. The count half of [`Fabric::residual`], no queue walked.
+    fn buffered(&self) -> u64 {
+        let (mut arrived, mut gone) = (0, 0);
+        for l in &self.shards {
+            let stats = &read_shard(l).stats;
+            arrived += stats.arrived;
+            gone += stats.transmitted + stats.losses.total_count();
+        }
+        arrived - gone
     }
 
     /// Visit every packet currently riding the delay line (coordinator
@@ -1763,8 +1779,10 @@ fn run_sharded_feed<A: ShardArch>(
                 if !in_arrival_window {
                     // In-flight packets always land (and count as
                     // progress), so the idle cutoff waits for the fabric.
+                    let buffered = fabric.buffered();
+                    debug_assert_eq!(buffered, fabric.residual().0);
                     let done = !options.drain
-                        || fabric.residual().0 == 0
+                        || buffered == 0
                         || (idle_slots >= 2 && fabric.in_flight_total() == 0);
                     if done {
                         break;

@@ -93,6 +93,14 @@ impl StatsRecorder {
         }
     }
 
+    /// Packets still buffered somewhere in the switch (queues, delay line,
+    /// fault holds), from the books: arrived less transmitted less lost —
+    /// the conservation identity the debug auditor checks every slot
+    /// against a walk of the queues, read here in O(1).
+    pub(crate) fn buffered(&self) -> u64 {
+        self.arrived - self.transmitted - self.losses.total_count()
+    }
+
     pub(crate) fn on_arrival(&mut self, p: &Packet) {
         self.arrived += 1;
         self.arrived_value += p.value as u128;
