@@ -360,10 +360,11 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
 // ---------------------------------------------------------------------------
 
 /// Two-tier topologies: chassis-local pairs land same-cycle (latency 0)
-/// while cross-rack pairs ride the rings — the mailbox path and the delay
-/// rings are live *simultaneously*. With 3 racks over 6 ports and
-/// K ∈ {1, 2, 4}, rack boundaries (2, 4) do not align with the K = 4
-/// shard boundaries (1, 3, 4).
+/// while cross-rack pairs land slots later — both through the delay rings,
+/// *simultaneously*, and at K ∈ {2, 4} through single rings that hold both
+/// latencies. With 3 racks over 6 ports and K ∈ {1, 2, 4}, rack
+/// boundaries (2, 4) do not align with the K = 2 or K = 4 shard
+/// boundaries (3; 1, 3, 4).
 #[test]
 fn two_tier_sharded_equals_sequential() {
     let cfg = cioq_cfg();

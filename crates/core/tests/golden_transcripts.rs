@@ -71,7 +71,9 @@ fn immediate() -> FabricSpec {
 }
 
 /// Two racks, intra-rack pairs same-cycle, cross-rack pairs two slots late:
-/// the mailbox path and the delay rings run side by side.
+/// in one run, latency-0 and latency-2 packets ride the delay rings side
+/// by side (at K = 3 the rack boundaries split shard 1's bands, so the
+/// ring from shard 1 to shard 0 carries both).
 fn two_tier() -> FabricSpec {
     FabricSpec::matrix(Topology::two_tier(N_INPUTS, N_OUTPUTS, 2, 0, 2).expect("valid topology"))
 }

@@ -208,12 +208,6 @@ impl Topology {
         )
     }
 
-    /// Smallest per-pair latency in the fabric.
-    #[inline]
-    pub fn min_delay(&self) -> SlotId {
-        self.min
-    }
-
     /// Largest per-pair latency in the fabric (engines size their delay
     /// rings by this).
     #[inline]
@@ -262,7 +256,6 @@ mod tests {
         assert_eq!(t.input_rack(4), 1);
         assert_eq!(t.delay(PortId(0), PortId(3)), 1, "intra-rack");
         assert_eq!(t.delay(PortId(0), PortId(4)), 5, "cross-rack");
-        assert_eq!(t.min_delay(), 1);
         assert_eq!(t.max_delay(), 5);
         assert_eq!(t.uniform_delay(), None);
         assert!(t.label().contains("2 racks"));
@@ -307,7 +300,6 @@ mod tests {
         let t = Topology::explicit(2, 3, 2, vec![0, 1], vec![1, 0, 1], vec![0, 7, 3, 1]).unwrap();
         assert_eq!(t.delay(PortId(0), PortId(0)), 7, "rack 0 -> rack 1");
         assert_eq!(t.delay(PortId(1), PortId(1)), 3, "rack 1 -> rack 0");
-        assert_eq!(t.min_delay(), 0);
         assert_eq!(t.max_delay(), 7);
     }
 }

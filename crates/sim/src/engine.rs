@@ -13,9 +13,10 @@
 //! The queues, and every rule that moves a packet into or out of one, are
 //! the [`SwitchState`]'s `QueueBand` — the object a shard of the sharded
 //! engine holds for its own rows and columns — so each rule exists once for
-//! both engines. What stays here is what only this engine has: the fault
-//! layer, the single delay calendar and in-flight ledger, the stats window,
-//! and `?` as error transport.
+//! both engines; so is the delay line, a [`DelayCalendar`] landed by
+//! [`transport::land`] — one here, one per shard pair there. What stays
+//! here is what only this engine has: the fault layer, the in-flight
+//! ledger, the stats window, and `?` as error transport.
 
 use crate::fault::{FaultKind, FaultPlan, FaultRuntime};
 use crate::invariants::check_state_invariants;
@@ -29,7 +30,7 @@ use crate::source::{ArrivalSource, TraceSource};
 use crate::state::{SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder, WindowedStats};
 use crate::trace::Trace;
-use crate::transport::{DelayCalendar, FabricSpec, InFlightPacket, Landing};
+use crate::transport::{self, DelayCalendar, FabricSpec, InFlightPacket, Landing};
 use cioq_model::{ConfigError, Cycle, Packet, PortId, SlotId, SwitchConfig};
 
 /// Options controlling a run.
@@ -128,9 +129,9 @@ pub struct Engine {
     /// Per-pair delays (clone of `options.fabric`, kept hot for the
     /// per-transfer lookup).
     spec: FabricSpec,
-    /// Landing calendar of a delayed fabric (`None` = every pair
-    /// immediate and no fault plan needs one).
-    calendar: Option<DelayCalendar>,
+    /// The delay line: one bucket that stays empty when every pair is
+    /// immediate and no fault plan needs more.
+    calendar: DelayCalendar,
     /// Fault-injection state (`None` = fault-free run).
     faults: Option<FaultRuntime>,
     /// Sliding per-slot stats window, when enabled.
@@ -144,6 +145,8 @@ pub struct Engine {
     // Scratch (reused every slot — the hot path never allocates).
     arrivals: Vec<Packet>,
     ports: PortStamps,
+    /// The landing phase's gather buffer.
+    landing: Vec<Landing>,
 }
 
 /// Largest retransmit FIFO any link-down window in `faults` allows on a
@@ -218,20 +221,25 @@ impl Engine {
         // Per-slot dispatch bound: one transfer per output per cycle,
         // `speedup` cycles per slot, plus the worst single-slot retransmit
         // release a fault plan can produce — pre-reserving it keeps the
-        // slot loop from ever growing a calendar bucket or the in-flight
-        // accounting.
-        let per_bucket = per_bucket_bound(&config, horizon, options.faults.as_ref());
-        let per_output = per_output_inflight_bound(&config, horizon, options.faults.as_ref());
+        // slot loop from ever growing a calendar bucket, the landing
+        // gather or the in-flight accounting. An immediate fabric never
+        // puts a packet on the calendar, so it reserves nothing.
+        let (per_bucket, per_output) = match horizon {
+            0 => (0, 0),
+            _ => {
+                let faults = options.faults.as_ref();
+                let per_output = per_output_inflight_bound(&config, horizon, faults);
+                (per_bucket_bound(&config, horizon, faults), per_output)
+            }
+        };
         let mut state = SwitchState::new(config);
-        if horizon >= 1 {
-            state.inflight.reserve(per_output);
-        }
+        state.inflight.reserve(per_output);
         Engine {
             state,
             stats: StatsRecorder::new(n_outputs),
             options,
             spec,
-            calendar: (horizon >= 1).then(|| DelayCalendar::with_reserve(horizon, per_bucket)),
+            calendar: DelayCalendar::with_reserve(horizon, per_bucket),
             faults,
             window,
             start_slot: 0,
@@ -239,6 +247,7 @@ impl Engine {
             checkpoints: Vec::new(),
             arrivals: Vec::new(),
             ports: PortStamps::default(),
+            landing: Vec::with_capacity(per_bucket),
         }
     }
 
@@ -252,8 +261,8 @@ impl Engine {
     /// under, and must supply a fault plan if the snapshot holds
     /// fault-retransmit packets; anything else is
     /// [`SnapshotError::Incompatible`]. Malformed snapshots (queue
-    /// overflow, out-of-range ports, landings outside the calendar
-    /// horizon) are [`SnapshotError::Format`].
+    /// overflow, out-of-range ports, a landing no run under these options
+    /// could have in flight) are [`SnapshotError::Format`].
     ///
     /// The switch itself — geometry, speedup, capacities — is rebuilt from
     /// [`EngineSnapshot::config`], which restore has no second copy to
@@ -313,29 +322,18 @@ impl Engine {
         state.band.refill(snap)?;
         state.slot = snap.slot;
 
-        let horizon = engine.options.horizon();
-        for SnapLanding { land_slot, landing } in &snap.landings {
-            let (i, j) = (landing.p.input as usize, landing.p.output as usize);
-            if i >= n_inputs || j >= n_outputs {
-                return Err(SnapshotError::Format(format!(
-                    "landing on pair ({i} -> {j}) outside a {n_inputs}x{n_outputs} switch"
-                )));
-            }
-            let cal = engine.calendar.as_mut().ok_or_else(|| {
-                SnapshotError::Incompatible(
-                    "snapshot holds in-flight packets but the options model an immediate fabric"
-                        .into(),
-                )
-            })?;
-            let window_end = snap.slot.saturating_add(horizon);
-            if *land_slot < snap.slot || *land_slot >= window_end {
-                return Err(SnapshotError::Format(format!(
-                    "landing at slot {land_slot} outside the calendar window [{}, {window_end})",
-                    snap.slot
-                )));
-            }
-            state.inflight.dispatch(i, j, landing.p.packet.value);
-            cal.insert_pending(*land_slot, *landing);
+        let fault_horizon = engine
+            .options
+            .faults
+            .is_some()
+            .then(|| engine.options.horizon());
+        for l in &snap.landings {
+            snap.check_landing(l, fault_horizon)?;
+            let p = l.landing.p;
+            state
+                .inflight
+                .dispatch(p.input as usize, p.output as usize, p.packet.value);
+            engine.calendar.insert_pending(l.land_slot, l.landing);
         }
         for (i, j, preempt, packet) in &snap.held {
             if *i as usize >= n_inputs || *j as usize >= n_outputs {
@@ -388,13 +386,7 @@ impl Engine {
     /// no-progress streak (the loop's live `idle_slots` when
     /// checkpointing mid-run).
     fn capture(&self, idle_slots: u32) -> EngineSnapshot {
-        let mut landings = Vec::new();
-        if let Some(cal) = &self.calendar {
-            cal.for_each_pending_at(self.state.slot, |land_slot, &landing| {
-                landings.push(SnapLanding { land_slot, landing });
-            });
-        }
-        landings.sort_unstable_by_key(SnapLanding::key);
+        let landings = SnapLanding::pending(self.state.slot, Some(&self.calendar));
         let mut held = Vec::new();
         if let Some(f) = &self.faults {
             f.for_each_held(|i, j, preempt, p| held.push((i, j, preempt, *p)));
@@ -609,11 +601,7 @@ impl Engine {
                     let d = (self.spec.delay(PortId(i), PortId(j))
                         + faults.plan().extra_delay(slot, i, j))
                     .max(1);
-                    let cal = self
-                        .calendar
-                        .as_mut()
-                        .expect("link-down faults imply a calendar");
-                    let stats = &mut self.stats;
+                    let (cal, stats) = (&mut self.calendar, &mut self.stats);
                     faults.drain_pair_each(i, j, |preempt, packet| {
                         cal.dispatch(
                             slot,
@@ -655,42 +643,22 @@ impl Engine {
         Ok(())
     }
 
-    /// Insert a packet that has crossed the fabric into `Q_j` — the single
-    /// landing site shared by the immediate path and the delay line.
-    // detlint: hot
-    fn deliver_to_output(&mut self, p: InFlightPacket) -> Result<(), PolicyError> {
-        let faulted = self.faults.is_some();
-        self.state.band.deliver(&mut self.stats, faulted, p)
-    }
-
     /// Drain the calendar bucket due at the start of `slot` into the
-    /// output queues: the landing half of every dispatch whose pair
-    /// latency expires now. The bucket arrives in the canonical landing
-    /// order `(dispatch slot, dispatch cycle, output, input)` — per output
-    /// queue that is dispatch order, so per-queue operation order matches
-    /// the uniform fabric's. A `QueueFull` here is unreachable with
-    /// reservation-correct policies (the virtual occupancy they scheduled
-    /// against already counted this packet) but stays a loud failure.
+    /// output queues, in the canonical landing order (see
+    /// [`transport::land`]): the landing half of every dispatch whose pair
+    /// latency expires now, booked off the in-flight ledger first. A
+    /// `QueueFull` here is unreachable with reservation-correct policies
+    /// (the virtual occupancy they scheduled against already counted this
+    /// packet) but stays a loud failure.
     // detlint: hot
     fn land_due(&mut self, slot: SlotId) -> Result<(), PolicyError> {
-        let Some(cal) = &mut self.calendar else {
-            return Ok(());
-        };
-        let due = cal.take_due(slot);
-        if cfg!(debug_assertions) {
-            if let Err(msg) = crate::invariants::check_canonical_order(&due, Landing::key) {
-                panic!("engine landing-order invariant violated: {msg}");
-            }
-        }
-        for l in &due {
-            self.state
-                .inflight
-                .land(l.p.input as usize, l.p.output as usize, l.p.packet.value);
-            self.deliver_to_output(l.p)?;
-        }
-        if let Some(cal) = &mut self.calendar {
-            cal.restore(due);
-        }
+        let (state, stats, faulted) = (&mut self.state, &mut self.stats, self.faults.is_some());
+        let cal = Some(&mut self.calendar);
+        transport::land(slot, cal, &mut self.landing, |p| {
+            let (i, j) = (p.input as usize, p.output as usize);
+            state.inflight.land(i, j, p.packet.value);
+            state.band.deliver(stats, faulted, p)
+        })?;
         self.post_phase_check();
         Ok(())
     }
@@ -719,17 +687,14 @@ impl Engine {
             d += faults.plan().extra_delay(cycle.slot, i, j);
         }
         if d >= 1 {
-            let cal = self
-                .calendar
-                .as_mut()
-                .expect("positive pair delay implies a calendar");
             self.state
                 .inflight
                 .dispatch(i as usize, j as usize, p.packet.value);
-            cal.dispatch(cycle.slot, cycle.index, d, p);
+            self.calendar.dispatch(cycle.slot, cycle.index, d, p);
             return Ok(());
         }
-        self.deliver_to_output(p)
+        let faulted = self.faults.is_some();
+        self.state.band.deliver(&mut self.stats, faulted, p)
     }
 
     /// Open a transfer set and validate it: ports in range, ≤ 1 transfer
@@ -762,7 +727,7 @@ impl Engine {
             if let Err(msg) = crate::invariants::audit_engine_slot(
                 &self.state,
                 &self.stats,
-                self.calendar.as_ref(),
+                &self.calendar,
                 self.faults.as_ref(),
             ) {
                 panic!(

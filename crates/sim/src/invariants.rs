@@ -94,21 +94,12 @@ pub fn check_canonical_order<T>(
 /// on the exact (input, output) pair it rides.
 pub(crate) fn check_inflight(
     state: &SwitchState,
-    calendar: Option<&DelayCalendar>,
+    cal: &DelayCalendar,
     faults: Option<&FaultRuntime>,
 ) -> Result<(), String> {
     let cfg = state.config();
     state.inflight.check_consistency(cfg.n_inputs)?;
     let held_total = faults.map_or(0, |f| f.total_held());
-    let Some(cal) = calendar else {
-        if state.inflight.total() != held_total {
-            return Err(format!(
-                "{} packets accounted in flight on an immediate fabric ({held_total} held by faults)",
-                state.inflight.total()
-            ));
-        }
-        return Ok(());
-    };
     let mut pending = 0u64;
     let mut pair_mismatch = None;
     let mut pair_counts = vec![0u32; cfg.n_inputs * cfg.n_outputs];
@@ -147,7 +138,7 @@ pub(crate) fn check_inflight(
 pub(crate) fn audit_engine_slot(
     state: &SwitchState,
     stats: &StatsRecorder,
-    calendar: Option<&DelayCalendar>,
+    calendar: &DelayCalendar,
     faults: Option<&FaultRuntime>,
 ) -> Result<(), String> {
     check_conservation(stats, state.residual_count(), state.residual_value())?;

@@ -19,9 +19,11 @@
 //!
 //! What is this engine's own is everything *between* bands. A transfer
 //! whose input row and output column live on different shards is
-//! *cross-shard*: the row owner pops the packet and posts it to the column
-//! owner's per-cycle mailbox (or delay ring); the column owner drains it in
-//! the next sub-phase. Crossbar mutations are likewise forwarded as
+//! *cross-shard*: the row owner pops the packet and dispatches it into the
+//! `(column owner, row owner)` delay ring — the sequential engine's
+//! `DelayCalendar`, at the pair's latency, 0 included — and the column
+//! owner lands it, after the cycle at latency 0 and at the top of a later
+//! slot otherwise. Crossbar mutations are likewise forwarded as
 //! dirty-cell marks to the column owner, whose incremental column caches
 //! consume them — the band's [`ChangeLog`] discipline, stretched across
 //! shards. A policy error travels through `Comms::ok` to a sticky cell
@@ -59,10 +61,11 @@
 //! fabric, `Q_ij → C_ij`, delivery into `Q_j`, transmission, residual,
 //! checkpoint cells out and in, and the structural check are `QueueBand`
 //! methods both call; a checkpoint is the shards' cells in shard order, and
-//! `assemble_state` the shards' bands concatenated. Still per-engine: the
-//! slot loop itself, the policy traits, the fabric (one calendar there,
-//! mailboxes and per-pair rings here) and the fault layer, which only the
-//! sequential engine has.
+//! `assemble_state` the shards' bands concatenated. They meet in the delay
+//! line too: one `DelayCalendar` there, one per shard pair here, landed by
+//! the one `transport::land` and captured by the one
+//! `SnapLanding::pending`. Still per-engine: the slot loop itself, the
+//! policy traits and the fault layer, which only the sequential engine has.
 //!
 //! [`Engine`]: crate::engine::Engine
 
@@ -77,7 +80,7 @@ use crate::stats::{RunReport, StatsRecorder};
 use crate::stream::StreamingSource;
 use crate::sync::SpinBarrier;
 use crate::trace::Trace;
-use crate::transport::{virtualq, DelayCalendar, FabricSpec, InFlightPacket, Landing};
+use crate::transport::{self, virtualq, DelayCalendar, FabricSpec, InFlightPacket, Landing};
 use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
 use cioq_queues::SortedQueue;
 use std::any::Any;
@@ -203,11 +206,11 @@ pub struct ShardedOptions {
     /// Assemble and return the final global [`SwitchState`].
     pub capture_final_state: bool,
     /// Fabric transport: per-pair latencies (the default, uniform 0, is
-    /// the same-cycle fabric). Every positive-latency fabric
-    /// transfer — cross-shard *and* same-shard, so results are
-    /// partition-independent — rides a per-(dest, src) ring of slot-buckets
-    /// and lands `delay(src, dst)` slots after dispatch; latency-0 pairs
-    /// take the mailbox path within the cycle.
+    /// the same-cycle fabric). A latency-0 transfer within a shard is
+    /// delivered at once; every other one — same-shard ones included, so
+    /// results are partition-independent — rides a per-(dest, src) ring
+    /// of slot-buckets and lands `delay(src, dst)` slots after dispatch,
+    /// at latency 0 after the cycle.
     pub fabric: FabricSpec,
     /// Take an [`EngineSnapshot`] at the top of every slot `k` with
     /// `k > 0 && k % n == 0` (before that slot's landings and arrivals),
@@ -635,32 +638,30 @@ struct Comms {
     in_assignments: Vec<Mutex<Vec<InputTransfer>>>,
     /// Per-shard crossbar output-subphase pop assignments (by row owner).
     out_assignments: Vec<Mutex<Vec<OutputTransfer>>>,
-    /// Mailboxes of packets in flight between shards — popped by the row
-    /// owner, to be inserted into `Q_j` by the column owner — one cell per
-    /// (destination, source) pair so a flush is a buffer swap, never a
-    /// copy. At most one packet per output queue per cycle, so same-slot
-    /// drain order cannot matter. Same-slot transport only (latency-0
-    /// pairs); positive-latency pairs ride `rings`.
-    mail: Vec<Vec<Mutex<Vec<InFlightPacket>>>>,
-    /// Delay-line rings, one per (destination, source) shard pair: each a
-    /// [`DelayCalendar`] — the sequential engine's delay line — of
-    /// *heterogeneous* depth, the largest per-pair latency between a
-    /// source-owned input and a destination-owned output, so a shard pair
-    /// whose racks sit close never pays for the fabric's worst path
-    /// (`None`: every such pair is immediate). The destination drains the
-    /// bucket due at slot `t` at the start of `t`, before the slot's
-    /// dispatches refill it. Packets keep their dispatch time: with
-    /// per-pair latencies one landing slot can gather transfers dispatched
-    /// in *different* slots (and up to ŝ per output within a slot), and
-    /// with preemption their per-queue apply order matters (see
-    /// [`land_phase`]). Empty when the fabric is immediate.
-    rings: Vec<Vec<Mutex<Option<DelayCalendar>>>>,
+    /// The packets between bands: one delay ring per (destination, source)
+    /// shard pair, written by the source's pop phase, landed by the
+    /// destination. Each is a [`DelayCalendar`] — the sequential engine's
+    /// delay line — of *heterogeneous* depth, the largest per-pair latency
+    /// between a source-owned input and a destination-owned output, so a
+    /// shard pair whose racks sit close never pays for the fabric's worst
+    /// path. The destination lands the bucket due at slot `t` at the top
+    /// of `t`, before the slot's dispatches refill it, and again after
+    /// each cycle when latency-0 dispatches reach it. Packets keep their
+    /// dispatch time: with per-pair latencies one landing slot can gather
+    /// transfers dispatched in *different* slots (and up to ŝ per output
+    /// within a slot), and with preemption their per-queue apply order
+    /// matters (see [`land_phase`]).
+    rings: Vec<Vec<Mutex<DelayCalendar>>>,
     /// Per-pair fabric latencies.
     spec: FabricSpec,
-    /// Largest per-pair latency (0 = immediate fabric, no landing phase).
+    /// Largest per-pair latency (0 = immediate fabric, no landing at the
+    /// top of the slot).
     horizon: SlotId,
-    /// Whether any pair delivers same-cycle (the mailbox path is live).
-    has_zero: bool,
+    /// Whether some pair across shard bands has latency 0, so rings take
+    /// dispatches that land within their own cycle: the landing phase then
+    /// also runs after every cycle. Never at K = 1, nor where the racks of
+    /// a two-tier fabric line up with the bands.
+    land_after_cycle: bool,
     /// Forwarded crossbar dirty-mark batches, likewise (destination, source).
     /// Dirty marks are control-plane traffic (cache coherence for the
     /// column-side incremental caches), so they are never delayed — only
@@ -690,35 +691,33 @@ impl Comms {
         // Every channel is reserved at its hard per-cycle bound up front,
         // so the steady-state slot loop never grows a comms vector: each
         // owned input pops at most once per cycle, so a (dest, src)
-        // mailbox / ring-bucket / mark batch sees at most `rows(src)`
-        // entries per cycle (`rows(src) * speedup` per slot for cells
-        // that accumulate across a whole slot).
+        // ring-bucket / mark batch sees at most `rows(src)` entries per
+        // cycle (`rows(src) * speedup` per slot for cells that accumulate
+        // across a whole slot).
         fn vecs<T>(k: usize, cap_of: impl Fn(usize) -> usize) -> Vec<Mutex<Vec<T>>> {
             (0..k)
                 .map(|s| Mutex::new(Vec::with_capacity(cap_of(s))))
                 .collect()
         }
-        fn cells<T>(k: usize, cap_of: impl Fn(usize) -> usize + Copy) -> Vec<Vec<Mutex<Vec<T>>>> {
-            (0..k).map(|_| vecs(k, cap_of)).collect()
-        }
         let speedup = cfg.speedup.max(1) as usize;
         let rows = |s: usize| partition.input_range(s).len();
-        let horizon = spec.max_delay();
-        let has_zero = spec.has_zero_pair();
         // Heterogeneous ring depths: ring (dest, src) only needs buckets
         // for the worst latency between a src-owned input and a dest-owned
-        // output. One pass at run start; the slot loop never recomputes.
-        let ring = |dest: usize, src: usize| {
-            let mut depth = 0;
+        // output, and its best one says whether it carries latency 0. One
+        // pass at run start; the slot loop never recomputes.
+        let mut land_after_cycle = false;
+        let mut ring = |dest: usize, src: usize| {
+            let (mut best, mut worst) = (SlotId::MAX, 0);
             for i in partition.input_range(src) {
                 for j in partition.output_range(dest) {
-                    depth = depth.max(spec.delay(PortId::from(i), PortId::from(j)));
+                    let d = spec.delay(PortId::from(i), PortId::from(j));
+                    (best, worst) = (best.min(d), worst.max(d));
                 }
             }
-            let cal = || DelayCalendar::with_reserve(depth, rows(src) * speedup);
-            Mutex::new((depth >= 1).then(cal))
+            land_after_cycle |= dest != src && best == 0;
+            Mutex::new(DelayCalendar::with_reserve(worst, rows(src) * speedup))
         };
-        let rings = (0..if horizon >= 1 { k } else { 0 })
+        let rings = (0..k)
             .map(|dest| (0..k).map(|src| ring(dest, src)).collect())
             .collect();
         Comms {
@@ -732,15 +731,14 @@ impl Comms {
             // them by *row* owner, up to one proposal per global output —
             // all of which can land on a single owner.
             out_assignments: vecs(k, |s| rows(s).max(cfg.n_outputs)),
-            mail: cells(k, rows),
             rings,
+            horizon: spec.max_delay(),
             spec,
-            horizon,
-            has_zero,
+            land_after_cycle,
             // Marks accumulate for up to a whole slot before the column
             // owner drains them (one mark per crosspoint pop, in-side and
             // out-side per cycle).
-            xbar_marks: cells(k, |s| 2 * rows(s) * speedup),
+            xbar_marks: (0..k).map(|_| vecs(k, |s| 2 * rows(s) * speedup)).collect(),
             snapshot: RwLock::new(OutputSnapshot::default()),
             slot: AtomicU64::new(0),
             cycle: AtomicU32::new(0),
@@ -891,9 +889,7 @@ impl Fabric<'_> {
     /// only, between phases).
     fn for_each_in_flight(&self, mut f: impl FnMut(&InFlightPacket)) {
         for cell in self.comms.rings.iter().flatten() {
-            if let Some(cal) = &*lock(cell) {
-                cal.for_each_pending(&mut f);
-            }
+            lock(cell).for_each_pending(&mut f);
         }
     }
 
@@ -976,15 +972,15 @@ impl Fabric<'_> {
 const PH_ARRIVAL: u8 = 0;
 const PH_PROPOSE: u8 = 1;
 const PH_APPLY_POP: u8 = 2;
-const PH_APPLY_INSERT: u8 = 3;
 const PH_PROPOSE_IN: u8 = 4;
 const PH_APPLY_IN: u8 = 5;
 const PH_PROPOSE_OUT: u8 = 6;
 const PH_APPLY_OUT_POP: u8 = 7;
 const PH_TRANSMIT: u8 = 8;
 const PH_EXIT: u8 = 9;
-/// Landing phase (delayed fabric only): each column owner drains its due
-/// delay-line bucket into its output queues at the start of the slot.
+/// Landing phase: each column owner drains its rings' due buckets into its
+/// output queues — at the top of the slot on a delayed fabric, and after
+/// every cycle when a pair across bands has latency 0.
 const PH_LAND: u8 = 10;
 
 // ---------------------------------------------------------------------------
@@ -1036,63 +1032,22 @@ fn transmit_phase(s: usize, fabric: &Fabric<'_>) {
 }
 
 /// Insert one packet off the fabric into the owning shard's output queue.
-/// Returns `false` on a policy error (recorded).
-fn deliver(st: &mut ShardState, fabric: &Fabric<'_>, p: InFlightPacket) -> bool {
+fn deliver(st: &mut ShardState, p: InFlightPacket) -> Result<(), PolicyError> {
     // The sharded engine has no fault layer, so a full queue never drops.
-    let landed = st.band.deliver(&mut st.stats, false, p);
-    fabric.comms.ok(landed).is_some()
+    st.band.deliver(&mut st.stats, false, p)
 }
 
-/// Drain this shard's mailbox cells into its output queues (≤ 1 insert per
-/// queue per cycle, so drain order is immaterial).
-// detlint: hot
-fn apply_insert_phase(s: usize, fabric: &Fabric<'_>) {
-    let mut st = write_shard(&fabric.shards[s]);
-    for src in &fabric.comms.mail[s] {
-        let mut cell = lock(src);
-        for p in cell.drain(..) {
-            if !deliver(&mut st, fabric, p) {
-                return;
-            }
-        }
-    }
-}
-
-/// Landing phase for shard `s` (delayed fabric): gather the due bucket of
-/// every (s, src) ring, order by the canonical landing order
-/// `(dispatch slot, dispatch cycle, output, input)` — per output queue
-/// that is exactly dispatch order, the order the sequential delayed
-/// engine applies — and deliver into the owned output queues. The
-/// canonical order is partition-independent: it mentions only global
-/// ports and dispatch times, never shard or rack boundaries.
+/// Landing phase for shard `s`: land the current slot's bucket of every
+/// (s, src) ring into the owned output queues, in the canonical landing
+/// order (see `transport::land`) — the sequential engine's landing, over
+/// a row of rings instead of one calendar.
 // detlint: hot
 fn land_phase(s: usize, fabric: &Fabric<'_>, gather: &mut Vec<Landing>) {
-    debug_assert!(
-        fabric.comms.horizon >= 1,
-        "landing phase on an immediate fabric"
-    );
     let slot = fabric.comms.slot.load(Ordering::Relaxed);
-    gather.clear();
-    for cell in &fabric.comms.rings[s] {
-        if let Some(cal) = &mut *lock(cell) {
-            cal.drain_due_into(slot, gather);
-        }
-    }
-    gather.sort_unstable_by_key(Landing::key);
-    if cfg!(debug_assertions) {
-        // Strictness is the content of the check (the sort above already
-        // guarantees order): a duplicate key means two transfers entered
-        // one output in one cycle, which no merge may emit.
-        if let Err(msg) = crate::invariants::check_canonical_order(gather, Landing::key) {
-            panic!("sharded landing-order invariant violated (shard {s}): {msg}");
-        }
-    }
     let mut st = write_shard(&fabric.shards[s]);
-    for l in gather.drain(..) {
-        if !deliver(&mut st, fabric, l.p) {
-            return;
-        }
-    }
+    let rings = fabric.comms.rings[s].iter().map(lock);
+    let landed = transport::land(slot, rings, gather, |p| deliver(&mut st, p));
+    fabric.comms.ok(landed);
 }
 
 /// Per-worker batching scratch: routed packets and forwarded dirty marks
@@ -1104,19 +1059,19 @@ struct WorkerCtx<W> {
     marks: Vec<Vec<u32>>,
     /// Reused gather buffer for inbound crossbar marks.
     inbound_scratch: Vec<u32>,
-    /// Reused gather buffer for the landing phase (delayed fabric).
+    /// Reused gather buffer for the landing phase.
     land_scratch: Vec<Landing>,
 }
 
 impl<W> WorkerCtx<W> {
-    fn new(worker: W, k: usize, mark_cap: usize) -> Self {
+    fn new(worker: W, k: usize, mark_cap: usize, land_cap: usize) -> Self {
         WorkerCtx {
             worker,
             // Sized like the comms mark cells they swap buffers with, so
             // the circulating pool never grows mid-run.
             marks: (0..k).map(|_| Vec::with_capacity(mark_cap)).collect(),
             inbound_scratch: Vec::new(),
-            land_scratch: Vec::new(),
+            land_scratch: Vec::with_capacity(land_cap),
         }
     }
 
@@ -1137,37 +1092,26 @@ impl<W> WorkerCtx<W> {
 }
 
 /// Pooled per-worker guard buffers: the apply and propose phases lock a
-/// row of mailbox / ring / shard locks each cycle, and collecting the
-/// guards into a fresh `Vec` every time was steady-state allocation.
-/// Guards never cross a barrier (every phase clears the buffers before
-/// returning), so only the capacity persists. One scratch lives per
-/// worker thread — created inside the thread because lock guards make
-/// the type `!Send`.
+/// row of ring / shard locks each cycle, and collecting the guards into a
+/// fresh `Vec` every time was steady-state allocation. Guards never cross
+/// a barrier (every phase clears the buffers before returning), so only
+/// the capacity persists. One scratch lives per worker thread — created
+/// inside the thread because lock guards make the type `!Send`.
+#[derive(Default)]
 struct PhaseScratch<'f> {
     /// Read guards over every shard (global-view propose phases).
     read_guards: Vec<RwLockReadGuard<'f, ShardState>>,
-    /// Per-destination mailbox guards (apply-pop phases).
-    mail_boxes: Vec<Option<MutexGuard<'f, Vec<InFlightPacket>>>>,
     /// Per-destination delay-ring guards (apply-pop phases).
-    ring_boxes: Vec<MutexGuard<'f, Option<DelayCalendar>>>,
-}
-
-impl PhaseScratch<'_> {
-    fn new() -> Self {
-        PhaseScratch {
-            read_guards: Vec::new(),
-            mail_boxes: Vec::new(),
-            ring_boxes: Vec::new(),
-        }
-    }
+    ring_boxes: Vec<MutexGuard<'f, DelayCalendar>>,
 }
 
 /// The pop-and-route step of a scheduling cycle, shared by CIOQ transfers
 /// (`Q_ij → fabric`) and crossbar output-subphase transfers
 /// (`C_ij → fabric`): `pop` takes each assigned transfer's packet out of
 /// its source queue in shard `s` (marking what it dirties) and the packet
-/// is handed to the fabric — a delay-ring bucket, a same-shard delivery,
-/// or the column owner's mailbox.
+/// is handed to the fabric — delivered at once, as the sequential engine's
+/// does, when its pair is at latency 0 and this shard owns its output, and
+/// otherwise dispatched into the column owner's ring at its latency.
 // detlint: hot
 fn pop_and_route<'f, T>(
     s: usize,
@@ -1179,17 +1123,10 @@ fn pop_and_route<'f, T>(
 ) {
     let comms = &fabric.comms;
     let cycle = comms.cycle_now();
-    // Each (dest, src) mailbox / ring cell has exactly one writer per
-    // phase (this worker), so holding the locks for the whole pop loop is
-    // contention-free and saves a copy per packet. The guards land in the
-    // pooled scratch buffers (cleared below, before the barrier).
-    scr.mail_boxes.extend(
-        comms
-            .mail
-            .iter()
-            .enumerate()
-            .map(|(dest, cells)| (comms.has_zero && dest != s).then(|| lock(&cells[s]))),
-    );
+    // Each (dest, src) ring has exactly one writer per phase (this
+    // worker), so holding the locks for the whole pop loop is
+    // contention-free. The guards land in the pooled scratch buffer
+    // (cleared below, before the barrier).
     scr.ring_boxes
         .extend(comms.rings.iter().map(|cells| lock(&cells[s])));
     for t in assigned.drain(..) {
@@ -1197,30 +1134,21 @@ fn pop_and_route<'f, T>(
             break;
         };
         let dest = fabric.partition.output_owner(p.output as usize);
-        let dd = comms.spec.delay(PortId(p.input), PortId(p.output));
-        if dd >= 1 {
-            // Every positive-latency transfer — same-shard included, so
-            // results are partition-independent — rides the delay line
-            // and lands `dd` slots later.
-            scr.ring_boxes[dest]
-                .as_mut()
-                .expect("a positive-latency pair has a ring")
-                .dispatch(cycle.slot, cycle.index, dd, p);
-        } else if dest == s {
-            // Both endpoints owned: skip the mailbox round-trip (inserts
-            // touch `Q_j`, pops touch `Q_ij` / `C_ij` — the families are
-            // disjoint, so early delivery cannot perturb any pop).
-            if !deliver(st, fabric, p) {
+        let d = comms.spec.delay(PortId(p.input), PortId(p.output));
+        if d == 0 && dest == s {
+            // Both endpoints owned: inserts touch `Q_j`, pops touch `Q_ij`
+            // / `C_ij` — the families are disjoint, so early delivery
+            // cannot perturb any pop.
+            if comms.ok(deliver(st, p)).is_none() {
                 break;
             }
         } else {
-            scr.mail_boxes[dest]
-                .as_mut()
-                .expect("foreign cell locked")
-                .push(p);
+            // Every positive-latency transfer — same-shard included, so
+            // results are partition-independent — and every cross-shard
+            // one lands `d` slots later (`d = 0`: after the cycle).
+            scr.ring_boxes[dest].dispatch(cycle.slot, cycle.index, d, p);
         }
     }
-    scr.mail_boxes.clear();
     scr.ring_boxes.clear();
 }
 
@@ -1242,7 +1170,6 @@ fn worker_phase<'f, A: ShardArch>(
             let worker = &mut ctx.worker;
             arrival_phase(s, fabric, |view, p| A::admit(worker, view, p));
         }
-        PH_APPLY_INSERT => apply_insert_phase(s, fabric),
         PH_LAND => land_phase(s, fabric, &mut ctx.land_scratch),
         PH_TRANSMIT => transmit_phase(s, fabric),
         _ => A::phase(ph, s, ctx, fabric, scr),
@@ -1378,15 +1305,7 @@ fn capture_sharded(
 ) -> EngineSnapshot {
     // Capture runs before the landing phase, so the bucket due now is
     // still pending.
-    let mut landings = Vec::new();
-    for cell in fabric.comms.rings.iter().flatten() {
-        if let Some(cal) = &*lock(cell) {
-            cal.for_each_pending_at(slot, |land_slot, &landing| {
-                landings.push(SnapLanding { land_slot, landing });
-            });
-        }
-    }
-    landings.sort_unstable_by_key(SnapLanding::key);
+    let landings = SnapLanding::pending(slot, fabric.comms.rings.iter().flatten().map(lock));
     let (residual_count, residual_value) = fabric.residual();
     let mut snap = EngineSnapshot {
         config: fabric.cfg.clone(),
@@ -1419,17 +1338,15 @@ fn capture_sharded(
 /// history sits is immaterial). Returns the slot and no-progress streak
 /// the coordinator resumes at. Panics loudly on a snapshot that cannot
 /// be applied here: wrong geometry or fabric, fault-held packets or a
-/// stats window (the sharded engine supports neither), or landings
-/// outside their ring's window.
+/// stats window (the sharded engine supports neither), or a landing no
+/// run could have in flight (the sequential restore's rule).
 fn seed_from_snapshot(
     fabric: &Fabric<'_>,
     snap: &EngineSnapshot,
     options: &ShardedOptions,
 ) -> (SlotId, u32) {
-    let cfg = fabric.cfg;
-    let m = cfg.n_outputs;
     assert_eq!(
-        &snap.config, cfg,
+        &snap.config, fabric.cfg,
         "snapshot was taken under a different switch config"
     );
     assert_eq!(
@@ -1450,27 +1367,13 @@ fn seed_from_snapshot(
         }
     }
     write_shard(&fabric.shards[0]).stats = snap.stats.clone();
-    for SnapLanding { land_slot, landing } in &snap.landings {
-        let (i, j) = (landing.p.input as usize, landing.p.output as usize);
-        assert!(
-            i < cfg.n_inputs && j < m,
-            "landing on pair ({i} -> {j}) outside the switch"
-        );
-        let dest = fabric.partition.output_owner(j);
-        let src = fabric.partition.input_owner(i);
-        let mut ring = fabric.comms.rings.get(dest).map(|row| lock(&row[src]));
-        let Some(cal) = ring.as_mut().and_then(|ring| ring.as_mut()) else {
-            panic!("snapshot holds an in-flight packet on immediate pair ({i} -> {j})");
-        };
-        let depth = cal.horizon();
-        assert!(
-            *land_slot >= snap.slot && *land_slot < snap.slot + depth,
-            "landing at slot {land_slot} outside the ring window [{}, {}) — was the \
-             checkpoint taken under a fault plan?",
-            snap.slot,
-            snap.slot + depth
-        );
-        cal.insert_pending(*land_slot, *landing);
+    for l in &snap.landings {
+        if let Err(e) = snap.check_landing(l, None) {
+            panic!("snapshot cannot be applied: {e}");
+        }
+        let dest = fabric.partition.output_owner(l.landing.p.output as usize);
+        let src = fabric.partition.input_owner(l.landing.p.input as usize);
+        lock(&fabric.comms.rings[dest][src]).insert_pending(l.land_slot, l.landing);
     }
     fabric.comms.slot.store(snap.slot, Ordering::Relaxed);
     // The restored-residual invariant (see `crate::invariants`): what was
@@ -1741,10 +1644,16 @@ fn run_sharded_feed<A: ShardArch>(
         batch: RwLock::default(),
         comms,
     };
+    let speedup = cfg.speedup.max(1) as usize;
     let workers: Vec<WorkerCtx<A::Worker>> = (0..k)
         .map(|s| {
-            let mark_cap = 2 * fabric.partition.input_range(s).len() * cfg.speedup.max(1) as usize;
-            WorkerCtx::new(arch.new_worker(s, &fabric.partition, cfg), k, mark_cap)
+            let mark_cap = 2 * fabric.partition.input_range(s).len() * speedup;
+            // A landing gathers at most one transfer per owned output per
+            // cycle, from `speedup` cycles of up to `horizon` dispatch slots.
+            let cols = fabric.partition.output_range(s).len();
+            let land_cap = cols * speedup * fabric.comms.horizon.max(1) as usize;
+            let worker = arch.new_worker(s, &fabric.partition, cfg);
+            WorkerCtx::new(worker, k, mark_cap, land_cap)
         })
         .collect();
     let (start_slot, start_idle) = options
@@ -1754,7 +1663,7 @@ fn run_sharded_feed<A: ShardArch>(
     feed.check_resume(start_slot, &options);
 
     let horizon = fabric.comms.horizon;
-    let has_zero = fabric.comms.has_zero;
+    let land_after_cycle = fabric.comms.land_after_cycle;
     let mut final_slot: SlotId = 0;
     let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
 
@@ -1762,7 +1671,7 @@ fn run_sharded_feed<A: ShardArch>(
         threads,
         &fabric.comms,
         workers,
-        PhaseScratch::new,
+        PhaseScratch::default,
         |ph, s, w, scr| worker_phase::<A>(ph, s, w, &fabric, scr),
         |do_phase| {
             let mut slot: SlotId = start_slot;
@@ -1807,8 +1716,8 @@ fn run_sharded_feed<A: ShardArch>(
                 for s in 0..cfg.speedup {
                     fabric.comms.cycle.store(s, Ordering::Relaxed);
                     arch.cycle(&fabric, &mut stamps, do_phase)?;
-                    if has_zero {
-                        do_phase(PH_APPLY_INSERT)?;
+                    if land_after_cycle {
+                        do_phase(PH_LAND)?;
                     }
                 }
 
@@ -2475,8 +2384,9 @@ mod tests {
         Trace::from_tuples(tuples)
     }
 
-    /// Two racks: intra-rack pairs take the same-cycle mailbox path,
-    /// cross-rack pairs ride the delay rings.
+    /// Two racks over four shards: intra-rack pairs deliver at once within
+    /// a shard and land after the cycle across shards, cross-rack pairs
+    /// land two slots later.
     fn two_tier_options() -> ShardedOptions {
         let topology = Topology::two_tier(PORTS, PORTS, 2, 0, 2).expect("valid topology");
         let mut options = ShardedOptions::new(K);
@@ -2531,6 +2441,49 @@ mod tests {
         check("PG", &|t| run_cioq(Some(2.4), &valued, t));
         check("CGU", &|t| run_xbar(None, &unit, t));
         check("CPG", &|t| run_xbar(Some((2.0, 2.0)), &valued, t));
+    }
+
+    /// The post-cycle landing runs only where a pair across shard bands has
+    /// latency 0 — never at K = 1, nor on two racks that line up with two
+    /// bands.
+    #[test]
+    fn lands_after_the_cycle_only_for_latency_zero_across_bands() {
+        let cfg = SwitchConfig::cioq(PORTS, 2, 2);
+        let after_cycle = |k, spec| {
+            let partition = Partition::new(k, PORTS, PORTS);
+            Comms::new(k, false, spec, &partition, &cfg).land_after_cycle
+        };
+        let racks = || FabricSpec::matrix(Topology::two_tier(PORTS, PORTS, 2, 0, 4).unwrap());
+        assert!(!after_cycle(1, FabricSpec::uniform(0)));
+        assert!(!after_cycle(1, racks()));
+        assert!(!after_cycle(2, racks()));
+        assert!(after_cycle(4, racks()));
+        assert!(after_cycle(2, FabricSpec::uniform(0)));
+    }
+
+    /// A checkpoint landing the sequential restore refuses is refused here
+    /// too, with its error.
+    #[test]
+    fn resume_refuses_the_landings_restore_refuses() {
+        use crate::{Engine, RunOptions};
+        for snap in crate::snapshot::tests::illegal_landings() {
+            let mut options = ShardedOptions::new(2);
+            options.fabric = snap.fabric().clone();
+            let restore_options = RunOptions {
+                fabric: options.fabric.clone(),
+                ..RunOptions::default()
+            };
+            let err = Engine::restore(&snap, restore_options).err();
+            let err = err.expect("restore refuses the landing");
+            let cfg = snap.config().clone();
+            options.resume_from = Some(snap);
+            let msg = bounded(move || {
+                let trace = Trace::from_tuples(Vec::new());
+                run_cioq_sharded(&cfg, &Greedy { beta: None }, &trace, options).map(|_| ())
+            })
+            .expect_err("resume refuses the landing");
+            assert_eq!(msg, format!("snapshot cannot be applied: {err}"));
+        }
     }
 
     #[test]

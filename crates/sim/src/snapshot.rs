@@ -29,8 +29,9 @@
 //! versions and malformed bytes are [`SnapshotError`]s, never panics.
 
 use crate::stats::{StatsRecorder, WindowSlot};
-use crate::transport::{FabricSpec, InFlightPacket, Landing};
+use crate::transport::{DelayCalendar, FabricSpec, InFlightPacket, Landing};
 use cioq_model::{Benefit, Packet, PacketId, PortId, SlotId, SwitchConfig, Topology};
+use std::ops::Deref;
 
 /// Magic bytes prefixing every serialized snapshot.
 const MAGIC: &[u8; 8] = b"CIOQSNAP";
@@ -80,6 +81,23 @@ impl SnapLanding {
     /// landing order within it.
     pub(crate) fn key(&self) -> (SlotId, (SlotId, u32, u16, u16)) {
         (self.land_slot, self.landing.key())
+    }
+
+    /// What `calendars` hold at the top of `slot`, before its landing, as
+    /// a checkpoint records it: every committed packet with the slot it
+    /// lands at, in canonical order — the one capture walk of both engines.
+    pub(crate) fn pending<C: Deref<Target = DelayCalendar>>(
+        slot: SlotId,
+        calendars: impl IntoIterator<Item = C>,
+    ) -> Vec<SnapLanding> {
+        let mut landings = Vec::new();
+        for cal in calendars {
+            cal.for_each_pending_at(slot, |land_slot, &landing| {
+                landings.push(SnapLanding { land_slot, landing });
+            });
+        }
+        landings.sort_unstable_by_key(SnapLanding::key);
+        landings
     }
 }
 
@@ -166,6 +184,43 @@ impl EngineSnapshot {
     #[inline]
     pub fn residual_value(&self) -> u128 {
         self.residual_value
+    }
+
+    /// Whether `l` is a landing some run could have in flight at this
+    /// checkpoint — the one rule both engines' restores apply. Its pair
+    /// must lie in the switch. Without a fault plan (`fault_horizon` is
+    /// `None`) its landing slot is exact: checkpoints fire before any
+    /// dispatch of their slot, so the packet left before `slot`, at its
+    /// pair's latency, and has not landed yet. A fault plan's spikes and
+    /// retransmits move landings, so under one (`Some(horizon)`) only the
+    /// calendar window `[slot, slot + horizon)` is checked.
+    pub(crate) fn check_landing(
+        &self,
+        l: &SnapLanding,
+        fault_horizon: Option<SlotId>,
+    ) -> Result<(), SnapshotError> {
+        let (n, m) = (self.config.n_inputs, self.config.n_outputs);
+        let (i, j) = (l.landing.p.input, l.landing.p.output);
+        if i as usize >= n || j as usize >= m {
+            return Err(SnapshotError::Format(format!(
+                "landing on pair ({i} -> {j}) outside a {n}x{m} switch"
+            )));
+        }
+        let (sent, due, now) = (l.landing.slot, l.land_slot, self.slot);
+        let legal = match fault_horizon {
+            Some(horizon) => now <= due && due < now.saturating_add(horizon),
+            None => {
+                let d = self.fabric.delay(PortId(i), PortId(j));
+                sent < now && now <= due && sent.checked_add(d) == Some(due)
+            }
+        };
+        if !legal {
+            return Err(SnapshotError::Format(format!(
+                "landing at slot {due} of a packet dispatched at slot {sent} on pair \
+                 ({i} -> {j}) cannot be in flight at checkpoint slot {now}"
+            )));
+        }
+        Ok(())
     }
 
     /// Serialize to the canonical little-endian wire format (see module
@@ -629,7 +684,7 @@ impl Reader<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{Engine, FaultPlan, RunOptions};
 
@@ -693,6 +748,47 @@ mod tests {
             )),
             residual_count: 3,
             residual_value: 10,
+        }
+    }
+
+    /// [`sample`] with only its queued and in-flight packets: one landing,
+    /// dispatched at slot 9 on a latency-2 pair and due at 11, which the
+    /// slot-10 checkpoint may hold.
+    fn in_flight_only() -> EngineSnapshot {
+        let mut snap = sample();
+        snap.held.clear();
+        snap.window = None;
+        (snap.residual_count, snap.residual_value) = (2, 8);
+        snap
+    }
+
+    /// [`in_flight_only`] made impossible, each inside the calendar window:
+    /// a fabric that puts its landing's pair (1 -> 1) at latency 0, and a
+    /// dispatch one slot earlier than its landing slot allows.
+    pub(crate) fn illegal_landings() -> [EngineSnapshot; 2] {
+        let mut zero_pair = in_flight_only();
+        let topo = Topology::explicit(2, 2, 2, vec![0, 1], vec![0, 1], vec![0, 3, 3, 0])
+            .expect("valid topology");
+        zero_pair.fabric = FabricSpec::matrix(topo);
+        let mut off_by_one = in_flight_only();
+        off_by_one.landings[0].landing.slot = 8;
+        [zero_pair, off_by_one]
+    }
+
+    #[test]
+    fn restore_refuses_a_landing_no_run_could_have_in_flight() {
+        let options = |snap: &EngineSnapshot| RunOptions {
+            fabric: snap.fabric.clone(),
+            ..RunOptions::default()
+        };
+        let legal = in_flight_only();
+        assert!(Engine::restore(&legal, options(&legal)).is_ok());
+        for snap in illegal_landings() {
+            let err = Engine::restore(&snap, options(&snap)).err();
+            assert!(
+                matches!(&err, Some(SnapshotError::Format(msg)) if msg.contains("cannot be in flight")),
+                "{err:?}"
+            );
         }
     }
 

@@ -268,7 +268,7 @@ impl QueueBand {
     }
 
     /// Insert a packet that has crossed the fabric into `Q_j` — the single
-    /// landing site of the immediate path, the mailboxes and the delay line.
+    /// landing site of the immediate path and the delay line.
     // detlint: hot
     #[inline(always)]
     pub(crate) fn deliver(

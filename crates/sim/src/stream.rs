@@ -493,21 +493,26 @@ pub fn stream_trace_from(
     );
     let tail: Vec<Packet> = trace.packets()[skip..].to_vec();
     let (tx, src) = channel_at(depth, cursor);
-    let pump = spawn_producer(tx, move |tx| {
-        let mut i = 0;
-        let mut batch: Vec<Packet> = Vec::new();
-        while i < tail.len() {
-            let slot = tail[i].arrival;
-            while i < tail.len() && tail[i].arrival == slot {
-                batch.push(tail[i]);
-                i += 1;
-            }
-            if tx.send_reusing(slot, &mut batch).is_err() {
-                return;
-            }
-        }
-    });
+    let pump = spawn_producer(tx, move |tx| send_by_slot(&tx, tail));
     (src, pump)
+}
+
+/// The producer body of both adapters: group `packets` (in arrival order)
+/// into one batch per slot and push each through `tx`, until the packets
+/// run out or the consumer hangs up.
+fn send_by_slot(tx: &StreamSender, packets: impl IntoIterator<Item = Packet>) {
+    let mut packets = packets.into_iter().peekable();
+    let mut batch: Vec<Packet> = Vec::new();
+    while let Some(first) = packets.next() {
+        let slot = first.arrival;
+        batch.push(first);
+        while let Some(p) = packets.next_if(|p| p.arrival == slot) {
+            batch.push(p);
+        }
+        if tx.send_reusing(slot, &mut batch).is_err() {
+            return;
+        }
+    }
 }
 
 /// Stream a `cioq-trace v1` replay file without materialising it: the
@@ -544,7 +549,7 @@ where
                 .unwrap_or_else(|e| panic!("replay stream: {e}"))
         };
         let mut skipped: u64 = 0;
-        let mut pending = loop {
+        let first = loop {
             match next() {
                 Some(p) if p.arrival < cursor.slot => skipped += 1,
                 other => break other,
@@ -557,20 +562,7 @@ where
             cursor.slot,
             cursor.consumed
         );
-        let mut batch: Vec<Packet> = Vec::new();
-        while let Some(first) = pending {
-            let slot = first.arrival;
-            batch.push(first);
-            pending = loop {
-                match next() {
-                    Some(p) if p.arrival == slot => batch.push(p),
-                    other => break other,
-                }
-            };
-            if tx.send_reusing(slot, &mut batch).is_err() {
-                return;
-            }
-        }
+        send_by_slot(&tx, first.into_iter().chain(std::iter::from_fn(next)));
     });
     Ok((src, pump))
 }

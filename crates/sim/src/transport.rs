@@ -21,9 +21,10 @@
 //!
 //! * **Dispatch** (scheduling cycle): the packet is popped from its source
 //!   queue and committed to the wire. A pair at latency 0 delivers within
-//!   the cycle (the immediate path); a pair at `d ≥ 1` enters a ring of
-//!   slot-buckets, is counted *in flight* toward its output, and lands `d`
-//!   slots later.
+//!   the cycle (the immediate path — in the sharded engine, across shards,
+//!   through its ring, landed after the cycle); a pair at `d ≥ 1` enters a
+//!   ring of slot-buckets, is counted *in flight* toward its output, and
+//!   lands `d` slots later.
 //! * **Eligibility**: schedulers see the *virtual* occupancy of every
 //!   output — landed packets plus packets in flight — so non-preempting
 //!   policies never overrun a buffer they cannot observe, and preemption
@@ -42,10 +43,12 @@
 //! * **Transmission** only ever sends landed packets.
 //!
 //! `uniform(0)` and an all-zero matrix are the same fabric: a zero-latency
-//! pair takes the immediate per-transfer path, so the bit-identity is
+//! pair lands within its cycle either way, so the bit-identity is
 //! structural; the `d = 0` regression suite in `cioq-core` guards it.
 
+use crate::policy::PolicyError;
 use cioq_model::{Packet, PortId, SlotId, SwitchConfig, Topology, Value};
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 /// Description of a fabric transport: either one uniform latency or a
@@ -87,15 +90,6 @@ impl FabricSpec {
         }
     }
 
-    /// Smallest per-pair latency.
-    #[inline]
-    pub fn min_delay(&self) -> SlotId {
-        match &self.0 {
-            SpecRepr::Uniform(d) => *d,
-            SpecRepr::Matrix(t) => t.min_delay(),
-        }
-    }
-
     /// Largest per-pair latency (engines size their rings by this).
     #[inline]
     pub fn max_delay(&self) -> SlotId {
@@ -103,13 +97,6 @@ impl FabricSpec {
             SpecRepr::Uniform(d) => *d,
             SpecRepr::Matrix(t) => t.max_delay(),
         }
-    }
-
-    /// Whether any pair delivers same-cycle (the immediate per-transfer
-    /// path is live).
-    #[inline]
-    pub fn has_zero_pair(&self) -> bool {
-        self.min_delay() == 0
     }
 
     /// The topology, when this spec is matrix-backed.
@@ -197,96 +184,56 @@ impl Landing {
     }
 }
 
-/// The delay line: a calendar of `horizon = max_delay` slot-buckets, shared
-/// by every pair it carries — all of them in the sequential engine, those
-/// between one (destination, source) shard pair in the sharded one. A dispatch in
-/// slot `t` on a pair at latency `d` (`1 ≤ d ≤ horizon`) pushes into
-/// bucket `(t + d) % horizon`; the landing phase of slot `t` drains bucket
-/// `t % horizon` *before* any dispatch of slot `t`, so every packet found
-/// in a bucket is due exactly now (for any mix of pair latencies: the slot
-/// a bucket next drains at is the only landing slot a later dispatch could
-/// have mapped onto it).
-///
-/// The drained bucket is sorted into the canonical landing order
-/// `(dispatch slot, dispatch cycle, output, input)` — per output queue
-/// that is dispatch order, which is what the uniform delay line delivered.
+/// The delay line: a calendar of `horizon + 1` slot-buckets, where
+/// `horizon` is the largest latency it carries, shared by every pair it
+/// carries — all of them in the sequential engine, those between one
+/// (destination, source) shard pair in the sharded one. A dispatch in slot
+/// `t` on a pair at latency `d` (`0 ≤ d ≤ horizon`) pushes into bucket
+/// `(t + d) mod (horizon + 1)`, and [`land`] drains bucket
+/// `t mod (horizon + 1)` at the top of slot `t`, before any dispatch of
+/// `t` — and, where latency-0 dispatches can reach it, again after each
+/// cycle. Every packet found in a bucket is due exactly now, for any mix of
+/// pair latencies: the slot a bucket next drains at is the only landing
+/// slot a later dispatch could have mapped onto it. (With `horizon`
+/// buckets a dispatch at `d = horizon` would map onto its own slot's
+/// bucket, and the post-cycle drain would land it `horizon` slots early.)
 #[derive(Debug, Clone)]
 pub(crate) struct DelayCalendar {
-    /// Ring size. snapshot: transient — recomputed from the fabric spec
-    /// (and fault plan) at restore.
-    horizon: SlotId,
     /// Committed packets by landing bucket. snapshot: serialized — as
-    /// landings with explicit landing slots, via `for_each_pending_at`.
+    /// landings with explicit landing slots, via `for_each_pending_at`;
+    /// the bucket count is recomputed from the fabric spec (and fault
+    /// plan) at restore.
     buckets: Vec<Vec<Landing>>,
-    /// Drain scratch (swapped with the due bucket to avoid allocation).
-    /// snapshot: transient — empty at every slot boundary.
-    scratch: Vec<Landing>,
 }
 
 impl DelayCalendar {
-    /// A calendar for a fabric whose largest pair latency is `horizon`
-    /// (`≥ 1`; latency-0 pairs never enter the calendar).
-    /// As [`DelayCalendar::new`], with every bucket (and the drain
-    /// scratch) pre-reserved for `per_bucket` landings — the engine passes
-    /// its per-slot dispatch bound so the steady-state loop never grows a
+    /// A calendar for pairs of latency at most `horizon`, every bucket
+    /// pre-reserved for `per_bucket` landings — the engine passes its
+    /// per-slot dispatch bound so the steady-state loop never grows a
     /// bucket.
-    #[cfg(test)]
-    pub(crate) fn new(horizon: SlotId) -> Self {
-        Self::with_reserve(horizon, 0)
-    }
-
     pub(crate) fn with_reserve(horizon: SlotId, per_bucket: usize) -> Self {
-        assert!(horizon >= 1, "calendar models max delay >= 1");
         DelayCalendar {
-            horizon,
-            buckets: (0..horizon)
+            buckets: (0..=horizon)
                 .map(|_| Vec::with_capacity(per_bucket))
                 .collect(),
-            scratch: Vec::with_capacity(per_bucket),
         }
     }
 
-    /// Commit a packet dispatched in cycle `cycle` on a pair at latency
-    /// `d ≥ 1` to land at the start of slot `cycle.slot + d`.
+    /// The bucket that lands at the start of `slot`.
+    #[inline]
+    fn bucket(&mut self, slot: SlotId) -> &mut Vec<Landing> {
+        let len = self.buckets.len() as SlotId;
+        &mut self.buckets[(slot % len) as usize]
+    }
+
+    /// Commit a packet dispatched in cycle `cycle` of `slot` on a pair at
+    /// latency `d` to land at the start of slot `slot + d` (`d = 0`: after
+    /// the cycle).
     #[inline]
     // detlint: hot
     pub(crate) fn dispatch(&mut self, slot: SlotId, cycle: u32, d: SlotId, p: InFlightPacket) {
-        debug_assert!((1..=self.horizon).contains(&d), "pair delay out of range");
-        self.buckets[((slot + d) % self.horizon) as usize].push(Landing { slot, cycle, p });
-    }
-
-    /// Take the bucket due to land at the start of `slot`, sorted into the
-    /// canonical landing order. Return the drained buffer via
-    /// [`DelayCalendar::restore`].
-    #[inline]
-    // detlint: hot
-    pub(crate) fn take_due(&mut self, slot: SlotId) -> Vec<Landing> {
-        let bucket = &mut self.buckets[(slot % self.horizon) as usize];
-        std::mem::swap(bucket, &mut self.scratch);
-        let mut due = std::mem::take(&mut self.scratch);
-        due.sort_unstable_by_key(Landing::key);
-        due
-    }
-
-    /// Move the bucket due at the start of `slot` onto the end of `out`,
-    /// unsorted — for a caller that gathers several calendars' due
-    /// buckets (the sharded landing phase) and sorts the lot once.
-    #[inline]
-    // detlint: hot
-    pub(crate) fn drain_due_into(&mut self, slot: SlotId, out: &mut Vec<Landing>) {
-        out.append(&mut self.buckets[(slot % self.horizon) as usize]);
-    }
-
-    /// Ring size: the largest pair latency this calendar carries.
-    pub(crate) fn horizon(&self) -> SlotId {
-        self.horizon
-    }
-
-    /// Give a drained buffer back for reuse.
-    #[inline]
-    pub(crate) fn restore(&mut self, mut buf: Vec<Landing>) {
-        buf.clear();
-        self.scratch = buf;
+        debug_assert!(d < self.buckets.len() as SlotId, "pair delay out of range");
+        self.bucket(slot + d).push(Landing { slot, cycle, p });
     }
 
     /// Visit every packet currently committed to the wire (all buckets).
@@ -304,10 +251,11 @@ impl DelayCalendar {
     /// Visit every committed packet together with the slot it will land
     /// at, given that the current slot is `now` and `now`'s bucket has not
     /// been drained yet (the checkpoint boundary). A bucket `b` at time
-    /// `now` next drains at `now + ((b − now) mod horizon)`.
+    /// `now` next drains at `now + ((b − now) mod (horizon + 1))`.
     pub(crate) fn for_each_pending_at(&self, now: SlotId, mut f: impl FnMut(SlotId, &Landing)) {
+        let len = self.buckets.len() as SlotId;
         for (b, bucket) in self.buckets.iter().enumerate() {
-            let offset = (b as SlotId + self.horizon - now % self.horizon) % self.horizon;
+            let offset = (b as SlotId + len - now % len) % len;
             for l in bucket {
                 f(now + offset, l);
             }
@@ -316,11 +264,43 @@ impl DelayCalendar {
 
     /// Re-commit a landing recovered from a checkpoint, due at
     /// `land_slot`. The caller guarantees
-    /// `now ≤ land_slot < now + horizon` (checked by snapshot restore), so
+    /// `now ≤ land_slot ≤ now + horizon` (checked by snapshot restore), so
     /// the modular bucket index is unambiguous.
     pub(crate) fn insert_pending(&mut self, land_slot: SlotId, l: Landing) {
-        self.buckets[(land_slot % self.horizon) as usize].push(l);
+        self.bucket(land_slot).push(l);
     }
+}
+
+/// The landing phase of both engines — the sequential one over its single
+/// calendar, a shard over its row of per-pair rings: gather the bucket
+/// every calendar in `calendars` lands at `slot` into the pooled `gather`,
+/// sort the lot into the canonical landing order
+/// `(dispatch slot, dispatch cycle, output, input)` — per output queue that
+/// is dispatch order, which is what the uniform delay line delivered — and
+/// hand each packet to `deliver`, stopping at its first error. The order
+/// mentions only global ports and dispatch times, never shard or rack
+/// boundaries, so it is partition-independent.
+// detlint: hot
+pub(crate) fn land<C: DerefMut<Target = DelayCalendar>>(
+    slot: SlotId,
+    calendars: impl IntoIterator<Item = C>,
+    gather: &mut Vec<Landing>,
+    mut deliver: impl FnMut(InFlightPacket) -> Result<(), PolicyError>,
+) -> Result<(), PolicyError> {
+    gather.clear();
+    for mut cal in calendars {
+        gather.append(cal.bucket(slot));
+    }
+    gather.sort_unstable_by_key(Landing::key);
+    if cfg!(debug_assertions) {
+        // Strictness is the content of the check (the sort above already
+        // guarantees order): a duplicate key means two transfers entered
+        // one output in one cycle, which no schedule may emit.
+        if let Err(msg) = crate::invariants::check_canonical_order(gather, Landing::key) {
+            panic!("landing-order invariant violated: {msg}");
+        }
+    }
+    gather.iter().try_for_each(|l| deliver(l.p))
 }
 
 /// The virtual output queue both engines schedule against: what has landed
@@ -386,34 +366,36 @@ mod tests {
         let spec = FabricSpec::matrix(topo);
         assert_eq!(spec.delay(PortId(0), PortId(1)), 0, "intra-rack");
         assert_eq!(spec.delay(PortId(0), PortId(3)), 3, "cross-rack");
-        assert!(spec.has_zero_pair());
         assert_eq!(spec.max_delay(), 3);
         let uniform = FabricSpec::uniform(2);
         assert_eq!(uniform.delay(PortId(3), PortId(0)), 2);
-        assert!(!uniform.has_zero_pair());
+    }
+
+    /// The values [`land`] delivers out of `cal` at `slot`, in order.
+    fn land_at(cal: &mut DelayCalendar, slot: SlotId) -> Vec<Value> {
+        let mut landed = Vec::new();
+        let mut deliver = |p: InFlightPacket| {
+            landed.push(p.packet.value);
+            Ok(())
+        };
+        land(slot, Some(cal), &mut Vec::new(), &mut deliver).unwrap();
+        landed
     }
 
     #[test]
     fn calendar_lands_exactly_d_slots_later() {
-        let mut cal = DelayCalendar::new(3);
+        let mut cal = DelayCalendar::with_reserve(3, 0);
         cal.dispatch(5, 0, 3, mk(0, 0, 10));
         cal.dispatch(5, 1, 3, mk(0, 0, 11));
         cal.dispatch(6, 0, 3, mk(0, 0, 12));
         // Slot 7: nothing due (dispatched at 5 → lands 8; at 6 → lands 9).
-        let due = cal.take_due(7);
-        assert!(due.is_empty());
-        cal.restore(due);
-        let due = cal.take_due(8);
-        assert_eq!(due.len(), 2, "slot-5 dispatches land at slot 8");
+        assert!(land_at(&mut cal, 7).is_empty());
         assert_eq!(
-            (due[0].p.packet.value, due[1].p.packet.value),
-            (10, 11),
-            "dispatch (cycle) order preserved"
+            land_at(&mut cal, 8),
+            [10, 11],
+            "slot-5 dispatches land at slot 8, in dispatch (cycle) order"
         );
-        cal.restore(due);
-        let due = cal.take_due(9);
-        assert_eq!(due.len(), 1, "slot-6 dispatch lands at slot 9");
-        cal.restore(due);
+        assert_eq!(land_at(&mut cal, 9), [12], "slot-6 dispatch lands at 9");
     }
 
     #[test]
@@ -421,13 +403,45 @@ mod tests {
         // Pair latencies 1 and 3 under one horizon-3 calendar: a slot-2
         // dispatch at d=3 and a slot-4 dispatch at d=1 both land at 5, and
         // the canonical order puts the older dispatch first.
-        let mut cal = DelayCalendar::new(3);
-        cal.dispatch(2, 0, 3, mk(7, 1, 30));
+        let mut cal = DelayCalendar::with_reserve(3, 0);
         cal.dispatch(4, 0, 1, mk(3, 0, 10));
-        let due = cal.take_due(5);
-        assert_eq!(due.len(), 2);
-        assert_eq!(due[0].slot, 2, "earlier dispatch lands first");
-        assert_eq!(due[1].slot, 4);
-        cal.restore(due);
+        cal.dispatch(2, 0, 3, mk(7, 1, 30));
+        assert_eq!(land_at(&mut cal, 5), [30, 10], "earlier dispatch first");
+    }
+
+    /// Latencies 0 and `D` dispatched in one slot `t` share no bucket: the
+    /// post-cycle landing of `t` takes only the latency-0 packet, and the
+    /// other lands `D` slots later — not `D` slots early.
+    #[test]
+    fn latency_zero_and_the_horizon_land_apart() {
+        const D: SlotId = 4;
+        let mut cal = DelayCalendar::with_reserve(D, 0);
+        let t = 9;
+        cal.dispatch(t, 0, 0, mk(0, 0, 10));
+        cal.dispatch(t, 0, D, mk(1, 1, 20));
+        assert_eq!(land_at(&mut cal, t), [10]);
+        for slot in t + 1..t + D {
+            assert!(land_at(&mut cal, slot).is_empty(), "slot {slot}");
+        }
+        assert_eq!(land_at(&mut cal, t + D), [20]);
+    }
+
+    #[test]
+    fn landing_stops_at_the_first_error() {
+        let mut cal = DelayCalendar::with_reserve(1, 0);
+        cal.dispatch(0, 0, 1, mk(0, 0, 10));
+        cal.dispatch(0, 0, 1, mk(0, 1, 20));
+        let mut delivered = 0;
+        let result = land(1, Some(&mut cal), &mut Vec::new(), |p| {
+            delivered += 1;
+            Err(PolicyError::DuplicateOutput {
+                output: PortId(p.output),
+            })
+        });
+        assert_eq!(
+            result,
+            Err(PolicyError::DuplicateOutput { output: PortId(0) })
+        );
+        assert_eq!(delivered, 1);
     }
 }

@@ -1,8 +1,9 @@
 //! Permuted-arrival stress tests for the sharded engine's synchronisation
 //! protocol: the [`SpinBarrier`] phase discipline and the per-(dest, src)
-//! mailbox-cell pattern built on top of it (`shard.rs` routes every
-//! cross-shard packet through a `Mutex<Vec<_>>` cell written before a
-//! barrier crossing and drained after it).
+//! cell pattern built on top of it — a `Mutex<_>` cell written by one
+//! party before a barrier crossing and drained by another after it, which
+//! is how `shard.rs` forwards crossbar dirty marks (`xbar_marks`) and
+//! hands cross-shard packets over through its delay rings.
 //!
 //! The lockstep equivalence suites only sample the schedules a real run
 //! produces; these tests adversarially permute thread arrival order with
