@@ -4,7 +4,8 @@
 use crate::incremental::{read_outputs, VoqCache};
 use crate::pg::admit;
 use cioq_matching::{
-    claim_first_free, greedy_maximal_cells_into, CellVisit, GreedyScratch, Matching,
+    claim_first_free, greedy_maximal_cells_into, CellVisit, GreedyScratch, IncrementalGraph,
+    Matching,
 };
 use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
@@ -97,6 +98,20 @@ fn transfer(i: usize, j: usize) -> Transfer {
     }
 }
 
+/// GM's lexicographic matching over `graph` in place, starting from the
+/// columns `full_words` leaves free: every pair goes to `matched` in row
+/// order, and `free` ends without the matched columns.
+fn greedy_lex(
+    graph: &IncrementalGraph,
+    full_words: &[u64],
+    free: &mut Vec<u64>,
+    matched: impl FnMut(usize, usize),
+) {
+    free.clear();
+    free.extend(full_words.iter().map(|w| !w));
+    graph.greedy_lex_rows(free, matched);
+}
+
 impl CioqPolicy for GreedyMatching {
     fn name(&self) -> &str {
         &self.name
@@ -112,10 +127,8 @@ impl CioqPolicy for GreedyMatching {
         read_outputs(view, &mut self.outputs);
         match self.edge_policy {
             GmEdgePolicy::Lexicographic => {
-                self.free.clear();
-                self.free.extend(self.outputs.full_words.iter().map(|w| !w));
-                let graph = &self.cache.graph;
-                graph.greedy_lex_rows(&mut self.free, |i, j| out.push(transfer(i, j)));
+                let (graph, full) = (&self.cache.graph, &self.outputs.full_words);
+                greedy_lex(graph, full, &mut self.free, |i, j| out.push(transfer(i, j)));
             }
             GmEdgePolicy::RotateByCycle => {
                 let offset = cycle.sequence(view.config().speedup) as usize;
@@ -137,13 +150,19 @@ impl CioqPolicy for GreedyMatching {
 /// order only): the object is the factory and the merger, and every
 /// shard's worker is a fresh copy of it.
 ///
-/// Proposal: each worker repairs its band of the incremental edge graph
-/// and publishes its rows' edge bitmaps (one word-aligned bitmap per owned
-/// row). Merge: the lexicographic greedy's row step, [`claim_first_free`],
-/// per row in ascending order over `row & free`, where `free` starts as
-/// `!full_words` and loses a bit per match — the kernel the sequential
-/// policy runs over its own head graph in place, so the two engines match
-/// by sharing it, in O(N·M/64) word operations per cycle.
+/// Proposal: each worker repairs its band of the incremental edge graph.
+/// Shard 0's rows come first in lexicographic order, so nothing can take a
+/// column before them: its worker runs the sequential policy's matching
+/// over its own head graph in place, from `!full_words`, and publishes the
+/// outcome — its taken-or-full mask, then its pairs `(i << 32) | j` in row
+/// order (see [`CandidateSet`]). Every other worker publishes its rows'
+/// edge bitmaps (one word-aligned bitmap per owned row), while shard 0
+/// matches. Merge: `free` starts as the complement of shard 0's mask,
+/// shard 0's pairs are emitted, and the lexicographic greedy continues
+/// with its row step, [`claim_first_free`], per published row in
+/// ascending order over `row & free`. One kernel in both engines, in
+/// O(N·M/64) word operations per cycle; at K = 1 the merge only copies
+/// shard 0's pairs out.
 pub type ShardedGm = GreedyMatching;
 
 impl CioqShardPolicy for GreedyMatching {
@@ -163,8 +182,13 @@ impl CioqShardPolicy for GreedyMatching {
     // detlint: hot
     fn merge(&self, ctx: &MergeContext<'_>, scratch: &mut MergeScratch, out: &mut Vec<Transfer>) {
         let words = ctx.cfg.n_outputs.div_ceil(64);
-        let free = scratch.free_output_mask(&ctx.outputs.full_words);
-        for (s, set) in ctx.candidates.iter().enumerate() {
+        let (first, rest) = ctx.candidates.split_first().expect("at least one shard");
+        let (taken, pairs) = first.aux.split_at(words);
+        let free = scratch.free_output_mask(taken);
+        for &pair in pairs {
+            out.push(transfer((pair >> 32) as usize, pair as u32 as usize));
+        }
+        for (s, set) in (1..).zip(rest) {
             let in_lo = ctx.partition.input_range(s).start;
             debug_assert_eq!(set.aux.len() % words.max(1), 0);
             for (local, row) in set.aux.chunks_exact(words).enumerate() {
@@ -186,13 +210,27 @@ impl CioqShardWorker for GreedyMatching {
     fn propose(
         &mut self,
         shard: &ShardView<'_>,
-        _: &OutputSnapshot,
+        outputs: &OutputSnapshot,
         _: Cycle,
         out: &mut CandidateSet,
     ) {
         self.cache.sync(shard, |_, _| {});
         let rows = shard.input_range().len();
         let words = shard.n_outputs().div_ceil(64);
+        if shard.shard() == 0 {
+            // The mask, then at most one pair per row: reserved on the first
+            // cycle, so no later cycle grows the buffer.
+            out.aux.reserve(words + rows);
+            out.aux.resize(words, 0);
+            let (graph, pairs) = (&self.cache.graph, &mut out.aux);
+            greedy_lex(graph, &outputs.full_words, &mut self.free, |i, j| {
+                pairs.push(((i as u64) << 32) | j as u64)
+            });
+            for (taken, free) in out.aux.iter_mut().zip(&self.free) {
+                *taken = !free;
+            }
+            return;
+        }
         out.aux.resize(rows * words, 0);
         for local in 0..rows {
             self.cache

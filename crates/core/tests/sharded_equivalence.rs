@@ -606,7 +606,9 @@ fn one_sharded_pg_serves_concurrent_runs() {
     });
 }
 
-/// More shards than ports: empty shards must be inert, not wrong.
+/// More shards than ports: empty shards must be inert, not wrong — GM's
+/// first band included, which at k = 5 on 2 ports owns no row and
+/// publishes only its mask.
 #[test]
 fn more_shards_than_ports() {
     let cfg = SwitchConfig::cioq(2, 2, 1);
@@ -616,22 +618,25 @@ fn more_shards_than_ports() {
         (1, PortId(0), PortId(0), 7),
         (2, PortId(1), PortId(1), 2),
     ]);
-    let (ref_report, ref_schedule, ref_state) =
-        seq_cioq(&cfg, Box::new(PreemptiveGreedy::new()), &trace);
-    for mode in MODES {
-        let outcome =
-            run_cioq_sharded(&cfg, &ShardedPg::new(), &trace, sharded_options(5, mode)).unwrap();
-        assert_eq!(
-            outcome.schedule.as_ref().unwrap().transfers,
-            ref_schedule.transfers
-        );
-        assert_reports_equal(&outcome.report, &ref_report, "k=5 on 2 ports");
-        assert_states_equal(
-            outcome.final_state.as_ref().unwrap(),
-            &ref_state,
-            "k=5 on 2 ports",
-        );
-    }
+    let pg = || Box::new(PreemptiveGreedy::new()) as _;
+    check_cioq_at(&cfg, pg, &ShardedPg::new(), &trace, &[5]);
+    let gm = || Box::new(GreedyMatching::new()) as _;
+    check_cioq_at(&cfg, gm, &ShardedGm::new(), &trace, &[5]);
+}
+
+/// GM's first band matches in place and the merge continues from the mask
+/// it publishes. Every input sends to outputs 0 and 1 in slots 0–3 with
+/// B = 1, so rows on both sides of band 0's edge contend for the same two
+/// columns: a merge that forgot what band 0 took would hand a column out
+/// twice.
+#[test]
+fn gm_first_band_claims_before_the_merge() {
+    let cfg = SwitchConfig::cioq(8, 1, 1);
+    let trace = Trace::from_tuples(
+        (0..4).flat_map(|t| (0..8).flat_map(move |i| [0, 1].map(|j| (t, PortId(i), PortId(j), 1)))),
+    );
+    let gm = || Box::new(GreedyMatching::new()) as _;
+    check_cioq_at(&cfg, gm, &ShardedGm::new(), &trace, &[2, 4]);
 }
 
 /// A packet on a port outside the switch is refused with the same error by

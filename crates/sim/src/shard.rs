@@ -17,17 +17,20 @@
 //! * `Q_j` (output queues) belong to the owner of output column `j` —
 //!   fabric transfers insert there, transmission pops there.
 //!
-//! What is this engine's own is everything *between* bands. A transfer
-//! whose input row and output column live on different shards is
-//! *cross-shard*: the row owner pops the packet and dispatches it into the
+//! What is this engine's own is everything *between* bands, and every
+//! hand-off there happens once per phase, never once per item. The
+//! coordinator publishes a cycle's decided transfer set whole, in one
+//! cell; each row owner pops from it the transfers of its own rows. A
+//! transfer whose input row and output column live on different shards is
+//! *cross-shard*: the row owner dispatches the packet into the
 //! `(column owner, row owner)` delay ring — the sequential engine's
 //! `DelayCalendar`, at the pair's latency, 0 included — and the column
-//! owner lands it, after the cycle at latency 0 and at the top of a later
-//! slot otherwise. Crossbar mutations are likewise forwarded as
-//! dirty-cell marks to the column owner, whose incremental column caches
-//! consume them — the band's [`ChangeLog`] discipline, stretched across
-//! shards. A policy error travels through `Comms::ok` to a sticky cell
-//! instead of `?`.
+//! owner lands it, after the cycle at latency 0 and as a later slot opens
+//! otherwise. Crossbar mutations are likewise forwarded as dirty-cell
+//! marks to the column owner, whose incremental column caches consume
+//! them — the band's [`ChangeLog`] discipline, stretched across shards. A
+//! policy error travels through `Comms::ok` to a sticky cell instead of
+//! `?`.
 //!
 //! ## Bit-identity
 //!
@@ -46,13 +49,13 @@
 //!
 //! As in the sequential engine, §1.3's slot is written once:
 //! `run_sharded_feed` owns the preamble (partition, channels, workers,
-//! checkpoint seeding), the slot skeleton (window check, drain cutoff,
-//! checkpoint cadence, landing, arrival, transmission, audit) and the
+//! checkpoint cadence, the opening phase, transmission, audit) and the
 //! finish, and `worker_phase` the phases both architectures run. The
-//! arrival phase exists once, whatever feeds the run: between barriers the
+//! opening phase exists once, whatever feeds the run: between barriers the
 //! coordinator pulls the slot's arrivals — from a trace cursor or a live
 //! stream — into one pooled batch and validates their ports; then every
-//! shard admits, from that batch, the packets of the rows it owns.
+//! shard lands the ring bucket due now and admits, from that batch, the
+//! packets of the rows it owns.
 //! What a CIOQ switch and a buffered crossbar do differently — the worker
 //! type, the propose/apply phases of a scheduling cycle, the coordinator's
 //! half of that cycle and the shape of the recorded transcript — sits
@@ -86,7 +89,7 @@ use cioq_queues::SortedQueue;
 use std::any::Any;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 // ---------------------------------------------------------------------------
 // Partition
@@ -430,8 +433,8 @@ pub struct OutputSnapshot {
     /// Least virtual-queue value where full, 0 otherwise.
     pub tail: Vec<Value>,
     /// `full` as a packed bitmap (`full_words[j/64]` bit `j%64`): its
-    /// complement is the free-column mask GM's lexicographic greedy claims
-    /// from, in the sharded merge and the sequential policy alike.
+    /// complement is the free-column mask GM's lexicographic greedy starts
+    /// from, in the sequential policy and the sharded first band alike.
     pub full_words: Vec<u64>,
     /// Packets in flight toward each output (all zero when immediate).
     pub in_flight: Vec<u32>,
@@ -445,11 +448,14 @@ pub struct OutputSnapshot {
 // ---------------------------------------------------------------------------
 
 /// A shard's per-cycle proposal payload: a policy-defined auxiliary word
-/// array, an edit publish, or both. GM publishes its rows'
-/// edge bitmaps through `aux` (one `n_outputs.div_ceil(64)`-word bitmap per
-/// owned row, ascending) so the merge can run the lexicographic greedy as
-/// word arithmetic; PG publishes the cells of its head graph whose edge
-/// changed through `removed` / `refreshed`.
+/// array, an edit publish, or both. GM's `aux` has two layouts. Shard 0
+/// matches its own rows in place and publishes the result: its
+/// taken-or-full output mask (`n_outputs.div_ceil(64)` words), then its
+/// matched pairs `(i << 32) | j` in ascending row order. Every other shard
+/// publishes its rows' edge bitmaps (one such bitmap per owned row,
+/// ascending), so the merge continues the lexicographic greedy as word
+/// arithmetic. PG publishes the cells of its head graph whose edge changed
+/// through `removed` / `refreshed`.
 #[derive(Debug, Default)]
 pub struct CandidateSet {
     /// Auxiliary packed words (policy-defined layout).
@@ -498,12 +504,13 @@ impl MergeScratch {
             .expect("one run merges with one policy, so asks for one type")
     }
 
-    /// Fill the reusable word buffer with `!full_words` (i.e. a bitmap of
-    /// outputs that are free to receive) and return it; bitmap merges
-    /// clear bits as they match outputs.
-    pub fn free_output_mask(&mut self, full_words: &[u64]) -> &mut Vec<u64> {
+    /// Fill the reusable word buffer with the complement of `closed` — a
+    /// bitmap of outputs that may not receive, such as the snapshot's
+    /// `full_words` or GM's first-band taken-or-full mask — and return it;
+    /// bitmap merges clear bits as they match outputs.
+    pub fn free_output_mask(&mut self, closed: &[u64]) -> &mut Vec<u64> {
         self.words.clear();
-        self.words.extend(full_words.iter().map(|w| !w));
+        self.words.extend(closed.iter().map(|w| !w));
         &mut self.words
     }
 }
@@ -545,7 +552,9 @@ pub trait CioqShardPolicy: Sync {
 
     /// Deterministically combine per-shard candidates into the cycle's
     /// matching, resolving contended ports in fixed port order. Must append
-    /// transfers in the exact order the sequential policy would.
+    /// transfers in the exact order the sequential policy would: the engine
+    /// publishes `out` as one set, and every row owner pops its own rows'
+    /// transfers from it in that order.
     fn merge(&self, ctx: &MergeContext<'_>, scratch: &mut MergeScratch, out: &mut Vec<Transfer>);
 }
 
@@ -632,21 +641,24 @@ struct ShardState {
 struct Comms {
     /// Per-shard CIOQ proposal payloads.
     candidates: Vec<Mutex<CandidateSet>>,
-    /// Per-shard pop assignments (CIOQ transfers by row owner).
-    assignments: Vec<Mutex<Vec<Transfer>>>,
+    /// The cycle's CIOQ transfer set, in merge order: swapped in by the
+    /// coordinator under one write lock, popped by every row owner.
+    transfers: RwLock<Vec<Transfer>>,
     /// Per-shard crossbar input-subphase assignments.
     in_assignments: Vec<Mutex<Vec<InputTransfer>>>,
-    /// Per-shard crossbar output-subphase pop assignments (by row owner).
+    /// Per-shard crossbar output-subphase proposals (its own columns).
     out_assignments: Vec<Mutex<Vec<OutputTransfer>>>,
+    /// The output subphase's proposals in shard order, popped likewise.
+    out_transfers: RwLock<Vec<OutputTransfer>>,
     /// The packets between bands: one delay ring per (destination, source)
     /// shard pair, written by the source's pop phase, landed by the
     /// destination. Each is a [`DelayCalendar`] — the sequential engine's
     /// delay line — of *heterogeneous* depth, the largest per-pair latency
     /// between a source-owned input and a destination-owned output, so a
     /// shard pair whose racks sit close never pays for the fabric's worst
-    /// path. The destination lands the bucket due at slot `t` at the top
-    /// of `t`, before the slot's dispatches refill it, and again after
-    /// each cycle when latency-0 dispatches reach it. Packets keep their
+    /// path. The destination lands the bucket due at slot `t` as `t` opens,
+    /// before the slot's dispatches refill it, and again after each cycle
+    /// when latency-0 dispatches reach it. Packets keep their
     /// dispatch time: with per-pair latencies one landing slot can gather
     /// transfers dispatched in *different* slots (and up to ŝ per output
     /// within a slot), and with preemption their per-queue apply order
@@ -654,8 +666,7 @@ struct Comms {
     rings: Vec<Vec<Mutex<DelayCalendar>>>,
     /// Per-pair fabric latencies.
     spec: FabricSpec,
-    /// Largest per-pair latency (0 = immediate fabric, no landing at the
-    /// top of the slot).
+    /// Largest per-pair latency (0 = immediate fabric).
     horizon: SlotId,
     /// Whether some pair across shard bands has latency 0, so rings take
     /// dispatches that land within their own cycle: the landing phase then
@@ -724,13 +735,11 @@ impl Comms {
             candidates: (0..k)
                 .map(|_| Mutex::new(CandidateSet::default()))
                 .collect(),
-            assignments: vecs(k, rows),
+            // A matching has at most one transfer per port on either side.
+            transfers: RwLock::new(Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs))),
             in_assignments: vecs(k, rows),
-            // An out-assignment cell holds a worker's own output proposals
-            // (≤ its columns) and then, after the coordinator redistributes
-            // them by *row* owner, up to one proposal per global output —
-            // all of which can land on a single owner.
-            out_assignments: vecs(k, |s| rows(s).max(cfg.n_outputs)),
+            out_assignments: vecs(k, |s| partition.output_range(s).len()),
+            out_transfers: RwLock::new(Vec::with_capacity(cfg.n_outputs)),
             rings,
             horizon: spec.max_delay(),
             spec,
@@ -766,7 +775,7 @@ impl Comms {
     /// The pre-cycle output snapshot (refreshed by the coordinator between
     /// phases, read by proposals and merges).
     fn outputs(&self) -> RwLockReadGuard<'_, OutputSnapshot> {
-        self.snapshot.read().unwrap_or_else(|e| e.into_inner())
+        read(&self.snapshot)
     }
 
     fn cycle_now(&self) -> Cycle {
@@ -792,11 +801,11 @@ fn rewrite_cell<T: Default>(cell: &Mutex<T>, fill: impl FnOnce(&mut T)) {
     *lock(cell) = buf;
 }
 
-fn read_shard<'a>(l: &'a RwLock<ShardState>) -> RwLockReadGuard<'a, ShardState> {
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|e| e.into_inner())
 }
 
-fn write_shard<'a>(l: &'a RwLock<ShardState>) -> std::sync::RwLockWriteGuard<'a, ShardState> {
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -808,8 +817,9 @@ struct Fabric<'a> {
     shards: Vec<RwLock<ShardState>>,
     /// The current slot's arrivals, whole and in arrival order. The
     /// coordinator refills it from the feed between barriers (workers
-    /// parked, so the write lock is uncontended); in the arrival phase
-    /// every shard reads it and admits the packets of its own rows.
+    /// parked, so the write lock is uncontended), or clears it past the
+    /// arrival window; in [`PH_OPEN`] every shard reads it and admits the
+    /// packets of its own rows.
     batch: RwLock<SlotBatch>,
     comms: Comms,
 }
@@ -846,14 +856,14 @@ impl Fabric<'_> {
     /// of a collect, so the per-cycle global view reuses one buffer.
     fn read_all_into<'g>(&'g self, out: &mut Vec<RwLockReadGuard<'g, ShardState>>) {
         out.clear();
-        out.extend(self.shards.iter().map(read_shard));
+        out.extend(self.shards.iter().map(read));
     }
 
     /// The run's statistics so far: every shard's share, summed.
     fn merged_stats(&self) -> StatsRecorder {
         let mut merged = StatsRecorder::new(self.cfg.n_outputs);
         for l in &self.shards {
-            merged.absorb(&read_shard(l).stats);
+            merged.absorb(&read(l).stats);
         }
         merged
     }
@@ -863,7 +873,7 @@ impl Fabric<'_> {
         let mut transmitted = 0;
         let mut moved = 0;
         for l in &self.shards {
-            let st = read_shard(l);
+            let st = read(l);
             transmitted += st.stats.transmitted;
             moved += st.stats.transferred + st.stats.transferred_to_crossbar;
         }
@@ -878,7 +888,7 @@ impl Fabric<'_> {
     fn buffered(&self) -> u64 {
         let (mut arrived, mut gone) = (0, 0);
         for l in &self.shards {
-            let stats = &read_shard(l).stats;
+            let stats = &read(l).stats;
             arrived += stats.arrived;
             gone += stats.transmitted + stats.losses.total_count();
         }
@@ -904,7 +914,7 @@ impl Fabric<'_> {
         let mut count = 0;
         let mut value = 0;
         for l in &self.shards {
-            let st = read_shard(l);
+            let st = read(l);
             count += st.band.residual_count();
             value += st.band.residual_value();
         }
@@ -920,11 +930,7 @@ impl Fabric<'_> {
     /// delay line's in-flight packets.
     fn refresh_snapshot(&self) {
         let m = self.cfg.n_outputs;
-        let mut snap = self
-            .comms
-            .snapshot
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut snap = write(&self.comms.snapshot);
         let snap = &mut *snap;
         snap.full.clear();
         snap.full.resize(m, false);
@@ -942,7 +948,7 @@ impl Fabric<'_> {
             snap.in_flight_min[j] = snap.in_flight_min[j].min(p.packet.value);
         });
         for l in &self.shards {
-            let st = read_shard(l);
+            let st = read(l);
             for j in st.band.cols() {
                 let q = st.band.output(PortId::from(j));
                 let in_flight = snap.in_flight[j] as usize;
@@ -960,7 +966,7 @@ impl Fabric<'_> {
     /// bands, concatenated.
     fn assemble_state(&self) -> SwitchState {
         let slot = self.comms.slot.load(Ordering::Relaxed);
-        let shards: Vec<_> = self.shards.iter().map(read_shard).collect();
+        let shards: Vec<_> = self.shards.iter().map(read).collect();
         SwitchState::assemble(self.cfg.clone(), slot, shards.iter().map(|st| &st.band))
     }
 }
@@ -969,38 +975,44 @@ impl Fabric<'_> {
 // Phase identifiers
 // ---------------------------------------------------------------------------
 
-const PH_ARRIVAL: u8 = 0;
+/// Every slot's first phase: each shard lands its rings' bucket due now,
+/// then admits its rows from the batch — landing writes only owned `Q_j`,
+/// admission only owned `Q_ij`, each in the sequential engine's order.
+const PH_OPEN: u8 = 0;
 const PH_PROPOSE: u8 = 1;
+/// Row owners pop their transfers from the cycle's one published set.
 const PH_APPLY_POP: u8 = 2;
 const PH_PROPOSE_IN: u8 = 4;
 const PH_APPLY_IN: u8 = 5;
 const PH_PROPOSE_OUT: u8 = 6;
+/// [`PH_APPLY_POP`] for the crossbar output subphase's published set.
 const PH_APPLY_OUT_POP: u8 = 7;
 const PH_TRANSMIT: u8 = 8;
 const PH_EXIT: u8 = 9;
-/// Landing phase: each column owner drains its rings' due buckets into its
-/// output queues — at the top of the slot on a delayed fabric, and after
-/// every cycle when a pair across bands has latency 0.
+/// The post-cycle landing, run only when `Comms::land_after_cycle`: each
+/// column owner lands its rings' latency-0 dispatches of the cycle.
 const PH_LAND: u8 = 10;
 
 // ---------------------------------------------------------------------------
 // Worker-side phase execution
 // ---------------------------------------------------------------------------
 
-/// Arrival phase for shard `s`: admit, from the slot's one batch, the
-/// packets of the rows this shard owns. Admission is row-local in every
-/// policy of the paper, so the shards need no distribution step — each
-/// skips what another owns, and arrival order within a row is the batch's.
+/// Arrival half of [`PH_OPEN`] for shard `s`: admit, from the slot's one
+/// batch, the packets of the rows this shard owns. Admission is row-local
+/// in every policy of the paper, so the shards need no distribution step —
+/// each skips what another owns, and arrival order within a row is the
+/// batch's.
 fn arrival_phase(
     s: usize,
     fabric: &Fabric<'_>,
     mut admit: impl FnMut(&ShardView<'_>, &Packet) -> Admission,
 ) {
-    let batch = fabric.batch.read().unwrap_or_else(|e| e.into_inner());
-    let mut st = write_shard(&fabric.shards[s]);
+    let batch = read(&fabric.batch);
+    let mut st = write(&fabric.shards[s]);
     let st = &mut *st;
+    let rows = st.band.rows();
     for (idx, p) in (batch.base..).zip(&batch.packets) {
-        if fabric.partition.input_owner(p.input.index()) != s {
+        if !rows.contains(&p.input.index()) {
             continue;
         }
         let decision = admit(&fabric.shard_view(s, st), p);
@@ -1019,7 +1031,7 @@ fn arrival_phase(
 /// output queue (the behaviour of every policy in the paper).
 fn transmit_phase(s: usize, fabric: &Fabric<'_>) {
     let slot = fabric.comms.slot.load(Ordering::Relaxed);
-    let mut st = write_shard(&fabric.shards[s]);
+    let mut st = write(&fabric.shards[s]);
     let st = &mut *st;
     for j in st.band.cols().map(PortId::from) {
         if !st.band.output(j).is_empty() {
@@ -1037,17 +1049,18 @@ fn deliver(st: &mut ShardState, p: InFlightPacket) -> Result<(), PolicyError> {
     st.band.deliver(&mut st.stats, false, p)
 }
 
-/// Landing phase for shard `s`: land the current slot's bucket of every
-/// (s, src) ring into the owned output queues, in the canonical landing
-/// order (see `transport::land`) — the sequential engine's landing, over
-/// a row of rings instead of one calendar.
+/// Landing for shard `s` ([`PH_LAND`], and [`PH_OPEN`]'s first half): land
+/// the current slot's bucket of every (s, src) ring into the owned output
+/// queues, in the canonical landing order (see `transport::land`) — the
+/// sequential engine's landing, over a row of rings instead of one
+/// calendar. `None` if a delivery failed.
 // detlint: hot
-fn land_phase(s: usize, fabric: &Fabric<'_>, gather: &mut Vec<Landing>) {
+fn land_phase(s: usize, fabric: &Fabric<'_>, gather: &mut Vec<Landing>) -> Option<()> {
     let slot = fabric.comms.slot.load(Ordering::Relaxed);
-    let mut st = write_shard(&fabric.shards[s]);
+    let mut st = write(&fabric.shards[s]);
     let rings = fabric.comms.rings[s].iter().map(lock);
     let landed = transport::land(slot, rings, gather, |p| deliver(&mut st, p));
-    fabric.comms.ok(landed);
+    fabric.comms.ok(landed)
 }
 
 /// Per-worker batching scratch: routed packets and forwarded dirty marks
@@ -1107,18 +1120,19 @@ struct PhaseScratch<'f> {
 
 /// The pop-and-route step of a scheduling cycle, shared by CIOQ transfers
 /// (`Q_ij → fabric`) and crossbar output-subphase transfers
-/// (`C_ij → fabric`): `pop` takes each assigned transfer's packet out of
-/// its source queue in shard `s` (marking what it dirties) and the packet
-/// is handed to the fabric — delivered at once, as the sequential engine's
-/// does, when its pair is at latency 0 and this shard owns its output, and
-/// otherwise dispatched into the column owner's ring at its latency.
+/// (`C_ij → fabric`): `assigned` is the cycle's published set filtered to
+/// shard `s`'s rows; `pop` takes each transfer's packet out of its source
+/// queue (marking what it dirties) and the packet is handed to the fabric —
+/// delivered at once, as the sequential engine's does, when its pair is at
+/// latency 0 and this shard owns its output, and otherwise dispatched into
+/// the column owner's ring at its latency.
 // detlint: hot
 fn pop_and_route<'f, T>(
     s: usize,
     st: &mut ShardState,
     fabric: &'f Fabric<'_>,
     scr: &mut PhaseScratch<'f>,
-    assigned: &mut Vec<T>,
+    assigned: impl Iterator<Item = T>,
     mut pop: impl FnMut(&mut ShardState, T) -> Option<InFlightPacket>,
 ) {
     let comms = &fabric.comms;
@@ -1129,7 +1143,7 @@ fn pop_and_route<'f, T>(
     // (cleared below, before the barrier).
     scr.ring_boxes
         .extend(comms.rings.iter().map(|cells| lock(&cells[s])));
-    for t in assigned.drain(..) {
+    for t in assigned {
         let Some(p) = pop(st, t) else {
             break;
         };
@@ -1166,11 +1180,15 @@ fn worker_phase<'f, A: ShardArch>(
         return;
     }
     match ph {
-        PH_ARRIVAL => {
-            let worker = &mut ctx.worker;
-            arrival_phase(s, fabric, |view, p| A::admit(worker, view, p));
+        PH_OPEN => {
+            if land_phase(s, fabric, &mut ctx.land_scratch).is_some() {
+                let worker = &mut ctx.worker;
+                arrival_phase(s, fabric, |view, p| A::admit(worker, view, p));
+            }
         }
-        PH_LAND => land_phase(s, fabric, &mut ctx.land_scratch),
+        PH_LAND => {
+            land_phase(s, fabric, &mut ctx.land_scratch);
+        }
         PH_TRANSMIT => transmit_phase(s, fabric),
         _ => A::phase(ph, s, ctx, fabric, scr),
     }
@@ -1292,7 +1310,7 @@ fn drive<W: Send, S>(
 // ---------------------------------------------------------------------------
 
 /// Capture an [`EngineSnapshot`] of the sharded run at the top of `slot`
-/// (coordinator only, between barriers, before the landing phase) —
+/// (coordinator only, between barriers, before [`PH_OPEN`] lands) —
 /// byte-compatible with the sequential engine's capture of the same
 /// state: queue cells in stored order, ring contents converted back to
 /// `(land slot, dispatch metadata)` landings in canonical order, merged
@@ -1303,8 +1321,8 @@ fn capture_sharded(
     slot: SlotId,
     idle_slots: u32,
 ) -> EngineSnapshot {
-    // Capture runs before the landing phase, so the bucket due now is
-    // still pending.
+    // Capture runs before the slot opens, so the bucket due now is still
+    // pending.
     let landings = SnapLanding::pending(slot, fabric.comms.rings.iter().flatten().map(lock));
     let (residual_count, residual_value) = fabric.residual();
     let mut snap = EngineSnapshot {
@@ -1325,7 +1343,7 @@ fn capture_sharded(
     // Shards own contiguous ascending bands, so visiting them in order
     // yields the checkpoint layout.
     for l in &fabric.shards {
-        read_shard(l).band.cells_out(&mut snap);
+        read(l).band.cells_out(&mut snap);
     }
     snap
 }
@@ -1362,11 +1380,11 @@ fn seed_from_snapshot(
         "snapshot carries a stats window; the sharded engine keeps full history"
     );
     for l in &fabric.shards {
-        if let Err(e) = write_shard(l).band.refill(snap) {
+        if let Err(e) = write(l).band.refill(snap) {
             panic!("snapshot cannot be applied: {e}");
         }
     }
-    write_shard(&fabric.shards[0]).stats = snap.stats.clone();
+    write(&fabric.shards[0]).stats = snap.stats.clone();
     for l in &snap.landings {
         if let Err(e) = snap.check_landing(l, None) {
             panic!("snapshot cannot be applied: {e}");
@@ -1393,7 +1411,7 @@ fn finish_run(
     let final_state = options.capture_final_state.then(|| fabric.assemble_state());
     let mut admits: Vec<(u64, bool)> = Vec::new();
     for l in &fabric.shards {
-        admits.extend_from_slice(&read_shard(l).admits);
+        admits.extend_from_slice(&read(l).admits);
     }
     admits.sort_unstable_by_key(|&(idx, _)| idx);
     let admissions = admits.into_iter().map(|(_, a)| a).collect();
@@ -1405,7 +1423,7 @@ fn finish_run(
 fn post_slot_validate(fabric: &Fabric<'_>, options: &ShardedOptions) {
     if options.validate {
         for l in &fabric.shards {
-            if let Err(msg) = read_shard(l).band.check_invariants() {
+            if let Err(msg) = read(l).band.check_invariants() {
                 panic!("sharded engine invariant violated: {msg}");
             }
         }
@@ -1489,7 +1507,7 @@ impl<'t> Feed<'t, '_> {
     /// feed's consumed count, so global indices are trace-numbered for a
     /// stream too and recorded admissions line up across feeds.
     fn refill(&mut self, fabric: &Fabric<'_>, slot: SlotId) -> Result<(), PolicyError> {
-        let mut batch = fabric.batch.write().unwrap_or_else(|e| e.into_inner());
+        let mut batch = write(&fabric.batch);
         batch.packets.clear();
         match self {
             Feed::Trace(src) => {
@@ -1553,7 +1571,7 @@ fn run_cioq_sharded_feed(
 ) -> Result<ShardedOutcome, PolicyError> {
     let arch = CioqSharded {
         policy,
-        transfers: Vec::new(),
+        transfers: Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs)),
         merge_scratch: MergeScratch::default(),
         sets: (0..options.shards)
             .map(|_| CandidateSet::default())
@@ -1604,7 +1622,7 @@ fn run_crossbar_sharded_feed(
 ) -> Result<ShardedOutcome, PolicyError> {
     let arch = CrossbarSharded {
         policy,
-        proposals: Vec::new(),
+        proposals: Vec::with_capacity(cfg.n_outputs),
         rec_in: Vec::new(),
         rec_out: Vec::new(),
     };
@@ -1662,7 +1680,6 @@ fn run_sharded_feed<A: ShardArch>(
         .map_or((0, 0), |snap| seed_from_snapshot(&fabric, snap, &options));
     feed.check_resume(start_slot, &options);
 
-    let horizon = fabric.comms.horizon;
     let land_after_cycle = fabric.comms.land_after_cycle;
     let mut final_slot: SlotId = 0;
     let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
@@ -1705,13 +1722,12 @@ fn run_sharded_feed<A: ShardArch>(
                 }
                 let (tx_before, moved_before) = fabric.progress();
 
-                if horizon >= 1 {
-                    do_phase(PH_LAND)?;
-                }
                 if in_arrival_window {
                     feed.refill(&fabric, slot)?;
-                    do_phase(PH_ARRIVAL)?;
+                } else {
+                    write(&fabric.batch).packets.clear();
                 }
+                do_phase(PH_OPEN)?;
 
                 for s in 0..cfg.speedup {
                     fabric.comms.cycle.store(s, Ordering::Relaxed);
@@ -1759,7 +1775,7 @@ fn run_sharded_feed<A: ShardArch>(
 /// part ways only inside the scheduling cycle, which here has a worker
 /// side ([`phase`](Self::phase): propose, pop) and a coordinator side
 /// ([`cycle`](Self::cycle): merge or concatenate, validate, record,
-/// assign). The implementor is the coordinator's state for one run: its
+/// publish). The implementor is the coordinator's state for one run: its
 /// pooled buffers and the transcript it records. Statically dispatched:
 /// [`run_sharded_feed`] is monomorphised per architecture.
 trait ShardArch {
@@ -1815,6 +1831,7 @@ fn recorded<T: Copy>(transfers: &[T], pair: impl Fn(T) -> (PortId, PortId)) -> V
 /// cycle's matching.
 struct CioqSharded<'p> {
     policy: &'p dyn CioqShardPolicy,
+    /// The merge's output, swapped with `Comms::transfers` to publish it.
     transfers: Vec<Transfer>,
     merge_scratch: MergeScratch,
     /// Coordinator-side mirror of the per-shard proposal payloads: swapped
@@ -1857,7 +1874,7 @@ impl ShardArch for CioqSharded<'_> {
     ) {
         match ph {
             PH_PROPOSE => {
-                let st = read_shard(&fabric.shards[s]);
+                let st = read(&fabric.shards[s]);
                 let snap = fabric.comms.outputs();
                 let cycle = fabric.comms.cycle_now();
                 rewrite_cell(&fabric.comms.candidates[s], |out| {
@@ -1867,17 +1884,17 @@ impl ShardArch for CioqSharded<'_> {
                 });
             }
             PH_APPLY_POP => {
-                let mut asg = std::mem::take(&mut *lock(&fabric.comms.assignments[s]));
-                let mut st = write_shard(&fabric.shards[s]);
+                let set = read(&fabric.comms.transfers);
+                let mut st = write(&fabric.shards[s]);
                 // The proposal consumed the change log; everything from
                 // here on accumulates for the next proposal (sequential
                 // flush point).
                 st.band.flush();
-                pop_and_route(s, &mut st, fabric, scr, &mut asg, |st, t: Transfer| {
-                    fabric.comms.ok(st.band.pop_transfer(&t))
+                let rows = st.band.rows();
+                let mine = set.iter().filter(|t| rows.contains(&t.input.index()));
+                pop_and_route(s, &mut st, fabric, scr, mine, |st, t| {
+                    fabric.comms.ok(st.band.pop_transfer(t))
                 });
-                drop(st);
-                *lock(&fabric.comms.assignments[s]) = asg;
             }
             _ => unreachable!("phase {ph} is not a CIOQ phase"),
         }
@@ -1924,12 +1941,8 @@ impl ShardArch for CioqSharded<'_> {
             let pairs = recorded(&self.transfers, |t| (t.input, t.output));
             self.recorded.push(pairs);
         }
-        // One short lock per transfer (uncontended: workers are parked),
-        // preserving per-owner push order.
-        for t in &self.transfers {
-            let owner = fabric.partition.input_owner(t.input.index());
-            lock(&fabric.comms.assignments[owner]).push(*t);
-        }
+        // Publish the set whole; the previous one comes back as the pool.
+        std::mem::swap(&mut self.transfers, &mut *write(&fabric.comms.transfers));
         do_phase(PH_APPLY_POP)
     }
 
@@ -1950,10 +1963,10 @@ impl ShardArch for CioqSharded<'_> {
 
 /// Buffered crossbar: both subphases decide per port with no cross-port
 /// contention, so the coordinator only concatenates, validates and — for
-/// the output subphase — hands each proposal to the row owner that pops it.
+/// the output subphase — publishes the concatenation for the row owners.
 struct CrossbarSharded<'p> {
     policy: &'p dyn CrossbarShardPolicy,
-    /// Pooled gather buffer for the output subphase's proposals.
+    /// The output subphase's proposals, swapped into `Comms::out_transfers`.
     proposals: Vec<OutputTransfer>,
     rec_in: Vec<Vec<(u16, u16)>>,
     rec_out: Vec<Vec<(u16, u16)>>,
@@ -1993,7 +2006,7 @@ impl ShardArch for CrossbarSharded<'_> {
         let cycle = fabric.comms.cycle_now();
         match ph {
             PH_PROPOSE_IN => {
-                let st = read_shard(&fabric.shards[s]);
+                let st = read(&fabric.shards[s]);
                 rewrite_cell(&fabric.comms.in_assignments[s], |out| {
                     out.clear();
                     ctx.worker
@@ -2001,25 +2014,21 @@ impl ShardArch for CrossbarSharded<'_> {
                 });
             }
             PH_APPLY_IN => {
-                let mut asg = std::mem::take(&mut *lock(&fabric.comms.in_assignments[s]));
-                {
-                    let mut st = write_shard(&fabric.shards[s]);
-                    st.band.flush();
-                    for t in asg.iter() {
-                        let st = &mut *st;
-                        let (i, j) = (t.input.index(), t.output.index());
-                        let moved = st.band.move_to_xbar(&mut st.stats, false, t);
-                        if fabric.comms.ok(moved).is_none() {
-                            break;
-                        }
-                        // Forward the dirty crosspoint to the column
-                        // owner's cache (batched, flushed below).
-                        ctx.marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
+                let mut asg = lock(&fabric.comms.in_assignments[s]);
+                let mut st = write(&fabric.shards[s]);
+                let st = &mut *st;
+                st.band.flush();
+                for t in asg.drain(..) {
+                    let (i, j) = (t.input.index(), t.output.index());
+                    let moved = st.band.move_to_xbar(&mut st.stats, false, &t);
+                    if fabric.comms.ok(moved).is_none() {
+                        break;
                     }
-                    asg.clear();
+                    // Forward the dirty crosspoint to the column owner's
+                    // cache (batched, flushed below).
+                    ctx.marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
                 }
                 ctx.flush_marks(s, fabric);
-                *lock(&fabric.comms.in_assignments[s]) = asg;
             }
             PH_PROPOSE_OUT => {
                 let mut inbound = std::mem::take(&mut ctx.inbound_scratch);
@@ -2040,28 +2049,22 @@ impl ShardArch for CrossbarSharded<'_> {
                 ctx.inbound_scratch = inbound;
             }
             PH_APPLY_OUT_POP => {
-                let mut asg = std::mem::take(&mut *lock(&fabric.comms.out_assignments[s]));
-                let mut st = write_shard(&fabric.shards[s]);
+                let set = read(&fabric.comms.out_transfers);
+                let mut st = write(&fabric.shards[s]);
+                let rows = st.band.rows();
+                let mine = set.iter().filter(|t| rows.contains(&t.input.index()));
                 let marks = &mut ctx.marks;
-                pop_and_route(
-                    s,
-                    &mut st,
-                    fabric,
-                    scr,
-                    &mut asg,
-                    |st, t: OutputTransfer| {
-                        let (i, j) = (t.input.index(), t.output.index());
-                        let p = fabric.comms.ok(st.band.pop_output_transfer(&t))?;
-                        // The crosspoint pop is control-plane news wherever
-                        // the packet goes: the column cache must see `C_ij`
-                        // shrink now.
-                        marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
-                        Some(p)
-                    },
-                );
+                pop_and_route(s, &mut st, fabric, scr, mine, |st, t| {
+                    let (i, j) = (t.input.index(), t.output.index());
+                    let p = fabric.comms.ok(st.band.pop_output_transfer(t))?;
+                    // The crosspoint pop is control-plane news wherever the
+                    // packet goes: the column cache must see `C_ij` shrink
+                    // now.
+                    marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
+                    Some(p)
+                });
                 drop(st);
                 ctx.flush_marks(s, fabric);
-                *lock(&fabric.comms.out_assignments[s]) = asg;
             }
             _ => unreachable!("phase {ph} is not a crossbar phase"),
         }
@@ -2100,12 +2103,12 @@ impl ShardArch for CrossbarSharded<'_> {
         // point the sequential engine would read live state.
         fabric.refresh_snapshot();
         do_phase(PH_PROPOSE_OUT)?;
-        // Output proposals go to the *row* owners for the pop step;
-        // validate ≤ 1 per output port first.
+        // The proposals, concatenated, are the set the *row* owners pop
+        // from; validate ≤ 1 per output port first.
         let proposals = &mut self.proposals;
         proposals.clear();
-        for mbox in &fabric.comms.out_assignments {
-            proposals.extend(lock(mbox).drain(..));
+        for cell in &fabric.comms.out_assignments {
+            proposals.append(&mut lock(cell));
         }
         stamps.begin(cfg.n_inputs, cfg.n_outputs);
         let pairs = proposals.iter().map(|t| (t.input, t.output));
@@ -2114,10 +2117,7 @@ impl ShardArch for CrossbarSharded<'_> {
             self.rec_out
                 .push(recorded(proposals, |t| (t.input, t.output)));
         }
-        for t in proposals.drain(..) {
-            let owner = fabric.partition.input_owner(t.input.index());
-            lock(&fabric.comms.out_assignments[owner]).push(t);
-        }
+        std::mem::swap(proposals, &mut *write(&fabric.comms.out_transfers));
         do_phase(PH_APPLY_OUT_POP)
     }
 
@@ -2459,6 +2459,26 @@ mod tests {
         assert!(!after_cycle(2, racks()));
         assert!(after_cycle(4, racks()));
         assert!(after_cycle(2, FabricSpec::uniform(0)));
+    }
+
+    /// The opening phase lands on drain slots too: what the arrival window
+    /// leaves on a delayed fabric lands, and the run ends with nothing
+    /// buffered. An opening phase that stopped landing past the window
+    /// would spin in the drain forever; the watchdog makes that a failure.
+    #[test]
+    fn the_drain_lands_what_the_window_left_in_flight() {
+        let report = bounded(|| {
+            let cfg = SwitchConfig::cioq(PORTS, 2, 2);
+            let mut options = ShardedOptions::new(2);
+            options.fabric = FabricSpec::uniform(3);
+            let trace = skewed_trace(1);
+            run_cioq_sharded(&cfg, &Greedy { beta: None }, &trace, options).map(|o| o.report)
+        })
+        .expect("the drain ends")
+        .expect("no policy error");
+        assert!(report.slots > 48 + 3, "the drain ran past the window");
+        assert_eq!(report.residual_count, 0);
+        report.check_conservation().unwrap();
     }
 
     /// A checkpoint landing the sequential restore refuses is refused here
