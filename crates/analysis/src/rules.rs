@@ -55,7 +55,6 @@ const D6_TYPES: &[&str] = &[
     "LossBreakdown",
     "WindowedStats",
     "SortedQueue",
-    "InFlight",
     "DelayCalendar",
     "FaultRuntime",
     "StreamingSource",

@@ -198,8 +198,8 @@ fn d5_unwrap_in_test_module_is_clean() {
 
 #[test]
 fn d6_unannotated_field_fires() {
-    let src = "pub struct InFlight {\n    values: Vec<Vec<(u16, u64)>>,\n}\n";
-    let rules = rules_at("crates/queues/src/inflight.rs", src);
+    let src = "pub(crate) struct FaultRuntime {\n    held: Vec<Vec<(bool, Packet)>>,\n}\n";
+    let rules = rules_at("crates/sim/src/fault.rs", src);
     assert!(
         rules.contains(&"D6"),
         "unannotated field of a snapshotted type must fire D6: {rules:?}"
@@ -208,8 +208,8 @@ fn d6_unannotated_field_fires() {
 
 #[test]
 fn d6_justified_fields_are_clean() {
-    let src = "pub struct InFlight {\n    /// In-flight entries. snapshot: transient — rebuilt by replaying\n    /// `dispatch` for every serialized landing on restore.\n    values: Vec<Vec<(u16, u64)>>,\n    total: u64, // snapshot: serialized — part of the residual accounting\n}\n";
-    assert!(rules_at("crates/queues/src/inflight.rs", src).is_empty());
+    let src = "pub(crate) struct FaultRuntime {\n    /// Held-packet count. snapshot: transient — recounted from the\n    /// serialized FIFOs on restore.\n    total: u64,\n    held: Vec<Vec<(bool, Packet)>>, // snapshot: serialized\n}\n";
+    assert!(rules_at("crates/sim/src/fault.rs", src).is_empty());
 }
 
 #[test]

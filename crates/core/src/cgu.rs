@@ -98,17 +98,17 @@ impl CrossbarGreedyUnit {
     }
 
     /// Output subphase over a band of columns: ≤ 1 transfer per output
-    /// port whose (virtual) queue `full` reports as having room.
+    /// port whose (virtual) queue `outputs` reports as having room.
     // detlint: hot
     fn output_subphase(
         &mut self,
         view: &impl ColView,
-        full: impl Fn(usize) -> bool,
+        outputs: &OutputSnapshot,
         out: &mut Vec<OutputTransfer>,
     ) {
         self.sync_cols(view);
         for (line, j) in view.cols().enumerate() {
-            if full(j) {
+            if outputs.full[j] {
                 continue;
             }
             if let Some(i) = pick(self.selection, &mut self.cache.cols, line) {
@@ -164,7 +164,7 @@ impl CrossbarPolicy for CrossbarGreedyUnit {
     // detlint: hot
     fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
         self.sync_rows(view);
-        self.output_subphase(view, |j| view.output_full(PortId::from(j)), out);
+        self.output_subphase(view, view.outputs(), out);
     }
 }
 
@@ -213,7 +213,7 @@ impl CrossbarShardWorker for CrossbarGreedyUnit {
             shard,
             inbound,
         };
-        self.output_subphase(&cols, |j| outputs.full[j], out);
+        self.output_subphase(&cols, outputs, out);
     }
 }
 

@@ -4,10 +4,10 @@
 //! Kogan & Segal [21]; the paper's improvement is exactly the freedom to
 //! pick α ≠ β.
 
-use crate::incremental::{output_least, ColView, CpgCache, RowView, ShardCols};
+use crate::incremental::{ColView, CpgCache, RowView, ShardCols};
 use crate::params::{cpg_alpha_star, cpg_beta_star};
 use crate::pg::admit;
-use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig, Value};
+use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
     Admission, CrossbarPolicy, CrossbarShardPolicy, CrossbarShardWorker, FabricView, InputTransfer,
     OutputSnapshot, OutputTransfer, PacketPick, Partition, ShardView, SwitchView,
@@ -131,22 +131,21 @@ impl CrossbarPreemptiveGreedy {
 
     /// Output subphase over a band of columns: each output port takes the
     /// heaviest crosspoint head, ties to the smallest `i` (re-read per
-    /// dirtied `C_ij`, as the rows are), if it passes the α threshold.
-    /// `full_tail(j)` is `Some(v(l_j))` iff the (virtual) `Q_j` is full —
-    /// it changes with every transmission and every dispatch, so it is
-    /// read fresh, never cached.
+    /// dirtied `C_ij`, as the rows are), if it passes the α threshold
+    /// against the (virtual) `Q_j` in `outputs` — which changes with every
+    /// transmission and every dispatch, so it is read fresh, never cached.
     // detlint: hot
     fn output_subphase(
         &mut self,
         view: &impl ColView,
-        full_tail: impl Fn(usize) -> Option<Value>,
+        outputs: &OutputSnapshot,
         out: &mut Vec<OutputTransfer>,
     ) {
         self.sync_cols(view);
         self.cache.cols.refresh();
         for (j, best) in view.cols().zip(&self.cache.cols.best) {
             let Some((i, gc)) = *best else { continue };
-            if full_tail(j).is_none_or(|l_j| exceeds_factor(gc, self.alpha, l_j)) {
+            if !outputs.full[j] || exceeds_factor(gc, self.alpha, outputs.tail[j]) {
                 out.push(OutputTransfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
@@ -185,7 +184,7 @@ impl CrossbarPolicy for CrossbarPreemptiveGreedy {
     // detlint: hot
     fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
         self.sync_rows(view);
-        self.output_subphase(view, |j| output_least(view, j), out);
+        self.output_subphase(view, view.outputs(), out);
     }
 }
 
@@ -233,8 +232,7 @@ impl CrossbarShardWorker for CrossbarPreemptiveGreedy {
             shard,
             inbound,
         };
-        let full_tail = |j: usize| outputs.full[j].then(|| outputs.tail[j]);
-        self.output_subphase(&cols, full_tail, out);
+        self.output_subphase(&cols, outputs, out);
     }
 }
 
@@ -242,7 +240,7 @@ impl CrossbarShardWorker for CrossbarPreemptiveGreedy {
 mod tests {
     use super::*;
     use crate::incremental::Dirty;
-    use cioq_model::{PacketId, SwitchConfig};
+    use cioq_model::{PacketId, SwitchConfig, Value};
     use cioq_sim::{run_crossbar, ChangeLog, SortedQueue, Trace};
 
     #[test]

@@ -1,7 +1,7 @@
 //! GM — Greedy Matching (§2.1, Theorem 1): 3-competitive for unit values on
 //! CIOQ switches, at greedy-maximal-matching cost.
 
-use crate::incremental::{read_outputs, VoqCache};
+use crate::incremental::VoqCache;
 use crate::pg::admit;
 use cioq_matching::{
     claim_first_free, greedy_maximal_cells_into, CellVisit, GreedyScratch, IncrementalGraph,
@@ -42,9 +42,6 @@ pub enum GmEdgePolicy {
 pub struct GreedyMatching {
     edge_policy: GmEdgePolicy,
     cache: VoqCache,
-    /// Output fullness, re-read every cycle (sequential runs only: shard
-    /// workers are handed the engine's snapshot).
-    outputs: OutputSnapshot,
     /// Pooled `!full_words` mask the lexicographic greedy claims columns
     /// from, refilled every cycle.
     free: Vec<u64>,
@@ -71,7 +68,6 @@ impl GreedyMatching {
         GreedyMatching {
             edge_policy,
             cache: VoqCache::default(),
-            outputs: OutputSnapshot::default(),
             free: Vec::new(),
             scratch: GreedyScratch::default(),
             matching: Matching::new(),
@@ -124,15 +120,15 @@ impl CioqPolicy for GreedyMatching {
     // detlint: hot
     fn schedule(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
         self.cache.sync(view, |_, _| {});
-        read_outputs(view, &mut self.outputs);
+        let outputs = view.outputs();
         match self.edge_policy {
             GmEdgePolicy::Lexicographic => {
-                let (graph, full) = (&self.cache.graph, &self.outputs.full_words);
+                let (graph, full) = (&self.cache.graph, &outputs.full_words);
                 greedy_lex(graph, full, &mut self.free, |i, j| out.push(transfer(i, j)));
             }
             GmEdgePolicy::RotateByCycle => {
                 let offset = cycle.sequence(view.config().speedup) as usize;
-                let full = &self.outputs.full;
+                let full = &outputs.full;
                 greedy_maximal_cells_into(
                     &self.cache.graph,
                     CellVisit::Rotated(offset),

@@ -43,7 +43,7 @@
 
 use cioq_matching::IncrementalGraph;
 use cioq_model::{PortId, Value};
-use cioq_sim::{ChangeLog, FabricView, OutputSnapshot, ShardView, SortedQueue, SwitchView};
+use cioq_sim::{ChangeLog, FabricView, ShardView, SortedQueue, SwitchView};
 use std::ops::Range;
 
 /// Read access to a band of input rows and the log of what changed in it.
@@ -209,39 +209,6 @@ impl ColView for ShardCols<'_, '_> {
     }
     fn marks(&self) -> &[u32] {
         self.inbound
-    }
-}
-
-/// `Some(v(l_j))` iff the *virtual* output queue `Q_j` (landed + in flight)
-/// is full — the one output-side input of every eligibility rule.
-#[inline]
-pub(crate) fn output_least(view: &SwitchView<'_>, j: usize) -> Option<Value> {
-    let output = PortId::from(j);
-    let full = view.output_full(output);
-    full.then(|| {
-        view.output_tail_value(output)
-            .expect("full queue has a tail")
-    })
-}
-
-/// Re-read [`output_least`] for every output into `full[j]` /
-/// `full_words` / `tail[j]` (0 where not full) — the part of the
-/// [`OutputSnapshot`] the sharded engine computes for its policies, so the
-/// sequential policies filter through the same structure.
-// detlint: hot
-pub(crate) fn read_outputs(view: &SwitchView<'_>, out: &mut OutputSnapshot) {
-    let m = view.n_outputs();
-    out.full.clear();
-    out.full.resize(m, false);
-    out.full_words.clear();
-    out.full_words.resize(m.div_ceil(64), 0);
-    out.tail.clear();
-    out.tail.resize(m, 0);
-    for j in 0..m {
-        if let Some(least) = output_least(view, j) {
-            (out.full[j], out.tail[j]) = (true, least);
-            out.full_words[j / 64] |= 1 << (j % 64);
-        }
     }
 }
 

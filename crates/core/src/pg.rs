@@ -2,7 +2,7 @@
 //! arbitrary values on CIOQ switches, using greedy maximal *weighted*
 //! matchings instead of the maximum-weight matchings of prior work.
 
-use crate::incremental::{read_outputs, VoqCache};
+use crate::incremental::VoqCache;
 use crate::params::PG_BETA;
 use cioq_matching::{greedy_weighted_rows_into, GreedyScratch, IncrementalGraph, Matching};
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig, Value};
@@ -30,9 +30,6 @@ pub struct PreemptiveGreedy {
     beta: f64,
     preemption_enabled: bool,
     cache: VoqCache,
-    /// Output fullness and tails, re-read every cycle (sequential runs
-    /// only: shard workers and the merge read the engine's snapshot).
-    outputs: OutputSnapshot,
     greedy: WeightedGreedy,
     /// As a shard worker: sequence number of the next edit publish; 0
     /// forces a full publish (first cycle, or after a cache rebuild).
@@ -64,7 +61,6 @@ impl PreemptiveGreedy {
             beta,
             preemption_enabled,
             cache: VoqCache::default(),
-            outputs: OutputSnapshot::default(),
             greedy: WeightedGreedy::default(),
             next_seq: 0,
             name,
@@ -161,10 +157,9 @@ impl CioqPolicy for PreemptiveGreedy {
     // detlint: hot
     fn schedule(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         self.cache.sync(view, |_, _| {});
-        read_outputs(view, &mut self.outputs);
         let (beta, preempt) = (self.beta, self.preemption_enabled);
         self.greedy
-            .run(beta, preempt, &self.cache.graph, &self.outputs, out);
+            .run(beta, preempt, &self.cache.graph, view.outputs(), out);
     }
 }
 

@@ -16,15 +16,21 @@
 //! sit on both sides of the word boundary, so rejection, input / crossbar /
 //! output preemption and a drain tail all occur (asserted below — a golden
 //! value over a run where nothing happens pins nothing).
+//!
+//! Two more constants pin PG and CPG under a fault plan on a delay line,
+//! sequentially and resumed from a checkpoint that holds retransmit
+//! packets: held packets count toward their output's virtual queue, and
+//! only the sequential engine has a fault layer, so no *A ≡ B* suite sees
+//! that accounting.
 
 use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
     run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
     run_crossbar_sharded_streamed, stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy,
-    CrossbarPolicy, CrossbarShardPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec, RunOptions,
-    RunOutcome, RunReport, ShardedOptions, ShardedOutcome, SortedQueue, StreamingSource,
-    SwitchState, Trace, TraceSource,
+    CrossbarPolicy, CrossbarShardPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec, FaultEvent,
+    FaultKind, FaultPlan, FaultScope, RunOptions, RunOutcome, RunReport, ShardedOptions,
+    ShardedOutcome, SortedQueue, StreamingSource, SwitchState, Trace, TraceSource,
 };
 
 const N_INPUTS: usize = 6;
@@ -44,6 +50,12 @@ const CGU_IMMEDIATE: u64 = 0x6E16_A842_C5F2_339B;
 const CGU_TWO_TIER: u64 = 0x4DFE_FD37_D3A9_DA5A;
 const CPG_IMMEDIATE: u64 = 0x4B11_CA28_CB38_3535;
 const CPG_TWO_TIER: u64 = 0x3801_5669_DEA3_F69B;
+
+// ---- faulted runs (captured before the in-flight ledger was folded into
+// the engines' one output snapshot) ----
+
+const PG_FAULTED: u64 = 0xB450_326E_B56B_B8C7;
+const CPG_FAULTED: u64 = 0x2C43_7AD6_76BC_E231;
 
 // ---- workload ----
 
@@ -481,4 +493,107 @@ fn cpg_two_tier() {
         &["input", "crossbar", "output"],
         CPG_TWO_TIER,
     );
+}
+
+// ---- faulted runs (sequential engine only: the sharded one has no faults) ----
+
+/// A `uniform(2)` delay line under a hand-placed plan: the hot outputs on
+/// both sides of the word boundary go link-down over slots 10–29 — output
+/// 63 holding one packet per pair, output 64 holding none, so its cap
+/// overflows at once and every dispatch there is dropped — and a latency
+/// spike stretches every pair into hot output 0 over slots 20–27. The
+/// packets held for output 63 fill its virtual queue for the whole window,
+/// which is what PG's β test and CPG's α test read there.
+fn faulted_options() -> RunOptions {
+    let event = |start, end, scope, kind| FaultEvent {
+        start,
+        end,
+        scope,
+        kind,
+    };
+    let down = |cap| FaultKind::LinkDown {
+        retransmit_cap: cap,
+    };
+    let plan = FaultPlan::new(vec![
+        event(10, 30, FaultScope::Output(63), down(1)),
+        event(10, 30, FaultScope::Output(64), down(0)),
+        event(
+            20,
+            28,
+            FaultScope::Output(0),
+            FaultKind::LatencySpike { extra: 2 },
+        ),
+    ]);
+    RunOptions {
+        faults: Some(plan),
+        ..run_options(&FabricSpec::uniform(2))
+    }
+}
+
+/// The faulted run, and a resume from the checkpoint inside the link-down
+/// window (slot 16) through its bytes, must both hash to `golden`.
+fn check_faulted(
+    run: &dyn Fn(Engine, &mut dyn ArrivalSource) -> RunOutcome,
+    cfg: &SwitchConfig,
+    trace: &Trace,
+    golden: u64,
+) {
+    let seq = run(
+        Engine::new(cfg.clone(), faulted_options()),
+        &mut TraceSource::new(trace),
+    );
+    let report = &seq.report;
+    assert_eventful(report, trace, &[], "faulted");
+    assert!(report.retransmitted > 0, "faulted: no retransmission");
+    assert!(report.losses.dropped > 0, "faulted: no retransmit overflow");
+    let preempted = report.losses.preempted_output + report.losses.preempted_crossbar;
+    assert!(preempted > 0, "faulted: no output or crossbar preemption");
+    let got = hash_seq(&seq);
+    assert_eq!(got, golden, "faulted sequential — got {got:#018x}");
+
+    let kill = seq
+        .checkpoints
+        .iter()
+        .find(|c| c.slot() == 16)
+        .expect("a checkpoint inside the link-down window");
+    let kill = EngineSnapshot::from_bytes(&kill.to_bytes()).expect("checkpoint round-trips");
+    let unfaulted = Engine::restore(&kill, run_options(&FabricSpec::uniform(2)));
+    assert!(
+        unfaulted.is_err(),
+        "the resume point must hold fault-retransmit packets"
+    );
+    let restored = Engine::restore(&kill, faulted_options()).expect("restore own checkpoint");
+    let resumed = run(restored, &mut TraceSource::resume_at(trace, kill.slot()));
+    assert_eq!(
+        hash_resumed(
+            &seq.checkpoints,
+            kill.slot(),
+            &resumed.report,
+            &resumed.final_state,
+            &resumed.checkpoints
+        ),
+        golden,
+        "faulted resume at slot {}",
+        kill.slot()
+    );
+}
+
+#[test]
+fn pg_faulted() {
+    let run = |engine: Engine, source: &mut dyn ArrivalSource| {
+        let mut pg = PreemptiveGreedy::new();
+        engine.run_cioq_full(&mut pg, source).expect("faulted run")
+    };
+    check_faulted(&run, &cioq_cfg(), &overload_trace(8), PG_FAULTED);
+}
+
+#[test]
+fn cpg_faulted() {
+    let run = |engine: Engine, source: &mut dyn ArrivalSource| {
+        let mut cpg = CrossbarPreemptiveGreedy::new();
+        engine
+            .run_crossbar_full(&mut cpg, source)
+            .expect("faulted run")
+    };
+    check_faulted(&run, &crossbar_cfg(), &overload_trace(8), CPG_FAULTED);
 }

@@ -17,9 +17,7 @@
 #![warn(missing_docs)]
 
 mod grid;
-mod inflight;
 mod sorted_queue;
 
 pub use grid::Grid;
-pub use inflight::InFlight;
 pub use sorted_queue::SortedQueue;

@@ -14,12 +14,15 @@
 //! the [`SwitchState`]'s `QueueBand` — the object a shard of the sharded
 //! engine holds for its own rows and columns — so each rule exists once for
 //! both engines; so is the delay line, a [`DelayCalendar`] landed by
-//! [`transport::land`] — one here, one per shard pair there. What stays
-//! here is what only this engine has: the fault layer, the in-flight
-//! ledger, the stats window, and `?` as error transport.
+//! [`transport::land`] — one here, one per shard pair there — and so is
+//! what policies read of the output side, an
+//! [`OutputSnapshot`](crate::OutputSnapshot) refreshed at the top of every
+//! scheduling cycle by the one `OutputSnapshot::refresh`. What stays here
+//! is what only this engine has: the fault layer, the stats window, and `?`
+//! as error transport.
 
 use crate::fault::{FaultKind, FaultPlan, FaultRuntime};
-use crate::invariants::check_state_invariants;
+use crate::invariants::{check_conservation, check_state_invariants};
 use crate::mechanics::{self, PortStamps};
 use crate::policy::{
     Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PolicyError, Transfer,
@@ -31,7 +34,7 @@ use crate::state::{SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder, WindowedStats};
 use crate::trace::Trace;
 use crate::transport::{self, DelayCalendar, FabricSpec, InFlightPacket, Landing};
-use cioq_model::{ConfigError, Cycle, Packet, PortId, SlotId, SwitchConfig};
+use cioq_model::{ConfigError, Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
 
 /// Options controlling a run.
 #[derive(Debug, Clone)]
@@ -178,18 +181,6 @@ fn per_bucket_bound(config: &SwitchConfig, horizon: SlotId, faults: Option<&Faul
         + config.n_inputs * config.n_outputs * cap
 }
 
-/// Hard bound on packets simultaneously in flight toward one output:
-/// one dispatch per cycle living at most `horizon` slots, plus every
-/// input's retransmit FIFO for that output released at once.
-fn per_output_inflight_bound(
-    config: &SwitchConfig,
-    horizon: SlotId,
-    faults: Option<&FaultPlan>,
-) -> usize {
-    config.speedup.max(1) as usize * horizon.max(1) as usize
-        + config.n_inputs * max_retransmit_cap(faults)
-}
-
 impl Engine {
     /// New engine for one run of `config` under `options`. Panics on
     /// invalid options; use [`Engine::try_new`] to surface the
@@ -221,21 +212,15 @@ impl Engine {
         // Per-slot dispatch bound: one transfer per output per cycle,
         // `speedup` cycles per slot, plus the worst single-slot retransmit
         // release a fault plan can produce — pre-reserving it keeps the
-        // slot loop from ever growing a calendar bucket, the landing
-        // gather or the in-flight accounting. An immediate fabric never
-        // puts a packet on the calendar, so it reserves nothing.
-        let (per_bucket, per_output) = match horizon {
-            0 => (0, 0),
-            _ => {
-                let faults = options.faults.as_ref();
-                let per_output = per_output_inflight_bound(&config, horizon, faults);
-                (per_bucket_bound(&config, horizon, faults), per_output)
-            }
+        // slot loop from ever growing a calendar bucket or the landing
+        // gather. An immediate fabric never puts a packet on the calendar,
+        // so it reserves nothing.
+        let per_bucket = match horizon {
+            0 => 0,
+            _ => per_bucket_bound(&config, horizon, options.faults.as_ref()),
         };
-        let mut state = SwitchState::new(config);
-        state.inflight.reserve(per_output);
         Engine {
-            state,
+            state: SwitchState::new(config),
             stats: StatsRecorder::new(n_outputs),
             options,
             spec,
@@ -315,8 +300,8 @@ impl Engine {
         }
 
         // A fresh engine under the same options, then refilled: restoring
-        // sizes the calendar, the in-flight accounting and the fault layer
-        // exactly as construction does.
+        // sizes the calendar and the fault layer exactly as construction
+        // does.
         let mut engine = Self::fresh(config, options);
         let state = &mut engine.state;
         state.band.refill(snap)?;
@@ -329,10 +314,6 @@ impl Engine {
             .then(|| engine.options.horizon());
         for l in &snap.landings {
             snap.check_landing(l, fault_horizon)?;
-            let p = l.landing.p;
-            state
-                .inflight
-                .dispatch(p.input as usize, p.output as usize, p.packet.value);
             engine.calendar.insert_pending(l.land_slot, l.landing);
         }
         for (i, j, preempt, packet) in &snap.held {
@@ -345,9 +326,6 @@ impl Engine {
                 .faults
                 .as_mut()
                 .expect("held implies a plan, checked above");
-            state
-                .inflight
-                .dispatch(*i as usize, *j as usize, packet.value);
             rt.hold(*i, *j, *preempt, *packet);
         }
 
@@ -366,8 +344,7 @@ impl Engine {
             // No window in the snapshot: the fresh one the options ask for.
             (None, _) => {}
         }
-        let residual = (engine.state.residual_count(), engine.state.residual_value());
-        crate::invariants::check_restored_residual(residual, snap)
+        crate::invariants::check_restored_residual(engine.residual(), snap)
             .map_err(SnapshotError::Format)?;
         engine.start_slot = snap.slot;
         engine.start_idle = snap.idle_slots;
@@ -391,6 +368,7 @@ impl Engine {
         if let Some(f) = &self.faults {
             f.for_each_held(|i, j, preempt, p| held.push((i, j, preempt, *p)));
         }
+        let (residual_count, residual_value) = self.residual();
         let mut snap = EngineSnapshot {
             config: self.state.config().clone(),
             fabric: self.spec.clone(),
@@ -406,8 +384,8 @@ impl Engine {
                 .window
                 .as_ref()
                 .map(|w| (w.window(), w.entries().copied().collect())),
-            residual_count: self.state.residual_count(),
-            residual_value: self.state.residual_value(),
+            residual_count,
+            residual_value,
         };
         self.state.band.cells_out(&mut snap);
         snap
@@ -502,10 +480,10 @@ impl Engine {
                 // progress), so the idle cutoff only applies once the
                 // fabric is empty.
                 let buffered = self.stats.buffered();
-                debug_assert_eq!(buffered, self.state.residual_count());
+                debug_assert_eq!(buffered, self.residual().0);
                 let done = !self.options.drain
                     || buffered == 0
-                    || (idle_slots >= 2 && self.state.inflight.is_empty());
+                    || (idle_slots >= 2 && self.in_flight() == 0);
                 if done {
                     break;
                 }
@@ -528,6 +506,10 @@ impl Engine {
 
             // --- Scheduling phase: ŝ cycles ---
             for s in 0..speedup {
+                // What the cycle's policy calls read of the output side.
+                let (outputs, band) = (&mut self.state.outputs, &self.state.band);
+                let (cal, faults) = (Some(&self.calendar), self.faults.as_ref());
+                outputs.refresh(n_outputs, cal, faults, |visit| visit(band));
                 arch.cycle(&mut self, Cycle { slot, index: s })?;
                 self.post_phase_check();
             }
@@ -552,7 +534,7 @@ impl Engine {
             slot += 1;
         }
 
-        let residual = (self.state.residual_count(), self.state.residual_value());
+        let residual = self.residual();
         let policy = arch.name().to_string();
         let mut report = mechanics::finish_report(self.stats, policy, slot, residual, &self.spec);
         report.window = self.window;
@@ -646,18 +628,15 @@ impl Engine {
     /// Drain the calendar bucket due at the start of `slot` into the
     /// output queues, in the canonical landing order (see
     /// [`transport::land`]): the landing half of every dispatch whose pair
-    /// latency expires now, booked off the in-flight ledger first. A
-    /// `QueueFull` here is unreachable with reservation-correct policies
-    /// (the virtual occupancy they scheduled against already counted this
-    /// packet) but stays a loud failure.
+    /// latency expires now. A `QueueFull` here is unreachable with
+    /// reservation-correct policies (the virtual occupancy they scheduled
+    /// against already counted this packet) but stays a loud failure.
     // detlint: hot
     fn land_due(&mut self, slot: SlotId) -> Result<(), PolicyError> {
-        let (state, stats, faulted) = (&mut self.state, &mut self.stats, self.faults.is_some());
+        let (band, stats, faulted) = (&mut self.state.band, &mut self.stats, self.faults.is_some());
         let cal = Some(&mut self.calendar);
         transport::land(slot, cal, &mut self.landing, |p| {
-            let (i, j) = (p.input as usize, p.output as usize);
-            state.inflight.land(i, j, p.packet.value);
-            state.band.deliver(stats, faulted, p)
+            band.deliver(stats, faulted, p)
         })?;
         self.post_phase_check();
         Ok(())
@@ -675,9 +654,6 @@ impl Engine {
         if let Some(faults) = &mut self.faults {
             if let Some(cap) = faults.plan().down_cap(cycle.slot, i, j) {
                 if faults.pair_held(i, j) < cap {
-                    self.state
-                        .inflight
-                        .dispatch(i as usize, j as usize, p.packet.value);
                     faults.hold(i, j, p.preempt, p.packet);
                 } else {
                     self.stats.on_drop(&p.packet);
@@ -687,9 +663,6 @@ impl Engine {
             d += faults.plan().extra_delay(cycle.slot, i, j);
         }
         if d >= 1 {
-            self.state
-                .inflight
-                .dispatch(i as usize, j as usize, p.packet.value);
             self.calendar.dispatch(cycle.slot, cycle.index, d, p);
             return Ok(());
         }
@@ -720,22 +693,44 @@ impl Engine {
     }
 
     /// Per-slot invariant audit (see [`crate::invariants`]): conservation
-    /// and in-flight/calendar consistency, debug builds only — every
-    /// equivalence suite run under `cargo test` exercises it for free.
+    /// against the queues plus everything in flight, debug builds only —
+    /// every equivalence suite run under `cargo test` exercises it for
+    /// free.
     fn audit_slot(&self) {
         if cfg!(debug_assertions) {
-            if let Err(msg) = crate::invariants::audit_engine_slot(
-                &self.state,
-                &self.stats,
-                &self.calendar,
-                self.faults.as_ref(),
-            ) {
+            let (count, value) = self.residual();
+            if let Err(msg) = check_conservation(&self.stats, count, value) {
                 panic!(
                     "engine invariant violated at slot {}: {msg}",
                     self.state.slot
                 );
             }
         }
+    }
+
+    /// Visit, as `(output, value)`, every packet between its source queue
+    /// and `Q_j`: on the calendar or held by a link-down pair.
+    fn for_each_in_flight(&self, f: impl FnMut(usize, Value)) {
+        transport::for_each_in_flight(Some(&self.calendar), self.faults.as_ref(), f);
+    }
+
+    /// Packets in flight (0 when immediate and fault-free).
+    fn in_flight(&self) -> u64 {
+        let mut n = 0;
+        self.for_each_in_flight(|_, _| n += 1);
+        n
+    }
+
+    /// Packets and value still buffered: the queues plus everything in
+    /// flight — what `Fabric::residual` counts in the sharded engine.
+    fn residual(&self) -> (u64, u128) {
+        let band = &self.state.band;
+        let (mut count, mut value) = (band.residual_count(), band.residual_value());
+        self.for_each_in_flight(|_, v| {
+            count += 1;
+            value += v as u128;
+        });
+        (count, value)
     }
 }
 

@@ -22,9 +22,11 @@
 //! a faulted run is exactly as replayable as a clean one: the same plan,
 //! trace and policy produce bit-identical outcomes, checkpoints included —
 //! the fault-injection suite proves kill/restore equivalence *under*
-//! fault plans. While a packet is held it is accounted in
-//! [`InFlight`](cioq_queues::InFlight) but absent from the delay calendar;
-//! the invariant auditor knows the difference and balances both.
+//! fault plans. While a packet is held it is absent from the delay
+//! calendar but still in flight: the engine's residual, drain cutoff and
+//! output snapshot walk the retransmit FIFOs beside the calendar (whenever
+//! any packet is held), so a held packet fills its output's virtual queue
+//! exactly as one on the wire does.
 //!
 //! Conservation holds throughout:
 //! `arrived == transmitted + lost (incl. dropped) + residual`.
@@ -237,10 +239,9 @@ impl FaultPlan {
 }
 
 /// Engine-owned fault state for one run: the plan plus the per-pair
-/// retransmit queues of currently link-down pairs. Held packets stay
-/// accounted in [`InFlight`](cioq_queues::InFlight) (they left their
-/// source queue and will reach their output unless dropped) but are not on
-/// the calendar until released.
+/// retransmit queues of currently link-down pairs. Held packets count as
+/// in flight toward their output (they left their source queue and will
+/// reach it unless dropped) but are not on the calendar until released.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     /// The schedule driving this run. snapshot: transient — pure data,

@@ -12,26 +12,22 @@
 //!    through the fabric), and likewise for value. The end-of-run
 //!    [`RunReport::check_conservation`](crate::RunReport::check_conservation)
 //!    is this check applied once; auditing per slot localizes a leak to
-//!    the slot that caused it.
-//! 2. **In-flight consistency** — the [`InFlight`](cioq_queues::InFlight)
-//!    accounting agrees with itself (cached totals vs a recount) and with
-//!    the transport's delay calendar, pair by pair: every committed packet
-//!    is accounted on exactly the (input, output) pair it was dispatched
-//!    on.
-//! 3. **Canonical landing order** — the landing phase applies fabric
+//!    the slot that caused it. Both engines count what is in flight by
+//!    walking the delay line itself (and, sequentially, the fault layer's
+//!    retransmit FIFOs), so a packet lost or duplicated on the wire shows
+//!    here.
+//! 2. **Canonical landing order** — the landing phase applies fabric
 //!    deliveries in strictly increasing
 //!    `(dispatch slot, dispatch cycle, output, input)` order, the order
 //!    that makes delayed and sharded runs bit-identical to sequential
 //!    ones.
-//! 4. **Schedule validity** — a recorded transcript matches each input
+//! 3. **Schedule validity** — a recorded transcript matches each input
 //!    and output port at most once per cycle (the crossbar subphases
 //!    constrain only their own side), with all ports in range.
 
-use crate::fault::FaultRuntime;
 use crate::snapshot::EngineSnapshot;
 use crate::state::SwitchState;
 use crate::stats::StatsRecorder;
-use crate::transport::DelayCalendar;
 use crate::{RecordedCrossbarSchedule, RecordedSchedule};
 use cioq_model::{SlotId, SwitchConfig};
 
@@ -85,64 +81,6 @@ pub fn check_canonical_order<T>(
         }
     }
     Ok(())
-}
-
-/// Cross-check the [`InFlight`](cioq_queues::InFlight) accounting of
-/// `state` against the delay calendar and the fault layer's retransmit
-/// queues: internal totals recount cleanly, calendar + held packets match
-/// the accounting in total, and each committed or held packet is accounted
-/// on the exact (input, output) pair it rides.
-pub(crate) fn check_inflight(
-    state: &SwitchState,
-    cal: &DelayCalendar,
-    faults: Option<&FaultRuntime>,
-) -> Result<(), String> {
-    let cfg = state.config();
-    state.inflight.check_consistency(cfg.n_inputs)?;
-    let held_total = faults.map_or(0, |f| f.total_held());
-    let mut pending = 0u64;
-    let mut pair_mismatch = None;
-    let mut pair_counts = vec![0u32; cfg.n_inputs * cfg.n_outputs];
-    cal.for_each_pending(|p| {
-        pending += 1;
-        pair_counts[p.input as usize * cfg.n_outputs + p.output as usize] += 1;
-    });
-    if pending + held_total != state.inflight.total() {
-        return Err(format!(
-            "calendar holds {pending} committed packets + {held_total} held by faults, \
-             but in-flight accounting says {}",
-            state.inflight.total()
-        ));
-    }
-    for i in 0..cfg.n_inputs {
-        for j in 0..cfg.n_outputs {
-            let accounted = state.inflight.pair_len(i, j);
-            let held = faults.map_or(0, |f| f.pair_held(i as u16, j as u16));
-            let committed = pair_counts[i * cfg.n_outputs + j] as usize;
-            if accounted != committed + held && pair_mismatch.is_none() {
-                pair_mismatch = Some(format!(
-                    "pair ({i} -> {j}): calendar holds {committed} packets + {held} held, \
-                     accounting says {accounted}"
-                ));
-            }
-        }
-    }
-    match pair_mismatch {
-        Some(msg) => Err(msg),
-        None => Ok(()),
-    }
-}
-
-/// Full per-slot audit for the sequential engine: conservation plus
-/// in-flight/calendar/fault consistency. The caller gates on debug builds.
-pub(crate) fn audit_engine_slot(
-    state: &SwitchState,
-    stats: &StatsRecorder,
-    calendar: &DelayCalendar,
-    faults: Option<&FaultRuntime>,
-) -> Result<(), String> {
-    check_conservation(stats, state.residual_count(), state.residual_value())?;
-    check_inflight(state, calendar, faults)
 }
 
 /// Check that a freshly restored run's residual accounting (`restored` =

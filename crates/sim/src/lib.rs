@@ -59,7 +59,7 @@ pub use shard::{
     run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
     run_crossbar_sharded_streamed, CandidateSet, CioqShardPolicy, CioqShardWorker,
     CrossbarShardPolicy, CrossbarShardWorker, ExecMode, FabricView, MergeContext, MergeScratch,
-    OutputSnapshot, Partition, ShardView, ShardedOptions, ShardedOutcome,
+    Partition, ShardView, ShardedOptions, ShardedOutcome,
 };
 pub use snapshot::{EngineSnapshot, SnapshotError};
 pub use source::{ArrivalSource, TraceSource};
@@ -71,4 +71,4 @@ pub use stream::{
 };
 pub use sync::SpinBarrier;
 pub use trace::{Trace, TraceError, TraceReader};
-pub use transport::FabricSpec;
+pub use transport::{FabricSpec, OutputSnapshot};

@@ -67,8 +67,13 @@
 //! `assemble_state` the shards' bands concatenated. They meet in the delay
 //! line too: one `DelayCalendar` there, one per shard pair here, landed by
 //! the one `transport::land` and captured by the one
-//! `SnapLanding::pending`. Still per-engine: the slot loop itself, the
-//! policy traits and the fault layer, which only the sequential engine has.
+//! `SnapLanding::pending`; and in what policies read of the output side:
+//! one [`OutputSnapshot`], refreshed at the top of every scheduling cycle
+//! by the one `OutputSnapshot::refresh` — here over the shards' bands and
+//! the rings, into the coordinator's copy that proposals and merges are
+//! handed. Still per-engine: the slot loop itself, the policy
+//! traits, the error transport and the fault layer, which only the
+//! sequential engine has.
 //!
 //! [`Engine`]: crate::engine::Engine
 
@@ -83,7 +88,7 @@ use crate::stats::{RunReport, StatsRecorder};
 use crate::stream::StreamingSource;
 use crate::sync::SpinBarrier;
 use crate::trace::Trace;
-use crate::transport::{self, virtualq, DelayCalendar, FabricSpec, InFlightPacket, Landing};
+use crate::transport::{self, DelayCalendar, FabricSpec, InFlightPacket, Landing, OutputSnapshot};
 use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
 use cioq_queues::SortedQueue;
 use std::any::Any;
@@ -200,8 +205,8 @@ pub struct ShardedOptions {
     /// Keep running arrival-free slots until drained (as the sequential
     /// engine does by default).
     pub drain: bool,
-    /// Check full structural invariants on an assembled global state after
-    /// every slot (slow; meant for tests).
+    /// Check full structural invariants — every shard's band, where it
+    /// lies — after every slot (slow; meant for tests).
     pub validate: bool,
     /// Record the full decision transcript (admissions + per-cycle
     /// transfer sets) for equivalence checking.
@@ -419,30 +424,6 @@ impl<'a> FabricView<'a> {
     }
 }
 
-/// Per-cycle snapshot of the output side, computed once before each
-/// proposal step: `full[j]` is the *virtual* fullness (landed occupancy
-/// plus packets in flight through the fabric) and `tail[j]` the least value
-/// of the virtual queue where full (0 otherwise). On an immediate fabric
-/// this degenerates to `|Q_j| = B(Q_j)` / `v(l_j)` — exactly the
-/// output-eligibility inputs the sequential policies refresh at the top of
-/// every scheduling call.
-#[derive(Debug, Default)]
-pub struct OutputSnapshot {
-    /// Whether the virtual queue at `j` is full.
-    pub full: Vec<bool>,
-    /// Least virtual-queue value where full, 0 otherwise.
-    pub tail: Vec<Value>,
-    /// `full` as a packed bitmap (`full_words[j/64]` bit `j%64`): its
-    /// complement is the free-column mask GM's lexicographic greedy starts
-    /// from, in the sequential policy and the sharded first band alike.
-    pub full_words: Vec<u64>,
-    /// Packets in flight toward each output (all zero when immediate).
-    pub in_flight: Vec<u32>,
-    /// Least value in flight toward each output; meaningful only where
-    /// `in_flight[j] > 0`.
-    pub in_flight_min: Vec<Value>,
-}
-
 // ---------------------------------------------------------------------------
 // Policy traits
 // ---------------------------------------------------------------------------
@@ -607,9 +588,10 @@ pub trait CrossbarShardWorker: Send {
     /// `inbound_xbar` is the batch of global crossbar cells other shards
     /// dirtied in owned columns since this worker's previous output
     /// proposal — the cross-shard half of the change-log discipline.
-    /// `outputs` is the pre-subphase output snapshot (virtual fullness and
-    /// tails — the only legal way to read output occupancy, since a
-    /// delayed fabric has committed packets the queues don't show yet).
+    /// `outputs` is the cycle's output snapshot, taken at its top (virtual
+    /// fullness and tails — the only legal way to read output occupancy,
+    /// since a delayed fabric has committed packets the queues don't show
+    /// yet; the input subphase before this one touches no output).
     fn propose_output(
         &mut self,
         fabric: &FabricView<'_>,
@@ -678,7 +660,7 @@ struct Comms {
     /// column-side incremental caches), so they are never delayed — only
     /// packets ride the delay line.
     xbar_marks: Vec<Vec<Mutex<Vec<u32>>>>,
-    /// Pre-cycle output snapshot.
+    /// The cycle's output snapshot, refreshed at its top.
     snapshot: RwLock<OutputSnapshot>,
     /// Current slot / cycle broadcast.
     slot: AtomicU64,
@@ -895,18 +877,17 @@ impl Fabric<'_> {
         arrived - gone
     }
 
-    /// Visit every packet currently riding the delay line (coordinator
-    /// only, between phases).
-    fn for_each_in_flight(&self, mut f: impl FnMut(&InFlightPacket)) {
-        for cell in self.comms.rings.iter().flatten() {
-            lock(cell).for_each_pending(&mut f);
-        }
+    /// Visit, as `(output, value)`, every packet currently riding the
+    /// delay line (coordinator only, between phases).
+    fn for_each_in_flight(&self, f: impl FnMut(usize, Value)) {
+        let rings = self.comms.rings.iter().flatten().map(lock);
+        transport::for_each_in_flight(rings, None, f);
     }
 
     /// Packets currently in flight through the fabric (0 when immediate).
     fn in_flight_total(&self) -> u64 {
         let mut n = 0;
-        self.for_each_in_flight(|_| n += 1);
+        self.for_each_in_flight(|_, _| n += 1);
         n
     }
 
@@ -918,48 +899,24 @@ impl Fabric<'_> {
             count += st.band.residual_count();
             value += st.band.residual_value();
         }
-        self.for_each_in_flight(|p| {
+        self.for_each_in_flight(|_, v| {
             count += 1;
-            value += p.packet.value as u128;
+            value += v as u128;
         });
         (count, value)
     }
 
-    /// Refresh the pre-cycle output snapshot (coordinator only, between
-    /// phases): virtual fullness and tails — landed occupancy plus the
-    /// delay line's in-flight packets.
+    /// Refresh the output snapshot at the top of a scheduling cycle
+    /// (coordinator only, between phases): every shard's output queues
+    /// plus the delay line's in-flight packets.
     fn refresh_snapshot(&self) {
-        let m = self.cfg.n_outputs;
-        let mut snap = write(&self.comms.snapshot);
-        let snap = &mut *snap;
-        snap.full.clear();
-        snap.full.resize(m, false);
-        snap.tail.clear();
-        snap.tail.resize(m, 0);
-        snap.full_words.clear();
-        snap.full_words.resize(m.div_ceil(64), 0);
-        snap.in_flight.clear();
-        snap.in_flight.resize(m, 0);
-        snap.in_flight_min.clear();
-        snap.in_flight_min.resize(m, Value::MAX);
-        self.for_each_in_flight(|p| {
-            let j = p.output as usize;
-            snap.in_flight[j] += 1;
-            snap.in_flight_min[j] = snap.in_flight_min[j].min(p.packet.value);
-        });
-        for l in &self.shards {
-            let st = read(l);
-            for j in st.band.cols() {
-                let q = st.band.output(PortId::from(j));
-                let in_flight = snap.in_flight[j] as usize;
-                if virtualq::full(q, in_flight) {
-                    snap.full[j] = true;
-                    snap.full_words[j / 64] |= 1u64 << (j % 64);
-                    let flying_min = (in_flight > 0).then_some(snap.in_flight_min[j]);
-                    snap.tail[j] = virtualq::tail_value(q, flying_min).unwrap_or(Value::MAX);
-                }
+        let rings = self.comms.rings.iter().flatten().map(lock);
+        let bands = |visit: &mut dyn FnMut(&QueueBand)| {
+            for l in &self.shards {
+                visit(&read(l).band);
             }
-        }
+        };
+        write(&self.comms.snapshot).refresh(self.cfg.n_outputs, rings, None, bands);
     }
 
     /// Assemble the global [`SwitchState`] (tests / capture): the shards'
@@ -1731,6 +1688,7 @@ fn run_sharded_feed<A: ShardArch>(
 
                 for s in 0..cfg.speedup {
                     fabric.comms.cycle.store(s, Ordering::Relaxed);
+                    fabric.refresh_snapshot();
                     arch.cycle(&fabric, &mut stamps, do_phase)?;
                     if land_after_cycle {
                         do_phase(PH_LAND)?;
@@ -1907,7 +1865,6 @@ impl ShardArch for CioqSharded<'_> {
         do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
     ) -> Result<(), PolicyError> {
         let cfg = fabric.cfg;
-        fabric.refresh_snapshot();
         do_phase(PH_PROPOSE)?;
 
         // Deterministic merge (coordinator only, state frozen).
@@ -2096,12 +2053,9 @@ impl ShardArch for CrossbarSharded<'_> {
                 self.rec_in.push(rec);
             }
         }
+        // The output subphase reads the snapshot taken at the cycle's top:
+        // the input subphase moves `Q_ij → C_ij` and touches no output.
         do_phase(PH_APPLY_IN)?;
-
-        // The output subphase reads output occupancy through the snapshot
-        // (virtual fullness on a delayed fabric); refresh it at the exact
-        // point the sequential engine would read live state.
-        fabric.refresh_snapshot();
         do_phase(PH_PROPOSE_OUT)?;
         // The proposals, concatenated, are the set the *row* owners pop
         // from; validate ≤ 1 per output port first.

@@ -4,16 +4,17 @@
 //! The paper's model has one set of queues — `Q_ij`, `C_ij`, `Q_j` — and so
 //! does this crate: [`QueueBand`]. What differs per engine lives outside
 //! it: the slot loop, the fabric between bands, the fault layer, how a
-//! policy error travels.
+//! policy error travels. What policies read of the output side is one
+//! [`OutputSnapshot`] in both engines.
 
 use crate::changes::ChangeLog;
 use crate::mechanics;
 use crate::policy::{Admission, InputTransfer, OutputTransfer, PacketPick, PolicyError, Transfer};
 use crate::snapshot::{EngineSnapshot, SnapshotError};
 use crate::stats::StatsRecorder;
-use crate::transport::{virtualq, InFlightPacket};
+use crate::transport::{DelayCalendar, InFlightPacket, OutputSnapshot};
 use cioq_model::{FabricKind, Packet, PortId, SlotId, SwitchConfig, Value};
-use cioq_queues::{Grid, InFlight, SortedQueue};
+use cioq_queues::{Grid, SortedQueue};
 use std::ops::Range;
 
 /// Which family of queues a reference points into.
@@ -374,7 +375,7 @@ impl QueueBand {
 
 /// The complete mutable state of one simulated switch: the band `0..N` /
 /// `0..M` of its queues plus what only a whole switch has — the
-/// configuration, the slot clock and the in-flight ledger.
+/// configuration, the slot clock and the output snapshot its policies read.
 #[derive(Debug, Clone)]
 pub struct SwitchState {
     /// Switch geometry and capacities. snapshot: serialized
@@ -383,28 +384,28 @@ pub struct SwitchState {
     pub(crate) band: QueueBand,
     /// Current slot (advanced by the engine). snapshot: serialized
     pub(crate) slot: SlotId,
-    /// Packets dispatched into the fabric but not yet landed (empty at all
-    /// times on an immediate fabric; see [`crate::transport`]).
-    /// snapshot: transient — rebuilt by replaying `dispatch` for every
-    /// serialized calendar landing and fault-held packet.
-    pub(crate) inflight: InFlight,
+    /// The virtual output occupancy policies schedule against, refreshed by
+    /// the engine at the top of every scheduling cycle. snapshot: transient
+    /// — recomputed every cycle from the queues and the delay line.
+    pub(crate) outputs: OutputSnapshot,
 }
 
 impl SwitchState {
     /// Fresh, empty switch in the given configuration.
     pub fn new(config: SwitchConfig) -> Self {
         let band = QueueBand::new(&config, 0..config.n_inputs, 0..config.n_outputs);
-        let inflight = InFlight::new(config.n_outputs);
+        let mut outputs = OutputSnapshot::default();
+        outputs.refresh::<&DelayCalendar>(config.n_outputs, [], None, |visit| visit(&band));
         SwitchState {
             config,
             band,
             slot: 0,
-            inflight,
+            outputs,
         }
     }
 
     /// The switch at `slot` whose queues are `bands`' — disjoint bands that
-    /// together cover it — with nothing in flight.
+    /// together cover it.
     pub(crate) fn assemble<'a>(
         config: SwitchConfig,
         slot: SlotId,
@@ -440,16 +441,6 @@ impl SwitchState {
     #[inline]
     pub fn view(&self) -> SwitchView<'_> {
         SwitchView { state: self }
-    }
-
-    /// Total value still buffered anywhere in the switch.
-    pub fn residual_value(&self) -> u128 {
-        self.band.residual_value() + self.inflight.total_value()
-    }
-
-    /// Total number of packets still buffered anywhere in the switch.
-    pub fn residual_count(&self) -> u64 {
-        self.band.residual_count() + self.inflight.total()
     }
 }
 
@@ -510,31 +501,48 @@ impl<'a> SwitchView<'a> {
     }
 
     /// Output queue `Q_j` — the *landed* packets only. On a delayed fabric
-    /// this is what transmission sees; scheduling eligibility must use
-    /// [`SwitchView::output_full`] / [`SwitchView::output_tail_value`],
-    /// which also count packets in flight.
+    /// this is what admission and transmission see; scheduling eligibility
+    /// must use [`SwitchView::outputs`] (or [`SwitchView::output_full`] /
+    /// [`SwitchView::output_tail_value`]), which also count packets in
+    /// flight.
     #[inline]
     pub fn output_queue(&self, output: PortId) -> &'a SortedQueue {
         self.state.band.output(output)
     }
 
+    /// The output side as a scheduler must see it — the virtual occupancy
+    /// of every output, landed packets plus packets in flight toward it —
+    /// in the form the sharded engine hands its policies. Exact during
+    /// scheduling calls: the engine refreshes it at the top of every
+    /// scheduling cycle, and nothing in a cycle moves an output before its
+    /// policy call returns. Admission and transmission read the landed
+    /// queues instead.
+    #[inline]
+    pub fn outputs(&self) -> &'a OutputSnapshot {
+        &self.state.outputs
+    }
+
     /// Whether output `j` is full *as a scheduler must see it*: landed
     /// occupancy plus packets in flight through the fabric toward `j`.
     /// Identical to `output_queue(j).is_full()` on an immediate fabric.
+    /// Read off [`SwitchView::outputs`], so exact during scheduling calls
+    /// only.
     #[inline]
     pub fn output_full(&self, output: PortId) -> bool {
-        let in_flight = self.state.inflight.len(output.index());
-        virtualq::full(self.state.band.output(output), in_flight)
+        self.state.outputs.full[output.index()]
     }
 
     /// Least value of the virtual output queue `j` — the landed tail
     /// `v(l_j)` or the least value in flight toward `j`, whichever is
     /// smaller. `None` when the virtual queue is empty. This is the tail
-    /// the preemption thresholds (PG's β, CPG's α) compare against.
+    /// the preemption thresholds (PG's β, CPG's α) compare against. Exact
+    /// during scheduling calls only, like [`SwitchView::output_full`].
     #[inline]
     pub fn output_tail_value(&self, output: PortId) -> Option<Value> {
-        let flying_min = self.state.inflight.min_value(output.index());
-        virtualq::tail_value(self.state.band.output(output), flying_min)
+        let j = output.index();
+        self.state
+            .outputs
+            .tail_value(j, self.state.band.output(output))
     }
 
     /// Queues dirtied since the engine's last scheduling call, plus the
@@ -549,6 +557,7 @@ impl<'a> SwitchView<'a> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, RunOptions};
+    use crate::fault::{FaultPlan, FaultRuntime};
     use crate::shard::Partition;
     use cioq_model::PacketId;
 
@@ -622,8 +631,8 @@ mod tests {
     #[test]
     fn fresh_state_is_empty() {
         let st = SwitchState::new(SwitchConfig::cioq(3, 4, 2));
-        assert_eq!(st.residual_count(), 0);
-        assert_eq!(st.residual_value(), 0);
+        assert_eq!(st.band.residual_count(), 0);
+        assert_eq!(st.band.residual_value(), 0);
         assert_eq!(st.slot(), 0);
         let v = st.view();
         assert_eq!(v.n_inputs(), 3);
@@ -658,8 +667,8 @@ mod tests {
             .unwrap();
         let landing = InFlightPacket::new(PortId(0), PortId(1), false, packet(2, 3, 0, 1));
         st.band.deliver(&mut stats, false, landing).unwrap();
-        assert_eq!(st.residual_count(), 2);
-        assert_eq!(st.residual_value(), 8);
+        assert_eq!(st.band.residual_count(), 2);
+        assert_eq!(st.band.residual_value(), 8);
     }
 
     #[test]
@@ -755,8 +764,81 @@ mod tests {
             let state = SwitchState::assemble(cfg.clone(), 9, &bands);
             assert_eq!(state.slot(), 9);
             assert_eq!(cells(&cfg, [&state.band]), expected, "K = {k}");
-            assert_eq!(state.residual_count(), whole[0].residual_count());
+            assert_eq!(state.band.residual_count(), whole[0].residual_count());
         }
+    }
+
+    /// A 3 × 70 switch with room for two packets per output: the outputs
+    /// straddle a 64-bit word of `full_words`.
+    fn straddling() -> SwitchConfig {
+        SwitchConfig::builder(3, 70)
+            .output_capacity(2)
+            .build()
+            .expect("valid config")
+    }
+
+    #[test]
+    fn a_fresh_switch_answers_for_every_output() {
+        let st = SwitchState::new(straddling());
+        let view = st.view();
+        for j in (0..70).map(PortId::from) {
+            assert!(!view.output_full(j));
+            assert_eq!(view.output_tail_value(j), None);
+        }
+        assert_eq!(view.outputs().full_words, [0, 0]);
+    }
+
+    /// The one refresh: landed packets, the calendar and the fault layer's
+    /// retransmit FIFOs all count toward an output's virtual queue.
+    #[test]
+    fn the_refresh_counts_landed_in_flight_and_held_packets() {
+        let mut st = SwitchState::new(straddling());
+        let mut stats = StatsRecorder::new(70);
+        let wire = |id, value, j| {
+            let j = PortId::from(j);
+            InFlightPacket::new(PortId(0), j, false, packet(id, value, 0, j.index()))
+        };
+        // Landed: two packets at output 3, one each at 63 and 64.
+        for (id, value, j) in [(0, 9, 3), (1, 5, 3), (2, 8, 63), (3, 7, 64)] {
+            st.band
+                .deliver(&mut stats, false, wire(id, value, j))
+                .unwrap();
+        }
+        // In flight: one each toward 63 and 64 (below 64's landed tail) and
+        // toward 69, where nothing has landed.
+        let mut cal = DelayCalendar::with_reserve(2, 0);
+        for (id, value, j) in [(4, 6, 63), (5, 2, 64), (6, 4, 69)] {
+            cal.dispatch(0, 0, 2, wire(id, value, j));
+        }
+        st.outputs
+            .refresh(70, Some(&cal), None, |visit| visit(&st.band));
+        let view = st.view();
+        let outputs = view.outputs();
+        // Full from landed packets alone, and only with those in flight.
+        assert!(outputs.full[3] && view.output_full(PortId(3)));
+        assert_eq!(outputs.tail[3], 5);
+        assert!(outputs.full[63] && !view.output_queue(PortId(63)).is_full());
+        assert_eq!(outputs.tail[63], 6);
+        // The in-flight minimum below the landed tail is the tail.
+        assert!(outputs.full[64]);
+        assert_eq!(outputs.tail[64], 2);
+        assert_eq!(view.output_tail_value(PortId(64)), Some(2));
+        assert_eq!(outputs.full_words, [1 << 3 | 1 << 63, 1 << 0]);
+        // Not full, yet the virtual queue has a tail.
+        assert!(!view.output_full(PortId(69)));
+        assert_eq!(outputs.tail[69], 0);
+        assert_eq!(view.output_tail_value(PortId(69)), Some(4));
+        assert_eq!(view.output_tail_value(PortId(68)), None);
+
+        // A packet held by a link-down pair fills output 69.
+        let mut faults = FaultRuntime::new(FaultPlan::default(), 3, 70);
+        faults.hold(2, 69, false, packet(7, 1, 2, 69));
+        st.outputs
+            .refresh(70, Some(&cal), Some(&faults), |visit| visit(&st.band));
+        let outputs = st.view().outputs();
+        assert!(outputs.full[69]);
+        assert_eq!((outputs.in_flight[69], outputs.tail[69]), (2, 1));
+        assert_eq!(outputs.full_words[1], 1 << 0 | 1 << 5);
     }
 
     #[test]

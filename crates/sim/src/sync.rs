@@ -156,18 +156,19 @@ impl SpinBarrier {
             guard = park(&self.cv, guard, |parked| parked);
         }
     }
-
-    /// Waiters parked right now.
-    #[cfg(test)]
-    fn parked(&self) -> usize {
-        *self.parked.lock().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+
+    impl SpinBarrier {
+        /// Waiters parked right now.
+        fn parked(&self) -> usize {
+            *self.parked.lock().unwrap_or_else(|e| e.into_inner())
+        }
+    }
 
     #[test]
     fn single_party_never_blocks() {

@@ -28,7 +28,11 @@
 //! * **Eligibility**: schedulers see the *virtual* occupancy of every
 //!   output — landed packets plus packets in flight — so non-preempting
 //!   policies never overrun a buffer they cannot observe, and preemption
-//!   thresholds compare against the least value of the virtual queue.
+//!   thresholds compare against the least value of the virtual queue. Both
+//!   engines hand it over as one [`OutputSnapshot`], filled by one function
+//!   at the top of every scheduling cycle from the output queues and
+//!   everything riding the delay line (and, in the sequential engine, held
+//!   by a link-down pair of its fault layer).
 //! * **Landing** (start of slot `t`, before arrivals): every transfer due
 //!   at `t` is delivered in the **canonical landing order**, sorted by
 //!   `(landing slot, dispatch slot, dispatch cycle, output, input)`. With
@@ -46,9 +50,12 @@
 //! pair lands within its cycle either way, so the bit-identity is
 //! structural; the `d = 0` regression suite in `cioq-core` guards it.
 
+use crate::fault::FaultRuntime;
 use crate::policy::PolicyError;
+use crate::state::QueueBand;
 use cioq_model::{Packet, PortId, SlotId, SwitchConfig, Topology, Value};
-use std::ops::DerefMut;
+use cioq_queues::SortedQueue;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Description of a fabric transport: either one uniform latency or a
@@ -236,11 +243,9 @@ impl DelayCalendar {
         self.bucket(slot + d).push(Landing { slot, cycle, p });
     }
 
-    /// Visit every packet currently committed to the wire (all buckets).
-    /// O(in flight); the debug-build invariant auditor cross-checks the
-    /// calendar against the [`InFlight`](cioq_queues::InFlight) accounting
-    /// with it, and the sharded engine counts what rides its rings.
-    pub(crate) fn for_each_pending(&self, mut f: impl FnMut(&InFlightPacket)) {
+    /// Visit every packet currently committed to the wire (all buckets),
+    /// in O(in flight) — [`for_each_in_flight`]'s walk of the delay line.
+    fn for_each_pending(&self, mut f: impl FnMut(&InFlightPacket)) {
         for bucket in &self.buckets {
             for l in bucket {
                 f(&l.p);
@@ -303,29 +308,101 @@ pub(crate) fn land<C: DerefMut<Target = DelayCalendar>>(
     gather.iter().try_for_each(|l| deliver(l.p))
 }
 
-/// The virtual output queue both engines schedule against: what has landed
-/// in `Q_j` plus what is in flight toward it (the sequential engine reads
-/// the latter off its [`InFlight`](cioq_queues::InFlight) ledger, the sharded
-/// one off its rings).
-pub(crate) mod virtualq {
-    use super::*;
-    use cioq_queues::SortedQueue;
-
-    /// Whether output `j` is full as the scheduler must see it, with
-    /// `in_flight` packets on their way to it.
-    #[inline]
-    pub(crate) fn full(queue: &SortedQueue, in_flight: usize) -> bool {
-        queue.len() + in_flight >= queue.capacity()
+/// Visit, as `(output, value)`, every packet between its source queue and
+/// its output queue: everything committed to `calendars`, then — only when
+/// the fault layer holds any, since its FIFOs span every pair — the packets
+/// `faults` holds on link-down pairs. The one walk behind both engines'
+/// residual, drain cutoff and [`OutputSnapshot`]; ports are the pair's,
+/// which restore has range-checked.
+pub(crate) fn for_each_in_flight<C: Deref<Target = DelayCalendar>>(
+    calendars: impl IntoIterator<Item = C>,
+    faults: Option<&FaultRuntime>,
+    mut f: impl FnMut(usize, Value),
+) {
+    for cal in calendars {
+        cal.for_each_pending(|p| f(p.output as usize, p.packet.value));
     }
+    if let Some(faults) = faults.filter(|rt| rt.total_held() > 0) {
+        faults.for_each_held(|_, j, _, p| f(j as usize, p.value));
+    }
+}
 
-    /// Least value of the virtual queue at output `j` (landed tail vs
-    /// `flying_min`, the least in flight), `None` when both are empty.
-    #[inline]
-    pub(crate) fn tail_value(queue: &SortedQueue, flying_min: Option<Value>) -> Option<Value> {
-        match (queue.tail_value(), flying_min) {
+/// The output side as every policy reads it: the *virtual* queue at each
+/// output — what has landed in `Q_j` plus what is in flight toward it. On
+/// an immediate fabric this degenerates to `|Q_j| = B(Q_j)` / `v(l_j)`.
+/// Both engines hold one and refresh it at the top of every scheduling
+/// cycle through `OutputSnapshot::refresh`, the only writer of its
+/// fields: the sequential engine in its `SwitchState` (policies read it
+/// through [`SwitchView::outputs`](crate::SwitchView::outputs)), the sharded
+/// one in its coordinator, which hands it to proposals and merges.
+#[derive(Debug, Clone, Default)]
+pub struct OutputSnapshot {
+    /// Whether the virtual queue at `j` is full.
+    pub full: Vec<bool>,
+    /// Least virtual-queue value where full, 0 otherwise.
+    pub tail: Vec<Value>,
+    /// `full` as a packed bitmap (`full_words[j/64]` bit `j%64`): its
+    /// complement is the free-column mask GM's lexicographic greedy starts
+    /// from, in the sequential policy and the sharded first band alike.
+    pub full_words: Vec<u64>,
+    /// Packets in flight toward each output (all zero when immediate).
+    pub in_flight: Vec<u32>,
+    /// Least value in flight toward each output; meaningful only where
+    /// `in_flight[j] > 0`.
+    pub in_flight_min: Vec<Value>,
+}
+
+impl OutputSnapshot {
+    /// Least value of the virtual queue at output `j` whose landed part is
+    /// `landed` — the landed tail or the least value in flight, whichever
+    /// is smaller; `None` when both are empty.
+    pub(crate) fn tail_value(&self, j: usize, landed: &SortedQueue) -> Option<Value> {
+        let flying = (self.in_flight[j] > 0).then_some(self.in_flight_min[j]);
+        match (landed.tail_value(), flying) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
+    }
+
+    /// Recompute the snapshot of an `m`-output switch: count what is in
+    /// flight on `calendars` and held by `faults` (see
+    /// [`for_each_in_flight`]), then visit the output queues of every band
+    /// `bands` hands over — the sequential switch's one band, or each
+    /// shard's — and mark the outputs whose virtual queue is full. Sized
+    /// here too, so a switch refreshed at construction answers for every
+    /// output before its first cycle.
+    // detlint: hot
+    pub(crate) fn refresh<C: Deref<Target = DelayCalendar>>(
+        &mut self,
+        m: usize,
+        calendars: impl IntoIterator<Item = C>,
+        faults: Option<&FaultRuntime>,
+        bands: impl FnOnce(&mut dyn FnMut(&QueueBand)),
+    ) {
+        self.full.clear();
+        self.full.resize(m, false);
+        self.tail.clear();
+        self.tail.resize(m, 0);
+        self.full_words.clear();
+        self.full_words.resize(m.div_ceil(64), 0);
+        self.in_flight.clear();
+        self.in_flight.resize(m, 0);
+        self.in_flight_min.clear();
+        self.in_flight_min.resize(m, Value::MAX);
+        for_each_in_flight(calendars, faults, |j, v| {
+            self.in_flight[j] += 1;
+            self.in_flight_min[j] = self.in_flight_min[j].min(v);
+        });
+        bands(&mut |band| {
+            for j in band.cols() {
+                let q = band.output(PortId::from(j));
+                if q.len() + self.in_flight[j] as usize >= q.capacity() {
+                    self.full[j] = true;
+                    self.full_words[j / 64] |= 1 << (j % 64);
+                    self.tail[j] = self.tail_value(j, q).unwrap_or(Value::MAX);
+                }
+            }
+        });
     }
 }
 
