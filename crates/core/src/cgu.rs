@@ -2,12 +2,12 @@
 //! policy of Kesselman, Kogan & Segal for buffered crossbars, shown
 //! 3-competitive (previously 4) by the paper's improved analysis.
 
-use crate::incremental::{CguCache, ColView, MaskHalf, RowView, ShardCols};
+use crate::incremental::{BandGraph, ColView, Dirty, RowView, ShardCols};
 use crate::pg::admit;
 use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
     Admission, CrossbarPolicy, CrossbarShardPolicy, CrossbarShardWorker, FabricView, InputTransfer,
-    OutputSnapshot, OutputTransfer, PacketPick, Partition, ShardView, SwitchView,
+    OutputSnapshot, OutputTransfer, PacketPick, Partition, SwitchView,
 };
 
 /// How CGU resolves the paper's "choose an arbitrary queue" steps.
@@ -36,14 +36,64 @@ pub enum SelectionOrder {
 /// column-local (output) state, so one object schedules a whole switch as
 /// a [`CrossbarPolicy`], or one shard's band as a [`CrossbarShardWorker`],
 /// with no merge step: concatenating the bands' decisions in port order
-/// *is* the whole-switch decision. The per-port eligibility masks (and the
+/// *is* the whole-switch decision. The per-port eligible sets (and the
 /// round-robin pointers, which stay with the port's owner) are maintained
 /// incrementally from the engine's change log.
 #[derive(Debug)]
 pub struct CrossbarGreedyUnit {
     selection: SelectionOrder,
-    cache: CguCache,
+    /// Input `i`'s eligible `j`: an edge `(i, j)` iff
+    /// `|Q_ij| > 0 ∧ |C_ij| < B(C_ij)`.
+    rows: Eligible,
+    /// Output `j`'s eligible `i`, transposed so a per-output scan is one
+    /// contiguous line: an edge `(j, i)` iff `|C_ij| > 0`.
+    cols: Eligible,
     name: String,
+}
+
+/// One subphase's eligible sets as a band graph over the ports that
+/// choose (rows or columns), plus each port's round-robin pointer.
+#[derive(Debug, Default)]
+struct Eligible {
+    sets: BandGraph,
+    /// Where each line's next cyclic scan starts. Zeroed on every rebuild,
+    /// so a policy reused across runs starts like a fresh one.
+    ptr: Vec<usize>,
+}
+
+impl Eligible {
+    /// Re-read `ok(line, k)` for the dirty cells, or every cell on a
+    /// rebuild (which restarts the pointers).
+    // detlint: hot
+    fn sync(
+        &mut self,
+        dirty: Dirty<impl Iterator<Item = (usize, usize)>>,
+        ok: impl Fn(usize, usize) -> bool,
+    ) {
+        let (lines, edge) = (dirty.band.len(), |line, k| ok(line, k).then_some(1));
+        if self.sets.sync(dirty, edge, |_, _, _| {}) {
+            self.ptr.clear();
+            self.ptr.resize(lines, 0);
+        }
+    }
+
+    /// The "arbitrary eligible queue" of line `line`: its first eligible
+    /// index — from 0 (first fit), or cyclically from just past the port's
+    /// previous choice (round robin).
+    fn pick(&mut self, selection: SelectionOrder, line: usize) -> Option<usize> {
+        let graph = &self.sets.graph;
+        match selection {
+            SelectionOrder::FirstFit => graph.first_edge_from(line, 0),
+            SelectionOrder::RoundRobin => {
+                let from = self.ptr[line];
+                let chosen = graph
+                    .first_edge_from(line, from)
+                    .or_else(|| graph.first_edge_from(line, 0))?;
+                self.ptr[line] = (chosen + 1) % graph.n_right();
+                Some(chosen)
+            }
+        }
+    }
 }
 
 impl CrossbarGreedyUnit {
@@ -60,7 +110,8 @@ impl CrossbarGreedyUnit {
         };
         CrossbarGreedyUnit {
             selection,
-            cache: CguCache::default(),
+            rows: Eligible::default(),
+            cols: Eligible::default(),
             name,
         }
     }
@@ -69,7 +120,7 @@ impl CrossbarGreedyUnit {
     /// `|Q_ij| > 0 ∧ |C_ij| < B(C_ij)`.
     fn sync_rows(&mut self, view: &impl RowView) {
         let lo = view.rows().start;
-        self.cache.rows.sync(view.dirty_rows(), |line, j| {
+        self.rows.sync(view.dirty_rows(), |line, j| {
             !view.voq(lo + line, j).is_empty() && !view.xbar(lo + line, j).is_full()
         });
     }
@@ -78,7 +129,7 @@ impl CrossbarGreedyUnit {
     fn sync_cols(&mut self, view: &impl ColView) {
         let lo = view.cols().start;
         let ok = |line, i| !view.xbar(i, lo + line).is_empty();
-        self.cache.cols.sync(view.dirty_cols(), ok);
+        self.cols.sync(view.dirty_cols(), ok);
     }
 
     /// Input subphase over a band of rows: ≤ 1 transfer per input port.
@@ -86,7 +137,7 @@ impl CrossbarGreedyUnit {
     fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<InputTransfer>) {
         self.sync_rows(view);
         for (line, i) in view.rows().enumerate() {
-            if let Some(j) = pick(self.selection, &mut self.cache.rows, line) {
+            if let Some(j) = self.rows.pick(self.selection, line) {
                 out.push(InputTransfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
@@ -111,7 +162,7 @@ impl CrossbarGreedyUnit {
             if outputs.full[j] {
                 continue;
             }
-            if let Some(i) = pick(self.selection, &mut self.cache.cols, line) {
+            if let Some(i) = self.cols.pick(self.selection, line) {
                 out.push(OutputTransfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
@@ -119,20 +170,6 @@ impl CrossbarGreedyUnit {
                     preempt_if_full: false,
                 });
             }
-        }
-    }
-}
-
-/// The "arbitrary eligible queue" of one port: the first set bit of its
-/// mask line — from index 0 (first fit), or cyclically from just past the
-/// port's previous choice (round robin).
-fn pick(selection: SelectionOrder, half: &mut MaskHalf, line: usize) -> Option<usize> {
-    match selection {
-        SelectionOrder::FirstFit => half.ok.first_set_cyclic(line, 0),
-        SelectionOrder::RoundRobin => {
-            let chosen = half.ok.first_set_cyclic(line, half.ptr[line])?;
-            half.ptr[line] = (chosen + 1) % half.ok.cols();
-            Some(chosen)
         }
     }
 }
@@ -188,13 +225,13 @@ impl CrossbarShardPolicy for CrossbarGreedyUnit {
 }
 
 impl CrossbarShardWorker for CrossbarGreedyUnit {
-    fn admit(&mut self, shard: &ShardView<'_>, packet: &Packet) -> Admission {
+    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission {
         let queue = shard.input_queue(packet.input, packet.output);
         admit(queue, packet, false)
     }
 
     // detlint: hot
-    fn propose_input(&mut self, shard: &ShardView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+    fn propose_input(&mut self, shard: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
         self.input_subphase(shard, out);
     }
 
@@ -281,6 +318,63 @@ mod tests {
         .unwrap();
         assert_eq!(a.transmitted, 9);
         assert_eq!(b.transmitted, 9);
+    }
+
+    /// Sync `e` over `table` (`table[line][k]`: is the cell eligible?) at
+    /// log flush `flush`, with `dirty` cells.
+    fn sync(e: &mut Eligible, table: &[Vec<bool>], flush: u64, dirty: &[(usize, usize)]) {
+        let news = Dirty {
+            band: 0..table.len(),
+            width: table[0].len(),
+            flush,
+            cells: dirty.iter().copied(),
+        };
+        e.sync(news, |l, k| table[l][k]);
+    }
+
+    #[test]
+    fn round_robin_pick_wraps() {
+        use SelectionOrder::{FirstFit, RoundRobin};
+        let mut t = vec![vec![false; 70]; 2];
+        (t[0][3], t[0][68]) = (true, true);
+        let mut e = Eligible::default();
+        sync(&mut e, &t, 0, &[]);
+        assert_eq!(e.pick(FirstFit, 0), Some(3));
+        e.ptr[0] = 4;
+        assert_eq!(e.pick(RoundRobin, 0), Some(68));
+        assert_eq!(e.pick(RoundRobin, 0), Some(3), "wraps past the end");
+        assert_eq!(e.pick(RoundRobin, 1), None, "lines are independent");
+        t[0][68] = false;
+        sync(&mut e, &t, 1, &[(0, 68)]);
+        e.ptr[0] = 4;
+        assert_eq!(e.pick(RoundRobin, 0), Some(3), "wraps to the start");
+    }
+
+    #[test]
+    fn round_robin_pick_respects_start_within_word() {
+        let mut t = vec![vec![false; 8]];
+        (t[0][1], t[0][5]) = (true, true);
+        let mut e = Eligible::default();
+        sync(&mut e, &t, 0, &[]);
+        for (from, chosen) in [(2, 5), (6, 1), (1, 1)] {
+            e.ptr[0] = from;
+            assert_eq!(e.pick(SelectionOrder::RoundRobin, 0), Some(chosen));
+        }
+    }
+
+    #[test]
+    fn a_rebuild_restarts_the_round_robin_pointers() {
+        let pick = |e: &mut Eligible| e.pick(SelectionOrder::RoundRobin, 0);
+        let mut t = vec![vec![false; 4]];
+        (t[0][0], t[0][2]) = (true, true);
+        let mut e = Eligible::default();
+        sync(&mut e, &t, 0, &[]);
+        assert_eq!((pick(&mut e), pick(&mut e)), (Some(0), Some(2)));
+        sync(&mut e, &t, 1, &[(0, 0)]);
+        assert_eq!(pick(&mut e), Some(0), "in step: the pointer moves on");
+        sync(&mut e, &t, 3, &[]);
+        assert_eq!(pick(&mut e), Some(0), "a skipped flush rebuilds from 0");
+        assert_eq!(e.ptr, [1]);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! Kogan & Segal [21]; the paper's improvement is exactly the freedom to
 //! pick α ≠ β.
 
-use crate::incremental::{ColView, CpgCache, RowView, ShardCols};
+use crate::incremental::{BandGraph, ColView, Dirty, RowView, ShardCols};
 use crate::params::{cpg_alpha_star, cpg_beta_star};
 use crate::pg::admit;
-use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig};
+use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig, Value};
 use cioq_sim::{
     Admission, CrossbarPolicy, CrossbarShardPolicy, CrossbarShardWorker, FabricView, InputTransfer,
-    OutputSnapshot, OutputTransfer, PacketPick, Partition, ShardView, SwitchView,
+    OutputSnapshot, OutputTransfer, PacketPick, Partition, SwitchView,
 };
 
 /// The Crossbar Preemptive Greedy algorithm with parameters β, α ≥ 1.
@@ -34,8 +34,64 @@ use cioq_sim::{
 pub struct CrossbarPreemptiveGreedy {
     beta: f64,
     alpha: f64,
-    cache: CpgCache,
+    /// Input `i`'s set `J` as edges `(i, j)` weighted `v(g_ij)`:
+    /// `|Q_ij| > 0 ∧ (|C_ij| < B(C_ij) ∨ v(g_ij) > β·v(lc_ij))` — the β
+    /// rule reads `Q_ij` and `C_ij` only, so it is decided per cell.
+    rows: Argmax,
+    /// Output `j`'s candidates, transposed so a per-output scan is one
+    /// contiguous line: edge `(j, i)` weighted `v(gc_ij)` iff `C_ij` is
+    /// non-empty. The output-side α threshold is *not* cached: it is
+    /// evaluated fresh per output each cycle.
+    cols: Argmax,
     name: String,
+}
+
+/// One subphase's candidates as a band graph over the ports that choose
+/// (rows or columns), and each port's cached argmax over them.
+#[derive(Debug, Default)]
+struct Argmax {
+    candidates: BandGraph,
+    /// Per line, its heaviest candidate as `(index along the line, value)`,
+    /// ties to the smallest index; current once [`Argmax::refresh`] ran.
+    best: Vec<Option<(usize, Value)>>,
+    /// Lines with a candidate edge moved since their `best` was taken.
+    stale: Vec<bool>,
+}
+
+impl Argmax {
+    /// Re-read `candidate(line, k)` (`Some(value)` iff the cell is a
+    /// candidate) for the dirty cells — or every cell on a rebuild — and
+    /// mark stale the lines whose candidates moved; a rebuild restarts
+    /// every line's `best` and marks every line stale.
+    // detlint: hot
+    fn sync(
+        &mut self,
+        dirty: Dirty<impl Iterator<Item = (usize, usize)>>,
+        candidate: impl Fn(usize, usize) -> Option<Value>,
+    ) {
+        let lines = dirty.band.len();
+        self.stale.resize(lines, false);
+        let stale = &mut self.stale;
+        let mark = |line: usize, _, _| stale[line] = true;
+        if self.candidates.sync(dirty, candidate, mark) {
+            self.best.clear();
+            self.best.resize(lines, None);
+            self.stale.fill(true);
+        }
+    }
+
+    /// Retake the argmax of every stale line — one scan over its set edges
+    /// — and clear its staleness; the argmax of a line whose candidates
+    /// did not move cannot have changed.
+    // detlint: hot
+    fn refresh(&mut self) {
+        let graph = &self.candidates.graph;
+        for (line, stale) in self.stale.iter_mut().enumerate() {
+            if std::mem::take(stale) {
+                self.best[line] = graph.row_champion(line, None, |_, _| true);
+            }
+        }
+    }
 }
 
 impl CrossbarPreemptiveGreedy {
@@ -51,7 +107,8 @@ impl CrossbarPreemptiveGreedy {
         CrossbarPreemptiveGreedy {
             beta,
             alpha,
-            cache: CpgCache::default(),
+            rows: Argmax::default(),
+            cols: Argmax::default(),
             name: format!("CPG(beta={beta:.3},alpha={alpha:.3})"),
         }
     }
@@ -89,7 +146,7 @@ impl CrossbarPreemptiveGreedy {
     // detlint: hot
     fn sync_rows(&mut self, view: &impl RowView) {
         let (lo, beta) = (view.rows().start, self.beta);
-        self.cache.rows.sync(view.dirty_rows(), |line, j| {
+        self.rows.sync(view.dirty_rows(), |line, j| {
             let (g_ij, c_ij) = (
                 view.voq(lo + line, j).head_value()?,
                 view.xbar(lo + line, j),
@@ -106,7 +163,7 @@ impl CrossbarPreemptiveGreedy {
     fn sync_cols(&mut self, view: &impl ColView) {
         let lo = view.cols().start;
         let head = |line, i| view.xbar(i, lo + line).head_value();
-        self.cache.cols.sync(view.dirty_cols(), head);
+        self.cols.sync(view.dirty_cols(), head);
     }
 
     /// Input subphase over a band of rows: each input port forwards the
@@ -116,8 +173,8 @@ impl CrossbarPreemptiveGreedy {
     // detlint: hot
     fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<InputTransfer>) {
         self.sync_rows(view);
-        self.cache.rows.refresh();
-        for (i, best) in view.rows().zip(&self.cache.rows.best) {
+        self.rows.refresh();
+        for (i, best) in view.rows().zip(&self.rows.best) {
             if let Some((j, _)) = *best {
                 out.push(InputTransfer {
                     input: PortId::from(i),
@@ -142,8 +199,8 @@ impl CrossbarPreemptiveGreedy {
         out: &mut Vec<OutputTransfer>,
     ) {
         self.sync_cols(view);
-        self.cache.cols.refresh();
-        for (j, best) in view.cols().zip(&self.cache.cols.best) {
+        self.cols.refresh();
+        for (j, best) in view.cols().zip(&self.cols.best) {
             let Some((i, gc)) = *best else { continue };
             if !outputs.full[j] || exceeds_factor(gc, self.alpha, outputs.tail[j]) {
                 out.push(OutputTransfer {
@@ -208,12 +265,12 @@ impl CrossbarShardPolicy for CrossbarPreemptiveGreedy {
 }
 
 impl CrossbarShardWorker for CrossbarPreemptiveGreedy {
-    fn admit(&mut self, shard: &ShardView<'_>, packet: &Packet) -> Admission {
+    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission {
         admit(shard.input_queue(packet.input, packet.output), packet, true)
     }
 
     // detlint: hot
-    fn propose_input(&mut self, shard: &ShardView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+    fn propose_input(&mut self, shard: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
         self.input_subphase(shard, out);
     }
 
@@ -239,8 +296,7 @@ impl CrossbarShardWorker for CrossbarPreemptiveGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::Dirty;
-    use cioq_model::{PacketId, SwitchConfig, Value};
+    use cioq_model::{PacketId, SwitchConfig};
     use cioq_sim::{run_crossbar, ChangeLog, SortedQueue, Trace};
 
     #[test]
@@ -373,6 +429,28 @@ mod tests {
         assert_eq!(row.choice(&mut cpg, &[2]), Some(2), "2 joined J");
         row.xbars[0] = queue_of(1, &[4]);
         assert_eq!(row.choice(&mut cpg, &[0]), Some(0), "tie to the smallest j");
+    }
+
+    #[test]
+    fn a_rebuild_restarts_every_lines_best() {
+        // Line 0 holds one candidate, line 1 none. A rebuild from a table
+        // where line 0 lost it (a policy reused on a new switch) reports
+        // no move for line 0 — its best must go all the same.
+        let sync = |a: &mut Argmax, table: &[[Option<Value>; 3]; 2], flush| {
+            let news = Dirty {
+                band: 0..2,
+                width: 3,
+                flush,
+                cells: std::iter::empty(),
+            };
+            a.sync(news, |l, k| table[l][k]);
+            a.refresh();
+        };
+        let mut a = Argmax::default();
+        sync(&mut a, &[[None, Some(5), None], [None; 3]], 0);
+        assert_eq!(a.best, [Some((1, 5)), None]);
+        sync(&mut a, &[[None; 3], [Some(2), None, Some(2)]], 7);
+        assert_eq!(a.best, [None, Some((0, 2))]);
     }
 
     #[test]

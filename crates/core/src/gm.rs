@@ -1,16 +1,16 @@
 //! GM — Greedy Matching (§2.1, Theorem 1): 3-competitive for unit values on
 //! CIOQ switches, at greedy-maximal-matching cost.
 
-use crate::incremental::VoqCache;
+use crate::incremental::{BandGraph, RowView};
 use crate::pg::admit;
 use cioq_matching::{
     claim_first_free, greedy_maximal_cells_into, CellVisit, GreedyScratch, IncrementalGraph,
     Matching,
 };
-use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
+use cioq_model::{Cycle, Packet, PortId, SwitchConfig, Value};
 use cioq_sim::{
     Admission, CandidateSet, CioqPolicy, CioqShardPolicy, CioqShardWorker, MergeContext,
-    MergeScratch, OutputSnapshot, PacketPick, Partition, ShardView, SwitchView, Transfer,
+    MergeScratch, OutputSnapshot, PacketPick, Partition, SwitchView, Transfer,
 };
 
 /// How GM iterates edges when computing its greedy maximal matching. The
@@ -41,7 +41,8 @@ pub enum GmEdgePolicy {
 #[derive(Debug)]
 pub struct GreedyMatching {
     edge_policy: GmEdgePolicy,
-    cache: VoqCache,
+    /// The VOQ head graph of the band: an edge per non-empty `Q_ij`.
+    heads: BandGraph,
     /// Pooled `!full_words` mask the lexicographic greedy claims columns
     /// from, refilled every cycle.
     free: Vec<u64>,
@@ -67,7 +68,7 @@ impl GreedyMatching {
         };
         GreedyMatching {
             edge_policy,
-            cache: VoqCache::default(),
+            heads: BandGraph::default(),
             free: Vec::new(),
             scratch: GreedyScratch::default(),
             matching: Matching::new(),
@@ -80,6 +81,20 @@ impl Default for GreedyMatching {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Bring `heads` up to date with the band `view` covers: an edge per
+/// non-empty `Q_ij`, weighted `v(g_ij)` — GM's graph and PG's alike.
+/// Hands every edge that moved to `moved` and returns whether the sync
+/// rebuilt (see [`BandGraph::sync`]).
+pub(crate) fn sync_heads(
+    heads: &mut BandGraph,
+    view: &SwitchView<'_>,
+    moved: impl FnMut(usize, usize, Option<Value>),
+) -> bool {
+    let lo = view.input_range().start;
+    let head = |line, j| view.voq(lo + line, j).head_value();
+    heads.sync(view.dirty_rows(), head, moved)
 }
 
 /// The transfer of a matched edge: the head of `Q_ij` moves to `Q_j`.
@@ -119,18 +134,18 @@ impl CioqPolicy for GreedyMatching {
 
     // detlint: hot
     fn schedule(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
-        self.cache.sync(view, |_, _| {});
+        sync_heads(&mut self.heads, view, |_, _, _| {});
         let outputs = view.outputs();
         match self.edge_policy {
             GmEdgePolicy::Lexicographic => {
-                let (graph, full) = (&self.cache.graph, &outputs.full_words);
+                let (graph, full) = (&self.heads.graph, &outputs.full_words);
                 greedy_lex(graph, full, &mut self.free, |i, j| out.push(transfer(i, j)));
             }
             GmEdgePolicy::RotateByCycle => {
                 let offset = cycle.sequence(view.config().speedup) as usize;
                 let full = &outputs.full;
                 greedy_maximal_cells_into(
-                    &self.cache.graph,
+                    &self.heads.graph,
                     CellVisit::Rotated(offset),
                     |_, j, _| !full[j],
                     &mut self.scratch,
@@ -180,7 +195,10 @@ impl CioqShardPolicy for GreedyMatching {
         let words = ctx.cfg.n_outputs.div_ceil(64);
         let (first, rest) = ctx.candidates.split_first().expect("at least one shard");
         let (taken, pairs) = first.aux.split_at(words);
-        let free = scratch.free_output_mask(taken);
+        // The columns nobody may take yet, pooled across the run's cycles.
+        let free: &mut Vec<u64> = scratch.state();
+        free.clear();
+        free.extend(taken.iter().map(|w| !w));
         for &pair in pairs {
             out.push(transfer((pair >> 32) as usize, pair as u32 as usize));
         }
@@ -197,7 +215,7 @@ impl CioqShardPolicy for GreedyMatching {
 }
 
 impl CioqShardWorker for GreedyMatching {
-    fn admit(&mut self, shard: &ShardView<'_>, packet: &Packet) -> Admission {
+    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission {
         let queue = shard.input_queue(packet.input, packet.output);
         admit(queue, packet, false)
     }
@@ -205,12 +223,12 @@ impl CioqShardWorker for GreedyMatching {
     // detlint: hot
     fn propose(
         &mut self,
-        shard: &ShardView<'_>,
+        shard: &SwitchView<'_>,
         outputs: &OutputSnapshot,
         _: Cycle,
         out: &mut CandidateSet,
     ) {
-        self.cache.sync(shard, |_, _| {});
+        sync_heads(&mut self.heads, shard, |_, _, _| {});
         let rows = shard.input_range().len();
         let words = shard.n_outputs().div_ceil(64);
         if shard.shard() == 0 {
@@ -218,7 +236,7 @@ impl CioqShardWorker for GreedyMatching {
             // cycle, so no later cycle grows the buffer.
             out.aux.reserve(words + rows);
             out.aux.resize(words, 0);
-            let (graph, pairs) = (&self.cache.graph, &mut out.aux);
+            let (graph, pairs) = (&self.heads.graph, &mut out.aux);
             greedy_lex(graph, &outputs.full_words, &mut self.free, |i, j| {
                 pairs.push(((i as u64) << 32) | j as u64)
             });
@@ -229,7 +247,7 @@ impl CioqShardWorker for GreedyMatching {
         }
         out.aux.resize(rows * words, 0);
         for local in 0..rows {
-            self.cache
+            self.heads
                 .graph
                 .copy_row_bits(local, &mut out.aux[local * words..(local + 1) * words]);
         }

@@ -1,35 +1,39 @@
-//! Band-scoped views and the one incremental cache family.
+//! Band-scoped views and the one incremental cache.
 //!
 //! All four policies derive their per-cycle decisions from queue state that
 //! one slot barely changes: a slot dirties at most O(N·ŝ) of the N² VOQs.
-//! The caches here consume the engine's change log
-//! ([`cioq_sim::ChangeLog`]) and refresh only the dirtied cells, turning the
-//! per-cycle rebuild from O(N²) into O(changes). No cache holds an order:
-//! PG's weighted greedy reads the head graph as it stands
-//! ([`cioq_matching::greedy_weighted_rows_into`]).
+//! Every policy keeps what it derives in one type, [`BandGraph`]: an
+//! [`IncrementalGraph`] with an edge per cell the policy's rule admits —
+//! GM and PG a VOQ head weighted `v(g_ij)`, CGU an eligible queue, CPG a
+//! candidate weighted by its value — brought up to date from the engine's
+//! change log ([`cioq_sim::ChangeLog`]) by re-reading only the dirtied
+//! cells, which turns the per-cycle rebuild from O(N²) into O(changes).
+//! No cache holds an order: PG's weighted greedy reads the head graph as
+//! it stands ([`cioq_matching::greedy_weighted_rows_into`]).
 //!
 //! ## Bands
 //!
-//! Every cache covers a *band*: a contiguous range of input rows
-//! ([`RowView`]) or of output columns ([`ColView`]). The sequential engine's
-//! [`SwitchView`] is the band `0..N` (and `0..M`) of the whole switch; a
-//! shard of the sharded engine sees its own rows through a [`ShardView`] and
-//! its own columns through [`ShardCols`]. The policies run the same code
-//! over either, so a K-shard switch splits the per-cycle O(changes) repair K
-//! ways and "sequential" is just K = 1 over the full band.
+//! Every band graph covers a *band*: a contiguous range of input rows
+//! ([`RowView`]) or of output columns ([`ColView`]). Both engines hand
+//! policies one view type, [`SwitchView`]: the sequential engine's is the
+//! band `0..N` of the whole switch, a shard's in the sharded engine its own
+//! rows; a shard sees its own columns through [`ShardCols`]. The policies
+//! run the same code over either, so a K-shard switch splits the per-cycle
+//! O(changes) repair K ways and "sequential" is just K = 1 over the full
+//! band.
 //!
 //! ## The consistency handshake
 //!
 //! The engine flushes a band's change log after every scheduling call that
-//! reads it, so the log a cache sees at call `k` holds exactly the queues
-//! dirtied since its call `k − 1` — provided the cache consumed every
-//! previous flush. Each cache half records the band it covers and the flush
-//! count it expects next ([`Handshake`]); on any mismatch (first call,
-//! policy reused across runs, resized switch) it falls back to a full
-//! rebuild. Correctness therefore never depends on the handshake — only the
-//! cost does. Under the sequential engine, which flushes after *both*
-//! crossbar subphases, both halves of a crossbar cache must be synced in
-//! both subphases.
+//! reads it, so the log a graph sees at call `k` holds exactly the queues
+//! dirtied since its call `k − 1` — provided it consumed every previous
+//! flush. Each band graph records the band it covers, the width of its
+//! lines and the flush count it expects next ([`Handshake`]); on any
+//! mismatch (first call, policy reused across runs, resized switch) it
+//! rebuilds from scratch and reports every edge. Correctness therefore
+//! never depends on the handshake — only the cost does. Under the
+//! sequential engine, which flushes after *both* crossbar subphases, both
+//! halves of a crossbar policy must be synced in both subphases.
 //!
 //! ## Cell-locality
 //!
@@ -43,7 +47,7 @@
 
 use cioq_matching::IncrementalGraph;
 use cioq_model::{PortId, Value};
-use cioq_sim::{ChangeLog, FabricView, ShardView, SortedQueue, SwitchView};
+use cioq_sim::{ChangeLog, FabricView, SortedQueue, SwitchView};
 use std::ops::Range;
 
 /// Read access to a band of input rows and the log of what changed in it.
@@ -59,7 +63,7 @@ pub(crate) trait RowView {
     /// The band's change log, over band-local cells `(i − rows.start)·M + j`.
     fn log(&self) -> &ChangeLog;
 
-    /// What a row-side cache half consumes: every cell of the band with a
+    /// What a row-side band graph consumes: every cell of the band with a
     /// dirtied `Q_ij` or `C_ij`, as `(band-local row, j)`.
     fn dirty_rows(&self) -> Dirty<impl Iterator<Item = (usize, usize)>> {
         let (m, log) = (self.n_outputs(), self.log());
@@ -89,7 +93,7 @@ pub(crate) trait ColView {
     /// Global crossbar cells of the band dirtied since the previous sync.
     fn marks(&self) -> &[u32];
 
-    /// What a column-side cache half consumes: every cell of the band with
+    /// What a column-side band graph consumes: every cell of the band with
     /// a dirtied `C_ij`, as `(band-local column, i)`.
     fn dirty_cols(&self) -> Dirty<impl Iterator<Item = (usize, usize)>> {
         let (lo, m) = (self.cols().start, self.n_outputs());
@@ -105,7 +109,7 @@ pub(crate) trait ColView {
     }
 }
 
-/// One sync's worth of news for a cache half: the band of lines it covers
+/// One sync's worth of news for a band graph: the band of lines it covers
 /// (rows or columns), the width of a line, the flush count of the log
 /// behind it, and the `(band-local line, global index along it)` of every
 /// cell dirtied since the previous flush.
@@ -116,9 +120,11 @@ pub(crate) struct Dirty<I> {
     pub(crate) cells: I,
 }
 
+/// Both engines' view, as a band of rows: the whole switch under the
+/// sequential engine, a shard's own rows under the sharded one.
 impl RowView for SwitchView<'_> {
     fn rows(&self) -> Range<usize> {
-        0..self.n_inputs()
+        self.input_range()
     }
     fn n_outputs(&self) -> usize {
         SwitchView::n_outputs(self)
@@ -136,6 +142,8 @@ impl RowView for SwitchView<'_> {
     }
 }
 
+/// The sequential engine's view as the band `0..M` of columns: its one log
+/// marks every crosspoint of the switch.
 impl ColView for SwitchView<'_> {
     fn cols(&self) -> Range<usize> {
         0..SwitchView::n_outputs(self)
@@ -155,26 +163,6 @@ impl ColView for SwitchView<'_> {
     }
     fn marks(&self) -> &[u32] {
         self.changes().dirty_xbars()
-    }
-}
-
-impl RowView for ShardView<'_> {
-    fn rows(&self) -> Range<usize> {
-        self.input_range()
-    }
-    fn n_outputs(&self) -> usize {
-        ShardView::n_outputs(self)
-    }
-    #[inline]
-    fn voq(&self, i: usize, j: usize) -> &SortedQueue {
-        self.input_queue(PortId::from(i), PortId::from(j))
-    }
-    #[inline]
-    fn xbar(&self, i: usize, j: usize) -> &SortedQueue {
-        self.crossbar_queue(PortId::from(i), PortId::from(j))
-    }
-    fn log(&self) -> &ChangeLog {
-        self.changes()
     }
 }
 
@@ -212,10 +200,10 @@ impl ColView for ShardCols<'_, '_> {
     }
 }
 
-/// What a cache half last synced: the band it covers, the width of its
+/// What a band graph last synced: the band it covers, the width of its
 /// lines, and the flush count it expects to see next. The default (an empty
 /// band awaiting flush 0) is in step only with an empty band of a fresh
-/// engine — exactly what an empty cache mirrors.
+/// engine — exactly what an empty graph mirrors.
 #[derive(Debug, Default)]
 struct Handshake {
     band: Range<usize>,
@@ -225,8 +213,8 @@ struct Handshake {
 
 impl Handshake {
     /// Record a sync of `band` (lines of `width` cells) against a log at
-    /// `flush`. Returns whether the cache was in step — same band, and it
-    /// consumed every flush up to this one; if not, the caller must rebuild
+    /// `flush`. Returns whether the graph was in step — same band, and it
+    /// consumed every flush up to this one; if not, the graph must rebuild
     /// from scratch.
     fn step(&mut self, band: &Range<usize>, width: usize, flush: u64) -> bool {
         let in_step = self.next_flush == flush && self.band == *band && self.width == width;
@@ -239,286 +227,189 @@ impl Handshake {
     }
 }
 
-/// Incrementally-maintained VOQ head graph over a band of rows: an edge per
-/// non-empty `Q_ij` weighted by `v(g_ij)`, shared by GM (weights ignored)
-/// and PG. Row indices in the graph are band-local; columns are global.
+/// The one incremental cache: an [`IncrementalGraph`] over a band of lines
+/// (band-local lines, global indices along them) — an edge per cell the
+/// owning policy's rule admits — plus the [`Handshake`] that says whether
+/// the graph is in step with the log it syncs from.
 #[derive(Debug, Default)]
-pub(crate) struct VoqCache {
+pub(crate) struct BandGraph {
     pub(crate) graph: IncrementalGraph,
     shake: Handshake,
 }
 
-impl VoqCache {
-    /// Bring the head graph up to date with the band, handing every edge
-    /// the band's change log moved to `on_edit` as `(band-local cell, new
-    /// weight or `None` once removed)`. Returns `true` when the sync was
-    /// such an incremental repair — the edits transform the previous graph
-    /// into the current one — and `false` on a full rebuild, which reports
-    /// no edits.
+impl BandGraph {
+    /// Bring the graph up to date with the band: re-read `cell(line, k)`
+    /// (`Some(weight)` iff the cell is an edge) for every dirty cell — or,
+    /// out of step, for every cell of the band, into a graph emptied first
+    /// — and hand every edge that moved to `moved` as `(line, k, new weight
+    /// or None once removed)`. A rebuild therefore reports every edge, in
+    /// row-major order. Returns whether the sync was such a rebuild.
     // detlint: hot
     pub(crate) fn sync(
         &mut self,
-        view: &impl RowView,
-        mut on_edit: impl FnMut(u32, Option<Value>),
+        dirty: Dirty<impl Iterator<Item = (usize, usize)>>,
+        cell: impl Fn(usize, usize) -> Option<Value>,
+        mut moved: impl FnMut(usize, usize, Option<Value>),
     ) -> bool {
-        let (rows, m, log) = (view.rows(), view.n_outputs(), view.log());
-        let (lo, lines) = (rows.start, rows.len());
-        let in_step = self.shake.step(&rows, m, log.flush_count());
-        if in_step {
-            for &cell in log.dirty_voqs() {
-                let (line, j) = (cell as usize / m, cell as usize % m);
-                if let Some(edit) = self.refresh_cell(view, lo, line, j) {
-                    on_edit(cell, edit);
-                }
-            }
-        } else {
-            self.graph.reset(lines, m);
-            for line in 0..lines {
-                for j in 0..m {
-                    self.refresh_cell(view, lo, line, j);
-                }
-            }
+        let (lines, width) = (dirty.band.len(), dirty.width);
+        let in_step = self.shake.step(&dirty.band, width, dirty.flush);
+        if !in_step {
+            self.graph.reset(lines, width);
         }
-        in_step
-    }
-
-    /// Re-read `Q_ij` (band-local row `line`) into the graph. `Some(edit)`
-    /// iff the *edge* changed — its presence or its weight `v(g_ij)`: an
-    /// arrival below the head, or a pop that exposes an equal value, moves
-    /// the queue and not the graph.
-    #[inline]
-    fn refresh_cell(
-        &mut self,
-        view: &impl RowView,
-        lo: usize,
-        line: usize,
-        j: usize,
-    ) -> Option<Option<Value>> {
-        let head = view.voq(lo + line, j).head_value();
-        self.graph.put(line, j, head).then_some(head)
-    }
-}
-
-/// A dense bit matrix with per-row cyclic first-set scans — the eligibility
-/// masks CGU's "first eligible index from the round-robin pointer" scans
-/// run over.
-#[derive(Debug, Default)]
-pub(crate) struct BitGrid {
-    rows: usize,
-    cols: usize,
-    words_per_row: usize,
-    words: Vec<u64>,
-}
-
-impl BitGrid {
-    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.words_per_row = cols.div_ceil(64);
-        self.words.clear();
-        self.words.resize(rows * self.words_per_row, 0);
-    }
-
-    /// Bits per row.
-    pub(crate) fn cols(&self) -> usize {
-        self.cols
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, row: usize, col: usize, value: bool) {
-        debug_assert!(row < self.rows && col < self.cols);
-        let word = row * self.words_per_row + col / 64;
-        let bit = 1u64 << (col % 64);
-        if value {
-            self.words[word] |= bit;
-        } else {
-            self.words[word] &= !bit;
-        }
-    }
-
-    /// First set column of `row` scanning cyclically from `start`
-    /// (i.e. `start, start+1, …, cols-1, 0, …, start-1`).
-    pub(crate) fn first_set_cyclic(&self, row: usize, start: usize) -> Option<usize> {
-        debug_assert!(start < self.cols);
-        let words = &self.words[row * self.words_per_row..(row + 1) * self.words_per_row];
-        // First set column at or after `from` (bits past `cols` are never set).
-        let first_from = |from: usize| {
-            (from / 64..words.len()).find_map(|w| {
-                let below = if w == from / 64 { from % 64 } else { 0 };
-                let word = words[w] & (!0u64 << below);
-                (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
-            })
+        let mut put = |line, k| {
+            let edge = cell(line, k);
+            if self.graph.put(line, k, edge) {
+                moved(line, k, edge);
+            }
         };
-        match first_from(start) {
-            // Wrapping around, the first set column of the whole row is
-            // the answer iff it lies before `start`.
-            None if start > 0 => first_from(0).filter(|&col| col < start),
-            found => found,
-        }
-    }
-}
-
-/// One half of [`CguCache`]: an eligibility mask over the lines of a band
-/// (rows for the input subphase, columns for the output subphase) and one
-/// round-robin pointer per line.
-#[derive(Debug, Default)]
-pub(crate) struct MaskHalf {
-    pub(crate) ok: BitGrid,
-    /// Where each line's next cyclic scan starts. Zeroed on every full
-    /// rebuild, so a policy reused across runs starts like a fresh one.
-    pub(crate) ptr: Vec<usize>,
-    shake: Handshake,
-}
-
-impl MaskHalf {
-    /// Consume one flush: re-evaluate `ok(line, k)` (band-local line, global
-    /// index `k` along it) for the dirty cells — or, on a resync, for every
-    /// cell of the band.
-    // detlint: hot
-    pub(crate) fn sync(
-        &mut self,
-        dirty: Dirty<impl Iterator<Item = (usize, usize)>>,
-        ok: impl Fn(usize, usize) -> bool,
-    ) {
-        let (lines, width) = (dirty.band.len(), dirty.width);
-        if self.shake.step(&dirty.band, dirty.width, dirty.flush) {
-            for (line, k) in dirty.cells {
-                self.ok.set(line, k, ok(line, k));
-            }
+        if in_step {
+            dirty.cells.for_each(|(line, k)| put(line, k));
         } else {
-            self.ok.reset(lines, width);
-            self.ptr.clear();
-            self.ptr.resize(lines, 0);
-            for line in 0..lines {
-                for k in 0..width {
-                    self.ok.set(line, k, ok(line, k));
-                }
-            }
+            (0..lines).for_each(|line| (0..width).for_each(|k| put(line, k)));
         }
+        !in_step
     }
-}
-
-/// CGU's incremental eligibility masks. `rows.ok[i][j]` holds the
-/// input-subphase rule for `(Q_ij, C_ij)` and syncs from [`RowView::dirty_rows`],
-/// `cols.ok[j][i]` the output-subphase rule for `C_ij` (stored transposed
-/// so a per-output scan is one contiguous line) and syncs from
-/// [`ColView::dirty_cols`]; the rules themselves live with the policy.
-#[derive(Debug, Default)]
-pub(crate) struct CguCache {
-    pub(crate) rows: MaskHalf,
-    pub(crate) cols: MaskHalf,
-}
-
-/// One half of [`CpgCache`]: the *candidates* of every line of a band as a
-/// dense graph — edge `(line, k)` weighted by the candidate's value, kept
-/// in step per dirty cell — and each line's cached argmax over them.
-#[derive(Debug, Default)]
-pub(crate) struct ArgmaxHalf {
-    candidates: IncrementalGraph,
-    /// Per line, its heaviest candidate as `(index along the line, value)`,
-    /// ties to the smallest index; current once [`ArgmaxHalf::refresh`] ran.
-    pub(crate) best: Vec<Option<(usize, Value)>>,
-    /// Lines with a candidate edge changed since their `best` was taken.
-    stale: Vec<bool>,
-    shake: Handshake,
-}
-
-impl ArgmaxHalf {
-    /// Consume one flush: re-evaluate `candidate(line, k)` (band-local line,
-    /// global index `k` along it; `Some(value)` iff the cell is a
-    /// candidate) for the dirty cells — or, on a resync, for every cell of
-    /// the band — and mark stale the lines whose candidates moved.
-    // detlint: hot
-    pub(crate) fn sync(
-        &mut self,
-        dirty: Dirty<impl Iterator<Item = (usize, usize)>>,
-        candidate: impl Fn(usize, usize) -> Option<Value>,
-    ) {
-        let (lines, width) = (dirty.band.len(), dirty.width);
-        if self.shake.step(&dirty.band, dirty.width, dirty.flush) {
-            for (line, k) in dirty.cells {
-                self.refresh_cell(line, k, candidate(line, k));
-            }
-        } else {
-            self.candidates.reset(lines, width);
-            self.best.clear();
-            self.best.resize(lines, None);
-            self.stale.clear();
-            self.stale.resize(lines, false);
-            for line in 0..lines {
-                for k in 0..width {
-                    self.refresh_cell(line, k, candidate(line, k));
-                }
-            }
-        }
-    }
-
-    /// Bring edge `(line, k)` to `value`; the line goes stale only if the
-    /// edge moved (a dirty queue often leaves its candidate as it was).
-    // detlint: hot
-    #[inline]
-    fn refresh_cell(&mut self, line: usize, k: usize, value: Option<Value>) {
-        if self.candidates.put(line, k, value) {
-            self.stale[line] = true;
-        }
-    }
-
-    /// Retake the argmax of every stale line — one scan over its set edges
-    /// — and clear its staleness; the argmax of a line whose candidates
-    /// did not move cannot have changed.
-    // detlint: hot
-    pub(crate) fn refresh(&mut self) {
-        for (line, stale) in self.stale.iter_mut().enumerate() {
-            if std::mem::take(stale) {
-                self.best[line] = self.candidates.row_champion(line, None, |_, _| true);
-            }
-        }
-    }
-}
-
-/// CPG's per-cell candidate graphs and per-port choices. The row half
-/// holds edge `(i, j)` weighted `v(g_ij)` iff `j` is in input `i`'s set `J`
-/// (`|Q_ij| > 0 ∧ (|C_ij| < B(C_ij) ∨ v(g_ij) > β·v(lc_ij))` — the β rule
-/// reads `Q_ij` and `C_ij` only, so it is decided per cell) and syncs from
-/// [`RowView::dirty_rows`]; `rows.best[i]` is the input-subphase choice of
-/// input `i`. The column half holds the transposed edge `(j, i)` weighted
-/// `v(gc_ij)` iff `C_ij` is non-empty (so a per-output scan is one
-/// contiguous line) and syncs from [`ColView::dirty_cols`]; `cols.best[j]`
-/// is the output-subphase candidate of output `j`. The rules themselves
-/// live with the policy, and the output-side α threshold is *not* cached:
-/// the policy evaluates it fresh per output each cycle.
-#[derive(Debug, Default)]
-pub(crate) struct CpgCache {
-    pub(crate) rows: ArgmaxHalf,
-    pub(crate) cols: ArgmaxHalf,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cioq_model::{Packet, PacketId};
 
-    #[test]
-    fn bitgrid_cyclic_scan_wraps() {
-        let mut g = BitGrid::default();
-        g.reset(2, 70);
-        g.set(0, 3, true);
-        g.set(0, 68, true);
-        assert_eq!(g.first_set_cyclic(0, 0), Some(3));
-        assert_eq!(g.first_set_cyclic(0, 4), Some(68));
-        assert_eq!(g.first_set_cyclic(0, 69), Some(3), "wraps past the end");
-        assert_eq!(g.first_set_cyclic(1, 0), None, "rows are independent");
-        g.set(0, 68, false);
-        assert_eq!(g.first_set_cyclic(0, 4), Some(3), "wraps to the start");
+    /// `table[line][k]`: the edge cell `(line, k)` should be.
+    type Table = Vec<Vec<Option<Value>>>;
+    type Moves = Vec<(usize, usize, Option<Value>)>;
+
+    /// A sync of `graph` over a `table` of cells (`table[line][k]`, the edge
+    /// each cell should be) covering `band`, at log flush `flush`, with
+    /// `dirty` cells: whether it rebuilt, and what it reported moved.
+    fn sync(
+        graph: &mut BandGraph,
+        table: &[Vec<Option<Value>>],
+        band: Range<usize>,
+        flush: u64,
+        dirty: &[(usize, usize)],
+    ) -> (bool, Moves) {
+        let mut moves = Vec::new();
+        let news = Dirty {
+            band,
+            width: table.first().map_or(0, Vec::len),
+            flush,
+            cells: dirty.iter().copied(),
+        };
+        let rebuilt = graph.sync(news, |l, k| table[l][k], |l, k, w| moves.push((l, k, w)));
+        (rebuilt, moves)
+    }
+
+    /// Every edge of `table`, in row-major order, as a rebuild reports it.
+    fn every_edge(table: &[Vec<Option<Value>>]) -> Moves {
+        let cells = table.iter().enumerate().flat_map(|(l, row)| {
+            row.iter()
+                .enumerate()
+                .filter_map(move |(k, &w)| w.map(|w| (l, k, Some(w))))
+        });
+        cells.collect()
+    }
+
+    /// Two rows of 70: the second row starts mid-word.
+    fn table() -> Table {
+        let mut t = vec![vec![None; 70]; 2];
+        for (l, k, w) in [(0, 3, 5), (0, 64, 1), (1, 0, 0), (1, 69, 9)] {
+            t[l][k] = Some(w);
+        }
+        t
     }
 
     #[test]
-    fn bitgrid_scan_respects_start_within_word() {
-        let mut g = BitGrid::default();
-        g.reset(1, 8);
-        g.set(0, 1, true);
-        g.set(0, 5, true);
-        assert_eq!(g.first_set_cyclic(0, 2), Some(5));
-        assert_eq!(g.first_set_cyclic(0, 6), Some(1));
-        assert_eq!(g.first_set_cyclic(0, 1), Some(1));
+    fn the_first_sync_rebuilds_and_reports_every_edge_in_row_major_order() {
+        let (t, mut g) = (table(), BandGraph::default());
+        let (rebuilt, moves) = sync(&mut g, &t, 4..6, 0, &[]);
+        assert!(rebuilt);
+        assert_eq!(moves, every_edge(&t));
+        assert_eq!(moves[2], (1, 0, Some(0)), "a zero weight is an edge");
+        assert_eq!(g.graph.n_edges(), 4);
+    }
+
+    #[test]
+    fn an_in_step_sync_reports_exactly_the_moved_cells() {
+        let (mut t, mut g) = (table(), BandGraph::default());
+        sync(&mut g, &t, 4..6, 0, &[]);
+        // Three cells marked dirty: one removed, one reweighted, one as it
+        // was (a queue that moved without its edge moving).
+        t[0][3] = None;
+        t[1][69] = Some(2);
+        let (rebuilt, moves) = sync(&mut g, &t, 4..6, 1, &[(1, 69), (0, 64), (0, 3)]);
+        assert!(!rebuilt);
+        assert_eq!(moves, vec![(1, 69, Some(2)), (0, 3, None)]);
+        // A change no dirty cell names stays unseen until one does.
+        t[1][5] = Some(4);
+        assert_eq!(sync(&mut g, &t, 4..6, 2, &[]), (false, vec![]));
+        assert_eq!(g.graph.weight(1, 5), None);
+        assert_eq!(
+            sync(&mut g, &t, 4..6, 3, &[(1, 5)]).1,
+            vec![(1, 5, Some(4))]
+        );
+    }
+
+    #[test]
+    fn an_arrival_below_the_head_reports_nothing() {
+        let queue = |values: &[Value]| {
+            let mut q = SortedQueue::new(4);
+            for (id, &v) in values.iter().enumerate() {
+                let p = Packet::new(PacketId(id as u64), v, 0, PortId(0), PortId(0));
+                q.insert(p).unwrap();
+            }
+            q
+        };
+        let mut row = vec![queue(&[7]), queue(&[])];
+        let mut g = BandGraph::default();
+        let mut heads = |row: &[SortedQueue], flush, dirty: &[(usize, usize)]| {
+            let news = Dirty {
+                band: 0..1,
+                width: 2,
+                flush,
+                cells: dirty.iter().copied(),
+            };
+            let mut moves = Vec::new();
+            g.sync(
+                news,
+                |_, k| row[k].head_value(),
+                |l, k, w| moves.push((l, k, w)),
+            );
+            moves
+        };
+        assert_eq!(heads(&row, 0, &[]), vec![(0, 0, Some(7))]);
+        row[0] = queue(&[7, 3]);
+        assert_eq!(heads(&row, 1, &[(0, 0)]), vec![], "3 sits below the head");
+        row[0] = queue(&[7, 9]);
+        assert_eq!(heads(&row, 2, &[(0, 0)]), vec![(0, 0, Some(9))]);
+    }
+
+    #[test]
+    fn a_band_width_or_flush_mismatch_rebuilds() {
+        let t = table();
+        let narrow: Table = t.iter().map(|r| r[..64].to_vec()).collect();
+        let cases: [(&Table, Range<usize>, u64, &str); 3] = [
+            (&t, 5..7, 1, "another band"),
+            (&narrow, 4..6, 1, "another width"),
+            (&t, 4..6, 2, "a skipped flush"),
+        ];
+        for (table, band, flush, why) in cases {
+            let mut g = BandGraph::default();
+            let mut stale = t.clone();
+            stale[0][3] = Some(8);
+            stale[1][1] = Some(6);
+            sync(&mut g, &stale, 4..6, 0, &[]);
+            let (rebuilt, moves) = sync(&mut g, table, band.clone(), flush, &[(0, 3)]);
+            assert!(rebuilt, "{why}");
+            assert_eq!(
+                moves,
+                every_edge(table),
+                "{why}: every edge, none left over"
+            );
+            assert_eq!(g.graph.n_edges(), moves.len(), "{why}");
+            let (rebuilt, _) = sync(&mut g, table, band, flush + 1, &[]);
+            assert!(!rebuilt, "{why}: in step again from there");
+        }
     }
 }

@@ -24,8 +24,9 @@
 //! them allocates per cycle after warm-up.
 //!
 //! Every policy maintains its per-cycle scheduling structures
-//! **incrementally** from the engine's change log, through one cache
-//! family scoped to a band of rows or columns: one slot dirties at most
+//! **incrementally** from the engine's change log, in one cache type — a
+//! graph over a band of rows or columns, read through the one view both
+//! engines hand policies: one slot dirties at most
 //! O(N·ŝ) queues, so refreshing only those replaces an O(N²) rescan with
 //! O(changes) bookkeeping. PG keeps no order of its edges between cycles:
 //! its weighted greedy is [`cioq_matching::greedy_weighted_rows_into`] over

@@ -2,14 +2,14 @@
 //! arbitrary values on CIOQ switches, using greedy maximal *weighted*
 //! matchings instead of the maximum-weight matchings of prior work.
 
-use crate::incremental::VoqCache;
+use crate::gm::sync_heads;
+use crate::incremental::BandGraph;
 use crate::params::PG_BETA;
 use cioq_matching::{greedy_weighted_rows_into, GreedyScratch, IncrementalGraph, Matching};
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig, Value};
 use cioq_sim::{
     Admission, CandidateSet, CioqPolicy, CioqShardPolicy, CioqShardWorker, MergeContext,
-    MergeScratch, OutputSnapshot, PacketPick, Partition, ShardView, SortedQueue, SwitchView,
-    Transfer,
+    MergeScratch, OutputSnapshot, PacketPick, Partition, SortedQueue, SwitchView, Transfer,
 };
 
 /// The Preemptive Greedy algorithm with threshold parameter β ≥ 1.
@@ -29,10 +29,11 @@ use cioq_sim::{
 pub struct PreemptiveGreedy {
     beta: f64,
     preemption_enabled: bool,
-    cache: VoqCache,
+    /// The VOQ head graph of the band, as GM keeps it.
+    heads: BandGraph,
     greedy: WeightedGreedy,
-    /// As a shard worker: sequence number of the next edit publish; 0
-    /// forces a full publish (first cycle, or after a cache rebuild).
+    /// As a shard worker: sequence number of the next incremental edit
+    /// publish (a rebuild publishes as 0).
     next_seq: u64,
     name: String,
 }
@@ -60,7 +61,7 @@ impl PreemptiveGreedy {
         PreemptiveGreedy {
             beta,
             preemption_enabled,
-            cache: VoqCache::default(),
+            heads: BandGraph::default(),
             greedy: WeightedGreedy::default(),
             next_seq: 0,
             name,
@@ -156,10 +157,10 @@ impl CioqPolicy for PreemptiveGreedy {
 
     // detlint: hot
     fn schedule(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
-        self.cache.sync(view, |_, _| {});
+        sync_heads(&mut self.heads, view, |_, _, _| {});
         let (beta, preempt) = (self.beta, self.preemption_enabled);
         self.greedy
-            .run(beta, preempt, &self.cache.graph, view.outputs(), out);
+            .run(beta, preempt, &self.heads.graph, view.outputs(), out);
     }
 }
 
@@ -167,7 +168,8 @@ impl CioqPolicy for PreemptiveGreedy {
 /// factory and the merger, and every shard's worker is a fresh copy of it.
 ///
 /// Proposal: each worker repairs its band of the head graph from its own
-/// change log and publishes the cells whose edge changed. Merge: the
+/// change log and publishes the cells whose edge changed — every edge of
+/// the band, as publish 0, when its graph rebuilt. Merge: the
 /// coordinator applies those edits to its whole-switch mirror of the graph
 /// (`HeadMirror`, one per run) and runs the kernel the sequential policy
 /// runs, over the same graph — so the matching is the same by construction.
@@ -241,7 +243,7 @@ impl CioqShardPolicy for PreemptiveGreedy {
 }
 
 impl CioqShardWorker for PreemptiveGreedy {
-    fn admit(&mut self, shard: &ShardView<'_>, packet: &Packet) -> Admission {
+    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission {
         let queue = shard.input_queue(packet.input, packet.output);
         admit(queue, packet, self.preemption_enabled)
     }
@@ -249,29 +251,24 @@ impl CioqShardWorker for PreemptiveGreedy {
     // detlint: hot
     fn propose(
         &mut self,
-        shard: &ShardView<'_>,
+        shard: &SwitchView<'_>,
         _: &OutputSnapshot,
         _: Cycle,
         out: &mut CandidateSet,
     ) {
-        // Steady state: publish only the cells whose edge changed
-        // (O(dirty)); the coordinator's mirror replays them. The whole band
-        // goes out only on the first cycle or after a cache rebuild, which
-        // reports no edits.
-        let (removed, refreshed) = (&mut out.removed, &mut out.refreshed);
-        let incremental = self.cache.sync(shard, |cell, edit| match edit {
-            Some(w) => refreshed.push((w, cell)),
-            None => removed.push(cell),
+        // Publish the cells whose edge moved — O(dirty) in the steady
+        // state; the coordinator's mirror replays them. A rebuild (first
+        // cycle, or out of step) moves every edge, so the same edits are
+        // the whole band, published as seq 0.
+        let (m, removed, refreshed) = (shard.n_outputs(), &mut out.removed, &mut out.refreshed);
+        let rebuilt = sync_heads(&mut self.heads, shard, |line, j, edge| {
+            let cell = (line * m + j) as u32;
+            match edge {
+                Some(w) => refreshed.push((w, cell)),
+                None => removed.push(cell),
+            }
         });
-        if incremental && self.next_seq > 0 {
-            out.seq = self.next_seq;
-        } else {
-            out.seq = 0;
-            let m = shard.n_outputs();
-            self.cache
-                .graph
-                .for_each_edge(|l, j, w| refreshed.push((w, (l * m + j) as u32)));
-        }
+        out.seq = if rebuilt { 0 } else { self.next_seq };
         self.next_seq = out.seq + 1;
     }
 }

@@ -1,0 +1,308 @@
+//! Unit-value twins: two *different* paper policies that must decide
+//! alike, and one policy that must not notice its values being rescaled —
+//! metamorphic relations over the production engines, with no reference
+//! implementation on either side.
+//!
+//! **PG on unit values is GM.** Every value is 1, so PG's input preemption
+//! (`v(l_ij) < v(p)`) and its output rule (`v(g_ij) > β·v(l_j)`) ask
+//! whether `1 > β·1` — false for every β ≥ 1, and for `without_preemption`
+//! (β = ∞) — and neither ever preempts: an arrival to a full `Q_ij` is
+//! rejected, as GM rejects it, and PG's edges are GM's, the non-empty
+//! `Q_ij` toward a virtual output with room. PG's weighted greedy visits
+//! edges by descending weight with equal weights in `(row, col)` order
+//! (the order its row-champion keys sort in), which on a graph of equal
+//! weights is GM's lexicographic greedy.
+//!
+//! **CPG on unit values is CGU first-fit.** `1 > β·1` and `1 > α·1` are
+//! false, so CPG's input set `J` is CGU's eligible set (`|Q_ij| > 0 ∧
+//! |C_ij| < B(C_ij)`), its output forwards only into a `Q_j` with room, as
+//! CGU's does, and it never preempts. Its argmaxes break ties to the
+//! smallest index, and with every head worth 1 the smallest eligible index
+//! is CGU's first fit.
+//!
+//! A transcript here is the admissions plus every cycle's transfer pairs,
+//! plus the run report with its `policy` name blanked. Both engines run
+//! every twin — sequential, and sharded at K ∈ {1, 2, 4} inline and on
+//! threads — on the immediate fabric and a two-tier one, at 6 × 70 (output
+//! bitmaps straddle a word) and 70 × 3 (rows straddle words of the
+//! flat cell bitsets). The two sides share the band graph their caches are
+//! kept in, and nothing else: no matching kernel, eligibility rule or
+//! per-port choice.
+//!
+//! **Scaling values by 2^k changes no decision.** Multiplying every value
+//! of a weighted trace by a power of two is exact in `f64` — the rounding
+//! of `v as f64` and of `β·v` commutes with it — so every comparison PG and
+//! CPG make (integer orders, and the β / α thresholds) comes out the same:
+//! the transcripts are equal, and `benefit` is multiplied by 2^k.
+
+use cioq_core::params::PG_BETA;
+use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
+use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
+use cioq_sim::{
+    run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
+    CrossbarRecording, CrossbarShardPolicy, Engine, ExecMode, FabricSpec, RecordedCrossbarSchedule,
+    RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions, Trace, TraceSource,
+};
+
+const ARRIVAL_SLOTS: SlotId = 30;
+
+/// An engine to run a policy on: sequential (`None`) or sharded.
+type Variant = Option<(usize, ExecMode)>;
+
+fn variants() -> Vec<Variant> {
+    let sharded = [1, 2, 4]
+        .into_iter()
+        .flat_map(|k| [ExecMode::Inline, ExecMode::Threads].map(|mode| Some((k, mode))));
+    std::iter::once(None).chain(sharded).collect()
+}
+
+// ---- workload ----
+
+/// Small buffers, so rejections and full outputs — the cases the twins'
+/// rules differ on with values other than 1 — occur constantly.
+fn config(n: usize, m: usize, crossbar: bool) -> SwitchConfig {
+    let builder = SwitchConfig::builder(n, m)
+        .speedup(2)
+        .input_capacity(2)
+        .output_capacity(2);
+    let builder = if crossbar {
+        builder.crossbar_capacity(1)
+    } else {
+        builder
+    };
+    builder.build().expect("valid config")
+}
+
+fn fabrics(n: usize, m: usize) -> [FabricSpec; 2] {
+    let two_tier = Topology::two_tier(n, m, 2, 0, 2).expect("valid topology");
+    [FabricSpec::default(), FabricSpec::matrix(two_tier)]
+}
+
+/// splitmix64, written out so the traces depend on nothing but this file.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Two arrival attempts per input per slot, most aimed at the outputs on
+/// both ends of the switch and of its first 64-bit word, with values
+/// `scale · 2^e`, `e < levels` (all equal at `levels = 1`).
+fn trace(n: usize, m: usize, levels: u64, scale: Value) -> Trace {
+    let hot = [0, 63.min(m - 1), 64.min(m - 1), m - 1];
+    let mut rng = 0x7_1115_u64 ^ (n * 1000 + m) as u64;
+    let mut tuples = Vec::new();
+    for slot in 0..ARRIVAL_SLOTS {
+        for i in 0..n {
+            for _ in 0..2 {
+                if splitmix(&mut rng).is_multiple_of(4) {
+                    continue;
+                }
+                let j = if splitmix(&mut rng) % 10 < 7 {
+                    hot[(splitmix(&mut rng) % 4) as usize]
+                } else {
+                    (splitmix(&mut rng) % m as u64) as usize
+                };
+                let v = scale << (splitmix(&mut rng) % levels);
+                tuples.push((slot, PortId::from(i), PortId::from(j), v));
+            }
+        }
+    }
+    Trace::from_tuples(tuples)
+}
+
+// ---- transcripts ----
+
+/// What a run decided, engine-independent: the report with the policy
+/// name blanked, and the decision transcript.
+type Transcript<S> = (RunReport, S);
+
+fn blank(mut report: RunReport) -> RunReport {
+    report.policy.clear();
+    report
+}
+
+fn cioq_transcript<P: CioqPolicy + CioqShardPolicy>(
+    policy: P,
+    cfg: &SwitchConfig,
+    trace: &Trace,
+    fabric: &FabricSpec,
+    variant: Variant,
+) -> Transcript<RecordedSchedule> {
+    match variant {
+        None => {
+            let options = RunOptions {
+                fabric: fabric.clone(),
+                ..RunOptions::default()
+            };
+            let mut rec = Recording::with_fabric(policy, fabric);
+            let report = Engine::new(cfg.clone(), options)
+                .run_cioq(&mut rec, &mut TraceSource::new(trace))
+                .expect("sequential run");
+            (blank(report), rec.into_schedule())
+        }
+        Some((k, mode)) => {
+            let outcome = run_cioq_sharded(cfg, &policy, trace, sharded(k, mode, fabric))
+                .expect("sharded run");
+            let schedule = outcome.schedule.expect("recorded");
+            (blank(outcome.report), schedule)
+        }
+    }
+}
+
+fn crossbar_transcript<P: CrossbarPolicy + CrossbarShardPolicy>(
+    policy: P,
+    cfg: &SwitchConfig,
+    trace: &Trace,
+    fabric: &FabricSpec,
+    variant: Variant,
+) -> Transcript<RecordedCrossbarSchedule> {
+    match variant {
+        None => {
+            let options = RunOptions {
+                fabric: fabric.clone(),
+                ..RunOptions::default()
+            };
+            let mut rec = CrossbarRecording::with_fabric(policy, fabric);
+            let report = Engine::new(cfg.clone(), options)
+                .run_crossbar(&mut rec, &mut TraceSource::new(trace))
+                .expect("sequential run");
+            (blank(report), rec.into_schedule())
+        }
+        Some((k, mode)) => {
+            let outcome = run_crossbar_sharded(cfg, &policy, trace, sharded(k, mode, fabric))
+                .expect("sharded run");
+            let schedule = outcome.crossbar_schedule.expect("recorded");
+            (blank(outcome.report), schedule)
+        }
+    }
+}
+
+fn sharded(k: usize, mode: ExecMode, fabric: &FabricSpec) -> ShardedOptions {
+    let mut options = ShardedOptions::new(k);
+    options.mode = mode;
+    options.fabric = fabric.clone();
+    options.record = true;
+    options
+}
+
+/// The geometries every relation runs at, each with the fabrics.
+fn cases() -> impl Iterator<Item = (usize, usize, FabricSpec)> {
+    [(6, 70), (70, 3)]
+        .into_iter()
+        .flat_map(|(n, m)| fabrics(n, m).map(move |fabric| (n, m, fabric)))
+}
+
+// ---- first relation: unit values ----
+
+#[test]
+fn pg_on_unit_values_is_gm() {
+    let pgs: [fn() -> PreemptiveGreedy; 4] = [
+        || PreemptiveGreedy::with_beta(1.0),
+        || PreemptiveGreedy::with_beta(PG_BETA),
+        || PreemptiveGreedy::with_beta(4.0),
+        PreemptiveGreedy::without_preemption,
+    ];
+    for (n, m, fabric) in cases() {
+        let (cfg, trace) = (config(n, m, false), trace(n, m, 1, 1));
+        for variant in variants() {
+            let gm = cioq_transcript(GreedyMatching::new(), &cfg, &trace, &fabric, variant);
+            assert!(gm.0.losses.rejected > 0, "{n}×{m}: the run must reject");
+            for make in pgs {
+                let pg = make();
+                let what = format!("{} {n}×{m} {} {variant:?}", pg.beta(), fabric.label());
+                let got = cioq_transcript(pg, &cfg, &trace, &fabric, variant);
+                assert_eq!(got, gm, "PG(β = {what}) against GM");
+            }
+        }
+    }
+}
+
+#[test]
+fn cpg_on_unit_values_is_first_fit_cgu() {
+    let cpgs: [fn() -> CrossbarPreemptiveGreedy; 2] = [
+        CrossbarPreemptiveGreedy::new,
+        CrossbarPreemptiveGreedy::single_parameter,
+    ];
+    for (n, m, fabric) in cases() {
+        let (cfg, trace) = (config(n, m, true), trace(n, m, 1, 1));
+        for variant in variants() {
+            let cgu =
+                crossbar_transcript(CrossbarGreedyUnit::new(), &cfg, &trace, &fabric, variant);
+            assert!(cgu.0.losses.rejected > 0, "{n}×{m}: the run must reject");
+            for make in cpgs {
+                let cpg = make();
+                let what = format!("{} {n}×{m} {} {variant:?}", cpg.alpha(), fabric.label());
+                let got = crossbar_transcript(cpg, &cfg, &trace, &fabric, variant);
+                assert_eq!(got, cgu, "CPG(α = {what}) against CGU");
+            }
+        }
+    }
+}
+
+// ---- second relation: scaling by a power of two ----
+
+/// `report` with every value-weighted figure divided by `scale`, so a
+/// scaled run's report can be compared field for field with the unscaled
+/// one's; `benefit` is divided exactly or the relation fails.
+fn unscaled(mut report: RunReport, scale: Value) -> RunReport {
+    let s = u128::from(scale);
+    assert_eq!(
+        report.benefit.0 % s,
+        0,
+        "benefit is a multiple of the scale"
+    );
+    report.benefit.0 /= s;
+    report.arrived_value /= s;
+    report.residual_value /= s;
+    let losses = &mut report.losses;
+    for v in [
+        &mut losses.rejected_value,
+        &mut losses.preempted_input_value,
+        &mut losses.preempted_crossbar_value,
+        &mut losses.preempted_output_value,
+        &mut losses.dropped_value,
+    ] {
+        *v /= s;
+    }
+    report
+}
+
+#[test]
+fn scaling_values_by_a_power_of_two_changes_no_decision() {
+    for (n, m, fabric) in cases() {
+        let base = trace(n, m, 8, 1);
+        let (cioq, crossbar) = (config(n, m, false), config(n, m, true));
+        for k in [1, 7, 30] {
+            let scaled = trace(n, m, 8, 1 << k);
+            for variant in [None, Some((2, ExecMode::Threads))] {
+                let what = format!("2^{k} {n}×{m} {} {variant:?}", fabric.label());
+                let run = |trace| {
+                    cioq_transcript(PreemptiveGreedy::new(), &cioq, trace, &fabric, variant)
+                };
+                let (want, got) = (run(&base), run(&scaled));
+                assert!(want.0.losses.preempted_input > 0, "{what}: PG must preempt");
+                assert_eq!(got.1, want.1, "PG {what}: transcript");
+                assert_eq!(got.0.benefit.0, want.0.benefit.0 << k, "PG {what}: benefit");
+                assert_eq!(unscaled(got.0, 1 << k), want.0, "PG {what}: report");
+
+                let run = |trace| {
+                    let cpg = CrossbarPreemptiveGreedy::new();
+                    crossbar_transcript(cpg, &crossbar, trace, &fabric, variant)
+                };
+                let (want, got) = (run(&base), run(&scaled));
+                let preempted = want.0.losses.preempted_crossbar;
+                assert!(preempted > 0, "{what}: CPG's β rule must fire");
+                assert_eq!(got.1, want.1, "CPG {what}: transcript");
+                assert_eq!(
+                    got.0.benefit.0,
+                    want.0.benefit.0 << k,
+                    "CPG {what}: benefit"
+                );
+                assert_eq!(unscaled(got.0, 1 << k), want.0, "CPG {what}: report");
+            }
+        }
+    }
+}

@@ -76,21 +76,7 @@ pub fn greedy_maximal_with(
     scratch: &mut GreedyScratch,
 ) -> Matching {
     let mut m = Matching::new();
-    greedy_maximal_into(g, order, scratch, &mut m);
-    m
-}
-
-/// As [`greedy_maximal_with`], but writing into `m` (cleared first) so a
-/// per-cycle caller reuses one pair buffer instead of allocating a fresh
-/// `Matching` per call — the zero-allocation hot path.
-pub fn greedy_maximal_into(
-    g: &BipartiteGraph,
-    order: EdgeOrder,
-    scratch: &mut GreedyScratch,
-    m: &mut Matching,
-) {
     scratch.prepare(g.n_left(), g.n_right(), g.n_edges());
-    m.pairs.clear();
     let edges = g.edges();
     match order {
         EdgeOrder::Insertion => {}
@@ -133,6 +119,7 @@ pub fn greedy_maximal_into(
             m.pairs.push((e.left, e.right));
         }
     }
+    m
 }
 
 /// Greedy maximal matching in descending weight order — PG's scheduling step.

@@ -14,8 +14,10 @@
 //!   order — exactly the insertion order of the from-scratch builders —
 //!   and one row scan, [`IncrementalGraph::row_champion`] (a row's heaviest
 //!   admitted edge): the weighted greedy's rescans and CPG's per-port
-//!   argmaxes both run it. An absent cell weighs 0, so a row's heaviest
-//!   edge can be read off its weights without the edge bits.
+//!   argmaxes both run it — and [`IncrementalGraph::first_edge_from`] (a
+//!   row's first edge from a column on: CGU's pick). An absent cell weighs
+//!   0, so a row's heaviest edge can be read off its weights without the
+//!   edge bits.
 //! * [`IncrementalGraph::greedy_lex_rows`] — GM's lexicographic matching
 //!   as word arithmetic: per row in ascending order, [`claim_first_free`]
 //!   takes the first column set in both the row's edge words and a
@@ -210,6 +212,20 @@ impl IncrementalGraph {
                 matched(left, right);
             }
         }
+    }
+
+    /// Row `left`'s first edge at column `start` or past it, as its column:
+    /// a scan of the row's edge words read in place, a word test per 64
+    /// columns. CGU picks with it — first fit from 0, round robin from
+    /// past the port's previous choice and then, wrapping, from 0.
+    // detlint: hot
+    #[inline]
+    pub fn first_edge_from(&self, left: usize, start: usize) -> Option<usize> {
+        (start / 64..self.n_right.div_ceil(64)).find_map(|k| {
+            let below = if k == start / 64 { start % 64 } else { 0 };
+            let word = self.row_word(left, k) & (!0u64 << below);
+            (word != 0).then(|| k * 64 + word.trailing_zeros() as usize)
+        })
     }
 
     /// Word `k` of row `left`'s edge-presence bits, column-aligned (bit `b`
@@ -1104,6 +1120,34 @@ mod tests {
             }
             prop_assert_eq!(&merged, &want.pairs);
             prop_assert_eq!(&bitmap_free, &expect);
+        }
+
+        /// `first_edge_from` is the naive scan of the row's cells from
+        /// `start` on, for every row and every `start` up to one past the
+        /// last column, at widths on and across word boundaries (so most
+        /// rows start mid-word) and densities from empty to full.
+        #[test]
+        fn first_edge_from_is_the_naive_scan(
+            width in 0usize..6,
+            rows in 1usize..12,
+            density in 0u64..9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let cols: usize = [1, 63, 64, 65, 70, 130][width];
+            let mut state = seed;
+            let mut g = IncrementalGraph::new(rows, cols);
+            for cell in 0..rows * cols {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                if (state >> 33) % 8 < density {
+                    g.set_edge(cell / cols, cell % cols, state >> 60);
+                }
+            }
+            for l in 0..rows {
+                for start in 0..=cols {
+                    let naive = (start..cols).find(|&c| g.weight(l, c).is_some());
+                    prop_assert_eq!(g.first_edge_from(l, start), naive, "row {} from {}", l, start);
+                }
+            }
         }
 
         /// Random edit scripts: after every batch of edits + repair, the

@@ -38,8 +38,7 @@ mod islip;
 
 pub use graph::{BipartiteGraph, Edge, EdgeId, Matching};
 pub use greedy::{
-    greedy_maximal, greedy_maximal_into, greedy_maximal_weighted, greedy_maximal_with, EdgeOrder,
-    GreedyScratch,
+    greedy_maximal, greedy_maximal_weighted, greedy_maximal_with, EdgeOrder, GreedyScratch,
 };
 pub use hopcroft_karp::hopcroft_karp;
 pub use hungarian::hungarian_max_weight;

@@ -71,8 +71,12 @@
 //! one [`OutputSnapshot`], refreshed at the top of every scheduling cycle
 //! by the one `OutputSnapshot::refresh` — here over the shards' bands and
 //! the rings, into the coordinator's copy that proposals and merges are
-//! handed. Still per-engine: the slot loop itself, the policy
-//! traits, the error transport and the fault layer, which only the
+//! handed. And they meet in the view: a policy reads one [`SwitchView`]
+//! type in both engines — over the band `0..N` there, over a shard's band
+//! and the cycle's snapshot here — so one policy object's cache code runs
+//! unchanged under either. Still per-engine: the slot loop itself, the
+//! policy traits (both families take that one view; folding them waits on
+//! one slot loop), the error transport and the fault layer, which only the
 //! sequential engine has.
 //!
 //! [`Engine`]: crate::engine::Engine
@@ -83,7 +87,7 @@ use crate::policy::{Admission, InputTransfer, OutputTransfer, PacketPick, Policy
 use crate::record::{RecordedCrossbarSchedule, RecordedSchedule};
 use crate::snapshot::{EngineSnapshot, SnapLanding};
 use crate::source::{ArrivalSource, TraceSource};
-use crate::state::{QueueBand, SwitchState};
+use crate::state::{QueueBand, SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder};
 use crate::stream::StreamingSource;
 use crate::sync::SpinBarrier;
@@ -287,67 +291,11 @@ pub struct ShardedOutcome {
 // Views
 // ---------------------------------------------------------------------------
 
-/// Read-only view of one shard's own slice, handed to workers for
-/// admission and for shard-local proposal steps (CIOQ proposals and the
-/// crossbar input subphase read nothing outside the shard's own rows, so
-/// they get this one-lock view instead of a whole-fabric view).
-pub struct ShardView<'a> {
-    cfg: &'a SwitchConfig,
-    partition: &'a Partition,
-    shard: usize,
-    state: &'a ShardState,
-}
-
-impl<'a> ShardView<'a> {
-    /// The switch configuration.
-    #[inline]
-    pub fn config(&self) -> &'a SwitchConfig {
-        self.cfg
-    }
-
-    /// The partition in force.
-    #[inline]
-    pub fn partition(&self) -> &'a Partition {
-        self.partition
-    }
-
-    /// This shard's index.
-    #[inline]
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Number of output ports `M`.
-    #[inline]
-    pub fn n_outputs(&self) -> usize {
-        self.cfg.n_outputs
-    }
-
-    /// Global input rows this shard owns.
-    #[inline]
-    pub fn input_range(&self) -> Range<usize> {
-        self.state.band.rows()
-    }
-
-    /// Input queue `Q_ij` (must be an owned row).
-    #[inline]
-    pub fn input_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
-        self.state.band.voq(input, output)
-    }
-
-    /// Crossbar queue `C_ij` (must be an owned row); panics on CIOQ.
-    #[inline]
-    pub fn crossbar_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
-        self.state.band.xbar(input, output)
-    }
-
-    /// This shard's change log, over **shard-local** cells
-    /// `(i − in_lo)·M + j`.
-    #[inline]
-    pub fn changes(&self) -> &'a ChangeLog {
-        self.state.band.changes()
-    }
-}
+/// A shard's view: the one [`SwitchView`] both engines hand policies, over
+/// the shard's own band (its rows, its output columns, its change log) and
+/// the cycle's output snapshot. An alias, not a type: callers outside the
+/// workspace import the name.
+pub type ShardView<'a> = SwitchView<'a>;
 
 /// Read-only view over **every** shard's queues, alive only between
 /// barriers while no shard mutates. Proposal and merge steps read through
@@ -464,43 +412,34 @@ impl CandidateSet {
     }
 }
 
-/// What a merge step keeps between calls: a reusable word buffer for
-/// bitmap-based merges, and whatever the policy's merge carries from one
-/// cycle to the next. One value serves one run: `merge` takes the policy by
-/// `&self`, so a policy object shared by concurrent runs holds none of it.
+/// What a merge step carries from one cycle to the next, as a per-run box
+/// whose type the policy picks. One value serves one run: `merge` takes
+/// the policy by `&self`, so a policy object shared by concurrent runs
+/// holds none of it.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    words: Vec<u64>,
     state: Option<Box<dyn Any + Send>>,
 }
 
 impl MergeScratch {
-    /// The merging policy's own per-run state (PG: its mirror of the
-    /// shards' head graphs), default-built on the run's first merge. The
-    /// type is the policy's; `cioq-sim` only owns its lifetime.
+    /// The merging policy's own per-run state (GM: its free-column mask;
+    /// PG: its mirror of the shards' head graphs), default-built on the
+    /// run's first merge. The type is the policy's; `cioq-sim` only owns
+    /// its lifetime.
     pub fn state<T: Any + Send + Default>(&mut self) -> &mut T {
         self.state
             .get_or_insert_with(|| Box::new(T::default()))
             .downcast_mut()
             .expect("one run merges with one policy, so asks for one type")
     }
-
-    /// Fill the reusable word buffer with the complement of `closed` — a
-    /// bitmap of outputs that may not receive, such as the snapshot's
-    /// `full_words` or GM's first-band taken-or-full mask — and return it;
-    /// bitmap merges clear bits as they match outputs.
-    pub fn free_output_mask(&mut self, closed: &[u64]) -> &mut Vec<u64> {
-        self.words.clear();
-        self.words.extend(closed.iter().map(|w| !w));
-        &mut self.words
-    }
 }
 
 /// Everything a CIOQ merge step consults: geometry, the pre-cycle output
-/// snapshot, the cycle, and every shard's proposal payload (shard order =
-/// ascending port ranges). Deliberately queue-free: merges work over
-/// published payloads and the snapshot, so the merge step costs no locks
-/// and no cache-missing queue reads.
+/// snapshot (the one every shard's view handed its proposal), the cycle,
+/// and every shard's proposal payload (shard order = ascending port
+/// ranges). Deliberately queue-free: merges work over published payloads
+/// and the snapshot, so the merge step costs no locks and no cache-missing
+/// queue reads.
 pub struct MergeContext<'a> {
     /// The switch configuration.
     pub cfg: &'a SwitchConfig,
@@ -539,19 +478,22 @@ pub trait CioqShardPolicy: Sync {
     fn merge(&self, ctx: &MergeContext<'_>, scratch: &mut MergeScratch, out: &mut Vec<Transfer>);
 }
 
-/// The per-shard worker half of a [`CioqShardPolicy`].
+/// The per-shard worker half of a [`CioqShardPolicy`]. Every call gets the
+/// shard's [`SwitchView`]: the type the sequential policies read, over the
+/// shard's own band.
 pub trait CioqShardWorker: Send {
     /// Admission for a packet arriving on an owned row (row-local by
-    /// construction: the view only exposes owned rows).
-    fn admit(&mut self, shard: &ShardView<'_>, packet: &Packet) -> Admission;
+    /// construction: the view only answers for owned rows).
+    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission;
 
     /// Propose this shard's candidates for the cycle. Shard-local by
     /// construction (one lock, no whole-fabric view): `shard.changes()`
     /// holds exactly the owned queues dirtied since the previous proposal,
-    /// `outputs` is the pre-cycle output snapshot.
+    /// and `outputs` is the pre-cycle output snapshot, the same one
+    /// `shard.outputs()` reads.
     fn propose(
         &mut self,
-        shard: &ShardView<'_>,
+        shard: &SwitchView<'_>,
         outputs: &OutputSnapshot,
         cycle: Cycle,
         out: &mut CandidateSet,
@@ -575,14 +517,16 @@ pub trait CrossbarShardPolicy: Sync {
     ) -> Box<dyn CrossbarShardWorker>;
 }
 
-/// The per-shard worker half of a [`CrossbarShardPolicy`].
+/// The per-shard worker half of a [`CrossbarShardPolicy`]. Admission and
+/// the input subphase get the shard's [`SwitchView`]; the output subphase,
+/// whose columns span every shard's rows, a [`FabricView`].
 pub trait CrossbarShardWorker: Send {
     /// Admission for a packet arriving on an owned row.
-    fn admit(&mut self, shard: &ShardView<'_>, packet: &Packet) -> Admission;
+    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission;
 
     /// Input subphase: ≤ 1 transfer per owned input row. Shard-local by
     /// construction (row decisions read only owned rows).
-    fn propose_input(&mut self, shard: &ShardView<'_>, cycle: Cycle, out: &mut Vec<InputTransfer>);
+    fn propose_input(&mut self, shard: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<InputTransfer>);
 
     /// Output subphase: ≤ 1 transfer per owned output column.
     /// `inbound_xbar` is the batch of global crossbar cells other shards
@@ -816,13 +760,16 @@ struct SlotBatch {
 }
 
 impl Fabric<'_> {
-    fn shard_view<'g>(&'g self, shard: usize, state: &'g ShardState) -> ShardView<'g> {
-        ShardView {
-            cfg: self.cfg,
-            partition: &self.partition,
-            shard,
-            state,
-        }
+    /// Shard `shard`'s view: its band in `state`, scheduling against the
+    /// cycle's snapshot held by `outputs`.
+    fn shard_view<'g>(
+        &'g self,
+        shard: usize,
+        state: &'g ShardState,
+        outputs: &'g OutputSnapshot,
+    ) -> SwitchView<'g> {
+        let slot = self.comms.slot.load(Ordering::Relaxed);
+        SwitchView::new(self.cfg, &state.band, outputs, slot, shard)
     }
 
     fn view_of<'g>(&'g self, guards: &'g [RwLockReadGuard<'g, ShardState>]) -> FabricView<'g> {
@@ -962,9 +909,10 @@ const PH_LAND: u8 = 10;
 fn arrival_phase(
     s: usize,
     fabric: &Fabric<'_>,
-    mut admit: impl FnMut(&ShardView<'_>, &Packet) -> Admission,
+    mut admit: impl FnMut(&SwitchView<'_>, &Packet) -> Admission,
 ) {
     let batch = read(&fabric.batch);
+    let outputs = fabric.comms.outputs();
     let mut st = write(&fabric.shards[s]);
     let st = &mut *st;
     let rows = st.band.rows();
@@ -972,7 +920,7 @@ fn arrival_phase(
         if !rows.contains(&p.input.index()) {
             continue;
         }
-        let decision = admit(&fabric.shard_view(s, st), p);
+        let decision = admit(&fabric.shard_view(s, st, &outputs), p);
         if fabric.comms.record {
             st.admits
                 .push((idx, !matches!(decision, Admission::Reject)));
@@ -1750,7 +1698,7 @@ trait ShardArch {
     fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker;
 
     /// Arrival phase: the worker's decision for one packet.
-    fn admit(worker: &mut Self::Worker, view: &ShardView<'_>, packet: &Packet) -> Admission;
+    fn admit(worker: &mut Self::Worker, view: &SwitchView<'_>, packet: &Packet) -> Admission;
 
     /// Run phase `ph` — one only this architecture has — for shard `s`.
     fn phase<'f>(
@@ -1818,7 +1766,7 @@ impl ShardArch for CioqSharded<'_> {
         self.policy.new_worker(shard, partition, cfg)
     }
 
-    fn admit(worker: &mut Self::Worker, view: &ShardView<'_>, packet: &Packet) -> Admission {
+    fn admit(worker: &mut Self::Worker, view: &SwitchView<'_>, packet: &Packet) -> Admission {
         worker.admit(view, packet)
     }
 
@@ -1835,10 +1783,10 @@ impl ShardArch for CioqSharded<'_> {
                 let st = read(&fabric.shards[s]);
                 let snap = fabric.comms.outputs();
                 let cycle = fabric.comms.cycle_now();
+                let view = fabric.shard_view(s, &st, &snap);
                 rewrite_cell(&fabric.comms.candidates[s], |out| {
                     out.clear();
-                    ctx.worker
-                        .propose(&fabric.shard_view(s, &st), &snap, cycle, out);
+                    ctx.worker.propose(&view, &snap, cycle, out);
                 });
             }
             PH_APPLY_POP => {
@@ -1947,7 +1895,7 @@ impl ShardArch for CrossbarSharded<'_> {
         self.policy.new_worker(shard, partition, cfg)
     }
 
-    fn admit(worker: &mut Self::Worker, view: &ShardView<'_>, packet: &Packet) -> Admission {
+    fn admit(worker: &mut Self::Worker, view: &SwitchView<'_>, packet: &Packet) -> Admission {
         worker.admit(view, packet)
     }
 
@@ -1964,10 +1912,11 @@ impl ShardArch for CrossbarSharded<'_> {
         match ph {
             PH_PROPOSE_IN => {
                 let st = read(&fabric.shards[s]);
+                let snap = fabric.comms.outputs();
+                let view = fabric.shard_view(s, &st, &snap);
                 rewrite_cell(&fabric.comms.in_assignments[s], |out| {
                     out.clear();
-                    ctx.worker
-                        .propose_input(&fabric.shard_view(s, &st), cycle, out);
+                    ctx.worker.propose_input(&view, cycle, out);
                 });
             }
             PH_APPLY_IN => {
@@ -2140,7 +2089,7 @@ mod tests {
         weighted: bool,
     }
 
-    fn admit_by_value(shard: &ShardView<'_>, p: &Packet, preempt: bool) -> Admission {
+    fn admit_by_value(shard: &SwitchView<'_>, p: &Packet, preempt: bool) -> Admission {
         let queue = shard.input_queue(p.input, p.output);
         if !queue.is_full() {
             Admission::Accept
@@ -2198,13 +2147,13 @@ mod tests {
     }
 
     impl CioqShardWorker for GreedyWorker {
-        fn admit(&mut self, shard: &ShardView<'_>, p: &Packet) -> Admission {
+        fn admit(&mut self, shard: &SwitchView<'_>, p: &Packet) -> Admission {
             admit_by_value(shard, p, self.weighted)
         }
 
         fn propose(
             &mut self,
-            shard: &ShardView<'_>,
+            shard: &SwitchView<'_>,
             _: &OutputSnapshot,
             _: Cycle,
             out: &mut CandidateSet,
@@ -2261,11 +2210,16 @@ mod tests {
     }
 
     impl CrossbarShardWorker for Xbar {
-        fn admit(&mut self, shard: &ShardView<'_>, p: &Packet) -> Admission {
+        fn admit(&mut self, shard: &SwitchView<'_>, p: &Packet) -> Admission {
             admit_by_value(shard, p, self.params.is_some())
         }
 
-        fn propose_input(&mut self, shard: &ShardView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+        fn propose_input(
+            &mut self,
+            shard: &SwitchView<'_>,
+            _: Cycle,
+            out: &mut Vec<InputTransfer>,
+        ) {
             for i in shard.input_range() {
                 let input = PortId::from(i);
                 let eligible = (0..shard.n_outputs()).filter_map(|j| {
@@ -2541,7 +2495,7 @@ mod tests {
     }
 
     impl CioqShardWorker for FaultyWorker {
-        fn admit(&mut self, shard: &ShardView<'_>, p: &Packet) -> Admission {
+        fn admit(&mut self, shard: &SwitchView<'_>, p: &Packet) -> Admission {
             match self.fault {
                 Fault::AcceptWhenFull { bad } if bad == self.shard => Admission::Accept,
                 _ => admit_by_value(shard, p, false),
@@ -2550,7 +2504,7 @@ mod tests {
 
         fn propose(
             &mut self,
-            shard: &ShardView<'_>,
+            shard: &SwitchView<'_>,
             outputs: &OutputSnapshot,
             cycle: Cycle,
             out: &mut CandidateSet,

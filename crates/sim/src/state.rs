@@ -437,89 +437,135 @@ impl SwitchState {
         self.slot
     }
 
-    /// Read-only view for policies.
+    /// Read-only view for policies: the band `0..N` / `0..M`.
     #[inline]
     pub fn view(&self) -> SwitchView<'_> {
-        SwitchView { state: self }
+        SwitchView::new(&self.config, &self.band, &self.outputs, self.slot, 0)
     }
 }
 
-/// Read-only window onto a [`SwitchState`], the only thing policies see.
+/// Read-only window onto one band of a switch's queues, the only thing
+/// policies see — in both engines. The sequential engine's view
+/// ([`SwitchState::view`]) is the band `0..N` / `0..M` of the whole switch;
+/// a shard's view in the sharded engine is the band its
+/// [`Partition`](crate::shard::Partition) cuts. Either answers for its own
+/// input rows ([`SwitchView::input_range`]) and its own output columns and
+/// panics elsewhere — asking another band's queue is a programming error,
+/// caught loudly, never another band's answer.
 ///
 /// Everything an online algorithm may legally inspect — current queue
 /// contents and capacities — is available; nothing about future arrivals
-/// is. [`SwitchView::changes`] additionally exposes which queues were
-/// dirtied since the policy's last scheduling call, so incremental
-/// policies can refresh O(changes) state instead of rescanning.
+/// is. [`SwitchView::changes`] additionally exposes which of the band's
+/// queues were dirtied since the policy's last scheduling call, so
+/// incremental policies can refresh O(changes) state instead of
+/// rescanning. Admission reads the landed queues; scheduling reads the
+/// output side through [`SwitchView::outputs`].
 #[derive(Clone, Copy)]
 pub struct SwitchView<'a> {
-    state: &'a SwitchState,
+    config: &'a SwitchConfig,
+    band: &'a QueueBand,
+    outputs: &'a OutputSnapshot,
+    slot: SlotId,
+    shard: usize,
 }
 
 impl<'a> SwitchView<'a> {
+    /// The view of `band` at `slot`, for shard `shard`, scheduling against
+    /// `outputs`.
+    #[inline]
+    pub(crate) fn new(
+        config: &'a SwitchConfig,
+        band: &'a QueueBand,
+        outputs: &'a OutputSnapshot,
+        slot: SlotId,
+        shard: usize,
+    ) -> Self {
+        SwitchView {
+            config,
+            band,
+            outputs,
+            slot,
+            shard,
+        }
+    }
+
     /// The switch configuration.
     #[inline]
     pub fn config(&self) -> &'a SwitchConfig {
-        &self.state.config
+        self.config
     }
 
     /// Number of input ports `N`.
     #[inline]
     pub fn n_inputs(&self) -> usize {
-        self.state.config.n_inputs
+        self.config.n_inputs
     }
 
     /// Number of output ports `M`.
     #[inline]
     pub fn n_outputs(&self) -> usize {
-        self.state.config.n_outputs
+        self.config.n_outputs
     }
 
     /// Current slot.
     #[inline]
     pub fn slot(&self) -> SlotId {
-        self.state.slot
+        self.slot
     }
 
-    /// Input queue `Q_ij`.
+    /// The shard whose band this is: 0 under the sequential engine.
+    #[inline]
+    pub fn shard(&self) -> usize {
+        self.shard
+    }
+
+    /// The global input rows of the band: `0..N` under the sequential
+    /// engine, the shard's own rows under the sharded one.
+    #[inline]
+    pub fn input_range(&self) -> Range<usize> {
+        self.band.rows()
+    }
+
+    /// Input queue `Q_ij`, `i` a row of the band.
     #[inline]
     pub fn input_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
-        self.state.band.voq(input, output)
+        self.band.voq(input, output)
     }
 
-    /// Crossbar queue `C_ij`; panics if the switch is a plain CIOQ (policies
-    /// for the wrong fabric are a programming error, caught loudly).
+    /// Crossbar queue `C_ij`, `i` a row of the band; panics if the switch
+    /// is a plain CIOQ (policies for the wrong fabric are a programming
+    /// error, caught loudly).
     #[inline]
     pub fn crossbar_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
-        self.state.band.xbar(input, output)
+        self.band.xbar(input, output)
     }
 
     /// Whether this switch has crossbar buffers.
     #[inline]
     pub fn has_crossbar(&self) -> bool {
-        self.state.config.crossbar_capacity.is_some()
+        self.config.crossbar_capacity.is_some()
     }
 
-    /// Output queue `Q_j` — the *landed* packets only. On a delayed fabric
-    /// this is what admission and transmission see; scheduling eligibility
-    /// must use [`SwitchView::outputs`] (or [`SwitchView::output_full`] /
+    /// Output queue `Q_j`, `j` an output of the band — the *landed*
+    /// packets only. On a delayed fabric this is what admission and
+    /// transmission see; scheduling eligibility must use
+    /// [`SwitchView::outputs`] (or [`SwitchView::output_full`] /
     /// [`SwitchView::output_tail_value`]), which also count packets in
     /// flight.
     #[inline]
     pub fn output_queue(&self, output: PortId) -> &'a SortedQueue {
-        self.state.band.output(output)
+        self.band.output(output)
     }
 
     /// The output side as a scheduler must see it — the virtual occupancy
-    /// of every output, landed packets plus packets in flight toward it —
-    /// in the form the sharded engine hands its policies. Exact during
-    /// scheduling calls: the engine refreshes it at the top of every
-    /// scheduling cycle, and nothing in a cycle moves an output before its
-    /// policy call returns. Admission and transmission read the landed
-    /// queues instead.
+    /// of every output, landed packets plus packets in flight toward it.
+    /// Exact during scheduling calls: each engine refreshes it at the top
+    /// of every scheduling cycle, and nothing in a cycle moves an output
+    /// before its policy call returns. Admission and transmission read the
+    /// landed queues instead.
     #[inline]
     pub fn outputs(&self) -> &'a OutputSnapshot {
-        &self.state.outputs
+        self.outputs
     }
 
     /// Whether output `j` is full *as a scheduler must see it*: landed
@@ -529,27 +575,27 @@ impl<'a> SwitchView<'a> {
     /// only.
     #[inline]
     pub fn output_full(&self, output: PortId) -> bool {
-        self.state.outputs.full[output.index()]
+        self.outputs.full[output.index()]
     }
 
-    /// Least value of the virtual output queue `j` — the landed tail
-    /// `v(l_j)` or the least value in flight toward `j`, whichever is
-    /// smaller. `None` when the virtual queue is empty. This is the tail
-    /// the preemption thresholds (PG's β, CPG's α) compare against. Exact
-    /// during scheduling calls only, like [`SwitchView::output_full`].
+    /// Least value of the virtual output queue `j` (an output of the band)
+    /// — the landed tail `v(l_j)` or the least value in flight toward `j`,
+    /// whichever is smaller. `None` when the virtual queue is empty. This
+    /// is the tail the preemption thresholds (PG's β, CPG's α) compare
+    /// against. Exact during scheduling calls only, like
+    /// [`SwitchView::output_full`].
     #[inline]
     pub fn output_tail_value(&self, output: PortId) -> Option<Value> {
         let j = output.index();
-        self.state
-            .outputs
-            .tail_value(j, self.state.band.output(output))
+        self.outputs.tail_value(j, self.band.output(output))
     }
 
-    /// Queues dirtied since the engine's last scheduling call, plus the
+    /// The band's queues dirtied since the engine's last scheduling call,
+    /// over band-local cells `(i − input_range().start)·M + j`, plus the
     /// flush counter incremental policies use as a consistency handshake.
     #[inline]
     pub fn changes(&self) -> &'a ChangeLog {
-        self.state.band.changes()
+        self.band.changes()
     }
 }
 
@@ -839,6 +885,33 @@ mod tests {
         assert!(outputs.full[69]);
         assert_eq!((outputs.in_flight[69], outputs.tail[69]), (2, 1));
         assert_eq!(outputs.full_words[1], 1 << 0 | 1 << 5);
+    }
+
+    #[test]
+    fn a_view_is_its_bands() {
+        let cfg = wide_crossbar();
+        let (band, outputs) = (QueueBand::new(&cfg, 3..5, 2..4), OutputSnapshot::default());
+        let view = SwitchView::new(&cfg, &band, &outputs, 7, 2);
+        assert_eq!(
+            (view.input_range(), view.shard(), view.slot()),
+            (3..5, 2, 7)
+        );
+        assert!(view.crossbar_queue(PortId(4), PortId(6)).is_empty());
+        assert!(view.output_queue(PortId(3)).is_empty());
+        let whole = SwitchState::new(cfg);
+        assert_eq!(
+            (whole.view().input_range(), whole.view().shard()),
+            (0..5, 0)
+        );
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "outside band"))]
+    #[cfg_attr(not(debug_assertions), should_panic)]
+    fn a_shard_view_never_answers_for_another_bands_output() {
+        let cfg = wide_crossbar();
+        let (band, outputs) = (QueueBand::new(&cfg, 3..5, 2..4), OutputSnapshot::default());
+        let _ = SwitchView::new(&cfg, &band, &outputs, 0, 1).output_queue(PortId(4));
     }
 
     #[test]
