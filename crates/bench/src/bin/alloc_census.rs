@@ -25,7 +25,8 @@
 //! non-zero if any steady-state cell allocates (the CI `alloc-audit` job
 //! runs exactly this).
 //!
-//! Sharded cells run `ExecMode::Inline`, plus K = 2 under
+//! Sharded cells (GM and PG: the sharded engine is CIOQ-only) run
+//! `ExecMode::Inline`, plus K = 2 under
 //! `ExecMode::Threads` (two barrier parties, one of them spawned). The
 //! ledger is the process-wide total, so the spawned party's allocations
 //! count; spawning it costs the same in both runs and cancels like every
@@ -61,13 +62,13 @@ fn main() {
 mod census {
     use cioq_bench::audit;
     use cioq_core::{
-        CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedCgu,
-        ShardedCpg, ShardedGm, ShardedPg,
+        CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
+        ShardedPg,
     };
     use cioq_model::{SwitchConfig, Topology};
     use cioq_sim::{
-        run_cioq_sharded, run_crossbar_sharded, serve_cioq, CioqShardPolicy, CrossbarShardPolicy,
-        Engine, ExecMode, FabricSpec, FaultPlan, RunOptions, ShardedOptions, Trace, TraceSource,
+        run_cioq_sharded, serve_cioq, CioqShardPolicy, Engine, ExecMode, FabricSpec, FaultPlan,
+        RunOptions, ShardedOptions, Trace, TraceSource,
     };
     use cioq_traffic::{gen_trace, FullFabricChurn, ValueDist};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -248,20 +249,6 @@ mod census {
         })
     }
 
-    fn sharded_crossbar(
-        cfg: &SwitchConfig,
-        trace: &Trace,
-        link: &FabricSpec,
-        k: usize,
-        mode: ExecMode,
-        policy: &dyn CrossbarShardPolicy,
-    ) -> (f64, u64) {
-        steady(|slots| {
-            run_crossbar_sharded(cfg, policy, trace, sharded_options(slots, k, mode, link))
-                .expect("census run");
-        })
-    }
-
     /// Channel depth of the streamed service cell.
     const SERVICE_DEPTH: usize = 4;
 
@@ -361,7 +348,8 @@ mod census {
                 });
             }
 
-            // Sharded engines: inline, and K = 2 on two barrier parties.
+            // Sharded engines (CIOQ only): inline, and K = 2 on two barrier
+            // parties.
             for (k, mode) in [
                 (2usize, ExecMode::Inline),
                 (4, ExecMode::Inline),
@@ -373,7 +361,7 @@ mod census {
                     ""
                 };
                 let engine = format!("sharded-k{k}{threads}");
-                let cells: [(&str, (f64, u64)); 4] = [
+                let cells: [(&str, (f64, u64)); 2] = [
                     (
                         "gm",
                         sharded_cioq(&cioq_cfg, &cioq_unit, link, k, mode, &ShardedGm::new()),
@@ -381,14 +369,6 @@ mod census {
                     (
                         "pg",
                         sharded_cioq(&cioq_cfg, &cioq_vals, link, k, mode, &ShardedPg::new()),
-                    ),
-                    (
-                        "cgu",
-                        sharded_crossbar(&xbar_cfg, &xbar_unit, link, k, mode, &ShardedCgu::new()),
-                    ),
-                    (
-                        "cpg",
-                        sharded_crossbar(&xbar_cfg, &xbar_vals, link, k, mode, &ShardedCpg::new()),
                     ),
                 ];
                 for (policy, (steady, raw)) in cells {

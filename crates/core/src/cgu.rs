@@ -2,12 +2,12 @@
 //! policy of Kesselman, Kogan & Segal for buffered crossbars, shown
 //! 3-competitive (previously 4) by the paper's improved analysis.
 
-use crate::incremental::{BandGraph, ColView, Dirty, RowView, ShardCols};
+use crate::incremental::{dirty_cols, BandGraph, Dirty, RowView};
 use crate::pg::admit;
-use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
+use cioq_model::{Cycle, Packet, PortId};
 use cioq_sim::{
-    Admission, CrossbarPolicy, CrossbarShardPolicy, CrossbarShardWorker, FabricView, InputTransfer,
-    OutputSnapshot, OutputTransfer, PacketPick, Partition, SwitchView,
+    Admission, CrossbarPolicy, InputTransfer, OutputSnapshot, OutputTransfer, PacketPick,
+    SwitchView,
 };
 
 /// How CGU resolves the paper's "choose an arbitrary queue" steps.
@@ -33,12 +33,9 @@ pub enum SelectionOrder {
 /// delivered (the fact its analysis hinges on).
 ///
 /// Both subphases decide per port from strictly row-local (input) /
-/// column-local (output) state, so one object schedules a whole switch as
-/// a [`CrossbarPolicy`], or one shard's band as a [`CrossbarShardWorker`],
-/// with no merge step: concatenating the bands' decisions in port order
-/// *is* the whole-switch decision. The per-port eligible sets (and the
-/// round-robin pointers, which stay with the port's owner) are maintained
-/// incrementally from the engine's change log.
+/// column-local (output) state, with no matching. The per-port eligible
+/// sets (and the round-robin pointers) are maintained incrementally from
+/// the engine's change log.
 #[derive(Debug)]
 pub struct CrossbarGreedyUnit {
     selection: SelectionOrder,
@@ -126,10 +123,9 @@ impl CrossbarGreedyUnit {
     }
 
     /// Repair the column masks: `(i, j)` is eligible iff `|C_ij| > 0`.
-    fn sync_cols(&mut self, view: &impl ColView) {
-        let lo = view.cols().start;
-        let ok = |line, i| !view.xbar(i, lo + line).is_empty();
-        self.cols.sync(view.dirty_cols(), ok);
+    fn sync_cols(&mut self, view: &SwitchView<'_>) {
+        let ok = |j, i| !view.xbar(i, j).is_empty();
+        self.cols.sync(dirty_cols(view), ok);
     }
 
     /// Input subphase over a band of rows: ≤ 1 transfer per input port.
@@ -148,21 +144,21 @@ impl CrossbarGreedyUnit {
         }
     }
 
-    /// Output subphase over a band of columns: ≤ 1 transfer per output
-    /// port whose (virtual) queue `outputs` reports as having room.
+    /// Output subphase: ≤ 1 transfer per output port whose (virtual) queue
+    /// `outputs` reports as having room.
     // detlint: hot
     fn output_subphase(
         &mut self,
-        view: &impl ColView,
+        view: &SwitchView<'_>,
         outputs: &OutputSnapshot,
         out: &mut Vec<OutputTransfer>,
     ) {
         self.sync_cols(view);
-        for (line, j) in view.cols().enumerate() {
+        for j in 0..view.n_outputs() {
             if outputs.full[j] {
                 continue;
             }
-            if let Some(i) = self.cols.pick(self.selection, line) {
+            if let Some(i) = self.cols.pick(self.selection, j) {
                 out.push(OutputTransfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
@@ -202,55 +198,6 @@ impl CrossbarPolicy for CrossbarGreedyUnit {
     fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
         self.sync_rows(view);
         self.output_subphase(view, view.outputs(), out);
-    }
-}
-
-/// [`CrossbarGreedyUnit`] as the sharded engine's policy: the object is
-/// the factory, and every shard's worker is a fresh copy of it.
-pub type ShardedCgu = CrossbarGreedyUnit;
-
-impl CrossbarShardPolicy for CrossbarGreedyUnit {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn new_worker(
-        &self,
-        _: usize,
-        _: &Partition,
-        _: &SwitchConfig,
-    ) -> Box<dyn CrossbarShardWorker> {
-        Box::new(CrossbarGreedyUnit::with_selection(self.selection))
-    }
-}
-
-impl CrossbarShardWorker for CrossbarGreedyUnit {
-    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission {
-        let queue = shard.input_queue(packet.input, packet.output);
-        admit(queue, packet, false)
-    }
-
-    // detlint: hot
-    fn propose_input(&mut self, shard: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
-        self.input_subphase(shard, out);
-    }
-
-    // detlint: hot
-    fn propose_output(
-        &mut self,
-        fabric: &FabricView<'_>,
-        shard: usize,
-        inbound: &[u32],
-        outputs: &OutputSnapshot,
-        _: Cycle,
-        out: &mut Vec<OutputTransfer>,
-    ) {
-        let cols = ShardCols {
-            fabric,
-            shard,
-            inbound,
-        };
-        self.output_subphase(&cols, outputs, out);
     }
 }
 

@@ -4,13 +4,13 @@
 //! Kogan & Segal [21]; the paper's improvement is exactly the freedom to
 //! pick α ≠ β.
 
-use crate::incremental::{BandGraph, ColView, Dirty, RowView, ShardCols};
+use crate::incremental::{dirty_cols, BandGraph, Dirty, RowView};
 use crate::params::{cpg_alpha_star, cpg_beta_star};
 use crate::pg::admit;
-use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig, Value};
+use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
 use cioq_sim::{
-    Admission, CrossbarPolicy, CrossbarShardPolicy, CrossbarShardWorker, FabricView, InputTransfer,
-    OutputSnapshot, OutputTransfer, PacketPick, Partition, SwitchView,
+    Admission, CrossbarPolicy, InputTransfer, OutputSnapshot, OutputTransfer, PacketPick,
+    SwitchView,
 };
 
 /// The Crossbar Preemptive Greedy algorithm with parameters β, α ≥ 1.
@@ -26,10 +26,9 @@ use cioq_sim::{
 /// * Transmission: send the greatest-value packet of each non-empty `Q_j`.
 ///
 /// Both subphases are per-port argmax decisions over row-local (β) /
-/// column-local state, so one object schedules a whole switch as a
-/// [`CrossbarPolicy`], or one shard's band as a [`CrossbarShardWorker`],
-/// with no merge step. The sets the argmaxes range over are kept per cell
-/// from the engine's change log, so a cycle costs what changed.
+/// column-local state, with no matching. The sets the argmaxes range over
+/// are kept per cell from the engine's change log, so a cycle costs what
+/// changed.
 #[derive(Debug)]
 pub struct CrossbarPreemptiveGreedy {
     beta: f64,
@@ -160,10 +159,9 @@ impl CrossbarPreemptiveGreedy {
     /// Repair the column candidates: `(j, i)` is an edge weighted
     /// `v(gc_ij)` iff `|C_ij| > 0`.
     // detlint: hot
-    fn sync_cols(&mut self, view: &impl ColView) {
-        let lo = view.cols().start;
-        let head = |line, i| view.xbar(i, lo + line).head_value();
-        self.cols.sync(view.dirty_cols(), head);
+    fn sync_cols(&mut self, view: &SwitchView<'_>) {
+        let head = |j, i| view.xbar(i, j).head_value();
+        self.cols.sync(dirty_cols(view), head);
     }
 
     /// Input subphase over a band of rows: each input port forwards the
@@ -186,21 +184,21 @@ impl CrossbarPreemptiveGreedy {
         }
     }
 
-    /// Output subphase over a band of columns: each output port takes the
-    /// heaviest crosspoint head, ties to the smallest `i` (re-read per
-    /// dirtied `C_ij`, as the rows are), if it passes the α threshold
-    /// against the (virtual) `Q_j` in `outputs` — which changes with every
-    /// transmission and every dispatch, so it is read fresh, never cached.
+    /// Output subphase: each output port takes the heaviest crosspoint
+    /// head, ties to the smallest `i` (re-read per dirtied `C_ij`, as the
+    /// rows are), if it passes the α threshold against the (virtual) `Q_j`
+    /// in `outputs` — which changes with every transmission and every
+    /// dispatch, so it is read fresh, never cached.
     // detlint: hot
     fn output_subphase(
         &mut self,
-        view: &impl ColView,
+        view: &SwitchView<'_>,
         outputs: &OutputSnapshot,
         out: &mut Vec<OutputTransfer>,
     ) {
         self.sync_cols(view);
         self.cols.refresh();
-        for (j, best) in view.cols().zip(&self.cols.best) {
+        for (j, best) in self.cols.best.iter().enumerate() {
             let Some((i, gc)) = *best else { continue };
             if !outputs.full[j] || exceeds_factor(gc, self.alpha, outputs.tail[j]) {
                 out.push(OutputTransfer {
@@ -242,54 +240,6 @@ impl CrossbarPolicy for CrossbarPreemptiveGreedy {
     fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
         self.sync_rows(view);
         self.output_subphase(view, view.outputs(), out);
-    }
-}
-
-/// [`CrossbarPreemptiveGreedy`] as the sharded engine's policy: the object
-/// is the factory, and every shard's worker is a fresh copy of it.
-pub type ShardedCpg = CrossbarPreemptiveGreedy;
-
-impl CrossbarShardPolicy for CrossbarPreemptiveGreedy {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn new_worker(
-        &self,
-        _: usize,
-        _: &Partition,
-        _: &SwitchConfig,
-    ) -> Box<dyn CrossbarShardWorker> {
-        Box::new(Self::with_params(self.beta, self.alpha))
-    }
-}
-
-impl CrossbarShardWorker for CrossbarPreemptiveGreedy {
-    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission {
-        admit(shard.input_queue(packet.input, packet.output), packet, true)
-    }
-
-    // detlint: hot
-    fn propose_input(&mut self, shard: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
-        self.input_subphase(shard, out);
-    }
-
-    // detlint: hot
-    fn propose_output(
-        &mut self,
-        fabric: &FabricView<'_>,
-        shard: usize,
-        inbound: &[u32],
-        outputs: &OutputSnapshot,
-        _: Cycle,
-        out: &mut Vec<OutputTransfer>,
-    ) {
-        let cols = ShardCols {
-            fabric,
-            shard,
-            inbound,
-        };
-        self.output_subphase(&cols, outputs, out);
     }
 }
 

@@ -14,13 +14,14 @@
 //! ## Bands
 //!
 //! Every band graph covers a *band*: a contiguous range of input rows
-//! ([`RowView`]) or of output columns ([`ColView`]). Both engines hand
-//! policies one view type, [`SwitchView`]: the sequential engine's is the
-//! band `0..N` of the whole switch, a shard's in the sharded engine its own
-//! rows; a shard sees its own columns through [`ShardCols`]. The policies
-//! run the same code over either, so a K-shard switch splits the per-cycle
+//! ([`RowView`]) or, for the crossbar policies' output side, the columns
+//! `0..M` ([`dirty_cols`]). Both engines hand policies one view type,
+//! [`SwitchView`]: the sequential engine's is the band `0..N` of the whole
+//! switch, a shard's in the sharded engine its own rows. GM and PG run the
+//! same code over either, so a K-shard switch splits the per-cycle
 //! O(changes) repair K ways and "sequential" is just K = 1 over the full
-//! band.
+//! band. The crossbar policies run on the sequential engine only, so their
+//! column graphs always cover every column.
 //!
 //! ## The consistency handshake
 //!
@@ -47,7 +48,7 @@
 
 use cioq_matching::IncrementalGraph;
 use cioq_model::{PortId, Value};
-use cioq_sim::{ChangeLog, FabricView, SortedQueue, SwitchView};
+use cioq_sim::{ChangeLog, SortedQueue, SwitchView};
 use std::ops::Range;
 
 /// Read access to a band of input rows and the log of what changed in it.
@@ -73,38 +74,6 @@ pub(crate) trait RowView {
             width: m,
             flush: log.flush_count(),
             cells: cells.map(move |&cell| (cell as usize / m, cell as usize % m)),
-        }
-    }
-}
-
-/// Read access to a band of output columns' crosspoints and the marks of
-/// which of them changed.
-pub(crate) trait ColView {
-    /// The global output columns of the band.
-    fn cols(&self) -> Range<usize>;
-    /// Number of input ports `N` (every column spans all rows).
-    fn n_inputs(&self) -> usize;
-    /// Number of output ports `M` (marks are global cells `i·M + j`).
-    fn n_outputs(&self) -> usize;
-    /// Crossbar queue `C_ij`, `j` a global column of the band.
-    fn xbar(&self, i: usize, j: usize) -> &SortedQueue;
-    /// Flush count of the log the marks come from (the handshake input).
-    fn flush_count(&self) -> u64;
-    /// Global crossbar cells of the band dirtied since the previous sync.
-    fn marks(&self) -> &[u32];
-
-    /// What a column-side band graph consumes: every cell of the band with
-    /// a dirtied `C_ij`, as `(band-local column, i)`.
-    fn dirty_cols(&self) -> Dirty<impl Iterator<Item = (usize, usize)>> {
-        let (lo, m) = (self.cols().start, self.n_outputs());
-        Dirty {
-            band: self.cols(),
-            width: self.n_inputs(),
-            flush: self.flush_count(),
-            cells: self
-                .marks()
-                .iter()
-                .map(move |&cell| (cell as usize % m - lo, cell as usize / m)),
         }
     }
 }
@@ -142,61 +111,21 @@ impl RowView for SwitchView<'_> {
     }
 }
 
-/// The sequential engine's view as the band `0..M` of columns: its one log
-/// marks every crosspoint of the switch.
-impl ColView for SwitchView<'_> {
-    fn cols(&self) -> Range<usize> {
-        0..SwitchView::n_outputs(self)
-    }
-    fn n_inputs(&self) -> usize {
-        SwitchView::n_inputs(self)
-    }
-    fn n_outputs(&self) -> usize {
-        SwitchView::n_outputs(self)
-    }
-    #[inline]
-    fn xbar(&self, i: usize, j: usize) -> &SortedQueue {
-        self.crossbar_queue(PortId::from(i), PortId::from(j))
-    }
-    fn flush_count(&self) -> u64 {
-        self.changes().flush_count()
-    }
-    fn marks(&self) -> &[u32] {
-        self.changes().dirty_xbars()
-    }
-}
-
-/// A shard's column band: the whole-fabric view narrowed to the shard's
-/// output columns, with the engine's batch of inbound crossbar marks (every
-/// cell dirtied in those columns, by any shard, since the worker's previous
-/// output proposal).
-pub(crate) struct ShardCols<'a, 'f> {
-    pub(crate) fabric: &'a FabricView<'f>,
-    pub(crate) shard: usize,
-    pub(crate) inbound: &'a [u32],
-}
-
-impl ColView for ShardCols<'_, '_> {
-    fn cols(&self) -> Range<usize> {
-        self.fabric.partition().output_range(self.shard)
-    }
-    fn n_inputs(&self) -> usize {
-        self.fabric.n_inputs()
-    }
-    fn n_outputs(&self) -> usize {
-        self.fabric.n_outputs()
-    }
-    #[inline]
-    fn xbar(&self, i: usize, j: usize) -> &SortedQueue {
-        self.fabric.crossbar_queue(i, j)
-    }
-    fn flush_count(&self) -> u64 {
-        // The shard's own log is flushed once per cycle, and the engine
-        // hands over one inbound batch per cycle: one flush per batch.
-        self.fabric.changes(self.shard).flush_count()
-    }
-    fn marks(&self) -> &[u32] {
-        self.inbound
+/// What a column-side band graph consumes: the band `0..M` of columns
+/// (lines of `N` crosspoints), and every cell with a dirtied `C_ij`, as
+/// `(j, i)` — the view's one log marks every crosspoint of the switch.
+pub(crate) fn dirty_cols<'v>(
+    view: &'v SwitchView<'_>,
+) -> Dirty<impl Iterator<Item = (usize, usize)> + 'v> {
+    let (m, log) = (view.n_outputs(), view.changes());
+    Dirty {
+        band: 0..m,
+        width: view.n_inputs(),
+        flush: log.flush_count(),
+        cells: log
+            .dirty_xbars()
+            .iter()
+            .map(move |&cell| (cell as usize % m, cell as usize / m)),
     }
 }
 

@@ -14,18 +14,19 @@
 //! ([`baselines`]): maximum-matching and maximum-weight-matching CIOQ
 //! policies (Kesselman–Rosén), iSLIP, and ablated variants of PG/CPG.
 //!
-//! Each paper policy exists once. [`GreedyMatching`], [`PreemptiveGreedy`],
-//! [`CrossbarGreedyUnit`] and [`CrossbarPreemptiveGreedy`] implement the
-//! sequential [`cioq_sim::CioqPolicy`] / [`cioq_sim::CrossbarPolicy`]
-//! traits over the whole switch *and* the per-shard worker traits over one
-//! band of it; [`ShardedGm`], [`ShardedPg`], [`ShardedCgu`] and
-//! [`ShardedCpg`] are the factories that hand the sharded engine one fresh
-//! worker per shard (plus, for GM and PG, the deterministic merge). None of
-//! them allocates per cycle after warm-up.
+//! Each paper policy exists once. [`GreedyMatching`] and
+//! [`PreemptiveGreedy`] implement the sequential [`cioq_sim::CioqPolicy`]
+//! trait over the whole switch *and* the per-shard worker trait over one
+//! band of it; [`ShardedGm`] and [`ShardedPg`] are the factories that hand
+//! the sharded engine one fresh worker per shard plus the deterministic
+//! merge. [`CrossbarGreedyUnit`] and [`CrossbarPreemptiveGreedy`] implement
+//! [`cioq_sim::CrossbarPolicy`] for the sequential engine, the only one
+//! that runs a buffered crossbar. None of them allocates per cycle after
+//! warm-up.
 //!
 //! Every policy maintains its per-cycle scheduling structures
 //! **incrementally** from the engine's change log, in one cache type — a
-//! graph over a band of rows or columns, read through the one view both
+//! graph over a band of rows or columns, read through the one view the
 //! engines hand policies: one slot dirties at most
 //! O(N·ŝ) queues, so refreshing only those replaces an O(N²) rescan with
 //! O(changes) bookkeeping. PG keeps no order of its edges between cycles:
@@ -51,7 +52,7 @@ pub mod oracle;
 pub mod params;
 mod pg;
 
-pub use cgu::{CrossbarGreedyUnit, SelectionOrder, ShardedCgu};
-pub use cpg::{CrossbarPreemptiveGreedy, ShardedCpg};
+pub use cgu::{CrossbarGreedyUnit, SelectionOrder};
+pub use cpg::CrossbarPreemptiveGreedy;
 pub use gm::{GmEdgePolicy, GreedyMatching, ShardedGm};
 pub use pg::{PreemptiveGreedy, ShardedPg};

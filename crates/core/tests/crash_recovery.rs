@@ -2,9 +2,10 @@
 //! away, restore from the snapshot *bytes*, and finish the run — the
 //! remaining decision transcript, the final report, the final switch
 //! state and every later checkpoint must be byte-identical to the
-//! uninterrupted run. Covered for all four policies, sequential and
-//! sharded K ∈ {2, 4}, over the immediate, a uniform-delay and a two-tier
-//! matrix fabric.
+//! uninterrupted run. Covered for all four policies on the sequential
+//! engine and for GM and PG sharded K ∈ {2, 4} (the sharded engine is
+//! CIOQ-only), over the immediate, a uniform-delay and a two-tier matrix
+//! fabric.
 //!
 //! Also proven here: sequential and sharded checkpoints of the same run
 //! are byte-identical (so either engine can restore the other's), an
@@ -13,15 +14,14 @@
 //! survives a sequential kill/restore.
 
 use cioq_core::{
-    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedCgu,
-    ShardedCpg, ShardedGm, ShardedPg,
+    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
+    ShardedPg,
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    CrossbarRecording, CrossbarShardPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec,
-    RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunOutcome, ShardedOptions,
-    ShardedOutcome, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, Engine,
+    EngineSnapshot, ExecMode, FabricSpec, RecordedCrossbarSchedule, RecordedSchedule, Recording,
+    RunOptions, RunOutcome, ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -74,39 +74,11 @@ fn seq_cioq_run(
     link: &FabricSpec,
     resume: Option<&EngineSnapshot>,
 ) -> (RunOutcome, RecordedSchedule) {
-    struct Boxed<'a>(&'a mut dyn CioqPolicy);
-    impl CioqPolicy for Boxed<'_> {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn admit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            p: &cioq_model::Packet,
-        ) -> cioq_sim::Admission {
-            self.0.admit(view, p)
-        }
-        fn schedule(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::Transfer>,
-        ) {
-            self.0.schedule(view, cycle, out)
-        }
-        fn transmit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            output: PortId,
-        ) -> cioq_sim::TransmitChoice {
-            self.0.transmit(view, output)
-        }
-    }
     let engine = match resume {
         Some(snap) => Engine::restore(snap, run_options(link)).expect("restore own checkpoint"),
         None => Engine::new(cfg.clone(), run_options(link)),
     };
-    let mut rec = Recording::with_fabric(Boxed(&mut *policy), link);
+    let mut rec = Recording::with_fabric(&mut *policy, link);
     let mut source = match resume {
         Some(snap) => TraceSource::resume_at(trace, snap.slot()),
         None => TraceSource::new(trace),
@@ -124,47 +96,11 @@ fn seq_crossbar_run(
     link: &FabricSpec,
     resume: Option<&EngineSnapshot>,
 ) -> (RunOutcome, RecordedCrossbarSchedule) {
-    struct Boxed<'a>(&'a mut dyn CrossbarPolicy);
-    impl CrossbarPolicy for Boxed<'_> {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn admit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            p: &cioq_model::Packet,
-        ) -> cioq_sim::Admission {
-            self.0.admit(view, p)
-        }
-        fn schedule_input(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::InputTransfer>,
-        ) {
-            self.0.schedule_input(view, cycle, out)
-        }
-        fn schedule_output(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::OutputTransfer>,
-        ) {
-            self.0.schedule_output(view, cycle, out)
-        }
-        fn transmit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            output: PortId,
-        ) -> cioq_sim::TransmitChoice {
-            self.0.transmit(view, output)
-        }
-    }
     let engine = match resume {
         Some(snap) => Engine::restore(snap, run_options(link)).expect("restore own checkpoint"),
         None => Engine::new(cfg.clone(), run_options(link)),
     };
-    let mut rec = CrossbarRecording::with_fabric(Boxed(&mut *policy), link);
+    let mut rec = CrossbarRecording::with_fabric(&mut *policy, link);
     let mut source = match resume {
         Some(snap) => TraceSource::resume_at(trace, snap.slot()),
         None => TraceSource::new(trace),
@@ -323,10 +259,11 @@ fn check_cioq_recovery(
     }
 }
 
+/// The kill-at-k matrix for one crossbar policy on one fabric: sequential
+/// restore at two different kill slots.
 fn check_crossbar_recovery(
     cfg: &SwitchConfig,
     seq: impl Fn() -> Box<dyn CrossbarPolicy>,
-    sharded: &dyn CrossbarShardPolicy,
     trace: &Trace,
     link: &FabricSpec,
     what: &str,
@@ -364,37 +301,6 @@ fn check_crossbar_recovery(
             full_sched.admissions[adm_off..],
             "{what}: admission transcript tail after k={k}"
         );
-    }
-
-    let snap = &full.checkpoints[full.checkpoints.len() / 2];
-    let k = snap.slot();
-    for shards in SHARD_COUNTS {
-        let w = format!("{what} K={shards}");
-        let sh_full =
-            run_crossbar_sharded(cfg, sharded, trace, sharded_options(shards, link, None))
-                .unwrap_or_else(|e| panic!("{w}: sharded run failed: {e}"));
-        for (s, q) in sh_full.checkpoints.iter().zip(&full.checkpoints) {
-            assert_eq!(
-                s.to_bytes(),
-                q.to_bytes(),
-                "{w}: sharded checkpoint at slot {}",
-                q.slot()
-            );
-        }
-        let sh_resumed: ShardedOutcome = run_crossbar_sharded(
-            cfg,
-            sharded,
-            trace,
-            sharded_options(shards, link, Some(snap.clone())),
-        )
-        .unwrap_or_else(|e| panic!("{w}: resumed sharded run failed: {e}"));
-        assert_eq!(sh_resumed.report, sh_full.report, "{w}: report after k={k}");
-        assert_states_equal(
-            sh_resumed.final_state.as_ref().expect("capture requested"),
-            sh_full.final_state.as_ref().expect("capture requested"),
-            &w,
-        );
-        assert_checkpoint_tail(&sh_resumed.checkpoints, &sh_full.checkpoints, k, &w);
     }
 }
 
@@ -440,7 +346,8 @@ fn fabrics() -> Vec<(&'static str, FabricSpec)> {
 }
 
 // ---------------------------------------------------------------------------
-// The headline matrix: 4 policies × sequential + sharded K ∈ {2, 4} × fabrics
+// The headline matrix: 4 policies sequential, GM and PG sharded K ∈ {2, 4},
+// × fabrics
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -475,7 +382,6 @@ fn crossbar_kill_restore_equivalence() {
         check_crossbar_recovery(
             &cfg,
             || Box::new(CrossbarGreedyUnit::new()),
-            &ShardedCgu::new(),
             &trace,
             link,
             &format!("cgu {label}"),
@@ -483,7 +389,6 @@ fn crossbar_kill_restore_equivalence() {
         check_crossbar_recovery(
             &cfg,
             || Box::new(CrossbarPreemptiveGreedy::new()),
-            &ShardedCpg::new(),
             &trace,
             link,
             &format!("cpg {label}"),

@@ -5,8 +5,9 @@
 //! 1. **`matrix(Topology::uniform(d))` ≡ `FabricSpec::uniform(d)`** — a uniform
 //!    topology must reproduce the uniform delay line bit for bit
 //!    (admissions, per-cycle transfer sets, reports, final states), for all
-//!    four policies × K ∈ {1, 2, 4} × {inline, threads}, sequential and
-//!    sharded. Unlike the `d = 0` normalisation this is *not* structural:
+//!    four policies on the sequential engine and for GM and PG × K ∈
+//!    {1, 2, 4} × {inline, threads} on the sharded one (which is
+//!    CIOQ-only). Unlike the `d = 0` normalisation this is *not* structural:
 //!    the matrix path runs the per-pair lookup, the landing calendar, and
 //!    the canonical landing sort, and must land on the same bits.
 //! 2. **Sharded matrix fabric ≡ sequential reference** — on genuinely
@@ -19,15 +20,14 @@
 //!    reconcile with arrivals, drained and steady-state.
 
 use cioq_core::{
-    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedCgu,
-    ShardedCpg, ShardedGm, ShardedPg,
+    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
+    ShardedPg,
 };
 use cioq_model::{PortId, SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    CrossbarRecording, CrossbarShardPolicy, Engine, ExecMode, FabricSpec, RecordedCrossbarSchedule,
-    RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace,
-    TraceSource,
+    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, Engine,
+    ExecMode, FabricSpec, RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions,
+    RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
 use proptest::prelude::*;
@@ -103,35 +103,7 @@ fn seq_cioq(
     trace: &Trace,
     link: &FabricSpec,
 ) -> (RunReport, RecordedSchedule, SwitchState) {
-    struct Boxed<'a>(&'a mut dyn CioqPolicy);
-    impl CioqPolicy for Boxed<'_> {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn admit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            p: &cioq_model::Packet,
-        ) -> cioq_sim::Admission {
-            self.0.admit(view, p)
-        }
-        fn schedule(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::Transfer>,
-        ) {
-            self.0.schedule(view, cycle, out)
-        }
-        fn transmit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            output: PortId,
-        ) -> cioq_sim::TransmitChoice {
-            self.0.transmit(view, output)
-        }
-    }
-    let mut rec = Recording::with_fabric(Boxed(&mut *policy), link);
+    let mut rec = Recording::with_fabric(&mut *policy, link);
     let mut source = TraceSource::new(trace);
     let (report, state) = Engine::new(cfg.clone(), on_fabric(link))
         .run_cioq_capturing(&mut rec, &mut source)
@@ -145,43 +117,7 @@ fn seq_crossbar(
     trace: &Trace,
     link: &FabricSpec,
 ) -> (RunReport, RecordedCrossbarSchedule, SwitchState) {
-    struct Boxed<'a>(&'a mut dyn CrossbarPolicy);
-    impl CrossbarPolicy for Boxed<'_> {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn admit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            p: &cioq_model::Packet,
-        ) -> cioq_sim::Admission {
-            self.0.admit(view, p)
-        }
-        fn schedule_input(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::InputTransfer>,
-        ) {
-            self.0.schedule_input(view, cycle, out)
-        }
-        fn schedule_output(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::OutputTransfer>,
-        ) {
-            self.0.schedule_output(view, cycle, out)
-        }
-        fn transmit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            output: PortId,
-        ) -> cioq_sim::TransmitChoice {
-            self.0.transmit(view, output)
-        }
-    }
-    let mut rec = CrossbarRecording::with_fabric(Boxed(&mut *policy), link);
+    let mut rec = CrossbarRecording::with_fabric(&mut *policy, link);
     let mut source = TraceSource::new(trace);
     let outcome = Engine::new(cfg.clone(), on_fabric(link))
         .run_crossbar_full(&mut rec, &mut source)
@@ -226,35 +162,6 @@ fn check_cioq_against(
     }
 }
 
-fn check_crossbar_against(
-    cfg: &SwitchConfig,
-    sharded: &dyn CrossbarShardPolicy,
-    trace: &Trace,
-    link: &FabricSpec,
-    reference: &(RunReport, RecordedCrossbarSchedule, SwitchState),
-    what: &str,
-) {
-    let (ref_report, ref_schedule, ref_state) = reference;
-    for k in SHARD_COUNTS {
-        for mode in MODES {
-            let what = format!("{what} [{}] k={k} mode={mode:?}", ref_report.policy);
-            let outcome = run_crossbar_sharded(cfg, sharded, trace, sharded_options(k, mode, link))
-                .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
-            let schedule = outcome
-                .crossbar_schedule
-                .as_ref()
-                .expect("recording requested");
-            assert_eq!(schedule, ref_schedule, "{what}: decision transcript");
-            assert_reports_equal(&outcome.report, ref_report, &what);
-            assert_states_equal(
-                outcome.final_state.as_ref().expect("capture requested"),
-                ref_state,
-                &what,
-            );
-        }
-    }
-}
-
 fn cioq_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
     gen_trace(
         &OnOffBursty::new(
@@ -286,7 +193,8 @@ fn cioq_cfg() -> SwitchConfig {
 
 /// A uniform topology must land on the delay line's exact bits — per-pair
 /// lookup, calendar, and canonical landing sort included — for all four
-/// policies, sequential and sharded (K ∈ {1, 2, 4} × {inline, threads}).
+/// policies sequentially, and for GM and PG sharded too (K ∈ {1, 2, 4} ×
+/// {inline, threads}).
 #[test]
 fn constant_matrix_is_bit_identical_to_delay_line() {
     let cfg = cioq_cfg();
@@ -328,30 +236,19 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
             check_cioq_against(&cfg, &*sharded, &trace, &matrix, &reference, &what);
         }
 
-        let reference = seq_crossbar(&xcfg, Box::new(CrossbarGreedyUnit::new()), &xtrace, &line);
-        let xmatrix = FabricSpec::matrix(Topology::uniform(6, 6, d));
-        check_crossbar_against(
-            &xcfg,
-            &ShardedCgu::new(),
-            &xtrace,
-            &xmatrix,
-            &reference,
-            &what,
-        );
-        let reference = seq_crossbar(
-            &xcfg,
-            Box::new(CrossbarPreemptiveGreedy::new()),
-            &xtrace,
-            &line,
-        );
-        check_crossbar_against(
-            &xcfg,
-            &ShardedCpg::new(),
-            &xtrace,
-            &xmatrix,
-            &reference,
-            &what,
-        );
+        // The crossbar policies run on the sequential engine only.
+        let crossbar: [fn() -> Box<dyn CrossbarPolicy>; 2] = [
+            || Box::new(CrossbarGreedyUnit::new()),
+            || Box::new(CrossbarPreemptiveGreedy::new()),
+        ];
+        for make in crossbar {
+            let reference = seq_crossbar(&xcfg, make(), &xtrace, &line);
+            let what = format!("{what} [{}]", reference.0.policy);
+            let matrix_run = seq_crossbar(&xcfg, make(), &xtrace, &matrix);
+            assert_eq!(matrix_run.1, reference.1, "{what}: crossbar transcript");
+            assert_reports_equal(&matrix_run.0, &reference.0, &what);
+            assert_states_equal(&matrix_run.2, &reference.2, &what);
+        }
     }
 }
 
@@ -377,22 +274,28 @@ fn two_tier_sharded_equals_sequential() {
         let reference = seq_cioq(&cfg, Box::new(PreemptiveGreedy::new()), &trace, &link);
         check_cioq_against(&cfg, &ShardedPg::new(), &trace, &link, &reference, &what);
     }
+}
 
-    let xcfg = SwitchConfig::crossbar(6, 3, 1, 2);
-    let xtrace = cioq_trace(&xcfg, 48, 0x73);
-    for (racks, intra, inter) in [(3usize, 0u64, 2u64), (2, 1, 4)] {
-        let link = FabricSpec::matrix(Topology::two_tier(6, 6, racks, intra, inter).unwrap());
-        let what = format!("two-tier crossbar racks={racks} intra={intra} inter={inter}");
-        let reference = seq_crossbar(&xcfg, Box::new(CrossbarGreedyUnit::new()), &xtrace, &link);
-        check_crossbar_against(&xcfg, &ShardedCgu::new(), &xtrace, &link, &reference, &what);
-        let reference = seq_crossbar(
-            &xcfg,
-            Box::new(CrossbarPreemptiveGreedy::new()),
-            &xtrace,
-            &link,
-        );
-        check_crossbar_against(&xcfg, &ShardedCpg::new(), &xtrace, &link, &reference, &what);
-    }
+/// One ring can carry two positive latencies: with 3 racks over 6 ports
+/// and K = 2, the pair (shard 1, shard 0) holds row 2 → column 3 inside
+/// rack 1 (latency 1) and every other pair across racks (latency 4). Three
+/// transfers dispatched at slot 0 and one at slot 3 all land at slot 4,
+/// from two dispatch slots: four packets in one bucket of a ring whose
+/// bands are three ports wide. Debug builds check every push against the
+/// bucket's reservation.
+#[test]
+fn a_ring_bucket_gathers_from_several_dispatch_slots() {
+    let cfg = SwitchConfig::cioq(6, 4, 1);
+    let link = FabricSpec::matrix(Topology::two_tier(6, 6, 3, 1, 4).unwrap());
+    let trace = Trace::from_tuples([
+        (0, PortId(0), PortId(3), 1),
+        (0, PortId(1), PortId(4), 1),
+        (0, PortId(2), PortId(5), 1),
+        (3, PortId(2), PortId(3), 1),
+    ]);
+    let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
+    let what = "mixed-latency ring";
+    check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, what);
 }
 
 /// A random explicit matrix with racks *scattered* across ports (no

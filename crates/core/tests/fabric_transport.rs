@@ -4,25 +4,24 @@
 //!
 //! 1. **`FabricSpec::uniform(0)` ≡ the default fabric** — the identity is checked
 //!    end to end (admissions, per-cycle transfer sets, reports, final
-//!    states) for all four policies × K ∈ {1, 2, 4} × {inline, threads}.
+//!    states) for GM and PG × K ∈ {1, 2, 4} × {inline, threads}.
 //! 2. **Sharded `uniform(d)` ≡ sequential delayed engine** — the
 //!    sharded delay rings reproduce the reference delayed-sequential
 //!    engine bit for bit, for d ∈ {1, 2, 4}, the same policy/K/mode
-//!    matrix. This is the delayed analogue of `sharded_equivalence.rs`.
+//!    matrix. This is the delayed analogue of `sharded_equivalence.rs`
+//!    (the sharded engine is CIOQ-only).
 //! 3. **Conservation in flight** — no packet is lost or duplicated while
 //!    riding the delay line, under `FullFabricChurn` (every row dirtied
 //!    every slot), drained and steady-state.
 
 use cioq_core::{
-    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedCgu,
-    ShardedCpg, ShardedGm, ShardedPg,
+    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
+    ShardedPg,
 };
 use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    CrossbarRecording, CrossbarShardPolicy, Engine, ExecMode, FabricSpec, RecordedCrossbarSchedule,
-    RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace,
-    TraceSource,
+    run_cioq_sharded, CioqPolicy, CioqShardPolicy, Engine, ExecMode, FabricSpec, RecordedSchedule,
+    Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
 
@@ -36,10 +35,6 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.arrived_value, b.arrived_value, "{what}: arrived value");
     assert_eq!(a.accepted, b.accepted, "{what}: accepted");
     assert_eq!(a.transferred, b.transferred, "{what}: transferred");
-    assert_eq!(
-        a.transferred_to_crossbar, b.transferred_to_crossbar,
-        "{what}: crossbar transfers"
-    );
     assert_eq!(a.transmitted, b.transmitted, "{what}: transmitted");
     assert_eq!(a.benefit, b.benefit, "{what}: benefit");
     assert_eq!(a.losses, b.losses, "{what}: losses");
@@ -63,13 +58,6 @@ fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
                 vb.input_queue(input, output),
                 "{what}: Q_{i}{j}"
             );
-            if va.has_crossbar() {
-                assert_eq!(
-                    va.crossbar_queue(input, output),
-                    vb.crossbar_queue(input, output),
-                    "{what}: C_{i}{j}"
-                );
-            }
         }
     }
     for j in 0..va.n_outputs() {
@@ -89,90 +77,12 @@ fn seq_cioq_delayed(
     trace: &Trace,
     d: SlotId,
 ) -> (RunReport, RecordedSchedule, SwitchState) {
-    struct Boxed<'a>(&'a mut dyn CioqPolicy);
-    impl CioqPolicy for Boxed<'_> {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn admit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            p: &cioq_model::Packet,
-        ) -> cioq_sim::Admission {
-            self.0.admit(view, p)
-        }
-        fn schedule(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::Transfer>,
-        ) {
-            self.0.schedule(view, cycle, out)
-        }
-        fn transmit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            output: PortId,
-        ) -> cioq_sim::TransmitChoice {
-            self.0.transmit(view, output)
-        }
-    }
-    let mut rec = Recording::with_fabric(Boxed(&mut *policy), &FabricSpec::uniform(d));
+    let mut rec = Recording::with_fabric(&mut *policy, &FabricSpec::uniform(d));
     let mut source = TraceSource::new(trace);
     let (report, state) = Engine::new(cfg.clone(), seq_options(d))
         .run_cioq_capturing(&mut rec, &mut source)
         .expect("sequential delayed run");
     (report, rec.into_schedule(), state)
-}
-
-fn seq_crossbar_delayed(
-    cfg: &SwitchConfig,
-    mut policy: Box<dyn CrossbarPolicy>,
-    trace: &Trace,
-    d: SlotId,
-) -> (RunReport, RecordedCrossbarSchedule, SwitchState) {
-    struct Boxed<'a>(&'a mut dyn CrossbarPolicy);
-    impl CrossbarPolicy for Boxed<'_> {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn admit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            p: &cioq_model::Packet,
-        ) -> cioq_sim::Admission {
-            self.0.admit(view, p)
-        }
-        fn schedule_input(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::InputTransfer>,
-        ) {
-            self.0.schedule_input(view, cycle, out)
-        }
-        fn schedule_output(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::OutputTransfer>,
-        ) {
-            self.0.schedule_output(view, cycle, out)
-        }
-        fn transmit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            output: PortId,
-        ) -> cioq_sim::TransmitChoice {
-            self.0.transmit(view, output)
-        }
-    }
-    let mut rec = CrossbarRecording::with_fabric(Boxed(&mut *policy), &FabricSpec::uniform(d));
-    let mut source = TraceSource::new(trace);
-    let outcome = Engine::new(cfg.clone(), seq_options(d))
-        .run_crossbar_full(&mut rec, &mut source)
-        .expect("sequential delayed run");
-    (outcome.report, rec.into_schedule(), outcome.final_state)
 }
 
 /// Default sequential options on a uniform latency-`d` fabric.
@@ -219,34 +129,6 @@ fn check_cioq_delayed(
     }
 }
 
-fn check_crossbar_delayed(
-    cfg: &SwitchConfig,
-    seq: impl Fn() -> Box<dyn CrossbarPolicy>,
-    sharded: &dyn CrossbarShardPolicy,
-    trace: &Trace,
-    d: SlotId,
-) {
-    let (ref_report, ref_schedule, ref_state) = seq_crossbar_delayed(cfg, seq(), trace, d);
-    for k in SHARD_COUNTS {
-        for mode in MODES {
-            let what = format!("{} d={d} k={k} mode={mode:?}", ref_report.policy);
-            let outcome = run_crossbar_sharded(cfg, sharded, trace, sharded_options(k, mode, d))
-                .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
-            let schedule = outcome
-                .crossbar_schedule
-                .as_ref()
-                .expect("recording requested");
-            assert_eq!(schedule, &ref_schedule, "{what}: decision transcript");
-            assert_reports_equal(&outcome.report, &ref_report, &what);
-            assert_states_equal(
-                outcome.final_state.as_ref().expect("capture requested"),
-                &ref_state,
-                &what,
-            );
-        }
-    }
-}
-
 fn cioq_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
     gen_trace(
         &OnOffBursty::new(
@@ -269,7 +151,7 @@ fn cioq_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
 
 /// `FabricSpec::uniform(0)` must take the immediate fast path in every
 /// engine layer: identical transcripts, reports, and final states against
-/// the plain sequential reference, for all four policies.
+/// the plain sequential reference, for GM and PG.
 #[test]
 fn delay_zero_is_bit_identical_to_immediate() {
     let cfg = SwitchConfig::builder(6, 6)
@@ -293,23 +175,6 @@ fn delay_zero_is_bit_identical_to_immediate() {
         || Box::new(PreemptiveGreedy::new()),
         &ShardedPg::new(),
         &trace,
-        0,
-    );
-
-    let xcfg = SwitchConfig::crossbar(6, 3, 1, 2);
-    let xtrace = cioq_trace(&xcfg, 48, 0xD1);
-    check_crossbar_delayed(
-        &xcfg,
-        || Box::new(CrossbarGreedyUnit::new()),
-        &ShardedCgu::new(),
-        &xtrace,
-        0,
-    );
-    check_crossbar_delayed(
-        &xcfg,
-        || Box::new(CrossbarPreemptiveGreedy::new()),
-        &ShardedCpg::new(),
-        &xtrace,
         0,
     );
 }
@@ -361,30 +226,6 @@ fn cioq_delayed_sharded_equals_sequential() {
             &cfg,
             || Box::new(PreemptiveGreedy::without_preemption()),
             &ShardedPg::without_preemption(),
-            &trace,
-            d,
-        );
-    }
-}
-
-/// The crossbar policies across the delay sweep (the crosspoint → output
-/// hop is the delayed one; `Q_ij → C_ij` stays chassis-local).
-#[test]
-fn crossbar_delayed_sharded_equals_sequential() {
-    let cfg = SwitchConfig::crossbar(6, 3, 1, 2);
-    let trace = cioq_trace(&cfg, 48, 0xD4);
-    for d in [1, 2, 4] {
-        check_crossbar_delayed(
-            &cfg,
-            || Box::new(CrossbarGreedyUnit::new()),
-            &ShardedCgu::new(),
-            &trace,
-            d,
-        );
-        check_crossbar_delayed(
-            &cfg,
-            || Box::new(CrossbarPreemptiveGreedy::new()),
-            &ShardedCpg::new(),
             &trace,
             d,
         );
@@ -473,6 +314,34 @@ fn conservation_under_churn_all_delays() {
             .unwrap_or_else(|e| panic!("crossbar sequential d={d}: {e}"));
         assert_eq!(seq.residual_count, 0, "drained run leaves nothing, d={d}");
     }
+}
+
+/// A crossbar's output subphase is not a matching: every output may take a
+/// packet in the same cycle, so on a 2 × 8 crossbar one cycle can put 8
+/// packets on the wire, not `min(N, M) = 2`. Flooded for 40 slots on a
+/// latency-1 fabric, CPG does that as the crosspoints drain (slot 44
+/// lands 8 at once in slot 45); debug builds check every calendar push
+/// against the bucket's reservation, so a bucket reserved for 2 fails here.
+#[test]
+fn crossbar_calendar_reserves_one_landing_per_output() {
+    let cfg = SwitchConfig::builder(2, 8)
+        .speedup(1)
+        .input_capacity(4)
+        .output_capacity(4)
+        .crossbar_capacity(4)
+        .build()
+        .unwrap();
+    let flood = (0..40)
+        .flat_map(|t| (0..2).flat_map(move |i| (0..8).map(move |j| (t, PortId(i), PortId(j), 1))));
+    let trace = Trace::from_tuples(flood);
+    let report = Engine::new(cfg, seq_options(1))
+        .run_crossbar(
+            &mut CrossbarPreemptiveGreedy::new(),
+            &mut TraceSource::new(&trace),
+        )
+        .unwrap();
+    report.check_conservation().unwrap();
+    assert_eq!(report.residual_count, 0);
 }
 
 /// Steady state (drain off): packets still riding the delay line when the

@@ -8,8 +8,9 @@
 //! is an FNV-1a hash over the run report, the final queue contents and
 //! every checkpoint's canonical bytes, for GM, PG, CGU and CPG on an
 //! immediate and a two-tier fabric — and every execution variant the
-//! workspace has (sequential, sharded K ∈ {1, 3} inline and threaded, the
-//! streamed twins, a mid-run resume on both engines) must reproduce it.
+//! workspace has (sequential, sharded K ∈ {1, 3} inline and threaded for
+//! GM and PG, the streamed twins, a mid-run resume on each engine) must
+//! reproduce it.
 //!
 //! The geometry is 6 × 70: non-square, and wide enough that the output
 //! bitmaps straddle a 64-bit word. Buffers are small and the hot outputs
@@ -26,9 +27,8 @@
 use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
-    run_crossbar_sharded_streamed, stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy,
-    CrossbarPolicy, CrossbarShardPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec, FaultEvent,
+    run_cioq_sharded, run_cioq_sharded_streamed, stream_trace, ArrivalSource, CioqPolicy,
+    CioqShardPolicy, CrossbarPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec, FaultEvent,
     FaultKind, FaultPlan, FaultScope, RunOptions, RunOutcome, RunReport, ShardedOptions,
     ShardedOutcome, SortedQueue, StreamingSource, SwitchState, Trace, TraceSource,
 };
@@ -276,13 +276,19 @@ fn assert_eventful(report: &RunReport, trace: &Trace, preempts: &[&str], what: &
 
 // ---- the one driver ----
 
-/// The three ways to run a policy, with the architecture (CIOQ or buffered
-/// crossbar) and the policy object closed over.
+/// The ways to run a policy, with the architecture (CIOQ or buffered
+/// crossbar) and the policy object closed over. Only CIOQ policies run
+/// sharded.
 struct Runs<'a> {
     name: String,
     seq: &'a dyn Fn(Engine, &mut dyn ArrivalSource) -> RunOutcome,
-    sharded: &'a dyn Fn(&Trace, ShardedOptions) -> ShardedOutcome,
-    sharded_streamed: &'a dyn Fn(&mut StreamingSource, ShardedOptions) -> ShardedOutcome,
+    sharded: Option<Sharded<'a>>,
+}
+
+/// A policy's sharded runs: trace-fed and stream-fed.
+struct Sharded<'a> {
+    run: &'a dyn Fn(&Trace, ShardedOptions) -> ShardedOutcome,
+    streamed: &'a dyn Fn(&mut StreamingSource, ShardedOptions) -> ShardedOutcome,
 }
 
 fn check(
@@ -323,22 +329,24 @@ fn check(
         kill.slot()
     );
 
+    let Some(runs) = runs.sharded else {
+        return;
+    };
     for k in SHARD_COUNTS {
         for mode in MODES {
             let what = format!("{what} K={k} {mode:?}");
-            let sharded = (runs.sharded)(trace, sharded_options(k, mode, fabric, None));
+            let sharded = (runs.run)(trace, sharded_options(k, mode, fabric, None));
             assert_eq!(hash_sharded(&sharded), golden, "{what}: sharded");
 
             let (mut src, pump) = stream_trace(trace, 2);
-            let streamed =
-                (runs.sharded_streamed)(&mut src, sharded_options(k, mode, fabric, None));
+            let streamed = (runs.streamed)(&mut src, sharded_options(k, mode, fabric, None));
             drop(src);
             pump.join();
             assert_eq!(hash_sharded(&streamed), golden, "{what}: sharded streamed");
 
             let kill = kill_point(&sharded.checkpoints);
             let kill_slot = kill.slot();
-            let resumed = (runs.sharded)(trace, sharded_options(k, mode, fabric, Some(kill)));
+            let resumed = (runs.run)(trace, sharded_options(k, mode, fabric, Some(kill)));
             assert_eq!(
                 hash_resumed(
                     &sharded.checkpoints,
@@ -369,17 +377,20 @@ fn check_cioq<P: CioqPolicy + CioqShardPolicy>(
                 .run_cioq_full(&mut make(), source)
                 .expect("sequential run")
         },
-        sharded: &|trace, options| {
-            run_cioq_sharded(&cfg, &make(), trace, options).expect("sharded run")
-        },
-        sharded_streamed: &|source, options| {
-            run_cioq_sharded_streamed(&cfg, &make(), source, options).expect("sharded streamed run")
-        },
+        sharded: Some(Sharded {
+            run: &|trace, options| {
+                run_cioq_sharded(&cfg, &make(), trace, options).expect("sharded run")
+            },
+            streamed: &|source, options| {
+                run_cioq_sharded_streamed(&cfg, &make(), source, options)
+                    .expect("sharded streamed run")
+            },
+        }),
     };
     check(runs, &cfg, trace, fabric, preempts, golden);
 }
 
-fn check_crossbar<P: CrossbarPolicy + CrossbarShardPolicy>(
+fn check_crossbar<P: CrossbarPolicy>(
     make: impl Fn() -> P,
     trace: &Trace,
     fabric: &FabricSpec,
@@ -394,13 +405,7 @@ fn check_crossbar<P: CrossbarPolicy + CrossbarShardPolicy>(
                 .run_crossbar_full(&mut make(), source)
                 .expect("sequential run")
         },
-        sharded: &|trace, options| {
-            run_crossbar_sharded(&cfg, &make(), trace, options).expect("sharded run")
-        },
-        sharded_streamed: &|source, options| {
-            run_crossbar_sharded_streamed(&cfg, &make(), source, options)
-                .expect("sharded streamed run")
-        },
+        sharded: None,
     };
     check(runs, &cfg, trace, fabric, preempts, golden);
 }

@@ -21,9 +21,9 @@ use cioq_core::{
 };
 use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
-    run_cioq, run_cioq_sharded, run_crossbar, run_crossbar_sharded, Admission, CioqPolicy,
-    CioqShardPolicy, CrossbarPolicy, CrossbarShardPolicy, ExecMode, InputTransfer, OutputTransfer,
-    RunReport, ShardedOptions, SwitchView, Trace, Transfer, TransmitChoice,
+    run_cioq, run_cioq_sharded, run_crossbar, Admission, CioqPolicy, CioqShardPolicy,
+    CrossbarPolicy, ExecMode, InputTransfer, OutputTransfer, RunReport, ShardedOptions, SwitchView,
+    Trace, Transfer, TransmitChoice,
 };
 use cioq_traffic::{gen_trace, BernoulliUniform, ValueDist};
 use proptest::prelude::*;
@@ -346,28 +346,11 @@ fn reused_sharded_cioq<P: CioqPolicy + CioqShardPolicy>(
     }
 }
 
-/// [`reused_sharded_cioq`] for the crossbar policies.
-fn reused_sharded_crossbar<P: CrossbarPolicy + CrossbarShardPolicy>(
-    make: impl Fn() -> P,
-    [big, small]: [(&SwitchConfig, &Trace); 2],
-) {
-    let reused = make();
-    let name = CrossbarPolicy::name(&reused).to_string();
-    for ((cfg, trace), ks) in [(big, &[2, 2, 4][..]), (small, &[2][..])] {
-        let reference = run_crossbar(cfg, &mut make(), trace).unwrap();
-        for &k in ks {
-            let outcome = run_crossbar_sharded(cfg, &reused, trace, inline(k)).unwrap();
-            let what = format!("{name} sharded reuse k={k} on {} ports", cfg.n_inputs);
-            assert_reports_equal(&outcome.report, &reference, &what);
-        }
-    }
-}
-
 /// Reusing a policy object across engine runs must resync cleanly (the
 /// flush-count handshake detects the fresh engine, and a full rebuild also
 /// zeroes CGU's round-robin pointers): the second run's report equals the
 /// first's and a fresh policy's — on the same switch, and again on a
-/// smaller one (the band check). The same objects as the sharded engine's
+/// smaller one (the band check). GM and PG as the sharded engine's
 /// policies hold nothing from one run to the next (workers and the merge's
 /// state are the run's), so one value serves K = 2 twice, then K = 4, then
 /// the smaller switch.
@@ -422,12 +405,4 @@ fn policy_reuse_across_runs_resyncs() {
         let reference = run_crossbar(&cfg_small, fresh_small.as_mut(), &trace_small).unwrap();
         assert_reports_equal(&shrunk, &reference, &format!("{name} resized reuse"));
     }
-
-    let runs = [(&cfg, &trace), (&cfg_small, &trace_small)];
-    reused_sharded_crossbar(CrossbarGreedyUnit::new, runs);
-    reused_sharded_crossbar(
-        || CrossbarGreedyUnit::with_selection(SelectionOrder::RoundRobin),
-        runs,
-    );
-    reused_sharded_crossbar(CrossbarPreemptiveGreedy::new, runs);
 }

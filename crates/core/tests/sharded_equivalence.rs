@@ -1,8 +1,8 @@
 //! Lockstep equivalence of the sharded engine and the sequential engine:
 //! identical **per-cycle transfer sets**, **admission transcripts**, **run
-//! reports**, and **final queue states** — for all four policies, shard
-//! counts K ∈ {1, 2, 4}, and both execution modes (inline and real
-//! threads).
+//! reports**, and **final queue states** — for GM and PG (the sharded
+//! engine is CIOQ-only), shard counts K ∈ {1, 2, 4}, and both execution
+//! modes (inline and real threads).
 //!
 //! The sequential side runs under a recording wrapper so its full decision
 //! transcript is captured; the sharded side records its merged decisions.
@@ -12,15 +12,11 @@
 //! different `--test-threads` so scheduling races cannot hide behind one
 //! lucky interleaving.
 
-use cioq_core::{
-    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, SelectionOrder,
-    ShardedCgu, ShardedCpg, ShardedGm, ShardedPg,
-};
+use cioq_core::{GreedyMatching, PreemptiveGreedy, ShardedGm, ShardedPg};
 use cioq_model::{PortId, SwitchConfig};
 use cioq_sim::{
-    run_cioq, run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded, stream_trace,
-    CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, CrossbarShardPolicy, ExecMode,
-    PolicyError, RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunReport,
+    run_cioq, run_cioq_sharded, run_cioq_sharded_streamed, stream_trace, CioqPolicy,
+    CioqShardPolicy, ExecMode, PolicyError, RecordedSchedule, Recording, RunOptions, RunReport,
     ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::adversary::gm_iq_flood;
@@ -41,10 +37,6 @@ fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.arrived_value, b.arrived_value, "{what}: arrived value");
     assert_eq!(a.accepted, b.accepted, "{what}: accepted");
     assert_eq!(a.transferred, b.transferred, "{what}: transferred");
-    assert_eq!(
-        a.transferred_to_crossbar, b.transferred_to_crossbar,
-        "{what}: crossbar transfers"
-    );
     assert_eq!(a.transmitted, b.transmitted, "{what}: transmitted");
     assert_eq!(a.benefit, b.benefit, "{what}: benefit");
     assert_eq!(a.losses, b.losses, "{what}: losses");
@@ -73,13 +65,6 @@ fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
                 vb.input_queue(input, output),
                 "{what}: Q_{i}{j}"
             );
-            if va.has_crossbar() {
-                assert_eq!(
-                    va.crossbar_queue(input, output),
-                    vb.crossbar_queue(input, output),
-                    "{what}: C_{i}{j}"
-                );
-            }
         }
     }
     for j in 0..va.n_outputs() {
@@ -95,92 +80,15 @@ fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
 /// Sequential reference run: full transcript + report + final state.
 fn seq_cioq(
     cfg: &SwitchConfig,
-    policy: Box<dyn CioqPolicy>,
+    mut policy: Box<dyn CioqPolicy>,
     trace: &Trace,
 ) -> (RunReport, RecordedSchedule, SwitchState) {
-    struct BoxedCioq(Box<dyn CioqPolicy>);
-    impl CioqPolicy for BoxedCioq {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn admit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            p: &cioq_model::Packet,
-        ) -> cioq_sim::Admission {
-            self.0.admit(view, p)
-        }
-        fn schedule(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::Transfer>,
-        ) {
-            self.0.schedule(view, cycle, out)
-        }
-        fn transmit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            output: PortId,
-        ) -> cioq_sim::TransmitChoice {
-            self.0.transmit(view, output)
-        }
-    }
-    let mut rec = Recording::new(BoxedCioq(policy));
+    let mut rec = Recording::new(&mut *policy);
     let mut source = TraceSource::new(trace);
     let (report, state) = cioq_sim::Engine::new(cfg.clone(), RunOptions::default())
         .run_cioq_capturing(&mut rec, &mut source)
         .expect("sequential run");
     (report, rec.into_schedule(), state)
-}
-
-fn seq_crossbar(
-    cfg: &SwitchConfig,
-    policy: Box<dyn CrossbarPolicy>,
-    trace: &Trace,
-) -> (RunReport, RecordedCrossbarSchedule, SwitchState) {
-    struct BoxedXbar(Box<dyn CrossbarPolicy>);
-    impl CrossbarPolicy for BoxedXbar {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn admit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            p: &cioq_model::Packet,
-        ) -> cioq_sim::Admission {
-            self.0.admit(view, p)
-        }
-        fn schedule_input(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::InputTransfer>,
-        ) {
-            self.0.schedule_input(view, cycle, out)
-        }
-        fn schedule_output(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            cycle: cioq_model::Cycle,
-            out: &mut Vec<cioq_sim::OutputTransfer>,
-        ) {
-            self.0.schedule_output(view, cycle, out)
-        }
-        fn transmit(
-            &mut self,
-            view: &cioq_sim::SwitchView<'_>,
-            output: PortId,
-        ) -> cioq_sim::TransmitChoice {
-            self.0.transmit(view, output)
-        }
-    }
-    let mut rec = CrossbarRecording::new(BoxedXbar(policy));
-    let mut source = TraceSource::new(trace);
-    let outcome = cioq_sim::Engine::new(cfg.clone(), RunOptions::default())
-        .run_crossbar_full(&mut rec, &mut source)
-        .expect("sequential run");
-    (outcome.report, rec.into_schedule(), outcome.final_state)
 }
 
 fn sharded_options(k: usize, mode: ExecMode) -> ShardedOptions {
@@ -224,44 +132,6 @@ fn check_cioq_at(
             assert_eq!(
                 schedule.transfers, ref_schedule.transfers,
                 "{what}: per-cycle transfer sets"
-            );
-            assert_reports_equal(&outcome.report, &ref_report, &what);
-            assert_states_equal(
-                outcome.final_state.as_ref().expect("capture requested"),
-                &ref_state,
-                &what,
-            );
-        }
-    }
-}
-
-fn check_crossbar(
-    cfg: &SwitchConfig,
-    seq: impl Fn() -> Box<dyn CrossbarPolicy>,
-    sharded: &dyn CrossbarShardPolicy,
-    trace: &Trace,
-) {
-    let (ref_report, ref_schedule, ref_state) = seq_crossbar(cfg, seq(), trace);
-    for k in SHARD_COUNTS {
-        for mode in MODES {
-            let what = format!("{} k={k} mode={mode:?}", ref_report.policy);
-            let outcome = run_crossbar_sharded(cfg, sharded, trace, sharded_options(k, mode))
-                .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
-            let schedule = outcome
-                .crossbar_schedule
-                .as_ref()
-                .expect("recording requested");
-            assert_eq!(
-                schedule.admissions, ref_schedule.admissions,
-                "{what}: admissions"
-            );
-            assert_eq!(
-                schedule.input_transfers, ref_schedule.input_transfers,
-                "{what}: input subphases"
-            );
-            assert_eq!(
-                schedule.output_transfers, ref_schedule.output_transfers,
-                "{what}: output subphases"
             );
             assert_reports_equal(&outcome.report, &ref_report, &what);
             assert_states_equal(
@@ -326,48 +196,6 @@ proptest! {
         );
     }
 
-    /// The same matrix for the buffered-crossbar policies, covering both
-    /// subphases and the cross-shard dirty-mark forwarding.
-    #[test]
-    fn crossbar_sharded_equals_sequential(
-        n in 1usize..6,
-        speedup in 1u32..3,
-        in_cap in 1usize..4,
-        out_cap in 1usize..3,
-        xbar_cap in 1usize..3,
-        arrivals in prop::collection::vec(
-            (0u8..10, 0u8..6, 0u8..6, 1u64..64),
-            0..90,
-        ),
-    ) {
-        let cfg = SwitchConfig::builder(n, n)
-            .speedup(speedup)
-            .input_capacity(in_cap)
-            .output_capacity(out_cap)
-            .crossbar_capacity(xbar_cap)
-            .build()
-            .unwrap();
-        let trace = trace_from(n, &arrivals);
-        check_crossbar(&cfg, || Box::new(CrossbarGreedyUnit::new()), &ShardedCgu::new(), &trace);
-        check_crossbar(
-            &cfg,
-            || Box::new(CrossbarGreedyUnit::with_selection(SelectionOrder::RoundRobin)),
-            &ShardedCgu::with_selection(SelectionOrder::RoundRobin),
-            &trace,
-        );
-        check_crossbar(
-            &cfg,
-            || Box::new(CrossbarPreemptiveGreedy::new()),
-            &ShardedCpg::new(),
-            &trace,
-        );
-        check_crossbar(
-            &cfg,
-            || Box::new(CrossbarPreemptiveGreedy::with_params(1.5, 2.0)),
-            &ShardedCpg::with_params(1.5, 2.0),
-            &trace,
-        );
-    }
 }
 
 // ---- adversarial traffic (deterministic) ----
@@ -421,26 +249,11 @@ fn incast_storm_equivalence() {
         &ShardedPg::new(),
         &trace,
     );
-
-    let xcfg = SwitchConfig::crossbar(12, 3, 2, 2);
-    let xtrace = gen_trace(&gen, &xcfg, 48, 0xC02);
-    check_crossbar(
-        &xcfg,
-        || Box::new(CrossbarGreedyUnit::new()),
-        &ShardedCgu::new(),
-        &xtrace,
-    );
-    check_crossbar(
-        &xcfg,
-        || Box::new(CrossbarPreemptiveGreedy::new()),
-        &ShardedCpg::new(),
-        &xtrace,
-    );
 }
 
 /// Full-fabric churn: every row dirtied every slot with rotating columns,
-/// so every shard's cache repairs and the cross-shard mark stream are under
-/// constant pressure.
+/// so every shard's cache repairs and the merge are under constant
+/// pressure.
 #[test]
 fn full_fabric_churn_equivalence() {
     let gen = FullFabricChurn::new(2, 5, ValueDist::Uniform { max: 50 });
@@ -459,26 +272,11 @@ fn full_fabric_churn_equivalence() {
         &ShardedPg::new(),
         &trace,
     );
-
-    let xcfg = SwitchConfig::crossbar(10, 2, 1, 1);
-    let xtrace = gen_trace(&gen, &xcfg, 40, 0xC12);
-    check_crossbar(
-        &xcfg,
-        || Box::new(CrossbarGreedyUnit::new()),
-        &ShardedCgu::new(),
-        &xtrace,
-    );
-    check_crossbar(
-        &xcfg,
-        || Box::new(CrossbarPreemptiveGreedy::new()),
-        &ShardedCpg::new(),
-        &xtrace,
-    );
 }
 
-/// Bursty on-off traffic on asymmetric switches, CIOQ and crossbar: shards
-/// get uneven, non-square bands (N ≠ M exercises the independent
-/// input/output partitions).
+/// Bursty on-off traffic on an asymmetric switch: shards get uneven,
+/// non-square bands (N ≠ M exercises the independent input/output
+/// partitions).
 #[test]
 fn asymmetric_bursty_equivalence() {
     let cfg = SwitchConfig::builder(9, 5)
@@ -507,29 +305,6 @@ fn asymmetric_bursty_equivalence() {
         || Box::new(PreemptiveGreedy::new()),
         &ShardedPg::new(),
         &trace,
-    );
-
-    // The crossbar policies' column-side caches are transposed (an output's
-    // line runs over the N inputs): N ≠ M tells the two widths apart.
-    let xcfg = SwitchConfig::builder(9, 5)
-        .speedup(2)
-        .input_capacity(3)
-        .output_capacity(2)
-        .crossbar_capacity(2)
-        .build()
-        .unwrap();
-    let xtrace = gen.generate(&xcfg, 64, 0xA6);
-    check_crossbar(
-        &xcfg,
-        || Box::new(CrossbarGreedyUnit::new()),
-        &ShardedCgu::new(),
-        &xtrace,
-    );
-    check_crossbar(
-        &xcfg,
-        || Box::new(CrossbarPreemptiveGreedy::new()),
-        &ShardedCpg::new(),
-        &xtrace,
     );
 }
 

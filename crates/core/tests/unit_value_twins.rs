@@ -21,9 +21,11 @@
 //! is CGU's first fit.
 //!
 //! A transcript here is the admissions plus every cycle's transfer pairs,
-//! plus the run report with its `policy` name blanked. Both engines run
-//! every twin — sequential, and sharded at K ∈ {1, 2, 4} inline and on
-//! threads — on the immediate fabric and a two-tier one, at 6 × 70 (output
+//! plus the run report with its `policy` name blanked. The CIOQ twins run
+//! on both engines — sequential, and sharded at K ∈ {1, 2, 4} inline and
+//! on threads — and the crossbar twins on the sequential engine, the only
+//! one that runs a crossbar; all on the immediate fabric and a two-tier
+//! one, at 6 × 70 (output
 //! bitmaps straddle a word) and 70 × 3 (rows straddle words of the
 //! flat cell bitsets). The two sides share the band graph their caches are
 //! kept in, and nothing else: no matching kernel, eligibility rule or
@@ -39,9 +41,9 @@ use cioq_core::params::PG_BETA;
 use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    CrossbarRecording, CrossbarShardPolicy, Engine, ExecMode, FabricSpec, RecordedCrossbarSchedule,
-    RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions, Trace, TraceSource,
+    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, Engine,
+    ExecMode, FabricSpec, RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions,
+    RunReport, ShardedOptions, Trace, TraceSource,
 };
 
 const ARRIVAL_SLOTS: SlotId = 30;
@@ -152,32 +154,21 @@ fn cioq_transcript<P: CioqPolicy + CioqShardPolicy>(
     }
 }
 
-fn crossbar_transcript<P: CrossbarPolicy + CrossbarShardPolicy>(
+fn crossbar_transcript<P: CrossbarPolicy>(
     policy: P,
     cfg: &SwitchConfig,
     trace: &Trace,
     fabric: &FabricSpec,
-    variant: Variant,
 ) -> Transcript<RecordedCrossbarSchedule> {
-    match variant {
-        None => {
-            let options = RunOptions {
-                fabric: fabric.clone(),
-                ..RunOptions::default()
-            };
-            let mut rec = CrossbarRecording::with_fabric(policy, fabric);
-            let report = Engine::new(cfg.clone(), options)
-                .run_crossbar(&mut rec, &mut TraceSource::new(trace))
-                .expect("sequential run");
-            (blank(report), rec.into_schedule())
-        }
-        Some((k, mode)) => {
-            let outcome = run_crossbar_sharded(cfg, &policy, trace, sharded(k, mode, fabric))
-                .expect("sharded run");
-            let schedule = outcome.crossbar_schedule.expect("recorded");
-            (blank(outcome.report), schedule)
-        }
-    }
+    let options = RunOptions {
+        fabric: fabric.clone(),
+        ..RunOptions::default()
+    };
+    let mut rec = CrossbarRecording::with_fabric(policy, fabric);
+    let report = Engine::new(cfg.clone(), options)
+        .run_crossbar(&mut rec, &mut TraceSource::new(trace))
+        .expect("sequential run");
+    (blank(report), rec.into_schedule())
 }
 
 fn sharded(k: usize, mode: ExecMode, fabric: &FabricSpec) -> ShardedOptions {
@@ -228,16 +219,13 @@ fn cpg_on_unit_values_is_first_fit_cgu() {
     ];
     for (n, m, fabric) in cases() {
         let (cfg, trace) = (config(n, m, true), trace(n, m, 1, 1));
-        for variant in variants() {
-            let cgu =
-                crossbar_transcript(CrossbarGreedyUnit::new(), &cfg, &trace, &fabric, variant);
-            assert!(cgu.0.losses.rejected > 0, "{n}×{m}: the run must reject");
-            for make in cpgs {
-                let cpg = make();
-                let what = format!("{} {n}×{m} {} {variant:?}", cpg.alpha(), fabric.label());
-                let got = crossbar_transcript(cpg, &cfg, &trace, &fabric, variant);
-                assert_eq!(got, cgu, "CPG(α = {what}) against CGU");
-            }
+        let cgu = crossbar_transcript(CrossbarGreedyUnit::new(), &cfg, &trace, &fabric);
+        assert!(cgu.0.losses.rejected > 0, "{n}×{m}: the run must reject");
+        for make in cpgs {
+            let cpg = make();
+            let what = format!("{} {n}×{m} {}", cpg.alpha(), fabric.label());
+            let got = crossbar_transcript(cpg, &cfg, &trace, &fabric);
+            assert_eq!(got, cgu, "CPG(α = {what}) against CGU");
         }
     }
 }
@@ -287,22 +275,23 @@ fn scaling_values_by_a_power_of_two_changes_no_decision() {
                 assert_eq!(got.1, want.1, "PG {what}: transcript");
                 assert_eq!(got.0.benefit.0, want.0.benefit.0 << k, "PG {what}: benefit");
                 assert_eq!(unscaled(got.0, 1 << k), want.0, "PG {what}: report");
-
-                let run = |trace| {
-                    let cpg = CrossbarPreemptiveGreedy::new();
-                    crossbar_transcript(cpg, &crossbar, trace, &fabric, variant)
-                };
-                let (want, got) = (run(&base), run(&scaled));
-                let preempted = want.0.losses.preempted_crossbar;
-                assert!(preempted > 0, "{what}: CPG's β rule must fire");
-                assert_eq!(got.1, want.1, "CPG {what}: transcript");
-                assert_eq!(
-                    got.0.benefit.0,
-                    want.0.benefit.0 << k,
-                    "CPG {what}: benefit"
-                );
-                assert_eq!(unscaled(got.0, 1 << k), want.0, "CPG {what}: report");
             }
+
+            let what = format!("2^{k} {n}×{m} {}", fabric.label());
+            let run = |trace| {
+                let cpg = CrossbarPreemptiveGreedy::new();
+                crossbar_transcript(cpg, &crossbar, trace, &fabric)
+            };
+            let (want, got) = (run(&base), run(&scaled));
+            let preempted = want.0.losses.preempted_crossbar;
+            assert!(preempted > 0, "{what}: CPG's β rule must fire");
+            assert_eq!(got.1, want.1, "CPG {what}: transcript");
+            assert_eq!(
+                got.0.benefit.0,
+                want.0.benefit.0 << k,
+                "CPG {what}: benefit"
+            );
+            assert_eq!(unscaled(got.0, 1 << k), want.0, "CPG {what}: report");
         }
     }
 }

@@ -7,8 +7,8 @@ use cioq_core::{
 };
 use cioq_model::SwitchConfig;
 use cioq_sim::{
-    run_cioq_sharded, run_crossbar_sharded, ArrivalSource, Engine, PolicyError, RunOptions,
-    RunOutcome, RunReport, ShardedOptions, ShardedOutcome, Trace, TraceSource,
+    run_cioq_sharded, ArrivalSource, Engine, PolicyError, RunOptions, RunOutcome, RunReport,
+    ShardedOptions, ShardedOutcome, Trace, TraceSource,
 };
 
 /// Every policy the experiments can run, as plain data (so sweep points can
@@ -137,9 +137,9 @@ impl PolicyKind {
         }
     }
 
-    /// Run this policy over `trace` on the sharded engine. Only the four
-    /// paper policies (GM, PG, CGU, CPG, at any parameters) shard — the
-    /// same structs serve both engines; any other kind panics.
+    /// Run this policy over `trace` on the sharded engine. Only the CIOQ
+    /// paper policies (GM, and PG at any β) shard — the same structs serve
+    /// both engines; any other kind panics.
     pub fn run_sharded(
         self,
         cfg: &SwitchConfig,
@@ -151,15 +151,6 @@ impl PolicyKind {
             PolicyKind::Pg(beta) => {
                 run_cioq_sharded(cfg, &PreemptiveGreedy::with_beta(beta), trace, options)
             }
-            PolicyKind::Cgu => {
-                run_crossbar_sharded(cfg, &CrossbarGreedyUnit::new(), trace, options)
-            }
-            PolicyKind::Cpg(beta, alpha) => run_crossbar_sharded(
-                cfg,
-                &CrossbarPreemptiveGreedy::with_params(beta, alpha),
-                trace,
-                options,
-            ),
             other => panic!("{} has no sharded implementation", other.label()),
         }
     }

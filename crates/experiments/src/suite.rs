@@ -985,23 +985,26 @@ pub fn t5_ablation(quick: bool) -> Vec<Table> {
     tables
 }
 
-/// S1 — the sharded slot engine vs the sequential engine: per policy and
-/// shard count, identical results (proof echoed in the table) and the
-/// wall-clock cost of each run. Sharding is bit-identical by construction,
-/// so the "agrees" column is a tripwire, not a tolerance.
+/// S1 — the sharded slot engine vs the sequential engine: per CIOQ
+/// policy (the sharded engine runs GM and PG only) and shard count,
+/// identical results (proof echoed in the table) and the wall-clock cost
+/// of each run. Sharding is bit-identical by construction, so the "agrees"
+/// column is a tripwire, not a tolerance.
 pub fn s1_sharded(quick: bool) -> Vec<Table> {
     let t = scaled_slots(256, quick);
     let n = if quick { 12 } else { 48 };
-    let (cioq, xbar) = systems_workload(n, 1, t);
-    let policies = paper_policies();
+    let ((cfg, trace), _) = systems_workload(n, 1, t);
+    let policies: Vec<_> = paper_policies()
+        .into_iter()
+        .filter(|(_, kind)| !kind.is_crossbar())
+        .collect();
 
     // The sequential reference is invariant in K: run (and time) it once
     // per policy, then sweep only the sharded runs.
     let references = parallel_map(&policies, |&(_, kind)| {
-        let (cfg, trace) = side(kind, &cioq, &xbar);
         // detlint: allow(D2) reason="speedup column reports wall time; never feeds simulation state"
         let t0 = Instant::now();
-        let seq = run_policy(kind, cfg, trace).expect("seq");
+        let seq = run_policy(kind, &cfg, &trace).expect("seq");
         (seq, t0.elapsed().as_secs_f64() * 1e3)
     });
 
@@ -1016,11 +1019,10 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
     // measures the host's scheduler (9–165 ms run to run) instead of the run.
     let rows = points.iter().map(|&(p, k)| {
         let (label, kind) = policies[p];
-        let (cfg, trace) = side(kind, &cioq, &xbar);
         // detlint: allow(D2) reason="speedup column reports wall time; never feeds simulation state"
         let t1 = Instant::now();
         let sharded = kind
-            .run_sharded(cfg, trace, ShardedOptions::new(k))
+            .run_sharded(&cfg, &trace, ShardedOptions::new(k))
             .expect("sharded run");
         let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
         let (seq, seq_ms) = &references[p];
@@ -1091,13 +1093,16 @@ fn fabric_sweep(
         let on = side(kind, &cioq, &xbar);
         let report = run_with(kind, on, on_fabric(&link));
         // Tripwire: `kind` on `k` inline shards over `link` books the
-        // totals of the sequential reference.
-        let ok = shard_counts.iter().all(|&k| {
-            let mut opts = ShardedOptions::new(k);
-            opts.fabric = link.clone();
-            opts.mode = ExecMode::Inline;
-            let sharded = kind.run_sharded(&on.0, &on.1, opts).expect("sharded run");
-            reports_agree(&report, &sharded.report)
+        // totals of the sequential reference. The sharded engine runs CIOQ
+        // policies only, so a crossbar row has no tripwire.
+        let ok = (!kind.is_crossbar()).then(|| {
+            shard_counts.iter().all(|&k| {
+                let mut opts = ShardedOptions::new(k);
+                opts.fabric = link.clone();
+                opts.mode = ExecMode::Inline;
+                let sharded = kind.run_sharded(&on.0, &on.1, opts).expect("sharded run");
+                reports_agree(&report, &sharded.report)
+            })
         });
         // Steady state: fixed arrival window, no drain — its backlog is
         // everything still buffered (or in flight) when the window closes.
@@ -1145,7 +1150,11 @@ fn fabric_sweep(
             format!("{:.3}", report.transmitted as f64 / offered),
             format!("{:.3}", *opt as f64 / report.benefit.0.max(1) as f64),
             format!("{:.2}", report.mean_latency()),
-            if *ok { "yes".into() } else { "DIVERGED".into() },
+            match ok {
+                Some(true) => "yes".into(),
+                Some(false) => "DIVERGED".into(),
+                None => "-".into(),
+            },
         ]);
         backlog.push(vec![
             label.to_string(),
@@ -1169,8 +1178,9 @@ fn fabric_sweep(
 /// of online scheduling plus fabric latency — and mean packet latency. An
 /// "agrees" tripwire runs the sharded engine (K ∈ {2, 4}, so shard widths
 /// both align and misalign with the port count) through its uniform
-/// delay-line transport on every point and checks report equality with the delayed
-/// sequential reference.
+/// delay-line transport on every CIOQ point and checks report equality with
+/// the delayed sequential reference; crossbar rows, which only the
+/// sequential engine runs, read `-`.
 ///
 /// Table 2 (steady state, drain off): backlog left in the switch —
 /// including packets still in flight — after a fixed arrival window, the
@@ -1199,9 +1209,9 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
 ///
 /// Table 1 (drained runs): benefit, delivered fraction, ratio against the
 /// zero-latency OPT upper bound, and mean packet latency, with a sharded
-/// (K = 2, rack-aligned *and* ring-exercising) agreement tripwire per
+/// (K = 2, rack-aligned *and* ring-exercising) agreement tripwire per CIOQ
 /// point: the sharded engine on the matrix fabric must book the exact totals of
-/// the sequential topology-aware reference.
+/// the sequential topology-aware reference (crossbar rows read `-`).
 ///
 /// Table 2 (steady state, drain off): backlog left in the switch —
 /// including packets still crossing between racks — after a fixed arrival

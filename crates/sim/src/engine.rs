@@ -171,11 +171,16 @@ fn max_retransmit_cap(faults: Option<&FaultPlan>) -> usize {
 /// Hard occupancy bound of one calendar bucket. A bucket holds every
 /// landing due at one slot; with heterogeneous pair delays those can be
 /// dispatched from up to `horizon` distinct source slots, each
-/// contributing at most one transfer per output per cycle across
-/// `speedup` cycles — plus, on a faulted run, a worst-case simultaneous
-/// release of every pair's retransmit FIFO into the same landing slot.
+/// contributing the transfers of `speedup` cycles — plus, on a faulted
+/// run, a worst-case simultaneous release of every pair's retransmit FIFO
+/// into the same landing slot. A CIOQ cycle is a matching, at most
+/// `min(N, M)` transfers; a crossbar's output subphase is not: every
+/// output may take a packet, so up to `M`.
 fn per_bucket_bound(config: &SwitchConfig, horizon: SlotId, faults: Option<&FaultPlan>) -> usize {
-    let ports = config.n_inputs.min(config.n_outputs);
+    let ports = match config.crossbar_capacity {
+        Some(_) => config.n_outputs,
+        None => config.n_inputs.min(config.n_outputs),
+    };
     let cap = max_retransmit_cap(faults);
     ports * config.speedup.max(1) as usize * horizon.max(1) as usize
         + config.n_inputs * config.n_outputs * cap

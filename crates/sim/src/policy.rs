@@ -132,6 +132,52 @@ pub trait CrossbarPolicy {
     }
 }
 
+/// A borrowed policy is a policy, so wrappers that own a sized `P` (the
+/// recorders) can wrap a `&mut dyn CioqPolicy`.
+impl<P: CioqPolicy + ?Sized> CioqPolicy for &mut P {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+    fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
+        (**self).admit(view, packet)
+    }
+    fn schedule(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
+        (**self).schedule(view, cycle, out)
+    }
+    fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {
+        (**self).transmit(view, output)
+    }
+}
+
+/// As for [`CioqPolicy`]: a borrowed crossbar policy is one too.
+impl<P: CrossbarPolicy + ?Sized> CrossbarPolicy for &mut P {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+    fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
+        (**self).admit(view, packet)
+    }
+    fn schedule_input(
+        &mut self,
+        view: &SwitchView<'_>,
+        cycle: Cycle,
+        out: &mut Vec<InputTransfer>,
+    ) {
+        (**self).schedule_input(view, cycle, out)
+    }
+    fn schedule_output(
+        &mut self,
+        view: &SwitchView<'_>,
+        cycle: Cycle,
+        out: &mut Vec<OutputTransfer>,
+    ) {
+        (**self).schedule_output(view, cycle, out)
+    }
+    fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {
+        (**self).transmit(view, output)
+    }
+}
+
 /// An illegal policy decision, caught and reported by the engine. Every
 /// variant names the offending context precisely; simulations never continue
 /// past an illegal decision.

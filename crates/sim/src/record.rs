@@ -118,8 +118,8 @@ impl RecordedCrossbarSchedule {
 }
 
 /// Wraps a [`CrossbarPolicy`], forwarding every decision while recording
-/// it. The crossbar analogue of [`Recording`], used by the sharded-engine
-/// equivalence tests to compare decision transcripts cycle by cycle.
+/// it. The crossbar analogue of [`Recording`], used by the equivalence
+/// tests to compare decision transcripts cycle by cycle.
 #[derive(Debug)]
 pub struct CrossbarRecording<P> {
     inner: P,

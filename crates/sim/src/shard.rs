@@ -1,8 +1,10 @@
-//! Sharded slot engine: the N ports split into K contiguous shards, each
-//! shard running its share of every phase — the K shards grouped onto
-//! T ≤ min(K, cores) barrier parties, the calling thread being party 0 —
-//! with cross-shard traffic batched per cycle and reconciled
-//! deterministically.
+//! Sharded slot engine for CIOQ switches: the N ports split into K
+//! contiguous shards, each shard running its share of every phase — the K
+//! shards grouped onto T ≤ min(K, cores) barrier parties, the calling
+//! thread being party 0 — with cross-shard traffic batched per cycle and
+//! reconciled deterministically. Buffered crossbars run on the sequential
+//! [`Engine`] only: their policies decide each port on its own, with no
+//! matching, so a cycle has too little work to split.
 //!
 //! ## Ownership model
 //!
@@ -12,25 +14,22 @@
 //! exactly one owning shard and **all mutation goes through the owner's
 //! band**, whose methods are the per-packet rules of both engines:
 //!
-//! * `Q_ij` (VOQs) and `C_ij` (crossbar queues) belong to the owner of input
-//!   row `i` — arrivals insert there, scheduling pops there.
+//! * `Q_ij` (VOQs) belong to the owner of input row `i` — arrivals insert
+//!   there, scheduling pops there.
 //! * `Q_j` (output queues) belong to the owner of output column `j` —
 //!   fabric transfers insert there, transmission pops there.
 //!
 //! What is this engine's own is everything *between* bands, and every
 //! hand-off there happens once per phase, never once per item. The
-//! coordinator publishes a cycle's decided transfer set whole, in one
+//! coordinator publishes a cycle's merged transfer set whole, in one
 //! cell; each row owner pops from it the transfers of its own rows. A
 //! transfer whose input row and output column live on different shards is
 //! *cross-shard*: the row owner dispatches the packet into the
 //! `(column owner, row owner)` delay ring — the sequential engine's
 //! `DelayCalendar`, at the pair's latency, 0 included — and the column
 //! owner lands it, after the cycle at latency 0 and as a later slot opens
-//! otherwise. Crossbar mutations are likewise forwarded as dirty-cell
-//! marks to the column owner, whose incremental column caches consume
-//! them — the band's [`ChangeLog`] discipline, stretched across shards. A
-//! policy error travels through `Comms::ok` to a sticky cell instead of
-//! `?`.
+//! otherwise. A policy error travels through `Comms::ok` to a sticky cell
+//! instead of `?`.
 //!
 //! ## Bit-identity
 //!
@@ -40,40 +39,34 @@
 //! proposals are combined by a *deterministic merge* that resolves contended
 //! crosspoints in fixed port order (ascending input for GM-style lexicographic
 //! greedy, `(weight desc, cell asc)` for PG-style weighted greedy); and all
-//! cross-shard batches are either per-queue unique within a cycle or
-//! idempotent (dirty marks), so apply order cannot influence the result.
-//! Thread scheduling therefore never changes a single decision — only how
-//! long the slot takes.
+//! cross-shard batches are per-queue unique within a cycle, so apply order
+//! cannot influence the result. Thread scheduling therefore never changes
+//! a single decision — only how long the slot takes.
 //!
-//! ## Where the two architectures, and the two engines, meet
+//! ## Where the two engines meet
 //!
-//! As in the sequential engine, §1.3's slot is written once:
-//! `run_sharded_feed` owns the preamble (partition, channels, workers,
-//! checkpoint cadence, the opening phase, transmission, audit) and the
-//! finish, and `worker_phase` the phases both architectures run. The
-//! opening phase exists once, whatever feeds the run: between barriers the
-//! coordinator pulls the slot's arrivals — from a trace cursor or a live
-//! stream — into one pooled batch and validates their ports; then every
-//! shard lands the ring bucket due now and admits, from that batch, the
-//! packets of the rows it owns.
-//! What a CIOQ switch and a buffered crossbar do differently — the worker
-//! type, the propose/apply phases of a scheduling cycle, the coordinator's
-//! half of that cycle and the shape of the recorded transcript — sits
-//! behind the private `ShardArch` trait, implemented once per policy
-//! family. The two engines meet in the band: admitting, popping toward the
-//! fabric, `Q_ij → C_ij`, delivery into `Q_j`, transmission, residual,
-//! checkpoint cells out and in, and the structural check are `QueueBand`
-//! methods both call; a checkpoint is the shards' cells in shard order, and
-//! `assemble_state` the shards' bands concatenated. They meet in the delay
-//! line too: one `DelayCalendar` there, one per shard pair here, landed by
-//! the one `transport::land` and captured by the one
-//! `SnapLanding::pending`; and in what policies read of the output side:
-//! one [`OutputSnapshot`], refreshed at the top of every scheduling cycle
-//! by the one `OutputSnapshot::refresh` — here over the shards' bands and
-//! the rings, into the coordinator's copy that proposals and merges are
-//! handed. And they meet in the view: a policy reads one [`SwitchView`]
-//! type in both engines — over the band `0..N` there, over a shard's band
-//! and the cycle's snapshot here — so one policy object's cache code runs
+//! `run_cioq_sharded_feed` owns the slot: the preamble (partition,
+//! channels, workers, checkpoint cadence), the opening phase, the
+//! scheduling cycles, transmission, audit and the finish; `worker_phase`
+//! runs each phase's share for one shard. The opening phase exists once,
+//! whatever feeds the run: between barriers the coordinator pulls the
+//! slot's arrivals — from a trace cursor or a live stream — into one
+//! pooled batch and validates their ports; then every shard lands the ring
+//! bucket due now and admits, from that batch, the packets of the rows it
+//! owns. The two engines meet in the band: admitting, popping toward the
+//! fabric, delivery into `Q_j`, transmission, residual, checkpoint cells
+//! out and in, and the structural check are `QueueBand` methods both call;
+//! a checkpoint is the shards' cells in shard order, and `assemble_state`
+//! the shards' bands concatenated. They meet in the delay line too: one
+//! `DelayCalendar` there, one per shard pair here, landed by the one
+//! `transport::land` and captured by the one `SnapLanding::pending`; and in
+//! what policies read of the output side: one [`OutputSnapshot`],
+//! refreshed at the top of every scheduling cycle by the one
+//! `OutputSnapshot::refresh` — here over the shards' bands and the rings,
+//! into the coordinator's copy that proposals and merges are handed. And
+//! they meet in the view: a policy reads one [`SwitchView`] type in both
+//! engines — over the band `0..N` there, over a shard's band and the
+//! cycle's snapshot here — so one policy object's cache code runs
 //! unchanged under either. Still per-engine: the slot loop itself, the
 //! policy traits (both families take that one view; folding them waits on
 //! one slot loop), the error transport and the fault layer, which only the
@@ -81,10 +74,9 @@
 //!
 //! [`Engine`]: crate::engine::Engine
 
-use crate::changes::ChangeLog;
 use crate::mechanics::{self, PortStamps};
-use crate::policy::{Admission, InputTransfer, OutputTransfer, PacketPick, PolicyError, Transfer};
-use crate::record::{RecordedCrossbarSchedule, RecordedSchedule};
+use crate::policy::{Admission, PacketPick, PolicyError, Transfer};
+use crate::record::RecordedSchedule;
 use crate::snapshot::{EngineSnapshot, SnapLanding};
 use crate::source::{ArrivalSource, TraceSource};
 use crate::state::{QueueBand, SwitchState, SwitchView};
@@ -94,7 +86,6 @@ use crate::sync::SpinBarrier;
 use crate::trace::Trace;
 use crate::transport::{self, DelayCalendar, FabricSpec, InFlightPacket, Landing, OutputSnapshot};
 use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
-use cioq_queues::SortedQueue;
 use std::any::Any;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -276,10 +267,8 @@ pub struct ShardedOutcome {
     /// The merged run report — field-for-field equal to the sequential
     /// engine's on the same input.
     pub report: RunReport,
-    /// CIOQ decision transcript, when recording was requested.
+    /// Decision transcript, when recording was requested.
     pub schedule: Option<RecordedSchedule>,
-    /// Crossbar decision transcript, when recording was requested.
-    pub crossbar_schedule: Option<RecordedCrossbarSchedule>,
     /// Final global switch state, when capture was requested.
     pub final_state: Option<SwitchState>,
     /// Snapshots taken at every `checkpoint_every` boundary, in slot
@@ -296,81 +285,6 @@ pub struct ShardedOutcome {
 /// the cycle's output snapshot. An alias, not a type: callers outside the
 /// workspace import the name.
 pub type ShardView<'a> = SwitchView<'a>;
-
-/// Read-only view over **every** shard's queues, alive only between
-/// barriers while no shard mutates. Proposal and merge steps read through
-/// it; global indices throughout.
-pub struct FabricView<'a> {
-    cfg: &'a SwitchConfig,
-    partition: &'a Partition,
-    /// Borrowed read guards, one per shard in shard order — a slice into
-    /// the worker's pooled guard buffer, so building a view per cycle
-    /// costs no allocation.
-    shards: &'a [RwLockReadGuard<'a, ShardState>],
-    slot: SlotId,
-}
-
-impl<'a> FabricView<'a> {
-    /// The switch configuration.
-    #[inline]
-    pub fn config(&self) -> &'a SwitchConfig {
-        self.cfg
-    }
-
-    /// The partition in force.
-    #[inline]
-    pub fn partition(&self) -> &'a Partition {
-        self.partition
-    }
-
-    /// Number of input ports.
-    #[inline]
-    pub fn n_inputs(&self) -> usize {
-        self.cfg.n_inputs
-    }
-
-    /// Number of output ports.
-    #[inline]
-    pub fn n_outputs(&self) -> usize {
-        self.cfg.n_outputs
-    }
-
-    /// Current slot.
-    #[inline]
-    pub fn slot(&self) -> SlotId {
-        self.slot
-    }
-
-    /// Input queue `Q_ij` (any row).
-    #[inline]
-    pub fn input_queue(&self, input: usize, output: usize) -> &'a SortedQueue {
-        let shard: &'a ShardState = &self.shards[self.partition.input_owner(input)];
-        shard.band.voq(PortId::from(input), PortId::from(output))
-    }
-
-    /// Crossbar queue `C_ij` (any row); panics on a CIOQ config.
-    #[inline]
-    pub fn crossbar_queue(&self, input: usize, output: usize) -> &'a SortedQueue {
-        let shard: &'a ShardState = &self.shards[self.partition.input_owner(input)];
-        shard.band.xbar(PortId::from(input), PortId::from(output))
-    }
-
-    /// Output queue `Q_j` (any column).
-    #[inline]
-    pub fn output_queue(&self, output: usize) -> &'a SortedQueue {
-        let shard: &'a ShardState = &self.shards[self.partition.output_owner(output)];
-        shard.band.output(PortId::from(output))
-    }
-
-    /// The change log of shard `s` — VOQ/crossbar cells in shard-local
-    /// indexing (`(i − in_lo)·M + j`), flushed once per scheduling call
-    /// exactly like the sequential engine's log.
-    #[inline]
-    pub fn changes(&self, shard: usize) -> &'a ChangeLog {
-        let shard: &'a ShardState = &self.shards[shard];
-        shard.band.changes()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Policy traits
@@ -500,60 +414,13 @@ pub trait CioqShardWorker: Send {
     );
 }
 
-/// A buffered-crossbar policy that can run sharded. Both subphases decide
-/// per-port with no cross-port contention, so no merge is needed: the
-/// engine concatenates per-shard proposals in shard order (= ascending port
-/// order, matching the sequential policies' iteration order).
-pub trait CrossbarShardPolicy: Sync {
-    /// Policy name (must match the sequential twin).
-    fn name(&self) -> &str;
-
-    /// Create the worker for shard `shard`.
-    fn new_worker(
-        &self,
-        shard: usize,
-        partition: &Partition,
-        cfg: &SwitchConfig,
-    ) -> Box<dyn CrossbarShardWorker>;
-}
-
-/// The per-shard worker half of a [`CrossbarShardPolicy`]. Admission and
-/// the input subphase get the shard's [`SwitchView`]; the output subphase,
-/// whose columns span every shard's rows, a [`FabricView`].
-pub trait CrossbarShardWorker: Send {
-    /// Admission for a packet arriving on an owned row.
-    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission;
-
-    /// Input subphase: ≤ 1 transfer per owned input row. Shard-local by
-    /// construction (row decisions read only owned rows).
-    fn propose_input(&mut self, shard: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<InputTransfer>);
-
-    /// Output subphase: ≤ 1 transfer per owned output column.
-    /// `inbound_xbar` is the batch of global crossbar cells other shards
-    /// dirtied in owned columns since this worker's previous output
-    /// proposal — the cross-shard half of the change-log discipline.
-    /// `outputs` is the cycle's output snapshot, taken at its top (virtual
-    /// fullness and tails — the only legal way to read output occupancy,
-    /// since a delayed fabric has committed packets the queues don't show
-    /// yet; the input subphase before this one touches no output).
-    fn propose_output(
-        &mut self,
-        fabric: &FabricView<'_>,
-        shard: usize,
-        inbound_xbar: &[u32],
-        outputs: &OutputSnapshot,
-        cycle: Cycle,
-        out: &mut Vec<OutputTransfer>,
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Internal shared state
 // ---------------------------------------------------------------------------
 
 /// One shard's owned slice of the switch plus its accounting.
 struct ShardState {
-    /// The queues this shard owns: its input rows' `Q_ij` / `C_ij`, its
+    /// The queues this shard owns: its input rows' `Q_ij`, its
     /// output columns' `Q_j`, and the change log over them — the same
     /// object the sequential engine holds for the whole switch.
     band: QueueBand,
@@ -570,12 +437,6 @@ struct Comms {
     /// The cycle's CIOQ transfer set, in merge order: swapped in by the
     /// coordinator under one write lock, popped by every row owner.
     transfers: RwLock<Vec<Transfer>>,
-    /// Per-shard crossbar input-subphase assignments.
-    in_assignments: Vec<Mutex<Vec<InputTransfer>>>,
-    /// Per-shard crossbar output-subphase proposals (its own columns).
-    out_assignments: Vec<Mutex<Vec<OutputTransfer>>>,
-    /// The output subphase's proposals in shard order, popped likewise.
-    out_transfers: RwLock<Vec<OutputTransfer>>,
     /// The packets between bands: one delay ring per (destination, source)
     /// shard pair, written by the source's pop phase, landed by the
     /// destination. Each is a [`DelayCalendar`] — the sequential engine's
@@ -599,11 +460,6 @@ struct Comms {
     /// also runs after every cycle. Never at K = 1, nor where the racks of
     /// a two-tier fabric line up with the bands.
     land_after_cycle: bool,
-    /// Forwarded crossbar dirty-mark batches, likewise (destination, source).
-    /// Dirty marks are control-plane traffic (cache coherence for the
-    /// column-side incremental caches), so they are never delayed — only
-    /// packets ride the delay line.
-    xbar_marks: Vec<Vec<Mutex<Vec<u32>>>>,
     /// The cycle's output snapshot, refreshed at its top.
     snapshot: RwLock<OutputSnapshot>,
     /// Current slot / cycle broadcast.
@@ -625,19 +481,7 @@ impl Comms {
         partition: &Partition,
         cfg: &SwitchConfig,
     ) -> Self {
-        // Every channel is reserved at its hard per-cycle bound up front,
-        // so the steady-state slot loop never grows a comms vector: each
-        // owned input pops at most once per cycle, so a (dest, src)
-        // ring-bucket / mark batch sees at most `rows(src)` entries per
-        // cycle (`rows(src) * speedup` per slot for cells that accumulate
-        // across a whole slot).
-        fn vecs<T>(k: usize, cap_of: impl Fn(usize) -> usize) -> Vec<Mutex<Vec<T>>> {
-            (0..k)
-                .map(|s| Mutex::new(Vec::with_capacity(cap_of(s))))
-                .collect()
-        }
         let speedup = cfg.speedup.max(1) as usize;
-        let rows = |s: usize| partition.input_range(s).len();
         // Heterogeneous ring depths: ring (dest, src) only needs buckets
         // for the worst latency between a src-owned input and a dest-owned
         // output, and its best one says whether it carries latency 0. One
@@ -652,7 +496,15 @@ impl Comms {
                 }
             }
             land_after_cycle |= dest != src && best == 0;
-            Mutex::new(DelayCalendar::with_reserve(worst, rows(src) * speedup))
+            // Reserved at its hard bound, so the steady-state slot loop
+            // never grows a bucket: a matching moves at most one packet
+            // per port per cycle, so one dispatch slot puts at most
+            // `min(rows, cols) * speedup` packets into a bucket, and a
+            // bucket gathers from up to `worst` dispatch slots (latency
+            // `1..=worst`; latency-0 dispatches land after their cycle).
+            let (rows, cols) = (partition.input_range(src), partition.output_range(dest));
+            let per_bucket = rows.len().min(cols.len()) * speedup * worst.max(1) as usize;
+            Mutex::new(DelayCalendar::with_reserve(worst, per_bucket))
         };
         let rings = (0..k)
             .map(|dest| (0..k).map(|src| ring(dest, src)).collect())
@@ -663,17 +515,10 @@ impl Comms {
                 .collect(),
             // A matching has at most one transfer per port on either side.
             transfers: RwLock::new(Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs))),
-            in_assignments: vecs(k, rows),
-            out_assignments: vecs(k, |s| partition.output_range(s).len()),
-            out_transfers: RwLock::new(Vec::with_capacity(cfg.n_outputs)),
             rings,
             horizon: spec.max_delay(),
             spec,
             land_after_cycle,
-            // Marks accumulate for up to a whole slot before the column
-            // owner drains them (one mark per crosspoint pop, in-side and
-            // out-side per cycle).
-            xbar_marks: (0..k).map(|_| vecs(k, |s| 2 * rows(s) * speedup)).collect(),
             snapshot: RwLock::new(OutputSnapshot::default()),
             slot: AtomicU64::new(0),
             cycle: AtomicU32::new(0),
@@ -772,22 +617,6 @@ impl Fabric<'_> {
         SwitchView::new(self.cfg, &state.band, outputs, slot, shard)
     }
 
-    fn view_of<'g>(&'g self, guards: &'g [RwLockReadGuard<'g, ShardState>]) -> FabricView<'g> {
-        FabricView {
-            cfg: self.cfg,
-            partition: &self.partition,
-            shards: guards,
-            slot: self.comms.slot.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Read-lock every shard into `out` (cleared first) — pooled variant
-    /// of a collect, so the per-cycle global view reuses one buffer.
-    fn read_all_into<'g>(&'g self, out: &mut Vec<RwLockReadGuard<'g, ShardState>>) {
-        out.clear();
-        out.extend(self.shards.iter().map(read));
-    }
-
     /// The run's statistics so far: every shard's share, summed.
     fn merged_stats(&self) -> StatsRecorder {
         let mut merged = StatsRecorder::new(self.cfg.n_outputs);
@@ -804,7 +633,7 @@ impl Fabric<'_> {
         for l in &self.shards {
             let st = read(l);
             transmitted += st.stats.transmitted;
-            moved += st.stats.transferred + st.stats.transferred_to_crossbar;
+            moved += st.stats.transferred;
         }
         (transmitted, moved)
     }
@@ -883,19 +712,15 @@ impl Fabric<'_> {
 /// then admits its rows from the batch — landing writes only owned `Q_j`,
 /// admission only owned `Q_ij`, each in the sequential engine's order.
 const PH_OPEN: u8 = 0;
+/// Every shard proposes its candidates for the cycle's merge.
 const PH_PROPOSE: u8 = 1;
 /// Row owners pop their transfers from the cycle's one published set.
 const PH_APPLY_POP: u8 = 2;
-const PH_PROPOSE_IN: u8 = 4;
-const PH_APPLY_IN: u8 = 5;
-const PH_PROPOSE_OUT: u8 = 6;
-/// [`PH_APPLY_POP`] for the crossbar output subphase's published set.
-const PH_APPLY_OUT_POP: u8 = 7;
-const PH_TRANSMIT: u8 = 8;
-const PH_EXIT: u8 = 9;
+const PH_TRANSMIT: u8 = 3;
+const PH_EXIT: u8 = 4;
 /// The post-cycle landing, run only when `Comms::land_after_cycle`: each
 /// column owner lands its rings' latency-0 dispatches of the cycle.
-const PH_LAND: u8 = 10;
+const PH_LAND: u8 = 5;
 
 // ---------------------------------------------------------------------------
 // Worker-side phase execution
@@ -968,96 +793,58 @@ fn land_phase(s: usize, fabric: &Fabric<'_>, gather: &mut Vec<Landing>) -> Optio
     fabric.comms.ok(landed)
 }
 
-/// Per-worker batching scratch: routed packets and forwarded dirty marks
-/// are collected per destination locally and flushed with one lock per
-/// destination per phase (instead of one lock per item).
-struct WorkerCtx<W> {
-    worker: W,
-    /// Per-destination staging for forwarded crossbar dirty marks.
-    marks: Vec<Vec<u32>>,
-    /// Reused gather buffer for inbound crossbar marks.
-    inbound_scratch: Vec<u32>,
+/// One shard's worker plus its pooled landing gather buffer.
+struct WorkerCtx {
+    worker: Box<dyn CioqShardWorker>,
     /// Reused gather buffer for the landing phase.
     land_scratch: Vec<Landing>,
 }
 
-impl<W> WorkerCtx<W> {
-    fn new(worker: W, k: usize, mark_cap: usize, land_cap: usize) -> Self {
-        WorkerCtx {
-            worker,
-            // Sized like the comms mark cells they swap buffers with, so
-            // the circulating pool never grows mid-run.
-            marks: (0..k).map(|_| Vec::with_capacity(mark_cap)).collect(),
-            inbound_scratch: Vec::new(),
-            land_scratch: Vec::with_capacity(land_cap),
-        }
-    }
-
-    fn flush_marks(&mut self, s: usize, fabric: &Fabric<'_>) {
-        for (dest, batch) in self.marks.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                let mut cell = lock(&fabric.comms.xbar_marks[dest][s]);
-                if cell.is_empty() {
-                    std::mem::swap(&mut *cell, batch);
-                } else {
-                    // The destination hasn't drained yet (marks accumulate
-                    // across subphases); append in that case.
-                    cell.append(batch);
-                }
-            }
-        }
-    }
-}
-
-/// Pooled per-worker guard buffers: the apply and propose phases lock a
-/// row of ring / shard locks each cycle, and collecting the guards into a
-/// fresh `Vec` every time was steady-state allocation. Guards never cross
-/// a barrier (every phase clears the buffers before returning), so only
-/// the capacity persists. One scratch lives per worker thread — created
-/// inside the thread because lock guards make the type `!Send`.
+/// Pooled per-party guard buffer: the pop phase locks a row of delay-ring
+/// locks each cycle, and collecting the guards into a fresh `Vec` every
+/// time was steady-state allocation. Guards never cross a barrier (the
+/// phase clears the buffer before returning), so only the capacity
+/// persists. One lives per party — created inside its thread, because lock
+/// guards make the type `!Send`.
 #[derive(Default)]
 struct PhaseScratch<'f> {
-    /// Read guards over every shard (global-view propose phases).
-    read_guards: Vec<RwLockReadGuard<'f, ShardState>>,
-    /// Per-destination delay-ring guards (apply-pop phases).
+    /// Per-destination delay-ring guards.
     ring_boxes: Vec<MutexGuard<'f, DelayCalendar>>,
 }
 
-/// The pop-and-route step of a scheduling cycle, shared by CIOQ transfers
-/// (`Q_ij → fabric`) and crossbar output-subphase transfers
-/// (`C_ij → fabric`): `assigned` is the cycle's published set filtered to
-/// shard `s`'s rows; `pop` takes each transfer's packet out of its source
-/// queue (marking what it dirties) and the packet is handed to the fabric —
-/// delivered at once, as the sequential engine's does, when its pair is at
-/// latency 0 and this shard owns its output, and otherwise dispatched into
-/// the column owner's ring at its latency.
+/// The pop-and-route step of a scheduling cycle: shard `s` pops, from the
+/// cycle's published set, the transfers of its own rows (`Q_ij → fabric`),
+/// and hands each packet to the fabric — delivered at once, as the
+/// sequential engine's is, when its pair is at latency 0 and this shard
+/// owns its output, and otherwise dispatched into the column owner's ring
+/// at its latency.
 // detlint: hot
-fn pop_and_route<'f, T>(
-    s: usize,
-    st: &mut ShardState,
-    fabric: &'f Fabric<'_>,
-    scr: &mut PhaseScratch<'f>,
-    assigned: impl Iterator<Item = T>,
-    mut pop: impl FnMut(&mut ShardState, T) -> Option<InFlightPacket>,
-) {
+fn apply_pop_phase<'f>(s: usize, fabric: &'f Fabric<'_>, scr: &mut PhaseScratch<'f>) {
     let comms = &fabric.comms;
     let cycle = comms.cycle_now();
+    let set = read(&comms.transfers);
+    let mut st = write(&fabric.shards[s]);
+    let st = &mut *st;
+    // The proposal consumed the change log; everything from here on
+    // accumulates for the next proposal (sequential flush point).
+    st.band.flush();
     // Each (dest, src) ring has exactly one writer per phase (this
     // worker), so holding the locks for the whole pop loop is
     // contention-free. The guards land in the pooled scratch buffer
     // (cleared below, before the barrier).
     scr.ring_boxes
         .extend(comms.rings.iter().map(|cells| lock(&cells[s])));
-    for t in assigned {
-        let Some(p) = pop(st, t) else {
+    let rows = st.band.rows();
+    for t in set.iter().filter(|t| rows.contains(&t.input.index())) {
+        let Some(p) = comms.ok(st.band.pop_transfer(t)) else {
             break;
         };
         let dest = fabric.partition.output_owner(p.output as usize);
         let d = comms.spec.delay(PortId(p.input), PortId(p.output));
         if d == 0 && dest == s {
             // Both endpoints owned: inserts touch `Q_j`, pops touch `Q_ij`
-            // / `C_ij` — the families are disjoint, so early delivery
-            // cannot perturb any pop.
+            // — the families are disjoint, so early delivery cannot
+            // perturb any pop.
             if comms.ok(deliver(st, p)).is_none() {
                 break;
             }
@@ -1071,13 +858,12 @@ fn pop_and_route<'f, T>(
     scr.ring_boxes.clear();
 }
 
-/// Worker phase dispatcher: the phases every architecture runs, with the
-/// rest handed to [`ShardArch::phase`].
+/// Worker phase dispatcher: shard `s`'s share of phase `ph`.
 // detlint: hot
-fn worker_phase<'f, A: ShardArch>(
+fn worker_phase<'f>(
     ph: u8,
     s: usize,
-    ctx: &mut WorkerCtx<A::Worker>,
+    ctx: &mut WorkerCtx,
     fabric: &'f Fabric<'_>,
     scr: &mut PhaseScratch<'f>,
 ) {
@@ -1088,14 +874,25 @@ fn worker_phase<'f, A: ShardArch>(
         PH_OPEN => {
             if land_phase(s, fabric, &mut ctx.land_scratch).is_some() {
                 let worker = &mut ctx.worker;
-                arrival_phase(s, fabric, |view, p| A::admit(worker, view, p));
+                arrival_phase(s, fabric, |view, p| worker.admit(view, p));
             }
         }
+        PH_PROPOSE => {
+            let st = read(&fabric.shards[s]);
+            let snap = fabric.comms.outputs();
+            let cycle = fabric.comms.cycle_now();
+            let view = fabric.shard_view(s, &st, &snap);
+            rewrite_cell(&fabric.comms.candidates[s], |out| {
+                out.clear();
+                ctx.worker.propose(&view, &snap, cycle, out);
+            });
+        }
+        PH_APPLY_POP => apply_pop_phase(s, fabric, scr),
         PH_LAND => {
             land_phase(s, fabric, &mut ctx.land_scratch);
         }
         PH_TRANSMIT => transmit_phase(s, fabric),
-        _ => A::phase(ph, s, ctx, fabric, scr),
+        _ => unreachable!("phase {ph} is not a worker phase"),
     }
 }
 
@@ -1467,83 +1264,18 @@ pub fn run_cioq_sharded_streamed(
     )
 }
 
+/// The sharded slot loop — §1.3's slot — on `threads` barrier parties.
 fn run_cioq_sharded_feed(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
-    feed: Feed<'_, '_>,
-    threads: usize,
-    options: ShardedOptions,
-) -> Result<ShardedOutcome, PolicyError> {
-    let arch = CioqSharded {
-        policy,
-        transfers: Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs)),
-        merge_scratch: MergeScratch::default(),
-        sets: (0..options.shards)
-            .map(|_| CandidateSet::default())
-            .collect(),
-        recorded: Vec::new(),
-    };
-    run_sharded_feed(cfg, arch, feed, threads, options)
-}
-
-/// Run a sharded buffered-crossbar policy over a recorded trace.
-///
-/// Produces a [`RunReport`] field-for-field equal to
-/// [`run_crossbar`](crate::engine::run_crossbar) with the sequential twin
-/// of `policy`, for every shard count and execution mode.
-pub fn run_crossbar_sharded(
-    cfg: &SwitchConfig,
-    policy: &dyn CrossbarShardPolicy,
-    trace: &Trace,
-    options: ShardedOptions,
-) -> Result<ShardedOutcome, PolicyError> {
-    let feed = Feed::trace(trace, &options);
-    run_crossbar_sharded_feed(cfg, policy, feed, options.parties(), options)
-}
-
-/// Run a sharded buffered-crossbar policy against a live
-/// [`StreamingSource`]; see [`run_cioq_sharded_streamed`].
-pub fn run_crossbar_sharded_streamed(
-    cfg: &SwitchConfig,
-    policy: &dyn CrossbarShardPolicy,
-    source: &mut StreamingSource,
-    options: ShardedOptions,
-) -> Result<ShardedOutcome, PolicyError> {
-    run_crossbar_sharded_feed(
-        cfg,
-        policy,
-        Feed::Stream(source),
-        options.parties(),
-        options,
-    )
-}
-
-fn run_crossbar_sharded_feed(
-    cfg: &SwitchConfig,
-    policy: &dyn CrossbarShardPolicy,
-    feed: Feed<'_, '_>,
-    threads: usize,
-    options: ShardedOptions,
-) -> Result<ShardedOutcome, PolicyError> {
-    let arch = CrossbarSharded {
-        policy,
-        proposals: Vec::with_capacity(cfg.n_outputs),
-        rec_in: Vec::new(),
-        rec_out: Vec::new(),
-    };
-    run_sharded_feed(cfg, arch, feed, threads, options)
-}
-
-/// The sharded slot loop — §1.3's slot, written once for both
-/// architectures (see [`ShardArch`]) — on `threads` barrier parties.
-fn run_sharded_feed<A: ShardArch>(
-    cfg: &SwitchConfig,
-    mut arch: A,
     mut feed: Feed<'_, '_>,
     threads: usize,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    arch.assert_config(cfg);
+    assert!(
+        cfg.crossbar_capacity.is_none(),
+        "run_cioq_sharded requires a CIOQ config"
+    );
     options.fabric.assert_covers(cfg);
     let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
     let k = partition.k();
@@ -1568,15 +1300,16 @@ fn run_sharded_feed<A: ShardArch>(
         comms,
     };
     let speedup = cfg.speedup.max(1) as usize;
-    let workers: Vec<WorkerCtx<A::Worker>> = (0..k)
+    let workers: Vec<WorkerCtx> = (0..k)
         .map(|s| {
-            let mark_cap = 2 * fabric.partition.input_range(s).len() * speedup;
             // A landing gathers at most one transfer per owned output per
             // cycle, from `speedup` cycles of up to `horizon` dispatch slots.
             let cols = fabric.partition.output_range(s).len();
             let land_cap = cols * speedup * fabric.comms.horizon.max(1) as usize;
-            let worker = arch.new_worker(s, &fabric.partition, cfg);
-            WorkerCtx::new(worker, k, mark_cap, land_cap)
+            WorkerCtx {
+                worker: policy.new_worker(s, &fabric.partition, cfg),
+                land_scratch: Vec::with_capacity(land_cap),
+            }
         })
         .collect();
     let (start_slot, start_idle) = options
@@ -1586,6 +1319,13 @@ fn run_sharded_feed<A: ShardArch>(
     feed.check_resume(start_slot, &options);
 
     let land_after_cycle = fabric.comms.land_after_cycle;
+    let mut merge = Merge {
+        policy,
+        transfers: Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs)),
+        scratch: MergeScratch::default(),
+        sets: (0..k).map(|_| CandidateSet::default()).collect(),
+        recorded: Vec::new(),
+    };
     let mut final_slot: SlotId = 0;
     let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
 
@@ -1594,7 +1334,7 @@ fn run_sharded_feed<A: ShardArch>(
         &fabric.comms,
         workers,
         PhaseScratch::default,
-        |ph, s, w, scr| worker_phase::<A>(ph, s, w, &fabric, scr),
+        |ph, s, w, scr| worker_phase(ph, s, w, &fabric, scr),
         |do_phase| {
             let mut slot: SlotId = start_slot;
             let mut idle_slots = start_idle;
@@ -1637,7 +1377,9 @@ fn run_sharded_feed<A: ShardArch>(
                 for s in 0..cfg.speedup {
                     fabric.comms.cycle.store(s, Ordering::Relaxed);
                     fabric.refresh_snapshot();
-                    arch.cycle(&fabric, &mut stamps, do_phase)?;
+                    do_phase(PH_PROPOSE)?;
+                    merge.publish(&fabric, &mut stamps)?;
+                    do_phase(PH_APPLY_POP)?;
                     if land_after_cycle {
                         do_phase(PH_LAND)?;
                     }
@@ -1658,88 +1400,35 @@ fn run_sharded_feed<A: ShardArch>(
     )?;
 
     let (report, final_state, admissions) =
-        finish_run(&fabric, arch.name().to_string(), final_slot, &options);
-    let mut outcome = ShardedOutcome {
+        finish_run(&fabric, policy.name().to_string(), final_slot, &options);
+    let schedule = options.record.then(|| {
+        let schedule = RecordedSchedule {
+            admissions,
+            transfers: merge.recorded,
+            fabric_delay: report.fabric_delay,
+        };
+        if cfg!(debug_assertions) {
+            if let Err(msg) = crate::invariants::check_schedule(&schedule, cfg) {
+                panic!("sharded run produced an invalid schedule transcript: {msg}");
+            }
+        }
+        schedule
+    });
+    Ok(ShardedOutcome {
         report,
-        schedule: None,
-        crossbar_schedule: None,
+        schedule,
         final_state,
         checkpoints,
-    };
-    if options.record {
-        arch.record(admissions, cfg, &mut outcome);
-    }
-    Ok(outcome)
+    })
 }
 
-// ---------------------------------------------------------------------------
-// The architecture seam
-// ---------------------------------------------------------------------------
-
-/// What the sharded slot loop asks of an architecture — the counterpart of
-/// the sequential engine's `Arch`. §1.3 defines one slot for both; they
-/// part ways only inside the scheduling cycle, which here has a worker
-/// side ([`phase`](Self::phase): propose, pop) and a coordinator side
-/// ([`cycle`](Self::cycle): merge or concatenate, validate, record,
-/// publish). The implementor is the coordinator's state for one run: its
-/// pooled buffers and the transcript it records. Statically dispatched:
-/// [`run_sharded_feed`] is monomorphised per architecture.
-trait ShardArch {
-    /// The per-shard worker the policy creates.
-    type Worker: Send;
-
-    /// Policy name for the report.
-    fn name(&self) -> &str;
-
-    /// Panic unless `cfg` describes this architecture.
-    fn assert_config(&self, cfg: &SwitchConfig);
-
-    /// The worker for shard `shard`.
-    fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker;
-
-    /// Arrival phase: the worker's decision for one packet.
-    fn admit(worker: &mut Self::Worker, view: &SwitchView<'_>, packet: &Packet) -> Admission;
-
-    /// Run phase `ph` — one only this architecture has — for shard `s`.
-    fn phase<'f>(
-        ph: u8,
-        s: usize,
-        ctx: &mut WorkerCtx<Self::Worker>,
-        fabric: &'f Fabric<'_>,
-        scr: &mut PhaseScratch<'f>,
-    );
-
-    /// One scheduling cycle, coordinator side, up to and including the
-    /// phase that pops packets toward the fabric. Transfer sets are
-    /// validated on `stamps` and recorded when the run asked for it.
-    fn cycle(
-        &mut self,
-        fabric: &Fabric<'_>,
-        stamps: &mut PortStamps,
-        do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
-    ) -> Result<(), PolicyError>;
-
-    /// Turn the recorded decisions into the outcome's transcript (checked
-    /// by the invariant auditor in debug builds).
-    fn record(self, admissions: Vec<bool>, cfg: &SwitchConfig, outcome: &mut ShardedOutcome);
-}
-
-/// `(input, output)` of every transfer, as transcripts record them.
-fn recorded<T: Copy>(transfers: &[T], pair: impl Fn(T) -> (PortId, PortId)) -> Vec<(u16, u16)> {
-    transfers
-        .iter()
-        .map(|&t| pair(t))
-        .map(|(input, output)| (input.0, output.0))
-        .collect()
-}
-
-/// CIOQ: workers propose candidates, the coordinator merges them into the
-/// cycle's matching.
-struct CioqSharded<'p> {
+/// The coordinator's side of a scheduling cycle: its pooled buffers and
+/// the transcript it records.
+struct Merge<'p> {
     policy: &'p dyn CioqShardPolicy,
     /// The merge's output, swapped with `Comms::transfers` to publish it.
     transfers: Vec<Transfer>,
-    merge_scratch: MergeScratch,
+    scratch: MergeScratch,
     /// Coordinator-side mirror of the per-shard proposal payloads: swapped
     /// with the mutex contents around each merge (and swapped back after),
     /// so reading every shard's candidates costs two lock rounds and zero
@@ -1748,295 +1437,42 @@ struct CioqSharded<'p> {
     recorded: Vec<Vec<(u16, u16)>>,
 }
 
-impl ShardArch for CioqSharded<'_> {
-    type Worker = Box<dyn CioqShardWorker>;
-
-    fn name(&self) -> &str {
-        self.policy.name()
-    }
-
-    fn assert_config(&self, cfg: &SwitchConfig) {
-        assert!(
-            cfg.crossbar_capacity.is_none(),
-            "run_cioq_sharded requires a CIOQ config"
-        );
-    }
-
-    fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker {
-        self.policy.new_worker(shard, partition, cfg)
-    }
-
-    fn admit(worker: &mut Self::Worker, view: &SwitchView<'_>, packet: &Packet) -> Admission {
-        worker.admit(view, packet)
-    }
-
-    // detlint: hot
-    fn phase<'f>(
-        ph: u8,
-        s: usize,
-        ctx: &mut WorkerCtx<Self::Worker>,
-        fabric: &'f Fabric<'_>,
-        scr: &mut PhaseScratch<'f>,
-    ) {
-        match ph {
-            PH_PROPOSE => {
-                let st = read(&fabric.shards[s]);
-                let snap = fabric.comms.outputs();
-                let cycle = fabric.comms.cycle_now();
-                let view = fabric.shard_view(s, &st, &snap);
-                rewrite_cell(&fabric.comms.candidates[s], |out| {
-                    out.clear();
-                    ctx.worker.propose(&view, &snap, cycle, out);
-                });
-            }
-            PH_APPLY_POP => {
-                let set = read(&fabric.comms.transfers);
-                let mut st = write(&fabric.shards[s]);
-                // The proposal consumed the change log; everything from
-                // here on accumulates for the next proposal (sequential
-                // flush point).
-                st.band.flush();
-                let rows = st.band.rows();
-                let mine = set.iter().filter(|t| rows.contains(&t.input.index()));
-                pop_and_route(s, &mut st, fabric, scr, mine, |st, t| {
-                    fabric.comms.ok(st.band.pop_transfer(t))
-                });
-            }
-            _ => unreachable!("phase {ph} is not a CIOQ phase"),
-        }
-    }
-
-    fn cycle(
-        &mut self,
-        fabric: &Fabric<'_>,
-        stamps: &mut PortStamps,
-        do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
-    ) -> Result<(), PolicyError> {
+impl Merge<'_> {
+    /// Merge the shards' proposals into the cycle's matching (coordinator
+    /// only, state frozen), validate it on `stamps`, record it when the run
+    /// asked for it, and publish it whole for the pop phase.
+    fn publish(&mut self, fabric: &Fabric<'_>, stamps: &mut PortStamps) -> Result<(), PolicyError> {
         let cfg = fabric.cfg;
-        do_phase(PH_PROPOSE)?;
-
-        // Deterministic merge (coordinator only, state frozen).
         self.transfers.clear();
-        {
-            // Swap each shard's payload out of its mutex, merge over the
-            // owned mirror, then swap back — the workers are parked at the
-            // barrier, so the mutex contents are unobserved in between and
-            // end up exactly as published (the edit-publish handshake sees
-            // nothing).
-            for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
-                std::mem::swap(cs, &mut *lock(m));
-            }
-            let ctx = MergeContext {
-                cfg,
-                partition: &fabric.partition,
-                outputs: &fabric.comms.outputs(),
-                cycle: fabric.comms.cycle_now(),
-                candidates: &self.sets,
-            };
-            self.policy
-                .merge(&ctx, &mut self.merge_scratch, &mut self.transfers);
-            for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
-                std::mem::swap(cs, &mut *lock(m));
-            }
+        // Swap each shard's payload out of its mutex, merge over the owned
+        // mirror, then swap back — the workers are parked at the barrier,
+        // so the mutex contents are unobserved in between and end up
+        // exactly as published (the edit-publish handshake sees nothing).
+        for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
+            std::mem::swap(cs, &mut *lock(m));
+        }
+        let ctx = MergeContext {
+            cfg,
+            partition: &fabric.partition,
+            outputs: &fabric.comms.outputs(),
+            cycle: fabric.comms.cycle_now(),
+            candidates: &self.sets,
+        };
+        self.policy
+            .merge(&ctx, &mut self.scratch, &mut self.transfers);
+        for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
+            std::mem::swap(cs, &mut *lock(m));
         }
         stamps.begin(cfg.n_inputs, cfg.n_outputs);
         let pairs = self.transfers.iter().map(|t| (t.input, t.output));
         stamps.check(cfg, pairs, true, true)?;
         if fabric.comms.record {
-            let pairs = recorded(&self.transfers, |t| (t.input, t.output));
-            self.recorded.push(pairs);
+            let pairs = self.transfers.iter().map(|t| (t.input.0, t.output.0));
+            self.recorded.push(pairs.collect());
         }
         // Publish the set whole; the previous one comes back as the pool.
         std::mem::swap(&mut self.transfers, &mut *write(&fabric.comms.transfers));
-        do_phase(PH_APPLY_POP)
-    }
-
-    fn record(self, admissions: Vec<bool>, cfg: &SwitchConfig, outcome: &mut ShardedOutcome) {
-        let schedule = RecordedSchedule {
-            admissions,
-            transfers: self.recorded,
-            fabric_delay: outcome.report.fabric_delay,
-        };
-        if cfg!(debug_assertions) {
-            if let Err(msg) = crate::invariants::check_schedule(&schedule, cfg) {
-                panic!("sharded run produced an invalid schedule transcript: {msg}");
-            }
-        }
-        outcome.schedule = Some(schedule);
-    }
-}
-
-/// Buffered crossbar: both subphases decide per port with no cross-port
-/// contention, so the coordinator only concatenates, validates and — for
-/// the output subphase — publishes the concatenation for the row owners.
-struct CrossbarSharded<'p> {
-    policy: &'p dyn CrossbarShardPolicy,
-    /// The output subphase's proposals, swapped into `Comms::out_transfers`.
-    proposals: Vec<OutputTransfer>,
-    rec_in: Vec<Vec<(u16, u16)>>,
-    rec_out: Vec<Vec<(u16, u16)>>,
-}
-
-impl ShardArch for CrossbarSharded<'_> {
-    type Worker = Box<dyn CrossbarShardWorker>;
-
-    fn name(&self) -> &str {
-        self.policy.name()
-    }
-
-    fn assert_config(&self, cfg: &SwitchConfig) {
-        assert!(
-            cfg.crossbar_capacity.is_some(),
-            "run_crossbar_sharded requires a crossbar config"
-        );
-    }
-
-    fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker {
-        self.policy.new_worker(shard, partition, cfg)
-    }
-
-    fn admit(worker: &mut Self::Worker, view: &SwitchView<'_>, packet: &Packet) -> Admission {
-        worker.admit(view, packet)
-    }
-
-    // detlint: hot
-    fn phase<'f>(
-        ph: u8,
-        s: usize,
-        ctx: &mut WorkerCtx<Self::Worker>,
-        fabric: &'f Fabric<'_>,
-        scr: &mut PhaseScratch<'f>,
-    ) {
-        let m = fabric.cfg.n_outputs;
-        let cycle = fabric.comms.cycle_now();
-        match ph {
-            PH_PROPOSE_IN => {
-                let st = read(&fabric.shards[s]);
-                let snap = fabric.comms.outputs();
-                let view = fabric.shard_view(s, &st, &snap);
-                rewrite_cell(&fabric.comms.in_assignments[s], |out| {
-                    out.clear();
-                    ctx.worker.propose_input(&view, cycle, out);
-                });
-            }
-            PH_APPLY_IN => {
-                let mut asg = lock(&fabric.comms.in_assignments[s]);
-                let mut st = write(&fabric.shards[s]);
-                let st = &mut *st;
-                st.band.flush();
-                for t in asg.drain(..) {
-                    let (i, j) = (t.input.index(), t.output.index());
-                    let moved = st.band.move_to_xbar(&mut st.stats, false, &t);
-                    if fabric.comms.ok(moved).is_none() {
-                        break;
-                    }
-                    // Forward the dirty crosspoint to the column owner's
-                    // cache (batched, flushed below).
-                    ctx.marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
-                }
-                ctx.flush_marks(s, fabric);
-            }
-            PH_PROPOSE_OUT => {
-                let mut inbound = std::mem::take(&mut ctx.inbound_scratch);
-                inbound.clear();
-                for src in &fabric.comms.xbar_marks[s] {
-                    inbound.append(&mut lock(src));
-                }
-                fabric.read_all_into(&mut scr.read_guards);
-                let view = fabric.view_of(&scr.read_guards);
-                let snap = fabric.comms.outputs();
-                rewrite_cell(&fabric.comms.out_assignments[s], |out| {
-                    out.clear();
-                    ctx.worker
-                        .propose_output(&view, s, &inbound, &snap, cycle, out);
-                });
-                drop(snap);
-                scr.read_guards.clear();
-                ctx.inbound_scratch = inbound;
-            }
-            PH_APPLY_OUT_POP => {
-                let set = read(&fabric.comms.out_transfers);
-                let mut st = write(&fabric.shards[s]);
-                let rows = st.band.rows();
-                let mine = set.iter().filter(|t| rows.contains(&t.input.index()));
-                let marks = &mut ctx.marks;
-                pop_and_route(s, &mut st, fabric, scr, mine, |st, t| {
-                    let (i, j) = (t.input.index(), t.output.index());
-                    let p = fabric.comms.ok(st.band.pop_output_transfer(t))?;
-                    // The crosspoint pop is control-plane news wherever the
-                    // packet goes: the column cache must see `C_ij` shrink
-                    // now.
-                    marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
-                    Some(p)
-                });
-                drop(st);
-                ctx.flush_marks(s, fabric);
-            }
-            _ => unreachable!("phase {ph} is not a crossbar phase"),
-        }
-    }
-
-    fn cycle(
-        &mut self,
-        fabric: &Fabric<'_>,
-        stamps: &mut PortStamps,
-        do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
-    ) -> Result<(), PolicyError> {
-        let cfg = fabric.cfg;
-        let record = fabric.comms.record;
-        do_phase(PH_PROPOSE_IN)?;
-        // Concatenated in shard order = ascending input port order;
-        // validate the ≤ 1-per-input-port property, one owner's cell at a
-        // time.
-        {
-            let mut rec = Vec::new();
-            stamps.begin(cfg.n_inputs, cfg.n_outputs);
-            for cell in &fabric.comms.in_assignments {
-                let cell = lock(cell);
-                stamps.check(cfg, cell.iter().map(|t| (t.input, t.output)), true, false)?;
-                if record {
-                    rec.extend(recorded(&cell, |t| (t.input, t.output)));
-                }
-            }
-            if record {
-                self.rec_in.push(rec);
-            }
-        }
-        // The output subphase reads the snapshot taken at the cycle's top:
-        // the input subphase moves `Q_ij → C_ij` and touches no output.
-        do_phase(PH_APPLY_IN)?;
-        do_phase(PH_PROPOSE_OUT)?;
-        // The proposals, concatenated, are the set the *row* owners pop
-        // from; validate ≤ 1 per output port first.
-        let proposals = &mut self.proposals;
-        proposals.clear();
-        for cell in &fabric.comms.out_assignments {
-            proposals.append(&mut lock(cell));
-        }
-        stamps.begin(cfg.n_inputs, cfg.n_outputs);
-        let pairs = proposals.iter().map(|t| (t.input, t.output));
-        stamps.check(cfg, pairs, false, true)?;
-        if record {
-            self.rec_out
-                .push(recorded(proposals, |t| (t.input, t.output)));
-        }
-        std::mem::swap(proposals, &mut *write(&fabric.comms.out_transfers));
-        do_phase(PH_APPLY_OUT_POP)
-    }
-
-    fn record(self, admissions: Vec<bool>, cfg: &SwitchConfig, outcome: &mut ShardedOutcome) {
-        let schedule = RecordedCrossbarSchedule {
-            admissions,
-            input_transfers: self.rec_in,
-            output_transfers: self.rec_out,
-            fabric_delay: outcome.report.fabric_delay,
-        };
-        if cfg!(debug_assertions) {
-            if let Err(msg) = crate::invariants::check_crossbar_schedule(&schedule, cfg) {
-                panic!("sharded run produced an invalid schedule transcript: {msg}");
-            }
-        }
-        outcome.crossbar_schedule = Some(schedule);
+        Ok(())
     }
 }
 
@@ -2066,8 +1502,8 @@ mod tests {
     // -- The party topology: T-independence and failure paths ---------------
     //
     // `cioq_core`'s sharded policies sit above this crate, so these tests
-    // drive the engine with cache-free, paper-direct versions of the four
-    // algorithms written against the shard traits alone.
+    // drive the engine with cache-free, paper-direct versions of GM and PG
+    // written against the shard traits alone.
 
     use cioq_model::{exceeds_factor, Topology};
     use rand::rngs::SmallRng;
@@ -2174,105 +1610,6 @@ mod tests {
         }
     }
 
-    /// CGU (`params: None`, first fit) or CPG (`params: Some((β, α))`,
-    /// per-port argmax with preemption thresholds).
-    struct Xbar {
-        params: Option<(f64, f64)>,
-    }
-
-    impl CrossbarShardPolicy for Xbar {
-        fn name(&self) -> &str {
-            "xbar"
-        }
-
-        fn new_worker(
-            &self,
-            _: usize,
-            _: &Partition,
-            _: &SwitchConfig,
-        ) -> Box<dyn CrossbarShardWorker> {
-            Box::new(Xbar {
-                params: self.params,
-            })
-        }
-    }
-
-    /// First candidate (CGU) or the greatest, ties to the lowest port (CPG).
-    fn choose(
-        params: Option<(f64, f64)>,
-        it: impl Iterator<Item = (Value, usize)>,
-    ) -> Option<(Value, usize)> {
-        let mut it = it;
-        match params {
-            None => it.next(),
-            Some(_) => it.min_by_key(|&(v, port)| (std::cmp::Reverse(v), port)),
-        }
-    }
-
-    impl CrossbarShardWorker for Xbar {
-        fn admit(&mut self, shard: &SwitchView<'_>, p: &Packet) -> Admission {
-            admit_by_value(shard, p, self.params.is_some())
-        }
-
-        fn propose_input(
-            &mut self,
-            shard: &SwitchView<'_>,
-            _: Cycle,
-            out: &mut Vec<InputTransfer>,
-        ) {
-            for i in shard.input_range() {
-                let input = PortId::from(i);
-                let eligible = (0..shard.n_outputs()).filter_map(|j| {
-                    let v = shard.input_queue(input, PortId::from(j)).head_value()?;
-                    let c = shard.crossbar_queue(input, PortId::from(j));
-                    let ok = !c.is_full()
-                        || self.params.is_some_and(|(beta, _)| {
-                            exceeds_factor(v, beta, c.tail_value().expect("full"))
-                        });
-                    ok.then_some((v, j))
-                });
-                if let Some((_, j)) = choose(self.params, eligible) {
-                    out.push(InputTransfer {
-                        input,
-                        output: PortId::from(j),
-                        pick: PacketPick::Greatest,
-                        preempt_if_full: self.params.is_some(),
-                    });
-                }
-            }
-        }
-
-        fn propose_output(
-            &mut self,
-            fabric: &FabricView<'_>,
-            shard: usize,
-            _: &[u32],
-            outputs: &OutputSnapshot,
-            _: Cycle,
-            out: &mut Vec<OutputTransfer>,
-        ) {
-            for j in fabric.partition().output_range(shard) {
-                let heads = (0..fabric.n_inputs())
-                    .filter_map(|i| Some((fabric.crossbar_queue(i, j).head_value()?, i)));
-                let Some((v, i)) = choose(self.params, heads) else {
-                    continue;
-                };
-                let ok = !outputs.full[j]
-                    || self
-                        .params
-                        .is_some_and(|(_, alpha)| exceeds_factor(v, alpha, outputs.tail[j]));
-                if ok {
-                    out.push(OutputTransfer {
-                        input: PortId::from(i),
-                        output: PortId::from(j),
-                        pick: PacketPick::Greatest,
-                        preempt_if_full: self.params.is_some(),
-                    });
-                }
-            }
-        }
-    }
-
     /// Overloaded, output-skewed traffic: queues fill, so rejects,
     /// preemptions and contended outputs all occur.
     fn skewed_trace(max_value: Value) -> Trace {
@@ -2311,10 +1648,7 @@ mod tests {
     type Fingerprint = (RunReport, String, Vec<Vec<u8>>);
 
     fn fingerprint(outcome: ShardedOutcome) -> Fingerprint {
-        let transcript_and_state = format!(
-            "{:?} {:?} {:?}",
-            outcome.schedule, outcome.crossbar_schedule, outcome.final_state
-        );
+        let transcript_and_state = format!("{:?} {:?}", outcome.schedule, outcome.final_state);
         let checkpoints = outcome.checkpoints.iter().map(|c| c.to_bytes()).collect();
         (outcome.report, transcript_and_state, checkpoints)
     }
@@ -2322,19 +1656,11 @@ mod tests {
     #[test]
     fn results_do_not_depend_on_the_party_count() {
         let cioq = SwitchConfig::cioq(PORTS, 2, 2);
-        let xbar = SwitchConfig::crossbar(PORTS, 2, 1, 2);
         let (unit, valued) = (skewed_trace(1), skewed_trace(16));
         let run_cioq = |beta, trace: &Trace, t| {
             let policy = Greedy { beta };
             let feed = Feed::Trace(TraceSource::new(trace));
             fingerprint(run_cioq_sharded_feed(&cioq, &policy, feed, t, two_tier_options()).unwrap())
-        };
-        let run_xbar = |params, trace: &Trace, t| {
-            let policy = Xbar { params };
-            let feed = Feed::Trace(TraceSource::new(trace));
-            fingerprint(
-                run_crossbar_sharded_feed(&xbar, &policy, feed, t, two_tier_options()).unwrap(),
-            )
         };
         let check = |name: &str, run: &dyn Fn(usize) -> Fingerprint| {
             let inline = run(1);
@@ -2347,8 +1673,6 @@ mod tests {
         };
         check("GM", &|t| run_cioq(None, &unit, t));
         check("PG", &|t| run_cioq(Some(2.4), &valued, t));
-        check("CGU", &|t| run_xbar(None, &unit, t));
-        check("CPG", &|t| run_xbar(Some((2.0, 2.0)), &valued, t));
     }
 
     /// The post-cycle landing runs only where a pair across shard bands has

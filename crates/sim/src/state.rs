@@ -852,7 +852,7 @@ mod tests {
         }
         // In flight: one each toward 63 and 64 (below 64's landed tail) and
         // toward 69, where nothing has landed.
-        let mut cal = DelayCalendar::with_reserve(2, 0);
+        let mut cal = DelayCalendar::with_reserve(2, 3);
         for (id, value, j) in [(4, 6, 63), (5, 2, 64), (6, 4, 69)] {
             cal.dispatch(0, 0, 2, wire(id, value, j));
         }

@@ -235,12 +235,21 @@ impl DelayCalendar {
 
     /// Commit a packet dispatched in cycle `cycle` of `slot` on a pair at
     /// latency `d` to land at the start of slot `slot + d` (`d = 0`: after
-    /// the cycle).
+    /// the cycle). Debug builds check that the push stays within the
+    /// bucket's reservation: a bucket that grew was reserved below its
+    /// bound.
     #[inline]
     // detlint: hot
     pub(crate) fn dispatch(&mut self, slot: SlotId, cycle: u32, d: SlotId, p: InFlightPacket) {
         debug_assert!(d < self.buckets.len() as SlotId, "pair delay out of range");
-        self.bucket(slot + d).push(Landing { slot, cycle, p });
+        let bucket = self.bucket(slot + d);
+        debug_assert!(
+            bucket.len() < bucket.capacity(),
+            "delay-line bucket landing at slot {} outgrew its reservation of {}",
+            slot + d,
+            bucket.capacity()
+        );
+        bucket.push(Landing { slot, cycle, p });
     }
 
     /// Visit every packet currently committed to the wire (all buckets),
@@ -461,7 +470,7 @@ mod tests {
 
     #[test]
     fn calendar_lands_exactly_d_slots_later() {
-        let mut cal = DelayCalendar::with_reserve(3, 0);
+        let mut cal = DelayCalendar::with_reserve(3, 2);
         cal.dispatch(5, 0, 3, mk(0, 0, 10));
         cal.dispatch(5, 1, 3, mk(0, 0, 11));
         cal.dispatch(6, 0, 3, mk(0, 0, 12));
@@ -480,7 +489,7 @@ mod tests {
         // Pair latencies 1 and 3 under one horizon-3 calendar: a slot-2
         // dispatch at d=3 and a slot-4 dispatch at d=1 both land at 5, and
         // the canonical order puts the older dispatch first.
-        let mut cal = DelayCalendar::with_reserve(3, 0);
+        let mut cal = DelayCalendar::with_reserve(3, 2);
         cal.dispatch(4, 0, 1, mk(3, 0, 10));
         cal.dispatch(2, 0, 3, mk(7, 1, 30));
         assert_eq!(land_at(&mut cal, 5), [30, 10], "earlier dispatch first");
@@ -492,7 +501,7 @@ mod tests {
     #[test]
     fn latency_zero_and_the_horizon_land_apart() {
         const D: SlotId = 4;
-        let mut cal = DelayCalendar::with_reserve(D, 0);
+        let mut cal = DelayCalendar::with_reserve(D, 2);
         let t = 9;
         cal.dispatch(t, 0, 0, mk(0, 0, 10));
         cal.dispatch(t, 0, D, mk(1, 1, 20));
@@ -505,7 +514,7 @@ mod tests {
 
     #[test]
     fn landing_stops_at_the_first_error() {
-        let mut cal = DelayCalendar::with_reserve(1, 0);
+        let mut cal = DelayCalendar::with_reserve(1, 2);
         cal.dispatch(0, 0, 1, mk(0, 0, 10));
         cal.dispatch(0, 0, 1, mk(0, 1, 20));
         let mut delivered = 0;

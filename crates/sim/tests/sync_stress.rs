@@ -2,8 +2,8 @@
 //! protocol: the [`SpinBarrier`] phase discipline and the per-(dest, src)
 //! cell pattern built on top of it — a `Mutex<_>` cell written by one
 //! party before a barrier crossing and drained by another after it, which
-//! is how `shard.rs` forwards crossbar dirty marks (`xbar_marks`) and
-//! hands cross-shard packets over through its delay rings.
+//! is how `shard.rs` hands proposals to the merge and cross-shard packets
+//! over through its delay rings.
 //!
 //! The lockstep equivalence suites only sample the schedules a real run
 //! produces; these tests adversarially permute thread arrival order with

@@ -100,8 +100,8 @@ fn s1_sharded_sweep_agrees_with_sequential() {
         !rendered.contains("DIVERGED"),
         "sharded sweep diverged from the sequential engine:\n{rendered}"
     );
-    // 4 policies × K ∈ {1, 2, 4}.
-    assert_eq!(tables[0].len(), 12);
+    // GM and PG (the sharded engine is CIOQ-only) × K ∈ {1, 2, 4}.
+    assert_eq!(tables[0].len(), 6);
     // Frozen without the two wall-clock columns (the last two): every row
     // cut where the header's `seq ms` starts, and the rule line — whose
     // length follows the column widths — dropped.
@@ -119,7 +119,7 @@ fn s1_sharded_sweep_agrees_with_sequential() {
             }
         })
         .collect();
-    assert_frozen("S1", &timeless.join("\n"), 0x11e5_e39d_a3f5_62c1);
+    assert_frozen("S1", &timeless.join("\n"), 0xef32_cc5b_633d_a394);
 }
 
 #[test]
@@ -134,7 +134,7 @@ fn s2_delay_sweep_degrades_monotonically_enough() {
     // 4 policies × d ∈ {0, 1, 2, 4, 8} in both tables.
     assert_eq!(tables[0].len(), 20);
     assert_eq!(tables[1].len(), 20);
-    assert_frozen("S2", &render(&tables), 0xe0fb_dbb5_92aa_7fca);
+    assert_frozen("S2", &render(&tables), 0x45eb_b65e_67ba_4faa);
 }
 
 #[test]
@@ -149,5 +149,5 @@ fn s3_topology_sweep_agrees_with_sequential() {
     // 4 policies × inter ∈ {0, 1, 2, 4, 8} in both tables.
     assert_eq!(tables[0].len(), 20);
     assert_eq!(tables[1].len(), 20);
-    assert_frozen("S3", &render(&tables), 0x2e6a_0eab_7e23_6a41);
+    assert_frozen("S3", &render(&tables), 0xccc3_fb45_0635_dbf5);
 }
