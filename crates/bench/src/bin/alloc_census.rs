@@ -34,11 +34,12 @@
 //!
 //! One service cell runs `serve_cioq` (GM, channel depth 4) fed by a
 //! `send_reusing` producer thread: `stream.rs` promises that steady-state
-//! streaming neither allocates nor frees — the channel's `depth + 1` batch
-//! buffers circulate — and this cell holds it to that. The producer
-//! outruns the engine by an order of magnitude, so the channel fills (and
-//! every buffer exists, at full size) within the first few slots of both
-//! runs. 16 ports under `--quick`, 128 otherwise.
+//! streaming neither allocates nor frees — at most `2·depth + 1` batch
+//! buffers circulate (`depth` in the channel, `depth` more taken by the
+//! consumer's last refill, one with the producer) — and this cell holds it
+//! to that. The producer outruns the engine by an order of magnitude, so
+//! the channel fills (and every buffer exists, at full size) within the
+//! first few slots of both runs. 16 ports under `--quick`, 128 otherwise.
 //!
 //! Checkpoint encoding is *exempt* from the zero target (serialising a
 //! snapshot owns its buffers by design) but still counted: a second

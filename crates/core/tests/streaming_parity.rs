@@ -6,7 +6,7 @@
 //! the immediate, a uniform-delay and a two-tier matrix fabric.
 //!
 //! Also proven here: the transcript does not depend on the channel depth
-//! (depth 1, which forces backpressure on every slot, equals depth 64),
+//! (depth 1, which forces backpressure at every refill, equals depth 64),
 //! a killed streaming run restored from checkpoint bytes and re-fed from
 //! the checkpoint's stream cursor reproduces the uninterrupted run, the
 //! replay-file reader feeds a byte-identical stream, and the service API

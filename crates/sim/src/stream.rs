@@ -7,19 +7,32 @@
 //! trace: memory is bounded by the channel depth. Drained batch buffers
 //! flow back to the producer through a bounded recycle ring
 //! ([`StreamSender::send_reusing`]), so steady-state streaming neither
-//! allocates nor frees — `depth + 1` buffers circulate for the life of
-//! the channel.
+//! allocates nor frees — at most `2·depth + 1` buffers circulate for the
+//! life of the channel.
 //!
 //! ## Backpressure contract
 //!
 //! The channel holds at most `depth` slot batches. When the producer
 //! outruns the switch, [`StreamSender::send`] **blocks** until the engine
-//! consumes a batch — a stall, counted once per blocking send and readable
+//! next refills — a stall, counted once per blocking send and readable
 //! via [`StreamingSource::stalls`]. Nothing is ever dropped, and the
 //! sequence of batches crossing the channel is independent of timing, so
 //! a streamed run's transcript does not depend on the channel depth or on
 //! how often the producer stalled. Stall counters are diagnostics only:
 //! they never enter reports or snapshots.
+//!
+//! ### Refills
+//!
+//! The consumer does not lock once per slot. When its local queue runs
+//! dry, one critical section (a *refill*) waits for data, hands the
+//! buffers it drained since the last refill back to the recycle ring,
+//! and swaps the channel's whole batch queue for its own empty one; the
+//! slots after that are served from the local queue without touching the
+//! lock. So the channel holds at most `depth` batches and the consumer at
+//! most `depth` more: at most `2·depth` batches are in flight, plus the
+//! producer's own buffer — `2·depth + 1` buffers, O(`depth`) memory. A
+//! drained buffer returns to the producer at the consumer's next refill,
+//! not at the pull that drained it; the ring is capped at `2·depth`.
 //!
 //! ### Wake rule
 //!
@@ -40,9 +53,11 @@
 //!   increments that condvar's parked count in the channel state, under
 //!   the lock, and decrements it when it wakes.
 //! * **Who notifies.** Whoever changes what a sleeper waits for — a send
-//!   (batch buffered, stall counted), a pull (space freed), either `Drop`
-//!   (hang-up) — makes the change and reads the parked count in the same
-//!   critical section, and calls `notify_all` only when it is non-zero.
+//!   (batch buffered, stall counted), a refill (space freed: the only
+//!   critical section that notifies `space` besides the consumer's
+//!   `Drop`), either `Drop` (hang-up) — makes the change and reads the
+//!   parked count in the same critical section, and calls `notify_all`
+//!   only when it is non-zero.
 //! * **Why a notify cannot be missed.** Registration, the sleeper's last
 //!   check and the condvar's release of the lock are one atomic step with
 //!   respect to that lock. A notifier's critical section therefore runs
@@ -131,9 +146,10 @@ struct ChannelState {
     /// only — never serialized, never part of a report.
     stalls: u64,
     /// Emptied batch buffers returned by the consumer for the producer to
-    /// refill ([`StreamSender::send_reusing`]): at most `depth + 1`
+    /// refill ([`StreamSender::send_reusing`]): at most `2·depth + 1`
     /// buffers circulate, so a steady-state producer/consumer pair stops
     /// allocating once every buffer has grown to its high-water capacity.
+    /// Capped at `2·depth` entries.
     recycled: Vec<Vec<Packet>>,
     /// Threads parked on [`Channel::space`] right now (see the module
     /// docs' wake rule): whoever frees space notifies only when non-zero.
@@ -151,8 +167,8 @@ struct Channel {
     data: Condvar,
     depth: usize,
     /// Lock-free mirror of `batches.len()`, stored under the lock after
-    /// every push and pop. A spin hint only — decisions are re-made under
-    /// the lock.
+    /// every push and refill. A spin hint only — decisions are re-made
+    /// under the lock.
     buffered: AtomicUsize,
     /// Lock-free mirror of `closed || receiver_gone`: the other side hung
     /// up, so a spinner must stop waiting for it.
@@ -183,7 +199,7 @@ impl Channel {
         }
     }
 
-    /// Publish the buffered-batch count after a push or pop.
+    /// Publish the buffered-batch count after a push or refill.
     fn set_buffered(&self, st: &ChannelState) {
         // ORDERING: Release pairs with the spinners' Acquire load in
         // `spin_for`.
@@ -213,8 +229,9 @@ impl StreamSender {
     /// pushed in strictly increasing order; slots without arrivals may be
     /// skipped entirely (or sent with an empty batch, which only advances
     /// the producer cursor). Blocks while the channel holds `depth`
-    /// batches — the backpressure stall. Returns [`StreamClosed`] if the
-    /// consumer is gone.
+    /// batches — the backpressure stall — until the consumer's next
+    /// refill empties it. Returns [`StreamClosed`] if the consumer is
+    /// gone.
     ///
     /// Panics if `slot` is below the producer cursor or a packet's
     /// arrival disagrees with `slot` — both are producer bugs that would
@@ -226,10 +243,11 @@ impl StreamSender {
     /// Like [`send`](Self::send), but the batch buffer stays with the
     /// caller: its contents move into the channel and it comes back empty
     /// — swapped, when one is available, for a buffer the consumer
-    /// already drained (capacity included). A producer that refills the
-    /// same buffer every slot therefore stops allocating once the ring's
-    /// `depth + 1` buffers have grown to the largest batch seen: the
-    /// steady-state streaming hot path is allocation-free.
+    /// drained and handed back at a refill (capacity included). A
+    /// producer that refills the same buffer every slot therefore stops
+    /// allocating once the `2·depth + 1` circulating buffers have grown
+    /// to the largest batch seen: the steady-state streaming hot path is
+    /// allocation-free.
     pub fn send_reusing(
         &self,
         slot: SlotId,
@@ -294,9 +312,11 @@ impl Drop for StreamSender {
 }
 
 /// Consumer half of a streaming channel: an [`ArrivalSource`] with no
-/// horizon that pulls each slot's batch as the engine reaches it,
-/// blocking (inside [`ArrivalSource::in_arrival_window`]) until the
-/// producer either supplies a batch or closes the stream.
+/// horizon that pulls each slot's batch as the engine reaches it. It
+/// serves slots from the batches its last refill took and refills only
+/// when they run out, blocking (inside
+/// [`ArrivalSource::in_arrival_window`]) until the producer either
+/// supplies a batch or closes the stream.
 pub struct StreamingSource {
     // snapshot: derived — the channel holds only in-flight batches; a
     // snapshot: restored run reopens a fresh channel via `channel_at`.
@@ -307,6 +327,13 @@ pub struct StreamingSource {
     // snapshot: derived — equals the snapshot's arrived-packet count; see
     // snapshot: `EngineSnapshot::stream_cursor`.
     consumed: u64,
+    // snapshot: derived — batches the last refill took, not yet pulled;
+    // snapshot: at a checkpoint boundary they lie at or past the cursor,
+    // snapshot: and a restored run's producer re-feeds them from there.
+    local: VecDeque<(SlotId, Vec<Packet>)>,
+    // snapshot: derived — drained buffers the next refill hands back to
+    // snapshot: the recycle ring; they carry no packets.
+    spent: Vec<Vec<Packet>>,
 }
 
 impl StreamingSource {
@@ -321,29 +348,49 @@ impl StreamingSource {
              (asked for slot {slot}, cursor sits at slot {})",
             self.next_slot
         );
-        let chan = &*self.chan;
-        let mut st = chan.wait_data();
+        if self.local.is_empty() {
+            self.refill();
+        }
         // A front batch for a later slot, or a closed and drained stream:
         // this slot has no arrivals.
-        if let Some(&(s, _)) = st.batches.front().filter(|&&(s, _)| s <= slot) {
+        if let Some(&(s, _)) = self.local.front().filter(|&&(s, _)| s <= slot) {
             assert!(
                 s == slot,
                 "invariant violated: batch for slot {s} stranded below the cursor"
             );
-            let (_, mut packets) = st.batches.pop_front().expect("front just matched");
-            chan.set_buffered(&st);
-            wake(&chan.space, st.space_parked);
+            let (_, mut packets) = self.local.pop_front().expect("front just matched");
             self.consumed += packets.len() as u64;
             out.append(&mut packets);
-            // Hand the emptied buffer back for `send_reusing`; the ring
-            // is bounded so a plain `send` producer cannot make it grow
-            // without limit.
-            if st.recycled.len() <= chan.depth {
-                st.recycled.push(packets);
+            // The emptied buffer goes back to the producer at the next
+            // refill; `spent` was reserved for the `depth` batches one
+            // refill can take.
+            self.spent.push(packets);
+        }
+        self.next_slot = slot + 1;
+    }
+
+    /// Take every buffered batch in one critical section: wait for data
+    /// (spin, then park), hand the spent buffers back to the recycle
+    /// ring, swap the channel's batches with the empty local queue, and
+    /// wake a producer parked on the space this frees. Called only with
+    /// the local queue empty, so the swap hands the channel an empty
+    /// deque of the same reserved capacity.
+    // detlint: hot
+    fn refill(&mut self) {
+        debug_assert!(self.local.is_empty(), "refill with batches still local");
+        let chan = &*self.chan;
+        let mut st = chan.wait_data();
+        // The ring is capped at 2·depth, the most buffers a
+        // `send_reusing` producer ever has out, so it stays bounded
+        // whatever the producer does.
+        for buf in self.spent.drain(..) {
+            if st.recycled.len() < 2 * chan.depth {
+                st.recycled.push(buf);
             }
         }
-        drop(st);
-        self.next_slot = slot + 1;
+        std::mem::swap(&mut st.batches, &mut self.local);
+        chan.set_buffered(&st);
+        wake(&chan.space, st.space_parked);
     }
 
     /// The consumer cursor: next slot to pull and packets consumed.
@@ -395,13 +442,20 @@ impl ArrivalSource for StreamingSource {
     }
 
     fn in_arrival_window(&mut self, _slot: SlotId) -> bool {
-        // Any buffered batch is at a slot ≥ the cursor, so the window is
-        // still open; an empty closed channel ends it.
-        !self.chan.wait_data().batches.is_empty()
+        // Any held batch is at a slot ≥ the cursor, so the window is
+        // still open; a refill that finds the channel closed and empty
+        // ends it.
+        if self.local.is_empty() {
+            self.refill();
+        }
+        !self.local.is_empty()
     }
 }
 
-/// Open a streaming channel buffering at most `depth` slot batches.
+/// Open a streaming channel buffering at most `depth` slot batches. The
+/// consumer takes them all at each refill and holds at most `depth` more,
+/// so at most `2·depth` batches (and `2·depth + 1` buffers) are in
+/// flight.
 pub fn channel(depth: usize) -> (StreamSender, StreamingSource) {
     channel_at(depth, StreamCursor::start())
 }
@@ -419,7 +473,7 @@ pub fn channel_at(depth: usize, cursor: StreamCursor) -> (StreamSender, Streamin
             closed: false,
             receiver_gone: false,
             stalls: 0,
-            recycled: Vec::with_capacity(depth + 1),
+            recycled: Vec::with_capacity(2 * depth),
             space_parked: 0,
             data_parked: 0,
         }),
@@ -436,6 +490,8 @@ pub fn channel_at(depth: usize, cursor: StreamCursor) -> (StreamSender, Streamin
             chan,
             next_slot: cursor.slot,
             consumed: cursor.consumed,
+            local: VecDeque::with_capacity(depth),
+            spent: Vec::with_capacity(depth),
         },
     )
 }
@@ -631,17 +687,49 @@ mod tests {
         let mut out = Vec::new();
         rx.pull(0, &mut out);
         assert_eq!(out.len(), 1);
-        // The drained 64-capacity buffer is back in the ring: the next
-        // reusing send must swap it out instead of allocating.
+        // The drained 64-capacity buffer stays with the consumer until its
+        // next refill, which pulling slot 1 forces: the ring is empty for
+        // this send.
         batch.push(pkt(1, 1));
         tx.send_reusing(1, &mut batch).unwrap();
+        rx.pull(1, &mut out);
+        assert_eq!(out.len(), 2);
+        // That refill handed the buffer back: the next reusing send must
+        // swap it out instead of allocating.
+        batch.push(pkt(2, 2));
+        tx.send_reusing(2, &mut batch).unwrap();
         assert!(
             batch.capacity() >= 64,
             "producer got the consumer's drained buffer back (capacity {})",
             batch.capacity()
         );
-        rx.pull(1, &mut out);
-        assert_eq!(out.len(), 2);
+        rx.pull(2, &mut out);
+        assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn consumer_drains_the_whole_channel_in_one_refill() {
+        let (tx, mut rx) = channel(4);
+        for slot in 0..4 {
+            tx.send(slot, vec![pkt(slot, slot)]).unwrap();
+        }
+        let mut out = Vec::new();
+        rx.pull(0, &mut out);
+        // Checked before sending again: on one thread, a send that
+        // stalled would block forever.
+        assert!(
+            rx.chan.lock().batches.is_empty(),
+            "pulling slot 0 took every buffered batch"
+        );
+        for slot in 4..8 {
+            tx.send(slot, vec![pkt(slot, slot)]).unwrap();
+        }
+        assert_eq!(tx.stalls(), 0, "four sends fit in the emptied channel");
+        for slot in 1..8 {
+            rx.pull(slot, &mut out);
+        }
+        let ids: Vec<u64> = out.iter().map(|p| p.id.0).collect();
+        assert_eq!(ids, (0..8).collect::<Vec<u64>>(), "slots 0–7 in order");
     }
 
     #[test]
@@ -658,7 +746,7 @@ mod tests {
         }
         assert!(
             rx.chan.lock().recycled.len() <= 2,
-            "ring must stay within depth + 1 buffers"
+            "ring must stay within 2·depth buffers"
         );
     }
 

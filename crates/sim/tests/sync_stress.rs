@@ -20,8 +20,10 @@
 //! The stream channel (`stream.rs`) shares the barrier's hand-off rule —
 //! spin for the budget, park after it, wake only a registered sleeper —
 //! so its stress lives here too: seeded pauses on both sides steer every
-//! hand-off through the spin exit or the park exit, and a watchdog turns
-//! a lost wake-up into a failure instead of a hung suite.
+//! hand-off through the spin exit or the park exit, a consumer that
+//! sleeps every `depth` slots in alternate blocks makes its refills find
+//! the channel full as well as empty, and a watchdog turns a lost wake-up
+//! into a failure instead of a hung suite.
 
 use cioq_model::{Packet, PacketId, PortId, SlotId};
 use cioq_sim::{ArrivalSource, SpinBarrier, StreamClosed};
@@ -338,50 +340,88 @@ fn stream_batch(seed: u64, slot: SlotId, next_id: &mut u64) -> Option<Vec<Packet
     Some(batch.collect())
 }
 
+/// How the consumer paces itself between pulls.
+#[derive(Clone, Copy, Debug)]
+enum Consumer {
+    /// [`pause`]: seeded, mostly prompt.
+    Seeded,
+    /// A [`LONG_PAUSE`] every `depth` slots, in blocks of `8·depth`
+    /// slots that alternate with free-running ones. In a paced block the
+    /// producer fills the channel and parks, so refills find it full; in
+    /// a free block the consumer catches up, and a refill finds the
+    /// channel empty and parks whenever the producer takes a long pause
+    /// of its own.
+    EveryDepth,
+}
+
 #[test]
 fn stream_channel_delivers_in_order_through_spin_and_park_exits() {
     let slots: SlotId = if cfg!(miri) { 300 } else { 10_000 };
-    for (depth, seed) in [(1usize, 17u64), (2, 0xBEEF), (4, 99)] {
-        with_watchdog(move || {
-            let (tx, mut rx) = cioq_sim::channel(depth);
-            let pump = cioq_sim::spawn_producer(tx, move |tx| {
-                let mut rng = SmallRng::seed_from_u64(seed ^ 0x5E4D);
-                let (mut next_id, mut batch) = (0, Vec::new());
-                for slot in 0..slots {
-                    pause(&mut rng);
-                    if let Some(packets) = stream_batch(seed, slot, &mut next_id) {
-                        batch.extend(packets);
-                        tx.send_reusing(slot, &mut batch).expect("consumer alive");
-                    }
-                }
+    let cases = [(1usize, 17u64), (2, 0xBEEF), (4, 99), (8, 0x5EED)];
+    for (depth, seed) in cases {
+        for consumer in [Consumer::Seeded, Consumer::EveryDepth] {
+            // Paced blocks sleep through much of a 10 000-slot run at
+            // depth 1; a fifth of it reaches the same exits.
+            let slots = match consumer {
+                Consumer::Seeded => slots,
+                Consumer::EveryDepth => slots.min(2_000),
+            };
+            with_watchdog(move || {
+                stream_in_order(depth, seed, slots, consumer);
             });
-            // The consumer pulls nothing until the producer has filled
-            // the buffer and stalled, so a stall is certain at any depth.
-            rx.wait_backpressure();
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0);
-            let (mut got, mut slot) = (Vec::new(), 0);
-            while rx.in_arrival_window(slot) {
-                pause(&mut rng);
-                rx.pull(slot, &mut got);
-                slot += 1;
-            }
-            pump.join();
-            let mut next_id = 0;
-            let sent: Vec<Packet> = (0..slots)
-                .filter_map(|s| stream_batch(seed, s, &mut next_id))
-                .flatten()
-                .collect();
-            assert_eq!(
-                got, sent,
-                "stream reordered or lost packets (depth {depth})"
-            );
-            assert_eq!(rx.consumed(), sent.len() as u64);
-            assert!(
-                rx.stalls() >= 1,
-                "backpressure never engaged (depth {depth})"
-            );
-        });
+        }
     }
+}
+
+/// Push `slots` slots of [`stream_batch`] through a depth-`depth`
+/// channel and check that the consumer receives exactly what was sent.
+fn stream_in_order(depth: usize, seed: u64, slots: SlotId, consumer: Consumer) {
+    let (tx, mut rx) = cioq_sim::channel(depth);
+    let pump = cioq_sim::spawn_producer(tx, move |tx| {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5E4D);
+        let (mut next_id, mut batch) = (0, Vec::new());
+        for slot in 0..slots {
+            pause(&mut rng);
+            if let Some(packets) = stream_batch(seed, slot, &mut next_id) {
+                batch.extend(packets);
+                tx.send_reusing(slot, &mut batch).expect("consumer alive");
+            }
+        }
+    });
+    // The consumer pulls nothing until the producer has filled the buffer
+    // and stalled, so a stall is certain at any depth.
+    rx.wait_backpressure();
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0);
+    let (mut got, mut slot) = (Vec::new(), 0);
+    while rx.in_arrival_window(slot) {
+        match consumer {
+            Consumer::Seeded => pause(&mut rng),
+            Consumer::EveryDepth
+                if slot.is_multiple_of(depth as SlotId)
+                    && (slot / (8 * depth as SlotId)).is_multiple_of(2) =>
+            {
+                std::thread::sleep(LONG_PAUSE)
+            }
+            Consumer::EveryDepth => {}
+        }
+        rx.pull(slot, &mut got);
+        slot += 1;
+    }
+    pump.join();
+    let mut next_id = 0;
+    let sent: Vec<Packet> = (0..slots)
+        .filter_map(|s| stream_batch(seed, s, &mut next_id))
+        .flatten()
+        .collect();
+    assert_eq!(
+        got, sent,
+        "stream reordered or lost packets (depth {depth}, {consumer:?} consumer)"
+    );
+    assert_eq!(rx.consumed(), sent.len() as u64);
+    assert!(
+        rx.stalls() >= 1,
+        "backpressure never engaged (depth {depth}, {consumer:?} consumer)"
+    );
 }
 
 #[test]
