@@ -25,7 +25,7 @@
 //! non-zero if any steady-state cell allocates (the CI `alloc-audit` job
 //! runs exactly this).
 //!
-//! Sharded cells (GM and PG: the sharded engine is CIOQ-only) run
+//! Sharded cells (GM: the one policy the sharded engine runs) run
 //! `ExecMode::Inline`, plus K = 2 under
 //! `ExecMode::Threads` (two barrier parties, one of them spawned). The
 //! ledger is the process-wide total, so the spawned party's allocations
@@ -64,7 +64,6 @@ mod census {
     use cioq_bench::audit;
     use cioq_core::{
         CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
-        ShardedPg,
     };
     use cioq_model::{SwitchConfig, Topology};
     use cioq_sim::{
@@ -361,26 +360,15 @@ mod census {
                 } else {
                     ""
                 };
-                let engine = format!("sharded-k{k}{threads}");
-                let cells: [(&str, (f64, u64)); 2] = [
-                    (
-                        "gm",
-                        sharded_cioq(&cioq_cfg, &cioq_unit, link, k, mode, &ShardedGm::new()),
-                    ),
-                    (
-                        "pg",
-                        sharded_cioq(&cioq_cfg, &cioq_vals, link, k, mode, &ShardedPg::new()),
-                    ),
-                ];
-                for (policy, (steady, raw)) in cells {
-                    rows.push(Row {
-                        policy,
-                        engine: engine.clone(),
-                        fabric: fname,
-                        steady,
-                        raw,
-                    });
-                }
+                let (steady, raw) =
+                    sharded_cioq(&cioq_cfg, &cioq_unit, link, k, mode, &ShardedGm::new());
+                rows.push(Row {
+                    policy: "gm",
+                    engine: format!("sharded-k{k}{threads}"),
+                    fabric: fname,
+                    steady,
+                    raw,
+                });
             }
         }
 

@@ -7,7 +7,7 @@ use cioq_matching::{
     claim_first_free, greedy_maximal_cells_into, CellVisit, GreedyScratch, IncrementalGraph,
     Matching,
 };
-use cioq_model::{Cycle, Packet, PortId, SwitchConfig, Value};
+use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
     Admission, CandidateSet, CioqPolicy, CioqShardPolicy, CioqShardWorker, MergeContext,
     MergeScratch, OutputSnapshot, PacketPick, Partition, SwitchView, Transfer,
@@ -85,16 +85,10 @@ impl Default for GreedyMatching {
 
 /// Bring `heads` up to date with the band `view` covers: an edge per
 /// non-empty `Q_ij`, weighted `v(g_ij)` — GM's graph and PG's alike.
-/// Hands every edge that moved to `moved` and returns whether the sync
-/// rebuilt (see [`BandGraph::sync`]).
-pub(crate) fn sync_heads(
-    heads: &mut BandGraph,
-    view: &SwitchView<'_>,
-    moved: impl FnMut(usize, usize, Option<Value>),
-) -> bool {
+pub(crate) fn sync_heads(heads: &mut BandGraph, view: &SwitchView<'_>) {
     let lo = view.input_range().start;
     let head = |line, j| view.voq(lo + line, j).head_value();
-    heads.sync(view.dirty_rows(), head, moved)
+    heads.sync(view.dirty_rows(), head, |_, _, _| {});
 }
 
 /// The transfer of a matched edge: the head of `Q_ij` moves to `Q_j`.
@@ -134,7 +128,7 @@ impl CioqPolicy for GreedyMatching {
 
     // detlint: hot
     fn schedule(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
-        sync_heads(&mut self.heads, view, |_, _, _| {});
+        sync_heads(&mut self.heads, view);
         let outputs = view.outputs();
         match self.edge_policy {
             GmEdgePolicy::Lexicographic => {
@@ -228,7 +222,7 @@ impl CioqShardWorker for GreedyMatching {
         _: Cycle,
         out: &mut CandidateSet,
     ) {
-        sync_heads(&mut self.heads, shard, |_, _, _| {});
+        sync_heads(&mut self.heads, shard);
         let rows = shard.input_range().len();
         let words = shard.n_outputs().div_ceil(64);
         if shard.shard() == 0 {

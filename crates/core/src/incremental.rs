@@ -17,11 +17,11 @@
 //! ([`RowView`]) or, for the crossbar policies' output side, the columns
 //! `0..M` ([`dirty_cols`]). Both engines hand policies one view type,
 //! [`SwitchView`]: the sequential engine's is the band `0..N` of the whole
-//! switch, a shard's in the sharded engine its own rows. GM and PG run the
-//! same code over either, so a K-shard switch splits the per-cycle
-//! O(changes) repair K ways and "sequential" is just K = 1 over the full
-//! band. The crossbar policies run on the sequential engine only, so their
-//! column graphs always cover every column.
+//! switch, a shard's in the sharded engine its own rows. GM runs the same
+//! code over either, so a K-shard switch splits the per-cycle O(changes)
+//! repair K ways and "sequential" is just K = 1 over the full band. PG and
+//! the crossbar policies run on the sequential engine only, so PG's head
+//! graph always covers every row and their column graphs every column.
 //!
 //! ## The consistency handshake
 //!

@@ -14,12 +14,14 @@
 //! ([`baselines`]): maximum-matching and maximum-weight-matching CIOQ
 //! policies (Kesselman–Rosén), iSLIP, and ablated variants of PG/CPG.
 //!
-//! Each paper policy exists once. [`GreedyMatching`] and
-//! [`PreemptiveGreedy`] implement the sequential [`cioq_sim::CioqPolicy`]
-//! trait over the whole switch *and* the per-shard worker trait over one
-//! band of it; [`ShardedGm`] and [`ShardedPg`] are the factories that hand
-//! the sharded engine one fresh worker per shard plus the deterministic
-//! merge. [`CrossbarGreedyUnit`] and [`CrossbarPreemptiveGreedy`] implement
+//! Each paper policy exists once. [`GreedyMatching`] implements the
+//! sequential [`cioq_sim::CioqPolicy`] trait over the whole switch *and*
+//! the per-shard worker trait over one band of it; [`ShardedGm`] is the
+//! factory that hands the sharded engine one fresh worker per shard plus
+//! the deterministic merge. [`PreemptiveGreedy`] matches in one global
+//! weight order, which a merge would have to run whole on one party, so it
+//! runs on the sequential engine only, as [`CrossbarGreedyUnit`] and
+//! [`CrossbarPreemptiveGreedy`] do: they implement
 //! [`cioq_sim::CrossbarPolicy`] for the sequential engine, the only one
 //! that runs a buffered crossbar. None of them allocates per cycle after
 //! warm-up.
@@ -31,9 +33,7 @@
 //! O(N·ŝ) queues, so refreshing only those replaces an O(N²) rescan with
 //! O(changes) bookkeeping. PG keeps no order of its edges between cycles:
 //! its weighted greedy is [`cioq_matching::greedy_weighted_rows_into`] over
-//! the head graph, sequential and sharded alike — shard workers publish the
-//! cells whose edge changed and the merge runs that kernel over the
-//! coordinator's mirror of the graph. CPG matches nothing, but its per-port
+//! the head graph. CPG matches nothing, but its per-port
 //! argmaxes range over the same kind of graph: the candidates of each row
 //! and column, one edge per cell, repaired per dirty cell.
 //! The from-scratch algorithms live on as the [`oracle`] — paper-direct,
@@ -55,4 +55,4 @@ mod pg;
 pub use cgu::{CrossbarGreedyUnit, SelectionOrder};
 pub use cpg::CrossbarPreemptiveGreedy;
 pub use gm::{GmEdgePolicy, GreedyMatching, ShardedGm};
-pub use pg::{PreemptiveGreedy, ShardedPg};
+pub use pg::PreemptiveGreedy;

@@ -5,11 +5,10 @@
 use crate::gm::sync_heads;
 use crate::incremental::BandGraph;
 use crate::params::PG_BETA;
-use cioq_matching::{greedy_weighted_rows_into, GreedyScratch, IncrementalGraph, Matching};
-use cioq_model::{exceeds_factor, Cycle, Packet, PortId, SwitchConfig, Value};
+use cioq_matching::{greedy_weighted_rows_into, GreedyScratch, Matching};
+use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
 use cioq_sim::{
-    Admission, CandidateSet, CioqPolicy, CioqShardPolicy, CioqShardWorker, MergeContext,
-    MergeScratch, OutputSnapshot, PacketPick, Partition, SortedQueue, SwitchView, Transfer,
+    Admission, CioqPolicy, OutputSnapshot, PacketPick, SortedQueue, SwitchView, Transfer,
 };
 
 /// The Preemptive Greedy algorithm with threshold parameter β ≥ 1.
@@ -23,18 +22,18 @@ use cioq_sim::{
 ///   is full.
 /// * Transmission: send the greatest-value packet of each non-empty `Q_j`.
 ///
-/// One object schedules a whole switch as a [`CioqPolicy`], or one shard's
-/// rows as a [`CioqShardWorker`].
+/// The matching is one global weight order, so PG runs on the sequential
+/// engine only; [`ShardedGm`](crate::ShardedGm) is the sharded policy.
 #[derive(Debug)]
 pub struct PreemptiveGreedy {
     beta: f64,
     preemption_enabled: bool,
-    /// The VOQ head graph of the band, as GM keeps it.
+    /// The VOQ head graph, as GM keeps it.
     heads: BandGraph,
-    greedy: WeightedGreedy,
-    /// As a shard worker: sequence number of the next incremental edit
-    /// publish (a rebuild publishes as 0).
-    next_seq: u64,
+    scratch: GreedyScratch,
+    /// Refilled in place every cycle, so the steady-state slot loop never
+    /// allocates a fresh `Matching`.
+    matching: Matching,
     name: String,
 }
 
@@ -62,8 +61,8 @@ impl PreemptiveGreedy {
             beta,
             preemption_enabled,
             heads: BandGraph::default(),
-            greedy: WeightedGreedy::default(),
-            next_seq: 0,
+            scratch: GreedyScratch::default(),
+            matching: Matching::new(),
             name,
         }
     }
@@ -77,47 +76,6 @@ impl PreemptiveGreedy {
 impl Default for PreemptiveGreedy {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// PG's scheduling step and its pooled buffers: the greedy maximal matching
-/// in descending weight order over a head graph, as transfers. The
-/// sequential policy runs it over its own graph, the sharded merge over the
-/// coordinator's mirror.
-#[derive(Debug, Default)]
-struct WeightedGreedy {
-    scratch: GreedyScratch,
-    /// Refilled in place every cycle, so the steady-state slot loop never
-    /// allocates a fresh `Matching`.
-    matching: Matching,
-}
-
-impl WeightedGreedy {
-    /// Append the cycle's transfers to `out`, under threshold `beta` and
-    /// with output preemption as `preempt` says.
-    // detlint: hot
-    fn run(
-        &mut self,
-        beta: f64,
-        preempt: bool,
-        heads: &IncrementalGraph,
-        outputs: &OutputSnapshot,
-        out: &mut Vec<Transfer>,
-    ) {
-        greedy_weighted_rows_into(
-            heads,
-            |_, j, w| eligible(beta, w, j, outputs),
-            &mut self.scratch,
-            &mut self.matching,
-        );
-        out.extend(self.matching.pairs.iter().map(|&(i, j)| Transfer {
-            input: PortId::from(i),
-            output: PortId::from(j),
-            pick: PacketPick::Greatest,
-            // Eligibility already enforced the β threshold; a full output
-            // queue here means a legal preemption of l_j.
-            preempt_if_full: preempt,
-        }));
     }
 }
 
@@ -157,119 +115,22 @@ impl CioqPolicy for PreemptiveGreedy {
 
     // detlint: hot
     fn schedule(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
-        sync_heads(&mut self.heads, view, |_, _, _| {});
-        let (beta, preempt) = (self.beta, self.preemption_enabled);
-        self.greedy
-            .run(beta, preempt, &self.heads.graph, view.outputs(), out);
-    }
-}
-
-/// [`PreemptiveGreedy`] as the sharded engine's policy: the object is the
-/// factory and the merger, and every shard's worker is a fresh copy of it.
-///
-/// Proposal: each worker repairs its band of the head graph from its own
-/// change log and publishes the cells whose edge changed — every edge of
-/// the band, as publish 0, when its graph rebuilt. Merge: the
-/// coordinator applies those edits to its whole-switch mirror of the graph
-/// (`HeadMirror`, one per run) and runs the kernel the sequential policy
-/// runs, over the same graph — so the matching is the same by construction.
-pub type ShardedPg = PreemptiveGreedy;
-
-/// The coordinator's copy of every shard's head graph, rows in global
-/// numbering; it lives in the run's [`MergeScratch`], not in the policy.
-#[derive(Debug, Default)]
-struct HeadMirror {
-    graph: IncrementalGraph,
-    /// Per shard, the publish sequence number expected next (0 = full).
-    expect_seq: Vec<u64>,
-    greedy: WeightedGreedy,
-}
-
-impl CioqShardPolicy for PreemptiveGreedy {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn new_worker(&self, _: usize, _: &Partition, _: &SwitchConfig) -> Box<dyn CioqShardWorker> {
-        Box::new(Self::build(
-            self.beta,
-            self.preemption_enabled,
-            self.name.clone(),
-        ))
-    }
-
-    // detlint: hot
-    fn merge(&self, ctx: &MergeContext<'_>, scratch: &mut MergeScratch, out: &mut Vec<Transfer>) {
-        let (n, m) = (ctx.cfg.n_inputs, ctx.cfg.n_outputs);
-        let mirror: &mut HeadMirror = scratch.state();
-        if mirror.expect_seq.is_empty() {
-            mirror.graph.reset(n, m);
-            mirror.expect_seq.resize(ctx.candidates.len(), 0);
-        }
-        // Bring the mirror up to date from this cycle's publishes: the
-        // cells whose edge changed — O(dirty) in the steady state — or, on
-        // seq 0 (first cycle / resync), every edge of a band emptied first.
-        for (s, set) in ctx.candidates.iter().enumerate() {
-            let rows = ctx.partition.input_range(s);
-            let lo = rows.start;
-            if set.seq == 0 {
-                for i in rows {
-                    for j in 0..m {
-                        mirror.graph.clear_edge(i, j);
-                    }
-                }
-            } else {
-                assert_eq!(
-                    set.seq, mirror.expect_seq[s],
-                    "PG edit publish out of sequence (shard {s})"
-                );
-            }
-            let at = |cell: u32| (lo + cell as usize / m, cell as usize % m);
-            for &cell in &set.removed {
-                let (i, j) = at(cell);
-                mirror.graph.clear_edge(i, j);
-            }
-            for &(w, cell) in &set.refreshed {
-                let (i, j) = at(cell);
-                mirror.graph.set_edge(i, j, w);
-            }
-            mirror.expect_seq[s] = set.seq + 1;
-        }
-        let (beta, preempt) = (self.beta, self.preemption_enabled);
-        mirror
-            .greedy
-            .run(beta, preempt, &mirror.graph, ctx.outputs, out);
-    }
-}
-
-impl CioqShardWorker for PreemptiveGreedy {
-    fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission {
-        let queue = shard.input_queue(packet.input, packet.output);
-        admit(queue, packet, self.preemption_enabled)
-    }
-
-    // detlint: hot
-    fn propose(
-        &mut self,
-        shard: &SwitchView<'_>,
-        _: &OutputSnapshot,
-        _: Cycle,
-        out: &mut CandidateSet,
-    ) {
-        // Publish the cells whose edge moved — O(dirty) in the steady
-        // state; the coordinator's mirror replays them. A rebuild (first
-        // cycle, or out of step) moves every edge, so the same edits are
-        // the whole band, published as seq 0.
-        let (m, removed, refreshed) = (shard.n_outputs(), &mut out.removed, &mut out.refreshed);
-        let rebuilt = sync_heads(&mut self.heads, shard, |line, j, edge| {
-            let cell = (line * m + j) as u32;
-            match edge {
-                Some(w) => refreshed.push((w, cell)),
-                None => removed.push(cell),
-            }
-        });
-        out.seq = if rebuilt { 0 } else { self.next_seq };
-        self.next_seq = out.seq + 1;
+        sync_heads(&mut self.heads, view);
+        let (beta, outputs) = (self.beta, view.outputs());
+        greedy_weighted_rows_into(
+            &self.heads.graph,
+            |_, j, w| eligible(beta, w, j, outputs),
+            &mut self.scratch,
+            &mut self.matching,
+        );
+        out.extend(self.matching.pairs.iter().map(|&(i, j)| Transfer {
+            input: PortId::from(i),
+            output: PortId::from(j),
+            pick: PacketPick::Greatest,
+            // Eligibility already enforced the β threshold; a full output
+            // queue here means a legal preemption of l_j.
+            preempt_if_full: self.preemption_enabled,
+        }));
     }
 }
 
@@ -414,85 +275,5 @@ mod tests {
         let report = run_cioq(&cfg, &mut pg, &trace).unwrap();
         assert_eq!(report.benefit.0, 11);
         assert_eq!(report.losses.preempted_output, 0);
-    }
-
-    /// The edit-publish protocol on the coordinator's side, driven by hand:
-    /// a full publish builds the band's rows of the mirror, edits move
-    /// single cells, and a second full publish (a worker that rebuilt its
-    /// cache) *replaces* the band — an edge the resync no longer lists must
-    /// be gone, not left over from the first publish.
-    #[test]
-    fn merge_mirror_follows_full_and_edit_publishes() {
-        let cfg = SwitchConfig::cioq(4, 2, 1);
-        let partition = Partition::new(2, 4, 4);
-        let outputs = OutputSnapshot {
-            full: vec![false; 4],
-            tail: vec![0; 4],
-            ..OutputSnapshot::default()
-        };
-        let pg = PreemptiveGreedy::new();
-        let mut scratch = MergeScratch::default();
-        let mut merged = |sets: &[CandidateSet]| {
-            let ctx = MergeContext {
-                cfg: &cfg,
-                partition: &partition,
-                outputs: &outputs,
-                cycle: Cycle { slot: 0, index: 0 },
-                candidates: sets,
-            };
-            let mut out = Vec::new();
-            pg.merge(&ctx, &mut scratch, &mut out);
-            out.iter()
-                .map(|t| (t.input.index(), t.output.index()))
-                .collect::<Vec<_>>()
-        };
-        let full = |edges: &[(Value, u32)]| CandidateSet {
-            refreshed: edges.to_vec(),
-            ..CandidateSet::default()
-        };
-        let edits = |seq, removed: &[u32], refreshed: &[(Value, u32)]| CandidateSet {
-            seq,
-            removed: removed.to_vec(),
-            refreshed: refreshed.to_vec(),
-            ..CandidateSet::default()
-        };
-
-        // Shard 0 owns rows 0–1, shard 1 rows 2–3; cells are shard-local.
-        // Row 0: 9 → col 0; row 1: 5 → col 0; row 2: 7 → col 0, 3 → col 1.
-        let first = merged(&[full(&[(9, 0), (5, 4)]), full(&[(7, 0), (3, 1)])]);
-        assert_eq!(first, vec![(0, 0), (2, 1)]);
-        // Row 0's edge goes, row 1 is reweighted above row 2, row 3 appears.
-        let second = merged(&[edits(1, &[0], &[(8, 4)]), edits(1, &[], &[(6, 6)])]);
-        assert_eq!(second, vec![(1, 0), (3, 2), (2, 1)]);
-        // Shard 1 resyncs with only row 3's edge: row 2's must not survive.
-        let third = merged(&[edits(2, &[], &[]), full(&[(6, 6)])]);
-        assert_eq!(third, vec![(1, 0), (3, 2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of sequence")]
-    fn merge_rejects_a_skipped_edit_publish() {
-        let cfg = SwitchConfig::cioq(2, 2, 1);
-        let partition = Partition::new(1, 2, 2);
-        let outputs = OutputSnapshot {
-            full: vec![false; 2],
-            tail: vec![0; 2],
-            ..OutputSnapshot::default()
-        };
-        let mut scratch = MergeScratch::default();
-        for seq in [0, 2] {
-            let sets = [CandidateSet {
-                seq,
-                ..CandidateSet::default()
-            }];
-            let ctx = MergeContext {
-                cfg: &cfg,
-                partition: &partition,
-                outputs: &outputs,
-                cycle: Cycle { slot: 0, index: 0 },
-                candidates: &sets,
-            };
-            PreemptiveGreedy::new().merge(&ctx, &mut scratch, &mut Vec::new());
-        }
     }
 }

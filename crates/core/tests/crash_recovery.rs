@@ -3,8 +3,8 @@
 //! remaining decision transcript, the final report, the final switch
 //! state and every later checkpoint must be byte-identical to the
 //! uninterrupted run. Covered for all four policies on the sequential
-//! engine and for GM and PG sharded K ∈ {2, 4} (the sharded engine is
-//! CIOQ-only), over the immediate, a uniform-delay and a two-tier matrix
+//! engine and for GM sharded K ∈ {2, 4} (the sharded engine runs GM
+//! only), over the immediate, a uniform-delay and a two-tier matrix
 //! fabric.
 //!
 //! Also proven here: sequential and sharded checkpoints of the same run
@@ -15,7 +15,6 @@
 
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
-    ShardedPg,
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
@@ -150,13 +149,14 @@ fn assert_checkpoint_tail(
 }
 
 /// The kill-at-k matrix for one CIOQ policy on one fabric: sequential
-/// restore (two different kill slots), sharded full runs whose
-/// checkpoints match the sequential ones byte for byte, sharded resume
-/// from a sequential snapshot, and sequential resume from a sharded one.
+/// restore (two different kill slots) and, for a policy with a sharded
+/// twin, sharded full runs whose checkpoints match the sequential ones byte
+/// for byte, sharded resume from a sequential snapshot, and sequential
+/// resume from a sharded one.
 fn check_cioq_recovery(
     cfg: &SwitchConfig,
     seq: impl Fn() -> Box<dyn CioqPolicy>,
-    sharded: &dyn CioqShardPolicy,
+    sharded: Option<&dyn CioqShardPolicy>,
     trace: &Trace,
     link: &FabricSpec,
     what: &str,
@@ -206,6 +206,9 @@ fn check_cioq_recovery(
         );
     }
 
+    let Some(sharded) = sharded else {
+        return;
+    };
     let snap = &full.checkpoints[full.checkpoints.len() / 2];
     let k = snap.slot();
     for shards in SHARD_COUNTS {
@@ -346,7 +349,7 @@ fn fabrics() -> Vec<(&'static str, FabricSpec)> {
 }
 
 // ---------------------------------------------------------------------------
-// The headline matrix: 4 policies sequential, GM and PG sharded K ∈ {2, 4},
+// The headline matrix: 4 policies sequential, GM sharded K ∈ {2, 4},
 // × fabrics
 // ---------------------------------------------------------------------------
 
@@ -358,7 +361,7 @@ fn cioq_kill_restore_equivalence() {
         check_cioq_recovery(
             &cfg,
             || Box::new(GreedyMatching::new()),
-            &ShardedGm::new(),
+            Some(&ShardedGm::new()),
             &trace,
             link,
             &format!("gm {label}"),
@@ -366,7 +369,7 @@ fn cioq_kill_restore_equivalence() {
         check_cioq_recovery(
             &cfg,
             || Box::new(PreemptiveGreedy::new()),
-            &ShardedPg::new(),
+            None,
             &trace,
             link,
             &format!("pg {label}"),
@@ -402,7 +405,7 @@ fn crossbar_kill_restore_equivalence() {
 
 /// Threaded sharded runs take the same checkpoints as inline ones (the
 /// checkpoint sits at a coordinator barrier, so thread scheduling cannot
-/// leak into it).
+/// leak into it). GM, the sharded engine's one policy.
 #[test]
 fn threads_mode_checkpoints_match_inline() {
     let cfg = cioq_cfg();
@@ -410,14 +413,14 @@ fn threads_mode_checkpoints_match_inline() {
     let link = FabricSpec::uniform(2);
     let inline = run_cioq_sharded(
         &cfg,
-        &ShardedPg::new(),
+        &ShardedGm::new(),
         &trace,
         sharded_options(4, &link, None),
     )
     .expect("inline run");
     let mut opts = sharded_options(4, &link, None);
     opts.mode = ExecMode::Threads;
-    let threaded = run_cioq_sharded(&cfg, &ShardedPg::new(), &trace, opts).expect("threaded run");
+    let threaded = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, opts).expect("threaded run");
     assert_eq!(
         inline.checkpoints.len(),
         threaded.checkpoints.len(),
@@ -435,7 +438,7 @@ fn threads_mode_checkpoints_match_inline() {
     let snap = inline.checkpoints[inline.checkpoints.len() / 2].clone();
     let mut opts = sharded_options(4, &link, Some(snap));
     opts.mode = ExecMode::Threads;
-    let resumed = run_cioq_sharded(&cfg, &ShardedPg::new(), &trace, opts).expect("resumed run");
+    let resumed = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, opts).expect("resumed run");
     assert_eq!(resumed.report, inline.report, "threaded resume report");
 }
 

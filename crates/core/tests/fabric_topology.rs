@@ -5,9 +5,9 @@
 //! 1. **`matrix(Topology::uniform(d))` ≡ `FabricSpec::uniform(d)`** — a uniform
 //!    topology must reproduce the uniform delay line bit for bit
 //!    (admissions, per-cycle transfer sets, reports, final states), for all
-//!    four policies on the sequential engine and for GM and PG × K ∈
-//!    {1, 2, 4} × {inline, threads} on the sharded one (which is
-//!    CIOQ-only). Unlike the `d = 0` normalisation this is *not* structural:
+//!    four policies on the sequential engine and for GM × K ∈
+//!    {1, 2, 4} × {inline, threads} on the sharded one (which runs GM
+//!    only). Unlike the `d = 0` normalisation this is *not* structural:
 //!    the matrix path runs the per-pair lookup, the landing calendar, and
 //!    the canonical landing sort, and must land on the same bits.
 //! 2. **Sharded matrix fabric ≡ sequential reference** — on genuinely
@@ -21,7 +21,6 @@
 
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
-    ShardedPg,
 };
 use cioq_model::{PortId, SwitchConfig, Topology};
 use cioq_sim::{
@@ -193,7 +192,7 @@ fn cioq_cfg() -> SwitchConfig {
 
 /// A uniform topology must land on the delay line's exact bits — per-pair
 /// lookup, calendar, and canonical landing sort included — for all four
-/// policies sequentially, and for GM and PG sharded too (K ∈ {1, 2, 4} ×
+/// policies sequentially, and for GM sharded too (K ∈ {1, 2, 4} ×
 /// {inline, threads}).
 #[test]
 fn constant_matrix_is_bit_identical_to_delay_line() {
@@ -209,12 +208,9 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
         for (seq, sharded) in [
             (
                 Box::new(GreedyMatching::new()) as Box<dyn CioqPolicy>,
-                Box::new(ShardedGm::new()) as Box<dyn CioqShardPolicy>,
+                Some(ShardedGm::new()),
             ),
-            (
-                Box::new(PreemptiveGreedy::new()),
-                Box::new(ShardedPg::new()),
-            ),
+            (Box::new(PreemptiveGreedy::new()), None),
         ] {
             // The delay-line run is the reference…
             let reference = seq_cioq(&cfg, seq, &trace, &line);
@@ -233,7 +229,9 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
             assert_reports_equal(&matrix_run.0, &reference.0, &format!("{what}: sequential"));
             assert_states_equal(&matrix_run.2, &reference.2, &format!("{what}: sequential"));
             // …and the sharded matrix runs must hit the same bits.
-            check_cioq_against(&cfg, &*sharded, &trace, &matrix, &reference, &what);
+            if let Some(sharded) = sharded {
+                check_cioq_against(&cfg, &sharded, &trace, &matrix, &reference, &what);
+            }
         }
 
         // The crossbar policies run on the sequential engine only.
@@ -271,8 +269,6 @@ fn two_tier_sharded_equals_sequential() {
         let what = format!("two-tier racks={racks} intra={intra} inter={inter}");
         let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
         check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, &what);
-        let reference = seq_cioq(&cfg, Box::new(PreemptiveGreedy::new()), &trace, &link);
-        check_cioq_against(&cfg, &ShardedPg::new(), &trace, &link, &reference, &what);
     }
 }
 
@@ -319,28 +315,13 @@ fn random_matrix_sharded_equals_sequential() {
     let what = "random matrix";
     let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
     check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, what);
-    let reference = seq_cioq(&cfg, Box::new(PreemptiveGreedy::new()), &trace, &link);
-    check_cioq_against(&cfg, &ShardedPg::new(), &trace, &link, &reference, what);
-    let reference = seq_cioq(
-        &cfg,
-        Box::new(PreemptiveGreedy::without_preemption()),
-        &trace,
-        &link,
-    );
-    check_cioq_against(
-        &cfg,
-        &ShardedPg::without_preemption(),
-        &trace,
-        &link,
-        &reference,
-        what,
-    );
 }
 
 /// Incast through a two-tier fabric concentrates landings: transfers
 /// dispatched in *different slots* (near and far racks) land together at
 /// one output, so the canonical landing order — not just per-cycle order —
-/// decides who preempts whom.
+/// decides the order they enter its queue. GM, the sharded engine's one
+/// policy.
 #[test]
 fn two_tier_incast_landing_order() {
     let cfg = SwitchConfig::builder(8, 4)
@@ -363,8 +344,8 @@ fn two_tier_incast_landing_order() {
     for (intra, inter) in [(1u64, 3u64), (0, 4)] {
         let link = FabricSpec::matrix(Topology::two_tier(8, 4, 2, intra, inter).unwrap());
         let what = format!("incast intra={intra} inter={inter}");
-        let reference = seq_cioq(&cfg, Box::new(PreemptiveGreedy::new()), &trace, &link);
-        check_cioq_against(&cfg, &ShardedPg::new(), &trace, &link, &reference, &what);
+        let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
+        check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, &what);
     }
 }
 
@@ -378,9 +359,8 @@ proptest! {
     /// Over random rack assignments and latency matrices: (1) queued +
     /// in-flight + landed packets always reconcile with arrivals, drained
     /// (residual 0) and steady-state (in-flight counted in the residual);
-    /// (2) the sharded engine books the same totals; (3) a *constant*
-    /// random matrix produces the same decision transcript as
-    /// `FabricSpec::uniform` at that constant.
+    /// (2) a *constant* random matrix produces the same decision transcript
+    /// as `FabricSpec::uniform` at that constant.
     #[test]
     fn conservation_over_random_matrices(
         racks in 1usize..4,
@@ -423,22 +403,6 @@ proptest! {
             .run_cioq(&mut GreedyMatching::new(), &mut source)
             .expect("steady-state run");
         prop_assert!(steady.check_conservation().is_ok());
-
-        // The sharded engine books identical totals on the same fabric.
-        let outcome = run_cioq_sharded(
-            &cfg,
-            &ShardedPg::new(),
-            &trace,
-            ShardedOptions {
-                fabric: link.clone(),
-                ..ShardedOptions::new(2)
-            },
-        )
-        .expect("sharded run");
-        prop_assert!(outcome.report.check_conservation().is_ok());
-        prop_assert_eq!(outcome.report.benefit, drained.benefit);
-        prop_assert_eq!(outcome.report.transmitted, drained.transmitted);
-        prop_assert_eq!(outcome.report.losses, drained.losses);
 
         // Constant matrix ≡ delay line, transcript for transcript.
         let const_link = FabricSpec::matrix(Topology::uniform(n, n, const_d));

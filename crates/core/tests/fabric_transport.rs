@@ -4,19 +4,18 @@
 //!
 //! 1. **`FabricSpec::uniform(0)` ≡ the default fabric** — the identity is checked
 //!    end to end (admissions, per-cycle transfer sets, reports, final
-//!    states) for GM and PG × K ∈ {1, 2, 4} × {inline, threads}.
+//!    states) for GM × K ∈ {1, 2, 4} × {inline, threads}.
 //! 2. **Sharded `uniform(d)` ≡ sequential delayed engine** — the
 //!    sharded delay rings reproduce the reference delayed-sequential
 //!    engine bit for bit, for d ∈ {1, 2, 4}, the same policy/K/mode
 //!    matrix. This is the delayed analogue of `sharded_equivalence.rs`
-//!    (the sharded engine is CIOQ-only).
+//!    (the sharded engine runs GM only).
 //! 3. **Conservation in flight** — no packet is lost or duplicated while
 //!    riding the delay line, under `FullFabricChurn` (every row dirtied
 //!    every slot), drained and steady-state.
 
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
-    ShardedPg,
 };
 use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
@@ -151,7 +150,7 @@ fn cioq_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
 
 /// `FabricSpec::uniform(0)` must take the immediate fast path in every
 /// engine layer: identical transcripts, reports, and final states against
-/// the plain sequential reference, for GM and PG.
+/// the plain sequential reference, for GM.
 #[test]
 fn delay_zero_is_bit_identical_to_immediate() {
     let cfg = SwitchConfig::builder(6, 6)
@@ -167,13 +166,6 @@ fn delay_zero_is_bit_identical_to_immediate() {
         &cfg,
         || Box::new(GreedyMatching::new()),
         &ShardedGm::new(),
-        &trace,
-        0,
-    );
-    check_cioq_delayed(
-        &cfg,
-        || Box::new(PreemptiveGreedy::new()),
-        &ShardedPg::new(),
         &trace,
         0,
     );
@@ -215,26 +207,13 @@ fn cioq_delayed_sharded_equals_sequential() {
             &trace,
             d,
         );
-        check_cioq_delayed(
-            &cfg,
-            || Box::new(PreemptiveGreedy::new()),
-            &ShardedPg::new(),
-            &trace,
-            d,
-        );
-        check_cioq_delayed(
-            &cfg,
-            || Box::new(PreemptiveGreedy::without_preemption()),
-            &ShardedPg::without_preemption(),
-            &trace,
-            d,
-        );
     }
 }
 
 /// Incast concentrates landings: several inputs dispatch to one output in
 /// consecutive cycles of one slot (speedup 2), so landing order within a
 /// slot matters — the (cycle, output) sort must reproduce dispatch order.
+/// GM, the sharded engine's one policy, over a Zipf-valued storm.
 #[test]
 fn delayed_incast_landing_order() {
     let cfg = SwitchConfig::builder(8, 4)
@@ -257,8 +236,8 @@ fn delayed_incast_landing_order() {
     for d in [1, 3] {
         check_cioq_delayed(
             &cfg,
-            || Box::new(PreemptiveGreedy::new()),
-            &ShardedPg::new(),
+            || Box::new(GreedyMatching::new()),
+            &ShardedGm::new(),
             &trace,
             d,
         );
@@ -285,20 +264,6 @@ fn conservation_under_churn_all_delays() {
         seq.check_conservation()
             .unwrap_or_else(|e| panic!("sequential d={d}: {e}"));
         assert_eq!(seq.residual_count, 0, "drained run leaves nothing, d={d}");
-        for k in SHARD_COUNTS {
-            let outcome = run_cioq_sharded(
-                &cfg,
-                &ShardedPg::new(),
-                &trace,
-                sharded_options(k, ExecMode::Inline, d),
-            )
-            .unwrap();
-            outcome
-                .report
-                .check_conservation()
-                .unwrap_or_else(|e| panic!("sharded d={d} k={k}: {e}"));
-            assert_reports_equal(&outcome.report, &seq, &format!("churn d={d} k={k}"));
-        }
     }
 
     let xcfg = SwitchConfig::crossbar(10, 2, 1, 1);

@@ -8,9 +8,8 @@
 //! is an FNV-1a hash over the run report, the final queue contents and
 //! every checkpoint's canonical bytes, for GM, PG, CGU and CPG on an
 //! immediate and a two-tier fabric — and every execution variant the
-//! workspace has (sequential, sharded K ∈ {1, 3} inline and threaded for
-//! GM and PG, the streamed twins, a mid-run resume on each engine) must
-//! reproduce it.
+//! workspace has (sequential, stream-fed, sharded K ∈ {1, 3} inline and
+//! threaded for GM, a mid-run resume on each engine) must reproduce it.
 //!
 //! The geometry is 6 × 70: non-square, and wide enough that the output
 //! bitmaps straddle a 64-bit word. Buffers are small and the hot outputs
@@ -24,13 +23,15 @@
 //! only the sequential engine has a fault layer, so no *A ≡ B* suite sees
 //! that accounting.
 
-use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
+use cioq_core::{
+    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
+};
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    run_cioq_sharded, run_cioq_sharded_streamed, stream_trace, ArrivalSource, CioqPolicy,
-    CioqShardPolicy, CrossbarPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec, FaultEvent,
-    FaultKind, FaultPlan, FaultScope, RunOptions, RunOutcome, RunReport, ShardedOptions,
-    ShardedOutcome, SortedQueue, StreamingSource, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
+    Engine, EngineSnapshot, ExecMode, FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope,
+    RunOptions, RunOutcome, RunReport, ShardedOptions, ShardedOutcome, SortedQueue, SwitchState,
+    Trace, TraceSource,
 };
 
 const N_INPUTS: usize = 6;
@@ -277,18 +278,12 @@ fn assert_eventful(report: &RunReport, trace: &Trace, preempts: &[&str], what: &
 // ---- the one driver ----
 
 /// The ways to run a policy, with the architecture (CIOQ or buffered
-/// crossbar) and the policy object closed over. Only CIOQ policies run
-/// sharded.
+/// crossbar) and the policy object closed over, and its sharded twin if it
+/// has one (only GM does).
 struct Runs<'a> {
     name: String,
     seq: &'a dyn Fn(Engine, &mut dyn ArrivalSource) -> RunOutcome,
-    sharded: Option<Sharded<'a>>,
-}
-
-/// A policy's sharded runs: trace-fed and stream-fed.
-struct Sharded<'a> {
-    run: &'a dyn Fn(&Trace, ShardedOptions) -> ShardedOutcome,
-    streamed: &'a dyn Fn(&mut StreamingSource, ShardedOptions) -> ShardedOutcome,
+    sharded: Option<&'a dyn CioqShardPolicy>,
 }
 
 fn check(
@@ -329,24 +324,20 @@ fn check(
         kill.slot()
     );
 
-    let Some(runs) = runs.sharded else {
+    let Some(policy) = runs.sharded else {
         return;
     };
+    let sharded_run =
+        |trace, options| run_cioq_sharded(cfg, policy, trace, options).expect("sharded run");
     for k in SHARD_COUNTS {
         for mode in MODES {
             let what = format!("{what} K={k} {mode:?}");
-            let sharded = (runs.run)(trace, sharded_options(k, mode, fabric, None));
+            let sharded = sharded_run(trace, sharded_options(k, mode, fabric, None));
             assert_eq!(hash_sharded(&sharded), golden, "{what}: sharded");
-
-            let (mut src, pump) = stream_trace(trace, 2);
-            let streamed = (runs.streamed)(&mut src, sharded_options(k, mode, fabric, None));
-            drop(src);
-            pump.join();
-            assert_eq!(hash_sharded(&streamed), golden, "{what}: sharded streamed");
 
             let kill = kill_point(&sharded.checkpoints);
             let kill_slot = kill.slot();
-            let resumed = (runs.run)(trace, sharded_options(k, mode, fabric, Some(kill)));
+            let resumed = sharded_run(trace, sharded_options(k, mode, fabric, Some(kill)));
             assert_eq!(
                 hash_resumed(
                     &sharded.checkpoints,
@@ -362,8 +353,9 @@ fn check(
     }
 }
 
-fn check_cioq<P: CioqPolicy + CioqShardPolicy>(
+fn check_cioq<P: CioqPolicy>(
     make: impl Fn() -> P,
+    sharded: Option<&dyn CioqShardPolicy>,
     trace: &Trace,
     fabric: &FabricSpec,
     preempts: &[&str],
@@ -377,15 +369,7 @@ fn check_cioq<P: CioqPolicy + CioqShardPolicy>(
                 .run_cioq_full(&mut make(), source)
                 .expect("sequential run")
         },
-        sharded: Some(Sharded {
-            run: &|trace, options| {
-                run_cioq_sharded(&cfg, &make(), trace, options).expect("sharded run")
-            },
-            streamed: &|source, options| {
-                run_cioq_sharded_streamed(&cfg, &make(), source, options)
-                    .expect("sharded streamed run")
-            },
-        }),
+        sharded,
     };
     check(runs, &cfg, trace, fabric, preempts, golden);
 }
@@ -416,6 +400,7 @@ fn check_crossbar<P: CrossbarPolicy>(
 fn gm_immediate() {
     check_cioq(
         GreedyMatching::new,
+        Some(&ShardedGm::new()),
         &overload_trace(1),
         &immediate(),
         &[],
@@ -427,6 +412,7 @@ fn gm_immediate() {
 fn gm_two_tier() {
     check_cioq(
         GreedyMatching::new,
+        Some(&ShardedGm::new()),
         &overload_trace(1),
         &two_tier(),
         &[],
@@ -438,6 +424,7 @@ fn gm_two_tier() {
 fn pg_immediate() {
     check_cioq(
         PreemptiveGreedy::new,
+        None,
         &overload_trace(8),
         &immediate(),
         &["input", "output"],
@@ -449,6 +436,7 @@ fn pg_immediate() {
 fn pg_two_tier() {
     check_cioq(
         PreemptiveGreedy::new,
+        None,
         &overload_trace(8),
         &two_tier(),
         &["input", "output"],

@@ -350,10 +350,10 @@ fn reused_sharded_cioq<P: CioqPolicy + CioqShardPolicy>(
 /// flush-count handshake detects the fresh engine, and a full rebuild also
 /// zeroes CGU's round-robin pointers): the second run's report equals the
 /// first's and a fresh policy's — on the same switch, and again on a
-/// smaller one (the band check). GM and PG as the sharded engine's
-/// policies hold nothing from one run to the next (workers and the merge's
-/// state are the run's), so one value serves K = 2 twice, then K = 4, then
-/// the smaller switch.
+/// smaller one (the band check). GM as the sharded engine's policy holds
+/// nothing from one run to the next (workers and the merge's state are the
+/// run's), so one value serves K = 2 twice, then K = 4, then the smaller
+/// switch.
 #[test]
 fn policy_reuse_across_runs_resyncs() {
     // Bernoulli 0.9 on 4×4 for 41 slots: contended enough that a
@@ -387,9 +387,6 @@ fn policy_reuse_across_runs_resyncs() {
 
     let runs = [(&cfg, &trace), (&cfg_small, &trace_small)];
     reused_sharded_cioq(GreedyMatching::new, runs);
-    reused_sharded_cioq(PreemptiveGreedy::new, runs);
-    reused_sharded_cioq(|| PreemptiveGreedy::with_beta(1.25), runs);
-    reused_sharded_cioq(PreemptiveGreedy::without_preemption, runs);
 
     let cfg = SwitchConfig::crossbar(4, 2, 1, 1);
     let cfg_small = SwitchConfig::crossbar(2, 2, 1, 1);

@@ -2,8 +2,8 @@
 //! policy scratch, matching buffers, shard delay rings and fabric calendars
 //! across runs — and none of that warm state may leak into decisions.
 //!
-//! Two properties pin it down, for all four policies sequential and GM and
-//! PG sharded K ∈ {2, 4} (the sharded engine is CIOQ-only), over the
+//! Two properties pin it down, for all four policies sequential and GM
+//! sharded K ∈ {2, 4} (the sharded engine runs GM only), over the
 //! immediate, a uniform-delay and a two-tier matrix fabric:
 //!
 //! * **Warm == cold.** The same policy object is run through three
@@ -20,7 +20,6 @@
 
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
-    ShardedPg,
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
@@ -222,7 +221,7 @@ fn check_sharded_cioq_pooled(
 }
 
 // ---------------------------------------------------------------------------
-// The matrix: 4 policies sequential, GM and PG sharded K ∈ {2, 4}, × fabrics
+// The matrix: 4 policies sequential, GM sharded K ∈ {2, 4}, × fabrics
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -237,7 +236,7 @@ fn cioq_pooled_parity() {
             link,
             &format!("gm {label}"),
         );
-        let (pg_out, pg_sched) = check_seq_cioq_pooled(
+        check_seq_cioq_pooled(
             PreemptiveGreedy::new,
             &cfg,
             &trace,
@@ -252,15 +251,6 @@ fn cioq_pooled_parity() {
             &gm_out,
             &gm_sched,
             &format!("gm {label}"),
-        );
-        check_sharded_cioq_pooled(
-            &cfg,
-            &ShardedPg::new(),
-            &trace,
-            link,
-            &pg_out,
-            &pg_sched,
-            &format!("pg {label}"),
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Lockstep equivalence of the sharded engine and the sequential engine:
 //! identical **per-cycle transfer sets**, **admission transcripts**, **run
-//! reports**, and **final queue states** — for GM and PG (the sharded
-//! engine is CIOQ-only), shard counts K ∈ {1, 2, 4}, and both execution
+//! reports**, and **final queue states** — for GM (the one policy the
+//! sharded engine runs), shard counts K ∈ {1, 2, 4}, and both execution
 //! modes (inline and real threads).
 //!
 //! The sequential side runs under a recording wrapper so its full decision
@@ -12,12 +12,12 @@
 //! different `--test-threads` so scheduling races cannot hide behind one
 //! lucky interleaving.
 
-use cioq_core::{GreedyMatching, PreemptiveGreedy, ShardedGm, ShardedPg};
+use cioq_core::{GreedyMatching, ShardedGm};
 use cioq_model::{PortId, SwitchConfig};
 use cioq_sim::{
-    run_cioq, run_cioq_sharded, run_cioq_sharded_streamed, stream_trace, CioqPolicy,
-    CioqShardPolicy, ExecMode, PolicyError, RecordedSchedule, Recording, RunOptions, RunReport,
-    ShardedOptions, SwitchState, Trace, TraceSource,
+    run_cioq, run_cioq_sharded, CioqPolicy, CioqShardPolicy, ExecMode, PolicyError,
+    RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace,
+    TraceSource,
 };
 use cioq_traffic::adversary::gm_iq_flood;
 use cioq_traffic::{
@@ -159,9 +159,8 @@ fn trace_from(n: usize, arrivals: &[(u8, u8, u8, u64)]) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Random bursty/value-skewed traces: GM and PG (default β, swept β,
-    /// no-preemption) sharded K ∈ {1,2,4} × {inline, threads} equal the
-    /// sequential engine in every observable.
+    /// Random bursty/value-skewed traces: GM sharded K ∈ {1,2,4} ×
+    /// {inline, threads} equals the sequential engine in every observable.
     #[test]
     fn cioq_sharded_equals_sequential(
         n in 1usize..7,
@@ -181,19 +180,6 @@ proptest! {
             .unwrap();
         let trace = trace_from(n, &arrivals);
         check_cioq(&cfg, || Box::new(GreedyMatching::new()), &ShardedGm::new(), &trace);
-        check_cioq(&cfg, || Box::new(PreemptiveGreedy::new()), &ShardedPg::new(), &trace);
-        check_cioq(
-            &cfg,
-            || Box::new(PreemptiveGreedy::with_beta(1.25)),
-            &ShardedPg::with_beta(1.25),
-            &trace,
-        );
-        check_cioq(
-            &cfg,
-            || Box::new(PreemptiveGreedy::without_preemption()),
-            &ShardedPg::without_preemption(),
-            &trace,
-        );
     }
 
 }
@@ -211,12 +197,6 @@ fn adversarial_flood_equivalence() {
         &cfg,
         || Box::new(GreedyMatching::new()),
         &ShardedGm::new(),
-        &trace,
-    );
-    check_cioq(
-        &cfg,
-        || Box::new(PreemptiveGreedy::new()),
-        &ShardedPg::new(),
         &trace,
     );
 }
@@ -243,12 +223,6 @@ fn incast_storm_equivalence() {
         &ShardedGm::new(),
         &trace,
     );
-    check_cioq(
-        &cfg,
-        || Box::new(PreemptiveGreedy::new()),
-        &ShardedPg::new(),
-        &trace,
-    );
 }
 
 /// Full-fabric churn: every row dirtied every slot with rotating columns,
@@ -264,12 +238,6 @@ fn full_fabric_churn_equivalence() {
         &cfg,
         || Box::new(GreedyMatching::new()),
         &ShardedGm::new(),
-        &trace,
-    );
-    check_cioq(
-        &cfg,
-        || Box::new(PreemptiveGreedy::new()),
-        &ShardedPg::new(),
         &trace,
     );
 }
@@ -300,12 +268,6 @@ fn asymmetric_bursty_equivalence() {
         &ShardedGm::new(),
         &trace,
     );
-    check_cioq(
-        &cfg,
-        || Box::new(PreemptiveGreedy::new()),
-        &ShardedPg::new(),
-        &trace,
-    );
 }
 
 /// GM on 9 × 70 ports at K ∈ {2, 4}: every head-graph row after the first
@@ -333,54 +295,6 @@ fn gm_word_straddling_rows_equivalence() {
     );
 }
 
-/// One `ShardedPg` value shared by two runs at once, as two jobs of a sweep
-/// would share it: what the merge keeps between cycles (its mirror of the
-/// shards' head graphs) belongs to the run, so neither run can see the
-/// other's. Thread A runs K = 2 and thread B K = 4, on different traces,
-/// released together by a barrier each round; every report and transcript
-/// must equal the one a policy value of its own produced.
-#[test]
-fn one_sharded_pg_serves_concurrent_runs() {
-    let cfg = SwitchConfig::cioq(8, 2, 2);
-    let gen = FullFabricChurn::new(2, 3, ValueDist::Uniform { max: 9 });
-    let jobs = [
-        (2, gen_trace(&gen, &cfg, 48, 0xA)),
-        (4, gen_trace(&gen, &cfg, 48, 0xB)),
-    ];
-    let run = |policy: &ShardedPg, k: usize, trace: &Trace| {
-        let outcome = run_cioq_sharded(&cfg, policy, trace, sharded_options(k, ExecMode::Inline))
-            .expect("sharded run");
-        (
-            outcome.report,
-            outcome.schedule.expect("recording requested"),
-        )
-    };
-    let alone = jobs
-        .each_ref()
-        .map(|(k, trace)| run(&ShardedPg::new(), *k, trace));
-    assert_ne!(
-        alone[0].1.transfers, alone[1].1.transfers,
-        "the two jobs must differ for a mix-up to show"
-    );
-
-    let shared = ShardedPg::new();
-    let start = std::sync::Barrier::new(jobs.len());
-    std::thread::scope(|scope| {
-        for ((k, trace), (report, schedule)) in jobs.iter().zip(&alone) {
-            let (shared, start, run) = (&shared, &start, &run);
-            scope.spawn(move || {
-                for round in 0..8 {
-                    start.wait();
-                    let what = format!("shared PG k={k} round {round}");
-                    let (got_report, got_schedule) = run(shared, *k, trace);
-                    assert_eq!(got_schedule.transfers, schedule.transfers, "{what}");
-                    assert_reports_equal(&got_report, report, &what);
-                }
-            });
-        }
-    });
-}
-
 /// More shards than ports: empty shards must be inert, not wrong — GM's
 /// first band included, which at k = 5 on 2 ports owns no row and
 /// publishes only its mask.
@@ -393,8 +307,6 @@ fn more_shards_than_ports() {
         (1, PortId(0), PortId(0), 7),
         (2, PortId(1), PortId(1), 2),
     ]);
-    let pg = || Box::new(PreemptiveGreedy::new()) as _;
-    check_cioq_at(&cfg, pg, &ShardedPg::new(), &trace, &[5]);
     let gm = || Box::new(GreedyMatching::new()) as _;
     check_cioq_at(&cfg, gm, &ShardedGm::new(), &trace, &[5]);
 }
@@ -441,12 +353,6 @@ fn bad_port_is_the_same_error_from_every_engine() {
                 let sharded = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, options);
                 assert_eq!(sharded.expect_err(&what), expected, "{what}");
             }
-            let (mut src, pump) = stream_trace(&trace, 2);
-            let options = sharded_options(k, ExecMode::Inline);
-            let streamed = run_cioq_sharded_streamed(&cfg, &ShardedGm::new(), &mut src, options);
-            drop(src);
-            pump.join();
-            assert_eq!(streamed.expect_err("streamed"), expected, "streamed k={k}");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Streaming-ingestion parity proofs: a run fed by the push-based
 //! [`StreamingSource`] must be byte-identical to the same run fed by the
 //! pre-materialised [`Trace`] — same report, final state, decision
-//! transcript and checkpoint bytes — for all four policies sequential, and
-//! for GM and PG sharded K ∈ {2, 4} (the sharded engine is CIOQ-only), over
-//! the immediate, a uniform-delay and a two-tier matrix fabric.
+//! transcript and checkpoint bytes — for all four policies on the
+//! sequential engine, the one a stream feeds, over the immediate, a
+//! uniform-delay and a two-tier matrix fabric.
 //!
 //! Also proven here: the transcript does not depend on the channel depth
 //! (depth 1, which forces backpressure at every refill, equals depth 64),
@@ -14,14 +14,12 @@
 
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
-    ShardedPg,
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq_sharded, run_cioq_sharded_streamed, serve_cioq, stream_trace, stream_trace_from,
-    CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, Engine, EngineSnapshot,
-    ExecMode, FabricSpec, Recording, RunOptions, RunOutcome, ShardedOptions, StreamCursor,
-    SwitchState, Trace, TraceSource,
+    run_cioq_sharded, serve_cioq, stream_trace, stream_trace_from, CioqPolicy, CrossbarPolicy,
+    CrossbarRecording, Engine, EngineSnapshot, ExecMode, FabricSpec, RecordedSchedule, Recording,
+    RunOptions, RunOutcome, ShardedOptions, StreamCursor, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -202,83 +200,8 @@ fn check_seq_crossbar<P: CrossbarPolicy>(
     full
 }
 
-fn sharded_options(k: usize, link: &FabricSpec, resume: Option<EngineSnapshot>) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k);
-    opts.fabric = link.clone();
-    opts.mode = ExecMode::Inline;
-    opts.record = true;
-    opts.capture_final_state = true;
-    opts.checkpoint_every = Some(CHECKPOINT_EVERY);
-    opts.resume_from = resume;
-    opts
-}
-
-/// Sharded parity for one CIOQ shard policy: the trace-fed sharded run vs
-/// the stream-fed one, plus a stream-fed resume from the trace run's
-/// middle checkpoint.
-fn check_sharded_cioq(
-    cfg: &SwitchConfig,
-    policy: &dyn CioqShardPolicy,
-    trace: &Trace,
-    link: &FabricSpec,
-    what: &str,
-) {
-    for shards in SHARD_COUNTS {
-        let w = format!("{what} K={shards}");
-        let full = run_cioq_sharded(cfg, policy, trace, sharded_options(shards, link, None))
-            .unwrap_or_else(|e| panic!("{w}: trace-fed sharded run failed: {e}"));
-        let full_sched = full.schedule.as_ref().expect("recording requested");
-
-        let (mut src, pump) = stream_trace(trace, 2);
-        let streamed =
-            run_cioq_sharded_streamed(cfg, policy, &mut src, sharded_options(shards, link, None))
-                .unwrap_or_else(|e| panic!("{w}: stream-fed sharded run failed: {e}"));
-        drop(src);
-        pump.join();
-        assert_eq!(streamed.report, full.report, "{w}: report");
-        assert_states_equal(
-            streamed.final_state.as_ref().expect("capture requested"),
-            full.final_state.as_ref().expect("capture requested"),
-            &w,
-        );
-        assert_checkpoints_identical(&streamed.checkpoints, &full.checkpoints, &w);
-        let sched = streamed.schedule.as_ref().expect("recording requested");
-        assert_eq!(sched.transfers, full_sched.transfers, "{w}: transfers");
-        assert_eq!(sched.admissions, full_sched.admissions, "{w}: admissions");
-
-        // Kill/restore mid-stream: resume the sharded run from the middle
-        // checkpoint's bytes, re-feeding the stream at its cursor.
-        let snap = &full.checkpoints[full.checkpoints.len() / 2];
-        let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
-        let cursor = decoded.stream_cursor();
-        let (mut src, pump) = stream_trace_from(trace, 2, cursor);
-        let resumed = run_cioq_sharded_streamed(
-            cfg,
-            policy,
-            &mut src,
-            sharded_options(shards, link, Some(decoded)),
-        )
-        .unwrap_or_else(|e| panic!("{w}: resumed stream-fed run failed: {e}"));
-        drop(src);
-        pump.join();
-        assert_eq!(
-            resumed.report, full.report,
-            "{w}: report after stream resume at slot {}",
-            cursor.slot
-        );
-        let tail: Vec<EngineSnapshot> = full
-            .checkpoints
-            .iter()
-            .filter(|c| c.slot() >= cursor.slot)
-            .cloned()
-            .collect();
-        assert_checkpoints_identical(&resumed.checkpoints, &tail, &w);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The headline matrix: 4 policies sequential, GM and PG sharded K ∈ {2, 4},
-// × fabrics
+// The headline matrix: 4 policies sequential × fabrics
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -296,20 +219,6 @@ fn cioq_stream_parity() {
         check_seq_cioq(
             PreemptiveGreedy::new,
             &cfg,
-            &trace,
-            link,
-            &format!("pg {label}"),
-        );
-        check_sharded_cioq(
-            &cfg,
-            &ShardedGm::new(),
-            &trace,
-            link,
-            &format!("gm {label}"),
-        );
-        check_sharded_cioq(
-            &cfg,
-            &ShardedPg::new(),
             &trace,
             link,
             &format!("pg {label}"),
@@ -340,7 +249,7 @@ fn crossbar_stream_parity() {
 }
 
 // ---------------------------------------------------------------------------
-// Mid-stream kill/restore, replay files, threads mode, service API
+// Mid-stream kill/restore, replay files, cut windows, service API
 // ---------------------------------------------------------------------------
 
 /// Kill a sequential streaming run at its middle checkpoint, restore from
@@ -408,39 +317,13 @@ fn replay_file_stream_matches_trace() {
     assert_checkpoints_identical(&streamed.checkpoints, &full.checkpoints, "replay file");
 }
 
-/// Thread scheduling cannot leak into a streamed sharded run: threaded
-/// workers with a streaming coordinator take the same checkpoints as the
-/// inline trace-fed run.
-#[test]
-fn threads_mode_streamed_matches_inline_trace() {
-    let cfg = cioq_cfg();
-    let trace = bursty_trace(&cfg, 48, 0xD4);
-    let link = FabricSpec::uniform(2);
-    let inline = run_cioq_sharded(
-        &cfg,
-        &ShardedPg::new(),
-        &trace,
-        sharded_options(4, &link, None),
-    )
-    .expect("inline trace-fed run");
-
-    let (mut src, pump) = stream_trace(&trace, 2);
-    let mut opts = sharded_options(4, &link, None);
-    opts.mode = ExecMode::Threads;
-    let threaded = run_cioq_sharded_streamed(&cfg, &ShardedPg::new(), &mut src, opts)
-        .expect("threaded stream-fed run");
-    drop(src);
-    pump.join();
-    assert_eq!(threaded.report, inline.report, "threaded streamed report");
-    assert_checkpoints_identical(&threaded.checkpoints, &inline.checkpoints, "threads mode");
-}
-
-/// Both feeds where the arrival window is not the whole trace:
-/// `slots` cut below the horizon (off the checkpoint cadence), and a run
-/// resumed from a mid-trace checkpoint. Trace-fed, stream-fed and
-/// sequential runs must agree on report, transcript and checkpoint bytes
-/// — the feed has to stop at the cut and start at the checkpoint by
-/// itself, with nothing positioning it from outside.
+/// The feeds where the arrival window is not the whole trace: `slots` cut
+/// below the horizon (off the checkpoint cadence), and a run resumed from a
+/// mid-trace checkpoint. The sharded engine fed by the trace and the
+/// sequential engine fed by a stream must agree with the trace-fed
+/// sequential run on report, transcript and checkpoint bytes — each feed
+/// has to stop at the cut and start at the checkpoint by itself, with
+/// nothing positioning it from outside.
 #[test]
 fn cut_short_and_resumed_windows_agree_across_feeds() {
     const CUT: SlotId = 29;
@@ -451,89 +334,102 @@ fn cut_short_and_resumed_windows_agree_across_feeds() {
         "the cut must drop arrivals"
     );
     let link = FabricSpec::uniform(2);
-
-    let mut rec = Recording::with_fabric(PreemptiveGreedy::new(), &link);
     let seq_options = RunOptions {
         slots: Some(CUT),
         ..run_options(&link)
     };
-    let seq = Engine::new(cfg.clone(), seq_options)
+
+    let mut rec = Recording::with_fabric(GreedyMatching::new(), &link);
+    let seq = Engine::new(cfg.clone(), seq_options.clone())
         .run_cioq_full(&mut rec, &mut TraceSource::new(&trace))
         .expect("sequential run");
     let seq_sched = rec.into_schedule();
     assert!(seq.report.arrived < trace.len() as u64);
 
-    let policy = ShardedPg::new();
-    let options = |shards, resume| {
-        let mut opts = sharded_options(shards, &link, resume);
+    // What a fed run ends in, whichever engine ran it.
+    type Fed = (RunOutcome, RecordedSchedule);
+    let sharded = |shards, resume: Option<EngineSnapshot>| -> Fed {
+        let mut opts = ShardedOptions::new(shards);
+        opts.fabric = link.clone();
+        opts.mode = ExecMode::Inline;
+        opts.record = true;
+        opts.capture_final_state = true;
+        opts.checkpoint_every = Some(CHECKPOINT_EVERY);
         opts.slots = Some(CUT);
-        opts
+        opts.resume_from = resume;
+        let out = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, opts).expect("sharded run");
+        let outcome = RunOutcome {
+            report: out.report,
+            final_state: out.final_state.expect("capture requested"),
+            checkpoints: out.checkpoints,
+        };
+        (outcome, out.schedule.expect("recording requested"))
     };
-    let run_streamed = |shards, resume: Option<EngineSnapshot>| {
-        let cursor = resume
-            .as_ref()
-            .map_or(StreamCursor::start(), |s| s.stream_cursor());
+    let streamed = |resume: Option<&EngineSnapshot>| -> Fed {
+        let cursor = resume.map_or(StreamCursor::start(), |s| s.stream_cursor());
+        let engine = match resume {
+            Some(snap) => Engine::restore(snap, seq_options.clone()).expect("restore"),
+            None => Engine::new(cfg.clone(), seq_options.clone()),
+        };
         let (mut src, pump) = stream_trace_from(&trace, 2, cursor);
-        let out = run_cioq_sharded_streamed(&cfg, &policy, &mut src, options(shards, resume))
+        let mut rec = Recording::with_fabric(GreedyMatching::new(), &link);
+        let out = engine
+            .run_cioq_full(&mut rec, &mut src)
             .expect("stream-fed run");
         // The producer still holds the slots past the cut: hang up on it.
         drop(src);
         pump.join();
-        out
+        (out, rec.into_schedule())
     };
-    for shards in SHARD_COUNTS {
-        let w = format!("cut at {CUT} K={shards}");
-        let full =
-            run_cioq_sharded(&cfg, &policy, &trace, options(shards, None)).expect("trace-fed run");
-        let streamed = run_streamed(shards, None);
-        for (feed, out) in [("trace", &full), ("stream", &streamed)] {
-            let w = format!("{w} {feed}-fed");
-            assert_eq!(out.report, seq.report, "{w}: report");
-            assert_states_equal(out.final_state.as_ref().unwrap(), &seq.final_state, &w);
-            assert_checkpoints_identical(&out.checkpoints, &seq.checkpoints, &w);
-            let sched = out.schedule.as_ref().expect("recording requested");
-            assert_eq!(sched.transfers, seq_sched.transfers, "{w}: transfers");
-            assert_eq!(sched.admissions, seq_sched.admissions, "{w}: admissions");
-        }
-
-        let snap = &full.checkpoints[full.checkpoints.len() / 2];
-        let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
-        let tail: Vec<EngineSnapshot> = full
-            .checkpoints
-            .iter()
-            .filter(|c| c.slot() >= snap.slot())
-            .cloned()
-            .collect();
-        let from_trace = run_cioq_sharded(
-            &cfg,
-            &policy,
-            &trace,
-            options(shards, Some(decoded.clone())),
-        )
-        .expect("resumed trace-fed run");
-        let from_stream = run_streamed(shards, Some(decoded));
+    let check = |w: &str, (out, sched): &Fed, checkpoints: &[EngineSnapshot], slot: SlotId| {
         // A resumed transcript is the uninterrupted one's tail: arrivals
         // from the checkpoint's arrived count on, cycles from its slot on.
-        let admitted_before = snap.stream_cursor().consumed as usize;
-        let cycles_before = (snap.slot() * cfg.speedup as SlotId) as usize;
-        assert!(admitted_before < seq_sched.admissions.len());
-        for (feed, out) in [("trace", &from_trace), ("stream", &from_stream)] {
-            let w = format!("{w} resumed at {} {feed}-fed", snap.slot());
-            assert_eq!(out.report, seq.report, "{w}: report");
-            assert_states_equal(out.final_state.as_ref().unwrap(), &seq.final_state, &w);
-            assert_checkpoints_identical(&out.checkpoints, &tail, &w);
-            let sched = out.schedule.as_ref().expect("recording requested");
-            assert_eq!(
-                sched.transfers,
-                seq_sched.transfers[cycles_before..],
-                "{w}: transfers"
-            );
-            assert_eq!(
-                sched.admissions,
-                seq_sched.admissions[admitted_before..],
-                "{w}: admissions"
-            );
-        }
+        let admitted_before = trace.packets().partition_point(|p| p.arrival < slot);
+        let cycles_before = (slot * cfg.speedup as SlotId) as usize;
+        assert_eq!(out.report, seq.report, "{w}: report");
+        assert_states_equal(&out.final_state, &seq.final_state, w);
+        assert_checkpoints_identical(&out.checkpoints, checkpoints, w);
+        assert_eq!(
+            sched.transfers,
+            seq_sched.transfers[cycles_before..],
+            "{w}: transfers"
+        );
+        assert_eq!(
+            sched.admissions,
+            seq_sched.admissions[admitted_before..],
+            "{w}: admissions"
+        );
+    };
+
+    let snap = &seq.checkpoints[seq.checkpoints.len() / 2];
+    let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
+    let kill = snap.slot();
+    assert!(decoded.stream_cursor().consumed < seq_sched.admissions.len() as u64);
+    let tail: Vec<EngineSnapshot> = seq
+        .checkpoints
+        .iter()
+        .filter(|c| c.slot() >= kill)
+        .cloned()
+        .collect();
+    let w = format!("cut at {CUT}");
+    check(
+        &format!("{w} stream-fed"),
+        &streamed(None),
+        &seq.checkpoints,
+        0,
+    );
+    let resumed = streamed(Some(&decoded));
+    check(
+        &format!("{w} resumed at {kill} stream-fed"),
+        &resumed,
+        &tail,
+        kill,
+    );
+    for shards in SHARD_COUNTS {
+        let w = format!("{w} K={shards} trace-fed");
+        check(&w, &sharded(shards, None), &seq.checkpoints, 0);
+        let resumed = sharded(shards, Some(decoded.clone()));
+        check(&format!("{w} resumed at {kill}"), &resumed, &tail, kill);
     }
 }
 

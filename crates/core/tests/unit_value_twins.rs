@@ -21,14 +21,14 @@
 //! is CGU's first fit.
 //!
 //! A transcript here is the admissions plus every cycle's transfer pairs,
-//! plus the run report with its `policy` name blanked. The CIOQ twins run
-//! on both engines — sequential, and sharded at K ∈ {1, 2, 4} inline and
-//! on threads — and the crossbar twins on the sequential engine, the only
-//! one that runs a crossbar; all on the immediate fabric and a two-tier
-//! one, at 6 × 70 (output
-//! bitmaps straddle a word) and 70 × 3 (rows straddle words of the
-//! flat cell bitsets). The two sides share the band graph their caches are
-//! kept in, and nothing else: no matching kernel, eligibility rule or
+//! plus the run report with its `policy` name blanked. PG runs on the
+//! sequential engine, the only one that runs it, and its GM twin on both —
+//! sequential, and sharded at K ∈ {1, 2, 4} inline and on threads; the
+//! crossbar twins run on the sequential engine, the only one that runs a
+//! crossbar; all on the immediate fabric and a two-tier one, at 6 × 70
+//! (output bitmaps straddle a word) and 70 × 3 (rows straddle words of
+//! the flat cell bitsets). The two sides share the band graph their caches
+//! are kept in, and nothing else: no matching kernel, eligibility rule or
 //! per-port choice.
 //!
 //! **Scaling values by 2^k changes no decision.** Multiplying every value
@@ -36,19 +36,28 @@
 //! of `v as f64` and of `β·v` commutes with it — so every comparison PG and
 //! CPG make (integer orders, and the β / α thresholds) comes out the same:
 //! the transcripts are equal, and `benefit` is multiplied by 2^k.
+//!
+//! **Delaying every arrival by Δ slots shifts the transcript by Δ.** No
+//! paper rule reads the slot number, so Δ empty leading slots change
+//! nothing but when things happen: the admissions are the same, the
+//! transfer sets are the same after Δ·ŝ empty leading cycles, and the run
+//! report is the same but for `slots`, Δ longer.
 
 use cioq_core::params::PG_BETA;
-use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
+use cioq_core::{
+    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, SelectionOrder,
+    ShardedGm,
+};
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, Engine,
-    ExecMode, FabricSpec, RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions,
-    RunReport, ShardedOptions, Trace, TraceSource,
+    run_cioq_sharded, CioqPolicy, CrossbarPolicy, CrossbarRecording, Engine, ExecMode, FabricSpec,
+    RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions,
+    Trace, TraceSource,
 };
 
 const ARRIVAL_SLOTS: SlotId = 30;
 
-/// An engine to run a policy on: sequential (`None`) or sharded.
+/// An engine to run GM on: sequential (`None`) or sharded.
 type Variant = Option<(usize, ExecMode)>;
 
 fn variants() -> Vec<Variant> {
@@ -126,32 +135,38 @@ fn blank(mut report: RunReport) -> RunReport {
     report
 }
 
-fn cioq_transcript<P: CioqPolicy + CioqShardPolicy>(
+/// A sequential run's transcript.
+fn cioq_transcript<P: CioqPolicy>(
     policy: P,
+    cfg: &SwitchConfig,
+    trace: &Trace,
+    fabric: &FabricSpec,
+) -> Transcript<RecordedSchedule> {
+    let options = RunOptions {
+        fabric: fabric.clone(),
+        ..RunOptions::default()
+    };
+    let mut rec = Recording::with_fabric(policy, fabric);
+    let report = Engine::new(cfg.clone(), options)
+        .run_cioq(&mut rec, &mut TraceSource::new(trace))
+        .expect("sequential run");
+    (blank(report), rec.into_schedule())
+}
+
+/// GM's transcript on the engine `variant` names.
+fn gm_transcript(
     cfg: &SwitchConfig,
     trace: &Trace,
     fabric: &FabricSpec,
     variant: Variant,
 ) -> Transcript<RecordedSchedule> {
-    match variant {
-        None => {
-            let options = RunOptions {
-                fabric: fabric.clone(),
-                ..RunOptions::default()
-            };
-            let mut rec = Recording::with_fabric(policy, fabric);
-            let report = Engine::new(cfg.clone(), options)
-                .run_cioq(&mut rec, &mut TraceSource::new(trace))
-                .expect("sequential run");
-            (blank(report), rec.into_schedule())
-        }
-        Some((k, mode)) => {
-            let outcome = run_cioq_sharded(cfg, &policy, trace, sharded(k, mode, fabric))
-                .expect("sharded run");
-            let schedule = outcome.schedule.expect("recorded");
-            (blank(outcome.report), schedule)
-        }
-    }
+    let Some((k, mode)) = variant else {
+        return cioq_transcript(GreedyMatching::new(), cfg, trace, fabric);
+    };
+    let options = sharded(k, mode, fabric);
+    let outcome = run_cioq_sharded(cfg, &ShardedGm::new(), trace, options).expect("sharded run");
+    let schedule = outcome.schedule.expect("recorded");
+    (blank(outcome.report), schedule)
 }
 
 fn crossbar_transcript<P: CrossbarPolicy>(
@@ -198,14 +213,16 @@ fn pg_on_unit_values_is_gm() {
     ];
     for (n, m, fabric) in cases() {
         let (cfg, trace) = (config(n, m, false), trace(n, m, 1, 1));
+        let pg_runs = pgs.map(|make| {
+            let pg = make();
+            (pg.beta(), cioq_transcript(pg, &cfg, &trace, &fabric))
+        });
         for variant in variants() {
-            let gm = cioq_transcript(GreedyMatching::new(), &cfg, &trace, &fabric, variant);
+            let gm = gm_transcript(&cfg, &trace, &fabric, variant);
             assert!(gm.0.losses.rejected > 0, "{n}×{m}: the run must reject");
-            for make in pgs {
-                let pg = make();
-                let what = format!("{} {n}×{m} {} {variant:?}", pg.beta(), fabric.label());
-                let got = cioq_transcript(pg, &cfg, &trace, &fabric, variant);
-                assert_eq!(got, gm, "PG(β = {what}) against GM");
+            for (beta, pg) in &pg_runs {
+                let what = format!("{beta} {n}×{m} {} against GM {variant:?}", fabric.label());
+                assert_eq!(pg, &gm, "PG(β = {what})");
             }
         }
     }
@@ -265,19 +282,14 @@ fn scaling_values_by_a_power_of_two_changes_no_decision() {
         let (cioq, crossbar) = (config(n, m, false), config(n, m, true));
         for k in [1, 7, 30] {
             let scaled = trace(n, m, 8, 1 << k);
-            for variant in [None, Some((2, ExecMode::Threads))] {
-                let what = format!("2^{k} {n}×{m} {} {variant:?}", fabric.label());
-                let run = |trace| {
-                    cioq_transcript(PreemptiveGreedy::new(), &cioq, trace, &fabric, variant)
-                };
-                let (want, got) = (run(&base), run(&scaled));
-                assert!(want.0.losses.preempted_input > 0, "{what}: PG must preempt");
-                assert_eq!(got.1, want.1, "PG {what}: transcript");
-                assert_eq!(got.0.benefit.0, want.0.benefit.0 << k, "PG {what}: benefit");
-                assert_eq!(unscaled(got.0, 1 << k), want.0, "PG {what}: report");
-            }
-
             let what = format!("2^{k} {n}×{m} {}", fabric.label());
+            let run = |trace| cioq_transcript(PreemptiveGreedy::new(), &cioq, trace, &fabric);
+            let (want, got) = (run(&base), run(&scaled));
+            assert!(want.0.losses.preempted_input > 0, "{what}: PG must preempt");
+            assert_eq!(got.1, want.1, "PG {what}: transcript");
+            assert_eq!(got.0.benefit.0, want.0.benefit.0 << k, "PG {what}: benefit");
+            assert_eq!(unscaled(got.0, 1 << k), want.0, "PG {what}: report");
+
             let run = |trace| {
                 let cpg = CrossbarPreemptiveGreedy::new();
                 crossbar_transcript(cpg, &crossbar, trace, &fabric)
@@ -292,6 +304,91 @@ fn scaling_values_by_a_power_of_two_changes_no_decision() {
                 "CPG {what}: benefit"
             );
             assert_eq!(unscaled(got.0, 1 << k), want.0, "CPG {what}: report");
+        }
+    }
+}
+
+// ---- third relation: delaying every arrival ----
+
+/// Δ, the slots every arrival is delayed by.
+const SHIFT: SlotId = 5;
+
+/// `trace` with every arrival `SHIFT` slots later, packets numbered alike.
+fn shifted(trace: &Trace) -> Trace {
+    let packets = trace.packets().iter();
+    Trace::from_tuples(packets.map(|p| (p.arrival + SHIFT, p.input, p.output, p.value)))
+}
+
+/// One sequential run, shift-comparable: the report, the admissions, and
+/// every track of per-cycle transfer sets (one for a CIOQ switch; the
+/// input and the output subphase for a crossbar).
+type Shiftable = (RunReport, Vec<bool>, Vec<Vec<Vec<(u16, u16)>>>);
+
+/// The delayed run `later` against `base`: the same admissions, on every
+/// track Δ·ŝ leading cycles with no transfer and then the same transfer
+/// sets, and the same report but for `slots`, Δ longer.
+fn assert_shifted(later: Shiftable, base: Shiftable, speedup: u32, what: &str) {
+    let ((mut report, admissions, tracks), (base_report, base_admissions, base_tracks)) =
+        (later, base);
+    assert!(base_report.transmitted > 0, "{what}: nothing transmitted");
+    assert_eq!(admissions, base_admissions, "{what}: admissions");
+    let empty = (SHIFT * SlotId::from(speedup)) as usize;
+    for (track, base_track) in tracks.iter().zip(&base_tracks) {
+        let (leading, rest) = track.split_at(empty);
+        assert!(
+            leading.iter().all(Vec::is_empty),
+            "{what}: a transfer before the first arrival"
+        );
+        assert_eq!(rest, &base_track[..], "{what}: transfers");
+    }
+    report.slots -= SHIFT;
+    assert_eq!(report, base_report, "{what}: report");
+}
+
+/// GM, PG (β = 1 + √2 and no-preempt), CGU (first fit and round robin) and
+/// CPG on the sequential engine, each over the immediate, a `uniform(3)`
+/// and a two-tier fabric, with every arrival of a weighted trace delayed by
+/// Δ. Left out, because the relation does not hold for them: GM's
+/// `RotateByCycle` ablation, which rotates its edge order by the cycle
+/// number, and fault plans, which fire at absolute slots.
+#[test]
+fn shifting_arrivals_shifts_the_transcript() {
+    let (n, m) = (6, 70);
+    let base = trace(n, m, 8, 1);
+    let later = shifted(&base);
+    let (cioq, crossbar) = (config(n, m, false), config(n, m, true));
+    let cioq_policies: [fn() -> Box<dyn CioqPolicy>; 3] = [
+        || Box::new(GreedyMatching::new()),
+        || Box::new(PreemptiveGreedy::new()),
+        || Box::new(PreemptiveGreedy::without_preemption()),
+    ];
+    let crossbar_policies: [fn() -> Box<dyn CrossbarPolicy>; 3] = [
+        || Box::new(CrossbarGreedyUnit::new()),
+        || {
+            Box::new(CrossbarGreedyUnit::with_selection(
+                SelectionOrder::RoundRobin,
+            ))
+        },
+        || Box::new(CrossbarPreemptiveGreedy::new()),
+    ];
+    let [immediate, two_tier] = fabrics(n, m);
+    for fabric in [immediate, FabricSpec::uniform(3), two_tier] {
+        for make in cioq_policies {
+            let what = format!("{} {}", make().name(), fabric.label());
+            let run = |trace| -> Shiftable {
+                let (report, s) = cioq_transcript(&mut *make(), &cioq, trace, &fabric);
+                (report, s.admissions, vec![s.transfers])
+            };
+            assert_shifted(run(&later), run(&base), cioq.speedup, &what);
+        }
+        for make in crossbar_policies {
+            let what = format!("{} {}", make().name(), fabric.label());
+            let run = |trace| -> Shiftable {
+                let (report, s) = crossbar_transcript(&mut *make(), &crossbar, trace, &fabric);
+                let tracks = vec![s.input_transfers, s.output_transfers];
+                (report, s.admissions, tracks)
+            };
+            assert_shifted(run(&later), run(&base), crossbar.speedup, &what);
         }
     }
 }

@@ -137,9 +137,8 @@ impl PolicyKind {
         }
     }
 
-    /// Run this policy over `trace` on the sharded engine. Only the CIOQ
-    /// paper policies (GM, and PG at any β) shard — the same structs serve
-    /// both engines; any other kind panics.
+    /// Run this policy over `trace` on the sharded engine. Only GM shards
+    /// — the same struct serves both engines; any other kind panics.
     pub fn run_sharded(
         self,
         cfg: &SwitchConfig,
@@ -148,9 +147,6 @@ impl PolicyKind {
     ) -> Result<ShardedOutcome, PolicyError> {
         match self {
             PolicyKind::Gm => run_cioq_sharded(cfg, &GreedyMatching::new(), trace, options),
-            PolicyKind::Pg(beta) => {
-                run_cioq_sharded(cfg, &PreemptiveGreedy::with_beta(beta), trace, options)
-            }
             other => panic!("{} has no sharded implementation", other.label()),
         }
     }

@@ -985,18 +985,18 @@ pub fn t5_ablation(quick: bool) -> Vec<Table> {
     tables
 }
 
-/// S1 — the sharded slot engine vs the sequential engine: per CIOQ
-/// policy (the sharded engine runs GM and PG only) and shard count,
-/// identical results (proof echoed in the table) and the wall-clock cost
-/// of each run. Sharding is bit-identical by construction, so the "agrees"
-/// column is a tripwire, not a tolerance.
+/// S1 — the sharded slot engine vs the sequential engine: for GM (the one
+/// policy the sharded engine runs) per shard count, identical results
+/// (proof echoed in the table) and the wall-clock cost of each run.
+/// Sharding is bit-identical by construction, so the "agrees" column is a
+/// tripwire, not a tolerance.
 pub fn s1_sharded(quick: bool) -> Vec<Table> {
     let t = scaled_slots(256, quick);
     let n = if quick { 12 } else { 48 };
     let ((cfg, trace), _) = systems_workload(n, 1, t);
     let policies: Vec<_> = paper_policies()
         .into_iter()
-        .filter(|(_, kind)| !kind.is_crossbar())
+        .filter(|&(_, kind)| kind == PolicyKind::Gm)
         .collect();
 
     // The sequential reference is invariant in K: run (and time) it once
@@ -1093,9 +1093,9 @@ fn fabric_sweep(
         let on = side(kind, &cioq, &xbar);
         let report = run_with(kind, on, on_fabric(&link));
         // Tripwire: `kind` on `k` inline shards over `link` books the
-        // totals of the sequential reference. The sharded engine runs CIOQ
-        // policies only, so a crossbar row has no tripwire.
-        let ok = (!kind.is_crossbar()).then(|| {
+        // totals of the sequential reference. The sharded engine runs GM
+        // only, so every other row has no tripwire.
+        let ok = (kind == PolicyKind::Gm).then(|| {
             shard_counts.iter().all(|&k| {
                 let mut opts = ShardedOptions::new(k);
                 opts.fabric = link.clone();
@@ -1178,9 +1178,9 @@ fn fabric_sweep(
 /// of online scheduling plus fabric latency — and mean packet latency. An
 /// "agrees" tripwire runs the sharded engine (K ∈ {2, 4}, so shard widths
 /// both align and misalign with the port count) through its uniform
-/// delay-line transport on every CIOQ point and checks report equality with
-/// the delayed sequential reference; crossbar rows, which only the
-/// sequential engine runs, read `-`.
+/// delay-line transport on every GM point and checks report equality with
+/// the delayed sequential reference; the other rows, whose policies only
+/// the sequential engine runs, read `-`.
 ///
 /// Table 2 (steady state, drain off): backlog left in the switch —
 /// including packets still in flight — after a fixed arrival window, the
@@ -1209,9 +1209,10 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
 ///
 /// Table 1 (drained runs): benefit, delivered fraction, ratio against the
 /// zero-latency OPT upper bound, and mean packet latency, with a sharded
-/// (K = 2, rack-aligned *and* ring-exercising) agreement tripwire per CIOQ
-/// point: the sharded engine on the matrix fabric must book the exact totals of
-/// the sequential topology-aware reference (crossbar rows read `-`).
+/// (K = 2, rack-aligned *and* ring-exercising) agreement tripwire per GM
+/// point: the sharded engine on the matrix fabric must book the exact
+/// totals of the sequential topology-aware reference (the other rows read
+/// `-`).
 ///
 /// Table 2 (steady state, drain off): backlog left in the switch —
 /// including packets still crossing between racks — after a fixed arrival

@@ -56,8 +56,8 @@ pub use policy::{
 pub use record::{CrossbarRecording, RecordedCrossbarSchedule, RecordedSchedule, Recording};
 pub use service::{serve_cioq, ServiceError, ServiceOutcome};
 pub use shard::{
-    run_cioq_sharded, run_cioq_sharded_streamed, CandidateSet, CioqShardPolicy, CioqShardWorker,
-    ExecMode, MergeContext, MergeScratch, Partition, ShardView, ShardedOptions, ShardedOutcome,
+    run_cioq_sharded, CandidateSet, CioqShardPolicy, CioqShardWorker, ExecMode, MergeContext,
+    MergeScratch, Partition, ShardView, ShardedOptions, ShardedOutcome,
 };
 pub use snapshot::{EngineSnapshot, SnapshotError};
 pub use source::{ArrivalSource, TraceSource};

@@ -4,7 +4,9 @@
 //! thread being party 0 — with cross-shard traffic batched per cycle and
 //! reconciled deterministically. Buffered crossbars run on the sequential
 //! [`Engine`] only: their policies decide each port on its own, with no
-//! matching, so a cycle has too little work to split.
+//! matching, so a cycle has too little work to split. So does PG: its
+//! matching is one global weight order, which a merge would run whole on
+//! one party while the others wait.
 //!
 //! ## Ownership model
 //!
@@ -37,25 +39,25 @@
 //! (`tests/sharded_equivalence.rs` proves it per cycle): every phase runs
 //! between barriers, so shards only ever read frozen state; per-shard
 //! proposals are combined by a *deterministic merge* that resolves contended
-//! crosspoints in fixed port order (ascending input for GM-style lexicographic
-//! greedy, `(weight desc, cell asc)` for PG-style weighted greedy); and all
-//! cross-shard batches are per-queue unique within a cycle, so apply order
-//! cannot influence the result. Thread scheduling therefore never changes
-//! a single decision — only how long the slot takes.
+//! crosspoints in fixed port order (ascending input: GM's lexicographic
+//! greedy); and all cross-shard batches are per-queue unique within a
+//! cycle, so apply order cannot influence the result. Thread scheduling
+//! therefore never changes a single decision — only how long the slot
+//! takes.
 //!
 //! ## Where the two engines meet
 //!
-//! `run_cioq_sharded_feed` owns the slot: the preamble (partition,
+//! `run_cioq_sharded_on` owns the slot: the preamble (partition,
 //! channels, workers, checkpoint cadence), the opening phase, the
 //! scheduling cycles, transmission, audit and the finish; `worker_phase`
-//! runs each phase's share for one shard. The opening phase exists once,
-//! whatever feeds the run: between barriers the coordinator pulls the
-//! slot's arrivals — from a trace cursor or a live stream — into one
-//! pooled batch and validates their ports; then every shard lands the ring
-//! bucket due now and admits, from that batch, the packets of the rows it
-//! owns. The two engines meet in the band: admitting, popping toward the
-//! fabric, delivery into `Q_j`, transmission, residual, checkpoint cells
-//! out and in, and the structural check are `QueueBand` methods both call;
+//! runs each phase's share for one shard. In the opening phase, between
+//! barriers the coordinator pulls the slot's arrivals from the trace
+//! cursor into one pooled batch and validates their ports; then every
+//! shard lands the ring bucket due now and admits, from that batch, the
+//! packets of the rows it owns. The two engines meet in the band:
+//! admitting, popping toward the fabric, delivery into `Q_j`,
+//! transmission, residual, checkpoint cells out and in, and the structural
+//! check are `QueueBand` methods both call;
 //! a checkpoint is the shards' cells in shard order, and `assemble_state`
 //! the shards' bands concatenated. They meet in the delay line too: one
 //! `DelayCalendar` there, one per shard pair here, landed by the one
@@ -78,15 +80,13 @@ use crate::mechanics::{self, PortStamps};
 use crate::policy::{Admission, PacketPick, PolicyError, Transfer};
 use crate::record::RecordedSchedule;
 use crate::snapshot::{EngineSnapshot, SnapLanding};
-use crate::source::{ArrivalSource, TraceSource};
+use crate::source::TraceSource;
 use crate::state::{QueueBand, SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder};
-use crate::stream::StreamingSource;
 use crate::sync::SpinBarrier;
 use crate::trace::Trace;
 use crate::transport::{self, DelayCalendar, FabricSpec, InFlightPacket, Landing, OutputSnapshot};
 use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
-use std::any::Any;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -192,9 +192,8 @@ pub struct ShardedOptions {
     pub shards: usize,
     /// Execution strategy.
     pub mode: ExecMode,
-    /// Arrival slots to simulate; defaults to the trace horizon, and for a
-    /// streamed run to "until the producer closes the stream". Arrivals
-    /// are pulled from the feed one slot at a time, so nothing past the
+    /// Arrival slots to simulate; defaults to the trace horizon. Arrivals
+    /// are pulled from the trace one slot at a time, so nothing past the
     /// window is read, copied or port-checked.
     pub slots: Option<SlotId>,
     /// Keep running arrival-free slots until drained (as the sequential
@@ -291,60 +290,32 @@ pub type ShardView<'a> = SwitchView<'a>;
 // ---------------------------------------------------------------------------
 
 /// A shard's per-cycle proposal payload: a policy-defined auxiliary word
-/// array, an edit publish, or both. GM's `aux` has two layouts. Shard 0
-/// matches its own rows in place and publishes the result: its
-/// taken-or-full output mask (`n_outputs.div_ceil(64)` words), then its
-/// matched pairs `(i << 32) | j` in ascending row order. Every other shard
-/// publishes its rows' edge bitmaps (one such bitmap per owned row,
-/// ascending), so the merge continues the lexicographic greedy as word
-/// arithmetic. PG publishes the cells of its head graph whose edge changed
-/// through `removed` / `refreshed`.
+/// array. GM's has two layouts. Shard 0 matches its own rows in place and
+/// publishes the result: its taken-or-full output mask
+/// (`n_outputs.div_ceil(64)` words), then its matched pairs `(i << 32) | j`
+/// in ascending row order. Every other shard publishes its rows' edge
+/// bitmaps (one such bitmap per owned row, ascending), so the merge
+/// continues the lexicographic greedy as word arithmetic.
 #[derive(Debug, Default)]
 pub struct CandidateSet {
     /// Auxiliary packed words (policy-defined layout).
     pub aux: Vec<u64>,
-    /// Edit-publish handshake (weighted policies): the sequence number of
-    /// this publish. `0` means `refreshed` holds every edge of the shard's
-    /// graph (first cycle or resync) and the merge must drop what it held
-    /// for the shard; `seq ≥ 1` means `removed` / `refreshed` hold the cell
-    /// edits since publish `seq − 1`, which the merge applies to its mirror
-    /// of the graph.
-    pub seq: u64,
-    /// Edit publish: shard-local flat cells whose edge is gone.
-    pub removed: Vec<u32>,
-    /// Edit publish: `(weight, shard-local flat cell)` of every edge added
-    /// or reweighted.
-    pub refreshed: Vec<(Value, u32)>,
 }
 
-impl CandidateSet {
-    fn clear(&mut self) {
-        self.aux.clear();
-        self.seq = 0;
-        self.removed.clear();
-        self.refreshed.clear();
-    }
-}
-
-/// What a merge step carries from one cycle to the next, as a per-run box
-/// whose type the policy picks. One value serves one run: `merge` takes
-/// the policy by `&self`, so a policy object shared by concurrent runs
-/// holds none of it.
+/// What a merge step carries from one cycle to the next: one pooled word
+/// buffer per run (GM: its free-column mask). One value serves one run:
+/// `merge` takes the policy by `&self`, so a policy object shared by
+/// concurrent runs holds none of it.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    state: Option<Box<dyn Any + Send>>,
+    words: Vec<u64>,
 }
 
 impl MergeScratch {
-    /// The merging policy's own per-run state (GM: its free-column mask;
-    /// PG: its mirror of the shards' head graphs), default-built on the
-    /// run's first merge. The type is the policy's; `cioq-sim` only owns
-    /// its lifetime.
-    pub fn state<T: Any + Send + Default>(&mut self) -> &mut T {
-        self.state
-            .get_or_insert_with(|| Box::new(T::default()))
-            .downcast_mut()
-            .expect("one run merges with one policy, so asks for one type")
+    /// The merge's pooled words, empty on the run's first merge and as the
+    /// previous merge left them after.
+    pub fn state(&mut self) -> &mut Vec<u64> {
+        &mut self.words
     }
 }
 
@@ -587,7 +558,7 @@ struct Fabric<'a> {
     partition: Partition,
     shards: Vec<RwLock<ShardState>>,
     /// The current slot's arrivals, whole and in arrival order. The
-    /// coordinator refills it from the feed between barriers (workers
+    /// coordinator refills it from the trace between barriers (workers
     /// parked, so the write lock is uncontended), or clears it past the
     /// arrival window; in [`PH_OPEN`] every shard reads it and admits the
     /// packets of its own rows.
@@ -596,8 +567,8 @@ struct Fabric<'a> {
 }
 
 /// One slot's arrivals, pooled across slots. Packet `packets[o]` has
-/// global index `base + o` — its position in σ, trace-numbered for either
-/// feed, which is what recorded admissions are keyed by.
+/// global index `base + o` — its position in σ, which is what recorded
+/// admissions are keyed by.
 #[derive(Default)]
 struct SlotBatch {
     base: u64,
@@ -883,7 +854,7 @@ fn worker_phase<'f>(
             let cycle = fabric.comms.cycle_now();
             let view = fabric.shard_view(s, &st, &snap);
             rewrite_cell(&fabric.comms.candidates[s], |out| {
-                out.clear();
+                out.aux.clear();
                 ctx.worker.propose(&view, &snap, cycle, out);
             });
         }
@@ -1153,79 +1124,25 @@ fn audit_sharded_slot(fabric: &Fabric<'_>) {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Where a sharded run's arrivals come from: a recorded trace or a live
-/// [`StreamingSource`]. Either way the coordinator pulls one slot's batch
-/// from it between barriers; the two differ only in what stands behind
-/// `pull` (a cursor over σ, or a channel that blocks until the producer
-/// catches up) and in how a resumed run is positioned.
-enum Feed<'t, 's> {
-    Trace(TraceSource<'t>),
-    Stream(&'s mut StreamingSource),
-}
-
-impl<'t> Feed<'t, '_> {
-    /// A trace feed positioned where the run starts: slot 0, or the slot
-    /// of the checkpoint `options` resumes from.
-    fn trace(trace: &'t Trace, options: &ShardedOptions) -> Self {
-        let start = options.resume_from.as_ref().map_or(0, |snap| snap.slot);
-        Feed::Trace(TraceSource::resume_at(trace, start))
+/// Refill the fabric's batch with `slot`'s arrivals from `source`
+/// (coordinator only, between barriers) and validate their ports — here,
+/// before any shard looks a packet's owner up by its input. `base`
+/// continues the source's consumed count, so global indices are
+/// trace-numbered and recorded admissions line up with the sequential
+/// engine's.
+fn refill(
+    fabric: &Fabric<'_>,
+    source: &mut TraceSource<'_>,
+    slot: SlotId,
+) -> Result<(), PolicyError> {
+    let mut batch = write(&fabric.batch);
+    batch.packets.clear();
+    batch.base = source.consumed();
+    source.pull(slot, &mut batch.packets);
+    for p in &batch.packets {
+        mechanics::check_ports(fabric.cfg, p.input, p.output)?;
     }
-
-    /// The feed as the [`ArrivalSource`] it is: run length and window
-    /// queries are the sequential engine's.
-    fn source(&mut self) -> &mut dyn ArrivalSource {
-        match self {
-            Feed::Trace(src) => src,
-            Feed::Stream(src) => *src,
-        }
-    }
-
-    /// A resumed streamed run must attach a channel positioned exactly at
-    /// the checkpoint's stream cursor; anywhere else the replayed stream
-    /// is not the one the checkpoint was taken on.
-    fn check_resume(&self, start_slot: SlotId, options: &ShardedOptions) {
-        if let Feed::Stream(src) = self {
-            let cur = src.cursor();
-            assert!(
-                cur.slot == start_slot,
-                "stream cursor sits at slot {} but the run starts at slot {start_slot} — \
-                 open the channel at the checkpoint's stream_cursor()",
-                cur.slot
-            );
-            if let Some(snap) = &options.resume_from {
-                assert!(
-                    cur.consumed == snap.stats.arrived,
-                    "stream cursor consumed {} packets but the checkpoint arrived {}",
-                    cur.consumed,
-                    snap.stats.arrived
-                );
-            }
-        }
-    }
-
-    /// Refill the fabric's batch with `slot`'s arrivals (coordinator only,
-    /// between barriers) and validate their ports — here, before any shard
-    /// looks a packet's owner up by its input. `base` continues the
-    /// feed's consumed count, so global indices are trace-numbered for a
-    /// stream too and recorded admissions line up across feeds.
-    fn refill(&mut self, fabric: &Fabric<'_>, slot: SlotId) -> Result<(), PolicyError> {
-        let mut batch = write(&fabric.batch);
-        batch.packets.clear();
-        match self {
-            Feed::Trace(src) => {
-                batch.base = src.consumed();
-                src.pull(slot, &mut batch.packets);
-            }
-            Feed::Stream(src) => {
-                batch.base = src.consumed();
-                src.pull(slot, &mut batch.packets);
-            }
-        }
-        for p in &batch.packets {
-            mechanics::check_ports(fabric.cfg, p.input, p.output)?;
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Run a sharded CIOQ policy over a recorded trace.
@@ -1239,36 +1156,14 @@ pub fn run_cioq_sharded(
     trace: &Trace,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    let feed = Feed::trace(trace, &options);
-    run_cioq_sharded_feed(cfg, policy, feed, options.parties(), options)
-}
-
-/// Run a sharded CIOQ policy against a live [`StreamingSource`] — the
-/// push-fed counterpart of [`run_cioq_sharded`], transcript-byte-identical
-/// to it on the same σ. With `options.slots` unset the arrival window
-/// stays open until the producer closes the stream; resuming from a
-/// checkpoint requires the source's cursor to sit at the checkpoint's
-/// [`EngineSnapshot::stream_cursor`].
-pub fn run_cioq_sharded_streamed(
-    cfg: &SwitchConfig,
-    policy: &dyn CioqShardPolicy,
-    source: &mut StreamingSource,
-    options: ShardedOptions,
-) -> Result<ShardedOutcome, PolicyError> {
-    run_cioq_sharded_feed(
-        cfg,
-        policy,
-        Feed::Stream(source),
-        options.parties(),
-        options,
-    )
+    run_cioq_sharded_on(cfg, policy, trace, options.parties(), options)
 }
 
 /// The sharded slot loop — §1.3's slot — on `threads` barrier parties.
-fn run_cioq_sharded_feed(
+fn run_cioq_sharded_on(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
-    mut feed: Feed<'_, '_>,
+    trace: &Trace,
     threads: usize,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
@@ -1279,9 +1174,7 @@ fn run_cioq_sharded_feed(
     options.fabric.assert_covers(cfg);
     let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
     let k = partition.k();
-    // A trace fixes the arrival window; a stream leaves it open until
-    // the producer closes (unless the options cut it short).
-    let fixed_slots = options.slots.or_else(|| feed.source().horizon());
+    let slots = options.slots.unwrap_or_else(|| trace.arrival_slots());
     let comms = Comms::new(k, options.record, options.fabric.clone(), &partition, cfg);
     let fabric = Fabric {
         cfg,
@@ -1316,7 +1209,8 @@ fn run_cioq_sharded_feed(
         .resume_from
         .as_ref()
         .map_or((0, 0), |snap| seed_from_snapshot(&fabric, snap, &options));
-    feed.check_resume(start_slot, &options);
+    // Positioned where the run starts: slot 0, or the checkpoint's slot.
+    let mut source = TraceSource::resume_at(trace, start_slot);
 
     let land_after_cycle = fabric.comms.land_after_cycle;
     let mut merge = Merge {
@@ -1340,13 +1234,7 @@ fn run_cioq_sharded_feed(
             let mut idle_slots = start_idle;
             let mut stamps = PortStamps::default();
             loop {
-                let in_arrival_window = match fixed_slots {
-                    Some(n) => slot < n,
-                    // Blocks until the stream can answer (batch buffered
-                    // or closed) — the workers are parked at the slot
-                    // barrier, so only the coordinator waits.
-                    None => feed.source().in_arrival_window(slot),
-                };
+                let in_arrival_window = slot < slots;
                 if !in_arrival_window {
                     // In-flight packets always land (and count as
                     // progress), so the idle cutoff waits for the fabric.
@@ -1368,7 +1256,7 @@ fn run_cioq_sharded_feed(
                 let (tx_before, moved_before) = fabric.progress();
 
                 if in_arrival_window {
-                    feed.refill(&fabric, slot)?;
+                    refill(&fabric, &mut source, slot)?;
                 } else {
                     write(&fabric.batch).packets.clear();
                 }
@@ -1447,7 +1335,7 @@ impl Merge<'_> {
         // Swap each shard's payload out of its mutex, merge over the owned
         // mirror, then swap back — the workers are parked at the barrier,
         // so the mutex contents are unobserved in between and end up
-        // exactly as published (the edit-publish handshake sees nothing).
+        // exactly as published.
         for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
             std::mem::swap(cs, &mut *lock(m));
         }
@@ -1514,9 +1402,10 @@ mod tests {
     const PORTS: usize = 8;
 
     /// GM (`beta: None`, unit weights) or PG (`beta: Some(β)`): shards
-    /// publish one `(weight, shard-local cell)` per non-empty VOQ through
-    /// `refreshed`, the merge runs the greedy over `(weight desc, cell asc)`
-    /// — for GM that is lexicographic order.
+    /// publish one `(weight, shard-local cell)` word pair per non-empty VOQ
+    /// in `aux`, the merge runs the greedy over `(weight desc, cell asc)` —
+    /// for GM that is lexicographic order. PG's mode keeps the engine's
+    /// preempting admit, apply and land paths exercised.
     struct Greedy {
         beta: Option<f64>,
     }
@@ -1557,8 +1446,8 @@ mod tests {
             let mut all: Vec<(Value, usize, usize)> = Vec::new();
             for (s, set) in ctx.candidates.iter().enumerate() {
                 let lo = ctx.partition.input_range(s).start;
-                let cells = set.refreshed.iter();
-                all.extend(cells.map(|&(w, cell)| (w, lo + cell as usize / m, cell as usize % m)));
+                let cells = set.aux.chunks_exact(2).map(|e| (e[0], e[1] as usize));
+                all.extend(cells.map(|(w, cell)| (w, lo + cell / m, cell % m)));
             }
             all.sort_by_key(|&(weight, i, j)| (std::cmp::Reverse(weight), i, j));
             let mut input_used = vec![false; ctx.cfg.n_inputs];
@@ -1603,7 +1492,7 @@ mod tests {
                     if let Some(v) = head {
                         let weight = if self.weighted { v } else { 0 };
                         let cell = (i - rows.start) * m + j;
-                        out.refreshed.push((weight, cell as u32));
+                        out.aux.extend([weight, cell as u64]);
                     }
                 }
             }
@@ -1659,8 +1548,7 @@ mod tests {
         let (unit, valued) = (skewed_trace(1), skewed_trace(16));
         let run_cioq = |beta, trace: &Trace, t| {
             let policy = Greedy { beta };
-            let feed = Feed::Trace(TraceSource::new(trace));
-            fingerprint(run_cioq_sharded_feed(&cioq, &policy, feed, t, two_tier_options()).unwrap())
+            fingerprint(run_cioq_sharded_on(&cioq, &policy, trace, t, two_tier_options()).unwrap())
         };
         let check = |name: &str, run: &dyn Fn(usize) -> Fingerprint| {
             let inline = run(1);
@@ -1845,13 +1733,7 @@ mod tests {
         bounded(move || {
             let cfg = SwitchConfig::cioq(PORTS, 2, 2);
             let trace = skewed_trace(1);
-            run_cioq_sharded_feed(
-                &cfg,
-                &Faulty(fault),
-                Feed::Trace(TraceSource::new(&trace)),
-                t,
-                two_tier_options(),
-            )
+            run_cioq_sharded_on(&cfg, &Faulty(fault), &trace, t, two_tier_options())
         })
     }
 

@@ -100,8 +100,8 @@ fn s1_sharded_sweep_agrees_with_sequential() {
         !rendered.contains("DIVERGED"),
         "sharded sweep diverged from the sequential engine:\n{rendered}"
     );
-    // GM and PG (the sharded engine is CIOQ-only) × K ∈ {1, 2, 4}.
-    assert_eq!(tables[0].len(), 6);
+    // GM (the sharded engine's one policy) × K ∈ {1, 2, 4}.
+    assert_eq!(tables[0].len(), 3);
     // Frozen without the two wall-clock columns (the last two): every row
     // cut where the header's `seq ms` starts, and the rule line — whose
     // length follows the column widths — dropped.
@@ -119,7 +119,7 @@ fn s1_sharded_sweep_agrees_with_sequential() {
             }
         })
         .collect();
-    assert_frozen("S1", &timeless.join("\n"), 0xef32_cc5b_633d_a394);
+    assert_frozen("S1", &timeless.join("\n"), 0x0169_dfdc_4275_4001);
 }
 
 #[test]
@@ -134,7 +134,7 @@ fn s2_delay_sweep_degrades_monotonically_enough() {
     // 4 policies × d ∈ {0, 1, 2, 4, 8} in both tables.
     assert_eq!(tables[0].len(), 20);
     assert_eq!(tables[1].len(), 20);
-    assert_frozen("S2", &render(&tables), 0x45eb_b65e_67ba_4faa);
+    assert_frozen("S2", &render(&tables), 0x9fa7_2133_90fd_ba1a);
 }
 
 #[test]
@@ -149,5 +149,5 @@ fn s3_topology_sweep_agrees_with_sequential() {
     // 4 policies × inter ∈ {0, 1, 2, 4, 8} in both tables.
     assert_eq!(tables[0].len(), 20);
     assert_eq!(tables[1].len(), 20);
-    assert_frozen("S3", &render(&tables), 0xccc3_fb45_0635_dbf5);
+    assert_frozen("S3", &render(&tables), 0xd20c_962b_6019_4729);
 }
