@@ -200,7 +200,9 @@ pub struct ShardedOptions {
     /// engine does by default).
     pub drain: bool,
     /// Check full structural invariants — every shard's band, where it
-    /// lies — after every slot (slow; meant for tests).
+    /// lies — after every slot (slow; meant for tests). On by default in
+    /// debug builds, as [`RunOptions`](crate::engine::RunOptions)' own
+    /// `validate` field is.
     pub validate: bool,
     /// Record the full decision transcript (admissions + per-cycle
     /// transfer sets) for equivalence checking.
@@ -232,15 +234,15 @@ pub struct ShardedOptions {
 }
 
 impl ShardedOptions {
-    /// Default options for `k` shards: auto execution, drain on, no
-    /// validation or capture, immediate fabric.
+    /// Default options for `k` shards: auto execution, drain on,
+    /// validation in debug builds only, no capture, immediate fabric.
     pub fn new(k: usize) -> Self {
         ShardedOptions {
             shards: k,
             mode: ExecMode::Auto,
             slots: None,
             drain: true,
-            validate: false,
+            validate: cfg!(debug_assertions),
             record: false,
             capture_final_state: false,
             fabric: FabricSpec::default(),
