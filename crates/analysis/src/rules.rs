@@ -25,18 +25,16 @@ const D1_SCOPE: &[&str] = &[
 /// slots and seeded RNGs.
 const D2_EXEMPT: &[&str] = &["crates/bench/"];
 
-/// The modules sanctioned to create threads (D3): the sharded engine's
-/// phase-stepped scoped workers, proven bit-identical to the sequential
-/// path by the lockstep suites, and the streaming seam's producer pump —
-/// a feeder thread whose timing never reaches the transcript (proven
-/// depth-independent and trace-identical by the streaming parity suite).
-const D3_EXEMPT: &[&str] = &["crates/sim/src/shard.rs", "crates/sim/src/stream.rs"];
+/// The one module sanctioned to create threads (D3): the streaming seam's
+/// producer pump — a feeder thread whose timing never reaches the
+/// transcript (proven depth-independent and trace-identical by the
+/// streaming parity suite). No slot engine spawns one.
+const D3_EXEMPT: &[&str] = &["crates/sim/src/stream.rs"];
 
-/// The hand-off modules whose every atomic access must say which access
-/// it pairs with (D4b): the phase barrier and the stream channel share
-/// one spin-then-park protocol whose lock-free half is exactly these
-/// orderings.
-const D4B_SCOPE: &[&str] = &["sync.rs", "crates/sim/src/stream.rs"];
+/// The hand-off module whose every atomic access must say which access it
+/// pairs with (D4b): the stream channel's spin-then-park protocol, whose
+/// lock-free half is exactly these orderings.
+const D4B_SCOPE: &[&str] = &["crates/sim/src/stream.rs"];
 
 /// Engine slot-loop modules where every `unwrap()` must be allowlisted
 /// (D5); `expect("invariant message")` documents itself and is exempt.

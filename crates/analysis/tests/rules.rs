@@ -91,14 +91,19 @@ fn d3_thread_spawn_fires() {
 #[test]
 fn d3_scoped_spawn_fires() {
     let src = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
-    let rules = rules_at("crates/experiments/src/runner.rs", src);
-    assert!(rules.contains(&"D3"));
+    // The slot engines get no exemption either.
+    for path in [
+        "crates/experiments/src/runner.rs",
+        "crates/sim/src/shard.rs",
+    ] {
+        assert!(rules_at(path, src).contains(&"D3"), "{path}");
+    }
 }
 
 #[test]
-fn d3_shard_module_is_exempt() {
+fn d3_stream_module_is_exempt() {
     let src = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
-    assert!(rules_at("crates/sim/src/shard.rs", src).is_empty());
+    assert!(rules_at("crates/sim/src/stream.rs", src).is_empty());
 }
 
 #[test]
@@ -132,7 +137,7 @@ fn d4_unsafe_with_safety_is_clean() {
 #[test]
 fn d4_ordering_in_sync_without_comment_fires() {
     let src = "fn f(a: &std::sync::atomic::AtomicU64) -> u64 { a.load(Ordering::Acquire) }\n";
-    let rules = rules_at("crates/sim/src/sync.rs", src);
+    let rules = rules_at("crates/sim/src/stream.rs", src);
     assert!(rules.contains(&"D4"));
 }
 
@@ -146,7 +151,7 @@ fn d4_ordering_in_stream_without_comment_fires() {
 #[test]
 fn d4_ordering_with_comment_is_clean() {
     let src = "fn f(a: &std::sync::atomic::AtomicU64) -> u64 {\n    // ORDERING: Acquire pairs with the Release store in bump().\n    a.load(Ordering::Acquire)\n}\n";
-    assert!(rules_at("crates/sim/src/sync.rs", src).is_empty());
+    assert!(rules_at("crates/sim/src/stream.rs", src).is_empty());
 }
 
 #[test]
@@ -158,7 +163,7 @@ fn d4_ordering_outside_sync_is_clean() {
 #[test]
 fn d4_ordering_import_is_clean() {
     let src = "use std::sync::atomic::{AtomicU64, Ordering};\n";
-    assert!(rules_at("crates/sim/src/sync.rs", src).is_empty());
+    assert!(rules_at("crates/sim/src/stream.rs", src).is_empty());
 }
 
 // ---- D5: bare unwrap in engine slot loops ----------------------------

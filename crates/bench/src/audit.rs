@@ -5,8 +5,8 @@
 //! that forwards every request to [`System`] after bumping a thread-local
 //! counter, giving harnesses (notably `src/bin/alloc_census.rs`) an exact
 //! per-thread ledger of heap acquisitions, and one process-wide total
-//! ([`process_count`]) that also sees the sharded engine's spawned
-//! parties. The ledgers are plain `Cell<u64>` thread-locals and the total
+//! ([`process_count`]) that also sees other threads, such as the
+//! service cell's producer. The ledgers are plain `Cell<u64>` thread-locals and the total
 //! one relaxed atomic add — no locks — so the audited binary's allocation
 //! *pattern* is unchanged and the overhead is a few nanoseconds per
 //! allocation. When the feature is off this module does

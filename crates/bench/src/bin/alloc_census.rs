@@ -25,12 +25,8 @@
 //! non-zero if any steady-state cell allocates (the CI `alloc-audit` job
 //! runs exactly this).
 //!
-//! Sharded cells (GM: the one policy the sharded engine runs) run
-//! `ExecMode::Inline`, plus K = 2 under
-//! `ExecMode::Threads` (two barrier parties, one of them spawned). The
-//! ledger is the process-wide total, so the spawned party's allocations
-//! count; spawning it costs the same in both runs and cancels like every
-//! other set-up cost.
+//! Sharded cells (GM: the one policy the sharded engine runs) run K = 2
+//! and K = 4, every shard on the calling thread.
 //!
 //! One service cell runs `serve_cioq` (GM, channel depth 4) fed by a
 //! `send_reusing` producer thread: `stream.rs` promises that steady-state
@@ -67,8 +63,8 @@ mod census {
     };
     use cioq_model::{SwitchConfig, Topology};
     use cioq_sim::{
-        run_cioq_sharded, serve_cioq, CioqShardPolicy, Engine, ExecMode, FabricSpec, FaultPlan,
-        RunOptions, ShardedOptions, Trace, TraceSource,
+        run_cioq_sharded, serve_cioq, CioqShardPolicy, Engine, FabricSpec, FaultPlan, RunOptions,
+        ShardedOptions, Trace, TraceSource,
     };
     use cioq_traffic::{gen_trace, FullFabricChurn, ValueDist};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -121,9 +117,8 @@ mod census {
         }
     }
 
-    fn sharded_options(slots: u64, k: usize, mode: ExecMode, link: &FabricSpec) -> ShardedOptions {
+    fn sharded_options(slots: u64, k: usize, link: &FabricSpec) -> ShardedOptions {
         ShardedOptions {
-            mode,
             slots: Some(slots),
             drain: false,
             fabric: link.clone(),
@@ -240,11 +235,10 @@ mod census {
         trace: &Trace,
         link: &FabricSpec,
         k: usize,
-        mode: ExecMode,
         policy: &dyn CioqShardPolicy,
     ) -> (f64, u64) {
         steady(|slots| {
-            run_cioq_sharded(cfg, policy, trace, sharded_options(slots, k, mode, link))
+            run_cioq_sharded(cfg, policy, trace, sharded_options(slots, k, link))
                 .expect("census run");
         })
     }
@@ -348,23 +342,12 @@ mod census {
                 });
             }
 
-            // Sharded engines (CIOQ only): inline, and K = 2 on two barrier
-            // parties.
-            for (k, mode) in [
-                (2usize, ExecMode::Inline),
-                (4, ExecMode::Inline),
-                (2, ExecMode::Threads),
-            ] {
-                let threads = if mode == ExecMode::Threads {
-                    "-thr"
-                } else {
-                    ""
-                };
-                let (steady, raw) =
-                    sharded_cioq(&cioq_cfg, &cioq_unit, link, k, mode, &ShardedGm::new());
+            // Sharded engines (CIOQ only).
+            for k in [2, 4] {
+                let (steady, raw) = sharded_cioq(&cioq_cfg, &cioq_unit, link, k, &ShardedGm::new());
                 rows.push(Row {
                     policy: "gm",
-                    engine: format!("sharded-k{k}{threads}"),
+                    engine: format!("sharded-k{k}"),
                     fabric: fname,
                     steady,
                     raw,

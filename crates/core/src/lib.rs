@@ -19,8 +19,9 @@
 //! the per-shard worker trait over one band of it; [`ShardedGm`] is the
 //! factory that hands the sharded engine one fresh worker per shard plus
 //! the deterministic merge. [`PreemptiveGreedy`] matches in one global
-//! weight order, which a merge would have to run whole on one party, so it
-//! runs on the sequential engine only, as [`CrossbarGreedyUnit`] and
+//! weight order, which a merge would have to run whole while the other
+//! shards wait, so it runs on the sequential engine only, as
+//! [`CrossbarGreedyUnit`] and
 //! [`CrossbarPreemptiveGreedy`] do: they implement
 //! [`cioq_sim::CrossbarPolicy`] for the sequential engine, the only one
 //! that runs a buffered crossbar. None of them allocates per cycle after

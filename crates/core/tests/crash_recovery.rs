@@ -400,47 +400,8 @@ fn crossbar_kill_restore_equivalence() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-mode and windowed-stats corners
+// Windowed-stats corners
 // ---------------------------------------------------------------------------
-
-/// Threaded sharded runs take the same checkpoints as inline ones (the
-/// checkpoint sits at a coordinator barrier, so thread scheduling cannot
-/// leak into it). GM, the sharded engine's one policy.
-#[test]
-fn threads_mode_checkpoints_match_inline() {
-    let cfg = cioq_cfg();
-    let trace = bursty_trace(&cfg, 48, 0xCC);
-    let link = FabricSpec::uniform(2);
-    let inline = run_cioq_sharded(
-        &cfg,
-        &ShardedGm::new(),
-        &trace,
-        sharded_options(4, &link, None),
-    )
-    .expect("inline run");
-    let mut opts = sharded_options(4, &link, None);
-    opts.mode = ExecMode::Threads;
-    let threaded = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, opts).expect("threaded run");
-    assert_eq!(
-        inline.checkpoints.len(),
-        threaded.checkpoints.len(),
-        "checkpoint count"
-    );
-    for (a, b) in inline.checkpoints.iter().zip(&threaded.checkpoints) {
-        assert_eq!(
-            a.to_bytes(),
-            b.to_bytes(),
-            "threaded checkpoint at slot {}",
-            a.slot()
-        );
-    }
-    // And a threaded run resumes from an inline checkpoint.
-    let snap = inline.checkpoints[inline.checkpoints.len() / 2].clone();
-    let mut opts = sharded_options(4, &link, Some(snap));
-    opts.mode = ExecMode::Threads;
-    let resumed = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, opts).expect("resumed run");
-    assert_eq!(resumed.report, inline.report, "threaded resume report");
-}
 
 /// A sequential run with a bounded stats window checkpoints the window
 /// contents and restores them: the resumed run's report (window

@@ -6,8 +6,7 @@
 //!    topology must reproduce the uniform delay line bit for bit
 //!    (admissions, per-cycle transfer sets, reports, final states), for all
 //!    four policies on the sequential engine and for GM × K ∈
-//!    {1, 2, 4} × {inline, threads} on the sharded one (which runs GM
-//!    only). Unlike the `d = 0` normalisation this is *not* structural:
+//!    {1, 2, 4} on the sharded one (which runs GM only). Unlike the `d = 0` normalisation this is *not* structural:
 //!    the matrix path runs the per-pair lookup, the landing calendar, and
 //!    the canonical landing sort, and must land on the same bits.
 //! 2. **Sharded matrix fabric ≡ sequential reference** — on genuinely
@@ -25,14 +24,13 @@ use cioq_core::{
 use cioq_model::{PortId, SwitchConfig, Topology};
 use cioq_sim::{
     run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, Engine,
-    ExecMode, FabricSpec, RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions,
-    RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
+    FabricSpec, RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunReport,
+    ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-const MODES: [ExecMode; 2] = [ExecMode::Inline, ExecMode::Threads];
 
 fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.policy, b.policy, "{what}: policy name");
@@ -124,16 +122,15 @@ fn seq_crossbar(
     (outcome.report, rec.into_schedule(), outcome.final_state)
 }
 
-fn sharded_options(k: usize, mode: ExecMode, link: &FabricSpec) -> ShardedOptions {
+fn sharded_options(k: usize, link: &FabricSpec) -> ShardedOptions {
     let mut opts = ShardedOptions::new(k);
     opts.fabric = link.clone();
-    opts.mode = mode;
     opts.record = true;
     opts.capture_final_state = true;
     opts
 }
 
-/// Sweep a sharded CIOQ policy over K × mode through `link`, comparing
+/// Sweep a sharded CIOQ policy over K through `link`, comparing
 /// against a given sequential reference (transcripts, reports, states).
 fn check_cioq_against(
     cfg: &SwitchConfig,
@@ -145,19 +142,17 @@ fn check_cioq_against(
 ) {
     let (ref_report, ref_schedule, ref_state) = reference;
     for k in SHARD_COUNTS {
-        for mode in MODES {
-            let what = format!("{what} [{}] k={k} mode={mode:?}", ref_report.policy);
-            let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, mode, link))
-                .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
-            let schedule = outcome.schedule.as_ref().expect("recording requested");
-            assert_eq!(schedule, ref_schedule, "{what}: decision transcript");
-            assert_reports_equal(&outcome.report, ref_report, &what);
-            assert_states_equal(
-                outcome.final_state.as_ref().expect("capture requested"),
-                ref_state,
-                &what,
-            );
-        }
+        let what = format!("{what} [{}] k={k}", ref_report.policy);
+        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, link))
+            .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
+        let schedule = outcome.schedule.as_ref().expect("recording requested");
+        assert_eq!(schedule, ref_schedule, "{what}: decision transcript");
+        assert_reports_equal(&outcome.report, ref_report, &what);
+        assert_states_equal(
+            outcome.final_state.as_ref().expect("capture requested"),
+            ref_state,
+            &what,
+        );
     }
 }
 
@@ -192,8 +187,7 @@ fn cioq_cfg() -> SwitchConfig {
 
 /// A uniform topology must land on the delay line's exact bits — per-pair
 /// lookup, calendar, and canonical landing sort included — for all four
-/// policies sequentially, and for GM sharded too (K ∈ {1, 2, 4} ×
-/// {inline, threads}).
+/// policies sequentially, and for GM sharded too (K ∈ {1, 2, 4}).
 #[test]
 fn constant_matrix_is_bit_identical_to_delay_line() {
     let cfg = cioq_cfg();

@@ -4,11 +4,11 @@
 //!
 //! 1. **`FabricSpec::uniform(0)` ≡ the default fabric** — the identity is checked
 //!    end to end (admissions, per-cycle transfer sets, reports, final
-//!    states) for GM × K ∈ {1, 2, 4} × {inline, threads}.
+//!    states) for GM × K ∈ {1, 2, 4}.
 //! 2. **Sharded `uniform(d)` ≡ sequential delayed engine** — the
 //!    sharded delay rings reproduce the reference delayed-sequential
-//!    engine bit for bit, for d ∈ {1, 2, 4}, the same policy/K/mode
-//!    matrix. This is the delayed analogue of `sharded_equivalence.rs`
+//!    engine bit for bit, for d ∈ {1, 2, 4}, the same policy and
+//!    shard counts. This is the delayed analogue of `sharded_equivalence.rs`
 //!    (the sharded engine runs GM only).
 //! 3. **Conservation in flight** — no packet is lost or duplicated while
 //!    riding the delay line, under `FullFabricChurn` (every row dirtied
@@ -19,13 +19,12 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CioqShardPolicy, Engine, ExecMode, FabricSpec, RecordedSchedule,
-    Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, CioqPolicy, CioqShardPolicy, Engine, FabricSpec, RecordedSchedule, Recording,
+    RunOptions, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-const MODES: [ExecMode; 2] = [ExecMode::Inline, ExecMode::Threads];
 
 fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.policy, b.policy, "{what}: policy name");
@@ -92,16 +91,15 @@ fn seq_options(d: SlotId) -> RunOptions {
     }
 }
 
-fn sharded_options(k: usize, mode: ExecMode, d: SlotId) -> ShardedOptions {
+fn sharded_options(k: usize, d: SlotId) -> ShardedOptions {
     let mut opts = ShardedOptions::new(k);
     opts.fabric = FabricSpec::uniform(d);
-    opts.mode = mode;
     opts.record = true;
     opts.capture_final_state = true;
     opts
 }
 
-/// Full K × mode sweep of a sharded CIOQ policy on a latency-`d` fabric
+/// Full K sweep of a sharded CIOQ policy on a latency-`d` fabric
 /// against the delayed sequential reference.
 fn check_cioq_delayed(
     cfg: &SwitchConfig,
@@ -112,19 +110,17 @@ fn check_cioq_delayed(
 ) {
     let (ref_report, ref_schedule, ref_state) = seq_cioq_delayed(cfg, seq(), trace, d);
     for k in SHARD_COUNTS {
-        for mode in MODES {
-            let what = format!("{} d={d} k={k} mode={mode:?}", ref_report.policy);
-            let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, mode, d))
-                .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
-            let schedule = outcome.schedule.as_ref().expect("recording requested");
-            assert_eq!(schedule, &ref_schedule, "{what}: decision transcript");
-            assert_reports_equal(&outcome.report, &ref_report, &what);
-            assert_states_equal(
-                outcome.final_state.as_ref().expect("capture requested"),
-                &ref_state,
-                &what,
-            );
-        }
+        let what = format!("{} d={d} k={k}", ref_report.policy);
+        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, d))
+            .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
+        let schedule = outcome.schedule.as_ref().expect("recording requested");
+        assert_eq!(schedule, &ref_schedule, "{what}: decision transcript");
+        assert_reports_equal(&outcome.report, &ref_report, &what);
+        assert_states_equal(
+            outcome.final_state.as_ref().expect("capture requested"),
+            &ref_state,
+            &what,
+        );
     }
 }
 

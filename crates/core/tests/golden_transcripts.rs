@@ -8,8 +8,8 @@
 //! is an FNV-1a hash over the run report, the final queue contents and
 //! every checkpoint's canonical bytes, for GM, PG, CGU and CPG on an
 //! immediate and a two-tier fabric — and every execution variant the
-//! workspace has (sequential, stream-fed, sharded K ∈ {1, 3} inline and
-//! threaded for GM, a mid-run resume on each engine) must reproduce it.
+//! workspace has (sequential, stream-fed, sharded K ∈ {1, 3} for GM, a
+//! mid-run resume on each engine) must reproduce it.
 //!
 //! The geometry is 6 × 70: non-square, and wide enough that the output
 //! bitmaps straddle a 64-bit word. Buffers are small and the hot outputs
@@ -29,9 +29,9 @@ use cioq_core::{
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
     run_cioq_sharded, stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    Engine, EngineSnapshot, ExecMode, FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope,
-    RunOptions, RunOutcome, RunReport, ShardedOptions, ShardedOutcome, SortedQueue, SwitchState,
-    Trace, TraceSource,
+    Engine, EngineSnapshot, FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope, RunOptions,
+    RunOutcome, RunReport, ShardedOptions, ShardedOutcome, SortedQueue, SwitchState, Trace,
+    TraceSource,
 };
 
 const N_INPUTS: usize = 6;
@@ -39,7 +39,6 @@ const N_OUTPUTS: usize = 70;
 const ARRIVAL_SLOTS: SlotId = 40;
 const CHECKPOINT_EVERY: SlotId = 8;
 const SHARD_COUNTS: [usize; 2] = [1, 3];
-const MODES: [ExecMode; 2] = [ExecMode::Inline, ExecMode::Threads];
 
 // ---- the pinned values (captured at the parent of PR 17) ----
 
@@ -236,12 +235,10 @@ fn run_options(fabric: &FabricSpec) -> RunOptions {
 
 fn sharded_options(
     k: usize,
-    mode: ExecMode,
     fabric: &FabricSpec,
     resume: Option<EngineSnapshot>,
 ) -> ShardedOptions {
     let mut options = ShardedOptions::new(k);
-    options.mode = mode;
     options.fabric = fabric.clone();
     options.capture_final_state = true;
     options.checkpoint_every = Some(CHECKPOINT_EVERY);
@@ -330,26 +327,24 @@ fn check(
     let sharded_run =
         |trace, options| run_cioq_sharded(cfg, policy, trace, options).expect("sharded run");
     for k in SHARD_COUNTS {
-        for mode in MODES {
-            let what = format!("{what} K={k} {mode:?}");
-            let sharded = sharded_run(trace, sharded_options(k, mode, fabric, None));
-            assert_eq!(hash_sharded(&sharded), golden, "{what}: sharded");
+        let what = format!("{what} K={k}");
+        let sharded = sharded_run(trace, sharded_options(k, fabric, None));
+        assert_eq!(hash_sharded(&sharded), golden, "{what}: sharded");
 
-            let kill = kill_point(&sharded.checkpoints);
-            let kill_slot = kill.slot();
-            let resumed = sharded_run(trace, sharded_options(k, mode, fabric, Some(kill)));
-            assert_eq!(
-                hash_resumed(
-                    &sharded.checkpoints,
-                    kill_slot,
-                    &resumed.report,
-                    resumed.final_state.as_ref().expect("capture requested"),
-                    &resumed.checkpoints
-                ),
-                golden,
-                "{what}: sharded resume at slot {kill_slot}"
-            );
-        }
+        let kill = kill_point(&sharded.checkpoints);
+        let kill_slot = kill.slot();
+        let resumed = sharded_run(trace, sharded_options(k, fabric, Some(kill)));
+        assert_eq!(
+            hash_resumed(
+                &sharded.checkpoints,
+                kill_slot,
+                &resumed.report,
+                resumed.final_state.as_ref().expect("capture requested"),
+                &resumed.checkpoints
+            ),
+            golden,
+            "{what}: sharded resume at slot {kill_slot}"
+        );
     }
 }
 

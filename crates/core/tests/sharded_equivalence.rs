@@ -1,23 +1,19 @@
 //! Lockstep equivalence of the sharded engine and the sequential engine:
 //! identical **per-cycle transfer sets**, **admission transcripts**, **run
 //! reports**, and **final queue states** — for GM (the one policy the
-//! sharded engine runs), shard counts K ∈ {1, 2, 4}, and both execution
-//! modes (inline and real threads).
+//! sharded engine runs) and shard counts K ∈ {1, 2, 4}.
 //!
 //! The sequential side runs under a recording wrapper so its full decision
 //! transcript is captured; the sharded side records its merged decisions.
 //! Equal transcripts + equal final states + equal reports pin the two
 //! engines cycle for cycle, not just end to end — the ISSUE's "bit
-//! identical" bar. The thread-count matrix in CI reruns this suite under
-//! different `--test-threads` so scheduling races cannot hide behind one
-//! lucky interleaving.
+//! identical" bar.
 
 use cioq_core::{GreedyMatching, ShardedGm};
 use cioq_model::{PortId, SwitchConfig};
 use cioq_sim::{
-    run_cioq, run_cioq_sharded, CioqPolicy, CioqShardPolicy, ExecMode, PolicyError,
-    RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace,
-    TraceSource,
+    run_cioq, run_cioq_sharded, CioqPolicy, CioqShardPolicy, PolicyError, RecordedSchedule,
+    Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::adversary::gm_iq_flood;
 use cioq_traffic::{
@@ -26,7 +22,6 @@ use cioq_traffic::{
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-const MODES: [ExecMode; 2] = [ExecMode::Inline, ExecMode::Threads];
 
 // ---- comparison helpers ----
 
@@ -91,15 +86,14 @@ fn seq_cioq(
     (report, rec.into_schedule(), state)
 }
 
-fn sharded_options(k: usize, mode: ExecMode) -> ShardedOptions {
+fn sharded_options(k: usize) -> ShardedOptions {
     let mut opts = ShardedOptions::new(k);
-    opts.mode = mode;
     opts.record = true;
     opts.capture_final_state = true;
     opts
 }
 
-/// Run the sharded twin across the full K × mode matrix and compare every
+/// Run the sharded twin at every shard count and compare every
 /// observable against the sequential reference.
 fn check_cioq(
     cfg: &SwitchConfig,
@@ -120,26 +114,24 @@ fn check_cioq_at(
 ) {
     let (ref_report, ref_schedule, ref_state) = seq_cioq(cfg, seq(), trace);
     for &k in ks {
-        for mode in MODES {
-            let what = format!("{} k={k} mode={mode:?}", ref_report.policy);
-            let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, mode))
-                .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
-            let schedule = outcome.schedule.as_ref().expect("recording requested");
-            assert_eq!(
-                schedule.admissions, ref_schedule.admissions,
-                "{what}: admissions"
-            );
-            assert_eq!(
-                schedule.transfers, ref_schedule.transfers,
-                "{what}: per-cycle transfer sets"
-            );
-            assert_reports_equal(&outcome.report, &ref_report, &what);
-            assert_states_equal(
-                outcome.final_state.as_ref().expect("capture requested"),
-                &ref_state,
-                &what,
-            );
-        }
+        let what = format!("{} k={k}", ref_report.policy);
+        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k))
+            .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
+        let schedule = outcome.schedule.as_ref().expect("recording requested");
+        assert_eq!(
+            schedule.admissions, ref_schedule.admissions,
+            "{what}: admissions"
+        );
+        assert_eq!(
+            schedule.transfers, ref_schedule.transfers,
+            "{what}: per-cycle transfer sets"
+        );
+        assert_reports_equal(&outcome.report, &ref_report, &what);
+        assert_states_equal(
+            outcome.final_state.as_ref().expect("capture requested"),
+            &ref_state,
+            &what,
+        );
     }
 }
 
@@ -159,8 +151,8 @@ fn trace_from(n: usize, arrivals: &[(u8, u8, u8, u64)]) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Random bursty/value-skewed traces: GM sharded K ∈ {1,2,4} ×
-    /// {inline, threads} equals the sequential engine in every observable.
+    /// Random bursty/value-skewed traces: GM sharded K ∈ {1,2,4} equals
+    /// the sequential engine in every observable.
     #[test]
     fn cioq_sharded_equals_sequential(
         n in 1usize..7,
@@ -347,12 +339,10 @@ fn bad_port_is_the_same_error_from_every_engine() {
         let sequential = run_cioq(&cfg, &mut GreedyMatching::new(), &trace);
         assert_eq!(sequential.expect_err("sequential"), expected);
         for k in SHARD_COUNTS {
-            for mode in MODES {
-                let what = format!("bad {side} k={k} mode={mode:?}");
-                let options = sharded_options(k, mode);
-                let sharded = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, options);
-                assert_eq!(sharded.expect_err(&what), expected, "{what}");
-            }
+            let what = format!("bad {side} k={k}");
+            let options = sharded_options(k);
+            let sharded = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, options);
+            assert_eq!(sharded.expect_err(&what), expected, "{what}");
         }
     }
 }

@@ -23,7 +23,7 @@
 //! A transcript here is the admissions plus every cycle's transfer pairs,
 //! plus the run report with its `policy` name blanked. PG runs on the
 //! sequential engine, the only one that runs it, and its GM twin on both —
-//! sequential, and sharded at K ∈ {1, 2, 4} inline and on threads; the
+//! sequential, and sharded at K ∈ {1, 2, 4}; the
 //! crossbar twins run on the sequential engine, the only one that runs a
 //! crossbar; all on the immediate fabric and a two-tier one, at 6 × 70
 //! (output bitmaps straddle a word) and 70 × 3 (rows straddle words of
@@ -50,21 +50,18 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CrossbarPolicy, CrossbarRecording, Engine, ExecMode, FabricSpec,
+    run_cioq_sharded, CioqPolicy, CrossbarPolicy, CrossbarRecording, Engine, FabricSpec,
     RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions,
     Trace, TraceSource,
 };
 
 const ARRIVAL_SLOTS: SlotId = 30;
 
-/// An engine to run GM on: sequential (`None`) or sharded.
-type Variant = Option<(usize, ExecMode)>;
+/// An engine to run GM on: sequential (`None`) or sharded at K shards.
+type Variant = Option<usize>;
 
 fn variants() -> Vec<Variant> {
-    let sharded = [1, 2, 4]
-        .into_iter()
-        .flat_map(|k| [ExecMode::Inline, ExecMode::Threads].map(|mode| Some((k, mode))));
-    std::iter::once(None).chain(sharded).collect()
+    std::iter::once(None).chain([1, 2, 4].map(Some)).collect()
 }
 
 // ---- workload ----
@@ -160,10 +157,10 @@ fn gm_transcript(
     fabric: &FabricSpec,
     variant: Variant,
 ) -> Transcript<RecordedSchedule> {
-    let Some((k, mode)) = variant else {
+    let Some(k) = variant else {
         return cioq_transcript(GreedyMatching::new(), cfg, trace, fabric);
     };
-    let options = sharded(k, mode, fabric);
+    let options = sharded(k, fabric);
     let outcome = run_cioq_sharded(cfg, &ShardedGm::new(), trace, options).expect("sharded run");
     let schedule = outcome.schedule.expect("recorded");
     (blank(outcome.report), schedule)
@@ -186,9 +183,8 @@ fn crossbar_transcript<P: CrossbarPolicy>(
     (blank(report), rec.into_schedule())
 }
 
-fn sharded(k: usize, mode: ExecMode, fabric: &FabricSpec) -> ShardedOptions {
+fn sharded(k: usize, fabric: &FabricSpec) -> ShardedOptions {
     let mut options = ShardedOptions::new(k);
-    options.mode = mode;
     options.fabric = fabric.clone();
     options.record = true;
     options

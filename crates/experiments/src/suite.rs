@@ -1014,9 +1014,9 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
             points.push((p, k));
         }
     }
-    // One at a time: a K ≥ 2 run is K barrier parties of its own, so timing
-    // several at once oversubscribes the cores and the `sharded ms` column
-    // measures the host's scheduler (9–165 ms run to run) instead of the run.
+    // One at a time: timing several runs at once puts them on shared cores,
+    // and the `sharded ms` column then measures the host's scheduler
+    // instead of the run.
     let rows = points.iter().map(|&(p, k)| {
         let (label, kind) = policies[p];
         // detlint: allow(D2) reason="speedup column reports wall time; never feeds simulation state"

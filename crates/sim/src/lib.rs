@@ -39,7 +39,6 @@ mod source;
 mod state;
 mod stats;
 pub mod stream;
-mod sync;
 mod trace;
 pub mod transport;
 
@@ -67,6 +66,5 @@ pub use stream::{
     channel, channel_at, spawn_producer, stream_reader, stream_reader_from, stream_trace,
     stream_trace_from, StreamClosed, StreamCursor, StreamPump, StreamSender, StreamingSource,
 };
-pub use sync::SpinBarrier;
 pub use trace::{Trace, TraceError, TraceReader};
 pub use transport::{FabricSpec, OutputSnapshot};

@@ -1,12 +1,14 @@
 //! Sharded slot engine for CIOQ switches: the N ports split into K
-//! contiguous shards, each shard running its share of every phase — the K
-//! shards grouped onto T ≤ min(K, cores) barrier parties, the calling
-//! thread being party 0 — with cross-shard traffic batched per cycle and
-//! reconciled deterministically. Buffered crossbars run on the sequential
-//! [`Engine`] only: their policies decide each port on its own, with no
-//! matching, so a cycle has too little work to split. So does PG: its
-//! matching is one global weight order, which a merge would run whole on
-//! one party while the others wait.
+//! contiguous shards, and every phase of a slot runs each shard's share in
+//! shard order on the calling thread, with cross-shard traffic batched per
+//! cycle and reconciled deterministically. GM is one lexicographic greedy
+//! over the whole switch, so the work between two merges is a few
+//! microseconds: too little, at the port counts this engine runs, to pay
+//! for handing a phase to another thread. Buffered crossbars run on the
+//! sequential [`Engine`] only: their policies decide each port on its own,
+//! with no matching, so a cycle has too little work to split. So does PG:
+//! its matching is one global weight order, which a merge would run whole
+//! while the other shards wait.
 //!
 //! ## Ownership model
 //!
@@ -23,41 +25,40 @@
 //!
 //! What is this engine's own is everything *between* bands, and every
 //! hand-off there happens once per phase, never once per item. The
-//! coordinator publishes a cycle's merged transfer set whole, in one
-//! cell; each row owner pops from it the transfers of its own rows. A
-//! transfer whose input row and output column live on different shards is
-//! *cross-shard*: the row owner dispatches the packet into the
-//! `(column owner, row owner)` delay ring — the sequential engine's
-//! `DelayCalendar`, at the pair's latency, 0 included — and the column
-//! owner lands it, after the cycle at latency 0 and as a later slot opens
-//! otherwise. A policy error travels through `Comms::ok` to a sticky cell
-//! instead of `?`.
+//! coordinator merges a cycle's transfer set whole; each row owner pops
+//! from it the transfers of its own rows. A transfer whose input row and
+//! output column live on different shards is *cross-shard*: the row owner
+//! dispatches the packet into the `(column owner, row owner)` delay ring —
+//! the sequential engine's `DelayCalendar`, at the pair's latency, 0
+//! included — and the column owner lands it, after the cycle at latency 0
+//! and as a later slot opens otherwise. A policy error returns through
+//! `?`, as in the sequential engine.
 //!
 //! ## Bit-identity
 //!
 //! The sharded engine is **bit-identical** to the sequential [`Engine`]
-//! (`tests/sharded_equivalence.rs` proves it per cycle): every phase runs
-//! between barriers, so shards only ever read frozen state; per-shard
-//! proposals are combined by a *deterministic merge* that resolves contended
-//! crosspoints in fixed port order (ascending input: GM's lexicographic
-//! greedy); and all cross-shard batches are per-queue unique within a
-//! cycle, so apply order cannot influence the result. Thread scheduling
-//! therefore never changes a single decision — only how long the slot
-//! takes.
+//! (`tests/sharded_equivalence.rs` proves it per cycle): within a phase a
+//! shard writes only its own band and the rings it alone writes in that
+//! phase, so no shard reads what another wrote in the same phase and the
+//! shard order never shows; per-shard proposals are combined by a
+//! *deterministic merge* that resolves contended crosspoints in fixed port
+//! order (ascending input: GM's lexicographic greedy); and all cross-shard
+//! batches are per-queue unique within a cycle, so apply order cannot
+//! influence the result. The shard count therefore never changes a single
+//! decision.
 //!
 //! ## Where the two engines meet
 //!
-//! `run_cioq_sharded_on` owns the slot: the preamble (partition,
-//! channels, workers, checkpoint cadence), the opening phase, the
-//! scheduling cycles, transmission, audit and the finish; `worker_phase`
-//! runs each phase's share for one shard. In the opening phase, between
-//! barriers the coordinator pulls the slot's arrivals from the trace
-//! cursor into one pooled batch and validates their ports; then every
-//! shard lands the ring bucket due now and admits, from that batch, the
-//! packets of the rows it owns. The two engines meet in the band:
-//! admitting, popping toward the fabric, delivery into `Q_j`,
-//! transmission, residual, checkpoint cells out and in, and the structural
-//! check are `QueueBand` methods both call;
+//! `run_cioq_sharded` owns the slot: the preamble (partition, rings,
+//! workers, checkpoint cadence), the opening phase, the scheduling cycles,
+//! transmission, audit and the finish; each phase is a `Fabric` method
+//! that runs one shard's share. In the opening phase the coordinator pulls
+//! the slot's arrivals from the trace cursor into one pooled batch and
+//! validates their ports; then every shard lands the ring bucket due now
+//! and admits, from that batch, the packets of the rows it owns. The two
+//! engines meet in the band: admitting, popping toward the fabric,
+//! delivery into `Q_j`, transmission, residual, checkpoint cells out and
+//! in, and the structural check are `QueueBand` methods both call;
 //! a checkpoint is the shards' cells in shard order, and `assemble_state`
 //! the shards' bands concatenated. They meet in the delay line too: one
 //! `DelayCalendar` there, one per shard pair here, landed by the one
@@ -71,8 +72,8 @@
 //! cycle's snapshot here — so one policy object's cache code runs
 //! unchanged under either. Still per-engine: the slot loop itself, the
 //! policy traits (both families take that one view; folding them waits on
-//! one slot loop), the error transport and the fault layer, which only the
-//! sequential engine has.
+//! one slot loop) and the fault layer, which only the sequential engine
+//! has.
 //!
 //! [`Engine`]: crate::engine::Engine
 
@@ -83,13 +84,10 @@ use crate::snapshot::{EngineSnapshot, SnapLanding};
 use crate::source::TraceSource;
 use crate::state::{QueueBand, SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder};
-use crate::sync::SpinBarrier;
 use crate::trace::Trace;
 use crate::transport::{self, DelayCalendar, FabricSpec, InFlightPacket, Landing, OutputSnapshot};
 use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 // ---------------------------------------------------------------------------
 // Partition
@@ -164,24 +162,19 @@ impl Partition {
 // Options and outcome
 // ---------------------------------------------------------------------------
 
-/// How many barrier parties the K shards execute on within a slot. A
-/// party runs a contiguous group of shards (shard `s` belongs to party
-/// `⌊s·T/K⌋`) in shard order; the calling thread is party 0, so T parties
-/// cost T − 1 spawned threads. Phases touch only per-shard state and
-/// single-writer cells, so T never shows in any result.
+/// How the K shards execute within a slot. Both variants run every
+/// shard's phase work on the calling thread, in shard order, with no
+/// thread spawned: a phase is a few microseconds of work at the port
+/// counts the engine runs, less than a hand-off between threads costs.
+/// The enum stays because callers outside the workspace name its
+/// variants; the one-engine facade (ROADMAP item 2) deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// T = min(K, `available_parallelism()`): never more parties than
-    /// cores, so no party ever waits for a descheduled spinner.
+    /// The default: the same as [`ExecMode::Inline`].
     #[default]
     Auto,
-    /// T = 1: every shard's phase work runs on the calling thread, with
-    /// no thread spawned and no barrier crossed.
+    /// Every shard's phase work runs on the calling thread.
     Inline,
-    /// T = max(`Auto`'s T, min(K, 2)): as `Auto`, but at least two
-    /// parties whenever K ≥ 2, so the barrier protocol is exercised even
-    /// on a one-core host.
-    Threads,
 }
 
 /// Options for a sharded run (the sharded analogue of
@@ -190,7 +183,7 @@ pub enum ExecMode {
 pub struct ShardedOptions {
     /// Number of shards K ≥ 1.
     pub shards: usize,
-    /// Execution strategy.
+    /// Execution strategy (every mode runs inline; see [`ExecMode`]).
     pub mode: ExecMode,
     /// Arrival slots to simulate; defaults to the trace horizon. Arrivals
     /// are pulled from the trace one slot at a time, so nothing past the
@@ -249,16 +242,6 @@ impl ShardedOptions {
             checkpoint_every: None,
             resume_from: None,
         }
-    }
-
-    /// Barrier parties T the run executes on (see [`ExecMode`]).
-    fn parties(&self) -> usize {
-        if self.mode == ExecMode::Inline || self.shards == 1 {
-            return 1;
-        }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let floor = if self.mode == ExecMode::Threads { 2 } else { 1 };
-        self.shards.min(cores.max(floor))
     }
 }
 
@@ -325,8 +308,7 @@ impl MergeScratch {
 /// snapshot (the one every shard's view handed its proposal), the cycle,
 /// and every shard's proposal payload (shard order = ascending port
 /// ranges). Deliberately queue-free: merges work over published payloads
-/// and the snapshot, so the merge step costs no locks and no cache-missing
-/// queue reads.
+/// and the snapshot, so the merge step makes no cache-missing queue reads.
 pub struct MergeContext<'a> {
     /// The switch configuration.
     pub cfg: &'a SwitchConfig,
@@ -359,9 +341,8 @@ pub trait CioqShardPolicy: Sync {
 
     /// Deterministically combine per-shard candidates into the cycle's
     /// matching, resolving contended ports in fixed port order. Must append
-    /// transfers in the exact order the sequential policy would: the engine
-    /// publishes `out` as one set, and every row owner pops its own rows'
-    /// transfers from it in that order.
+    /// transfers in the exact order the sequential policy would: every row
+    /// owner pops its own rows' transfers from `out` in that order.
     fn merge(&self, ctx: &MergeContext<'_>, scratch: &mut MergeScratch, out: &mut Vec<Transfer>);
 }
 
@@ -374,9 +355,9 @@ pub trait CioqShardWorker: Send {
     fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission;
 
     /// Propose this shard's candidates for the cycle. Shard-local by
-    /// construction (one lock, no whole-fabric view): `shard.changes()`
-    /// holds exactly the owned queues dirtied since the previous proposal,
-    /// and `outputs` is the pre-cycle output snapshot, the same one
+    /// construction (no whole-fabric view): `shard.changes()` holds
+    /// exactly the owned queues dirtied since the previous proposal, and
+    /// `outputs` is the pre-cycle output snapshot, the same one
     /// `shard.outputs()` reads.
     fn propose(
         &mut self,
@@ -388,7 +369,7 @@ pub trait CioqShardWorker: Send {
 }
 
 // ---------------------------------------------------------------------------
-// Internal shared state
+// The fabric: every shard's state and what passes between them
 // ---------------------------------------------------------------------------
 
 /// One shard's owned slice of the switch plus its accounting.
@@ -401,171 +382,52 @@ struct ShardState {
     stats: StatsRecorder,
     /// Recorded admissions `(global arrival index, accepted)`.
     admits: Vec<(u64, bool)>,
+    /// Pooled gather buffer of this shard's landings.
+    gather: Vec<Landing>,
 }
 
-/// All cross-shard communication channels plus run-wide control state.
-struct Comms {
-    /// Per-shard CIOQ proposal payloads.
-    candidates: Vec<Mutex<CandidateSet>>,
-    /// The cycle's CIOQ transfer set, in merge order: swapped in by the
-    /// coordinator under one write lock, popped by every row owner.
-    transfers: RwLock<Vec<Transfer>>,
+/// The whole fabric: the shards' states, the delay rings between them,
+/// and what the coordinator and the shards hand each other per phase.
+struct Fabric<'a> {
+    cfg: &'a SwitchConfig,
+    partition: Partition,
+    shards: Vec<ShardState>,
+    /// The current slot's arrivals, whole and in arrival order. The
+    /// coordinator refills it from the trace, or clears it past the
+    /// arrival window; in the opening phase every shard admits the
+    /// packets of its own rows from it.
+    batch: SlotBatch,
+    /// Per-shard CIOQ proposal payloads, pooled across cycles.
+    candidates: Vec<CandidateSet>,
+    /// The cycle's CIOQ transfer set, in merge order: written by the
+    /// merge, popped by every row owner.
+    transfers: Vec<Transfer>,
     /// The packets between bands: one delay ring per (destination, source)
-    /// shard pair, written by the source's pop phase, landed by the
-    /// destination. Each is a [`DelayCalendar`] — the sequential engine's
-    /// delay line — of *heterogeneous* depth, the largest per-pair latency
-    /// between a source-owned input and a destination-owned output, so a
-    /// shard pair whose racks sit close never pays for the fabric's worst
-    /// path. The destination lands the bucket due at slot `t` as `t` opens,
-    /// before the slot's dispatches refill it, and again after each cycle
-    /// when latency-0 dispatches reach it. Packets keep their
-    /// dispatch time: with per-pair latencies one landing slot can gather
-    /// transfers dispatched in *different* slots (and up to ŝ per output
-    /// within a slot), and with preemption their per-queue apply order
-    /// matters (see [`land_phase`]).
-    rings: Vec<Vec<Mutex<DelayCalendar>>>,
+    /// shard pair (`rings[dest][src]`), written by the source's pop phase,
+    /// landed by the destination. Each is a [`DelayCalendar`] — the
+    /// sequential engine's delay line — of *heterogeneous* depth, the
+    /// largest per-pair latency between a source-owned input and a
+    /// destination-owned output, so a shard pair whose racks sit close
+    /// never pays for the fabric's worst path. The destination lands the
+    /// bucket due at slot `t` as `t` opens, before the slot's dispatches
+    /// refill it, and again after each cycle when latency-0 dispatches
+    /// reach it. Packets keep their dispatch time: with per-pair latencies
+    /// one landing slot can gather transfers dispatched in *different*
+    /// slots (and up to ŝ per output within a slot), and with preemption
+    /// their per-queue apply order matters (see [`Fabric::land`]).
+    rings: Vec<Vec<DelayCalendar>>,
     /// Per-pair fabric latencies.
     spec: FabricSpec,
-    /// Largest per-pair latency (0 = immediate fabric).
-    horizon: SlotId,
     /// Whether some pair across shard bands has latency 0, so rings take
     /// dispatches that land within their own cycle: the landing phase then
     /// also runs after every cycle. Never at K = 1, nor where the racks of
     /// a two-tier fabric line up with the bands.
     land_after_cycle: bool,
     /// The cycle's output snapshot, refreshed at its top.
-    snapshot: RwLock<OutputSnapshot>,
-    /// Current slot / cycle broadcast.
-    slot: AtomicU64,
-    cycle: AtomicU32,
-    /// First policy error (sticky).
-    error: Mutex<Option<PolicyError>>,
-    /// First worker panic message (threaded mode only).
-    panic: Mutex<Option<String>>,
-    failed: AtomicBool,
+    snapshot: OutputSnapshot,
+    /// The slot and scheduling cycle being run.
+    now: Cycle,
     record: bool,
-}
-
-impl Comms {
-    fn new(
-        k: usize,
-        record: bool,
-        spec: FabricSpec,
-        partition: &Partition,
-        cfg: &SwitchConfig,
-    ) -> Self {
-        let speedup = cfg.speedup.max(1) as usize;
-        // Heterogeneous ring depths: ring (dest, src) only needs buckets
-        // for the worst latency between a src-owned input and a dest-owned
-        // output, and its best one says whether it carries latency 0. One
-        // pass at run start; the slot loop never recomputes.
-        let mut land_after_cycle = false;
-        let mut ring = |dest: usize, src: usize| {
-            let (mut best, mut worst) = (SlotId::MAX, 0);
-            for i in partition.input_range(src) {
-                for j in partition.output_range(dest) {
-                    let d = spec.delay(PortId::from(i), PortId::from(j));
-                    (best, worst) = (best.min(d), worst.max(d));
-                }
-            }
-            land_after_cycle |= dest != src && best == 0;
-            // Reserved at its hard bound, so the steady-state slot loop
-            // never grows a bucket: a matching moves at most one packet
-            // per port per cycle, so one dispatch slot puts at most
-            // `min(rows, cols) * speedup` packets into a bucket, and a
-            // bucket gathers from up to `worst` dispatch slots (latency
-            // `1..=worst`; latency-0 dispatches land after their cycle).
-            let (rows, cols) = (partition.input_range(src), partition.output_range(dest));
-            let per_bucket = rows.len().min(cols.len()) * speedup * worst.max(1) as usize;
-            Mutex::new(DelayCalendar::with_reserve(worst, per_bucket))
-        };
-        let rings = (0..k)
-            .map(|dest| (0..k).map(|src| ring(dest, src)).collect())
-            .collect();
-        Comms {
-            candidates: (0..k)
-                .map(|_| Mutex::new(CandidateSet::default()))
-                .collect(),
-            // A matching has at most one transfer per port on either side.
-            transfers: RwLock::new(Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs))),
-            rings,
-            horizon: spec.max_delay(),
-            spec,
-            land_after_cycle,
-            snapshot: RwLock::new(OutputSnapshot::default()),
-            slot: AtomicU64::new(0),
-            cycle: AtomicU32::new(0),
-            error: Mutex::new(None),
-            panic: Mutex::new(None),
-            failed: AtomicBool::new(false),
-            record,
-        }
-    }
-
-    fn fail(&self, e: PolicyError) {
-        let mut slot = lock(&self.error);
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        self.failed.store(true, Ordering::Release);
-    }
-
-    /// Error transport of the worker phases: unwrap a per-packet rule's
-    /// result, recording the error (and answering `None`) if it failed.
-    fn ok<T>(&self, result: Result<T, PolicyError>) -> Option<T> {
-        result.map_err(|e| self.fail(e)).ok()
-    }
-
-    /// The pre-cycle output snapshot (refreshed by the coordinator between
-    /// phases, read by proposals and merges).
-    fn outputs(&self) -> RwLockReadGuard<'_, OutputSnapshot> {
-        read(&self.snapshot)
-    }
-
-    fn cycle_now(&self) -> Cycle {
-        Cycle {
-            slot: self.slot.load(Ordering::Relaxed),
-            index: self.cycle.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Lock helpers that ignore poisoning: a panicking worker already records
-/// its payload; subsequent phases must still be able to shut down cleanly.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Rewrite a pooled per-shard cell: take the buffer out of its mutex (so
-/// the lock is not held while a policy runs), let `fill` rewrite it, put
-/// it back.
-fn rewrite_cell<T: Default>(cell: &Mutex<T>, fill: impl FnOnce(&mut T)) {
-    let mut buf = std::mem::take(&mut *lock(cell));
-    fill(&mut buf);
-    *lock(cell) = buf;
-}
-
-fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The whole fabric: per-shard states behind phase-disciplined locks plus
-/// the communication channels.
-struct Fabric<'a> {
-    cfg: &'a SwitchConfig,
-    partition: Partition,
-    shards: Vec<RwLock<ShardState>>,
-    /// The current slot's arrivals, whole and in arrival order. The
-    /// coordinator refills it from the trace between barriers (workers
-    /// parked, so the write lock is uncontended), or clears it past the
-    /// arrival window; in [`PH_OPEN`] every shard reads it and admits the
-    /// packets of its own rows.
-    batch: RwLock<SlotBatch>,
-    comms: Comms,
 }
 
 /// One slot's arrivals, pooled across slots. Packet `packets[o]` has
@@ -577,38 +439,259 @@ struct SlotBatch {
     packets: Vec<Packet>,
 }
 
-impl Fabric<'_> {
-    /// Shard `shard`'s view: its band in `state`, scheduling against the
-    /// cycle's snapshot held by `outputs`.
-    fn shard_view<'g>(
-        &'g self,
-        shard: usize,
-        state: &'g ShardState,
-        outputs: &'g OutputSnapshot,
-    ) -> SwitchView<'g> {
-        let slot = self.comms.slot.load(Ordering::Relaxed);
-        SwitchView::new(self.cfg, &state.band, outputs, slot, shard)
+/// The delay rings of a `partition` of `cfg` under `spec`, indexed
+/// `[dest][src]`, and whether some pair across shard bands has latency 0
+/// (`Fabric::land_after_cycle`). Ring (dest, src) only needs buckets for
+/// the worst latency between a src-owned input and a dest-owned output,
+/// and its best one says whether it carries latency 0. One pass at run
+/// start; the slot loop never recomputes.
+fn delay_rings(
+    spec: &FabricSpec,
+    partition: &Partition,
+    cfg: &SwitchConfig,
+) -> (Vec<Vec<DelayCalendar>>, bool) {
+    let speedup = cfg.speedup.max(1) as usize;
+    let mut land_after_cycle = false;
+    let mut ring = |dest: usize, src: usize| {
+        let (mut best, mut worst) = (SlotId::MAX, 0);
+        for i in partition.input_range(src) {
+            for j in partition.output_range(dest) {
+                let d = spec.delay(PortId::from(i), PortId::from(j));
+                (best, worst) = (best.min(d), worst.max(d));
+            }
+        }
+        land_after_cycle |= dest != src && best == 0;
+        // Reserved at its hard bound, so the steady-state slot loop
+        // never grows a bucket: a matching moves at most one packet
+        // per port per cycle, so one dispatch slot puts at most
+        // `min(rows, cols) * speedup` packets into a bucket, and a
+        // bucket gathers from up to `worst` dispatch slots (latency
+        // `1..=worst`; latency-0 dispatches land after their cycle).
+        let (rows, cols) = (partition.input_range(src), partition.output_range(dest));
+        let per_bucket = rows.len().min(cols.len()) * speedup * worst.max(1) as usize;
+        DelayCalendar::with_reserve(worst, per_bucket)
+    };
+    let k = partition.k();
+    let rings = (0..k)
+        .map(|dest| (0..k).map(|src| ring(dest, src)).collect())
+        .collect();
+    (rings, land_after_cycle)
+}
+
+/// Insert one packet off the fabric into its owner's output queue.
+fn deliver(
+    band: &mut QueueBand,
+    stats: &mut StatsRecorder,
+    p: InFlightPacket,
+) -> Result<(), PolicyError> {
+    // The sharded engine has no fault layer, so a full queue never drops.
+    band.deliver(stats, false, p)
+}
+
+impl<'a> Fabric<'a> {
+    fn new(cfg: &'a SwitchConfig, partition: Partition, options: &ShardedOptions) -> Self {
+        let (rings, land_after_cycle) = delay_rings(&options.fabric, &partition, cfg);
+        let speedup = cfg.speedup.max(1) as usize;
+        let horizon = options.fabric.max_delay().max(1) as usize;
+        let shards = (0..partition.k())
+            .map(|s| {
+                let (rows, cols) = (partition.input_range(s), partition.output_range(s));
+                // A landing gathers at most one transfer per owned output
+                // per cycle, from `speedup` cycles of up to `horizon`
+                // dispatch slots.
+                let gather = Vec::with_capacity(cols.len() * speedup * horizon);
+                ShardState {
+                    band: QueueBand::new(cfg, rows, cols),
+                    stats: StatsRecorder::new(cfg.n_outputs),
+                    admits: Vec::new(),
+                    gather,
+                }
+            })
+            .collect();
+        Fabric {
+            cfg,
+            candidates: (0..partition.k())
+                .map(|_| CandidateSet::default())
+                .collect(),
+            partition,
+            shards,
+            batch: SlotBatch::default(),
+            // A matching has at most one transfer per port on either side.
+            transfers: Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs)),
+            rings,
+            spec: options.fabric.clone(),
+            land_after_cycle,
+            snapshot: OutputSnapshot::default(),
+            now: Cycle { slot: 0, index: 0 },
+            record: options.record,
+        }
+    }
+
+    // -- Phases: each runs one shard's share ---------------------------------
+    //
+    // The phases and the refill stay out of line (`#[inline(never)]`).
+    // Inlined, they made the slot loop one 24-KB function, and row 2 of the
+    // benchmark (`cioq_gm_uniform_shard1`, K = 1) read 5 % slower than the
+    // barrier-party loop this one replaced (median of ten 20-s pairs on a
+    // 2-vCPU host, 1 of 10 faster); out of line it read 6 % faster (8 of
+    // 10).
+
+    /// The opening phase for shard `s`: land the bucket of its rings due
+    /// now, then admit, from the slot's one batch, the packets of the rows
+    /// this shard owns. Landing writes only owned `Q_j`, admission only
+    /// owned `Q_ij`, each in the sequential engine's order. Admission is
+    /// row-local in every policy of the paper, so the shards need no
+    /// distribution step — each skips what another owns, and arrival order
+    /// within a row is the batch's.
+    #[inline(never)]
+    fn open(&mut self, s: usize, worker: &mut dyn CioqShardWorker) -> Result<(), PolicyError> {
+        self.land(s)?;
+        let st = &mut self.shards[s];
+        let rows = st.band.rows();
+        for (idx, p) in (self.batch.base..).zip(&self.batch.packets) {
+            if !rows.contains(&p.input.index()) {
+                continue;
+            }
+            let view = SwitchView::new(self.cfg, &st.band, &self.snapshot, self.now.slot, s);
+            let decision = worker.admit(&view, p);
+            if self.record {
+                st.admits
+                    .push((idx, !matches!(decision, Admission::Reject)));
+            }
+            st.band.admit(&mut st.stats, decision, p)?;
+        }
+        Ok(())
+    }
+
+    /// Shard `s` proposes its candidates for the cycle's merge.
+    // detlint: hot
+    #[inline(never)]
+    fn propose(&mut self, s: usize, worker: &mut dyn CioqShardWorker) {
+        let view = SwitchView::new(
+            self.cfg,
+            &self.shards[s].band,
+            &self.snapshot,
+            self.now.slot,
+            s,
+        );
+        let out = &mut self.candidates[s];
+        out.aux.clear();
+        worker.propose(&view, &self.snapshot, self.now, out);
+    }
+
+    /// The pop-and-route step of a scheduling cycle: shard `s` pops, from
+    /// the cycle's merged set, the transfers of its own rows (`Q_ij →
+    /// fabric`), and hands each packet to the fabric — delivered at once,
+    /// as the sequential engine's is, when its pair is at latency 0 and
+    /// this shard owns its output, and otherwise dispatched into the
+    /// column owner's ring at its latency.
+    // detlint: hot
+    #[inline(never)]
+    fn pop(&mut self, s: usize) -> Result<(), PolicyError> {
+        let st = &mut self.shards[s];
+        // The proposal consumed the change log; everything from here on
+        // accumulates for the next proposal (sequential flush point).
+        st.band.flush();
+        let rows = st.band.rows();
+        for t in self
+            .transfers
+            .iter()
+            .filter(|t| rows.contains(&t.input.index()))
+        {
+            let p = st.band.pop_transfer(t)?;
+            let dest = self.partition.output_owner(p.output as usize);
+            let d = self.spec.delay(PortId(p.input), PortId(p.output));
+            if d == 0 && dest == s {
+                // Both endpoints owned: inserts touch `Q_j`, pops touch
+                // `Q_ij` — the families are disjoint, so early delivery
+                // cannot perturb any pop.
+                deliver(&mut st.band, &mut st.stats, p)?;
+            } else {
+                // Every positive-latency transfer — same-shard included,
+                // so results are partition-independent — and every
+                // cross-shard one lands `d` slots later (`d = 0`: after
+                // the cycle).
+                self.rings[dest][s].dispatch(self.now.slot, self.now.index, d, p);
+            }
+        }
+        Ok(())
+    }
+
+    /// Landing for shard `s` (after a cycle when `land_after_cycle`, and
+    /// the opening phase's first half): land the current slot's bucket of
+    /// every (s, src) ring into the owned output queues, in the canonical
+    /// landing order (see `transport::land`) — the sequential engine's
+    /// landing, over a row of rings instead of one calendar.
+    // detlint: hot
+    fn land(&mut self, s: usize) -> Result<(), PolicyError> {
+        let st = &mut self.shards[s];
+        let deliver = |p| deliver(&mut st.band, &mut st.stats, p);
+        transport::land(self.now.slot, &mut self.rings[s], &mut st.gather, deliver)
+    }
+
+    /// Transmission for shard `s`: send the head of every non-empty owned
+    /// output queue (the behaviour of every policy in the paper).
+    #[inline(never)]
+    fn transmit(&mut self, s: usize) {
+        let st = &mut self.shards[s];
+        for j in st.band.cols().map(PortId::from) {
+            if !st.band.output(j).is_empty() {
+                let sent = st
+                    .band
+                    .transmit(&mut st.stats, self.now.slot, j, PacketPick::Greatest);
+                sent.expect("invariant: a non-empty queue has a head");
+            }
+        }
+    }
+
+    // -- The coordinator's work between phases -------------------------------
+
+    /// Refill the batch with `slot`'s arrivals from `source` and validate
+    /// their ports — here, before any shard looks a packet's owner up by
+    /// its input. `base` continues the source's consumed count, so global
+    /// indices are trace-numbered and recorded admissions line up with the
+    /// sequential engine's.
+    #[inline(never)]
+    fn refill(&mut self, source: &mut TraceSource<'_>, slot: SlotId) -> Result<(), PolicyError> {
+        let batch = &mut self.batch;
+        batch.packets.clear();
+        batch.base = source.consumed();
+        source.pull(slot, &mut batch.packets);
+        for p in &batch.packets {
+            mechanics::check_ports(self.cfg, p.input, p.output)?;
+        }
+        Ok(())
+    }
+
+    /// Refresh the output snapshot at the top of a scheduling cycle: every
+    /// shard's output queues plus the delay line's in-flight packets.
+    fn refresh_snapshot(&mut self) {
+        let shards = &self.shards;
+        let bands = |visit: &mut dyn FnMut(&QueueBand)| {
+            for st in shards {
+                visit(&st.band);
+            }
+        };
+        let rings = self.rings.iter().flatten();
+        self.snapshot
+            .refresh(self.cfg.n_outputs, rings, None, bands);
     }
 
     /// The run's statistics so far: every shard's share, summed.
     fn merged_stats(&self) -> StatsRecorder {
         let mut merged = StatsRecorder::new(self.cfg.n_outputs);
-        for l in &self.shards {
-            merged.absorb(&read(l).stats);
+        for st in &self.shards {
+            merged.absorb(&st.stats);
         }
         merged
     }
 
     /// (transmitted, moved) sums for the progress check.
     fn progress(&self) -> (u64, u64) {
-        let mut transmitted = 0;
-        let mut moved = 0;
-        for l in &self.shards {
-            let st = read(l);
-            transmitted += st.stats.transmitted;
-            moved += st.stats.transferred;
-        }
-        (transmitted, moved)
+        let stats = self.shards.iter().map(|st| &st.stats);
+        stats.fold((0, 0), |(tx, moved), s| {
+            (tx + s.transmitted, moved + s.transferred)
+        })
     }
 
     /// Packets still buffered (queues and delay line) from the books, in
@@ -618,19 +701,17 @@ impl Fabric<'_> {
     /// output's. The count half of [`Fabric::residual`], no queue walked.
     fn buffered(&self) -> u64 {
         let (mut arrived, mut gone) = (0, 0);
-        for l in &self.shards {
-            let stats = &read(l).stats;
-            arrived += stats.arrived;
-            gone += stats.transmitted + stats.losses.total_count();
+        for st in &self.shards {
+            arrived += st.stats.arrived;
+            gone += st.stats.transmitted + st.stats.losses.total_count();
         }
         arrived - gone
     }
 
     /// Visit, as `(output, value)`, every packet currently riding the
-    /// delay line (coordinator only, between phases).
+    /// delay line.
     fn for_each_in_flight(&self, f: impl FnMut(usize, Value)) {
-        let rings = self.comms.rings.iter().flatten().map(lock);
-        transport::for_each_in_flight(rings, None, f);
+        transport::for_each_in_flight(self.rings.iter().flatten(), None, f);
     }
 
     /// Packets currently in flight through the fabric (0 when immediate).
@@ -643,8 +724,7 @@ impl Fabric<'_> {
     fn residual(&self) -> (u64, u128) {
         let mut count = 0;
         let mut value = 0;
-        for l in &self.shards {
-            let st = read(l);
+        for st in &self.shards {
             count += st.band.residual_count();
             value += st.band.residual_value();
         }
@@ -655,518 +735,159 @@ impl Fabric<'_> {
         (count, value)
     }
 
-    /// Refresh the output snapshot at the top of a scheduling cycle
-    /// (coordinator only, between phases): every shard's output queues
-    /// plus the delay line's in-flight packets.
-    fn refresh_snapshot(&self) {
-        let rings = self.comms.rings.iter().flatten().map(lock);
-        let bands = |visit: &mut dyn FnMut(&QueueBand)| {
-            for l in &self.shards {
-                visit(&read(l).band);
-            }
-        };
-        write(&self.comms.snapshot).refresh(self.cfg.n_outputs, rings, None, bands);
-    }
-
     /// Assemble the global [`SwitchState`] (tests / capture): the shards'
     /// bands, concatenated.
     fn assemble_state(&self) -> SwitchState {
-        let slot = self.comms.slot.load(Ordering::Relaxed);
-        let shards: Vec<_> = self.shards.iter().map(read).collect();
-        SwitchState::assemble(self.cfg.clone(), slot, shards.iter().map(|st| &st.band))
+        let bands = self.shards.iter().map(|st| &st.band);
+        SwitchState::assemble(self.cfg.clone(), self.now.slot, bands)
     }
-}
 
-// ---------------------------------------------------------------------------
-// Phase identifiers
-// ---------------------------------------------------------------------------
-
-/// Every slot's first phase: each shard lands its rings' bucket due now,
-/// then admits its rows from the batch — landing writes only owned `Q_j`,
-/// admission only owned `Q_ij`, each in the sequential engine's order.
-const PH_OPEN: u8 = 0;
-/// Every shard proposes its candidates for the cycle's merge.
-const PH_PROPOSE: u8 = 1;
-/// Row owners pop their transfers from the cycle's one published set.
-const PH_APPLY_POP: u8 = 2;
-const PH_TRANSMIT: u8 = 3;
-const PH_EXIT: u8 = 4;
-/// The post-cycle landing, run only when `Comms::land_after_cycle`: each
-/// column owner lands its rings' latency-0 dispatches of the cycle.
-const PH_LAND: u8 = 5;
-
-// ---------------------------------------------------------------------------
-// Worker-side phase execution
-// ---------------------------------------------------------------------------
-
-/// Arrival half of [`PH_OPEN`] for shard `s`: admit, from the slot's one
-/// batch, the packets of the rows this shard owns. Admission is row-local
-/// in every policy of the paper, so the shards need no distribution step —
-/// each skips what another owns, and arrival order within a row is the
-/// batch's.
-fn arrival_phase(
-    s: usize,
-    fabric: &Fabric<'_>,
-    mut admit: impl FnMut(&SwitchView<'_>, &Packet) -> Admission,
-) {
-    let batch = read(&fabric.batch);
-    let outputs = fabric.comms.outputs();
-    let mut st = write(&fabric.shards[s]);
-    let st = &mut *st;
-    let rows = st.band.rows();
-    for (idx, p) in (batch.base..).zip(&batch.packets) {
-        if !rows.contains(&p.input.index()) {
-            continue;
-        }
-        let decision = admit(&fabric.shard_view(s, st, &outputs), p);
-        if fabric.comms.record {
-            st.admits
-                .push((idx, !matches!(decision, Admission::Reject)));
-        }
-        let admitted = st.band.admit(&mut st.stats, decision, p);
-        if fabric.comms.ok(admitted).is_none() {
-            break;
-        }
-    }
-}
-
-/// Transmission phase for shard `s`: send the head of every non-empty owned
-/// output queue (the behaviour of every policy in the paper).
-fn transmit_phase(s: usize, fabric: &Fabric<'_>) {
-    let slot = fabric.comms.slot.load(Ordering::Relaxed);
-    let mut st = write(&fabric.shards[s]);
-    let st = &mut *st;
-    for j in st.band.cols().map(PortId::from) {
-        if !st.band.output(j).is_empty() {
-            let sent = st
-                .band
-                .transmit(&mut st.stats, slot, j, PacketPick::Greatest);
-            sent.expect("invariant: a non-empty queue has a head");
-        }
-    }
-}
-
-/// Insert one packet off the fabric into the owning shard's output queue.
-fn deliver(st: &mut ShardState, p: InFlightPacket) -> Result<(), PolicyError> {
-    // The sharded engine has no fault layer, so a full queue never drops.
-    st.band.deliver(&mut st.stats, false, p)
-}
-
-/// Landing for shard `s` ([`PH_LAND`], and [`PH_OPEN`]'s first half): land
-/// the current slot's bucket of every (s, src) ring into the owned output
-/// queues, in the canonical landing order (see `transport::land`) — the
-/// sequential engine's landing, over a row of rings instead of one
-/// calendar. `None` if a delivery failed.
-// detlint: hot
-fn land_phase(s: usize, fabric: &Fabric<'_>, gather: &mut Vec<Landing>) -> Option<()> {
-    let slot = fabric.comms.slot.load(Ordering::Relaxed);
-    let mut st = write(&fabric.shards[s]);
-    let rings = fabric.comms.rings[s].iter().map(lock);
-    let landed = transport::land(slot, rings, gather, |p| deliver(&mut st, p));
-    fabric.comms.ok(landed)
-}
-
-/// One shard's worker plus its pooled landing gather buffer.
-struct WorkerCtx {
-    worker: Box<dyn CioqShardWorker>,
-    /// Reused gather buffer for the landing phase.
-    land_scratch: Vec<Landing>,
-}
-
-/// Pooled per-party guard buffer: the pop phase locks a row of delay-ring
-/// locks each cycle, and collecting the guards into a fresh `Vec` every
-/// time was steady-state allocation. Guards never cross a barrier (the
-/// phase clears the buffer before returning), so only the capacity
-/// persists. One lives per party — created inside its thread, because lock
-/// guards make the type `!Send`.
-#[derive(Default)]
-struct PhaseScratch<'f> {
-    /// Per-destination delay-ring guards.
-    ring_boxes: Vec<MutexGuard<'f, DelayCalendar>>,
-}
-
-/// The pop-and-route step of a scheduling cycle: shard `s` pops, from the
-/// cycle's published set, the transfers of its own rows (`Q_ij → fabric`),
-/// and hands each packet to the fabric — delivered at once, as the
-/// sequential engine's is, when its pair is at latency 0 and this shard
-/// owns its output, and otherwise dispatched into the column owner's ring
-/// at its latency.
-// detlint: hot
-fn apply_pop_phase<'f>(s: usize, fabric: &'f Fabric<'_>, scr: &mut PhaseScratch<'f>) {
-    let comms = &fabric.comms;
-    let cycle = comms.cycle_now();
-    let set = read(&comms.transfers);
-    let mut st = write(&fabric.shards[s]);
-    let st = &mut *st;
-    // The proposal consumed the change log; everything from here on
-    // accumulates for the next proposal (sequential flush point).
-    st.band.flush();
-    // Each (dest, src) ring has exactly one writer per phase (this
-    // worker), so holding the locks for the whole pop loop is
-    // contention-free. The guards land in the pooled scratch buffer
-    // (cleared below, before the barrier).
-    scr.ring_boxes
-        .extend(comms.rings.iter().map(|cells| lock(&cells[s])));
-    let rows = st.band.rows();
-    for t in set.iter().filter(|t| rows.contains(&t.input.index())) {
-        let Some(p) = comms.ok(st.band.pop_transfer(t)) else {
-            break;
+    /// Capture an [`EngineSnapshot`] of the run at the top of `slot`
+    /// (before the opening phase lands) — byte-compatible with the
+    /// sequential engine's capture of the same state: queue cells in
+    /// stored order, ring contents converted back to `(land slot, dispatch
+    /// metadata)` landings in canonical order, merged statistics, and the
+    /// coordinator's live no-progress streak.
+    fn capture(&self, fabric: &FabricSpec, slot: SlotId, idle_slots: u32) -> EngineSnapshot {
+        // Capture runs before the slot opens, so the bucket due now is
+        // still pending.
+        let landings = SnapLanding::pending(slot, self.rings.iter().flatten());
+        let (residual_count, residual_value) = self.residual();
+        let mut snap = EngineSnapshot {
+            config: self.cfg.clone(),
+            fabric: fabric.clone(),
+            slot,
+            idle_slots,
+            input_queues: Vec::new(),
+            crossbar_queues: None,
+            output_queues: Vec::new(),
+            landings,
+            held: Vec::new(),
+            stats: self.merged_stats(),
+            window: None,
+            residual_count,
+            residual_value,
         };
-        let dest = fabric.partition.output_owner(p.output as usize);
-        let d = comms.spec.delay(PortId(p.input), PortId(p.output));
-        if d == 0 && dest == s {
-            // Both endpoints owned: inserts touch `Q_j`, pops touch `Q_ij`
-            // — the families are disjoint, so early delivery cannot
-            // perturb any pop.
-            if comms.ok(deliver(st, p)).is_none() {
-                break;
-            }
-        } else {
-            // Every positive-latency transfer — same-shard included, so
-            // results are partition-independent — and every cross-shard
-            // one lands `d` slots later (`d = 0`: after the cycle).
-            scr.ring_boxes[dest].dispatch(cycle.slot, cycle.index, d, p);
+        // Shards own contiguous ascending bands, so visiting them in order
+        // yields the checkpoint layout.
+        for st in &self.shards {
+            st.band.cells_out(&mut snap);
         }
+        snap
     }
-    scr.ring_boxes.clear();
-}
 
-/// Worker phase dispatcher: shard `s`'s share of phase `ph`.
-// detlint: hot
-fn worker_phase<'f>(
-    ph: u8,
-    s: usize,
-    ctx: &mut WorkerCtx,
-    fabric: &'f Fabric<'_>,
-    scr: &mut PhaseScratch<'f>,
-) {
-    if fabric.comms.failed.load(Ordering::Acquire) {
-        return;
-    }
-    match ph {
-        PH_OPEN => {
-            if land_phase(s, fabric, &mut ctx.land_scratch).is_some() {
-                let worker = &mut ctx.worker;
-                arrival_phase(s, fabric, |view, p| worker.admit(view, p));
+    /// Seed the freshly-built fabric from a checkpoint — the sharded half
+    /// of [`Engine::restore`](crate::engine::Engine::restore): every owner
+    /// shard receives its queue contents, the delay-line rings their
+    /// in-flight packets (bucketed by landing slot), and shard 0 the
+    /// cumulative statistics (per-shard stats are merged at the end, so
+    /// where the history sits is immaterial). Returns the slot and
+    /// no-progress streak the coordinator resumes at. Panics loudly on a
+    /// snapshot that cannot be applied here: wrong geometry or fabric,
+    /// fault-held packets or a stats window (the sharded engine supports
+    /// neither), or a landing no run could have in flight (the sequential
+    /// restore's rule).
+    fn seed(&mut self, snap: &EngineSnapshot) -> (SlotId, u32) {
+        assert_eq!(
+            &snap.config, self.cfg,
+            "snapshot was taken under a different switch config"
+        );
+        assert_eq!(
+            snap.fabric, self.spec,
+            "snapshot was taken under a different fabric"
+        );
+        assert!(
+            snap.held.is_empty(),
+            "snapshot holds fault-retransmit packets; the sharded engine has no fault layer"
+        );
+        assert!(
+            snap.window.is_none(),
+            "snapshot carries a stats window; the sharded engine keeps full history"
+        );
+        for st in &mut self.shards {
+            if let Err(e) = st.band.refill(snap) {
+                panic!("snapshot cannot be applied: {e}");
             }
         }
-        PH_PROPOSE => {
-            let st = read(&fabric.shards[s]);
-            let snap = fabric.comms.outputs();
-            let cycle = fabric.comms.cycle_now();
-            let view = fabric.shard_view(s, &st, &snap);
-            rewrite_cell(&fabric.comms.candidates[s], |out| {
-                out.aux.clear();
-                ctx.worker.propose(&view, &snap, cycle, out);
-            });
+        self.shards[0].stats = snap.stats.clone();
+        for l in &snap.landings {
+            if let Err(e) = snap.check_landing(l, None) {
+                panic!("snapshot cannot be applied: {e}");
+            }
+            let dest = self.partition.output_owner(l.landing.p.output as usize);
+            let src = self.partition.input_owner(l.landing.p.input as usize);
+            self.rings[dest][src].insert_pending(l.land_slot, l.landing);
         }
-        PH_APPLY_POP => apply_pop_phase(s, fabric, scr),
-        PH_LAND => {
-            land_phase(s, fabric, &mut ctx.land_scratch);
+        self.now.slot = snap.slot;
+        // The restored-residual invariant (see `crate::invariants`): what
+        // was seeded must account for exactly what the checkpoint recorded.
+        if let Err(msg) = crate::invariants::check_restored_residual(self.residual(), snap) {
+            panic!("snapshot cannot be applied: {msg}");
         }
-        PH_TRANSMIT => transmit_phase(s, fabric),
-        _ => unreachable!("phase {ph} is not a worker phase"),
+        (snap.slot, snap.idle_slots)
     }
-}
 
-// ---------------------------------------------------------------------------
-// Driver: K shards on T barrier parties, the caller being party 0
-// ---------------------------------------------------------------------------
-
-/// Run the slot loop `coordinate` over `workers` (one per shard) on
-/// `threads` barrier parties (clamped to `1..=K`). Party `p` owns the
-/// contiguous shards with `⌊s·T/K⌋ = p` and runs their phase bodies in
-/// shard order with one scratch. The calling thread is party 0: each
-/// `do_phase` publishes the phase, crosses the barrier, runs its own
-/// group, crosses again, and is then alone for the serial work between
-/// phases. T = 1 is the same loop with nothing spawned, no scope entered
-/// and a barrier that returns at once.
-fn drive<W: Send, S>(
-    threads: usize,
-    comms: &Comms,
-    mut workers: Vec<W>,
-    mk_scratch: impl Fn() -> S + Sync,
-    worker_phase: impl Fn(u8, usize, &mut W, &mut S) + Sync,
-    coordinate: impl FnOnce(&mut dyn FnMut(u8) -> Result<(), PolicyError>) -> Result<(), PolicyError>,
-) -> Result<(), PolicyError> {
-    let k = workers.len();
-    let t = threads.clamp(1, k);
-    // First shard of party `p`: its group is `first(p)..first(p + 1)`.
-    let first = move |p: usize| (p * k).div_ceil(t);
-    let phase = AtomicU8::new(PH_EXIT);
-    // Spin-then-park: phases are typically shorter than a condvar
-    // park/unpark round trip, so the barrier spins briefly before
-    // sleeping (see [`SpinBarrier`]).
-    let barrier = SpinBarrier::new(t);
-    // One party's share of a phase. A panicking worker is recorded, not
-    // propagated, so the party still reaches the closing barrier.
-    let run_group = |ph: u8, p: usize, group: &mut [W], scratch: &mut S| {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for (s, w) in (first(p)..).zip(group) {
-                worker_phase(ph, s, w, scratch);
-            }
-        }));
-        if let Err(payload) = result {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
-            let mut slot = lock(&comms.panic);
-            if slot.is_none() {
-                *slot = Some(msg);
-            }
-            comms.failed.store(true, Ordering::Release);
-        }
-    };
-    let (own, mut rest) = workers.split_at_mut(first(1));
-    // Party 0: the slot loop on the calling thread, then the exit phase.
-    let lead = || {
-        let mut scratch = mk_scratch();
-        let mut do_phase = |ph: u8| -> Result<(), PolicyError> {
-            phase.store(ph, Ordering::Release);
-            barrier.wait();
-            run_group(ph, 0, own, &mut scratch);
-            barrier.wait();
-            if let Some(msg) = lock(&comms.panic).take() {
-                panic!("sharded worker panicked: {msg}");
-            }
-            if comms.failed.load(Ordering::Acquire) {
-                return Err(lock(&comms.error)
-                    .take()
-                    .expect("failed flag implies a stored error"));
-            }
-            Ok(())
-        };
-        // Catch coordinator panics so the spawned parties can still be
-        // released (otherwise the scope would deadlock on join).
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| coordinate(&mut do_phase)));
-        phase.store(PH_EXIT, Ordering::Release);
-        barrier.wait();
-        match result {
-            Ok(r) => r,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    };
-    if t == 1 {
-        // Nobody to spawn — and a `thread::scope` entered regardless is
-        // not free: it put 1.5 ms on a K = 1 run's first rep over a fresh
-        // trace (`setup_s` of `cioq_gm_uniform_shard1`, 12.7 → 14.3 ms).
-        return lead();
-    }
-    std::thread::scope(|scope| {
-        for p in 1..t {
-            let (group, tail) = std::mem::take(&mut rest).split_at_mut(first(p + 1) - first(p));
-            rest = tail;
-            let (phase, barrier, run_group, mk_scratch) =
-                (&phase, &barrier, &run_group, &mk_scratch);
-            scope.spawn(move || {
-                // Built inside the thread: the scratch holds lock guards
-                // between phase entry and exit, so its type is `!Send`.
-                let mut scratch = mk_scratch();
-                loop {
-                    barrier.wait();
-                    let ph = phase.load(Ordering::Acquire);
-                    if ph == PH_EXIT {
-                        break;
-                    }
-                    run_group(ph, p, group, &mut scratch);
-                    barrier.wait();
+    /// Check every shard's band, where it lies, when the run asked for it.
+    fn post_slot_validate(&self, options: &ShardedOptions) {
+        if options.validate {
+            for st in &self.shards {
+                if let Err(msg) = st.band.check_invariants() {
+                    panic!("sharded engine invariant violated: {msg}");
                 }
-            });
-        }
-        lead()
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator helpers
-// ---------------------------------------------------------------------------
-
-/// Capture an [`EngineSnapshot`] of the sharded run at the top of `slot`
-/// (coordinator only, between barriers, before [`PH_OPEN`] lands) —
-/// byte-compatible with the sequential engine's capture of the same
-/// state: queue cells in stored order, ring contents converted back to
-/// `(land slot, dispatch metadata)` landings in canonical order, merged
-/// statistics, and the coordinator's live no-progress streak.
-fn capture_sharded(
-    fabric: &Fabric<'_>,
-    options: &ShardedOptions,
-    slot: SlotId,
-    idle_slots: u32,
-) -> EngineSnapshot {
-    // Capture runs before the slot opens, so the bucket due now is still
-    // pending.
-    let landings = SnapLanding::pending(slot, fabric.comms.rings.iter().flatten().map(lock));
-    let (residual_count, residual_value) = fabric.residual();
-    let mut snap = EngineSnapshot {
-        config: fabric.cfg.clone(),
-        fabric: options.fabric.clone(),
-        slot,
-        idle_slots,
-        input_queues: Vec::new(),
-        crossbar_queues: None,
-        output_queues: Vec::new(),
-        landings,
-        held: Vec::new(),
-        stats: fabric.merged_stats(),
-        window: None,
-        residual_count,
-        residual_value,
-    };
-    // Shards own contiguous ascending bands, so visiting them in order
-    // yields the checkpoint layout.
-    for l in &fabric.shards {
-        read(l).band.cells_out(&mut snap);
-    }
-    snap
-}
-
-/// Seed a freshly-built fabric from a checkpoint — the sharded half of
-/// [`Engine::restore`](crate::engine::Engine::restore): every owner shard
-/// receives its queue contents, the delay-line rings their in-flight
-/// packets (bucketed by landing slot), and shard 0 the cumulative
-/// statistics (per-shard stats are merged at the end, so where the
-/// history sits is immaterial). Returns the slot and no-progress streak
-/// the coordinator resumes at. Panics loudly on a snapshot that cannot
-/// be applied here: wrong geometry or fabric, fault-held packets or a
-/// stats window (the sharded engine supports neither), or a landing no
-/// run could have in flight (the sequential restore's rule).
-fn seed_from_snapshot(
-    fabric: &Fabric<'_>,
-    snap: &EngineSnapshot,
-    options: &ShardedOptions,
-) -> (SlotId, u32) {
-    assert_eq!(
-        &snap.config, fabric.cfg,
-        "snapshot was taken under a different switch config"
-    );
-    assert_eq!(
-        snap.fabric, options.fabric,
-        "snapshot was taken under a different fabric"
-    );
-    assert!(
-        snap.held.is_empty(),
-        "snapshot holds fault-retransmit packets; the sharded engine has no fault layer"
-    );
-    assert!(
-        snap.window.is_none(),
-        "snapshot carries a stats window; the sharded engine keeps full history"
-    );
-    for l in &fabric.shards {
-        if let Err(e) = write(l).band.refill(snap) {
-            panic!("snapshot cannot be applied: {e}");
-        }
-    }
-    write(&fabric.shards[0]).stats = snap.stats.clone();
-    for l in &snap.landings {
-        if let Err(e) = snap.check_landing(l, None) {
-            panic!("snapshot cannot be applied: {e}");
-        }
-        let dest = fabric.partition.output_owner(l.landing.p.output as usize);
-        let src = fabric.partition.input_owner(l.landing.p.input as usize);
-        lock(&fabric.comms.rings[dest][src]).insert_pending(l.land_slot, l.landing);
-    }
-    fabric.comms.slot.store(snap.slot, Ordering::Relaxed);
-    // The restored-residual invariant (see `crate::invariants`): what was
-    // seeded must account for exactly what the checkpoint recorded.
-    if let Err(msg) = crate::invariants::check_restored_residual(fabric.residual(), snap) {
-        panic!("snapshot cannot be applied: {msg}");
-    }
-    (snap.slot, snap.idle_slots)
-}
-
-fn finish_run(
-    fabric: &Fabric<'_>,
-    name: String,
-    slots: SlotId,
-    options: &ShardedOptions,
-) -> (RunReport, Option<SwitchState>, Vec<bool>) {
-    let final_state = options.capture_final_state.then(|| fabric.assemble_state());
-    let mut admits: Vec<(u64, bool)> = Vec::new();
-    for l in &fabric.shards {
-        admits.extend_from_slice(&read(l).admits);
-    }
-    admits.sort_unstable_by_key(|&(idx, _)| idx);
-    let admissions = admits.into_iter().map(|(_, a)| a).collect();
-    let merged = fabric.merged_stats();
-    let report = mechanics::finish_report(merged, name, slots, fabric.residual(), &options.fabric);
-    (report, final_state, admissions)
-}
-
-fn post_slot_validate(fabric: &Fabric<'_>, options: &ShardedOptions) {
-    if options.validate {
-        for l in &fabric.shards {
-            if let Err(msg) = read(l).band.check_invariants() {
-                panic!("sharded engine invariant violated: {msg}");
             }
         }
     }
-}
 
-/// Per-slot invariant audit (debug builds only): merged-shard conservation
-/// against the fabric's residual, the sharded analogue of the sequential
-/// engine's audit — see [`crate::invariants`]. Called by the coordinator
-/// between barriers, when no worker mutates shard state.
-fn audit_sharded_slot(fabric: &Fabric<'_>) {
-    if cfg!(debug_assertions) {
-        let (residual_count, residual_value) = fabric.residual();
-        let merged = fabric.merged_stats();
-        if let Err(msg) =
-            crate::invariants::check_conservation(&merged, residual_count, residual_value)
-        {
-            let slot = fabric.comms.slot.load(Ordering::Relaxed);
-            panic!("sharded engine invariant violated at slot {slot}: {msg}");
+    /// Per-slot invariant audit (debug builds only): merged-shard
+    /// conservation against the fabric's residual, the sharded analogue of
+    /// the sequential engine's audit — see [`crate::invariants`].
+    fn audit_slot(&self) {
+        if cfg!(debug_assertions) {
+            let (residual_count, residual_value) = self.residual();
+            let merged = self.merged_stats();
+            if let Err(msg) =
+                crate::invariants::check_conservation(&merged, residual_count, residual_value)
+            {
+                let slot = self.now.slot;
+                panic!("sharded engine invariant violated at slot {slot}: {msg}");
+            }
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Entry points
-// ---------------------------------------------------------------------------
-
-/// Refill the fabric's batch with `slot`'s arrivals from `source`
-/// (coordinator only, between barriers) and validate their ports — here,
-/// before any shard looks a packet's owner up by its input. `base`
-/// continues the source's consumed count, so global indices are
-/// trace-numbered and recorded admissions line up with the sequential
-/// engine's.
-fn refill(
-    fabric: &Fabric<'_>,
-    source: &mut TraceSource<'_>,
-    slot: SlotId,
-) -> Result<(), PolicyError> {
-    let mut batch = write(&fabric.batch);
-    batch.packets.clear();
-    batch.base = source.consumed();
-    source.pull(slot, &mut batch.packets);
-    for p in &batch.packets {
-        mechanics::check_ports(fabric.cfg, p.input, p.output)?;
+    fn finish(
+        self,
+        name: String,
+        slots: SlotId,
+        options: &ShardedOptions,
+    ) -> (RunReport, Option<SwitchState>, Vec<bool>) {
+        let final_state = options.capture_final_state.then(|| self.assemble_state());
+        let mut admits: Vec<(u64, bool)> = Vec::new();
+        for st in &self.shards {
+            admits.extend_from_slice(&st.admits);
+        }
+        admits.sort_unstable_by_key(|&(idx, _)| idx);
+        let admissions = admits.into_iter().map(|(_, a)| a).collect();
+        let merged = self.merged_stats();
+        let report =
+            mechanics::finish_report(merged, name, slots, self.residual(), &options.fabric);
+        (report, final_state, admissions)
     }
-    Ok(())
 }
+
+// ---------------------------------------------------------------------------
+// Entry point
+// ---------------------------------------------------------------------------
 
 /// Run a sharded CIOQ policy over a recorded trace.
 ///
 /// Produces a [`RunReport`] field-for-field equal to
 /// [`run_cioq`](crate::engine::run_cioq) with the sequential twin of
-/// `policy`, for every shard count and execution mode.
+/// `policy`, for every shard count and execution mode. This is §1.3's
+/// slot, each phase run shard by shard.
 pub fn run_cioq_sharded(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
     trace: &Trace,
-    options: ShardedOptions,
-) -> Result<ShardedOutcome, PolicyError> {
-    run_cioq_sharded_on(cfg, policy, trace, options.parties(), options)
-}
-
-/// The sharded slot loop — §1.3's slot — on `threads` barrier parties.
-fn run_cioq_sharded_on(
-    cfg: &SwitchConfig,
-    policy: &dyn CioqShardPolicy,
-    trace: &Trace,
-    threads: usize,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
     assert!(
@@ -1177,120 +898,86 @@ fn run_cioq_sharded_on(
     let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
     let k = partition.k();
     let slots = options.slots.unwrap_or_else(|| trace.arrival_slots());
-    let comms = Comms::new(k, options.record, options.fabric.clone(), &partition, cfg);
-    let fabric = Fabric {
-        cfg,
-        shards: (0..k)
-            .map(|s| {
-                let (rows, cols) = (partition.input_range(s), partition.output_range(s));
-                RwLock::new(ShardState {
-                    band: QueueBand::new(cfg, rows, cols),
-                    stats: StatsRecorder::new(cfg.n_outputs),
-                    admits: Vec::new(),
-                })
-            })
-            .collect(),
-        partition,
-        batch: RwLock::default(),
-        comms,
-    };
-    let speedup = cfg.speedup.max(1) as usize;
-    let workers: Vec<WorkerCtx> = (0..k)
-        .map(|s| {
-            // A landing gathers at most one transfer per owned output per
-            // cycle, from `speedup` cycles of up to `horizon` dispatch slots.
-            let cols = fabric.partition.output_range(s).len();
-            let land_cap = cols * speedup * fabric.comms.horizon.max(1) as usize;
-            WorkerCtx {
-                worker: policy.new_worker(s, &fabric.partition, cfg),
-                land_scratch: Vec::with_capacity(land_cap),
-            }
-        })
+    let mut fabric = Fabric::new(cfg, partition, &options);
+    let mut workers: Vec<_> = (0..k)
+        .map(|s| policy.new_worker(s, &fabric.partition, cfg))
         .collect();
-    let (start_slot, start_idle) = options
+    let (mut slot, mut idle_slots) = options
         .resume_from
         .as_ref()
-        .map_or((0, 0), |snap| seed_from_snapshot(&fabric, snap, &options));
+        .map_or((0, 0), |snap| fabric.seed(snap));
     // Positioned where the run starts: slot 0, or the checkpoint's slot.
-    let mut source = TraceSource::resume_at(trace, start_slot);
-
-    let land_after_cycle = fabric.comms.land_after_cycle;
+    let mut source = TraceSource::resume_at(trace, slot);
     let mut merge = Merge {
         policy,
-        transfers: Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs)),
         scratch: MergeScratch::default(),
-        sets: (0..k).map(|_| CandidateSet::default()).collect(),
         recorded: Vec::new(),
     };
-    let mut final_slot: SlotId = 0;
+    let mut stamps = PortStamps::default();
     let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
 
-    drive(
-        threads,
-        &fabric.comms,
-        workers,
-        PhaseScratch::default,
-        |ph, s, w, scr| worker_phase(ph, s, w, &fabric, scr),
-        |do_phase| {
-            let mut slot: SlotId = start_slot;
-            let mut idle_slots = start_idle;
-            let mut stamps = PortStamps::default();
-            loop {
-                let in_arrival_window = slot < slots;
-                if !in_arrival_window {
-                    // In-flight packets always land (and count as
-                    // progress), so the idle cutoff waits for the fabric.
-                    let buffered = fabric.buffered();
-                    debug_assert_eq!(buffered, fabric.residual().0);
-                    let done = !options.drain
-                        || buffered == 0
-                        || (idle_slots >= 2 && fabric.in_flight_total() == 0);
-                    if done {
-                        break;
-                    }
-                }
-                fabric.comms.slot.store(slot, Ordering::Relaxed);
-                if let Some(every) = options.checkpoint_every {
-                    if slot > 0 && slot.is_multiple_of(every) {
-                        checkpoints.push(capture_sharded(&fabric, &options, slot, idle_slots));
-                    }
-                }
-                let (tx_before, moved_before) = fabric.progress();
-
-                if in_arrival_window {
-                    refill(&fabric, &mut source, slot)?;
-                } else {
-                    write(&fabric.batch).packets.clear();
-                }
-                do_phase(PH_OPEN)?;
-
-                for s in 0..cfg.speedup {
-                    fabric.comms.cycle.store(s, Ordering::Relaxed);
-                    fabric.refresh_snapshot();
-                    do_phase(PH_PROPOSE)?;
-                    merge.publish(&fabric, &mut stamps)?;
-                    do_phase(PH_APPLY_POP)?;
-                    if land_after_cycle {
-                        do_phase(PH_LAND)?;
-                    }
-                }
-
-                do_phase(PH_TRANSMIT)?;
-                post_slot_validate(&fabric, &options);
-                audit_sharded_slot(&fabric);
-
-                let (tx_after, moved_after) = fabric.progress();
-                let progressed = tx_after != tx_before || moved_after != moved_before;
-                idle_slots = if progressed { 0 } else { idle_slots + 1 };
-                slot += 1;
+    loop {
+        let in_arrival_window = slot < slots;
+        if !in_arrival_window {
+            // In-flight packets always land (and count as progress), so
+            // the idle cutoff waits for the fabric.
+            let buffered = fabric.buffered();
+            debug_assert_eq!(buffered, fabric.residual().0);
+            let done = !options.drain
+                || buffered == 0
+                || (idle_slots >= 2 && fabric.in_flight_total() == 0);
+            if done {
+                break;
             }
-            final_slot = slot;
-            Ok(())
-        },
-    )?;
+        }
+        fabric.now = Cycle { slot, index: 0 };
+        if let Some(every) = options.checkpoint_every {
+            if slot > 0 && slot.is_multiple_of(every) {
+                checkpoints.push(fabric.capture(&options.fabric, slot, idle_slots));
+            }
+        }
+        let (tx_before, moved_before) = fabric.progress();
+
+        if in_arrival_window {
+            fabric.refill(&mut source, slot)?;
+        } else {
+            fabric.batch.packets.clear();
+        }
+        for (s, worker) in workers.iter_mut().enumerate() {
+            fabric.open(s, worker.as_mut())?;
+        }
+
+        for index in 0..cfg.speedup {
+            fabric.now.index = index;
+            fabric.refresh_snapshot();
+            for (s, worker) in workers.iter_mut().enumerate() {
+                fabric.propose(s, worker.as_mut());
+            }
+            merge.run(&mut fabric, &mut stamps)?;
+            for s in 0..k {
+                fabric.pop(s)?;
+            }
+            if fabric.land_after_cycle {
+                for s in 0..k {
+                    fabric.land(s)?;
+                }
+            }
+        }
+
+        for s in 0..k {
+            fabric.transmit(s);
+        }
+        fabric.post_slot_validate(&options);
+        fabric.audit_slot();
+
+        let (tx_after, moved_after) = fabric.progress();
+        let progressed = tx_after != tx_before || moved_after != moved_before;
+        idle_slots = if progressed { 0 } else { idle_slots + 1 };
+        slot += 1;
+    }
 
     let (report, final_state, admissions) =
-        finish_run(&fabric, policy.name().to_string(), final_slot, &options);
+        fabric.finish(policy.name().to_string(), slot, &options);
     let schedule = options.record.then(|| {
         let schedule = RecordedSchedule {
             admissions,
@@ -1312,60 +999,40 @@ fn run_cioq_sharded_on(
     })
 }
 
-/// The coordinator's side of a scheduling cycle: its pooled buffers and
-/// the transcript it records.
+/// The coordinator's side of a scheduling cycle: the merge's pooled state
+/// and the transcript it records.
 struct Merge<'p> {
     policy: &'p dyn CioqShardPolicy,
-    /// The merge's output, swapped with `Comms::transfers` to publish it.
-    transfers: Vec<Transfer>,
     scratch: MergeScratch,
-    /// Coordinator-side mirror of the per-shard proposal payloads: swapped
-    /// with the mutex contents around each merge (and swapped back after),
-    /// so reading every shard's candidates costs two lock rounds and zero
-    /// allocation per cycle.
-    sets: Vec<CandidateSet>,
     recorded: Vec<Vec<(u16, u16)>>,
 }
 
 impl Merge<'_> {
-    /// Merge the shards' proposals into the cycle's matching (coordinator
-    /// only, state frozen), validate it on `stamps`, record it when the run
-    /// asked for it, and publish it whole for the pop phase.
-    fn publish(&mut self, fabric: &Fabric<'_>, stamps: &mut PortStamps) -> Result<(), PolicyError> {
+    /// Merge the shards' proposals into the cycle's matching, validate it
+    /// on `stamps`, and record it when the run asked for it; the pop phase
+    /// then reads it from `fabric.transfers`.
+    fn run(&mut self, fabric: &mut Fabric<'_>, stamps: &mut PortStamps) -> Result<(), PolicyError> {
         let cfg = fabric.cfg;
-        self.transfers.clear();
-        // Swap each shard's payload out of its mutex, merge over the owned
-        // mirror, then swap back — the workers are parked at the barrier,
-        // so the mutex contents are unobserved in between and end up
-        // exactly as published.
-        for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
-            std::mem::swap(cs, &mut *lock(m));
-        }
+        fabric.transfers.clear();
         let ctx = MergeContext {
             cfg,
             partition: &fabric.partition,
-            outputs: &fabric.comms.outputs(),
-            cycle: fabric.comms.cycle_now(),
-            candidates: &self.sets,
+            outputs: &fabric.snapshot,
+            cycle: fabric.now,
+            candidates: &fabric.candidates,
         };
         self.policy
-            .merge(&ctx, &mut self.scratch, &mut self.transfers);
-        for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
-            std::mem::swap(cs, &mut *lock(m));
-        }
+            .merge(&ctx, &mut self.scratch, &mut fabric.transfers);
         stamps.begin(cfg.n_inputs, cfg.n_outputs);
-        let pairs = self.transfers.iter().map(|t| (t.input, t.output));
+        let pairs = fabric.transfers.iter().map(|t| (t.input, t.output));
         stamps.check(cfg, pairs, true, true)?;
-        if fabric.comms.record {
-            let pairs = self.transfers.iter().map(|t| (t.input.0, t.output.0));
+        if fabric.record {
+            let pairs = fabric.transfers.iter().map(|t| (t.input.0, t.output.0));
             self.recorded.push(pairs.collect());
         }
-        // Publish the set whole; the previous one comes back as the pool.
-        std::mem::swap(&mut self.transfers, &mut *write(&fabric.comms.transfers));
         Ok(())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1389,7 +1056,7 @@ mod tests {
         }
     }
 
-    // -- The party topology: T-independence and failure paths ---------------
+    // -- Shard-count independence and failure paths ---------------------------
     //
     // `cioq_core`'s sharded policies sit above this crate, so these tests
     // drive the engine with cache-free, paper-direct versions of GM and PG
@@ -1520,12 +1187,12 @@ mod tests {
         Trace::from_tuples(tuples)
     }
 
-    /// Two racks over four shards: intra-rack pairs deliver at once within
-    /// a shard and land after the cycle across shards, cross-rack pairs
-    /// land two slots later.
-    fn two_tier_options() -> ShardedOptions {
+    /// Two racks over `k` shards: intra-rack pairs deliver at once within
+    /// a shard and, from k = 3 on, land after the cycle across shards;
+    /// cross-rack pairs land two slots later.
+    fn two_tier_options(k: usize) -> ShardedOptions {
         let topology = Topology::two_tier(PORTS, PORTS, 2, 0, 2).expect("valid topology");
-        let mut options = ShardedOptions::new(K);
+        let mut options = ShardedOptions::new(k);
         options.fabric = FabricSpec::matrix(topology);
         options.validate = true;
         options.record = true;
@@ -1545,24 +1212,25 @@ mod tests {
     }
 
     #[test]
-    fn results_do_not_depend_on_the_party_count() {
+    fn results_do_not_depend_on_the_shard_count() {
         let cioq = SwitchConfig::cioq(PORTS, 2, 2);
         let (unit, valued) = (skewed_trace(1), skewed_trace(16));
-        let run_cioq = |beta, trace: &Trace, t| {
+        let run_cioq = |beta, trace: &Trace, k| {
             let policy = Greedy { beta };
-            fingerprint(run_cioq_sharded_on(&cioq, &policy, trace, t, two_tier_options()).unwrap())
+            fingerprint(run_cioq_sharded(&cioq, &policy, trace, two_tier_options(k)).unwrap())
         };
         let check = |name: &str, run: &dyn Fn(usize) -> Fingerprint| {
-            let inline = run(1);
-            assert!(inline.0.transmitted > 0 && inline.0.losses.total_count() > 0);
-            assert!(!inline.2.is_empty(), "{name}: checkpoints were taken");
-            // T = 3 is the uneven split: groups {0, 1}, {2}, {3}.
-            for t in 2..=K {
-                assert_eq!(run(t), inline, "{name}: T = {t} differs from T = 1");
+            let whole = run(1);
+            assert!(whole.0.transmitted > 0 && whole.0.losses.total_count() > 0);
+            assert!(!whole.2.is_empty(), "{name}: checkpoints were taken");
+            // K = 3 is the uneven split (bands of 2, 3 and 3 ports), and
+            // puts a latency-0 pair across bands.
+            for k in 2..=K {
+                assert_eq!(run(k), whole, "{name}: K = {k} differs from K = 1");
             }
         };
-        check("GM", &|t| run_cioq(None, &unit, t));
-        check("PG", &|t| run_cioq(Some(2.4), &valued, t));
+        check("GM", &|k| run_cioq(None, &unit, k));
+        check("PG", &|k| run_cioq(Some(2.4), &valued, k));
     }
 
     /// The post-cycle landing runs only where a pair across shard bands has
@@ -1573,7 +1241,7 @@ mod tests {
         let cfg = SwitchConfig::cioq(PORTS, 2, 2);
         let after_cycle = |k, spec| {
             let partition = Partition::new(k, PORTS, PORTS);
-            Comms::new(k, false, spec, &partition, &cfg).land_after_cycle
+            delay_rings(&spec, &partition, &cfg).1
         };
         let racks = || FabricSpec::matrix(Topology::two_tier(PORTS, PORTS, 2, 0, 4).unwrap());
         assert!(!after_cycle(1, FabricSpec::uniform(0)));
@@ -1628,28 +1296,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mode_resolves_to_at_most_one_party_per_core() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let with = |k, mode| ShardedOptions {
-            mode,
-            ..ShardedOptions::new(k)
-        };
-        if cores >= 2 {
-            // The default must thread, not quietly fall back to inline.
-            assert_eq!(ShardedOptions::new(2).parties(), 2);
-        }
-        for k in [1, 2, 4, 64] {
-            assert_eq!(with(k, ExecMode::Inline).parties(), 1);
-            assert_eq!(with(k, ExecMode::Auto).parties(), k.min(cores));
-            assert_eq!(
-                with(k, ExecMode::Threads).parties(),
-                k.min(cores).max(k.min(2))
-            );
-        }
-    }
-
-    /// Run `f` on a helper thread; a run that deadlocks fails the test
+    /// Run `f` on a helper thread; a run that never ends fails the test
     /// instead of hanging it. Returns `f`'s panic message, if it panicked.
     fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Result<T, String> {
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1657,7 +1304,7 @@ mod tests {
             tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)))
         });
         rx.recv_timeout(Duration::from_secs(60))
-            .expect("sharded run deadlocked")
+            .expect("sharded run never ended")
             .map_err(|payload| *payload.downcast::<String>().expect("formatted panic"))
     }
 
@@ -1731,49 +1378,41 @@ mod tests {
         }
     }
 
-    fn run_faulty(fault: Fault, t: usize) -> Result<Result<ShardedOutcome, PolicyError>, String> {
+    fn run_faulty(fault: Fault) -> Result<Result<ShardedOutcome, PolicyError>, String> {
         bounded(move || {
             let cfg = SwitchConfig::cioq(PORTS, 2, 2);
             let trace = skewed_trace(1);
-            run_cioq_sharded_on(&cfg, &Faulty(fault), &trace, t, two_tier_options())
+            run_cioq_sharded(&cfg, &Faulty(fault), &trace, two_tier_options(K))
         })
     }
 
+    /// A worker's panic reaches the caller as it was raised, from the
+    /// first shard as from the last.
     #[test]
     fn worker_panic_surfaces_identically_from_any_party() {
-        // T = 2 puts shards {0, 1} on the calling thread (party 0) and
-        // {2, 3} on the spawned party; T = 1 is the unthreaded loop.
-        for (bad, t) in [(0, 2), (K - 1, 2), (1, 1), (K - 1, K)] {
-            let msg = run_faulty(Fault::WorkerPanic { bad }, t)
+        for bad in [0, K - 1] {
+            let msg = run_faulty(Fault::WorkerPanic { bad })
                 .expect_err("the worker's panic must surface");
-            assert_eq!(msg, format!("sharded worker panicked: boom in shard {bad}"));
+            assert_eq!(msg, format!("boom in shard {bad}"));
         }
     }
 
+    /// A per-packet rule's error in the last shard's phase returns through
+    /// `?` as the run's error.
     #[test]
     fn policy_error_from_the_last_group_matches_the_unthreaded_run() {
-        let run = |t| {
-            run_faulty(Fault::AcceptWhenFull { bad: K - 1 }, t)
-                .expect("no panic")
-                .expect_err("accepting into a full queue is a policy error")
-        };
-        let inline = run(1);
-        assert!(matches!(
-            inline,
-            PolicyError::QueueFull { kind: "input", .. }
-        ));
-        for t in 2..=K {
-            assert_eq!(run(t), inline, "T = {t}");
-        }
+        let err = run_faulty(Fault::AcceptWhenFull { bad: K - 1 })
+            .expect("no panic")
+            .expect_err("accepting into a full queue is a policy error");
+        assert!(matches!(err, PolicyError::QueueFull { kind: "input", .. }));
     }
 
+    /// An illegal merge is the coordinator's error, returned as the run's.
     #[test]
     fn coordinator_error_releases_every_spawned_party() {
-        for t in 1..=K {
-            let err = run_faulty(Fault::MergeDuplicatesInput, t)
-                .expect("no panic")
-                .expect_err("a reused input must be rejected");
-            assert!(matches!(err, PolicyError::DuplicateInput { .. }), "T = {t}");
-        }
+        let err = run_faulty(Fault::MergeDuplicatesInput)
+            .expect("no panic")
+            .expect_err("a reused input must be rejected");
+        assert!(matches!(err, PolicyError::DuplicateInput { .. }));
     }
 }

@@ -610,19 +610,19 @@ impl Reader<'_> {
         let speedup = self.u32()?;
         let input_capacity = self.u64()? as usize;
         let output_capacity = self.u64()? as usize;
-        let crossbar_capacity = if self.bool()? {
-            Some(self.u64()? as usize)
-        } else {
-            None
-        };
-        Ok(SwitchConfig {
-            n_inputs,
-            n_outputs,
-            speedup,
-            input_capacity,
-            output_capacity,
-            crossbar_capacity,
-        })
+        let mut builder = SwitchConfig::builder(n_inputs, n_outputs)
+            .speedup(speedup)
+            .input_capacity(input_capacity)
+            .output_capacity(output_capacity);
+        if self.bool()? {
+            builder = builder.crossbar_capacity(self.u64()? as usize);
+        }
+        // Decode refuses every config the builder refuses: a zero speedup
+        // or capacity would restore a switch that never schedules or that
+        // panics building its queues.
+        builder
+            .build()
+            .map_err(|e| SnapshotError::Format(format!("switch config: {e}")))
     }
 
     fn fabric(&mut self) -> Result<FabricSpec, SnapshotError> {
@@ -922,16 +922,36 @@ pub(crate) mod tests {
         ));
     }
 
+    /// Hostile config words and zero packet values fail decode, before
+    /// anything is built from them. An over-large (non-zero) capacity
+    /// still decodes and sizes restore's reservations; bounding it is the
+    /// run builder's job (ROADMAP item 5), not the decoder's.
     #[test]
     fn hostile_geometry_and_zero_values_are_format_errors() {
         let bytes = sample().to_bytes();
-        // The two geometry words follow the magic and the version.
-        let mut huge = bytes.clone();
-        huge[12..20].fill(0xFF);
-        assert!(matches!(
-            EngineSnapshot::from_bytes(&huge),
-            Err(SnapshotError::Format(_))
-        ));
+        // The config follows the magic and the version: the two geometry
+        // words (12..20), the speedup (20..24), then the input and output
+        // capacities (24..32, 32..40).
+        let overwritten = |range: std::ops::Range<usize>, byte: u8| {
+            let mut hostile = bytes.clone();
+            hostile[range].fill(byte);
+            EngineSnapshot::from_bytes(&hostile)
+        };
+        for (what, range, byte) in [
+            ("huge geometry", 12..20, 0xFF),
+            ("more than 65 535 inputs", 14..15, 0x01),
+            ("zero inputs", 12..16, 0),
+            ("zero outputs", 16..20, 0),
+            ("zero speedup", 20..24, 0),
+            ("zero input capacity", 24..32, 0),
+            ("zero output capacity", 32..40, 0),
+        ] {
+            let decoded = overwritten(range, byte);
+            assert!(
+                matches!(&decoded, Err(SnapshotError::Format(msg)) if msg.starts_with("switch config")),
+                "{what}: {decoded:?}"
+            );
+        }
         let mut zero = sample();
         zero.input_queues[0][0].value = 0;
         let err = EngineSnapshot::from_bytes(&zero.to_bytes()).unwrap_err();

@@ -34,10 +34,19 @@
 //! drained buffer returns to the producer at the consumer's next refill,
 //! not at the pull that drained it; the ring is capped at `2·depth`.
 //!
-//! ### Wake rule
+//! ### One hand-off rule
 //!
-//! The hand-off follows the rule stated in `sync.rs`: spin for the
-//! measured budget, park only after it, wake only a registered sleeper.
+//! The channel is the crate's one cross-thread hand-off, and both of its
+//! sides follow one rule: *spin for the measured budget (`spin_until`),
+//! park only after it, and wake only a party that registered as parked.*
+//! A waiter that exhausts the budget takes the lock, re-checks its
+//! condition and, if it still must wait, adds itself to a parked count
+//! kept under that lock for as long as it sleeps on the condvar
+//! (`park`; the wait releases the lock atomically). The releasing side
+//! changes the condition and reads the parked count inside one critical
+//! section of the same lock, and calls `notify_all` only when the count is
+//! non-zero (`wake`). A spinner is never counted, so the common prompt
+//! hand-off costs no `futex_wake` at all.
 //!
 //! * **Who spins.** A producer that found the buffer full spins on a
 //!   lock-free mirror of the buffered-batch count; a consumer that wants a
@@ -88,7 +97,6 @@
 
 use crate::source::ArrivalSource;
 use crate::state::SwitchView;
-use crate::sync::{park, spin_until, wake};
 use crate::trace::{Trace, TraceReader};
 use cioq_model::{Packet, SlotId};
 use std::collections::VecDeque;
@@ -96,6 +104,55 @@ use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+
+/// How many condition checks a waiter performs before parking. One round
+/// (an Acquire load plus a `spin_loop` hint) measures 16 ns on the 2-vCPU
+/// reference host (min of 200 × 4096 rounds), so the budget is ≈ 33 µs —
+/// what one parked hand-off costs there (29–34 µs: the waiter's futex
+/// sleep, the releaser's wake, the vCPU's return from idle), i.e. spin for
+/// as long as the park would cost. The value was first chosen on a phase
+/// barrier, since deleted; the channel's one-lock-per-refill consumer was
+/// measured with this value on the same host (`svc_gm_stream`,
+/// `benchmarks/README.md`).
+const SPIN_ROUNDS: u32 = 2048;
+
+/// Poll `ready` for the spin budget ([`SPIN_ROUNDS`] rounds). Returns
+/// `true` as soon as it holds, `false` when the budget ran out and the
+/// caller should take its park path.
+fn spin_until(mut ready: impl FnMut() -> bool) -> bool {
+    for _ in 0..SPIN_ROUNDS {
+        if ready() {
+            return true;
+        }
+        std::hint::spin_loop();
+    }
+    false
+}
+
+/// Wait on `cv` once, registered for its whole sleep in the parked count
+/// that `count` picks out of the guarded state. The caller loops on its
+/// condition, as with a bare `Condvar::wait`.
+fn park<'a, T>(
+    cv: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+    count: impl Fn(&mut T) -> &mut usize,
+) -> MutexGuard<'a, T> {
+    *count(&mut guard) += 1;
+    // A panicking holder leaves the channel state consistent, so
+    // poisoning is not propagated.
+    guard = cv.wait(guard).unwrap_or_else(|e| e.into_inner());
+    *count(&mut guard) -= 1;
+    guard
+}
+
+/// Wake every sleeper on `cv` — when `parked`, the count [`park`]
+/// maintains, read in the critical section that changed their condition,
+/// says there is one. Spinners see the change on their own.
+fn wake(cv: &Condvar, parked: usize) {
+    if parked > 0 {
+        cv.notify_all();
+    }
+}
 
 /// Consumer position in a stream: the next slot to pull and how many
 /// packets were consumed before it. At a checkpoint boundary this equals
@@ -174,7 +231,7 @@ struct Channel {
     /// up, so a spinner must stop waiting for it.
     hung_up: AtomicBool,
     /// More than one core: the other side can make progress while this
-    /// one spins. Read once, as `ShardedOptions::parties()` does.
+    /// one spins. Read once, when the channel opens.
     spin: bool,
 }
 

@@ -1,41 +1,24 @@
-//! Permuted-arrival stress tests for the sharded engine's synchronisation
-//! protocol: the [`SpinBarrier`] phase discipline and the per-(dest, src)
-//! cell pattern built on top of it — a `Mutex<_>` cell written by one
-//! party before a barrier crossing and drained by another after it, which
-//! is how `shard.rs` hands proposals to the merge and cross-shard packets
-//! over through its delay rings.
-//!
-//! The lockstep equivalence suites only sample the schedules a real run
-//! produces; these tests adversarially permute thread arrival order with
-//! seeded jitter (random yield/spin bursts before every protocol step) so
-//! late spinners, early parkers, and generation-lapped waiters all occur.
-//! Failures here are ordering bugs — the assertions check the protocol's
-//! contract (no thread crosses early; every write before a crossing is
-//! visible after it), not any timing property. The last test models the
-//! driver's own topology — shards grouped onto parties, the leader working
-//! as party 0 between its two waits. Seeded and deterministic in
+//! Stress tests for the stream channel's hand-off (`stream.rs`): spin for
+//! the budget, park after it, wake only a registered sleeper. Seeded
+//! pauses on both sides steer every hand-off through the spin exit or the
+//! park exit, a consumer that sleeps every `depth` slots in alternate
+//! blocks makes its refills find the channel full as well as empty, and a
+//! watchdog turns a lost wake-up into a failure instead of a hung suite.
+//! Failures here are ordering bugs — the assertions check the channel's
+//! contract (every batch arrives once, in order; a hang-up reaches a
+//! parked peer), not any timing property. Seeded and deterministic in
 //! structure; run under the CI `--test-threads` 1/2/4 matrix like the
 //! equivalence suites.
-//!
-//! The stream channel (`stream.rs`) shares the barrier's hand-off rule —
-//! spin for the budget, park after it, wake only a registered sleeper —
-//! so its stress lives here too: seeded pauses on both sides steer every
-//! hand-off through the spin exit or the park exit, a consumer that
-//! sleeps every `depth` slots in alternate blocks makes its refills find
-//! the channel full as well as empty, and a watchdog turns a lost wake-up
-//! into a failure instead of a hung suite.
 
 use cioq_model::{Packet, PacketId, PortId, SlotId};
-use cioq_sim::{ArrivalSource, SpinBarrier, StreamClosed};
+use cioq_sim::{ArrivalSource, StreamClosed};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Burn a seeded-random number of yields/spins, permuting this thread's
-/// arrival time relative to its peers.
+/// timing relative to the other side's.
 fn jitter(rng: &mut SmallRng) {
     if rng.gen_bool(0.5) {
         for _ in 0..rng.gen_range(0..32usize) {
@@ -45,247 +28,6 @@ fn jitter(rng: &mut SmallRng) {
         for _ in 0..rng.gen_range(0..4usize) {
             std::thread::yield_now();
         }
-    }
-}
-
-/// A seeded permutation of `0..n` (Fisher-Yates; the vendored rand has no
-/// shuffle helper).
-fn permutation(n: usize, rng: &mut SmallRng) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        order.swap(i, rng.gen_range(0..=i));
-    }
-    order
-}
-
-#[test]
-fn barrier_keeps_lockstep_under_permuted_arrivals() {
-    const PARTIES: usize = 8;
-    const PHASES: u32 = 300;
-    for seed in [1u64, 42, 0xC109] {
-        let barrier = SpinBarrier::new(PARTIES);
-        let counter = AtomicU32::new(0);
-        let mut spawn_rng = SmallRng::seed_from_u64(seed);
-        let order = permutation(PARTIES, &mut spawn_rng);
-        std::thread::scope(|scope| {
-            for &t in &order {
-                let barrier = &barrier;
-                let counter = &counter;
-                scope.spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37));
-                    for phase in 0..PHASES {
-                        jitter(&mut rng);
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
-                        // Between the two crossings the counter is frozen:
-                        // every increment of this phase happened before the
-                        // first barrier, none of the next phase's can
-                        // happen until the second.
-                        assert_eq!(
-                            counter.load(Ordering::Relaxed),
-                            (phase + 1) * PARTIES as u32,
-                            "a thread passed the barrier before all parties arrived (seed {seed})"
-                        );
-                        jitter(&mut rng);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), PHASES * PARTIES as u32);
-    }
-}
-
-/// The mailbox value for phase `p`, route `src -> dest`, item `k` — unique
-/// across everything, so any misrouted or stale delivery is identifiable.
-fn payload(phase: u32, src: usize, dest: usize, k: usize) -> u64 {
-    ((phase as u64) << 32) | ((src as u64) << 24) | ((dest as u64) << 16) | k as u64
-}
-
-#[test]
-fn mailbox_cells_deliver_exactly_once_per_phase() {
-    const K: usize = 6;
-    const PHASES: u32 = 200;
-    for seed in [7u64, 1234] {
-        // Per-(dest, src) cells, exactly the sharded engine's comms shape.
-        let mail: Vec<Vec<Mutex<Vec<u64>>>> = (0..K)
-            .map(|_| (0..K).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        let barrier = SpinBarrier::new(K);
-        let mut spawn_rng = SmallRng::seed_from_u64(seed);
-        let order = permutation(K, &mut spawn_rng);
-        std::thread::scope(|scope| {
-            for &me in &order {
-                let mail = &mail;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(seed ^ (me as u64).wrapping_mul(0x51D));
-                    for phase in 0..PHASES {
-                        // Write half: as src, push a variable-size batch to
-                        // every dest cell, in a seeded dest order.
-                        for dest in permutation(K, &mut rng) {
-                            jitter(&mut rng);
-                            let n = 1 + (phase as usize + me + dest) % 3;
-                            let mut cell = mail[dest][me].lock().expect("no poisoned locks");
-                            for k in 0..n {
-                                cell.push(payload(phase, me, dest, k));
-                            }
-                        }
-                        jitter(&mut rng);
-                        barrier.wait();
-                        // Read half: as dest, drain own cells in src order
-                        // and verify every batch arrived exactly once, in
-                        // push order, with nothing stale or misrouted.
-                        for (src, cell) in mail[me].iter().enumerate() {
-                            jitter(&mut rng);
-                            let mut cell = cell.lock().expect("no poisoned locks");
-                            let n = 1 + (phase as usize + src + me) % 3;
-                            let want: Vec<u64> =
-                                (0..n).map(|k| payload(phase, src, me, k)).collect();
-                            assert_eq!(
-                                *cell, want,
-                                "mailbox ({me} <- {src}) corrupt in phase {phase} (seed {seed})"
-                            );
-                            cell.clear();
-                        }
-                        jitter(&mut rng);
-                        // Second crossing: nobody starts the next write
-                        // half until every cell has been drained.
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// The sharded driver's actual topology: K shards on T parties, each party
-/// running a contiguous group of shards, and the leader — the calling
-/// thread, party 0 — publishing the phase, doing its own group's share
-/// between its two waits, and then working alone on every cell before the
-/// next phase. Exactly-once delivery must hold for every T, including the
-/// uneven split and T = 1 (nothing spawned, the barrier a no-op).
-#[test]
-fn leader_works_between_its_waits_with_grouped_shards() {
-    const K: usize = 6;
-    const PHASES: u32 = 150;
-    const WRITE: u8 = 0;
-    const DRAIN: u8 = 1;
-    const EXIT: u8 = 2;
-    for (seed, t) in [(3u64, 1usize), (5, 2), (11, 4), (13, K)] {
-        let mail: Vec<Vec<Mutex<Vec<u64>>>> = (0..K)
-            .map(|_| (0..K).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        let barrier = SpinBarrier::new(t);
-        let phase = AtomicU8::new(EXIT);
-        let round = AtomicU32::new(0);
-        // Parties inside a phase body; the leader's serial sections must
-        // always observe zero.
-        let active = AtomicU32::new(0);
-        let group = |party: usize| (0..K).filter(move |s| s * t / K == party);
-        let batch = |round: u32, src: usize, dest: usize| 1 + (round as usize + src + dest) % 3;
-        let run_group = |ph: u8, party: usize, rng: &mut SmallRng| {
-            active.fetch_add(1, Ordering::Relaxed);
-            let round = round.load(Ordering::Relaxed);
-            for me in group(party) {
-                for other in permutation(K, rng) {
-                    jitter(rng);
-                    if ph == WRITE {
-                        let mut cell = mail[other][me].lock().expect("no poisoned locks");
-                        cell.extend(
-                            (0..batch(round, me, other)).map(|k| payload(round, me, other, k)),
-                        );
-                    } else {
-                        let mut cell = mail[me][other].lock().expect("no poisoned locks");
-                        let want: Vec<u64> = (0..batch(round, other, me))
-                            .map(|k| payload(round, other, me, k))
-                            .collect();
-                        assert_eq!(
-                            *cell, want,
-                            "mailbox ({me} <- {other}) corrupt in round {round} (seed {seed}, T = {t})"
-                        );
-                        cell.clear();
-                    }
-                }
-            }
-            active.fetch_sub(1, Ordering::Relaxed);
-        };
-        std::thread::scope(|scope| {
-            for party in 1..t {
-                let (barrier, phase, run_group) = (&barrier, &phase, &run_group);
-                scope.spawn(move || {
-                    let mut rng =
-                        SmallRng::seed_from_u64(seed ^ (party as u64).wrapping_mul(0x51D));
-                    loop {
-                        barrier.wait();
-                        let ph = phase.load(Ordering::Acquire);
-                        if ph == EXIT {
-                            break;
-                        }
-                        run_group(ph, party, &mut rng);
-                        jitter(&mut rng);
-                        barrier.wait();
-                    }
-                });
-            }
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut do_phase = |ph: u8| {
-                phase.store(ph, Ordering::Release);
-                jitter(&mut rng);
-                barrier.wait();
-                run_group(ph, 0, &mut rng);
-                barrier.wait();
-                assert_eq!(
-                    active.load(Ordering::Relaxed),
-                    0,
-                    "a party is still inside the phase after the closing barrier (T = {t})"
-                );
-            };
-            for r in 0..PHASES {
-                round.store(r, Ordering::Relaxed);
-                do_phase(WRITE);
-                // Serial section: every cell holds exactly this round's batch.
-                let held: usize = mail.iter().flatten().map(|c| c.lock().unwrap().len()).sum();
-                let sent: usize = (0..K)
-                    .flat_map(|s| (0..K).map(move |d| batch(r, s, d)))
-                    .sum();
-                assert_eq!(held, sent, "round {r} (seed {seed}, T = {t})");
-                do_phase(DRAIN);
-                assert!(mail.iter().flatten().all(|c| c.lock().unwrap().is_empty()));
-            }
-            phase.store(EXIT, Ordering::Release);
-            barrier.wait();
-        });
-    }
-}
-
-/// Heterogeneous party counts: barriers of size 1 (degenerate, pure
-/// fast-path) through odd sizes, each re-used across enough phases for the
-/// generation counter to lap the spin budget when oversubscribed.
-#[test]
-fn barrier_sizes_from_one_to_oversubscribed() {
-    for parties in [1usize, 2, 3, 5, 16] {
-        let barrier = SpinBarrier::new(parties);
-        let counter = AtomicU32::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..parties {
-                let barrier = &barrier;
-                let counter = &counter;
-                scope.spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(t as u64);
-                    for phase in 0..100u32 {
-                        jitter(&mut rng);
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
-                        assert_eq!(
-                            counter.load(Ordering::Relaxed),
-                            (phase + 1) * parties as u32
-                        );
-                        barrier.wait();
-                    }
-                });
-            }
-        });
     }
 }
 
