@@ -11,9 +11,8 @@ use std::ops::Range;
 ///
 /// Stored row-major (input-major) in one contiguous allocation, so iterating
 /// a single input port's queues is cache-friendly — that is the access
-/// pattern of every scheduling policy in the workspace. Each band is its own
-/// allocation — rather than a slice view into one big grid — which is what
-/// lets every shard be owned by its own thread without `unsafe`.
+/// pattern of every scheduling policy in the workspace. A band is one such
+/// allocation, owned by the simulator's `QueueBand` that holds those rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grid<T> {
     row_offset: usize,
@@ -23,12 +22,6 @@ pub struct Grid<T> {
 }
 
 impl<T> Grid<T> {
-    /// Build the whole `n_inputs × n_outputs` grid by calling `f(i, j)` for
-    /// every cell.
-    pub fn from_fn(n_inputs: usize, n_outputs: usize, f: impl FnMut(usize, usize) -> T) -> Self {
-        Self::band(0..n_inputs, n_outputs, f)
-    }
-
     /// Build the band covering global rows `rows` by calling
     /// `f(global_row, col)` for every cell.
     pub fn band(
@@ -100,17 +93,6 @@ impl<T> Grid<T> {
         self.get_mut(input.index(), output.index())
     }
 
-    /// Iterate one input port's row `(j, &cell)`.
-    pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, &T)> {
-        let start = self.idx(i, 0);
-        self.cells[start..start + self.n_outputs].iter().enumerate()
-    }
-
-    /// Iterate one output port's column `(i, &cell)` over the rows held.
-    pub fn column(&self, j: usize) -> impl Iterator<Item = (usize, &T)> + '_ {
-        self.rows().map(move |i| (i, self.get(i, j)))
-    }
-
     /// Iterate all cells as `(i, j, &cell)`, row-major.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &T)> {
         let (off, n_outputs) = (self.row_offset, self.n_outputs);
@@ -146,10 +128,6 @@ mod tests {
         assert_eq!(all.len(), 8);
         assert_eq!(all[0], (3, 0, 30));
         assert_eq!(all[7], (4, 3, 43));
-        let row: Vec<_> = band.row(4).map(|(j, &v)| (j, v)).collect();
-        assert_eq!(row, vec![(0, 40), (1, 41), (2, 42), (3, 43)]);
-        let col: Vec<_> = band.column(1).map(|(i, &v)| (i, v)).collect();
-        assert_eq!(col, vec![(3, 31), (4, 41)]);
     }
 
     #[test]
@@ -164,8 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_fills_row_major() {
-        let g = Grid::from_fn(2, 3, |i, j| 10 * i + j);
+    fn whole_band_fills_row_major() {
+        let g = Grid::band(0..2, 3, |i, j| 10 * i + j);
         assert_eq!(*g.get(0, 0), 0);
         assert_eq!(*g.get(0, 2), 2);
         assert_eq!(*g.get(1, 1), 11);
@@ -174,24 +152,15 @@ mod tests {
     }
 
     #[test]
-    fn row_and_column_views() {
-        let g = Grid::from_fn(3, 2, |i, j| (i, j));
-        let row: Vec<_> = g.row(1).map(|(j, &(i2, j2))| (j, i2, j2)).collect();
-        assert_eq!(row, vec![(0, 1, 0), (1, 1, 1)]);
-        let col: Vec<_> = g.column(1).map(|(i, &(i2, j2))| (i, i2, j2)).collect();
-        assert_eq!(col, vec![(0, 0, 1), (1, 1, 1), (2, 2, 1)]);
-    }
-
-    #[test]
     fn iter_yields_coordinates() {
-        let g = Grid::from_fn(2, 2, |i, j| i + j);
+        let g = Grid::band(0..2, 2, |i, j| i + j);
         let all: Vec<_> = g.iter().map(|(i, j, &v)| (i, j, v)).collect();
         assert_eq!(all, vec![(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 2)]);
     }
 
     #[test]
     fn mutation_through_port_ids() {
-        let mut g = Grid::from_fn(2, 2, |_, _| 0);
+        let mut g = Grid::band(0..2, 2, |_, _| 0);
         *g.at_mut(PortId(1), PortId(0)) = 7;
         assert_eq!(*g.at(PortId(1), PortId(0)), 7);
         for (_, _, v) in g.iter_mut() {

@@ -10,6 +10,13 @@ use cioq_model::{Packet, PacketId, Value};
 /// * `insert` refuses to overflow: callers decide whether to preempt first
 ///   (that decision is algorithm policy, not buffer mechanics).
 ///
+/// Packets are stored least-first: the tail at index 0, the head at the
+/// end. Every transfer and transmission takes the head, so `pop_head` is a
+/// `Vec::pop`, and an arrival is pushed at the head end and shifted down
+/// past the packets that outrank it; only `pop_tail` (preemption) and
+/// `remove` move the packets behind the one they take. `iter()` still runs
+/// head → tail, but the derived `Debug` prints storage order, least first.
+///
 /// Backing storage is allocated lazily: an empty queue costs no heap until
 /// its first insert, which reserves the full `capacity` in one shot (and
 /// never reallocates after that). Large fabrics hold N² queues of which
@@ -17,8 +24,9 @@ use cioq_model::{Packet, PacketId, Value};
 /// stays cheap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortedQueue {
-    /// Sorted packets, index 0 = head = greatest value.
-    /// snapshot: serialized — stored order is the canonical wire order.
+    /// Sorted packets, index 0 = tail = least value, last = head.
+    /// snapshot: serialized — storage is least-first; the wire order is
+    /// `iter()`'s, greatest first.
     items: Vec<Packet>,
     /// snapshot: serialized — part of the switch geometry.
     capacity: usize,
@@ -67,13 +75,13 @@ impl SortedQueue {
     /// The packet with the greatest value (`g`), if any.
     #[inline]
     pub fn head(&self) -> Option<&Packet> {
-        self.items.first()
+        self.items.last()
     }
 
     /// The packet with the least value (`l`), if any.
     #[inline]
     pub fn tail(&self) -> Option<&Packet> {
-        self.items.last()
+        self.items.first()
     }
 
     /// Value of the head packet, if any.
@@ -88,17 +96,9 @@ impl SortedQueue {
         self.tail().map(|p| p.value)
     }
 
-    /// Packet at paper position `k` (1-based; 1 = head), i.e. `δ(k, t)`.
-    pub fn at_position(&self, k: usize) -> Option<&Packet> {
-        if k == 0 {
-            return None;
-        }
-        self.items.get(k - 1)
-    }
-
     /// Iterate packets head-to-tail (descending value).
     pub fn iter(&self) -> impl Iterator<Item = &Packet> {
-        self.items.iter()
+        self.items.iter().rev()
     }
 
     /// Sum of all stored values (u128 to match benefit accounting).
@@ -119,15 +119,28 @@ impl SortedQueue {
             let additional = self.capacity - self.items.len();
             self.items.reserve_exact(additional);
         }
-        let pos = self
-            .items
-            .partition_point(|q| q.queue_key() <= p.queue_key());
-        self.items.insert(pos, p);
+        // Push at the head end, then shift down past every packet that
+        // outranks `p` (a smaller key): O(packets above `p`), no memmove.
+        let key = p.queue_key();
+        let mut pos = self.items.len();
+        self.items.push(p);
+        while pos > 0 && self.items[pos - 1].queue_key() < key {
+            self.items[pos] = self.items[pos - 1];
+            pos -= 1;
+        }
+        self.items[pos] = p;
         Ok(())
     }
 
-    /// Remove and return the head (greatest-value) packet.
+    /// Remove and return the head (greatest-value) packet. O(1).
     pub fn pop_head(&mut self) -> Option<Packet> {
+        self.items.pop()
+    }
+
+    /// Remove and return the tail (least-value) packet — the preemption
+    /// victim `l` in PG/CPG ("if p is accepted while the queue is full,
+    /// l is preempted"). O(len): the packets above it move down.
+    pub fn pop_tail(&mut self) -> Option<Packet> {
         if self.items.is_empty() {
             None
         } else {
@@ -135,22 +148,10 @@ impl SortedQueue {
         }
     }
 
-    /// Remove and return the tail (least-value) packet — the preemption
-    /// victim `l` in PG/CPG ("if p is accepted while the queue is full,
-    /// l is preempted").
-    pub fn pop_tail(&mut self) -> Option<Packet> {
-        self.items.pop()
-    }
-
     /// Remove a specific packet by id. O(B).
     pub fn remove(&mut self, id: PacketId) -> Option<Packet> {
         let pos = self.items.iter().position(|p| p.id == id)?;
         Some(self.items.remove(pos))
-    }
-
-    /// Find a packet by id.
-    pub fn get(&self, id: PacketId) -> Option<&Packet> {
-        self.items.iter().find(|p| p.id == id)
     }
 
     /// Whether the invariant (sorted by value desc, id asc; within capacity)
@@ -161,7 +162,7 @@ impl SortedQueue {
         }
         self.items
             .windows(2)
-            .all(|w| w[0].queue_key() <= w[1].queue_key())
+            .all(|w| w[0].queue_key() >= w[1].queue_key())
     }
 }
 
@@ -220,17 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn position_is_one_based() {
-        let mut q = SortedQueue::new(4);
-        q.insert(mk(0, 3)).unwrap();
-        q.insert(mk(1, 7)).unwrap();
-        assert_eq!(q.at_position(0), None);
-        assert_eq!(q.at_position(1).unwrap().value, 7);
-        assert_eq!(q.at_position(2).unwrap().value, 3);
-        assert_eq!(q.at_position(3), None);
-    }
-
-    #[test]
     fn remove_by_id() {
         let mut q = SortedQueue::new(4);
         q.insert(mk(0, 3)).unwrap();
@@ -252,8 +242,8 @@ mod tests {
 
     proptest! {
         /// Random insert / pop-head / pop-tail / remove sequences keep the
-        /// queue sorted, within capacity, and consistent with a model
-        /// implemented over a plain sorted Vec.
+        /// queue sorted, within capacity, and in the same head-to-tail order
+        /// as a model implemented over a plain sorted Vec.
         #[test]
         fn random_ops_preserve_invariants(
             cap in 1usize..8,
@@ -297,6 +287,9 @@ mod tests {
                 }
                 prop_assert!(q.check_invariants());
                 prop_assert_eq!(q.len(), model.len());
+                let ids: Vec<_> = q.iter().map(|p| p.id).collect();
+                let want: Vec<_> = model.iter().map(|p| p.id).collect();
+                prop_assert_eq!(ids, want);
             }
         }
     }

@@ -944,4 +944,38 @@ mod tests {
         };
         let _ = Engine::new(cfg, options);
     }
+
+    /// The checkpoint lists each queue head first — greatest value, equal
+    /// values by ascending id — whatever order the queue stores its
+    /// packets in, and the bytes survive a decode and restore unchanged.
+    #[test]
+    fn checkpoint_cells_list_each_queue_head_first() {
+        use cioq_model::PacketId;
+        let options = RunOptions::default;
+        let mut engine = Engine::try_new(SwitchConfig::cioq(2, 4, 1), options()).unwrap();
+        for (id, v) in (0..).zip([3, 7, 7, 1]) {
+            let p = Packet::new(PacketId(id), v, 0, PortId(0), PortId(1));
+            let band = &mut engine.state.band;
+            band.admit(&mut engine.stats, Admission::Accept, &p)
+                .unwrap();
+            let p = Packet::new(PacketId(10 + id), v, 0, PortId(1), PortId(0));
+            let landed = InFlightPacket::new(PortId(1), PortId(0), false, p);
+            band.deliver(&mut engine.stats, false, landed).unwrap();
+        }
+        let snap = engine.snapshot();
+        let cell = |c: &[Packet]| c.iter().map(|p| (p.value, p.id.0)).collect::<Vec<_>>();
+        // Q_01 is cell 1 of the row-major 2 × 2 grid.
+        assert_eq!(
+            cell(&snap.input_queues[1]),
+            [(7, 1), (7, 2), (3, 0), (1, 3)]
+        );
+        assert_eq!(
+            cell(&snap.output_queues[0]),
+            [(7, 11), (7, 12), (3, 10), (1, 13)]
+        );
+        let bytes = snap.to_bytes();
+        let decoded = EngineSnapshot::from_bytes(&bytes).unwrap();
+        let restored = Engine::restore(&decoded, options()).unwrap();
+        assert_eq!(restored.snapshot().to_bytes(), bytes);
+    }
 }

@@ -23,10 +23,11 @@
 //! encoding: magic `b"CIOQSNAP"`, format version `u32`, then every field
 //! in a fixed order with `u32` length prefixes on sequences. Canonical
 //! means *equal states encode to equal bytes* — queue packets are written
-//! in stored (sorted) order, landings in canonical landing order, held
-//! packets in (row-major pair, FIFO) order — so byte equality doubles as
-//! the structural-equality oracle in the round-trip proofs. Unknown
-//! versions and malformed bytes are [`SnapshotError`]s, never panics.
+//! head first (`SortedQueue::iter`'s order), landings in canonical
+//! landing order, held packets in (row-major pair, FIFO) order — so byte
+//! equality doubles as the structural-equality oracle in the round-trip
+//! proofs. Unknown versions and malformed bytes are [`SnapshotError`]s,
+//! never panics.
 
 use crate::stats::{StatsRecorder, WindowSlot};
 use crate::transport::{DelayCalendar, FabricSpec, InFlightPacket, Landing};
@@ -119,12 +120,12 @@ pub struct EngineSnapshot {
     pub(crate) slot: SlotId,
     /// The engine's no-progress streak entering `slot` (drain cutoff state).
     pub(crate) idle_slots: u32,
-    /// `Q_ij` contents, row-major `i * n_outputs + j`, each in stored
-    /// (sorted) order.
+    /// `Q_ij` contents, row-major `i * n_outputs + j`, each head first
+    /// (greatest value first, `SortedQueue::iter`'s order).
     pub(crate) input_queues: Vec<Vec<Packet>>,
     /// `C_ij` contents (buffered crossbar only), same layout.
     pub(crate) crossbar_queues: Option<Vec<Vec<Packet>>>,
-    /// `Q_j` contents, one per output, each in stored (sorted) order.
+    /// `Q_j` contents, one per output, each head first.
     pub(crate) output_queues: Vec<Vec<Packet>>,
     /// In-flight fabric landings in canonical order ([`SnapLanding::key`]).
     pub(crate) landings: Vec<SnapLanding>,

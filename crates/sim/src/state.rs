@@ -299,8 +299,8 @@ impl QueueBand {
         Ok(())
     }
 
-    /// Append the band's checkpoint cells — each queue's packets in stored
-    /// (sorted) order — to `snap`'s queue lists. Bands visited in ascending
+    /// Append the band's checkpoint cells — each queue's packets head
+    /// first, as `SortedQueue::iter` yields them — to `snap`'s queue lists. Bands visited in ascending
     /// order yield the checkpoint layout: row-major `Q_ij` / `C_ij` cells,
     /// ascending outputs.
     pub(crate) fn cells_out(&self, snap: &mut EngineSnapshot) {
