@@ -17,10 +17,10 @@
 //!
 //! Both runs share the trace, config, fabric and a fresh policy, so every
 //! setup cost (shard construction, policy cache warm-up, growth of the
-//! slot batch and the rings to steady capacity) appears identically in both
+//! slot batch and the calendar to steady capacity) appears identically in both
 //! ledgers and cancels; what remains is exactly what the slot loop
 //! acquires per slot after warm-up. `N1` is far past the point where every
-//! scratch vector, calendar ring and policy cache has reached steady
+//! scratch vector, calendar bucket and policy cache has reached steady
 //! capacity under full-fabric churn. The target is **0** — the bin exits
 //! non-zero if any steady-state cell allocates (the CI `alloc-audit` job
 //! runs exactly this).

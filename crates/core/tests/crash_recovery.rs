@@ -334,9 +334,9 @@ fn bursty_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
 
 /// The three fabric shapes of the acceptance matrix: immediate, uniform
 /// delay line, and a heterogeneous two-tier delay matrix (chassis-local
-/// pairs at 0, cross-rack pairs at 2 — same-cycle and delayed landings
-/// live simultaneously, the sharded runs carrying both through their
-/// rings).
+/// pairs at 0, cross-rack pairs at 2 — same-cycle deliveries and delayed
+/// landings live simultaneously, in the sharded runs across shard bands
+/// too).
 fn fabrics() -> Vec<(&'static str, FabricSpec)> {
     vec![
         ("immediate", FabricSpec::default()),

@@ -11,8 +11,8 @@
 //!    the canonical landing sort, and must land on the same bits.
 //! 2. **Sharded matrix fabric ≡ sequential reference** — on genuinely
 //!    heterogeneous fabrics (two-tier rack models, random explicit
-//!    matrices, racks scattered across ports) the sharded per-(dest, src)
-//!    rings reproduce the sequential topology-aware engine bit for bit —
+//!    matrices, racks scattered across ports) the sharded engine's delay
+//!    line reproduces the sequential topology-aware engine bit for bit —
 //!    including when rack boundaries do not align with shard boundaries.
 //! 3. **Conservation under heterogeneous delays** — property test over
 //!    random delay matrices: in-flight + landed + queued packets always
@@ -249,9 +249,9 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
 // ---------------------------------------------------------------------------
 
 /// Two-tier topologies: chassis-local pairs land same-cycle (latency 0)
-/// while cross-rack pairs land slots later — both through the delay rings,
-/// *simultaneously*, and at K ∈ {2, 4} through single rings that hold both
-/// latencies. With 3 racks over 6 ports and K ∈ {1, 2, 4}, rack
+/// while cross-rack pairs ride the delay line and land slots later, both
+/// *simultaneously*, and at K ∈ {2, 4} a latency-0 transfer can cross
+/// shard bands. With 3 racks over 6 ports and K ∈ {1, 2, 4}, rack
 /// boundaries (2, 4) do not align with the K = 2 or K = 4 shard
 /// boundaries (3; 1, 3, 4).
 #[test]
@@ -266,15 +266,14 @@ fn two_tier_sharded_equals_sequential() {
     }
 }
 
-/// One ring can carry two positive latencies: with 3 racks over 6 ports
-/// and K = 2, the pair (shard 1, shard 0) holds row 2 → column 3 inside
-/// rack 1 (latency 1) and every other pair across racks (latency 4). Three
-/// transfers dispatched at slot 0 and one at slot 3 all land at slot 4,
-/// from two dispatch slots: four packets in one bucket of a ring whose
-/// bands are three ports wide. Debug builds check every push against the
-/// bucket's reservation.
+/// One calendar bucket can gather two positive latencies from several
+/// dispatch slots: with 3 racks over 6 ports, row 2 → column 3 lies inside
+/// rack 1 (latency 1) and every other pair here crosses racks (latency 4).
+/// Three transfers dispatched at slot 0 and one at slot 3 all land at
+/// slot 4: four packets in one bucket of the delay line. Debug builds
+/// check every push against the bucket's reservation.
 #[test]
-fn a_ring_bucket_gathers_from_several_dispatch_slots() {
+fn a_calendar_bucket_gathers_from_several_dispatch_slots() {
     let cfg = SwitchConfig::cioq(6, 4, 1);
     let link = FabricSpec::matrix(Topology::two_tier(6, 6, 3, 1, 4).unwrap());
     let trace = Trace::from_tuples([

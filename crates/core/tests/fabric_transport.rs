@@ -6,8 +6,8 @@
 //!    end to end (admissions, per-cycle transfer sets, reports, final
 //!    states) for GM × K ∈ {1, 2, 4}.
 //! 2. **Sharded `uniform(d)` ≡ sequential delayed engine** — the
-//!    sharded delay rings reproduce the reference delayed-sequential
-//!    engine bit for bit, for d ∈ {1, 2, 4}, the same policy and
+//!    sharded engine's delay line reproduces the reference
+//!    delayed-sequential engine bit for bit, for d ∈ {1, 2, 4}, the same policy and
 //!    shard counts. This is the delayed analogue of `sharded_equivalence.rs`
 //!    (the sharded engine runs GM only).
 //! 3. **Conservation in flight** — no packet is lost or duplicated while
@@ -184,8 +184,8 @@ fn delay_zero_sequential_matches_plain_run() {
 // 2. Sharded uniform(d) ≡ delayed sequential engine
 // ---------------------------------------------------------------------------
 
-/// CIOQ policies across the delay sweep: the sharded delay rings reproduce
-/// the delayed sequential reference bit for bit.
+/// CIOQ policies across the delay sweep: the sharded engine's delay line
+/// reproduces the delayed sequential reference bit for bit.
 #[test]
 fn cioq_delayed_sharded_equals_sequential() {
     let cfg = SwitchConfig::builder(6, 6)

@@ -83,9 +83,10 @@ fn immediate() -> FabricSpec {
 }
 
 /// Two racks, intra-rack pairs same-cycle, cross-rack pairs two slots late:
-/// in one run, latency-0 and latency-2 packets ride the delay rings side
-/// by side (at K = 3 the rack boundaries split shard 1's bands, so the
-/// ring from shard 1 to shard 0 carries both).
+/// in one run, latency-0 packets are delivered at once while latency-2
+/// packets ride the delay line (at K = 3 the rack boundary splits shard 1's
+/// bands, so a latency-0 transfer can leave one shard's row for another
+/// shard's output).
 fn two_tier() -> FabricSpec {
     FabricSpec::matrix(Topology::two_tier(N_INPUTS, N_OUTPUTS, 2, 0, 2).expect("valid topology"))
 }

@@ -1,5 +1,5 @@
 //! Pooled-hot-path parity proofs: the zero-allocation slot loop recycles
-//! policy scratch, matching buffers, shard delay rings and fabric calendars
+//! policy scratch, matching buffers and fabric calendars
 //! across runs — and none of that warm state may leak into decisions.
 //!
 //! Two properties pin it down, for all four policies sequential and GM

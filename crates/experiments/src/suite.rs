@@ -1187,7 +1187,7 @@ fn fabric_sweep(
 /// buffering the delay forces the fabric to absorb.
 pub fn s2_delay(quick: bool) -> Vec<Table> {
     // Tripwire over k ∈ {2, 4}: k = 2 splits the switch in halves, k = 4
-    // exercises uneven shard widths against the delay rings.
+    // exercises uneven shard widths against the delay line.
     fabric_sweep(
         quick,
         |_, d| FabricSpec::uniform(d),
@@ -1209,7 +1209,7 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
 ///
 /// Table 1 (drained runs): benefit, delivered fraction, ratio against the
 /// zero-latency OPT upper bound, and mean packet latency, with a sharded
-/// (K = 2, rack-aligned *and* ring-exercising) agreement tripwire per GM
+/// (K = 2, rack-aligned *and* delay-line-exercising) agreement tripwire per GM
 /// point: the sharded engine on the matrix fabric must book the exact
 /// totals of the sequential topology-aware reference (the other rows read
 /// `-`).

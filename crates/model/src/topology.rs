@@ -9,7 +9,7 @@
 //! that generalisation: it assigns every input and output port to a rack
 //! and gives the latency, in slots, of the path from any source rack to any
 //! destination rack. The simulator runs it as `FabricSpec::matrix(topology)`
-//! (`cioq_sim::transport`), which turns a topology into per-pair delay rings.
+//! (`cioq_sim::transport`), whose delay line lands each pair at its latency.
 //!
 //! Latency `0` means same-cycle (chassis-local) delivery — the paper's
 //! fabric; a topology whose entries are all equal to `d` is behaviourally
@@ -209,7 +209,7 @@ impl Topology {
     }
 
     /// Largest per-pair latency in the fabric (engines size their delay
-    /// rings by this).
+    /// line by this).
     #[inline]
     pub fn max_delay(&self) -> SlotId {
         self.max

@@ -13,13 +13,13 @@
 //! The queues, and every rule that moves a packet into or out of one, are
 //! the [`SwitchState`]'s `QueueBand` — the object a shard of the sharded
 //! engine holds for its own rows and columns — so each rule exists once for
-//! both engines; so is the delay line, a [`DelayCalendar`] landed by
-//! [`transport::land`] — one here, one per shard pair there — and so is
-//! what policies read of the output side, an
-//! [`OutputSnapshot`](crate::OutputSnapshot) refreshed at the top of every
-//! scheduling cycle by the one `OutputSnapshot::refresh`. What stays here
-//! is what only this engine has: the fault layer, the stats window, and `?`
-//! as error transport.
+//! both engines; so is the delay line, one [`DelayCalendar`] per engine,
+//! sized by the same bound and landed by [`transport::land`]; so are the
+//! books, one [`StatsRecorder`] per engine; and so is what policies read
+//! of the output side, an [`OutputSnapshot`](crate::OutputSnapshot)
+//! refreshed at the top of every scheduling cycle by the one
+//! `OutputSnapshot::refresh`. What stays here is what only this engine
+//! has: the fault layer, the stats window, and `?` as error transport.
 
 use crate::fault::{FaultKind, FaultPlan, FaultRuntime};
 use crate::invariants::{check_conservation, check_state_invariants};
@@ -175,8 +175,17 @@ fn max_retransmit_cap(faults: Option<&FaultPlan>) -> usize {
 /// run, a worst-case simultaneous release of every pair's retransmit FIFO
 /// into the same landing slot. A CIOQ cycle is a matching, at most
 /// `min(N, M)` transfers; a crossbar's output subphase is not: every
-/// output may take a packet, so up to `M`.
-fn per_bucket_bound(config: &SwitchConfig, horizon: SlotId, faults: Option<&FaultPlan>) -> usize {
+/// output may take a packet, so up to `M`. An immediate fabric (`horizon`
+/// 0) never puts a packet on the calendar, so it reserves nothing. Both
+/// engines size their calendar and landing gather by it.
+pub(crate) fn per_bucket_bound(
+    config: &SwitchConfig,
+    horizon: SlotId,
+    faults: Option<&FaultPlan>,
+) -> usize {
+    if horizon == 0 {
+        return 0;
+    }
     let ports = match config.crossbar_capacity {
         Some(_) => config.n_outputs,
         None => config.n_inputs.min(config.n_outputs),
@@ -218,12 +227,8 @@ impl Engine {
         // `speedup` cycles per slot, plus the worst single-slot retransmit
         // release a fault plan can produce — pre-reserving it keeps the
         // slot loop from ever growing a calendar bucket or the landing
-        // gather. An immediate fabric never puts a packet on the calendar,
-        // so it reserves nothing.
-        let per_bucket = match horizon {
-            0 => 0,
-            _ => per_bucket_bound(&config, horizon, options.faults.as_ref()),
-        };
+        // gather.
+        let per_bucket = per_bucket_bound(&config, horizon, options.faults.as_ref());
         Engine {
             state: SwitchState::new(config),
             stats: StatsRecorder::new(n_outputs),
@@ -368,7 +373,7 @@ impl Engine {
     /// no-progress streak (the loop's live `idle_slots` when
     /// checkpointing mid-run).
     fn capture(&self, idle_slots: u32) -> EngineSnapshot {
-        let landings = SnapLanding::pending(self.state.slot, Some(&self.calendar));
+        let landings = SnapLanding::pending(self.state.slot, &self.calendar);
         let mut held = Vec::new();
         if let Some(f) = &self.faults {
             f.for_each_held(|i, j, preempt, p| held.push((i, j, preempt, *p)));
@@ -513,7 +518,7 @@ impl Engine {
             for s in 0..speedup {
                 // What the cycle's policy calls read of the output side.
                 let (outputs, band) = (&mut self.state.outputs, &self.state.band);
-                let (cal, faults) = (Some(&self.calendar), self.faults.as_ref());
+                let (cal, faults) = (&self.calendar, self.faults.as_ref());
                 outputs.refresh(n_outputs, cal, faults, |visit| visit(band));
                 arch.cycle(&mut self, Cycle { slot, index: s })?;
                 self.post_phase_check();
@@ -639,8 +644,7 @@ impl Engine {
     // detlint: hot
     fn land_due(&mut self, slot: SlotId) -> Result<(), PolicyError> {
         let (band, stats, faulted) = (&mut self.state.band, &mut self.stats, self.faults.is_some());
-        let cal = Some(&mut self.calendar);
-        transport::land(slot, cal, &mut self.landing, |p| {
+        transport::land(slot, &mut self.calendar, &mut self.landing, |p| {
             band.deliver(stats, faulted, p)
         })?;
         self.post_phase_check();
@@ -716,7 +720,7 @@ impl Engine {
     /// Visit, as `(output, value)`, every packet between its source queue
     /// and `Q_j`: on the calendar or held by a link-down pair.
     fn for_each_in_flight(&self, f: impl FnMut(usize, Value)) {
-        transport::for_each_in_flight(Some(&self.calendar), self.faults.as_ref(), f);
+        transport::for_each_in_flight(&self.calendar, self.faults.as_ref(), f);
     }
 
     /// Packets in flight (0 when immediate and fault-free).

@@ -1,7 +1,7 @@
 //! Sharded slot engine for CIOQ switches: the N ports split into K
-//! contiguous shards, and every phase of a slot runs each shard's share in
-//! shard order on the calling thread, with cross-shard traffic batched per
-//! cycle and reconciled deterministically. GM is one lexicographic greedy
+//! contiguous shards, each scheduling cycle takes one proposal per shard
+//! and one deterministic merge, and the whole slot runs on the calling
+//! thread. GM is one lexicographic greedy
 //! over the whole switch, so the work between two merges is a few
 //! microseconds: too little, at the port counts this engine runs, to pay
 //! for handing a phase to another thread. Buffered crossbars run on the
@@ -23,51 +23,50 @@
 //! * `Q_j` (output queues) belong to the owner of output column `j` —
 //!   fabric transfers insert there, transmission pops there.
 //!
-//! What is this engine's own is everything *between* bands, and every
-//! hand-off there happens once per phase, never once per item. The
-//! coordinator merges a cycle's transfer set whole; each row owner pops
-//! from it the transfers of its own rows. A transfer whose input row and
-//! output column live on different shards is *cross-shard*: the row owner
-//! dispatches the packet into the `(column owner, row owner)` delay ring —
-//! the sequential engine's `DelayCalendar`, at the pair's latency, 0
-//! included — and the column owner lands it, after the cycle at latency 0
-//! and as a later slot opens otherwise. A policy error returns through
-//! `?`, as in the sequential engine.
+//! What makes this a phase engine is the proposal: each shard's worker
+//! proposes over its own band and change log, and the policy's merge
+//! combines the K proposals into the cycle's one transfer set. Every other
+//! phase is one pass that routes each item to its owner's band: the
+//! opening phase lands the due bucket of the delay line into the output
+//! owners' bands and admits each arrival through its input owner's
+//! worker; the pop phase pops each transfer from its input owner's band
+//! and delivers it at once into its output owner's band when its pair is
+//! at latency 0, as the sequential engine does, or dispatches it onto the
+//! delay line otherwise. A policy error returns through `?`, as in the
+//! sequential engine.
 //!
 //! ## Bit-identity
 //!
 //! The sharded engine is **bit-identical** to the sequential [`Engine`]
-//! (`tests/sharded_equivalence.rs` proves it per cycle): within a phase a
-//! shard writes only its own band and the rings it alone writes in that
-//! phase, so no shard reads what another wrote in the same phase and the
-//! shard order never shows; per-shard proposals are combined by a
+//! (`tests/sharded_equivalence.rs` proves it per cycle): each proposal
+//! reads only its own band, per-shard proposals are combined by a
 //! *deterministic merge* that resolves contended crosspoints in fixed port
-//! order (ascending input: GM's lexicographic greedy); and all cross-shard
-//! batches are per-queue unique within a cycle, so apply order cannot
-//! influence the result. The shard count therefore never changes a single
-//! decision.
+//! order (ascending input: GM's lexicographic greedy), and every routed
+//! phase applies the sequential engine's rules in its order — pops touch
+//! only `Q_ij`, deliveries only `Q_j`, the change log tracks only
+//! `Q_ij`/`C_ij`, and a matching puts at most one packet into each `Q_j`
+//! per cycle. The shard count therefore never changes a single decision.
 //!
 //! ## Where the two engines meet
 //!
-//! `run_cioq_sharded` owns the slot: the preamble (partition, rings,
-//! workers, checkpoint cadence), the opening phase, the scheduling cycles,
-//! transmission, audit and the finish; each phase is a `Fabric` method
-//! that runs one shard's share. In the opening phase the coordinator pulls
-//! the slot's arrivals from the trace cursor into one pooled batch and
-//! validates their ports; then every shard lands the ring bucket due now
-//! and admits, from that batch, the packets of the rows it owns. The two
-//! engines meet in the band: admitting, popping toward the fabric,
-//! delivery into `Q_j`, transmission, residual, checkpoint cells out and
-//! in, and the structural check are `QueueBand` methods both call;
-//! a checkpoint is the shards' cells in shard order, and `assemble_state`
-//! the shards' bands concatenated. They meet in the delay line too: one
-//! `DelayCalendar` there, one per shard pair here, landed by the one
-//! `transport::land` and captured by the one `SnapLanding::pending`; and in
-//! what policies read of the output side: one [`OutputSnapshot`],
-//! refreshed at the top of every scheduling cycle by the one
-//! `OutputSnapshot::refresh` — here over the shards' bands and the rings,
-//! into the coordinator's copy that proposals and merges are handed. And
-//! they meet in the view: a policy reads one [`SwitchView`] type in both
+//! `run_cioq_sharded` owns the slot: the preamble (partition, workers,
+//! checkpoint cadence), the opening phase, the scheduling cycles,
+//! transmission, audit and the finish; each phase is a `Fabric` method.
+//! In the opening phase the coordinator pulls the slot's arrivals from the
+//! trace cursor into one pooled batch and validates their ports, then
+//! lands the delay line's due bucket and admits the batch. The two engines
+//! meet in the band: admitting, popping toward the fabric, delivery into
+//! `Q_j`, transmission, residual, checkpoint cells out and in, and the
+//! structural check are `QueueBand` methods both call; a checkpoint is the
+//! shards' cells in shard order, and `assemble_state` the shards' bands
+//! concatenated. They meet in the delay line and the books too: one
+//! `DelayCalendar` each, sized alike, landed by the one `transport::land`
+//! and captured by the one `SnapLanding::pending`, and one
+//! `StatsRecorder`; and in what policies read of the output side: one
+//! [`OutputSnapshot`], refreshed at the top of every scheduling cycle by
+//! the one `OutputSnapshot::refresh` — here over the shards' bands, into
+//! the coordinator's copy that proposals and merges are handed. And they
+//! meet in the view: a policy reads one [`SwitchView`] type in both
 //! engines — over the band `0..N` there, over a shard's band and the
 //! cycle's snapshot here — so one policy object's cache code runs
 //! unchanged under either. Still per-engine: the slot loop itself, the
@@ -77,6 +76,7 @@
 //!
 //! [`Engine`]: crate::engine::Engine
 
+use crate::engine::per_bucket_bound;
 use crate::mechanics::{self, PortStamps};
 use crate::policy::{Admission, PacketPick, PolicyError, Transfer};
 use crate::record::RecordedSchedule;
@@ -85,8 +85,8 @@ use crate::source::TraceSource;
 use crate::state::{QueueBand, SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder};
 use crate::trace::Trace;
-use crate::transport::{self, DelayCalendar, FabricSpec, InFlightPacket, Landing, OutputSnapshot};
-use cioq_model::{Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
+use crate::transport::{self, DelayCalendar, FabricSpec, Landing, OutputSnapshot};
+use cioq_model::{ConfigError, Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
 use std::ops::Range;
 
 // ---------------------------------------------------------------------------
@@ -203,16 +203,17 @@ pub struct ShardedOptions {
     /// Assemble and return the final global [`SwitchState`].
     pub capture_final_state: bool,
     /// Fabric transport: per-pair latencies (the default, uniform 0, is
-    /// the same-cycle fabric). A latency-0 transfer within a shard is
-    /// delivered at once; every other one — same-shard ones included, so
-    /// results are partition-independent — rides a per-(dest, src) ring
-    /// of slot-buckets and lands `delay(src, dst)` slots after dispatch,
-    /// at latency 0 after the cycle.
+    /// the same-cycle fabric). As in the sequential engine, a latency-0
+    /// transfer is delivered at once, whichever shard owns its output, and
+    /// every other one rides the one delay line and lands
+    /// `delay(src, dst)` slots after dispatch.
     pub fabric: FabricSpec,
     /// Take an [`EngineSnapshot`] at the top of every slot `k` with
     /// `k > 0 && k % n == 0` (before that slot's landings and arrivals),
     /// byte-compatible with the sequential engine's checkpoints of the
-    /// same run. Collected into [`ShardedOutcome::checkpoints`].
+    /// same run. Collected into [`ShardedOutcome::checkpoints`]. A cadence
+    /// of 0 panics at run start, as the sequential engine refuses it with
+    /// [`ConfigError::ZeroCheckpointCadence`].
     pub checkpoint_every: Option<SlotId>,
     /// Resume from a checkpoint instead of a fresh switch: queue
     /// contents, in-flight fabric packets and cumulative statistics are
@@ -248,7 +249,7 @@ impl ShardedOptions {
 /// Everything a sharded run produces.
 #[derive(Debug)]
 pub struct ShardedOutcome {
-    /// The merged run report — field-for-field equal to the sequential
+    /// The run report — field-for-field equal to the sequential
     /// engine's on the same input.
     pub report: RunReport,
     /// Decision transcript, when recording was requested.
@@ -341,8 +342,8 @@ pub trait CioqShardPolicy: Sync {
 
     /// Deterministically combine per-shard candidates into the cycle's
     /// matching, resolving contended ports in fixed port order. Must append
-    /// transfers in the exact order the sequential policy would: every row
-    /// owner pops its own rows' transfers from `out` in that order.
+    /// transfers in the exact order the sequential policy would: the pop
+    /// phase pops them from `out` in that order.
     fn merge(&self, ctx: &MergeContext<'_>, scratch: &mut MergeScratch, out: &mut Vec<Transfer>);
 }
 
@@ -369,60 +370,41 @@ pub trait CioqShardWorker: Send {
 }
 
 // ---------------------------------------------------------------------------
-// The fabric: every shard's state and what passes between them
+// The fabric: the shards' bands, the delay line and the books
 // ---------------------------------------------------------------------------
 
-/// One shard's owned slice of the switch plus its accounting.
-struct ShardState {
-    /// The queues this shard owns: its input rows' `Q_ij`, its
-    /// output columns' `Q_j`, and the change log over them — the same
-    /// object the sequential engine holds for the whole switch.
-    band: QueueBand,
-    /// This shard's share of the run statistics (summed at the end).
-    stats: StatsRecorder,
-    /// Recorded admissions `(global arrival index, accepted)`.
-    admits: Vec<(u64, bool)>,
-    /// Pooled gather buffer of this shard's landings.
-    gather: Vec<Landing>,
-}
-
-/// The whole fabric: the shards' states, the delay rings between them,
-/// and what the coordinator and the shards hand each other per phase.
+/// The whole fabric: every shard's band, the delay line between them, the
+/// run's books, and what the coordinator and the shards hand each other
+/// per phase.
 struct Fabric<'a> {
     cfg: &'a SwitchConfig,
     partition: Partition,
-    shards: Vec<ShardState>,
+    /// The queues, one band per shard: its input rows' `Q_ij`, its output
+    /// columns' `Q_j`, and the change log over them — the same object the
+    /// sequential engine holds for the whole switch.
+    bands: Vec<QueueBand>,
     /// The current slot's arrivals, whole and in arrival order. The
     /// coordinator refills it from the trace, or clears it past the
-    /// arrival window; in the opening phase every shard admits the
-    /// packets of its own rows from it.
-    batch: SlotBatch,
+    /// arrival window; the opening phase admits each packet through its
+    /// input owner.
+    batch: Vec<Packet>,
     /// Per-shard CIOQ proposal payloads, pooled across cycles.
     candidates: Vec<CandidateSet>,
     /// The cycle's CIOQ transfer set, in merge order: written by the
-    /// merge, popped by every row owner.
+    /// merge, popped by the pop phase.
     transfers: Vec<Transfer>,
-    /// The packets between bands: one delay ring per (destination, source)
-    /// shard pair (`rings[dest][src]`), written by the source's pop phase,
-    /// landed by the destination. Each is a [`DelayCalendar`] — the
-    /// sequential engine's delay line — of *heterogeneous* depth, the
-    /// largest per-pair latency between a source-owned input and a
-    /// destination-owned output, so a shard pair whose racks sit close
-    /// never pays for the fabric's worst path. The destination lands the
-    /// bucket due at slot `t` as `t` opens, before the slot's dispatches
-    /// refill it, and again after each cycle when latency-0 dispatches
-    /// reach it. Packets keep their dispatch time: with per-pair latencies
-    /// one landing slot can gather transfers dispatched in *different*
-    /// slots (and up to ŝ per output within a slot), and with preemption
-    /// their per-queue apply order matters (see [`Fabric::land`]).
-    rings: Vec<Vec<DelayCalendar>>,
+    /// The delay line, the sequential engine's: every positive-latency
+    /// transfer rides it and lands `delay(src, dst)` slots after dispatch,
+    /// as the slot it is due in opens.
+    calendar: DelayCalendar,
+    /// The landing phase's gather buffer.
+    landing: Vec<Landing>,
+    /// The run statistics.
+    stats: StatsRecorder,
+    /// Recorded admissions, in arrival order (only when recording).
+    admissions: Vec<bool>,
     /// Per-pair fabric latencies.
     spec: FabricSpec,
-    /// Whether some pair across shard bands has latency 0, so rings take
-    /// dispatches that land within their own cycle: the landing phase then
-    /// also runs after every cycle. Never at K = 1, nor where the racks of
-    /// a two-tier fabric line up with the bands.
-    land_after_cycle: bool,
     /// The cycle's output snapshot, refreshed at its top.
     snapshot: OutputSnapshot,
     /// The slot and scheduling cycle being run.
@@ -430,104 +412,36 @@ struct Fabric<'a> {
     record: bool,
 }
 
-/// One slot's arrivals, pooled across slots. Packet `packets[o]` has
-/// global index `base + o` — its position in σ, which is what recorded
-/// admissions are keyed by.
-#[derive(Default)]
-struct SlotBatch {
-    base: u64,
-    packets: Vec<Packet>,
-}
-
-/// The delay rings of a `partition` of `cfg` under `spec`, indexed
-/// `[dest][src]`, and whether some pair across shard bands has latency 0
-/// (`Fabric::land_after_cycle`). Ring (dest, src) only needs buckets for
-/// the worst latency between a src-owned input and a dest-owned output,
-/// and its best one says whether it carries latency 0. One pass at run
-/// start; the slot loop never recomputes.
-fn delay_rings(
-    spec: &FabricSpec,
-    partition: &Partition,
-    cfg: &SwitchConfig,
-) -> (Vec<Vec<DelayCalendar>>, bool) {
-    let speedup = cfg.speedup.max(1) as usize;
-    let mut land_after_cycle = false;
-    let mut ring = |dest: usize, src: usize| {
-        let (mut best, mut worst) = (SlotId::MAX, 0);
-        for i in partition.input_range(src) {
-            for j in partition.output_range(dest) {
-                let d = spec.delay(PortId::from(i), PortId::from(j));
-                (best, worst) = (best.min(d), worst.max(d));
-            }
-        }
-        land_after_cycle |= dest != src && best == 0;
-        // Reserved at its hard bound, so the steady-state slot loop
-        // never grows a bucket: a matching moves at most one packet
-        // per port per cycle, so one dispatch slot puts at most
-        // `min(rows, cols) * speedup` packets into a bucket, and a
-        // bucket gathers from up to `worst` dispatch slots (latency
-        // `1..=worst`; latency-0 dispatches land after their cycle).
-        let (rows, cols) = (partition.input_range(src), partition.output_range(dest));
-        let per_bucket = rows.len().min(cols.len()) * speedup * worst.max(1) as usize;
-        DelayCalendar::with_reserve(worst, per_bucket)
-    };
-    let k = partition.k();
-    let rings = (0..k)
-        .map(|dest| (0..k).map(|src| ring(dest, src)).collect())
-        .collect();
-    (rings, land_after_cycle)
-}
-
-/// Insert one packet off the fabric into its owner's output queue.
-fn deliver(
-    band: &mut QueueBand,
-    stats: &mut StatsRecorder,
-    p: InFlightPacket,
-) -> Result<(), PolicyError> {
-    // The sharded engine has no fault layer, so a full queue never drops.
-    band.deliver(stats, false, p)
-}
-
 impl<'a> Fabric<'a> {
     fn new(cfg: &'a SwitchConfig, partition: Partition, options: &ShardedOptions) -> Self {
-        let (rings, land_after_cycle) = delay_rings(&options.fabric, &partition, cfg);
-        let speedup = cfg.speedup.max(1) as usize;
-        let horizon = options.fabric.max_delay().max(1) as usize;
-        let shards = (0..partition.k())
-            .map(|s| {
-                let (rows, cols) = (partition.input_range(s), partition.output_range(s));
-                // A landing gathers at most one transfer per owned output
-                // per cycle, from `speedup` cycles of up to `horizon`
-                // dispatch slots.
-                let gather = Vec::with_capacity(cols.len() * speedup * horizon);
-                ShardState {
-                    band: QueueBand::new(cfg, rows, cols),
-                    stats: StatsRecorder::new(cfg.n_outputs),
-                    admits: Vec::new(),
-                    gather,
-                }
-            })
+        let k = partition.k();
+        let bands = (0..k)
+            .map(|s| QueueBand::new(cfg, partition.input_range(s), partition.output_range(s)))
             .collect();
+        // Reserved as the sequential engine reserves its calendar, so the
+        // slot loop never grows a bucket or the landing gather.
+        let horizon = options.fabric.max_delay();
+        let per_bucket = per_bucket_bound(cfg, horizon, None);
         Fabric {
             cfg,
-            candidates: (0..partition.k())
-                .map(|_| CandidateSet::default())
-                .collect(),
             partition,
-            shards,
-            batch: SlotBatch::default(),
+            bands,
+            batch: Vec::new(),
+            candidates: (0..k).map(|_| CandidateSet::default()).collect(),
             // A matching has at most one transfer per port on either side.
             transfers: Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs)),
-            rings,
+            calendar: DelayCalendar::with_reserve(horizon, per_bucket),
+            landing: Vec::with_capacity(per_bucket),
+            stats: StatsRecorder::new(cfg.n_outputs),
+            admissions: Vec::new(),
             spec: options.fabric.clone(),
-            land_after_cycle,
             snapshot: OutputSnapshot::default(),
             now: Cycle { slot: 0, index: 0 },
             record: options.record,
         }
     }
 
-    // -- Phases: each runs one shard's share ---------------------------------
+    // -- Phases ----------------------------------------------------------------
     //
     // The phases and the refill stay out of line (`#[inline(never)]`).
     // Inlined, they made the slot loop one 24-KB function, and row 2 of the
@@ -536,29 +450,29 @@ impl<'a> Fabric<'a> {
     // 2-vCPU host, 1 of 10 faster); out of line it read 6 % faster (8 of
     // 10).
 
-    /// The opening phase for shard `s`: land the bucket of its rings due
-    /// now, then admit, from the slot's one batch, the packets of the rows
-    /// this shard owns. Landing writes only owned `Q_j`, admission only
-    /// owned `Q_ij`, each in the sequential engine's order. Admission is
-    /// row-local in every policy of the paper, so the shards need no
-    /// distribution step — each skips what another owns, and arrival order
-    /// within a row is the batch's.
+    /// The opening phase: land the delay line's bucket due now into the
+    /// output owners' bands, in the canonical landing order (see
+    /// `transport::land`), then admit the slot's batch in arrival order,
+    /// each packet through its input owner's worker and band. Landing
+    /// writes only `Q_j`, admission only `Q_ij`, each in the sequential
+    /// engine's order. Admission is row-local in every policy of the paper.
     #[inline(never)]
-    fn open(&mut self, s: usize, worker: &mut dyn CioqShardWorker) -> Result<(), PolicyError> {
-        self.land(s)?;
-        let st = &mut self.shards[s];
-        let rows = st.band.rows();
-        for (idx, p) in (self.batch.base..).zip(&self.batch.packets) {
-            if !rows.contains(&p.input.index()) {
-                continue;
-            }
-            let view = SwitchView::new(self.cfg, &st.band, &self.snapshot, self.now.slot, s);
-            let decision = worker.admit(&view, p);
+    fn open(&mut self, workers: &mut [Box<dyn CioqShardWorker>]) -> Result<(), PolicyError> {
+        let (bands, stats, partition) = (&mut self.bands, &mut self.stats, &self.partition);
+        transport::land(self.now.slot, &mut self.calendar, &mut self.landing, |p| {
+            // The sharded engine has no fault layer, so a full queue never
+            // drops.
+            bands[partition.output_owner(p.output as usize)].deliver(stats, false, p)
+        })?;
+        for p in &self.batch {
+            let s = partition.input_owner(p.input.index());
+            let band = &mut bands[s];
+            let view = SwitchView::new(self.cfg, band, &self.snapshot, self.now.slot, s);
+            let decision = workers[s].admit(&view, p);
             if self.record {
-                st.admits
-                    .push((idx, !matches!(decision, Admission::Reject)));
+                self.admissions.push(!matches!(decision, Admission::Reject));
             }
-            st.band.admit(&mut st.stats, decision, p)?;
+            band.admit(stats, decision, p)?;
         }
         Ok(())
     }
@@ -567,79 +481,50 @@ impl<'a> Fabric<'a> {
     // detlint: hot
     #[inline(never)]
     fn propose(&mut self, s: usize, worker: &mut dyn CioqShardWorker) {
-        let view = SwitchView::new(
-            self.cfg,
-            &self.shards[s].band,
-            &self.snapshot,
-            self.now.slot,
-            s,
-        );
+        let view = SwitchView::new(self.cfg, &self.bands[s], &self.snapshot, self.now.slot, s);
         let out = &mut self.candidates[s];
         out.aux.clear();
         worker.propose(&view, &self.snapshot, self.now, out);
     }
 
-    /// The pop-and-route step of a scheduling cycle: shard `s` pops, from
-    /// the cycle's merged set, the transfers of its own rows (`Q_ij →
-    /// fabric`), and hands each packet to the fabric — delivered at once,
-    /// as the sequential engine's is, when its pair is at latency 0 and
-    /// this shard owns its output, and otherwise dispatched into the
-    /// column owner's ring at its latency.
+    /// The pop-and-route step of a scheduling cycle: pop each transfer of
+    /// the cycle's merged set from its input owner's band (`Q_ij →
+    /// fabric`), in set order, and hand its packet to the fabric, as the
+    /// sequential engine's `through_fabric` does — delivered at once into
+    /// its output owner's band when its pair is at latency 0, dispatched
+    /// onto the delay line at its latency otherwise.
     // detlint: hot
     #[inline(never)]
-    fn pop(&mut self, s: usize) -> Result<(), PolicyError> {
-        let st = &mut self.shards[s];
-        // The proposal consumed the change log; everything from here on
+    fn pop(&mut self) -> Result<(), PolicyError> {
+        // The proposals consumed the change logs; everything from here on
         // accumulates for the next proposal (sequential flush point).
-        st.band.flush();
-        let rows = st.band.rows();
-        for t in self
-            .transfers
-            .iter()
-            .filter(|t| rows.contains(&t.input.index()))
-        {
-            let p = st.band.pop_transfer(t)?;
-            let dest = self.partition.output_owner(p.output as usize);
-            let d = self.spec.delay(PortId(p.input), PortId(p.output));
-            if d == 0 && dest == s {
-                // Both endpoints owned: inserts touch `Q_j`, pops touch
-                // `Q_ij` — the families are disjoint, so early delivery
-                // cannot perturb any pop.
-                deliver(&mut st.band, &mut st.stats, p)?;
-            } else {
-                // Every positive-latency transfer — same-shard included,
-                // so results are partition-independent — and every
-                // cross-shard one lands `d` slots later (`d = 0`: after
-                // the cycle).
-                self.rings[dest][s].dispatch(self.now.slot, self.now.index, d, p);
+        for band in &mut self.bands {
+            band.flush();
+        }
+        for t in &self.transfers {
+            let p = self.bands[self.partition.input_owner(t.input.index())].pop_transfer(t)?;
+            match self.spec.delay(t.input, t.output) {
+                0 => {
+                    let band = &mut self.bands[self.partition.output_owner(t.output.index())];
+                    band.deliver(&mut self.stats, false, p)?;
+                }
+                d => self.calendar.dispatch(self.now.slot, self.now.index, d, p),
             }
         }
         Ok(())
     }
 
-    /// Landing for shard `s` (after a cycle when `land_after_cycle`, and
-    /// the opening phase's first half): land the current slot's bucket of
-    /// every (s, src) ring into the owned output queues, in the canonical
-    /// landing order (see `transport::land`) — the sequential engine's
-    /// landing, over a row of rings instead of one calendar.
-    // detlint: hot
-    fn land(&mut self, s: usize) -> Result<(), PolicyError> {
-        let st = &mut self.shards[s];
-        let deliver = |p| deliver(&mut st.band, &mut st.stats, p);
-        transport::land(self.now.slot, &mut self.rings[s], &mut st.gather, deliver)
-    }
-
-    /// Transmission for shard `s`: send the head of every non-empty owned
-    /// output queue (the behaviour of every policy in the paper).
+    /// Transmission: send the head of every non-empty output queue (the
+    /// behaviour of every policy in the paper).
     #[inline(never)]
-    fn transmit(&mut self, s: usize) {
-        let st = &mut self.shards[s];
-        for j in st.band.cols().map(PortId::from) {
-            if !st.band.output(j).is_empty() {
-                let sent = st
-                    .band
-                    .transmit(&mut st.stats, self.now.slot, j, PacketPick::Greatest);
-                sent.expect("invariant: a non-empty queue has a head");
+    fn transmit(&mut self) {
+        for band in &mut self.bands {
+            for j in band.cols().map(PortId::from) {
+                if !band.output(j).is_empty() {
+                    let sent =
+                        band.transmit(&mut self.stats, self.now.slot, j, PacketPick::Greatest);
+                    sent.expect("invariant: a non-empty queue has a head");
+                }
             }
         }
     }
@@ -647,17 +532,13 @@ impl<'a> Fabric<'a> {
     // -- The coordinator's work between phases -------------------------------
 
     /// Refill the batch with `slot`'s arrivals from `source` and validate
-    /// their ports — here, before any shard looks a packet's owner up by
-    /// its input. `base` continues the source's consumed count, so global
-    /// indices are trace-numbered and recorded admissions line up with the
-    /// sequential engine's.
+    /// their ports — here, before the opening phase looks a packet's owner
+    /// up by its input.
     #[inline(never)]
     fn refill(&mut self, source: &mut TraceSource<'_>, slot: SlotId) -> Result<(), PolicyError> {
-        let batch = &mut self.batch;
-        batch.packets.clear();
-        batch.base = source.consumed();
-        source.pull(slot, &mut batch.packets);
-        for p in &batch.packets {
+        self.batch.clear();
+        source.pull(slot, &mut self.batch);
+        for p in &self.batch {
             mechanics::check_ports(self.cfg, p.input, p.output)?;
         }
         Ok(())
@@ -666,52 +547,21 @@ impl<'a> Fabric<'a> {
     /// Refresh the output snapshot at the top of a scheduling cycle: every
     /// shard's output queues plus the delay line's in-flight packets.
     fn refresh_snapshot(&mut self) {
-        let shards = &self.shards;
-        let bands = |visit: &mut dyn FnMut(&QueueBand)| {
-            for st in shards {
-                visit(&st.band);
-            }
-        };
-        let rings = self.rings.iter().flatten();
+        let bands = &self.bands;
+        let visit_bands = |visit: &mut dyn FnMut(&QueueBand)| bands.iter().for_each(visit);
         self.snapshot
-            .refresh(self.cfg.n_outputs, rings, None, bands);
+            .refresh(self.cfg.n_outputs, &self.calendar, None, visit_bands);
     }
 
-    /// The run's statistics so far: every shard's share, summed.
-    fn merged_stats(&self) -> StatsRecorder {
-        let mut merged = StatsRecorder::new(self.cfg.n_outputs);
-        for st in &self.shards {
-            merged.absorb(&st.stats);
-        }
-        merged
-    }
-
-    /// (transmitted, moved) sums for the progress check.
+    /// (transmitted, moved) for the progress check.
     fn progress(&self) -> (u64, u64) {
-        let stats = self.shards.iter().map(|st| &st.stats);
-        stats.fold((0, 0), |(tx, moved), s| {
-            (tx + s.transmitted, moved + s.transferred)
-        })
-    }
-
-    /// Packets still buffered (queues and delay line) from the books, in
-    /// O(K): what arrived less what was transmitted or lost, summed over
-    /// the shards' recorders first — one shard's books need not balance,
-    /// since a packet arrives at its input's owner and leaves through its
-    /// output's. The count half of [`Fabric::residual`], no queue walked.
-    fn buffered(&self) -> u64 {
-        let (mut arrived, mut gone) = (0, 0);
-        for st in &self.shards {
-            arrived += st.stats.arrived;
-            gone += st.stats.transmitted + st.stats.losses.total_count();
-        }
-        arrived - gone
+        (self.stats.transmitted, self.stats.transferred)
     }
 
     /// Visit, as `(output, value)`, every packet currently riding the
     /// delay line.
     fn for_each_in_flight(&self, f: impl FnMut(usize, Value)) {
-        transport::for_each_in_flight(self.rings.iter().flatten(), None, f);
+        transport::for_each_in_flight(&self.calendar, None, f);
     }
 
     /// Packets currently in flight through the fabric (0 when immediate).
@@ -724,9 +574,9 @@ impl<'a> Fabric<'a> {
     fn residual(&self) -> (u64, u128) {
         let mut count = 0;
         let mut value = 0;
-        for st in &self.shards {
-            count += st.band.residual_count();
-            value += st.band.residual_value();
+        for band in &self.bands {
+            count += band.residual_count();
+            value += band.residual_value();
         }
         self.for_each_in_flight(|_, v| {
             count += 1;
@@ -738,20 +588,19 @@ impl<'a> Fabric<'a> {
     /// Assemble the global [`SwitchState`] (tests / capture): the shards'
     /// bands, concatenated.
     fn assemble_state(&self) -> SwitchState {
-        let bands = self.shards.iter().map(|st| &st.band);
-        SwitchState::assemble(self.cfg.clone(), self.now.slot, bands)
+        SwitchState::assemble(self.cfg.clone(), self.now.slot, &self.bands)
     }
 
     /// Capture an [`EngineSnapshot`] of the run at the top of `slot`
     /// (before the opening phase lands) — byte-compatible with the
     /// sequential engine's capture of the same state: queue cells in
-    /// stored order, ring contents converted back to `(land slot, dispatch
-    /// metadata)` landings in canonical order, merged statistics, and the
+    /// stored order, the delay line's contents as `(land slot, dispatch
+    /// metadata)` landings in canonical order, the statistics, and the
     /// coordinator's live no-progress streak.
     fn capture(&self, fabric: &FabricSpec, slot: SlotId, idle_slots: u32) -> EngineSnapshot {
         // Capture runs before the slot opens, so the bucket due now is
         // still pending.
-        let landings = SnapLanding::pending(slot, self.rings.iter().flatten());
+        let landings = SnapLanding::pending(slot, &self.calendar);
         let (residual_count, residual_value) = self.residual();
         let mut snap = EngineSnapshot {
             config: self.cfg.clone(),
@@ -763,30 +612,28 @@ impl<'a> Fabric<'a> {
             output_queues: Vec::new(),
             landings,
             held: Vec::new(),
-            stats: self.merged_stats(),
+            stats: self.stats.clone(),
             window: None,
             residual_count,
             residual_value,
         };
         // Shards own contiguous ascending bands, so visiting them in order
         // yields the checkpoint layout.
-        for st in &self.shards {
-            st.band.cells_out(&mut snap);
+        for band in &self.bands {
+            band.cells_out(&mut snap);
         }
         snap
     }
 
     /// Seed the freshly-built fabric from a checkpoint — the sharded half
     /// of [`Engine::restore`](crate::engine::Engine::restore): every owner
-    /// shard receives its queue contents, the delay-line rings their
-    /// in-flight packets (bucketed by landing slot), and shard 0 the
-    /// cumulative statistics (per-shard stats are merged at the end, so
-    /// where the history sits is immaterial). Returns the slot and
-    /// no-progress streak the coordinator resumes at. Panics loudly on a
-    /// snapshot that cannot be applied here: wrong geometry or fabric,
-    /// fault-held packets or a stats window (the sharded engine supports
-    /// neither), or a landing no run could have in flight (the sequential
-    /// restore's rule).
+    /// shard receives its queue contents, the delay line its in-flight
+    /// packets (bucketed by landing slot), and the books the cumulative
+    /// statistics. Returns the slot and no-progress streak the coordinator
+    /// resumes at. Panics loudly on a snapshot that cannot be applied
+    /// here: wrong geometry or fabric, fault-held packets or a stats window
+    /// (the sharded engine supports neither), or a landing no run could
+    /// have in flight (the sequential restore's rule).
     fn seed(&mut self, snap: &EngineSnapshot) -> (SlotId, u32) {
         assert_eq!(
             &snap.config, self.cfg,
@@ -804,19 +651,17 @@ impl<'a> Fabric<'a> {
             snap.window.is_none(),
             "snapshot carries a stats window; the sharded engine keeps full history"
         );
-        for st in &mut self.shards {
-            if let Err(e) = st.band.refill(snap) {
+        for band in &mut self.bands {
+            if let Err(e) = band.refill(snap) {
                 panic!("snapshot cannot be applied: {e}");
             }
         }
-        self.shards[0].stats = snap.stats.clone();
+        self.stats = snap.stats.clone();
         for l in &snap.landings {
             if let Err(e) = snap.check_landing(l, None) {
                 panic!("snapshot cannot be applied: {e}");
             }
-            let dest = self.partition.output_owner(l.landing.p.output as usize);
-            let src = self.partition.input_owner(l.landing.p.input as usize);
-            self.rings[dest][src].insert_pending(l.land_slot, l.landing);
+            self.calendar.insert_pending(l.land_slot, l.landing);
         }
         self.now.slot = snap.slot;
         // The restored-residual invariant (see `crate::invariants`): what
@@ -830,23 +675,22 @@ impl<'a> Fabric<'a> {
     /// Check every shard's band, where it lies, when the run asked for it.
     fn post_slot_validate(&self, options: &ShardedOptions) {
         if options.validate {
-            for st in &self.shards {
-                if let Err(msg) = st.band.check_invariants() {
+            for band in &self.bands {
+                if let Err(msg) = band.check_invariants() {
                     panic!("sharded engine invariant violated: {msg}");
                 }
             }
         }
     }
 
-    /// Per-slot invariant audit (debug builds only): merged-shard
-    /// conservation against the fabric's residual, the sharded analogue of
-    /// the sequential engine's audit — see [`crate::invariants`].
+    /// Per-slot invariant audit (debug builds only): conservation against
+    /// the fabric's residual, the sequential engine's audit — see
+    /// [`crate::invariants`].
     fn audit_slot(&self) {
         if cfg!(debug_assertions) {
             let (residual_count, residual_value) = self.residual();
-            let merged = self.merged_stats();
             if let Err(msg) =
-                crate::invariants::check_conservation(&merged, residual_count, residual_value)
+                crate::invariants::check_conservation(&self.stats, residual_count, residual_value)
             {
                 let slot = self.now.slot;
                 panic!("sharded engine invariant violated at slot {slot}: {msg}");
@@ -861,16 +705,9 @@ impl<'a> Fabric<'a> {
         options: &ShardedOptions,
     ) -> (RunReport, Option<SwitchState>, Vec<bool>) {
         let final_state = options.capture_final_state.then(|| self.assemble_state());
-        let mut admits: Vec<(u64, bool)> = Vec::new();
-        for st in &self.shards {
-            admits.extend_from_slice(&st.admits);
-        }
-        admits.sort_unstable_by_key(|&(idx, _)| idx);
-        let admissions = admits.into_iter().map(|(_, a)| a).collect();
-        let merged = self.merged_stats();
-        let report =
-            mechanics::finish_report(merged, name, slots, self.residual(), &options.fabric);
-        (report, final_state, admissions)
+        let residual = self.residual();
+        let report = mechanics::finish_report(self.stats, name, slots, residual, &options.fabric);
+        (report, final_state, self.admissions)
     }
 }
 
@@ -883,7 +720,7 @@ impl<'a> Fabric<'a> {
 /// Produces a [`RunReport`] field-for-field equal to
 /// [`run_cioq`](crate::engine::run_cioq) with the sequential twin of
 /// `policy`, for every shard count and execution mode. This is §1.3's
-/// slot, each phase run shard by shard.
+/// slot, with one proposal per shard and one merge per cycle.
 pub fn run_cioq_sharded(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
@@ -894,12 +731,16 @@ pub fn run_cioq_sharded(
         cfg.crossbar_capacity.is_none(),
         "run_cioq_sharded requires a CIOQ config"
     );
+    assert!(
+        options.checkpoint_every != Some(0),
+        "{}",
+        ConfigError::ZeroCheckpointCadence
+    );
     options.fabric.assert_covers(cfg);
     let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
-    let k = partition.k();
     let slots = options.slots.unwrap_or_else(|| trace.arrival_slots());
     let mut fabric = Fabric::new(cfg, partition, &options);
-    let mut workers: Vec<_> = (0..k)
+    let mut workers: Vec<_> = (0..fabric.partition.k())
         .map(|s| policy.new_worker(s, &fabric.partition, cfg))
         .collect();
     let (mut slot, mut idle_slots) = options
@@ -921,7 +762,7 @@ pub fn run_cioq_sharded(
         if !in_arrival_window {
             // In-flight packets always land (and count as progress), so
             // the idle cutoff waits for the fabric.
-            let buffered = fabric.buffered();
+            let buffered = fabric.stats.buffered();
             debug_assert_eq!(buffered, fabric.residual().0);
             let done = !options.drain
                 || buffered == 0
@@ -941,11 +782,9 @@ pub fn run_cioq_sharded(
         if in_arrival_window {
             fabric.refill(&mut source, slot)?;
         } else {
-            fabric.batch.packets.clear();
+            fabric.batch.clear();
         }
-        for (s, worker) in workers.iter_mut().enumerate() {
-            fabric.open(s, worker.as_mut())?;
-        }
+        fabric.open(&mut workers)?;
 
         for index in 0..cfg.speedup {
             fabric.now.index = index;
@@ -954,19 +793,10 @@ pub fn run_cioq_sharded(
                 fabric.propose(s, worker.as_mut());
             }
             merge.run(&mut fabric, &mut stamps)?;
-            for s in 0..k {
-                fabric.pop(s)?;
-            }
-            if fabric.land_after_cycle {
-                for s in 0..k {
-                    fabric.land(s)?;
-                }
-            }
+            fabric.pop()?;
         }
 
-        for s in 0..k {
-            fabric.transmit(s);
-        }
+        fabric.transmit();
         fabric.post_slot_validate(&options);
         fabric.audit_slot();
 
@@ -1187,9 +1017,10 @@ mod tests {
         Trace::from_tuples(tuples)
     }
 
-    /// Two racks over `k` shards: intra-rack pairs deliver at once within
-    /// a shard and, from k = 3 on, land after the cycle across shards;
-    /// cross-rack pairs land two slots later.
+    /// Two racks over `k` shards: intra-rack pairs (latency 0) deliver at
+    /// once, into whichever band owns the output — from k = 3 on a rack
+    /// spans two bands; cross-rack pairs ride the delay line and land two
+    /// slots later.
     fn two_tier_options(k: usize) -> ShardedOptions {
         let topology = Topology::two_tier(PORTS, PORTS, 2, 0, 2).expect("valid topology");
         let mut options = ShardedOptions::new(k);
@@ -1233,24 +1064,6 @@ mod tests {
         check("PG", &|k| run_cioq(Some(2.4), &valued, k));
     }
 
-    /// The post-cycle landing runs only where a pair across shard bands has
-    /// latency 0 — never at K = 1, nor on two racks that line up with two
-    /// bands.
-    #[test]
-    fn lands_after_the_cycle_only_for_latency_zero_across_bands() {
-        let cfg = SwitchConfig::cioq(PORTS, 2, 2);
-        let after_cycle = |k, spec| {
-            let partition = Partition::new(k, PORTS, PORTS);
-            delay_rings(&spec, &partition, &cfg).1
-        };
-        let racks = || FabricSpec::matrix(Topology::two_tier(PORTS, PORTS, 2, 0, 4).unwrap());
-        assert!(!after_cycle(1, FabricSpec::uniform(0)));
-        assert!(!after_cycle(1, racks()));
-        assert!(!after_cycle(2, racks()));
-        assert!(after_cycle(4, racks()));
-        assert!(after_cycle(2, FabricSpec::uniform(0)));
-    }
-
     /// The opening phase lands on drain slots too: what the arrival window
     /// leaves on a delayed fabric lands, and the run ends with nothing
     /// buffered. An opening phase that stopped landing past the window
@@ -1269,6 +1082,22 @@ mod tests {
         assert!(report.slots > 48 + 3, "the drain ran past the window");
         assert_eq!(report.residual_count, 0);
         report.check_conservation().unwrap();
+    }
+
+    /// A zero checkpoint cadence is refused at run start with the error the
+    /// sequential engine's `Engine::try_new` returns, not run without
+    /// checkpoints.
+    #[test]
+    fn a_zero_checkpoint_cadence_is_refused() {
+        let mut options = two_tier_options(2);
+        options.checkpoint_every = Some(0);
+        let msg = bounded(move || {
+            let cfg = SwitchConfig::cioq(PORTS, 2, 2);
+            let trace = skewed_trace(1);
+            run_cioq_sharded(&cfg, &Greedy { beta: None }, &trace, options).map(|_| ())
+        })
+        .expect_err("a zero cadence must be refused");
+        assert_eq!(msg, ConfigError::ZeroCheckpointCadence.to_string());
     }
 
     /// A checkpoint landing the sequential restore refuses is refused here
@@ -1389,7 +1218,7 @@ mod tests {
     /// A worker's panic reaches the caller as it was raised, from the
     /// first shard as from the last.
     #[test]
-    fn worker_panic_surfaces_identically_from_any_party() {
+    fn worker_panic_surfaces_identically_from_any_shard() {
         for bad in [0, K - 1] {
             let msg = run_faulty(Fault::WorkerPanic { bad })
                 .expect_err("the worker's panic must surface");
@@ -1400,7 +1229,7 @@ mod tests {
     /// A per-packet rule's error in the last shard's phase returns through
     /// `?` as the run's error.
     #[test]
-    fn policy_error_from_the_last_group_matches_the_unthreaded_run() {
+    fn policy_error_from_the_last_shard_is_the_runs_error() {
         let err = run_faulty(Fault::AcceptWhenFull { bad: K - 1 })
             .expect("no panic")
             .expect_err("accepting into a full queue is a policy error");
@@ -1409,7 +1238,7 @@ mod tests {
 
     /// An illegal merge is the coordinator's error, returned as the run's.
     #[test]
-    fn coordinator_error_releases_every_spawned_party() {
+    fn illegal_merge_is_the_runs_error() {
         let err = run_faulty(Fault::MergeDuplicatesInput)
             .expect("no panic")
             .expect_err("a reused input must be rejected");

@@ -32,7 +32,6 @@
 use crate::stats::{StatsRecorder, WindowSlot};
 use crate::transport::{DelayCalendar, FabricSpec, InFlightPacket, Landing};
 use cioq_model::{Benefit, Packet, PacketId, PortId, SlotId, SwitchConfig, Topology};
-use std::ops::Deref;
 
 /// Magic bytes prefixing every serialized snapshot.
 const MAGIC: &[u8; 8] = b"CIOQSNAP";
@@ -84,19 +83,14 @@ impl SnapLanding {
         (self.land_slot, self.landing.key())
     }
 
-    /// What `calendars` hold at the top of `slot`, before its landing, as
+    /// What `calendar` holds at the top of `slot`, before its landing, as
     /// a checkpoint records it: every committed packet with the slot it
     /// lands at, in canonical order — the one capture walk of both engines.
-    pub(crate) fn pending<C: Deref<Target = DelayCalendar>>(
-        slot: SlotId,
-        calendars: impl IntoIterator<Item = C>,
-    ) -> Vec<SnapLanding> {
+    pub(crate) fn pending(slot: SlotId, calendar: &DelayCalendar) -> Vec<SnapLanding> {
         let mut landings = Vec::new();
-        for cal in calendars {
-            cal.for_each_pending_at(slot, |land_slot, &landing| {
-                landings.push(SnapLanding { land_slot, landing });
-            });
-        }
+        calendar.for_each_pending_at(slot, |land_slot, &landing| {
+            landings.push(SnapLanding { land_slot, landing });
+        });
         landings.sort_unstable_by_key(SnapLanding::key);
         landings
     }

@@ -83,12 +83,6 @@ impl<'a> TraceSource<'a> {
             self.cursor += 1;
         }
     }
-
-    /// Packets consumed so far: the index into [`Trace::packets`] of the
-    /// next packet [`Self::pull`] would deliver.
-    pub fn consumed(&self) -> u64 {
-        self.cursor as u64
-    }
 }
 
 impl ArrivalSource for TraceSource<'_> {

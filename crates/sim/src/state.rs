@@ -395,7 +395,8 @@ impl SwitchState {
     pub fn new(config: SwitchConfig) -> Self {
         let band = QueueBand::new(&config, 0..config.n_inputs, 0..config.n_outputs);
         let mut outputs = OutputSnapshot::default();
-        outputs.refresh::<&DelayCalendar>(config.n_outputs, [], None, |visit| visit(&band));
+        let empty = DelayCalendar::with_reserve(0, 0);
+        outputs.refresh(config.n_outputs, &empty, None, |visit| visit(&band));
         SwitchState {
             config,
             band,
@@ -856,8 +857,7 @@ mod tests {
         for (id, value, j) in [(4, 6, 63), (5, 2, 64), (6, 4, 69)] {
             cal.dispatch(0, 0, 2, wire(id, value, j));
         }
-        st.outputs
-            .refresh(70, Some(&cal), None, |visit| visit(&st.band));
+        st.outputs.refresh(70, &cal, None, |visit| visit(&st.band));
         let view = st.view();
         let outputs = view.outputs();
         // Full from landed packets alone, and only with those in flight.
@@ -880,7 +880,7 @@ mod tests {
         let mut faults = FaultRuntime::new(FaultPlan::default(), 3, 70);
         faults.hold(2, 69, false, packet(7, 1, 2, 69));
         st.outputs
-            .refresh(70, Some(&cal), Some(&faults), |visit| visit(&st.band));
+            .refresh(70, &cal, Some(&faults), |visit| visit(&st.band));
         let outputs = st.view().outputs();
         assert!(outputs.full[69]);
         assert_eq!((outputs.in_flight[69], outputs.tail[69]), (2, 1));

@@ -161,62 +161,6 @@ impl StatsRecorder {
         self.per_output_transmitted[output] += 1;
     }
 
-    /// Add `other`'s counts into `self` — how the sharded engine merges
-    /// its per-shard recorders. Both patterns are exhaustive on purpose: a
-    /// new counter does not compile until it is merged here.
-    pub(crate) fn absorb(&mut self, other: &StatsRecorder) {
-        let StatsRecorder {
-            arrived,
-            arrived_value,
-            accepted,
-            transferred,
-            transferred_to_crossbar,
-            transmitted,
-            benefit,
-            losses:
-                LossBreakdown {
-                    rejected,
-                    rejected_value,
-                    preempted_input,
-                    preempted_input_value,
-                    preempted_crossbar,
-                    preempted_crossbar_value,
-                    preempted_output,
-                    preempted_output_value,
-                    dropped,
-                    dropped_value,
-                },
-            retransmitted,
-            latency_sum,
-            latency_histogram,
-            per_output_transmitted,
-        } = other;
-        self.arrived += arrived;
-        self.arrived_value += arrived_value;
-        self.accepted += accepted;
-        self.transferred += transferred;
-        self.transferred_to_crossbar += transferred_to_crossbar;
-        self.transmitted += transmitted;
-        self.benefit.0 += benefit.0;
-        self.losses.rejected += rejected;
-        self.losses.rejected_value += rejected_value;
-        self.losses.preempted_input += preempted_input;
-        self.losses.preempted_input_value += preempted_input_value;
-        self.losses.preempted_crossbar += preempted_crossbar;
-        self.losses.preempted_crossbar_value += preempted_crossbar_value;
-        self.losses.preempted_output += preempted_output;
-        self.losses.preempted_output_value += preempted_output_value;
-        self.losses.dropped += dropped;
-        self.losses.dropped_value += dropped_value;
-        self.retransmitted += retransmitted;
-        self.latency_sum += latency_sum;
-        let add_each = |acc: &mut [u64], by: &[u64]| {
-            acc.iter_mut().zip(by).for_each(|(a, b)| *a += b);
-        };
-        add_each(&mut self.latency_histogram, latency_histogram);
-        add_each(&mut self.per_output_transmitted, per_output_transmitted);
-    }
-
     /// Freeze into a report, folding in what is still buffered at the end.
     pub fn finish(
         self,
@@ -547,45 +491,6 @@ mod tests {
         assert!(r.check_conservation().is_ok());
         assert!((r.throughput() - 1.0 / 3.0).abs() < 1e-12);
         assert!((r.mean_latency() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorbed_halves_equal_the_whole_stream() {
-        // Event `k` of the stream: every recorder hook in turn, with
-        // values and latencies that land in different histogram buckets
-        // and on different outputs.
-        fn event(s: &mut StatsRecorder, k: u64) {
-            let p = pkt(k, 3 + k, k / 4);
-            match k % 10 {
-                0 => s.on_arrival(&p),
-                1 => s.on_accept(),
-                2 => s.on_reject(&p),
-                3 => s.on_preempt_input(&p),
-                4 => s.on_preempt_crossbar(&p),
-                5 => s.on_preempt_output(&p),
-                6 => s.on_transfer(),
-                7 => s.on_transfer_to_crossbar(),
-                8 => {
-                    s.on_drop(&p);
-                    s.on_retransmit();
-                }
-                _ => s.on_transmit(&p, p.arrival + k, (k % 3) as usize),
-            }
-        }
-        let mut whole = StatsRecorder::new(3);
-        let (mut even, mut odd) = (StatsRecorder::new(3), StatsRecorder::new(3));
-        for k in 0..40 {
-            event(&mut whole, k);
-            // Split by decade so both halves see every kind of event.
-            event([&mut even, &mut odd][(k / 10 % 2) as usize], k);
-        }
-        assert_ne!(even, odd);
-        assert!(whole.latency_histogram.iter().filter(|&&c| c > 0).count() >= 2);
-        assert!(whole.per_output_transmitted.iter().all(|&c| c > 0));
-        let mut merged = StatsRecorder::new(3);
-        merged.absorb(&even);
-        merged.absorb(&odd);
-        assert_eq!(merged, whole);
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //!
 //! * **Dispatch** (scheduling cycle): the packet is popped from its source
 //!   queue and committed to the wire. A pair at latency 0 delivers within
-//!   the cycle (the immediate path — in the sharded engine, across shards,
-//!   through its ring, landed after the cycle); a pair at `d ≥ 1` enters a
-//!   ring of slot-buckets, is counted *in flight* toward its output, and
-//!   lands `d` slots later.
+//!   the cycle (the immediate path — in the sharded engine, into whichever
+//!   shard owns the output); a pair at `d ≥ 1` enters the engine's one
+//!   `DelayCalendar` of slot-buckets, is counted *in flight* toward its
+//!   output, and lands `d` slots later.
 //! * **Eligibility**: schedulers see the *virtual* occupancy of every
 //!   output — landed packets plus packets in flight — so non-preempting
 //!   policies never overrun a buffer they cannot observe, and preemption
@@ -55,7 +55,6 @@ use crate::policy::PolicyError;
 use crate::state::QueueBand;
 use cioq_model::{Packet, PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_queues::SortedQueue;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Description of a fabric transport: either one uniform latency or a
@@ -97,7 +96,7 @@ impl FabricSpec {
         }
     }
 
-    /// Largest per-pair latency (engines size their rings by this).
+    /// Largest per-pair latency (engines size their calendars by this).
     #[inline]
     pub fn max_delay(&self) -> SlotId {
         match &self.0 {
@@ -168,9 +167,8 @@ impl InFlightPacket {
     }
 }
 
-/// A committed packet riding a delay line (the sequential calendar or a
-/// sharded ring), tagged with its dispatch time for the canonical landing
-/// sort.
+/// A committed packet riding the delay line, tagged with its dispatch
+/// time for the canonical landing sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Landing {
     /// Slot the transfer was dispatched in.
@@ -192,18 +190,19 @@ impl Landing {
 }
 
 /// The delay line: a calendar of `horizon + 1` slot-buckets, where
-/// `horizon` is the largest latency it carries, shared by every pair it
-/// carries — all of them in the sequential engine, those between one
-/// (destination, source) shard pair in the sharded one. A dispatch in slot
+/// `horizon` is the largest latency it carries, shared by every pair of
+/// the switch — one per engine, sequential or sharded. A dispatch in slot
 /// `t` on a pair at latency `d` (`0 ≤ d ≤ horizon`) pushes into bucket
 /// `(t + d) mod (horizon + 1)`, and [`land`] drains bucket
-/// `t mod (horizon + 1)` at the top of slot `t`, before any dispatch of
-/// `t` — and, where latency-0 dispatches can reach it, again after each
-/// cycle. Every packet found in a bucket is due exactly now, for any mix of
-/// pair latencies: the slot a bucket next drains at is the only landing
-/// slot a later dispatch could have mapped onto it. (With `horizon`
-/// buckets a dispatch at `d = horizon` would map onto its own slot's
-/// bucket, and the post-cycle drain would land it `horizon` slots early.)
+/// `t mod (horizon + 1)` at the top of slot `t`. Every packet found in a
+/// bucket is due exactly now, for any mix of pair latencies: the slot a
+/// bucket next drains at is the only landing slot a later dispatch could
+/// have mapped onto it — even a dispatch made in slot `t` before `t`'s
+/// drain, as the sequential engine's fault releases are. (With `horizon`
+/// buckets such a dispatch at `d = horizon` would map onto the bucket
+/// about to drain and land `horizon` slots early.) A `d = 0` dispatch
+/// lands only if it precedes its slot's drain; neither engine makes one,
+/// since both deliver latency-0 transfers at once.
 #[derive(Debug, Clone)]
 pub(crate) struct DelayCalendar {
     /// Committed packets by landing bucket. snapshot: serialized — as
@@ -234,8 +233,9 @@ impl DelayCalendar {
     }
 
     /// Commit a packet dispatched in cycle `cycle` of `slot` on a pair at
-    /// latency `d` to land at the start of slot `slot + d` (`d = 0`: after
-    /// the cycle). Debug builds check that the push stays within the
+    /// latency `d` to land at the start of slot `slot + d` (`d = 0`: at
+    /// `slot`'s drain, which must not have run yet). Debug builds check
+    /// that the push stays within the
     /// bucket's reservation: a bucket that grew was reserved below its
     /// bound.
     #[inline]
@@ -285,26 +285,23 @@ impl DelayCalendar {
     }
 }
 
-/// The landing phase of both engines — the sequential one over its single
-/// calendar, a shard over its row of per-pair rings: gather the bucket
-/// every calendar in `calendars` lands at `slot` into the pooled `gather`,
-/// sort the lot into the canonical landing order
+/// The landing phase of both engines: gather the bucket `calendar` lands
+/// at `slot` into the pooled `gather`, sort it into the canonical landing
+/// order
 /// `(dispatch slot, dispatch cycle, output, input)` — per output queue that
 /// is dispatch order, which is what the uniform delay line delivered — and
 /// hand each packet to `deliver`, stopping at its first error. The order
 /// mentions only global ports and dispatch times, never shard or rack
 /// boundaries, so it is partition-independent.
 // detlint: hot
-pub(crate) fn land<C: DerefMut<Target = DelayCalendar>>(
+pub(crate) fn land(
     slot: SlotId,
-    calendars: impl IntoIterator<Item = C>,
+    calendar: &mut DelayCalendar,
     gather: &mut Vec<Landing>,
     mut deliver: impl FnMut(InFlightPacket) -> Result<(), PolicyError>,
 ) -> Result<(), PolicyError> {
     gather.clear();
-    for mut cal in calendars {
-        gather.append(cal.bucket(slot));
-    }
+    gather.append(calendar.bucket(slot));
     gather.sort_unstable_by_key(Landing::key);
     if cfg!(debug_assertions) {
         // Strictness is the content of the check (the sort above already
@@ -318,19 +315,17 @@ pub(crate) fn land<C: DerefMut<Target = DelayCalendar>>(
 }
 
 /// Visit, as `(output, value)`, every packet between its source queue and
-/// its output queue: everything committed to `calendars`, then — only when
+/// its output queue: everything committed to `calendar`, then — only when
 /// the fault layer holds any, since its FIFOs span every pair — the packets
 /// `faults` holds on link-down pairs. The one walk behind both engines'
 /// residual, drain cutoff and [`OutputSnapshot`]; ports are the pair's,
 /// which restore has range-checked.
-pub(crate) fn for_each_in_flight<C: Deref<Target = DelayCalendar>>(
-    calendars: impl IntoIterator<Item = C>,
+pub(crate) fn for_each_in_flight(
+    calendar: &DelayCalendar,
     faults: Option<&FaultRuntime>,
     mut f: impl FnMut(usize, Value),
 ) {
-    for cal in calendars {
-        cal.for_each_pending(|p| f(p.output as usize, p.packet.value));
-    }
+    calendar.for_each_pending(|p| f(p.output as usize, p.packet.value));
     if let Some(faults) = faults.filter(|rt| rt.total_held() > 0) {
         faults.for_each_held(|_, j, _, p| f(j as usize, p.value));
     }
@@ -374,17 +369,17 @@ impl OutputSnapshot {
     }
 
     /// Recompute the snapshot of an `m`-output switch: count what is in
-    /// flight on `calendars` and held by `faults` (see
+    /// flight on `calendar` and held by `faults` (see
     /// [`for_each_in_flight`]), then visit the output queues of every band
     /// `bands` hands over — the sequential switch's one band, or each
     /// shard's — and mark the outputs whose virtual queue is full. Sized
     /// here too, so a switch refreshed at construction answers for every
     /// output before its first cycle.
     // detlint: hot
-    pub(crate) fn refresh<C: Deref<Target = DelayCalendar>>(
+    pub(crate) fn refresh(
         &mut self,
         m: usize,
-        calendars: impl IntoIterator<Item = C>,
+        calendar: &DelayCalendar,
         faults: Option<&FaultRuntime>,
         bands: impl FnOnce(&mut dyn FnMut(&QueueBand)),
     ) {
@@ -398,7 +393,7 @@ impl OutputSnapshot {
         self.in_flight.resize(m, 0);
         self.in_flight_min.clear();
         self.in_flight_min.resize(m, Value::MAX);
-        for_each_in_flight(calendars, faults, |j, v| {
+        for_each_in_flight(calendar, faults, |j, v| {
             self.in_flight[j] += 1;
             self.in_flight_min[j] = self.in_flight_min[j].min(v);
         });
@@ -464,7 +459,7 @@ mod tests {
             landed.push(p.packet.value);
             Ok(())
         };
-        land(slot, Some(cal), &mut Vec::new(), &mut deliver).unwrap();
+        land(slot, cal, &mut Vec::new(), &mut deliver).unwrap();
         landed
     }
 
@@ -495,9 +490,9 @@ mod tests {
         assert_eq!(land_at(&mut cal, 5), [30, 10], "earlier dispatch first");
     }
 
-    /// Latencies 0 and `D` dispatched in one slot `t` share no bucket: the
-    /// post-cycle landing of `t` takes only the latency-0 packet, and the
-    /// other lands `D` slots later — not `D` slots early.
+    /// Latencies 0 and `D` dispatched in one slot `t`, before its drain,
+    /// share no bucket: the drain of `t` takes only the latency-0 packet,
+    /// and the other lands `D` slots later — not `D` slots early.
     #[test]
     fn latency_zero_and_the_horizon_land_apart() {
         const D: SlotId = 4;
@@ -518,7 +513,7 @@ mod tests {
         cal.dispatch(0, 0, 1, mk(0, 0, 10));
         cal.dispatch(0, 0, 1, mk(0, 1, 20));
         let mut delivered = 0;
-        let result = land(1, Some(&mut cal), &mut Vec::new(), |p| {
+        let result = land(1, &mut cal, &mut Vec::new(), |p| {
             delivered += 1;
             Err(PolicyError::DuplicateOutput {
                 output: PortId(p.output),
