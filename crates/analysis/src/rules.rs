@@ -53,6 +53,7 @@ const D6_TYPES: &[&str] = &[
     "LossBreakdown",
     "WindowedStats",
     "SortedQueue",
+    "QueueStore",
     "DelayCalendar",
     "FaultRuntime",
     "StreamingSource",

@@ -221,12 +221,26 @@ fn d6_justified_fields_are_clean() {
 fn d6_queue_band_is_audited() {
     // The band is what both engines checkpoint their queues from, so a
     // shard's queues are under D6 exactly as the whole switch's are.
-    let bare =
-        "pub(crate) struct QueueBand {\n    voq: Grid<SortedQueue>,\n    out_lo: usize,\n}\n";
+    let bare = "pub(crate) struct QueueBand {\n    voq: QueueStore,\n    out_lo: usize,\n}\n";
     let rules = rules_at("crates/sim/src/state.rs", bare);
     assert_eq!(rules, ["D6", "D6"], "both bare band fields must fire");
-    let annotated = "pub(crate) struct QueueBand {\n    /// `Q_ij`. snapshot: serialized\n    voq: Grid<SortedQueue>,\n    /// snapshot: transient — geometry, fixed at construction\n    out_lo: usize,\n}\n";
+    let annotated = "pub(crate) struct QueueBand {\n    /// `Q_ij`. snapshot: serialized\n    voq: QueueStore,\n    /// snapshot: transient — geometry, fixed at construction\n    out_lo: usize,\n}\n";
     assert!(rules_at("crates/sim/src/state.rs", annotated).is_empty());
+}
+
+#[test]
+fn d6_queue_store_is_audited() {
+    // A store's cells cross a checkpoint as content; its slab, free list
+    // and handle numbering are rebuilt on restore. Each field says which.
+    let bare = "pub struct QueueStore {\n    cells: Vec<u32>,\n    slab: Vec<Packet>,\n    free: Vec<u32>,\n}\n";
+    let rules = rules_at("crates/queues/src/store.rs", bare);
+    assert_eq!(
+        rules,
+        ["D6", "D6", "D6"],
+        "every bare store field must fire"
+    );
+    let annotated = "pub struct QueueStore {\n    /// snapshot: serialized — as content, in `iter()` order\n    cells: Vec<u32>,\n    /// snapshot: transient — rebuilt by the band's refill\n    slab: Vec<Packet>,\n    /// snapshot: transient — rebuilt with the slab\n    free: Vec<u32>,\n}\n";
+    assert!(rules_at("crates/queues/src/store.rs", annotated).is_empty());
 }
 
 #[test]

@@ -19,11 +19,12 @@
 //! setup cost (shard construction, policy cache warm-up, growth of the
 //! slot batch and the calendar to steady capacity) appears identically in both
 //! ledgers and cancels; what remains is exactly what the slot loop
-//! acquires per slot after warm-up. `N1` is far past the point where every
-//! scratch vector, calendar bucket and policy cache has reached steady
-//! capacity under full-fabric churn. The target is **0** — the bin exits
-//! non-zero if any steady-state cell allocates (the CI `alloc-audit` job
-//! runs exactly this).
+//! acquires per slot after warm-up. `N1` (16 slots) is past the point where
+//! every scratch vector, calendar bucket and policy cache has reached
+//! steady capacity under full-fabric churn; the queues reserve everything
+//! at construction, so the 128-slot window also covers every queue's first
+//! use. The target is **0** — the bin exits non-zero if any steady-state
+//! cell allocates (the CI `alloc-audit` job runs exactly this).
 //!
 //! Sharded cells (GM: the one policy the sharded engine runs) run K = 2
 //! and K = 4, every shard on the calling thread.
@@ -67,24 +68,18 @@ mod census {
         ShardedOptions, Trace, TraceSource,
     };
     use cioq_traffic::{gen_trace, FullFabricChurn, ValueDist};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Warm-up horizon: slots of churn before the short run ends. Set per
-    /// port count in [`main`]: it must outlast every one-time lazy
-    /// acquisition — ring/scratch/cache growth, and the first full churn
-    /// sweep of the fabric (`j = (i·stride + slot + d) mod M` first
-    /// touches its last virtual output queue, and that queue's lazy
-    /// backing reserve, near slot `M`).
-    static N1: AtomicU64 = AtomicU64::new(96);
-    /// Long-run horizon; the steady-state window is `n2() - n1()` slots.
-    static N2: AtomicU64 = AtomicU64::new(224);
-
-    fn n1() -> u64 {
-        N1.load(Ordering::Relaxed)
-    }
-    fn n2() -> u64 {
-        N2.load(Ordering::Relaxed)
-    }
+    /// Warm-up horizon: slots of churn before the short run ends, at
+    /// every port count. It must outlast every one-time acquisition of
+    /// the slot loop — scratch and cache growth to steady capacity. Queues
+    /// need none: each queue class's packet slab is reserved in full when
+    /// the engine is built, so a queue first touched late in the window
+    /// (the churn sweep `j = (i·stride + slot + d) mod M` reaches its last
+    /// virtual output queue near slot `M`) allocates nothing.
+    const N1: u64 = 16;
+    /// Long-run horizon; the steady-state window is `N2 - N1` = 128 slots.
+    const N2: u64 = N1 + 128;
     /// Checkpoint cadence for the exempt-but-reported checkpoint pass.
     const CKPT_EVERY: u64 = 16;
 
@@ -163,15 +158,15 @@ mod census {
             }
             eprintln!("census-diff-run 1");
             audit::arm_backtraces(0, u32::MAX);
-            let a1 = measured(|| run(n1()));
+            let a1 = measured(|| run(N1));
             eprintln!("census-diff-run 2");
             audit::arm_backtraces(0, u32::MAX);
-            let a2 = measured(|| run(n2()));
+            let a2 = measured(|| run(N2));
             audit::arm_backtraces(0, 0);
             let raw = a2.saturating_sub(a1);
-            return (raw as f64 / (n2() - n1()) as f64, raw);
+            return (raw as f64 / (N2 - N1) as f64, raw);
         }
-        let a1 = measured(|| run(n1()));
+        let a1 = measured(|| run(N1));
         if trace_n > 0 {
             static CELL: AtomicUsize = AtomicUsize::new(0);
             // Table-order cell index, so trace output can be attributed to
@@ -188,10 +183,10 @@ mod census {
                 .unwrap_or(0);
             audit::arm_backtraces(a1.saturating_sub(back), trace_n + back as u32);
         }
-        let a2 = measured(|| run(n2()));
+        let a2 = measured(|| run(N2));
         audit::arm_backtraces(0, 0);
         let raw = a2.saturating_sub(a1);
-        (raw as f64 / (n2() - n1()) as f64, raw)
+        (raw as f64 / (N2 - N1) as f64, raw)
     }
 
     fn seq_cioq(
@@ -281,12 +276,6 @@ mod census {
     pub(super) fn main() {
         let quick = std::env::args().any(|a| a == "--quick");
         let n: usize = if quick { 32 } else { 128 };
-        // The warm prefix must contain the whole first churn sweep (every
-        // virtual output queue's one-time lazy backing reserve lands by
-        // slot ~n), with the same 2× margin the quick census has always
-        // had; the measured window stays 128 slots.
-        N1.store((2 * n as u64).max(96), Ordering::Relaxed);
-        N2.store(n1() + 128, Ordering::Relaxed);
         let seed = 0xA110C;
 
         let cioq_cfg = SwitchConfig::cioq(n, 8, 2);
@@ -297,10 +286,10 @@ mod census {
         // admission patterns are identical through slot N1.
         let churn_unit = FullFabricChurn::new(2, 5, ValueDist::Unit);
         let churn_vals = FullFabricChurn::new(2, 5, ValueDist::Uniform { max: 9 });
-        let cioq_unit = gen_trace(&churn_unit, &cioq_cfg, n2(), seed);
-        let cioq_vals = gen_trace(&churn_vals, &cioq_cfg, n2(), seed);
-        let xbar_unit = gen_trace(&churn_unit, &xbar_cfg, n2(), seed);
-        let xbar_vals = gen_trace(&churn_vals, &xbar_cfg, n2(), seed);
+        let cioq_unit = gen_trace(&churn_unit, &cioq_cfg, N2, seed);
+        let cioq_vals = gen_trace(&churn_vals, &cioq_cfg, N2, seed);
+        let xbar_unit = gen_trace(&churn_unit, &xbar_cfg, N2, seed);
+        let xbar_vals = gen_trace(&churn_vals, &xbar_cfg, N2, seed);
 
         let mut rows: Vec<Row> = Vec::new();
 
@@ -359,7 +348,7 @@ mod census {
         // must also be allocation-free in steady state. The plan is built
         // over the long horizon and shared by both differential runs.
         let link = FabricSpec::uniform(2);
-        let plan = FaultPlan::seeded(0xFA17, n, n, n2(), 24);
+        let plan = FaultPlan::seeded(0xFA17, n, n, N2, 24);
         let faulted: [(&str, (f64, u64)); 2] = [
             (
                 "gm",
@@ -388,7 +377,7 @@ mod census {
         // allocation-free as the slot loop it feeds.
         let svc_n: usize = if quick { 16 } else { n };
         let svc_cfg = SwitchConfig::cioq(svc_n, 8, 2);
-        let svc_trace = gen_trace(&churn_unit, &svc_cfg, n2(), seed);
+        let svc_trace = gen_trace(&churn_unit, &svc_cfg, N2, seed);
         let (steady_svc, raw_svc) = served_cioq(&svc_cfg, &svc_trace);
         rows.push(Row {
             policy: "gm",
@@ -416,13 +405,12 @@ mod census {
                 .run_cioq(&mut policy, &mut source)
                 .expect("census run");
         });
-        let ckpts_in_window = (n2() - n1()) / CKPT_EVERY;
+        let ckpts_in_window = (N2 - N1) / CKPT_EVERY;
         let per_ckpt = (with_ckpt.1.saturating_sub(base.1)) as f64 / ckpts_in_window.max(1) as f64;
 
         println!(
             "alloc_census: {n} ports, FullFabricChurn(degree=2), slots {} -> {}",
-            n1(),
-            n2()
+            N1, N2
         );
         println!();
         println!(

@@ -247,7 +247,7 @@ impl CrossbarPolicy for CrossbarPreemptiveGreedy {
 mod tests {
     use super::*;
     use cioq_model::{PacketId, SwitchConfig};
-    use cioq_sim::{run_crossbar, ChangeLog, SortedQueue, Trace};
+    use cioq_sim::{run_crossbar, ChangeLog, QueueRef, SortedQueue, Trace};
 
     #[test]
     fn cpg_moves_heaviest_head_per_input() {
@@ -314,11 +314,11 @@ mod tests {
         fn n_outputs(&self) -> usize {
             self.voqs.len()
         }
-        fn voq(&self, _: usize, j: usize) -> &SortedQueue {
-            &self.voqs[j]
+        fn voq(&self, _: usize, j: usize) -> QueueRef<'_> {
+            self.voqs[j].view()
         }
-        fn xbar(&self, _: usize, j: usize) -> &SortedQueue {
-            &self.xbars[j]
+        fn xbar(&self, _: usize, j: usize) -> QueueRef<'_> {
+            self.xbars[j].view()
         }
         fn log(&self) -> &ChangeLog {
             unreachable!("dirty_rows is overridden")

@@ -48,7 +48,7 @@
 
 use cioq_matching::IncrementalGraph;
 use cioq_model::{PortId, Value};
-use cioq_sim::{ChangeLog, SortedQueue, SwitchView};
+use cioq_sim::{ChangeLog, QueueRef, SwitchView};
 use std::ops::Range;
 
 /// Read access to a band of input rows and the log of what changed in it.
@@ -58,9 +58,9 @@ pub(crate) trait RowView {
     /// Number of output ports `M` (every row spans all columns).
     fn n_outputs(&self) -> usize;
     /// Input queue `Q_ij`, `i` a global row of the band.
-    fn voq(&self, i: usize, j: usize) -> &SortedQueue;
+    fn voq(&self, i: usize, j: usize) -> QueueRef<'_>;
     /// Crossbar queue `C_ij`, `i` a global row of the band.
-    fn xbar(&self, i: usize, j: usize) -> &SortedQueue;
+    fn xbar(&self, i: usize, j: usize) -> QueueRef<'_>;
     /// The band's change log, over band-local cells `(i − rows.start)·M + j`.
     fn log(&self) -> &ChangeLog;
 
@@ -99,11 +99,11 @@ impl RowView for SwitchView<'_> {
         SwitchView::n_outputs(self)
     }
     #[inline]
-    fn voq(&self, i: usize, j: usize) -> &SortedQueue {
+    fn voq(&self, i: usize, j: usize) -> QueueRef<'_> {
         self.input_queue(PortId::from(i), PortId::from(j))
     }
     #[inline]
-    fn xbar(&self, i: usize, j: usize) -> &SortedQueue {
+    fn xbar(&self, i: usize, j: usize) -> QueueRef<'_> {
         self.crossbar_queue(PortId::from(i), PortId::from(j))
     }
     fn log(&self) -> &ChangeLog {
@@ -204,6 +204,7 @@ impl BandGraph {
 mod tests {
     use super::*;
     use cioq_model::{Packet, PacketId};
+    use cioq_sim::SortedQueue;
 
     /// `table[line][k]`: the edge cell `(line, k)` should be.
     type Table = Vec<Vec<Option<Value>>>;

@@ -18,17 +18,17 @@ use crate::{GmEdgePolicy, SelectionOrder};
 use cioq_matching::{greedy_maximal, BipartiteGraph, EdgeOrder};
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
 use cioq_sim::{
-    Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, SortedQueue,
+    Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, QueueRef,
     SwitchView, Transfer,
 };
 
 /// The input queue `Q_ij`.
-fn q<'a>(view: &SwitchView<'a>, i: usize, j: usize) -> &'a SortedQueue {
+fn q<'a>(view: &SwitchView<'a>, i: usize, j: usize) -> QueueRef<'a> {
     view.input_queue(PortId::from(i), PortId::from(j))
 }
 
 /// The crossbar queue `C_ij`.
-fn c<'a>(view: &SwitchView<'a>, i: usize, j: usize) -> &'a SortedQueue {
+fn c<'a>(view: &SwitchView<'a>, i: usize, j: usize) -> QueueRef<'a> {
     view.crossbar_queue(PortId::from(i), PortId::from(j))
 }
 

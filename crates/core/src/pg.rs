@@ -7,9 +7,7 @@ use crate::incremental::BandGraph;
 use crate::params::PG_BETA;
 use cioq_matching::{greedy_weighted_rows_into, GreedyScratch, Matching};
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
-use cioq_sim::{
-    Admission, CioqPolicy, OutputSnapshot, PacketPick, SortedQueue, SwitchView, Transfer,
-};
+use cioq_sim::{Admission, CioqPolicy, OutputSnapshot, PacketPick, QueueRef, SwitchView, Transfer};
 
 /// The Preemptive Greedy algorithm with threshold parameter β ≥ 1.
 ///
@@ -91,7 +89,7 @@ fn eligible(beta: f64, w: Value, j: usize, outputs: &OutputSnapshot) -> bool {
 /// The arrival rule of all four policies: accept if `Q_ij` has room; else,
 /// for the preempting policies (PG, CPG), preempt `l_ij` if it is worth
 /// strictly less than the arrival; else reject (GM, CGU: always).
-pub(crate) fn admit(queue: &SortedQueue, packet: &Packet, preempt: bool) -> Admission {
+pub(crate) fn admit(queue: QueueRef<'_>, packet: &Packet, preempt: bool) -> Admission {
     if !queue.is_full() {
         return Admission::Accept;
     }

@@ -29,8 +29,8 @@ use cioq_core::{
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
     run_cioq_sharded, stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    Engine, EngineSnapshot, FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope, RunOptions,
-    RunOutcome, RunReport, ShardedOptions, ShardedOutcome, SortedQueue, SwitchState, Trace,
+    Engine, EngineSnapshot, FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope, QueueRef,
+    RunOptions, RunOutcome, RunReport, ShardedOptions, ShardedOutcome, SwitchState, Trace,
     TraceSource,
 };
 
@@ -148,7 +148,7 @@ impl Fnv {
         self.bytes(&v.to_le_bytes());
     }
 
-    fn queue(&mut self, q: &SortedQueue) {
+    fn queue(&mut self, q: QueueRef<'_>) {
         self.u64(q.len() as u64);
         for p in q.iter() {
             self.u64(p.id.0);

@@ -185,6 +185,20 @@ impl SwitchConfigBuilder {
                 return Err(ConfigError::ZeroCapacity { kind: "crossbar" });
             }
         }
+        // Each queue class keeps its packets in one slab numbered by `u32`
+        // handles: `N·M·B_in`, `N·M·B_x` and `M·B_out` slots must fit.
+        let pairs = self.n_inputs as u128 * self.n_outputs as u128;
+        let classes = [
+            ("input", pairs, Some(self.input_capacity)),
+            ("crossbar", pairs, self.crossbar_capacity),
+            ("output", self.n_outputs as u128, Some(self.output_capacity)),
+        ];
+        for (kind, cells, capacity) in classes {
+            let slots = cells * capacity.unwrap_or(0) as u128;
+            if slots > u128::from(u32::MAX) {
+                return Err(ConfigError::TooManyQueueSlots { kind, slots });
+            }
+        }
         Ok(SwitchConfig {
             n_inputs: self.n_inputs,
             n_outputs: self.n_outputs,
@@ -219,6 +233,28 @@ mod tests {
             ConfigError::ZeroCapacity { kind: "input" }
         );
         assert!(SwitchConfig::builder(4, 4).build().is_ok());
+    }
+
+    /// Every queue class numbers its packet slots with `u32` handles, so
+    /// a class needing more slots than that is refused at build time,
+    /// before anything is reserved.
+    #[test]
+    fn queue_slots_past_u32_handles_are_refused() {
+        let max = u16::MAX as usize;
+        let slots = |kind, slots| ConfigError::TooManyQueueSlots { kind, slots };
+        let wide = |b| SwitchConfig::builder(max, max).input_capacity(b).build();
+        assert_eq!(
+            wide(2).unwrap_err(),
+            slots("input", 2 * (max * max) as u128)
+        );
+        assert!(wide(1).is_ok(), "65 535² × 1 slots fit");
+        let huge = usize::MAX;
+        let xbar = SwitchConfig::builder(4, 4).crossbar_capacity(huge).build();
+        assert_eq!(xbar.unwrap_err(), slots("crossbar", 16 * huge as u128));
+        let past = u32::MAX as usize + 1;
+        let out = SwitchConfig::builder(1, 1).output_capacity(past).build();
+        assert_eq!(out.unwrap_err(), slots("output", past as u128));
+        assert!(slots("input", 9).to_string().contains("4294967295"));
     }
 
     #[test]

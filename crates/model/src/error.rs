@@ -60,6 +60,21 @@ pub enum ConfigError {
         /// Entries required (`racks²`).
         want: usize,
     },
+    /// A queue class needs more packet slots (`cells × capacity`) than a
+    /// `u32` queue handle can number.
+    TooManyQueueSlots {
+        /// Which queue class ("input" / "output" / "crossbar").
+        kind: &'static str,
+        /// The slots the class would need.
+        slots: u128,
+    },
+    /// The host could not reserve a queue class's packet slots.
+    QueueReserve {
+        /// Which queue class ("input" / "output" / "crossbar").
+        kind: &'static str,
+        /// The slots the reservation asked for.
+        slots: usize,
+    },
     /// A run was configured with a zero-slot stats window.
     ZeroStatsWindow,
     /// A run was configured with a zero-slot checkpoint cadence.
@@ -93,6 +108,17 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::LatencyMatrixSize { got, want } => {
                 write!(f, "latency matrix has {got} entries, need {want} (racks^2)")
+            }
+            ConfigError::TooManyQueueSlots { kind, slots } => write!(
+                f,
+                "{kind} queues need {slots} packet slots, more than the supported maximum of {}",
+                u32::MAX
+            ),
+            ConfigError::QueueReserve { kind, slots } => {
+                write!(
+                    f,
+                    "cannot reserve {slots} packet slots for the {kind} queues"
+                )
             }
             ConfigError::ZeroStatsWindow => {
                 write!(f, "stats window must cover at least one slot")

@@ -1,8 +1,12 @@
-//! Bounded value-sorted packet queue.
+//! One bounded value-sorted packet queue: a one-cell [`QueueStore`].
 
+use crate::store::{QueueMut, QueueRef, QueueStore};
 use cioq_model::{Packet, PacketId, Value};
+use std::fmt;
 
-/// A bounded, non-FIFO packet queue kept sorted by (value desc, id asc).
+/// A bounded, non-FIFO packet queue kept sorted by (value desc, id asc):
+/// a [`QueueStore`] of one cell, for code that holds a queue on its own.
+/// The switch keeps each class of its queues in one store instead.
 ///
 /// * `head()` is `g` — the packet with the greatest value (paper notation
 ///   `g_ij(t)`), position 1 in the paper's `δ(k, t)` indexing.
@@ -10,159 +14,132 @@ use cioq_model::{Packet, PacketId, Value};
 /// * `insert` refuses to overflow: callers decide whether to preempt first
 ///   (that decision is algorithm policy, not buffer mechanics).
 ///
-/// Packets are stored least-first: the tail at index 0, the head at the
-/// end. Every transfer and transmission takes the head, so `pop_head` is a
-/// `Vec::pop`, and an arrival is pushed at the head end and shifted down
-/// past the packets that outrank it; only `pop_tail` (preemption) and
-/// `remove` move the packets behind the one they take. `iter()` still runs
-/// head → tail, but the derived `Debug` prints storage order, least first.
-///
-/// Backing storage is allocated lazily: an empty queue costs no heap until
-/// its first insert, which reserves the full `capacity` in one shot (and
-/// never reallocates after that). Large fabrics hold N² queues of which
-/// sparse traffic touches a fraction, so construction of a 512-port switch
-/// stays cheap.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Construction reserves the full capacity; nothing allocates after it.
+/// Equality and `Debug` are about content, as [`QueueRef`]'s are.
+#[derive(Clone)]
 pub struct SortedQueue {
-    /// Sorted packets, index 0 = tail = least value, last = head.
-    /// snapshot: serialized — storage is least-first; the wire order is
-    /// `iter()`'s, greatest first.
-    items: Vec<Packet>,
-    /// snapshot: serialized — part of the switch geometry.
-    capacity: usize,
+    /// The one cell. snapshot: serialized — as content, the packets in
+    /// `iter()` order, greatest first.
+    store: QueueStore,
 }
 
 impl SortedQueue {
-    /// Create an empty queue with capacity `B ≥ 1`. Does not allocate; the
-    /// first insert reserves the full backing storage in one shot. Keeping
-    /// construction allocation-free matters at scale — a 512-port fabric
-    /// holds N² ≈ 262k virtual output queues, most never touched in a
-    /// short run — and the one reserve per *touched* queue is bounded by
-    /// the geometry, not the slot count, so the allocation census stays
-    /// clean once its warm-up outlasts the first full fabric sweep.
+    /// Create an empty queue with capacity `B ≥ 1`.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "queue capacity must be >= 1");
         SortedQueue {
-            items: Vec::new(),
-            capacity,
+            store: QueueStore::new(1, capacity),
         }
+    }
+
+    /// Read view of the queue, as the switch's stores hand them out.
+    #[inline]
+    pub fn view(&self) -> QueueRef<'_> {
+        self.store.get(0)
+    }
+
+    #[inline]
+    fn cell(&mut self) -> QueueMut<'_> {
+        self.store.get_mut(0)
     }
 
     /// Capacity `B(Q)`.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.store.capacity()
     }
 
     /// Number of packets currently stored, `|Q(t)|`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.view().len()
     }
 
     /// Whether the queue holds no packets.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.view().is_empty()
     }
 
     /// Whether the queue is at capacity.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
+        self.view().is_full()
     }
 
     /// The packet with the greatest value (`g`), if any.
     #[inline]
     pub fn head(&self) -> Option<&Packet> {
-        self.items.last()
+        self.view().head()
     }
 
     /// The packet with the least value (`l`), if any.
     #[inline]
     pub fn tail(&self) -> Option<&Packet> {
-        self.items.first()
+        self.view().tail()
     }
 
     /// Value of the head packet, if any.
     #[inline]
     pub fn head_value(&self) -> Option<Value> {
-        self.head().map(|p| p.value)
+        self.view().head_value()
     }
 
     /// Value of the tail (least) packet, if any.
     #[inline]
     pub fn tail_value(&self) -> Option<Value> {
-        self.tail().map(|p| p.value)
+        self.view().tail_value()
     }
 
     /// Iterate packets head-to-tail (descending value).
     pub fn iter(&self) -> impl Iterator<Item = &Packet> {
-        self.items.iter().rev()
+        self.view().iter()
     }
 
     /// Sum of all stored values (u128 to match benefit accounting).
     pub fn total_value(&self) -> u128 {
-        self.items.iter().map(|p| p.value as u128).sum()
+        self.view().total_value()
     }
 
     /// Insert a packet, keeping sorted order. Returns `Err(packet)` if the
     /// queue is full (the caller may preempt and retry).
     pub fn insert(&mut self, p: Packet) -> Result<(), Packet> {
-        if self.is_full() {
-            return Err(p);
-        }
-        if self.items.capacity() < self.capacity {
-            // Lazy backing storage: reserved in full on first use, so the
-            // queue never reallocates afterwards. The `<` (not `== 0`)
-            // also repairs clones, whose Vec capacity is only their length.
-            let additional = self.capacity - self.items.len();
-            self.items.reserve_exact(additional);
-        }
-        // Push at the head end, then shift down past every packet that
-        // outranks `p` (a smaller key): O(packets above `p`), no memmove.
-        let key = p.queue_key();
-        let mut pos = self.items.len();
-        self.items.push(p);
-        while pos > 0 && self.items[pos - 1].queue_key() < key {
-            self.items[pos] = self.items[pos - 1];
-            pos -= 1;
-        }
-        self.items[pos] = p;
-        Ok(())
+        self.cell().insert(p)
     }
 
     /// Remove and return the head (greatest-value) packet. O(1).
     pub fn pop_head(&mut self) -> Option<Packet> {
-        self.items.pop()
+        self.cell().pop_head()
     }
 
     /// Remove and return the tail (least-value) packet — the preemption
-    /// victim `l` in PG/CPG ("if p is accepted while the queue is full,
-    /// l is preempted"). O(len): the packets above it move down.
+    /// victim `l` in PG/CPG. O(len).
     pub fn pop_tail(&mut self) -> Option<Packet> {
-        if self.items.is_empty() {
-            None
-        } else {
-            Some(self.items.remove(0))
-        }
+        self.cell().pop_tail()
     }
 
     /// Remove a specific packet by id. O(B).
     pub fn remove(&mut self, id: PacketId) -> Option<Packet> {
-        let pos = self.items.iter().position(|p| p.id == id)?;
-        Some(self.items.remove(pos))
+        self.cell().remove(id)
     }
 
     /// Whether the invariant (sorted by value desc, id asc; within capacity)
-    /// holds. Used by the simulator's validation mode and by property tests.
+    /// holds. Used by property tests.
     pub fn check_invariants(&self) -> bool {
-        if self.items.len() > self.capacity {
-            return false;
-        }
-        self.items
-            .windows(2)
-            .all(|w| w[0].queue_key() >= w[1].queue_key())
+        self.store.check_invariants().is_ok()
+    }
+}
+
+impl PartialEq for SortedQueue {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for SortedQueue {}
+
+impl fmt::Debug for SortedQueue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
     }
 }
 

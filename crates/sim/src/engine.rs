@@ -205,14 +205,17 @@ impl Engine {
 
     /// New engine for one run of `config` under `options`, validating the
     /// options first (e.g. a zero-slot stats window or checkpoint cadence
-    /// is [`ConfigError`], not a panic mid-run).
+    /// is [`ConfigError`], not a panic mid-run). Every queue's storage is
+    /// reserved here; a reservation the host cannot satisfy is
+    /// [`ConfigError::QueueReserve`], not an allocation abort.
     pub fn try_new(config: SwitchConfig, options: RunOptions) -> Result<Self, ConfigError> {
         options.validate()?;
-        Ok(Self::fresh(config, options))
+        Self::fresh(config, options)
     }
 
-    /// A fresh engine at slot 0 under already-validated options.
-    fn fresh(config: SwitchConfig, options: RunOptions) -> Self {
+    /// A fresh engine at slot 0 under already-validated options, or the
+    /// queue reservation that failed.
+    fn fresh(config: SwitchConfig, options: RunOptions) -> Result<Self, ConfigError> {
         let n_outputs = config.n_outputs;
         let n_inputs = config.n_inputs;
         let spec = options.fabric.clone();
@@ -229,8 +232,8 @@ impl Engine {
         // slot loop from ever growing a calendar bucket or the landing
         // gather.
         let per_bucket = per_bucket_bound(&config, horizon, options.faults.as_ref());
-        Engine {
-            state: SwitchState::new(config),
+        Ok(Engine {
+            state: SwitchState::try_new(config)?,
             stats: StatsRecorder::new(n_outputs),
             options,
             spec,
@@ -243,7 +246,7 @@ impl Engine {
             arrivals: Vec::new(),
             ports: PortStamps::default(),
             landing: Vec::with_capacity(per_bucket),
-        }
+        })
     }
 
     /// Rebuild an engine from a checkpoint so the run continues exactly
@@ -263,7 +266,8 @@ impl Engine {
     /// [`EngineSnapshot::config`], which restore has no second copy to
     /// doubt: a caller loading bytes it did not write compares that config
     /// with the one it means to run first. No other number in the snapshot
-    /// sizes a reservation.
+    /// sizes a reservation, and a queue reservation the host cannot
+    /// satisfy is [`SnapshotError::Incompatible`], not an allocation abort.
     pub fn restore(snap: &EngineSnapshot, options: RunOptions) -> Result<Self, SnapshotError> {
         options
             .validate()
@@ -312,7 +316,8 @@ impl Engine {
         // A fresh engine under the same options, then refilled: restoring
         // sizes the calendar and the fault layer exactly as construction
         // does.
-        let mut engine = Self::fresh(config, options);
+        let mut engine =
+            Self::fresh(config, options).map_err(|e| SnapshotError::Incompatible(e.to_string()))?;
         let state = &mut engine.state;
         state.band.refill(snap)?;
         state.slot = snap.slot;

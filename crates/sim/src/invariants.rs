@@ -100,13 +100,15 @@ pub fn check_restored_residual(restored: (u64, u128), snap: &EngineSnapshot) -> 
 }
 
 /// Verify every queue in the switch: within capacity and correctly sorted
-/// (value descending, id ascending — assumption A3). Returns a description
-/// of the first violation.
+/// (value descending, id ascending — assumption A3), and every queue
+/// class's packet slab conserved (each used slot held by exactly one queue
+/// or free exactly once). Returns a description of the first violation.
 ///
-/// These invariants are maintained by construction (`SortedQueue` enforces
-/// them locally); this whole-state check exists so tests and the engine's
-/// `validate` mode can prove it after every phase. The sharded engine runs
-/// the same check on each shard's band where it lies.
+/// These invariants are maintained by construction (each
+/// `cioq_queues::QueueStore` enforces them); this whole-state check exists
+/// so tests and the engine's `validate` mode can prove it after every
+/// phase. The sharded engine runs the same check on each shard's band
+/// where it lies.
 pub fn check_state_invariants(state: &SwitchState) -> Result<(), String> {
     state.band.check_invariants()
 }

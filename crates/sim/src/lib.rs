@@ -43,8 +43,9 @@ mod trace;
 pub mod transport;
 
 pub use changes::{ChangeLog, DirtySet};
-/// The queue type every view hands out (`Q_ij`, `C_ij`, `Q_j`).
-pub use cioq_queues::SortedQueue;
+/// The read view every view hands out (`Q_ij`, `C_ij`, `Q_j`), and a
+/// queue held on its own.
+pub use cioq_queues::{QueueRef, SortedQueue};
 pub use engine::{run_cioq, run_cioq_with_source, run_crossbar, Engine, RunOptions, RunOutcome};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultScope};
 pub use invariants::check_state_invariants;

@@ -17,7 +17,7 @@ use crate::state::QueueKind;
 use crate::stats::{RunReport, StatsRecorder};
 use crate::transport::{FabricSpec, InFlightPacket};
 use cioq_model::{Packet, PortId, SlotId, SwitchConfig};
-use cioq_queues::SortedQueue;
+use cioq_queues::QueueMut;
 
 /// Both ports inside the switch, or the error naming the side that is not.
 #[inline]
@@ -94,9 +94,9 @@ impl PortStamps {
 /// Arrival phase, one packet: count the arrival and apply the policy's
 /// `decision` to the packet's VOQ `Q_ij`.
 // detlint: hot
-#[inline]
+#[inline(always)]
 pub(crate) fn admit(
-    queue: &mut SortedQueue,
+    mut queue: QueueMut<'_>,
     stats: &mut StatsRecorder,
     decision: Admission,
     p: &Packet,
@@ -105,7 +105,7 @@ pub(crate) fn admit(
     match decision {
         Admission::Reject => stats.on_reject(p),
         Admission::Accept => {
-            if queue.is_full() {
+            if queue.view().is_full() {
                 return Err(PolicyError::QueueFull {
                     kind: "input",
                     input: Some(p.input),
@@ -116,7 +116,7 @@ pub(crate) fn admit(
             stats.on_accept();
         }
         Admission::AcceptPreemptingLeast => {
-            if !queue.is_full() {
+            if !queue.view().is_full() {
                 return Err(PolicyError::PreemptOnNonFull {
                     kind: "input",
                     input: Some(p.input),
@@ -140,15 +140,15 @@ pub(crate) fn admit(
 /// policy error: the reservation the policy scheduled against can be
 /// stale once faults perturb landing times.
 // detlint: hot
-#[inline]
+#[inline(always)]
 pub(crate) fn land(
-    queue: &mut SortedQueue,
+    mut queue: QueueMut<'_>,
     stats: &mut StatsRecorder,
     kind: QueueKind,
     faulted: bool,
     p: InFlightPacket,
 ) -> Result<(), PolicyError> {
-    if queue.is_full() {
+    if queue.view().is_full() {
         if !p.preempt {
             if faulted {
                 stats.on_drop(&p.packet);
@@ -178,9 +178,9 @@ pub(crate) fn land(
 /// id is not there, or the queue — `Q_ij`, `C_ij`, or `Q_j` when
 /// transmitting (`input` is `None`) — is empty.
 // detlint: hot
-#[inline]
+#[inline(always)]
 pub(crate) fn pop(
-    queue: &mut SortedQueue,
+    mut queue: QueueMut<'_>,
     pick: PacketPick,
     kind: QueueKind,
     input: Option<PortId>,
@@ -192,7 +192,7 @@ pub(crate) fn pop(
         PacketPick::ById(id) => queue.remove(id),
     };
     popped.ok_or_else(|| match pick {
-        PacketPick::ById(id) if !queue.is_empty() => PolicyError::NoSuchPacket { id },
+        PacketPick::ById(id) if !queue.view().is_empty() => PolicyError::NoSuchPacket { id },
         _ if kind == QueueKind::Output => PolicyError::TransmitFromEmpty { output },
         _ => PolicyError::EmptyQueue {
             kind: kind.label(),

@@ -23,10 +23,10 @@
 //! encoding: magic `b"CIOQSNAP"`, format version `u32`, then every field
 //! in a fixed order with `u32` length prefixes on sequences. Canonical
 //! means *equal states encode to equal bytes* — queue packets are written
-//! head first (`SortedQueue::iter`'s order), landings in canonical
-//! landing order, held packets in (row-major pair, FIFO) order — so byte
-//! equality doubles as the structural-equality oracle in the round-trip
-//! proofs. Unknown versions and malformed bytes are [`SnapshotError`]s,
+//! head first (`QueueRef::iter`'s order: content, never slab layout),
+//! landings in canonical landing order, held packets in (row-major pair,
+//! FIFO) order — so byte equality doubles as the structural-equality
+//! oracle in the round-trip proofs. Unknown versions and malformed bytes are [`SnapshotError`]s,
 //! never panics.
 
 use crate::stats::{StatsRecorder, WindowSlot};
@@ -115,7 +115,7 @@ pub struct EngineSnapshot {
     /// The engine's no-progress streak entering `slot` (drain cutoff state).
     pub(crate) idle_slots: u32,
     /// `Q_ij` contents, row-major `i * n_outputs + j`, each head first
-    /// (greatest value first, `SortedQueue::iter`'s order).
+    /// (greatest value first, `QueueRef::iter`'s order).
     pub(crate) input_queues: Vec<Vec<Packet>>,
     /// `C_ij` contents (buffered crossbar only), same layout.
     pub(crate) crossbar_queues: Option<Vec<Vec<Packet>>>,
@@ -918,9 +918,10 @@ pub(crate) mod tests {
     }
 
     /// Hostile config words and zero packet values fail decode, before
-    /// anything is built from them. An over-large (non-zero) capacity
-    /// still decodes and sizes restore's reservations; bounding it is the
-    /// run builder's job (ROADMAP item 5), not the decoder's.
+    /// anything is built from them. A capacity whose queue class needs
+    /// more packet slots than a `u32` handle numbers is one of them; a
+    /// smaller one still decodes, and restore reserves its slots with
+    /// `try_reserve_exact`, so a host that cannot is an error too.
     #[test]
     fn hostile_geometry_and_zero_values_are_format_errors() {
         let bytes = sample().to_bytes();
@@ -940,6 +941,8 @@ pub(crate) mod tests {
             ("zero speedup", 20..24, 0),
             ("zero input capacity", 24..32, 0),
             ("zero output capacity", 32..40, 0),
+            ("huge input capacity", 24..32, 0xFF),
+            ("huge output capacity", 32..40, 0xFF),
         ] {
             let decoded = overwritten(range, byte);
             assert!(
@@ -947,6 +950,18 @@ pub(crate) mod tests {
                 "{what}: {decoded:?}"
             );
         }
+        // 65 535 × 65 535 ports at B = 2: 2·65 535² input slots, past the
+        // handles, so nothing is reserved.
+        let mut wide = bytes.clone();
+        wide[12..16].copy_from_slice(&65_535u32.to_le_bytes());
+        wide[16..20].copy_from_slice(&65_535u32.to_le_bytes());
+        wide[24..32].copy_from_slice(&2u64.to_le_bytes());
+        let decoded = EngineSnapshot::from_bytes(&wide);
+        assert!(
+            matches!(&decoded, Err(SnapshotError::Format(msg))
+                if msg.starts_with("switch config: input queues need 8589672450 packet slots")),
+            "{decoded:?}"
+        );
         let mut zero = sample();
         zero.input_queues[0][0].value = 0;
         let err = EngineSnapshot::from_bytes(&zero.to_bytes()).unwrap_err();

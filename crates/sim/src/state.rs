@@ -13,8 +13,8 @@ use crate::policy::{Admission, InputTransfer, OutputTransfer, PacketPick, Policy
 use crate::snapshot::{EngineSnapshot, SnapshotError};
 use crate::stats::StatsRecorder;
 use crate::transport::{DelayCalendar, InFlightPacket, OutputSnapshot};
-use cioq_model::{FabricKind, Packet, PortId, SlotId, SwitchConfig, Value};
-use cioq_queues::{Grid, SortedQueue};
+use cioq_model::{ConfigError, FabricKind, Packet, PortId, SlotId, SwitchConfig, Value};
+use cioq_queues::{QueueMut, QueueRef, QueueStore};
 use std::ops::Range;
 
 /// Which family of queues a reference points into.
@@ -42,9 +42,14 @@ impl QueueKind {
 /// One band of the switch's queues: `Q_ij` (and `C_ij` on a buffered
 /// crossbar) for a contiguous range of input rows × all M columns, `Q_j`
 /// for a contiguous range of outputs, and the [`ChangeLog`] over the band's
-/// own cells. Ports are **global** everywhere in the API; only the log's
-/// cells are band-local, `(i − lo)·M + j`, so K bands together hold one
-/// switch's worth of dirty bitmaps.
+/// own cells. Ports are **global** everywhere in the API; the cells of the
+/// stores and the log are band-local, `(i − lo)·M + j` for `Q_ij` / `C_ij`
+/// and `j − out_lo` for `Q_j`, so K bands together hold one switch's worth.
+///
+/// Each queue class is one [`QueueStore`]: one packet slab reserved at
+/// construction and recycled through a free list, so no queue allocates
+/// after the band is built and the slab's live part stays as small as the
+/// class's occupancy.
 ///
 /// This is where the two engines meet: [`SwitchState`] holds the band
 /// `0..N` / `0..M`, each shard of the sharded engine the band its
@@ -53,14 +58,20 @@ impl QueueKind {
 /// [`mechanics`] call that applies it — is a method here, written once.
 #[derive(Debug, Clone)]
 pub(crate) struct QueueBand {
-    /// `Q_ij` for the band's input rows. snapshot: serialized
-    voq: Grid<SortedQueue>,
+    /// `Q_ij` for the band's input rows, row-major. snapshot: serialized
+    voq: QueueStore,
     /// `C_ij` for the same rows (buffered crossbar only).
     /// snapshot: serialized
-    xbar: Option<Grid<SortedQueue>>,
-    /// `Q_j` for the band's outputs, `outputs[j − out_lo]`.
+    xbar: Option<QueueStore>,
+    /// `Q_j` for the band's outputs, cell `j − out_lo`.
     /// snapshot: serialized
-    outputs: Vec<SortedQueue>,
+    outputs: QueueStore,
+    /// First input row of the band. snapshot: transient — geometry, fixed
+    /// at construction from the config (and the partition, when sharded).
+    lo: usize,
+    /// Number of outputs `M`, the width of a row. snapshot: transient —
+    /// geometry, from the config.
+    m: usize,
     /// First output of the band. snapshot: transient — geometry, fixed at
     /// construction from the config (and the partition, when sharded).
     out_lo: usize,
@@ -73,56 +84,75 @@ pub(crate) struct QueueBand {
 
 impl QueueBand {
     /// The empty band of input rows `rows` and outputs `cols` of a switch
-    /// in configuration `cfg`.
+    /// in configuration `cfg`. Panics if its stores cannot be reserved;
+    /// see [`QueueBand::try_new`].
     pub(crate) fn new(cfg: &SwitchConfig, rows: Range<usize>, cols: Range<usize>) -> Self {
+        Self::try_new(cfg, rows, cols).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The empty band of input rows `rows` and outputs `cols`, or the
+    /// [`ConfigError::QueueReserve`] of the first store the host could not
+    /// reserve.
+    pub(crate) fn try_new(
+        cfg: &SwitchConfig,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) -> Result<Self, ConfigError> {
         let m = cfg.n_outputs;
-        let grid = |capacity| Grid::band(rows.clone(), m, |_, _| SortedQueue::new(capacity));
-        QueueBand {
-            voq: grid(cfg.input_capacity),
-            xbar: cfg.crossbar_capacity.map(grid),
-            outputs: cols
-                .clone()
-                .map(|_| SortedQueue::new(cfg.output_capacity))
-                .collect(),
+        let store = |kind, cells: usize, capacity: usize| {
+            QueueStore::try_new(cells, capacity).map_err(|_| ConfigError::QueueReserve {
+                kind,
+                slots: cells.saturating_mul(capacity),
+            })
+        };
+        let cells = rows.len() * m;
+        Ok(QueueBand {
+            voq: store("input", cells, cfg.input_capacity)?,
+            xbar: cfg
+                .crossbar_capacity
+                .map(|b| store("crossbar", cells, b))
+                .transpose()?,
+            outputs: store("output", cols.len(), cfg.output_capacity)?,
+            lo: rows.start,
+            m,
             out_lo: cols.start,
             changes: ChangeLog::new(rows.len(), m, cfg.crossbar_capacity.is_some()),
-        }
+        })
     }
 
     /// The global input rows of the band.
     #[inline]
     pub(crate) fn rows(&self) -> Range<usize> {
-        self.voq.rows()
+        self.lo..self.lo + self.voq.cells() / self.m
     }
 
     /// The global outputs of the band.
     #[inline]
     pub(crate) fn cols(&self) -> Range<usize> {
-        self.out_lo..self.out_lo + self.outputs.len()
+        self.out_lo..self.out_lo + self.outputs.cells()
     }
 
     /// Input queue `Q_ij`, `i` a row of the band.
     #[inline]
-    pub(crate) fn voq(&self, input: PortId, output: PortId) -> &SortedQueue {
-        self.voq.at(input, output)
+    pub(crate) fn voq(&self, input: PortId, output: PortId) -> QueueRef<'_> {
+        self.voq.get(self.cell(input, output))
     }
 
     /// Crossbar queue `C_ij`, `i` a row of the band; panics on a plain CIOQ
     /// switch (policies for the wrong fabric are a programming error,
     /// caught loudly).
     #[inline]
-    pub(crate) fn xbar(&self, input: PortId, output: PortId) -> &SortedQueue {
+    pub(crate) fn xbar(&self, input: PortId, output: PortId) -> QueueRef<'_> {
         self.xbar
             .as_ref()
             .expect("crossbar queue requested on a CIOQ switch")
-            .at(input, output)
+            .get(self.cell(input, output))
     }
 
     /// Output queue `Q_j`, `j` an output of the band.
     #[inline]
-    pub(crate) fn output(&self, output: PortId) -> &SortedQueue {
-        debug_assert!(self.cols().contains(&output.index()), "output outside band");
-        &self.outputs[output.index() - self.out_lo]
+    pub(crate) fn output(&self, output: PortId) -> QueueRef<'_> {
+        self.outputs.get(self.out_cell(output))
     }
 
     /// The band's change log.
@@ -137,52 +167,46 @@ impl QueueBand {
         self.changes.flush();
     }
 
-    /// The band-local flat cell of `(i, j)`.
+    /// The band-local cell of `(i, j)`.
     #[inline]
     fn cell(&self, input: PortId, output: PortId) -> usize {
         debug_assert!(self.rows().contains(&input.index()), "row outside band");
-        (input.index() - self.voq.rows().start) * self.voq.n_outputs() + output.index()
+        debug_assert!(output.index() < self.m);
+        (input.index() - self.lo) * self.m + output.index()
     }
 
-    /// Mark input queue `Q_ij` dirty.
+    /// The band-local cell of `Q_j`.
     #[inline]
-    fn note_voq(&mut self, input: PortId, output: PortId) {
-        let cell = self.cell(input, output);
-        self.changes.voq.mark(cell);
-    }
-
-    /// Mark crossbar queue `C_ij` dirty.
-    #[inline]
-    fn note_xbar(&mut self, input: PortId, output: PortId) {
-        let cell = self.cell(input, output);
-        self.changes.xbar.mark(cell);
+    fn out_cell(&self, output: PortId) -> usize {
+        debug_assert!(self.cols().contains(&output.index()), "output outside band");
+        output.index() - self.out_lo
     }
 
     #[inline]
-    fn xbar_mut(&mut self, input: PortId, output: PortId) -> &mut SortedQueue {
+    fn xbar_mut(&mut self, cell: usize) -> QueueMut<'_> {
         self.xbar
             .as_mut()
             .expect("invariant: crossbar queues exist, asserted at run entry")
-            .at_mut(input, output)
+            .get_mut(cell)
     }
 
-    /// Every queue of the band: `Q_ij`, then `C_ij`, then `Q_j`.
-    fn queues(&self) -> impl Iterator<Item = &SortedQueue> {
-        let grids = std::iter::once(&self.voq).chain(&self.xbar);
-        grids
-            .flat_map(|g| g.iter().map(|(_, _, q)| q))
-            .chain(&self.outputs)
+    /// Every store of the band: `Q_ij`, then `C_ij`, then `Q_j`.
+    fn stores(&self) -> impl Iterator<Item = &QueueStore> {
+        std::iter::once(&self.voq)
+            .chain(&self.xbar)
+            .chain([&self.outputs])
     }
 
-    /// Packets buffered in the band's queues — lengths only, so the drain
-    /// loop's per-slot "anything left?" never walks a queue's packets.
+    /// Packets buffered in the band's queues — each store's live slots,
+    /// O(1), so the drain loop's per-slot "anything left?" never walks a
+    /// queue.
     pub(crate) fn residual_count(&self) -> u64 {
-        self.queues().map(|q| q.len() as u64).sum()
+        self.stores().map(|s| s.live() as u64).sum()
     }
 
     /// Value buffered in the band's queues.
     pub(crate) fn residual_value(&self) -> u128 {
-        self.queues().map(SortedQueue::total_value).sum()
+        self.stores().map(QueueStore::total_value).sum()
     }
 
     // The per-packet rules from here to `transmit` are `#[inline(always)]`:
@@ -201,10 +225,11 @@ impl QueueBand {
         decision: Admission,
         p: &Packet,
     ) -> Result<(), PolicyError> {
+        let cell = self.cell(p.input, p.output);
         if !matches!(decision, Admission::Reject) {
-            self.note_voq(p.input, p.output);
+            self.changes.voq.mark(cell);
         }
-        mechanics::admit(self.voq.at_mut(p.input, p.output), stats, decision, p)
+        mechanics::admit(self.voq.get_mut(cell), stats, decision, p)
     }
 
     /// Pop the packet a transfer designates out of its source queue —
@@ -219,14 +244,15 @@ impl QueueBand {
         pick: PacketPick,
         preempt: bool,
     ) -> Result<InFlightPacket, PolicyError> {
+        let cell = self.cell(input, output);
         let queue = match kind {
             QueueKind::Crossbar => {
-                self.note_xbar(input, output);
-                self.xbar_mut(input, output)
+                self.changes.xbar.mark(cell);
+                self.xbar_mut(cell)
             }
             _ => {
-                self.note_voq(input, output);
-                self.voq.at_mut(input, output)
+                self.changes.voq.mark(cell);
+                self.voq.get_mut(cell)
             }
         };
         let packet = mechanics::pop(queue, pick, kind, Some(input), output)?;
@@ -263,9 +289,9 @@ impl QueueBand {
     ) -> Result<(), PolicyError> {
         let pair = (t.input, t.output);
         let p = self.pop(QueueKind::Input, pair, t.pick, t.preempt_if_full)?;
-        self.note_xbar(t.input, t.output);
-        let queue = self.xbar_mut(t.input, t.output);
-        mechanics::land(queue, stats, QueueKind::Crossbar, faulted, p)
+        let cell = self.cell(t.input, t.output);
+        self.changes.xbar.mark(cell);
+        mechanics::land(self.xbar_mut(cell), stats, QueueKind::Crossbar, faulted, p)
     }
 
     /// Insert a packet that has crossed the fabric into `Q_j` — the single
@@ -278,7 +304,7 @@ impl QueueBand {
         faulted: bool,
         p: InFlightPacket,
     ) -> Result<(), PolicyError> {
-        let queue = &mut self.outputs[p.output as usize - self.out_lo];
+        let queue = self.outputs.get_mut(p.output as usize - self.out_lo);
         mechanics::land(queue, stats, QueueKind::Output, faulted, p)
     }
 
@@ -293,84 +319,92 @@ impl QueueBand {
         output: PortId,
         pick: PacketPick,
     ) -> Result<(), PolicyError> {
-        let queue = &mut self.outputs[output.index() - self.out_lo];
+        let queue = self.outputs.get_mut(output.index() - self.out_lo);
         let packet = mechanics::pop(queue, pick, QueueKind::Output, None, output)?;
         stats.on_transmit(&packet, slot, output.index());
         Ok(())
     }
 
     /// Append the band's checkpoint cells — each queue's packets head
-    /// first, as `SortedQueue::iter` yields them — to `snap`'s queue lists. Bands visited in ascending
-    /// order yield the checkpoint layout: row-major `Q_ij` / `C_ij` cells,
-    /// ascending outputs.
+    /// first, as [`QueueRef::iter`] yields them — to `snap`'s queue lists.
+    /// Bands visited in ascending order yield the checkpoint layout:
+    /// row-major `Q_ij` / `C_ij` cells, ascending outputs.
     pub(crate) fn cells_out(&self, snap: &mut EngineSnapshot) {
-        let cell = |q: &SortedQueue| q.iter().copied().collect::<Vec<Packet>>();
-        let cells = self.voq.iter().map(|(_, _, q)| cell(q));
-        snap.input_queues.extend(cells);
+        fn cells(s: &QueueStore) -> impl Iterator<Item = Vec<Packet>> + '_ {
+            s.iter().map(|q| q.iter().copied().collect())
+        }
+        snap.input_queues.extend(cells(&self.voq));
         if let Some(xbar) = &self.xbar {
             let list = snap.crossbar_queues.get_or_insert_with(Vec::new);
-            list.extend(xbar.iter().map(|(_, _, q)| cell(q)));
+            list.extend(cells(xbar));
         }
-        snap.output_queues.extend(self.outputs.iter().map(cell));
+        snap.output_queues.extend(cells(&self.outputs));
     }
 
     /// Refill the (fresh) band from the cells of `snap` that lie in it. The
-    /// caller has checked that `snap`'s queue layout is the switch's.
+    /// caller has checked that `snap`'s queue layout is the switch's. Slots
+    /// and handles are numbered afresh; only content crosses a checkpoint.
     pub(crate) fn refill(&mut self, snap: &EngineSnapshot) -> Result<(), SnapshotError> {
-        let (m, cols) = (self.voq.n_outputs(), self.cols());
-        let grids = [
-            (Some(&mut self.voq), Some(&snap.input_queues)),
-            (self.xbar.as_mut(), snap.crossbar_queues.as_ref()),
-        ];
-        let grid_cells = grids
-            .into_iter()
-            .filter_map(|(grid, cells)| grid.zip(cells))
-            .flat_map(|(grid, cells)| grid.iter_mut().map(|(i, j, q)| (q, &cells[i * m + j])));
-        let outputs = self.outputs.iter_mut().zip(&snap.output_queues[cols]);
-        for (queue, cell) in grid_cells.chain(outputs) {
-            if cell.iter().any(|p| queue.insert(*p).is_err()) {
-                let msg = "serialized queue exceeds its capacity";
-                return Err(SnapshotError::Format(msg.into()));
-            }
+        let (rows, cols) = (
+            self.lo * self.m..self.lo * self.m + self.voq.cells(),
+            self.cols(),
+        );
+        let mut filled = fill(&mut self.voq, 0, snap.input_queues[rows.clone()].iter());
+        if let (Some(xbar), Some(cells)) = (&mut self.xbar, &snap.crossbar_queues) {
+            filled &= fill(xbar, 0, cells[rows].iter());
         }
-        Ok(())
+        filled &= fill(&mut self.outputs, 0, snap.output_queues[cols].iter());
+        let msg = "serialized queue exceeds its capacity";
+        filled
+            .then_some(())
+            .ok_or(SnapshotError::Format(msg.into()))
     }
 
-    /// Overwrite the cells of this band that `part` covers with `part`'s.
+    /// Put the packets of `part`'s cells into this (empty) band's same
+    /// cells.
     fn copy_in(&mut self, part: &QueueBand) {
-        for (i, j, q) in part.voq.iter() {
-            self.voq.get_mut(i, j).clone_from(q);
-        }
+        let at = (part.lo - self.lo) * self.m;
+        let mut filled = fill(&mut self.voq, at, part.voq.iter().map(|q| q.iter()));
         if let (Some(whole), Some(xbar)) = (&mut self.xbar, &part.xbar) {
-            for (i, j, q) in xbar.iter() {
-                whole.get_mut(i, j).clone_from(q);
-            }
+            filled &= fill(whole, at, xbar.iter().map(|q| q.iter()));
         }
         let at = part.out_lo - self.out_lo;
-        self.outputs[at..at + part.outputs.len()].clone_from_slice(&part.outputs);
+        filled &= fill(&mut self.outputs, at, part.outputs.iter().map(|q| q.iter()));
+        assert!(filled, "a band's queues fit the switch's");
     }
 
-    /// Verify every queue of the band: within capacity and correctly sorted
-    /// (value descending, id ascending — assumption A3). Returns a
-    /// description of the first violation.
+    /// Verify every store of the band: each queue within capacity and
+    /// correctly sorted (value descending, id ascending — assumption A3),
+    /// and each slab conserved. Returns a description of the first
+    /// violation.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
-        for (i, j, q) in self.voq.iter() {
-            if !q.check_invariants() {
-                return Err(format!("input queue Q[{i}][{j}] violates invariants"));
-            }
+        let named = [("input", Some(&self.voq)), ("crossbar", self.xbar.as_ref())];
+        for (kind, store) in named.into_iter().filter_map(|(k, s)| Some((k, s?))) {
+            store.check_invariants().map_err(|e| {
+                format!(
+                    "{kind} queues of rows {:?} (cells row-major): {e}",
+                    self.rows()
+                )
+            })?;
         }
-        for (i, j, q) in self.xbar.iter().flat_map(Grid::iter) {
-            if !q.check_invariants() {
-                return Err(format!("crossbar queue C[{i}][{j}] violates invariants"));
-            }
-        }
-        for (j, q) in self.cols().zip(&self.outputs) {
-            if !q.check_invariants() {
-                return Err(format!("output queue Q[{j}] violates invariants"));
-            }
-        }
-        Ok(())
+        let cols = self.cols();
+        self.outputs
+            .check_invariants()
+            .map_err(|e| format!("output queues {cols:?}: {e}"))
     }
+}
+
+/// Insert each of `cells`' packets into the cell of `store` it lines up
+/// with, from cell `at` on, in order; whether every packet fit.
+fn fill<'p, C: IntoIterator<Item = &'p Packet>>(
+    store: &mut QueueStore,
+    at: usize,
+    cells: impl Iterator<Item = C>,
+) -> bool {
+    cells.enumerate().all(|(c, cell)| {
+        let mut queue = store.get_mut(at + c);
+        cell.into_iter().all(|p| queue.insert(*p).is_ok())
+    })
 }
 
 /// The complete mutable state of one simulated switch: the band `0..N` /
@@ -391,18 +425,26 @@ pub struct SwitchState {
 }
 
 impl SwitchState {
-    /// Fresh, empty switch in the given configuration.
+    /// Fresh, empty switch in the given configuration. Panics if its
+    /// queue stores cannot be reserved.
     pub fn new(config: SwitchConfig) -> Self {
-        let band = QueueBand::new(&config, 0..config.n_inputs, 0..config.n_outputs);
+        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fresh, empty switch in the given configuration, or the
+    /// [`ConfigError::QueueReserve`] of a queue store the host could not
+    /// reserve.
+    pub(crate) fn try_new(config: SwitchConfig) -> Result<Self, ConfigError> {
+        let band = QueueBand::try_new(&config, 0..config.n_inputs, 0..config.n_outputs)?;
         let mut outputs = OutputSnapshot::default();
         let empty = DelayCalendar::with_reserve(0, 0);
         outputs.refresh(config.n_outputs, &empty, None, |visit| visit(&band));
-        SwitchState {
+        Ok(SwitchState {
             config,
             band,
             slot: 0,
             outputs,
-        }
+        })
     }
 
     /// The switch at `slot` whose queues are `bands`' — disjoint bands that
@@ -529,7 +571,7 @@ impl<'a> SwitchView<'a> {
 
     /// Input queue `Q_ij`, `i` a row of the band.
     #[inline]
-    pub fn input_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
+    pub fn input_queue(&self, input: PortId, output: PortId) -> QueueRef<'a> {
         self.band.voq(input, output)
     }
 
@@ -537,7 +579,7 @@ impl<'a> SwitchView<'a> {
     /// is a plain CIOQ (policies for the wrong fabric are a programming
     /// error, caught loudly).
     #[inline]
-    pub fn crossbar_queue(&self, input: PortId, output: PortId) -> &'a SortedQueue {
+    pub fn crossbar_queue(&self, input: PortId, output: PortId) -> QueueRef<'a> {
         self.band.xbar(input, output)
     }
 
@@ -554,7 +596,7 @@ impl<'a> SwitchView<'a> {
     /// [`SwitchView::output_tail_value`]), which also count packets in
     /// flight.
     #[inline]
-    pub fn output_queue(&self, output: PortId) -> &'a SortedQueue {
+    pub fn output_queue(&self, output: PortId) -> QueueRef<'a> {
         self.band.output(output)
     }
 

@@ -54,7 +54,7 @@ use crate::fault::FaultRuntime;
 use crate::policy::PolicyError;
 use crate::state::QueueBand;
 use cioq_model::{Packet, PortId, SlotId, SwitchConfig, Topology, Value};
-use cioq_queues::SortedQueue;
+use cioq_queues::QueueRef;
 use std::sync::Arc;
 
 /// Description of a fabric transport: either one uniform latency or a
@@ -360,7 +360,7 @@ impl OutputSnapshot {
     /// Least value of the virtual queue at output `j` whose landed part is
     /// `landed` — the landed tail or the least value in flight, whichever
     /// is smaller; `None` when both are empty.
-    pub(crate) fn tail_value(&self, j: usize, landed: &SortedQueue) -> Option<Value> {
+    pub(crate) fn tail_value(&self, j: usize, landed: QueueRef<'_>) -> Option<Value> {
         let flying = (self.in_flight[j] > 0).then_some(self.in_flight_min[j]);
         match (landed.tail_value(), flying) {
             (Some(a), Some(b)) => Some(a.min(b)),
