@@ -151,13 +151,13 @@ impl CioqPolicy for GreedyMatching {
     }
 }
 
-/// [`GreedyMatching`] as the sharded engine's policy (lexicographic edge
+/// [`GreedyMatching`] as a partitioned policy (lexicographic edge
 /// order only): the object is the factory and the merger, and every
 /// shard's worker is a fresh copy of it.
 ///
 /// Proposal: each worker repairs its band of the incremental edge graph.
 /// Shard 0's rows come first in lexicographic order, so nothing can take a
-/// column before them: its worker runs the sequential policy's matching
+/// column before them: its worker runs the whole-switch policy's matching
 /// over its own head graph in place, from `!full_words`, and publishes the
 /// outcome — its taken-or-full mask, then its pairs `(i << 32) | j` in row
 /// order (see [`CandidateSet`]). Every other worker publishes its rows'
@@ -165,7 +165,7 @@ impl CioqPolicy for GreedyMatching {
 /// matches. Merge: `free` starts as the complement of shard 0's mask,
 /// shard 0's pairs are emitted, and the lexicographic greedy continues
 /// with its row step, [`claim_first_free`], per published row in
-/// ascending order over `row & free`. One kernel in both engines, in
+/// ascending order over `row & free`. One kernel in both roles, in
 /// O(N·M/64) word operations per cycle; at K = 1 the merge only copies
 /// shard 0's pairs out.
 pub type ShardedGm = GreedyMatching;

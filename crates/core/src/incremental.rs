@@ -15,19 +15,22 @@
 //!
 //! Every band graph covers a *band*: a contiguous range of input rows
 //! ([`RowView`]) or, for the crossbar policies' output side, the columns
-//! `0..M` ([`dirty_cols`]). Both engines hand policies one view type,
-//! [`SwitchView`]: the sequential engine's is the band `0..N` of the whole
-//! switch, a shard's in the sharded engine its own rows. GM runs the same
-//! code over either, so a K-shard switch splits the per-cycle O(changes)
-//! repair K ways and "sequential" is just K = 1 over the full band. PG and
-//! the crossbar policies run on the sequential engine only, so PG's head
-//! graph always covers every row and their column graphs every column.
+//! `0..M` ([`dirty_cols`]). Policies read one view type, [`SwitchView`]:
+//! the engine's covers every row, and a partitioned scheduler's worker
+//! reads it restricted to its shard's rows. GM runs the same code over
+//! either, so a K-shard GM splits the per-cycle O(changes) repair K ways
+//! and the whole switch is just K = 1. The switch keeps one change log
+//! over global cells; [`RowView::dirty_rows`] keeps the band's own cells
+//! and rebases them to its first row. PG and the crossbar policies always
+//! read the whole switch, so PG's head graph covers every row and their
+//! column graphs every column.
 //!
 //! ## The consistency handshake
 //!
-//! The engine flushes a band's change log after every scheduling call that
-//! reads it, so the log a graph sees at call `k` holds exactly the queues
-//! dirtied since its call `k − 1` — provided it consumed every previous
+//! The engine flushes the change log after every scheduling call that
+//! reads it — once per call, however many shards' workers read it within
+//! the call — so the log a graph sees at call `k` holds exactly the queues
+//! dirtied since its call `k − 1`, provided it consumed every previous
 //! flush. Each band graph records the band it covers, the width of its
 //! lines and the flush count it expects next ([`Handshake`]); on any
 //! mismatch (first call, policy reused across runs, resized switch) it
@@ -61,19 +64,25 @@ pub(crate) trait RowView {
     fn voq(&self, i: usize, j: usize) -> QueueRef<'_>;
     /// Crossbar queue `C_ij`, `i` a global row of the band.
     fn xbar(&self, i: usize, j: usize) -> QueueRef<'_>;
-    /// The band's change log, over band-local cells `(i − rows.start)·M + j`.
+    /// The switch's change log, over global cells `i·M + j`.
     fn log(&self) -> &ChangeLog;
 
     /// What a row-side band graph consumes: every cell of the band with a
-    /// dirtied `Q_ij` or `C_ij`, as `(band-local row, j)`.
+    /// dirtied `Q_ij` or `C_ij`, as `(band-local row, j)`. The log covers
+    /// every row, so the cells outside `rows.start·M .. rows.end·M` are
+    /// skipped: one compare on the rebased cell, before the division.
     fn dirty_rows(&self) -> Dirty<impl Iterator<Item = (usize, usize)>> {
-        let (m, log) = (self.n_outputs(), self.log());
+        let (m, log, rows) = (self.n_outputs(), self.log(), self.rows());
+        let (first, len) = (rows.start * m, rows.len() * m);
         let cells = log.dirty_voqs().iter().chain(log.dirty_xbars());
         Dirty {
-            band: self.rows(),
+            band: rows,
             width: m,
             flush: log.flush_count(),
-            cells: cells.map(move |&cell| (cell as usize / m, cell as usize % m)),
+            cells: cells.filter_map(move |&cell| {
+                let local = (cell as usize).wrapping_sub(first);
+                (local < len).then(|| (local / m, local % m))
+            }),
         }
     }
 }
@@ -89,8 +98,8 @@ pub(crate) struct Dirty<I> {
     pub(crate) cells: I,
 }
 
-/// Both engines' view, as a band of rows: the whole switch under the
-/// sequential engine, a shard's own rows under the sharded one.
+/// The engine's view as a band of rows: every row, or a shard's own rows
+/// once restricted.
 impl RowView for SwitchView<'_> {
     fn rows(&self) -> Range<usize> {
         self.input_range()

@@ -15,16 +15,14 @@
 //! policies (Kesselman–Rosén), iSLIP, and ablated variants of PG/CPG.
 //!
 //! Each paper policy exists once. [`GreedyMatching`] implements the
-//! sequential [`cioq_sim::CioqPolicy`] trait over the whole switch *and*
-//! the per-shard worker trait over one band of it; [`ShardedGm`] is the
-//! factory that hands the sharded engine one fresh worker per shard plus
-//! the deterministic merge. [`PreemptiveGreedy`] matches in one global
-//! weight order, which a merge would have to run whole while the other
-//! shards wait, so it runs on the sequential engine only, as
-//! [`CrossbarGreedyUnit`] and
-//! [`CrossbarPreemptiveGreedy`] do: they implement
-//! [`cioq_sim::CrossbarPolicy`] for the sequential engine, the only one
-//! that runs a buffered crossbar. None of them allocates per cycle after
+//! [`cioq_sim::CioqPolicy`] trait over the whole switch *and* the
+//! per-shard worker trait over one shard's rows of it; [`ShardedGm`] is
+//! the factory that hands `run_cioq_sharded` one fresh worker per shard
+//! plus the deterministic merge. [`PreemptiveGreedy`] matches in one
+//! global weight order, which a merge would have to run whole while the
+//! other shards wait, so it schedules the whole switch only, as
+//! [`CrossbarGreedyUnit`] and [`CrossbarPreemptiveGreedy`] do: they
+//! implement [`cioq_sim::CrossbarPolicy`]. None of them allocates per cycle after
 //! warm-up.
 //!
 //! Every policy maintains its per-cycle scheduling structures

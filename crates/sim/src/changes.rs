@@ -65,11 +65,11 @@ impl DirtySet {
 
 /// The set of queues dirtied since the last flush, grouped by queue family.
 ///
-/// VOQ and crossbar indices are flat row-major cells `i * n_outputs + j`
-/// of the band of input rows the log covers (`i` band-local: the whole
-/// switch under the sequential engine, a shard's rows under the sharded
-/// one). Output queues are not logged: every policy re-reads output
-/// occupancy each cycle.
+/// VOQ and crossbar indices are the switch's flat row-major cells
+/// `i * n_outputs + j`, `i` a global row: one log covers every row, and a
+/// view restricted to a shard's rows hands the whole of it (incremental
+/// policies keep their own rows' cells). Output queues are not logged:
+/// every policy re-reads output occupancy each cycle.
 #[derive(Debug, Clone, Default)]
 pub struct ChangeLog {
     pub(crate) voq: DirtySet,

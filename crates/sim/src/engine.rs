@@ -11,15 +11,13 @@
 //! private [`Arch`] trait, the only place that knows which architecture is
 //! running, whose two impls wrap a [`CioqPolicy`] and a [`CrossbarPolicy`].
 //! The queues, and every rule that moves a packet into or out of one, are
-//! the [`SwitchState`]'s `QueueBand` — the object a shard of the sharded
-//! engine holds for its own rows and columns — so each rule exists once for
-//! both engines; so is the delay line, one [`DelayCalendar`] per engine,
-//! sized by the same bound and landed by [`transport::land`]; so are the
-//! books, one [`StatsRecorder`] per engine; and so is what policies read
-//! of the output side, an [`OutputSnapshot`](crate::OutputSnapshot)
-//! refreshed at the top of every scheduling cycle by the one
-//! `OutputSnapshot::refresh`. What stays here is what only this engine
-//! has: the fault layer, the stats window, and `?` as error transport.
+//! the [`SwitchState`]'s `QueueBand`; beside it the engine holds the delay
+//! line, one [`DelayCalendar`] landed by [`transport::land`], the books,
+//! one [`StatsRecorder`], the fault layer and the stats window, and hands
+//! policies the output side as an [`OutputSnapshot`](crate::OutputSnapshot)
+//! refreshed at the top of every scheduling cycle. This is the only slot
+//! loop: a scheduler that splits a cycle into per-shard proposals and a
+//! merge (`run_cioq_sharded`) is a [`CioqPolicy`] adapter that runs on it.
 
 use crate::fault::{FaultKind, FaultPlan, FaultRuntime};
 use crate::invariants::{check_conservation, check_state_invariants};
@@ -176,13 +174,9 @@ fn max_retransmit_cap(faults: Option<&FaultPlan>) -> usize {
 /// into the same landing slot. A CIOQ cycle is a matching, at most
 /// `min(N, M)` transfers; a crossbar's output subphase is not: every
 /// output may take a packet, so up to `M`. An immediate fabric (`horizon`
-/// 0) never puts a packet on the calendar, so it reserves nothing. Both
-/// engines size their calendar and landing gather by it.
-pub(crate) fn per_bucket_bound(
-    config: &SwitchConfig,
-    horizon: SlotId,
-    faults: Option<&FaultPlan>,
-) -> usize {
+/// 0) never puts a packet on the calendar, so it reserves nothing. The
+/// engine sizes its calendar and landing gather by it.
+fn per_bucket_bound(config: &SwitchConfig, horizon: SlotId, faults: Option<&FaultPlan>) -> usize {
     if horizon == 0 {
         return 0;
     }
@@ -416,8 +410,7 @@ impl Engine {
     }
 
     /// Like [`Engine::run_cioq`], additionally returning the final switch
-    /// state (equivalence tests compare it queue for queue against the
-    /// sharded engine's).
+    /// state (equivalence tests compare it queue for queue).
     pub fn run_cioq_capturing<P: CioqPolicy + ?Sized>(
         self,
         policy: &mut P,
@@ -523,8 +516,7 @@ impl Engine {
             for s in 0..speedup {
                 // What the cycle's policy calls read of the output side.
                 let (outputs, band) = (&mut self.state.outputs, &self.state.band);
-                let (cal, faults) = (&self.calendar, self.faults.as_ref());
-                outputs.refresh(n_outputs, cal, faults, |visit| visit(band));
+                outputs.refresh(band, &self.calendar, self.faults.as_ref());
                 arch.cycle(&mut self, Cycle { slot, index: s })?;
                 self.post_phase_check();
             }
@@ -736,7 +728,7 @@ impl Engine {
     }
 
     /// Packets and value still buffered: the queues plus everything in
-    /// flight — what `Fabric::residual` counts in the sharded engine.
+    /// flight.
     fn residual(&self) -> (u64, u128) {
         let band = &self.state.band;
         let (mut count, mut value) = (band.residual_count(), band.residual_value());

@@ -2,7 +2,7 @@
 //!
 //! The static pass (`cargo run -p cioq-analysis`) proves the *sources* of
 //! nondeterminism are absent; this module audits the *consequences* while
-//! a run executes. Both engines call [`audit`](self) hooks at every slot
+//! a run executes. The engine calls [`audit`](self) hooks at every slot
 //! boundary in debug builds (`cfg!(debug_assertions)` — the checks and
 //! their O(state) scans compile out of release binaries), so every
 //! existing lockstep/equivalence suite exercises the auditor for free:
@@ -12,15 +12,14 @@
 //!    through the fabric), and likewise for value. The end-of-run
 //!    [`RunReport::check_conservation`](crate::RunReport::check_conservation)
 //!    is this check applied once; auditing per slot localizes a leak to
-//!    the slot that caused it. Both engines count what is in flight by
-//!    walking the delay line itself (and, sequentially, the fault layer's
-//!    retransmit FIFOs), so a packet lost or duplicated on the wire shows
-//!    here.
+//!    the slot that caused it. The engine counts what is in flight by
+//!    walking the delay line itself (and the fault layer's retransmit
+//!    FIFOs), so a packet lost or duplicated on the wire shows here.
 //! 2. **Canonical landing order** — the landing phase applies fabric
 //!    deliveries in strictly increasing
 //!    `(dispatch slot, dispatch cycle, output, input)` order, the order
-//!    that makes delayed and sharded runs bit-identical to sequential
-//!    ones.
+//!    that makes delayed and partitioned runs bit-identical to
+//!    whole-switch ones.
 //! 3. **Schedule validity** — a recorded transcript matches each input
 //!    and output port at most once per cycle (the crossbar subphases
 //!    constrain only their own side), with all ports in range.
@@ -107,8 +106,7 @@ pub fn check_restored_residual(restored: (u64, u128), snap: &EngineSnapshot) -> 
 /// These invariants are maintained by construction (each
 /// `cioq_queues::QueueStore` enforces them); this whole-state check exists
 /// so tests and the engine's `validate` mode can prove it after every
-/// phase. The sharded engine runs the same check on each shard's band
-/// where it lies.
+/// phase.
 pub fn check_state_invariants(state: &SwitchState) -> Result<(), String> {
     state.band.check_invariants()
 }

@@ -1,16 +1,14 @@
 //! The per-packet rules of §1.3, each written once.
 //!
-//! The sequential engine ([`crate::engine`]) and the sharded engine
-//! ([`crate::shard`]) differ in who owns a queue; they do not differ in
-//! what happens to a packet. This module is
-//! the single home of each such rule: applying an [`Admission`] to a VOQ,
+//! This module is the single home of each rule of what happens to a
+//! packet: applying an [`Admission`] to a VOQ,
 //! landing a packet in a bounded queue, popping by [`PacketPick`],
 //! checking a transfer set's ports, closing a run's books. Every function
 //! takes the queue and the stats it touches and nothing that identifies its
 //! caller. The three queue rules are called from
 //! [`QueueBand`](crate::state::QueueBand) only, which finds the queue by
-//! its global ports and marks the cell it dirties; error transport (`?`
-//! in both) stays with the engines.
+//! its global ports and marks the cell it dirties; error transport (`?`)
+//! stays with the engine.
 
 use crate::policy::{Admission, PacketPick, PolicyError};
 use crate::state::QueueKind;

@@ -1,92 +1,35 @@
-//! Sharded slot engine for CIOQ switches: the N ports split into K
-//! contiguous shards, each scheduling cycle takes one proposal per shard
-//! and one deterministic merge, and the whole slot runs on the calling
-//! thread. GM is one lexicographic greedy
-//! over the whole switch, so the work between two merges is a few
-//! microseconds: too little, at the port counts this engine runs, to pay
-//! for handing a phase to another thread. Buffered crossbars run on the
-//! sequential [`Engine`] only: their policies decide each port on its own,
-//! with no matching, so a cycle has too little work to split. So does PG:
-//! its matching is one global weight order, which a merge would run whole
-//! while the other shards wait.
+//! Partitioned GM: a CIOQ scheduler that splits each cycle into K
+//! proposals and one merge, run on the one slot loop, [`Engine`].
 //!
-//! ## Ownership model
-//!
-//! Shard `s` owns a contiguous band of input rows and a contiguous band of
-//! output columns (see [`Partition`]) — one `QueueBand`, the very type the
-//! sequential engine holds for the band `0..N` / `0..M`. Every queue has
-//! exactly one owning shard and **all mutation goes through the owner's
-//! band**, whose methods are the per-packet rules of both engines:
-//!
-//! * `Q_ij` (VOQs) belong to the owner of input row `i` — arrivals insert
-//!   there, scheduling pops there.
-//! * `Q_j` (output queues) belong to the owner of output column `j` —
-//!   fabric transfers insert there, transmission pops there.
-//!
-//! What makes this a phase engine is the proposal: each shard's worker
-//! proposes over its own band and change log, and the policy's merge
-//! combines the K proposals into the cycle's one transfer set. Every other
-//! phase is one pass that routes each item to its owner's band: the
-//! opening phase lands the due bucket of the delay line into the output
-//! owners' bands and admits each arrival through its input owner's
-//! worker; the pop phase pops each transfer from its input owner's band
-//! and delivers it at once into its output owner's band when its pair is
-//! at latency 0, as the sequential engine does, or dispatches it onto the
-//! delay line otherwise. A policy error returns through `?`, as in the
-//! sequential engine.
-//!
-//! ## Bit-identity
-//!
-//! The sharded engine is **bit-identical** to the sequential [`Engine`]
-//! (`tests/sharded_equivalence.rs` proves it per cycle): each proposal
-//! reads only its own band, per-shard proposals are combined by a
-//! *deterministic merge* that resolves contended crosspoints in fixed port
-//! order (ascending input: GM's lexicographic greedy), and every routed
-//! phase applies the sequential engine's rules in its order — pops touch
-//! only `Q_ij`, deliveries only `Q_j`, the change log tracks only
-//! `Q_ij`/`C_ij`, and a matching puts at most one packet into each `Q_j`
-//! per cycle. The shard count therefore never changes a single decision.
-//!
-//! ## Where the two engines meet
-//!
-//! `run_cioq_sharded` owns the slot: the preamble (partition, workers,
-//! checkpoint cadence), the opening phase, the scheduling cycles,
-//! transmission, audit and the finish; each phase is a `Fabric` method.
-//! In the opening phase the coordinator pulls the slot's arrivals from the
-//! trace cursor into one pooled batch and validates their ports, then
-//! lands the delay line's due bucket and admits the batch. The two engines
-//! meet in the band: admitting, popping toward the fabric, delivery into
-//! `Q_j`, transmission, residual, checkpoint cells out and in, and the
-//! structural check are `QueueBand` methods both call; a checkpoint is the
-//! shards' cells in shard order, and `assemble_state` the shards' bands
-//! concatenated. They meet in the delay line and the books too: one
-//! `DelayCalendar` each, sized alike, landed by the one `transport::land`
-//! and captured by the one `SnapLanding::pending`, and one
-//! `StatsRecorder`; and in what policies read of the output side: one
-//! [`OutputSnapshot`], refreshed at the top of every scheduling cycle by
-//! the one `OutputSnapshot::refresh` — here over the shards' bands, into
-//! the coordinator's copy that proposals and merges are handed. And they
-//! meet in the view: a policy reads one [`SwitchView`] type in both
-//! engines — over the band `0..N` there, over a shard's band and the
-//! cycle's snapshot here — so one policy object's cache code runs
-//! unchanged under either. Still per-engine: the slot loop itself, the
-//! policy traits (both families take that one view; folding them waits on
-//! one slot loop) and the fault layer, which only the sequential engine
-//! has.
+//! The N input rows split into K contiguous shards ([`Partition`]). A
+//! [`CioqShardPolicy`] is a factory for K workers plus a deterministic
+//! merge. Each arrival is admitted by the worker that owns its input row;
+//! each cycle every worker proposes over its own rows — the engine's view
+//! restricted to them, so `input_range()` is the shard's rows and
+//! `dirty_rows` its share of the one change log — and the merge combines
+//! the K proposals into the cycle's transfer set, resolving contended
+//! outputs in fixed port order. The split is a property of the scheduler,
+//! not of the slot: the crate-private `Partitioned` adapter makes it a
+//! [`CioqPolicy`], and [`run_cioq_sharded`] runs that on the engine, which
+//! lands, admits, pops, transmits, checkpoints, restores and checks as it
+//! does for every policy. GM's merge (`cioq_core::ShardedGm`) continues
+//! the lexicographic greedy across shards, so the shard count never
+//! changes a decision (`tests/sharded_equivalence.rs`). Only GM runs
+//! partitioned: PG's matching is one global weight order, and the crossbar
+//! policies decide each port on its own, with no matching to split.
 //!
 //! [`Engine`]: crate::engine::Engine
 
-use crate::engine::per_bucket_bound;
-use crate::mechanics::{self, PortStamps};
-use crate::policy::{Admission, PacketPick, PolicyError, Transfer};
-use crate::record::RecordedSchedule;
-use crate::snapshot::{EngineSnapshot, SnapLanding};
+use crate::engine::{Engine, RunOptions};
+use crate::policy::{Admission, CioqPolicy, PolicyError, Transfer};
+use crate::record::{RecordedSchedule, Recording};
+use crate::snapshot::EngineSnapshot;
 use crate::source::TraceSource;
-use crate::state::{QueueBand, SwitchState, SwitchView};
-use crate::stats::{RunReport, StatsRecorder};
+use crate::state::{share, SwitchState, SwitchView};
+use crate::stats::RunReport;
 use crate::trace::Trace;
-use crate::transport::{self, DelayCalendar, FabricSpec, Landing, OutputSnapshot};
-use cioq_model::{ConfigError, Cycle, Packet, PortId, SlotId, SwitchConfig, Value};
+use crate::transport::{FabricSpec, OutputSnapshot};
+use cioq_model::{Cycle, Packet, SlotId, SwitchConfig};
 use std::ops::Range;
 
 // ---------------------------------------------------------------------------
@@ -112,9 +55,7 @@ impl Partition {
         let owners = |n: usize| {
             let mut owner = vec![0u16; n];
             for s in 0..k {
-                for o in owner.iter_mut().take((s + 1) * n / k).skip(s * n / k) {
-                    *o = s as u16;
-                }
+                owner[share(s, k, n)].fill(s as u16);
             }
             owner
         };
@@ -136,13 +77,13 @@ impl Partition {
     /// Global input rows owned by shard `s`.
     #[inline]
     pub fn input_range(&self, s: usize) -> Range<usize> {
-        (s * self.n_inputs / self.k)..((s + 1) * self.n_inputs / self.k)
+        share(s, self.k, self.n_inputs)
     }
 
     /// Global output columns owned by shard `s`.
     #[inline]
     pub fn output_range(&self, s: usize) -> Range<usize> {
-        (s * self.n_outputs / self.k)..((s + 1) * self.n_outputs / self.k)
+        share(s, self.k, self.n_outputs)
     }
 
     /// Owner shard of input row `i`.
@@ -163,22 +104,21 @@ impl Partition {
 // ---------------------------------------------------------------------------
 
 /// How the K shards execute within a slot. Both variants run every
-/// shard's phase work on the calling thread, in shard order, with no
-/// thread spawned: a phase is a few microseconds of work at the port
-/// counts the engine runs, less than a hand-off between threads costs.
-/// The enum stays because callers outside the workspace name its
-/// variants; the one-engine facade (ROADMAP item 2) deletes it.
+/// worker on the calling thread, in shard order, with no thread spawned:
+/// a proposal is a few microseconds of work at the port counts GM runs,
+/// less than a hand-off between threads costs. The enum stays because
+/// callers outside the workspace name its variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// The default: the same as [`ExecMode::Inline`].
     #[default]
     Auto,
-    /// Every shard's phase work runs on the calling thread.
+    /// Every worker runs on the calling thread.
     Inline,
 }
 
-/// Options for a sharded run (the sharded analogue of
-/// [`RunOptions`](crate::engine::RunOptions)).
+/// Options for a partitioned run: the [`RunOptions`] the engine runs
+/// under, plus the shard count and what to hand back.
 #[derive(Debug, Clone)]
 pub struct ShardedOptions {
     /// Number of shards K ≥ 1.
@@ -189,41 +129,33 @@ pub struct ShardedOptions {
     /// are pulled from the trace one slot at a time, so nothing past the
     /// window is read, copied or port-checked.
     pub slots: Option<SlotId>,
-    /// Keep running arrival-free slots until drained (as the sequential
-    /// engine does by default).
+    /// Keep running arrival-free slots until drained.
     pub drain: bool,
-    /// Check full structural invariants — every shard's band, where it
-    /// lies — after every slot (slow; meant for tests). On by default in
-    /// debug builds, as [`RunOptions`](crate::engine::RunOptions)' own
-    /// `validate` field is.
+    /// Check full structural invariants after every phase (slow; meant
+    /// for tests), as [`RunOptions`]' own `validate` field does. On by
+    /// default in debug builds.
     pub validate: bool,
     /// Record the full decision transcript (admissions + per-cycle
     /// transfer sets) for equivalence checking.
     pub record: bool,
-    /// Assemble and return the final global [`SwitchState`].
+    /// Return the final [`SwitchState`].
     pub capture_final_state: bool,
     /// Fabric transport: per-pair latencies (the default, uniform 0, is
-    /// the same-cycle fabric). As in the sequential engine, a latency-0
-    /// transfer is delivered at once, whichever shard owns its output, and
-    /// every other one rides the one delay line and lands
-    /// `delay(src, dst)` slots after dispatch.
+    /// the same-cycle fabric).
     pub fabric: FabricSpec,
     /// Take an [`EngineSnapshot`] at the top of every slot `k` with
-    /// `k > 0 && k % n == 0` (before that slot's landings and arrivals),
-    /// byte-compatible with the sequential engine's checkpoints of the
-    /// same run. Collected into [`ShardedOutcome::checkpoints`]. A cadence
-    /// of 0 panics at run start, as the sequential engine refuses it with
-    /// [`ConfigError::ZeroCheckpointCadence`].
+    /// `k > 0 && k % n == 0`, collected into
+    /// [`ShardedOutcome::checkpoints`]. A cadence of 0 panics at run start
+    /// with [`ConfigError::ZeroCheckpointCadence`](cioq_model::ConfigError::ZeroCheckpointCadence)'s
+    /// text.
     pub checkpoint_every: Option<SlotId>,
-    /// Resume from a checkpoint instead of a fresh switch: queue
-    /// contents, in-flight fabric packets and cumulative statistics are
-    /// seeded from the snapshot and the run continues at its slot,
-    /// byte-identical to the uninterrupted run on the same trace. The
-    /// snapshot may come from a sequential or a sharded run (their
-    /// checkpoints are byte-compatible); it must match the run's config
-    /// and [`ShardedOptions::fabric`], and must carry no fault-held
-    /// packets or stats window — the sharded engine has no fault layer
-    /// and keeps full history. Violations panic loudly.
+    /// Resume from a checkpoint instead of a fresh switch, by
+    /// [`Engine::restore`]'s rules: the snapshot must match the run's
+    /// config and [`ShardedOptions::fabric`] and may hold no fault-held
+    /// packets (the run has no fault plan); a stats window it carries is
+    /// adopted. The continuation is byte-identical to the uninterrupted
+    /// run on the same trace. A snapshot restore refuses panics with its
+    /// error.
     pub resume_from: Option<EngineSnapshot>,
 }
 
@@ -246,34 +178,29 @@ impl ShardedOptions {
     }
 }
 
-/// Everything a sharded run produces.
+/// Everything a partitioned run produces.
 #[derive(Debug)]
 pub struct ShardedOutcome {
-    /// The run report — field-for-field equal to the sequential
-    /// engine's on the same input.
+    /// The run report — field-for-field equal to the whole-switch twin's
+    /// on the same input.
     pub report: RunReport,
     /// Decision transcript, when recording was requested.
     pub schedule: Option<RecordedSchedule>,
-    /// Final global switch state, when capture was requested.
+    /// Final switch state, when capture was requested.
     pub final_state: Option<SwitchState>,
     /// Snapshots taken at every `checkpoint_every` boundary, in slot
-    /// order — byte-compatible with the sequential engine's.
+    /// order.
     pub checkpoints: Vec<EngineSnapshot>,
 }
 
 // ---------------------------------------------------------------------------
-// Views
-// ---------------------------------------------------------------------------
-
-/// A shard's view: the one [`SwitchView`] both engines hand policies, over
-/// the shard's own band (its rows, its output columns, its change log) and
-/// the cycle's output snapshot. An alias, not a type: callers outside the
-/// workspace import the name.
-pub type ShardView<'a> = SwitchView<'a>;
-
-// ---------------------------------------------------------------------------
 // Policy traits
 // ---------------------------------------------------------------------------
+
+/// A shard's view: the engine's [`SwitchView`] restricted to the shard's
+/// rows. An alias, not a type: callers outside the workspace import the
+/// name.
+pub type ShardView<'a> = SwitchView<'a>;
 
 /// A shard's per-cycle proposal payload: a policy-defined auxiliary word
 /// array. GM's has two layouts. Shard 0 matches its own rows in place and
@@ -323,11 +250,11 @@ pub struct MergeContext<'a> {
     pub candidates: &'a [CandidateSet],
 }
 
-/// A CIOQ policy that can run sharded: a factory for per-shard workers plus
-/// the deterministic merge combining their proposals into the global
+/// A CIOQ policy that can run partitioned: a factory for per-shard workers
+/// plus the deterministic merge combining their proposals into the global
 /// matching.
 pub trait CioqShardPolicy: Sync {
-    /// Policy name (must match the sequential twin so reports compare
+    /// Policy name (must match the whole-switch twin so reports compare
     /// equal).
     fn name(&self) -> &str;
 
@@ -342,23 +269,20 @@ pub trait CioqShardPolicy: Sync {
 
     /// Deterministically combine per-shard candidates into the cycle's
     /// matching, resolving contended ports in fixed port order. Must append
-    /// transfers in the exact order the sequential policy would: the pop
-    /// phase pops them from `out` in that order.
+    /// transfers in the exact order the whole-switch policy would: the
+    /// engine pops them from `out` in that order.
     fn merge(&self, ctx: &MergeContext<'_>, scratch: &mut MergeScratch, out: &mut Vec<Transfer>);
 }
 
 /// The per-shard worker half of a [`CioqShardPolicy`]. Every call gets the
-/// shard's [`SwitchView`]: the type the sequential policies read, over the
-/// shard's own band.
+/// engine's [`SwitchView`] restricted to the shard's rows.
 pub trait CioqShardWorker: Send {
-    /// Admission for a packet arriving on an owned row (row-local by
-    /// construction: the view only answers for owned rows).
+    /// Admission for a packet arriving on an owned row.
     fn admit(&mut self, shard: &SwitchView<'_>, packet: &Packet) -> Admission;
 
-    /// Propose this shard's candidates for the cycle. Shard-local by
-    /// construction (no whole-fabric view): `shard.changes()` holds
-    /// exactly the owned queues dirtied since the previous proposal, and
-    /// `outputs` is the pre-cycle output snapshot, the same one
+    /// Propose this shard's candidates for the cycle. `shard.changes()` is
+    /// the switch's one log (every row's cells dirtied since the previous
+    /// cycle), and `outputs` is the pre-cycle output snapshot, the same one
     /// `shard.outputs()` reads.
     fn propose(
         &mut self,
@@ -370,503 +294,129 @@ pub trait CioqShardWorker: Send {
 }
 
 // ---------------------------------------------------------------------------
-// The fabric: the shards' bands, the delay line and the books
+// The adapter and the entry point
 // ---------------------------------------------------------------------------
 
-/// The whole fabric: every shard's band, the delay line between them, the
-/// run's books, and what the coordinator and the shards hand each other
-/// per phase.
-struct Fabric<'a> {
-    cfg: &'a SwitchConfig,
+/// A [`CioqShardPolicy`] as a [`CioqPolicy`]: the workers, their pooled
+/// proposals and the merge's scratch for one run.
+pub(crate) struct Partitioned<'p> {
+    policy: &'p dyn CioqShardPolicy,
     partition: Partition,
-    /// The queues, one band per shard: its input rows' `Q_ij`, its output
-    /// columns' `Q_j`, and the change log over them — the same object the
-    /// sequential engine holds for the whole switch.
-    bands: Vec<QueueBand>,
-    /// The current slot's arrivals, whole and in arrival order. The
-    /// coordinator refills it from the trace, or clears it past the
-    /// arrival window; the opening phase admits each packet through its
-    /// input owner.
-    batch: Vec<Packet>,
-    /// Per-shard CIOQ proposal payloads, pooled across cycles.
+    workers: Vec<Box<dyn CioqShardWorker>>,
     candidates: Vec<CandidateSet>,
-    /// The cycle's CIOQ transfer set, in merge order: written by the
-    /// merge, popped by the pop phase.
-    transfers: Vec<Transfer>,
-    /// The delay line, the sequential engine's: every positive-latency
-    /// transfer rides it and lands `delay(src, dst)` slots after dispatch,
-    /// as the slot it is due in opens.
-    calendar: DelayCalendar,
-    /// The landing phase's gather buffer.
-    landing: Vec<Landing>,
-    /// The run statistics.
-    stats: StatsRecorder,
-    /// Recorded admissions, in arrival order (only when recording).
-    admissions: Vec<bool>,
-    /// Per-pair fabric latencies.
-    spec: FabricSpec,
-    /// The cycle's output snapshot, refreshed at its top.
-    snapshot: OutputSnapshot,
-    /// The slot and scheduling cycle being run.
-    now: Cycle,
-    record: bool,
+    scratch: MergeScratch,
 }
 
-impl<'a> Fabric<'a> {
-    fn new(cfg: &'a SwitchConfig, partition: Partition, options: &ShardedOptions) -> Self {
-        let k = partition.k();
-        let bands = (0..k)
-            .map(|s| QueueBand::new(cfg, partition.input_range(s), partition.output_range(s)))
-            .collect();
-        // Reserved as the sequential engine reserves its calendar, so the
-        // slot loop never grows a bucket or the landing gather.
-        let horizon = options.fabric.max_delay();
-        let per_bucket = per_bucket_bound(cfg, horizon, None);
-        Fabric {
-            cfg,
-            partition,
-            bands,
-            batch: Vec::new(),
+impl<'p> Partitioned<'p> {
+    /// `policy` over `k` shards of a `cfg` switch, with fresh workers.
+    pub(crate) fn new(policy: &'p dyn CioqShardPolicy, k: usize, cfg: &SwitchConfig) -> Self {
+        let partition = Partition::new(k, cfg.n_inputs, cfg.n_outputs);
+        let workers = (0..k).map(|s| policy.new_worker(s, &partition, cfg));
+        Partitioned {
+            policy,
+            workers: workers.collect(),
             candidates: (0..k).map(|_| CandidateSet::default()).collect(),
-            // A matching has at most one transfer per port on either side.
-            transfers: Vec::with_capacity(cfg.n_inputs.min(cfg.n_outputs)),
-            calendar: DelayCalendar::with_reserve(horizon, per_bucket),
-            landing: Vec::with_capacity(per_bucket),
-            stats: StatsRecorder::new(cfg.n_outputs),
-            admissions: Vec::new(),
-            spec: options.fabric.clone(),
-            snapshot: OutputSnapshot::default(),
-            now: Cycle { slot: 0, index: 0 },
-            record: options.record,
+            partition,
+            scratch: MergeScratch::default(),
         }
-    }
-
-    // -- Phases ----------------------------------------------------------------
-    //
-    // The phases and the refill stay out of line (`#[inline(never)]`).
-    // Inlined, they made the slot loop one 24-KB function, and row 2 of the
-    // benchmark (`cioq_gm_uniform_shard1`, K = 1) read 5 % slower than the
-    // barrier-party loop this one replaced (median of ten 20-s pairs on a
-    // 2-vCPU host, 1 of 10 faster); out of line it read 6 % faster (8 of
-    // 10).
-
-    /// The opening phase: land the delay line's bucket due now into the
-    /// output owners' bands, in the canonical landing order (see
-    /// `transport::land`), then admit the slot's batch in arrival order,
-    /// each packet through its input owner's worker and band. Landing
-    /// writes only `Q_j`, admission only `Q_ij`, each in the sequential
-    /// engine's order. Admission is row-local in every policy of the paper.
-    #[inline(never)]
-    fn open(&mut self, workers: &mut [Box<dyn CioqShardWorker>]) -> Result<(), PolicyError> {
-        let (bands, stats, partition) = (&mut self.bands, &mut self.stats, &self.partition);
-        transport::land(self.now.slot, &mut self.calendar, &mut self.landing, |p| {
-            // The sharded engine has no fault layer, so a full queue never
-            // drops.
-            bands[partition.output_owner(p.output as usize)].deliver(stats, false, p)
-        })?;
-        for p in &self.batch {
-            let s = partition.input_owner(p.input.index());
-            let band = &mut bands[s];
-            let view = SwitchView::new(self.cfg, band, &self.snapshot, self.now.slot, s);
-            let decision = workers[s].admit(&view, p);
-            if self.record {
-                self.admissions.push(!matches!(decision, Admission::Reject));
-            }
-            band.admit(stats, decision, p)?;
-        }
-        Ok(())
-    }
-
-    /// Shard `s` proposes its candidates for the cycle's merge.
-    // detlint: hot
-    #[inline(never)]
-    fn propose(&mut self, s: usize, worker: &mut dyn CioqShardWorker) {
-        let view = SwitchView::new(self.cfg, &self.bands[s], &self.snapshot, self.now.slot, s);
-        let out = &mut self.candidates[s];
-        out.aux.clear();
-        worker.propose(&view, &self.snapshot, self.now, out);
-    }
-
-    /// The pop-and-route step of a scheduling cycle: pop each transfer of
-    /// the cycle's merged set from its input owner's band (`Q_ij →
-    /// fabric`), in set order, and hand its packet to the fabric, as the
-    /// sequential engine's `through_fabric` does — delivered at once into
-    /// its output owner's band when its pair is at latency 0, dispatched
-    /// onto the delay line at its latency otherwise.
-    // detlint: hot
-    #[inline(never)]
-    fn pop(&mut self) -> Result<(), PolicyError> {
-        // The proposals consumed the change logs; everything from here on
-        // accumulates for the next proposal (sequential flush point).
-        for band in &mut self.bands {
-            band.flush();
-        }
-        for t in &self.transfers {
-            let p = self.bands[self.partition.input_owner(t.input.index())].pop_transfer(t)?;
-            match self.spec.delay(t.input, t.output) {
-                0 => {
-                    let band = &mut self.bands[self.partition.output_owner(t.output.index())];
-                    band.deliver(&mut self.stats, false, p)?;
-                }
-                d => self.calendar.dispatch(self.now.slot, self.now.index, d, p),
-            }
-        }
-        Ok(())
-    }
-
-    /// Transmission: send the head of every non-empty output queue (the
-    /// behaviour of every policy in the paper).
-    #[inline(never)]
-    fn transmit(&mut self) {
-        for band in &mut self.bands {
-            for j in band.cols().map(PortId::from) {
-                if !band.output(j).is_empty() {
-                    let sent =
-                        band.transmit(&mut self.stats, self.now.slot, j, PacketPick::Greatest);
-                    sent.expect("invariant: a non-empty queue has a head");
-                }
-            }
-        }
-    }
-
-    // -- The coordinator's work between phases -------------------------------
-
-    /// Refill the batch with `slot`'s arrivals from `source` and validate
-    /// their ports — here, before the opening phase looks a packet's owner
-    /// up by its input.
-    #[inline(never)]
-    fn refill(&mut self, source: &mut TraceSource<'_>, slot: SlotId) -> Result<(), PolicyError> {
-        self.batch.clear();
-        source.pull(slot, &mut self.batch);
-        for p in &self.batch {
-            mechanics::check_ports(self.cfg, p.input, p.output)?;
-        }
-        Ok(())
-    }
-
-    /// Refresh the output snapshot at the top of a scheduling cycle: every
-    /// shard's output queues plus the delay line's in-flight packets.
-    fn refresh_snapshot(&mut self) {
-        let bands = &self.bands;
-        let visit_bands = |visit: &mut dyn FnMut(&QueueBand)| bands.iter().for_each(visit);
-        self.snapshot
-            .refresh(self.cfg.n_outputs, &self.calendar, None, visit_bands);
-    }
-
-    /// (transmitted, moved) for the progress check.
-    fn progress(&self) -> (u64, u64) {
-        (self.stats.transmitted, self.stats.transferred)
-    }
-
-    /// Visit, as `(output, value)`, every packet currently riding the
-    /// delay line.
-    fn for_each_in_flight(&self, f: impl FnMut(usize, Value)) {
-        transport::for_each_in_flight(&self.calendar, None, f);
-    }
-
-    /// Packets currently in flight through the fabric (0 when immediate).
-    fn in_flight_total(&self) -> u64 {
-        let mut n = 0;
-        self.for_each_in_flight(|_, _| n += 1);
-        n
-    }
-
-    fn residual(&self) -> (u64, u128) {
-        let mut count = 0;
-        let mut value = 0;
-        for band in &self.bands {
-            count += band.residual_count();
-            value += band.residual_value();
-        }
-        self.for_each_in_flight(|_, v| {
-            count += 1;
-            value += v as u128;
-        });
-        (count, value)
-    }
-
-    /// Assemble the global [`SwitchState`] (tests / capture): the shards'
-    /// bands, concatenated.
-    fn assemble_state(&self) -> SwitchState {
-        SwitchState::assemble(self.cfg.clone(), self.now.slot, &self.bands)
-    }
-
-    /// Capture an [`EngineSnapshot`] of the run at the top of `slot`
-    /// (before the opening phase lands) — byte-compatible with the
-    /// sequential engine's capture of the same state: queue cells in
-    /// stored order, the delay line's contents as `(land slot, dispatch
-    /// metadata)` landings in canonical order, the statistics, and the
-    /// coordinator's live no-progress streak.
-    fn capture(&self, fabric: &FabricSpec, slot: SlotId, idle_slots: u32) -> EngineSnapshot {
-        // Capture runs before the slot opens, so the bucket due now is
-        // still pending.
-        let landings = SnapLanding::pending(slot, &self.calendar);
-        let (residual_count, residual_value) = self.residual();
-        let mut snap = EngineSnapshot {
-            config: self.cfg.clone(),
-            fabric: fabric.clone(),
-            slot,
-            idle_slots,
-            input_queues: Vec::new(),
-            crossbar_queues: None,
-            output_queues: Vec::new(),
-            landings,
-            held: Vec::new(),
-            stats: self.stats.clone(),
-            window: None,
-            residual_count,
-            residual_value,
-        };
-        // Shards own contiguous ascending bands, so visiting them in order
-        // yields the checkpoint layout.
-        for band in &self.bands {
-            band.cells_out(&mut snap);
-        }
-        snap
-    }
-
-    /// Seed the freshly-built fabric from a checkpoint — the sharded half
-    /// of [`Engine::restore`](crate::engine::Engine::restore): every owner
-    /// shard receives its queue contents, the delay line its in-flight
-    /// packets (bucketed by landing slot), and the books the cumulative
-    /// statistics. Returns the slot and no-progress streak the coordinator
-    /// resumes at. Panics loudly on a snapshot that cannot be applied
-    /// here: wrong geometry or fabric, fault-held packets or a stats window
-    /// (the sharded engine supports neither), or a landing no run could
-    /// have in flight (the sequential restore's rule).
-    fn seed(&mut self, snap: &EngineSnapshot) -> (SlotId, u32) {
-        assert_eq!(
-            &snap.config, self.cfg,
-            "snapshot was taken under a different switch config"
-        );
-        assert_eq!(
-            snap.fabric, self.spec,
-            "snapshot was taken under a different fabric"
-        );
-        assert!(
-            snap.held.is_empty(),
-            "snapshot holds fault-retransmit packets; the sharded engine has no fault layer"
-        );
-        assert!(
-            snap.window.is_none(),
-            "snapshot carries a stats window; the sharded engine keeps full history"
-        );
-        for band in &mut self.bands {
-            if let Err(e) = band.refill(snap) {
-                panic!("snapshot cannot be applied: {e}");
-            }
-        }
-        self.stats = snap.stats.clone();
-        for l in &snap.landings {
-            if let Err(e) = snap.check_landing(l, None) {
-                panic!("snapshot cannot be applied: {e}");
-            }
-            self.calendar.insert_pending(l.land_slot, l.landing);
-        }
-        self.now.slot = snap.slot;
-        // The restored-residual invariant (see `crate::invariants`): what
-        // was seeded must account for exactly what the checkpoint recorded.
-        if let Err(msg) = crate::invariants::check_restored_residual(self.residual(), snap) {
-            panic!("snapshot cannot be applied: {msg}");
-        }
-        (snap.slot, snap.idle_slots)
-    }
-
-    /// Check every shard's band, where it lies, when the run asked for it.
-    fn post_slot_validate(&self, options: &ShardedOptions) {
-        if options.validate {
-            for band in &self.bands {
-                if let Err(msg) = band.check_invariants() {
-                    panic!("sharded engine invariant violated: {msg}");
-                }
-            }
-        }
-    }
-
-    /// Per-slot invariant audit (debug builds only): conservation against
-    /// the fabric's residual, the sequential engine's audit — see
-    /// [`crate::invariants`].
-    fn audit_slot(&self) {
-        if cfg!(debug_assertions) {
-            let (residual_count, residual_value) = self.residual();
-            if let Err(msg) =
-                crate::invariants::check_conservation(&self.stats, residual_count, residual_value)
-            {
-                let slot = self.now.slot;
-                panic!("sharded engine invariant violated at slot {slot}: {msg}");
-            }
-        }
-    }
-
-    fn finish(
-        self,
-        name: String,
-        slots: SlotId,
-        options: &ShardedOptions,
-    ) -> (RunReport, Option<SwitchState>, Vec<bool>) {
-        let final_state = options.capture_final_state.then(|| self.assemble_state());
-        let residual = self.residual();
-        let report = mechanics::finish_report(self.stats, name, slots, residual, &options.fabric);
-        (report, final_state, self.admissions)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Entry point
-// ---------------------------------------------------------------------------
+impl CioqPolicy for Partitioned<'_> {
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
 
-/// Run a sharded CIOQ policy over a recorded trace.
+    fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
+        let s = self.partition.input_owner(packet.input.index());
+        self.workers[s].admit(&view.restrict(s, self.partition.k()), packet)
+    }
+
+    // detlint: hot
+    fn schedule(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
+        let k = self.partition.k();
+        let shards = self.workers.iter_mut().zip(&mut self.candidates);
+        for (s, (worker, set)) in shards.enumerate() {
+            set.aux.clear();
+            worker.propose(&view.restrict(s, k), view.outputs(), cycle, set);
+        }
+        let ctx = MergeContext {
+            cfg: view.config(),
+            partition: &self.partition,
+            outputs: view.outputs(),
+            cycle,
+            candidates: &self.candidates,
+        };
+        self.policy.merge(&ctx, &mut self.scratch, out);
+    }
+}
+
+/// Run a partitioned CIOQ policy over a recorded trace: `policy` split
+/// over `options.shards` shards and run on the [`Engine`].
 ///
 /// Produces a [`RunReport`] field-for-field equal to
-/// [`run_cioq`](crate::engine::run_cioq) with the sequential twin of
-/// `policy`, for every shard count and execution mode. This is §1.3's
-/// slot, with one proposal per shard and one merge per cycle.
+/// [`run_cioq`](crate::engine::run_cioq) with the whole-switch twin of
+/// `policy`, for every shard count and execution mode.
 pub fn run_cioq_sharded(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
     trace: &Trace,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    assert!(
-        cfg.crossbar_capacity.is_none(),
-        "run_cioq_sharded requires a CIOQ config"
-    );
-    assert!(
-        options.checkpoint_every != Some(0),
-        "{}",
-        ConfigError::ZeroCheckpointCadence
-    );
-    options.fabric.assert_covers(cfg);
-    let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
-    let slots = options.slots.unwrap_or_else(|| trace.arrival_slots());
-    let mut fabric = Fabric::new(cfg, partition, &options);
-    let mut workers: Vec<_> = (0..fabric.partition.k())
-        .map(|s| policy.new_worker(s, &fabric.partition, cfg))
-        .collect();
-    let (mut slot, mut idle_slots) = options
-        .resume_from
-        .as_ref()
-        .map_or((0, 0), |snap| fabric.seed(snap));
-    // Positioned where the run starts: slot 0, or the checkpoint's slot.
-    let mut source = TraceSource::resume_at(trace, slot);
-    let mut merge = Merge {
-        policy,
-        scratch: MergeScratch::default(),
-        recorded: Vec::new(),
+    let run_options = RunOptions {
+        slots: options.slots,
+        drain: options.drain,
+        validate: options.validate,
+        fabric: options.fabric.clone(),
+        checkpoint_every: options.checkpoint_every,
+        stats_window: None,
+        faults: None,
     };
-    let mut stamps = PortStamps::default();
-    let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
-
-    loop {
-        let in_arrival_window = slot < slots;
-        if !in_arrival_window {
-            // In-flight packets always land (and count as progress), so
-            // the idle cutoff waits for the fabric.
-            let buffered = fabric.stats.buffered();
-            debug_assert_eq!(buffered, fabric.residual().0);
-            let done = !options.drain
-                || buffered == 0
-                || (idle_slots >= 2 && fabric.in_flight_total() == 0);
-            if done {
-                break;
-            }
+    let (engine, start) = match &options.resume_from {
+        None => {
+            let engine = Engine::try_new(cfg.clone(), run_options);
+            (engine.unwrap_or_else(|e| panic!("{e}")), 0)
         }
-        fabric.now = Cycle { slot, index: 0 };
-        if let Some(every) = options.checkpoint_every {
-            if slot > 0 && slot.is_multiple_of(every) {
-                checkpoints.push(fabric.capture(&options.fabric, slot, idle_slots));
-            }
+        Some(snap) => {
+            assert_eq!(
+                snap.config(),
+                cfg,
+                "snapshot was taken under a different switch config"
+            );
+            let engine = Engine::restore(snap, run_options);
+            let engine = engine.unwrap_or_else(|e| panic!("snapshot cannot be applied: {e}"));
+            (engine, snap.slot())
         }
-        let (tx_before, moved_before) = fabric.progress();
-
-        if in_arrival_window {
-            fabric.refill(&mut source, slot)?;
-        } else {
-            fabric.batch.clear();
-        }
-        fabric.open(&mut workers)?;
-
-        for index in 0..cfg.speedup {
-            fabric.now.index = index;
-            fabric.refresh_snapshot();
-            for (s, worker) in workers.iter_mut().enumerate() {
-                fabric.propose(s, worker.as_mut());
-            }
-            merge.run(&mut fabric, &mut stamps)?;
-            fabric.pop()?;
-        }
-
-        fabric.transmit();
-        fabric.post_slot_validate(&options);
-        fabric.audit_slot();
-
-        let (tx_after, moved_after) = fabric.progress();
-        let progressed = tx_after != tx_before || moved_after != moved_before;
-        idle_slots = if progressed { 0 } else { idle_slots + 1 };
-        slot += 1;
-    }
-
-    let (report, final_state, admissions) =
-        fabric.finish(policy.name().to_string(), slot, &options);
-    let schedule = options.record.then(|| {
-        let schedule = RecordedSchedule {
-            admissions,
-            transfers: merge.recorded,
-            fabric_delay: report.fabric_delay,
-        };
+    };
+    let mut source = TraceSource::resume_at(trace, start);
+    let mut partitioned = Partitioned::new(policy, options.shards, cfg);
+    let (outcome, schedule) = if options.record {
+        let mut recording = Recording::with_fabric(partitioned, &options.fabric);
+        let outcome = engine.run_cioq_full(&mut recording, &mut source)?;
+        let schedule = recording.into_schedule();
         if cfg!(debug_assertions) {
             if let Err(msg) = crate::invariants::check_schedule(&schedule, cfg) {
                 panic!("sharded run produced an invalid schedule transcript: {msg}");
             }
         }
-        schedule
-    });
+        (outcome, Some(schedule))
+    } else {
+        (engine.run_cioq_full(&mut partitioned, &mut source)?, None)
+    };
     Ok(ShardedOutcome {
-        report,
+        report: outcome.report,
         schedule,
-        final_state,
-        checkpoints,
+        final_state: options.capture_final_state.then_some(outcome.final_state),
+        checkpoints: outcome.checkpoints,
     })
 }
 
-/// The coordinator's side of a scheduling cycle: the merge's pooled state
-/// and the transcript it records.
-struct Merge<'p> {
-    policy: &'p dyn CioqShardPolicy,
-    scratch: MergeScratch,
-    recorded: Vec<Vec<(u16, u16)>>,
-}
-
-impl Merge<'_> {
-    /// Merge the shards' proposals into the cycle's matching, validate it
-    /// on `stamps`, and record it when the run asked for it; the pop phase
-    /// then reads it from `fabric.transfers`.
-    fn run(&mut self, fabric: &mut Fabric<'_>, stamps: &mut PortStamps) -> Result<(), PolicyError> {
-        let cfg = fabric.cfg;
-        fabric.transfers.clear();
-        let ctx = MergeContext {
-            cfg,
-            partition: &fabric.partition,
-            outputs: &fabric.snapshot,
-            cycle: fabric.now,
-            candidates: &fabric.candidates,
-        };
-        self.policy
-            .merge(&ctx, &mut self.scratch, &mut fabric.transfers);
-        stamps.begin(cfg.n_inputs, cfg.n_outputs);
-        let pairs = fabric.transfers.iter().map(|t| (t.input, t.output));
-        stamps.check(cfg, pairs, true, true)?;
-        if fabric.record {
-            let pairs = fabric.transfers.iter().map(|t| (t.input.0, t.output.0));
-            self.recorded.push(pairs.collect());
-        }
-        Ok(())
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultScope};
     use crate::policy::PacketPick;
+    use cioq_model::{ConfigError, PortId, Value};
 
     #[test]
     fn partition_is_contiguous_and_covering() {
@@ -888,9 +438,9 @@ mod tests {
 
     // -- Shard-count independence and failure paths ---------------------------
     //
-    // `cioq_core`'s sharded policies sit above this crate, so these tests
-    // drive the engine with cache-free, paper-direct versions of GM and PG
-    // written against the shard traits alone.
+    // `cioq_core`'s partitioned policies sit above this crate, so these
+    // tests drive the engine with cache-free, paper-direct versions of GM
+    // and PG written against the shard traits alone.
 
     use cioq_model::{exceeds_factor, Topology};
     use rand::rngs::SmallRng;
@@ -1042,6 +592,49 @@ mod tests {
         (outcome.report, transcript_and_state, checkpoints)
     }
 
+    /// The adapter on the engine directly, on the two-tier fabric of
+    /// [`two_tier_options`] with a fault plan on top: inputs 1 and 6 (one
+    /// per rack) down from slot 4 to 12, holding one packet per pair, and a
+    /// two-slot latency spike on output 1 from slot 10 to 20.
+    fn faulted_run(beta: Option<f64>, trace: &Trace, k: usize) -> Fingerprint {
+        let cfg = SwitchConfig::cioq(PORTS, 2, 2);
+        let sharded = two_tier_options(k);
+        let down = |i| FaultEvent {
+            start: 4,
+            end: 12,
+            scope: FaultScope::Input(i),
+            kind: FaultKind::LinkDown { retransmit_cap: 1 },
+        };
+        let spike = FaultEvent {
+            start: 10,
+            end: 20,
+            scope: FaultScope::Output(1),
+            kind: FaultKind::LatencySpike { extra: 2 },
+        };
+        let options = RunOptions {
+            validate: true,
+            fabric: sharded.fabric.clone(),
+            checkpoint_every: sharded.checkpoint_every,
+            faults: Some(FaultPlan::new(vec![down(1), down(6), spike])),
+            ..RunOptions::default()
+        };
+        let policy = Greedy { beta };
+        let mut recording =
+            Recording::with_fabric(Partitioned::new(&policy, k, &cfg), &options.fabric);
+        let outcome = Engine::new(cfg, options)
+            .run_cioq_full(&mut recording, &mut TraceSource::new(trace))
+            .unwrap();
+        let report = &outcome.report;
+        let held = (report.retransmitted, report.losses.dropped);
+        assert!(held.0 > 0 && held.1 > 0, "{held:?}");
+        fingerprint(ShardedOutcome {
+            report: outcome.report,
+            schedule: Some(recording.into_schedule()),
+            final_state: Some(outcome.final_state),
+            checkpoints: outcome.checkpoints,
+        })
+    }
+
     #[test]
     fn results_do_not_depend_on_the_shard_count() {
         let cioq = SwitchConfig::cioq(PORTS, 2, 2);
@@ -1062,6 +655,9 @@ mod tests {
         };
         check("GM", &|k| run_cioq(None, &unit, k));
         check("PG", &|k| run_cioq(Some(2.4), &valued, k));
+        // The adapter on the engine directly, under a fault plan no
+        // `ShardedOptions` can carry.
+        check("faulted GM", &|k| faulted_run(None, &unit, k));
     }
 
     /// The opening phase lands on drain slots too: what the arrival window
@@ -1123,6 +719,56 @@ mod tests {
             .expect_err("resume refuses the landing");
             assert_eq!(msg, format!("snapshot cannot be applied: {err}"));
         }
+    }
+
+    /// A checkpoint that carries a stats window resumes as
+    /// `Engine::restore` resumes it: the window is adopted, and the
+    /// continuation is the restored engine's, byte for byte.
+    #[test]
+    fn resume_adopts_a_stats_window_as_restore_does() {
+        let cfg = SwitchConfig::cioq(PORTS, 2, 2);
+        let trace = skewed_trace(1);
+        let sharded = two_tier_options(2);
+        let options = |stats_window| RunOptions {
+            validate: true,
+            fabric: sharded.fabric.clone(),
+            checkpoint_every: sharded.checkpoint_every,
+            stats_window,
+            ..RunOptions::default()
+        };
+        let policy = Greedy { beta: None };
+        let full = Engine::new(cfg.clone(), options(Some(5)))
+            .run_cioq_full(
+                &mut Partitioned::new(&policy, 1, &cfg),
+                &mut TraceSource::new(&trace),
+            )
+            .unwrap();
+        let snap = full.checkpoints[1].clone();
+        assert!(snap.window.is_some(), "the checkpoint carries the window");
+
+        let restored = Engine::restore(&snap, options(None))
+            .unwrap()
+            .run_cioq_full(
+                &mut Partitioned::new(&policy, 1, &cfg),
+                &mut TraceSource::resume_at(&trace, snap.slot()),
+            )
+            .unwrap();
+        assert!(
+            restored.report.window.is_some(),
+            "restore adopts the window"
+        );
+        let mut resume = sharded.clone();
+        resume.record = false;
+        resume.resume_from = Some(snap);
+        let resumed = run_cioq_sharded(&cfg, &policy, &trace, resume).unwrap();
+        assert_eq!(resumed.report, restored.report);
+        let bytes = |c: &[EngineSnapshot]| c.iter().map(|s| s.to_bytes()).collect::<Vec<_>>();
+        assert_eq!(bytes(&resumed.checkpoints), bytes(&restored.checkpoints));
+        let state = |s: &SwitchState| format!("{s:?}");
+        assert_eq!(
+            resumed.final_state.as_ref().map(state),
+            Some(state(&restored.final_state))
+        );
     }
 
     /// Run `f` on a helper thread; a run that never ends fails the test

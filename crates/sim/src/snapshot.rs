@@ -14,7 +14,7 @@
 //! The headline guarantee, proven by the crash-recovery suite: kill a run
 //! at any checkpoint, [`restore`](crate::Engine::restore), and the
 //! remaining transcript, reports and final state are **byte-identical** to
-//! the uninterrupted run — for every policy, sequential or sharded, on any
+//! the uninterrupted run — for every policy, whole-switch or partitioned, on any
 //! delay topology, under any fault plan.
 //!
 //! # Wire format
@@ -85,7 +85,7 @@ impl SnapLanding {
 
     /// What `calendar` holds at the top of `slot`, before its landing, as
     /// a checkpoint records it: every committed packet with the slot it
-    /// lands at, in canonical order — the one capture walk of both engines.
+    /// lands at, in canonical order — the one capture walk.
     pub(crate) fn pending(slot: SlotId, calendar: &DelayCalendar) -> Vec<SnapLanding> {
         let mut landings = Vec::new();
         calendar.for_each_pending_at(slot, |land_slot, &landing| {
@@ -100,10 +100,10 @@ impl SnapLanding {
 /// slot (before that slot's landings, arrivals and scheduling).
 ///
 /// Produced by [`Engine::snapshot`](crate::Engine::snapshot) or the
-/// `checkpoint_every` run option (sequential and sharded engines emit
+/// `checkpoint_every` run option (whole-switch and partitioned runs emit
 /// byte-compatible snapshots); consumed by
-/// [`Engine::restore`](crate::Engine::restore) and the sharded
-/// `resume_from` option. Serialize with [`EngineSnapshot::to_bytes`].
+/// [`Engine::restore`](crate::Engine::restore), which the partitioned
+/// `resume_from` option calls. Serialize with [`EngineSnapshot::to_bytes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Switch geometry and capacities.
@@ -182,7 +182,7 @@ impl EngineSnapshot {
     }
 
     /// Whether `l` is a landing some run could have in flight at this
-    /// checkpoint — the one rule both engines' restores apply. Its pair
+    /// checkpoint — the one rule restore applies. Its pair
     /// must lie in the switch. Without a fault plan (`fault_horizon` is
     /// `None`) its landing slot is exact: checkpoints fire before any
     /// dispatch of their slot, so the packet left before `slot`, at its

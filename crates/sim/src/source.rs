@@ -60,7 +60,7 @@ impl<'a> TraceSource<'a> {
 
     /// Append the packets arriving in `slot` (in arrival order) to `out` —
     /// [`ArrivalSource::arrivals`] without the view a trace never looks
-    /// at, for callers that have none (the sharded engine's coordinator).
+    /// at, for callers that have none.
     pub fn pull(&mut self, slot: SlotId, out: &mut Vec<Packet>) {
         let packets = self.trace.packets();
         // A cursor sitting below `slot` means an earlier slot was never

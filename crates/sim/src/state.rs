@@ -2,10 +2,9 @@
 //! handed to policies.
 //!
 //! The paper's model has one set of queues — `Q_ij`, `C_ij`, `Q_j` — and so
-//! does this crate: [`QueueBand`]. What differs per engine lives outside
-//! it: the slot loop, the fabric between bands, the fault layer, how a
-//! policy error travels. What policies read of the output side is one
-//! [`OutputSnapshot`] in both engines.
+//! does this crate: [`QueueBand`], which holds the whole switch's and whose
+//! methods are every per-packet rule. What policies read of the output side
+//! is one [`OutputSnapshot`].
 
 use crate::changes::ChangeLog;
 use crate::mechanics;
@@ -16,6 +15,12 @@ use crate::transport::{DelayCalendar, InFlightPacket, OutputSnapshot};
 use cioq_model::{ConfigError, FabricKind, Packet, PortId, SlotId, SwitchConfig, Value};
 use cioq_queues::{QueueMut, QueueRef, QueueStore};
 use std::ops::Range;
+
+/// Shard `s` of `k` contiguous shares of `n` ports: `⌊sn/k⌋..⌊(s+1)n/k⌋`.
+#[inline]
+pub(crate) fn share(s: usize, k: usize, n: usize) -> Range<usize> {
+    s * n / k..(s + 1) * n / k
+}
 
 /// Which family of queues a reference points into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,42 +44,30 @@ impl QueueKind {
     }
 }
 
-/// One band of the switch's queues: `Q_ij` (and `C_ij` on a buffered
-/// crossbar) for a contiguous range of input rows × all M columns, `Q_j`
-/// for a contiguous range of outputs, and the [`ChangeLog`] over the band's
-/// own cells. Ports are **global** everywhere in the API; the cells of the
-/// stores and the log are band-local, `(i − lo)·M + j` for `Q_ij` / `C_ij`
-/// and `j − out_lo` for `Q_j`, so K bands together hold one switch's worth.
+/// The switch's queues: `Q_ij` (and `C_ij` on a buffered crossbar) for
+/// every input row × all M columns, `Q_j` for every output, and the
+/// [`ChangeLog`] over them. Ports are global; the cells of the stores and
+/// the log are row-major `i·M + j` for `Q_ij` / `C_ij` and `j` for `Q_j`.
 ///
 /// Each queue class is one [`QueueStore`]: one packet slab reserved at
 /// construction and recycled through a free list, so no queue allocates
 /// after the band is built and the slab's live part stays as small as the
 /// class's occupancy.
 ///
-/// This is where the two engines meet: [`SwitchState`] holds the band
-/// `0..N` / `0..M`, each shard of the sharded engine the band its
-/// [`Partition`](crate::shard::Partition) cuts, and every rule that puts a
-/// packet into or takes one out of a queue — wrapped around the
-/// [`mechanics`] call that applies it — is a method here, written once.
+/// Every rule that puts a packet into or takes one out of a queue —
+/// wrapped around the [`mechanics`] call that applies it — is a method
+/// here, written once.
 #[derive(Debug, Clone)]
 pub(crate) struct QueueBand {
-    /// `Q_ij` for the band's input rows, row-major. snapshot: serialized
+    /// `Q_ij`, row-major. snapshot: serialized
     voq: QueueStore,
-    /// `C_ij` for the same rows (buffered crossbar only).
-    /// snapshot: serialized
+    /// `C_ij` (buffered crossbar only). snapshot: serialized
     xbar: Option<QueueStore>,
-    /// `Q_j` for the band's outputs, cell `j − out_lo`.
-    /// snapshot: serialized
+    /// `Q_j`, cell `j`. snapshot: serialized
     outputs: QueueStore,
-    /// First input row of the band. snapshot: transient — geometry, fixed
-    /// at construction from the config (and the partition, when sharded).
-    lo: usize,
     /// Number of outputs `M`, the width of a row. snapshot: transient —
     /// geometry, from the config.
     m: usize,
-    /// First output of the band. snapshot: transient — geometry, fixed at
-    /// construction from the config (and the partition, when sharded).
-    out_lo: usize,
     /// Queues dirtied since the last flush. snapshot: transient — a
     /// restored run uses fresh policies, whose caches full-rebuild on the
     /// flush-counter mismatch (the deterministic rebuild seam), so dirty
@@ -83,64 +76,37 @@ pub(crate) struct QueueBand {
 }
 
 impl QueueBand {
-    /// The empty band of input rows `rows` and outputs `cols` of a switch
-    /// in configuration `cfg`. Panics if its stores cannot be reserved;
-    /// see [`QueueBand::try_new`].
-    pub(crate) fn new(cfg: &SwitchConfig, rows: Range<usize>, cols: Range<usize>) -> Self {
-        Self::try_new(cfg, rows, cols).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The empty band of input rows `rows` and outputs `cols`, or the
+    /// The empty queues of a switch in configuration `cfg`, or the
     /// [`ConfigError::QueueReserve`] of the first store the host could not
     /// reserve.
-    pub(crate) fn try_new(
-        cfg: &SwitchConfig,
-        rows: Range<usize>,
-        cols: Range<usize>,
-    ) -> Result<Self, ConfigError> {
-        let m = cfg.n_outputs;
+    pub(crate) fn try_new(cfg: &SwitchConfig) -> Result<Self, ConfigError> {
+        let (n, m) = (cfg.n_inputs, cfg.n_outputs);
         let store = |kind, cells: usize, capacity: usize| {
             QueueStore::try_new(cells, capacity).map_err(|_| ConfigError::QueueReserve {
                 kind,
                 slots: cells.saturating_mul(capacity),
             })
         };
-        let cells = rows.len() * m;
         Ok(QueueBand {
-            voq: store("input", cells, cfg.input_capacity)?,
+            voq: store("input", n * m, cfg.input_capacity)?,
             xbar: cfg
                 .crossbar_capacity
-                .map(|b| store("crossbar", cells, b))
+                .map(|b| store("crossbar", n * m, b))
                 .transpose()?,
-            outputs: store("output", cols.len(), cfg.output_capacity)?,
-            lo: rows.start,
+            outputs: store("output", m, cfg.output_capacity)?,
             m,
-            out_lo: cols.start,
-            changes: ChangeLog::new(rows.len(), m, cfg.crossbar_capacity.is_some()),
+            changes: ChangeLog::new(n, m, cfg.crossbar_capacity.is_some()),
         })
     }
 
-    /// The global input rows of the band.
-    #[inline]
-    pub(crate) fn rows(&self) -> Range<usize> {
-        self.lo..self.lo + self.voq.cells() / self.m
-    }
-
-    /// The global outputs of the band.
-    #[inline]
-    pub(crate) fn cols(&self) -> Range<usize> {
-        self.out_lo..self.out_lo + self.outputs.cells()
-    }
-
-    /// Input queue `Q_ij`, `i` a row of the band.
+    /// Input queue `Q_ij`.
     #[inline]
     pub(crate) fn voq(&self, input: PortId, output: PortId) -> QueueRef<'_> {
         self.voq.get(self.cell(input, output))
     }
 
-    /// Crossbar queue `C_ij`, `i` a row of the band; panics on a plain CIOQ
-    /// switch (policies for the wrong fabric are a programming error,
-    /// caught loudly).
+    /// Crossbar queue `C_ij`; panics on a plain CIOQ switch (policies for
+    /// the wrong fabric are a programming error, caught loudly).
     #[inline]
     pub(crate) fn xbar(&self, input: PortId, output: PortId) -> QueueRef<'_> {
         self.xbar
@@ -149,13 +115,19 @@ impl QueueBand {
             .get(self.cell(input, output))
     }
 
-    /// Output queue `Q_j`, `j` an output of the band.
+    /// Output queue `Q_j`.
     #[inline]
     pub(crate) fn output(&self, output: PortId) -> QueueRef<'_> {
-        self.outputs.get(self.out_cell(output))
+        self.outputs.get(output.index())
     }
 
-    /// The band's change log.
+    /// Number of outputs `M`.
+    #[inline]
+    pub(crate) fn n_outputs(&self) -> usize {
+        self.m
+    }
+
+    /// The switch's change log.
     #[inline]
     pub(crate) fn changes(&self) -> &ChangeLog {
         &self.changes
@@ -167,19 +139,11 @@ impl QueueBand {
         self.changes.flush();
     }
 
-    /// The band-local cell of `(i, j)`.
+    /// The row-major cell of `(i, j)`.
     #[inline]
     fn cell(&self, input: PortId, output: PortId) -> usize {
-        debug_assert!(self.rows().contains(&input.index()), "row outside band");
         debug_assert!(output.index() < self.m);
-        (input.index() - self.lo) * self.m + output.index()
-    }
-
-    /// The band-local cell of `Q_j`.
-    #[inline]
-    fn out_cell(&self, output: PortId) -> usize {
-        debug_assert!(self.cols().contains(&output.index()), "output outside band");
-        output.index() - self.out_lo
+        input.index() * self.m + output.index()
     }
 
     #[inline]
@@ -190,21 +154,21 @@ impl QueueBand {
             .get_mut(cell)
     }
 
-    /// Every store of the band: `Q_ij`, then `C_ij`, then `Q_j`.
+    /// Every store: `Q_ij`, then `C_ij`, then `Q_j`.
     fn stores(&self) -> impl Iterator<Item = &QueueStore> {
         std::iter::once(&self.voq)
             .chain(&self.xbar)
             .chain([&self.outputs])
     }
 
-    /// Packets buffered in the band's queues — each store's live slots,
+    /// Packets buffered in the queues — each store's live slots,
     /// O(1), so the drain loop's per-slot "anything left?" never walks a
     /// queue.
     pub(crate) fn residual_count(&self) -> u64 {
         self.stores().map(|s| s.live() as u64).sum()
     }
 
-    /// Value buffered in the band's queues.
+    /// Value buffered in the queues.
     pub(crate) fn residual_value(&self) -> u128 {
         self.stores().map(QueueStore::total_value).sum()
     }
@@ -215,7 +179,7 @@ impl QueueBand {
     // the benchmark (`xbar_cpg_bursty`) read 36.9 k slots/s against the
     // parent's 39.2 k, and 39.2 k with the attribute.
 
-    /// Arrival phase, one packet of a band row: apply the policy's
+    /// Arrival phase, one packet: apply the policy's
     /// `decision` to `Q_ij`.
     // detlint: hot
     #[inline(always)]
@@ -304,11 +268,11 @@ impl QueueBand {
         faulted: bool,
         p: InFlightPacket,
     ) -> Result<(), PolicyError> {
-        let queue = self.outputs.get_mut(p.output as usize - self.out_lo);
+        let queue = self.outputs.get_mut(p.output as usize);
         mechanics::land(queue, stats, QueueKind::Output, faulted, p)
     }
 
-    /// Transmission phase, one output of the band: send the packet `pick`
+    /// Transmission phase, one output: send the packet `pick`
     /// designates out of `Q_j`.
     // detlint: hot
     #[inline(always)]
@@ -319,16 +283,15 @@ impl QueueBand {
         output: PortId,
         pick: PacketPick,
     ) -> Result<(), PolicyError> {
-        let queue = self.outputs.get_mut(output.index() - self.out_lo);
+        let queue = self.outputs.get_mut(output.index());
         let packet = mechanics::pop(queue, pick, QueueKind::Output, None, output)?;
         stats.on_transmit(&packet, slot, output.index());
         Ok(())
     }
 
-    /// Append the band's checkpoint cells — each queue's packets head
-    /// first, as [`QueueRef::iter`] yields them — to `snap`'s queue lists.
-    /// Bands visited in ascending order yield the checkpoint layout:
-    /// row-major `Q_ij` / `C_ij` cells, ascending outputs.
+    /// Append the checkpoint cells — each queue's packets head first, as
+    /// [`QueueRef::iter`] yields them — to `snap`'s queue lists: row-major
+    /// `Q_ij` / `C_ij` cells, ascending outputs.
     pub(crate) fn cells_out(&self, snap: &mut EngineSnapshot) {
         fn cells(s: &QueueStore) -> impl Iterator<Item = Vec<Packet>> + '_ {
             s.iter().map(|q| q.iter().copied().collect())
@@ -341,74 +304,49 @@ impl QueueBand {
         snap.output_queues.extend(cells(&self.outputs));
     }
 
-    /// Refill the (fresh) band from the cells of `snap` that lie in it. The
-    /// caller has checked that `snap`'s queue layout is the switch's. Slots
-    /// and handles are numbered afresh; only content crosses a checkpoint.
+    /// Refill the (fresh) queues from the cells of `snap`. The caller has
+    /// checked that `snap`'s queue layout is the switch's. Slots and
+    /// handles are numbered afresh; only content crosses a checkpoint.
     pub(crate) fn refill(&mut self, snap: &EngineSnapshot) -> Result<(), SnapshotError> {
-        let (rows, cols) = (
-            self.lo * self.m..self.lo * self.m + self.voq.cells(),
-            self.cols(),
-        );
-        let mut filled = fill(&mut self.voq, 0, snap.input_queues[rows.clone()].iter());
+        let mut filled = fill(&mut self.voq, &snap.input_queues);
         if let (Some(xbar), Some(cells)) = (&mut self.xbar, &snap.crossbar_queues) {
-            filled &= fill(xbar, 0, cells[rows].iter());
+            filled &= fill(xbar, cells);
         }
-        filled &= fill(&mut self.outputs, 0, snap.output_queues[cols].iter());
+        filled &= fill(&mut self.outputs, &snap.output_queues);
         let msg = "serialized queue exceeds its capacity";
         filled
             .then_some(())
             .ok_or(SnapshotError::Format(msg.into()))
     }
 
-    /// Put the packets of `part`'s cells into this (empty) band's same
-    /// cells.
-    fn copy_in(&mut self, part: &QueueBand) {
-        let at = (part.lo - self.lo) * self.m;
-        let mut filled = fill(&mut self.voq, at, part.voq.iter().map(|q| q.iter()));
-        if let (Some(whole), Some(xbar)) = (&mut self.xbar, &part.xbar) {
-            filled &= fill(whole, at, xbar.iter().map(|q| q.iter()));
-        }
-        let at = part.out_lo - self.out_lo;
-        filled &= fill(&mut self.outputs, at, part.outputs.iter().map(|q| q.iter()));
-        assert!(filled, "a band's queues fit the switch's");
-    }
-
-    /// Verify every store of the band: each queue within capacity and
-    /// correctly sorted (value descending, id ascending — assumption A3),
-    /// and each slab conserved. Returns a description of the first
-    /// violation.
+    /// Verify every store: each queue within capacity and correctly sorted
+    /// (value descending, id ascending — assumption A3), and each slab
+    /// conserved. Returns a description of the first violation.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
-        let named = [("input", Some(&self.voq)), ("crossbar", self.xbar.as_ref())];
+        let named = [
+            ("input queues (cells row-major)", Some(&self.voq)),
+            ("crossbar queues (cells row-major)", self.xbar.as_ref()),
+            ("output queues", Some(&self.outputs)),
+        ];
         for (kind, store) in named.into_iter().filter_map(|(k, s)| Some((k, s?))) {
-            store.check_invariants().map_err(|e| {
-                format!(
-                    "{kind} queues of rows {:?} (cells row-major): {e}",
-                    self.rows()
-                )
-            })?;
+            store
+                .check_invariants()
+                .map_err(|e| format!("{kind}: {e}"))?;
         }
-        let cols = self.cols();
-        self.outputs
-            .check_invariants()
-            .map_err(|e| format!("output queues {cols:?}: {e}"))
+        Ok(())
     }
 }
 
 /// Insert each of `cells`' packets into the cell of `store` it lines up
-/// with, from cell `at` on, in order; whether every packet fit.
-fn fill<'p, C: IntoIterator<Item = &'p Packet>>(
-    store: &mut QueueStore,
-    at: usize,
-    cells: impl Iterator<Item = C>,
-) -> bool {
-    cells.enumerate().all(|(c, cell)| {
-        let mut queue = store.get_mut(at + c);
-        cell.into_iter().all(|p| queue.insert(*p).is_ok())
+/// with, in order; whether every packet fit.
+fn fill(store: &mut QueueStore, cells: &[Vec<Packet>]) -> bool {
+    cells.iter().enumerate().all(|(c, cell)| {
+        let mut queue = store.get_mut(c);
+        cell.iter().all(|p| queue.insert(*p).is_ok())
     })
 }
 
-/// The complete mutable state of one simulated switch: the band `0..N` /
-/// `0..M` of its queues plus what only a whole switch has — the
+/// The complete mutable state of one simulated switch: its queues plus the
 /// configuration, the slot clock and the output snapshot its policies read.
 #[derive(Debug, Clone)]
 pub struct SwitchState {
@@ -435,31 +373,15 @@ impl SwitchState {
     /// [`ConfigError::QueueReserve`] of a queue store the host could not
     /// reserve.
     pub(crate) fn try_new(config: SwitchConfig) -> Result<Self, ConfigError> {
-        let band = QueueBand::try_new(&config, 0..config.n_inputs, 0..config.n_outputs)?;
+        let band = QueueBand::try_new(&config)?;
         let mut outputs = OutputSnapshot::default();
-        let empty = DelayCalendar::with_reserve(0, 0);
-        outputs.refresh(config.n_outputs, &empty, None, |visit| visit(&band));
+        outputs.refresh(&band, &DelayCalendar::with_reserve(0, 0), None);
         Ok(SwitchState {
             config,
             band,
             slot: 0,
             outputs,
         })
-    }
-
-    /// The switch at `slot` whose queues are `bands`' — disjoint bands that
-    /// together cover it.
-    pub(crate) fn assemble<'a>(
-        config: SwitchConfig,
-        slot: SlotId,
-        bands: impl IntoIterator<Item = &'a QueueBand>,
-    ) -> Self {
-        let mut state = SwitchState::new(config);
-        state.slot = slot;
-        for part in bands {
-            state.band.copy_in(part);
-        }
-        state
     }
 
     /// The switch configuration.
@@ -480,55 +402,54 @@ impl SwitchState {
         self.slot
     }
 
-    /// Read-only view for policies: the band `0..N` / `0..M`.
+    /// Read-only view for policies: the whole switch.
     #[inline]
     pub fn view(&self) -> SwitchView<'_> {
-        SwitchView::new(&self.config, &self.band, &self.outputs, self.slot, 0)
+        SwitchView {
+            config: &self.config,
+            band: &self.band,
+            outputs: &self.outputs,
+            slot: self.slot,
+            shard: 0,
+            shards: 1,
+        }
     }
 }
 
-/// Read-only window onto one band of a switch's queues, the only thing
-/// policies see — in both engines. The sequential engine's view
-/// ([`SwitchState::view`]) is the band `0..N` / `0..M` of the whole switch;
-/// a shard's view in the sharded engine is the band its
-/// [`Partition`](crate::shard::Partition) cuts. Either answers for its own
-/// input rows ([`SwitchView::input_range`]) and its own output columns and
-/// panics elsewhere — asking another band's queue is a programming error,
-/// caught loudly, never another band's answer.
+/// Read-only window onto a switch's queues, the only thing policies see.
+/// [`SwitchState::view`] answers for every input row; a view restricted to
+/// shard `s` of `K` (what a partitioned scheduler's worker reads) answers
+/// for the rows `⌊sN/K⌋..⌊(s+1)N/K⌋` of [`SwitchView::input_range`] only,
+/// and asking it for another row's queue is a programming error, caught by
+/// a debug assertion. Outputs are the whole switch's in every view.
 ///
 /// Everything an online algorithm may legally inspect — current queue
 /// contents and capacities — is available; nothing about future arrivals
-/// is. [`SwitchView::changes`] additionally exposes which of the band's
-/// queues were dirtied since the policy's last scheduling call, so
-/// incremental policies can refresh O(changes) state instead of
-/// rescanning. Admission reads the landed queues; scheduling reads the
-/// output side through [`SwitchView::outputs`].
+/// is. [`SwitchView::changes`] additionally exposes which queues were
+/// dirtied since the policy's last scheduling call, so incremental
+/// policies can refresh O(changes) state instead of rescanning. Admission
+/// reads the landed queues; scheduling reads the output side through
+/// [`SwitchView::outputs`].
 #[derive(Clone, Copy)]
 pub struct SwitchView<'a> {
     config: &'a SwitchConfig,
     band: &'a QueueBand,
     outputs: &'a OutputSnapshot,
     slot: SlotId,
-    shard: usize,
+    /// The view answers for shard `shard` of `shards` equal row ranges.
+    shard: u32,
+    shards: u32,
 }
 
 impl<'a> SwitchView<'a> {
-    /// The view of `band` at `slot`, for shard `shard`, scheduling against
-    /// `outputs`.
+    /// The same view restricted to the rows of shard `shard` of `shards`.
     #[inline]
-    pub(crate) fn new(
-        config: &'a SwitchConfig,
-        band: &'a QueueBand,
-        outputs: &'a OutputSnapshot,
-        slot: SlotId,
-        shard: usize,
-    ) -> Self {
+    pub(crate) fn restrict(&self, shard: usize, shards: usize) -> Self {
+        debug_assert!(shard < shards && shards <= u32::MAX as usize);
         SwitchView {
-            config,
-            band,
-            outputs,
-            slot,
-            shard,
+            shard: shard as u32,
+            shards: shards as u32,
+            ..*self
         }
     }
 
@@ -556,30 +477,42 @@ impl<'a> SwitchView<'a> {
         self.slot
     }
 
-    /// The shard whose band this is: 0 under the sequential engine.
+    /// The shard whose rows the view answers for: 0 for the whole switch.
     #[inline]
     pub fn shard(&self) -> usize {
-        self.shard
+        self.shard as usize
     }
 
-    /// The global input rows of the band: `0..N` under the sequential
-    /// engine, the shard's own rows under the sharded one.
+    /// The input rows the view answers for: `0..N` for the whole switch,
+    /// the shard's own rows for a restricted view.
     #[inline]
     pub fn input_range(&self) -> Range<usize> {
-        self.band.rows()
+        share(
+            self.shard as usize,
+            self.shards as usize,
+            self.config.n_inputs,
+        )
     }
 
-    /// Input queue `Q_ij`, `i` a row of the band.
+    /// Input queue `Q_ij`, `i` a row of [`SwitchView::input_range`].
     #[inline]
     pub fn input_queue(&self, input: PortId, output: PortId) -> QueueRef<'a> {
+        debug_assert!(
+            self.input_range().contains(&input.index()),
+            "row outside the view"
+        );
         self.band.voq(input, output)
     }
 
-    /// Crossbar queue `C_ij`, `i` a row of the band; panics if the switch
+    /// Crossbar queue `C_ij`, `i` a row of the view; panics if the switch
     /// is a plain CIOQ (policies for the wrong fabric are a programming
     /// error, caught loudly).
     #[inline]
     pub fn crossbar_queue(&self, input: PortId, output: PortId) -> QueueRef<'a> {
+        debug_assert!(
+            self.input_range().contains(&input.index()),
+            "row outside the view"
+        );
         self.band.xbar(input, output)
     }
 
@@ -589,7 +522,7 @@ impl<'a> SwitchView<'a> {
         self.config.crossbar_capacity.is_some()
     }
 
-    /// Output queue `Q_j`, `j` an output of the band — the *landed*
+    /// Output queue `Q_j` — the *landed*
     /// packets only. On a delayed fabric this is what admission and
     /// transmission see; scheduling eligibility must use
     /// [`SwitchView::outputs`] (or [`SwitchView::output_full`] /
@@ -621,8 +554,7 @@ impl<'a> SwitchView<'a> {
         self.outputs.full[output.index()]
     }
 
-    /// Least value of the virtual output queue `j` (an output of the band)
-    /// — the landed tail `v(l_j)` or the least value in flight toward `j`,
+    /// Least value of the virtual output queue `j` — the landed tail `v(l_j)` or the least value in flight toward `j`,
     /// whichever is smaller. `None` when the virtual queue is empty. This
     /// is the tail the preemption thresholds (PG's β, CPG's α) compare
     /// against. Exact during scheduling calls only, like
@@ -633,9 +565,10 @@ impl<'a> SwitchView<'a> {
         self.outputs.tail_value(j, self.band.output(output))
     }
 
-    /// The band's queues dirtied since the engine's last scheduling call,
-    /// over band-local cells `(i − input_range().start)·M + j`, plus the
-    /// flush counter incremental policies use as a consistency handshake.
+    /// The switch's queues dirtied since the engine's last scheduling call,
+    /// over global cells `i·M + j` (every row's, whatever the view's
+    /// range), plus the flush counter incremental policies use as a
+    /// consistency handshake.
     #[inline]
     pub fn changes(&self) -> &'a ChangeLog {
         self.band.changes()
@@ -647,7 +580,6 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, RunOptions};
     use crate::fault::{FaultPlan, FaultRuntime};
-    use crate::shard::Partition;
     use cioq_model::PacketId;
 
     fn packet(id: u64, value: Value, input: usize, output: usize) -> Packet {
@@ -665,35 +597,30 @@ mod tests {
             .expect("valid config")
     }
 
-    /// The checkpoint cells of `bands`, visited in order, in an otherwise
-    /// empty snapshot of a `cfg` switch.
-    fn cells<'a>(
-        cfg: &SwitchConfig,
-        bands: impl IntoIterator<Item = &'a QueueBand>,
-    ) -> EngineSnapshot {
+    /// The checkpoint cells of `band` in an otherwise empty snapshot of a
+    /// `cfg` switch.
+    fn cells(cfg: &SwitchConfig, band: &QueueBand) -> EngineSnapshot {
         let mut snap = Engine::new(cfg.clone(), RunOptions::default()).snapshot();
         snap.input_queues.clear();
         snap.crossbar_queues = None;
         snap.output_queues.clear();
-        for band in bands {
-            band.cells_out(&mut snap);
-        }
+        band.cells_out(&mut snap);
         snap
     }
 
-    /// Put packets in all three queue families of the band owning each
-    /// port, through the band's own rules.
-    fn fill(bands: &mut [QueueBand], stats: &mut StatsRecorder) {
-        let owner = |bands: &[QueueBand], i: usize| {
-            let owns = |b: &QueueBand| b.rows().contains(&i);
-            bands.iter().position(owns).expect("bands cover every row")
-        };
+    /// The empty queues of a `cfg` switch.
+    fn band(cfg: &SwitchConfig) -> QueueBand {
+        QueueBand::try_new(cfg).expect("small switch")
+    }
+
+    /// Put packets in all three queue families, through the band's own
+    /// rules.
+    fn fill(band: &mut QueueBand, stats: &mut StatsRecorder) {
         for (id, (i, j)) in [(0, 0), (1, 3), (2, 6), (4, 1), (4, 6), (2, 6)]
             .into_iter()
             .enumerate()
         {
             let p = packet(id as u64, 10 + id as Value, i, j);
-            let band = &mut bands[owner(bands, i)];
             band.admit(stats, Admission::Accept, &p).unwrap();
         }
         let t = InputTransfer {
@@ -702,17 +629,10 @@ mod tests {
             pick: PacketPick::Greatest,
             preempt_if_full: false,
         };
-        bands[owner(bands, 4)]
-            .move_to_xbar(stats, false, &t)
-            .unwrap();
+        band.move_to_xbar(stats, false, &t).unwrap();
         for (id, j) in [(20, 0), (21, 4), (22, 6), (23, 6)] {
             let landing =
                 InFlightPacket::new(PortId(0), PortId::from(j), false, packet(id, 7, 0, j));
-            let owns = |b: &&mut QueueBand| b.cols().contains(&j);
-            let band = bands
-                .iter_mut()
-                .find(owns)
-                .expect("bands cover every output");
             band.deliver(stats, false, landing).unwrap();
         }
     }
@@ -761,17 +681,16 @@ mod tests {
     }
 
     #[test]
-    fn band_takes_global_ports_and_marks_local_cells() {
+    fn band_takes_global_ports_and_marks_global_cells() {
         let cfg = wide_crossbar();
-        let mut band = QueueBand::new(&cfg, 3..5, 2..4);
+        let mut band = band(&cfg);
         let mut stats = StatsRecorder::new(cfg.n_outputs);
-        assert_eq!((band.rows(), band.cols()), (3..5, 2..4));
 
         let p = packet(0, 9, 4, 1);
         band.admit(&mut stats, Admission::Accept, &p).unwrap();
         assert_eq!(band.voq(PortId(4), PortId(1)).len(), 1);
-        // Row 4 is the band's second row: local cell (4 − 3)·7 + 1.
-        assert_eq!(band.changes().dirty_voqs(), &[8]);
+        // Row-major over all seven columns: cell 4·7 + 1.
+        assert_eq!(band.changes().dirty_voqs(), &[29]);
         assert!(band.changes().dirty_xbars().is_empty());
         band.flush();
 
@@ -784,10 +703,9 @@ mod tests {
         band.move_to_xbar(&mut stats, false, &t).unwrap();
         assert!(band.voq(PortId(4), PortId(1)).is_empty());
         assert_eq!(band.xbar(PortId(4), PortId(1)).len(), 1);
-        assert_eq!(band.changes().dirty_voqs(), &[8]);
-        assert_eq!(band.changes().dirty_xbars(), &[8]);
+        assert_eq!(band.changes().dirty_voqs(), &[29]);
+        assert_eq!(band.changes().dirty_xbars(), &[29]);
 
-        // Output 3 is the band's second output queue.
         let landing = InFlightPacket::new(PortId(0), PortId(3), false, packet(1, 4, 0, 3));
         band.deliver(&mut stats, false, landing).unwrap();
         assert_eq!(band.output(PortId(3)).len(), 1);
@@ -804,25 +722,24 @@ mod tests {
     fn cells_round_trip_and_an_overfull_cell_is_the_restore_error() {
         let cfg = wide_crossbar();
         let mut stats = StatsRecorder::new(cfg.n_outputs);
-        let mut whole = [QueueBand::new(&cfg, 0..5, 0..7)];
+        let mut whole = band(&cfg);
         fill(&mut whole, &mut stats);
         let mut snap = cells(&cfg, &whole);
 
-        // A band refilled from the whole switch's cells holds its share.
-        let mut part = QueueBand::new(&cfg, 1..3, 4..7);
-        part.refill(&snap).unwrap();
-        assert_eq!(part.voq(PortId(1), PortId(3)).len(), 1);
-        assert_eq!(part.voq(PortId(2), PortId(6)).len(), 2);
-        assert_eq!(part.output(PortId(6)).len(), 2);
-        assert_eq!(part.residual_count(), 6);
-        assert_eq!(part.residual_value(), 11 + 12 + 15 + 3 * 7);
-        let mut again = QueueBand::new(&cfg, 0..5, 0..7);
+        // Fresh queues refilled from the cells hold what was filled in.
+        let mut again = band(&cfg);
         again.refill(&snap).unwrap();
-        assert_eq!(cells(&cfg, [&again]), snap);
+        assert_eq!(again.voq(PortId(1), PortId(3)).len(), 1);
+        assert_eq!(again.voq(PortId(2), PortId(6)).len(), 2);
+        assert_eq!(again.xbar(PortId(4), PortId(6)).len(), 1);
+        assert_eq!(again.output(PortId(6)).len(), 2);
+        assert_eq!(again.residual_count(), whole.residual_count());
+        assert_eq!(again.residual_value(), whole.residual_value());
+        assert_eq!(cells(&cfg, &again), snap);
 
         // One packet too many in `Q_26` (capacity 2).
         snap.input_queues[2 * 7 + 6].push(packet(99, 1, 2, 6));
-        let band_err = QueueBand::new(&cfg, 1..3, 4..7).refill(&snap).unwrap_err();
+        let band_err = band(&cfg).refill(&snap).unwrap_err();
         assert_eq!(
             band_err.to_string(),
             "malformed snapshot: serialized queue exceeds its capacity"
@@ -831,30 +748,6 @@ mod tests {
             .err()
             .expect("restore refuses the same cell");
         assert_eq!(engine_err.to_string(), band_err.to_string());
-        // The cell lies outside this band, which therefore never reads it.
-        assert_eq!(QueueBand::new(&cfg, 3..5, 0..2).refill(&snap), Ok(()));
-    }
-
-    #[test]
-    fn partition_bands_concatenate_to_the_whole_band() {
-        let cfg = wide_crossbar();
-        let mut whole = [QueueBand::new(&cfg, 0..5, 0..7)];
-        fill(&mut whole, &mut StatsRecorder::new(cfg.n_outputs));
-        let expected = cells(&cfg, &whole);
-        for k in 1..=3 {
-            let partition = Partition::new(k, 5, 7);
-            let mut bands: Vec<QueueBand> = (0..k)
-                .map(|s| QueueBand::new(&cfg, partition.input_range(s), partition.output_range(s)))
-                .collect();
-            fill(&mut bands, &mut StatsRecorder::new(cfg.n_outputs));
-            // Walked in shard order the bands' cells are the checkpoint
-            // layout, and assembled they are the whole switch.
-            assert_eq!(cells(&cfg, &bands), expected, "K = {k}");
-            let state = SwitchState::assemble(cfg.clone(), 9, &bands);
-            assert_eq!(state.slot(), 9);
-            assert_eq!(cells(&cfg, [&state.band]), expected, "K = {k}");
-            assert_eq!(state.band.residual_count(), whole[0].residual_count());
-        }
     }
 
     /// A 3 × 70 switch with room for two packets per output: the outputs
@@ -899,7 +792,7 @@ mod tests {
         for (id, value, j) in [(4, 6, 63), (5, 2, 64), (6, 4, 69)] {
             cal.dispatch(0, 0, 2, wire(id, value, j));
         }
-        st.outputs.refresh(70, &cal, None, |visit| visit(&st.band));
+        st.outputs.refresh(&st.band, &cal, None);
         let view = st.view();
         let outputs = view.outputs();
         // Full from landed packets alone, and only with those in flight.
@@ -921,8 +814,7 @@ mod tests {
         // A packet held by a link-down pair fills output 69.
         let mut faults = FaultRuntime::new(FaultPlan::default(), 3, 70);
         faults.hold(2, 69, false, packet(7, 1, 2, 69));
-        st.outputs
-            .refresh(70, &cal, Some(&faults), |visit| visit(&st.band));
+        st.outputs.refresh(&st.band, &cal, Some(&faults));
         let outputs = st.view().outputs();
         assert!(outputs.full[69]);
         assert_eq!((outputs.in_flight[69], outputs.tail[69]), (2, 1));
@@ -931,36 +823,35 @@ mod tests {
 
     #[test]
     fn a_view_is_its_bands() {
-        let cfg = wide_crossbar();
-        let (band, outputs) = (QueueBand::new(&cfg, 3..5, 2..4), OutputSnapshot::default());
-        let view = SwitchView::new(&cfg, &band, &outputs, 7, 2);
+        let mut whole = SwitchState::new(wide_crossbar());
+        whole.slot = 7;
+        let view = whole.view();
         assert_eq!(
             (view.input_range(), view.shard(), view.slot()),
+            (0..5, 0, 7)
+        );
+        // Shard 2 of 3 over five rows: ⌊2·5/3⌋..⌊3·5/3⌋.
+        let shard = view.restrict(2, 3);
+        assert_eq!(
+            (shard.input_range(), shard.shard(), shard.slot()),
             (3..5, 2, 7)
         );
-        assert!(view.crossbar_queue(PortId(4), PortId(6)).is_empty());
-        assert!(view.output_queue(PortId(3)).is_empty());
-        let whole = SwitchState::new(cfg);
-        assert_eq!(
-            (whole.view().input_range(), whole.view().shard()),
-            (0..5, 0)
-        );
+        assert!(shard.crossbar_queue(PortId(4), PortId(6)).is_empty());
+        // Outputs are the whole switch's in every view.
+        assert!(shard.output_queue(PortId(0)).is_empty());
+        // Shard and shard count are two `u32`s: three references, the
+        // slot, and one word for both.
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<SwitchView<'_>>(), 3 * word + 8 + 8);
     }
 
+    /// A restricted view never answers for another shard's row: in debug
+    /// builds the view's range check catches it.
+    #[cfg(debug_assertions)]
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "outside band"))]
-    #[cfg_attr(not(debug_assertions), should_panic)]
-    fn a_shard_view_never_answers_for_another_bands_output() {
-        let cfg = wide_crossbar();
-        let (band, outputs) = (QueueBand::new(&cfg, 3..5, 2..4), OutputSnapshot::default());
-        let _ = SwitchView::new(&cfg, &band, &outputs, 0, 1).output_queue(PortId(4));
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "outside band"))]
-    #[cfg_attr(not(debug_assertions), should_panic)]
+    #[should_panic(expected = "row outside the view")]
     fn a_row_outside_the_band_is_never_another_bands_queue() {
-        let band = QueueBand::new(&wide_crossbar(), 3..5, 2..4);
-        let _ = band.voq(PortId(1), PortId(0));
+        let st = SwitchState::new(wide_crossbar());
+        let _ = st.view().restrict(2, 3).input_queue(PortId(1), PortId(0));
     }
 }

@@ -16,29 +16,28 @@
 //!   into racks with a per-(rack, rack) latency matrix (`two_tier`,
 //!   explicit, …).
 //!
-//! Both engines (sequential and sharded) carry a spec in the `fabric` field
-//! of their options and implement identical semantics:
+//! The engine carries a spec in the `fabric` field of its options
+//! (`run_cioq_sharded` hands its own through) with these semantics:
 //!
 //! * **Dispatch** (scheduling cycle): the packet is popped from its source
 //!   queue and committed to the wire. A pair at latency 0 delivers within
-//!   the cycle (the immediate path — in the sharded engine, into whichever
-//!   shard owns the output); a pair at `d ≥ 1` enters the engine's one
+//!   the cycle (the immediate path); a pair at `d ≥ 1` enters the engine's one
 //!   `DelayCalendar` of slot-buckets, is counted *in flight* toward its
 //!   output, and lands `d` slots later.
 //! * **Eligibility**: schedulers see the *virtual* occupancy of every
 //!   output — landed packets plus packets in flight — so non-preempting
 //!   policies never overrun a buffer they cannot observe, and preemption
-//!   thresholds compare against the least value of the virtual queue. Both
-//!   engines hand it over as one [`OutputSnapshot`], filled by one function
+//!   thresholds compare against the least value of the virtual queue. The
+//!   engine hands it over as one [`OutputSnapshot`], filled by one function
 //!   at the top of every scheduling cycle from the output queues and
-//!   everything riding the delay line (and, in the sequential engine, held
-//!   by a link-down pair of its fault layer).
+//!   everything riding the delay line or held by a link-down pair of the
+//!   fault layer.
 //! * **Landing** (start of slot `t`, before arrivals): every transfer due
 //!   at `t` is delivered in the **canonical landing order**, sorted by
 //!   `(landing slot, dispatch slot, dispatch cycle, output, input)`. With
 //!   heterogeneous delays, transfers dispatched in *different* slots can
 //!   land together; the canonical order makes the landing phase
-//!   well-defined and identical across engines and shard partitions. Per
+//!   well-defined and identical across runs and shard partitions. Per
 //!   output queue it reduces to dispatch order (at most one transfer
 //!   enters an output per cycle), so a constant matrix reproduces the
 //!   uniform delay line bit for bit. A landing into a full queue preempts
@@ -191,18 +190,18 @@ impl Landing {
 
 /// The delay line: a calendar of `horizon + 1` slot-buckets, where
 /// `horizon` is the largest latency it carries, shared by every pair of
-/// the switch — one per engine, sequential or sharded. A dispatch in slot
+/// the switch — one per engine. A dispatch in slot
 /// `t` on a pair at latency `d` (`0 ≤ d ≤ horizon`) pushes into bucket
 /// `(t + d) mod (horizon + 1)`, and [`land`] drains bucket
 /// `t mod (horizon + 1)` at the top of slot `t`. Every packet found in a
 /// bucket is due exactly now, for any mix of pair latencies: the slot a
 /// bucket next drains at is the only landing slot a later dispatch could
 /// have mapped onto it — even a dispatch made in slot `t` before `t`'s
-/// drain, as the sequential engine's fault releases are. (With `horizon`
+/// drain, as the engine's fault releases are. (With `horizon`
 /// buckets such a dispatch at `d = horizon` would map onto the bucket
 /// about to drain and land `horizon` slots early.) A `d = 0` dispatch
-/// lands only if it precedes its slot's drain; neither engine makes one,
-/// since both deliver latency-0 transfers at once.
+/// lands only if it precedes its slot's drain; the engine makes none,
+/// since it delivers latency-0 transfers at once.
 #[derive(Debug, Clone)]
 pub(crate) struct DelayCalendar {
     /// Committed packets by landing bucket. snapshot: serialized — as
@@ -285,7 +284,7 @@ impl DelayCalendar {
     }
 }
 
-/// The landing phase of both engines: gather the bucket `calendar` lands
+/// The landing phase: gather the bucket `calendar` lands
 /// at `slot` into the pooled `gather`, sort it into the canonical landing
 /// order
 /// `(dispatch slot, dispatch cycle, output, input)` — per output queue that
@@ -317,7 +316,7 @@ pub(crate) fn land(
 /// Visit, as `(output, value)`, every packet between its source queue and
 /// its output queue: everything committed to `calendar`, then — only when
 /// the fault layer holds any, since its FIFOs span every pair — the packets
-/// `faults` holds on link-down pairs. The one walk behind both engines'
+/// `faults` holds on link-down pairs. The one walk behind the engine's
 /// residual, drain cutoff and [`OutputSnapshot`]; ports are the pair's,
 /// which restore has range-checked.
 pub(crate) fn for_each_in_flight(
@@ -334,11 +333,11 @@ pub(crate) fn for_each_in_flight(
 /// The output side as every policy reads it: the *virtual* queue at each
 /// output — what has landed in `Q_j` plus what is in flight toward it. On
 /// an immediate fabric this degenerates to `|Q_j| = B(Q_j)` / `v(l_j)`.
-/// Both engines hold one and refresh it at the top of every scheduling
-/// cycle through `OutputSnapshot::refresh`, the only writer of its
-/// fields: the sequential engine in its `SwitchState` (policies read it
-/// through [`SwitchView::outputs`](crate::SwitchView::outputs)), the sharded
-/// one in its coordinator, which hands it to proposals and merges.
+/// The engine holds one in its `SwitchState` and refreshes it at the top
+/// of every scheduling cycle through `OutputSnapshot::refresh`, the only
+/// writer of its fields; policies read it through
+/// [`SwitchView::outputs`](crate::SwitchView::outputs), a partitioned
+/// scheduler's proposals and merge included.
 #[derive(Debug, Clone, Default)]
 pub struct OutputSnapshot {
     /// Whether the virtual queue at `j` is full.
@@ -347,7 +346,8 @@ pub struct OutputSnapshot {
     pub tail: Vec<Value>,
     /// `full` as a packed bitmap (`full_words[j/64]` bit `j%64`): its
     /// complement is the free-column mask GM's lexicographic greedy starts
-    /// from, in the sequential policy and the sharded first band alike.
+    /// from, in the whole-switch policy and the partitioned first shard
+    /// alike.
     pub full_words: Vec<u64>,
     /// Packets in flight toward each output (all zero when immediate).
     pub in_flight: Vec<u32>,
@@ -368,21 +368,20 @@ impl OutputSnapshot {
         }
     }
 
-    /// Recompute the snapshot of an `m`-output switch: count what is in
-    /// flight on `calendar` and held by `faults` (see
-    /// [`for_each_in_flight`]), then visit the output queues of every band
-    /// `bands` hands over — the sequential switch's one band, or each
-    /// shard's — and mark the outputs whose virtual queue is full. Sized
-    /// here too, so a switch refreshed at construction answers for every
-    /// output before its first cycle.
+    /// Recompute the snapshot of the switch whose queues are `band`: count
+    /// what is in flight on `calendar` and held by `faults` (see
+    /// [`for_each_in_flight`]), then visit the output queues and mark the
+    /// outputs whose virtual queue is full. Sized here too, so a switch
+    /// refreshed at construction answers for every output before its first
+    /// cycle.
     // detlint: hot
     pub(crate) fn refresh(
         &mut self,
-        m: usize,
+        band: &QueueBand,
         calendar: &DelayCalendar,
         faults: Option<&FaultRuntime>,
-        bands: impl FnOnce(&mut dyn FnMut(&QueueBand)),
     ) {
+        let m = band.n_outputs();
         self.full.clear();
         self.full.resize(m, false);
         self.tail.clear();
@@ -397,16 +396,14 @@ impl OutputSnapshot {
             self.in_flight[j] += 1;
             self.in_flight_min[j] = self.in_flight_min[j].min(v);
         });
-        bands(&mut |band| {
-            for j in band.cols() {
-                let q = band.output(PortId::from(j));
-                if q.len() + self.in_flight[j] as usize >= q.capacity() {
-                    self.full[j] = true;
-                    self.full_words[j / 64] |= 1 << (j % 64);
-                    self.tail[j] = self.tail_value(j, q).unwrap_or(Value::MAX);
-                }
+        for j in 0..m {
+            let q = band.output(PortId::from(j));
+            if q.len() + self.in_flight[j] as usize >= q.capacity() {
+                self.full[j] = true;
+                self.full_words[j / 64] |= 1 << (j % 64);
+                self.tail[j] = self.tail_value(j, q).unwrap_or(Value::MAX);
             }
-        });
+        }
     }
 }
 
