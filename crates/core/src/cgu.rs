@@ -5,10 +5,7 @@
 use crate::incremental::{dirty_cols, BandGraph, Dirty, RowView};
 use crate::pg::admit;
 use cioq_model::{Cycle, Packet, PortId};
-use cioq_sim::{
-    Admission, CrossbarPolicy, InputTransfer, OutputSnapshot, OutputTransfer, PacketPick,
-    SwitchView,
-};
+use cioq_sim::{Admission, CrossbarPolicy, OutputSnapshot, PacketPick, SwitchView, Transfer};
 
 /// How CGU resolves the paper's "choose an arbitrary queue" steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,11 +127,11 @@ impl CrossbarGreedyUnit {
 
     /// Input subphase over a band of rows: ≤ 1 transfer per input port.
     // detlint: hot
-    fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<InputTransfer>) {
+    fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
         for (line, i) in view.rows().enumerate() {
             if let Some(j) = self.rows.pick(self.selection, line) {
-                out.push(InputTransfer {
+                out.push(Transfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
                     pick: PacketPick::Greatest,
@@ -151,7 +148,7 @@ impl CrossbarGreedyUnit {
         &mut self,
         view: &SwitchView<'_>,
         outputs: &OutputSnapshot,
-        out: &mut Vec<OutputTransfer>,
+        out: &mut Vec<Transfer>,
     ) {
         self.sync_cols(view);
         for j in 0..view.n_outputs() {
@@ -159,7 +156,7 @@ impl CrossbarGreedyUnit {
                 continue;
             }
             if let Some(i) = self.cols.pick(self.selection, j) {
-                out.push(OutputTransfer {
+                out.push(Transfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
                     pick: PacketPick::Greatest,
@@ -189,13 +186,13 @@ impl CrossbarPolicy for CrossbarGreedyUnit {
     // so each subphase also syncs the half it does not read.
 
     // detlint: hot
-    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         self.sync_cols(view);
         self.input_subphase(view, out);
     }
 
     // detlint: hot
-    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
+    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
         self.output_subphase(view, view.outputs(), out);
     }

@@ -8,10 +8,7 @@ use crate::incremental::{dirty_cols, BandGraph, Dirty, RowView};
 use crate::params::{cpg_alpha_star, cpg_beta_star};
 use crate::pg::admit;
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
-use cioq_sim::{
-    Admission, CrossbarPolicy, InputTransfer, OutputSnapshot, OutputTransfer, PacketPick,
-    SwitchView,
-};
+use cioq_sim::{Admission, CrossbarPolicy, OutputSnapshot, PacketPick, SwitchView, Transfer};
 
 /// The Crossbar Preemptive Greedy algorithm with parameters β, α ≥ 1.
 ///
@@ -169,12 +166,12 @@ impl CrossbarPreemptiveGreedy {
     /// cells with a dirtied `Q_ij` or `C_ij` are re-read, and only rows
     /// whose set `J` moved retake their argmax.
     // detlint: hot
-    fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<InputTransfer>) {
+    fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
         self.rows.refresh();
         for (i, best) in view.rows().zip(&self.rows.best) {
             if let Some((j, _)) = *best {
-                out.push(InputTransfer {
+                out.push(Transfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
                     pick: PacketPick::Greatest,
@@ -194,14 +191,14 @@ impl CrossbarPreemptiveGreedy {
         &mut self,
         view: &SwitchView<'_>,
         outputs: &OutputSnapshot,
-        out: &mut Vec<OutputTransfer>,
+        out: &mut Vec<Transfer>,
     ) {
         self.sync_cols(view);
         self.cols.refresh();
         for (j, best) in self.cols.best.iter().enumerate() {
             let Some((i, gc)) = *best else { continue };
             if !outputs.full[j] || exceeds_factor(gc, self.alpha, outputs.tail[j]) {
-                out.push(OutputTransfer {
+                out.push(Transfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
                     pick: PacketPick::Greatest,
@@ -231,13 +228,13 @@ impl CrossbarPolicy for CrossbarPreemptiveGreedy {
     // so each subphase also syncs the half it does not read.
 
     // detlint: hot
-    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         self.sync_cols(view);
         self.input_subphase(view, out);
     }
 
     // detlint: hot
-    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
+    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
         self.output_subphase(view, view.outputs(), out);
     }

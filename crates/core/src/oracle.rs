@@ -17,10 +17,7 @@
 use crate::{GmEdgePolicy, SelectionOrder};
 use cioq_matching::{greedy_maximal, BipartiteGraph, EdgeOrder};
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
-use cioq_sim::{
-    Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, QueueRef,
-    SwitchView, Transfer,
-};
+use cioq_sim::{Admission, CioqPolicy, CrossbarPolicy, PacketPick, QueueRef, SwitchView, Transfer};
 
 /// The input queue `Q_ij`.
 fn q<'a>(view: &SwitchView<'a>, i: usize, j: usize) -> QueueRef<'a> {
@@ -92,36 +89,25 @@ fn admit(view: &SwitchView<'_>, p: &Packet, preempt: bool) -> Admission {
     }
 }
 
+/// The head of pair `(i, j)`'s source queue moves one hop: `Q_ij` to `Q_j`
+/// (CIOQ) or `C_ij` (input subphase), `C_ij` to `Q_j` (output subphase).
+fn head(i: usize, j: usize, preempt: bool) -> Transfer {
+    Transfer {
+        input: PortId::from(i),
+        output: PortId::from(j),
+        pick: PacketPick::Greatest,
+        preempt_if_full: preempt,
+    }
+}
+
 /// Every matched edge `(i, j)` transfers the head of `Q_ij` to `Q_j`.
 fn transfers(graph: &BipartiteGraph, order: EdgeOrder, preempt: bool, out: &mut Vec<Transfer>) {
-    for &(i, j) in &greedy_maximal(graph, order).pairs {
-        out.push(Transfer {
-            input: PortId::from(i),
-            output: PortId::from(j),
-            pick: PacketPick::Greatest,
-            preempt_if_full: preempt,
-        });
-    }
-}
-
-/// The head of `Q_ij` moves into `C_ij`.
-fn to_crossbar(i: usize, j: usize, preempt: bool) -> InputTransfer {
-    InputTransfer {
-        input: PortId::from(i),
-        output: PortId::from(j),
-        pick: PacketPick::Greatest,
-        preempt_if_full: preempt,
-    }
-}
-
-/// The head of `C_ij` moves into `Q_j`.
-fn to_output(i: usize, j: usize, preempt: bool) -> OutputTransfer {
-    OutputTransfer {
-        input: PortId::from(i),
-        output: PortId::from(j),
-        pick: PacketPick::Greatest,
-        preempt_if_full: preempt,
-    }
+    out.extend(
+        greedy_maximal(graph, order)
+            .pairs
+            .iter()
+            .map(|&(i, j)| head(i, j, preempt)),
+    );
 }
 
 /// GM (§2.1): greedy maximal matching over `unit_graph`, edges visited
@@ -221,24 +207,24 @@ impl CrossbarPolicy for Cgu {
         admit(view, packet, false)
     }
 
-    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         self.input_next.resize(view.n_inputs(), 0);
         for (i, next) in self.input_next.iter_mut().enumerate() {
             // Any j with |Q_ij| > 0 ∧ |C_ij| < B(C_ij).
             let eligible = |j| !q(view, i, j).is_empty() && !c(view, i, j).is_full();
             if let Some(j) = pick(self.selection, next, view.n_outputs(), eligible) {
-                out.push(to_crossbar(i, j, false));
+                out.push(head(i, j, false));
             }
         }
     }
 
-    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
+    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         self.output_next.resize(view.n_outputs(), 0);
         for (j, next) in self.output_next.iter_mut().enumerate() {
             // Any i with |Q_j| < B(Q_j) ∧ |C_ij| > 0.
             let eligible = |i| output_least(view, j).is_none() && !c(view, i, j).is_empty();
             if let Some(i) = pick(self.selection, next, view.n_inputs(), eligible) {
-                out.push(to_output(i, j, false));
+                out.push(head(i, j, false));
             }
         }
     }
@@ -271,7 +257,7 @@ impl CrossbarPolicy for Cpg {
         admit(view, packet, true)
     }
 
-    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<InputTransfer>) {
+    fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         for i in 0..view.n_inputs() {
             // J = { j : |Q_ij| > 0 ∧ (|C_ij| < B(C_ij) ∨ v(g_ij) > β·v(lc_ij)) }
             let in_j = (0..view.n_outputs()).filter_map(|j| {
@@ -280,18 +266,18 @@ impl CrossbarPolicy for Cpg {
                 fits(g_ij, self.beta, lc_ij).then_some((j, g_ij))
             });
             if let Some((j, _)) = heaviest(in_j) {
-                out.push(to_crossbar(i, j, true));
+                out.push(head(i, j, true));
             }
         }
     }
 
-    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<OutputTransfer>) {
+    fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         for j in 0..view.n_outputs() {
             let heads = (0..view.n_inputs()).filter_map(|i| Some((i, c(view, i, j).head_value()?)));
             // Forward the heaviest gc_ij iff |Q_j| < B(Q_j) ∨ v(gc_ij) > α·v(l_j).
             match heaviest(heads) {
                 Some((i, gc)) if fits(gc, self.alpha, output_least(view, j)) => {
-                    out.push(to_output(i, j, true));
+                    out.push(head(i, j, true));
                 }
                 _ => {}
             }

@@ -2,25 +2,26 @@
 //! away, restore from the snapshot *bytes*, and finish the run — the
 //! remaining decision transcript, the final report, the final switch
 //! state and every later checkpoint must be byte-identical to the
-//! uninterrupted run. Covered for all four policies on the sequential
-//! engine and for GM sharded K ∈ {2, 4} (the sharded engine runs GM
-//! only), over the immediate, a uniform-delay and a two-tier matrix
-//! fabric.
+//! uninterrupted run. Covered for all four policies whole-switch and for
+//! GM partitioned K ∈ {2, 4} (`run_cioq_sharded`, which runs GM only),
+//! over the immediate, a uniform-delay and a two-tier matrix fabric.
+//! Both kinds of run are the one `Engine`; partitioned GM is a policy
+//! adapter on it, so its checkpoints are the engine's own.
 //!
-//! Also proven here: sequential and sharded checkpoints of the same run
-//! are byte-identical (so either engine can restore the other's), an
+//! Also proven here: whole-switch and partitioned checkpoints of the same
+//! run are byte-identical (so either run can resume from the other's), an
 //! immediate re-checkpoint after restore reproduces the snapshot bytes
 //! (restore is lossless and idempotent), and the windowed-stats option
-//! survives a sequential kill/restore.
+//! survives a whole-switch kill/restore.
 
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, Engine,
-    EngineSnapshot, ExecMode, FabricSpec, RecordedCrossbarSchedule, RecordedSchedule, Recording,
-    RunOptions, RunOutcome, ShardedOptions, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine,
+    EngineSnapshot, ExecMode, FabricSpec, PolicyError, RecordedSchedule, Recording, RunOptions,
+    RunOutcome, ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -64,11 +65,17 @@ fn run_options(link: &FabricSpec) -> RunOptions {
     }
 }
 
-/// Sequential CIOQ run (fresh or resumed from a checkpoint), recording
-/// the decision transcript.
-fn seq_cioq_run(
+/// `Engine::run_cioq_full` or `Engine::run_crossbar_full`, over a
+/// recorded policy: the architecture a sequential run takes.
+type RunFull<P> =
+    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunOutcome, PolicyError>;
+
+/// Sequential run of either architecture (fresh or resumed from a
+/// checkpoint), recording the decision transcript.
+fn seq_run<P>(
     cfg: &SwitchConfig,
-    mut policy: Box<dyn CioqPolicy>,
+    policy: P,
+    run: RunFull<P>,
     trace: &Trace,
     link: &FabricSpec,
     resume: Option<&EngineSnapshot>,
@@ -77,36 +84,12 @@ fn seq_cioq_run(
         Some(snap) => Engine::restore(snap, run_options(link)).expect("restore own checkpoint"),
         None => Engine::new(cfg.clone(), run_options(link)),
     };
-    let mut rec = Recording::with_fabric(&mut *policy, link);
+    let mut rec = Recording::with_fabric(policy, link);
     let mut source = match resume {
         Some(snap) => TraceSource::resume_at(trace, snap.slot()),
         None => TraceSource::new(trace),
     };
-    let outcome = engine
-        .run_cioq_full(&mut rec, &mut source)
-        .expect("sequential run");
-    (outcome, rec.into_schedule())
-}
-
-fn seq_crossbar_run(
-    cfg: &SwitchConfig,
-    mut policy: Box<dyn CrossbarPolicy>,
-    trace: &Trace,
-    link: &FabricSpec,
-    resume: Option<&EngineSnapshot>,
-) -> (RunOutcome, RecordedCrossbarSchedule) {
-    let engine = match resume {
-        Some(snap) => Engine::restore(snap, run_options(link)).expect("restore own checkpoint"),
-        None => Engine::new(cfg.clone(), run_options(link)),
-    };
-    let mut rec = CrossbarRecording::with_fabric(&mut *policy, link);
-    let mut source = match resume {
-        Some(snap) => TraceSource::resume_at(trace, snap.slot()),
-        None => TraceSource::new(trace),
-    };
-    let outcome = engine
-        .run_crossbar_full(&mut rec, &mut source)
-        .expect("sequential run");
+    let outcome = run(engine, &mut rec, &mut source).expect("sequential run");
     (outcome, rec.into_schedule())
 }
 
@@ -162,7 +145,7 @@ fn check_cioq_recovery(
     what: &str,
 ) {
     let speedup = cfg.speedup as usize;
-    let (full, full_sched) = seq_cioq_run(cfg, seq(), trace, link, None);
+    let (full, full_sched) = seq_run(cfg, &mut *seq(), Engine::run_cioq_full, trace, link, None);
     assert!(
         full.checkpoints.len() >= 2,
         "{what}: run too short for the checkpoint cadence"
@@ -186,7 +169,14 @@ fn check_cioq_recovery(
             "{what}: re-checkpoint at k={k} is byte-identical"
         );
 
-        let (resumed, resumed_sched) = seq_cioq_run(cfg, seq(), trace, link, Some(&decoded));
+        let (resumed, resumed_sched) = seq_run(
+            cfg,
+            &mut *seq(),
+            Engine::run_cioq_full,
+            trace,
+            link,
+            Some(&decoded),
+        );
         assert_eq!(resumed.report, full.report, "{what}: report after k={k}");
         assert_states_equal(&resumed.final_state, &full.final_state, what);
         assert_checkpoint_tail(&resumed.checkpoints, &full.checkpoints, k, what);
@@ -251,10 +241,17 @@ fn check_cioq_recovery(
             full_sched.transfers[cycle_off..],
             "{w}: sharded transfer transcript tail after k={k}"
         );
-        // And the reverse: a sharded checkpoint restores into the
-        // sequential engine.
+        // And the reverse: a partitioned run's checkpoint resumes
+        // whole-switch GM.
         let sh_snap = &sh_full.checkpoints[sh_full.checkpoints.len() / 2];
-        let (xres, _) = seq_cioq_run(cfg, seq(), trace, link, Some(sh_snap));
+        let (xres, _) = seq_run(
+            cfg,
+            &mut *seq(),
+            Engine::run_cioq_full,
+            trace,
+            link,
+            Some(sh_snap),
+        );
         assert_eq!(
             xres.report, full.report,
             "{w}: sequential resume from a sharded checkpoint"
@@ -272,7 +269,14 @@ fn check_crossbar_recovery(
     what: &str,
 ) {
     let speedup = cfg.speedup as usize;
-    let (full, full_sched) = seq_crossbar_run(cfg, seq(), trace, link, None);
+    let (full, full_sched) = seq_run(
+        cfg,
+        &mut *seq(),
+        Engine::run_crossbar_full,
+        trace,
+        link,
+        None,
+    );
     assert!(
         full.checkpoints.len() >= 2,
         "{what}: run too short for the checkpoint cadence"
@@ -283,7 +287,14 @@ fn check_crossbar_recovery(
         let k = snap.slot();
         let decoded =
             EngineSnapshot::from_bytes(&snap.to_bytes()).expect("snapshot bytes round-trip");
-        let (resumed, resumed_sched) = seq_crossbar_run(cfg, seq(), trace, link, Some(&decoded));
+        let (resumed, resumed_sched) = seq_run(
+            cfg,
+            &mut *seq(),
+            Engine::run_crossbar_full,
+            trace,
+            link,
+            Some(&decoded),
+        );
         assert_eq!(resumed.report, full.report, "{what}: report after k={k}");
         assert_states_equal(&resumed.final_state, &full.final_state, what);
         assert_checkpoint_tail(&resumed.checkpoints, &full.checkpoints, k, what);
@@ -294,8 +305,8 @@ fn check_crossbar_recovery(
             "{what}: input-transfer transcript tail after k={k}"
         );
         assert_eq!(
-            resumed_sched.output_transfers[..],
-            full_sched.output_transfers[cycle_off..],
+            resumed_sched.transfers[..],
+            full_sched.transfers[cycle_off..],
             "{what}: output-transfer transcript tail after k={k}"
         );
         let adm_off = trace.packets().partition_point(|p| p.arrival < k);
@@ -335,8 +346,8 @@ fn bursty_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
 /// The three fabric shapes of the acceptance matrix: immediate, uniform
 /// delay line, and a heterogeneous two-tier delay matrix (chassis-local
 /// pairs at 0, cross-rack pairs at 2 — same-cycle deliveries and delayed
-/// landings live simultaneously, in the sharded runs across shard bands
-/// too).
+/// landings live simultaneously, in the partitioned runs also between
+/// pairs whose rows different shards own).
 fn fabrics() -> Vec<(&'static str, FabricSpec)> {
     vec![
         ("immediate", FabricSpec::default()),
@@ -445,7 +456,14 @@ fn restore_rejects_mismatched_fabric() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 32, 0xCE);
     let link = FabricSpec::uniform(2);
-    let (full, _) = seq_cioq_run(&cfg, Box::new(GreedyMatching::new()), &trace, &link, None);
+    let (full, _) = seq_run(
+        &cfg,
+        GreedyMatching::new(),
+        Engine::run_cioq_full,
+        &trace,
+        &link,
+        None,
+    );
     let snap = &full.checkpoints[0];
     let err = Engine::restore(
         snap,

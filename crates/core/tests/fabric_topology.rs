@@ -5,15 +5,17 @@
 //! 1. **`matrix(Topology::uniform(d))` ≡ `FabricSpec::uniform(d)`** — a uniform
 //!    topology must reproduce the uniform delay line bit for bit
 //!    (admissions, per-cycle transfer sets, reports, final states), for all
-//!    four policies on the sequential engine and for GM × K ∈
-//!    {1, 2, 4} on the sharded one (which runs GM only). Unlike the `d = 0` normalisation this is *not* structural:
-//!    the matrix path runs the per-pair lookup, the landing calendar, and
-//!    the canonical landing sort, and must land on the same bits.
-//! 2. **Sharded matrix fabric ≡ sequential reference** — on genuinely
+//!    four policies whole-switch and for GM partitioned over K ∈
+//!    {1, 2, 4} shards (only GM runs partitioned). Unlike the `d = 0`
+//!    normalisation this is *not* structural: the matrix path runs the
+//!    per-pair lookup, the landing calendar, and the canonical landing
+//!    sort, and must land on the same bits.
+//! 2. **Partitioned ≡ whole-switch on a matrix fabric** — on genuinely
 //!    heterogeneous fabrics (two-tier rack models, random explicit
-//!    matrices, racks scattered across ports) the sharded engine's delay
-//!    line reproduces the sequential topology-aware engine bit for bit —
-//!    including when rack boundaries do not align with shard boundaries.
+//!    matrices, racks scattered across ports) partitioned GM
+//!    (`run_cioq_sharded`, a policy adapter on the one `Engine` and its
+//!    one delay line) reproduces whole-switch GM bit for bit — including
+//!    when rack boundaries do not align with shard boundaries.
 //! 3. **Conservation under heterogeneous delays** — property test over
 //!    random delay matrices: in-flight + landed + queued packets always
 //!    reconcile with arrivals, drained and steady-state.
@@ -23,8 +25,8 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, Engine,
-    FabricSpec, RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunReport,
+    run_cioq_sharded, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine,
+    FabricSpec, PolicyError, RecordedSchedule, Recording, RunOptions, RunOutcome, RunReport,
     ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
@@ -93,32 +95,24 @@ fn on_fabric(fabric: &FabricSpec) -> RunOptions {
     }
 }
 
-/// Sequential reference run through an arbitrary fabric.
-fn seq_cioq(
+/// `Engine::run_cioq_full` or `Engine::run_crossbar_full`, over a
+/// recorded policy: the architecture a sequential run takes.
+type RunFull<P> =
+    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunOutcome, PolicyError>;
+
+/// Sequential reference run of either architecture through an arbitrary
+/// fabric.
+fn seq_run<P>(
     cfg: &SwitchConfig,
-    mut policy: Box<dyn CioqPolicy>,
+    policy: P,
+    run: RunFull<P>,
     trace: &Trace,
     link: &FabricSpec,
 ) -> (RunReport, RecordedSchedule, SwitchState) {
-    let mut rec = Recording::with_fabric(&mut *policy, link);
-    let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), on_fabric(link))
-        .run_cioq_capturing(&mut rec, &mut source)
-        .expect("sequential linked run");
-    (report, rec.into_schedule(), state)
-}
-
-fn seq_crossbar(
-    cfg: &SwitchConfig,
-    mut policy: Box<dyn CrossbarPolicy>,
-    trace: &Trace,
-    link: &FabricSpec,
-) -> (RunReport, RecordedCrossbarSchedule, SwitchState) {
-    let mut rec = CrossbarRecording::with_fabric(&mut *policy, link);
-    let mut source = TraceSource::new(trace);
-    let outcome = Engine::new(cfg.clone(), on_fabric(link))
-        .run_crossbar_full(&mut rec, &mut source)
-        .expect("sequential linked run");
+    let mut rec = Recording::with_fabric(policy, link);
+    let engine = Engine::new(cfg.clone(), on_fabric(link));
+    let outcome =
+        run(engine, &mut rec, &mut TraceSource::new(trace)).expect("sequential linked run");
     (outcome.report, rec.into_schedule(), outcome.final_state)
 }
 
@@ -199,7 +193,7 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
         let matrix = FabricSpec::matrix(Topology::uniform(6, 6, d));
         let what = format!("const matrix d={d}");
 
-        for (seq, sharded) in [
+        for (mut seq, sharded) in [
             (
                 Box::new(GreedyMatching::new()) as Box<dyn CioqPolicy>,
                 Some(ShardedGm::new()),
@@ -207,15 +201,21 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
             (Box::new(PreemptiveGreedy::new()), None),
         ] {
             // The delay-line run is the reference…
-            let reference = seq_cioq(&cfg, seq, &trace, &line);
+            let reference = seq_run(&cfg, &mut *seq, Engine::run_cioq_full, &trace, &line);
             // …the sequential matrix run must already match it…
             let name = reference.0.policy.clone();
-            let seq_again: Box<dyn CioqPolicy> = if name.starts_with("GM") {
+            let mut seq_again: Box<dyn CioqPolicy> = if name.starts_with("GM") {
                 Box::new(GreedyMatching::new())
             } else {
                 Box::new(PreemptiveGreedy::new())
             };
-            let matrix_run = seq_cioq(&cfg, seq_again, &trace, &matrix);
+            let matrix_run = seq_run(
+                &cfg,
+                &mut *seq_again,
+                Engine::run_cioq_full,
+                &trace,
+                &matrix,
+            );
             assert_eq!(
                 matrix_run.1, reference.1,
                 "{what}: sequential matrix transcript"
@@ -228,15 +228,27 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
             }
         }
 
-        // The crossbar policies run on the sequential engine only.
+        // The crossbar policies run whole-switch only.
         let crossbar: [fn() -> Box<dyn CrossbarPolicy>; 2] = [
             || Box::new(CrossbarGreedyUnit::new()),
             || Box::new(CrossbarPreemptiveGreedy::new()),
         ];
         for make in crossbar {
-            let reference = seq_crossbar(&xcfg, make(), &xtrace, &line);
+            let reference = seq_run(
+                &xcfg,
+                &mut *make(),
+                Engine::run_crossbar_full,
+                &xtrace,
+                &line,
+            );
             let what = format!("{what} [{}]", reference.0.policy);
-            let matrix_run = seq_crossbar(&xcfg, make(), &xtrace, &matrix);
+            let matrix_run = seq_run(
+                &xcfg,
+                &mut *make(),
+                Engine::run_crossbar_full,
+                &xtrace,
+                &matrix,
+            );
             assert_eq!(matrix_run.1, reference.1, "{what}: crossbar transcript");
             assert_reports_equal(&matrix_run.0, &reference.0, &what);
             assert_states_equal(&matrix_run.2, &reference.2, &what);
@@ -245,13 +257,13 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Heterogeneous matrices: sharded ≡ sequential reference
+// 2. Heterogeneous matrices: partitioned ≡ whole-switch reference
 // ---------------------------------------------------------------------------
 
 /// Two-tier topologies: chassis-local pairs land same-cycle (latency 0)
 /// while cross-rack pairs ride the delay line and land slots later, both
-/// *simultaneously*, and at K ∈ {2, 4} a latency-0 transfer can cross
-/// shard bands. With 3 racks over 6 ports and K ∈ {1, 2, 4}, rack
+/// *simultaneously*, and at K ∈ {2, 4} a latency-0 transfer can go from a
+/// row one shard owns to any output. With 3 racks over 6 ports and K ∈ {1, 2, 4}, rack
 /// boundaries (2, 4) do not align with the K = 2 or K = 4 shard
 /// boundaries (3; 1, 3, 4).
 #[test]
@@ -261,7 +273,13 @@ fn two_tier_sharded_equals_sequential() {
     for (racks, intra, inter) in [(3usize, 0u64, 2u64), (2, 1, 4)] {
         let link = FabricSpec::matrix(Topology::two_tier(6, 6, racks, intra, inter).unwrap());
         let what = format!("two-tier racks={racks} intra={intra} inter={inter}");
-        let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
+        let reference = seq_run(
+            &cfg,
+            GreedyMatching::new(),
+            Engine::run_cioq_full,
+            &trace,
+            &link,
+        );
         check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, &what);
     }
 }
@@ -282,7 +300,13 @@ fn a_calendar_bucket_gathers_from_several_dispatch_slots() {
         (0, PortId(2), PortId(5), 1),
         (3, PortId(2), PortId(3), 1),
     ]);
-    let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
+    let reference = seq_run(
+        &cfg,
+        GreedyMatching::new(),
+        Engine::run_cioq_full,
+        &trace,
+        &link,
+    );
     let what = "mixed-latency ring";
     check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, what);
 }
@@ -306,15 +330,21 @@ fn random_matrix_sharded_equals_sequential() {
     assert_eq!(topo.uniform_delay(), None);
     let link = FabricSpec::matrix(topo);
     let what = "random matrix";
-    let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
+    let reference = seq_run(
+        &cfg,
+        GreedyMatching::new(),
+        Engine::run_cioq_full,
+        &trace,
+        &link,
+    );
     check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, what);
 }
 
 /// Incast through a two-tier fabric concentrates landings: transfers
 /// dispatched in *different slots* (near and far racks) land together at
 /// one output, so the canonical landing order — not just per-cycle order —
-/// decides the order they enter its queue. GM, the sharded engine's one
-/// policy.
+/// decides the order they enter its queue. GM, the one policy that runs
+/// partitioned.
 #[test]
 fn two_tier_incast_landing_order() {
     let cfg = SwitchConfig::builder(8, 4)
@@ -337,7 +367,13 @@ fn two_tier_incast_landing_order() {
     for (intra, inter) in [(1u64, 3u64), (0, 4)] {
         let link = FabricSpec::matrix(Topology::two_tier(8, 4, 2, intra, inter).unwrap());
         let what = format!("incast intra={intra} inter={inter}");
-        let reference = seq_cioq(&cfg, Box::new(GreedyMatching::new()), &trace, &link);
+        let reference = seq_run(
+            &cfg,
+            GreedyMatching::new(),
+            Engine::run_cioq_full,
+            &trace,
+            &link,
+        );
         check_cioq_against(&cfg, &ShardedGm::new(), &trace, &link, &reference, &what);
     }
 }

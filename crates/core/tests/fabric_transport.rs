@@ -5,11 +5,12 @@
 //! 1. **`FabricSpec::uniform(0)` ≡ the default fabric** — the identity is checked
 //!    end to end (admissions, per-cycle transfer sets, reports, final
 //!    states) for GM × K ∈ {1, 2, 4}.
-//! 2. **Sharded `uniform(d)` ≡ sequential delayed engine** — the
-//!    sharded engine's delay line reproduces the reference
-//!    delayed-sequential engine bit for bit, for d ∈ {1, 2, 4}, the same policy and
-//!    shard counts. This is the delayed analogue of `sharded_equivalence.rs`
-//!    (the sharded engine runs GM only).
+//! 2. **Partitioned `uniform(d)` ≡ whole-switch `uniform(d)`** — GM
+//!    partitioned over K ∈ {1, 2, 4} shards (`run_cioq_sharded`, a policy
+//!    adapter on the one `Engine`, whose one delay line serves both sides)
+//!    reproduces whole-switch GM on the same delay line bit for bit, for
+//!    d ∈ {1, 2, 4}. This is the delayed analogue of
+//!    `sharded_equivalence.rs` (only GM runs partitioned).
 //! 3. **Conservation in flight** — no packet is lost or duplicated while
 //!    riding the delay line, under `FullFabricChurn` (every row dirtied
 //!    every slot), drained and steady-state.
@@ -99,8 +100,8 @@ fn sharded_options(k: usize, d: SlotId) -> ShardedOptions {
     opts
 }
 
-/// Full K sweep of a sharded CIOQ policy on a latency-`d` fabric
-/// against the delayed sequential reference.
+/// Full K sweep of a partitioned CIOQ policy on a latency-`d` fabric
+/// against its whole-switch twin on the same fabric.
 fn check_cioq_delayed(
     cfg: &SwitchConfig,
     seq: impl Fn() -> Box<dyn CioqPolicy>,
@@ -144,9 +145,9 @@ fn cioq_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
 // 1. uniform(0) ≡ the default fabric
 // ---------------------------------------------------------------------------
 
-/// `FabricSpec::uniform(0)` must take the immediate fast path in every
-/// engine layer: identical transcripts, reports, and final states against
-/// the plain sequential reference, for GM.
+/// `FabricSpec::uniform(0)` must take the immediate fast path, whole-switch
+/// and partitioned: identical transcripts, reports, and final states
+/// against the plain whole-switch reference, for GM.
 #[test]
 fn delay_zero_is_bit_identical_to_immediate() {
     let cfg = SwitchConfig::builder(6, 6)
@@ -181,11 +182,11 @@ fn delay_zero_sequential_matches_plain_run() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Sharded uniform(d) ≡ delayed sequential engine
+// 2. Partitioned uniform(d) ≡ whole-switch uniform(d)
 // ---------------------------------------------------------------------------
 
-/// CIOQ policies across the delay sweep: the sharded engine's delay line
-/// reproduces the delayed sequential reference bit for bit.
+/// GM across the delay sweep: partitioned runs reproduce the whole-switch
+/// reference on the same delay line bit for bit.
 #[test]
 fn cioq_delayed_sharded_equals_sequential() {
     let cfg = SwitchConfig::builder(6, 6)
@@ -209,7 +210,7 @@ fn cioq_delayed_sharded_equals_sequential() {
 /// Incast concentrates landings: several inputs dispatch to one output in
 /// consecutive cycles of one slot (speedup 2), so landing order within a
 /// slot matters — the (cycle, output) sort must reproduce dispatch order.
-/// GM, the sharded engine's one policy, over a Zipf-valued storm.
+/// GM, the one policy that runs partitioned, over a Zipf-valued storm.
 #[test]
 fn delayed_incast_landing_order() {
     let cfg = SwitchConfig::builder(8, 4)
@@ -331,7 +332,7 @@ fn steady_state_residual_counts_in_flight() {
             "churn at load keeps backlog, d={d}"
         );
 
-        // The sharded engine stops at the same point with the same books.
+        // Partitioned GM stops at the same point with the same books.
         let mut sh = ShardedOptions::new(2);
         sh.fabric = FabricSpec::uniform(d);
         sh.slots = Some(slots);

@@ -22,8 +22,8 @@ use cioq_core::{
 use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
     run_cioq, run_cioq_sharded, run_crossbar, Admission, CioqPolicy, CioqShardPolicy,
-    CrossbarPolicy, ExecMode, InputTransfer, OutputTransfer, RunReport, ShardedOptions, SwitchView,
-    Trace, Transfer, TransmitChoice,
+    CrossbarPolicy, ExecMode, RunReport, ShardedOptions, SwitchView, Trace, Transfer,
+    TransmitChoice,
 };
 use cioq_traffic::{gen_trace, BernoulliUniform, ValueDist};
 use proptest::prelude::*;
@@ -70,8 +70,8 @@ impl CioqPolicy for LockstepCioq {
 struct LockstepCrossbar {
     primary: Box<dyn CrossbarPolicy>,
     reference: Box<dyn CrossbarPolicy>,
-    in_scratch: Vec<InputTransfer>,
-    out_scratch: Vec<OutputTransfer>,
+    in_scratch: Vec<Transfer>,
+    out_scratch: Vec<Transfer>,
 }
 
 impl CrossbarPolicy for LockstepCrossbar {
@@ -86,12 +86,7 @@ impl CrossbarPolicy for LockstepCrossbar {
         a
     }
 
-    fn schedule_input(
-        &mut self,
-        view: &SwitchView<'_>,
-        cycle: Cycle,
-        out: &mut Vec<InputTransfer>,
-    ) {
+    fn schedule_input(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
         self.primary.schedule_input(view, cycle, out);
         self.in_scratch.clear();
         self.reference
@@ -103,12 +98,7 @@ impl CrossbarPolicy for LockstepCrossbar {
         );
     }
 
-    fn schedule_output(
-        &mut self,
-        view: &SwitchView<'_>,
-        cycle: Cycle,
-        out: &mut Vec<OutputTransfer>,
-    ) {
+    fn schedule_output(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
         self.primary.schedule_output(view, cycle, out);
         self.out_scratch.clear();
         self.reference

@@ -23,9 +23,9 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, Engine,
-    EngineSnapshot, ExecMode, FabricSpec, RecordedCrossbarSchedule, RecordedSchedule, Recording,
-    RunOptions, RunOutcome, ShardedOptions, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, ArrivalSource, CioqShardPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec,
+    PolicyError, RecordedSchedule, Recording, RunOptions, RunOutcome, ShardedOptions, SwitchState,
+    Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -130,11 +130,18 @@ fn assert_checkpoints_identical(a: &[EngineSnapshot], b: &[EngineSnapshot], what
     }
 }
 
-/// Run one CIOQ policy object through `RUNS` consecutive fresh engines:
-/// the cold first run is the reference, the warm reruns must reproduce it
-/// byte for byte. Returns the reference for the sharded comparison.
-fn check_seq_cioq_pooled<P: CioqPolicy>(
+/// `Engine::run_cioq_full` or `Engine::run_crossbar_full`, over a
+/// recorded policy: the architecture a sequential run takes.
+type RunFull<P> =
+    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunOutcome, PolicyError>;
+
+/// Run one policy object of either architecture through `RUNS`
+/// consecutive fresh engines: the cold first run is the reference, the
+/// warm reruns must reproduce it byte for byte. Returns the reference for
+/// the sharded comparison.
+fn check_seq_pooled<P>(
     make: impl Fn() -> P,
+    run: RunFull<P>,
     cfg: &SwitchConfig,
     trace: &Trace,
     link: &FabricSpec,
@@ -142,16 +149,15 @@ fn check_seq_cioq_pooled<P: CioqPolicy>(
 ) -> (RunOutcome, RecordedSchedule) {
     let mut rec = Recording::with_fabric(make(), link);
     let mut reference: Option<(RunOutcome, RecordedSchedule)> = None;
-    for run in 0..RUNS {
-        let outcome = Engine::new(cfg.clone(), run_options(link))
-            .run_cioq_full(&mut rec, &mut TraceSource::new(trace))
-            .expect("trace-fed run");
+    for pass in 0..RUNS {
+        let engine = Engine::new(cfg.clone(), run_options(link));
+        let outcome = run(engine, &mut rec, &mut TraceSource::new(trace)).expect("trace-fed run");
         let sched = std::mem::take(&mut rec.schedule);
         rec.schedule.fabric_delay = link.max_delay();
         match &reference {
             None => reference = Some((outcome, sched)),
             Some((ref_out, ref_sched)) => {
-                let w = format!("{what} warm run {run}");
+                let w = format!("{what} warm run {pass}");
                 assert_eq!(outcome.report, ref_out.report, "{w}: report");
                 assert_states_equal(&outcome.final_state, &ref_out.final_state, &w);
                 assert_checkpoints_identical(&outcome.checkpoints, &ref_out.checkpoints, &w);
@@ -160,35 +166,6 @@ fn check_seq_cioq_pooled<P: CioqPolicy>(
         }
     }
     reference.expect("at least one run")
-}
-
-/// The crossbar twin of [`check_seq_cioq_pooled`].
-fn check_seq_crossbar_pooled<P: CrossbarPolicy>(
-    make: impl Fn() -> P,
-    cfg: &SwitchConfig,
-    trace: &Trace,
-    link: &FabricSpec,
-    what: &str,
-) {
-    let mut rec = CrossbarRecording::with_fabric(make(), link);
-    let mut reference: Option<(RunOutcome, RecordedCrossbarSchedule)> = None;
-    for run in 0..RUNS {
-        let outcome = Engine::new(cfg.clone(), run_options(link))
-            .run_crossbar_full(&mut rec, &mut TraceSource::new(trace))
-            .expect("trace-fed run");
-        let sched = std::mem::take(&mut rec.schedule);
-        rec.schedule.fabric_delay = link.max_delay();
-        match &reference {
-            None => reference = Some((outcome, sched)),
-            Some((ref_out, ref_sched)) => {
-                let w = format!("{what} warm run {run}");
-                assert_eq!(outcome.report, ref_out.report, "{w}: report");
-                assert_states_equal(&outcome.final_state, &ref_out.final_state, &w);
-                assert_checkpoints_identical(&outcome.checkpoints, &ref_out.checkpoints, &w);
-                assert_eq!(sched, *ref_sched, "{w}: decision transcript");
-            }
-        }
-    }
 }
 
 /// Repeated sharded runs of the same policy object vs the sequential
@@ -229,15 +206,17 @@ fn cioq_pooled_parity() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 96, 0xA110C);
     for (label, link) in &fabrics() {
-        let (gm_out, gm_sched) = check_seq_cioq_pooled(
+        let (gm_out, gm_sched) = check_seq_pooled(
             GreedyMatching::new,
+            Engine::run_cioq_full,
             &cfg,
             &trace,
             link,
             &format!("gm {label}"),
         );
-        check_seq_cioq_pooled(
+        check_seq_pooled(
             PreemptiveGreedy::new,
+            Engine::run_cioq_full,
             &cfg,
             &trace,
             link,
@@ -260,15 +239,17 @@ fn crossbar_pooled_parity() {
     let cfg = SwitchConfig::crossbar(6, 3, 1, 2);
     let trace = bursty_trace(&cfg, 96, 0xA110D);
     for (label, link) in &fabrics() {
-        check_seq_crossbar_pooled(
+        check_seq_pooled(
             CrossbarGreedyUnit::new,
+            Engine::run_crossbar_full,
             &cfg,
             &trace,
             link,
             &format!("cgu {label}"),
         );
-        check_seq_crossbar_pooled(
+        check_seq_pooled(
             CrossbarPreemptiveGreedy::new,
+            Engine::run_crossbar_full,
             &cfg,
             &trace,
             link,

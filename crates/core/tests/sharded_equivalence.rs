@@ -1,13 +1,14 @@
-//! Lockstep equivalence of the sharded engine and the sequential engine:
-//! identical **per-cycle transfer sets**, **admission transcripts**, **run
-//! reports**, and **final queue states** — for GM (the one policy the
-//! sharded engine runs) and shard counts K ∈ {1, 2, 4}.
+//! Lockstep equivalence of partitioned GM and whole-switch GM: identical
+//! **per-cycle transfer sets**, **admission transcripts**, **run
+//! reports**, and **final queue states** at shard counts K ∈ {1, 2, 4}.
+//! Both run on the one `Engine`: `run_cioq_sharded` wraps K workers, each
+//! proposing over its own input rows, and a merge in a policy adapter, so
+//! what differs between the two sides is the scheduler, never the slot.
 //!
-//! The sequential side runs under a recording wrapper so its full decision
-//! transcript is captured; the sharded side records its merged decisions.
-//! Equal transcripts + equal final states + equal reports pin the two
-//! engines cycle for cycle, not just end to end — the ISSUE's "bit
-//! identical" bar.
+//! The whole-switch side runs under a recording wrapper so its full
+//! decision transcript is captured; the partitioned side records its
+//! merged decisions. Equal transcripts + equal final states + equal
+//! reports pin the two schedulers cycle for cycle, not just end to end.
 
 use cioq_core::{GreedyMatching, ShardedGm};
 use cioq_model::{PortId, SwitchConfig};
@@ -72,7 +73,7 @@ fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
     }
 }
 
-/// Sequential reference run: full transcript + report + final state.
+/// Whole-switch reference run: full transcript + report + final state.
 fn seq_cioq(
     cfg: &SwitchConfig,
     mut policy: Box<dyn CioqPolicy>,
@@ -93,8 +94,8 @@ fn sharded_options(k: usize) -> ShardedOptions {
     opts
 }
 
-/// Run the sharded twin at every shard count and compare every
-/// observable against the sequential reference.
+/// Run the partitioned twin at every shard count and compare every
+/// observable against the whole-switch reference.
 fn check_cioq(
     cfg: &SwitchConfig,
     seq: impl Fn() -> Box<dyn CioqPolicy>,
@@ -151,8 +152,8 @@ fn trace_from(n: usize, arrivals: &[(u8, u8, u8, u64)]) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Random bursty/value-skewed traces: GM sharded K ∈ {1,2,4} equals
-    /// the sequential engine in every observable.
+    /// Random bursty/value-skewed traces: GM partitioned K ∈ {1,2,4}
+    /// equals whole-switch GM in every observable.
     #[test]
     fn cioq_sharded_equals_sequential(
         n in 1usize..7,
@@ -179,8 +180,7 @@ proptest! {
 // ---- adversarial traffic (deterministic) ----
 
 /// The IQ-model flood that pins greedy unit algorithms to `2 − 1/m`: a
-/// single output column (shards 1..K own empty output bands — the extreme
-/// asymmetric partition).
+/// single output column, which every shard's proposals contend for.
 #[test]
 fn adversarial_flood_equivalence() {
     let cfg = SwitchConfig::iq_model(8, 4);
@@ -234,9 +234,8 @@ fn full_fabric_churn_equivalence() {
     );
 }
 
-/// Bursty on-off traffic on an asymmetric switch: shards get uneven,
-/// non-square bands (N ≠ M exercises the independent input/output
-/// partitions).
+/// Bursty on-off traffic on an asymmetric switch: shards get uneven row
+/// bands, each M = 5 columns wide (N ≠ M).
 #[test]
 fn asymmetric_bursty_equivalence() {
     let cfg = SwitchConfig::builder(9, 5)
@@ -266,7 +265,7 @@ fn asymmetric_bursty_equivalence() {
 /// starts mid-word, the shards own unequal bands of those rows, and the
 /// merge claims from a two-word free mask. Incast events rotate over all 70
 /// outputs into single-packet output queues, so columns on both sides of
-/// the word boundary go full and free again — both engines' row-word greedy
+/// the word boundary go full and free again — both sides' row-word greedy
 /// on the layout that needs its stitching.
 #[test]
 fn gm_word_straddling_rows_equivalence() {

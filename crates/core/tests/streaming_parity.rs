@@ -17,9 +17,9 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq_sharded, serve_cioq, stream_trace, stream_trace_from, CioqPolicy, CrossbarPolicy,
-    CrossbarRecording, Engine, EngineSnapshot, ExecMode, FabricSpec, RecordedSchedule, Recording,
-    RunOptions, RunOutcome, ShardedOptions, StreamCursor, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, serve_cioq, stream_trace, stream_trace_from, ArrivalSource, Engine,
+    EngineSnapshot, ExecMode, FabricSpec, PolicyError, RecordedSchedule, Recording, RunOptions,
+    RunOutcome, ShardedOptions, StreamCursor, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -112,22 +112,27 @@ fn assert_checkpoints_identical(a: &[EngineSnapshot], b: &[EngineSnapshot], what
     }
 }
 
-/// The sequential CIOQ parity check for one policy on one fabric: a
-/// trace-fed reference run vs stream-fed runs at every depth, full
-/// transcript equality included. The trace run pins `slots` to the
-/// source horizon implicitly; the streamed runs have no horizon at all —
-/// the arrival window closes when the producer hangs up.
-fn check_seq_cioq<P: CioqPolicy>(
+/// `Engine::run_cioq_full` or `Engine::run_crossbar_full`, over a
+/// recorded policy: the architecture a sequential run takes.
+type RunFull<P> =
+    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunOutcome, PolicyError>;
+
+/// The sequential parity check for one policy of either architecture on
+/// one fabric: a trace-fed reference run vs stream-fed runs at every
+/// depth, full transcript equality included. The trace run pins `slots`
+/// to the source horizon implicitly; the streamed runs have no horizon at
+/// all — the arrival window closes when the producer hangs up.
+fn check_seq<P>(
     make: impl Fn() -> P,
+    run: RunFull<P>,
     cfg: &SwitchConfig,
     trace: &Trace,
     link: &FabricSpec,
     what: &str,
-) -> RunOutcome {
+) {
     let mut rec = Recording::with_fabric(make(), link);
-    let full = Engine::new(cfg.clone(), run_options(link))
-        .run_cioq_full(&mut rec, &mut TraceSource::new(trace))
-        .expect("trace-fed run");
+    let engine = Engine::new(cfg.clone(), run_options(link));
+    let full = run(engine, &mut rec, &mut TraceSource::new(trace)).expect("trace-fed run");
     let full_sched = rec.into_schedule();
     assert!(
         full.checkpoints.len() >= 2,
@@ -138,45 +143,8 @@ fn check_seq_cioq<P: CioqPolicy>(
         let w = format!("{what} depth={depth}");
         let (mut src, pump) = stream_trace(trace, depth);
         let mut rec = Recording::with_fabric(make(), link);
-        let streamed = Engine::new(cfg.clone(), run_options(link))
-            .run_cioq_full(&mut rec, &mut src)
-            .expect("stream-fed run");
-        let stalls = src.stalls();
-        drop(src);
-        pump.join();
-        let sched = rec.into_schedule();
-        assert_eq!(streamed.report, full.report, "{w}: report");
-        assert_states_equal(&streamed.final_state, &full.final_state, &w);
-        assert_checkpoints_identical(&streamed.checkpoints, &full.checkpoints, &w);
-        assert_eq!(sched.transfers, full_sched.transfers, "{w}: transfers");
-        assert_eq!(sched.admissions, full_sched.admissions, "{w}: admissions");
-        if depth == 1 {
-            assert!(stalls >= 1, "{w}: depth-1 channel must engage backpressure");
-        }
-    }
-    full
-}
-
-fn check_seq_crossbar<P: CrossbarPolicy>(
-    make: impl Fn() -> P,
-    cfg: &SwitchConfig,
-    trace: &Trace,
-    link: &FabricSpec,
-    what: &str,
-) -> RunOutcome {
-    let mut rec = CrossbarRecording::with_fabric(make(), link);
-    let full = Engine::new(cfg.clone(), run_options(link))
-        .run_crossbar_full(&mut rec, &mut TraceSource::new(trace))
-        .expect("trace-fed run");
-    let full_sched = rec.into_schedule();
-
-    for depth in DEPTHS {
-        let w = format!("{what} depth={depth}");
-        let (mut src, pump) = stream_trace(trace, depth);
-        let mut rec = CrossbarRecording::with_fabric(make(), link);
-        let streamed = Engine::new(cfg.clone(), run_options(link))
-            .run_crossbar_full(&mut rec, &mut src)
-            .expect("stream-fed run");
+        let engine = Engine::new(cfg.clone(), run_options(link));
+        let streamed = run(engine, &mut rec, &mut src).expect("stream-fed run");
         let stalls = src.stalls();
         drop(src);
         pump.join();
@@ -188,16 +156,12 @@ fn check_seq_crossbar<P: CrossbarPolicy>(
             sched.input_transfers, full_sched.input_transfers,
             "{w}: input transfers"
         );
-        assert_eq!(
-            sched.output_transfers, full_sched.output_transfers,
-            "{w}: output transfers"
-        );
+        assert_eq!(sched.transfers, full_sched.transfers, "{w}: transfers");
         assert_eq!(sched.admissions, full_sched.admissions, "{w}: admissions");
         if depth == 1 {
             assert!(stalls >= 1, "{w}: depth-1 channel must engage backpressure");
         }
     }
-    full
 }
 
 // ---------------------------------------------------------------------------
@@ -209,15 +173,17 @@ fn cioq_stream_parity() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 48, 0xD0);
     for (label, link) in &fabrics() {
-        check_seq_cioq(
+        check_seq(
             GreedyMatching::new,
+            Engine::run_cioq_full,
             &cfg,
             &trace,
             link,
             &format!("gm {label}"),
         );
-        check_seq_cioq(
+        check_seq(
             PreemptiveGreedy::new,
+            Engine::run_cioq_full,
             &cfg,
             &trace,
             link,
@@ -231,15 +197,17 @@ fn crossbar_stream_parity() {
     let cfg = SwitchConfig::crossbar(6, 3, 1, 2);
     let trace = bursty_trace(&cfg, 48, 0xD1);
     for (label, link) in &fabrics() {
-        check_seq_crossbar(
+        check_seq(
             CrossbarGreedyUnit::new,
+            Engine::run_crossbar_full,
             &cfg,
             &trace,
             link,
             &format!("cgu {label}"),
         );
-        check_seq_crossbar(
+        check_seq(
             CrossbarPreemptiveGreedy::new,
+            Engine::run_crossbar_full,
             &cfg,
             &trace,
             link,

@@ -20,12 +20,12 @@
 //! smallest index, and with every head worth 1 the smallest eligible index
 //! is CGU's first fit.
 //!
-//! A transcript here is the admissions plus every cycle's transfer pairs,
-//! plus the run report with its `policy` name blanked. PG runs on the
-//! sequential engine, the only one that runs it, and its GM twin on both —
-//! sequential, and sharded at K ∈ {1, 2, 4}; the
-//! crossbar twins run on the sequential engine, the only one that runs a
-//! crossbar; all on the immediate fabric and a two-tier one, at 6 × 70
+//! A transcript here is the admissions plus every cycle's transfer pairs
+//! (both crossbar subphases), plus the run report with its `policy` name
+//! blanked; every one must first pass the engine's own port rule
+//! (`invariants::check_schedule`). PG runs whole-switch, and its GM twin
+//! whole-switch and partitioned at K ∈ {1, 2, 4}; the crossbar twins run
+//! whole-switch; all on the immediate fabric and a two-tier one, at 6 × 70
 //! (output bitmaps straddle a word) and 70 × 3 (rows straddle words of
 //! the flat cell bitsets). The two sides share the band graph their caches
 //! are kept in, and nothing else: no matching kernel, eligibility rule or
@@ -50,9 +50,9 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CrossbarPolicy, CrossbarRecording, Engine, FabricSpec,
-    RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions,
-    Trace, TraceSource,
+    invariants::check_schedule, run_cioq_sharded, ArrivalSource, CioqPolicy, CrossbarPolicy,
+    Engine, FabricSpec, PolicyError, RecordedSchedule, Recording, RunOptions, RunReport,
+    ShardedOptions, Trace, TraceSource,
 };
 
 const ARRIVAL_SLOTS: SlotId = 30;
@@ -125,29 +125,38 @@ fn trace(n: usize, m: usize, levels: u64, scale: Value) -> Trace {
 
 /// What a run decided, engine-independent: the report with the policy
 /// name blanked, and the decision transcript.
-type Transcript<S> = (RunReport, S);
+type Transcript = (RunReport, RecordedSchedule);
 
-fn blank(mut report: RunReport) -> RunReport {
+/// `Engine::run_cioq` or `Engine::run_crossbar`, over a recorded policy:
+/// the architecture a sequential run takes.
+type Run<P> =
+    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunReport, PolicyError>;
+
+/// A run's transcript, once its schedule has passed the engine's own port
+/// rule.
+fn checked(report: RunReport, schedule: RecordedSchedule, cfg: &SwitchConfig) -> Transcript {
+    assert_eq!(check_schedule(&schedule, cfg), Ok(()), "{}", report.policy);
+    let mut report = report;
     report.policy.clear();
-    report
+    (report, schedule)
 }
 
-/// A sequential run's transcript.
-fn cioq_transcript<P: CioqPolicy>(
+/// A sequential run's transcript, on either architecture.
+fn transcript<P>(
     policy: P,
+    run: Run<P>,
     cfg: &SwitchConfig,
     trace: &Trace,
     fabric: &FabricSpec,
-) -> Transcript<RecordedSchedule> {
+) -> Transcript {
     let options = RunOptions {
         fabric: fabric.clone(),
         ..RunOptions::default()
     };
     let mut rec = Recording::with_fabric(policy, fabric);
-    let report = Engine::new(cfg.clone(), options)
-        .run_cioq(&mut rec, &mut TraceSource::new(trace))
-        .expect("sequential run");
-    (blank(report), rec.into_schedule())
+    let engine = Engine::new(cfg.clone(), options);
+    let report = run(engine, &mut rec, &mut TraceSource::new(trace)).expect("sequential run");
+    checked(report, rec.into_schedule(), cfg)
 }
 
 /// GM's transcript on the engine `variant` names.
@@ -156,31 +165,14 @@ fn gm_transcript(
     trace: &Trace,
     fabric: &FabricSpec,
     variant: Variant,
-) -> Transcript<RecordedSchedule> {
+) -> Transcript {
     let Some(k) = variant else {
-        return cioq_transcript(GreedyMatching::new(), cfg, trace, fabric);
+        return transcript(GreedyMatching::new(), Engine::run_cioq, cfg, trace, fabric);
     };
     let options = sharded(k, fabric);
     let outcome = run_cioq_sharded(cfg, &ShardedGm::new(), trace, options).expect("sharded run");
     let schedule = outcome.schedule.expect("recorded");
-    (blank(outcome.report), schedule)
-}
-
-fn crossbar_transcript<P: CrossbarPolicy>(
-    policy: P,
-    cfg: &SwitchConfig,
-    trace: &Trace,
-    fabric: &FabricSpec,
-) -> Transcript<RecordedCrossbarSchedule> {
-    let options = RunOptions {
-        fabric: fabric.clone(),
-        ..RunOptions::default()
-    };
-    let mut rec = CrossbarRecording::with_fabric(policy, fabric);
-    let report = Engine::new(cfg.clone(), options)
-        .run_crossbar(&mut rec, &mut TraceSource::new(trace))
-        .expect("sequential run");
-    (blank(report), rec.into_schedule())
+    checked(outcome.report, schedule, cfg)
 }
 
 fn sharded(k: usize, fabric: &FabricSpec) -> ShardedOptions {
@@ -211,7 +203,10 @@ fn pg_on_unit_values_is_gm() {
         let (cfg, trace) = (config(n, m, false), trace(n, m, 1, 1));
         let pg_runs = pgs.map(|make| {
             let pg = make();
-            (pg.beta(), cioq_transcript(pg, &cfg, &trace, &fabric))
+            (
+                pg.beta(),
+                transcript(pg, Engine::run_cioq, &cfg, &trace, &fabric),
+            )
         });
         for variant in variants() {
             let gm = gm_transcript(&cfg, &trace, &fabric, variant);
@@ -232,12 +227,18 @@ fn cpg_on_unit_values_is_first_fit_cgu() {
     ];
     for (n, m, fabric) in cases() {
         let (cfg, trace) = (config(n, m, true), trace(n, m, 1, 1));
-        let cgu = crossbar_transcript(CrossbarGreedyUnit::new(), &cfg, &trace, &fabric);
+        let cgu = transcript(
+            CrossbarGreedyUnit::new(),
+            Engine::run_crossbar,
+            &cfg,
+            &trace,
+            &fabric,
+        );
         assert!(cgu.0.losses.rejected > 0, "{n}×{m}: the run must reject");
         for make in cpgs {
             let cpg = make();
             let what = format!("{} {n}×{m} {}", cpg.alpha(), fabric.label());
-            let got = crossbar_transcript(cpg, &cfg, &trace, &fabric);
+            let got = transcript(cpg, Engine::run_crossbar, &cfg, &trace, &fabric);
             assert_eq!(got, cgu, "CPG(α = {what}) against CGU");
         }
     }
@@ -279,7 +280,15 @@ fn scaling_values_by_a_power_of_two_changes_no_decision() {
         for k in [1, 7, 30] {
             let scaled = trace(n, m, 8, 1 << k);
             let what = format!("2^{k} {n}×{m} {}", fabric.label());
-            let run = |trace| cioq_transcript(PreemptiveGreedy::new(), &cioq, trace, &fabric);
+            let run = |trace| {
+                transcript(
+                    PreemptiveGreedy::new(),
+                    Engine::run_cioq,
+                    &cioq,
+                    trace,
+                    &fabric,
+                )
+            };
             let (want, got) = (run(&base), run(&scaled));
             assert!(want.0.losses.preempted_input > 0, "{what}: PG must preempt");
             assert_eq!(got.1, want.1, "PG {what}: transcript");
@@ -288,7 +297,7 @@ fn scaling_values_by_a_power_of_two_changes_no_decision() {
 
             let run = |trace| {
                 let cpg = CrossbarPreemptiveGreedy::new();
-                crossbar_transcript(cpg, &crossbar, trace, &fabric)
+                transcript(cpg, Engine::run_crossbar, &crossbar, trace, &fabric)
             };
             let (want, got) = (run(&base), run(&scaled));
             let preempted = want.0.losses.preempted_crossbar;
@@ -315,21 +324,24 @@ fn shifted(trace: &Trace) -> Trace {
     Trace::from_tuples(packets.map(|p| (p.arrival + SHIFT, p.input, p.output, p.value)))
 }
 
-/// One sequential run, shift-comparable: the report, the admissions, and
-/// every track of per-cycle transfer sets (one for a CIOQ switch; the
-/// input and the output subphase for a crossbar).
-type Shiftable = (RunReport, Vec<bool>, Vec<Vec<Vec<(u16, u16)>>>);
-
 /// The delayed run `later` against `base`: the same admissions, on every
-/// track Δ·ŝ leading cycles with no transfer and then the same transfer
-/// sets, and the same report but for `slots`, Δ longer.
-fn assert_shifted(later: Shiftable, base: Shiftable, speedup: u32, what: &str) {
-    let ((mut report, admissions, tracks), (base_report, base_admissions, base_tracks)) =
-        (later, base);
+/// track of transfer sets (the input subphase, empty on a CIOQ switch, and
+/// what entered the fabric) Δ·ŝ leading cycles with no transfer and then
+/// the same sets, and the same report but for `slots`, Δ longer.
+fn assert_shifted(later: Transcript, base: Transcript, speedup: u32, what: &str) {
+    let ((mut report, s), (base_report, b)) = (later, base);
     assert!(base_report.transmitted > 0, "{what}: nothing transmitted");
-    assert_eq!(admissions, base_admissions, "{what}: admissions");
+    assert_eq!(s.admissions, b.admissions, "{what}: admissions");
     let empty = (SHIFT * SlotId::from(speedup)) as usize;
-    for (track, base_track) in tracks.iter().zip(&base_tracks) {
+    let tracks = [
+        (&s.input_transfers, &b.input_transfers),
+        (&s.transfers, &b.transfers),
+    ];
+    for (track, base_track) in tracks {
+        if base_track.is_empty() {
+            assert!(track.is_empty(), "{what}: a track the base run lacks");
+            continue;
+        }
         let (leading, rest) = track.split_at(empty);
         assert!(
             leading.iter().all(Vec::is_empty),
@@ -371,18 +383,19 @@ fn shifting_arrivals_shifts_the_transcript() {
     for fabric in [immediate, FabricSpec::uniform(3), two_tier] {
         for make in cioq_policies {
             let what = format!("{} {}", make().name(), fabric.label());
-            let run = |trace| -> Shiftable {
-                let (report, s) = cioq_transcript(&mut *make(), &cioq, trace, &fabric);
-                (report, s.admissions, vec![s.transfers])
-            };
+            let run = |trace| transcript(&mut *make(), Engine::run_cioq, &cioq, trace, &fabric);
             assert_shifted(run(&later), run(&base), cioq.speedup, &what);
         }
         for make in crossbar_policies {
             let what = format!("{} {}", make().name(), fabric.label());
-            let run = |trace| -> Shiftable {
-                let (report, s) = crossbar_transcript(&mut *make(), &crossbar, trace, &fabric);
-                let tracks = vec![s.input_transfers, s.output_transfers];
-                (report, s.admissions, tracks)
+            let run = |trace| {
+                transcript(
+                    &mut *make(),
+                    Engine::run_crossbar,
+                    &crossbar,
+                    trace,
+                    &fabric,
+                )
             };
             assert_shifted(run(&later), run(&base), crossbar.speedup, &what);
         }

@@ -18,15 +18,16 @@
 
 use cioq_core::GreedyMatching;
 use cioq_experiments::Table;
-use cioq_model::{Packet, PacketId, SwitchConfig};
-use cioq_sim::{serve_cioq, Engine, EngineSnapshot, RunOptions, RunOutcome, StreamSender};
-use cioq_traffic::{stream_gen, stream_gen_from, BernoulliUniform, SlotGen, ValueDist};
+use cioq_model::SwitchConfig;
+use cioq_sim::{serve_cioq, Engine, EngineSnapshot, RunOptions, RunOutcome, StreamCursor};
+use cioq_traffic::{feed_slots, stream_gen, stream_gen_from, BernoulliUniform, ValueDist};
 
 /// Allowed resident-set growth across the whole soak. The avoided
 /// materialised trace alone would be ~`load · n · slots` packets (tens of
 /// MiB at full scale), so staying under this bound demonstrates the
 /// streaming path really is O(per-slot). Tightened from 64 MiB once the
-/// channel recycled its batch buffers ([`StreamSender::send_reusing`]):
+/// channel recycled its batch buffers
+/// ([`StreamSender::send_reusing`](cioq_sim::StreamSender::send_reusing)):
 /// a steady-state producer/consumer pair now allocates nothing per slot,
 /// so RSS should be flat to within allocator slop.
 const RSS_BOUND_MIB: u64 = 16;
@@ -43,27 +44,6 @@ fn rss_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Feed `slots` slots of the generator through the sender, numbering
-/// packets in emission order (the [`cioq_sim::Trace::from_tuples`]
-/// numbering), exactly as [`stream_gen`] does — used for the service-API
-/// run, whose producer closure owns the generator.
-fn pump_slots(tx: StreamSender, cfg: SwitchConfig, mut sg: impl SlotGen, slots: u64) {
-    let mut tuples = Vec::new();
-    let mut batch = Vec::new();
-    let mut next_id: u64 = 0;
-    for slot in 0..slots {
-        tuples.clear();
-        sg.fill_slot(&cfg, slot, &mut tuples);
-        for &(i, j, v) in &tuples {
-            batch.push(Packet::new(PacketId(next_id), v, slot, i, j));
-            next_id += 1;
-        }
-        if tx.send_reusing(slot, &mut batch).is_err() {
-            return;
-        }
-    }
 }
 
 fn checkpoints_identical(a: &[EngineSnapshot], b: &[EngineSnapshot]) -> bool {
@@ -150,7 +130,7 @@ fn main() {
         options(every),
         &mut GreedyMatching::new(),
         64,
-        move |tx| pump_slots(tx, cfg_c, sg_c, slots),
+        move |tx| feed_slots(tx, &cfg_c, sg_c, StreamCursor::start(), slots),
     )
     .expect("service run");
     let verdict_c = if served.outcome.report != full.report {

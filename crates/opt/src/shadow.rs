@@ -102,8 +102,8 @@ pub fn gm_lemma1_machinery(
     schedule: &RecordedSchedule,
 ) -> Lemma1Report {
     assert!(
-        cfg.crossbar_capacity.is_none(),
-        "the §2.1 machinery targets CIOQ switches"
+        cfg.crossbar_capacity.is_none() && schedule.input_transfers.is_empty(),
+        "the §2.1 machinery targets CIOQ switches and their transcripts"
     );
     assert!(
         trace.packets().iter().all(|p| p.value == 1),
@@ -285,7 +285,7 @@ mod tests {
         let schedule = RecordedSchedule {
             admissions: vec![true, true],
             transfers: vec![vec![(0, 0), (1, 1)]],
-            fabric_delay: 0,
+            ..Default::default()
         };
         let report = gm_lemma1_machinery(&cfg, &trace, &schedule);
         assert_eq!(report.alg_sent, 2);
@@ -303,7 +303,7 @@ mod tests {
         let schedule = RecordedSchedule {
             admissions: vec![true],
             transfers: vec![vec![]],
-            fabric_delay: 0,
+            ..Default::default()
         };
         let report = gm_lemma1_machinery(&cfg, &trace, &schedule);
         assert_eq!(report.alg_sent, 1);

@@ -22,13 +22,10 @@
 use crate::fault::{FaultKind, FaultPlan, FaultRuntime};
 use crate::invariants::{check_conservation, check_state_invariants};
 use crate::mechanics::{self, PortStamps};
-use crate::policy::{
-    Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PolicyError, Transfer,
-    TransmitChoice,
-};
+use crate::policy::{Admission, CioqPolicy, CrossbarPolicy, PolicyError, Transfer, TransmitChoice};
 use crate::snapshot::{EngineSnapshot, SnapLanding, SnapshotError};
 use crate::source::{ArrivalSource, TraceSource};
-use crate::state::{SwitchState, SwitchView};
+use crate::state::{QueueKind, SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder, WindowedStats};
 use crate::trace::Trace;
 use crate::transport::{self, DelayCalendar, FabricSpec, InFlightPacket, Landing};
@@ -796,7 +793,7 @@ impl<P: CioqPolicy + ?Sized> Arch for Cioq<'_, P> {
         let pairs = self.transfers.iter().map(|t| (t.input, t.output));
         engine.check_transfers(pairs, true, true)?;
         for t in &self.transfers {
-            let p = engine.state.band.pop_transfer(t)?;
+            let p = engine.state.band.pop_transfer(QueueKind::Input, t)?;
             engine.through_fabric(cycle, p)?;
         }
         Ok(())
@@ -812,8 +809,8 @@ impl<P: CioqPolicy + ?Sized> Arch for Cioq<'_, P> {
 struct Crossbar<'p, P: ?Sized> {
     policy: &'p mut P,
     /// Pooled decision buffers.
-    inputs: Vec<InputTransfer>,
-    outputs: Vec<OutputTransfer>,
+    inputs: Vec<Transfer>,
+    outputs: Vec<Transfer>,
 }
 
 impl<P: CrossbarPolicy + ?Sized> Arch for Crossbar<'_, P> {
@@ -856,7 +853,7 @@ impl<P: CrossbarPolicy + ?Sized> Arch for Crossbar<'_, P> {
         let pairs = self.outputs.iter().map(|t| (t.input, t.output));
         engine.check_transfers(pairs, false, true)?;
         for t in &self.outputs {
-            let p = engine.state.band.pop_output_transfer(t)?;
+            let p = engine.state.band.pop_transfer(QueueKind::Crossbar, t)?;
             engine.through_fabric(cycle, p)?;
         }
         Ok(())

@@ -11,8 +11,9 @@
 //!    packets transmitted + lost + still buffered (queued or in flight
 //!    through the fabric), and likewise for value. The end-of-run
 //!    [`RunReport::check_conservation`](crate::RunReport::check_conservation)
-//!    is this check applied once; auditing per slot localizes a leak to
-//!    the slot that caused it. The engine counts what is in flight by
+//!    is the same identity (one function in `stats.rs` states it for
+//!    both) applied once; auditing per slot localizes a leak to the slot
+//!    that caused it. The engine counts what is in flight by
 //!    walking the delay line itself (and the fault layer's retransmit
 //!    FIFOs), so a packet lost or duplicated on the wire shows here.
 //! 2. **Canonical landing order** — the landing phase applies fabric
@@ -20,15 +21,17 @@
 //!    `(dispatch slot, dispatch cycle, output, input)` order, the order
 //!    that makes delayed and partitioned runs bit-identical to
 //!    whole-switch ones.
-//! 3. **Schedule validity** — a recorded transcript matches each input
-//!    and output port at most once per cycle (the crossbar subphases
-//!    constrain only their own side), with all ports in range.
+//! 3. **Schedule validity** — a recorded transcript passes the engine's
+//!    own port rule (`mechanics::PortStamps`) on every transfer set: each
+//!    CIOQ set a matching, each crossbar input subphase ≤ 1 transfer per
+//!    input, each output subphase ≤ 1 per output, all ports in range.
 
+use crate::mechanics::PortStamps;
+use crate::record::RecordedSchedule;
 use crate::snapshot::EngineSnapshot;
 use crate::state::SwitchState;
-use crate::stats::StatsRecorder;
-use crate::{RecordedCrossbarSchedule, RecordedSchedule};
-use cioq_model::{SlotId, SwitchConfig};
+use crate::stats::{conservation, StatsRecorder};
+use cioq_model::{PortId, SlotId, SwitchConfig};
 
 /// Check packet and value conservation for a run in progress:
 /// `arrived == transmitted + lost + residual`, where `residual` counts
@@ -39,27 +42,12 @@ pub fn check_conservation(
     residual_count: u64,
     residual_value: u128,
 ) -> Result<(), String> {
-    let count_rhs = stats.transmitted + stats.losses.total_count() + residual_count;
-    if stats.arrived != count_rhs {
-        return Err(format!(
-            "packet conservation violated mid-run: arrived {} != transmitted {} + lost {} + residual {}",
-            stats.arrived,
-            stats.transmitted,
-            stats.losses.total_count(),
-            residual_count
-        ));
-    }
-    let value_rhs = stats.benefit.0 + stats.losses.total_value() + residual_value;
-    if stats.arrived_value != value_rhs {
-        return Err(format!(
-            "value conservation violated mid-run: arrived {} != benefit {} + lost {} + residual {}",
-            stats.arrived_value,
-            stats.benefit.0,
-            stats.losses.total_value(),
-            residual_value
-        ));
-    }
-    Ok(())
+    conservation(
+        (stats.arrived, stats.arrived_value),
+        (stats.transmitted, stats.benefit.0),
+        &stats.losses,
+        (residual_count, residual_value),
+    )
 }
 
 /// Check that a sequence of landings is in strictly increasing canonical
@@ -111,69 +99,30 @@ pub fn check_state_invariants(state: &SwitchState) -> Result<(), String> {
     state.band.check_invariants()
 }
 
-fn check_cycle(
-    cycle_idx: usize,
-    transfers: &[(u16, u16)],
-    cfg: &SwitchConfig,
-    constrain_inputs: bool,
-    constrain_outputs: bool,
-    used_in: &mut [bool],
-    used_out: &mut [bool],
-) -> Result<(), String> {
-    used_in.iter_mut().for_each(|b| *b = false);
-    used_out.iter_mut().for_each(|b| *b = false);
-    for &(i, j) in transfers {
-        if i as usize >= cfg.n_inputs || j as usize >= cfg.n_outputs {
-            return Err(format!(
-                "cycle {cycle_idx}: transfer ({i} -> {j}) outside a {}x{} switch",
-                cfg.n_inputs, cfg.n_outputs
-            ));
-        }
-        if constrain_inputs {
-            let used = &mut used_in[i as usize];
-            if *used {
-                return Err(format!("cycle {cycle_idx}: input {i} matched twice"));
-            }
-            *used = true;
-        }
-        if constrain_outputs {
-            let used = &mut used_out[j as usize];
-            if *used {
-                return Err(format!("cycle {cycle_idx}: output {j} matched twice"));
-            }
-            *used = true;
-        }
-    }
-    Ok(())
-}
-
-/// Validate a recorded CIOQ transcript: every cycle's transfer set is a
-/// partial matching (each input and each output used at most once) over
-/// in-range ports.
+/// Validate a recorded transcript against the engine's port rule: every
+/// port in range, and at most one transfer per port on each side the
+/// architecture constrains. On a CIOQ switch each set is a matching and
+/// `input_transfers` must be empty; on a buffered crossbar the
+/// input-subphase sets constrain only inputs and the output-subphase sets
+/// (`transfers`) only outputs — the crossbar decouples the two sides.
 pub fn check_schedule(schedule: &RecordedSchedule, cfg: &SwitchConfig) -> Result<(), String> {
-    let mut used_in = vec![false; cfg.n_inputs];
-    let mut used_out = vec![false; cfg.n_outputs];
-    for (c, transfers) in schedule.transfers.iter().enumerate() {
-        check_cycle(c, transfers, cfg, true, true, &mut used_in, &mut used_out)?;
+    let crossbar = cfg.crossbar_capacity.is_some();
+    if !crossbar && !schedule.input_transfers.is_empty() {
+        return Err("a CIOQ transcript has input-subphase transfer sets".into());
     }
-    Ok(())
-}
-
-/// Validate a recorded buffered-crossbar transcript: input-subphase sets
-/// use each *input* at most once per cycle, output-subphase sets each
-/// *output* at most once (the crossbar decouples the two sides; that is
-/// its point), all ports in range.
-pub fn check_crossbar_schedule(
-    schedule: &RecordedCrossbarSchedule,
-    cfg: &SwitchConfig,
-) -> Result<(), String> {
-    let mut used_in = vec![false; cfg.n_inputs];
-    let mut used_out = vec![false; cfg.n_outputs];
-    for (c, transfers) in schedule.input_transfers.iter().enumerate() {
-        check_cycle(c, transfers, cfg, true, false, &mut used_in, &mut used_out)?;
-    }
-    for (c, transfers) in schedule.output_transfers.iter().enumerate() {
-        check_cycle(c, transfers, cfg, false, true, &mut used_in, &mut used_out)?;
+    let mut ports = PortStamps::default();
+    let sides = [
+        (&schedule.input_transfers, true, false),
+        (&schedule.transfers, !crossbar, true),
+    ];
+    for (sets, inputs, outputs) in sides {
+        for (c, set) in sets.iter().enumerate() {
+            ports.begin(cfg.n_inputs, cfg.n_outputs);
+            let pairs = set.iter().map(|&(i, j)| (PortId(i), PortId(j)));
+            ports
+                .check(cfg, pairs, inputs, outputs)
+                .map_err(|e| format!("transfer set {c}: {e}"))?;
+        }
     }
     Ok(())
 }
@@ -221,34 +170,44 @@ mod tests {
         };
         assert_eq!(check_schedule(&s, &cfg), Ok(()));
         s.transfers.push(vec![(0, 1), (0, 2)]);
-        assert!(check_schedule(&s, &cfg).unwrap_err().contains("input 0"));
+        assert!(check_schedule(&s, &cfg)
+            .unwrap_err()
+            .contains("input port 0"));
         s.transfers.last_mut().expect("just pushed")[1] = (3, 1);
-        assert!(check_schedule(&s, &cfg).unwrap_err().contains("output 1"));
+        assert!(check_schedule(&s, &cfg)
+            .unwrap_err()
+            .contains("output port 1"));
         s.transfers.last_mut().expect("just pushed")[1] = (9, 2);
         assert!(check_schedule(&s, &cfg).is_err());
+        // A CIOQ cycle has no input subphase.
+        let subphased = RecordedSchedule {
+            input_transfers: vec![vec![(0, 1)]],
+            ..Default::default()
+        };
+        assert!(check_schedule(&subphased, &cfg).is_err());
     }
 
     #[test]
     fn crossbar_checker_constrains_only_the_owning_side() {
         let cfg = SwitchConfig::crossbar(4, 4, 1, 1);
-        let s = RecordedCrossbarSchedule {
+        let s = RecordedSchedule {
             // Same output twice in an input subphase is legal (two inputs
             // may feed two different crosspoint buffers of one column) …
             input_transfers: vec![vec![(0, 1), (1, 1)]],
             // … and same input twice in an output subphase is legal too.
-            output_transfers: vec![vec![(0, 1), (0, 2)]],
+            transfers: vec![vec![(0, 1), (0, 2)]],
             ..Default::default()
         };
-        assert_eq!(check_crossbar_schedule(&s, &cfg), Ok(()));
-        let bad_in = RecordedCrossbarSchedule {
+        assert_eq!(check_schedule(&s, &cfg), Ok(()));
+        let bad_in = RecordedSchedule {
             input_transfers: vec![vec![(0, 1), (0, 2)]],
             ..Default::default()
         };
-        assert!(check_crossbar_schedule(&bad_in, &cfg).is_err());
-        let bad_out = RecordedCrossbarSchedule {
-            output_transfers: vec![vec![(0, 1), (2, 1)]],
+        assert!(check_schedule(&bad_in, &cfg).is_err());
+        let bad_out = RecordedSchedule {
+            transfers: vec![vec![(0, 1), (2, 1)]],
             ..Default::default()
         };
-        assert!(check_crossbar_schedule(&bad_out, &cfg).is_err());
+        assert!(check_schedule(&bad_out, &cfg).is_err());
     }
 }

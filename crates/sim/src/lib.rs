@@ -53,7 +53,7 @@ pub use policy::{
     Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, PolicyError,
     Transfer, TransmitChoice,
 };
-pub use record::{CrossbarRecording, RecordedCrossbarSchedule, RecordedSchedule, Recording};
+pub use record::{RecordedSchedule, Recording};
 pub use service::{serve_cioq, ServiceError, ServiceOutcome};
 pub use shard::{
     run_cioq_sharded, CandidateSet, CioqShardPolicy, CioqShardWorker, ExecMode, MergeContext,

@@ -37,7 +37,9 @@ pub(crate) fn check_ports(
 
 /// Generation-stamped used-port sets: a port is used iff its stamp equals
 /// the current generation, so starting a new transfer set is O(1) and
-/// allocation-free. Serves the engines' validation of every transfer set.
+/// allocation-free. Serves the engine's validation of every transfer set
+/// and [`check_schedule`](crate::invariants::check_schedule)'s of every
+/// recorded one, so a transcript is held to the rule the run was.
 #[derive(Debug, Default)]
 pub(crate) struct PortStamps {
     stamp: u64,

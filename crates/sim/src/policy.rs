@@ -27,45 +27,32 @@ pub enum PacketPick {
     ById(PacketId),
 }
 
-/// One CIOQ transfer `Q_ij → Q_j` within a scheduling cycle. The set of
-/// transfers returned for a cycle must form a matching on (input, output).
+/// One move along pair `(i, j)` within a scheduling cycle: a packet leaves
+/// the source queue of cell `(i, j)` for the next hop. Which queues the move
+/// connects is set by the phase, not by the type: a CIOQ cycle moves
+/// `Q_ij → Q_j` and its set must be a matching; a crossbar input subphase
+/// moves `Q_ij → C_ij` (≤ 1 per input port), its output subphase
+/// `C_ij → Q_j` (≤ 1 per output port).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
-    /// Input port `i`.
+    /// Input port (row) `i`.
     pub input: PortId,
-    /// Output port `j`.
+    /// Output port (column) `j`.
     pub output: PortId,
-    /// Which packet leaves `Q_ij`.
+    /// Which packet leaves the source queue.
     pub pick: PacketPick,
-    /// If `Q_j` is full: `true` preempts `l_j` first, `false` is an error.
+    /// If the destination queue is full: `true` preempts its least packet
+    /// first, `false` is an error.
     pub preempt_if_full: bool,
 }
 
-/// One crossbar input-subphase transfer `Q_ij → C_ij` (≤ 1 per input port).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InputTransfer {
-    /// Input port `i`.
-    pub input: PortId,
-    /// Output (column) `j` selecting which `Q_ij`/`C_ij`.
-    pub output: PortId,
-    /// Which packet leaves `Q_ij`.
-    pub pick: PacketPick,
-    /// If `C_ij` is full: `true` preempts `lc_ij` first, `false` errors.
-    pub preempt_if_full: bool,
-}
+/// A crossbar input-subphase [`Transfer`]. Stays only for the benchmark
+/// package, which names it.
+pub type InputTransfer = Transfer;
 
-/// One crossbar output-subphase transfer `C_ij → Q_j` (≤ 1 per output port).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutputTransfer {
-    /// Input (row) `i` selecting which `C_ij`.
-    pub input: PortId,
-    /// Output port `j`.
-    pub output: PortId,
-    /// Which packet leaves `C_ij`.
-    pub pick: PacketPick,
-    /// If `Q_j` is full: `true` preempts `l_j` first, `false` errors.
-    pub preempt_if_full: bool,
-}
+/// A crossbar output-subphase [`Transfer`]. Stays only for the benchmark
+/// package, which names it.
+pub type OutputTransfer = Transfer;
 
 /// Decision for one output queue in the transmission phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,16 +98,11 @@ pub trait CrossbarPolicy {
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission;
 
     /// Input subphase of cycle `T[s]`: ≤ 1 transfer per input port.
-    fn schedule_input(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<InputTransfer>);
+    fn schedule_input(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>);
 
     /// Output subphase of cycle `T[s]`: ≤ 1 transfer per output port. Runs
     /// after the input subphase; the view includes its effects.
-    fn schedule_output(
-        &mut self,
-        view: &SwitchView<'_>,
-        cycle: Cycle,
-        out: &mut Vec<OutputTransfer>,
-    );
+    fn schedule_output(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>);
 
     /// Transmission phase, one call per output port (default as in CIOQ).
     fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {
@@ -157,20 +139,10 @@ impl<P: CrossbarPolicy + ?Sized> CrossbarPolicy for &mut P {
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
         (**self).admit(view, packet)
     }
-    fn schedule_input(
-        &mut self,
-        view: &SwitchView<'_>,
-        cycle: Cycle,
-        out: &mut Vec<InputTransfer>,
-    ) {
+    fn schedule_input(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
         (**self).schedule_input(view, cycle, out)
     }
-    fn schedule_output(
-        &mut self,
-        view: &SwitchView<'_>,
-        cycle: Cycle,
-        out: &mut Vec<OutputTransfer>,
-    ) {
+    fn schedule_output(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
         (**self).schedule_output(view, cycle, out)
     }
     fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {

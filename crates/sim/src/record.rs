@@ -1,22 +1,27 @@
 //! Recording wrapper: capture the full decision transcript of a policy run
-//! so it can be replayed as a fixed offline schedule (the `cioq-opt` shadow
-//! analysis replays such transcripts as the "OPT" of the paper's proofs).
+//! — on either architecture — so it can be compared cycle by cycle or
+//! replayed as a fixed offline schedule (the `cioq-opt` shadow analysis
+//! replays such transcripts as the "OPT" of the paper's proofs).
+//! [`check_schedule`](crate::invariants::check_schedule) checks one against
+//! the engine's own port rule.
 
-use crate::policy::{
-    Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, Transfer, TransmitChoice,
-};
+use crate::policy::{Admission, CioqPolicy, CrossbarPolicy, Transfer, TransmitChoice};
 use crate::state::SwitchView;
 use crate::transport::FabricSpec;
 use cioq_model::{Cycle, Packet, PortId, SlotId};
 
-/// A recorded CIOQ schedule: one admission decision per processed arrival
-/// (in trace order) and one transfer set per scheduling cycle (in global
-/// cycle order, including post-arrival drain cycles).
+/// A recorded schedule: one admission decision per processed arrival (in
+/// trace order) and the transfer sets of every scheduling cycle (in global
+/// cycle order, including post-arrival drain cycles), in engine call order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordedSchedule {
     /// `true` = accepted (with or without preemption), per arrival.
     pub admissions: Vec<bool>,
-    /// Transfers `(input, output)` per cycle, in engine call order. On a
+    /// The crossbar input-subphase sets `(input, output)` per cycle
+    /// (`Q_ij → C_ij`); empty on a CIOQ switch.
+    pub input_transfers: Vec<Vec<(u16, u16)>>,
+    /// What entered the fabric, `(input, output)` per cycle: the CIOQ
+    /// matching, or the crossbar output subphase (`C_ij → Q_j`). On a
     /// delayed fabric these are *dispatch* sets; the landings they imply
     /// follow `fabric_delay` slots later.
     pub transfers: Vec<Vec<(u16, u16)>>,
@@ -28,13 +33,18 @@ pub struct RecordedSchedule {
 }
 
 impl RecordedSchedule {
-    /// Total number of recorded transfers across all cycles.
+    /// Total number of recorded transfers across all cycles and subphases.
     pub fn total_transfers(&self) -> usize {
-        self.transfers.iter().map(|c| c.len()).sum()
+        self.input_transfers
+            .iter()
+            .chain(&self.transfers)
+            .map(|c| c.len())
+            .sum()
     }
 }
 
-/// Wraps a [`CioqPolicy`], forwarding every decision while recording it.
+/// Wraps a [`CioqPolicy`] or a [`CrossbarPolicy`], forwarding every
+/// decision while recording it.
 #[derive(Debug)]
 pub struct Recording<P> {
     inner: P,
@@ -42,7 +52,7 @@ pub struct Recording<P> {
     pub schedule: RecordedSchedule,
 }
 
-impl<P: CioqPolicy> Recording<P> {
+impl<P> Recording<P> {
     /// Wrap `inner` for recording (immediate fabric).
     pub fn new(inner: P) -> Self {
         Recording {
@@ -63,6 +73,18 @@ impl<P: CioqPolicy> Recording<P> {
     pub fn into_schedule(self) -> RecordedSchedule {
         self.schedule
     }
+
+    fn record_admission(&mut self, decision: Admission) -> Admission {
+        self.schedule
+            .admissions
+            .push(!matches!(decision, Admission::Reject));
+        decision
+    }
+}
+
+/// One cycle's `(input, output)` pairs.
+fn pairs(out: &[Transfer]) -> Vec<(u16, u16)> {
+    out.iter().map(|t| (t.input.0, t.output.0)).collect()
 }
 
 impl<P: CioqPolicy> CioqPolicy for Recording<P> {
@@ -72,17 +94,12 @@ impl<P: CioqPolicy> CioqPolicy for Recording<P> {
 
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
         let decision = self.inner.admit(view, packet);
-        self.schedule
-            .admissions
-            .push(!matches!(decision, Admission::Reject));
-        decision
+        self.record_admission(decision)
     }
 
     fn schedule(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
         self.inner.schedule(view, cycle, out);
-        self.schedule
-            .transfers
-            .push(out.iter().map(|t| (t.input.0, t.output.0)).collect());
+        self.schedule.transfers.push(pairs(out));
     }
 
     fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {
@@ -90,100 +107,24 @@ impl<P: CioqPolicy> CioqPolicy for Recording<P> {
     }
 }
 
-/// A recorded buffered-crossbar schedule: one admission decision per
-/// processed arrival plus the input- and output-subphase transfer sets per
-/// scheduling cycle, in engine call order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecordedCrossbarSchedule {
-    /// `true` = accepted (with or without preemption), per arrival.
-    pub admissions: Vec<bool>,
-    /// Input-subphase transfers `(input, output)` per cycle.
-    pub input_transfers: Vec<Vec<(u16, u16)>>,
-    /// Output-subphase transfers `(input, output)` per cycle (dispatch
-    /// sets on a delayed fabric, like [`RecordedSchedule::transfers`]).
-    pub output_transfers: Vec<Vec<(u16, u16)>>,
-    /// Largest per-pair fabric latency the transcript was produced under.
-    pub fabric_delay: SlotId,
-}
-
-impl RecordedCrossbarSchedule {
-    /// Total transfers recorded across both subphases.
-    pub fn total_transfers(&self) -> usize {
-        self.input_transfers
-            .iter()
-            .chain(&self.output_transfers)
-            .map(|c| c.len())
-            .sum()
-    }
-}
-
-/// Wraps a [`CrossbarPolicy`], forwarding every decision while recording
-/// it. The crossbar analogue of [`Recording`], used by the equivalence
-/// tests to compare decision transcripts cycle by cycle.
-#[derive(Debug)]
-pub struct CrossbarRecording<P> {
-    inner: P,
-    /// The transcript (read it out after the run).
-    pub schedule: RecordedCrossbarSchedule,
-}
-
-impl<P: CrossbarPolicy> CrossbarRecording<P> {
-    /// Wrap `inner` for recording (immediate fabric).
-    pub fn new(inner: P) -> Self {
-        CrossbarRecording {
-            inner,
-            schedule: RecordedCrossbarSchedule::default(),
-        }
-    }
-
-    /// Wrap `inner` for recording a run on the given fabric transport.
-    pub fn with_fabric(inner: P, fabric: &FabricSpec) -> Self {
-        let mut rec = Self::new(inner);
-        rec.schedule.fabric_delay = fabric.max_delay();
-        rec
-    }
-
-    /// Unwrap into the transcript.
-    pub fn into_schedule(self) -> RecordedCrossbarSchedule {
-        self.schedule
-    }
-}
-
-impl<P: CrossbarPolicy> CrossbarPolicy for CrossbarRecording<P> {
+impl<P: CrossbarPolicy> CrossbarPolicy for Recording<P> {
     fn name(&self) -> &str {
         self.inner.name()
     }
 
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
         let decision = self.inner.admit(view, packet);
-        self.schedule
-            .admissions
-            .push(!matches!(decision, Admission::Reject));
-        decision
+        self.record_admission(decision)
     }
 
-    fn schedule_input(
-        &mut self,
-        view: &SwitchView<'_>,
-        cycle: Cycle,
-        out: &mut Vec<InputTransfer>,
-    ) {
+    fn schedule_input(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
         self.inner.schedule_input(view, cycle, out);
-        self.schedule
-            .input_transfers
-            .push(out.iter().map(|t| (t.input.0, t.output.0)).collect());
+        self.schedule.input_transfers.push(pairs(out));
     }
 
-    fn schedule_output(
-        &mut self,
-        view: &SwitchView<'_>,
-        cycle: Cycle,
-        out: &mut Vec<OutputTransfer>,
-    ) {
+    fn schedule_output(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
         self.inner.schedule_output(view, cycle, out);
-        self.schedule
-            .output_transfers
-            .push(out.iter().map(|t| (t.input.0, t.output.0)).collect());
+        self.schedule.transfers.push(pairs(out));
     }
 
     fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {

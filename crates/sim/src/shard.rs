@@ -36,35 +36,28 @@ use std::ops::Range;
 // Partition
 // ---------------------------------------------------------------------------
 
-/// Contiguous assignment of the N input rows and M output columns to K
-/// shards: shard `s` owns rows `⌊sN/K⌋ .. ⌊(s+1)N/K⌋` and columns likewise.
+/// Contiguous assignment of the N input rows to K shards: shard `s` owns
+/// rows `⌊sN/K⌋ .. ⌊(s+1)N/K⌋`.
 #[derive(Debug, Clone)]
 pub struct Partition {
     k: usize,
     n_inputs: usize,
-    n_outputs: usize,
     input_owner: Vec<u16>,
-    output_owner: Vec<u16>,
 }
 
 impl Partition {
-    /// Partition an `n_inputs × n_outputs` switch into `k ≥ 1` shards.
-    pub fn new(k: usize, n_inputs: usize, n_outputs: usize) -> Self {
+    /// Partition the `n_inputs` rows of a switch into `k ≥ 1` shards.
+    pub fn new(k: usize, n_inputs: usize) -> Self {
         assert!(k >= 1, "need at least one shard");
         assert!(k <= u16::MAX as usize, "shard count exceeds u16");
-        let owners = |n: usize| {
-            let mut owner = vec![0u16; n];
-            for s in 0..k {
-                owner[share(s, k, n)].fill(s as u16);
-            }
-            owner
-        };
+        let mut input_owner = vec![0u16; n_inputs];
+        for s in 0..k {
+            input_owner[share(s, k, n_inputs)].fill(s as u16);
+        }
         Partition {
             k,
             n_inputs,
-            n_outputs,
-            input_owner: owners(n_inputs),
-            output_owner: owners(n_outputs),
+            input_owner,
         }
     }
 
@@ -80,22 +73,10 @@ impl Partition {
         share(s, self.k, self.n_inputs)
     }
 
-    /// Global output columns owned by shard `s`.
-    #[inline]
-    pub fn output_range(&self, s: usize) -> Range<usize> {
-        share(s, self.k, self.n_outputs)
-    }
-
     /// Owner shard of input row `i`.
     #[inline]
     pub fn input_owner(&self, i: usize) -> usize {
         self.input_owner[i] as usize
-    }
-
-    /// Owner shard of output column `j`.
-    #[inline]
-    pub fn output_owner(&self, j: usize) -> usize {
-        self.output_owner[j] as usize
     }
 }
 
@@ -310,7 +291,7 @@ pub(crate) struct Partitioned<'p> {
 impl<'p> Partitioned<'p> {
     /// `policy` over `k` shards of a `cfg` switch, with fresh workers.
     pub(crate) fn new(policy: &'p dyn CioqShardPolicy, k: usize, cfg: &SwitchConfig) -> Self {
-        let partition = Partition::new(k, cfg.n_inputs, cfg.n_outputs);
+        let partition = Partition::new(k, cfg.n_inputs);
         let workers = (0..k).map(|s| policy.new_worker(s, &partition, cfg));
         Partitioned {
             policy,
@@ -421,14 +402,13 @@ mod tests {
     #[test]
     fn partition_is_contiguous_and_covering() {
         for (k, n) in [(1, 5), (2, 5), (3, 7), (4, 4), (4, 2), (5, 16)] {
-            let p = Partition::new(k, n, n);
+            let p = Partition::new(k, n);
             let mut seen = 0usize;
             for s in 0..k {
                 let r = p.input_range(s);
                 assert_eq!(r.start, seen, "ranges are contiguous");
                 for i in r.clone() {
                     assert_eq!(p.input_owner(i), s);
-                    assert_eq!(p.output_owner(i), s);
                 }
                 seen = r.end;
             }

@@ -8,7 +8,7 @@
 
 use crate::changes::ChangeLog;
 use crate::mechanics;
-use crate::policy::{Admission, InputTransfer, OutputTransfer, PacketPick, PolicyError, Transfer};
+use crate::policy::{Admission, PacketPick, PolicyError, Transfer};
 use crate::snapshot::{EngineSnapshot, SnapshotError};
 use crate::stats::StatsRecorder;
 use crate::transport::{DelayCalendar, InFlightPacket, OutputSnapshot};
@@ -196,19 +196,17 @@ impl QueueBand {
         mechanics::admit(self.voq.get_mut(cell), stats, decision, p)
     }
 
-    /// Pop the packet a transfer designates out of its source queue —
-    /// `Q_ij` ([`QueueKind::Input`]) or `C_ij` ([`QueueKind::Crossbar`]) —
-    /// as it enters the next hop.
+    /// A transfer's first half: pop the packet it designates out of its
+    /// source queue — `Q_ij` ([`QueueKind::Input`]) or `C_ij`
+    /// ([`QueueKind::Crossbar`]) — as it enters the next hop.
     // detlint: hot
     #[inline(always)]
-    fn pop(
+    pub(crate) fn pop_transfer(
         &mut self,
         kind: QueueKind,
-        (input, output): (PortId, PortId),
-        pick: PacketPick,
-        preempt: bool,
+        t: &Transfer,
     ) -> Result<InFlightPacket, PolicyError> {
-        let cell = self.cell(input, output);
+        let cell = self.cell(t.input, t.output);
         let queue = match kind {
             QueueKind::Crossbar => {
                 self.changes.xbar.mark(cell);
@@ -219,27 +217,13 @@ impl QueueBand {
                 self.voq.get_mut(cell)
             }
         };
-        let packet = mechanics::pop(queue, pick, kind, Some(input), output)?;
-        Ok(InFlightPacket::new(input, output, preempt, packet))
-    }
-
-    /// A CIOQ transfer's first half: its packet out of `Q_ij`, toward the
-    /// fabric.
-    #[inline(always)]
-    pub(crate) fn pop_transfer(&mut self, t: &Transfer) -> Result<InFlightPacket, PolicyError> {
-        let pair = (t.input, t.output);
-        self.pop(QueueKind::Input, pair, t.pick, t.preempt_if_full)
-    }
-
-    /// A crossbar output subphase's first half: its packet out of `C_ij`,
-    /// toward the fabric.
-    #[inline(always)]
-    pub(crate) fn pop_output_transfer(
-        &mut self,
-        t: &OutputTransfer,
-    ) -> Result<InFlightPacket, PolicyError> {
-        let pair = (t.input, t.output);
-        self.pop(QueueKind::Crossbar, pair, t.pick, t.preempt_if_full)
+        let packet = mechanics::pop(queue, t.pick, kind, Some(t.input), t.output)?;
+        Ok(InFlightPacket::new(
+            t.input,
+            t.output,
+            t.preempt_if_full,
+            packet,
+        ))
     }
 
     /// A crossbar input subphase's move `Q_ij → C_ij`.
@@ -249,10 +233,9 @@ impl QueueBand {
         &mut self,
         stats: &mut StatsRecorder,
         faulted: bool,
-        t: &InputTransfer,
+        t: &Transfer,
     ) -> Result<(), PolicyError> {
-        let pair = (t.input, t.output);
-        let p = self.pop(QueueKind::Input, pair, t.pick, t.preempt_if_full)?;
+        let p = self.pop_transfer(QueueKind::Input, t)?;
         let cell = self.cell(t.input, t.output);
         self.changes.xbar.mark(cell);
         mechanics::land(self.xbar_mut(cell), stats, QueueKind::Crossbar, faulted, p)
@@ -623,7 +606,7 @@ mod tests {
             let p = packet(id as u64, 10 + id as Value, i, j);
             band.admit(stats, Admission::Accept, &p).unwrap();
         }
-        let t = InputTransfer {
+        let t = Transfer {
             input: PortId(4),
             output: PortId(6),
             pick: PacketPick::Greatest,
@@ -694,7 +677,7 @@ mod tests {
         assert!(band.changes().dirty_xbars().is_empty());
         band.flush();
 
-        let t = InputTransfer {
+        let t = Transfer {
             input: PortId(4),
             output: PortId(1),
             pick: PacketPick::Greatest,

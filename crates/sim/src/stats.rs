@@ -436,28 +436,39 @@ impl RunReport {
     /// `arrived == transmitted + lost + residual` (counts), and likewise for
     /// value. Returns `Err` with a description on violation.
     pub fn check_conservation(&self) -> Result<(), String> {
-        let count_rhs = self.transmitted + self.losses.total_count() + self.residual_count;
-        if self.arrived != count_rhs {
-            return Err(format!(
-                "packet conservation violated: arrived {} != transmitted {} + lost {} + residual {}",
-                self.arrived,
-                self.transmitted,
-                self.losses.total_count(),
-                self.residual_count
-            ));
-        }
-        let value_rhs = self.benefit.0 + self.losses.total_value() + self.residual_value;
-        if self.arrived_value != value_rhs {
-            return Err(format!(
-                "value conservation violated: arrived {} != benefit {} + lost {} + residual {}",
-                self.arrived_value,
-                self.benefit.0,
-                self.losses.total_value(),
-                self.residual_value
-            ));
-        }
-        Ok(())
+        conservation(
+            (self.arrived, self.arrived_value),
+            (self.transmitted, self.benefit.0),
+            &self.losses,
+            (self.residual_count, self.residual_value),
+        )
     }
+}
+
+/// The conservation identity, for packets and for value: what `arrived`
+/// equals what was `sent`, plus `losses`, plus the `residual` still
+/// buffered. Each argument pair is (packets, value). The one statement of
+/// the rule, for the end-of-run report and the per-slot audit alike.
+pub(crate) fn conservation(
+    arrived: (u64, u128),
+    sent: (u64, u128),
+    losses: &LossBreakdown,
+    residual: (u64, u128),
+) -> Result<(), String> {
+    let lost = (losses.total_count(), losses.total_value());
+    if arrived.0 != sent.0 + lost.0 + residual.0 {
+        return Err(format!(
+            "packet conservation violated: arrived {} != transmitted {} + lost {} + residual {}",
+            arrived.0, sent.0, lost.0, residual.0
+        ));
+    }
+    if arrived.1 != sent.1 + lost.1 + residual.1 {
+        return Err(format!(
+            "value conservation violated: arrived {} != benefit {} + lost {} + residual {}",
+            arrived.1, sent.1, lost.1, residual.1
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -26,9 +26,8 @@ impl BernoulliUniform {
         BernoulliUniform { load, values }
     }
 
-    /// Slot-at-a-time form of this generator for the given seed. Walks
-    /// exactly the RNG sequence [`TrafficGen::generate`] walks, so the
-    /// assembled per-slot output reproduces the materialised trace.
+    /// Slot-at-a-time form of this generator for the given seed: the one
+    /// RNG walk, which [`TrafficGen::generate`] assembles into a trace.
     pub fn slots(&self, seed: u64) -> BernoulliSlots {
         BernoulliSlots {
             load: self.load,
@@ -40,9 +39,9 @@ impl BernoulliUniform {
     }
 }
 
-/// Incremental [`SlotGen`] counterpart of [`BernoulliUniform`]: carries the
-/// RNG across slots so slot `t`'s draws pick up exactly where slot `t-1`
-/// left off, matching the bulk generator draw for draw.
+/// Incremental [`SlotGen`] form of [`BernoulliUniform`]: carries the RNG
+/// across slots so slot `t`'s draws pick up exactly where slot `t-1` left
+/// off.
 #[derive(Debug, Clone)]
 pub struct BernoulliSlots {
     load: f64,
@@ -85,17 +84,12 @@ impl TrafficGen for BernoulliUniform {
     }
 
     fn generate(&self, cfg: &SwitchConfig, slots: SlotId, seed: u64) -> Trace {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let sampler = self.values.sampler();
-        let mut tuples = Vec::new();
+        let mut sg = self.slots(seed);
+        let (mut tuples, mut slot_buf) = (Vec::new(), Vec::new());
         for slot in 0..slots {
-            for i in 0..cfg.n_inputs {
-                if rng.gen::<f64>() < self.load {
-                    let j = rng.gen_range(0..cfg.n_outputs);
-                    let v = sampler.sample(&mut rng);
-                    tuples.push((slot, PortId::from(i), PortId::from(j), v));
-                }
-            }
+            slot_buf.clear();
+            sg.fill_slot(cfg, slot, &mut slot_buf);
+            tuples.extend(slot_buf.iter().map(|&(i, j, v)| (slot, i, j, v)));
         }
         Trace::from_tuples(tuples)
     }

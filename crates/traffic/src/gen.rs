@@ -2,7 +2,7 @@
 //! counterpart that feeds streaming runs without materialising a trace.
 
 use cioq_model::{Packet, PacketId, PortId, SlotId, SwitchConfig, Value};
-use cioq_sim::stream::{self, StreamCursor, StreamPump, StreamingSource};
+use cioq_sim::stream::{self, StreamCursor, StreamPump, StreamSender, StreamingSource};
 use cioq_sim::Trace;
 
 /// A deterministic, seedable workload generator.
@@ -58,13 +58,9 @@ where
 }
 
 /// Like [`stream_gen`], resumed at a checkpoint's stream cursor: the
-/// producer fast-forwards a *fresh* generator through the slots before
-/// `from.slot` (discarding their tuples in O(1) memory) and verifies the
-/// discarded count matches `from.consumed` — a mismatch means the
-/// generator is not the one the checkpoint was taken on, and panics the
-/// producer (re-raised at [`StreamPump::join`]).
+/// producer thread runs [`feed_slots`] from `from`.
 pub fn stream_gen_from<G>(
-    mut sg: G,
+    sg: G,
     cfg: &SwitchConfig,
     slots: SlotId,
     depth: usize,
@@ -75,35 +71,52 @@ where
 {
     let cfg = cfg.clone();
     let (tx, src) = stream::channel_at(depth, from);
-    let pump = stream::spawn_producer(tx, move |tx| {
-        let mut tuples: Vec<(PortId, PortId, Value)> = Vec::new();
-        let mut next_id: u64 = 0;
-        for slot in 0..from.slot {
-            tuples.clear();
-            sg.fill_slot(&cfg, slot, &mut tuples);
-            next_id += tuples.len() as u64;
-        }
-        assert!(
-            next_id == from.consumed,
-            "slot generator does not reproduce the checkpointed stream: {next_id} packets \
-             before slot {} but the checkpoint consumed {}",
-            from.slot,
-            from.consumed
-        );
-        let mut batch = Vec::new();
-        for slot in from.slot..slots {
-            tuples.clear();
-            sg.fill_slot(&cfg, slot, &mut tuples);
-            for &(i, j, v) in &tuples {
-                batch.push(Packet::new(PacketId(next_id), v, slot, i, j));
-                next_id += 1;
-            }
-            if tx.send_reusing(slot, &mut batch).is_err() {
-                return;
-            }
-        }
-    });
+    let pump = stream::spawn_producer(tx, move |tx| feed_slots(tx, &cfg, sg, from, slots));
     (src, pump)
+}
+
+/// The producer body of a streamed workload: send slots `from.slot..slots`
+/// of `sg` through `tx`, one [`StreamSender::send_reusing`] per slot, empty
+/// slots included, numbering packets in emission order (the
+/// [`Trace::from_tuples`] numbering). A *fresh* generator is first
+/// fast-forwarded through the slots before `from.slot` (their tuples
+/// discarded in O(1) memory) and the discarded count checked against
+/// `from.consumed`: a mismatch means the generator is not the one the
+/// checkpoint was taken on, and panics the producer (re-raised at
+/// [`StreamPump::join`]). Returns early once the consumer hangs up.
+pub fn feed_slots(
+    tx: StreamSender,
+    cfg: &SwitchConfig,
+    mut sg: impl SlotGen,
+    from: StreamCursor,
+    slots: SlotId,
+) {
+    let mut tuples: Vec<(PortId, PortId, Value)> = Vec::new();
+    let mut next_id: u64 = 0;
+    for slot in 0..from.slot {
+        tuples.clear();
+        sg.fill_slot(cfg, slot, &mut tuples);
+        next_id += tuples.len() as u64;
+    }
+    assert!(
+        next_id == from.consumed,
+        "slot generator does not reproduce the checkpointed stream: {next_id} packets \
+         before slot {} but the checkpoint consumed {}",
+        from.slot,
+        from.consumed
+    );
+    let mut batch = Vec::new();
+    for slot in from.slot..slots {
+        tuples.clear();
+        sg.fill_slot(cfg, slot, &mut tuples);
+        for &(i, j, v) in &tuples {
+            batch.push(Packet::new(PacketId(next_id), v, slot, i, j));
+            next_id += 1;
+        }
+        if tx.send_reusing(slot, &mut batch).is_err() {
+            return;
+        }
+    }
 }
 
 #[cfg(test)]
