@@ -2,10 +2,10 @@
 //! policy of Kesselman, Kogan & Segal for buffered crossbars, shown
 //! 3-competitive (previously 4) by the paper's improved analysis.
 
-use crate::incremental::{dirty_cols, BandGraph, Dirty, RowView};
+use crate::incremental::{dirty_cols, dirty_rows, BandGraph, Dirty};
 use crate::pg::admit;
 use cioq_model::{Cycle, Packet, PortId};
-use cioq_sim::{Admission, CrossbarPolicy, OutputSnapshot, PacketPick, SwitchView, Transfer};
+use cioq_sim::{Admission, CrossbarPolicy, PacketPick, SwitchView, Transfer};
 
 /// How CGU resolves the paper's "choose an arbitrary queue" steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,24 +112,28 @@ impl CrossbarGreedyUnit {
 
     /// Repair the row masks: `(i, j)` is eligible iff
     /// `|Q_ij| > 0 ∧ |C_ij| < B(C_ij)`.
-    fn sync_rows(&mut self, view: &impl RowView) {
-        let lo = view.rows().start;
-        self.rows.sync(view.dirty_rows(), |line, j| {
-            !view.voq(lo + line, j).is_empty() && !view.xbar(lo + line, j).is_full()
+    fn sync_rows(&mut self, view: &SwitchView<'_>) {
+        let lo = view.input_range().start;
+        self.rows.sync(dirty_rows(view), |line, j| {
+            let (i, j) = (PortId::from(lo + line), PortId::from(j));
+            !view.input_queue(i, j).is_empty() && !view.crossbar_queue(i, j).is_full()
         });
     }
 
     /// Repair the column masks: `(i, j)` is eligible iff `|C_ij| > 0`.
     fn sync_cols(&mut self, view: &SwitchView<'_>) {
-        let ok = |j, i| !view.xbar(i, j).is_empty();
+        let ok = |j, i| {
+            let (i, j) = (PortId::from(i), PortId::from(j));
+            !view.crossbar_queue(i, j).is_empty()
+        };
         self.cols.sync(dirty_cols(view), ok);
     }
 
-    /// Input subphase over a band of rows: ≤ 1 transfer per input port.
+    /// Input subphase over the view's rows: ≤ 1 transfer per input port.
     // detlint: hot
-    fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<Transfer>) {
+    fn input_subphase(&mut self, view: &SwitchView<'_>, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
-        for (line, i) in view.rows().enumerate() {
+        for (line, i) in view.input_range().enumerate() {
             if let Some(j) = self.rows.pick(self.selection, line) {
                 out.push(Transfer {
                     input: PortId::from(i),
@@ -142,17 +146,13 @@ impl CrossbarGreedyUnit {
     }
 
     /// Output subphase: ≤ 1 transfer per output port whose (virtual) queue
-    /// `outputs` reports as having room.
+    /// [`SwitchView::outputs`] reports as having room.
     // detlint: hot
-    fn output_subphase(
-        &mut self,
-        view: &SwitchView<'_>,
-        outputs: &OutputSnapshot,
-        out: &mut Vec<Transfer>,
-    ) {
+    fn output_subphase(&mut self, view: &SwitchView<'_>, out: &mut Vec<Transfer>) {
         self.sync_cols(view);
+        let outputs = view.outputs();
         for j in 0..view.n_outputs() {
-            if outputs.full[j] {
+            if outputs.is_full(j) {
                 continue;
             }
             if let Some(i) = self.cols.pick(self.selection, j) {
@@ -194,7 +194,7 @@ impl CrossbarPolicy for CrossbarGreedyUnit {
     // detlint: hot
     fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
-        self.output_subphase(view, view.outputs(), out);
+        self.output_subphase(view, out);
     }
 }
 

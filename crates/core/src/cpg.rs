@@ -4,11 +4,11 @@
 //! Kogan & Segal [21]; the paper's improvement is exactly the freedom to
 //! pick α ≠ β.
 
-use crate::incremental::{dirty_cols, BandGraph, Dirty, RowView};
+use crate::incremental::{dirty_cols, dirty_rows, BandGraph, Dirty};
 use crate::params::{cpg_alpha_star, cpg_beta_star};
 use crate::pg::admit;
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
-use cioq_sim::{Admission, CrossbarPolicy, OutputSnapshot, PacketPick, SwitchView, Transfer};
+use cioq_sim::{Admission, CrossbarPolicy, PacketPick, QueueRef, SwitchView, Transfer};
 
 /// The Crossbar Preemptive Greedy algorithm with parameters β, α ≥ 1.
 ///
@@ -140,16 +140,11 @@ impl CrossbarPreemptiveGreedy {
     /// Repair the row candidates: `(i, j)` is an edge weighted `v(g_ij)` iff
     /// `|Q_ij| > 0 ∧ (|C_ij| < B(C_ij) ∨ v(g_ij) > β·v(lc_ij))`.
     // detlint: hot
-    fn sync_rows(&mut self, view: &impl RowView) {
-        let (lo, beta) = (view.rows().start, self.beta);
-        self.rows.sync(view.dirty_rows(), |line, j| {
-            let (g_ij, c_ij) = (
-                view.voq(lo + line, j).head_value()?,
-                view.xbar(lo + line, j),
-            );
-            let lc_ij = c_ij.tail_value().filter(|_| c_ij.is_full());
-            let in_j = lc_ij.is_none_or(|lc| exceeds_factor(g_ij, beta, lc));
-            in_j.then_some(g_ij)
+    fn sync_rows(&mut self, view: &SwitchView<'_>) {
+        let (lo, beta) = (view.input_range().start, self.beta);
+        self.rows.sync(dirty_rows(view), |line, j| {
+            let (i, j) = (PortId::from(lo + line), PortId::from(j));
+            in_j(beta, view.input_queue(i, j), view.crossbar_queue(i, j))
         });
     }
 
@@ -157,19 +152,22 @@ impl CrossbarPreemptiveGreedy {
     /// `v(gc_ij)` iff `|C_ij| > 0`.
     // detlint: hot
     fn sync_cols(&mut self, view: &SwitchView<'_>) {
-        let head = |j, i| view.xbar(i, j).head_value();
+        let head = |j, i| {
+            let (i, j) = (PortId::from(i), PortId::from(j));
+            view.crossbar_queue(i, j).head_value()
+        };
         self.cols.sync(dirty_cols(view), head);
     }
 
-    /// Input subphase over a band of rows: each input port forwards the
+    /// Input subphase over the view's rows: each input port forwards the
     /// heaviest head of its set `J`, ties to the smallest `j`. Only the
     /// cells with a dirtied `Q_ij` or `C_ij` are re-read, and only rows
     /// whose set `J` moved retake their argmax.
     // detlint: hot
-    fn input_subphase(&mut self, view: &impl RowView, out: &mut Vec<Transfer>) {
+    fn input_subphase(&mut self, view: &SwitchView<'_>, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
         self.rows.refresh();
-        for (i, best) in view.rows().zip(&self.rows.best) {
+        for (i, best) in view.input_range().zip(&self.rows.best) {
             if let Some((j, _)) = *best {
                 out.push(Transfer {
                     input: PortId::from(i),
@@ -184,20 +182,16 @@ impl CrossbarPreemptiveGreedy {
     /// Output subphase: each output port takes the heaviest crosspoint
     /// head, ties to the smallest `i` (re-read per dirtied `C_ij`, as the
     /// rows are), if it passes the α threshold against the (virtual) `Q_j`
-    /// in `outputs` — which changes with every transmission and every
-    /// dispatch, so it is read fresh, never cached.
+    /// of [`SwitchView::outputs`] — which changes with every transmission
+    /// and every dispatch, so it is read fresh, never cached.
     // detlint: hot
-    fn output_subphase(
-        &mut self,
-        view: &SwitchView<'_>,
-        outputs: &OutputSnapshot,
-        out: &mut Vec<Transfer>,
-    ) {
+    fn output_subphase(&mut self, view: &SwitchView<'_>, out: &mut Vec<Transfer>) {
         self.sync_cols(view);
         self.cols.refresh();
+        let outputs = view.outputs();
         for (j, best) in self.cols.best.iter().enumerate() {
             let Some((i, gc)) = *best else { continue };
-            if !outputs.full[j] || exceeds_factor(gc, self.alpha, outputs.tail[j]) {
+            if !outputs.is_full(j) || exceeds_factor(gc, self.alpha, outputs.tail[j]) {
                 out.push(Transfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
@@ -207,6 +201,17 @@ impl CrossbarPreemptiveGreedy {
             }
         }
     }
+}
+
+/// `v(g_ij)` if `j` is in input `i`'s set `J` — `Q_ij` (`q`) is non-empty
+/// and `C_ij` (`c`) has room or holds a tail `lc_ij` with
+/// `v(g_ij) > β·v(lc_ij)` — and `None` otherwise. It reads the one cell.
+fn in_j(beta: f64, q: QueueRef<'_>, c: QueueRef<'_>) -> Option<Value> {
+    let g_ij = q.head_value()?;
+    let lc_ij = c.tail_value().filter(|_| c.is_full());
+    lc_ij
+        .is_none_or(|lc| exceeds_factor(g_ij, beta, lc))
+        .then_some(g_ij)
 }
 
 impl Default for CrossbarPreemptiveGreedy {
@@ -236,7 +241,7 @@ impl CrossbarPolicy for CrossbarPreemptiveGreedy {
     // detlint: hot
     fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
-        self.output_subphase(view, view.outputs(), out);
+        self.output_subphase(view, out);
     }
 }
 
@@ -244,7 +249,7 @@ impl CrossbarPolicy for CrossbarPreemptiveGreedy {
 mod tests {
     use super::*;
     use cioq_model::{PacketId, SwitchConfig};
-    use cioq_sim::{run_crossbar, ChangeLog, QueueRef, SortedQueue, Trace};
+    use cioq_sim::{run_crossbar, SortedQueue, Trace};
 
     #[test]
     fn cpg_moves_heaviest_head_per_input() {
@@ -296,48 +301,30 @@ mod tests {
 
     /// One input row over hand-built queues, reporting exactly the dirty
     /// cells a test names — crosspoint-only changes with the VOQ unmarked
-    /// included, which no engine run produces on its own.
+    /// included, which no engine run produces on its own — to CPG's row
+    /// candidates, which re-read them by the rule its input subphase syncs
+    /// by.
     struct OneRow {
         voqs: Vec<SortedQueue>,
         xbars: Vec<SortedQueue>,
         flush: u64,
-        dirty: Vec<usize>,
-    }
-
-    impl RowView for OneRow {
-        fn rows(&self) -> std::ops::Range<usize> {
-            0..1
-        }
-        fn n_outputs(&self) -> usize {
-            self.voqs.len()
-        }
-        fn voq(&self, _: usize, j: usize) -> QueueRef<'_> {
-            self.voqs[j].view()
-        }
-        fn xbar(&self, _: usize, j: usize) -> QueueRef<'_> {
-            self.xbars[j].view()
-        }
-        fn log(&self) -> &ChangeLog {
-            unreachable!("dirty_rows is overridden")
-        }
-        fn dirty_rows(&self) -> Dirty<impl Iterator<Item = (usize, usize)>> {
-            Dirty {
-                band: self.rows(),
-                width: self.n_outputs(),
-                flush: self.flush,
-                cells: self.dirty.iter().map(|&j| (0, j)),
-            }
-        }
     }
 
     impl OneRow {
         /// The row's choice this cycle, after `dirty` crosspoints changed.
-        fn choice(&mut self, cpg: &mut CrossbarPreemptiveGreedy, dirty: &[usize]) -> Option<u16> {
-            self.dirty = dirty.to_vec();
-            let mut out = Vec::new();
-            cpg.input_subphase(self, &mut out);
+        fn choice(&mut self, cpg: &mut CrossbarPreemptiveGreedy, dirty: &[usize]) -> Option<usize> {
+            let news = Dirty {
+                band: 0..1,
+                width: self.voqs.len(),
+                flush: self.flush,
+                cells: dirty.iter().map(|&j| (0, j)),
+            };
+            let (beta, voqs, xbars) = (cpg.beta, &self.voqs, &self.xbars);
+            cpg.rows
+                .sync(news, |_, j| in_j(beta, voqs[j].view(), xbars[j].view()));
+            cpg.rows.refresh();
             self.flush += 1;
-            out.first().map(|t| t.output.0)
+            cpg.rows.best[0].map(|(j, _)| j)
         }
     }
 
@@ -360,7 +347,6 @@ mod tests {
             voqs: vec![queue_of(2, &[10]), queue_of(2, &[6]), queue_of(2, &[10])],
             xbars: vec![queue_of(1, &[4]), queue_of(1, &[]), queue_of(1, &[5])],
             flush: 0,
-            dirty: Vec::new(),
         };
         assert_eq!(row.choice(&mut cpg, &[]), Some(0), "resync: heaviest of J");
 

@@ -1,7 +1,7 @@
 //! GM — Greedy Matching (§2.1, Theorem 1): 3-competitive for unit values on
 //! CIOQ switches, at greedy-maximal-matching cost.
 
-use crate::incremental::{BandGraph, RowView};
+use crate::incremental::{dirty_rows, BandGraph};
 use crate::pg::admit;
 use cioq_matching::{
     claim_first_free, greedy_maximal_cells_into, CellVisit, GreedyScratch, IncrementalGraph,
@@ -87,8 +87,11 @@ impl Default for GreedyMatching {
 /// non-empty `Q_ij`, weighted `v(g_ij)` — GM's graph and PG's alike.
 pub(crate) fn sync_heads(heads: &mut BandGraph, view: &SwitchView<'_>) {
     let lo = view.input_range().start;
-    let head = |line, j| view.voq(lo + line, j).head_value();
-    heads.sync(view.dirty_rows(), head, |_, _, _| {});
+    let head = |line, j| {
+        let (i, j) = (PortId::from(lo + line), PortId::from(j));
+        view.input_queue(i, j).head_value()
+    };
+    heads.sync(dirty_rows(view), head, |_, _, _| {});
 }
 
 /// The transfer of a matched edge: the head of `Q_ij` moves to `Q_j`.
@@ -137,11 +140,10 @@ impl CioqPolicy for GreedyMatching {
             }
             GmEdgePolicy::RotateByCycle => {
                 let offset = cycle.sequence(view.config().speedup) as usize;
-                let full = &outputs.full;
                 greedy_maximal_cells_into(
                     &self.heads.graph,
                     CellVisit::Rotated(offset),
-                    |_, j, _| !full[j],
+                    |_, j, _| !outputs.is_full(j),
                     &mut self.scratch,
                     &mut self.matching,
                 );

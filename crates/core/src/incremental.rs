@@ -14,14 +14,14 @@
 //! ## Bands
 //!
 //! Every band graph covers a *band*: a contiguous range of input rows
-//! ([`RowView`]) or, for the crossbar policies' output side, the columns
+//! ([`dirty_rows`]) or, for the crossbar policies' output side, the columns
 //! `0..M` ([`dirty_cols`]). Policies read one view type, [`SwitchView`]:
 //! the engine's covers every row, and a partitioned scheduler's worker
 //! reads it restricted to its shard's rows. GM runs the same code over
 //! either, so a K-shard GM splits the per-cycle O(changes) repair K ways
 //! and the whole switch is just K = 1. The switch keeps one change log
-//! over global cells; [`RowView::dirty_rows`] keeps the band's own cells
-//! and rebases them to its first row. PG and the crossbar policies always
+//! over global cells; [`dirty_rows`] keeps the band's own cells and
+//! rebases them to its first row. PG and the crossbar policies always
 //! read the whole switch, so PG's head graph covers every row and their
 //! column graphs every column.
 //!
@@ -50,42 +50,9 @@
 //! cells.
 
 use cioq_matching::IncrementalGraph;
-use cioq_model::{PortId, Value};
-use cioq_sim::{ChangeLog, QueueRef, SwitchView};
+use cioq_model::Value;
+use cioq_sim::SwitchView;
 use std::ops::Range;
-
-/// Read access to a band of input rows and the log of what changed in it.
-pub(crate) trait RowView {
-    /// The global input rows of the band.
-    fn rows(&self) -> Range<usize>;
-    /// Number of output ports `M` (every row spans all columns).
-    fn n_outputs(&self) -> usize;
-    /// Input queue `Q_ij`, `i` a global row of the band.
-    fn voq(&self, i: usize, j: usize) -> QueueRef<'_>;
-    /// Crossbar queue `C_ij`, `i` a global row of the band.
-    fn xbar(&self, i: usize, j: usize) -> QueueRef<'_>;
-    /// The switch's change log, over global cells `i·M + j`.
-    fn log(&self) -> &ChangeLog;
-
-    /// What a row-side band graph consumes: every cell of the band with a
-    /// dirtied `Q_ij` or `C_ij`, as `(band-local row, j)`. The log covers
-    /// every row, so the cells outside `rows.start·M .. rows.end·M` are
-    /// skipped: one compare on the rebased cell, before the division.
-    fn dirty_rows(&self) -> Dirty<impl Iterator<Item = (usize, usize)>> {
-        let (m, log, rows) = (self.n_outputs(), self.log(), self.rows());
-        let (first, len) = (rows.start * m, rows.len() * m);
-        let cells = log.dirty_voqs().iter().chain(log.dirty_xbars());
-        Dirty {
-            band: rows,
-            width: m,
-            flush: log.flush_count(),
-            cells: cells.filter_map(move |&cell| {
-                let local = (cell as usize).wrapping_sub(first);
-                (local < len).then(|| (local / m, local % m))
-            }),
-        }
-    }
-}
 
 /// One sync's worth of news for a band graph: the band of lines it covers
 /// (rows or columns), the width of a line, the flush count of the log
@@ -98,25 +65,25 @@ pub(crate) struct Dirty<I> {
     pub(crate) cells: I,
 }
 
-/// The engine's view as a band of rows: every row, or a shard's own rows
-/// once restricted.
-impl RowView for SwitchView<'_> {
-    fn rows(&self) -> Range<usize> {
-        self.input_range()
-    }
-    fn n_outputs(&self) -> usize {
-        SwitchView::n_outputs(self)
-    }
-    #[inline]
-    fn voq(&self, i: usize, j: usize) -> QueueRef<'_> {
-        self.input_queue(PortId::from(i), PortId::from(j))
-    }
-    #[inline]
-    fn xbar(&self, i: usize, j: usize) -> QueueRef<'_> {
-        self.crossbar_queue(PortId::from(i), PortId::from(j))
-    }
-    fn log(&self) -> &ChangeLog {
-        self.changes()
+/// What a row-side band graph consumes: the band of rows `view` answers
+/// for (every row, or a shard's own once restricted), and every cell of
+/// it with a dirtied `Q_ij` or `C_ij`, as `(band-local row, j)`. The log
+/// covers every row, so the cells outside `rows.start·M .. rows.end·M` are
+/// skipped: one compare on the rebased cell, before the division.
+pub(crate) fn dirty_rows<'v>(
+    view: &'v SwitchView<'_>,
+) -> Dirty<impl Iterator<Item = (usize, usize)> + 'v> {
+    let (m, log, rows) = (view.n_outputs(), view.changes(), view.input_range());
+    let (first, len) = (rows.start * m, rows.len() * m);
+    let cells = log.dirty_voqs().iter().chain(log.dirty_xbars());
+    Dirty {
+        band: rows,
+        width: m,
+        flush: log.flush_count(),
+        cells: cells.filter_map(move |&cell| {
+            let local = (cell as usize).wrapping_sub(first);
+            (local < len).then(|| (local / m, local % m))
+        }),
     }
 }
 
@@ -212,7 +179,7 @@ impl BandGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cioq_model::{Packet, PacketId};
+    use cioq_model::{Packet, PacketId, PortId};
     use cioq_sim::SortedQueue;
 
     /// `table[line][k]`: the edge cell `(line, k)` should be.

@@ -83,7 +83,7 @@ impl Default for PreemptiveGreedy {
 /// within a cycle, as the kernel asks.
 #[inline]
 fn eligible(beta: f64, w: Value, j: usize, outputs: &OutputSnapshot) -> bool {
-    !outputs.full[j] || exceeds_factor(w, beta, outputs.tail[j])
+    !outputs.is_full(j) || exceeds_factor(w, beta, outputs.tail[j])
 }
 
 /// The arrival rule of all four policies: accept if `Q_ij` has room; else,

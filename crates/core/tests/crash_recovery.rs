@@ -14,61 +14,27 @@
 //! (restore is lossless and idempotent), and the windowed-stats option
 //! survives a whole-switch kill/restore.
 
+mod common;
+
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
 };
-use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
+use cioq_model::{SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine,
-    EngineSnapshot, ExecMode, FabricSpec, PolicyError, RecordedSchedule, Recording, RunOptions,
-    RunOutcome, ShardedOptions, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine, EngineSnapshot,
+    FabricSpec, RecordedSchedule, RunOptions, RunOutcome, Trace, TraceSource,
 };
-use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
+use common::{
+    assert_agree, assert_resumes, bursty_trace, cioq_cfg, fabrics, recorded_run, sharded_options,
+    RunFull,
+};
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
 const CHECKPOINT_EVERY: SlotId = 8;
 
-fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
-    let (va, vb) = (a.view(), b.view());
-    for i in 0..va.n_inputs() {
-        for j in 0..va.n_outputs() {
-            let (input, output) = (PortId::from(i), PortId::from(j));
-            assert_eq!(
-                va.input_queue(input, output),
-                vb.input_queue(input, output),
-                "{what}: Q_{i}{j}"
-            );
-            if va.has_crossbar() {
-                assert_eq!(
-                    va.crossbar_queue(input, output),
-                    vb.crossbar_queue(input, output),
-                    "{what}: C_{i}{j}"
-                );
-            }
-        }
-    }
-    for j in 0..va.n_outputs() {
-        let output = PortId::from(j);
-        assert_eq!(
-            va.output_queue(output),
-            vb.output_queue(output),
-            "{what}: Q_{j}"
-        );
-    }
-}
-
 fn run_options(link: &FabricSpec) -> RunOptions {
-    RunOptions {
-        checkpoint_every: Some(CHECKPOINT_EVERY),
-        fabric: link.clone(),
-        ..RunOptions::default()
-    }
+    common::run_options(link, Some(CHECKPOINT_EVERY))
 }
-
-/// `Engine::run_cioq_full` or `Engine::run_crossbar_full`, over a
-/// recorded policy: the architecture a sequential run takes.
-type RunFull<P> =
-    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunOutcome, PolicyError>;
 
 /// Sequential run of either architecture (fresh or resumed from a
 /// checkpoint), recording the decision transcript.
@@ -80,62 +46,14 @@ fn seq_run<P>(
     link: &FabricSpec,
     resume: Option<&EngineSnapshot>,
 ) -> (RunOutcome, RecordedSchedule) {
-    let engine = match resume {
-        Some(snap) => Engine::restore(snap, run_options(link)).expect("restore own checkpoint"),
-        None => Engine::new(cfg.clone(), run_options(link)),
-    };
-    let mut rec = Recording::with_fabric(policy, link);
-    let mut source = match resume {
-        Some(snap) => TraceSource::resume_at(trace, snap.slot()),
-        None => TraceSource::new(trace),
-    };
-    let outcome = run(engine, &mut rec, &mut source).expect("sequential run");
-    (outcome, rec.into_schedule())
-}
-
-fn sharded_options(k: usize, link: &FabricSpec, resume: Option<EngineSnapshot>) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k);
-    opts.fabric = link.clone();
-    opts.mode = ExecMode::Inline;
-    opts.record = true;
-    opts.capture_final_state = true;
-    opts.checkpoint_every = Some(CHECKPOINT_EVERY);
-    opts.resume_from = resume;
-    opts
-}
-
-/// Checkpoints of the resumed run must be byte-identical to the
-/// uninterrupted run's from slot `k` on. (The resumed run's first
-/// checkpoint fires at its own start slot `k`, re-capturing the restore
-/// point — so matching it against the full run's slot-`k` checkpoint is
-/// also the proof that restore + re-checkpoint is lossless.)
-fn assert_checkpoint_tail(
-    resumed: &[EngineSnapshot],
-    full: &[EngineSnapshot],
-    k: SlotId,
-    what: &str,
-) {
-    let later: Vec<&EngineSnapshot> = full.iter().filter(|c| c.slot() >= k).collect();
-    assert_eq!(
-        resumed.len(),
-        later.len(),
-        "{what}: later checkpoint count after resume from slot {k}"
-    );
-    for (r, f) in resumed.iter().zip(later) {
-        assert_eq!(
-            r.to_bytes(),
-            f.to_bytes(),
-            "{what}: checkpoint at slot {} after resume from slot {k}",
-            f.slot()
-        );
-    }
+    recorded_run(cfg, policy, run, trace, &run_options(link), resume)
 }
 
 /// The kill-at-k matrix for one CIOQ policy on one fabric: sequential
 /// restore (two different kill slots) and, for a policy with a sharded
-/// twin, sharded full runs whose checkpoints match the sequential ones byte
-/// for byte, sharded resume from a sequential snapshot, and sequential
-/// resume from a sharded one.
+/// twin, sharded full runs that agree with the sequential one (checkpoint
+/// bytes included), sharded resume from a sequential snapshot, and
+/// sequential resume from a sharded one.
 fn check_cioq_recovery(
     cfg: &SwitchConfig,
     seq: impl Fn() -> Box<dyn CioqPolicy>,
@@ -177,9 +95,7 @@ fn check_cioq_recovery(
             link,
             Some(&decoded),
         );
-        assert_eq!(resumed.report, full.report, "{what}: report after k={k}");
-        assert_states_equal(&resumed.final_state, &full.final_state, what);
-        assert_checkpoint_tail(&resumed.checkpoints, &full.checkpoints, k, what);
+        assert_resumes(&resumed, &full, k, what);
         // Remaining transcript: per-cycle transfer sets from slot k on,
         // and admission verdicts for every packet arriving at ≥ k.
         let cycle_off = (k as usize) * speedup;
@@ -201,39 +117,24 @@ fn check_cioq_recovery(
     };
     let snap = &full.checkpoints[full.checkpoints.len() / 2];
     let k = snap.slot();
+    let options = run_options(link);
     for shards in SHARD_COUNTS {
         let w = format!("{what} K={shards}");
-        let sh_full = run_cioq_sharded(cfg, sharded, trace, sharded_options(shards, link, None))
-            .unwrap_or_else(|e| panic!("{w}: sharded run failed: {e}"));
+        let sh_full =
+            run_cioq_sharded(cfg, sharded, trace, sharded_options(shards, &options, None))
+                .unwrap_or_else(|e| panic!("{w}: sharded run failed: {e}"));
         // Sequential ↔ sharded snapshot byte-compatibility.
-        assert_eq!(
-            sh_full.checkpoints.len(),
-            full.checkpoints.len(),
-            "{w}: checkpoint count"
-        );
-        for (s, q) in sh_full.checkpoints.iter().zip(&full.checkpoints) {
-            assert_eq!(
-                s.to_bytes(),
-                q.to_bytes(),
-                "{w}: sharded checkpoint at slot {}",
-                q.slot()
-            );
-        }
+        assert_agree(&sh_full, &full, &w);
         // Sharded resume from the sequential snapshot.
+        let resume = Some(snap.clone());
         let sh_resumed = run_cioq_sharded(
             cfg,
             sharded,
             trace,
-            sharded_options(shards, link, Some(snap.clone())),
+            sharded_options(shards, &options, resume),
         )
         .unwrap_or_else(|e| panic!("{w}: resumed sharded run failed: {e}"));
-        assert_eq!(sh_resumed.report, sh_full.report, "{w}: report after k={k}");
-        assert_states_equal(
-            sh_resumed.final_state.as_ref().expect("capture requested"),
-            sh_full.final_state.as_ref().expect("capture requested"),
-            &w,
-        );
-        assert_checkpoint_tail(&sh_resumed.checkpoints, &sh_full.checkpoints, k, &w);
+        assert_resumes(&sh_resumed, &sh_full, k, &w);
         let sched = sh_resumed.schedule.as_ref().expect("recording requested");
         let cycle_off = (k as usize) * speedup;
         assert_eq!(
@@ -252,10 +153,8 @@ fn check_cioq_recovery(
             link,
             Some(sh_snap),
         );
-        assert_eq!(
-            xres.report, full.report,
-            "{w}: sequential resume from a sharded checkpoint"
-        );
+        let w = format!("{w}: sequential resume from a sharded checkpoint");
+        assert_resumes(&xres, &full, sh_snap.slot(), &w);
     }
 }
 
@@ -295,9 +194,7 @@ fn check_crossbar_recovery(
             link,
             Some(&decoded),
         );
-        assert_eq!(resumed.report, full.report, "{what}: report after k={k}");
-        assert_states_equal(&resumed.final_state, &full.final_state, what);
-        assert_checkpoint_tail(&resumed.checkpoints, &full.checkpoints, k, what);
+        assert_resumes(&resumed, &full, k, what);
         let cycle_off = (k as usize) * speedup;
         assert_eq!(
             resumed_sched.input_transfers[..],
@@ -316,47 +213,6 @@ fn check_crossbar_recovery(
             "{what}: admission transcript tail after k={k}"
         );
     }
-}
-
-fn cioq_cfg() -> SwitchConfig {
-    SwitchConfig::builder(6, 6)
-        .speedup(2)
-        .input_capacity(3)
-        .output_capacity(2)
-        .build()
-        .unwrap()
-}
-
-fn bursty_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
-    gen_trace(
-        &OnOffBursty::new(
-            0.85,
-            6.0,
-            ValueDist::Bimodal {
-                high: 40,
-                p_high: 0.2,
-            },
-        ),
-        cfg,
-        slots,
-        seed,
-    )
-}
-
-/// The three fabric shapes of the acceptance matrix: immediate, uniform
-/// delay line, and a heterogeneous two-tier delay matrix (chassis-local
-/// pairs at 0, cross-rack pairs at 2 — same-cycle deliveries and delayed
-/// landings live simultaneously, in the partitioned runs also between
-/// pairs whose rows different shards own).
-fn fabrics() -> Vec<(&'static str, FabricSpec)> {
-    vec![
-        ("immediate", FabricSpec::default()),
-        ("delay-line d=2", FabricSpec::uniform(2)),
-        (
-            "two-tier matrix",
-            FabricSpec::matrix(Topology::two_tier(6, 6, 3, 0, 2).unwrap()),
-        ),
-    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -423,10 +279,8 @@ fn windowed_stats_survive_restore() {
     let trace = bursty_trace(&cfg, 48, 0xCD);
     let link = FabricSpec::uniform(1);
     let options = || RunOptions {
-        checkpoint_every: Some(CHECKPOINT_EVERY),
         stats_window: Some(6),
-        fabric: link.clone(),
-        ..RunOptions::default()
+        ..run_options(&link)
     };
 
     let full = Engine::new(cfg.clone(), options())
@@ -445,7 +299,7 @@ fn windowed_stats_survive_restore() {
             &mut TraceSource::resume_at(&trace, snap.slot()),
         )
         .expect("resumed run");
-    assert_eq!(resumed.report, full.report, "windowed report after restore");
+    assert_resumes(&resumed, &full, snap.slot(), "windowed report");
 }
 
 /// Restore rejects a snapshot taken on a different fabric: the in-flight

@@ -20,85 +20,26 @@
 //!    random delay matrices: in-flight + landed + queued packets always
 //!    reconcile with arrivals, drained and steady-state.
 
+mod common;
+
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
 };
 use cioq_model::{PortId, SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq_sharded, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine,
-    FabricSpec, PolicyError, RecordedSchedule, Recording, RunOptions, RunOutcome, RunReport,
-    ShardedOptions, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine, FabricSpec,
+    RecordedSchedule, RunOptions, RunOutcome, Trace, TraceSource,
 };
-use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
+use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, ValueDist};
+use common::{assert_agree, bursty_trace, cioq_cfg, recorded_run, sharded_options, RunFull};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.policy, b.policy, "{what}: policy name");
-    assert_eq!(a.slots, b.slots, "{what}: slots");
-    assert_eq!(a.arrived, b.arrived, "{what}: arrived");
-    assert_eq!(a.arrived_value, b.arrived_value, "{what}: arrived value");
-    assert_eq!(a.accepted, b.accepted, "{what}: accepted");
-    assert_eq!(a.transferred, b.transferred, "{what}: transferred");
-    assert_eq!(
-        a.transferred_to_crossbar, b.transferred_to_crossbar,
-        "{what}: crossbar transfers"
-    );
-    assert_eq!(a.transmitted, b.transmitted, "{what}: transmitted");
-    assert_eq!(a.benefit, b.benefit, "{what}: benefit");
-    assert_eq!(a.losses, b.losses, "{what}: losses");
-    assert_eq!(a.latency_sum, b.latency_sum, "{what}: latency sum");
-    assert_eq!(
-        a.per_output_transmitted, b.per_output_transmitted,
-        "{what}: per-output counts"
-    );
-    assert_eq!(a.residual_count, b.residual_count, "{what}: residual count");
-    assert_eq!(a.residual_value, b.residual_value, "{what}: residual value");
-    assert_eq!(a.fabric_delay, b.fabric_delay, "{what}: fabric delay");
-}
-
-fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
-    let (va, vb) = (a.view(), b.view());
-    for i in 0..va.n_inputs() {
-        for j in 0..va.n_outputs() {
-            let (input, output) = (PortId::from(i), PortId::from(j));
-            assert_eq!(
-                va.input_queue(input, output),
-                vb.input_queue(input, output),
-                "{what}: Q_{i}{j}"
-            );
-            if va.has_crossbar() {
-                assert_eq!(
-                    va.crossbar_queue(input, output),
-                    vb.crossbar_queue(input, output),
-                    "{what}: C_{i}{j}"
-                );
-            }
-        }
-    }
-    for j in 0..va.n_outputs() {
-        let output = PortId::from(j);
-        assert_eq!(
-            va.output_queue(output),
-            vb.output_queue(output),
-            "{what}: Q_{j}"
-        );
-    }
-}
-
 /// Default sequential options on the given fabric.
 fn on_fabric(fabric: &FabricSpec) -> RunOptions {
-    RunOptions {
-        fabric: fabric.clone(),
-        ..RunOptions::default()
-    }
+    common::run_options(fabric, None)
 }
-
-/// `Engine::run_cioq_full` or `Engine::run_crossbar_full`, over a
-/// recorded policy: the architecture a sequential run takes.
-type RunFull<P> =
-    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunOutcome, PolicyError>;
 
 /// Sequential reference run of either architecture through an arbitrary
 /// fabric.
@@ -108,20 +49,8 @@ fn seq_run<P>(
     run: RunFull<P>,
     trace: &Trace,
     link: &FabricSpec,
-) -> (RunReport, RecordedSchedule, SwitchState) {
-    let mut rec = Recording::with_fabric(policy, link);
-    let engine = Engine::new(cfg.clone(), on_fabric(link));
-    let outcome =
-        run(engine, &mut rec, &mut TraceSource::new(trace)).expect("sequential linked run");
-    (outcome.report, rec.into_schedule(), outcome.final_state)
-}
-
-fn sharded_options(k: usize, link: &FabricSpec) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k);
-    opts.fabric = link.clone();
-    opts.record = true;
-    opts.capture_final_state = true;
-    opts
+) -> (RunOutcome, RecordedSchedule) {
+    recorded_run(cfg, policy, run, trace, &on_fabric(link), None)
 }
 
 /// Sweep a sharded CIOQ policy over K through `link`, comparing
@@ -131,48 +60,18 @@ fn check_cioq_against(
     sharded: &dyn CioqShardPolicy,
     trace: &Trace,
     link: &FabricSpec,
-    reference: &(RunReport, RecordedSchedule, SwitchState),
+    (ref_outcome, ref_schedule): &(RunOutcome, RecordedSchedule),
     what: &str,
 ) {
-    let (ref_report, ref_schedule, ref_state) = reference;
     for k in SHARD_COUNTS {
-        let what = format!("{what} [{}] k={k}", ref_report.policy);
-        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, link))
+        let what = format!("{what} [{}] k={k}", ref_outcome.report.policy);
+        let options = sharded_options(k, &on_fabric(link), None);
+        let outcome = run_cioq_sharded(cfg, sharded, trace, options)
             .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
         let schedule = outcome.schedule.as_ref().expect("recording requested");
         assert_eq!(schedule, ref_schedule, "{what}: decision transcript");
-        assert_reports_equal(&outcome.report, ref_report, &what);
-        assert_states_equal(
-            outcome.final_state.as_ref().expect("capture requested"),
-            ref_state,
-            &what,
-        );
+        assert_agree(&outcome, ref_outcome, &what);
     }
-}
-
-fn cioq_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
-    gen_trace(
-        &OnOffBursty::new(
-            0.85,
-            6.0,
-            ValueDist::Bimodal {
-                high: 40,
-                p_high: 0.2,
-            },
-        ),
-        cfg,
-        slots,
-        seed,
-    )
-}
-
-fn cioq_cfg() -> SwitchConfig {
-    SwitchConfig::builder(6, 6)
-        .speedup(2)
-        .input_capacity(3)
-        .output_capacity(2)
-        .build()
-        .unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -185,43 +84,27 @@ fn cioq_cfg() -> SwitchConfig {
 #[test]
 fn constant_matrix_is_bit_identical_to_delay_line() {
     let cfg = cioq_cfg();
-    let trace = cioq_trace(&cfg, 48, 0x70);
+    let trace = bursty_trace(&cfg, 48, 0x70);
     let xcfg = SwitchConfig::crossbar(6, 3, 1, 2);
-    let xtrace = cioq_trace(&xcfg, 48, 0x71);
+    let xtrace = bursty_trace(&xcfg, 48, 0x71);
     for d in [0u64, 3] {
         let line = FabricSpec::uniform(d);
         let matrix = FabricSpec::matrix(Topology::uniform(6, 6, d));
         let what = format!("const matrix d={d}");
 
-        for (mut seq, sharded) in [
-            (
-                Box::new(GreedyMatching::new()) as Box<dyn CioqPolicy>,
-                Some(ShardedGm::new()),
-            ),
-            (Box::new(PreemptiveGreedy::new()), None),
-        ] {
+        type Fresh = fn() -> Box<dyn CioqPolicy>;
+        let cioq: [(Fresh, _); 2] = [
+            (|| Box::new(GreedyMatching::new()), Some(ShardedGm::new())),
+            (|| Box::new(PreemptiveGreedy::new()), None),
+        ];
+        for (make, sharded) in cioq {
             // The delay-line run is the reference…
-            let reference = seq_run(&cfg, &mut *seq, Engine::run_cioq_full, &trace, &line);
+            let reference = seq_run(&cfg, &mut *make(), Engine::run_cioq_full, &trace, &line);
             // …the sequential matrix run must already match it…
-            let name = reference.0.policy.clone();
-            let mut seq_again: Box<dyn CioqPolicy> = if name.starts_with("GM") {
-                Box::new(GreedyMatching::new())
-            } else {
-                Box::new(PreemptiveGreedy::new())
-            };
-            let matrix_run = seq_run(
-                &cfg,
-                &mut *seq_again,
-                Engine::run_cioq_full,
-                &trace,
-                &matrix,
-            );
-            assert_eq!(
-                matrix_run.1, reference.1,
-                "{what}: sequential matrix transcript"
-            );
-            assert_reports_equal(&matrix_run.0, &reference.0, &format!("{what}: sequential"));
-            assert_states_equal(&matrix_run.2, &reference.2, &format!("{what}: sequential"));
+            let matrix_run = seq_run(&cfg, &mut *make(), Engine::run_cioq_full, &trace, &matrix);
+            let w = format!("{what}: sequential");
+            assert_eq!(matrix_run.1, reference.1, "{w} matrix transcript");
+            assert_agree(&matrix_run.0, &reference.0, &w);
             // …and the sharded matrix runs must hit the same bits.
             if let Some(sharded) = sharded {
                 check_cioq_against(&cfg, &sharded, &trace, &matrix, &reference, &what);
@@ -234,24 +117,19 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
             || Box::new(CrossbarPreemptiveGreedy::new()),
         ];
         for make in crossbar {
-            let reference = seq_run(
-                &xcfg,
-                &mut *make(),
-                Engine::run_crossbar_full,
-                &xtrace,
-                &line,
-            );
-            let what = format!("{what} [{}]", reference.0.policy);
-            let matrix_run = seq_run(
-                &xcfg,
-                &mut *make(),
-                Engine::run_crossbar_full,
-                &xtrace,
-                &matrix,
-            );
+            let run = |link| {
+                seq_run(
+                    &xcfg,
+                    &mut *make(),
+                    Engine::run_crossbar_full,
+                    &xtrace,
+                    link,
+                )
+            };
+            let (reference, matrix_run) = (run(&line), run(&matrix));
+            let what = format!("{what} [{}]", reference.0.report.policy);
             assert_eq!(matrix_run.1, reference.1, "{what}: crossbar transcript");
-            assert_reports_equal(&matrix_run.0, &reference.0, &what);
-            assert_states_equal(&matrix_run.2, &reference.2, &what);
+            assert_agree(&matrix_run.0, &reference.0, &what);
         }
     }
 }
@@ -269,7 +147,7 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
 #[test]
 fn two_tier_sharded_equals_sequential() {
     let cfg = cioq_cfg();
-    let trace = cioq_trace(&cfg, 48, 0x72);
+    let trace = bursty_trace(&cfg, 48, 0x72);
     for (racks, intra, inter) in [(3usize, 0u64, 2u64), (2, 1, 4)] {
         let link = FabricSpec::matrix(Topology::two_tier(6, 6, racks, intra, inter).unwrap());
         let what = format!("two-tier racks={racks} intra={intra} inter={inter}");
@@ -317,7 +195,7 @@ fn a_calendar_bucket_gathers_from_several_dispatch_slots() {
 #[test]
 fn random_matrix_sharded_equals_sequential() {
     let cfg = cioq_cfg();
-    let trace = cioq_trace(&cfg, 48, 0x74);
+    let trace = bursty_trace(&cfg, 48, 0x74);
     let topo = Topology::explicit(
         6,
         6,
@@ -435,17 +313,7 @@ proptest! {
 
         // Constant matrix ≡ delay line, transcript for transcript.
         let const_link = FabricSpec::matrix(Topology::uniform(n, n, const_d));
-        let mut rec_m = Recording::with_fabric(PreemptiveGreedy::new(), &const_link);
-        let mut source = TraceSource::new(&trace);
-        Engine::new(cfg.clone(), on_fabric(&const_link))
-            .run_cioq(&mut rec_m, &mut source)
-            .expect("const matrix run");
-        let line = FabricSpec::uniform(const_d);
-        let mut rec_l = Recording::with_fabric(PreemptiveGreedy::new(), &line);
-        let mut source = TraceSource::new(&trace);
-        Engine::new(cfg.clone(), on_fabric(&line))
-            .run_cioq(&mut rec_l, &mut source)
-            .expect("delay line run");
-        prop_assert_eq!(rec_m.into_schedule(), rec_l.into_schedule());
+        let run = |link| seq_run(&cfg, PreemptiveGreedy::new(), Engine::run_cioq_full, &trace, link).1;
+        prop_assert_eq!(run(&const_link), run(&FabricSpec::uniform(const_d)));
     }
 }

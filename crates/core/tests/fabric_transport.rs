@@ -15,89 +15,24 @@
 //!    riding the delay line, under `FullFabricChurn` (every row dirtied
 //!    every slot), drained and steady-state.
 
+mod common;
+
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
 };
 use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CioqShardPolicy, Engine, FabricSpec, RecordedSchedule, Recording,
-    RunOptions, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, CioqPolicy, CioqShardPolicy, Engine, FabricSpec, RunOptions, Trace,
+    TraceSource,
 };
-use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
+use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, ValueDist};
+use common::{assert_agree, bursty_trace, cioq_cfg, recorded_run, sharded_options};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.policy, b.policy, "{what}: policy name");
-    assert_eq!(a.slots, b.slots, "{what}: slots");
-    assert_eq!(a.arrived, b.arrived, "{what}: arrived");
-    assert_eq!(a.arrived_value, b.arrived_value, "{what}: arrived value");
-    assert_eq!(a.accepted, b.accepted, "{what}: accepted");
-    assert_eq!(a.transferred, b.transferred, "{what}: transferred");
-    assert_eq!(a.transmitted, b.transmitted, "{what}: transmitted");
-    assert_eq!(a.benefit, b.benefit, "{what}: benefit");
-    assert_eq!(a.losses, b.losses, "{what}: losses");
-    assert_eq!(a.latency_sum, b.latency_sum, "{what}: latency sum");
-    assert_eq!(
-        a.per_output_transmitted, b.per_output_transmitted,
-        "{what}: per-output counts"
-    );
-    assert_eq!(a.residual_count, b.residual_count, "{what}: residual count");
-    assert_eq!(a.residual_value, b.residual_value, "{what}: residual value");
-    assert_eq!(a.fabric_delay, b.fabric_delay, "{what}: fabric delay");
-}
-
-fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
-    let (va, vb) = (a.view(), b.view());
-    for i in 0..va.n_inputs() {
-        for j in 0..va.n_outputs() {
-            let (input, output) = (PortId::from(i), PortId::from(j));
-            assert_eq!(
-                va.input_queue(input, output),
-                vb.input_queue(input, output),
-                "{what}: Q_{i}{j}"
-            );
-        }
-    }
-    for j in 0..va.n_outputs() {
-        let output = PortId::from(j);
-        assert_eq!(
-            va.output_queue(output),
-            vb.output_queue(output),
-            "{what}: Q_{j}"
-        );
-    }
-}
-
-/// Sequential reference run on a latency-`d` fabric.
-fn seq_cioq_delayed(
-    cfg: &SwitchConfig,
-    mut policy: Box<dyn CioqPolicy>,
-    trace: &Trace,
-    d: SlotId,
-) -> (RunReport, RecordedSchedule, SwitchState) {
-    let mut rec = Recording::with_fabric(&mut *policy, &FabricSpec::uniform(d));
-    let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), seq_options(d))
-        .run_cioq_capturing(&mut rec, &mut source)
-        .expect("sequential delayed run");
-    (report, rec.into_schedule(), state)
-}
-
 /// Default sequential options on a uniform latency-`d` fabric.
 fn seq_options(d: SlotId) -> RunOptions {
-    RunOptions {
-        fabric: FabricSpec::uniform(d),
-        ..RunOptions::default()
-    }
-}
-
-fn sharded_options(k: usize, d: SlotId) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k);
-    opts.fabric = FabricSpec::uniform(d);
-    opts.record = true;
-    opts.capture_final_state = true;
-    opts
+    common::run_options(&FabricSpec::uniform(d), None)
 }
 
 /// Full K sweep of a partitioned CIOQ policy on a latency-`d` fabric
@@ -109,36 +44,23 @@ fn check_cioq_delayed(
     trace: &Trace,
     d: SlotId,
 ) {
-    let (ref_report, ref_schedule, ref_state) = seq_cioq_delayed(cfg, seq(), trace, d);
+    let options = seq_options(d);
+    let (reference, ref_schedule) = recorded_run(
+        cfg,
+        &mut *seq(),
+        Engine::run_cioq_full,
+        trace,
+        &options,
+        None,
+    );
     for k in SHARD_COUNTS {
-        let what = format!("{} d={d} k={k}", ref_report.policy);
-        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, d))
+        let what = format!("{} d={d} k={k}", reference.report.policy);
+        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, &options, None))
             .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
         let schedule = outcome.schedule.as_ref().expect("recording requested");
         assert_eq!(schedule, &ref_schedule, "{what}: decision transcript");
-        assert_reports_equal(&outcome.report, &ref_report, &what);
-        assert_states_equal(
-            outcome.final_state.as_ref().expect("capture requested"),
-            &ref_state,
-            &what,
-        );
+        assert_agree(&outcome, &reference, &what);
     }
-}
-
-fn cioq_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
-    gen_trace(
-        &OnOffBursty::new(
-            0.85,
-            6.0,
-            ValueDist::Bimodal {
-                high: 40,
-                p_high: 0.2,
-            },
-        ),
-        cfg,
-        slots,
-        seed,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -150,13 +72,8 @@ fn cioq_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
 /// against the plain whole-switch reference, for GM.
 #[test]
 fn delay_zero_is_bit_identical_to_immediate() {
-    let cfg = SwitchConfig::builder(6, 6)
-        .speedup(2)
-        .input_capacity(3)
-        .output_capacity(2)
-        .build()
-        .unwrap();
-    let trace = cioq_trace(&cfg, 48, 0xD0);
+    let cfg = cioq_cfg();
+    let trace = bursty_trace(&cfg, 48, 0xD0);
     // d = 0 against the *immediate* sequential reference: both the
     // normalisation and the transport plumbing must vanish.
     check_cioq_delayed(
@@ -173,12 +90,12 @@ fn delay_zero_is_bit_identical_to_immediate() {
 #[test]
 fn delay_zero_sequential_matches_plain_run() {
     let cfg = SwitchConfig::cioq(5, 3, 1);
-    let trace = cioq_trace(&cfg, 40, 0xD2);
+    let trace = bursty_trace(&cfg, 40, 0xD2);
     let plain = cioq_sim::run_cioq(&cfg, &mut PreemptiveGreedy::new(), &trace).unwrap();
     let explicit = Engine::new(cfg.clone(), seq_options(0))
         .run_cioq(&mut PreemptiveGreedy::new(), &mut TraceSource::new(&trace))
         .unwrap();
-    assert_reports_equal(&explicit, &plain, "sequential d=0 vs plain");
+    assert_eq!(explicit, plain, "sequential d=0 vs plain: report");
 }
 
 // ---------------------------------------------------------------------------
@@ -189,13 +106,8 @@ fn delay_zero_sequential_matches_plain_run() {
 /// reference on the same delay line bit for bit.
 #[test]
 fn cioq_delayed_sharded_equals_sequential() {
-    let cfg = SwitchConfig::builder(6, 6)
-        .speedup(2)
-        .input_capacity(3)
-        .output_capacity(2)
-        .build()
-        .unwrap();
-    let trace = cioq_trace(&cfg, 48, 0xD3);
+    let cfg = cioq_cfg();
+    let trace = bursty_trace(&cfg, 48, 0xD3);
     for d in [1, 2, 4] {
         check_cioq_delayed(
             &cfg,
@@ -321,9 +233,10 @@ fn steady_state_residual_counts_in_flight() {
             ..seq_options(d)
         };
         let mut source = TraceSource::new(&trace);
-        let report = Engine::new(cfg.clone(), options)
-            .run_cioq(&mut GreedyMatching::new(), &mut source)
+        let seq = Engine::new(cfg.clone(), options.clone())
+            .run_cioq_full(&mut GreedyMatching::new(), &mut source)
             .unwrap();
+        let report = &seq.report;
         report
             .check_conservation()
             .unwrap_or_else(|e| panic!("steady state d={d}: {e}"));
@@ -333,15 +246,12 @@ fn steady_state_residual_counts_in_flight() {
         );
 
         // Partitioned GM stops at the same point with the same books.
-        let mut sh = ShardedOptions::new(2);
-        sh.fabric = FabricSpec::uniform(d);
-        sh.slots = Some(slots);
-        sh.drain = false;
+        let sh = sharded_options(2, &options, None);
         let outcome = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, sh).unwrap();
         outcome
             .report
             .check_conservation()
             .unwrap_or_else(|e| panic!("sharded steady state d={d}: {e}"));
-        assert_reports_equal(&outcome.report, &report, &format!("steady d={d}"));
+        assert_agree(&outcome, &seq, &format!("steady d={d}"));
     }
 }

@@ -6,38 +6,15 @@
 //! kill/restore under an active fault plan is byte-identical, including
 //! packets sitting in retransmit queues at the checkpoint.
 
+mod common;
+
 use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
-use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
+use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
     CioqPolicy, CrossbarPolicy, Engine, EngineSnapshot, FabricSpec, FaultEvent, FaultKind,
     FaultPlan, FaultScope, RunOptions, RunOutcome, RunReport, Trace, TraceSource,
 };
-use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
-
-fn cioq_cfg() -> SwitchConfig {
-    SwitchConfig::builder(6, 6)
-        .speedup(2)
-        .input_capacity(3)
-        .output_capacity(2)
-        .build()
-        .unwrap()
-}
-
-fn bursty_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
-    gen_trace(
-        &OnOffBursty::new(
-            0.85,
-            6.0,
-            ValueDist::Bimodal {
-                high: 40,
-                p_high: 0.2,
-            },
-        ),
-        cfg,
-        slots,
-        seed,
-    )
-}
+use common::{assert_resumes, bursty_trace, cioq_cfg, fabrics};
 
 fn faulted_options(plan: &FaultPlan, d: SlotId, every: Option<SlotId>) -> RunOptions {
     RunOptions {
@@ -276,8 +253,9 @@ fn faulted_full_run(
 }
 
 /// Kill the run at every checkpoint, restore through the wire format (what
-/// a daemon would reload) and replay: the report and every checkpoint from
-/// the kill slot onward must be the uninterrupted run's, byte for byte.
+/// a daemon would reload) and replay: the report, the final state and
+/// every checkpoint from the kill slot onward must be the uninterrupted
+/// run's, byte for byte.
 fn assert_every_kill_point_resumes(
     what: &str,
     policy: Policy,
@@ -293,14 +271,7 @@ fn assert_every_kill_point_resumes(
         let k = snap.slot();
         let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
         let resumed = faulted_full_run(policy, trace, options, Some(&decoded));
-        assert_eq!(resumed.report, full.report, "{what}: report after k={k}");
-        let bytes = |c: &EngineSnapshot| (c.slot(), c.to_bytes());
-        let tail = full.checkpoints.iter().filter(|c| c.slot() >= k);
-        assert_eq!(
-            resumed.checkpoints.iter().map(bytes).collect::<Vec<_>>(),
-            tail.map(bytes).collect::<Vec<_>>(),
-            "{what}: checkpoint tail after resume from {k}"
-        );
+        assert_resumes(&resumed, &full, k, what);
     }
 }
 
@@ -312,14 +283,8 @@ fn assert_every_kill_point_resumes(
 /// long window that guarantees a checkpoint lands mid-fault.
 #[test]
 fn kill_restore_under_faults_is_byte_identical() {
-    let two_tier = Topology::two_tier(6, 6, 3, 0, 2).expect("two-tier topology");
-    let fabrics = [
-        ("immediate", FabricSpec::default()),
-        ("delay-line d=2", FabricSpec::uniform(2)),
-        ("two-tier matrix", FabricSpec::matrix(two_tier)),
-    ];
     for policy in [Policy::Gm, Policy::Pg, Policy::Cgu, Policy::Cpg] {
-        for (fabric_name, fabric) in &fabrics {
+        for (fabric_name, fabric) in &fabrics() {
             for seed in [0x7a, 0x7b] {
                 let trace = bursty_trace(&policy.config(), 96, seed);
                 let options = RunOptions {

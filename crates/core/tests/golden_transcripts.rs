@@ -23,6 +23,8 @@
 //! only the sequential engine has a fault layer, so no *A ≡ B* suite sees
 //! that accounting.
 
+mod common;
+
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
 };
@@ -30,9 +32,9 @@ use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
     run_cioq_sharded, stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
     Engine, EngineSnapshot, FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope, QueueRef,
-    RunOptions, RunOutcome, RunReport, ShardedOptions, ShardedOutcome, SwitchState, Trace,
-    TraceSource,
+    RunOptions, RunOutcome, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
 };
+use common::Ends;
 
 const N_INPUTS: usize = 6;
 const N_OUTPUTS: usize = 70;
@@ -190,48 +192,23 @@ fn end_hash<'a>(
     h.0
 }
 
-fn hash_seq(outcome: &RunOutcome) -> u64 {
-    end_hash(
-        &outcome.report,
-        &outcome.final_state,
-        outcome.checkpoints.iter(),
-    )
-}
-
-fn hash_sharded(outcome: &ShardedOutcome) -> u64 {
-    end_hash(
-        &outcome.report,
-        outcome.final_state.as_ref().expect("capture requested"),
-        outcome.checkpoints.iter(),
-    )
+/// Hash of what a whole-switch or partitioned run ends in.
+fn hash_run(outcome: &impl Ends) -> u64 {
+    let (report, state, checkpoints) = outcome.ends();
+    end_hash(report, state, checkpoints.iter())
 }
 
 /// A resumed run re-takes the checkpoint it started from and every later
 /// one; with the uninterrupted run's earlier checkpoints in front, the
 /// sequence is the uninterrupted run's.
-fn hash_resumed(
-    before: &[EngineSnapshot],
-    kill_slot: SlotId,
-    report: &RunReport,
-    state: &SwitchState,
-    after: &[EngineSnapshot],
-) -> u64 {
-    end_hash(
-        report,
-        state,
-        before
-            .iter()
-            .filter(|c| c.slot() < kill_slot)
-            .chain(after.iter()),
-    )
+fn hash_resumed(before: &[EngineSnapshot], kill_slot: SlotId, resumed: &impl Ends) -> u64 {
+    let (report, state, after) = resumed.ends();
+    let earlier = before.iter().filter(|c| c.slot() < kill_slot);
+    end_hash(report, state, earlier.chain(after))
 }
 
 fn run_options(fabric: &FabricSpec) -> RunOptions {
-    RunOptions {
-        fabric: fabric.clone(),
-        checkpoint_every: Some(CHECKPOINT_EVERY),
-        ..RunOptions::default()
-    }
+    common::run_options(fabric, Some(CHECKPOINT_EVERY))
 }
 
 fn sharded_options(
@@ -239,12 +216,7 @@ fn sharded_options(
     fabric: &FabricSpec,
     resume: Option<EngineSnapshot>,
 ) -> ShardedOptions {
-    let mut options = ShardedOptions::new(k);
-    options.fabric = fabric.clone();
-    options.capture_final_state = true;
-    options.checkpoint_every = Some(CHECKPOINT_EVERY);
-    options.resume_from = resume;
-    options
+    common::sharded_options(k, &run_options(fabric), resume)
 }
 
 /// The mid-run checkpoint a resume starts from, through its bytes.
@@ -297,26 +269,20 @@ fn check(
 
     let seq = (runs.seq)(fresh(), &mut TraceSource::new(trace));
     assert_eventful(&seq.report, trace, preempts, &what);
-    let got = hash_seq(&seq);
+    let got = hash_run(&seq);
     assert_eq!(got, golden, "{what}: sequential — got {got:#018x}");
 
     let (mut src, pump) = stream_trace(trace, 2);
     let streamed = (runs.seq)(fresh(), &mut src);
     drop(src);
     pump.join();
-    assert_eq!(hash_seq(&streamed), golden, "{what}: sequential streamed");
+    assert_eq!(hash_run(&streamed), golden, "{what}: sequential streamed");
 
     let kill = kill_point(&seq.checkpoints);
     let restored = Engine::restore(&kill, run_options(fabric)).expect("restore own checkpoint");
     let resumed = (runs.seq)(restored, &mut TraceSource::resume_at(trace, kill.slot()));
     assert_eq!(
-        hash_resumed(
-            &seq.checkpoints,
-            kill.slot(),
-            &resumed.report,
-            &resumed.final_state,
-            &resumed.checkpoints
-        ),
+        hash_resumed(&seq.checkpoints, kill.slot(), &resumed),
         golden,
         "{what}: sequential resume at slot {}",
         kill.slot()
@@ -330,19 +296,13 @@ fn check(
     for k in SHARD_COUNTS {
         let what = format!("{what} K={k}");
         let sharded = sharded_run(trace, sharded_options(k, fabric, None));
-        assert_eq!(hash_sharded(&sharded), golden, "{what}: sharded");
+        assert_eq!(hash_run(&sharded), golden, "{what}: sharded");
 
         let kill = kill_point(&sharded.checkpoints);
         let kill_slot = kill.slot();
         let resumed = sharded_run(trace, sharded_options(k, fabric, Some(kill)));
         assert_eq!(
-            hash_resumed(
-                &sharded.checkpoints,
-                kill_slot,
-                &resumed.report,
-                resumed.final_state.as_ref().expect("capture requested"),
-                &resumed.checkpoints
-            ),
+            hash_resumed(&sharded.checkpoints, kill_slot, &resumed),
             golden,
             "{what}: sharded resume at slot {kill_slot}"
         );
@@ -537,7 +497,7 @@ fn check_faulted(
     assert!(report.losses.dropped > 0, "faulted: no retransmit overflow");
     let preempted = report.losses.preempted_output + report.losses.preempted_crossbar;
     assert!(preempted > 0, "faulted: no output or crossbar preemption");
-    let got = hash_seq(&seq);
+    let got = hash_run(&seq);
     assert_eq!(got, golden, "faulted sequential — got {got:#018x}");
 
     let kill = seq
@@ -554,13 +514,7 @@ fn check_faulted(
     let restored = Engine::restore(&kill, faulted_options()).expect("restore own checkpoint");
     let resumed = run(restored, &mut TraceSource::resume_at(trace, kill.slot()));
     assert_eq!(
-        hash_resumed(
-            &seq.checkpoints,
-            kill.slot(),
-            &resumed.report,
-            &resumed.final_state,
-            &resumed.checkpoints
-        ),
+        hash_resumed(&seq.checkpoints, kill.slot(), &resumed),
         golden,
         "faulted resume at slot {}",
         kill.slot()

@@ -18,16 +18,17 @@
 //!   sequential engine's, so a capacity-dependent divergence anywhere in
 //!   the pooled paths would surface here as a byte diff.
 
+mod common;
+
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
 };
-use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
+use cioq_model::{SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, ArrivalSource, CioqShardPolicy, Engine, EngineSnapshot, ExecMode, FabricSpec,
-    PolicyError, RecordedSchedule, Recording, RunOptions, RunOutcome, ShardedOptions, SwitchState,
-    Trace, TraceSource,
+    run_cioq_sharded, CioqShardPolicy, Engine, FabricSpec, RecordedSchedule, Recording, RunOptions,
+    RunOutcome, Trace, TraceSource,
 };
-use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
+use common::{assert_agree, bursty_trace, cioq_cfg, fabrics, sharded_options, RunFull};
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
 const CHECKPOINT_EVERY: SlotId = 8;
@@ -35,105 +36,9 @@ const CHECKPOINT_EVERY: SlotId = 8;
 /// that only reach their high-water capacity during the first warm pass.
 const RUNS: usize = 3;
 
-fn cioq_cfg() -> SwitchConfig {
-    SwitchConfig::builder(6, 6)
-        .speedup(2)
-        .input_capacity(3)
-        .output_capacity(2)
-        .build()
-        .unwrap()
-}
-
-fn bursty_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
-    gen_trace(
-        &OnOffBursty::new(
-            0.85,
-            6.0,
-            ValueDist::Bimodal {
-                high: 40,
-                p_high: 0.2,
-            },
-        ),
-        cfg,
-        slots,
-        seed,
-    )
-}
-
-fn fabrics() -> Vec<(&'static str, FabricSpec)> {
-    vec![
-        ("immediate", FabricSpec::default()),
-        ("delay-line d=2", FabricSpec::uniform(2)),
-        (
-            "two-tier matrix",
-            FabricSpec::matrix(Topology::two_tier(6, 6, 3, 0, 2).unwrap()),
-        ),
-    ]
-}
-
 fn run_options(link: &FabricSpec) -> RunOptions {
-    RunOptions {
-        checkpoint_every: Some(CHECKPOINT_EVERY),
-        fabric: link.clone(),
-        ..RunOptions::default()
-    }
+    common::run_options(link, Some(CHECKPOINT_EVERY))
 }
-
-fn sharded_options(k: usize, link: &FabricSpec) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k);
-    opts.fabric = link.clone();
-    opts.mode = ExecMode::Inline;
-    opts.record = true;
-    opts.capture_final_state = true;
-    opts.checkpoint_every = Some(CHECKPOINT_EVERY);
-    opts
-}
-
-fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
-    let (va, vb) = (a.view(), b.view());
-    for i in 0..va.n_inputs() {
-        for j in 0..va.n_outputs() {
-            let (input, output) = (PortId::from(i), PortId::from(j));
-            assert_eq!(
-                va.input_queue(input, output),
-                vb.input_queue(input, output),
-                "{what}: Q_{i}{j}"
-            );
-            if va.has_crossbar() {
-                assert_eq!(
-                    va.crossbar_queue(input, output),
-                    vb.crossbar_queue(input, output),
-                    "{what}: C_{i}{j}"
-                );
-            }
-        }
-    }
-    for j in 0..va.n_outputs() {
-        let output = PortId::from(j);
-        assert_eq!(
-            va.output_queue(output),
-            vb.output_queue(output),
-            "{what}: Q_{j}"
-        );
-    }
-}
-
-fn assert_checkpoints_identical(a: &[EngineSnapshot], b: &[EngineSnapshot], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: checkpoint count");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(
-            x.to_bytes(),
-            y.to_bytes(),
-            "{what}: checkpoint at slot {}",
-            y.slot()
-        );
-    }
-}
-
-/// `Engine::run_cioq_full` or `Engine::run_crossbar_full`, over a
-/// recorded policy: the architecture a sequential run takes.
-type RunFull<P> =
-    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunOutcome, PolicyError>;
 
 /// Run one policy object of either architecture through `RUNS`
 /// consecutive fresh engines: the cold first run is the reference, the
@@ -158,9 +63,7 @@ fn check_seq_pooled<P>(
             None => reference = Some((outcome, sched)),
             Some((ref_out, ref_sched)) => {
                 let w = format!("{what} warm run {pass}");
-                assert_eq!(outcome.report, ref_out.report, "{w}: report");
-                assert_states_equal(&outcome.final_state, &ref_out.final_state, &w);
-                assert_checkpoints_identical(&outcome.checkpoints, &ref_out.checkpoints, &w);
+                assert_agree(&outcome, ref_out, &w);
                 assert_eq!(sched, *ref_sched, "{w}: decision transcript");
             }
         }
@@ -182,17 +85,12 @@ fn check_sharded_cioq_pooled(
     for shards in SHARD_COUNTS {
         for run in 0..RUNS {
             let w = format!("{what} K={shards} run {run}");
-            let outcome = run_cioq_sharded(cfg, policy, trace, sharded_options(shards, link))
+            let options = sharded_options(shards, &run_options(link), None);
+            let outcome = run_cioq_sharded(cfg, policy, trace, options)
                 .unwrap_or_else(|e| panic!("{w}: sharded run failed: {e}"));
-            assert_eq!(outcome.report, ref_out.report, "{w}: report");
+            assert_agree(&outcome, ref_out, &w);
             let sched = outcome.schedule.as_ref().expect("recording requested");
             assert_eq!(sched, ref_sched, "{w}: decision transcript");
-            assert_states_equal(
-                outcome.final_state.as_ref().expect("capture requested"),
-                &ref_out.final_state,
-                &w,
-            );
-            assert_checkpoints_identical(&outcome.checkpoints, &ref_out.checkpoints, &w);
         }
     }
 }

@@ -10,89 +10,21 @@
 //! merged decisions. Equal transcripts + equal final states + equal
 //! reports pin the two schedulers cycle for cycle, not just end to end.
 
+mod common;
+
 use cioq_core::{GreedyMatching, ShardedGm};
 use cioq_model::{PortId, SwitchConfig};
 use cioq_sim::{
-    run_cioq, run_cioq_sharded, CioqPolicy, CioqShardPolicy, PolicyError, RecordedSchedule,
-    Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
+    run_cioq, run_cioq_sharded, CioqPolicy, CioqShardPolicy, Engine, PolicyError, RunOptions, Trace,
 };
 use cioq_traffic::adversary::gm_iq_flood;
 use cioq_traffic::{
     gen_trace, FullFabricChurn, Incast, IncastStorm, OnOffBursty, TrafficGen, ValueDist,
 };
+use common::{assert_agree, recorded_run, sharded_options};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-// ---- comparison helpers ----
-
-fn assert_reports_equal(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.policy, b.policy, "{what}: policy name");
-    assert_eq!(a.slots, b.slots, "{what}: slots");
-    assert_eq!(a.arrived, b.arrived, "{what}: arrived");
-    assert_eq!(a.arrived_value, b.arrived_value, "{what}: arrived value");
-    assert_eq!(a.accepted, b.accepted, "{what}: accepted");
-    assert_eq!(a.transferred, b.transferred, "{what}: transferred");
-    assert_eq!(a.transmitted, b.transmitted, "{what}: transmitted");
-    assert_eq!(a.benefit, b.benefit, "{what}: benefit");
-    assert_eq!(a.losses, b.losses, "{what}: losses");
-    assert_eq!(a.latency_sum, b.latency_sum, "{what}: latency sum");
-    assert_eq!(
-        a.latency_histogram, b.latency_histogram,
-        "{what}: latency histogram"
-    );
-    assert_eq!(
-        a.per_output_transmitted, b.per_output_transmitted,
-        "{what}: per-output counts"
-    );
-    assert_eq!(a.residual_count, b.residual_count, "{what}: residual count");
-    assert_eq!(a.residual_value, b.residual_value, "{what}: residual value");
-}
-
-fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
-    let (va, vb) = (a.view(), b.view());
-    assert_eq!(va.n_inputs(), vb.n_inputs(), "{what}: inputs");
-    assert_eq!(va.n_outputs(), vb.n_outputs(), "{what}: outputs");
-    for i in 0..va.n_inputs() {
-        for j in 0..va.n_outputs() {
-            let (input, output) = (PortId::from(i), PortId::from(j));
-            assert_eq!(
-                va.input_queue(input, output),
-                vb.input_queue(input, output),
-                "{what}: Q_{i}{j}"
-            );
-        }
-    }
-    for j in 0..va.n_outputs() {
-        let output = PortId::from(j);
-        assert_eq!(
-            va.output_queue(output),
-            vb.output_queue(output),
-            "{what}: Q_{j}"
-        );
-    }
-}
-
-/// Whole-switch reference run: full transcript + report + final state.
-fn seq_cioq(
-    cfg: &SwitchConfig,
-    mut policy: Box<dyn CioqPolicy>,
-    trace: &Trace,
-) -> (RunReport, RecordedSchedule, SwitchState) {
-    let mut rec = Recording::new(&mut *policy);
-    let mut source = TraceSource::new(trace);
-    let (report, state) = cioq_sim::Engine::new(cfg.clone(), RunOptions::default())
-        .run_cioq_capturing(&mut rec, &mut source)
-        .expect("sequential run");
-    (report, rec.into_schedule(), state)
-}
-
-fn sharded_options(k: usize) -> ShardedOptions {
-    let mut opts = ShardedOptions::new(k);
-    opts.record = true;
-    opts.capture_final_state = true;
-    opts
-}
 
 /// Run the partitioned twin at every shard count and compare every
 /// observable against the whole-switch reference.
@@ -113,10 +45,18 @@ fn check_cioq_at(
     trace: &Trace,
     ks: &[usize],
 ) {
-    let (ref_report, ref_schedule, ref_state) = seq_cioq(cfg, seq(), trace);
+    let options = RunOptions::default();
+    let (reference, ref_schedule) = recorded_run(
+        cfg,
+        &mut *seq(),
+        Engine::run_cioq_full,
+        trace,
+        &options,
+        None,
+    );
     for &k in ks {
-        let what = format!("{} k={k}", ref_report.policy);
-        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k))
+        let what = format!("{} k={k}", reference.report.policy);
+        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, &options, None))
             .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
         let schedule = outcome.schedule.as_ref().expect("recording requested");
         assert_eq!(
@@ -127,12 +67,7 @@ fn check_cioq_at(
             schedule.transfers, ref_schedule.transfers,
             "{what}: per-cycle transfer sets"
         );
-        assert_reports_equal(&outcome.report, &ref_report, &what);
-        assert_states_equal(
-            outcome.final_state.as_ref().expect("capture requested"),
-            &ref_state,
-            &what,
-        );
+        assert_agree(&outcome, &reference, &what);
     }
 }
 
@@ -339,7 +274,7 @@ fn bad_port_is_the_same_error_from_every_engine() {
         assert_eq!(sequential.expect_err("sequential"), expected);
         for k in SHARD_COUNTS {
             let what = format!("bad {side} k={k}");
-            let options = sharded_options(k);
+            let options = sharded_options(k, &RunOptions::default(), None);
             let sharded = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, options);
             assert_eq!(sharded.expect_err(&what), expected, "{what}");
         }

@@ -12,110 +12,28 @@
 //! replay-file reader feeds a byte-identical stream, and the service API
 //! (`serve_cioq`) wraps the whole seam without changing the transcript.
 
+mod common;
+
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
 };
-use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
+use cioq_model::{SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, serve_cioq, stream_trace, stream_trace_from, ArrivalSource, Engine,
-    EngineSnapshot, ExecMode, FabricSpec, PolicyError, RecordedSchedule, Recording, RunOptions,
-    RunOutcome, ShardedOptions, StreamCursor, SwitchState, Trace, TraceSource,
+    run_cioq_sharded, serve_cioq, stream_trace, stream_trace_from, Engine, EngineSnapshot,
+    FabricSpec, RecordedSchedule, Recording, RunOptions, RunOutcome, StreamCursor, Trace,
+    TraceSource,
 };
-use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
+use common::{
+    assert_agree, assert_resumes, bursty_trace, cioq_cfg, fabrics, sharded_options, RunFull,
+};
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
 const CHECKPOINT_EVERY: SlotId = 8;
 const DEPTHS: [usize; 2] = [1, 64];
 
-fn cioq_cfg() -> SwitchConfig {
-    SwitchConfig::builder(6, 6)
-        .speedup(2)
-        .input_capacity(3)
-        .output_capacity(2)
-        .build()
-        .unwrap()
-}
-
-fn bursty_trace(cfg: &SwitchConfig, slots: u64, seed: u64) -> Trace {
-    gen_trace(
-        &OnOffBursty::new(
-            0.85,
-            6.0,
-            ValueDist::Bimodal {
-                high: 40,
-                p_high: 0.2,
-            },
-        ),
-        cfg,
-        slots,
-        seed,
-    )
-}
-
-fn fabrics() -> Vec<(&'static str, FabricSpec)> {
-    vec![
-        ("immediate", FabricSpec::default()),
-        ("delay-line d=2", FabricSpec::uniform(2)),
-        (
-            "two-tier matrix",
-            FabricSpec::matrix(Topology::two_tier(6, 6, 3, 0, 2).unwrap()),
-        ),
-    ]
-}
-
 fn run_options(link: &FabricSpec) -> RunOptions {
-    RunOptions {
-        checkpoint_every: Some(CHECKPOINT_EVERY),
-        fabric: link.clone(),
-        ..RunOptions::default()
-    }
+    common::run_options(link, Some(CHECKPOINT_EVERY))
 }
-
-fn assert_states_equal(a: &SwitchState, b: &SwitchState, what: &str) {
-    let (va, vb) = (a.view(), b.view());
-    for i in 0..va.n_inputs() {
-        for j in 0..va.n_outputs() {
-            let (input, output) = (PortId::from(i), PortId::from(j));
-            assert_eq!(
-                va.input_queue(input, output),
-                vb.input_queue(input, output),
-                "{what}: Q_{i}{j}"
-            );
-            if va.has_crossbar() {
-                assert_eq!(
-                    va.crossbar_queue(input, output),
-                    vb.crossbar_queue(input, output),
-                    "{what}: C_{i}{j}"
-                );
-            }
-        }
-    }
-    for j in 0..va.n_outputs() {
-        let output = PortId::from(j);
-        assert_eq!(
-            va.output_queue(output),
-            vb.output_queue(output),
-            "{what}: Q_{j}"
-        );
-    }
-}
-
-fn assert_checkpoints_identical(a: &[EngineSnapshot], b: &[EngineSnapshot], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: checkpoint count");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(
-            x.to_bytes(),
-            y.to_bytes(),
-            "{what}: checkpoint at slot {}",
-            y.slot()
-        );
-    }
-}
-
-/// `Engine::run_cioq_full` or `Engine::run_crossbar_full`, over a
-/// recorded policy: the architecture a sequential run takes.
-type RunFull<P> =
-    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunOutcome, PolicyError>;
 
 /// The sequential parity check for one policy of either architecture on
 /// one fabric: a trace-fed reference run vs stream-fed runs at every
@@ -149,9 +67,7 @@ fn check_seq<P>(
         drop(src);
         pump.join();
         let sched = rec.into_schedule();
-        assert_eq!(streamed.report, full.report, "{w}: report");
-        assert_states_equal(&streamed.final_state, &full.final_state, &w);
-        assert_checkpoints_identical(&streamed.checkpoints, &full.checkpoints, &w);
+        assert_agree(&streamed, &full, &w);
         assert_eq!(
             sched.input_transfers, full_sched.input_transfers,
             "{w}: input transfers"
@@ -249,14 +165,7 @@ fn sequential_stream_restore_mid_stream() {
         .expect("resumed stream-fed run");
     drop(src);
     pump.join();
-    assert_eq!(resumed.report, full.report, "report after stream resume");
-    let tail: Vec<EngineSnapshot> = full
-        .checkpoints
-        .iter()
-        .filter(|c| c.slot() >= cursor.slot)
-        .cloned()
-        .collect();
-    assert_checkpoints_identical(&resumed.checkpoints, &tail, "stream resume");
+    assert_resumes(&resumed, &full, cursor.slot, "stream");
 }
 
 /// A replay file (the `cioq-trace v1` wire format) streamed through the
@@ -281,8 +190,7 @@ fn replay_file_stream_matches_trace() {
         .expect("reader-fed run");
     drop(src);
     pump.join();
-    assert_eq!(streamed.report, full.report, "replay-file report");
-    assert_checkpoints_identical(&streamed.checkpoints, &full.checkpoints, "replay file");
+    assert_agree(&streamed, &full, "replay file");
 }
 
 /// The feeds where the arrival window is not the whole trace: `slots` cut
@@ -317,14 +225,7 @@ fn cut_short_and_resumed_windows_agree_across_feeds() {
     // What a fed run ends in, whichever engine ran it.
     type Fed = (RunOutcome, RecordedSchedule);
     let sharded = |shards, resume: Option<EngineSnapshot>| -> Fed {
-        let mut opts = ShardedOptions::new(shards);
-        opts.fabric = link.clone();
-        opts.mode = ExecMode::Inline;
-        opts.record = true;
-        opts.capture_final_state = true;
-        opts.checkpoint_every = Some(CHECKPOINT_EVERY);
-        opts.slots = Some(CUT);
-        opts.resume_from = resume;
+        let opts = sharded_options(shards, &seq_options, resume);
         let out = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, opts).expect("sharded run");
         let outcome = RunOutcome {
             report: out.report,
@@ -349,14 +250,12 @@ fn cut_short_and_resumed_windows_agree_across_feeds() {
         pump.join();
         (out, rec.into_schedule())
     };
-    let check = |w: &str, (out, sched): &Fed, checkpoints: &[EngineSnapshot], slot: SlotId| {
+    let check = |w: &str, (out, sched): &Fed, slot: SlotId| {
         // A resumed transcript is the uninterrupted one's tail: arrivals
         // from the checkpoint's arrived count on, cycles from its slot on.
         let admitted_before = trace.packets().partition_point(|p| p.arrival < slot);
         let cycles_before = (slot * cfg.speedup as SlotId) as usize;
-        assert_eq!(out.report, seq.report, "{w}: report");
-        assert_states_equal(&out.final_state, &seq.final_state, w);
-        assert_checkpoints_identical(&out.checkpoints, checkpoints, w);
+        assert_resumes(out, &seq, slot, w);
         assert_eq!(
             sched.transfers,
             seq_sched.transfers[cycles_before..],
@@ -373,31 +272,13 @@ fn cut_short_and_resumed_windows_agree_across_feeds() {
     let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
     let kill = snap.slot();
     assert!(decoded.stream_cursor().consumed < seq_sched.admissions.len() as u64);
-    let tail: Vec<EngineSnapshot> = seq
-        .checkpoints
-        .iter()
-        .filter(|c| c.slot() >= kill)
-        .cloned()
-        .collect();
     let w = format!("cut at {CUT}");
-    check(
-        &format!("{w} stream-fed"),
-        &streamed(None),
-        &seq.checkpoints,
-        0,
-    );
-    let resumed = streamed(Some(&decoded));
-    check(
-        &format!("{w} resumed at {kill} stream-fed"),
-        &resumed,
-        &tail,
-        kill,
-    );
+    check(&format!("{w} stream-fed"), &streamed(None), 0);
+    check(&format!("{w} stream-fed"), &streamed(Some(&decoded)), kill);
     for shards in SHARD_COUNTS {
         let w = format!("{w} K={shards} trace-fed");
-        check(&w, &sharded(shards, None), &seq.checkpoints, 0);
-        let resumed = sharded(shards, Some(decoded.clone()));
-        check(&format!("{w} resumed at {kill}"), &resumed, &tail, kill);
+        check(&w, &sharded(shards, None), 0);
+        check(&w, &sharded(shards, Some(decoded.clone())), kill);
     }
 }
 
@@ -433,10 +314,5 @@ fn service_api_matches_trace_fed_run() {
         },
     )
     .expect("service run");
-    assert_eq!(served.outcome.report, full.report, "service report");
-    assert_states_equal(
-        &served.outcome.final_state,
-        &full.final_state,
-        "service final state",
-    );
+    assert_agree(&served.outcome, &full, "service");
 }

@@ -43,6 +43,8 @@
 //! transfer sets are the same after Δ·ŝ empty leading cycles, and the run
 //! report is the same but for `slots`, Δ longer.
 
+mod common;
+
 use cioq_core::params::PG_BETA;
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, SelectionOrder,
@@ -50,10 +52,10 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    invariants::check_schedule, run_cioq_sharded, ArrivalSource, CioqPolicy, CrossbarPolicy,
-    Engine, FabricSpec, PolicyError, RecordedSchedule, Recording, RunOptions, RunReport,
-    ShardedOptions, Trace, TraceSource,
+    invariants::check_schedule, run_cioq_sharded, CioqPolicy, CrossbarPolicy, Engine, FabricSpec,
+    RecordedSchedule, RunReport, Trace,
 };
+use common::{recorded_run, run_options, sharded_options, RunFull};
 
 const ARRIVAL_SLOTS: SlotId = 30;
 
@@ -127,11 +129,6 @@ fn trace(n: usize, m: usize, levels: u64, scale: Value) -> Trace {
 /// name blanked, and the decision transcript.
 type Transcript = (RunReport, RecordedSchedule);
 
-/// `Engine::run_cioq` or `Engine::run_crossbar`, over a recorded policy:
-/// the architecture a sequential run takes.
-type Run<P> =
-    fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunReport, PolicyError>;
-
 /// A run's transcript, once its schedule has passed the engine's own port
 /// rule.
 fn checked(report: RunReport, schedule: RecordedSchedule, cfg: &SwitchConfig) -> Transcript {
@@ -144,19 +141,14 @@ fn checked(report: RunReport, schedule: RecordedSchedule, cfg: &SwitchConfig) ->
 /// A sequential run's transcript, on either architecture.
 fn transcript<P>(
     policy: P,
-    run: Run<P>,
+    run: RunFull<P>,
     cfg: &SwitchConfig,
     trace: &Trace,
     fabric: &FabricSpec,
 ) -> Transcript {
-    let options = RunOptions {
-        fabric: fabric.clone(),
-        ..RunOptions::default()
-    };
-    let mut rec = Recording::with_fabric(policy, fabric);
-    let engine = Engine::new(cfg.clone(), options);
-    let report = run(engine, &mut rec, &mut TraceSource::new(trace)).expect("sequential run");
-    checked(report, rec.into_schedule(), cfg)
+    let options = run_options(fabric, None);
+    let (outcome, schedule) = recorded_run(cfg, policy, run, trace, &options, None);
+    checked(outcome.report, schedule, cfg)
 }
 
 /// GM's transcript on the engine `variant` names.
@@ -167,19 +159,18 @@ fn gm_transcript(
     variant: Variant,
 ) -> Transcript {
     let Some(k) = variant else {
-        return transcript(GreedyMatching::new(), Engine::run_cioq, cfg, trace, fabric);
+        return transcript(
+            GreedyMatching::new(),
+            Engine::run_cioq_full,
+            cfg,
+            trace,
+            fabric,
+        );
     };
-    let options = sharded(k, fabric);
+    let options = sharded_options(k, &run_options(fabric, None), None);
     let outcome = run_cioq_sharded(cfg, &ShardedGm::new(), trace, options).expect("sharded run");
     let schedule = outcome.schedule.expect("recorded");
     checked(outcome.report, schedule, cfg)
-}
-
-fn sharded(k: usize, fabric: &FabricSpec) -> ShardedOptions {
-    let mut options = ShardedOptions::new(k);
-    options.fabric = fabric.clone();
-    options.record = true;
-    options
 }
 
 /// The geometries every relation runs at, each with the fabrics.
@@ -205,7 +196,7 @@ fn pg_on_unit_values_is_gm() {
             let pg = make();
             (
                 pg.beta(),
-                transcript(pg, Engine::run_cioq, &cfg, &trace, &fabric),
+                transcript(pg, Engine::run_cioq_full, &cfg, &trace, &fabric),
             )
         });
         for variant in variants() {
@@ -229,7 +220,7 @@ fn cpg_on_unit_values_is_first_fit_cgu() {
         let (cfg, trace) = (config(n, m, true), trace(n, m, 1, 1));
         let cgu = transcript(
             CrossbarGreedyUnit::new(),
-            Engine::run_crossbar,
+            Engine::run_crossbar_full,
             &cfg,
             &trace,
             &fabric,
@@ -238,7 +229,7 @@ fn cpg_on_unit_values_is_first_fit_cgu() {
         for make in cpgs {
             let cpg = make();
             let what = format!("{} {n}×{m} {}", cpg.alpha(), fabric.label());
-            let got = transcript(cpg, Engine::run_crossbar, &cfg, &trace, &fabric);
+            let got = transcript(cpg, Engine::run_crossbar_full, &cfg, &trace, &fabric);
             assert_eq!(got, cgu, "CPG(α = {what}) against CGU");
         }
     }
@@ -283,7 +274,7 @@ fn scaling_values_by_a_power_of_two_changes_no_decision() {
             let run = |trace| {
                 transcript(
                     PreemptiveGreedy::new(),
-                    Engine::run_cioq,
+                    Engine::run_cioq_full,
                     &cioq,
                     trace,
                     &fabric,
@@ -297,7 +288,7 @@ fn scaling_values_by_a_power_of_two_changes_no_decision() {
 
             let run = |trace| {
                 let cpg = CrossbarPreemptiveGreedy::new();
-                transcript(cpg, Engine::run_crossbar, &crossbar, trace, &fabric)
+                transcript(cpg, Engine::run_crossbar_full, &crossbar, trace, &fabric)
             };
             let (want, got) = (run(&base), run(&scaled));
             let preempted = want.0.losses.preempted_crossbar;
@@ -383,7 +374,8 @@ fn shifting_arrivals_shifts_the_transcript() {
     for fabric in [immediate, FabricSpec::uniform(3), two_tier] {
         for make in cioq_policies {
             let what = format!("{} {}", make().name(), fabric.label());
-            let run = |trace| transcript(&mut *make(), Engine::run_cioq, &cioq, trace, &fabric);
+            let run =
+                |trace| transcript(&mut *make(), Engine::run_cioq_full, &cioq, trace, &fabric);
             assert_shifted(run(&later), run(&base), cioq.speedup, &what);
         }
         for make in crossbar_policies {
@@ -391,7 +383,7 @@ fn shifting_arrivals_shifts_the_transcript() {
             let run = |trace| {
                 transcript(
                     &mut *make(),
-                    Engine::run_crossbar,
+                    Engine::run_crossbar_full,
                     &crossbar,
                     trace,
                     &fabric,

@@ -40,19 +40,6 @@ fn on_fabric(fabric: &FabricSpec) -> RunOptions {
     }
 }
 
-/// Whether a sharded run's report agrees with its sequential reference on
-/// every tripwire field the systems suites (S1/S2/S3) compare. Sharding is
-/// bit-identical by construction, so this is a tripwire, not a tolerance.
-fn reports_agree(a: &RunReport, b: &RunReport) -> bool {
-    a.benefit == b.benefit
-        && a.transmitted == b.transmitted
-        && a.transferred == b.transferred
-        && a.losses == b.losses
-        && a.slots == b.slots
-        && a.residual_count == b.residual_count
-        && a.fabric_delay == b.fabric_delay
-}
-
 /// The four paper policies at their default parameters, under the short
 /// labels the systems suites (S1/S2/S3) print.
 fn paper_policies() -> [(&'static str, PolicyKind); 4] {
@@ -988,8 +975,8 @@ pub fn t5_ablation(quick: bool) -> Vec<Table> {
 /// S1 — the sharded slot engine vs the sequential engine: for GM (the one
 /// policy the sharded engine runs) per shard count, identical results
 /// (proof echoed in the table) and the wall-clock cost of each run.
-/// Sharding is bit-identical by construction, so the "agrees" column is a
-/// tripwire, not a tolerance.
+/// Sharding is bit-identical by construction, so the "agrees" column (the
+/// whole report equal) is a tripwire, not a tolerance.
 pub fn s1_sharded(quick: bool) -> Vec<Table> {
     let t = scaled_slots(256, quick);
     let n = if quick { 12 } else { 48 };
@@ -1047,7 +1034,7 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
             k.to_string(),
             sharded.benefit.0.to_string(),
             sharded.transmitted.to_string(),
-            if reports_agree(seq, &sharded) {
+            if *seq == sharded {
                 "yes".into()
             } else {
                 "DIVERGED".into()
@@ -1093,7 +1080,7 @@ fn fabric_sweep(
         let on = side(kind, &cioq, &xbar);
         let report = run_with(kind, on, on_fabric(&link));
         // Tripwire: `kind` on `k` inline shards over `link` books the
-        // totals of the sequential reference. The sharded engine runs GM
+        // whole report of the sequential reference. The sharded engine runs GM
         // only, so every other row has no tripwire.
         let ok = (kind == PolicyKind::Gm).then(|| {
             shard_counts.iter().all(|&k| {
@@ -1101,7 +1088,7 @@ fn fabric_sweep(
                 opts.fabric = link.clone();
                 opts.mode = ExecMode::Inline;
                 let sharded = kind.run_sharded(&on.0, &on.1, opts).expect("sharded run");
-                reports_agree(&report, &sharded.report)
+                report == sharded.report
             })
         });
         // Steady state: fixed arrival window, no drain — its backlog is

@@ -482,7 +482,7 @@ mod tests {
             let mut input_used = vec![false; ctx.cfg.n_inputs];
             let mut output_used = vec![false; m];
             for (weight, i, j) in all {
-                let eligible = !ctx.outputs.full[j]
+                let eligible = !ctx.outputs.is_full(j)
                     || self
                         .beta
                         .is_some_and(|b| exceeds_factor(weight, b, ctx.outputs.tail[j]));

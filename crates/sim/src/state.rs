@@ -534,7 +534,7 @@ impl<'a> SwitchView<'a> {
     /// only.
     #[inline]
     pub fn output_full(&self, output: PortId) -> bool {
-        self.outputs.full[output.index()]
+        self.outputs.is_full(output.index())
     }
 
     /// Least value of the virtual output queue `j` — the landed tail `v(l_j)` or the least value in flight toward `j`,
@@ -779,12 +779,12 @@ mod tests {
         let view = st.view();
         let outputs = view.outputs();
         // Full from landed packets alone, and only with those in flight.
-        assert!(outputs.full[3] && view.output_full(PortId(3)));
+        assert!(outputs.is_full(3) && view.output_full(PortId(3)));
         assert_eq!(outputs.tail[3], 5);
-        assert!(outputs.full[63] && !view.output_queue(PortId(63)).is_full());
+        assert!(outputs.is_full(63) && !view.output_queue(PortId(63)).is_full());
         assert_eq!(outputs.tail[63], 6);
         // The in-flight minimum below the landed tail is the tail.
-        assert!(outputs.full[64]);
+        assert!(outputs.is_full(64));
         assert_eq!(outputs.tail[64], 2);
         assert_eq!(view.output_tail_value(PortId(64)), Some(2));
         assert_eq!(outputs.full_words, [1 << 3 | 1 << 63, 1 << 0]);
@@ -799,7 +799,7 @@ mod tests {
         faults.hold(2, 69, false, packet(7, 1, 2, 69));
         st.outputs.refresh(&st.band, &cal, Some(&faults));
         let outputs = st.view().outputs();
-        assert!(outputs.full[69]);
+        assert!(outputs.is_full(69));
         assert_eq!((outputs.in_flight[69], outputs.tail[69]), (2, 1));
         assert_eq!(outputs.full_words[1], 1 << 0 | 1 << 5);
     }

@@ -123,20 +123,14 @@ impl Trace {
         Ok(())
     }
 
-    /// Read a trace written by [`Self::write_to`]. The header's packet
-    /// count says how many lines to expect, never how much to reserve.
+    /// Read a trace written by [`Self::write_to`], through
+    /// [`TraceReader`]'s line loop. The header's packet count says how many
+    /// lines to expect, never how much to reserve.
     pub fn read_from(r: &mut impl BufRead) -> Result<Self, TraceError> {
-        let count = read_header(r)?;
+        let mut reader = TraceReader::new(r)?;
         let mut tuples = Vec::new();
-        let mut line = String::new();
-        let mut lineno = 1;
-        for _ in 0..count {
-            lineno += 1;
-            line.clear();
-            if r.read_line(&mut line)? == 0 {
-                return Err(TraceError::Parse(lineno, "unexpected end of file".into()));
-            }
-            tuples.push(parse_line(&line, lineno)?);
+        while let Some(tuple) = reader.next_line()? {
+            tuples.push(tuple);
         }
         // from_tuples sorts stably by slot, so a hand-edited file keeps its
         // intra-slot order.
@@ -221,6 +215,25 @@ impl<R: BufRead> TraceReader<R> {
     /// assigned in file order, matching [`Trace::from_tuples`] on a
     /// sorted file.
     pub fn next_packet(&mut self) -> Result<Option<Packet>, TraceError> {
+        let Some((slot, input, output, value)) = self.next_line()? else {
+            return Ok(None);
+        };
+        if slot < self.prev_slot {
+            return Err(TraceError::Model(ModelError::UnsortedTrace {
+                slot,
+                seen: self.prev_slot,
+            }));
+        }
+        self.prev_slot = slot;
+        let id = self.next_id;
+        self.next_id += 1;
+        Ok(Some(Packet::new(PacketId(id), value, slot, input, output)))
+    }
+
+    /// Read and parse the next `slot input output value` line, or `None`
+    /// once the header's count of lines is read; a file that ends sooner
+    /// is an error.
+    fn next_line(&mut self) -> Result<Option<(SlotId, PortId, PortId, Value)>, TraceError> {
         if self.remaining == 0 {
             return Ok(None);
         }
@@ -232,18 +245,9 @@ impl<R: BufRead> TraceReader<R> {
                 "unexpected end of file".into(),
             ));
         }
-        let (slot, input, output, value) = parse_line(&self.line, self.lineno)?;
-        if slot < self.prev_slot {
-            return Err(TraceError::Model(ModelError::UnsortedTrace {
-                slot,
-                seen: self.prev_slot,
-            }));
-        }
-        self.prev_slot = slot;
+        let tuple = parse_line(&self.line, self.lineno)?;
         self.remaining -= 1;
-        let id = self.next_id;
-        self.next_id += 1;
-        Ok(Some(Packet::new(PacketId(id), value, slot, input, output)))
+        Ok(Some(tuple))
     }
 }
 

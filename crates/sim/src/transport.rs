@@ -340,14 +340,13 @@ pub(crate) fn for_each_in_flight(
 /// scheduler's proposals and merge included.
 #[derive(Debug, Clone, Default)]
 pub struct OutputSnapshot {
-    /// Whether the virtual queue at `j` is full.
-    pub full: Vec<bool>,
     /// Least virtual-queue value where full, 0 otherwise.
     pub tail: Vec<Value>,
-    /// `full` as a packed bitmap (`full_words[j/64]` bit `j%64`): its
-    /// complement is the free-column mask GM's lexicographic greedy starts
-    /// from, in the whole-switch policy and the partitioned first shard
-    /// alike.
+    /// Whether the virtual queue at `j` is full, as a packed bitmap
+    /// (`full_words[j/64]` bit `j%64`; read one output with
+    /// [`OutputSnapshot::is_full`]): its complement is the free-column mask
+    /// GM's lexicographic greedy starts from, in the whole-switch policy
+    /// and the partitioned first shard alike.
     pub full_words: Vec<u64>,
     /// Packets in flight toward each output (all zero when immediate).
     pub in_flight: Vec<u32>,
@@ -357,6 +356,12 @@ pub struct OutputSnapshot {
 }
 
 impl OutputSnapshot {
+    /// Whether the virtual queue at output `j` is full.
+    #[inline]
+    pub fn is_full(&self, j: usize) -> bool {
+        (self.full_words[j / 64] >> (j % 64)) & 1 == 1
+    }
+
     /// Least value of the virtual queue at output `j` whose landed part is
     /// `landed` — the landed tail or the least value in flight, whichever
     /// is smaller; `None` when both are empty.
@@ -382,8 +387,6 @@ impl OutputSnapshot {
         faults: Option<&FaultRuntime>,
     ) {
         let m = band.n_outputs();
-        self.full.clear();
-        self.full.resize(m, false);
         self.tail.clear();
         self.tail.resize(m, 0);
         self.full_words.clear();
@@ -399,7 +402,6 @@ impl OutputSnapshot {
         for j in 0..m {
             let q = band.output(PortId::from(j));
             if q.len() + self.in_flight[j] as usize >= q.capacity() {
-                self.full[j] = true;
                 self.full_words[j / 64] |= 1 << (j % 64);
                 self.tail[j] = self.tail_value(j, q).unwrap_or(Value::MAX);
             }
