@@ -1,10 +1,12 @@
 //! iSLIP as a CIOQ scheduling policy — the practical, guarantee-free
 //! reference point.
 
+use super::head_transfers;
 use crate::oracle::unit_graph;
+use crate::pg::admit;
 use cioq_matching::{BipartiteGraph, Islip};
-use cioq_model::{Cycle, Packet, PortId};
-use cioq_sim::{Admission, CioqPolicy, PacketPick, SwitchView, Transfer};
+use cioq_model::{Cycle, Packet};
+use cioq_sim::{Admission, CioqPolicy, SwitchView, Transfer};
 
 /// CIOQ policy driving the [`Islip`] round-robin matcher over GM's
 /// eligibility graph. Value-oblivious: requests carry no weights, and the
@@ -36,11 +38,7 @@ impl CioqPolicy for IslipPolicy {
     }
 
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
-        if view.input_queue(packet.input, packet.output).is_full() {
-            Admission::Reject
-        } else {
-            Admission::Accept
-        }
+        admit(view.input_queue(packet.input, packet.output), packet, false)
     }
 
     fn schedule(&mut self, view: &SwitchView<'_>, _cycle: Cycle, out: &mut Vec<Transfer>) {
@@ -48,22 +46,14 @@ impl CioqPolicy for IslipPolicy {
         let islip = self
             .islip
             .get_or_insert_with(|| Islip::new(view.n_inputs(), view.n_outputs(), self.iterations));
-        let matching = islip.match_cycle(&self.graph);
-        for (i, j) in matching.pairs {
-            out.push(Transfer {
-                input: PortId::from(i),
-                output: PortId::from(j),
-                pick: PacketPick::Greatest,
-                preempt_if_full: false,
-            });
-        }
+        head_transfers(&islip.match_cycle(&self.graph).pairs, false, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cioq_model::SwitchConfig;
+    use cioq_model::{PortId, SwitchConfig};
     use cioq_sim::{run_cioq, Trace};
 
     #[test]

@@ -1,9 +1,11 @@
 //! The maximum-matching baseline for unit values (Kesselman–Rosén [23]).
 
+use super::head_transfers;
 use crate::oracle::unit_graph;
+use crate::pg::admit;
 use cioq_matching::{hopcroft_karp, BipartiteGraph};
-use cioq_model::{Cycle, Packet, PortId};
-use cioq_sim::{Admission, CioqPolicy, PacketPick, SwitchView, Transfer};
+use cioq_model::{Cycle, Packet};
+use cioq_sim::{Admission, CioqPolicy, SwitchView, Transfer};
 
 /// Unit-value CIOQ policy that computes a **maximum** matching (Hopcroft–
 /// Karp) on GM's eligibility graph every cycle. Same admission and
@@ -27,31 +29,19 @@ impl CioqPolicy for MaxMatching {
     }
 
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
-        if view.input_queue(packet.input, packet.output).is_full() {
-            Admission::Reject
-        } else {
-            Admission::Accept
-        }
+        admit(view.input_queue(packet.input, packet.output), packet, false)
     }
 
     fn schedule(&mut self, view: &SwitchView<'_>, _cycle: Cycle, out: &mut Vec<Transfer>) {
         unit_graph(view, &mut self.graph);
-        let matching = hopcroft_karp(&self.graph);
-        for (i, j) in matching.pairs {
-            out.push(Transfer {
-                input: PortId::from(i),
-                output: PortId::from(j),
-                pick: PacketPick::Greatest,
-                preempt_if_full: false,
-            });
-        }
+        head_transfers(&hopcroft_karp(&self.graph).pairs, false, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cioq_model::SwitchConfig;
+    use cioq_model::{PortId, SwitchConfig};
     use cioq_sim::{run_cioq, Trace};
 
     #[test]

@@ -1,11 +1,13 @@
 //! The maximum-weight-matching baseline for general values
 //! (Kesselman–Rosén [24], 6-competitive).
 
+use super::head_transfers;
 use crate::oracle::weighted_graph;
 use crate::params::PG_BETA;
+use crate::pg::admit;
 use cioq_matching::{hungarian_max_weight, BipartiteGraph};
-use cioq_model::{Cycle, Packet, PortId};
-use cioq_sim::{Admission, CioqPolicy, PacketPick, SwitchView, Transfer};
+use cioq_model::{Cycle, Packet};
+use cioq_sim::{Admission, CioqPolicy, SwitchView, Transfer};
 
 /// General-value CIOQ policy identical to PG except that each cycle
 /// computes a **maximum-weight** matching (Hungarian, O(N³)) on the same
@@ -47,35 +49,19 @@ impl CioqPolicy for MaxWeightMatching {
     }
 
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
-        let queue = view.input_queue(packet.input, packet.output);
-        if !queue.is_full() {
-            return Admission::Accept;
-        }
-        if queue.tail_value().expect("full queue has a tail") < packet.value {
-            Admission::AcceptPreemptingLeast
-        } else {
-            Admission::Reject
-        }
+        admit(view.input_queue(packet.input, packet.output), packet, true)
     }
 
     fn schedule(&mut self, view: &SwitchView<'_>, _cycle: Cycle, out: &mut Vec<Transfer>) {
         weighted_graph(view, self.beta, &mut self.graph);
-        let matching = hungarian_max_weight(&self.graph);
-        for (i, j) in matching.pairs {
-            out.push(Transfer {
-                input: PortId::from(i),
-                output: PortId::from(j),
-                pick: PacketPick::Greatest,
-                preempt_if_full: true,
-            });
-        }
+        head_transfers(&hungarian_max_weight(&self.graph).pairs, true, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cioq_model::SwitchConfig;
+    use cioq_model::{PortId, SwitchConfig};
     use cioq_sim::{run_cioq, Trace};
 
     #[test]

@@ -21,3 +21,20 @@ mod max_weight_matching;
 pub use islip_policy::IslipPolicy;
 pub use max_matching::MaxMatching;
 pub use max_weight_matching::MaxWeightMatching;
+
+use cioq_model::PortId;
+use cioq_sim::{PacketPick, Transfer};
+
+/// The transfers of a matching: each matched pair `(i, j)` forwards the
+/// head of `Q_ij`. `preempt_if_full` lets a full `Q_j` give up its least
+/// packet (the weighted baseline's graph admits such edges); the unit
+/// baselines match only outputs with room, so for them a full `Q_j` is a
+/// bug the engine reports.
+fn head_transfers(pairs: &[(usize, usize)], preempt_if_full: bool, out: &mut Vec<Transfer>) {
+    out.extend(pairs.iter().map(|&(i, j)| Transfer {
+        input: PortId::from(i),
+        output: PortId::from(j),
+        pick: PacketPick::Greatest,
+        preempt_if_full,
+    }));
+}

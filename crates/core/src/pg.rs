@@ -86,9 +86,10 @@ fn eligible(beta: f64, w: Value, j: usize, outputs: &OutputSnapshot) -> bool {
     !outputs.is_full(j) || exceeds_factor(w, beta, outputs.tail[j])
 }
 
-/// The arrival rule of all four policies: accept if `Q_ij` has room; else,
-/// for the preempting policies (PG, CPG), preempt `l_ij` if it is worth
-/// strictly less than the arrival; else reject (GM, CGU: always).
+/// The arrival rule of all four policies and the three baselines: accept
+/// if `Q_ij` has room; else, for the preempting policies (PG, CPG,
+/// KR-MaxWeight), preempt `l_ij` if it is worth strictly less than the
+/// arrival; else reject (GM, CGU, KR-MaxMatching, iSLIP: always).
 pub(crate) fn admit(queue: QueueRef<'_>, packet: &Packet, preempt: bool) -> Admission {
     if !queue.is_full() {
         return Admission::Accept;

@@ -6,6 +6,13 @@
 //! bounds of `cioq-opt`, a parallel sweep runner (std scoped threads),
 //! and plain-text/markdown table rendering.
 //!
+//! A ratio is measured against a [`Workload`]: a label, a switch and a
+//! trace, with the OPT bound solved once when the workload is built (OPT
+//! depends on the switch and the input, never on the policy).
+//! [`Workload::measure`] runs one policy on it and returns a [`RatioRow`].
+//! Each ratio experiment builds its distinct workloads once, in one
+//! [`parallel_map`], then measures every policy against them in a second.
+//!
 //! One binary runs them all: `exp <id>|all|list [--quick] [--markdown]`
 //! over [`suite::EXPERIMENTS`] (`--quick` is a reduced-scale run).
 
@@ -19,7 +26,7 @@ pub mod suite;
 mod table;
 
 pub use policies::{run_policy, PolicyKind};
-pub use ratio::{measure_ratio, RatioRow};
+pub use ratio::{RatioRow, Workload};
 pub use runner::{parallel_map, parallel_map_with_threads, with_sweep_threads};
 pub use table::{fmt_ratio, Table};
 

@@ -3,7 +3,6 @@
 use cioq_core::baselines::{IslipPolicy, MaxMatching, MaxWeightMatching};
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching, PreemptiveGreedy,
-    SelectionOrder,
 };
 use cioq_model::SwitchConfig;
 use cioq_sim::{
@@ -31,8 +30,6 @@ pub enum PolicyKind {
     Islip(usize),
     /// CGU — crossbar greedy unit (Thm 3). Buffered crossbar.
     Cgu,
-    /// CGU with round-robin selection (ablation). Buffered crossbar.
-    CguRoundRobin,
     /// CPG with (β, α) (Thm 4). Buffered crossbar.
     Cpg(f64, f64),
     /// CPG with α = β (the prior algorithm of \[21\]). Buffered crossbar.
@@ -57,10 +54,7 @@ impl PolicyKind {
     pub fn is_crossbar(&self) -> bool {
         matches!(
             self,
-            PolicyKind::Cgu
-                | PolicyKind::CguRoundRobin
-                | PolicyKind::Cpg(..)
-                | PolicyKind::CpgSingleParam
+            PolicyKind::Cgu | PolicyKind::Cpg(..) | PolicyKind::CpgSingleParam
         )
     }
 
@@ -75,7 +69,6 @@ impl PolicyKind {
             PolicyKind::KrMaxWeight(b) => format!("KR-MaxWeight(b={b:.3})"),
             PolicyKind::Islip(k) => format!("iSLIP-{k}"),
             PolicyKind::Cgu => "CGU".into(),
-            PolicyKind::CguRoundRobin => "CGU(rr)".into(),
             PolicyKind::Cpg(b, a) => format!("CPG(b={b:.2},a={a:.2})"),
             PolicyKind::CpgSingleParam => "CPG(a=b)".into(),
         }
@@ -87,7 +80,7 @@ impl PolicyKind {
             PolicyKind::Gm | PolicyKind::GmRotate => Some(3.0),
             PolicyKind::Pg(b) if *b > 1.0 => Some(cioq_core::params::pg_ratio(*b)),
             PolicyKind::KrMaxMatching => Some(3.0),
-            PolicyKind::Cgu | PolicyKind::CguRoundRobin => Some(3.0),
+            PolicyKind::Cgu => Some(3.0),
             PolicyKind::Cpg(b, a) if *b > 1.0 && *a > 1.0 => {
                 Some(cioq_core::params::cpg_ratio(*b, *a))
             }
@@ -123,10 +116,6 @@ impl PolicyKind {
             }
             PolicyKind::Islip(k) => engine.run_cioq_full(&mut IslipPolicy::new(k), source),
             PolicyKind::Cgu => engine.run_crossbar_full(&mut CrossbarGreedyUnit::new(), source),
-            PolicyKind::CguRoundRobin => engine.run_crossbar_full(
-                &mut CrossbarGreedyUnit::with_selection(SelectionOrder::RoundRobin),
-                source,
-            ),
             PolicyKind::Cpg(beta, alpha) => engine.run_crossbar_full(
                 &mut CrossbarPreemptiveGreedy::with_params(beta, alpha),
                 source,
@@ -152,13 +141,15 @@ impl PolicyKind {
     }
 }
 
-/// Run a policy on a recorded trace (drains after arrivals end).
+/// Run a policy on a recorded trace under `options`
+/// (`RunOptions::default()`: drained, immediate fabric).
 pub fn run_policy(
     kind: PolicyKind,
     cfg: &SwitchConfig,
     trace: &Trace,
+    options: RunOptions,
 ) -> Result<RunReport, PolicyError> {
-    let engine = Engine::new(cfg.clone(), RunOptions::default());
+    let engine = Engine::new(cfg.clone(), options);
     Ok(kind.run(engine, &mut TraceSource::new(trace))?.report)
 }
 
@@ -185,7 +176,7 @@ mod tests {
             PolicyKind::Islip(2),
         ] {
             assert!(!kind.is_crossbar());
-            let r = run_policy(kind, &cfg, &trace).unwrap();
+            let r = run_policy(kind, &cfg, &trace, RunOptions::default()).unwrap();
             assert_eq!(r.benefit.0, 10, "{} must deliver all", kind.label());
         }
     }
@@ -197,12 +188,11 @@ mod tests {
             Trace::from_tuples([(0, PortId(0), PortId(1), 3), (0, PortId(1), PortId(0), 5)]);
         for kind in [
             PolicyKind::Cgu,
-            PolicyKind::CguRoundRobin,
             PolicyKind::cpg_default(),
             PolicyKind::CpgSingleParam,
         ] {
             assert!(kind.is_crossbar());
-            let r = run_policy(kind, &cfg, &trace).unwrap();
+            let r = run_policy(kind, &cfg, &trace, RunOptions::default()).unwrap();
             assert_eq!(r.benefit.0, 8, "{} must deliver all", kind.label());
         }
     }

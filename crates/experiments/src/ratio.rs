@@ -2,8 +2,55 @@
 
 use crate::policies::{run_policy, PolicyKind};
 use cioq_model::{Benefit, SwitchConfig};
-use cioq_opt::{exact_opt, opt_upper_bound, opt_upper_bound_is_exact, BruteForceLimits};
-use cioq_sim::Trace;
+use cioq_opt::{opt_upper_bound, opt_upper_bound_is_exact};
+use cioq_sim::{RunOptions, Trace};
+
+/// One input σ on one switch, with its OPT bound solved when it is built.
+/// OPT(σ) depends on the switch and the trace, never on the policy, so
+/// every policy [`measure`](Workload::measure)d against a workload reuses
+/// the one solve. The fields are crate-private: the bound must stay the
+/// one solved for this switch and trace.
+#[derive(Debug)]
+pub struct Workload {
+    /// What the workload is called where a table prints it.
+    pub(crate) label: String,
+    /// The switch.
+    pub(crate) cfg: SwitchConfig,
+    /// The input σ.
+    pub(crate) trace: Trace,
+    /// The tighter of `cioq-opt`'s two certified upper bounds on OPT(σ).
+    pub(crate) opt_bound: u128,
+    /// Whether `opt_bound` is exact OPT (the IQ model, `N×1`).
+    pub(crate) exact: bool,
+}
+
+impl Workload {
+    /// Build a workload, solving its OPT bound.
+    pub fn new(label: impl Into<String>, cfg: SwitchConfig, trace: Trace) -> Self {
+        let opt_bound = opt_upper_bound(&cfg, &trace).best();
+        Workload {
+            label: label.into(),
+            exact: opt_upper_bound_is_exact(&cfg),
+            cfg,
+            trace,
+            opt_bound,
+        }
+    }
+
+    /// Run `kind` on this workload (drained) and rate it against the bound.
+    pub fn measure(&self, kind: PolicyKind) -> RatioRow {
+        let report = run_policy(kind, &self.cfg, &self.trace, RunOptions::default())
+            .expect("policy must run cleanly");
+        RatioRow {
+            policy: kind.label(),
+            benefit: report.benefit.0,
+            opt_bound: self.opt_bound,
+            ratio: Benefit(self.opt_bound).ratio_over(report.benefit),
+            exact: self.exact,
+            theoretical: kind.theoretical_ratio(),
+        }
+    }
+}
 
 /// One measured row: a policy on a workload, with its ratio against OPT.
 #[derive(Debug, Clone)]
@@ -17,49 +64,11 @@ pub struct RatioRow {
     /// `opt_bound / benefit` — an upper bound on (or the exact value of)
     /// the empirical competitive ratio.
     pub ratio: f64,
-    /// Whether `opt_bound` is exact OPT (IQ configs / brute force) rather
-    /// than a relaxation bound.
+    /// Whether `opt_bound` is exact OPT (IQ configs) rather than a
+    /// relaxation bound.
     pub exact: bool,
     /// The theorem's guarantee for this policy, if any.
     pub theoretical: Option<f64>,
-}
-
-/// Measure a policy's ratio on a trace. Tries exact OPT first when the
-/// instance is tiny (`try_exact`), otherwise uses the flow bounds.
-pub fn measure_ratio(
-    kind: PolicyKind,
-    cfg: &SwitchConfig,
-    trace: &Trace,
-    try_exact: bool,
-) -> RatioRow {
-    let report = run_policy(kind, cfg, trace).expect("policy must run cleanly");
-    let exact_value = if try_exact {
-        exact_opt(
-            cfg,
-            trace,
-            BruteForceLimits {
-                max_states: 200_000,
-            },
-        )
-        .map(|b| b.0)
-    } else {
-        None
-    };
-    let (opt_bound, exact) = match exact_value {
-        Some(v) => (v, true),
-        None => {
-            let bounds = opt_upper_bound(cfg, trace);
-            (bounds.best(), opt_upper_bound_is_exact(cfg))
-        }
-    };
-    RatioRow {
-        policy: kind.label(),
-        benefit: report.benefit.0,
-        opt_bound,
-        ratio: Benefit(opt_bound).ratio_over(report.benefit),
-        exact,
-        theoretical: kind.theoretical_ratio(),
-    }
 }
 
 impl RatioRow {
@@ -81,10 +90,11 @@ mod tests {
 
     #[test]
     fn measures_exact_on_tiny_instances() {
-        let cfg = SwitchConfig::cioq(2, 2, 1);
+        // The IQ model (one output): the per-output bound is exact OPT.
+        let cfg = SwitchConfig::iq_model(2, 1);
         let trace =
-            Trace::from_tuples([(0, PortId(0), PortId(0), 1), (0, PortId(1), PortId(1), 1)]);
-        let row = measure_ratio(PolicyKind::Gm, &cfg, &trace, true);
+            Trace::from_tuples([(0, PortId(0), PortId(0), 1), (1, PortId(1), PortId(0), 1)]);
+        let row = Workload::new("tiny", cfg, trace).measure(PolicyKind::Gm);
         assert!(row.exact);
         assert_eq!(row.benefit, 2);
         assert_eq!(row.opt_bound, 2);
@@ -96,7 +106,7 @@ mod tests {
     fn falls_back_to_flow_bound() {
         let cfg = SwitchConfig::cioq(2, 2, 1);
         let trace = Trace::from_tuples([(0, PortId(0), PortId(1), 4)]);
-        let row = measure_ratio(PolicyKind::Gm, &cfg, &trace, false);
+        let row = Workload::new("one packet", cfg, trace).measure(PolicyKind::Gm);
         assert!(!row.exact, "2x2 CIOQ flow bound is not certified exact");
         assert_eq!(row.opt_bound, 4);
     }

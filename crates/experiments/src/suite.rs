@@ -7,20 +7,18 @@
 //! binary runs any of it by id.
 
 use crate::policies::{run_policy, PolicyKind};
-use crate::ratio::measure_ratio;
+use crate::ratio::{RatioRow, Workload};
 use crate::runner::parallel_map;
 use crate::scaled_slots;
 use crate::table::{fmt_ratio, Table};
+use cioq_core::params::PG_BETA;
 use cioq_matching::{
     greedy_maximal, greedy_maximal_weighted, hopcroft_karp, hungarian_max_weight, BipartiteGraph,
     EdgeOrder, Islip,
 };
 use cioq_model::SwitchConfig;
 use cioq_opt::{opt_upper_bound, opt_upper_bound_is_exact};
-use cioq_sim::{
-    run_cioq_with_source, Engine, ExecMode, FabricSpec, RunOptions, RunReport, ShardedOptions,
-    Trace, TraceSource,
-};
+use cioq_sim::{run_cioq_with_source, FabricSpec, RunOptions, ShardedOptions, Trace};
 use cioq_traffic::adversary::{
     escalation_bait, gm_iq_flood, gm_iq_flood_opt_benefit, pg_weighted_flood,
     pg_weighted_flood_opt_benefit, AdaptiveFloodSource, EscalationParams,
@@ -66,13 +64,12 @@ fn systems_workload(n: usize, speedup: u32, t: u64) -> (Side, Side) {
             exponent: 1.1,
         },
     );
-    let with_trace = |cfg: SwitchConfig| {
-        let trace = gen_trace(&gen, &cfg, t, SEED);
-        (cfg, trace)
-    };
+    let cioq = SwitchConfig::cioq(n, 4, speedup);
+    // A generator reads only the port counts, so one trace serves both.
+    let trace = gen_trace(&gen, &cioq, t, SEED);
     (
-        with_trace(SwitchConfig::cioq(n, 4, speedup)),
-        with_trace(SwitchConfig::crossbar(n, 4, 2, speedup)),
+        (cioq, trace.clone()),
+        (SwitchConfig::crossbar(n, 4, 2, speedup), trace),
     )
 }
 
@@ -85,14 +82,25 @@ fn side<T>(kind: PolicyKind, cioq: T, xbar: T) -> T {
     }
 }
 
-/// One sequential run of `kind` over its side's trace under `options`.
-fn run_with(kind: PolicyKind, (cfg, trace): &Side, options: RunOptions) -> RunReport {
-    kind.run(
-        Engine::new(cfg.clone(), options),
-        &mut TraceSource::new(trace),
-    )
-    .expect("sequential run")
-    .report
+/// Build every `(label, switch, trace)` into a [`Workload`], solving the
+/// OPT bounds in parallel — once per workload, whatever measures it.
+fn build<L: AsRef<str> + Sync>(specs: &[(L, SwitchConfig, Trace)]) -> Vec<Workload> {
+    parallel_map(specs, |(label, cfg, trace)| {
+        Workload::new(label.as_ref(), cfg.clone(), trace.clone())
+    })
+}
+
+/// Measure every `(workload index, policy)` point in parallel; rows come
+/// back in point order.
+fn measure(workloads: &[Workload], points: &[(usize, PolicyKind)]) -> Vec<RatioRow> {
+    parallel_map(points, |&(w, kind)| workloads[w].measure(kind))
+}
+
+/// Every policy in `kinds` on every workload `0..n`, workload-major.
+fn grid(n: usize, kinds: &[PolicyKind]) -> Vec<(usize, PolicyKind)> {
+    (0..n)
+        .flat_map(|w| kinds.iter().map(move |&kind| (w, kind)))
+        .collect()
 }
 
 /// T1 — headline summary: worst measured ratio per algorithm over the
@@ -107,24 +115,23 @@ pub fn t1_summary(quick: bool) -> Vec<Table> {
     let m = if quick { 4 } else { 8 };
     let b = if quick { 2 } else { 4 };
 
-    // Unit-value workloads.
     let iq_cfg = SwitchConfig::iq_model(m, b);
-    let flood = gm_iq_flood(m, b);
     let cioq_cfg = SwitchConfig::cioq(4, 4, 1);
+    let xbar_cfg = SwitchConfig::crossbar(4, 4, 2, 1);
+    // The 4 × 4 crossbar has the CIOQ switch's ports, so its bursty
+    // traces are the CIOQ ones.
+    let bursty = |values| gen_trace(&OnOffBursty::new(0.9, 12.0, values), &cioq_cfg, t, SEED);
+    let bursty_unit = bursty(ValueDist::Unit);
+    let bursty_zipf = bursty(ValueDist::Zipf {
+        max: 64,
+        exponent: 1.1,
+    });
     let hot = gen_trace(
         &Hotspot::new(0.9, 0.7, 0, ValueDist::Unit),
         &cioq_cfg,
         t,
         SEED + 1,
     );
-    let bursty_unit = gen_trace(
-        &OnOffBursty::new(0.9, 12.0, ValueDist::Unit),
-        &cioq_cfg,
-        t,
-        SEED,
-    );
-
-    // Weighted workloads.
     let wflood = pg_weighted_flood(m, b, 1000);
     let esc = escalation_bait(EscalationParams {
         m,
@@ -132,132 +139,35 @@ pub fn t1_summary(quick: bool) -> Vec<Table> {
         gamma: 2.8,
         phases: if quick { 6 } else { 12 },
     });
-    let bursty_zipf = gen_trace(
-        &OnOffBursty::new(
-            0.9,
-            12.0,
-            ValueDist::Zipf {
-                max: 64,
-                exponent: 1.1,
-            },
-        ),
-        &cioq_cfg,
-        t,
-        SEED,
-    );
+    let workloads = build(&[
+        ("flood", iq_cfg.clone(), gm_iq_flood(m, b)),
+        ("bursty-unit", cioq_cfg.clone(), bursty_unit.clone()),
+        ("hotspot", cioq_cfg.clone(), hot),
+        ("weighted-flood", iq_cfg.clone(), wflood),
+        ("escalation", iq_cfg, esc),
+        ("bursty-zipf", cioq_cfg, bursty_zipf.clone()),
+        ("bursty-unit", xbar_cfg.clone(), bursty_unit),
+        ("bursty-zipf", xbar_cfg, bursty_zipf),
+    ]);
 
-    let unit_policies = [
-        PolicyKind::Gm,
-        PolicyKind::KrMaxMatching,
-        PolicyKind::Islip(2),
+    // Each policy with the indices of its workloads above. The order
+    // matters: among equal worst ratios, the last one listed is printed.
+    let unit: &[usize] = &[0, 1, 2];
+    let weighted: &[usize] = &[0, 3, 4, 5, 2];
+    let policies = [
+        (PolicyKind::Gm, unit),
+        (PolicyKind::KrMaxMatching, unit),
+        (PolicyKind::Islip(2), unit),
+        (PolicyKind::pg_default(), weighted),
+        (PolicyKind::KrMaxWeight(PG_BETA), weighted),
+        (PolicyKind::Cgu, &[6]),
+        (PolicyKind::cpg_default(), &[7]),
     ];
-    let weighted_policies = [
-        PolicyKind::pg_default(),
-        PolicyKind::KrMaxWeight(cioq_core::params::PG_BETA),
-    ];
-    let xbar_cfg = SwitchConfig::crossbar(4, 4, 2, 1);
-    let xbar_bursty_unit = gen_trace(
-        &OnOffBursty::new(0.9, 12.0, ValueDist::Unit),
-        &xbar_cfg,
-        t,
-        SEED,
-    );
-    let xbar_bursty_zipf = gen_trace(
-        &OnOffBursty::new(
-            0.9,
-            12.0,
-            ValueDist::Zipf {
-                max: 64,
-                exponent: 1.1,
-            },
-        ),
-        &xbar_cfg,
-        t,
-        SEED,
-    );
-
-    struct Point {
-        kind: PolicyKind,
-        cfg: SwitchConfig,
-        trace: Trace,
-        workload: &'static str,
-    }
-    let mut points = Vec::new();
-    for &kind in &unit_policies {
-        points.push(Point {
-            kind,
-            cfg: iq_cfg.clone(),
-            trace: flood.clone(),
-            workload: "flood",
-        });
-        points.push(Point {
-            kind,
-            cfg: cioq_cfg.clone(),
-            trace: bursty_unit.clone(),
-            workload: "bursty-unit",
-        });
-        points.push(Point {
-            kind,
-            cfg: cioq_cfg.clone(),
-            trace: hot.clone(),
-            workload: "hotspot",
-        });
-    }
-    for &kind in &weighted_policies {
-        points.push(Point {
-            kind,
-            cfg: iq_cfg.clone(),
-            trace: flood.clone(),
-            workload: "flood",
-        });
-        points.push(Point {
-            kind,
-            cfg: iq_cfg.clone(),
-            trace: wflood.clone(),
-            workload: "weighted-flood",
-        });
-        points.push(Point {
-            kind,
-            cfg: iq_cfg.clone(),
-            trace: esc.clone(),
-            workload: "escalation",
-        });
-        points.push(Point {
-            kind,
-            cfg: cioq_cfg.clone(),
-            trace: bursty_zipf.clone(),
-            workload: "bursty-zipf",
-        });
-        points.push(Point {
-            kind,
-            cfg: cioq_cfg.clone(),
-            trace: hot.clone(),
-            workload: "hotspot",
-        });
-    }
-    points.push(Point {
-        kind: PolicyKind::Cgu,
-        cfg: xbar_cfg.clone(),
-        trace: xbar_bursty_unit,
-        workload: "bursty-unit",
-    });
-    points.push(Point {
-        kind: PolicyKind::cpg_default(),
-        cfg: xbar_cfg.clone(),
-        trace: xbar_bursty_zipf,
-        workload: "bursty-zipf",
-    });
-    let cioq_policies: Vec<PolicyKind> = unit_policies
+    let points: Vec<_> = policies
         .iter()
-        .chain(&weighted_policies)
-        .copied()
+        .flat_map(|&(kind, ws)| ws.iter().map(move |&w| (w, kind)))
         .collect();
-    let xbar_policies = [PolicyKind::Cgu, PolicyKind::cpg_default()];
-
-    let rows = parallel_map(&points, |p| {
-        let row = measure_ratio(p.kind, &p.cfg, &p.trace, false);
-        (p.kind, p.workload, row)
-    });
+    let rows = measure(&workloads, &points);
 
     let mut table = Table::new(
         "T1 — measured worst ratios vs theorem bounds",
@@ -269,13 +179,13 @@ pub fn t1_summary(quick: bool) -> Vec<Table> {
             "verdict",
         ],
     );
-    for &kind in cioq_policies.iter().chain(&xbar_policies) {
-        let worst = rows
+    for (kind, _) in policies {
+        let ((w, _), row) = points
             .iter()
-            .filter(|(k, _, _)| *k == kind)
-            .max_by(|a, b| a.2.ratio.total_cmp(&b.2.ratio))
+            .zip(&rows)
+            .filter(|((_, k), _)| *k == kind)
+            .max_by(|a, b| a.1.ratio.total_cmp(&b.1.ratio))
             .expect("every policy has points");
-        let (_, workload, row) = worst;
         let theorem = row
             .theoretical
             .map(|v| format!("{v:.3}"))
@@ -289,7 +199,7 @@ pub fn t1_summary(quick: bool) -> Vec<Table> {
             row.policy.clone(),
             theorem,
             fmt_ratio(row.ratio, row.exact),
-            workload.to_string(),
+            workloads[*w].label.clone(),
             verdict.to_string(),
         ]);
     }
@@ -309,7 +219,7 @@ pub fn f3_gm_load(quick: bool) -> Vec<Table> {
             }
         }
     }
-    let rows = parallel_map(&points, |&(b, s, load)| {
+    let workloads = parallel_map(&points, |&(b, s, load)| {
         let cfg = SwitchConfig::cioq(n, b, s);
         let trace = gen_trace(
             &BernoulliUniform::new(load, ValueDist::Unit),
@@ -317,16 +227,16 @@ pub fn f3_gm_load(quick: bool) -> Vec<Table> {
             t,
             SEED ^ (b as u64) ^ ((s as u64) << 8) ^ ((load * 100.0) as u64),
         );
-        let row = measure_ratio(PolicyKind::Gm, &cfg, &trace, false);
-        let delivered = row.benefit as f64 / trace.len().max(1) as f64;
-        (b, s, load, delivered, row)
+        Workload::new("bernoulli-unit", cfg, trace)
     });
+    let rows = measure(&workloads, &grid(points.len(), &[PolicyKind::Gm]));
 
     let mut table = Table::new(
         "F3 — GM vs offered load (N=8, Bernoulli uniform, unit values)",
         &["B", "speedup", "load", "delivered frac", "ratio vs OPT-UB"],
     );
-    for (b, s, load, delivered, row) in rows {
+    for (((b, s, load), w), row) in points.iter().zip(&workloads).zip(rows) {
+        let delivered = row.benefit as f64 / w.trace.len().max(1) as f64;
         table.push(vec![
             b.to_string(),
             s.to_string(),
@@ -342,7 +252,7 @@ pub fn f3_gm_load(quick: bool) -> Vec<Table> {
 pub fn f4_pg_beta(quick: bool) -> Vec<Table> {
     let m = if quick { 3 } else { 6 };
     let b = if quick { 2 } else { 4 };
-    let betas = [1.2, 1.5, 2.0, cioq_core::params::PG_BETA, 3.0, 4.0, 6.0];
+    let betas = [1.2, 1.5, 2.0, PG_BETA, 3.0, 4.0, 6.0];
 
     let esc = escalation_bait(EscalationParams {
         m,
@@ -350,7 +260,6 @@ pub fn f4_pg_beta(quick: bool) -> Vec<Table> {
         gamma: 3.0,
         phases: if quick { 6 } else { 14 },
     });
-    let iq_cfg = SwitchConfig::iq_model(m, b);
     // A β-sensitive regime: shallow output buffers, speedup 2, bimodal
     // incast — the output-queue eligibility threshold `v(g) > β·v(l)`
     // decides whether gold packets displace queued best-effort ones.
@@ -368,13 +277,16 @@ pub fn f4_pg_beta(quick: bool) -> Vec<Table> {
         scaled_slots(256, quick),
         SEED,
     );
-
-    let points: Vec<f64> = betas.to_vec();
-    let rows = parallel_map(&points, |&beta| {
-        let esc_row = measure_ratio(PolicyKind::Pg(beta), &iq_cfg, &esc, false);
-        let stress_row = measure_ratio(PolicyKind::Pg(beta), &stress_cfg, &stress, false);
-        (beta, esc_row, stress_row)
-    });
+    let workloads = build(&[
+        ("escalation", SwitchConfig::iq_model(m, b), esc),
+        ("incast", stress_cfg, stress),
+    ]);
+    // β-major: each β's two rows sit together.
+    let points: Vec<_> = betas
+        .iter()
+        .flat_map(|&beta| [(0, PolicyKind::Pg(beta)), (1, PolicyKind::Pg(beta))])
+        .collect();
+    let rows = measure(&workloads, &points);
 
     let mut table = Table::new(
         "F4 — PG beta sweep (theory: ratio(beta) = beta + 2*beta/(beta-1), optimum 1+sqrt(2))",
@@ -386,10 +298,11 @@ pub fn f4_pg_beta(quick: bool) -> Vec<Table> {
             "incast benefit",
         ],
     );
-    for (beta, esc_row, stress_row) in rows {
+    for (beta, pair) in betas.iter().zip(rows.chunks(2)) {
+        let (esc_row, stress_row) = (&pair[0], &pair[1]);
         table.push(vec![
             format!("{beta:.3}"),
-            format!("{:.3}", cioq_core::params::pg_ratio(beta)),
+            format!("{:.3}", cioq_core::params::pg_ratio(*beta)),
             fmt_ratio(esc_row.ratio, esc_row.exact),
             fmt_ratio(stress_row.ratio, stress_row.exact),
             stress_row.benefit.to_string(),
@@ -397,7 +310,6 @@ pub fn f4_pg_beta(quick: bool) -> Vec<Table> {
     }
     vec![table]
 }
-
 /// F5 — throughput/ratio vs speedup ŝ = 1..6 for all algorithms.
 pub fn f5_speedup(quick: bool) -> Vec<Table> {
     let t = scaled_slots(256, quick);
@@ -414,36 +326,41 @@ pub fn f5_speedup(quick: bool) -> Vec<Table> {
         PolicyKind::Cgu,
         PolicyKind::cpg_default(),
     ];
-    let mut points = Vec::new();
-    for &s in &speedups {
-        for &p in &policies {
-            points.push((s, p));
-        }
-    }
-    let rows = parallel_map(&points, |&(s, kind)| {
-        // Shallow buffers + full uniform load: the fabric, not the output
-        // line, is the bottleneck, so speedup genuinely buys throughput.
-        let cfg = if kind.is_crossbar() {
-            SwitchConfig::crossbar(8, 2, 1, s)
-        } else {
-            SwitchConfig::cioq(8, 2, s)
-        };
-        // Same seed across speedups: every point sees the same arrivals,
-        // so the speedup axis is the only thing varying.
-        let trace = gen_trace(&BernoulliUniform::new(1.0, ValueDist::Unit), &cfg, t, SEED);
-        let row = measure_ratio(kind, &cfg, &trace, false);
-        let frac = row.benefit as f64 / trace.len().max(1) as f64;
-        (s, kind, frac, row)
-    });
+    // Shallow buffers + full uniform load: the fabric, not the output
+    // line, is the bottleneck, so speedup genuinely buys throughput. One
+    // trace for every point: the speedup axis is the only thing varying.
+    let trace = gen_trace(
+        &BernoulliUniform::new(1.0, ValueDist::Unit),
+        &SwitchConfig::cioq(8, 2, 1),
+        t,
+        SEED,
+    );
+    // Per speedup, the CIOQ switch then the crossbar.
+    let specs: Vec<_> = speedups
+        .iter()
+        .flat_map(|&s| {
+            [
+                ("uniform", SwitchConfig::cioq(8, 2, s), trace.clone()),
+                ("uniform", SwitchConfig::crossbar(8, 2, 1, s), trace.clone()),
+            ]
+        })
+        .collect();
+    let workloads = build(&specs);
+    let points: Vec<_> = grid(speedups.len(), &policies)
+        .into_iter()
+        .map(|(s, kind)| (2 * s + usize::from(kind.is_crossbar()), kind))
+        .collect();
+    let rows = measure(&workloads, &points);
 
     let mut table = Table::new(
         "F5 — delivered fraction and ratio vs speedup (uniform load 1.0, B=2)",
         &["speedup", "policy", "delivered frac", "ratio vs OPT-UB"],
     );
-    for (s, kind, frac, row) in rows {
+    for ((w, _), row) in points.iter().zip(rows) {
+        let frac = row.benefit as f64 / trace.len().max(1) as f64;
         table.push(vec![
-            s.to_string(),
-            kind.label(),
+            workloads[*w].cfg.speedup.to_string(),
+            row.policy.clone(),
             format!("{frac:.3}"),
             fmt_ratio(row.ratio, row.exact),
         ]);
@@ -534,69 +451,38 @@ pub fn f7_crossbar_buffer(quick: bool) -> Vec<Table> {
     } else {
         vec![1, 2, 3, 4, 6, 8]
     };
-    let mut points = Vec::new();
-    for &bc in &caps {
-        for kind in [PolicyKind::Cgu, PolicyKind::cpg_default()] {
-            points.push((bc, kind));
-        }
-    }
-    let rows = parallel_map(&points, |&(bc, kind)| {
-        let cfg = SwitchConfig::crossbar(8, 4, bc, 1);
-        let trace = gen_trace(
-            &Incast::new(
-                8,
-                2,
-                0.4,
-                ValueDist::Zipf {
-                    max: 16,
-                    exponent: 1.0,
-                },
-            ),
-            &cfg,
-            t,
-            SEED,
-        );
-        let row = measure_ratio(kind, &cfg, &trace, false);
-        (bc, kind, row)
-    });
-    // Reference: plain CIOQ with the same traffic.
     let cioq_cfg = SwitchConfig::cioq(8, 4, 1);
-    let cioq_trace = gen_trace(
-        &Incast::new(
-            8,
-            2,
-            0.4,
-            ValueDist::Zipf {
-                max: 16,
-                exponent: 1.0,
-            },
-        ),
-        &cioq_cfg,
-        t,
-        SEED,
+    let incast = Incast::new(
+        8,
+        2,
+        0.4,
+        ValueDist::Zipf {
+            max: 16,
+            exponent: 1.0,
+        },
     );
-    let gm_row = measure_ratio(PolicyKind::Gm, &cioq_cfg, &cioq_trace, false);
-    let pg_row = measure_ratio(PolicyKind::pg_default(), &cioq_cfg, &cioq_trace, false);
+    let trace = gen_trace(&incast, &cioq_cfg, t, SEED);
+    // The reference first: plain CIOQ with the same traffic, then one
+    // crossbar per crosspoint capacity, each labelled as its table rows.
+    let mut specs = vec![("(cioq)".to_string(), cioq_cfg, trace.clone())];
+    for &bc in &caps {
+        let cfg = SwitchConfig::crossbar(8, 4, bc, 1);
+        specs.push((bc.to_string(), cfg, trace.clone()));
+    }
+    let workloads = build(&specs);
+    let mut points = grid(1, &[PolicyKind::Gm, PolicyKind::pg_default()]);
+    for (w, kind) in grid(caps.len(), &[PolicyKind::Cgu, PolicyKind::cpg_default()]) {
+        points.push((w + 1, kind));
+    }
+    let rows = measure(&workloads, &points);
 
     let mut table = Table::new(
         "F7 — crossbar buffer size sweep (incast traffic)",
         &["B_crossbar", "policy", "benefit", "ratio vs OPT-UB"],
     );
-    table.push(vec![
-        "(cioq)".into(),
-        gm_row.policy.clone(),
-        gm_row.benefit.to_string(),
-        fmt_ratio(gm_row.ratio, gm_row.exact),
-    ]);
-    table.push(vec![
-        "(cioq)".into(),
-        pg_row.policy.clone(),
-        pg_row.benefit.to_string(),
-        fmt_ratio(pg_row.ratio, pg_row.exact),
-    ]);
-    for (bc, _kind, row) in rows {
+    for ((w, _), row) in points.iter().zip(rows) {
         table.push(vec![
-            bc.to_string(),
+            workloads[*w].label.clone(),
             row.policy.clone(),
             row.benefit.to_string(),
             fmt_ratio(row.ratio, row.exact),
@@ -615,23 +501,21 @@ pub fn f8_adversarial(quick: bool) -> Vec<Table> {
     };
     let b = if quick { 2 } else { 4 };
 
-    let flood_rows = parallel_map(&ms, |&m| {
-        let cfg = SwitchConfig::iq_model(m, b);
-        let trace = gm_iq_flood(m, b);
-        let row = measure_ratio(PolicyKind::Gm, &cfg, &trace, false);
-        // Exactness cross-check: flow bound == closed-form OPT.
-        let formula = gm_iq_flood_opt_benefit(m, b);
-        assert_eq!(
-            row.opt_bound, formula,
-            "per-output bound must equal the closed-form OPT on IQ floods"
-        );
-        (m, row)
+    let floods = parallel_map(&ms, |&m| {
+        Workload::new("flood", SwitchConfig::iq_model(m, b), gm_iq_flood(m, b))
     });
+    let flood_rows = measure(&floods, &grid(ms.len(), &[PolicyKind::Gm]));
     let mut flood = Table::new(
         "F8a — oblivious flood vs GM on IQ (exact OPT; theory: ratio = 2 - 1/m)",
         &["m", "B", "measured ratio", "2 - 1/m"],
     );
-    for (m, row) in flood_rows {
+    for ((&m, w), row) in ms.iter().zip(&floods).zip(flood_rows) {
+        // Exactness cross-check: flow bound == closed-form OPT.
+        assert_eq!(
+            w.opt_bound,
+            gm_iq_flood_opt_benefit(m, b),
+            "per-output bound must equal the closed-form OPT on IQ floods"
+        );
         flood.push(vec![
             m.to_string(),
             b.to_string(),
@@ -664,22 +548,21 @@ pub fn f8_adversarial(quick: bool) -> Vec<Table> {
 
     // Weighted flood against PG: the unit lower bound carries over.
     let w = 1000;
-    let wflood_rows = parallel_map(&ms, |&m| {
-        let cfg = SwitchConfig::iq_model(m, b);
+    let wfloods = parallel_map(&ms, |&m| {
         let trace = pg_weighted_flood(m, b, w);
-        let row = measure_ratio(PolicyKind::pg_default(), &cfg, &trace, false);
-        assert_eq!(
-            row.opt_bound,
-            pg_weighted_flood_opt_benefit(m, b, w),
-            "per-output bound must equal the closed-form OPT on weighted floods"
-        );
-        (m, row)
+        Workload::new("weighted-flood", SwitchConfig::iq_model(m, b), trace)
     });
+    let wflood_rows = measure(&wfloods, &grid(ms.len(), &[PolicyKind::pg_default()]));
     let mut wflood = Table::new(
         "F8c — weighted flood vs PG on IQ (exact OPT; limit 2 - 1/m as w grows)",
         &["m", "B", "measured ratio", "2 - 1/m"],
     );
-    for (m, row) in wflood_rows {
+    for ((&m, workload), row) in ms.iter().zip(&wfloods).zip(wflood_rows) {
+        assert_eq!(
+            workload.opt_bound,
+            pg_weighted_flood_opt_benefit(m, b, w),
+            "per-output bound must equal the closed-form OPT on weighted floods"
+        );
         wflood.push(vec![
             m.to_string(),
             b.to_string(),
@@ -691,23 +574,25 @@ pub fn f8_adversarial(quick: bool) -> Vec<Table> {
     // Escalation sweep against PG: PG tracks OPT closely here — measured
     // evidence that its worst case needs adaptive constructions.
     let gammas = [1.5, 2.0, 2.8, 4.0, 8.0];
-    let esc_rows = parallel_map(&gammas, |&gamma| {
-        let m = if quick { 3 } else { 6 };
-        let cfg = SwitchConfig::iq_model(m, b);
+    let m = if quick { 3 } else { 6 };
+    let escalations = parallel_map(&gammas, |&gamma| {
         let trace = escalation_bait(EscalationParams {
             m,
             b,
             gamma,
             phases: if quick { 6 } else { 14 },
         });
-        let row = measure_ratio(PolicyKind::pg_default(), &cfg, &trace, false);
-        (gamma, row)
+        Workload::new("escalation", SwitchConfig::iq_model(m, b), trace)
     });
+    let esc_rows = measure(
+        &escalations,
+        &grid(gammas.len(), &[PolicyKind::pg_default()]),
+    );
     let mut esc = Table::new(
         "F8d — geometric escalation vs PG on IQ (exact OPT; PG stays near 1)",
         &["gamma", "measured ratio", "theorem bound"],
     );
-    for (gamma, row) in esc_rows {
+    for (gamma, row) in gammas.iter().zip(esc_rows) {
         esc.push(vec![
             format!("{gamma:.1}"),
             format!("{:.4}", row.ratio),
@@ -735,37 +620,35 @@ pub fn t2_value_distributions(quick: bool) -> Vec<Table> {
     let loads = [0.5, 0.9];
     let policies = [
         PolicyKind::pg_default(),
-        PolicyKind::KrMaxWeight(cioq_core::params::PG_BETA),
+        PolicyKind::KrMaxWeight(PG_BETA),
         PolicyKind::PgNoPreempt,
         PolicyKind::Gm,
     ];
-    let mut points = Vec::new();
-    for d in &dists {
-        for &load in &loads {
-            for &p in &policies {
-                points.push((d.clone(), load, p));
-            }
-        }
-    }
-    let rows = parallel_map(&points, |(dist, load, kind)| {
+    let keys: Vec<_> = dists
+        .iter()
+        .flat_map(|d| loads.map(|load| (d, load)))
+        .collect();
+    let workloads = parallel_map(&keys, |&(dist, load)| {
         let cfg = SwitchConfig::cioq(4, 4, 1);
         let trace = gen_trace(
-            &BernoulliUniform::new(*load, dist.clone()),
+            &BernoulliUniform::new(load, dist.clone()),
             &cfg,
             t,
-            SEED ^ ((*load * 10.0) as u64),
+            SEED ^ ((load * 10.0) as u64),
         );
-        let row = measure_ratio(*kind, &cfg, &trace, false);
-        (dist.name(), *load, row)
+        Workload::new(dist.name(), cfg, trace)
     });
+    let points = grid(keys.len(), &policies);
+    let rows = measure(&workloads, &points);
+
     let mut table = Table::new(
         "T2 — value-distribution sweep (N=4 CIOQ, ratio vs OPT-UB)",
         &["values", "load", "policy", "benefit", "ratio"],
     );
-    for (dist, load, row) in rows {
+    for ((w, _), row) in points.iter().zip(rows) {
         table.push(vec![
-            dist,
-            format!("{load:.1}"),
+            workloads[*w].label.clone(),
+            format!("{:.1}", keys[*w].1),
             row.policy.clone(),
             row.benefit.to_string(),
             fmt_ratio(row.ratio, row.exact),
@@ -784,22 +667,18 @@ pub fn t3_bursty(quick: bool) -> Vec<Table> {
         PolicyKind::KrMaxMatching,
         PolicyKind::Islip(2),
     ];
-    let mut points = Vec::new();
-    for &mb in &bursts {
-        for &p in &policies {
-            points.push((mb, p));
-        }
-    }
-    let rows = parallel_map(&points, |&(mean_burst, kind)| {
-        let cfg = SwitchConfig::cioq(8, 8, 1);
-        let trace = gen_trace(
+    let cfg = SwitchConfig::cioq(8, 8, 1);
+    let traces = parallel_map(&bursts, |&mean_burst| {
+        gen_trace(
             &OnOffBursty::new(0.7, mean_burst, ValueDist::Unit),
             &cfg,
             t,
             SEED + mean_burst as u64,
-        );
-        let report = run_policy(kind, &cfg, &trace).expect("run");
-        (mean_burst, kind, report, trace.len())
+        )
+    });
+    let points = grid(bursts.len(), &policies);
+    let reports = parallel_map(&points, |&(w, kind)| {
+        run_policy(kind, &cfg, &traces[w], RunOptions::default()).expect("run")
     });
     let mut table = Table::new(
         "T3 — burstiness sweep (load 0.7, N=8, B=8, unit values)",
@@ -811,11 +690,12 @@ pub fn t3_bursty(quick: bool) -> Vec<Table> {
             "mean latency",
         ],
     );
-    for (mb, kind, report, offered) in rows {
+    for ((w, kind), report) in points.iter().zip(reports) {
+        let offered = traces[*w].len().max(1) as f64;
         table.push(vec![
-            format!("{mb:.1}"),
+            format!("{:.1}", bursts[*w]),
             kind.label(),
-            format!("{:.3}", report.transmitted as f64 / offered.max(1) as f64),
+            format!("{:.3}", report.transmitted as f64 / offered),
             report.losses.total_count().to_string(),
             format!("{:.2}", report.mean_latency()),
         ]);
@@ -827,14 +707,7 @@ pub fn t3_bursty(quick: bool) -> Vec<Table> {
 pub fn t4_asymmetric(quick: bool) -> Vec<Table> {
     let t = scaled_slots(256, quick);
     let shapes = [(8usize, 4usize), (4, 8), (16, 4), (2, 16)];
-    let policies = [PolicyKind::Gm, PolicyKind::pg_default()];
-    let mut points = Vec::new();
-    for &(n, m) in &shapes {
-        for &p in &policies {
-            points.push((n, m, p));
-        }
-    }
-    let rows = parallel_map(&points, |&(n, m, kind)| {
+    let workloads = parallel_map(&shapes, |&(n, m)| {
         let cfg = SwitchConfig::builder(n, m)
             .input_capacity(4)
             .output_capacity(4)
@@ -852,16 +725,17 @@ pub fn t4_asymmetric(quick: bool) -> Vec<Table> {
             t,
             SEED + (n * 100 + m) as u64,
         );
-        let row = measure_ratio(kind, &cfg, &trace, false);
-        (n, m, row)
+        Workload::new(format!("{n}x{m}"), cfg, trace)
     });
+    let points = grid(shapes.len(), &[PolicyKind::Gm, PolicyKind::pg_default()]);
+    let rows = measure(&workloads, &points);
     let mut table = Table::new(
         "T4 — asymmetric N x M switches (load 0.8, zipf values)",
         &["N x M", "policy", "benefit", "ratio vs OPT-UB"],
     );
-    for (n, m, row) in rows {
+    for ((w, _), row) in points.iter().zip(rows) {
         table.push(vec![
-            format!("{n}x{m}"),
+            workloads[*w].label.clone(),
             row.policy.clone(),
             row.benefit.to_string(),
             fmt_ratio(row.ratio, row.exact),
@@ -874,27 +748,15 @@ pub fn t4_asymmetric(quick: bool) -> Vec<Table> {
 pub fn t5_ablation(quick: bool) -> Vec<Table> {
     let t = scaled_slots(256, quick);
     let cioq_cfg = SwitchConfig::cioq(8, 4, 1);
-    let weighted: Trace = gen_trace(
-        &OnOffBursty::new(
-            0.85,
-            10.0,
-            ValueDist::Bimodal {
-                high: 50,
-                p_high: 0.2,
-            },
-        ),
-        &cioq_cfg,
-        t,
-        SEED,
-    );
-    let unit: Trace = gen_trace(
+    let unit = gen_trace(
         &Hotspot::new(0.9, 0.6, 0, ValueDist::Unit),
         &cioq_cfg,
         t,
         SEED + 1,
     );
-    let xbar_cfg = SwitchConfig::crossbar(8, 4, 2, 1);
-    let xbar_weighted: Trace = gen_trace(
+    // The 8 × 4 crossbar has the CIOQ switch's ports: one weighted trace
+    // serves both.
+    let weighted = gen_trace(
         &OnOffBursty::new(
             0.85,
             10.0,
@@ -903,60 +765,58 @@ pub fn t5_ablation(quick: bool) -> Vec<Table> {
                 p_high: 0.2,
             },
         ),
-        &xbar_cfg,
+        &cioq_cfg,
         t,
         SEED,
     );
-
-    struct Group {
-        title: &'static str,
-        cfg: SwitchConfig,
-        trace: Trace,
-        kinds: Vec<PolicyKind>,
-    }
+    let xbar_cfg = SwitchConfig::crossbar(8, 4, 2, 1);
+    // One group per workload, in this order.
+    let workloads = build(&[
+        ("hotspot-unit", cioq_cfg.clone(), unit),
+        ("bursty-bimodal", cioq_cfg, weighted.clone()),
+        ("bursty-bimodal", xbar_cfg, weighted),
+    ]);
     let groups = [
-        Group {
-            title: "unit CIOQ: edge order + matching strength",
-            cfg: cioq_cfg.clone(),
-            trace: unit,
-            kinds: vec![
+        (
+            "unit CIOQ: edge order + matching strength",
+            vec![
                 PolicyKind::Gm,
                 PolicyKind::GmRotate,
                 PolicyKind::KrMaxMatching,
                 PolicyKind::Islip(2),
             ],
-        },
-        Group {
-            title: "weighted CIOQ: preemption + matching strength",
-            cfg: cioq_cfg.clone(),
-            trace: weighted,
-            kinds: vec![
+        ),
+        (
+            "weighted CIOQ: preemption + matching strength",
+            vec![
                 PolicyKind::pg_default(),
                 PolicyKind::PgNoPreempt,
-                PolicyKind::KrMaxWeight(cioq_core::params::PG_BETA),
+                PolicyKind::KrMaxWeight(PG_BETA),
                 PolicyKind::Gm,
             ],
-        },
-        Group {
-            title: "weighted crossbar: two parameters vs one",
-            cfg: xbar_cfg,
-            trace: xbar_weighted,
-            kinds: vec![
+        ),
+        (
+            "weighted crossbar: two parameters vs one",
+            vec![
                 PolicyKind::cpg_default(),
                 PolicyKind::CpgSingleParam,
                 PolicyKind::Cgu,
             ],
-        },
+        ),
     ];
+    let points: Vec<_> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(w, (_, kinds))| kinds.iter().map(move |&kind| (w, kind)))
+        .collect();
+    let mut rows = measure(&workloads, &points).into_iter();
 
     let mut tables = Vec::new();
-    for group in groups {
-        let rows = parallel_map(&group.kinds, |&kind| {
-            measure_ratio(kind, &group.cfg, &group.trace, false)
-        });
+    for (title, kinds) in groups {
+        let rows: Vec<RatioRow> = rows.by_ref().take(kinds.len()).collect();
         let best = rows.iter().map(|r| r.benefit).max().unwrap_or(1).max(1);
         let mut table = Table::new(
-            format!("T5 — ablation: {}", group.title),
+            format!("T5 — ablation: {title}"),
             &["policy", "benefit", "vs best", "ratio vs OPT-UB"],
         );
         for row in rows {
@@ -991,7 +851,7 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
     let references = parallel_map(&policies, |&(_, kind)| {
         // detlint: allow(D2) reason="speedup column reports wall time; never feeds simulation state"
         let t0 = Instant::now();
-        let seq = run_policy(kind, &cfg, &trace).expect("seq");
+        let seq = run_policy(kind, &cfg, &trace, RunOptions::default()).expect("seq");
         (seq, t0.elapsed().as_secs_f64() * 1e3)
     });
 
@@ -1077,8 +937,9 @@ fn fabric_sweep(
         .collect();
     let rows = parallel_map(&points, |&((label, kind), v)| {
         let link = link_for(n, v);
-        let on = side(kind, &cioq, &xbar);
-        let report = run_with(kind, on, on_fabric(&link));
+        let (cfg, trace) = side(kind, &cioq, &xbar);
+        let run = |options| run_policy(kind, cfg, trace, options).expect("sequential run");
+        let report = run(on_fabric(&link));
         // Tripwire: `kind` on `k` inline shards over `link` books the
         // whole report of the sequential reference. The sharded engine runs GM
         // only, so every other row has no tripwire.
@@ -1086,8 +947,7 @@ fn fabric_sweep(
             shard_counts.iter().all(|&k| {
                 let mut opts = ShardedOptions::new(k);
                 opts.fabric = link.clone();
-                opts.mode = ExecMode::Inline;
-                let sharded = kind.run_sharded(&on.0, &on.1, opts).expect("sharded run");
+                let sharded = kind.run_sharded(cfg, trace, opts).expect("sharded run");
                 report == sharded.report
             })
         });
@@ -1099,9 +959,9 @@ fn fabric_sweep(
             validate: false,
             ..on_fabric(&link)
         };
-        let steady = run_with(kind, on, steady_options);
+        let steady = run(steady_options);
         let opt = side(kind, cioq_opt, xbar_opt);
-        (label, v, opt, on.1.len().max(1) as f64, report, ok, steady)
+        (label, v, opt, trace.len().max(1) as f64, report, ok, steady)
     });
 
     let ks: Vec<String> = shard_counts.iter().map(|k| k.to_string()).collect();

@@ -26,13 +26,18 @@ fn parallel_sweeps_render_byte_identical_tables() {
     type Experiment = (&'static str, fn(bool) -> Vec<Table>);
     // The cheapest fully-deterministic suites that exercise parallel_map
     // over heterogeneous point types: CIOQ ratio sweeps (T4), speedup
-    // sweeps across both fabrics (F5), and crossbar buffer sweeps (F7).
-    // (F6 and S1 print wall-clock columns, so they are exercised by the
-    // suite smoke tests instead.)
+    // sweeps across both fabrics (F5), crossbar buffer sweeps (F7), and
+    // the two whose workloads serve several policy groups: T1 (a policy
+    // per set of workloads, the worst row picked per policy) and T5 (one
+    // flat sweep split back into three tables). (F6 and S1 print
+    // wall-clock columns, so they are exercised by the suite smoke tests
+    // instead.)
     let experiments: Vec<Experiment> = vec![
         ("T4", suite::t4_asymmetric),
         ("F5", suite::f5_speedup),
         ("F7", suite::f7_crossbar_buffer),
+        ("T1", suite::t1_summary),
+        ("T5", suite::t5_ablation),
     ];
     for (id, run) in experiments {
         let sequential = with_sweep_threads(1, || render_all(&run(true)));

@@ -9,10 +9,10 @@
 //! known lower bounds. This crate provides both:
 //!
 //! * Stochastic generators (all deterministic given a seed):
-//!   [`BernoulliUniform`], [`Hotspot`], [`PermutationTraffic`],
-//!   [`OnOffBursty`], [`Incast`] — each paired with a [`ValueDist`] — plus
-//!   the dirty-set-width stressors [`IncastStorm`] and [`FullFabricChurn`]
-//!   that dirty whole columns / the full fabric per slot.
+//!   [`BernoulliUniform`], [`Hotspot`], [`OnOffBursty`], [`Incast`] —
+//!   each paired with a [`ValueDist`] — plus the dirty-set-width
+//!   stressors [`IncastStorm`] and [`FullFabricChurn`] that dirty whole
+//!   columns / the full fabric per slot.
 //! * Adversarial constructions ([`adversary`]): the IQ-model flood that
 //!   pins greedy unit algorithms to ratio `2 − 1/m`, an *adaptive* variant
 //!   that observes the online algorithm's queues (the true competitive-
@@ -29,7 +29,6 @@ mod churn;
 mod gen;
 mod hotspot;
 mod incast;
-mod permutation;
 mod values;
 
 pub use bernoulli::{BernoulliSlots, BernoulliUniform};
@@ -38,5 +37,4 @@ pub use churn::{FullFabricChurn, IncastStorm};
 pub use gen::{feed_slots, gen_trace, stream_gen, stream_gen_from, SlotGen, TrafficGen};
 pub use hotspot::Hotspot;
 pub use incast::Incast;
-pub use permutation::PermutationTraffic;
 pub use values::{ValueDist, ValueSampler};

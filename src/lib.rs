@@ -74,7 +74,6 @@ pub mod prelude {
         AdaptiveFloodSource, EscalationParams,
     };
     pub use cioq_traffic::{
-        gen_trace, BernoulliUniform, Hotspot, Incast, OnOffBursty, PermutationTraffic, TrafficGen,
-        ValueDist,
+        gen_trace, BernoulliUniform, Hotspot, Incast, OnOffBursty, TrafficGen, ValueDist,
     };
 }
