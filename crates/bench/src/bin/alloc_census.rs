@@ -64,8 +64,7 @@ mod census {
     };
     use cioq_model::{SwitchConfig, Topology};
     use cioq_sim::{
-        run_cioq_sharded, serve_cioq, CioqShardPolicy, Engine, FabricSpec, FaultPlan, RunOptions,
-        ShardedOptions, Trace, TraceSource,
+        serve_cioq, Engine, FabricSpec, FaultPlan, Partitioned, RunOptions, Trace, TraceSource,
     };
     use cioq_traffic::{gen_trace, FullFabricChurn, ValueDist};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -109,15 +108,6 @@ mod census {
             stats_window: Some(64),
             faults,
             fabric: link.clone(),
-        }
-    }
-
-    fn sharded_options(slots: u64, k: usize, link: &FabricSpec) -> ShardedOptions {
-        ShardedOptions {
-            slots: Some(slots),
-            drain: false,
-            fabric: link.clone(),
-            ..ShardedOptions::new(k)
         }
     }
 
@@ -189,12 +179,12 @@ mod census {
         (raw as f64 / (N2 - N1) as f64, raw)
     }
 
-    fn seq_cioq(
+    fn seq_cioq<'p>(
         cfg: &SwitchConfig,
         trace: &Trace,
         link: &FabricSpec,
         faults: Option<&FaultPlan>,
-        mk: impl Fn() -> Box<dyn cioq_sim::CioqPolicy>,
+        mk: impl Fn() -> Box<dyn cioq_sim::CioqPolicy + 'p>,
     ) -> (f64, u64) {
         steady(|slots| {
             let mut policy = mk();
@@ -221,19 +211,6 @@ mod census {
                 .expect("valid run options");
             engine
                 .run_crossbar(policy.as_mut(), &mut source)
-                .expect("census run");
-        })
-    }
-
-    fn sharded_cioq(
-        cfg: &SwitchConfig,
-        trace: &Trace,
-        link: &FabricSpec,
-        k: usize,
-        policy: &dyn CioqShardPolicy,
-    ) -> (f64, u64) {
-        steady(|slots| {
-            run_cioq_sharded(cfg, policy, trace, sharded_options(slots, k, link))
                 .expect("census run");
         })
     }
@@ -331,9 +308,12 @@ mod census {
                 });
             }
 
-            // Sharded engines (CIOQ only).
+            // GM partitioned over K shards (CIOQ only), on the same engine.
+            let gm = ShardedGm::new();
             for k in [2, 4] {
-                let (steady, raw) = sharded_cioq(&cioq_cfg, &cioq_unit, link, k, &ShardedGm::new());
+                let (steady, raw) = seq_cioq(&cioq_cfg, &cioq_unit, link, None, || {
+                    Box::new(Partitioned::new(&gm, k, &cioq_cfg))
+                });
                 rows.push(Row {
                     policy: "gm",
                     engine: format!("sharded-k{k}"),

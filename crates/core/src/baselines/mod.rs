@@ -23,7 +23,7 @@ pub use max_matching::MaxMatching;
 pub use max_weight_matching::MaxWeightMatching;
 
 use cioq_model::PortId;
-use cioq_sim::{PacketPick, Transfer};
+use cioq_sim::Transfer;
 
 /// The transfers of a matching: each matched pair `(i, j)` forwards the
 /// head of `Q_ij`. `preempt_if_full` lets a full `Q_j` give up its least
@@ -34,7 +34,6 @@ fn head_transfers(pairs: &[(usize, usize)], preempt_if_full: bool, out: &mut Vec
     out.extend(pairs.iter().map(|&(i, j)| Transfer {
         input: PortId::from(i),
         output: PortId::from(j),
-        pick: PacketPick::Greatest,
         preempt_if_full,
     }));
 }

@@ -8,7 +8,7 @@ use crate::incremental::{dirty_cols, dirty_rows, BandGraph, Dirty};
 use crate::params::{cpg_alpha_star, cpg_beta_star};
 use crate::pg::admit;
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
-use cioq_sim::{Admission, CrossbarPolicy, PacketPick, QueueRef, SwitchView, Transfer};
+use cioq_sim::{Admission, CrossbarPolicy, QueueRef, SwitchView, Transfer};
 
 /// The Crossbar Preemptive Greedy algorithm with parameters β, α ≥ 1.
 ///
@@ -172,7 +172,6 @@ impl CrossbarPreemptiveGreedy {
                 out.push(Transfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
-                    pick: PacketPick::Greatest,
                     preempt_if_full: true,
                 });
             }
@@ -195,7 +194,6 @@ impl CrossbarPreemptiveGreedy {
                 out.push(Transfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
-                    pick: PacketPick::Greatest,
                     preempt_if_full: true,
                 });
             }

@@ -10,7 +10,7 @@ use cioq_matching::{
 use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
     Admission, CandidateSet, CioqPolicy, CioqShardPolicy, CioqShardWorker, MergeContext,
-    MergeScratch, OutputSnapshot, PacketPick, Partition, SwitchView, Transfer,
+    MergeScratch, OutputSnapshot, Partition, SwitchView, Transfer,
 };
 
 /// How GM iterates edges when computing its greedy maximal matching. The
@@ -99,7 +99,6 @@ fn transfer(i: usize, j: usize) -> Transfer {
     Transfer {
         input: PortId::from(i),
         output: PortId::from(j),
-        pick: PacketPick::Greatest,
         // GM only matches edges to non-full output queues, so a full
         // target here is an algorithm bug — let the engine fail.
         preempt_if_full: false,

@@ -17,7 +17,7 @@
 //! Each paper policy exists once. [`GreedyMatching`] implements the
 //! [`cioq_sim::CioqPolicy`] trait over the whole switch *and* the
 //! per-shard worker trait over one shard's rows of it; [`ShardedGm`] is
-//! the factory that hands `run_cioq_sharded` one fresh worker per shard
+//! the factory that hands [`cioq_sim::Partitioned`] one fresh worker per shard
 //! plus the deterministic merge. [`PreemptiveGreedy`] matches in one
 //! global weight order, which a merge would have to run whole while the
 //! other shards wait, so it schedules the whole switch only, as
@@ -51,7 +51,7 @@ pub mod oracle;
 pub mod params;
 mod pg;
 
-pub use cgu::{CrossbarGreedyUnit, SelectionOrder};
+pub use cgu::CrossbarGreedyUnit;
 pub use cpg::CrossbarPreemptiveGreedy;
 pub use gm::{GmEdgePolicy, GreedyMatching, ShardedGm};
 pub use pg::PreemptiveGreedy;

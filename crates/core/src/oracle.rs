@@ -8,16 +8,16 @@
 //! the paper by eye, which is its whole job: the equivalence suites run a
 //! production policy and its oracle twin in lockstep on the same view and
 //! demand identical admissions, transfer sets (content *and* order) and
-//! subphase choices every cycle. Build a fresh oracle per run (the
-//! round-robin pointers of [`Cgu`] are run state).
+//! subphase choices every cycle. The oracles hold no run state, so one
+//! value serves any number of runs.
 //!
 //! The two graph builders also serve the prior-work [`crate::baselines`],
 //! which schedule the paper's graphs with different matching algorithms.
 
-use crate::{GmEdgePolicy, SelectionOrder};
+use crate::GmEdgePolicy;
 use cioq_matching::{greedy_maximal, BipartiteGraph, EdgeOrder};
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
-use cioq_sim::{Admission, CioqPolicy, CrossbarPolicy, PacketPick, QueueRef, SwitchView, Transfer};
+use cioq_sim::{Admission, CioqPolicy, CrossbarPolicy, QueueRef, SwitchView, Transfer};
 
 /// The input queue `Q_ij`.
 fn q<'a>(view: &SwitchView<'a>, i: usize, j: usize) -> QueueRef<'a> {
@@ -95,7 +95,6 @@ fn head(i: usize, j: usize, preempt: bool) -> Transfer {
     Transfer {
         input: PortId::from(i),
         output: PortId::from(j),
-        pick: PacketPick::Greatest,
         preempt_if_full: preempt,
     }
 }
@@ -161,42 +160,9 @@ impl CioqPolicy for Pg {
 }
 
 /// CGU (§3.1): every port picks an "arbitrary" eligible queue — the first
-/// one scanning from index 0 (first fit) or cyclically from just past the
-/// port's previous choice (round robin).
+/// one scanning from index 0 (first fit).
 #[derive(Debug)]
-pub struct Cgu {
-    selection: SelectionOrder,
-    input_next: Vec<usize>,
-    output_next: Vec<usize>,
-}
-
-impl Cgu {
-    /// A fresh CGU oracle (all round-robin pointers at 0).
-    pub fn new(selection: SelectionOrder) -> Self {
-        Cgu {
-            selection,
-            input_next: Vec::new(),
-            output_next: Vec::new(),
-        }
-    }
-}
-
-/// First `k` of `0..len` with `ok(k)`, scanning from 0 (first fit) or
-/// cyclically from `*next` (round robin), which then moves just past `k`.
-fn pick(
-    selection: SelectionOrder,
-    next: &mut usize,
-    len: usize,
-    ok: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    let start = match selection {
-        SelectionOrder::FirstFit => 0,
-        SelectionOrder::RoundRobin => *next,
-    };
-    let chosen = (0..len).map(|k| (start + k) % len).find(|&k| ok(k))?;
-    *next = (chosen + 1) % len;
-    Some(chosen)
-}
+pub struct Cgu;
 
 impl CrossbarPolicy for Cgu {
     fn name(&self) -> &str {
@@ -208,22 +174,21 @@ impl CrossbarPolicy for Cgu {
     }
 
     fn schedule_input(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
-        self.input_next.resize(view.n_inputs(), 0);
-        for (i, next) in self.input_next.iter_mut().enumerate() {
+        for i in 0..view.n_inputs() {
             // Any j with |Q_ij| > 0 ∧ |C_ij| < B(C_ij).
-            let eligible = |j| !q(view, i, j).is_empty() && !c(view, i, j).is_full();
-            if let Some(j) = pick(self.selection, next, view.n_outputs(), eligible) {
+            let eligible = |&j: &usize| !q(view, i, j).is_empty() && !c(view, i, j).is_full();
+            if let Some(j) = (0..view.n_outputs()).find(eligible) {
                 out.push(head(i, j, false));
             }
         }
     }
 
     fn schedule_output(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
-        self.output_next.resize(view.n_outputs(), 0);
-        for (j, next) in self.output_next.iter_mut().enumerate() {
+        for j in 0..view.n_outputs() {
             // Any i with |Q_j| < B(Q_j) ∧ |C_ij| > 0.
-            let eligible = |i| output_least(view, j).is_none() && !c(view, i, j).is_empty();
-            if let Some(i) = pick(self.selection, next, view.n_inputs(), eligible) {
+            let eligible =
+                |&i: &usize| output_least(view, j).is_none() && !c(view, i, j).is_empty();
+            if let Some(i) = (0..view.n_inputs()).find(eligible) {
                 out.push(head(i, j, false));
             }
         }

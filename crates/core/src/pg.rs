@@ -7,7 +7,7 @@ use crate::incremental::BandGraph;
 use crate::params::PG_BETA;
 use cioq_matching::{greedy_weighted_rows_into, GreedyScratch, Matching};
 use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
-use cioq_sim::{Admission, CioqPolicy, OutputSnapshot, PacketPick, QueueRef, SwitchView, Transfer};
+use cioq_sim::{Admission, CioqPolicy, OutputSnapshot, QueueRef, SwitchView, Transfer};
 
 /// The Preemptive Greedy algorithm with threshold parameter β ≥ 1.
 ///
@@ -125,7 +125,6 @@ impl CioqPolicy for PreemptiveGreedy {
         out.extend(self.matching.pairs.iter().map(|&(i, j)| Transfer {
             input: PortId::from(i),
             output: PortId::from(j),
-            pick: PacketPick::Greatest,
             // Eligibility already enforced the β threshold; a full output
             // queue here means a legal preemption of l_j.
             preempt_if_full: self.preemption_enabled,

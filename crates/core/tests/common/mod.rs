@@ -1,66 +1,44 @@
 //! The one definition of "two runs agree", and the fixtures the
 //! equivalence suites share. Each suite pulls it in with `mod common;`.
 //!
-//! Two runs agree when they end alike: the whole [`RunReport`] is equal
+//! Two runs agree when they end alike: the whole `RunReport` is equal
 //! (`==`, every field), the final switch states are equal queue by queue,
 //! and the checkpoints are byte-identical. A run resumed from the
 //! checkpoint at slot `k` agrees with the uninterrupted run on its report
 //! and final state, and its checkpoints are the uninterrupted run's from
-//! slot `k` on (its first re-takes the restore point). Whole-switch and
-//! partitioned runs are compared by the same calls: both outcome types
-//! end in [`Ends`].
+//! slot `k` on (its first re-takes the restore point). A partitioned run
+//! is a run of the `Partitioned` policy, so whole-switch and partitioned
+//! runs are built and compared by the same calls.
 
 // Every suite is its own test binary, and none of them uses every helper.
 #![allow(dead_code)]
 
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
-    ArrivalSource, Engine, EngineSnapshot, FabricSpec, PolicyError, RecordedSchedule, Recording,
-    RunOptions, RunOutcome, RunReport, ShardedOptions, ShardedOutcome, SwitchState, Trace,
-    TraceSource,
+    invariants::check_schedule, ArrivalSource, Engine, EngineSnapshot, FabricSpec, PolicyError,
+    RecordedSchedule, Recording, RunOptions, RunOutcome, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
 // ---- the agreement check ----
 
-/// What a run ends in: its report, its final switch state and its
-/// checkpoints in slot order.
-pub(crate) trait Ends {
-    fn ends(&self) -> (&RunReport, &SwitchState, &[EngineSnapshot]);
-}
-
-impl Ends for RunOutcome {
-    fn ends(&self) -> (&RunReport, &SwitchState, &[EngineSnapshot]) {
-        (&self.report, &self.final_state, &self.checkpoints)
-    }
-}
-
-impl Ends for ShardedOutcome {
-    fn ends(&self) -> (&RunReport, &SwitchState, &[EngineSnapshot]) {
-        let state = self.final_state.as_ref().expect("final state captured");
-        (&self.report, state, &self.checkpoints)
-    }
-}
-
 /// `a` and `b` agree: equal reports, equal final states and
 /// byte-identical checkpoints.
-pub(crate) fn assert_agree(a: &impl Ends, b: &impl Ends, what: &str) {
-    let ((ra, sa, ca), (rb, sb, cb)) = (a.ends(), b.ends());
-    assert_eq!(ra, rb, "{what}: report");
-    assert_states_equal(sa, sb, what);
-    assert_checkpoints_identical(ca, cb, what);
+pub(crate) fn assert_agree(a: &RunOutcome, b: &RunOutcome, what: &str) {
+    assert_eq!(a.report, b.report, "{what}: report");
+    assert_states_equal(&a.final_state, &b.final_state, what);
+    assert_checkpoints_identical(&a.checkpoints, &b.checkpoints, what);
 }
 
 /// `resumed`, restored from `full`'s checkpoint at slot `k`, ends as
 /// `full` does: the same report and final state, and `full`'s checkpoints
 /// from slot `k` on, byte for byte.
-pub(crate) fn assert_resumes(resumed: &impl Ends, full: &impl Ends, k: SlotId, what: &str) {
-    let ((rr, sr, cr), (rf, sf, cf)) = (resumed.ends(), full.ends());
+pub(crate) fn assert_resumes(resumed: &RunOutcome, full: &RunOutcome, k: SlotId, what: &str) {
     let what = format!("{what} from slot {k}");
-    assert_eq!(rr, rf, "{what}: report");
-    assert_states_equal(sr, sf, &what);
-    let tail = &cf[cf.partition_point(|c| c.slot() < k)..];
-    assert_checkpoints_identical(cr, tail, &what);
+    assert_eq!(resumed.report, full.report, "{what}: report");
+    assert_states_equal(&resumed.final_state, &full.final_state, &what);
+    let tail = &full.checkpoints[full.checkpoints.partition_point(|c| c.slot() < k)..];
+    assert_checkpoints_identical(&resumed.checkpoints, tail, &what);
 }
 
 /// Equal final states: the same geometry and slot, then every `Q_ij`,
@@ -118,37 +96,15 @@ pub(crate) fn run_options(fabric: &FabricSpec, checkpoint_every: Option<SlotId>)
     }
 }
 
-/// The partitioned twin, at `k` shards, of a sequential run under
-/// `options` (window, drain, validation, fabric and checkpoint cadence),
-/// resumed from `resume`; it records its transcript and captures its
-/// final state.
-pub(crate) fn sharded_options(
-    k: usize,
-    options: &RunOptions,
-    resume: Option<EngineSnapshot>,
-) -> ShardedOptions {
-    assert!(options.faults.is_none() && options.stats_window.is_none());
-    ShardedOptions {
-        slots: options.slots,
-        drain: options.drain,
-        validate: options.validate,
-        record: true,
-        capture_final_state: true,
-        fabric: options.fabric.clone(),
-        checkpoint_every: options.checkpoint_every,
-        resume_from: resume,
-        ..ShardedOptions::new(k)
-    }
-}
-
 /// `Engine::run_cioq_full` or `Engine::run_crossbar_full`, over a
-/// recorded policy: the architecture a sequential run takes.
+/// recorded policy: the architecture a run takes.
 pub(crate) type RunFull<P> =
     fn(Engine, &mut Recording<P>, &mut dyn ArrivalSource) -> Result<RunOutcome, PolicyError>;
 
-/// A sequential run of either architecture under `options`, fresh or
-/// resumed from `resume` (the trace fed from the checkpoint's slot), and
-/// its decision transcript.
+/// A run of either architecture under `options`, fresh or resumed from
+/// `resume` (the trace fed from the checkpoint's slot), and its decision
+/// transcript, checked against the port rule (`check_schedule`). A
+/// partitioned run passes `Partitioned::new(..)` as `policy`.
 pub(crate) fn recorded_run<P>(
     cfg: &SwitchConfig,
     policy: P,
@@ -168,8 +124,12 @@ pub(crate) fn recorded_run<P>(
         ),
     };
     let mut rec = Recording::with_fabric(policy, &options.fabric);
-    let outcome = run(engine, &mut rec, &mut source).expect("sequential run");
-    (outcome, rec.into_schedule())
+    let outcome = run(engine, &mut rec, &mut source).expect("run");
+    let schedule = rec.into_schedule();
+    if let Err(msg) = check_schedule(&schedule, cfg) {
+        panic!("invalid schedule transcript: {msg}");
+    }
+    (outcome, schedule)
 }
 
 // ---- workload ----

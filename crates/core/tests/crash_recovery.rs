@@ -3,16 +3,16 @@
 //! remaining decision transcript, the final report, the final switch
 //! state and every later checkpoint must be byte-identical to the
 //! uninterrupted run. Covered for all four policies whole-switch and for
-//! GM partitioned K ∈ {2, 4} (`run_cioq_sharded`, which runs GM only),
+//! GM partitioned K ∈ {2, 4} (`Partitioned`; only GM runs partitioned),
 //! over the immediate, a uniform-delay and a two-tier matrix fabric.
-//! Both kinds of run are the one `Engine`; partitioned GM is a policy
-//! adapter on it, so its checkpoints are the engine's own.
+//! Both kinds of run are the one `Engine`; partitioned GM is a policy on
+//! it, so its checkpoints are the engine's own.
 //!
 //! Also proven here: whole-switch and partitioned checkpoints of the same
 //! run are byte-identical (so either run can resume from the other's), an
 //! immediate re-checkpoint after restore reproduces the snapshot bytes
 //! (restore is lossless and idempotent), and the windowed-stats option
-//! survives a whole-switch kill/restore.
+//! survives a kill/restore, whole-switch and partitioned.
 
 mod common;
 
@@ -21,12 +21,11 @@ use cioq_core::{
 };
 use cioq_model::{SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine, EngineSnapshot,
-    FabricSpec, RecordedSchedule, RunOptions, RunOutcome, Trace, TraceSource,
+    CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine, EngineSnapshot, FabricSpec, Partitioned,
+    RecordedSchedule, RunOptions, RunOutcome, Trace, TraceSource,
 };
 use common::{
-    assert_agree, assert_resumes, bursty_trace, cioq_cfg, fabrics, recorded_run, sharded_options,
-    RunFull,
+    assert_agree, assert_resumes, bursty_trace, cioq_cfg, fabrics, recorded_run, RunFull,
 };
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
@@ -36,9 +35,9 @@ fn run_options(link: &FabricSpec) -> RunOptions {
     common::run_options(link, Some(CHECKPOINT_EVERY))
 }
 
-/// Sequential run of either architecture (fresh or resumed from a
-/// checkpoint), recording the decision transcript.
-fn seq_run<P>(
+/// A run of either architecture (fresh or resumed from a checkpoint),
+/// recording the decision transcript.
+fn run_on<P>(
     cfg: &SwitchConfig,
     policy: P,
     run: RunFull<P>,
@@ -63,7 +62,7 @@ fn check_cioq_recovery(
     what: &str,
 ) {
     let speedup = cfg.speedup as usize;
-    let (full, full_sched) = seq_run(cfg, &mut *seq(), Engine::run_cioq_full, trace, link, None);
+    let (full, full_sched) = run_on(cfg, &mut *seq(), Engine::run_cioq_full, trace, link, None);
     assert!(
         full.checkpoints.len() >= 2,
         "{what}: run too short for the checkpoint cadence"
@@ -87,7 +86,7 @@ fn check_cioq_recovery(
             "{what}: re-checkpoint at k={k} is byte-identical"
         );
 
-        let (resumed, resumed_sched) = seq_run(
+        let (resumed, resumed_sched) = run_on(
             cfg,
             &mut *seq(),
             Engine::run_cioq_full,
@@ -117,25 +116,16 @@ fn check_cioq_recovery(
     };
     let snap = &full.checkpoints[full.checkpoints.len() / 2];
     let k = snap.slot();
-    let options = run_options(link);
     for shards in SHARD_COUNTS {
         let w = format!("{what} K={shards}");
-        let sh_full =
-            run_cioq_sharded(cfg, sharded, trace, sharded_options(shards, &options, None))
-                .unwrap_or_else(|e| panic!("{w}: sharded run failed: {e}"));
+        let partitioned = || Partitioned::new(sharded, shards, cfg);
+        let run = Engine::run_cioq_full;
+        let (sh_full, _) = run_on(cfg, partitioned(), run, trace, link, None);
         // Sequential ↔ sharded snapshot byte-compatibility.
         assert_agree(&sh_full, &full, &w);
         // Sharded resume from the sequential snapshot.
-        let resume = Some(snap.clone());
-        let sh_resumed = run_cioq_sharded(
-            cfg,
-            sharded,
-            trace,
-            sharded_options(shards, &options, resume),
-        )
-        .unwrap_or_else(|e| panic!("{w}: resumed sharded run failed: {e}"));
+        let (sh_resumed, sched) = run_on(cfg, partitioned(), run, trace, link, Some(snap));
         assert_resumes(&sh_resumed, &sh_full, k, &w);
-        let sched = sh_resumed.schedule.as_ref().expect("recording requested");
         let cycle_off = (k as usize) * speedup;
         assert_eq!(
             sched.transfers[..],
@@ -145,7 +135,7 @@ fn check_cioq_recovery(
         // And the reverse: a partitioned run's checkpoint resumes
         // whole-switch GM.
         let sh_snap = &sh_full.checkpoints[sh_full.checkpoints.len() / 2];
-        let (xres, _) = seq_run(
+        let (xres, _) = run_on(
             cfg,
             &mut *seq(),
             Engine::run_cioq_full,
@@ -168,7 +158,7 @@ fn check_crossbar_recovery(
     what: &str,
 ) {
     let speedup = cfg.speedup as usize;
-    let (full, full_sched) = seq_run(
+    let (full, full_sched) = run_on(
         cfg,
         &mut *seq(),
         Engine::run_crossbar_full,
@@ -186,7 +176,7 @@ fn check_crossbar_recovery(
         let k = snap.slot();
         let decoded =
             EngineSnapshot::from_bytes(&snap.to_bytes()).expect("snapshot bytes round-trip");
-        let (resumed, resumed_sched) = seq_run(
+        let (resumed, resumed_sched) = run_on(
             cfg,
             &mut *seq(),
             Engine::run_crossbar_full,
@@ -282,24 +272,39 @@ fn windowed_stats_survive_restore() {
         stats_window: Some(6),
         ..run_options(&link)
     };
+    // Fresh, or resumed from a checkpoint that went through its bytes.
+    let run = |policy: &mut dyn CioqPolicy, resume: Option<&EngineSnapshot>| {
+        let (engine, from) = match resume {
+            Some(snap) => {
+                let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
+                let engine = Engine::restore(&decoded, options()).expect("restore with window");
+                (engine, snap.slot())
+            }
+            None => (Engine::new(cfg.clone(), options()), 0),
+        };
+        let mut source = TraceSource::resume_at(&trace, from);
+        engine.run_cioq_full(policy, &mut source).expect("run")
+    };
 
-    let full = Engine::new(cfg.clone(), options())
-        .run_cioq_full(&mut PreemptiveGreedy::new(), &mut TraceSource::new(&trace))
-        .expect("full run");
+    let full = run(&mut PreemptiveGreedy::new(), None);
     let window = full.report.window.as_ref().expect("window enabled");
     assert_eq!(window.window(), 6, "configured size");
     assert!(!window.is_empty(), "run long enough to fill the window");
 
     let snap = &full.checkpoints[full.checkpoints.len() / 2];
-    let decoded = EngineSnapshot::from_bytes(&snap.to_bytes()).expect("round-trip");
-    let resumed = Engine::restore(&decoded, options())
-        .expect("restore with window")
-        .run_cioq_full(
-            &mut PreemptiveGreedy::new(),
-            &mut TraceSource::resume_at(&trace, snap.slot()),
-        )
-        .expect("resumed run");
+    let resumed = run(&mut PreemptiveGreedy::new(), Some(snap));
     assert_resumes(&resumed, &full, snap.slot(), "windowed report");
+
+    // The partitioned twin: GM over K = 2 keeps whole-switch GM's window,
+    // and keeps it through a kill and restore.
+    let gm = ShardedGm::new();
+    let gm_full = run(&mut GreedyMatching::new(), None);
+    let sh_full = run(&mut Partitioned::new(&gm, 2, &cfg), None);
+    assert_agree(&sh_full, &gm_full, "partitioned windowed report");
+    let snap = &sh_full.checkpoints[sh_full.checkpoints.len() / 2];
+    let sh_resumed = run(&mut Partitioned::new(&gm, 2, &cfg), Some(snap));
+    let what = "partitioned windowed report";
+    assert_resumes(&sh_resumed, &gm_full, snap.slot(), what);
 }
 
 /// Restore rejects a snapshot taken on a different fabric: the in-flight
@@ -310,7 +315,7 @@ fn restore_rejects_mismatched_fabric() {
     let cfg = cioq_cfg();
     let trace = bursty_trace(&cfg, 32, 0xCE);
     let link = FabricSpec::uniform(2);
-    let (full, _) = seq_run(
+    let (full, _) = run_on(
         &cfg,
         GreedyMatching::new(),
         Engine::run_cioq_full,

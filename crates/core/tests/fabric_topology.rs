@@ -13,8 +13,8 @@
 //! 2. **Partitioned ≡ whole-switch on a matrix fabric** — on genuinely
 //!    heterogeneous fabrics (two-tier rack models, random explicit
 //!    matrices, racks scattered across ports) partitioned GM
-//!    (`run_cioq_sharded`, a policy adapter on the one `Engine` and its
-//!    one delay line) reproduces whole-switch GM bit for bit — including
+//!    (`Partitioned`, a policy on the one `Engine` and its one delay
+//!    line) reproduces whole-switch GM bit for bit — including
 //!    when rack boundaries do not align with shard boundaries.
 //! 3. **Conservation under heterogeneous delays** — property test over
 //!    random delay matrices: in-flight + landed + queued packets always
@@ -27,11 +27,11 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine, FabricSpec,
-    RecordedSchedule, RunOptions, RunOutcome, Trace, TraceSource,
+    CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine, FabricSpec, Partitioned, RecordedSchedule,
+    RunOptions, RunOutcome, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, ValueDist};
-use common::{assert_agree, bursty_trace, cioq_cfg, recorded_run, sharded_options, RunFull};
+use common::{assert_agree, bursty_trace, cioq_cfg, recorded_run, RunFull};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -41,9 +41,8 @@ fn on_fabric(fabric: &FabricSpec) -> RunOptions {
     common::run_options(fabric, None)
 }
 
-/// Sequential reference run of either architecture through an arbitrary
-/// fabric.
-fn seq_run<P>(
+/// A recorded run of either architecture through an arbitrary fabric.
+fn run_on<P>(
     cfg: &SwitchConfig,
     policy: P,
     run: RunFull<P>,
@@ -65,11 +64,9 @@ fn check_cioq_against(
 ) {
     for k in SHARD_COUNTS {
         let what = format!("{what} [{}] k={k}", ref_outcome.report.policy);
-        let options = sharded_options(k, &on_fabric(link), None);
-        let outcome = run_cioq_sharded(cfg, sharded, trace, options)
-            .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
-        let schedule = outcome.schedule.as_ref().expect("recording requested");
-        assert_eq!(schedule, ref_schedule, "{what}: decision transcript");
+        let partitioned = Partitioned::new(sharded, k, cfg);
+        let (outcome, schedule) = run_on(cfg, partitioned, Engine::run_cioq_full, trace, link);
+        assert_eq!(&schedule, ref_schedule, "{what}: decision transcript");
         assert_agree(&outcome, ref_outcome, &what);
     }
 }
@@ -99,9 +96,9 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
         ];
         for (make, sharded) in cioq {
             // The delay-line run is the reference…
-            let reference = seq_run(&cfg, &mut *make(), Engine::run_cioq_full, &trace, &line);
+            let reference = run_on(&cfg, &mut *make(), Engine::run_cioq_full, &trace, &line);
             // …the sequential matrix run must already match it…
-            let matrix_run = seq_run(&cfg, &mut *make(), Engine::run_cioq_full, &trace, &matrix);
+            let matrix_run = run_on(&cfg, &mut *make(), Engine::run_cioq_full, &trace, &matrix);
             let w = format!("{what}: sequential");
             assert_eq!(matrix_run.1, reference.1, "{w} matrix transcript");
             assert_agree(&matrix_run.0, &reference.0, &w);
@@ -118,7 +115,7 @@ fn constant_matrix_is_bit_identical_to_delay_line() {
         ];
         for make in crossbar {
             let run = |link| {
-                seq_run(
+                run_on(
                     &xcfg,
                     &mut *make(),
                     Engine::run_crossbar_full,
@@ -151,7 +148,7 @@ fn two_tier_sharded_equals_sequential() {
     for (racks, intra, inter) in [(3usize, 0u64, 2u64), (2, 1, 4)] {
         let link = FabricSpec::matrix(Topology::two_tier(6, 6, racks, intra, inter).unwrap());
         let what = format!("two-tier racks={racks} intra={intra} inter={inter}");
-        let reference = seq_run(
+        let reference = run_on(
             &cfg,
             GreedyMatching::new(),
             Engine::run_cioq_full,
@@ -178,7 +175,7 @@ fn a_calendar_bucket_gathers_from_several_dispatch_slots() {
         (0, PortId(2), PortId(5), 1),
         (3, PortId(2), PortId(3), 1),
     ]);
-    let reference = seq_run(
+    let reference = run_on(
         &cfg,
         GreedyMatching::new(),
         Engine::run_cioq_full,
@@ -208,7 +205,7 @@ fn random_matrix_sharded_equals_sequential() {
     assert_eq!(topo.uniform_delay(), None);
     let link = FabricSpec::matrix(topo);
     let what = "random matrix";
-    let reference = seq_run(
+    let reference = run_on(
         &cfg,
         GreedyMatching::new(),
         Engine::run_cioq_full,
@@ -245,7 +242,7 @@ fn two_tier_incast_landing_order() {
     for (intra, inter) in [(1u64, 3u64), (0, 4)] {
         let link = FabricSpec::matrix(Topology::two_tier(8, 4, 2, intra, inter).unwrap());
         let what = format!("incast intra={intra} inter={inter}");
-        let reference = seq_run(
+        let reference = run_on(
             &cfg,
             GreedyMatching::new(),
             Engine::run_cioq_full,
@@ -313,7 +310,7 @@ proptest! {
 
         // Constant matrix ≡ delay line, transcript for transcript.
         let const_link = FabricSpec::matrix(Topology::uniform(n, n, const_d));
-        let run = |link| seq_run(&cfg, PreemptiveGreedy::new(), Engine::run_cioq_full, &trace, link).1;
+        let run = |link| run_on(&cfg, PreemptiveGreedy::new(), Engine::run_cioq_full, &trace, link).1;
         prop_assert_eq!(run(&const_link), run(&FabricSpec::uniform(const_d)));
     }
 }

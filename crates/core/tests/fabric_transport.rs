@@ -6,8 +6,8 @@
 //!    end to end (admissions, per-cycle transfer sets, reports, final
 //!    states) for GM × K ∈ {1, 2, 4}.
 //! 2. **Partitioned `uniform(d)` ≡ whole-switch `uniform(d)`** — GM
-//!    partitioned over K ∈ {1, 2, 4} shards (`run_cioq_sharded`, a policy
-//!    adapter on the one `Engine`, whose one delay line serves both sides)
+//!    partitioned over K ∈ {1, 2, 4} shards (`Partitioned`, a policy on
+//!    the one `Engine`, whose one delay line serves both sides)
 //!    reproduces whole-switch GM on the same delay line bit for bit, for
 //!    d ∈ {1, 2, 4}. This is the delayed analogue of
 //!    `sharded_equivalence.rs` (only GM runs partitioned).
@@ -22,11 +22,10 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, CioqPolicy, CioqShardPolicy, Engine, FabricSpec, RunOptions, Trace,
-    TraceSource,
+    CioqPolicy, CioqShardPolicy, Engine, FabricSpec, Partitioned, RunOptions, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, ValueDist};
-use common::{assert_agree, bursty_trace, cioq_cfg, recorded_run, sharded_options};
+use common::{assert_agree, bursty_trace, cioq_cfg, recorded_run};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -55,10 +54,10 @@ fn check_cioq_delayed(
     );
     for k in SHARD_COUNTS {
         let what = format!("{} d={d} k={k}", reference.report.policy);
-        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, &options, None))
-            .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
-        let schedule = outcome.schedule.as_ref().expect("recording requested");
-        assert_eq!(schedule, &ref_schedule, "{what}: decision transcript");
+        let partitioned = Partitioned::new(sharded, k, cfg);
+        let run = Engine::run_cioq_full;
+        let (outcome, schedule) = recorded_run(cfg, partitioned, run, trace, &options, None);
+        assert_eq!(schedule, ref_schedule, "{what}: decision transcript");
         assert_agree(&outcome, &reference, &what);
     }
 }
@@ -246,8 +245,13 @@ fn steady_state_residual_counts_in_flight() {
         );
 
         // Partitioned GM stops at the same point with the same books.
-        let sh = sharded_options(2, &options, None);
-        let outcome = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, sh).unwrap();
+        let gm = ShardedGm::new();
+        let outcome = Engine::new(cfg.clone(), options.clone())
+            .run_cioq_full(
+                &mut Partitioned::new(&gm, 2, &cfg),
+                &mut TraceSource::new(&trace),
+            )
+            .unwrap();
         outcome
             .report
             .check_conservation()

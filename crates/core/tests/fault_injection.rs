@@ -4,17 +4,21 @@
 //! gracefully — no `PolicyError`, exact conservation with drops counted —
 //! and the whole faulted run stays deterministic and checkpointable:
 //! kill/restore under an active fault plan is byte-identical, including
-//! packets sitting in retransmit queues at the checkpoint.
+//! packets sitting in retransmit queues at the checkpoint. Partitioned GM
+//! (K ∈ {2, 4}) joins the kill/restore matrix, where it must also agree
+//! with whole-switch GM under every plan.
 
 mod common;
 
-use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
+use cioq_core::{
+    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedGm,
+};
 use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
     CioqPolicy, CrossbarPolicy, Engine, EngineSnapshot, FabricSpec, FaultEvent, FaultKind,
-    FaultPlan, FaultScope, RunOptions, RunOutcome, RunReport, Trace, TraceSource,
+    FaultPlan, FaultScope, Partitioned, RunOptions, RunOutcome, RunReport, Trace, TraceSource,
 };
-use common::{assert_resumes, bursty_trace, cioq_cfg, fabrics};
+use common::{assert_agree, assert_resumes, bursty_trace, cioq_cfg, fabrics};
 
 fn faulted_options(plan: &FaultPlan, d: SlotId, every: Option<SlotId>) -> RunOptions {
     RunOptions {
@@ -201,19 +205,21 @@ fn latency_spike_drops_nothing() {
 // Kill/restore under an active fault plan
 // ---------------------------------------------------------------------------
 
-/// The four policies of the paper, as kill/restore inputs.
+/// The four policies of the paper, and GM partitioned over K shards, as
+/// kill/restore inputs.
 #[derive(Debug, Clone, Copy)]
 enum Policy {
     Gm,
     Pg,
     Cgu,
     Cpg,
+    PartitionedGm(usize),
 }
 
 impl Policy {
     fn config(self) -> SwitchConfig {
         match self {
-            Policy::Gm | Policy::Pg => cioq_cfg(),
+            Policy::Gm | Policy::Pg | Policy::PartitionedGm(_) => cioq_cfg(),
             Policy::Cgu | Policy::Cpg => SwitchConfig::crossbar(6, 3, 2, 2),
         }
     }
@@ -226,6 +232,10 @@ impl Policy {
             Policy::Pg => engine.run_cioq_full(&mut PreemptiveGreedy::new(), source),
             Policy::Cgu => engine.run_crossbar_full(&mut CrossbarGreedyUnit::new(), source),
             Policy::Cpg => engine.run_crossbar_full(&mut CrossbarPreemptiveGreedy::new(), source),
+            Policy::PartitionedGm(k) => {
+                let gm = ShardedGm::new();
+                engine.run_cioq_full(&mut Partitioned::new(&gm, k, &self.config()), source)
+            }
         }
         .expect("faulted run must degrade gracefully, not error")
     }
@@ -255,13 +265,13 @@ fn faulted_full_run(
 /// Kill the run at every checkpoint, restore through the wire format (what
 /// a daemon would reload) and replay: the report, the final state and
 /// every checkpoint from the kill slot onward must be the uninterrupted
-/// run's, byte for byte.
+/// run's, byte for byte. Returns the uninterrupted run.
 fn assert_every_kill_point_resumes(
     what: &str,
     policy: Policy,
     trace: &Trace,
     options: &RunOptions,
-) {
+) -> RunOutcome {
     let full = faulted_full_run(policy, trace, options, None);
     assert!(
         full.checkpoints.len() >= 2,
@@ -273,17 +283,24 @@ fn assert_every_kill_point_resumes(
         let resumed = faulted_full_run(policy, trace, options, Some(&decoded));
         assert_resumes(&resumed, &full, k, what);
     }
+    full
 }
 
 /// The headline robustness composition: checkpoints taken *during* fault
 /// windows (held retransmit queues and spiked in-flight packets in the
 /// snapshot) restore into a byte-identical remainder. Every checkpoint of
-/// every run is used as a kill point — all four policies × immediate /
-/// delay-line / two-tier fabrics under seeded plans, plus a hand-placed
-/// long window that guarantees a checkpoint lands mid-fault.
+/// every run is used as a kill point — all four policies and partitioned
+/// GM at K ∈ {2, 4} × immediate / delay-line / two-tier fabrics under
+/// seeded plans, plus a hand-placed long window that guarantees a
+/// checkpoint lands mid-fault. Partitioned GM's uninterrupted run also
+/// agrees with whole-switch GM's.
 #[test]
 fn kill_restore_under_faults_is_byte_identical() {
-    for policy in [Policy::Gm, Policy::Pg, Policy::Cgu, Policy::Cpg] {
+    let partitioned = [Policy::PartitionedGm(2), Policy::PartitionedGm(4)];
+    for policy in [Policy::Gm, Policy::Pg, Policy::Cgu, Policy::Cpg]
+        .into_iter()
+        .chain(partitioned)
+    {
         for (fabric_name, fabric) in &fabrics() {
             for seed in [0x7a, 0x7b] {
                 let trace = bursty_trace(&policy.config(), 96, seed);
@@ -294,7 +311,11 @@ fn kill_restore_under_faults_is_byte_identical() {
                     ..RunOptions::default()
                 };
                 let what = format!("{policy:?} {fabric_name} seed={seed:#x}");
-                assert_every_kill_point_resumes(&what, policy, &trace, &options);
+                let full = assert_every_kill_point_resumes(&what, policy, &trace, &options);
+                if let Policy::PartitionedGm(_) = policy {
+                    let gm = faulted_full_run(Policy::Gm, &trace, &options, None);
+                    assert_agree(&full, &gm, &format!("{what} vs GM"));
+                }
             }
         }
     }

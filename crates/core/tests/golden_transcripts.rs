@@ -30,11 +30,10 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    run_cioq_sharded, stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
-    Engine, EngineSnapshot, FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope, QueueRef,
-    RunOptions, RunOutcome, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
+    stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine,
+    EngineSnapshot, FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope, Partitioned,
+    QueueRef, RunOptions, RunOutcome, RunReport, SwitchState, Trace, TraceSource,
 };
-use common::Ends;
 
 const N_INPUTS: usize = 6;
 const N_OUTPUTS: usize = 70;
@@ -192,31 +191,26 @@ fn end_hash<'a>(
     h.0
 }
 
-/// Hash of what a whole-switch or partitioned run ends in.
-fn hash_run(outcome: &impl Ends) -> u64 {
-    let (report, state, checkpoints) = outcome.ends();
-    end_hash(report, state, checkpoints.iter())
+/// Hash of what a run ends in.
+fn hash_run(outcome: &RunOutcome) -> u64 {
+    end_hash(
+        &outcome.report,
+        &outcome.final_state,
+        outcome.checkpoints.iter(),
+    )
 }
 
 /// A resumed run re-takes the checkpoint it started from and every later
 /// one; with the uninterrupted run's earlier checkpoints in front, the
 /// sequence is the uninterrupted run's.
-fn hash_resumed(before: &[EngineSnapshot], kill_slot: SlotId, resumed: &impl Ends) -> u64 {
-    let (report, state, after) = resumed.ends();
+fn hash_resumed(before: &[EngineSnapshot], kill_slot: SlotId, resumed: &RunOutcome) -> u64 {
     let earlier = before.iter().filter(|c| c.slot() < kill_slot);
-    end_hash(report, state, earlier.chain(after))
+    let after = &resumed.checkpoints;
+    end_hash(&resumed.report, &resumed.final_state, earlier.chain(after))
 }
 
 fn run_options(fabric: &FabricSpec) -> RunOptions {
     common::run_options(fabric, Some(CHECKPOINT_EVERY))
-}
-
-fn sharded_options(
-    k: usize,
-    fabric: &FabricSpec,
-    resume: Option<EngineSnapshot>,
-) -> ShardedOptions {
-    common::sharded_options(k, &run_options(fabric), resume)
 }
 
 /// The mid-run checkpoint a resume starts from, through its bytes.
@@ -291,16 +285,21 @@ fn check(
     let Some(policy) = runs.sharded else {
         return;
     };
-    let sharded_run =
-        |trace, options| run_cioq_sharded(cfg, policy, trace, options).expect("sharded run");
     for k in SHARD_COUNTS {
         let what = format!("{what} K={k}");
-        let sharded = sharded_run(trace, sharded_options(k, fabric, None));
+        let sharded_run = |engine: Engine, source: &mut dyn ArrivalSource| {
+            let mut partitioned = Partitioned::new(policy, k, cfg);
+            engine
+                .run_cioq_full(&mut partitioned, source)
+                .expect("sharded run")
+        };
+        let sharded = sharded_run(fresh(), &mut TraceSource::new(trace));
         assert_eq!(hash_run(&sharded), golden, "{what}: sharded");
 
         let kill = kill_point(&sharded.checkpoints);
         let kill_slot = kill.slot();
-        let resumed = sharded_run(trace, sharded_options(k, fabric, Some(kill)));
+        let restored = Engine::restore(&kill, run_options(fabric)).expect("restore own checkpoint");
+        let resumed = sharded_run(restored, &mut TraceSource::resume_at(trace, kill_slot));
         assert_eq!(
             hash_resumed(&sharded.checkpoints, kill_slot, &resumed),
             golden,

@@ -17,12 +17,12 @@
 use cioq_core::params::{cpg_alpha_star, cpg_beta_star, PG_BETA};
 use cioq_core::{
     oracle, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching,
-    PreemptiveGreedy, SelectionOrder,
+    PreemptiveGreedy,
 };
 use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
-    run_cioq, run_cioq_sharded, run_crossbar, Admission, CioqPolicy, CioqShardPolicy,
-    CrossbarPolicy, ShardedOptions, SwitchView, Trace, Transfer, TransmitChoice,
+    run_cioq, run_crossbar, Admission, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Partitioned,
+    SwitchView, Trace, Transfer, TransmitChoice,
 };
 use cioq_traffic::{gen_trace, BernoulliUniform, ValueDist};
 use proptest::prelude::*;
@@ -159,16 +159,7 @@ fn cioq_pairs() -> Vec<(Box<dyn CioqPolicy>, Box<dyn CioqPolicy>)> {
 
 fn crossbar_pairs() -> Vec<(Box<dyn CrossbarPolicy>, Box<dyn CrossbarPolicy>)> {
     vec![
-        (
-            Box::new(CrossbarGreedyUnit::new()),
-            Box::new(oracle::Cgu::new(SelectionOrder::FirstFit)),
-        ),
-        (
-            Box::new(CrossbarGreedyUnit::with_selection(
-                SelectionOrder::RoundRobin,
-            )),
-            Box::new(oracle::Cgu::new(SelectionOrder::RoundRobin)),
-        ),
+        (Box::new(CrossbarGreedyUnit::new()), Box::new(oracle::Cgu)),
         (
             Box::new(CrossbarPreemptiveGreedy::new()),
             Box::new(oracle::Cpg {
@@ -219,7 +210,7 @@ proptest! {
             .unwrap();
         let trace = trace_from(n_inputs, n_outputs, &arrivals);
         // Fresh policy instances for the solo runs: the lockstep pair keeps
-        // internal state (round-robin pointers) from the joint run.
+        // its caches from the joint run.
         for ((primary, reference), (mut fresh_inc, mut fresh_ref)) in
             cioq_pairs().into_iter().zip(cioq_pairs())
         {
@@ -292,7 +283,7 @@ proptest! {
     }
 }
 
-/// One policy value as the sharded engine's policy for K = 2, K = 2 again
+/// One policy value partitioned for K = 2, K = 2 again
 /// and K = 4 on the first `(switch, trace)`, then K = 2 on the second: each
 /// report equals a fresh value's sequential run.
 fn reused_sharded_cioq<P: CioqPolicy + CioqShardPolicy>(
@@ -304,25 +295,25 @@ fn reused_sharded_cioq<P: CioqPolicy + CioqShardPolicy>(
     for ((cfg, trace), ks) in [(big, &[2, 2, 4][..]), (small, &[2][..])] {
         let reference = run_cioq(cfg, &mut make(), trace).unwrap();
         for &k in ks {
-            let outcome = run_cioq_sharded(cfg, &reused, trace, ShardedOptions::new(k)).unwrap();
+            let report = run_cioq(cfg, &mut Partitioned::new(&reused, k, cfg), trace).unwrap();
             let what = format!("{name} sharded reuse k={k} on {} ports", cfg.n_inputs);
-            assert_eq!(outcome.report, reference, "{what}");
+            assert_eq!(report, reference, "{what}");
         }
     }
 }
 
 /// Reusing a policy object across engine runs must resync cleanly (the
-/// flush-count handshake detects the fresh engine, and a full rebuild also
-/// zeroes CGU's round-robin pointers): the second run's report equals the
+/// flush-count handshake detects the fresh engine and rebuilds every
+/// cache): the second run's report equals the
 /// first's and a fresh policy's — on the same switch, and again on a
-/// smaller one (the band check). GM as the sharded engine's policy holds
+/// smaller one (the band check). GM as a partitioned policy holds
 /// nothing from one run to the next (workers and the merge's state are the
 /// run's), so one value serves K = 2 twice, then K = 4, then the smaller
 /// switch.
 #[test]
 fn policy_reuse_across_runs_resyncs() {
-    // Bernoulli 0.9 on 4×4 for 41 slots: contended enough that a
-    // round-robin pointer left over from the first run changes the second.
+    // Bernoulli 0.9 on 4×4 for 41 slots: contended enough that a cache
+    // left over from the first run would change the second.
     let cfg = SwitchConfig::cioq(4, 2, 2);
     let trace = gen_trace(
         &BernoulliUniform::new(0.9, ValueDist::Uniform { max: 9 }),

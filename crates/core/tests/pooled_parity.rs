@@ -11,12 +11,12 @@
 //!   every pooled buffer from empty; the later runs start with warm,
 //!   capacity-grown pools. Reports, final states, decision transcripts
 //!   and checkpoint *bytes* must be identical across all three.
-//! * **Sharded == sequential, pools and all.** Every repeated sharded run
-//!   (same policy object, warm worker pools after run one) must match the
-//!   sequential reference transcript, report, final state and checkpoint
-//!   bytes — the sharded engine's snapshots are byte-compatible with the
-//!   sequential engine's, so a capacity-dependent divergence anywhere in
-//!   the pooled paths would surface here as a byte diff.
+//! * **Sharded == sequential, pools and all.** Every repeated partitioned
+//!   run (the same policy object, a fresh `Partitioned` per run) must
+//!   match the sequential reference transcript, report, final state and
+//!   checkpoint bytes — both run on the one engine, so a
+//!   capacity-dependent divergence anywhere in the pooled paths would
+//!   surface here as a byte diff.
 
 mod common;
 
@@ -25,10 +25,10 @@ use cioq_core::{
 };
 use cioq_model::{SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, CioqShardPolicy, Engine, FabricSpec, RecordedSchedule, Recording, RunOptions,
+    CioqShardPolicy, Engine, FabricSpec, Partitioned, RecordedSchedule, Recording, RunOptions,
     RunOutcome, Trace, TraceSource,
 };
-use common::{assert_agree, bursty_trace, cioq_cfg, fabrics, sharded_options, RunFull};
+use common::{assert_agree, bursty_trace, cioq_cfg, fabrics, recorded_run, RunFull};
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
 const CHECKPOINT_EVERY: SlotId = 8;
@@ -85,12 +85,18 @@ fn check_sharded_cioq_pooled(
     for shards in SHARD_COUNTS {
         for run in 0..RUNS {
             let w = format!("{what} K={shards} run {run}");
-            let options = sharded_options(shards, &run_options(link), None);
-            let outcome = run_cioq_sharded(cfg, policy, trace, options)
-                .unwrap_or_else(|e| panic!("{w}: sharded run failed: {e}"));
+            let partitioned = Partitioned::new(policy, shards, cfg);
+            let options = run_options(link);
+            let (outcome, sched) = recorded_run(
+                cfg,
+                partitioned,
+                Engine::run_cioq_full,
+                trace,
+                &options,
+                None,
+            );
             assert_agree(&outcome, ref_out, &w);
-            let sched = outcome.schedule.as_ref().expect("recording requested");
-            assert_eq!(sched, ref_sched, "{w}: decision transcript");
+            assert_eq!(&sched, ref_sched, "{w}: decision transcript");
         }
     }
 }

@@ -1,13 +1,12 @@
 //! Lockstep equivalence of partitioned GM and whole-switch GM: identical
 //! **per-cycle transfer sets**, **admission transcripts**, **run
 //! reports**, and **final queue states** at shard counts K ∈ {1, 2, 4}.
-//! Both run on the one `Engine`: `run_cioq_sharded` wraps K workers, each
-//! proposing over its own input rows, and a merge in a policy adapter, so
-//! what differs between the two sides is the scheduler, never the slot.
+//! Both run on the one `Engine`: `Partitioned` wraps K workers, each
+//! proposing over its own input rows, and a merge in a policy, so what
+//! differs between the two sides is the scheduler, never the slot.
 //!
-//! The whole-switch side runs under a recording wrapper so its full
-//! decision transcript is captured; the partitioned side records its
-//! merged decisions. Equal transcripts + equal final states + equal
+//! Both sides run under the recording wrapper, so their full decision
+//! transcripts are captured. Equal transcripts + equal final states + equal
 //! reports pin the two schedulers cycle for cycle, not just end to end.
 
 mod common;
@@ -15,13 +14,13 @@ mod common;
 use cioq_core::{GreedyMatching, ShardedGm};
 use cioq_model::{PortId, SwitchConfig};
 use cioq_sim::{
-    run_cioq, run_cioq_sharded, CioqPolicy, CioqShardPolicy, Engine, PolicyError, RunOptions, Trace,
+    run_cioq, CioqPolicy, CioqShardPolicy, Engine, Partitioned, PolicyError, RunOptions, Trace,
 };
 use cioq_traffic::adversary::gm_iq_flood;
 use cioq_traffic::{
     gen_trace, FullFabricChurn, Incast, IncastStorm, OnOffBursty, TrafficGen, ValueDist,
 };
-use common::{assert_agree, recorded_run, sharded_options};
+use common::{assert_agree, recorded_run};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -56,9 +55,9 @@ fn check_cioq_at(
     );
     for &k in ks {
         let what = format!("{} k={k}", reference.report.policy);
-        let outcome = run_cioq_sharded(cfg, sharded, trace, sharded_options(k, &options, None))
-            .unwrap_or_else(|e| panic!("{what}: sharded run failed: {e}"));
-        let schedule = outcome.schedule.as_ref().expect("recording requested");
+        let partitioned = Partitioned::new(sharded, k, cfg);
+        let run = Engine::run_cioq_full;
+        let (outcome, schedule) = recorded_run(cfg, partitioned, run, trace, &options, None);
         assert_eq!(
             schedule.admissions, ref_schedule.admissions,
             "{what}: admissions"
@@ -274,8 +273,8 @@ fn bad_port_is_the_same_error_from_every_engine() {
         assert_eq!(sequential.expect_err("sequential"), expected);
         for k in SHARD_COUNTS {
             let what = format!("bad {side} k={k}");
-            let options = sharded_options(k, &RunOptions::default(), None);
-            let sharded = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, options);
+            let gm = ShardedGm::new();
+            let sharded = run_cioq(&cfg, &mut Partitioned::new(&gm, k, &cfg), &trace);
             assert_eq!(sharded.expect_err(&what), expected, "{what}");
         }
     }

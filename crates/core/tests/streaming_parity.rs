@@ -19,12 +19,11 @@ use cioq_core::{
 };
 use cioq_model::{SlotId, SwitchConfig};
 use cioq_sim::{
-    run_cioq_sharded, serve_cioq, stream_trace, stream_trace_from, Engine, EngineSnapshot,
-    FabricSpec, RecordedSchedule, Recording, RunOptions, RunOutcome, StreamCursor, Trace,
-    TraceSource,
+    serve_cioq, stream_trace, stream_trace_from, Engine, EngineSnapshot, FabricSpec, Partitioned,
+    RecordedSchedule, Recording, RunOptions, RunOutcome, StreamCursor, Trace, TraceSource,
 };
 use common::{
-    assert_agree, assert_resumes, bursty_trace, cioq_cfg, fabrics, sharded_options, RunFull,
+    assert_agree, assert_resumes, bursty_trace, cioq_cfg, fabrics, recorded_run, RunFull,
 };
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
@@ -195,8 +194,8 @@ fn replay_file_stream_matches_trace() {
 
 /// The feeds where the arrival window is not the whole trace: `slots` cut
 /// below the horizon (off the checkpoint cadence), and a run resumed from a
-/// mid-trace checkpoint. The sharded engine fed by the trace and the
-/// sequential engine fed by a stream must agree with the trace-fed
+/// mid-trace checkpoint. Partitioned GM fed by the trace and whole-switch
+/// GM fed by a stream must agree with the trace-fed
 /// sequential run on report, transcript and checkpoint bytes — each feed
 /// has to stop at the cut and start at the checkpoint by itself, with
 /// nothing positioning it from outside.
@@ -224,15 +223,11 @@ fn cut_short_and_resumed_windows_agree_across_feeds() {
 
     // What a fed run ends in, whichever engine ran it.
     type Fed = (RunOutcome, RecordedSchedule);
-    let sharded = |shards, resume: Option<EngineSnapshot>| -> Fed {
-        let opts = sharded_options(shards, &seq_options, resume);
-        let out = run_cioq_sharded(&cfg, &ShardedGm::new(), &trace, opts).expect("sharded run");
-        let outcome = RunOutcome {
-            report: out.report,
-            final_state: out.final_state.expect("capture requested"),
-            checkpoints: out.checkpoints,
-        };
-        (outcome, out.schedule.expect("recording requested"))
+    let gm = ShardedGm::new();
+    let sharded = |shards, resume: Option<&EngineSnapshot>| -> Fed {
+        let partitioned = Partitioned::new(&gm, shards, &cfg);
+        let run = Engine::run_cioq_full;
+        recorded_run(&cfg, partitioned, run, &trace, &seq_options, resume)
     };
     let streamed = |resume: Option<&EngineSnapshot>| -> Fed {
         let cursor = resume.map_or(StreamCursor::start(), |s| s.stream_cursor());
@@ -278,7 +273,7 @@ fn cut_short_and_resumed_windows_agree_across_feeds() {
     for shards in SHARD_COUNTS {
         let w = format!("{w} K={shards} trace-fed");
         check(&w, &sharded(shards, None), 0);
-        check(&w, &sharded(shards, Some(decoded.clone())), kill);
+        check(&w, &sharded(shards, Some(&decoded)), kill);
     }
 }
 

@@ -14,7 +14,7 @@ mod common;
 use cioq_core::params::{cpg_alpha_star, cpg_beta_star, PG_BETA};
 use cioq_core::{
     oracle, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching,
-    PreemptiveGreedy, SelectionOrder,
+    PreemptiveGreedy,
 };
 use cioq_model::SwitchConfig;
 use cioq_sim::{CioqPolicy, CrossbarPolicy, Engine, RunOptions, Trace, TraceSource};
@@ -148,7 +148,7 @@ fn crossbar_stress_incremental_equals_rescan() {
             &cfg,
             trace,
             CrossbarGreedyUnit::new(),
-            oracle::Cgu::new(SelectionOrder::FirstFit),
+            oracle::Cgu,
             &format!("CGU {tag}"),
         );
         check_crossbar_pair(

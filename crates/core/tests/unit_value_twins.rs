@@ -46,20 +46,16 @@
 mod common;
 
 use cioq_core::params::PG_BETA;
-use cioq_core::{
-    CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, SelectionOrder,
-    ShardedGm,
-};
+use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    invariants::check_schedule, run_cioq_sharded, CioqPolicy, CrossbarPolicy, Engine, FabricSpec,
-    RecordedSchedule, RunReport, Trace,
+    CioqPolicy, CrossbarPolicy, Engine, FabricSpec, Partitioned, RecordedSchedule, RunReport, Trace,
 };
-use common::{recorded_run, run_options, sharded_options, RunFull};
+use common::{recorded_run, run_options, RunFull};
 
 const ARRIVAL_SLOTS: SlotId = 30;
 
-/// An engine to run GM on: sequential (`None`) or sharded at K shards.
+/// How GM runs: whole-switch (`None`) or partitioned over K shards.
 type Variant = Option<usize>;
 
 fn variants() -> Vec<Variant> {
@@ -129,16 +125,8 @@ fn trace(n: usize, m: usize, levels: u64, scale: Value) -> Trace {
 /// name blanked, and the decision transcript.
 type Transcript = (RunReport, RecordedSchedule);
 
-/// A run's transcript, once its schedule has passed the engine's own port
-/// rule.
-fn checked(report: RunReport, schedule: RecordedSchedule, cfg: &SwitchConfig) -> Transcript {
-    assert_eq!(check_schedule(&schedule, cfg), Ok(()), "{}", report.policy);
-    let mut report = report;
-    report.policy.clear();
-    (report, schedule)
-}
-
-/// A sequential run's transcript, on either architecture.
+/// A run's transcript, on either architecture (`recorded_run` has checked
+/// its schedule against the engine's own port rule).
 fn transcript<P>(
     policy: P,
     run: RunFull<P>,
@@ -147,30 +135,26 @@ fn transcript<P>(
     fabric: &FabricSpec,
 ) -> Transcript {
     let options = run_options(fabric, None);
-    let (outcome, schedule) = recorded_run(cfg, policy, run, trace, &options, None);
-    checked(outcome.report, schedule, cfg)
+    let (mut outcome, schedule) = recorded_run(cfg, policy, run, trace, &options, None);
+    outcome.report.policy.clear();
+    (outcome.report, schedule)
 }
 
-/// GM's transcript on the engine `variant` names.
+/// GM's transcript, run as `variant` names.
 fn gm_transcript(
     cfg: &SwitchConfig,
     trace: &Trace,
     fabric: &FabricSpec,
     variant: Variant,
 ) -> Transcript {
-    let Some(k) = variant else {
-        return transcript(
-            GreedyMatching::new(),
-            Engine::run_cioq_full,
-            cfg,
-            trace,
-            fabric,
-        );
-    };
-    let options = sharded_options(k, &run_options(fabric, None), None);
-    let outcome = run_cioq_sharded(cfg, &ShardedGm::new(), trace, options).expect("sharded run");
-    let schedule = outcome.schedule.expect("recorded");
-    checked(outcome.report, schedule, cfg)
+    let gm = GreedyMatching::new();
+    match variant {
+        None => transcript(gm, Engine::run_cioq_full, cfg, trace, fabric),
+        Some(k) => {
+            let partitioned = Partitioned::new(&gm, k, cfg);
+            transcript(partitioned, Engine::run_cioq_full, cfg, trace, fabric)
+        }
+    }
 }
 
 /// The geometries every relation runs at, each with the fabrics.
@@ -344,7 +328,7 @@ fn assert_shifted(later: Transcript, base: Transcript, speedup: u32, what: &str)
     assert_eq!(report, base_report, "{what}: report");
 }
 
-/// GM, PG (β = 1 + √2 and no-preempt), CGU (first fit and round robin) and
+/// GM, PG (β = 1 + √2 and no-preempt), CGU and
 /// CPG on the sequential engine, each over the immediate, a `uniform(3)`
 /// and a two-tier fabric, with every arrival of a weighted trace delayed by
 /// Δ. Left out, because the relation does not hold for them: GM's
@@ -361,13 +345,8 @@ fn shifting_arrivals_shifts_the_transcript() {
         || Box::new(PreemptiveGreedy::new()),
         || Box::new(PreemptiveGreedy::without_preemption()),
     ];
-    let crossbar_policies: [fn() -> Box<dyn CrossbarPolicy>; 3] = [
+    let crossbar_policies: [fn() -> Box<dyn CrossbarPolicy>; 2] = [
         || Box::new(CrossbarGreedyUnit::new()),
-        || {
-            Box::new(CrossbarGreedyUnit::with_selection(
-                SelectionOrder::RoundRobin,
-            ))
-        },
         || Box::new(CrossbarPreemptiveGreedy::new()),
     ];
     let [immediate, two_tier] = fabrics(n, m);

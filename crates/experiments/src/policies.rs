@@ -6,8 +6,8 @@ use cioq_core::{
 };
 use cioq_model::SwitchConfig;
 use cioq_sim::{
-    run_cioq_sharded, ArrivalSource, Engine, PolicyError, RunOptions, RunOutcome, RunReport,
-    ShardedOptions, ShardedOutcome, Trace, TraceSource,
+    ArrivalSource, Engine, Partitioned, PolicyError, RunOptions, RunOutcome, RunReport, Trace,
+    TraceSource,
 };
 
 /// Every policy the experiments can run, as plain data (so sweep points can
@@ -18,6 +18,9 @@ pub enum PolicyKind {
     Gm,
     /// GM with rotating edge order (ablation). CIOQ.
     GmRotate,
+    /// GM partitioned over K shards, the same decisions as [`PolicyKind::Gm`]
+    /// (Thm 1). CIOQ.
+    GmPartitioned(usize),
     /// PG with parameter β (Thm 2; β = 1+√2 at `PolicyKind::pg_default`). CIOQ.
     Pg(f64),
     /// PG ablation without preemption. CIOQ.
@@ -63,6 +66,7 @@ impl PolicyKind {
         match self {
             PolicyKind::Gm => "GM".into(),
             PolicyKind::GmRotate => "GM(rotate)".into(),
+            PolicyKind::GmPartitioned(k) => format!("GM(K={k})"),
             PolicyKind::Pg(b) => format!("PG(b={b:.3})"),
             PolicyKind::PgNoPreempt => "PG(no-preempt)".into(),
             PolicyKind::KrMaxMatching => "KR-MaxMatching".into(),
@@ -77,7 +81,7 @@ impl PolicyKind {
     /// The theorem bound this policy carries, if any (for tables).
     pub fn theoretical_ratio(&self) -> Option<f64> {
         match self {
-            PolicyKind::Gm | PolicyKind::GmRotate => Some(3.0),
+            PolicyKind::Gm | PolicyKind::GmRotate | PolicyKind::GmPartitioned(_) => Some(3.0),
             PolicyKind::Pg(b) if *b > 1.0 => Some(cioq_core::params::pg_ratio(*b)),
             PolicyKind::KrMaxMatching => Some(3.0),
             PolicyKind::Cgu => Some(3.0),
@@ -89,12 +93,13 @@ impl PolicyKind {
         }
     }
 
-    /// Run this policy on a built [`Engine`] — fresh or restored, under
-    /// whatever options it carries — against `source`. The one place a
-    /// kind becomes a policy object for the sequential engine; every other
-    /// sequential run in the crate projects from it.
+    /// Run this policy on a built [`Engine`] of a `cfg` switch — fresh or
+    /// restored, under whatever options it carries — against `source`. The
+    /// one place a kind becomes a policy object; every other run in the
+    /// crate projects from it.
     pub fn run(
         self,
+        cfg: &SwitchConfig,
         engine: Engine,
         source: &mut dyn ArrivalSource,
     ) -> Result<RunOutcome, PolicyError> {
@@ -104,6 +109,10 @@ impl PolicyKind {
                 &mut GreedyMatching::with_edge_policy(GmEdgePolicy::RotateByCycle),
                 source,
             ),
+            PolicyKind::GmPartitioned(k) => {
+                let gm = GreedyMatching::new();
+                engine.run_cioq_full(&mut Partitioned::new(&gm, k, cfg), source)
+            }
             PolicyKind::Pg(beta) => {
                 engine.run_cioq_full(&mut PreemptiveGreedy::with_beta(beta), source)
             }
@@ -125,20 +134,6 @@ impl PolicyKind {
             }
         }
     }
-
-    /// Run this policy over `trace` on the sharded engine. Only GM shards
-    /// — the same struct serves both engines; any other kind panics.
-    pub fn run_sharded(
-        self,
-        cfg: &SwitchConfig,
-        trace: &Trace,
-        options: ShardedOptions,
-    ) -> Result<ShardedOutcome, PolicyError> {
-        match self {
-            PolicyKind::Gm => run_cioq_sharded(cfg, &GreedyMatching::new(), trace, options),
-            other => panic!("{} has no sharded implementation", other.label()),
-        }
-    }
 }
 
 /// Run a policy on a recorded trace under `options`
@@ -150,7 +145,7 @@ pub fn run_policy(
     options: RunOptions,
 ) -> Result<RunReport, PolicyError> {
     let engine = Engine::new(cfg.clone(), options);
-    Ok(kind.run(engine, &mut TraceSource::new(trace))?.report)
+    Ok(kind.run(cfg, engine, &mut TraceSource::new(trace))?.report)
 }
 
 #[cfg(test)]
@@ -169,6 +164,7 @@ mod tests {
         for kind in [
             PolicyKind::Gm,
             PolicyKind::GmRotate,
+            PolicyKind::GmPartitioned(2),
             PolicyKind::pg_default(),
             PolicyKind::PgNoPreempt,
             PolicyKind::KrMaxMatching,

@@ -18,7 +18,7 @@ use cioq_matching::{
 };
 use cioq_model::SwitchConfig;
 use cioq_opt::{opt_upper_bound, opt_upper_bound_is_exact};
-use cioq_sim::{run_cioq_with_source, FabricSpec, RunOptions, ShardedOptions, Trace};
+use cioq_sim::{run_cioq_with_source, FabricSpec, RunOptions, Trace};
 use cioq_traffic::adversary::{
     escalation_bait, gm_iq_flood, gm_iq_flood_opt_benefit, pg_weighted_flood,
     pg_weighted_flood_opt_benefit, AdaptiveFloodSource, EscalationParams,
@@ -419,13 +419,9 @@ pub fn f6_matching_cost(quick: bool) -> Vec<Table> {
         let hk_us = time_us(&mut || {
             std::hint::black_box(hopcroft_karp(&g));
         });
-        let hungarian_us = if n <= 128 || !quick {
-            time_us(&mut || {
-                std::hint::black_box(hungarian_max_weight(&g));
-            })
-        } else {
-            f64::NAN
-        };
+        let hungarian_us = time_us(&mut || {
+            std::hint::black_box(hungarian_max_weight(&g));
+        });
         let mut islip = Islip::new(n, n, 2);
         let islip_us = time_us(&mut || {
             std::hint::black_box(islip.match_cycle(&g));
@@ -832,49 +828,26 @@ pub fn t5_ablation(quick: bool) -> Vec<Table> {
     tables
 }
 
-/// S1 — the sharded slot engine vs the sequential engine: for GM (the one
-/// policy the sharded engine runs) per shard count, identical results
-/// (proof echoed in the table) and the wall-clock cost of each run.
-/// Sharding is bit-identical by construction, so the "agrees" column (the
-/// whole report equal) is a tripwire, not a tolerance.
+/// S1 — partitioned GM vs whole-switch GM on the one slot engine: per
+/// shard count, identical results (proof echoed in the table) and the
+/// wall-clock cost of each run. Partitioning is bit-identical by
+/// construction, so the "agrees" column (the whole report equal) is a
+/// tripwire, not a tolerance.
 pub fn s1_sharded(quick: bool) -> Vec<Table> {
     let t = scaled_slots(256, quick);
     let n = if quick { 12 } else { 48 };
     let ((cfg, trace), _) = systems_workload(n, 1, t);
-    let policies: Vec<_> = paper_policies()
-        .into_iter()
-        .filter(|&(_, kind)| kind == PolicyKind::Gm)
-        .collect();
-
-    // The sequential reference is invariant in K: run (and time) it once
-    // per policy, then sweep only the sharded runs.
-    let references = parallel_map(&policies, |&(_, kind)| {
+    // One run at a time: timing several runs at once puts them on shared
+    // cores, and the ms columns then measure the host's scheduler instead
+    // of the run.
+    let timed = |kind| {
         // detlint: allow(D2) reason="speedup column reports wall time; never feeds simulation state"
         let t0 = Instant::now();
-        let seq = run_policy(kind, &cfg, &trace, RunOptions::default()).expect("seq");
-        (seq, t0.elapsed().as_secs_f64() * 1e3)
-    });
-
-    let mut points = Vec::new();
-    for p in 0..policies.len() {
-        for k in [1usize, 2, 4] {
-            points.push((p, k));
-        }
-    }
-    // One at a time: timing several runs at once puts them on shared cores,
-    // and the `sharded ms` column then measures the host's scheduler
-    // instead of the run.
-    let rows = points.iter().map(|&(p, k)| {
-        let (label, kind) = policies[p];
-        // detlint: allow(D2) reason="speedup column reports wall time; never feeds simulation state"
-        let t1 = Instant::now();
-        let sharded = kind
-            .run_sharded(&cfg, &trace, ShardedOptions::new(k))
-            .expect("sharded run");
-        let sharded_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let (seq, seq_ms) = &references[p];
-        (label, k, seq, sharded.report, *seq_ms, sharded_ms)
-    });
+        let report = run_policy(kind, &cfg, &trace, RunOptions::default()).expect("run");
+        (report, t0.elapsed().as_secs_f64() * 1e3)
+    };
+    // The whole-switch reference is invariant in K: run (and time) it once.
+    let (seq, seq_ms) = timed(PolicyKind::Gm);
 
     let mut table = Table::new(
         format!("S1 — sharded engine vs sequential (N={n}, bursty zipf, load 0.85)"),
@@ -888,13 +861,14 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
             "sharded ms",
         ],
     );
-    for (label, k, seq, sharded, seq_ms, sharded_ms) in rows {
+    for k in [1usize, 2, 4] {
+        let (sharded, sharded_ms) = timed(PolicyKind::GmPartitioned(k));
         table.push(vec![
-            label.to_string(),
+            "GM".to_string(),
             k.to_string(),
             sharded.benefit.0.to_string(),
             sharded.transmitted.to_string(),
-            if *seq == sharded {
+            if seq == sharded {
                 "yes".into()
             } else {
                 "DIVERGED".into()
@@ -938,18 +912,15 @@ fn fabric_sweep(
     let rows = parallel_map(&points, |&((label, kind), v)| {
         let link = link_for(n, v);
         let (cfg, trace) = side(kind, &cioq, &xbar);
-        let run = |options| run_policy(kind, cfg, trace, options).expect("sequential run");
-        let report = run(on_fabric(&link));
-        // Tripwire: `kind` on `k` inline shards over `link` books the
-        // whole report of the sequential reference. The sharded engine runs GM
-        // only, so every other row has no tripwire.
+        let run = |kind, options| run_policy(kind, cfg, trace, options).expect("run");
+        let report = run(kind, on_fabric(&link));
+        // Tripwire: GM partitioned over `k` shards on `link` books the
+        // whole report of the whole-switch run. Only GM runs partitioned,
+        // so every other row has no tripwire.
         let ok = (kind == PolicyKind::Gm).then(|| {
-            shard_counts.iter().all(|&k| {
-                let mut opts = ShardedOptions::new(k);
-                opts.fabric = link.clone();
-                let sharded = kind.run_sharded(cfg, trace, opts).expect("sharded run");
-                report == sharded.report
-            })
+            shard_counts
+                .iter()
+                .all(|&k| report == run(PolicyKind::GmPartitioned(k), on_fabric(&link)))
         });
         // Steady state: fixed arrival window, no drain — its backlog is
         // everything still buffered (or in flight) when the window closes.
@@ -959,7 +930,7 @@ fn fabric_sweep(
             validate: false,
             ..on_fabric(&link)
         };
-        let steady = run(steady_options);
+        let steady = run(kind, steady_options);
         let opt = side(kind, cioq_opt, xbar_opt);
         (label, v, opt, trace.len().max(1) as f64, report, ok, steady)
     });

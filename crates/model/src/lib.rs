@@ -25,6 +25,6 @@ pub use config::{FabricKind, SwitchConfig, SwitchConfigBuilder};
 pub use error::{ConfigError, ModelError};
 pub use ids::{PacketId, PortId};
 pub use packet::Packet;
-pub use time::{Cycle, Phase, SlotId};
+pub use time::{Cycle, SlotId};
 pub use topology::Topology;
 pub use value::{exceeds_factor, Benefit, Value};

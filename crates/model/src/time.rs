@@ -1,4 +1,4 @@
-//! Slotted time: slots, scheduling cycles, and the three phases of a slot.
+//! Slotted time: slots and scheduling cycles.
 //!
 //! The paper divides continuous time into unit slots; each slot runs an
 //! arrival phase, then `ŝ` scheduling cycles (the *speedup*), then a
@@ -40,27 +40,6 @@ impl fmt::Display for Cycle {
     }
 }
 
-/// The phase of a slot currently being executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Packets arrive and are accepted or rejected.
-    Arrival,
-    /// Packets move through the switching fabric (`ŝ` cycles).
-    Scheduling,
-    /// At most one packet is sent from each output queue.
-    Transmission,
-}
-
-impl fmt::Display for Phase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Phase::Arrival => write!(f, "arrival"),
-            Phase::Scheduling => write!(f, "scheduling"),
-            Phase::Transmission => write!(f, "transmission"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,12 +66,5 @@ mod tests {
         assert_eq!(c.to_string(), "5[1]");
         let c = Cycle { slot: 5, index: 2 };
         assert_eq!(c.to_string(), "5[3]");
-    }
-
-    #[test]
-    fn phase_display() {
-        assert_eq!(Phase::Arrival.to_string(), "arrival");
-        assert_eq!(Phase::Scheduling.to_string(), "scheduling");
-        assert_eq!(Phase::Transmission.to_string(), "transmission");
     }
 }

@@ -1,6 +1,6 @@
 //! A class of bounded value-sorted queues kept in one recycled packet slab.
 
-use cioq_model::{Packet, PacketId, Value};
+use cioq_model::{Packet, Value};
 use std::collections::TryReserveError;
 use std::fmt;
 
@@ -367,35 +367,21 @@ impl QueueMut<'_> {
     /// l is preempted"). O(len): the handles above it move down.
     #[inline(always)]
     pub fn pop_tail(&mut self) -> Option<Packet> {
-        (!self.view().is_empty()).then(|| self.take(1))
-    }
-
-    /// Remove a specific packet by id. O(B).
-    #[inline(always)]
-    pub fn remove(&mut self, id: PacketId) -> Option<Packet> {
         let len = self.block[0] as usize;
-        let slab = &self.slab;
-        let at = self.block[1..=len]
-            .iter()
-            .position(|&h| slab[h as usize].id == id)?;
-        Some(self.take(at + 1))
-    }
-
-    /// Take the packet at block position `pos` (1 = tail), closing the gap.
-    #[inline(always)]
-    fn take(&mut self, pos: usize) -> Packet {
-        let len = self.block[0] as usize;
-        let h = self.block[pos];
-        self.block.copy_within(pos + 1..=len, pos);
+        if len == 0 {
+            return None;
+        }
+        let h = self.block[1];
+        self.block.copy_within(2..=len, 1);
         self.block[0] = (len - 1) as u32;
-        self.release(h)
+        Some(self.release(h))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cioq_model::PortId;
+    use cioq_model::{PacketId, PortId};
 
     fn mk(id: u64, value: Value) -> Packet {
         Packet::new(PacketId(id), value, 0, PortId(0), PortId(0))

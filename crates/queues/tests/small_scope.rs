@@ -21,17 +21,14 @@ enum Op {
     Insert(Value),
     PopHead,
     PopTail,
-    /// `remove` of the oldest id present; of a fresh (absent) id when empty.
-    RemoveOldest,
 }
 
-const OPS: [Op; 6] = [
+const OPS: [Op; 5] = [
     Op::Insert(1),
     Op::Insert(2),
     Op::Insert(3),
     Op::PopHead,
     Op::PopTail,
-    Op::RemoveOldest,
 ];
 
 /// The queues under test: one queue on its own, or the cells of a store.
@@ -49,19 +46,15 @@ impl Queues {
         }
     }
 
-    fn apply(&mut self, cell: usize, op: Op, p: Packet, id: PacketId) -> Result<Packet, Packet> {
+    fn apply(&mut self, cell: usize, op: Op, p: Packet) -> Result<Packet, Packet> {
         let none = || Err(p);
         match (self, op) {
             (Queues::One(q), Op::Insert(_)) => q.insert(p).map(|()| p),
             (Queues::One(q), Op::PopHead) => q.pop_head().map_or_else(none, Ok),
             (Queues::One(q), Op::PopTail) => q.pop_tail().map_or_else(none, Ok),
-            (Queues::One(q), Op::RemoveOldest) => q.remove(id).map_or_else(none, Ok),
             (Queues::Store(s), Op::Insert(_)) => s.get_mut(cell).insert(p).map(|()| p),
             (Queues::Store(s), Op::PopHead) => s.get_mut(cell).pop_head().map_or_else(none, Ok),
             (Queues::Store(s), Op::PopTail) => s.get_mut(cell).pop_tail().map_or_else(none, Ok),
-            (Queues::Store(s), Op::RemoveOldest) => {
-                s.get_mut(cell).remove(id).map_or_else(none, Ok)
-            }
         }
     }
 
@@ -94,7 +87,7 @@ fn step(s: &mut State, (cell, op): (usize, Op), cap: usize, path: &[(usize, Op)]
         Op::Insert(v) => {
             let p = packet(s.next_id, v);
             s.next_id += 1;
-            let got = s.queues.apply(cell, op, p, p.id);
+            let got = s.queues.apply(cell, op, p);
             if model.len() < cap {
                 assert_eq!(got, Ok(p), "{}", ctx());
                 model.push(p);
@@ -105,21 +98,12 @@ fn step(s: &mut State, (cell, op): (usize, Op), cap: usize, path: &[(usize, Op)]
         }
         Op::PopHead => {
             let want = (!model.is_empty()).then(|| model.remove(0));
-            let got = s.queues.apply(cell, op, fresh, fresh.id).ok();
+            let got = s.queues.apply(cell, op, fresh).ok();
             assert_eq!(got, want, "{}", ctx());
         }
         Op::PopTail => {
-            let got = s.queues.apply(cell, op, fresh, fresh.id).ok();
+            let got = s.queues.apply(cell, op, fresh).ok();
             assert_eq!(got, model.pop(), "{}", ctx());
-        }
-        Op::RemoveOldest => {
-            let id = model.iter().map(|p| p.id).min();
-            let want = id.map(|id| {
-                let k = model.iter().position(|p| p.id == id).unwrap();
-                model.remove(k)
-            });
-            let id = id.unwrap_or(PacketId(s.next_id));
-            assert_eq!(s.queues.apply(cell, op, fresh, id).ok(), want, "{}", ctx());
         }
     }
     for (c, m) in s.models.iter().enumerate() {

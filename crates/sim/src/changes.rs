@@ -121,7 +121,7 @@ impl ChangeLog {
 mod tests {
     use super::*;
     use crate::engine::run_cioq;
-    use crate::policy::{Admission, CioqPolicy, PacketPick, Transfer};
+    use crate::policy::{Admission, CioqPolicy, Transfer};
     use crate::state::SwitchView;
     use crate::trace::Trace;
     use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
@@ -157,7 +157,6 @@ mod tests {
                         out.push(Transfer {
                             input,
                             output,
-                            pick: PacketPick::Greatest,
                             preempt_if_full: false,
                         });
                         return;

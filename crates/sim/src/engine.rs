@@ -17,7 +17,8 @@
 //! policies the output side as an [`OutputSnapshot`](crate::OutputSnapshot)
 //! refreshed at the top of every scheduling cycle. This is the only slot
 //! loop: a scheduler that splits a cycle into per-shard proposals and a
-//! merge (`run_cioq_sharded`) is a [`CioqPolicy`] adapter that runs on it.
+//! merge ([`Partitioned`](crate::Partitioned)) is a [`CioqPolicy`] that
+//! runs on it.
 
 use crate::fault::{FaultKind, FaultPlan, FaultRuntime};
 use crate::invariants::{check_conservation, check_state_invariants};
@@ -521,9 +522,9 @@ impl Engine {
             // --- Transmission phase ---
             for j in 0..n_outputs {
                 let output = PortId::from(j);
-                if let TransmitChoice::Send(pick) = arch.transmit(&self.state.view(), output) {
+                if arch.transmit(&self.state.view(), output) == TransmitChoice::Send {
                     let (band, stats) = (&mut self.state.band, &mut self.stats);
-                    band.transmit(stats, slot, output, pick)?;
+                    band.transmit(stats, slot, output)?;
                 }
             }
             self.post_phase_check();

@@ -50,14 +50,14 @@ pub use engine::{run_cioq, run_cioq_with_source, run_crossbar, Engine, RunOption
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultScope};
 pub use invariants::check_state_invariants;
 pub use policy::{
-    Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, PolicyError,
-    Transfer, TransmitChoice,
+    Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PolicyError, Transfer,
+    TransmitChoice,
 };
 pub use record::{RecordedSchedule, Recording};
 pub use service::{serve_cioq, ServiceError, ServiceOutcome};
 pub use shard::{
     run_cioq_sharded, CandidateSet, CioqShardPolicy, CioqShardWorker, ExecMode, MergeContext,
-    MergeScratch, Partition, ShardView, ShardedOptions, ShardedOutcome,
+    MergeScratch, Partition, Partitioned, ShardView, ShardedOptions, ShardedOutcome,
 };
 pub use snapshot::{EngineSnapshot, SnapshotError};
 pub use source::{ArrivalSource, TraceSource};

@@ -2,7 +2,7 @@
 //!
 //! This module is the single home of each rule of what happens to a
 //! packet: applying an [`Admission`] to a VOQ,
-//! landing a packet in a bounded queue, popping by [`PacketPick`],
+//! landing a packet in a bounded queue, popping a queue's head,
 //! checking a transfer set's ports, closing a run's books. Every function
 //! takes the queue and the stats it touches and nothing that identifies its
 //! caller. The three queue rules are called from
@@ -10,7 +10,7 @@
 //! its global ports and marks the cell it dirties; error transport (`?`)
 //! stays with the engine.
 
-use crate::policy::{Admission, PacketPick, PolicyError};
+use crate::policy::{Admission, PolicyError};
 use crate::state::QueueKind;
 use crate::stats::{RunReport, StatsRecorder};
 use crate::transport::{FabricSpec, InFlightPacket};
@@ -174,26 +174,18 @@ pub(crate) fn land(
     Ok(())
 }
 
-/// Pop the packet `pick` designates out of `queue`, or say why not: the
-/// id is not there, or the queue — `Q_ij`, `C_ij`, or `Q_j` when
-/// transmitting (`input` is `None`) — is empty.
+/// Pop the head `g` of `queue`, or say why not: the queue — `Q_ij`,
+/// `C_ij`, or `Q_j` when transmitting (`input` is `None`) — is empty.
 // detlint: hot
 #[inline(always)]
 pub(crate) fn pop(
     mut queue: QueueMut<'_>,
-    pick: PacketPick,
     kind: QueueKind,
     input: Option<PortId>,
     output: PortId,
 ) -> Result<Packet, PolicyError> {
-    let popped = match pick {
-        PacketPick::Greatest => queue.pop_head(),
-        PacketPick::Least => queue.pop_tail(),
-        PacketPick::ById(id) => queue.remove(id),
-    };
-    popped.ok_or_else(|| match pick {
-        PacketPick::ById(id) if !queue.view().is_empty() => PolicyError::NoSuchPacket { id },
-        _ if kind == QueueKind::Output => PolicyError::TransmitFromEmpty { output },
+    queue.pop_head().ok_or_else(|| match kind {
+        QueueKind::Output => PolicyError::TransmitFromEmpty { output },
         _ => PolicyError::EmptyQueue {
             kind: kind.label(),
             input,

@@ -1,7 +1,7 @@
 //! The decision vocabulary policies use to drive the engine.
 
 use crate::state::SwitchView;
-use cioq_model::{Cycle, Packet, PacketId, PortId};
+use cioq_model::{Cycle, Packet, PortId};
 use std::fmt;
 
 /// Decision for one arriving packet.
@@ -16,19 +16,8 @@ pub enum Admission {
     AcceptPreemptingLeast,
 }
 
-/// How a policy designates the packet to move out of a queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketPick {
-    /// The greatest-value packet (`g` in the paper; queue head).
-    Greatest,
-    /// The least-valuable packet (`l`; queue tail).
-    Least,
-    /// A specific packet by id ([`PolicyError::NoSuchPacket`] if absent).
-    ById(PacketId),
-}
-
-/// One move along pair `(i, j)` within a scheduling cycle: a packet leaves
-/// the source queue of cell `(i, j)` for the next hop. Which queues the move
+/// One move along pair `(i, j)` within a scheduling cycle: the head `g` of
+/// the source queue of cell `(i, j)` leaves for the next hop. Which queues the move
 /// connects is set by the phase, not by the type: a CIOQ cycle moves
 /// `Q_ij → Q_j` and its set must be a matching; a crossbar input subphase
 /// moves `Q_ij → C_ij` (≤ 1 per input port), its output subphase
@@ -39,8 +28,6 @@ pub struct Transfer {
     pub input: PortId,
     /// Output port (column) `j`.
     pub output: PortId,
-    /// Which packet leaves the source queue.
-    pub pick: PacketPick,
     /// If the destination queue is full: `true` preempts its least packet
     /// first, `false` is an error.
     pub preempt_if_full: bool,
@@ -59,8 +46,8 @@ pub type OutputTransfer = Transfer;
 pub enum TransmitChoice {
     /// Send nothing from this output queue this slot.
     Hold,
-    /// Send the designated packet.
-    Send(PacketPick),
+    /// Send the head `g` of the output queue.
+    Send,
 }
 
 /// A scheduling policy for CIOQ switches (GM, PG, the baselines).
@@ -84,7 +71,7 @@ pub trait CioqPolicy {
         if view.output_queue(output).is_empty() {
             TransmitChoice::Hold
         } else {
-            TransmitChoice::Send(PacketPick::Greatest)
+            TransmitChoice::Send
         }
     }
 }
@@ -109,7 +96,7 @@ pub trait CrossbarPolicy {
         if view.output_queue(output).is_empty() {
             TransmitChoice::Hold
         } else {
-            TransmitChoice::Send(PacketPick::Greatest)
+            TransmitChoice::Send
         }
     }
 }
@@ -182,11 +169,6 @@ pub enum PolicyError {
         /// Output port (column).
         output: PortId,
     },
-    /// The designated packet is not in the queue.
-    NoSuchPacket {
-        /// The missing packet id.
-        id: PacketId,
-    },
     /// Two transfers in one cycle share an input port.
     DuplicateInput {
         /// The port used twice.
@@ -238,7 +220,6 @@ impl fmt::Display for PolicyError {
                 f,
                 "transfer out of empty {kind} queue (input {input:?}, output {output})"
             ),
-            PolicyError::NoSuchPacket { id } => write!(f, "packet {id} not in queue"),
             PolicyError::DuplicateInput { input } => {
                 write!(f, "two transfers from input port {input} in one cycle")
             }

@@ -162,7 +162,6 @@ mod tests {
                         out.push(Transfer {
                             input,
                             output,
-                            pick: crate::policy::PacketPick::Greatest,
                             preempt_if_full: false,
                         });
                         return;

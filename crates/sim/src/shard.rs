@@ -1,5 +1,6 @@
 //! Partitioned GM: a CIOQ scheduler that splits each cycle into K
-//! proposals and one merge, run on the one slot loop, [`Engine`].
+//! proposals and one merge — a policy like any other on the one slot loop,
+//! [`Engine`].
 //!
 //! The N input rows split into K contiguous shards ([`Partition`]). A
 //! [`CioqShardPolicy`] is a factory for K workers plus a deterministic
@@ -9,20 +10,22 @@
 //! `dirty_rows` its share of the one change log — and the merge combines
 //! the K proposals into the cycle's transfer set, resolving contended
 //! outputs in fixed port order. The split is a property of the scheduler,
-//! not of the slot: the crate-private `Partitioned` adapter makes it a
-//! [`CioqPolicy`], and [`run_cioq_sharded`] runs that on the engine, which
-//! lands, admits, pops, transmits, checkpoints, restores and checks as it
-//! does for every policy. GM's merge (`cioq_core::ShardedGm`) continues
-//! the lexicographic greedy across shards, so the shard count never
-//! changes a decision (`tests/sharded_equivalence.rs`). Only GM runs
-//! partitioned: PG's matching is one global weight order, and the crossbar
-//! policies decide each port on its own, with no matching to split.
+//! not of the slot: [`Partitioned`] makes it a [`CioqPolicy`], which runs
+//! on [`Engine`] as every policy does (`Engine::new` / `Engine::restore`,
+//! `run_cioq_full`, `Recording`, `TraceSource::resume_at`). GM's merge
+//! (`cioq_core::ShardedGm`) continues the lexicographic greedy across
+//! shards, so the shard count never changes a decision
+//! (`tests/sharded_equivalence.rs`). Only GM runs partitioned: PG's
+//! matching is one global weight order, and the crossbar policies decide
+//! each port on its own, with no matching to split.
+//!
+//! [`run_cioq_sharded`] and its [`ShardedOptions`] / [`ShardedOutcome`]
+//! stay only as the repository benchmark's entry point, which names them.
 //!
 //! [`Engine`]: crate::engine::Engine
 
 use crate::engine::{Engine, RunOptions};
 use crate::policy::{Admission, CioqPolicy, PolicyError, Transfer};
-use crate::record::{RecordedSchedule, Recording};
 use crate::snapshot::EngineSnapshot;
 use crate::source::TraceSource;
 use crate::state::{share, SwitchState, SwitchView};
@@ -98,75 +101,51 @@ pub enum ExecMode {
     Inline,
 }
 
-/// Options for a partitioned run: the [`RunOptions`] the engine runs
-/// under, plus the shard count and what to hand back.
+/// Options of [`run_cioq_sharded`]: the benchmark's names for the
+/// [`RunOptions`] it runs under, plus the shard count and what to hand
+/// back.
 #[derive(Debug, Clone)]
 pub struct ShardedOptions {
     /// Number of shards K ≥ 1.
     pub shards: usize,
     /// Execution strategy (every mode runs inline; see [`ExecMode`]).
     pub mode: ExecMode,
-    /// Arrival slots to simulate; defaults to the trace horizon. Arrivals
-    /// are pulled from the trace one slot at a time, so nothing past the
-    /// window is read, copied or port-checked.
+    /// [`RunOptions::slots`].
     pub slots: Option<SlotId>,
-    /// Keep running arrival-free slots until drained.
+    /// [`RunOptions::drain`].
     pub drain: bool,
-    /// Check full structural invariants after every phase (slow; meant
-    /// for tests), as [`RunOptions`]' own `validate` field does. On by
-    /// default in debug builds.
-    pub validate: bool,
-    /// Record the full decision transcript (admissions + per-cycle
-    /// transfer sets) for equivalence checking.
-    pub record: bool,
     /// Return the final [`SwitchState`].
     pub capture_final_state: bool,
-    /// Fabric transport: per-pair latencies (the default, uniform 0, is
-    /// the same-cycle fabric).
+    /// [`RunOptions::fabric`].
     pub fabric: FabricSpec,
-    /// Take an [`EngineSnapshot`] at the top of every slot `k` with
-    /// `k > 0 && k % n == 0`, collected into
-    /// [`ShardedOutcome::checkpoints`]. A cadence of 0 panics at run start
+    /// [`RunOptions::checkpoint_every`]; a cadence of 0 panics at run start
     /// with [`ConfigError::ZeroCheckpointCadence`](cioq_model::ConfigError::ZeroCheckpointCadence)'s
     /// text.
     pub checkpoint_every: Option<SlotId>,
-    /// Resume from a checkpoint instead of a fresh switch, by
-    /// [`Engine::restore`]'s rules: the snapshot must match the run's
-    /// config and [`ShardedOptions::fabric`] and may hold no fault-held
-    /// packets (the run has no fault plan); a stats window it carries is
-    /// adopted. The continuation is byte-identical to the uninterrupted
-    /// run on the same trace. A snapshot restore refuses panics with its
-    /// error.
-    pub resume_from: Option<EngineSnapshot>,
 }
 
 impl ShardedOptions {
-    /// Default options for `k` shards: auto execution, drain on,
-    /// validation in debug builds only, no capture, immediate fabric.
+    /// Default options for `k` shards: auto execution, drain on, no
+    /// capture, immediate fabric, no checkpoints.
     pub fn new(k: usize) -> Self {
         ShardedOptions {
             shards: k,
             mode: ExecMode::Auto,
             slots: None,
             drain: true,
-            validate: cfg!(debug_assertions),
-            record: false,
             capture_final_state: false,
             fabric: FabricSpec::default(),
             checkpoint_every: None,
-            resume_from: None,
         }
     }
 }
 
-/// Everything a partitioned run produces.
+/// What [`run_cioq_sharded`] hands back.
 #[derive(Debug)]
 pub struct ShardedOutcome {
     /// The run report — field-for-field equal to the whole-switch twin's
     /// on the same input.
     pub report: RunReport,
-    /// Decision transcript, when recording was requested.
-    pub schedule: Option<RecordedSchedule>,
     /// Final switch state, when capture was requested.
     pub final_state: Option<SwitchState>,
     /// Snapshots taken at every `checkpoint_every` boundary, in slot
@@ -275,12 +254,14 @@ pub trait CioqShardWorker: Send {
 }
 
 // ---------------------------------------------------------------------------
-// The adapter and the entry point
+// The adapter and the benchmark's entry point
 // ---------------------------------------------------------------------------
 
-/// A [`CioqShardPolicy`] as a [`CioqPolicy`]: the workers, their pooled
-/// proposals and the merge's scratch for one run.
-pub(crate) struct Partitioned<'p> {
+/// A [`CioqShardPolicy`] split over K shards, as a [`CioqPolicy`]: the
+/// workers, their pooled proposals and the merge's scratch for one run.
+/// Run it on [`Engine`] like any other CIOQ policy; build one per run, as
+/// its partition is sized for one switch (`cfg`).
+pub struct Partitioned<'p> {
     policy: &'p dyn CioqShardPolicy,
     partition: Partition,
     workers: Vec<Box<dyn CioqShardWorker>>,
@@ -289,8 +270,8 @@ pub(crate) struct Partitioned<'p> {
 }
 
 impl<'p> Partitioned<'p> {
-    /// `policy` over `k` shards of a `cfg` switch, with fresh workers.
-    pub(crate) fn new(policy: &'p dyn CioqShardPolicy, k: usize, cfg: &SwitchConfig) -> Self {
+    /// `policy` over `k ≥ 1` shards of a `cfg` switch, with fresh workers.
+    pub fn new(policy: &'p dyn CioqShardPolicy, k: usize, cfg: &SwitchConfig) -> Self {
         let partition = Partition::new(k, cfg.n_inputs);
         let workers = (0..k).map(|s| policy.new_worker(s, &partition, cfg));
         Partitioned {
@@ -332,12 +313,12 @@ impl CioqPolicy for Partitioned<'_> {
     }
 }
 
-/// Run a partitioned CIOQ policy over a recorded trace: `policy` split
-/// over `options.shards` shards and run on the [`Engine`].
-///
-/// Produces a [`RunReport`] field-for-field equal to
-/// [`run_cioq`](crate::engine::run_cioq) with the whole-switch twin of
-/// `policy`, for every shard count and execution mode.
+/// The repository benchmark's entry point for a partitioned run, kept
+/// until the benchmark runs [`Partitioned`] on [`Engine`] itself: `policy`
+/// over `options.shards` shards, on a fresh engine fed `trace` from slot
+/// 0. Validation follows the build profile (on in debug builds), as
+/// [`RunOptions::default`] does. An invalid configuration panics with its
+/// [`ConfigError`](cioq_model::ConfigError) text.
 pub fn run_cioq_sharded(
     cfg: &SwitchConfig,
     policy: &dyn CioqShardPolicy,
@@ -347,46 +328,15 @@ pub fn run_cioq_sharded(
     let run_options = RunOptions {
         slots: options.slots,
         drain: options.drain,
-        validate: options.validate,
-        fabric: options.fabric.clone(),
+        fabric: options.fabric,
         checkpoint_every: options.checkpoint_every,
-        stats_window: None,
-        faults: None,
+        ..RunOptions::default()
     };
-    let (engine, start) = match &options.resume_from {
-        None => {
-            let engine = Engine::try_new(cfg.clone(), run_options);
-            (engine.unwrap_or_else(|e| panic!("{e}")), 0)
-        }
-        Some(snap) => {
-            assert_eq!(
-                snap.config(),
-                cfg,
-                "snapshot was taken under a different switch config"
-            );
-            let engine = Engine::restore(snap, run_options);
-            let engine = engine.unwrap_or_else(|e| panic!("snapshot cannot be applied: {e}"));
-            (engine, snap.slot())
-        }
-    };
-    let mut source = TraceSource::resume_at(trace, start);
+    let engine = Engine::try_new(cfg.clone(), run_options).unwrap_or_else(|e| panic!("{e}"));
     let mut partitioned = Partitioned::new(policy, options.shards, cfg);
-    let (outcome, schedule) = if options.record {
-        let mut recording = Recording::with_fabric(partitioned, &options.fabric);
-        let outcome = engine.run_cioq_full(&mut recording, &mut source)?;
-        let schedule = recording.into_schedule();
-        if cfg!(debug_assertions) {
-            if let Err(msg) = crate::invariants::check_schedule(&schedule, cfg) {
-                panic!("sharded run produced an invalid schedule transcript: {msg}");
-            }
-        }
-        (outcome, Some(schedule))
-    } else {
-        (engine.run_cioq_full(&mut partitioned, &mut source)?, None)
-    };
+    let outcome = engine.run_cioq_full(&mut partitioned, &mut TraceSource::new(trace))?;
     Ok(ShardedOutcome {
         report: outcome.report,
-        schedule,
         final_state: options.capture_final_state.then_some(outcome.final_state),
         checkpoints: outcome.checkpoints,
     })
@@ -396,7 +346,7 @@ pub fn run_cioq_sharded(
 mod tests {
     use super::*;
     use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultScope};
-    use crate::policy::PacketPick;
+    use crate::record::Recording;
     use cioq_model::{ConfigError, PortId, Value};
 
     #[test]
@@ -492,7 +442,6 @@ mod tests {
                     out.push(Transfer {
                         input: PortId::from(i),
                         output: PortId::from(j),
-                        pick: PacketPick::Greatest,
                         preempt_if_full: self.beta.is_some(),
                     });
                 }
@@ -547,38 +496,47 @@ mod tests {
         Trace::from_tuples(tuples)
     }
 
-    /// Two racks over `k` shards: intra-rack pairs (latency 0) deliver at
-    /// once, into whichever band owns the output — from k = 3 on a rack
-    /// spans two bands; cross-rack pairs ride the delay line and land two
-    /// slots later.
-    fn two_tier_options(k: usize) -> ShardedOptions {
+    /// Two racks: intra-rack pairs (latency 0) deliver at once — from
+    /// K = 3 on a rack spans two shards; cross-rack pairs ride the delay
+    /// line and land two slots later. Validation on, a checkpoint every 8
+    /// slots.
+    fn two_tier_options() -> RunOptions {
         let topology = Topology::two_tier(PORTS, PORTS, 2, 0, 2).expect("valid topology");
-        let mut options = ShardedOptions::new(k);
-        options.fabric = FabricSpec::matrix(topology);
-        options.validate = true;
-        options.record = true;
-        options.capture_final_state = true;
-        options.checkpoint_every = Some(8);
-        options
+        RunOptions {
+            validate: true,
+            fabric: FabricSpec::matrix(topology),
+            checkpoint_every: Some(8),
+            ..RunOptions::default()
+        }
     }
 
     /// Everything a run produces, in comparable form: the report, the
     /// transcript and final state, the checkpoint bytes.
     type Fingerprint = (RunReport, String, Vec<Vec<u8>>);
 
-    fn fingerprint(outcome: ShardedOutcome) -> Fingerprint {
-        let transcript_and_state = format!("{:?} {:?}", outcome.schedule, outcome.final_state);
+    /// `policy` over `k` shards of an 8-port switch, on a fresh engine
+    /// under `options`, recorded.
+    fn run(
+        policy: &dyn CioqShardPolicy,
+        k: usize,
+        trace: &Trace,
+        options: RunOptions,
+    ) -> Result<Fingerprint, PolicyError> {
+        let cfg = SwitchConfig::cioq(PORTS, 2, 2);
+        let partitioned = Partitioned::new(policy, k, &cfg);
+        let mut recording = Recording::with_fabric(partitioned, &options.fabric);
+        let outcome = Engine::new(cfg, options)
+            .run_cioq_full(&mut recording, &mut TraceSource::new(trace))?;
+        let schedule = recording.into_schedule();
+        let transcript_and_state = format!("{schedule:?} {:?}", outcome.final_state);
         let checkpoints = outcome.checkpoints.iter().map(|c| c.to_bytes()).collect();
-        (outcome.report, transcript_and_state, checkpoints)
+        Ok((outcome.report, transcript_and_state, checkpoints))
     }
 
-    /// The adapter on the engine directly, on the two-tier fabric of
     /// [`two_tier_options`] with a fault plan on top: inputs 1 and 6 (one
     /// per rack) down from slot 4 to 12, holding one packet per pair, and a
     /// two-slot latency spike on output 1 from slot 10 to 20.
     fn faulted_run(beta: Option<f64>, trace: &Trace, k: usize) -> Fingerprint {
-        let cfg = SwitchConfig::cioq(PORTS, 2, 2);
-        let sharded = two_tier_options(k);
         let down = |i| FaultEvent {
             start: 4,
             end: 12,
@@ -592,37 +550,21 @@ mod tests {
             kind: FaultKind::LatencySpike { extra: 2 },
         };
         let options = RunOptions {
-            validate: true,
-            fabric: sharded.fabric.clone(),
-            checkpoint_every: sharded.checkpoint_every,
             faults: Some(FaultPlan::new(vec![down(1), down(6), spike])),
-            ..RunOptions::default()
+            ..two_tier_options()
         };
-        let policy = Greedy { beta };
-        let mut recording =
-            Recording::with_fabric(Partitioned::new(&policy, k, &cfg), &options.fabric);
-        let outcome = Engine::new(cfg, options)
-            .run_cioq_full(&mut recording, &mut TraceSource::new(trace))
-            .unwrap();
-        let report = &outcome.report;
+        let fingerprint = run(&Greedy { beta }, k, trace, options).unwrap();
+        let report = &fingerprint.0;
         let held = (report.retransmitted, report.losses.dropped);
         assert!(held.0 > 0 && held.1 > 0, "{held:?}");
-        fingerprint(ShardedOutcome {
-            report: outcome.report,
-            schedule: Some(recording.into_schedule()),
-            final_state: Some(outcome.final_state),
-            checkpoints: outcome.checkpoints,
-        })
+        fingerprint
     }
 
     #[test]
     fn results_do_not_depend_on_the_shard_count() {
-        let cioq = SwitchConfig::cioq(PORTS, 2, 2);
         let (unit, valued) = (skewed_trace(1), skewed_trace(16));
-        let run_cioq = |beta, trace: &Trace, k| {
-            let policy = Greedy { beta };
-            fingerprint(run_cioq_sharded(&cioq, &policy, trace, two_tier_options(k)).unwrap())
-        };
+        let run_cioq =
+            |beta, trace: &Trace, k| run(&Greedy { beta }, k, trace, two_tier_options()).unwrap();
         let check = |name: &str, run: &dyn Fn(usize) -> Fingerprint| {
             let whole = run(1);
             assert!(whole.0.transmitted > 0 && whole.0.losses.total_count() > 0);
@@ -635,8 +577,6 @@ mod tests {
         };
         check("GM", &|k| run_cioq(None, &unit, k));
         check("PG", &|k| run_cioq(Some(2.4), &valued, k));
-        // The adapter on the engine directly, under a fault plan no
-        // `ShardedOptions` can carry.
         check("faulted GM", &|k| faulted_run(None, &unit, k));
     }
 
@@ -644,6 +584,7 @@ mod tests {
     /// leaves on a delayed fabric lands, and the run ends with nothing
     /// buffered. An opening phase that stopped landing past the window
     /// would spin in the drain forever; the watchdog makes that a failure.
+    /// Run through the benchmark's entry point.
     #[test]
     fn the_drain_lands_what_the_window_left_in_flight() {
         let report = bounded(|| {
@@ -660,12 +601,12 @@ mod tests {
         report.check_conservation().unwrap();
     }
 
-    /// A zero checkpoint cadence is refused at run start with the error the
-    /// sequential engine's `Engine::try_new` returns, not run without
+    /// The benchmark's entry point refuses a zero checkpoint cadence at run
+    /// start with the error `Engine::try_new` returns, not run without
     /// checkpoints.
     #[test]
     fn a_zero_checkpoint_cadence_is_refused() {
-        let mut options = two_tier_options(2);
+        let mut options = ShardedOptions::new(2);
         options.checkpoint_every = Some(0);
         let msg = bounded(move || {
             let cfg = SwitchConfig::cioq(PORTS, 2, 2);
@@ -676,79 +617,40 @@ mod tests {
         assert_eq!(msg, ConfigError::ZeroCheckpointCadence.to_string());
     }
 
-    /// A checkpoint landing the sequential restore refuses is refused here
-    /// too, with its error.
-    #[test]
-    fn resume_refuses_the_landings_restore_refuses() {
-        use crate::{Engine, RunOptions};
-        for snap in crate::snapshot::tests::illegal_landings() {
-            let mut options = ShardedOptions::new(2);
-            options.fabric = snap.fabric().clone();
-            let restore_options = RunOptions {
-                fabric: options.fabric.clone(),
-                ..RunOptions::default()
-            };
-            let err = Engine::restore(&snap, restore_options).err();
-            let err = err.expect("restore refuses the landing");
-            let cfg = snap.config().clone();
-            options.resume_from = Some(snap);
-            let msg = bounded(move || {
-                let trace = Trace::from_tuples(Vec::new());
-                run_cioq_sharded(&cfg, &Greedy { beta: None }, &trace, options).map(|_| ())
-            })
-            .expect_err("resume refuses the landing");
-            assert_eq!(msg, format!("snapshot cannot be applied: {err}"));
-        }
-    }
-
-    /// A checkpoint that carries a stats window resumes as
-    /// `Engine::restore` resumes it: the window is adopted, and the
-    /// continuation is the restored engine's, byte for byte.
+    /// A checkpoint that carries a stats window resumes a partitioned run
+    /// as it resumes any policy: `Engine::restore` adopts the window, and
+    /// the continuation ends as the uninterrupted run does — the report,
+    /// window and residual included, and every later checkpoint, byte for
+    /// byte.
     #[test]
     fn resume_adopts_a_stats_window_as_restore_does() {
         let cfg = SwitchConfig::cioq(PORTS, 2, 2);
         let trace = skewed_trace(1);
-        let sharded = two_tier_options(2);
-        let options = |stats_window| RunOptions {
-            validate: true,
-            fabric: sharded.fabric.clone(),
-            checkpoint_every: sharded.checkpoint_every,
-            stats_window,
-            ..RunOptions::default()
-        };
         let policy = Greedy { beta: None };
+        let options = |stats_window| RunOptions {
+            stats_window,
+            ..two_tier_options()
+        };
         let full = Engine::new(cfg.clone(), options(Some(5)))
             .run_cioq_full(
-                &mut Partitioned::new(&policy, 1, &cfg),
+                &mut Partitioned::new(&policy, 2, &cfg),
                 &mut TraceSource::new(&trace),
             )
             .unwrap();
-        let snap = full.checkpoints[1].clone();
+        let snap = &full.checkpoints[1];
         assert!(snap.window.is_some(), "the checkpoint carries the window");
 
-        let restored = Engine::restore(&snap, options(None))
+        let resumed = Engine::restore(snap, options(None))
             .unwrap()
             .run_cioq_full(
-                &mut Partitioned::new(&policy, 1, &cfg),
+                &mut Partitioned::new(&policy, 2, &cfg),
                 &mut TraceSource::resume_at(&trace, snap.slot()),
             )
             .unwrap();
-        assert!(
-            restored.report.window.is_some(),
-            "restore adopts the window"
-        );
-        let mut resume = sharded.clone();
-        resume.record = false;
-        resume.resume_from = Some(snap);
-        let resumed = run_cioq_sharded(&cfg, &policy, &trace, resume).unwrap();
-        assert_eq!(resumed.report, restored.report);
+        assert!(resumed.report.window.is_some(), "restore adopts the window");
+        assert_eq!(resumed.report, full.report);
         let bytes = |c: &[EngineSnapshot]| c.iter().map(|s| s.to_bytes()).collect::<Vec<_>>();
-        assert_eq!(bytes(&resumed.checkpoints), bytes(&restored.checkpoints));
-        let state = |s: &SwitchState| format!("{s:?}");
-        assert_eq!(
-            resumed.final_state.as_ref().map(state),
-            Some(state(&restored.final_state))
-        );
+        assert_eq!(bytes(&resumed.checkpoints), bytes(&full.checkpoints[1..]));
     }
 
     /// Run `f` on a helper thread; a run that never ends fails the test
@@ -833,12 +735,8 @@ mod tests {
         }
     }
 
-    fn run_faulty(fault: Fault) -> Result<Result<ShardedOutcome, PolicyError>, String> {
-        bounded(move || {
-            let cfg = SwitchConfig::cioq(PORTS, 2, 2);
-            let trace = skewed_trace(1);
-            run_cioq_sharded(&cfg, &Faulty(fault), &trace, two_tier_options(K))
-        })
+    fn run_faulty(fault: Fault) -> Result<Result<Fingerprint, PolicyError>, String> {
+        bounded(move || run(&Faulty(fault), K, &skewed_trace(1), two_tier_options()))
     }
 
     /// A worker's panic reaches the caller as it was raised, from the

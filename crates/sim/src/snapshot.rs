@@ -102,8 +102,8 @@ impl SnapLanding {
 /// Produced by [`Engine::snapshot`](crate::Engine::snapshot) or the
 /// `checkpoint_every` run option (whole-switch and partitioned runs emit
 /// byte-compatible snapshots); consumed by
-/// [`Engine::restore`](crate::Engine::restore), which the partitioned
-/// `resume_from` option calls. Serialize with [`EngineSnapshot::to_bytes`].
+/// [`Engine::restore`](crate::Engine::restore), whichever policy resumes.
+/// Serialize with [`EngineSnapshot::to_bytes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Switch geometry and capacities.
@@ -760,7 +760,7 @@ pub(crate) mod tests {
     /// [`in_flight_only`] made impossible, each inside the calendar window:
     /// a fabric that puts its landing's pair (1 -> 1) at latency 0, and a
     /// dispatch one slot earlier than its landing slot allows.
-    pub(crate) fn illegal_landings() -> [EngineSnapshot; 2] {
+    fn illegal_landings() -> [EngineSnapshot; 2] {
         let mut zero_pair = in_flight_only();
         let topo = Topology::explicit(2, 2, 2, vec![0, 1], vec![0, 1], vec![0, 3, 3, 0])
             .expect("valid topology");

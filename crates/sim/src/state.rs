@@ -8,7 +8,7 @@
 
 use crate::changes::ChangeLog;
 use crate::mechanics;
-use crate::policy::{Admission, PacketPick, PolicyError, Transfer};
+use crate::policy::{Admission, PolicyError, Transfer};
 use crate::snapshot::{EngineSnapshot, SnapshotError};
 use crate::stats::StatsRecorder;
 use crate::transport::{DelayCalendar, InFlightPacket, OutputSnapshot};
@@ -217,7 +217,7 @@ impl QueueBand {
                 self.voq.get_mut(cell)
             }
         };
-        let packet = mechanics::pop(queue, t.pick, kind, Some(t.input), t.output)?;
+        let packet = mechanics::pop(queue, kind, Some(t.input), t.output)?;
         Ok(InFlightPacket::new(
             t.input,
             t.output,
@@ -255,8 +255,7 @@ impl QueueBand {
         mechanics::land(queue, stats, QueueKind::Output, faulted, p)
     }
 
-    /// Transmission phase, one output: send the packet `pick`
-    /// designates out of `Q_j`.
+    /// Transmission phase, one output: send the head of `Q_j`.
     // detlint: hot
     #[inline(always)]
     pub(crate) fn transmit(
@@ -264,10 +263,9 @@ impl QueueBand {
         stats: &mut StatsRecorder,
         slot: SlotId,
         output: PortId,
-        pick: PacketPick,
     ) -> Result<(), PolicyError> {
         let queue = self.outputs.get_mut(output.index());
-        let packet = mechanics::pop(queue, pick, QueueKind::Output, None, output)?;
+        let packet = mechanics::pop(queue, QueueKind::Output, None, output)?;
         stats.on_transmit(&packet, slot, output.index());
         Ok(())
     }
@@ -609,7 +607,6 @@ mod tests {
         let t = Transfer {
             input: PortId(4),
             output: PortId(6),
-            pick: PacketPick::Greatest,
             preempt_if_full: false,
         };
         band.move_to_xbar(stats, false, &t).unwrap();
@@ -680,7 +677,6 @@ mod tests {
         let t = Transfer {
             input: PortId(4),
             output: PortId(1),
-            pick: PacketPick::Greatest,
             preempt_if_full: false,
         };
         band.move_to_xbar(&mut stats, false, &t).unwrap();
@@ -694,8 +690,7 @@ mod tests {
         assert_eq!(band.output(PortId(3)).len(), 1);
         assert!(band.output(PortId(2)).is_empty());
         assert_eq!((band.residual_count(), band.residual_value()), (2, 13));
-        band.transmit(&mut stats, 0, PortId(3), PacketPick::Greatest)
-            .unwrap();
+        band.transmit(&mut stats, 0, PortId(3)).unwrap();
         assert_eq!((band.residual_count(), band.residual_value()), (1, 9));
         assert_eq!(stats.per_output_transmitted[3], 1);
         assert_eq!(band.check_invariants(), Ok(()));

@@ -16,8 +16,8 @@
 //!   into racks with a per-(rack, rack) latency matrix (`two_tier`,
 //!   explicit, …).
 //!
-//! The engine carries a spec in the `fabric` field of its options
-//! (`run_cioq_sharded` hands its own through) with these semantics:
+//! The engine carries a spec in the `fabric` field of its options, with
+//! these semantics:
 //!
 //! * **Dispatch** (scheduling cycle): the packet is popped from its source
 //!   queue and committed to the wire. A pair at latency 0 delivers within

@@ -122,7 +122,6 @@ mod tests {
                     out.push(cioq_sim::Transfer {
                         input,
                         output: PortId(0),
-                        pick: cioq_sim::PacketPick::Greatest,
                         preempt_if_full: false,
                     });
                     return;

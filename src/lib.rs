@@ -58,7 +58,7 @@ pub mod prelude {
     pub use cioq_core::baselines::{IslipPolicy, MaxMatching, MaxWeightMatching};
     pub use cioq_core::{
         params, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching,
-        PreemptiveGreedy, SelectionOrder,
+        PreemptiveGreedy,
     };
     pub use cioq_model::{
         Benefit, FabricKind, Packet, PacketId, PortId, SlotId, SwitchConfig, Topology, Value,
@@ -66,8 +66,8 @@ pub mod prelude {
     pub use cioq_opt::{certified_ratio, exact_opt, opt_upper_bound, BruteForceLimits, OptBounds};
     pub use cioq_sim::{
         run_cioq, run_cioq_with_source, run_crossbar, Admission, ArrivalSource, CioqPolicy,
-        CrossbarPolicy, Engine, FabricSpec, PacketPick, RunOptions, RunReport, Trace, TraceSource,
-        Transfer, TransmitChoice,
+        CrossbarPolicy, Engine, FabricSpec, RunOptions, RunReport, Trace, TraceSource, Transfer,
+        TransmitChoice,
     };
     pub use cioq_traffic::adversary::{
         escalation_bait, gm_iq_flood, gm_iq_flood_opt_benefit, pg_weighted_flood,

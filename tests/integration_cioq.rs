@@ -133,7 +133,6 @@ impl CioqPolicy for IllegalDoubleInput {
                 out.push(Transfer {
                     input: PortId(0),
                     output,
-                    pick: PacketPick::Greatest,
                     preempt_if_full: false,
                 });
             }

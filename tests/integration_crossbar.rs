@@ -6,9 +6,6 @@ use proptest::prelude::*;
 fn policies() -> Vec<Box<dyn CrossbarPolicy>> {
     vec![
         Box::new(CrossbarGreedyUnit::new()),
-        Box::new(CrossbarGreedyUnit::with_selection(
-            SelectionOrder::RoundRobin,
-        )),
         Box::new(CrossbarPreemptiveGreedy::new()),
         Box::new(CrossbarPreemptiveGreedy::single_parameter()),
     ]
