@@ -30,7 +30,7 @@
 //! and K = 4, every shard on the calling thread.
 //!
 //! One service cell runs `serve_cioq` (GM, channel depth 4) fed by a
-//! `send_reusing` producer thread: `stream.rs` promises that steady-state
+//! `stream::feed` producer thread: `stream.rs` promises that steady-state
 //! streaming neither allocates nor frees — at most `2·depth + 1` batch
 //! buffers circulate (`depth` in the channel, `depth` more taken by the
 //! consumer's last refill, one with the producer) — and this cell holds it
@@ -64,10 +64,10 @@ mod census {
     };
     use cioq_model::{SwitchConfig, Topology};
     use cioq_sim::{
-        serve_cioq, Engine, FabricSpec, FaultPlan, Partitioned, RunOptions, Trace, TraceSource,
+        feed, serve_cioq, Engine, FabricSpec, FaultPlan, Partitioned, RunOptions, StreamCursor,
+        Trace, TraceSource,
     };
     use cioq_traffic::{gen_trace, FullFabricChurn, ValueDist};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Warm-up horizon: slots of churn before the short run ends, at
     /// every port count. It must outlast every one-time acquisition of
@@ -112,69 +112,17 @@ mod census {
     }
 
     /// Allocations by any thread of the process while `f` runs (the
-    /// census itself is single-threaded, so these are `f`'s alone). This
-    /// thread's share lands on its measure ledger, which is what
-    /// [`audit::arm_backtraces`] traces.
+    /// census itself is single-threaded, so these are `f`'s alone).
     fn measured(f: impl FnOnce()) -> u64 {
-        let _g = audit::enter_phase(audit::PHASE_MEASURE);
         let before = audit::process_count();
         f();
         audit::process_count() - before
     }
 
-    /// Differential steady-state cost of `run(slots)` per slot. With
-    /// `ALLOC_CENSUS_TRACE=<n>` set, prints a backtrace for the first `n`
-    /// steady-window allocations of each cell (the long run's allocations
-    /// past the short run's deterministic prefix) — the counts themselves
-    /// are polluted by the captures in that mode, so it is diagnostic only.
+    /// Differential steady-state cost of `run(slots)` per slot.
     fn steady(mut run: impl FnMut(u64)) -> (f64, u64) {
-        static DIFF_CELL: AtomicUsize = AtomicUsize::new(0);
-        let trace_n: u32 = std::env::var("ALLOC_CENSUS_TRACE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        // `ALLOC_CENSUS_DIFF=<cell>`: trace EVERY allocation of both runs
-        // of that one table cell (other cells are skipped entirely), so a
-        // per-site count diff pins the extra allocations exactly — no
-        // positional guessing about where teardown starts. Diagnostic
-        // only; the table is meaningless in this mode.
-        if let Some(only) = std::env::var("ALLOC_CENSUS_DIFF")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            let cell = DIFF_CELL.fetch_add(1, Ordering::Relaxed);
-            if cell != only {
-                return (0.0, 0);
-            }
-            eprintln!("census-diff-run 1");
-            audit::arm_backtraces(0, u32::MAX);
-            let a1 = measured(|| run(N1));
-            eprintln!("census-diff-run 2");
-            audit::arm_backtraces(0, u32::MAX);
-            let a2 = measured(|| run(N2));
-            audit::arm_backtraces(0, 0);
-            let raw = a2.saturating_sub(a1);
-            return (raw as f64 / (N2 - N1) as f64, raw);
-        }
         let a1 = measured(|| run(N1));
-        if trace_n > 0 {
-            static CELL: AtomicUsize = AtomicUsize::new(0);
-            // Table-order cell index, so trace output can be attributed to
-            // a cell even though the table prints after all runs.
-            eprintln!("census-cell {}", CELL.fetch_add(1, Ordering::Relaxed));
-            // Back the skip off by the short run's teardown cost
-            // (ALLOC_CENSUS_TRACE_BACK, default 0) so the window starts at
-            // the long run's first steady-state slot instead of its
-            // teardown: the short run's ledger ends with teardown
-            // allocations that the long run only reaches at the very end.
-            let back: u64 = std::env::var("ALLOC_CENSUS_TRACE_BACK")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
-            audit::arm_backtraces(a1.saturating_sub(back), trace_n + back as u32);
-        }
         let a2 = measured(|| run(N2));
-        audit::arm_backtraces(0, 0);
         let raw = a2.saturating_sub(a1);
         (raw as f64 / (N2 - N1) as f64, raw)
     }
@@ -220,11 +168,12 @@ mod census {
 
     /// The service path: the engine asks the stream each slot whether the
     /// arrival window is still open (no slot budget), a feeder thread
-    /// pushes the trace's first `slots` slots with `send_reusing`, and the
-    /// run drains once the stream closes. The drain is what lets the two
-    /// runs cancel: `serve_cioq` returns a clone of the final state, which
-    /// allocates once per non-empty queue, and only a drained switch has
-    /// the same number of those at either horizon.
+    /// `feed`s the trace's first `slots` slots (one `send_reusing` per
+    /// non-empty slot), and the run drains once the stream closes. The
+    /// drain is what lets the two runs cancel: `serve_cioq` returns a clone
+    /// of the final state, which allocates once per non-empty queue, and
+    /// only a drained switch has the same number of those at either
+    /// horizon.
     fn served_cioq(cfg: &SwitchConfig, trace: &Trace) -> (f64, u64) {
         steady(|slots| {
             let options = RunOptions {
@@ -232,17 +181,10 @@ mod census {
                 drain: true,
                 ..run_options(slots, &FabricSpec::default(), None)
             };
-            let feed = trace.packets().to_vec();
-            let produce = move |tx: cioq_sim::StreamSender| {
-                let (mut rest, mut batch) = (&feed[..], Vec::new());
-                for slot in 0..slots {
-                    let due = rest.partition_point(|p| p.arrival <= slot);
-                    batch.extend_from_slice(&rest[..due]);
-                    rest = &rest[due..];
-                    if tx.send_reusing(slot, &mut batch).is_err() {
-                        return;
-                    }
-                }
+            let packets = trace.packets().to_vec();
+            let produce = move |tx| {
+                let due = packets.into_iter().take_while(|p| p.arrival < slots);
+                feed(tx, StreamCursor::start(), due)
             };
             let mut policy = GreedyMatching::new();
             serve_cioq(cfg.clone(), options, &mut policy, SERVICE_DEPTH, produce)

@@ -3,10 +3,9 @@
 
 use super::head_transfers;
 use crate::oracle::weighted_graph;
-use crate::params::PG_BETA;
 use crate::pg::admit;
 use cioq_matching::{hungarian_max_weight, BipartiteGraph};
-use cioq_model::{Cycle, Packet};
+use cioq_model::{Cycle, Packet, Threshold};
 use cioq_sim::{Admission, CioqPolicy, SwitchView, Transfer};
 
 /// General-value CIOQ policy identical to PG except that each cycle
@@ -15,7 +14,7 @@ use cioq_sim::{Admission, CioqPolicy, SwitchView, Transfer};
 /// This is the expensive 6-competitive baseline PG improves upon.
 #[derive(Debug)]
 pub struct MaxWeightMatching {
-    beta: f64,
+    beta: Threshold,
     graph: BipartiteGraph,
     name: String,
 }
@@ -23,16 +22,16 @@ pub struct MaxWeightMatching {
 impl MaxWeightMatching {
     /// Baseline with the same β as PG's optimum (fair comparison).
     pub fn new() -> Self {
-        Self::with_beta(PG_BETA)
+        Self::with_beta(Threshold::OnePlusSqrt2)
     }
 
     /// Baseline with explicit β.
-    pub fn with_beta(beta: f64) -> Self {
-        assert!(beta >= 1.0);
+    pub fn with_beta(beta: Threshold) -> Self {
+        assert!(beta.as_f64() >= 1.0);
         MaxWeightMatching {
             beta,
             graph: BipartiteGraph::default(),
-            name: format!("KR-MaxWeight(beta={beta:.3})"),
+            name: format!("KR-MaxWeight(beta={:.3})", beta.as_f64()),
         }
     }
 }
@@ -53,7 +52,7 @@ impl CioqPolicy for MaxWeightMatching {
     }
 
     fn schedule(&mut self, view: &SwitchView<'_>, _cycle: Cycle, out: &mut Vec<Transfer>) {
-        weighted_graph(view, self.beta, &mut self.graph);
+        weighted_graph(view, Some(self.beta), &mut self.graph);
         head_transfers(&hungarian_max_weight(&self.graph).pairs, true, out);
     }
 }

@@ -5,9 +5,8 @@
 //! pick α ≠ β.
 
 use crate::incremental::{dirty_cols, dirty_rows, BandGraph, Dirty};
-use crate::params::{cpg_alpha_star, cpg_beta_star};
 use crate::pg::admit;
-use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
+use cioq_model::{Cycle, Packet, PortId, Threshold, Value};
 use cioq_sim::{Admission, CrossbarPolicy, QueueRef, SwitchView, Transfer};
 
 /// The Crossbar Preemptive Greedy algorithm with parameters β, α ≥ 1.
@@ -28,8 +27,8 @@ use cioq_sim::{Admission, CrossbarPolicy, QueueRef, SwitchView, Transfer};
 /// changed.
 #[derive(Debug)]
 pub struct CrossbarPreemptiveGreedy {
-    beta: f64,
-    alpha: f64,
+    beta: Threshold,
+    alpha: Threshold,
     /// Input `i`'s set `J` as edges `(i, j)` weighted `v(g_ij)`:
     /// `|Q_ij| > 0 ∧ (|C_ij| < B(C_ij) ∨ v(g_ij) > β·v(lc_ij))` — the β
     /// rule reads `Q_ij` and `C_ij` only, so it is decided per cell.
@@ -91,21 +90,23 @@ impl Argmax {
 }
 
 impl CrossbarPreemptiveGreedy {
-    /// CPG at the optimal (β★, α★) of Theorem 4.
+    /// CPG at the optimal (β★, α★) of Theorem 4, decided exactly: β★ is
+    /// the tribonacci constant and α★ = β★ + 1.
     pub fn new() -> Self {
-        Self::with_params(cpg_beta_star(), cpg_alpha_star())
+        Self::with_params(Threshold::Tribonacci, Threshold::TribonacciPlusOne)
     }
 
     /// CPG with explicit parameters (experiments sweep these; `α = β`
     /// reproduces the prior algorithm of \[21\]).
-    pub fn with_params(beta: f64, alpha: f64) -> Self {
-        assert!(beta >= 1.0 && alpha >= 1.0, "alpha, beta must be >= 1");
+    pub fn with_params(beta: Threshold, alpha: Threshold) -> Self {
+        let (b, a) = (beta.as_f64(), alpha.as_f64());
+        assert!(b >= 1.0 && a >= 1.0, "alpha, beta must be >= 1");
         CrossbarPreemptiveGreedy {
             beta,
             alpha,
             rows: Argmax::default(),
             cols: Argmax::default(),
-            name: format!("CPG(beta={beta:.3},alpha={alpha:.3})"),
+            name: format!("CPG(beta={b:.3},alpha={a:.3})"),
         }
     }
 
@@ -122,19 +123,20 @@ impl CrossbarPreemptiveGreedy {
             }
             b += 1e-4;
         }
-        let mut policy = Self::with_params(best.1, best.1);
+        let b = Threshold::from_f64(best.1);
+        let mut policy = Self::with_params(b, b);
         policy.name = format!("CPG(alpha=beta={:.3})", best.1);
         policy
     }
 
-    /// Configured β.
+    /// Configured β as `f64`, for labels.
     pub fn beta(&self) -> f64 {
-        self.beta
+        self.beta.as_f64()
     }
 
-    /// Configured α.
+    /// Configured α as `f64`, for labels.
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        self.alpha.as_f64()
     }
 
     /// Repair the row candidates: `(i, j)` is an edge weighted `v(g_ij)` iff
@@ -190,7 +192,7 @@ impl CrossbarPreemptiveGreedy {
         let outputs = view.outputs();
         for (j, best) in self.cols.best.iter().enumerate() {
             let Some((i, gc)) = *best else { continue };
-            if !outputs.is_full(j) || exceeds_factor(gc, self.alpha, outputs.tail[j]) {
+            if !outputs.is_full(j) || self.alpha.exceeds(gc, outputs.tail[j]) {
                 out.push(Transfer {
                     input: PortId::from(i),
                     output: PortId::from(j),
@@ -204,11 +206,11 @@ impl CrossbarPreemptiveGreedy {
 /// `v(g_ij)` if `j` is in input `i`'s set `J` — `Q_ij` (`q`) is non-empty
 /// and `C_ij` (`c`) has room or holds a tail `lc_ij` with
 /// `v(g_ij) > β·v(lc_ij)` — and `None` otherwise. It reads the one cell.
-fn in_j(beta: f64, q: QueueRef<'_>, c: QueueRef<'_>) -> Option<Value> {
+fn in_j(beta: Threshold, q: QueueRef<'_>, c: QueueRef<'_>) -> Option<Value> {
     let g_ij = q.head_value()?;
     let lc_ij = c.tail_value().filter(|_| c.is_full());
     lc_ij
-        .is_none_or(|lc| exceeds_factor(g_ij, beta, lc))
+        .is_none_or(|lc| beta.exceeds(g_ij, lc))
         .then_some(g_ij)
 }
 
@@ -283,7 +285,7 @@ mod tests {
         // B(C)=1. A value-10 packet sits in C_00. Input queue holds a
         // packet that must exceed beta*10 (~18.4) to displace it.
         let cfg = SwitchConfig::crossbar(1, 4, 1, 1);
-        let beta = cpg_beta_star();
+        let beta = crate::params::cpg_beta_star();
         let below = (beta * 10.0).floor() as u64; // 18: not > beta*10
         let trace = Trace::from_tuples([
             (0, PortId(0), PortId(0), 10),
@@ -340,7 +342,8 @@ mod tests {
         // β = 2. Q_00 holds a 10, Q_01 a 6, Q_02 a 10; C_00 is full with
         // tail 4 (10 > 2·4, so 0 ∈ J), C_01 has room, C_02 is full with
         // tail 5 (10 ≯ 2·5, so 2 ∉ J).
-        let mut cpg = CrossbarPreemptiveGreedy::with_params(2.0, 2.0);
+        let two = Threshold::ratio(2, 1);
+        let mut cpg = CrossbarPreemptiveGreedy::with_params(two, two);
         let mut row = OneRow {
             voqs: vec![queue_of(2, &[10]), queue_of(2, &[6]), queue_of(2, &[10])],
             xbars: vec![queue_of(1, &[4]), queue_of(1, &[]), queue_of(1, &[5])],

@@ -16,7 +16,7 @@
 
 use crate::GmEdgePolicy;
 use cioq_matching::{greedy_maximal, BipartiteGraph, EdgeOrder};
-use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
+use cioq_model::{Cycle, Packet, PortId, Threshold, Value};
 use cioq_sim::{Admission, CioqPolicy, CrossbarPolicy, QueueRef, SwitchView, Transfer};
 
 /// The input queue `Q_ij`.
@@ -31,9 +31,9 @@ fn c<'a>(view: &SwitchView<'a>, i: usize, j: usize) -> QueueRef<'a> {
 
 /// The shape of every preemption threshold in the paper, for a packet of
 /// value `v` bound for a queue `Q`: `|Q| < B(Q) ∨ v > factor · v(l)`, where
-/// `least` is `Some(v(l))` iff `Q` is full.
-fn fits(v: Value, factor: f64, least: Option<Value>) -> bool {
-    least.is_none_or(|l| exceeds_factor(v, factor, l))
+/// `least` is `Some(v(l))` iff `Q` is full and a `None` factor is ∞.
+fn fits(v: Value, factor: Option<Threshold>, least: Option<Value>) -> bool {
+    least.is_none_or(|l| factor.is_some_and(|f| f.exceeds(v, l)))
 }
 
 /// `Some(v(l_j))` iff the output queue `Q_j` is full — read from the
@@ -60,8 +60,12 @@ pub(crate) fn unit_graph(view: &SwitchView<'_>, graph: &mut BipartiteGraph) {
 
 /// PG's scheduling graph (§2.2): edge `(u_i, v_j)` iff
 /// `|Q_ij| > 0 ∧ (|Q_j| < B(Q_j) ∨ v(g_ij) > β·v(l_j))`, with weight
-/// `w(u_i, v_j) = v(g_ij)`.
-pub(crate) fn weighted_graph(view: &SwitchView<'_>, beta: f64, graph: &mut BipartiteGraph) {
+/// `w(u_i, v_j) = v(g_ij)`; a `None` β is ∞ (no edge into a full output).
+pub(crate) fn weighted_graph(
+    view: &SwitchView<'_>,
+    beta: Option<Threshold>,
+    graph: &mut BipartiteGraph,
+) {
     graph.reset(view.n_inputs(), view.n_outputs());
     for i in 0..view.n_inputs() {
         for j in 0..view.n_outputs() {
@@ -141,7 +145,7 @@ impl CioqPolicy for Gm {
 /// no-preemption ablation: arrivals never preempt and no edge into a full
 /// output is eligible (β = ∞).
 #[derive(Debug)]
-pub struct Pg(pub Option<f64>);
+pub struct Pg(pub Option<Threshold>);
 
 impl CioqPolicy for Pg {
     fn name(&self) -> &str {
@@ -154,7 +158,7 @@ impl CioqPolicy for Pg {
 
     fn schedule(&mut self, view: &SwitchView<'_>, _cycle: Cycle, out: &mut Vec<Transfer>) {
         let mut graph = BipartiteGraph::default();
-        weighted_graph(view, self.0.unwrap_or(f64::INFINITY), &mut graph);
+        weighted_graph(view, self.0, &mut graph);
         transfers(&graph, EdgeOrder::WeightDescending, self.0.is_some(), out);
     }
 }
@@ -200,9 +204,9 @@ impl CrossbarPolicy for Cgu {
 #[derive(Debug)]
 pub struct Cpg {
     /// Crossbar preemption threshold β ≥ 1 (input subphase).
-    pub beta: f64,
+    pub beta: Threshold,
     /// Output preemption threshold α ≥ 1 (output subphase).
-    pub alpha: f64,
+    pub alpha: Threshold,
 }
 
 /// The `(index, value)` of the greatest value, ties to the smallest index.
@@ -228,7 +232,7 @@ impl CrossbarPolicy for Cpg {
             let in_j = (0..view.n_outputs()).filter_map(|j| {
                 let (g_ij, c_ij) = (q(view, i, j).head_value()?, c(view, i, j));
                 let lc_ij = c_ij.tail_value().filter(|_| c_ij.is_full());
-                fits(g_ij, self.beta, lc_ij).then_some((j, g_ij))
+                fits(g_ij, Some(self.beta), lc_ij).then_some((j, g_ij))
             });
             if let Some((j, _)) = heaviest(in_j) {
                 out.push(head(i, j, true));
@@ -241,7 +245,7 @@ impl CrossbarPolicy for Cpg {
             let heads = (0..view.n_inputs()).filter_map(|i| Some((i, c(view, i, j).head_value()?)));
             // Forward the heaviest gc_ij iff |Q_j| < B(Q_j) ∨ v(gc_ij) > α·v(l_j).
             match heaviest(heads) {
-                Some((i, gc)) if fits(gc, self.alpha, output_least(view, j)) => {
+                Some((i, gc)) if fits(gc, Some(self.alpha), output_least(view, j)) => {
                     out.push(head(i, j, true));
                 }
                 _ => {}

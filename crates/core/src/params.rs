@@ -1,7 +1,12 @@
 //! The algorithms' tuning parameters and competitive-ratio formulas,
-//! straight from the paper's theorems.
+//! straight from the paper's theorems. The `f64` values here feed the
+//! ratio formulas and labels; the policies decide with the exact
+//! [`Threshold`]s.
 
-/// PG's optimal threshold parameter: β = 1 + √2 (Theorem 2).
+use cioq_model::Threshold;
+
+/// PG's optimal threshold parameter: β = 1 + √2 (Theorem 2), decided
+/// exactly as [`Threshold::OnePlusSqrt2`].
 pub const PG_BETA: f64 = 1.0 + std::f64::consts::SQRT_2;
 
 /// PG's competitive ratio at the optimal β: 3 + 2√2 ≈ 5.8284 (Theorem 2).
@@ -28,16 +33,18 @@ pub fn cpg_ratio(beta: f64, alpha: f64) -> f64 {
 }
 
 /// CPG's optimal β (Theorem 4): `β = (ρ² + ρ + 4) / (3ρ)` with
-/// `ρ = (19 + 3√33)^(1/3)`.
+/// `ρ = (19 + 3√33)^(1/3)` — the tribonacci constant, which CPG decides
+/// exactly as [`Threshold::Tribonacci`]. This `f64` is for the ratio
+/// formulas and labels only.
 pub fn cpg_beta_star() -> f64 {
-    let rho = (19.0 + 3.0 * 33f64.sqrt()).cbrt();
-    (rho * rho + rho + 4.0) / (3.0 * rho)
+    Threshold::Tribonacci.as_f64()
 }
 
-/// CPG's optimal α (Theorem 4): `α = 2 / (β−1)²` at `β = β★`.
+/// CPG's optimal α (Theorem 4): `α = 2 / (β−1)²` at `β = β★`, which is
+/// exactly β★ + 1 ([`Threshold::TribonacciPlusOne`]). For the ratio
+/// formulas and labels only.
 pub fn cpg_alpha_star() -> f64 {
-    let beta = cpg_beta_star();
-    2.0 / ((beta - 1.0) * (beta - 1.0))
+    Threshold::TribonacciPlusOne.as_f64()
 }
 
 /// CPG's competitive ratio at the optimal parameters, ≈ 14.83 (Theorem 4).

@@ -4,9 +4,8 @@
 
 use crate::gm::sync_heads;
 use crate::incremental::BandGraph;
-use crate::params::PG_BETA;
 use cioq_matching::{greedy_weighted_rows_into, GreedyScratch, Matching};
-use cioq_model::{exceeds_factor, Cycle, Packet, PortId, Value};
+use cioq_model::{Cycle, Packet, PortId, Threshold, Value};
 use cioq_sim::{Admission, CioqPolicy, OutputSnapshot, QueueRef, SwitchView, Transfer};
 
 /// The Preemptive Greedy algorithm with threshold parameter β ≥ 1.
@@ -24,8 +23,8 @@ use cioq_sim::{Admission, CioqPolicy, OutputSnapshot, QueueRef, SwitchView, Tran
 /// engine only; [`ShardedGm`](crate::ShardedGm) is the sharded policy.
 #[derive(Debug)]
 pub struct PreemptiveGreedy {
-    beta: f64,
-    preemption_enabled: bool,
+    /// β, or `None` for the no-preemption ablation (β = ∞).
+    beta: Option<Threshold>,
     /// The VOQ head graph, as GM keeps it.
     heads: BandGraph,
     scratch: GreedyScratch,
@@ -38,26 +37,25 @@ pub struct PreemptiveGreedy {
 impl PreemptiveGreedy {
     /// PG at the optimal β = 1 + √2 of Theorem 2.
     pub fn new() -> Self {
-        Self::with_beta(PG_BETA)
+        Self::with_beta(Threshold::OnePlusSqrt2)
     }
 
     /// PG with an explicit β ≥ 1 (experiment F4 sweeps this).
-    pub fn with_beta(beta: f64) -> Self {
-        assert!(beta >= 1.0, "beta must be >= 1");
-        Self::build(beta, true, format!("PG(beta={beta:.3})"))
+    pub fn with_beta(beta: Threshold) -> Self {
+        assert!(beta.as_f64() >= 1.0, "beta must be >= 1");
+        Self::build(Some(beta), format!("PG(beta={:.3})", beta.as_f64()))
     }
 
     /// Ablation (experiment T5): disable all preemption. Arrivals to a full
     /// input queue are rejected, and edges to full output queues are never
     /// eligible (equivalent to β = ∞).
     pub fn without_preemption() -> Self {
-        Self::build(f64::INFINITY, false, "PG(no-preempt)".to_string())
+        Self::build(None, "PG(no-preempt)".to_string())
     }
 
-    fn build(beta: f64, preemption_enabled: bool, name: String) -> Self {
+    fn build(beta: Option<Threshold>, name: String) -> Self {
         PreemptiveGreedy {
             beta,
-            preemption_enabled,
             heads: BandGraph::default(),
             scratch: GreedyScratch::default(),
             matching: Matching::new(),
@@ -65,9 +63,9 @@ impl PreemptiveGreedy {
         }
     }
 
-    /// The configured β.
+    /// The configured β as `f64`, for labels (∞ without preemption).
     pub fn beta(&self) -> f64 {
-        self.beta
+        self.beta.map_or(f64::INFINITY, Threshold::as_f64)
     }
 }
 
@@ -82,8 +80,8 @@ impl Default for PreemptiveGreedy {
 /// *every* non-empty VOQ; this is the matching kernel's edge filter — pure
 /// within a cycle, as the kernel asks.
 #[inline]
-fn eligible(beta: f64, w: Value, j: usize, outputs: &OutputSnapshot) -> bool {
-    !outputs.is_full(j) || exceeds_factor(w, beta, outputs.tail[j])
+fn eligible(beta: Option<Threshold>, w: Value, j: usize, outputs: &OutputSnapshot) -> bool {
+    !outputs.is_full(j) || beta.is_some_and(|b| b.exceeds(w, outputs.tail[j]))
 }
 
 /// The arrival rule of all four policies and the three baselines: accept
@@ -109,7 +107,7 @@ impl CioqPolicy for PreemptiveGreedy {
 
     fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
         let queue = view.input_queue(packet.input, packet.output);
-        admit(queue, packet, self.preemption_enabled)
+        admit(queue, packet, self.beta.is_some())
     }
 
     // detlint: hot
@@ -127,7 +125,7 @@ impl CioqPolicy for PreemptiveGreedy {
             output: PortId::from(j),
             // Eligibility already enforced the β threshold; a full output
             // queue here means a legal preemption of l_j.
-            preempt_if_full: self.preemption_enabled,
+            preempt_if_full: self.beta.is_some(),
         }));
     }
 }
@@ -256,7 +254,7 @@ mod tests {
 
     #[test]
     fn beta_one_always_preempts_on_bigger_value() {
-        let mut pg = PreemptiveGreedy::with_beta(1.0);
+        let mut pg = PreemptiveGreedy::with_beta(Threshold::ratio(1, 1));
         assert_eq!(pg.beta(), 1.0);
         let cfg = SwitchConfig::builder(1, 1)
             .speedup(2)

@@ -30,9 +30,9 @@ use cioq_core::{
 };
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
 use cioq_sim::{
-    stream_trace, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine,
-    EngineSnapshot, FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope, Partitioned,
-    QueueRef, RunOptions, RunOutcome, RunReport, SwitchState, Trace, TraceSource,
+    replay, ArrivalSource, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Engine, EngineSnapshot,
+    FabricSpec, FaultEvent, FaultKind, FaultPlan, FaultScope, Partitioned, QueueRef, RunOptions,
+    RunOutcome, RunReport, StreamCursor, SwitchState, Trace, TraceSource,
 };
 
 const N_INPUTS: usize = 6;
@@ -266,7 +266,7 @@ fn check(
     let got = hash_run(&seq);
     assert_eq!(got, golden, "{what}: sequential — got {got:#018x}");
 
-    let (mut src, pump) = stream_trace(trace, 2);
+    let (mut src, pump) = replay(2, StreamCursor::start(), trace.packets().to_vec());
     let streamed = (runs.seq)(fresh(), &mut src);
     drop(src);
     pump.join();

@@ -14,12 +14,11 @@
 //! trace and compares the full run reports, covering the accounting path
 //! end to end.
 
-use cioq_core::params::{cpg_alpha_star, cpg_beta_star, PG_BETA};
 use cioq_core::{
     oracle, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching,
     PreemptiveGreedy,
 };
-use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
+use cioq_model::{Cycle, Packet, PortId, SwitchConfig, Threshold};
 use cioq_sim::{
     run_cioq, run_crossbar, Admission, CioqPolicy, CioqShardPolicy, CrossbarPolicy, Partitioned,
     SwitchView, Trace, Transfer, TransmitChoice,
@@ -144,11 +143,11 @@ fn cioq_pairs() -> Vec<(Box<dyn CioqPolicy>, Box<dyn CioqPolicy>)> {
         ),
         (
             Box::new(PreemptiveGreedy::new()),
-            Box::new(oracle::Pg(Some(PG_BETA))),
+            Box::new(oracle::Pg(Some(Threshold::OnePlusSqrt2))),
         ),
         (
-            Box::new(PreemptiveGreedy::with_beta(1.25)),
-            Box::new(oracle::Pg(Some(1.25))),
+            Box::new(PreemptiveGreedy::with_beta(Threshold::from_f64(1.25))),
+            Box::new(oracle::Pg(Some(Threshold::from_f64(1.25)))),
         ),
         (
             Box::new(PreemptiveGreedy::without_preemption()),
@@ -163,15 +162,18 @@ fn crossbar_pairs() -> Vec<(Box<dyn CrossbarPolicy>, Box<dyn CrossbarPolicy>)> {
         (
             Box::new(CrossbarPreemptiveGreedy::new()),
             Box::new(oracle::Cpg {
-                beta: cpg_beta_star(),
-                alpha: cpg_alpha_star(),
+                beta: Threshold::Tribonacci,
+                alpha: Threshold::TribonacciPlusOne,
             }),
         ),
         (
-            Box::new(CrossbarPreemptiveGreedy::with_params(1.5, 2.0)),
+            Box::new(CrossbarPreemptiveGreedy::with_params(
+                Threshold::from_f64(1.5),
+                Threshold::from_f64(2.0),
+            )),
             Box::new(oracle::Cpg {
-                beta: 1.5,
-                alpha: 2.0,
+                beta: Threshold::from_f64(1.5),
+                alpha: Threshold::from_f64(2.0),
             }),
         ),
     ]

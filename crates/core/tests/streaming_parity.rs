@@ -19,8 +19,8 @@ use cioq_core::{
 };
 use cioq_model::{SlotId, SwitchConfig};
 use cioq_sim::{
-    serve_cioq, stream_trace, stream_trace_from, Engine, EngineSnapshot, FabricSpec, Partitioned,
-    RecordedSchedule, Recording, RunOptions, RunOutcome, StreamCursor, Trace, TraceSource,
+    feed, replay, serve_cioq, Engine, EngineSnapshot, FabricSpec, Partitioned, RecordedSchedule,
+    Recording, RunOptions, RunOutcome, StreamCursor, Trace, TraceReader, TraceSource,
 };
 use common::{
     assert_agree, assert_resumes, bursty_trace, cioq_cfg, fabrics, recorded_run, RunFull,
@@ -58,7 +58,7 @@ fn check_seq<P>(
 
     for depth in DEPTHS {
         let w = format!("{what} depth={depth}");
-        let (mut src, pump) = stream_trace(trace, depth);
+        let (mut src, pump) = replay(depth, StreamCursor::start(), trace.packets().to_vec());
         let mut rec = Recording::with_fabric(make(), link);
         let engine = Engine::new(cfg.clone(), run_options(link));
         let streamed = run(engine, &mut rec, &mut src).expect("stream-fed run");
@@ -144,7 +144,7 @@ fn sequential_stream_restore_mid_stream() {
     let trace = bursty_trace(&cfg, 48, 0xD2);
     let link = FabricSpec::uniform(2);
     let (full, _) = {
-        let (mut src, pump) = stream_trace(&trace, 4);
+        let (mut src, pump) = replay(4, StreamCursor::start(), trace.packets().to_vec());
         let full = Engine::new(cfg.clone(), run_options(&link))
             .run_cioq_full(&mut PreemptiveGreedy::new(), &mut src)
             .expect("stream-fed run");
@@ -157,7 +157,7 @@ fn sequential_stream_restore_mid_stream() {
     let cursor = decoded.stream_cursor();
     assert_eq!(cursor.slot, snap.slot(), "cursor sits at the kill slot");
 
-    let (mut src, pump) = stream_trace_from(&trace, 4, cursor);
+    let (mut src, pump) = replay(4, cursor, trace.packets().to_vec());
     let resumed = Engine::restore(&decoded, run_options(&link))
         .expect("restore own checkpoint")
         .run_cioq_full(&mut PreemptiveGreedy::new(), &mut src)
@@ -181,9 +181,12 @@ fn replay_file_stream_matches_trace() {
         .run_cioq_full(&mut GreedyMatching::new(), &mut TraceSource::new(&trace))
         .expect("trace-fed run");
 
-    let (mut src, pump) =
-        cioq_sim::stream_reader(std::io::BufReader::new(std::io::Cursor::new(bytes)), 4)
-            .expect("valid header");
+    let file = std::io::BufReader::new(std::io::Cursor::new(bytes));
+    let (mut src, pump) = replay(
+        4,
+        StreamCursor::start(),
+        TraceReader::new(file).expect("valid header"),
+    );
     let streamed = Engine::new(cfg.clone(), run_options(&link))
         .run_cioq_full(&mut GreedyMatching::new(), &mut src)
         .expect("reader-fed run");
@@ -235,7 +238,7 @@ fn cut_short_and_resumed_windows_agree_across_feeds() {
             Some(snap) => Engine::restore(snap, seq_options.clone()).expect("restore"),
             None => Engine::new(cfg.clone(), seq_options.clone()),
         };
-        let (mut src, pump) = stream_trace_from(&trace, 2, cursor);
+        let (mut src, pump) = replay(2, cursor, trace.packets().to_vec());
         let mut rec = Recording::with_fabric(GreedyMatching::new(), &link);
         let out = engine
             .run_cioq_full(&mut rec, &mut src)
@@ -293,20 +296,7 @@ fn service_api_matches_trace_fed_run() {
         RunOptions::default(),
         &mut GreedyMatching::new(),
         4,
-        move |tx| {
-            let mut i = 0;
-            while i < packets.len() {
-                let slot = packets[i].arrival;
-                let mut batch = Vec::new();
-                while i < packets.len() && packets[i].arrival == slot {
-                    batch.push(packets[i]);
-                    i += 1;
-                }
-                if tx.send(slot, batch).is_err() {
-                    return;
-                }
-            }
-        },
+        move |tx| feed(tx, StreamCursor::start(), packets),
     )
     .expect("service run");
     assert_agree(&served.outcome, &full, "service");

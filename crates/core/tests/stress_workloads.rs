@@ -11,12 +11,11 @@
 
 mod common;
 
-use cioq_core::params::{cpg_alpha_star, cpg_beta_star, PG_BETA};
 use cioq_core::{
     oracle, CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching,
     PreemptiveGreedy,
 };
-use cioq_model::SwitchConfig;
+use cioq_model::{SwitchConfig, Threshold};
 use cioq_sim::{CioqPolicy, CrossbarPolicy, Engine, RunOptions, Trace, TraceSource};
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, TrafficGen, ValueDist};
 use common::assert_agree;
@@ -92,7 +91,7 @@ fn incast_storm_incremental_equals_rescan() {
             &cfg,
             &trace,
             PreemptiveGreedy::new(),
-            oracle::Pg(Some(PG_BETA)),
+            oracle::Pg(Some(Threshold::OnePlusSqrt2)),
             &format!("PG storm targets={targets}"),
         );
     }
@@ -117,7 +116,7 @@ fn full_fabric_churn_incremental_equals_rescan() {
             &cfg,
             &trace,
             PreemptiveGreedy::new(),
-            oracle::Pg(Some(PG_BETA)),
+            oracle::Pg(Some(Threshold::OnePlusSqrt2)),
             &format!("PG churn stride={stride}"),
         );
     }
@@ -156,8 +155,8 @@ fn crossbar_stress_incremental_equals_rescan() {
             trace,
             CrossbarPreemptiveGreedy::new(),
             oracle::Cpg {
-                beta: cpg_beta_star(),
-                alpha: cpg_alpha_star(),
+                beta: Threshold::Tribonacci,
+                alpha: Threshold::TribonacciPlusOne,
             },
             &format!("CPG {tag}"),
         );

@@ -31,11 +31,12 @@
 //! are kept in, and nothing else: no matching kernel, eligibility rule or
 //! per-port choice.
 //!
-//! **Scaling values by 2^k changes no decision.** Multiplying every value
-//! of a weighted trace by a power of two is exact in `f64` — the rounding
-//! of `v as f64` and of `β·v` commutes with it — so every comparison PG and
-//! CPG make (integer orders, and the β / α thresholds) comes out the same:
-//! the transcripts are equal, and `benefit` is multiplied by 2^k.
+//! **Scaling values by an integer c changes no decision.** Every
+//! comparison a policy makes is an integer order or a threshold
+//! `v > β·u` decided exactly (`cioq_model::Threshold`), and
+//! `c·v > β·c·u ⟺ v > β·u`: so GM, PG, CGU and CPG run the same
+//! transcript on a trace whose values are all multiplied by c — 2, 3, 7
+//! or 2⁴⁰ alike — every count is equal, and `benefit` is multiplied by c.
 //!
 //! **Delaying every arrival by Δ slots shifts the transcript by Δ.** No
 //! paper rule reads the slot number, so Δ empty leading slots change
@@ -45,9 +46,8 @@
 
 mod common;
 
-use cioq_core::params::PG_BETA;
 use cioq_core::{CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy};
-use cioq_model::{PortId, SlotId, SwitchConfig, Topology, Value};
+use cioq_model::{PortId, SlotId, SwitchConfig, Threshold, Topology, Value};
 use cioq_sim::{
     CioqPolicy, CrossbarPolicy, Engine, FabricSpec, Partitioned, RecordedSchedule, RunReport, Trace,
 };
@@ -169,9 +169,9 @@ fn cases() -> impl Iterator<Item = (usize, usize, FabricSpec)> {
 #[test]
 fn pg_on_unit_values_is_gm() {
     let pgs: [fn() -> PreemptiveGreedy; 4] = [
-        || PreemptiveGreedy::with_beta(1.0),
-        || PreemptiveGreedy::with_beta(PG_BETA),
-        || PreemptiveGreedy::with_beta(4.0),
+        || PreemptiveGreedy::with_beta(Threshold::ratio(1, 1)),
+        || PreemptiveGreedy::with_beta(Threshold::OnePlusSqrt2),
+        || PreemptiveGreedy::with_beta(Threshold::ratio(4, 1)),
         PreemptiveGreedy::without_preemption,
     ];
     for (n, m, fabric) in cases() {
@@ -219,7 +219,7 @@ fn cpg_on_unit_values_is_first_fit_cgu() {
     }
 }
 
-// ---- second relation: scaling by a power of two ----
+// ---- second relation: scaling every value by c ----
 
 /// `report` with every value-weighted figure divided by `scale`, so a
 /// scaled run's report can be compared field for field with the unscaled
@@ -247,45 +247,87 @@ fn unscaled(mut report: RunReport, scale: Value) -> RunReport {
     report
 }
 
-#[test]
-fn scaling_values_by_a_power_of_two_changes_no_decision() {
+/// Every value multiplied by each of `scales` changes no decision of GM,
+/// PG, CGU or CPG: the transcripts are equal, and the report is the
+/// unscaled run's with every value-weighted figure `c` times as large.
+fn assert_scaling_changes_no_decision(scales: &[Value]) {
     for (n, m, fabric) in cases() {
-        let base = trace(n, m, 8, 1);
         let (cioq, crossbar) = (config(n, m, false), config(n, m, true));
-        for k in [1, 7, 30] {
-            let scaled = trace(n, m, 8, 1 << k);
-            let what = format!("2^{k} {n}×{m} {}", fabric.label());
-            let run = |trace| {
-                transcript(
-                    PreemptiveGreedy::new(),
-                    Engine::run_cioq_full,
-                    &cioq,
-                    trace,
-                    &fabric,
-                )
-            };
-            let (want, got) = (run(&base), run(&scaled));
-            assert!(want.0.losses.preempted_input > 0, "{what}: PG must preempt");
-            assert_eq!(got.1, want.1, "PG {what}: transcript");
-            assert_eq!(got.0.benefit.0, want.0.benefit.0 << k, "PG {what}: benefit");
-            assert_eq!(unscaled(got.0, 1 << k), want.0, "PG {what}: report");
-
-            let run = |trace| {
-                let cpg = CrossbarPreemptiveGreedy::new();
-                transcript(cpg, Engine::run_crossbar_full, &crossbar, trace, &fabric)
-            };
-            let (want, got) = (run(&base), run(&scaled));
-            let preempted = want.0.losses.preempted_crossbar;
-            assert!(preempted > 0, "{what}: CPG's β rule must fire");
-            assert_eq!(got.1, want.1, "CPG {what}: transcript");
-            assert_eq!(
-                got.0.benefit.0,
-                want.0.benefit.0 << k,
-                "CPG {what}: benefit"
-            );
-            assert_eq!(unscaled(got.0, 1 << k), want.0, "CPG {what}: report");
+        // Each policy with the count its value rule moves, which must.
+        type Case<'a> = (
+            &'a str,
+            &'a dyn Fn(&Trace) -> Transcript,
+            fn(&RunReport) -> u64,
+        );
+        let runs: [Case<'_>; 4] = [
+            (
+                "GM",
+                &|t| {
+                    transcript(
+                        GreedyMatching::new(),
+                        Engine::run_cioq_full,
+                        &cioq,
+                        t,
+                        &fabric,
+                    )
+                },
+                |r| r.losses.rejected,
+            ),
+            (
+                "PG",
+                &|t| {
+                    transcript(
+                        PreemptiveGreedy::new(),
+                        Engine::run_cioq_full,
+                        &cioq,
+                        t,
+                        &fabric,
+                    )
+                },
+                |r| r.losses.preempted_input,
+            ),
+            (
+                "CGU",
+                &|t| {
+                    let cgu = CrossbarGreedyUnit::new();
+                    transcript(cgu, Engine::run_crossbar_full, &crossbar, t, &fabric)
+                },
+                |r| r.losses.rejected,
+            ),
+            (
+                "CPG",
+                &|t| {
+                    let cpg = CrossbarPreemptiveGreedy::new();
+                    transcript(cpg, Engine::run_crossbar_full, &crossbar, t, &fabric)
+                },
+                |r| r.losses.preempted_crossbar,
+            ),
+        ];
+        for (name, run, fired) in runs {
+            let want = run(&trace(n, m, 8, 1));
+            let what = format!("{name} {n}×{m} {}", fabric.label());
+            assert!(fired(&want.0) > 0, "{what}: its value rule must fire");
+            for &c in scales {
+                let got = run(&trace(n, m, 8, c));
+                let what = format!("{what} ×{c}");
+                assert_eq!(got.1, want.1, "{what}: transcript");
+                let benefit = want.0.benefit.0 * u128::from(c);
+                assert_eq!(got.0.benefit.0, benefit, "{what}: benefit");
+                assert_eq!(unscaled(got.0, c), want.0, "{what}: report");
+            }
         }
     }
+}
+
+#[test]
+fn scaling_values_by_a_power_of_two_changes_no_decision() {
+    // 2⁴⁰ puts CPG's β★ and α★ tests on their three-limb path.
+    assert_scaling_changes_no_decision(&[2, 1 << 7, 1 << 30, 1 << 40]);
+}
+
+#[test]
+fn scaling_values_by_three_or_seven_changes_no_decision() {
+    assert_scaling_changes_no_decision(&[3, 7]);
 }
 
 // ---- third relation: delaying every arrival ----

@@ -19,8 +19,10 @@
 use cioq_core::GreedyMatching;
 use cioq_experiments::Table;
 use cioq_model::SwitchConfig;
-use cioq_sim::{serve_cioq, Engine, EngineSnapshot, RunOptions, RunOutcome, StreamCursor};
-use cioq_traffic::{feed_slots, stream_gen, stream_gen_from, BernoulliUniform, ValueDist};
+use cioq_sim::{
+    feed, replay, serve_cioq, Engine, EngineSnapshot, RunOptions, RunOutcome, StreamCursor,
+};
+use cioq_traffic::{slot_packets, BernoulliUniform, ValueDist};
 
 /// Allowed resident-set growth across the whole soak. The avoided
 /// materialised trace alone would be ~`load · n · slots` packets (tens of
@@ -76,7 +78,11 @@ fn main() {
     // Run A: shallow channel, engine started only after the producer has
     // filled the buffer and blocked — backpressure engages deterministically
     // before the first slot is consumed.
-    let (mut source_a, pump_a) = stream_gen(gen.slots(seed), &cfg, slots, 4);
+    let (mut source_a, pump_a) = replay(
+        4,
+        StreamCursor::start(),
+        slot_packets(gen.slots(seed), &cfg, slots),
+    );
     source_a.wait_backpressure();
     let engine = Engine::try_new(cfg.clone(), options(every)).expect("valid options");
     let full = engine
@@ -99,8 +105,11 @@ fn main() {
     let mid = &full.checkpoints[full.checkpoints.len() / 2];
     let decoded = EngineSnapshot::from_bytes(&mid.to_bytes()).expect("decode own bytes");
     let restored = Engine::restore(&decoded, options(every)).expect("restore own checkpoint");
-    let (mut source_b, pump_b) =
-        stream_gen_from(gen.slots(seed), &cfg, slots, 4, decoded.stream_cursor());
+    let (mut source_b, pump_b) = replay(
+        4,
+        decoded.stream_cursor(),
+        slot_packets(gen.slots(seed), &cfg, slots),
+    );
     let resumed = restored
         .run_cioq_full(&mut GreedyMatching::new(), &mut source_b)
         .expect("resumed streamed run");
@@ -123,14 +132,13 @@ fn main() {
 
     // Run C: same workload through the service API with a deep channel —
     // the transcript must not depend on the channel depth.
-    let cfg_c = cfg.clone();
-    let sg_c = gen.slots(seed);
+    let packets_c = slot_packets(gen.slots(seed), &cfg, slots);
     let served = serve_cioq(
         cfg.clone(),
         options(every),
         &mut GreedyMatching::new(),
         64,
-        move |tx| feed_slots(tx, &cfg_c, sg_c, StreamCursor::start(), slots),
+        move |tx| feed(tx, StreamCursor::start(), packets_c),
     )
     .expect("service run");
     let verdict_c = if served.outcome.report != full.report {

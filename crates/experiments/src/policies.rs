@@ -4,7 +4,7 @@ use cioq_core::baselines::{IslipPolicy, MaxMatching, MaxWeightMatching};
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GmEdgePolicy, GreedyMatching, PreemptiveGreedy,
 };
-use cioq_model::SwitchConfig;
+use cioq_model::{SwitchConfig, Threshold};
 use cioq_sim::{
     ArrivalSource, Engine, Partitioned, PolicyError, RunOptions, RunOutcome, RunReport, Trace,
     TraceSource,
@@ -22,19 +22,19 @@ pub enum PolicyKind {
     /// (Thm 1). CIOQ.
     GmPartitioned(usize),
     /// PG with parameter β (Thm 2; β = 1+√2 at `PolicyKind::pg_default`). CIOQ.
-    Pg(f64),
+    Pg(Threshold),
     /// PG ablation without preemption. CIOQ.
     PgNoPreempt,
     /// Kesselman–Rosén maximum-matching baseline. CIOQ.
     KrMaxMatching,
     /// Kesselman–Rosén maximum-weight-matching baseline with β. CIOQ.
-    KrMaxWeight(f64),
+    KrMaxWeight(Threshold),
     /// iSLIP with k iterations. CIOQ.
     Islip(usize),
     /// CGU — crossbar greedy unit (Thm 3). Buffered crossbar.
     Cgu,
     /// CPG with (β, α) (Thm 4). Buffered crossbar.
-    Cpg(f64, f64),
+    Cpg(Threshold, Threshold),
     /// CPG with α = β (the prior algorithm of \[21\]). Buffered crossbar.
     CpgSingleParam,
 }
@@ -42,15 +42,12 @@ pub enum PolicyKind {
 impl PolicyKind {
     /// PG at its optimal β.
     pub fn pg_default() -> Self {
-        PolicyKind::Pg(cioq_core::params::PG_BETA)
+        PolicyKind::Pg(Threshold::OnePlusSqrt2)
     }
 
     /// CPG at its optimal (β★, α★).
     pub fn cpg_default() -> Self {
-        PolicyKind::Cpg(
-            cioq_core::params::cpg_beta_star(),
-            cioq_core::params::cpg_alpha_star(),
-        )
+        PolicyKind::Cpg(Threshold::Tribonacci, Threshold::TribonacciPlusOne)
     }
 
     /// Whether this policy runs on a buffered crossbar (vs plain CIOQ).
@@ -67,26 +64,26 @@ impl PolicyKind {
             PolicyKind::Gm => "GM".into(),
             PolicyKind::GmRotate => "GM(rotate)".into(),
             PolicyKind::GmPartitioned(k) => format!("GM(K={k})"),
-            PolicyKind::Pg(b) => format!("PG(b={b:.3})"),
+            PolicyKind::Pg(b) => format!("PG(b={:.3})", b.as_f64()),
             PolicyKind::PgNoPreempt => "PG(no-preempt)".into(),
             PolicyKind::KrMaxMatching => "KR-MaxMatching".into(),
-            PolicyKind::KrMaxWeight(b) => format!("KR-MaxWeight(b={b:.3})"),
+            PolicyKind::KrMaxWeight(b) => format!("KR-MaxWeight(b={:.3})", b.as_f64()),
             PolicyKind::Islip(k) => format!("iSLIP-{k}"),
             PolicyKind::Cgu => "CGU".into(),
-            PolicyKind::Cpg(b, a) => format!("CPG(b={b:.2},a={a:.2})"),
+            PolicyKind::Cpg(b, a) => format!("CPG(b={:.2},a={:.2})", b.as_f64(), a.as_f64()),
             PolicyKind::CpgSingleParam => "CPG(a=b)".into(),
         }
     }
 
     /// The theorem bound this policy carries, if any (for tables).
     pub fn theoretical_ratio(&self) -> Option<f64> {
-        match self {
+        match *self {
             PolicyKind::Gm | PolicyKind::GmRotate | PolicyKind::GmPartitioned(_) => Some(3.0),
-            PolicyKind::Pg(b) if *b > 1.0 => Some(cioq_core::params::pg_ratio(*b)),
+            PolicyKind::Pg(b) if b.as_f64() > 1.0 => Some(cioq_core::params::pg_ratio(b.as_f64())),
             PolicyKind::KrMaxMatching => Some(3.0),
             PolicyKind::Cgu => Some(3.0),
-            PolicyKind::Cpg(b, a) if *b > 1.0 && *a > 1.0 => {
-                Some(cioq_core::params::cpg_ratio(*b, *a))
+            PolicyKind::Cpg(b, a) if b.as_f64() > 1.0 && a.as_f64() > 1.0 => {
+                Some(cioq_core::params::cpg_ratio(b.as_f64(), a.as_f64()))
             }
             PolicyKind::KrMaxWeight(_) => Some(6.0),
             _ => None,
@@ -168,7 +165,7 @@ mod tests {
             PolicyKind::pg_default(),
             PolicyKind::PgNoPreempt,
             PolicyKind::KrMaxMatching,
-            PolicyKind::KrMaxWeight(2.0),
+            PolicyKind::KrMaxWeight(Threshold::ratio(2, 1)),
             PolicyKind::Islip(2),
         ] {
             assert!(!kind.is_crossbar());

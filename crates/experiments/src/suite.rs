@@ -11,12 +11,11 @@ use crate::ratio::{RatioRow, Workload};
 use crate::runner::parallel_map;
 use crate::scaled_slots;
 use crate::table::{fmt_ratio, Table};
-use cioq_core::params::PG_BETA;
 use cioq_matching::{
     greedy_maximal, greedy_maximal_weighted, hopcroft_karp, hungarian_max_weight, BipartiteGraph,
     EdgeOrder, Islip,
 };
-use cioq_model::SwitchConfig;
+use cioq_model::{SwitchConfig, Threshold};
 use cioq_opt::{opt_upper_bound, opt_upper_bound_is_exact};
 use cioq_sim::{run_cioq_with_source, FabricSpec, RunOptions, Trace};
 use cioq_traffic::adversary::{
@@ -159,7 +158,7 @@ pub fn t1_summary(quick: bool) -> Vec<Table> {
         (PolicyKind::KrMaxMatching, unit),
         (PolicyKind::Islip(2), unit),
         (PolicyKind::pg_default(), weighted),
-        (PolicyKind::KrMaxWeight(PG_BETA), weighted),
+        (PolicyKind::KrMaxWeight(Threshold::OnePlusSqrt2), weighted),
         (PolicyKind::Cgu, &[6]),
         (PolicyKind::cpg_default(), &[7]),
     ];
@@ -252,7 +251,17 @@ pub fn f3_gm_load(quick: bool) -> Vec<Table> {
 pub fn f4_pg_beta(quick: bool) -> Vec<Table> {
     let m = if quick { 3 } else { 6 };
     let b = if quick { 2 } else { 4 };
-    let betas = [1.2, 1.5, 2.0, PG_BETA, 3.0, 4.0, 6.0];
+    // Exact ratios: the decimal 1.2 means 6/5, not the binary value just
+    // below it, which would let v = 6 pass over u = 5.
+    let betas = [
+        Threshold::ratio(6, 5),
+        Threshold::ratio(3, 2),
+        Threshold::ratio(2, 1),
+        Threshold::OnePlusSqrt2,
+        Threshold::ratio(3, 1),
+        Threshold::ratio(4, 1),
+        Threshold::ratio(6, 1),
+    ];
 
     let esc = escalation_bait(EscalationParams {
         m,
@@ -301,8 +310,8 @@ pub fn f4_pg_beta(quick: bool) -> Vec<Table> {
     for (beta, pair) in betas.iter().zip(rows.chunks(2)) {
         let (esc_row, stress_row) = (&pair[0], &pair[1]);
         table.push(vec![
-            format!("{beta:.3}"),
-            format!("{:.3}", cioq_core::params::pg_ratio(*beta)),
+            format!("{:.3}", beta.as_f64()),
+            format!("{:.3}", cioq_core::params::pg_ratio(beta.as_f64())),
             fmt_ratio(esc_row.ratio, esc_row.exact),
             fmt_ratio(stress_row.ratio, stress_row.exact),
             stress_row.benefit.to_string(),
@@ -616,7 +625,7 @@ pub fn t2_value_distributions(quick: bool) -> Vec<Table> {
     let loads = [0.5, 0.9];
     let policies = [
         PolicyKind::pg_default(),
-        PolicyKind::KrMaxWeight(PG_BETA),
+        PolicyKind::KrMaxWeight(Threshold::OnePlusSqrt2),
         PolicyKind::PgNoPreempt,
         PolicyKind::Gm,
     ];
@@ -787,7 +796,7 @@ pub fn t5_ablation(quick: bool) -> Vec<Table> {
             vec![
                 PolicyKind::pg_default(),
                 PolicyKind::PgNoPreempt,
-                PolicyKind::KrMaxWeight(PG_BETA),
+                PolicyKind::KrMaxWeight(Threshold::OnePlusSqrt2),
                 PolicyKind::Gm,
             ],
         ),

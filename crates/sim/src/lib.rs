@@ -64,8 +64,8 @@ pub use source::{ArrivalSource, TraceSource};
 pub use state::{QueueKind, SwitchState, SwitchView};
 pub use stats::{LossBreakdown, RunReport, StatsRecorder, WindowSlot, WindowedStats};
 pub use stream::{
-    channel, channel_at, spawn_producer, stream_reader, stream_reader_from, stream_trace,
-    stream_trace_from, StreamClosed, StreamCursor, StreamPump, StreamSender, StreamingSource,
+    channel, channel_at, feed, replay, spawn_producer, StreamClosed, StreamCursor, StreamPump,
+    StreamSender, StreamingSource,
 };
 pub use trace::{Trace, TraceError, TraceReader};
 pub use transport::{FabricSpec, OutputSnapshot};

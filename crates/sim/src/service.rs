@@ -6,10 +6,12 @@
 //! thread, runs the engine until the producer closes the stream, drains
 //! in-flight/calendar state (the usual drain loop — the arrival window
 //! simply ends when the stream closes), and joins the feeder so producer
-//! panics surface instead of vanishing. Checkpoints interleave with live
-//! ingestion via the ordinary `checkpoint_every` option; to resume,
-//! [`Engine::restore`] the checkpoint and re-attach a stream at its
-//! [`crate::EngineSnapshot::stream_cursor`] ([`stream::channel_at`]).
+//! panics surface instead of vanishing. The producer of any packet
+//! iterator is `move |tx| stream::feed(tx, StreamCursor::start(), packets)`
+//! ([`stream::feed`]). Checkpoints interleave with live ingestion via the
+//! ordinary `checkpoint_every` option; to resume, [`Engine::restore`] the
+//! checkpoint and re-attach the same packets at its
+//! [`crate::EngineSnapshot::stream_cursor`] with [`stream::replay`].
 //!
 //! Backpressure is the channel's: a producer that outruns the switch
 //! blocks on the bounded buffer (stall counted, nothing dropped) and the

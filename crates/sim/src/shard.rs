@@ -372,7 +372,7 @@ mod tests {
     // tests drive the engine with cache-free, paper-direct versions of GM
     // and PG written against the shard traits alone.
 
-    use cioq_model::{exceeds_factor, Topology};
+    use cioq_model::{Threshold, Topology};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::time::Duration;
@@ -386,7 +386,7 @@ mod tests {
     /// for GM that is lexicographic order. PG's mode keeps the engine's
     /// preempting admit, apply and land paths exercised.
     struct Greedy {
-        beta: Option<f64>,
+        beta: Option<Threshold>,
     }
 
     struct GreedyWorker {
@@ -435,7 +435,7 @@ mod tests {
                 let eligible = !ctx.outputs.is_full(j)
                     || self
                         .beta
-                        .is_some_and(|b| exceeds_factor(weight, b, ctx.outputs.tail[j]));
+                        .is_some_and(|b| b.exceeds(weight, ctx.outputs.tail[j]));
                 if eligible && !input_used[i] && !output_used[j] {
                     input_used[i] = true;
                     output_used[j] = true;
@@ -536,7 +536,7 @@ mod tests {
     /// [`two_tier_options`] with a fault plan on top: inputs 1 and 6 (one
     /// per rack) down from slot 4 to 12, holding one packet per pair, and a
     /// two-slot latency spike on output 1 from slot 10 to 20.
-    fn faulted_run(beta: Option<f64>, trace: &Trace, k: usize) -> Fingerprint {
+    fn faulted_run(beta: Option<Threshold>, trace: &Trace, k: usize) -> Fingerprint {
         let down = |i| FaultEvent {
             start: 4,
             end: 12,
@@ -576,7 +576,9 @@ mod tests {
             }
         };
         check("GM", &|k| run_cioq(None, &unit, k));
-        check("PG", &|k| run_cioq(Some(2.4), &valued, k));
+        check("PG", &|k| {
+            run_cioq(Some(Threshold::ratio(12, 5)), &valued, k)
+        });
         check("faulted GM", &|k| faulted_run(None, &unit, k));
     }
 

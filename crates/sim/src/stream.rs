@@ -84,8 +84,10 @@
 //! state: [`crate::EngineSnapshot::stream_cursor`] recovers it, and
 //! [`channel_at`] opens a resumed channel whose producer must re-feed the
 //! stream from exactly that point (enforced: batch slots are checked
-//! against the cursor, and the replay adapters verify the skipped prefix
-//! matches the consumed count).
+//! against the cursor, and [`feed`] checks the skipped prefix against the
+//! consumed count). Every input — a trace, a replay file, a slot
+//! generator — is a packet iterator, and [`feed`] is the one producer body
+//! for all of them; [`replay`] runs it on a producer thread.
 //!
 //! ## Shutdown
 //!
@@ -97,10 +99,8 @@
 
 use crate::source::ArrivalSource;
 use crate::state::SwitchView;
-use crate::trace::{Trace, TraceReader};
 use cioq_model::{Packet, SlotId};
 use std::collections::VecDeque;
-use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -580,41 +580,26 @@ where
     }
 }
 
-/// Stream a pre-recorded trace: a convenience producer for parity tests
-/// and replay (it clones the trace tail up front — true streaming uses
-/// [`stream_reader`] or a slot generator).
-pub fn stream_trace(trace: &Trace, depth: usize) -> (StreamingSource, StreamPump) {
-    stream_trace_from(trace, depth, StreamCursor::start())
-}
-
-/// Stream a trace from `cursor` onward, as when resuming from a
-/// checkpoint. Panics if the trace's prefix before `cursor.slot` does not
-/// hold exactly `cursor.consumed` packets — the stream being re-fed would
-/// not be the one the checkpoint was taken on.
-pub fn stream_trace_from(
-    trace: &Trace,
-    depth: usize,
-    cursor: StreamCursor,
-) -> (StreamingSource, StreamPump) {
-    let skip = trace.packets().partition_point(|p| p.arrival < cursor.slot);
-    assert!(
-        skip as u64 == cursor.consumed,
-        "stream cursor does not match this trace: {skip} packets arrive before slot {} \
-         but the checkpoint consumed {}",
-        cursor.slot,
-        cursor.consumed
-    );
-    let tail: Vec<Packet> = trace.packets()[skip..].to_vec();
-    let (tx, src) = channel_at(depth, cursor);
-    let pump = spawn_producer(tx, move |tx| send_by_slot(&tx, tail));
-    (src, pump)
-}
-
-/// The producer body of both adapters: group `packets` (in arrival order)
-/// into one batch per slot and push each through `tx`, until the packets
-/// run out or the consumer hangs up.
-fn send_by_slot(tx: &StreamSender, packets: impl IntoIterator<Item = Packet>) {
+/// The one producer body: push `packets` (in arrival order) through `tx`
+/// from the cursor `from` on. The packets before `from.slot` are skipped;
+/// unless they number `from.consumed`, the input is not the stream the
+/// checkpoint was taken on and `feed` panics (re-raised at
+/// [`StreamPump::join`]). The rest go out as one
+/// [`StreamSender::send_reusing`] batch per non-empty slot, until the
+/// packets run out (closing the stream) or the consumer hangs up.
+pub fn feed(tx: StreamSender, from: StreamCursor, packets: impl IntoIterator<Item = Packet>) {
     let mut packets = packets.into_iter().peekable();
+    let mut skipped: u64 = 0;
+    while packets.next_if(|p| p.arrival < from.slot).is_some() {
+        skipped += 1;
+    }
+    assert!(
+        skipped == from.consumed,
+        "stream cursor does not match this input: {skipped} packets arrive before slot {} \
+         but the checkpoint consumed {}",
+        from.slot,
+        from.consumed
+    );
     let mut batch: Vec<Packet> = Vec::new();
     while let Some(first) = packets.next() {
         let slot = first.arrival;
@@ -628,56 +613,17 @@ fn send_by_slot(tx: &StreamSender, packets: impl IntoIterator<Item = Packet>) {
     }
 }
 
-/// Stream a `cioq-trace v1` replay file without materialising it: the
-/// producer thread reads, parses and pushes one slot batch at a time.
-/// Returns an error if the header is malformed; a malformed body panics
-/// the producer (re-raised at [`StreamPump::join`]) after closing the
-/// stream, so the consumer still drains instead of deadlocking.
-pub fn stream_reader<R>(
-    reader: R,
-    depth: usize,
-) -> Result<(StreamingSource, StreamPump), crate::trace::TraceError>
+/// Open a stream at `from` fed by a producer thread: [`channel_at`], then
+/// [`spawn_producer`] running [`feed`] over `packets` — a trace's
+/// `packets().to_vec()`, a [`TraceReader`](crate::TraceReader), or
+/// `cioq_traffic::slot_packets`.
+pub fn replay<I>(depth: usize, from: StreamCursor, packets: I) -> (StreamingSource, StreamPump)
 where
-    R: BufRead + Send + 'static,
+    I: IntoIterator<Item = Packet> + Send + 'static,
 {
-    stream_reader_from(reader, depth, StreamCursor::start())
-}
-
-/// Stream a replay file from `cursor` onward. The prefix before
-/// `cursor.slot` is parsed and discarded; the producer panics if its
-/// packet count disagrees with `cursor.consumed`.
-pub fn stream_reader_from<R>(
-    reader: R,
-    depth: usize,
-    cursor: StreamCursor,
-) -> Result<(StreamingSource, StreamPump), crate::trace::TraceError>
-where
-    R: BufRead + Send + 'static,
-{
-    let mut rd = TraceReader::new(reader)?;
-    let (tx, src) = channel_at(depth, cursor);
-    let pump = spawn_producer(tx, move |tx| {
-        let mut next = || {
-            rd.next_packet()
-                .unwrap_or_else(|e| panic!("replay stream: {e}"))
-        };
-        let mut skipped: u64 = 0;
-        let first = loop {
-            match next() {
-                Some(p) if p.arrival < cursor.slot => skipped += 1,
-                other => break other,
-            }
-        };
-        assert!(
-            skipped == cursor.consumed,
-            "stream cursor does not match this replay file: {skipped} packets arrive \
-             before slot {} but the checkpoint consumed {}",
-            cursor.slot,
-            cursor.consumed
-        );
-        send_by_slot(&tx, first.into_iter().chain(std::iter::from_fn(next)));
-    });
-    Ok((src, pump))
+    let (tx, src) = channel_at(depth, from);
+    let pump = spawn_producer(tx, move |tx| feed(tx, from, packets));
+    (src, pump)
 }
 
 #[cfg(test)]
@@ -884,98 +830,30 @@ mod tests {
         let _ = tx.send(1, vec![pkt(0, 0)]);
     }
 
-    #[test]
-    fn trace_pump_reproduces_the_trace() {
-        let trace = Trace::from_tuples([
-            (0, PortId(0), PortId(1), 5),
-            (0, PortId(1), PortId(0), 3),
-            (3, PortId(0), PortId(0), 4),
-        ]);
-        let (mut rx, pump) = stream_trace(&trace, 1);
-        let mut got = Vec::new();
-        for slot in 0..4 {
-            rx.pull(slot, &mut got);
-        }
-        pump.join();
-        assert_eq!(got, trace.packets());
-    }
-
-    #[test]
-    fn trace_pump_resumes_mid_stream() {
-        let trace = Trace::from_tuples([
-            (0, PortId(0), PortId(1), 5),
-            (1, PortId(1), PortId(0), 3),
-            (3, PortId(0), PortId(0), 4),
-        ]);
-        let cursor = StreamCursor {
-            slot: 2,
-            consumed: 2,
-        };
-        let (mut rx, pump) = stream_trace_from(&trace, 2, cursor);
-        let mut got = Vec::new();
-        rx.pull(2, &mut got);
-        assert!(got.is_empty());
-        rx.pull(3, &mut got);
-        pump.join();
-        assert_eq!(got, &trace.packets()[2..]);
-        assert_eq!(rx.consumed(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match this trace")]
-    fn trace_pump_rejects_a_wrong_cursor() {
-        let trace = Trace::from_tuples([(0, PortId(0), PortId(0), 1)]);
-        stream_trace_from(
-            &trace,
-            1,
-            StreamCursor {
-                slot: 1,
-                consumed: 7,
-            },
-        );
-    }
-
-    #[test]
-    fn reader_pump_streams_a_replay_file() {
-        let trace = Trace::from_tuples([
-            (0, PortId(0), PortId(1), 5),
-            (2, PortId(1), PortId(0), 3),
-            (2, PortId(0), PortId(0), 4),
-        ]);
-        let mut file = Vec::new();
-        trace.write_to(&mut file).unwrap();
-        let (mut rx, pump) = stream_reader(std::io::Cursor::new(file), 1).unwrap();
-        let mut got = Vec::new();
-        for slot in 0..3 {
-            rx.pull(slot, &mut got);
-        }
-        pump.join();
-        assert_eq!(got, trace.packets());
-    }
-
-    #[test]
-    fn reader_pump_resumes_mid_file() {
-        let trace = Trace::from_tuples([
-            (0, PortId(0), PortId(1), 5),
-            (1, PortId(1), PortId(0), 3),
-            (4, PortId(0), PortId(0), 4),
-        ]);
-        let mut file = Vec::new();
-        trace.write_to(&mut file).unwrap();
-        let cursor = StreamCursor {
-            slot: 3,
-            consumed: 2,
-        };
-        let (mut rx, pump) = stream_reader_from(std::io::Cursor::new(file), 2, cursor).unwrap();
-        let mut got = Vec::new();
-        rx.pull(3, &mut got);
-        rx.pull(4, &mut got);
-        pump.join();
-        assert_eq!(got, &trace.packets()[2..]);
-    }
+    // Every input reaches the seam through `feed`; its cursor rule is
+    // tested over all three kinds of input in `cioq_traffic`'s `gen`
+    // tests, where the slot generator lives.
 
     #[test]
     fn reader_pump_rejects_a_bad_header() {
-        assert!(stream_reader(std::io::Cursor::new(b"garbage\n".to_vec()), 1).is_err());
+        // A replay file's header is checked before any stream opens.
+        let file = std::io::Cursor::new(b"garbage\n".to_vec());
+        assert!(crate::TraceReader::new(file).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "replay stream")]
+    fn a_malformed_replay_line_closes_the_stream_and_panics_at_join() {
+        let file = b"cioq-trace v1 2\n0 0 0 1\nnot a packet\n".to_vec();
+        let reader = crate::TraceReader::new(std::io::Cursor::new(file)).expect("valid header");
+        let (mut rx, pump) = replay(1, StreamCursor::start(), reader);
+        // The producer's panic drops its sender: the window closes and
+        // the consumer drains instead of waiting forever.
+        let (mut got, mut slot) = (Vec::new(), 0);
+        while rx.in_arrival_window(slot) {
+            rx.pull(slot, &mut got);
+            slot += 1;
+        }
+        pump.join();
     }
 }

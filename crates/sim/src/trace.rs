@@ -180,8 +180,9 @@ fn parse_line(line: &str, lineno: usize) -> Result<(SlotId, PortId, PortId, Valu
 
 /// Incremental reader over the `cioq-trace v1` line format: yields one
 /// packet at a time without materialising the trace, for streaming replay
-/// (see [`crate::stream::stream_reader`]). Unlike [`Trace::read_from`]
-/// it cannot sort, so an out-of-order file is an error.
+/// (its [`Iterator`] is what [`crate::stream::replay`] feeds). Unlike
+/// [`Trace::read_from`] it cannot sort, so an out-of-order file is an
+/// error.
 #[derive(Debug)]
 pub struct TraceReader<R> {
     r: R,
@@ -248,6 +249,17 @@ impl<R: BufRead> TraceReader<R> {
         let tuple = parse_line(&self.line, self.lineno)?;
         self.remaining -= 1;
         Ok(Some(tuple))
+    }
+}
+
+/// A replay file's packets for [`crate::stream::feed`]: a malformed line
+/// panics, as [`TraceReader::next_packet`] would return its error.
+impl<R: BufRead> Iterator for TraceReader<R> {
+    type Item = Packet;
+
+    fn next(&mut self) -> Option<Packet> {
+        self.next_packet()
+            .unwrap_or_else(|e| panic!("replay stream: {e}"))
     }
 }
 

@@ -1,8 +1,9 @@
 //! The generator trait and trace assembly, plus the slot-at-a-time
-//! counterpart that feeds streaming runs without materialising a trace.
+//! counterpart that feeds streaming runs without materialising a trace: a
+//! [`SlotGen`] becomes a lazy packet iterator ([`slot_packets`]), which
+//! [`cioq_sim::stream::feed`] pushes like any other input.
 
 use cioq_model::{Packet, PacketId, PortId, SlotId, SwitchConfig, Value};
-use cioq_sim::stream::{self, StreamCursor, StreamPump, StreamSender, StreamingSource};
 use cioq_sim::Trace;
 
 /// A deterministic, seedable workload generator.
@@ -41,88 +42,44 @@ pub trait SlotGen {
     );
 }
 
-/// Push `slots` slots of `sg`'s workload through a bounded streaming
-/// channel from a producer thread. Packet ids are assigned in emission
-/// order, matching [`Trace::from_tuples`] on the assembled trace, so a
-/// streamed run is byte-comparable to the trace-fed run.
-pub fn stream_gen<G>(
-    sg: G,
-    cfg: &SwitchConfig,
-    slots: SlotId,
-    depth: usize,
-) -> (StreamingSource, StreamPump)
-where
-    G: SlotGen + Send + 'static,
-{
-    stream_gen_from(sg, cfg, slots, depth, StreamCursor::start())
-}
-
-/// Like [`stream_gen`], resumed at a checkpoint's stream cursor: the
-/// producer thread runs [`feed_slots`] from `from`.
-pub fn stream_gen_from<G>(
-    sg: G,
-    cfg: &SwitchConfig,
-    slots: SlotId,
-    depth: usize,
-    from: StreamCursor,
-) -> (StreamingSource, StreamPump)
-where
-    G: SlotGen + Send + 'static,
-{
-    let cfg = cfg.clone();
-    let (tx, src) = stream::channel_at(depth, from);
-    let pump = stream::spawn_producer(tx, move |tx| feed_slots(tx, &cfg, sg, from, slots));
-    (src, pump)
-}
-
-/// The producer body of a streamed workload: send slots `from.slot..slots`
-/// of `sg` through `tx`, one [`StreamSender::send_reusing`] per slot, empty
-/// slots included, numbering packets in emission order (the
-/// [`Trace::from_tuples`] numbering). A *fresh* generator is first
-/// fast-forwarded through the slots before `from.slot` (their tuples
-/// discarded in O(1) memory) and the discarded count checked against
-/// `from.consumed`: a mismatch means the generator is not the one the
-/// checkpoint was taken on, and panics the producer (re-raised at
-/// [`StreamPump::join`]). Returns early once the consumer hangs up.
-pub fn feed_slots(
-    tx: StreamSender,
-    cfg: &SwitchConfig,
+/// `sg`'s workload over slots `0..slots` as a lazy packet iterator, for
+/// [`cioq_sim::stream::feed`]. Ids are assigned in emission order — the
+/// [`Trace::from_tuples`] numbering of the assembled trace, so a streamed
+/// run is byte-comparable to the trace-fed one — and one slot's tuples are
+/// held at a time, so a stream resumed at a checkpoint fast-forwards a
+/// fresh generator in O(1) memory: `feed` skips the packets before the
+/// cursor's slot as it would a trace's.
+pub fn slot_packets(
     mut sg: impl SlotGen,
-    from: StreamCursor,
+    cfg: &SwitchConfig,
     slots: SlotId,
-) {
-    let mut tuples: Vec<(PortId, PortId, Value)> = Vec::new();
-    let mut next_id: u64 = 0;
-    for slot in 0..from.slot {
-        tuples.clear();
-        sg.fill_slot(cfg, slot, &mut tuples);
-        next_id += tuples.len() as u64;
-    }
-    assert!(
-        next_id == from.consumed,
-        "slot generator does not reproduce the checkpointed stream: {next_id} packets \
-         before slot {} but the checkpoint consumed {}",
-        from.slot,
-        from.consumed
-    );
-    let mut batch = Vec::new();
-    for slot in from.slot..slots {
-        tuples.clear();
-        sg.fill_slot(cfg, slot, &mut tuples);
-        for &(i, j, v) in &tuples {
-            batch.push(Packet::new(PacketId(next_id), v, slot, i, j));
-            next_id += 1;
+) -> impl Iterator<Item = Packet> {
+    let cfg = cfg.clone();
+    let (mut tuples, mut emitted, mut slot, mut next_id) = (Vec::new(), 0, 0, 0);
+    std::iter::from_fn(move || {
+        while emitted == tuples.len() {
+            if slot == slots {
+                return None;
+            }
+            tuples.clear();
+            emitted = 0;
+            sg.fill_slot(&cfg, slot, &mut tuples);
+            slot += 1;
         }
-        if tx.send_reusing(slot, &mut batch).is_err() {
-            return;
-        }
-    }
+        let (i, j, v) = tuples[emitted];
+        emitted += 1;
+        next_id += 1;
+        Some(Packet::new(PacketId(next_id - 1), v, slot - 1, i, j))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{BernoulliUniform, ValueDist};
+    use cioq_sim::stream::{replay, StreamCursor};
+    use cioq_sim::{ArrivalSource, TraceReader};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn generation_is_deterministic() {
@@ -133,5 +90,73 @@ mod tests {
         assert_eq!(a, b);
         let c = gen_trace(&gen, &cfg, 50, 43);
         assert_ne!(a, c, "different seeds should differ");
+    }
+
+    type Packets = Box<dyn Iterator<Item = Packet> + Send>;
+
+    /// Stream `packets` from `from` through a depth-2 channel and collect
+    /// every slot until the stream closes; a producer panic is re-raised.
+    fn pull(from: StreamCursor, packets: Packets) -> Vec<Packet> {
+        let (mut src, pump) = replay(2, from, packets);
+        let (mut got, mut slot) = (Vec::new(), from.slot);
+        while src.in_arrival_window(slot) {
+            src.pull(slot, &mut got);
+            slot += 1;
+        }
+        pump.join();
+        got
+    }
+
+    /// The one cursor rule on each kind of input: a trace, its replay
+    /// file and the slot generator that made it stream the same packets
+    /// whole and from a mid-stream cursor, and a cursor whose consumed
+    /// count is off by one panics with the one message.
+    #[test]
+    fn every_source_streams_resumes_and_checks_its_cursor() {
+        let (cfg, slots, seed) = (SwitchConfig::cioq(3, 4, 1), 12, 7);
+        let gen = BernoulliUniform::new(0.6, ValueDist::Uniform { max: 9 });
+        let trace = gen_trace(&gen, &cfg, slots, seed);
+        let mut file = Vec::new();
+        trace.write_to(&mut file).unwrap();
+        let sources: [(&str, &dyn Fn() -> Packets); 3] = [
+            ("trace", &|| Box::new(trace.packets().to_vec().into_iter())),
+            ("replay file", &|| {
+                let reader = std::io::Cursor::new(file.clone());
+                Box::new(TraceReader::new(reader).expect("valid header"))
+            }),
+            ("generator", &|| {
+                Box::new(slot_packets(gen.slots(seed), &cfg, slots))
+            }),
+        ];
+        let mid = slots / 2;
+        let consumed = trace.packets().partition_point(|p| p.arrival < mid);
+        assert!(
+            consumed > 0 && consumed < trace.len(),
+            "the cursor splits the stream"
+        );
+        for (name, packets) in sources {
+            assert_eq!(
+                pull(StreamCursor::start(), packets()),
+                trace.packets(),
+                "{name}"
+            );
+            let from = StreamCursor {
+                slot: mid,
+                consumed: consumed as u64,
+            };
+            let tail = pull(from, packets());
+            assert_eq!(tail, trace.packets()[consumed..], "{name}: resumed");
+            let off = StreamCursor {
+                consumed: from.consumed + 1,
+                ..from
+            };
+            let panic = catch_unwind(AssertUnwindSafe(|| pull(off, packets())))
+                .expect_err("an off-by-one cursor must panic the producer");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.starts_with("stream cursor does not match"),
+                "{name}: {message}"
+            );
+        }
     }
 }

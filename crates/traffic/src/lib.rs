@@ -34,7 +34,7 @@ mod values;
 pub use bernoulli::{BernoulliSlots, BernoulliUniform};
 pub use bursty::OnOffBursty;
 pub use churn::{FullFabricChurn, IncastStorm};
-pub use gen::{feed_slots, gen_trace, stream_gen, stream_gen_from, SlotGen, TrafficGen};
+pub use gen::{gen_trace, slot_packets, SlotGen, TrafficGen};
 pub use hotspot::Hotspot;
 pub use incast::Incast;
 pub use values::{ValueDist, ValueSampler};

@@ -61,7 +61,8 @@ pub mod prelude {
         PreemptiveGreedy,
     };
     pub use cioq_model::{
-        Benefit, FabricKind, Packet, PacketId, PortId, SlotId, SwitchConfig, Topology, Value,
+        Benefit, FabricKind, Packet, PacketId, PortId, SlotId, SwitchConfig, Threshold, Topology,
+        Value,
     };
     pub use cioq_opt::{certified_ratio, exact_opt, opt_upper_bound, BruteForceLimits, OptBounds};
     pub use cioq_sim::{

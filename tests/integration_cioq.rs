@@ -11,7 +11,7 @@ fn policies() -> Vec<Box<dyn CioqPolicy>> {
             GmEdgePolicy::RotateByCycle,
         )),
         Box::new(PreemptiveGreedy::new()),
-        Box::new(PreemptiveGreedy::with_beta(1.5)),
+        Box::new(PreemptiveGreedy::with_beta(Threshold::from_f64(1.5))),
         Box::new(PreemptiveGreedy::without_preemption()),
         Box::new(MaxMatching::new()),
         Box::new(MaxWeightMatching::new()),
