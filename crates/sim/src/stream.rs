@@ -830,9 +830,101 @@ mod tests {
         let _ = tx.send(1, vec![pkt(0, 0)]);
     }
 
-    // Every input reaches the seam through `feed`; its cursor rule is
+    // Every input reaches the seam through `feed`; its cursor rule is also
     // tested over all three kinds of input in `cioq_traffic`'s `gen`
     // tests, where the slot generator lives.
+
+    use crate::trace::{Trace, TraceReader};
+
+    fn replay_file(trace: &Trace) -> TraceReader<std::io::Cursor<Vec<u8>>> {
+        let mut file = Vec::new();
+        trace.write_to(&mut file).unwrap();
+        TraceReader::new(std::io::Cursor::new(file)).expect("valid header")
+    }
+
+    #[test]
+    fn trace_pump_reproduces_the_trace() {
+        let trace = Trace::from_tuples([
+            (0, PortId(0), PortId(1), 5),
+            (0, PortId(1), PortId(0), 3),
+            (3, PortId(0), PortId(0), 4),
+        ]);
+        let (mut rx, pump) = replay(1, StreamCursor::start(), trace.packets().to_vec());
+        let mut got = Vec::new();
+        for slot in 0..4 {
+            rx.pull(slot, &mut got);
+        }
+        pump.join();
+        assert_eq!(got, trace.packets());
+    }
+
+    #[test]
+    fn trace_pump_resumes_mid_stream() {
+        let trace = Trace::from_tuples([
+            (0, PortId(0), PortId(1), 5),
+            (1, PortId(1), PortId(0), 3),
+            (3, PortId(0), PortId(0), 4),
+        ]);
+        let cursor = StreamCursor {
+            slot: 2,
+            consumed: 2,
+        };
+        let (mut rx, pump) = replay(2, cursor, trace.packets().to_vec());
+        let mut got = Vec::new();
+        rx.pull(2, &mut got);
+        assert!(got.is_empty());
+        rx.pull(3, &mut got);
+        pump.join();
+        assert_eq!(got, &trace.packets()[2..]);
+        assert_eq!(rx.consumed(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream cursor does not match")]
+    fn trace_pump_rejects_a_wrong_cursor() {
+        let trace = Trace::from_tuples([(0, PortId(0), PortId(0), 1)]);
+        let cursor = StreamCursor {
+            slot: 1,
+            consumed: 7,
+        };
+        let (_rx, pump) = replay(1, cursor, trace.packets().to_vec());
+        pump.join();
+    }
+
+    #[test]
+    fn reader_pump_streams_a_replay_file() {
+        let trace = Trace::from_tuples([
+            (0, PortId(0), PortId(1), 5),
+            (2, PortId(1), PortId(0), 3),
+            (2, PortId(0), PortId(0), 4),
+        ]);
+        let (mut rx, pump) = replay(1, StreamCursor::start(), replay_file(&trace));
+        let mut got = Vec::new();
+        for slot in 0..3 {
+            rx.pull(slot, &mut got);
+        }
+        pump.join();
+        assert_eq!(got, trace.packets());
+    }
+
+    #[test]
+    fn reader_pump_resumes_mid_file() {
+        let trace = Trace::from_tuples([
+            (0, PortId(0), PortId(1), 5),
+            (1, PortId(1), PortId(0), 3),
+            (4, PortId(0), PortId(0), 4),
+        ]);
+        let cursor = StreamCursor {
+            slot: 3,
+            consumed: 2,
+        };
+        let (mut rx, pump) = replay(2, cursor, replay_file(&trace));
+        let mut got = Vec::new();
+        rx.pull(3, &mut got);
+        rx.pull(4, &mut got);
+        pump.join();
+        assert_eq!(got, &trace.packets()[2..]);
+    }
 
     #[test]
     fn reader_pump_rejects_a_bad_header() {
