@@ -27,4 +27,4 @@ pub use ids::{PacketId, PortId};
 pub use packet::Packet;
 pub use time::{Cycle, SlotId};
 pub use topology::Topology;
-pub use value::{Benefit, Threshold, Value};
+pub use value::{Benefit, Ratio, Threshold, Value};

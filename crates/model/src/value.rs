@@ -90,13 +90,18 @@ pub enum Threshold {
     /// CPG's α★ = 2/(β★ − 1)², which is exactly β★ + 1: with y = β★ − 1
     /// the cubic reads y²(y + 2) = 2.
     TribonacciPlusOne,
-    /// The rational `num / den` (`den > 0`).
-    Ratio {
-        /// Numerator.
-        num: u64,
-        /// Denominator, non-zero.
-        den: u64,
-    },
+    /// A rational factor, built by [`Threshold::ratio`].
+    Ratio(Ratio),
+}
+
+/// The rational `num / den` of [`Threshold::Ratio`]. Its fields are
+/// private so that [`Threshold::ratio`], which refuses a zero denominator,
+/// is the only way to build one: with `den = 0` no `v` would exceed, not
+/// even over `u = 0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Ratio {
+    num: u64,
+    den: u64,
 }
 
 /// Values below this bound have a cube below 2¹²⁶, so the tribonacci test
@@ -107,7 +112,7 @@ impl Threshold {
     /// The factor `num / den`. Panics if `den` is zero.
     pub fn ratio(num: u64, den: u64) -> Self {
         assert!(den > 0, "threshold ratio needs a non-zero denominator");
-        Threshold::Ratio { num, den }
+        Threshold::Ratio(Ratio { num, den })
     }
 
     /// The exact value of a finite `x` in [1, 64): every finite `f64` is
@@ -143,7 +148,7 @@ impl Threshold {
                 let beta = Threshold::Tribonacci.as_f64();
                 2.0 / ((beta - 1.0) * (beta - 1.0))
             }
-            Threshold::Ratio { num, den } => num as f64 / den as f64,
+            Threshold::Ratio(Ratio { num, den }) => num as f64 / den as f64,
         }
     }
 
@@ -165,7 +170,9 @@ impl Threshold {
             Threshold::Tribonacci => tribonacci_exceeds(v, u),
             // v > (β★ + 1)u ⟺ v > u ∧ v − u > β★·u.
             Threshold::TribonacciPlusOne => v > u && tribonacci_exceeds(v - u, u),
-            Threshold::Ratio { num, den } => v as u128 * den as u128 > num as u128 * u as u128,
+            Threshold::Ratio(Ratio { num, den }) => {
+                v as u128 * den as u128 > num as u128 * u as u128
+            }
         }
     }
 }
@@ -347,5 +354,11 @@ mod tests {
         assert_eq!(t.as_f64(), 1.2);
         assert!(t.exceeds(6, 5) && !Threshold::ratio(6, 5).exceeds(6, 5));
         assert_eq!(Threshold::ratio(6, 5).as_f64(), 1.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero denominator")]
+    fn a_ratio_with_a_zero_denominator_is_refused() {
+        let _ = Threshold::ratio(1, 0);
     }
 }

@@ -830,9 +830,9 @@ mod tests {
         let _ = tx.send(1, vec![pkt(0, 0)]);
     }
 
-    // Every input reaches the seam through `feed`; its cursor rule is also
-    // tested over all three kinds of input in `cioq_traffic`'s `gen`
-    // tests, where the slot generator lives.
+    // Every input reaches the seam through `feed`. Its cursor rule is
+    // tested here on a trace and a replay file, and on the slot generator
+    // in `cioq_traffic`'s `gen` tests, where the generator lives.
 
     use crate::trace::{Trace, TraceReader};
 
@@ -882,10 +882,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "stream cursor does not match")]
     fn trace_pump_rejects_a_wrong_cursor() {
+        // One packet arrives before slot 1; the cursor claims two.
         let trace = Trace::from_tuples([(0, PortId(0), PortId(0), 1)]);
         let cursor = StreamCursor {
             slot: 1,
-            consumed: 7,
+            consumed: 2,
         };
         let (_rx, pump) = replay(1, cursor, trace.packets().to_vec());
         pump.join();
@@ -924,6 +925,23 @@ mod tests {
         rx.pull(4, &mut got);
         pump.join();
         assert_eq!(got, &trace.packets()[2..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream cursor does not match")]
+    fn reader_pump_rejects_a_wrong_cursor() {
+        // Two packets arrive before slot 3; the cursor claims one.
+        let trace = Trace::from_tuples([
+            (0, PortId(0), PortId(1), 5),
+            (1, PortId(1), PortId(0), 3),
+            (4, PortId(0), PortId(0), 4),
+        ]);
+        let cursor = StreamCursor {
+            slot: 3,
+            consumed: 1,
+        };
+        let (_rx, pump) = replay(1, cursor, replay_file(&trace));
+        pump.join();
     }
 
     #[test]

@@ -78,7 +78,7 @@ mod tests {
     use super::*;
     use crate::{BernoulliUniform, ValueDist};
     use cioq_sim::stream::{replay, StreamCursor};
-    use cioq_sim::{ArrivalSource, TraceReader};
+    use cioq_sim::ArrivalSource;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -92,11 +92,12 @@ mod tests {
         assert_ne!(a, c, "different seeds should differ");
     }
 
-    type Packets = Box<dyn Iterator<Item = Packet> + Send>;
-
     /// Stream `packets` from `from` through a depth-2 channel and collect
     /// every slot until the stream closes; a producer panic is re-raised.
-    fn pull(from: StreamCursor, packets: Packets) -> Vec<Packet> {
+    fn pull(
+        from: StreamCursor,
+        packets: impl Iterator<Item = Packet> + Send + 'static,
+    ) -> Vec<Packet> {
         let (mut src, pump) = replay(2, from, packets);
         let (mut got, mut slot) = (Vec::new(), from.slot);
         while src.in_arrival_window(slot) {
@@ -107,56 +108,38 @@ mod tests {
         got
     }
 
-    /// The one cursor rule on each kind of input: a trace, its replay
-    /// file and the slot generator that made it stream the same packets
-    /// whole and from a mid-stream cursor, and a cursor whose consumed
-    /// count is off by one panics with the one message.
+    /// The one cursor rule on a generator, as `cioq_sim::stream`'s tests
+    /// check it on a trace and a replay file: the slot generator streams
+    /// the trace it makes whole and from a mid-stream cursor, and a cursor
+    /// whose consumed count is off by one panics with the one message.
     #[test]
-    fn every_source_streams_resumes_and_checks_its_cursor() {
+    fn generator_pump_streams_resumes_and_checks_its_cursor() {
         let (cfg, slots, seed) = (SwitchConfig::cioq(3, 4, 1), 12, 7);
         let gen = BernoulliUniform::new(0.6, ValueDist::Uniform { max: 9 });
         let trace = gen_trace(&gen, &cfg, slots, seed);
-        let mut file = Vec::new();
-        trace.write_to(&mut file).unwrap();
-        let sources: [(&str, &dyn Fn() -> Packets); 3] = [
-            ("trace", &|| Box::new(trace.packets().to_vec().into_iter())),
-            ("replay file", &|| {
-                let reader = std::io::Cursor::new(file.clone());
-                Box::new(TraceReader::new(reader).expect("valid header"))
-            }),
-            ("generator", &|| {
-                Box::new(slot_packets(gen.slots(seed), &cfg, slots))
-            }),
-        ];
+        let packets = || slot_packets(gen.slots(seed), &cfg, slots);
         let mid = slots / 2;
         let consumed = trace.packets().partition_point(|p| p.arrival < mid);
         assert!(
             consumed > 0 && consumed < trace.len(),
             "the cursor splits the stream"
         );
-        for (name, packets) in sources {
-            assert_eq!(
-                pull(StreamCursor::start(), packets()),
-                trace.packets(),
-                "{name}"
-            );
-            let from = StreamCursor {
-                slot: mid,
-                consumed: consumed as u64,
-            };
-            let tail = pull(from, packets());
-            assert_eq!(tail, trace.packets()[consumed..], "{name}: resumed");
-            let off = StreamCursor {
-                consumed: from.consumed + 1,
-                ..from
-            };
-            let panic = catch_unwind(AssertUnwindSafe(|| pull(off, packets())))
-                .expect_err("an off-by-one cursor must panic the producer");
-            let message = panic.downcast_ref::<String>().expect("a formatted message");
-            assert!(
-                message.starts_with("stream cursor does not match"),
-                "{name}: {message}"
-            );
-        }
+        assert_eq!(pull(StreamCursor::start(), packets()), trace.packets());
+        let from = StreamCursor {
+            slot: mid,
+            consumed: consumed as u64,
+        };
+        assert_eq!(pull(from, packets()), trace.packets()[consumed..]);
+        let off = StreamCursor {
+            consumed: from.consumed + 1,
+            ..from
+        };
+        let panic = catch_unwind(AssertUnwindSafe(|| pull(off, packets())))
+            .expect_err("an off-by-one cursor must panic the producer");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            message.starts_with("stream cursor does not match"),
+            "{message}"
+        );
     }
 }
