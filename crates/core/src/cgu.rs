@@ -69,9 +69,8 @@ impl CrossbarGreedyUnit {
     /// Repair the row masks: `(i, j)` is eligible iff
     /// `|Q_ij| > 0 ∧ |C_ij| < B(C_ij)`.
     fn sync_rows(&mut self, view: &SwitchView<'_>) {
-        let lo = view.input_range().start;
-        self.rows.sync(dirty_rows(view), |line, j| {
-            let (i, j) = (PortId::from(lo + line), PortId::from(j));
+        self.rows.sync(dirty_rows(view), |i, j| {
+            let (i, j) = (PortId::from(i), PortId::from(j));
             !view.input_queue(i, j).is_empty() && !view.crossbar_queue(i, j).is_full()
         });
     }
@@ -85,12 +84,12 @@ impl CrossbarGreedyUnit {
         self.cols.sync(dirty_cols(view), ok);
     }
 
-    /// Input subphase over the view's rows: ≤ 1 transfer per input port.
+    /// Input subphase: ≤ 1 transfer per input port.
     // detlint: hot
     fn input_subphase(&mut self, view: &SwitchView<'_>, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
-        for (line, i) in view.input_range().enumerate() {
-            if let Some(j) = self.rows.pick(line) {
+        for i in 0..view.n_inputs() {
+            if let Some(j) = self.rows.pick(i) {
                 out.push(Transfer {
                     input: PortId::from(i),
                     output: PortId::from(j),

@@ -143,9 +143,9 @@ impl CrossbarPreemptiveGreedy {
     /// `|Q_ij| > 0 ∧ (|C_ij| < B(C_ij) ∨ v(g_ij) > β·v(lc_ij))`.
     // detlint: hot
     fn sync_rows(&mut self, view: &SwitchView<'_>) {
-        let (lo, beta) = (view.input_range().start, self.beta);
-        self.rows.sync(dirty_rows(view), |line, j| {
-            let (i, j) = (PortId::from(lo + line), PortId::from(j));
+        let beta = self.beta;
+        self.rows.sync(dirty_rows(view), |i, j| {
+            let (i, j) = (PortId::from(i), PortId::from(j));
             in_j(beta, view.input_queue(i, j), view.crossbar_queue(i, j))
         });
     }
@@ -161,7 +161,7 @@ impl CrossbarPreemptiveGreedy {
         self.cols.sync(dirty_cols(view), head);
     }
 
-    /// Input subphase over the view's rows: each input port forwards the
+    /// Input subphase: each input port forwards the
     /// heaviest head of its set `J`, ties to the smallest `j`. Only the
     /// cells with a dirtied `Q_ij` or `C_ij` are re-read, and only rows
     /// whose set `J` moved retake their argmax.
@@ -169,7 +169,7 @@ impl CrossbarPreemptiveGreedy {
     fn input_subphase(&mut self, view: &SwitchView<'_>, out: &mut Vec<Transfer>) {
         self.sync_rows(view);
         self.rows.refresh();
-        for (i, best) in view.input_range().zip(&self.rows.best) {
+        for (i, best) in self.rows.best.iter().enumerate() {
             if let Some((j, _)) = *best {
                 out.push(Transfer {
                     input: PortId::from(i),

@@ -1,12 +1,8 @@
 //! GM — Greedy Matching (§2.1, Theorem 1): 3-competitive for unit values on
 //! CIOQ switches, at greedy-maximal-matching cost.
 
-use crate::incremental::{dirty_rows, BandGraph};
 use crate::pg::admit;
-use cioq_matching::{
-    claim_first_free, greedy_maximal_cells_into, CellVisit, GreedyScratch, IncrementalGraph,
-    Matching,
-};
+use cioq_matching::{claim_first_free, greedy_lex_bits, row_word};
 use cioq_model::{Cycle, Packet, PortId, SwitchConfig};
 use cioq_sim::{
     Admission, CandidateSet, CioqPolicy, CioqShardPolicy, CioqShardWorker, MergeContext,
@@ -32,25 +28,21 @@ pub enum GmEdgePolicy {
 ///   head packet of each matched `Q_ij` is transferred.
 /// * Transmission: send the head of every non-empty output queue.
 ///
-/// The scheduling graph is maintained incrementally from the engine's
-/// change log (see [`crate::oracle`] for the from-scratch reference the
-/// suites compare it against). One object schedules a whole switch as a
-/// [`CioqPolicy`], or one shard's rows as a [`CioqShardWorker`]; either
-/// way the lexicographic matching is one kernel,
-/// [`claim_first_free`] per row over `row & free` words.
+/// The edge rule reads no values, so GM keeps no graph: it matches over the
+/// VOQ occupancy bits the queues keep ([`SwitchView::voq_occupancy`]),
+/// from the columns `!full_words` leaves free. One object schedules a
+/// whole switch as a [`CioqPolicy`], or one shard's rows as a
+/// [`CioqShardWorker`]; either way the lexicographic matching is one
+/// kernel, [`claim_first_free`] per row over `row & free` words.
 #[derive(Debug)]
 pub struct GreedyMatching {
     edge_policy: GmEdgePolicy,
-    /// The VOQ head graph of the band: an edge per non-empty `Q_ij`.
-    heads: BandGraph,
-    /// Pooled `!full_words` mask the lexicographic greedy claims columns
-    /// from, refilled every cycle.
+    /// Pooled mask of the columns still free, refilled every cycle.
     free: Vec<u64>,
-    /// The rotated ablation's scratch and pooled result buffer, refilled
-    /// in place every scheduling cycle so the steady-state slot loop never
-    /// allocates a fresh `Matching`.
-    scratch: GreedyScratch,
-    matching: Matching,
+    /// The rotated ablation's pooled buffers, refilled every cycle: the
+    /// eligible cells in visit order, and the rows then columns matched.
+    cells: Vec<usize>,
+    used: Vec<bool>,
     name: String,
 }
 
@@ -68,11 +60,47 @@ impl GreedyMatching {
         };
         GreedyMatching {
             edge_policy,
-            heads: BandGraph::default(),
             free: Vec::new(),
-            scratch: GreedyScratch::default(),
-            matching: Matching::new(),
+            cells: Vec::new(),
+            used: Vec::new(),
             name,
+        }
+    }
+
+    /// GM's lexicographic matching over the rows `view` answers for, from
+    /// the columns `full_words` leaves free: every pair goes to `matched`
+    /// in row order, and `self.free` ends without the matched columns.
+    fn greedy_lex(
+        &mut self,
+        view: &SwitchView<'_>,
+        full_words: &[u64],
+        matched: impl FnMut(usize, usize),
+    ) {
+        self.free.clear();
+        self.free.extend(full_words.iter().map(|w| !w));
+        let (bits, m) = (view.voq_occupancy(), view.n_outputs());
+        greedy_lex_bits(bits, view.input_range(), m, &mut self.free, matched);
+    }
+
+    /// The rotated ablation ([`cioq_matching::EdgeOrder::Rotated`]'s rule
+    /// over the cells): every non-empty `Q_ij` whose output is not full, in
+    /// lexicographic order, rotated left by `offset % count`, then matched
+    /// greedily.
+    fn greedy_rotated(&mut self, view: &SwitchView<'_>, offset: usize, out: &mut Vec<Transfer>) {
+        let (n, m, bits) = (view.n_inputs(), view.n_outputs(), view.voq_occupancy());
+        let edge = |c: usize| bits[c / 64] >> (c % 64) & 1 == 1 && !view.outputs().is_full(c % m);
+        self.cells.clear();
+        self.cells.extend((0..n * m).filter(|&c| edge(c)));
+        let k = offset.checked_rem(self.cells.len()).unwrap_or(0);
+        self.cells.rotate_left(k);
+        self.used.clear();
+        self.used.resize(n + m, false);
+        for &c in &self.cells {
+            let (i, j) = (c / m, c % m);
+            if !self.used[i] && !self.used[n + j] {
+                (self.used[i], self.used[n + j]) = (true, true);
+                out.push(transfer(i, j));
+            }
         }
     }
 }
@@ -81,17 +109,6 @@ impl Default for GreedyMatching {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Bring `heads` up to date with the band `view` covers: an edge per
-/// non-empty `Q_ij`, weighted `v(g_ij)` — GM's graph and PG's alike.
-pub(crate) fn sync_heads(heads: &mut BandGraph, view: &SwitchView<'_>) {
-    let lo = view.input_range().start;
-    let head = |line, j| {
-        let (i, j) = (PortId::from(lo + line), PortId::from(j));
-        view.input_queue(i, j).head_value()
-    };
-    heads.sync(dirty_rows(view), head, |_, _, _| {});
 }
 
 /// The transfer of a matched edge: the head of `Q_ij` moves to `Q_j`.
@@ -105,20 +122,6 @@ fn transfer(i: usize, j: usize) -> Transfer {
     }
 }
 
-/// GM's lexicographic matching over `graph` in place, starting from the
-/// columns `full_words` leaves free: every pair goes to `matched` in row
-/// order, and `free` ends without the matched columns.
-fn greedy_lex(
-    graph: &IncrementalGraph,
-    full_words: &[u64],
-    free: &mut Vec<u64>,
-    matched: impl FnMut(usize, usize),
-) {
-    free.clear();
-    free.extend(full_words.iter().map(|w| !w));
-    graph.greedy_lex_rows(free, matched);
-}
-
 impl CioqPolicy for GreedyMatching {
     fn name(&self) -> &str {
         &self.name
@@ -130,23 +133,14 @@ impl CioqPolicy for GreedyMatching {
 
     // detlint: hot
     fn schedule(&mut self, view: &SwitchView<'_>, cycle: Cycle, out: &mut Vec<Transfer>) {
-        sync_heads(&mut self.heads, view);
-        let outputs = view.outputs();
         match self.edge_policy {
             GmEdgePolicy::Lexicographic => {
-                let (graph, full) = (&self.heads.graph, &outputs.full_words);
-                greedy_lex(graph, full, &mut self.free, |i, j| out.push(transfer(i, j)));
+                let full = &view.outputs().full_words;
+                self.greedy_lex(view, full, |i, j| out.push(transfer(i, j)));
             }
             GmEdgePolicy::RotateByCycle => {
                 let offset = cycle.sequence(view.config().speedup) as usize;
-                greedy_maximal_cells_into(
-                    &self.heads.graph,
-                    CellVisit::Rotated(offset),
-                    |_, j, _| !outputs.is_full(j),
-                    &mut self.scratch,
-                    &mut self.matching,
-                );
-                out.extend(self.matching.pairs.iter().map(|&(i, j)| transfer(i, j)));
+                self.greedy_rotated(view, offset, out);
             }
         }
     }
@@ -156,19 +150,17 @@ impl CioqPolicy for GreedyMatching {
 /// order only): the object is the factory and the merger, and every
 /// shard's worker is a fresh copy of it.
 ///
-/// Proposal: each worker repairs its band of the incremental edge graph.
-/// Shard 0's rows come first in lexicographic order, so nothing can take a
-/// column before them: its worker runs the whole-switch policy's matching
-/// over its own head graph in place, from `!full_words`, and publishes the
-/// outcome — its taken-or-full mask, then its pairs `(i << 32) | j` in row
-/// order (see [`CandidateSet`]). Every other worker publishes its rows'
-/// edge bitmaps (one word-aligned bitmap per owned row), while shard 0
-/// matches. Merge: `free` starts as the complement of shard 0's mask,
-/// shard 0's pairs are emitted, and the lexicographic greedy continues
-/// with its row step, [`claim_first_free`], per published row in
-/// ascending order over `row & free`. One kernel in both roles, in
-/// O(N·M/64) word operations per cycle; at K = 1 the merge only copies
-/// shard 0's pairs out.
+/// Proposal: shard 0's rows come first in lexicographic order, so nothing
+/// can take a column before them: its worker runs the whole-switch
+/// policy's matching over its own rows, from `!full_words`, and publishes
+/// the outcome — its taken-or-full mask, then its pairs `(i << 32) | j` in
+/// row order (see [`CandidateSet`]). Every other worker publishes its
+/// rows' occupancy words ([`row_word`], one word-aligned bitmap per row).
+/// Merge: `free` starts as the complement of shard 0's mask, shard 0's
+/// pairs are emitted, and the lexicographic greedy continues with its row
+/// step, [`claim_first_free`], per published row in ascending order over
+/// `row & free`. One kernel in both roles, in O(N·M/64) word operations
+/// per cycle; at K = 1 the merge only copies shard 0's pairs out.
 pub type ShardedGm = GreedyMatching;
 
 impl CioqShardPolicy for GreedyMatching {
@@ -223,16 +215,15 @@ impl CioqShardWorker for GreedyMatching {
         _: Cycle,
         out: &mut CandidateSet,
     ) {
-        sync_heads(&mut self.heads, shard);
-        let rows = shard.input_range().len();
-        let words = shard.n_outputs().div_ceil(64);
+        let (rows, m) = (shard.input_range(), shard.n_outputs());
+        let words = m.div_ceil(64);
         if shard.shard() == 0 {
             // The mask, then at most one pair per row: reserved on the first
             // cycle, so no later cycle grows the buffer.
-            out.aux.reserve(words + rows);
+            out.aux.reserve(words + rows.len());
             out.aux.resize(words, 0);
-            let (graph, pairs) = (&self.heads.graph, &mut out.aux);
-            greedy_lex(graph, &outputs.full_words, &mut self.free, |i, j| {
+            let pairs = &mut out.aux;
+            self.greedy_lex(shard, &outputs.full_words, |i, j| {
                 pairs.push(((i as u64) << 32) | j as u64)
             });
             for (taken, free) in out.aux.iter_mut().zip(&self.free) {
@@ -240,11 +231,12 @@ impl CioqShardWorker for GreedyMatching {
             }
             return;
         }
-        out.aux.resize(rows * words, 0);
-        for local in 0..rows {
-            self.heads
-                .graph
-                .copy_row_bits(local, &mut out.aux[local * words..(local + 1) * words]);
+        let bits = shard.voq_occupancy();
+        out.aux.resize(rows.len() * words, 0);
+        for (i, row) in rows.zip(out.aux.chunks_exact_mut(words)) {
+            for (k, word) in row.iter_mut().enumerate() {
+                *word = row_word(bits, m, i, k);
+            }
         }
     }
 }

@@ -1,35 +1,32 @@
 //! Band-scoped views and the one incremental cache.
 //!
-//! All four policies derive their per-cycle decisions from queue state that
+//! PG, CGU and CPG derive their per-cycle decisions from queue state that
 //! one slot barely changes: a slot dirties at most O(N·ŝ) of the N² VOQs.
-//! Every policy keeps what it derives in one type, [`BandGraph`]: an
+//! Each keeps what it derives in one type, [`BandGraph`]: an
 //! [`IncrementalGraph`] with an edge per cell the policy's rule admits —
-//! GM and PG a VOQ head weighted `v(g_ij)`, CGU an eligible queue, CPG a
+//! PG a VOQ head weighted `v(g_ij)`, CGU an eligible queue, CPG a
 //! candidate weighted by its value — brought up to date from the engine's
 //! change log ([`cioq_sim::ChangeLog`]) by re-reading only the dirtied
 //! cells, which turns the per-cycle rebuild from O(N²) into O(changes).
 //! No cache holds an order: PG's weighted greedy reads the head graph as
-//! it stands ([`cioq_matching::greedy_weighted_rows_into`]).
+//! it stands ([`cioq_matching::greedy_weighted_rows_into`]). GM keeps no
+//! band graph: its edge rule reads no values, and the queues keep the one
+//! thing it reads, a bit per non-empty VOQ
+//! ([`SwitchView::voq_occupancy`]).
 //!
 //! ## Bands
 //!
-//! Every band graph covers a *band*: a contiguous range of input rows
-//! ([`dirty_rows`]) or, for the crossbar policies' output side, the columns
-//! `0..M` ([`dirty_cols`]). Policies read one view type, [`SwitchView`]:
-//! the engine's covers every row, and a partitioned scheduler's worker
-//! reads it restricted to its shard's rows. GM runs the same code over
-//! either, so a K-shard GM splits the per-cycle O(changes) repair K ways
-//! and the whole switch is just K = 1. The switch keeps one change log
-//! over global cells; [`dirty_rows`] keeps the band's own cells and
-//! rebases them to its first row. PG and the crossbar policies always
-//! read the whole switch, so PG's head graph covers every row and their
-//! column graphs every column.
+//! Every band graph covers a *band* of lines: the input rows `0..N`
+//! ([`dirty_rows`]) or, for the crossbar policies' output side, the
+//! columns `0..M` ([`dirty_cols`]). The policies that keep one — PG and
+//! the crossbar policies — read the whole switch's [`SwitchView`] (only
+//! GM runs partitioned, and GM keeps none), and the switch keeps one
+//! change log over global cells `i·M + j`.
 //!
 //! ## The consistency handshake
 //!
-//! The engine flushes the change log after every scheduling call that
-//! reads it — once per call, however many shards' workers read it within
-//! the call — so the log a graph sees at call `k` holds exactly the queues
+//! The engine flushes the change log after every scheduling call — once
+//! per call — so the log a graph sees at call `k` holds exactly the queues
 //! dirtied since its call `k − 1`, provided it consumed every previous
 //! flush. Each band graph records the band it covers, the width of its
 //! lines and the flush count it expects next ([`Handshake`]); on any
@@ -65,25 +62,18 @@ pub(crate) struct Dirty<I> {
     pub(crate) cells: I,
 }
 
-/// What a row-side band graph consumes: the band of rows `view` answers
-/// for (every row, or a shard's own once restricted), and every cell of
-/// it with a dirtied `Q_ij` or `C_ij`, as `(band-local row, j)`. The log
-/// covers every row, so the cells outside `rows.start·M .. rows.end·M` are
-/// skipped: one compare on the rebased cell, before the division.
+/// What a row-side band graph consumes: the band `0..N` of rows (lines of
+/// `M` cells), and every cell with a dirtied `Q_ij` or `C_ij`, as `(i, j)`.
 pub(crate) fn dirty_rows<'v>(
     view: &'v SwitchView<'_>,
 ) -> Dirty<impl Iterator<Item = (usize, usize)> + 'v> {
-    let (m, log, rows) = (view.n_outputs(), view.changes(), view.input_range());
-    let (first, len) = (rows.start * m, rows.len() * m);
+    let (m, log) = (view.n_outputs(), view.changes());
     let cells = log.dirty_voqs().iter().chain(log.dirty_xbars());
     Dirty {
-        band: rows,
+        band: 0..view.n_inputs(),
         width: m,
         flush: log.flush_count(),
-        cells: cells.filter_map(move |&cell| {
-            let local = (cell as usize).wrapping_sub(first);
-            (local < len).then(|| (local / m, local % m))
-        }),
+        cells: cells.map(move |&cell| (cell as usize / m, cell as usize % m)),
     }
 }
 

@@ -25,10 +25,12 @@
 //! implement [`cioq_sim::CrossbarPolicy`]. None of them allocates per cycle after
 //! warm-up.
 //!
-//! Every policy maintains its per-cycle scheduling structures
-//! **incrementally** from the engine's change log, in one cache type — a
-//! graph over a band of rows or columns, read through the one view the
-//! engines hand policies: one slot dirties at most
+//! GM's edge rule reads no values, so GM keeps no scheduling structure:
+//! it matches over the VOQ occupancy bits the switch's queues keep
+//! ([`cioq_sim::SwitchView::voq_occupancy`]). The other three policies
+//! maintain theirs **incrementally** from the engine's change log, in one
+//! cache type — a graph over a band of rows or columns, read through the
+//! one view the engines hand policies: one slot dirties at most
 //! O(N·ŝ) queues, so refreshing only those replaces an O(N²) rescan with
 //! O(changes) bookkeeping. PG keeps no order of its edges between cycles:
 //! its weighted greedy is [`cioq_matching::greedy_weighted_rows_into`] over

@@ -2,8 +2,7 @@
 //! arbitrary values on CIOQ switches, using greedy maximal *weighted*
 //! matchings instead of the maximum-weight matchings of prior work.
 
-use crate::gm::sync_heads;
-use crate::incremental::BandGraph;
+use crate::incremental::{dirty_rows, BandGraph};
 use cioq_matching::{greedy_weighted_rows_into, GreedyScratch, Matching};
 use cioq_model::{Cycle, Packet, PortId, Threshold, Value};
 use cioq_sim::{Admission, CioqPolicy, OutputSnapshot, QueueRef, SwitchView, Transfer};
@@ -25,7 +24,8 @@ use cioq_sim::{Admission, CioqPolicy, OutputSnapshot, QueueRef, SwitchView, Tran
 pub struct PreemptiveGreedy {
     /// β, or `None` for the no-preemption ablation (β = ∞).
     beta: Option<Threshold>,
-    /// The VOQ head graph, as GM keeps it.
+    /// The VOQ head graph: an edge per non-empty `Q_ij`, weighted
+    /// `v(g_ij)`.
     heads: BandGraph,
     scratch: GreedyScratch,
     /// Refilled in place every cycle, so the steady-state slot loop never
@@ -84,16 +84,23 @@ fn eligible(beta: Option<Threshold>, w: Value, j: usize, outputs: &OutputSnapsho
     !outputs.is_full(j) || beta.is_some_and(|b| b.exceeds(w, outputs.tail[j]))
 }
 
+/// Bring `heads` up to date: an edge per non-empty `Q_ij`, weighted `v(g_ij)`.
+fn sync_heads(heads: &mut BandGraph, view: &SwitchView<'_>) {
+    let head = |i, j| {
+        view.input_queue(PortId::from(i), PortId::from(j))
+            .head_value()
+    };
+    heads.sync(dirty_rows(view), head, |_, _, _| {});
+}
+
 /// The arrival rule of all four policies and the three baselines: accept
 /// if `Q_ij` has room; else, for the preempting policies (PG, CPG,
 /// KR-MaxWeight), preempt `l_ij` if it is worth strictly less than the
 /// arrival; else reject (GM, CGU, KR-MaxMatching, iSLIP: always).
 pub(crate) fn admit(queue: QueueRef<'_>, packet: &Packet, preempt: bool) -> Admission {
     if !queue.is_full() {
-        return Admission::Accept;
-    }
-    let least = queue.tail_value().expect("full queue has a tail");
-    if preempt && least < packet.value {
+        Admission::Accept
+    } else if preempt && queue.tail_value().expect("full queue has a tail") < packet.value {
         Admission::AcceptPreemptingLeast
     } else {
         Admission::Reject

@@ -186,8 +186,9 @@ proptest! {
     /// CIOQ policy variant, the incremental core makes the same decision
     /// as the from-scratch oracle in every cycle of every slot — and two
     /// independent full runs agree on the complete report. Every eighth
-    /// case is a wide one, 3 × 70 or 70 × 3, so the head graph's rows
-    /// start mid-word and GM's row-word greedy has to stitch them.
+    /// case is a wide one, 3 × 70 or 70 × 3, so the occupancy and head
+    /// graph rows start mid-word and GM's row-word greedy has to stitch
+    /// them.
     #[test]
     fn cioq_incremental_equals_rescan(
         shape in (1usize..6, 0usize..16),

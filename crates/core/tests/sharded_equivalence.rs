@@ -195,7 +195,7 @@ fn asymmetric_bursty_equivalence() {
     );
 }
 
-/// GM on 9 × 70 ports at K ∈ {2, 4}: every head-graph row after the first
+/// GM on 9 × 70 ports at K ∈ {2, 4}: every occupancy row after the first
 /// starts mid-word, the shards own unequal bands of those rows, and the
 /// merge claims from a two-word free mask. Incast events rotate over all 70
 /// outputs into single-packet output queues, so columns on both sides of

@@ -18,17 +18,20 @@
 //!   row's first edge from a column on: CGU's pick). An absent cell weighs
 //!   0, so a row's heaviest edge can be read off its weights without the
 //!   edge bits.
-//! * [`IncrementalGraph::greedy_lex_rows`] — GM's lexicographic matching
-//!   as word arithmetic: per row in ascending order, [`claim_first_free`]
-//!   takes the first column set in both the row's edge words and a
-//!   free-column mask. The only lexicographic GM kernel: the sequential
-//!   policy runs it over its head graph in place, the sharded merge runs
-//!   the same row step over the bitmaps its shards publish.
+//! * [`greedy_lex_bits`] — GM's lexicographic matching as word arithmetic
+//!   over a flat row-major bitset (the switch's VOQ occupancy bits, no
+//!   graph): per row in ascending order, [`claim_first_free`] takes the
+//!   first column set in both the row's words ([`row_word`], the one
+//!   stitching of a row out of a flat bitset, which
+//!   [`IncrementalGraph`]'s row scans read too) and a free-column mask.
+//!   The only lexicographic GM kernel: the whole-switch policy runs it in
+//!   place, the sharded merge runs the same row step over the row words
+//!   its shards publish.
 //! * [`greedy_maximal_cells_into`] — greedy maximal matching over an
 //!   [`IncrementalGraph`] with a per-edge eligibility filter, reproducing
 //!   [`greedy_maximal_with`](crate::greedy_maximal_with) bit-for-bit for
-//!   each visit order: GM's rotated ablation, and the reference the
-//!   row-word kernels are tested against.
+//!   each visit order: the reference the row-word kernels are tested
+//!   against, and a benchmark probe.
 //! * [`greedy_weighted_rows_into`] — the weighted one of those matchings
 //!   (PG's) from row champions: one first pass and a sort of ≤ N keys, no
 //!   order of all E edges kept or repaired. The first pass is O(E) over
@@ -46,6 +49,7 @@
 use crate::graph::Matching;
 use crate::greedy::GreedyScratch;
 use cioq_model::Value;
+use std::ops::Range;
 
 /// A bipartite scheduling graph over the `n_left × n_right` cell grid with
 /// O(1) edge updates and lexicographic edge iteration.
@@ -175,45 +179,6 @@ impl IncrementalGraph {
         }
     }
 
-    /// Copy row `left`'s edge-presence bits into `out` as a word-aligned
-    /// bitmap (`out[k]` bit `b` ⇔ edge `(left, k·64 + b)`), regardless of
-    /// the row's alignment inside the flat cell bitset. `out` must hold at
-    /// least `n_right.div_ceil(64)` words.
-    ///
-    /// Each GM shard publishes its rows per cycle with this, and the
-    /// sharded merge runs [`claim_first_free`] over the bitmaps.
-    pub fn copy_row_bits(&self, left: usize, out: &mut [u64]) {
-        let words = self.n_right.div_ceil(64);
-        debug_assert!(out.len() >= words);
-        for (k, slot) in out.iter_mut().enumerate().take(words) {
-            *slot = self.row_word(left, k);
-        }
-    }
-
-    /// The lexicographic greedy maximal matching ([`CellVisit::Lex`]) over
-    /// the edges whose column is set in the word-aligned bitmap `free` (bit
-    /// `b` of `free[k]` ⇔ column `k·64 + b`, exactly
-    /// `n_right.div_ceil(64)` words): rows in ascending order, each taking
-    /// [`claim_first_free`] over its edge words read in place. Hands every
-    /// pair to `matched` in that order and leaves `free` without the
-    /// matched columns.
-    ///
-    /// O(N·M/64) word operations however many edges there are: each row
-    /// is visited once, so rows need no "used" marks, and `free` is the
-    /// columns'.
-    // detlint: hot
-    #[inline]
-    pub fn greedy_lex_rows(&self, free: &mut [u64], mut matched: impl FnMut(usize, usize)) {
-        let words = self.n_right.div_ceil(64);
-        debug_assert_eq!(free.len(), words, "one free word per 64 columns");
-        for left in 0..self.n_left {
-            let row = (0..words).map(|k| self.row_word(left, k));
-            if let Some(right) = claim_first_free(free, row) {
-                matched(left, right);
-            }
-        }
-    }
-
     /// Row `left`'s first edge at column `start` or past it, as its column:
     /// a scan of the row's edge words read in place, a word test per 64
     /// columns. CGU picks with it — first fit from 0, round robin from
@@ -223,28 +188,9 @@ impl IncrementalGraph {
     pub fn first_edge_from(&self, left: usize, start: usize) -> Option<usize> {
         (start / 64..self.n_right.div_ceil(64)).find_map(|k| {
             let below = if k == start / 64 { start % 64 } else { 0 };
-            let word = self.row_word(left, k) & (!0u64 << below);
+            let word = row_word(&self.present, self.n_right, left, k) & (!0u64 << below);
             (word != 0).then(|| k * 64 + word.trailing_zeros() as usize)
         })
-    }
-
-    /// Word `k` of row `left`'s edge-presence bits, column-aligned (bit `b`
-    /// ⇔ edge `(left, k·64 + b)`): stitched from the two flat words the row
-    /// straddles when it starts mid-word, zero past the row's last column.
-    #[inline]
-    fn row_word(&self, left: usize, k: usize) -> u64 {
-        debug_assert!(left < self.n_left && k * 64 < self.n_right);
-        let bit = left * self.n_right + k * 64;
-        let (at, shift) = (bit / 64, bit % 64);
-        let mut word = self.present[at] >> shift;
-        if shift != 0 {
-            word |= self.present.get(at + 1).copied().unwrap_or(0) << (64 - shift);
-        }
-        let rest = self.n_right - k * 64;
-        if rest < 64 {
-            word &= (1u64 << rest) - 1;
-        }
-        word
     }
 
     /// Push every row's *champion* — its heaviest edge that `edge_ok`
@@ -362,7 +308,7 @@ impl IncrementalGraph {
         let weights = &self.weights[left * self.n_right..(left + 1) * self.n_right];
         let mut best: Option<(usize, Value)> = None;
         for k in 0..self.n_right.div_ceil(64) {
-            let mut bits = self.row_word(left, k);
+            let mut bits = row_word(&self.present, self.n_right, left, k);
             if let Some(free) = free {
                 bits &= free[k];
             }
@@ -514,9 +460,6 @@ pub enum CellVisit<'a> {
     /// [`EdgeOrder::Insertion`](crate::EdgeOrder::Insertion) for graphs
     /// built port-by-port.
     Lex,
-    /// Lexicographic rotated by `offset % |eligible edges|` —
-    /// [`EdgeOrder::Rotated`](crate::EdgeOrder::Rotated).
-    Rotated(usize),
     /// Descending weight with `(left, right)` tie-break —
     /// [`EdgeOrder::WeightDescending`](crate::EdgeOrder::WeightDescending).
     /// The caller keeps the order repaired against the same graph.
@@ -559,32 +502,6 @@ pub fn greedy_maximal_cells_into(
                 }
             });
         }
-        CellVisit::Rotated(offset) => {
-            // The rotation offset is taken modulo the number of *eligible*
-            // edges (as the from-scratch path does), so the eligible list
-            // must be materialised first.
-            scratch.order.clear();
-            g.for_each_edge(|l, r, w| {
-                if edge_ok(l, r, w) {
-                    scratch.order.push(l * g.n_right() + r);
-                }
-            });
-            if !scratch.order.is_empty() {
-                let k = offset % scratch.order.len();
-                scratch.order.rotate_left(k);
-            }
-            for &cell in &scratch.order {
-                let (l, r) = (cell / g.n_right(), cell % g.n_right());
-                if !scratch.left_used[l] && !scratch.right_used[r] {
-                    scratch.left_used[l] = true;
-                    scratch.right_used[r] = true;
-                    m.pairs.push((l, r));
-                    if m.pairs.len() == cap {
-                        break;
-                    }
-                }
-            }
-        }
         CellVisit::Ordered(order) => {
             debug_assert_eq!(order.entries.len(), g.n_edges(), "order out of sync");
             for (w, cell) in order.iter() {
@@ -610,9 +527,9 @@ pub fn greedy_maximal_cells_into(
 /// Called on every row in ascending order, this is GM's lexicographic
 /// matching under "the column is free" pair for pair: the first edge
 /// [`CellVisit::Lex`] meets in a row whose column no earlier row took is
-/// exactly this column. Both engines run it — the sequential one through
-/// [`IncrementalGraph::greedy_lex_rows`], the sharded merge over the rows
-/// its workers publish with [`IncrementalGraph::copy_row_bits`].
+/// exactly this column. GM runs it twice over: through
+/// [`greedy_lex_bits`] on the switch's occupancy bits, and in the sharded
+/// merge over the row words its workers publish with [`row_word`].
 // detlint: hot
 #[inline]
 pub fn claim_first_free(free: &mut [u64], row: impl IntoIterator<Item = u64>) -> Option<usize> {
@@ -624,6 +541,53 @@ pub fn claim_first_free(free: &mut [u64], row: impl IntoIterator<Item = u64>) ->
         }
     }
     None
+}
+
+/// Word `k` of row `row` of a flat bitset over rows of `m` cells (bit
+/// `c % 64` of `bits[c / 64]` ⇔ cell `c = row·m + column`), column-aligned
+/// (bit `b` ⇔ column `k·64 + b`): stitched from the two flat words a row
+/// straddles when it starts mid-word, zero past the row's last column.
+// detlint: hot
+#[inline]
+pub fn row_word(bits: &[u64], m: usize, row: usize, k: usize) -> u64 {
+    debug_assert!(k * 64 < m);
+    let bit = row * m + k * 64;
+    let (at, shift) = (bit / 64, bit % 64);
+    let mut word = bits[at] >> shift;
+    if shift != 0 {
+        word |= bits.get(at + 1).copied().unwrap_or(0) << (64 - shift);
+    }
+    let rest = m - k * 64;
+    if rest < 64 {
+        word &= (1u64 << rest) - 1;
+    }
+    word
+}
+
+/// GM's lexicographic greedy maximal matching ([`CellVisit::Lex`]) over a
+/// flat bitset of edges (rows of `m` cells, read by [`row_word`]) and the
+/// columns set in the word-aligned bitmap `free` (`m.div_ceil(64)` words):
+/// the rows of `rows` in ascending order, each taking [`claim_first_free`].
+/// Hands every pair `(row, column)` to `matched` in that order and leaves
+/// `free` without the matched columns. O(rows·M/64) word operations
+/// however many edges there are; rows need no "used" marks.
+// detlint: hot
+#[inline]
+pub fn greedy_lex_bits(
+    bits: &[u64],
+    rows: Range<usize>,
+    m: usize,
+    free: &mut [u64],
+    mut matched: impl FnMut(usize, usize),
+) {
+    let words = m.div_ceil(64);
+    debug_assert_eq!(free.len(), words, "one free word per 64 columns");
+    for row in rows {
+        if let Some(column) = claim_first_free(free, (0..words).map(|k| row_word(bits, m, row, k)))
+        {
+            matched(row, column);
+        }
+    }
 }
 
 /// A champion as one integer that sorts like the weighted greedy visits:
@@ -766,26 +730,28 @@ mod tests {
         assert!(!g.check_invariants());
     }
 
-    #[test]
-    fn copy_row_bits_handles_unaligned_rows() {
-        // m = 70: rows start mid-word, so every row after the first needs
-        // the shift-and-stitch path.
-        let m = 70;
-        let mut g = IncrementalGraph::new(3, m);
-        let edges = [(0, 0), (0, 69), (1, 3), (1, 64), (2, 69)];
-        for &(l, r) in &edges {
-            g.set_edge(l, r, 1);
+    /// A flat row-major bitset over rows of `m` cells with `cells` set.
+    fn bitset(rows: usize, m: usize, cells: impl IntoIterator<Item = (usize, usize)>) -> Vec<u64> {
+        let mut bits = vec![0u64; (rows * m).div_ceil(64)];
+        for (l, r) in cells {
+            let cell = l * m + r;
+            bits[cell / 64] |= 1 << (cell % 64);
         }
+        bits
+    }
+
+    #[test]
+    fn row_word_handles_unaligned_rows() {
+        // m = 70: rows start mid-word, so every row after the first needs
+        // the shift-and-stitch path; the last row ends in the last word.
+        let m = 70;
+        let edges = [(0, 0), (0, 69), (1, 3), (1, 64), (2, 69)];
+        let bits = bitset(3, m, edges);
         for row in 0..3 {
-            let mut words = vec![0u64; m.div_ceil(64)];
-            g.copy_row_bits(row, &mut words);
             let mut got = Vec::new();
-            for (k, w) in words.iter().enumerate() {
-                for b in 0..64 {
-                    if w & (1 << b) != 0 {
-                        got.push(k * 64 + b);
-                    }
-                }
+            for k in 0..m.div_ceil(64) {
+                let w = row_word(&bits, m, row, k);
+                got.extend((0..64).filter(|b| w >> b & 1 == 1).map(|b| k * 64 + b));
             }
             let want: Vec<usize> = edges
                 .iter()
@@ -891,7 +857,6 @@ mod tests {
 
         for (visit, edge_order) in [
             (CellVisit::Lex, EdgeOrder::Insertion),
-            (CellVisit::Rotated(5), EdgeOrder::Rotated(5)),
             (CellVisit::Ordered(&order), EdgeOrder::WeightDescending),
         ] {
             let got = greedy_maximal_cells(&g, visit, |_, _, _| true, &mut scratch);
@@ -1054,19 +1019,21 @@ mod tests {
 
     proptest! {
         /// The row-word greedy is the lexicographic greedy under the filter
-        /// "column free", pair for pair and in order — read in place from
-        /// the graph ([`IncrementalGraph::greedy_lex_rows`]) and from copied
-        /// row bitmaps (the sharded merge's form) alike — and leaves in the
-        /// mask exactly the free columns nobody matched. Widths sit on and
-        /// across word boundaries, so most rows start mid-word; one mask in
-        /// four is all zero and one all ones (bits past the last column
-        /// set, which no row may claim).
+        /// "row in range, column free", pair for pair and in order — read
+        /// in place from a flat bitset ([`greedy_lex_bits`]) and from
+        /// copied row words (the sharded merge's form) alike — and leaves
+        /// in the mask exactly the free columns nobody matched. Widths sit
+        /// on and across word boundaries, so most rows start mid-word; one
+        /// mask in four is all zero and one all ones (bits past the last
+        /// column set, which no row may claim); the rows start at row 0 or
+        /// past it, as a shard's do.
         #[test]
         fn row_word_greedy_is_the_lexicographic_greedy(
             width in 0usize..6,
             rows in 1usize..12,
             density in 0u64..9,
             mask in 0usize..4,
+            first in 0usize..4,
             seed in 0u64..u64::MAX,
         ) {
             let cols: usize = [1, 63, 64, 65, 70, 130][width];
@@ -1086,6 +1053,9 @@ mod tests {
                     g.set_edge(cell / cols, cell % cols, next() % 5);
                 }
             }
+            let mut edges = Vec::new();
+            g.for_each_edge(|l, r, _| edges.push((l, r)));
+            let bits = bitset(rows, cols, edges);
             let free: Vec<u64> = (0..words)
                 .map(|_| match mask {
                     0 => 0,
@@ -1094,16 +1064,17 @@ mod tests {
                 })
                 .collect();
             let is_free = |j: usize| free[j / 64] >> (j % 64) & 1 == 1;
+            let lo = first.min(rows - 1);
 
             let want = greedy_maximal_cells(
                 &g,
                 CellVisit::Lex,
-                |_, j, _| is_free(j),
+                |i, j, _| i >= lo && is_free(j),
                 &mut GreedyScratch::default(),
             );
             let mut left = free.clone();
             let mut got = Vec::new();
-            g.greedy_lex_rows(&mut left, |l, r| got.push((l, r)));
+            greedy_lex_bits(&bits, lo..rows, cols, &mut left, |l, r| got.push((l, r)));
             prop_assert_eq!(&got, &want.pairs);
 
             let mut taken = vec![0u64; words];
@@ -1113,13 +1084,13 @@ mod tests {
             let expect: Vec<u64> = free.iter().zip(&taken).map(|(f, t)| f & !t).collect();
             prop_assert_eq!(&left, &expect);
 
-            let (mut bitmap_free, mut row, mut merged) = (free.clone(), vec![0; words], Vec::new());
-            for l in 0..rows {
-                g.copy_row_bits(l, &mut row);
-                merged.extend(claim_first_free(&mut bitmap_free, row.iter().copied()).map(|r| (l, r)));
+            let (mut row_free, mut merged) = (free.clone(), Vec::new());
+            for l in lo..rows {
+                let row = (0..words).map(|k| row_word(&bits, cols, l, k));
+                merged.extend(claim_first_free(&mut row_free, row).map(|r| (l, r)));
             }
             prop_assert_eq!(&merged, &want.pairs);
-            prop_assert_eq!(&bitmap_free, &expect);
+            prop_assert_eq!(&row_free, &expect);
         }
 
         /// `first_edge_from` is the naive scan of the row's cells from
@@ -1245,7 +1216,6 @@ mod tests {
                 }
                 for (visit, edge_order) in [
                     (CellVisit::Lex, EdgeOrder::Insertion),
-                    (CellVisit::Rotated(offset), EdgeOrder::Rotated(offset)),
                     (CellVisit::Ordered(&order), EdgeOrder::WeightDescending),
                 ] {
                     let got = greedy_maximal_cells(&g, visit, eligible, &mut scratch);

@@ -11,8 +11,9 @@
 //!
 //! * [`greedy_maximal`] — iterate edges in a given order, add whenever both
 //!   endpoints are free (the matching step of **GM**, Thm 1);
-//!   [`IncrementalGraph::greedy_lex_rows`] is its lexicographic matching in
-//!   row words over an [`IncrementalGraph`] — what GM runs per cycle.
+//!   [`greedy_lex_bits`] is its lexicographic matching in row words over a
+//!   flat bitset of edges — what GM runs per cycle, on the switch's VOQ
+//!   occupancy bits.
 //! * [`greedy_maximal_weighted`] — same, in descending weight order (the
 //!   matching step of **PG**, Thm 2); [`greedy_weighted_rows_into`] is the
 //!   same matching over an [`IncrementalGraph`] from row champions, without
@@ -43,7 +44,7 @@ pub use greedy::{
 pub use hopcroft_karp::hopcroft_karp;
 pub use hungarian::hungarian_max_weight;
 pub use incremental::{
-    claim_first_free, greedy_maximal_cells_into, greedy_weighted_rows_into, CachedWeightOrder,
-    CellVisit, IncrementalGraph,
+    claim_first_free, greedy_lex_bits, greedy_maximal_cells_into, greedy_weighted_rows_into,
+    row_word, CachedWeightOrder, CellVisit, IncrementalGraph,
 };
 pub use islip::Islip;

@@ -61,6 +61,12 @@ impl QueueKind {
 pub(crate) struct QueueBand {
     /// `Q_ij`, row-major. snapshot: serialized
     voq: QueueStore,
+    /// One bit per `Q_ij` cell, row-major and flat (bit `c % 64` of word
+    /// `c / 64` for cell `c`): set iff the queue is non-empty, changed at
+    /// each 0 ↔ 1 length change by `admit` and `pop_transfer`; what
+    /// [`SwitchView::voq_occupancy`] reads. snapshot: transient —
+    /// `refill` rebuilds it from the queues.
+    occupied: Vec<u64>,
     /// `C_ij` (buffered crossbar only). snapshot: serialized
     xbar: Option<QueueStore>,
     /// `Q_j`, cell `j`. snapshot: serialized
@@ -81,14 +87,21 @@ impl QueueBand {
     /// reserve.
     pub(crate) fn try_new(cfg: &SwitchConfig) -> Result<Self, ConfigError> {
         let (n, m) = (cfg.n_inputs, cfg.n_outputs);
-        let store = |kind, cells: usize, capacity: usize| {
-            QueueStore::try_new(cells, capacity).map_err(|_| ConfigError::QueueReserve {
-                kind,
-                slots: cells.saturating_mul(capacity),
-            })
+        let refused = |kind, cells: usize, capacity: usize| ConfigError::QueueReserve {
+            kind,
+            slots: cells.saturating_mul(capacity),
         };
+        let store = |kind, cells: usize, capacity: usize| {
+            QueueStore::try_new(cells, capacity).map_err(|_| refused(kind, cells, capacity))
+        };
+        let mut occupied = Vec::new();
+        occupied
+            .try_reserve_exact((n * m).div_ceil(64))
+            .map_err(|_| refused("input", n * m, cfg.input_capacity))?;
+        occupied.resize((n * m).div_ceil(64), 0);
         Ok(QueueBand {
             voq: store("input", n * m, cfg.input_capacity)?,
+            occupied,
             xbar: cfg
                 .crossbar_capacity
                 .map(|b| store("crossbar", n * m, b))
@@ -190,10 +203,13 @@ impl QueueBand {
         p: &Packet,
     ) -> Result<(), PolicyError> {
         let cell = self.cell(p.input, p.output);
-        if !matches!(decision, Admission::Reject) {
+        let enters = !matches!(decision, Admission::Reject);
+        if enters {
             self.changes.voq.mark(cell);
         }
-        mechanics::admit(self.voq.get_mut(cell), stats, decision, p)
+        mechanics::admit(self.voq.get_mut(cell), stats, decision, p)?;
+        self.occupied[cell / 64] |= u64::from(enters) << (cell % 64);
+        Ok(())
     }
 
     /// A transfer's first half: pop the packet it designates out of its
@@ -218,6 +234,9 @@ impl QueueBand {
             }
         };
         let packet = mechanics::pop(queue, kind, Some(t.input), t.output)?;
+        if kind != QueueKind::Crossbar && self.voq.get(cell).is_empty() {
+            self.occupied[cell / 64] &= !(1 << (cell % 64));
+        }
         Ok(InFlightPacket::new(
             t.input,
             t.output,
@@ -294,6 +313,7 @@ impl QueueBand {
             filled &= fill(xbar, cells);
         }
         filled &= fill(&mut self.outputs, &snap.output_queues);
+        occupancy(&self.voq, &mut self.occupied);
         let msg = "serialized queue exceeds its capacity";
         filled
             .then_some(())
@@ -302,8 +322,15 @@ impl QueueBand {
 
     /// Verify every store: each queue within capacity and correctly sorted
     /// (value descending, id ascending — assumption A3), and each slab
-    /// conserved. Returns a description of the first violation.
+    /// conserved; and each occupancy bit against its `Q_ij`. Returns a
+    /// description of the first violation.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let mut want = vec![0; self.occupied.len()];
+        occupancy(&self.voq, &mut want);
+        if let Some(k) = (0..want.len()).find(|&k| want[k] != self.occupied[k]) {
+            let cell = k * 64 + (want[k] ^ self.occupied[k]).trailing_zeros() as usize;
+            return Err(format!("occupancy bit of input cell {cell} is stale"));
+        }
         let named = [
             ("input queues (cells row-major)", Some(&self.voq)),
             ("crossbar queues (cells row-major)", self.xbar.as_ref()),
@@ -315,6 +342,15 @@ impl QueueBand {
                 .map_err(|e| format!("{kind}: {e}"))?;
         }
         Ok(())
+    }
+}
+
+/// Set `bits` to one bit per cell of `store` (bit `c % 64` of word
+/// `c / 64`), set iff the cell's queue is non-empty.
+fn occupancy(store: &QueueStore, bits: &mut [u64]) {
+    bits.fill(0);
+    for (cell, queue) in store.iter().enumerate() {
+        bits[cell / 64] |= u64::from(!queue.is_empty()) << (cell % 64);
     }
 }
 
@@ -554,6 +590,14 @@ impl<'a> SwitchView<'a> {
     pub fn changes(&self) -> &'a ChangeLog {
         self.band.changes()
     }
+
+    /// The VOQ request matrix, kept by the queues (so exact at every call,
+    /// with no sync): bit `c % 64` of word `c / 64` is set iff the `Q_ij`
+    /// of global cell `c = i·M + j` is non-empty, whatever the view's rows.
+    #[inline]
+    pub fn voq_occupancy(&self) -> &'a [u64] {
+        &self.band.occupied
+    }
 }
 
 #[cfg(test)]
@@ -561,7 +605,11 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, RunOptions};
     use crate::fault::{FaultPlan, FaultRuntime};
-    use cioq_model::PacketId;
+    use crate::policy::CioqPolicy;
+    use crate::record::Recording;
+    use crate::source::TraceSource;
+    use crate::trace::Trace;
+    use cioq_model::{Cycle, PacketId};
 
     fn packet(id: u64, value: Value, input: usize, output: usize) -> Packet {
         let (input, output) = (PortId::from(input), PortId::from(output));
@@ -821,6 +869,134 @@ mod tests {
         // slot, and one word for both.
         let word = std::mem::size_of::<usize>();
         assert_eq!(std::mem::size_of::<SwitchView<'_>>(), 3 * word + 8 + 8);
+    }
+
+    /// Whether `Q_ij`'s occupancy bit is set.
+    fn occupied(band: &QueueBand, i: usize, j: usize) -> bool {
+        let cell = i * band.n_outputs() + j;
+        band.occupied[cell / 64] >> (cell % 64) & 1 == 1
+    }
+
+    #[test]
+    fn occupancy_bits_follow_each_empty_to_non_empty_change() {
+        // 3 × 70: row 1 starts mid-word and straddles words 1 and 2.
+        let cfg = SwitchConfig::builder(3, 70)
+            .input_capacity(1)
+            .build()
+            .expect("valid config");
+        let (mut band, mut stats) = (band(&cfg), StatsRecorder::new(70));
+        assert!(band.occupied.iter().all(|&w| w == 0));
+        band.admit(&mut stats, Admission::Accept, &packet(0, 5, 1, 60))
+            .unwrap();
+        assert!(occupied(&band, 1, 60) && !occupied(&band, 1, 59));
+        // A preempting arrival keeps the queue non-empty, a rejected one
+        // and a failed rule (a full queue) leave it as it was.
+        let arrivals = [
+            (Admission::AcceptPreemptingLeast, 1, 60),
+            (Admission::Reject, 2, 3),
+            (Admission::Accept, 1, 60),
+        ];
+        for (id, (decision, i, j)) in (1..).zip(arrivals) {
+            let _ = band.admit(&mut stats, decision, &packet(id, 9, i, j));
+        }
+        assert!(occupied(&band, 1, 60) && !occupied(&band, 2, 3));
+        let pop = |i, j| Transfer {
+            input: PortId(i),
+            output: PortId(j),
+            preempt_if_full: false,
+        };
+        band.pop_transfer(QueueKind::Input, &pop(1, 60)).unwrap();
+        assert!(!occupied(&band, 1, 60), "1 → 0 clears the bit");
+        assert!(band.pop_transfer(QueueKind::Input, &pop(1, 60)).is_err());
+        assert!(band.occupied.iter().all(|&w| w == 0));
+        assert_eq!(band.check_invariants(), Ok(()));
+
+        let mut stale = band.clone();
+        stale.occupied[1] |= 1 << (70 + 5 - 64);
+        let err = stale.check_invariants().unwrap_err();
+        assert_eq!(err, "occupancy bit of input cell 75 is stale");
+        stale = band.clone();
+        stale.occupied[3] |= 1 << (210 - 192);
+        let err = stale.check_invariants().unwrap_err();
+        assert_eq!(err, "occupancy bit of input cell 210 is stale");
+    }
+
+    /// GM read off the occupancy bits alone: each row in turn takes its
+    /// first non-empty `Q_ij` whose output is neither full nor taken. It
+    /// reads no queue, so a stale bit shows as a different (or illegal)
+    /// transfer.
+    struct BitsGm;
+
+    impl CioqPolicy for BitsGm {
+        fn name(&self) -> &str {
+            "bits-gm"
+        }
+
+        fn admit(&mut self, view: &SwitchView<'_>, p: &Packet) -> Admission {
+            match view.input_queue(p.input, p.output).is_full() {
+                true => Admission::Reject,
+                false => Admission::Accept,
+            }
+        }
+
+        fn schedule(&mut self, view: &SwitchView<'_>, _: Cycle, out: &mut Vec<Transfer>) {
+            let (bits, m) = (view.voq_occupancy(), view.n_outputs());
+            let mut taken = vec![false; m];
+            for i in 0..view.n_inputs() {
+                let open = |j: usize| !taken[j] && !view.output_full(PortId::from(j));
+                let set = |j: usize| bits[(i * m + j) / 64] >> ((i * m + j) % 64) & 1 == 1;
+                if let Some(j) = (0..m).find(|&j| set(j) && open(j)) {
+                    taken[j] = true;
+                    out.push(Transfer {
+                        input: PortId::from(i),
+                        output: PortId::from(j),
+                        preempt_if_full: false,
+                    });
+                }
+            }
+        }
+    }
+
+    /// `refill` rebuilds the occupancy bits: a run restored from a
+    /// checkpoint with packets in its VOQs matches, off the bits alone, as
+    /// the straight run does from there.
+    #[test]
+    fn a_restored_run_matches_off_the_bits_as_the_straight_run_does() {
+        let cfg = SwitchConfig::builder(3, 70)
+            .input_capacity(3)
+            .output_capacity(2)
+            .build()
+            .expect("valid config");
+        // Two arrivals per input per slot for 30 slots, one transfer out:
+        // the VOQs fill and stay non-empty.
+        let trace = Trace::from_tuples((0..30u64).flat_map(|t| {
+            (0..3usize).flat_map(move |i| {
+                let j = |k: u64| PortId::from(((t * 13 + k * 29) as usize + i * 7) % 70);
+                [(t, PortId::from(i), j(0), 1), (t, PortId::from(i), j(1), 1)]
+            })
+        }));
+        let options = RunOptions {
+            checkpoint_every: Some(10),
+            ..RunOptions::default()
+        };
+        let mut straight = Recording::new(BitsGm);
+        let full = Engine::new(cfg, options.clone())
+            .run_cioq_full(&mut straight, &mut TraceSource::new(&trace))
+            .unwrap();
+        let snap = &full.checkpoints[1];
+        assert!(snap.input_queues.iter().any(|q| !q.is_empty()));
+
+        let mut resumed = Recording::new(BitsGm);
+        let rest = Engine::restore(snap, options)
+            .unwrap()
+            .run_cioq_full(
+                &mut resumed,
+                &mut TraceSource::resume_at(&trace, snap.slot()),
+            )
+            .unwrap();
+        let (straight, resumed) = (straight.schedule.transfers, resumed.schedule.transfers);
+        assert_eq!(resumed, straight[snap.slot() as usize..]);
+        assert_eq!(rest.report, full.report);
     }
 
     /// A restricted view never answers for another shard's row: in debug

@@ -170,6 +170,35 @@ mod tests {
         assert!(high > 200 && high < 400, "p=0.3 of 1000, got {high}");
     }
 
+    /// Every Zipf CDF the repository draws from, bit for bit: `(max, s)`,
+    /// then an FNV-1a hash over each entry's `f64::to_bits` (little-endian
+    /// bytes, entries in value order) and the bits of the total. The CDF
+    /// is built with `powf`, whose last bit IEEE-754 leaves to the host's
+    /// libm; every digest and frozen hash over Zipf traffic (T1, S1–S3,
+    /// the benchmark's rows 1–5) rests on these bits, so a host
+    /// whose `powf` rounds differently fails here, by name, first.
+    #[test]
+    fn zipf_cdf_bits_are_pinned() {
+        let pinned = [
+            (64, 1.1, 0x5f5b_3c77_1d8d_5d15, 0x400f_efb7_1c47_afc8),
+            (32, 1.1, 0x4b0e_3b80_6f2b_4bb3, 0x400c_31e6_c050_c933),
+            (32, 1.0, 0x9c6a_f26e_8a33_c4b7, 0x4010_3be6_2a1d_7def),
+            (16, 1.0, 0x4d4a_af43_517d_dfea, 0x400b_0bbb_a474_75d4),
+        ];
+        for (max, exponent, hash, total_bits) in pinned {
+            let ValueSampler::Zipf { cdf, total } = ValueDist::Zipf { max, exponent }.sampler()
+            else {
+                unreachable!("a Zipf distribution samples through its CDF");
+            };
+            let fnv = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
+            let bytes = cdf.iter().flat_map(|c| c.to_bits().to_le_bytes());
+            let got = bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| fnv(h, &b));
+            let what = format!("zipf(max={max}, s={exponent}): this host's powf");
+            assert_eq!(total.to_bits(), total_bits, "{what} moved the total");
+            assert_eq!(got, hash, "{what} moved an entry of the CDF");
+        }
+    }
+
     #[test]
     fn names_are_descriptive() {
         assert_eq!(ValueDist::Unit.name(), "unit");
